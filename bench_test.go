@@ -112,7 +112,7 @@ func BenchmarkGetPut(b *testing.B) {
 func benchShardedZipf(b *testing.B, shards int) {
 	b.Helper()
 	const records = 1 << 19
-	store, err := kv.OpenFasterShards(kv.ShardedConfig{
+	store, err := kv.OpenEngine(kv.EngineFaster, kv.ShardedConfig{
 		Dir: b.TempDir(), Shards: shards, ValueSize: 64,
 		MemoryBytes: 512 * 256 * (64 + 24), ExpectedKeys: records,
 		MutableFraction: 0.375,
@@ -165,7 +165,7 @@ func newRemoteBenchSession(tb testing.TB, batch, cacheEntries int, copts ...mlkv
 	reg := server.NewRegistry(server.RegistryConfig{
 		DefaultBound: faster.BoundAsync,
 		Opener: func(id string, d, shards int, bound int64, engine string) (kv.Store, error) {
-			return kv.OpenFasterShards(kv.ShardedConfig{
+			return kv.OpenEngine(kv.EngineFaster, kv.ShardedConfig{
 				Dir: dir + "/" + id, Shards: shards, ValueSize: d * 4,
 				MemoryBytes: 32 << 20, ExpectedKeys: remoteBenchRecords,
 				StalenessBound: bound,
@@ -263,15 +263,13 @@ func BenchmarkRemoteGetBatch256Hedged(b *testing.B) {
 // BenchmarkYCSBZipfian measures raw KV throughput under YCSB-A skew
 // (micro-benchmark feeding Figure 10's shape).
 func BenchmarkYCSBZipfian(b *testing.B) {
-	st, err := faster.Open(faster.Config{
-		Dir: b.TempDir(), ValueSize: 64, RecordsPerPage: 256,
-		MemPages: 64, MutablePages: 24,
+	store, err := kv.OpenEngine(kv.EngineFaster, kv.ShardedConfig{
+		Dir: b.TempDir(), ValueSize: 64, MemoryBytes: 64 * 256 * (64 + 24),
 		StalenessBound: faster.BoundAsync, ExpectedKeys: 1 << 16,
-	})
+	}, "mlkv")
 	if err != nil {
 		b.Fatal(err)
 	}
-	store := kv.WrapFaster(st, "mlkv")
 	defer store.Close()
 	if err := ycsb.Load(store, 1<<16, 1); err != nil {
 		b.Fatal(err)

@@ -167,7 +167,7 @@ func TestAPIServerSideCache(t *testing.T) {
 		DefaultBound: mlkv.ASP,
 		CacheEntries: 1024,
 		Opener: func(id string, dim, shards int, b int64, engine string) (kv.Store, error) {
-			return kv.OpenFasterShards(kv.ShardedConfig{
+			return kv.OpenEngine(kv.EngineFaster, kv.ShardedConfig{
 				Dir: filepath.Join(dir, id), Shards: shards, ValueSize: dim * 4,
 				RecordsPerPage: 64, MemoryBytes: 1 << 20, ExpectedKeys: 1 << 12,
 				StalenessBound: b,

@@ -23,11 +23,8 @@ import (
 	"time"
 
 	mlkv "github.com/llm-db/mlkv-go"
-	"github.com/llm-db/mlkv-go/internal/bptree"
 	"github.com/llm-db/mlkv-go/internal/core"
 	"github.com/llm-db/mlkv-go/internal/data"
-	"github.com/llm-db/mlkv-go/internal/kv"
-	"github.com/llm-db/mlkv-go/internal/lsm"
 	"github.com/llm-db/mlkv-go/internal/models"
 	"github.com/llm-db/mlkv-go/internal/train"
 )
@@ -107,12 +104,13 @@ func main() {
 			defer os.RemoveAll(d)
 		}
 		switch *backendN {
-		case "mlkv", "faster":
+		case "mlkv", "faster", "lsm", "bptree":
 			// The public API against a local directory target — the same
-			// code path a remote run takes, minus the wire.
-			bound := *staleness
-			if *backendN == "faster" {
-				bound = mlkv.Disabled
+			// code path a remote run takes, minus the wire. Only the mlkv
+			// backend runs the staleness clock.
+			bound := mlkv.Disabled
+			if *backendN == "mlkv" {
+				bound = *staleness
 			}
 			db, err := mlkv.Connect(d)
 			if err != nil {
@@ -124,6 +122,7 @@ func main() {
 				model = *task
 			}
 			mdl, err := db.Open(model, *dim,
+				mlkv.WithEngine(*backendN),
 				mlkv.WithStalenessBound(bound),
 				mlkv.WithMemory(int64(*bufferMB)<<20),
 				mlkv.WithExpectedKeys(*keys),
@@ -134,20 +133,6 @@ func main() {
 			}
 			defer mdl.Close()
 			backend = train.NewModelBackend(mdl, *backendN == "mlkv" && *lookahead > 0)
-		case "lsm":
-			s, err := lsm.Open(lsm.Config{Dir: d, ValueSize: *dim * 4, CacheBytes: *bufferMB << 19, MemtableBytes: *bufferMB << 19})
-			if err != nil {
-				fail(err)
-			}
-			defer s.Close()
-			backend = train.NewKVBackend(kv.WrapLSM(s), *dim, init)
-		case "bptree":
-			s, err := bptree.Open(bptree.Config{Dir: d, ValueSize: *dim * 4, PoolPages: (*bufferMB << 20) / 4096})
-			if err != nil {
-				fail(err)
-			}
-			defer s.Close()
-			backend = train.NewKVBackend(kv.WrapBPTree(s), *dim, init)
 		case "mem":
 			backend = train.NewMemBackend("mem", *dim, init)
 		default:

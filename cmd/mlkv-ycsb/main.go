@@ -90,7 +90,7 @@ func main() {
 		}
 		store = cl
 		fmt.Printf("remote store %s model %q at %s: valuesize=%d shards=%d hedge=%s adaptive=%v\n",
-			cl.Name(), *model, *addr, cl.ValueSize(), storeShards(cl, 1), *hedge, *hedgeAda)
+			cl.Name(), *model, *addr, cl.ValueSize(), cl.Shards(), *hedge, *hedgeAda)
 	} else {
 		bound := faster.BoundAsync // MLKV: clock maintained, never blocks
 		if *engine == "faster" {
@@ -107,7 +107,7 @@ func main() {
 			defer os.RemoveAll(d)
 		}
 		var err error
-		store, err = kv.OpenFasterShards(kv.ShardedConfig{
+		store, err = kv.OpenEngine(kv.EngineFaster, kv.ShardedConfig{
 			Dir: d, Shards: *shards, ValueSize: *vs, RecordsPerPage: 256,
 			MemoryBytes: int64(*bufferMB) << 20, ExpectedKeys: *records,
 			StalenessBound: bound, SyncWrites: *sync,
@@ -153,23 +153,19 @@ func main() {
 		os.Exit(1)
 	}
 	if *sync && *addr == "" {
-		if cp, ok := store.(kv.Checkpointer); ok {
-			if err := cp.Checkpoint(); err != nil {
-				fmt.Fprintln(os.Stderr, "checkpoint:", err)
-			}
+		if err := store.Checkpoint(); err != nil {
+			fmt.Fprintln(os.Stderr, "checkpoint:", err)
 		}
 	}
 	fmt.Printf("engine=%s dist=%s threads=%d valuesize=%d shards=%d\n",
-		store.Name(), dist, *threads, store.ValueSize(), storeShards(store, *shards))
+		store.Name(), dist, *threads, store.ValueSize(), store.Shards())
 	fmt.Printf("ops=%d reads=%d updates=%d elapsed=%s throughput=%.0f ops/s\n",
 		res.Ops, res.Reads, res.Updates, res.Elapsed.Round(1e6), res.Throughput)
 	printLatency("read", res.ReadLat)
 	printLatency("update", res.UpdateLat)
-	if sr, ok := store.(kv.StatsReporter); ok {
-		s := sr.Stats()
-		fmt.Printf("store: gets=%d puts=%d memhits=%d diskreads=%d inplace=%d rcu=%d flushed=%dB\n",
-			s.Gets, s.Puts, s.MemHits, s.DiskReads, s.InPlaceUpdates, s.RCUAppends, s.BytesFlushed)
-	}
+	s := store.Stats()
+	fmt.Printf("store: gets=%d puts=%d memhits=%d diskreads=%d inplace=%d rcu=%d flushed=%dB\n",
+		s.Gets, s.Puts, s.MemHits, s.DiskReads, s.InPlaceUpdates, s.RCUAppends, s.BytesFlushed)
 	if hr, ok := store.(interface {
 		HedgeStats() (issued, won, wasted, suppressed int64)
 	}); ok {
@@ -200,13 +196,4 @@ func printLatency(class string, s latency.Snapshot) {
 	fmt.Printf("%s latency (µs): p50=%.1f p99=%.1f p999=%.1f max=%.1f (n=%d)\n",
 		class, latency.Us(s.P50), latency.Us(s.P99), latency.Us(s.P999),
 		latency.Us(s.Max), s.Count)
-}
-
-// storeShards reports the store's actual partition count (the server's,
-// when remote) falling back to the local flag.
-func storeShards(store kv.Store, flagShards int) int {
-	if sh, ok := store.(kv.Sharded); ok {
-		return sh.Shards()
-	}
-	return flagShards
 }

@@ -36,7 +36,7 @@ func (e *Env) AllocSweep() error {
 		reg := server.NewRegistry(server.RegistryConfig{
 			DefaultBound: faster.BoundAsync,
 			Opener: func(id string, d, shards int, bound int64, engine string) (kv.Store, error) {
-				return kv.OpenFasterShards(kv.ShardedConfig{
+				return kv.OpenEngine(kv.EngineFaster, kv.ShardedConfig{
 					Dir: e.dir("allocs"), Shards: shards, ValueSize: d * 4,
 					MemoryBytes: 32 << 20, ExpectedKeys: records,
 					StalenessBound: bound,

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	mlkv "github.com/llm-db/mlkv-go"
+	"github.com/llm-db/mlkv-go/internal/core"
 	"github.com/llm-db/mlkv-go/internal/faster"
 	"github.com/llm-db/mlkv-go/internal/kv"
 	"github.com/llm-db/mlkv-go/internal/train"
@@ -18,7 +19,7 @@ var benchEngines = []string{kv.EngineFaster, kv.EngineLSM, kv.EngineBPTree}
 // EngineSweep races the three storage engines behind the same seam on the
 // same workloads: YCSB read-heavy and update-heavy over kv.OpenEngine
 // (exactly what mlkv-server runs per model), a batched DLRM training leg
-// over the lifted kv backends, then a batched Zipf read leg through the
+// over core.Table on each engine, then a batched Zipf read leg through the
 // public API with WithEngine — the path a user's bake-off takes. Clock
 // machinery is off everywhere (ASP / no bound), so the numbers isolate
 // the engines' data structures, not staleness waits.
@@ -93,7 +94,7 @@ func (e *Env) EngineSweep() error {
 }
 
 // engineSweepTrain is the training leg: batched async DLRM over each
-// engine behind the same lifted kv seam, so the table shows what the
+// engine behind the same core.Table, so the table shows what the
 // engine choice costs an actual gather/scatter training loop rather than
 // a synthetic point workload.
 func (e *Env) engineSweepTrain() error {
@@ -109,16 +110,16 @@ func (e *Env) engineSweepTrain() error {
 		if kv.ClockFree(eng) {
 			bound = -1
 		}
-		store, err := kv.OpenEngine(eng, kv.ShardedConfig{
-			Dir: e.dir("engines-train-" + eng), Shards: 4, ValueSize: s.Dim * 4,
+		tbl, err := core.OpenTable(core.Options{
+			Dir: e.dir("engines-train-" + eng), Dim: s.Dim, Engine: eng, Shards: 4,
 			MemoryBytes: int64(bufKB) << 10, RecordsPerPage: 256,
-			ExpectedKeys: keys, StalenessBound: bound,
-		}, eng)
+			ExpectedKeys: keys, StalenessBound: bound, Init: e.ctrInit(),
+		})
 		if err != nil {
 			return err
 		}
-		res, err := train.TrainCTR(e.ctrOpts(train.NewKVBackend(store, s.Dim, e.ctrInit()), train.ModeAsync, 0))
-		if cerr := store.Close(); err == nil {
+		res, err := train.TrainCTR(e.ctrOpts(train.NewTableBackend(tbl, false), train.ModeAsync, 0))
+		if cerr := tbl.Close(); err == nil {
 			err = cerr
 		}
 		if err != nil {

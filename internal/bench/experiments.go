@@ -7,11 +7,9 @@ import (
 	"path/filepath"
 	"time"
 
-	"github.com/llm-db/mlkv-go/internal/bptree"
 	"github.com/llm-db/mlkv-go/internal/core"
 	"github.com/llm-db/mlkv-go/internal/data"
 	"github.com/llm-db/mlkv-go/internal/kv"
-	"github.com/llm-db/mlkv-go/internal/lsm"
 	"github.com/llm-db/mlkv-go/internal/models"
 	"github.com/llm-db/mlkv-go/internal/train"
 )
@@ -86,8 +84,8 @@ type Env struct {
 	Scale   Scale
 	WorkDir string
 	Out     io.Writer
-	// Shards hash-partitions every MLKV/FASTER table the experiments open
-	// (0 or 1 = unsharded). The "shards" experiment sweeps shard counts
+	// Shards hash-partitions every table the experiments open (0 or 1 =
+	// unsharded). The "shards" experiment sweeps shard counts
 	// itself and ignores this.
 	Shards int
 	// JSONDir, when set, makes Run write each experiment's recorded
@@ -98,8 +96,8 @@ type Env struct {
 	// hedged remote rows (the -hedge flag); 0 uses the adaptive delay
 	// derived from the pool's own observed tail.
 	HedgeDelay time.Duration
-	n       int
-	results []Result
+	n          int
+	results    []Result
 }
 
 // NewEnv builds an Env writing results to out and data under workDir.
@@ -118,59 +116,48 @@ func (e *Env) printf(format string, args ...any) {
 	fmt.Fprintf(e.Out, format, args...)
 }
 
-// mlkvTable opens a core.Table sized to bufKB kilobytes of memory,
-// partitioned across e.Shards shards.
+// mlkvTable opens a hybrid-log core.Table sized to bufKB kilobytes of
+// memory, partitioned across e.Shards shards.
 func (e *Env) mlkvTable(tag string, dim int, bound int64, bufKB int, expectedKeys uint64, init core.Initializer) (*core.Table, error) {
+	return e.engineTable(tag, kv.EngineFaster, dim, bound, bufKB, expectedKeys, init)
+}
+
+// engineTable is mlkvTable on a named engine.
+func (e *Env) engineTable(tag, engine string, dim int, bound int64, bufKB int, expectedKeys uint64, init core.Initializer) (*core.Table, error) {
 	return core.OpenTable(core.Options{
-		Dir: e.dir(tag), Dim: dim, StalenessBound: bound, Shards: e.Shards,
+		Dir: e.dir(tag), Dim: dim, Engine: engine, StalenessBound: bound, Shards: e.Shards,
 		MemoryBytes: int64(bufKB) << 10, RecordsPerPage: 256,
 		ExpectedKeys: expectedKeys, Init: init,
 	})
 }
 
-// backendSet builds the Figure 7 engine lineup at one buffer size.
+// backendSet builds the Figure 7 engine lineup at one buffer size: every
+// engine behind the same core.Table, so the figure compares storage
+// engines and nothing else.
 func (e *Env) backendSet(dim int, bound int64, bufKB int, keys uint64, init core.Initializer) (map[string]train.Backend, func(), error) {
-	closers := []func(){}
 	out := map[string]train.Backend{}
-
-	mt, err := e.mlkvTable("mlkv", dim, bound, bufKB, keys, init)
-	if err != nil {
-		return nil, nil, err
-	}
-	closers = append(closers, func() { mt.Close() })
-	out["mlkv"] = train.NewTableBackend(mt, true)
-
-	ft, err := e.mlkvTable("faster", dim, core.BoundDisabled, bufKB, keys, init)
-	if err != nil {
-		return nil, nil, err
-	}
-	closers = append(closers, func() { ft.Close() })
-	out["faster"] = train.NewTableBackend(ft, false)
-
-	ls, err := lsm.Open(lsm.Config{
-		Dir: e.dir("lsm"), ValueSize: dim * 4,
-		MemtableBytes: bufKB << 9, CacheBytes: bufKB << 9, // split budget half/half
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	closers = append(closers, func() { ls.Close() })
-	out["lsm"] = train.NewKVBackend(kv.WrapLSM(ls), dim, init)
-
-	pool := (bufKB << 10) / 4096
-	bt, err := bptree.Open(bptree.Config{
-		Dir: e.dir("bptree"), ValueSize: dim * 4, PoolPages: pool,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	closers = append(closers, func() { bt.Close() })
-	out["bptree"] = train.NewKVBackend(kv.WrapBPTree(bt), dim, init)
-
+	var tables []*core.Table
 	closeAll := func() {
-		for _, c := range closers {
-			c()
+		for _, t := range tables {
+			t.Close()
 		}
+	}
+	for _, b := range []struct {
+		name, engine string
+		bound        int64
+	}{
+		{"mlkv", kv.EngineFaster, bound},
+		{"faster", kv.EngineFaster, core.BoundDisabled},
+		{"lsm", kv.EngineLSM, core.BoundDisabled},
+		{"bptree", kv.EngineBPTree, core.BoundDisabled},
+	} {
+		t, err := e.engineTable(b.name, b.engine, dim, b.bound, bufKB, keys, init)
+		if err != nil {
+			closeAll()
+			return nil, nil, err
+		}
+		tables = append(tables, t)
+		out[b.name] = train.NewTableBackend(t, b.name == "mlkv")
 	}
 	return out, closeAll, nil
 }

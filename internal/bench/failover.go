@@ -113,7 +113,7 @@ func (e *Env) failoverTrial(trial int, hc cluster.HealthConfig) (time.Duration, 
 			DefaultShards: 1,
 			Name:          id,
 			Opener: func(model string, d, shards int, bound int64, engine string) (kv.Store, error) {
-				return kv.OpenFasterShards(kv.ShardedConfig{
+				return kv.OpenEngine(kv.EngineFaster, kv.ShardedConfig{
 					Dir: dir + "/" + model, Shards: shards, ValueSize: d * 4,
 					MemoryBytes: 1 << 20, RecordsPerPage: 256,
 					ExpectedKeys: keys * 4, StalenessBound: bound,

@@ -316,21 +316,13 @@ func (e *Env) Fig9() error {
 func (e *Env) Fig10() error {
 	e.printf("== Figure 10: YCSB throughput, MLKV vs FASTER ==\n")
 	run := func(name string, bound int64, bufKB, threads, vs int, dist ycsb.Distribution) (float64, error) {
-		recBytes := int64(vs + 24)
-		rpp := 256
-		memPages := int(int64(bufKB) << 10 / (recBytes * int64(rpp)))
-		if memPages < 4 {
-			memPages = 4
-		}
-		st, err := faster.Open(faster.Config{
-			Dir: e.dir("fig10"), ValueSize: vs, RecordsPerPage: rpp,
-			MemPages: memPages, MutablePages: memPages / 2,
+		store, err := kv.OpenEngine(kv.EngineFaster, kv.ShardedConfig{
+			Dir: e.dir("fig10"), ValueSize: vs, MemoryBytes: int64(bufKB) << 10,
 			StalenessBound: bound, ExpectedKeys: e.Scale.YCSBRecords,
-		})
+		}, name)
 		if err != nil {
 			return 0, err
 		}
-		store := kv.WrapFaster(st, name)
 		defer store.Close()
 		res, err := ycsb.Run(ycsb.Options{
 			Store: store, Records: e.Scale.YCSBRecords, Threads: threads,
@@ -500,7 +492,7 @@ func (e *Env) ShardSweep() error {
 // single store's lone flusher serializes every log append behind one fsync
 // stream, and where independent per-shard logs overlap their flushes.
 func (e *Env) runShardedYCSB(shards, threads, vs, bufKB int) (float64, error) {
-	store, err := kv.OpenFasterShards(kv.ShardedConfig{
+	store, err := kv.OpenEngine(kv.EngineFaster, kv.ShardedConfig{
 		Dir: e.dir("shardsweep"), Shards: shards, ValueSize: vs,
 		MemoryBytes: int64(bufKB) << 10, ExpectedKeys: e.Scale.YCSBRecords,
 		StalenessBound: faster.BoundAsync, SyncWrites: true,

@@ -44,7 +44,7 @@ func (e *Env) NetworkSweep() error {
 	e.printf("records=%d shards=%d workers=%d valuesize=%d buffer=%dKB\n",
 		records, shards, workers, vs, e.Scale.BufferKBs[0])
 
-	store, err := kv.OpenFasterShards(kv.ShardedConfig{
+	store, err := kv.OpenEngine(kv.EngineFaster, kv.ShardedConfig{
 		Dir: e.dir("network"), Shards: shards, ValueSize: vs,
 		MemoryBytes: int64(e.Scale.BufferKBs[0]) << 10, ExpectedKeys: records,
 		StalenessBound: faster.BoundAsync,

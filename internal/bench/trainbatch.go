@@ -93,7 +93,7 @@ func (e *Env) runTrainBatchCTR(scalar, remote bool, bufKB int, keys uint64) (*tr
 		return train.TrainCTR(opts)
 	}
 
-	store, err := kv.OpenFasterShards(kv.ShardedConfig{
+	store, err := kv.OpenEngine(kv.EngineFaster, kv.ShardedConfig{
 		Dir: e.dir("trainbatch-srv"), Shards: shards, ValueSize: e.Scale.Dim * 4,
 		MemoryBytes: int64(bufKB) << 10, ExpectedKeys: keys,
 		StalenessBound: faster.BoundAsync,

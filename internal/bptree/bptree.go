@@ -488,11 +488,18 @@ func (s *Store) Height() int {
 // IOStats reports pager counters (reads, writes, pool hits).
 func (s *Store) IOStats() (reads, writes, hits int64) { return s.pager.stats() }
 
-// Session adapts the store to kv.Session.
-type Session struct{ s *Store }
+// Session is one worker's operation handle. The store is internally
+// synchronized; the session only owns scratch, so like every engine
+// session it belongs to one goroutine.
+type Session struct {
+	s       *Store
+	scratch []byte // one value: Prefetch's read target, Delete's tombstone payload
+}
 
 // NewSession returns an operation handle.
-func (s *Store) NewSession() (*Session, error) { return &Session{s: s}, nil }
+func (s *Store) NewSession() (*Session, error) {
+	return &Session{s: s, scratch: make([]byte, s.cfg.ValueSize)}, nil
+}
 
 // Get reads key into dst.
 func (se *Session) Get(key uint64, dst []byte) (bool, error) {
@@ -512,7 +519,8 @@ func (se *Session) Put(key uint64, val []byte) error {
 
 // Delete removes key (tombstone; space is reused on reinsert).
 func (se *Session) Delete(key uint64) error {
-	return se.s.put(key, make([]byte, se.s.cfg.ValueSize), true)
+	clear(se.scratch)
+	return se.s.put(key, se.scratch, true)
 }
 
 // GetBatch reads keys[i] into vals[i*vs:(i+1)*vs], setting found[i], under
@@ -537,8 +545,7 @@ func (se *Session) PutBatch(keys []uint64, vals []byte) error {
 
 // Prefetch pulls key's leaf page into the buffer pool.
 func (se *Session) Prefetch(key uint64) (bool, error) {
-	dst := make([]byte, se.s.cfg.ValueSize)
-	return se.s.get(key, dst)
+	return se.s.get(key, se.scratch)
 }
 
 // Close releases the session (no-op).

@@ -311,3 +311,24 @@ func TestBPTreeConfigValidation(t *testing.T) {
 		t.Fatal("oversize values accepted")
 	}
 }
+
+// TestSessionScratchAllocs: Prefetch reads into, and Delete writes its
+// tombstone from, the session's own scratch, so neither allocates — the
+// lookahead pool calls Prefetch once per hinted key.
+func TestSessionScratchAllocs(t *testing.T) {
+	const vs = 32
+	s := testTree(t, vs)
+	se, _ := s.NewSession()
+	val := make([]byte, vs)
+	for k := uint64(0); k < 8; k++ {
+		if err := se.Put(k, val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { se.Prefetch(3) }); n != 0 {
+		t.Fatalf("Prefetch allocates %.0f times per call", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { se.Delete(3) }); n != 0 {
+		t.Fatalf("Delete allocates %.0f times per call", n)
+	}
+}

@@ -472,9 +472,8 @@ func (c *Client) OpenModel(ctx context.Context, spec OpenSpec) (*Model, error) {
 	return m, nil
 }
 
-// Model is one named model on the server: a remote kv.Store. It also
-// implements kv.Checkpointer, kv.StatsReporter, and kv.Sharded by
-// delegating to the server.
+// Model is one named model on the server: a remote kv.Store, every
+// method delegating to the server.
 type Model struct {
 	c      *Client
 	handle uint32
@@ -511,6 +510,17 @@ func (m *Model) StalenessBound() int64 { return m.bound.Load() }
 // re-issued clock-free would silently weaken its consistency.
 func (m *Model) SetBoundHint(bound int64) { m.bound.Store(bound) }
 
+// SetStalenessBound applies a new bound on the server by re-opening the
+// model with it — the wire protocol's way to retune an existing model —
+// and updates the local mirror on success.
+func (m *Model) SetStalenessBound(bound int64) error {
+	if _, err := m.c.OpenModel(context.Background(), OpenSpec{ID: m.id, Dim: m.dim, Bound: bound}); err != nil {
+		return err
+	}
+	m.bound.Store(bound)
+	return nil
+}
+
 // Name identifies the remote engine in benchmark output.
 func (m *Model) Name() string { return "remote(" + m.engine + ")" }
 
@@ -533,7 +543,7 @@ func (m *Model) CheckpointCtx(ctx context.Context) error {
 	return err
 }
 
-// Stats fetches the engine's merged operation counters (kv.StatsReporter).
+// Stats fetches the engine's merged operation counters.
 func (m *Model) Stats() faster.StatsSnapshot {
 	s, err := m.ModelStats(context.Background())
 	if err != nil {
@@ -768,9 +778,8 @@ func waitMsFrom(ctx context.Context) uint32 {
 	return uint32(ms)
 }
 
-// Peek implements kv.PeekSession: a clock-free read on the server, so
-// remote evaluation never acquires staleness tokens that would stall
-// training reads.
+// Peek is a clock-free read on the server, so remote evaluation never
+// acquires staleness tokens that would stall training reads.
 func (s *Session) Peek(key uint64, dst []byte) (bool, error) {
 	return s.PeekCtx(context.Background(), key, dst)
 }
@@ -826,6 +835,19 @@ func (s *Session) DeleteCtx(ctx context.Context, key uint64) error {
 	return err
 }
 
+// RMW is a Get, fn, and a Put: the protocol has no RMW frame, so the step
+// is not atomic against other sessions (the clocked Get/Put pair still
+// balances its staleness token).
+func (s *Session) RMW(key uint64, fn func(cur []byte, exists bool)) error {
+	cur := make([]byte, s.vs)
+	found, err := s.Get(key, cur)
+	if err != nil {
+		return err
+	}
+	fn(cur, found)
+	return s.Put(key, cur)
+}
+
 // Prefetch ships a one-key LOOKAHEAD; true means the server copied the
 // record toward memory.
 func (s *Session) Prefetch(key uint64) (bool, error) {
@@ -866,9 +888,8 @@ func (s *Session) LookaheadCtx(ctx context.Context, keys []uint64) (int, error) 
 	return total, nil
 }
 
-// GetBatch implements kv.BatchSession: one frame per MaxKeysPerFrame
-// chunk, each fanned into the server's sharded store as a single batched
-// read.
+// GetBatch ships one frame per MaxKeysPerFrame chunk, each fanned into the
+// server's sharded store as a single batched read.
 func (s *Session) GetBatch(keys []uint64, vals []byte, found []bool) error {
 	return s.GetBatchCtx(context.Background(), keys, vals, found)
 }
@@ -915,7 +936,7 @@ func (s *Session) GetBatchCtx(ctx context.Context, keys []uint64, vals []byte, f
 	return nil
 }
 
-// PutBatch implements kv.BatchSession.
+// PutBatch ships one frame per MaxKeysPerFrame chunk.
 func (s *Session) PutBatch(keys []uint64, vals []byte) error {
 	return s.PutBatchCtx(context.Background(), keys, vals)
 }

@@ -1,9 +1,12 @@
 // Package core implements MLKV proper: the embedding-table abstraction the
-// paper's §III exposes to ML frameworks. A Table stores one embedding table
-// (fixed dimension) in a FASTER-style hybrid-log store with MLKV's
-// bounded-staleness consistency, and adds the Lookahead interface — an
-// asynchronous prefetch pool that moves disk-resident embeddings into the
-// store's mutable memory buffer (or an application-side cache) ahead of use.
+// paper's §III exposes to ML frameworks. A Table is the typed layer over
+// the kv engine seam: it stores one embedding table (fixed dimension) in a
+// sharded engine store — by default the FASTER-style hybrid log with MLKV's
+// bounded-staleness consistency — and adds what is table-level: the
+// float32 codec, seeded first-touch initialization, a staleness-aware hot
+// tier, and the Lookahead interface, an asynchronous prefetch pool that
+// moves disk-resident embeddings into the store's mutable memory buffer
+// (or an application-side cache) ahead of use.
 package core
 
 import (
@@ -12,13 +15,11 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"os"
-	"path/filepath"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"github.com/llm-db/mlkv-go/internal/faster"
+	"github.com/llm-db/mlkv-go/internal/kv"
 	"github.com/llm-db/mlkv-go/internal/latency"
 	"github.com/llm-db/mlkv-go/internal/tensor"
 	"github.com/llm-db/mlkv-go/internal/util"
@@ -56,12 +57,15 @@ type Options struct {
 	Dir string
 	// Dim is the embedding dimension.
 	Dim int
-	// Shards is the number of independent FASTER store instances the key
-	// space is hash-partitioned across (each with its own hybrid log, hash
-	// index, and epoch domain). Batch operations fan out across shards in
-	// parallel. Default 1: a single store, laid out exactly as unsharded
-	// tables always were. The memory budget and expected-key sizing are
-	// split evenly across shards.
+	// Engine selects the storage engine: "" / "mlkv" / "faster" (the
+	// hybrid log, the default), "lsm", or "bptree". The latter two have no
+	// vector clock and refuse a blocking StalenessBound.
+	Engine string
+	// Shards is the number of independent engine instances the key space
+	// is hash-partitioned across. Batch operations fan out across shards
+	// in parallel. Default 1: a single store, laid out exactly as
+	// unsharded tables always were. The memory budget and expected-key
+	// sizing are split evenly across shards.
 	Shards int
 	// StalenessBound is the consistency knob (§III-C1): BoundBSP, BoundASP,
 	// BoundDisabled, or any positive SSP bound.
@@ -86,7 +90,8 @@ type Options struct {
 	CacheEntries int
 	// Init initializes first-touch embeddings. Default: zeros.
 	Init Initializer
-	// RecordsPerPage overrides the log page granularity (power of two).
+	// RecordsPerPage overrides the log page granularity (power of two,
+	// default 1024).
 	RecordsPerPage int
 	// FlushPace paces each shard's background log flusher: when positive,
 	// consecutive flush writes are separated by at least this gap so a
@@ -102,12 +107,11 @@ type Options struct {
 	TrackLatency bool
 }
 
-// Table is one embedding table, hash-partitioned across one or more FASTER
-// stores. It is safe for concurrent use through per-goroutine Sessions.
+// Table is one embedding table over a sharded engine store. It is safe for
+// concurrent use through per-goroutine Sessions.
 type Table struct {
-	stores []*faster.Store // one per shard, in shard order
-	dirs   []string        // per-shard storage directories
-	dir    string
+	store  kv.Store
+	engine string // canonical engine name
 	dim    int
 	vs     int
 	init   Initializer
@@ -124,7 +128,6 @@ type Table struct {
 	prefetchStop    chan struct{}
 	prefetchDone    chan struct{}
 	prefetchDropped atomic.Int64
-	prefetched      atomic.Int64
 	activeSessions  atomic.Int64
 	batchGets       atomic.Int64
 	batchPuts       atomic.Int64
@@ -146,14 +149,12 @@ func OpenTable(opts Options) (*Table, error) {
 	if opts.Shards < 0 {
 		return nil, fmt.Errorf("core: Shards must be non-negative, got %d", opts.Shards)
 	}
-	if opts.Shards == 0 {
-		opts.Shards = 1
+	engine, err := kv.NormalizeEngine(opts.Engine)
+	if err != nil {
+		return nil, err
 	}
 	if opts.MemoryBytes == 0 {
 		opts.MemoryBytes = 64 << 20
-	}
-	if opts.MutableFraction == 0 {
-		opts.MutableFraction = 0.5
 	}
 	if opts.PrefetchWorkers == 0 {
 		opts.PrefetchWorkers = 2
@@ -161,70 +162,28 @@ func OpenTable(opts Options) (*Table, error) {
 	if opts.PrefetchQueue == 0 {
 		opts.PrefetchQueue = 4096
 	}
-	vs := opts.Dim * 4
-	rpp := opts.RecordsPerPage
-	if rpp == 0 {
-		rpp = 1024
+	if opts.RecordsPerPage == 0 {
+		opts.RecordsPerPage = 1024
 	}
-	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
-		return nil, err
-	}
-	if err := util.ValidateShardMeta(opts.Dir, opts.Shards); err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	// Split the memory and index budgets evenly: S shards together use the
-	// same resources one unsharded store would.
-	recBytes := int64(vs + 24)
-	memPages := int(opts.MemoryBytes / int64(opts.Shards) / (recBytes * int64(rpp)))
-	if memPages < 4 {
-		memPages = 4
-	}
-	mutPages := int(float64(memPages) * opts.MutableFraction)
-	if mutPages < 1 {
-		mutPages = 1
-	}
-	if mutPages > memPages-2 {
-		mutPages = memPages - 2
-	}
-	keysPerShard := opts.ExpectedKeys / uint64(opts.Shards)
-	if opts.ExpectedKeys > 0 && keysPerShard == 0 {
-		keysPerShard = 1
-	}
-	dirs := shardDirs(opts.Dir, opts.Shards)
-	stores := make([]*faster.Store, 0, opts.Shards)
-	for _, d := range dirs {
-		st, err := faster.Open(faster.Config{
-			Dir:            d,
-			ValueSize:      vs,
-			RecordsPerPage: rpp,
-			MemPages:       memPages,
-			MutablePages:   mutPages,
-			ExpectedKeys:   keysPerShard,
-			StalenessBound: opts.StalenessBound,
-			FlushPace:      opts.FlushPace,
-		})
-		if err != nil {
-			for _, prev := range stores {
-				prev.Close()
-			}
-			return nil, err
-		}
-		stores = append(stores, st)
-	}
-	// Persist the shard count only now that every shard opened, so a
-	// failed open never pins the directory to a count holding no data.
-	if err := util.WriteShardMeta(opts.Dir, opts.Shards); err != nil {
-		for _, prev := range stores {
-			prev.Close()
-		}
+	store, err := kv.OpenEngine(engine, kv.ShardedConfig{
+		Dir:             opts.Dir,
+		Shards:          opts.Shards,
+		ValueSize:       opts.Dim * 4,
+		RecordsPerPage:  opts.RecordsPerPage,
+		MemoryBytes:     opts.MemoryBytes,
+		MutableFraction: opts.MutableFraction,
+		ExpectedKeys:    opts.ExpectedKeys,
+		StalenessBound:  opts.StalenessBound,
+		FlushPace:       opts.FlushPace,
+	}, engine)
+	if err != nil {
 		return nil, err
 	}
 	t := &Table{
-		stores:       stores,
-		dirs:         dirs,
-		dir:          opts.Dir,
+		store:        store,
+		engine:       engine,
 		dim:          opts.Dim,
-		vs:           vs,
+		vs:           opts.Dim * 4,
 		init:         opts.Init,
 		prefetchCh:   make(chan uint64, opts.PrefetchQueue),
 		prefetchStop: make(chan struct{}),
@@ -251,60 +210,46 @@ func (t *Table) WriteClock() int64 { return t.writeClock.Load() }
 // Dim returns the embedding dimension.
 func (t *Table) Dim() int { return t.dim }
 
-// Store exposes the first shard's engine. With one shard (the default)
-// that is the whole table; with more it is a representative for
-// configuration reads such as the staleness bound, which all shards share.
-// Use Stores or StoreStats for whole-table views.
-func (t *Table) Store() *faster.Store { return t.stores[0] }
+// Shards returns the number of hash partitions backing the table.
+func (t *Table) Shards() int { return t.store.Shards() }
+
+// EngineName identifies the engine the way results and OPEN responses do:
+// the hybrid log is "mlkv" while its vector clock runs and "faster" with
+// the bound disabled; the clock-free engines go by their own names.
+func (t *Table) EngineName() string {
+	if t.engine != kv.EngineFaster {
+		return t.engine
+	}
+	if t.StalenessBound() >= 0 {
+		return "mlkv"
+	}
+	return "faster"
+}
+
+// StalenessBound returns the consistency bound in effect (-1 on a
+// clock-free engine).
+func (t *Table) StalenessBound() int64 { return t.store.StalenessBound() }
 
 // SetStalenessBound adjusts the consistency bound at runtime, on every
-// shard.
-func (t *Table) SetStalenessBound(b int64) {
-	for _, st := range t.stores {
-		st.SetStalenessBound(b)
-	}
-}
+// shard. A clock-free engine refuses a blocking bound.
+func (t *Table) SetStalenessBound(b int64) error { return t.store.SetStalenessBound(b) }
 
-// Checkpoint makes the table durable (call at a training barrier). Shards
-// checkpoint in parallel; the first error is returned.
-func (t *Table) Checkpoint() error {
-	if len(t.stores) == 1 {
-		return t.stores[0].Checkpoint()
-	}
-	var wg sync.WaitGroup
-	errs := make([]error, len(t.stores))
-	for i, st := range t.stores {
-		wg.Add(1)
-		go func(i int, st *faster.Store) {
-			defer wg.Done()
-			errs[i] = st.Checkpoint()
-		}(i, st)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
+// Checkpoint makes the table durable (call at a training barrier).
+func (t *Table) Checkpoint() error { return t.store.Checkpoint() }
 
-// Close stops the prefetch pool and closes every shard, returning the
-// first error.
+// Close stops the prefetch pool and closes the store.
 func (t *Table) Close() error {
 	close(t.prefetchStop)
 	<-t.prefetchDone
 	if t.cache != nil {
 		t.cache.Close()
 	}
-	var first error
-	for _, st := range t.stores {
-		if err := st.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
+	return t.store.Close()
 }
+
+// StoreStats returns the engine's operation counters summed across
+// shards: the single-store view regardless of the shard count.
+func (t *Table) StoreStats() faster.StatsSnapshot { return t.store.Stats() }
 
 // PrefetchStats reports Lookahead activity: copies made into the memory
 // buffer and requests dropped due to a full queue.
@@ -363,38 +308,24 @@ func (t *Table) TableStats() TableStats {
 	return ts
 }
 
-// prefetchPool runs the Lookahead workers. Each worker holds a session on
-// every shard and routes requests to the key's owner.
+// prefetchPool runs the Lookahead workers, each on its own store session.
 func (t *Table) prefetchPool(workers int) {
 	defer close(t.prefetchDone)
 	done := make(chan struct{})
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer func() { done <- struct{}{} }()
-			sess := make([]*faster.Session, len(t.stores))
-			for i, st := range t.stores {
-				s, err := st.NewSession()
-				if err != nil {
-					for _, prev := range sess[:i] {
-						prev.Close()
-					}
-					return
-				}
-				sess[i] = s
+			sess, err := t.store.NewSession()
+			if err != nil {
+				return
 			}
-			defer func() {
-				for _, s := range sess {
-					s.Close()
-				}
-			}()
+			defer sess.Close()
 			for {
 				select {
 				case <-t.prefetchStop:
 					return
 				case key := <-t.prefetchCh:
-					if _, err := sess[t.shardOf(key)].Prefetch(key); err == nil {
-						t.prefetched.Add(1)
-					}
+					sess.Prefetch(key) //nolint:errcheck // best-effort hint
 				}
 			}
 		}()
@@ -404,38 +335,28 @@ func (t *Table) prefetchPool(workers int) {
 	}
 }
 
-// Session is one worker's handle onto the table: one faster session per
-// shard plus a per-shard scratch buffer. Not safe for concurrent use;
-// create one per goroutine. (During a batch fan-out the session internally
-// drives its shards from parallel goroutines, but each shard's session and
-// scratch are touched by exactly one of them.)
+// Session is one worker's handle onto the table: one store session plus
+// codec staging. Not safe for concurrent use; create one per goroutine.
 type Session struct {
-	t       *Table
-	ss      []*faster.Session // one per shard, in shard order
-	bufs    [][]byte          // per-shard scratch, t.vs bytes each
-	groups  [][]int           // reusable per-shard index groups for batches
-	errs    []error           // reusable per-shard fan-out results
-	missIdx []int             // reusable hot-tier miss indices for batches
-	closed  bool
+	t *Table
+	s kv.Session
+
+	buf      []byte   // one value, scalar-path staging
+	bbuf     []byte   // batch staging, grown on demand
+	found    []bool   // batch presence flags
+	missIdx  []int    // hot-tier miss positions of a batch
+	missKeys []uint64 // their keys, compacted in caller order
+	closed   bool
 }
 
-// NewSession registers a session on every shard.
+// NewSession registers a session on the store.
 func (t *Table) NewSession() (*Session, error) {
-	ss := make([]*faster.Session, len(t.stores))
-	bufs := make([][]byte, len(t.stores))
-	for i, st := range t.stores {
-		s, err := st.NewSession()
-		if err != nil {
-			for _, prev := range ss[:i] {
-				prev.Close()
-			}
-			return nil, err
-		}
-		ss[i] = s
-		bufs[i] = make([]byte, t.vs)
+	s, err := t.store.NewSession()
+	if err != nil {
+		return nil, err
 	}
 	t.activeSessions.Add(1)
-	return &Session{t: t, ss: ss, bufs: bufs}, nil
+	return &Session{t: t, s: s, buf: make([]byte, t.vs)}, nil
 }
 
 // ActiveSessions reports how many sessions are currently open — the
@@ -443,17 +364,15 @@ func (t *Table) NewSession() (*Session, error) {
 // finished and for load diagnostics.
 func (t *Table) ActiveSessions() int64 { return t.activeSessions.Load() }
 
-// Close unregisters the session from every shard. Closing twice is safe;
-// only the first call releases the shard sessions.
+// Close unregisters the session. Closing twice is safe; only the first
+// call releases the store session.
 func (s *Session) Close() {
 	if s.closed {
 		return
 	}
 	s.closed = true
 	s.t.activeSessions.Add(-1)
-	for _, fs := range s.ss {
-		fs.Close()
-	}
+	s.s.Close()
 }
 
 // Get reads the embedding for key into dst (len == Dim), initializing it on
@@ -477,18 +396,18 @@ func (s *Session) GetCtx(ctx context.Context, key uint64, dst []float32) error {
 	c := s.t.cache
 	bound := int64(BoundBSP)
 	if c != nil {
-		bound = s.t.stores[0].StalenessBound()
+		bound = s.t.store.StalenessBound()
 	}
 	// Under BSP every read must synchronize through the store, so the tier
 	// is neither consulted nor filled; writes still keep it coherent.
 	if c == nil || bound == BoundBSP {
-		return s.getOn(ctx, s.t.shardOf(key), key, dst)
+		return s.getOne(ctx, key, dst)
 	}
 	now := s.t.writeClock.Load()
 	if c.Get(key, dst, now, bound) {
 		return nil
 	}
-	if err := s.getOn(ctx, s.t.shardOf(key), key, dst); err != nil {
+	if err := s.getOne(ctx, key, dst); err != nil {
 		return err
 	}
 	// Fill with the pre-read stamp: writes racing the read only widen the
@@ -497,32 +416,30 @@ func (s *Session) GetCtx(ctx context.Context, key uint64, dst []float32) error {
 	return nil
 }
 
-// getOn runs the clocked read against one shard, using that shard's
-// session and scratch. It goes straight to the store; hot-tier consult
-// and fill belong to the callers (GetCtx, GetBatchCtx).
-func (s *Session) getOn(ctx context.Context, sh int, key uint64, dst []float32) error {
-	fs, buf := s.ss[sh], s.bufs[sh]
+// getOne runs the clocked read against the store. Hot-tier consult and
+// fill belong to the callers (GetCtx, GetBatchCtx).
+func (s *Session) getOne(ctx context.Context, key uint64, dst []float32) error {
 	for {
-		found, err := fs.GetCtx(ctx, key, buf)
+		found, err := s.s.GetCtx(ctx, key, s.buf)
 		if err != nil {
 			return err
 		}
 		if found {
-			tensor.BytesToF32s(buf, dst)
+			tensor.BytesToF32s(s.buf, dst)
 			return nil
 		}
 		// First touch: initialize atomically, then retry the Get so the
 		// vector-clock accounting matches a normal read.
-		if err := s.initKey(fs, key); err != nil {
+		if err := s.initKey(key); err != nil {
 			return err
 		}
 	}
 }
 
 // initKey writes the initial embedding if key is still absent.
-func (s *Session) initKey(fs *faster.Session, key uint64) error {
+func (s *Session) initKey(key uint64) error {
 	s.t.writeClock.Add(1)
-	return fs.RMW(key, func(cur []byte, exists bool) {
+	return s.s.RMW(key, func(cur []byte, exists bool) {
 		if exists || s.t.init == nil {
 			return
 		}
@@ -532,18 +449,19 @@ func (s *Session) initKey(fs *faster.Session, key uint64) error {
 	})
 }
 
-// GetBatch reads len(keys) embeddings into dst (len == len(keys)*Dim),
-// fanning the per-shard key groups out in parallel on a sharded table.
-// Duplicate keys each perform their own clocked read; deduplicate in the
-// caller if the training step applies one combined update.
+// GetBatch reads len(keys) embeddings into dst (len == len(keys)*Dim) as
+// one store batch, which a sharded store fans out across shards in
+// parallel. Duplicate keys each perform their own clocked read;
+// deduplicate in the caller if the training step applies one combined
+// update.
 //
-// Under a blocking staleness bound (BSP or finite SSP) the batch runs
-// sequentially in the caller's key order instead of fanning out: a clocked
-// Get is a token acquisition that only the matching Put releases, so two
-// sessions acquiring different shards in parallel could each hold a key
-// the other is blocked on. Callers that may block (the trainers) pass
-// unique keys in ascending order, which keeps the cross-session wait
-// graph acyclic exactly as it does on the scalar path.
+// Under a blocking staleness bound (BSP or finite SSP) the batch instead
+// runs key by key in the caller's order — read, first-touch init, re-read,
+// then the next key — because a clocked Get is a token acquisition that
+// only the matching Put releases (see kv's sharded GetBatchCtx for the
+// rule). Callers that may block (the trainers) pass unique keys in
+// ascending order, which keeps the cross-session wait graph acyclic
+// exactly as it does on the scalar path.
 func (s *Session) GetBatch(keys []uint64, dst []float32) error {
 	return s.GetBatchCtx(context.Background(), keys, dst)
 }
@@ -558,67 +476,61 @@ func (s *Session) GetBatchCtx(ctx context.Context, keys []uint64, dst []float32)
 		defer s.t.lat.Since(latency.OpGetBatch, time.Now())
 	}
 	s.t.batchGets.Add(1)
-	dim := s.t.dim
-	bound := s.t.stores[0].StalenessBound()
+	dim, vs := s.t.dim, s.t.vs
+	bound := s.t.store.StalenessBound()
+	c := s.t.cache
+	if bound == BoundBSP {
+		c = nil // see GetCtx
+	}
 
 	// Hot-tier sweep: admissible keys fill straight from the cache and
 	// only the misses go to the store. The miss subset preserves the
 	// caller's key order, so the deadlock-freedom argument for blocking
 	// bounds (unique ascending keys ⇒ acyclic wait graph) is unaffected.
-	c := s.t.cache
-	var miss []int // indices still to read; nil = all
+	read := keys   // keys still to read
+	var miss []int // their positions in keys; nil = all, in place
 	var stamp int64
-	if c != nil && bound != BoundBSP {
+	if c != nil {
 		stamp = s.t.writeClock.Load()
-		s.missIdx = s.missIdx[:0]
+		s.missIdx, s.missKeys = s.missIdx[:0], s.missKeys[:0]
 		for i, k := range keys {
 			if !c.Get(k, dst[i*dim:(i+1)*dim], stamp, bound) {
 				s.missIdx = append(s.missIdx, i)
+				s.missKeys = append(s.missKeys, k)
 			}
 		}
 		if len(s.missIdx) == 0 {
 			return nil
 		}
-		miss = s.missIdx
+		read, miss = s.missKeys, s.missIdx
 	}
-	readOne := func(sh, i int) error {
-		seg := dst[i*dim : (i+1)*dim]
-		if err := s.getOn(ctx, sh, keys[i], seg); err != nil {
+	seg := func(j int) []float32 {
+		if miss != nil {
+			j = miss[j]
+		}
+		return dst[j*dim : (j+1)*dim]
+	}
+
+	// One store batch, unless the bound blocks: then every key is read —
+	// and, on first touch, initialized and re-read — before the next.
+	batched := !faster.BlockingBound(bound)
+	if batched {
+		s.bbuf, s.found = util.Grow(s.bbuf, len(read)*vs), util.Grow(s.found, len(read))
+		if err := s.s.GetBatchCtx(ctx, read, s.bbuf, s.found); err != nil {
 			return err
 		}
-		if c != nil && bound != BoundBSP {
-			c.Put(keys[i], seg, stamp)
-		}
-		return nil
 	}
-	n := len(keys)
-	if miss != nil {
-		n = len(miss)
+	for j, k := range read {
+		if batched && s.found[j] {
+			tensor.BytesToF32s(s.bbuf[j*vs:], seg(j))
+		} else if err := s.getOne(ctx, k, seg(j)); err != nil {
+			return err
+		}
+		if c != nil {
+			c.Put(k, seg(j), stamp)
+		}
 	}
-	if len(s.t.stores) == 1 || n < batchFanoutMin || faster.BlockingBound(bound) {
-		if miss == nil {
-			for i, k := range keys {
-				if err := readOne(s.t.shardOf(k), i); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		for _, i := range miss {
-			if err := readOne(s.t.shardOf(keys[i]), i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	return s.fanOut(s.groupByShard(keys, miss), func(sh int, idxs []int) error {
-		for _, i := range idxs {
-			if err := readOne(sh, i); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
+	return nil
 }
 
 // Peek reads without touching the vector clock (evaluation path).
@@ -626,16 +538,18 @@ func (s *Session) Peek(key uint64, dst []float32) (bool, error) {
 	if len(dst) != s.t.dim {
 		return false, fmt.Errorf("core: dst length %d != dim %d", len(dst), s.t.dim)
 	}
-	sh := s.t.shardOf(key)
-	found, err := s.ss[sh].Peek(key, s.bufs[sh])
+	found, err := s.s.Peek(key, s.buf)
 	if found {
-		tensor.BytesToF32s(s.bufs[sh], dst)
+		tensor.BytesToF32s(s.buf, dst)
 	}
 	return found, err
 }
 
 // Put upserts the embedding for key (the backward-propagation write of
-// Figure 3, line 17). Puts never wait on the staleness bound.
+// Figure 3, line 17). Puts never wait on the staleness bound. It then
+// advances the write clock and writes the hot tier through: the entry it
+// leaves is the value just written, stamped with the write's own clock
+// tick, so the tier never lags a Put.
 func (s *Session) Put(key uint64, val []float32) error {
 	if len(val) != s.t.dim {
 		return fmt.Errorf("core: val length %d != dim %d", len(val), s.t.dim)
@@ -643,16 +557,8 @@ func (s *Session) Put(key uint64, val []float32) error {
 	if s.t.lat != nil {
 		defer s.t.lat.Since(latency.OpPut, time.Now())
 	}
-	return s.putOn(s.t.shardOf(key), key, val)
-}
-
-// putOn runs the upsert against one shard, using that shard's session and
-// scratch, then advances the write clock and writes the hot tier through:
-// the entry it leaves is the value just written, stamped with the write's
-// own clock tick, so the tier never lags a Put.
-func (s *Session) putOn(sh int, key uint64, val []float32) error {
-	tensor.F32sToBytes(val, s.bufs[sh])
-	if err := s.ss[sh].Put(key, s.bufs[sh]); err != nil {
+	tensor.F32sToBytes(val, s.buf)
+	if err := s.s.Put(key, s.buf); err != nil {
 		return err
 	}
 	clock := s.t.writeClock.Add(1)
@@ -662,33 +568,30 @@ func (s *Session) putOn(sh int, key uint64, val []float32) error {
 	return nil
 }
 
-// PutBatch upserts len(keys) embeddings from vals (len == len(keys)*Dim),
-// fanning the per-shard key groups out in parallel on a sharded table.
+// PutBatch upserts len(keys) embeddings from vals (len == len(keys)*Dim)
+// as one store batch, then writes the hot tier through with the batch's
+// clock advance.
 func (s *Session) PutBatch(keys []uint64, vals []float32) error {
-	if len(vals) != len(keys)*s.t.dim {
-		return fmt.Errorf("core: vals length %d != %d keys × dim %d", len(vals), len(keys), s.t.dim)
+	dim := s.t.dim
+	if len(vals) != len(keys)*dim {
+		return fmt.Errorf("core: vals length %d != %d keys × dim %d", len(vals), len(keys), dim)
 	}
 	if s.t.lat != nil {
 		defer s.t.lat.Since(latency.OpPutBatch, time.Now())
 	}
 	s.t.batchPuts.Add(1)
-	dim := s.t.dim
-	if len(s.t.stores) == 1 || len(keys) < batchFanoutMin {
-		for i, k := range keys {
-			if err := s.putOn(s.t.shardOf(k), k, vals[i*dim:(i+1)*dim]); err != nil {
-				return err
-			}
-		}
-		return nil
+	s.bbuf = util.Grow(s.bbuf, len(keys)*s.t.vs)
+	tensor.F32sToBytes(vals, s.bbuf)
+	if err := s.s.PutBatch(keys, s.bbuf); err != nil {
+		return err
 	}
-	return s.fanOut(s.groupByShard(keys, nil), func(sh int, idxs []int) error {
-		for _, i := range idxs {
-			if err := s.putOn(sh, keys[i], vals[i*dim:(i+1)*dim]); err != nil {
-				return err
-			}
+	clock := s.t.writeClock.Add(int64(len(keys)))
+	if c := s.t.cache; c != nil {
+		for i, k := range keys {
+			c.Put(k, vals[i*dim:(i+1)*dim], clock)
 		}
-		return nil
-	})
+	}
+	return nil
 }
 
 // ApplyGradient performs emb ← emb − lr·grad as a single storage-side
@@ -700,7 +603,7 @@ func (s *Session) ApplyGradient(key uint64, grad []float32, lr float32) error {
 	if s.t.lat != nil {
 		defer s.t.lat.Since(latency.OpRMW, time.Now())
 	}
-	err := s.ss[s.t.shardOf(key)].RMW(key, func(cur []byte, exists bool) {
+	err := s.s.RMW(key, func(cur []byte, exists bool) {
 		for i := 0; i < s.t.dim; i++ {
 			v := math.Float32frombits(binary.LittleEndian.Uint32(cur[i*4:]))
 			v -= lr * grad[i]
@@ -720,7 +623,7 @@ func (s *Session) ApplyGradient(key uint64, grad []float32, lr float32) error {
 
 // Delete removes key's embedding.
 func (s *Session) Delete(key uint64) error {
-	if err := s.ss[s.t.shardOf(key)].Delete(key); err != nil {
+	if err := s.s.Delete(key); err != nil {
 		return err
 	}
 	s.t.writeClock.Add(1)
@@ -769,18 +672,4 @@ func (s *Session) Lookahead(keys []uint64, dest LookaheadDest, cache *Cache) err
 		return nil
 	}
 	return fmt.Errorf("core: unknown Lookahead destination %d", dest)
-}
-
-// DiskUsage reports the total size of the table's log files in bytes,
-// summed across shards.
-func (t *Table) DiskUsage() (int64, error) {
-	var total int64
-	for _, d := range t.dirs {
-		fi, err := os.Stat(filepath.Join(d, "hlog.dat"))
-		if err != nil {
-			return 0, err
-		}
-		total += fi.Size()
-	}
-	return total, nil
 }

@@ -182,7 +182,7 @@ func TestLookaheadStorageBufferWarmsDiskRecords(t *testing.T) {
 		t.Fatalf("prefetch copied %d of %d (dropped %d)", copied, len(cold), dropped)
 	}
 	// The subsequent Gets should be disk-free.
-	before := tbl.Store().Stats().DiskReads
+	before := tbl.StoreStats().DiskReads
 	for _, k := range cold {
 		if err := s.Get(k, emb); err != nil {
 			t.Fatal(err)
@@ -194,7 +194,7 @@ func TestLookaheadStorageBufferWarmsDiskRecords(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	after := tbl.Store().Stats().DiskReads
+	after := tbl.StoreStats().DiskReads
 	if after != before {
 		t.Fatalf("gets after lookahead hit disk %d times", after-before)
 	}

@@ -11,11 +11,11 @@ import (
 	"github.com/llm-db/mlkv-go/internal/kv"
 )
 
-// localDB serves models out of one data directory, each model a backend
-// under <dir>/<id>: the clocked hybrid log (core.Table) by default, or a
-// lifted clock-free engine when Config.Engine asks for one. Opening the
-// same id twice returns the same model (refcounted), mirroring the server
-// registry's by-name deduplication.
+// localDB serves models out of one data directory, each model a
+// core.Table under <dir>/<id> on the engine Config.Engine names (the
+// clocked hybrid log by default). Opening the same id twice returns the
+// same model (refcounted), mirroring the server registry's by-name
+// deduplication.
 type localDB struct {
 	dir string
 
@@ -25,22 +25,6 @@ type localDB struct {
 }
 
 func (db *localDB) Target() string { return db.dir }
-
-// localBackend is the engine side of a local model: what differs between
-// the hybrid log and the lifted clock-free engines once the refcounting
-// and handle bookkeeping above it are shared.
-type localBackend interface {
-	Dim() int
-	Shards() int
-	EngineName() string
-	StalenessBound() int64
-	SetStalenessBound(b int64) error
-	Checkpoint() error
-	Stats() Stats
-	ActiveSessions() int64
-	NewSession() (Session, error)
-	Close() error
-}
 
 func (db *localDB) Open(ctx context.Context, id string, cfg Config) (Model, error) {
 	if err := ctx.Err(); err != nil {
@@ -59,14 +43,14 @@ func (db *localDB) Open(ctx context.Context, id string, cfg Config) (Model, erro
 		return nil, fmt.Errorf("driver: db %q is closed", db.dir)
 	}
 	if m, ok := db.models[id]; ok {
-		if m.be.Dim() != cfg.Dim {
-			return nil, fmt.Errorf("driver: model %q has dim %d, requested %d", id, m.be.Dim(), cfg.Dim)
+		if m.t.Dim() != cfg.Dim {
+			return nil, fmt.Errorf("driver: model %q has dim %d, requested %d", id, m.t.Dim(), cfg.Dim)
 		}
 		if engine != "" && engine != m.engine {
 			return nil, fmt.Errorf("driver: model %q runs engine %q, requested %q", id, m.engine, engine)
 		}
 		if cfg.BoundSet {
-			if err := m.be.SetStalenessBound(cfg.Bound); err != nil {
+			if err := m.t.SetStalenessBound(cfg.Bound); err != nil {
 				return nil, err
 			}
 		}
@@ -76,19 +60,38 @@ func (db *localDB) Open(ctx context.Context, id string, cfg Config) (Model, erro
 	if engine == "" {
 		engine = kv.EngineFaster
 	}
-	var (
-		be  localBackend
-		err error
-	)
-	if engine == kv.EngineFaster {
-		be, err = openCoreBackend(filepath.Join(db.dir, id), cfg)
-	} else {
-		be, err = openKVBackend(filepath.Join(db.dir, id), engine, cfg)
+	bound := cfg.Bound
+	if !cfg.BoundSet {
+		// The public API's historical local default: SSP(4) on the hybrid
+		// log, the bound off on an engine with no clock to run it. It lives
+		// here rather than in the public layer so that an engine-less reopen
+		// of an existing clock-free model never carries an implied blocking
+		// bound the model would have to refuse.
+		bound = 4
+		if kv.ClockFree(engine) {
+			bound = -1
+		}
 	}
+	t, err := core.OpenTable(core.Options{
+		Dir:             filepath.Join(db.dir, id),
+		Dim:             cfg.Dim,
+		Engine:          engine,
+		Shards:          cfg.Shards,
+		StalenessBound:  bound,
+		MemoryBytes:     cfg.MemoryBytes,
+		ExpectedKeys:    cfg.ExpectedKeys,
+		PrefetchWorkers: cfg.PrefetchWorkers,
+		CacheEntries:    cfg.CacheEntries,
+		FlushPace:       cfg.FlushPace,
+		Init:            cfg.Init,
+		// Always on through the public API: both drivers report the same
+		// latency fields in Stats, so local-vs-remote comparisons hold.
+		TrackLatency: true,
+	})
 	if err != nil {
 		return nil, err
 	}
-	m := &localModel{db: db, id: id, engine: engine, be: be, refs: 1}
+	m := &localModel{db: db, id: id, engine: engine, t: t, refs: 1}
 	db.models[id] = m
 	return &localHandle{localModel: m}, nil
 }
@@ -109,14 +112,14 @@ func (db *localDB) Close() error {
 	db.mu.Unlock()
 	var first error
 	for _, m := range models {
-		if err := m.be.Close(); err != nil && first == nil {
+		if err := m.t.Close(); err != nil && first == nil {
 			first = err
 		}
 	}
 	return first
 }
 
-// localModel wraps one backend. refs counts Opens; the backend closes when
+// localModel wraps one table. refs counts Opens; the table closes when
 // the last reference is released (or when the DB closes). Each Open
 // returns its own localHandle so a double Close of one handle releases
 // its reference once, never a sibling's.
@@ -124,7 +127,7 @@ type localModel struct {
 	db     *localDB
 	id     string
 	engine string // canonical: faster, lsm, or bptree
-	be     localBackend
+	t      *core.Table
 	refs   int // guarded by db.mu
 }
 
@@ -134,7 +137,7 @@ type localHandle struct {
 	closed atomic.Bool
 }
 
-// Close releases this handle's reference exactly once; the backend closes
+// Close releases this handle's reference exactly once; the table closes
 // when the last handle goes.
 func (h *localHandle) Close() error {
 	if h.closed.Swap(true) {
@@ -144,38 +147,57 @@ func (h *localHandle) Close() error {
 }
 
 func (m *localModel) ID() string            { return m.id }
-func (m *localModel) Dim() int              { return m.be.Dim() }
-func (m *localModel) Shards() int           { return m.be.Shards() }
-func (m *localModel) EngineName() string    { return m.be.EngineName() }
-func (m *localModel) StalenessBound() int64 { return m.be.StalenessBound() }
+func (m *localModel) Dim() int              { return m.t.Dim() }
+func (m *localModel) Shards() int           { return m.t.Shards() }
+func (m *localModel) EngineName() string    { return m.t.EngineName() }
+func (m *localModel) StalenessBound() int64 { return m.t.StalenessBound() }
 
 func (m *localModel) SetStalenessBound(ctx context.Context, b int64) error {
-	return m.be.SetStalenessBound(b)
+	return m.t.SetStalenessBound(b)
 }
 
 func (m *localModel) Checkpoint(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	return m.be.Checkpoint()
+	return m.t.Checkpoint()
 }
 
 func (m *localModel) Stats(ctx context.Context) (Stats, error) {
-	return m.be.Stats(), nil
+	ts := m.t.TableStats()
+	return Stats{
+		Gets: ts.Gets, Puts: ts.Puts, RMWs: ts.RMWs, Deletes: ts.Deletes,
+		MemHits: ts.MemHits, DiskReads: ts.DiskReads,
+		InPlaceUpdates: ts.InPlaceUpdates, RCUAppends: ts.RCUAppends,
+		StalenessWaits: ts.StalenessWaits,
+		PrefetchCopies: ts.PrefetchCopies, PrefetchDropped: ts.PrefetchDropped,
+		FlushedPages: ts.FlushedPages, BytesFlushed: ts.BytesFlushed,
+		GroupCommits: ts.GroupCommits, FlushPaceStalls: ts.FlushPaceStalls,
+		BatchGets: ts.BatchGets, BatchPuts: ts.BatchPuts,
+		LookaheadCalls: ts.LookaheadCalls,
+		CacheHits:      ts.CacheHits, CacheMisses: ts.CacheMisses,
+		CacheEvictions: ts.CacheEvictions,
+		LatGet:         ts.LatGet, LatGetBatch: ts.LatGetBatch,
+		LatPut: ts.LatPut, LatPutBatch: ts.LatPutBatch, LatRMW: ts.LatRMW,
+	}, nil
 }
 
 func (m *localModel) ActiveSessions(ctx context.Context) (int64, error) {
-	return m.be.ActiveSessions(), nil
+	return m.t.ActiveSessions(), nil
 }
 
 func (m *localModel) NewSession(ctx context.Context) (Session, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return m.be.NewSession()
+	s, err := m.t.NewSession()
+	if err != nil {
+		return nil, err
+	}
+	return &localSession{s: s}, nil
 }
 
-// release drops one reference; the backend closes when the last one goes.
+// release drops one reference; the table closes when the last one goes.
 func (m *localModel) release() error {
 	m.db.mu.Lock()
 	if m.refs == 0 { // DB already closed everything
@@ -191,101 +213,8 @@ func (m *localModel) release() error {
 	if !last {
 		return nil
 	}
-	return m.be.Close()
+	return m.t.Close()
 }
-
-// --- hybrid-log backend (core.Table) ---
-
-// coreBackend is the default engine behind a local model: the clocked
-// hybrid log, the only backend with a staleness clock.
-type coreBackend struct {
-	t *core.Table
-}
-
-func openCoreBackend(dir string, cfg Config) (*coreBackend, error) {
-	// A directory a clock-free engine populated must not be reopened as
-	// the hybrid log on top of foreign files (and vice versa).
-	if err := kv.CheckEngineDir(dir, kv.EngineFaster); err != nil {
-		return nil, err
-	}
-	bound := cfg.Bound
-	if !cfg.BoundSet {
-		// The public API's historical local default: SSP(4). It lives here
-		// rather than in the public layer so that an engine-less reopen of
-		// an existing clock-free model never carries an implied blocking
-		// bound the model would have to refuse.
-		bound = 4
-	}
-	t, err := core.OpenTable(core.Options{
-		Dir:             dir,
-		Dim:             cfg.Dim,
-		Shards:          cfg.Shards,
-		StalenessBound:  bound,
-		MemoryBytes:     cfg.MemoryBytes,
-		ExpectedKeys:    cfg.ExpectedKeys,
-		PrefetchWorkers: cfg.PrefetchWorkers,
-		CacheEntries:    cfg.CacheEntries,
-		FlushPace:       cfg.FlushPace,
-		Init:            cfg.Init,
-		// Always on through the public API: both drivers report the same
-		// latency fields in Stats, so local-vs-remote comparisons hold.
-		TrackLatency: true,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &coreBackend{t: t}, nil
-}
-
-func (b *coreBackend) Dim() int    { return b.t.Dim() }
-func (b *coreBackend) Shards() int { return b.t.Shards() }
-
-func (b *coreBackend) EngineName() string {
-	if b.t.Store().StalenessBound() >= 0 {
-		return "mlkv"
-	}
-	return "faster"
-}
-
-func (b *coreBackend) StalenessBound() int64 { return b.t.Store().StalenessBound() }
-
-func (b *coreBackend) SetStalenessBound(bound int64) error {
-	b.t.SetStalenessBound(bound)
-	return nil
-}
-
-func (b *coreBackend) Checkpoint() error { return b.t.Checkpoint() }
-
-func (b *coreBackend) Stats() Stats {
-	ts := b.t.TableStats()
-	return Stats{
-		Gets: ts.Gets, Puts: ts.Puts, RMWs: ts.RMWs, Deletes: ts.Deletes,
-		MemHits: ts.MemHits, DiskReads: ts.DiskReads,
-		InPlaceUpdates: ts.InPlaceUpdates, RCUAppends: ts.RCUAppends,
-		StalenessWaits: ts.StalenessWaits,
-		PrefetchCopies: ts.PrefetchCopies, PrefetchDropped: ts.PrefetchDropped,
-		FlushedPages: ts.FlushedPages, BytesFlushed: ts.BytesFlushed,
-		GroupCommits: ts.GroupCommits, FlushPaceStalls: ts.FlushPaceStalls,
-		BatchGets: ts.BatchGets, BatchPuts: ts.BatchPuts,
-		LookaheadCalls: ts.LookaheadCalls,
-		CacheHits:      ts.CacheHits, CacheMisses: ts.CacheMisses,
-		CacheEvictions: ts.CacheEvictions,
-		LatGet:         ts.LatGet, LatGetBatch: ts.LatGetBatch,
-		LatPut: ts.LatPut, LatPutBatch: ts.LatPutBatch, LatRMW: ts.LatRMW,
-	}
-}
-
-func (b *coreBackend) ActiveSessions() int64 { return b.t.ActiveSessions() }
-
-func (b *coreBackend) NewSession() (Session, error) {
-	s, err := b.t.NewSession()
-	if err != nil {
-		return nil, err
-	}
-	return &localSession{s: s}, nil
-}
-
-func (b *coreBackend) Close() error { return b.t.Close() }
 
 // localSession adapts core.Session to the driver seam.
 type localSession struct {

@@ -1,171 +1,17 @@
 package kv
 
 import (
-	"bytes"
 	"fmt"
 	"sync"
 	"testing"
-
-	"github.com/llm-db/mlkv-go/internal/faster"
-	"github.com/llm-db/mlkv-go/internal/lsm"
 )
-
-func openShardSet(t *testing.T, shards, vs int) Store {
-	return openShardSetBound(t, shards, vs, -1)
-}
-
-func openShardSetBound(t *testing.T, shards, vs int, bound int64) Store {
-	t.Helper()
-	set := make([]*faster.Store, shards)
-	for i := range set {
-		st, err := faster.Open(faster.Config{
-			Dir: t.TempDir(), ValueSize: vs, RecordsPerPage: 64,
-			MemPages: 8, MutablePages: 3, StalenessBound: bound,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		set[i] = st
-	}
-	return WrapFasterShards(set, "sharded")
-}
-
-// TestBatchHelpers drives SessionGetBatch/SessionPutBatch over both the
-// native sharded path and the per-key fallback (LSM), asserting identical
-// observable behavior: values round-trip, missing keys report found=false
-// with zeroed slots, deletes are visible to batch reads.
-func TestBatchHelpers(t *testing.T) {
-	const vs = 16
-	stores := map[string]Store{"sharded": openShardSet(t, 4, vs)}
-	ls, err := lsm.Open(lsm.Config{Dir: t.TempDir(), ValueSize: vs, MemtableBytes: 8 << 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	stores["lsm-fallback"] = WrapLSM(ls)
-
-	for name, store := range stores {
-		t.Run(name, func(t *testing.T) {
-			defer store.Close()
-			s, err := store.NewSession()
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer s.Close()
-
-			const n = 300 // above batchFanoutMin so the fan-out path runs
-			keys := make([]uint64, n)
-			vals := make([]byte, n*vs)
-			for i := range keys {
-				keys[i] = uint64(i * 7)
-				for j := 0; j < vs; j++ {
-					vals[i*vs+j] = byte(i + j)
-				}
-			}
-			if err := SessionPutBatch(s, vs, keys, vals); err != nil {
-				t.Fatal(err)
-			}
-
-			got := make([]byte, n*vs)
-			found := make([]bool, n)
-			if err := SessionGetBatch(s, vs, keys, got, found); err != nil {
-				t.Fatal(err)
-			}
-			for i := range keys {
-				if !found[i] {
-					t.Fatalf("key %d missing", keys[i])
-				}
-			}
-			if !bytes.Equal(got, vals) {
-				t.Fatal("batch values differ from what was written")
-			}
-
-			// Deleted and never-written keys: found=false, zeroed slots.
-			if err := s.Delete(keys[3]); err != nil {
-				t.Fatal(err)
-			}
-			probe := []uint64{keys[3], 1<<60 + 9, keys[4]}
-			pv := bytes.Repeat([]byte{0xee}, len(probe)*vs) // dirt the buffer
-			pf := make([]bool, len(probe))
-			if err := SessionGetBatch(s, vs, probe, pv, pf); err != nil {
-				t.Fatal(err)
-			}
-			if pf[0] || pf[1] || !pf[2] {
-				t.Fatalf("found = %v, want [false false true]", pf)
-			}
-			for i := 0; i < 2*vs; i++ {
-				if pv[i] != 0 {
-					t.Fatalf("missing key slot not zeroed at byte %d", i)
-				}
-			}
-
-			// Size validation.
-			if err := SessionGetBatch(s, vs, keys, got[:1], found); err == nil {
-				t.Fatal("undersized vals accepted")
-			}
-			if err := SessionPutBatch(s, vs, keys, vals[:1]); err == nil {
-				t.Fatal("undersized vals accepted")
-			}
-		})
-	}
-}
-
-// TestSessionPeekAndLookahead drives the optional Peek/Lookahead seams
-// over a store that implements them natively (sharded FASTER) and one
-// that relies on the helpers' fallbacks (LSM).
-func TestSessionPeekAndLookahead(t *testing.T) {
-	const vs = 8
-	stores := map[string]Store{"sharded": openShardSet(t, 4, vs)}
-	ls, err := lsm.Open(lsm.Config{Dir: t.TempDir(), ValueSize: vs, MemtableBytes: 8 << 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	stores["lsm-fallback"] = WrapLSM(ls)
-
-	for name, store := range stores {
-		t.Run(name, func(t *testing.T) {
-			defer store.Close()
-			s, err := store.NewSession()
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer s.Close()
-			keys := []uint64{2, 40, 77, 1 << 33}
-			val := make([]byte, vs)
-			for _, k := range keys {
-				for i := range val {
-					val[i] = byte(k) + byte(i)
-				}
-				if err := s.Put(k, val); err != nil {
-					t.Fatal(err)
-				}
-			}
-			got := make([]byte, vs)
-			for _, k := range keys {
-				found, err := SessionPeek(s, k, got)
-				if err != nil || !found {
-					t.Fatalf("peek %d: found=%v err=%v", k, found, err)
-				}
-				if got[0] != byte(k) {
-					t.Fatalf("peek %d read %d", k, got[0])
-				}
-			}
-			if found, err := SessionPeek(s, 0xdead_beef, got); err != nil || found {
-				t.Fatalf("peek of missing key: found=%v err=%v", found, err)
-			}
-			if _, err := SessionLookahead(s, keys); err != nil {
-				t.Fatalf("lookahead: %v", err)
-			}
-		})
-	}
-}
 
 // TestShardedBatchBlockingBoundSerial covers the GetBatch ordering gate:
 // under BSP (bound 0) the sharded adapter must run batches serially in
 // caller order, and a balanced get-then-put loop must make progress.
 func TestShardedBatchBlockingBoundSerial(t *testing.T) {
 	const vs = 8
-	store := openShardSetBound(t, 4, vs, 0)
-	defer store.Close()
+	store := openTestStore(t, EngineFaster, 4, vs, 0)
 	s, err := store.NewSession()
 	if err != nil {
 		t.Fatal(err)
@@ -204,8 +50,7 @@ func TestShardedBatchBlockingBoundSerial(t *testing.T) {
 // sessions at once (meaningful under -race).
 func TestShardedBatchConcurrent(t *testing.T) {
 	const vs, workers, batch = 8, 4, 64
-	store := openShardSet(t, 4, vs)
-	defer store.Close()
+	store := openTestStore(t, EngineFaster, 4, vs, -1)
 	var wg sync.WaitGroup
 	errCh := make(chan error, workers)
 	for w := 0; w < workers; w++ {

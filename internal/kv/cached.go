@@ -2,7 +2,6 @@ package kv
 
 import (
 	"context"
-	"errors"
 	"sync/atomic"
 
 	"github.com/llm-db/mlkv-go/internal/faster"
@@ -19,8 +18,8 @@ type CacheStatsReporter interface {
 // the shared per-model cache mlkv-server enables with -cache, and the
 // client-side tier mlkv-ycsb uses. All sessions of the wrapped store
 // share one tier and one write clock; every write through the wrapper
-// advances the clock and updates (Put) or invalidates (Delete) the tier,
-// so an entry is never older than its stamp claims. Reads consult the
+// advances the clock and updates (Put) or invalidates (Delete, RMW) the
+// tier, so an entry is never older than its stamp claims. Reads consult the
 // tier first and serve a hit only when the entry is admissible under the
 // store's current staleness bound (see hotcache.Admissible); for engines
 // without a bound the tier is coherent as long as every writer goes
@@ -41,51 +40,16 @@ type cachedStore struct {
 	clock atomic.Int64
 }
 
-func (w *cachedStore) ValueSize() int { return w.inner.ValueSize() }
-func (w *cachedStore) Name() string   { return w.inner.Name() }
-func (w *cachedStore) Close() error   { return w.inner.Close() }
+func (w *cachedStore) ValueSize() int                  { return w.inner.ValueSize() }
+func (w *cachedStore) Name() string                    { return w.inner.Name() }
+func (w *cachedStore) Shards() int                     { return w.inner.Shards() }
+func (w *cachedStore) StalenessBound() int64           { return w.inner.StalenessBound() }
+func (w *cachedStore) SetStalenessBound(b int64) error { return w.inner.SetStalenessBound(b) }
+func (w *cachedStore) Checkpoint() error               { return w.inner.Checkpoint() }
+func (w *cachedStore) Stats() faster.StatsSnapshot     { return w.inner.Stats() }
+func (w *cachedStore) Close() error                    { return w.inner.Close() }
 
 func (w *cachedStore) CacheStats() hotcache.Stats { return w.cache.Stats() }
-
-// bound reports the inner store's staleness bound, -1 (no clock) when the
-// engine has none.
-func (w *cachedStore) bound() int64 {
-	if b, ok := w.inner.(interface{ StalenessBound() int64 }); ok {
-		return b.StalenessBound()
-	}
-	return -1
-}
-
-// Optional Store extensions forward to the engine.
-
-func (w *cachedStore) Checkpoint() error {
-	if cp, ok := w.inner.(Checkpointer); ok {
-		return cp.Checkpoint()
-	}
-	return errors.New("kv: engine cannot checkpoint")
-}
-
-func (w *cachedStore) Stats() faster.StatsSnapshot {
-	if sr, ok := w.inner.(StatsReporter); ok {
-		return sr.Stats()
-	}
-	return faster.StatsSnapshot{}
-}
-
-func (w *cachedStore) Shards() int {
-	if sh, ok := w.inner.(Sharded); ok {
-		return sh.Shards()
-	}
-	return 1
-}
-
-func (w *cachedStore) StalenessBound() int64 { return w.bound() }
-
-func (w *cachedStore) SetStalenessBound(b int64) {
-	if bd, ok := w.inner.(Bounded); ok {
-		bd.SetStalenessBound(b)
-	}
-}
 
 func (w *cachedStore) NewSession() (Session, error) {
 	s, err := w.inner.NewSession()
@@ -111,28 +75,22 @@ type cachedSession struct {
 	fetchFound []bool
 }
 
-func (s *cachedSession) Close()                            { s.inner.Close() }
-func (s *cachedSession) Prefetch(key uint64) (bool, error) { return s.inner.Prefetch(key) }
-
-// Lookahead forwards to the engine's batched prefetch when it has one.
-func (s *cachedSession) Lookahead(keys []uint64) (int, error) {
-	return SessionLookahead(s.inner, keys)
-}
+func (s *cachedSession) Close()                               { s.inner.Close() }
+func (s *cachedSession) Prefetch(key uint64) (bool, error)    { return s.inner.Prefetch(key) }
+func (s *cachedSession) Lookahead(keys []uint64) (int, error) { return s.inner.Lookahead(keys) }
 
 // Peek bypasses the tier: evaluation reads stay exact.
-func (s *cachedSession) Peek(key uint64, dst []byte) (bool, error) {
-	return SessionPeek(s.inner, key, dst)
-}
+func (s *cachedSession) Peek(key uint64, dst []byte) (bool, error) { return s.inner.Peek(key, dst) }
 
 func (s *cachedSession) Get(key uint64, dst []byte) (bool, error) {
 	return s.GetCtx(context.Background(), key, dst)
 }
 
-// GetCtx implements CtxSession with the tier in front: an admissible
-// entry is served without touching the engine; a miss reads the engine
-// and fills the tier with a conservative pre-read stamp.
+// GetCtx puts the tier in front: an admissible entry is served without
+// touching the engine; a miss reads the engine and fills the tier with a
+// conservative pre-read stamp.
 func (s *cachedSession) GetCtx(ctx context.Context, key uint64, dst []byte) (bool, error) {
-	bound := s.w.bound()
+	bound := s.w.inner.StalenessBound()
 	consult := bound != 0
 	var now int64
 	if consult {
@@ -141,7 +99,7 @@ func (s *cachedSession) GetCtx(ctx context.Context, key uint64, dst []byte) (boo
 			return true, nil
 		}
 	}
-	found, err := SessionGetCtx(ctx, s.inner, key, dst)
+	found, err := s.inner.GetCtx(ctx, key, dst)
 	if err != nil || !found {
 		return found, err
 	}
@@ -168,18 +126,24 @@ func (s *cachedSession) Delete(key uint64) error {
 	return nil
 }
 
-func (s *cachedSession) GetBatch(keys []uint64, vals []byte, found []bool) error {
-	return s.GetBatchCtx(context.Background(), keys, vals, found)
+// RMW materializes the new value inside the engine, so the tier's copy
+// is dropped rather than updated.
+func (s *cachedSession) RMW(key uint64, fn func(cur []byte, exists bool)) error {
+	if err := s.inner.RMW(key, fn); err != nil {
+		return err
+	}
+	s.w.clock.Add(1)
+	s.w.cache.Invalidate(key)
+	return nil
 }
 
-// GetBatchCtx implements CtxBatchSession: a tier sweep first, then one
-// engine batch over the compacted miss set. The miss subset preserves the
-// caller's key order, so the ordering rule blocking bounds rely on is
-// unaffected.
+// GetBatchCtx runs a tier sweep first, then one engine batch over the
+// compacted miss set. The miss subset preserves the caller's key order,
+// so the ordering rule blocking bounds rely on is unaffected.
 func (s *cachedSession) GetBatchCtx(ctx context.Context, keys []uint64, vals []byte, found []bool) error {
-	bound := s.w.bound()
+	bound := s.w.inner.StalenessBound()
 	if bound == 0 || len(keys) == 0 {
-		return SessionGetBatchCtx(ctx, s.inner, s.vs, keys, vals, found)
+		return s.inner.GetBatchCtx(ctx, keys, vals, found)
 	}
 	now := s.w.clock.Load()
 	s.missIdx = s.missIdx[:0]
@@ -203,7 +167,7 @@ func (s *cachedSession) GetBatchCtx(ctx context.Context, keys []uint64, vals []b
 		s.fetchFound = make([]bool, n)
 	}
 	fv, ff := s.fetchVals[:n*s.vs], s.fetchFound[:n]
-	if err := SessionGetBatchCtx(ctx, s.inner, s.vs, s.fetchKeys, fv, ff); err != nil {
+	if err := s.inner.GetBatchCtx(ctx, s.fetchKeys, fv, ff); err != nil {
 		return err
 	}
 	for j, i := range s.missIdx {
@@ -217,10 +181,10 @@ func (s *cachedSession) GetBatchCtx(ctx context.Context, keys []uint64, vals []b
 	return nil
 }
 
-// PutBatch implements BatchSession: the engine write first, then a
-// write-through of every key stamped with the batch's clock advance.
+// PutBatch does the engine write first, then a write-through of every key
+// stamped with the batch's clock advance.
 func (s *cachedSession) PutBatch(keys []uint64, vals []byte) error {
-	if err := SessionPutBatch(s.inner, s.vs, keys, vals); err != nil {
+	if err := s.inner.PutBatch(keys, vals); err != nil {
 		return err
 	}
 	clock := s.w.clock.Add(int64(len(keys)))

@@ -12,7 +12,7 @@ import (
 func openCachedPair(t *testing.T, bound int64, entries int) (raw, cached Store) {
 	t.Helper()
 	open := func(dir string) Store {
-		st, err := OpenFasterShards(ShardedConfig{
+		st, err := OpenEngine(EngineFaster, ShardedConfig{
 			Dir: dir, Shards: 2, ValueSize: 16, RecordsPerPage: 64,
 			MemoryBytes: 1 << 20, ExpectedKeys: 1 << 10, StalenessBound: bound,
 		}, "mlkv")

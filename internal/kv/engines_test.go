@@ -7,32 +7,11 @@ import (
 	"github.com/llm-db/mlkv-go/internal/util"
 )
 
-// openEngineStore opens a sharded clock-free engine store through the same
-// entry point the driver and server use.
-func openEngineStore(t *testing.T, engine string, shards, vs int) Store {
-	t.Helper()
-	st, err := OpenEngine(engine, ShardedConfig{
-		Dir:            t.TempDir(),
-		Shards:         shards,
-		ValueSize:      vs,
-		StalenessBound: -1, // clock-free engines take no blocking bound
-	}, engine)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		if err := st.Close(); err != nil {
-			t.Errorf("close: %v", err)
-		}
-	})
-	return st
-}
-
 // TestEngineBatchFanOutBounded is the batching regression test: a 256-key
 // GetBatch against a 4-shard engine store must reach the engine as at most
 // one native batch call per shard — not 256 scalar reads dressed up as a
 // batch. Same for PutBatch. The BatchCalls counters sit exactly at the
-// lifted-engine boundary, so any regression to per-key fan-out moves them
+// engine-adapter boundary, so any regression to per-key fan-out moves them
 // by two orders of magnitude.
 func TestEngineBatchFanOutBounded(t *testing.T) {
 	const (
@@ -42,7 +21,7 @@ func TestEngineBatchFanOutBounded(t *testing.T) {
 	)
 	for _, engine := range []string{EngineLSM, EngineBPTree} {
 		t.Run(engine, func(t *testing.T) {
-			st := openEngineStore(t, engine, shards, vs)
+			st := openTestStore(t, engine, shards, vs, -1)
 			rep, ok := st.(BatchCallReporter)
 			if !ok {
 				t.Fatalf("%T does not report engine-level batch calls", st)

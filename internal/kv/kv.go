@@ -1,8 +1,10 @@
-// Package kv defines the backend-neutral key-value interface that the
-// training pipelines and benchmarks run against, plus adapters for each
-// engine (MLKV/FASTER hybrid-log, LSM-tree, disk B+tree, sharded memory).
-// It mirrors how the paper integrates PERSIA/DGL/DGL-KE with FASTER,
-// RocksDB, and WiredTiger behind one embedding-access layer.
+// Package kv is the one embedding-access layer over the disk engines: the
+// byte-level Store/Session contract every framework integration programs
+// against, the per-shard engine contract the three engines (FASTER hybrid
+// log, LSM-tree, disk B+tree) implement, and the single sharded store that
+// opens, hash-partitions, fans out over, checkpoints and sums them. It
+// mirrors how the paper integrates PERSIA/DGL/DGL-KE with FASTER, RocksDB,
+// and WiredTiger behind one layer instead of one storage stack each.
 package kv
 
 import (
@@ -12,7 +14,9 @@ import (
 	"github.com/llm-db/mlkv-go/internal/faster"
 )
 
-// Store is a disk-backed key-value store with fixed-size values.
+// Store is a disk-backed key-value store with fixed-size values. Its
+// implementers are the sharded engine store (OpenEngine), the hot-tier
+// wrapper (WrapCached), and the network client's remote model.
 type Store interface {
 	// NewSession returns a handle for one worker goroutine. Sessions are
 	// not safe for concurrent use; the Store itself is.
@@ -21,6 +25,19 @@ type Store interface {
 	ValueSize() int
 	// Name identifies the engine in benchmark output.
 	Name() string
+	// Shards is the hash-partition count backing the store.
+	Shards() int
+	// StalenessBound returns the bound of MLKV's bounded-staleness clock,
+	// shared by all shards; a clock-free engine reports -1.
+	StalenessBound() int64
+	// SetStalenessBound changes the bound at runtime, on every shard. A
+	// clock-free engine refuses a blocking bound (BSP or finite SSP): it
+	// would silently serve unbounded reads.
+	SetStalenessBound(int64) error
+	// Checkpoint makes the contents durable.
+	Checkpoint() error
+	// Stats returns the engine's operation counters, summed across shards.
+	Stats() faster.StatsSnapshot
 	// Close releases resources.
 	Close() error
 }
@@ -29,186 +46,61 @@ type Store interface {
 type Session interface {
 	// Get reads key's value into dst (len must equal ValueSize).
 	Get(key uint64, dst []byte) (bool, error)
+	// GetCtx is Get bounded by ctx: a clocked read waiting on the
+	// staleness bound gives up with ctx.Err() when ctx ends, without
+	// acquiring a token. The serving layer uses it to honor a remote
+	// client's deadline, so an abandoned request cannot strand a token.
+	GetCtx(ctx context.Context, key uint64, dst []byte) (bool, error)
+	// Peek reads without consistency effects: no vector-clock
+	// participation, no copy toward the mutable tail. Evaluation traffic
+	// uses it so scoring a model never acquires tokens that would stall
+	// training reads. On a clock-free engine it is Get.
+	Peek(key uint64, dst []byte) (bool, error)
 	// Put upserts key's value.
 	Put(key uint64, val []byte) error
 	// Delete removes key.
 	Delete(key uint64) error
-	// Prefetch hints that key will be read soon. Engines without native
-	// prefetch return false immediately.
+	// RMW applies fn to key's current value (zeroed when absent) and
+	// stores the result: one atomic in-storage step on the hybrid log, a
+	// read, fn, and a write on the clock-free engines and over the wire.
+	RMW(key uint64, fn func(cur []byte, exists bool)) error
+	// Prefetch hints that key will be read soon, reporting whether the
+	// engine moved a record toward memory.
 	Prefetch(key uint64) (bool, error)
+	// Lookahead is Prefetch over a key list (one frame on the network
+	// client), returning how many records the engine reports moving.
+	Lookahead(keys []uint64) (int, error)
+	// GetBatchCtx reads len(keys) values into vals (len(keys)×ValueSize)
+	// under ctx, recording presence in found and zeroing the value slot of
+	// any missing key. Callers go through SessionGetBatch[Ctx], which
+	// check the buffer lengths.
+	GetBatchCtx(ctx context.Context, keys []uint64, vals []byte, found []bool) error
+	// PutBatch upserts len(keys) values from vals; see SessionPutBatch.
+	PutBatch(keys []uint64, vals []byte) error
 	// Close releases the session.
 	Close()
 }
 
-// BatchSession is an optional Session extension for engines with a native
-// batch path (the sharded adapter fans a batch out across shards in
-// parallel; the network client ships it as one frame). Callers should go
-// through SessionGetBatch/SessionPutBatch, which fall back to per-key
-// loops on plain sessions.
-type BatchSession interface {
-	Session
-	// GetBatch reads len(keys) values into vals (len(keys)×ValueSize),
-	// recording presence in found and zeroing the value slot of any
-	// missing key.
-	GetBatch(keys []uint64, vals []byte, found []bool) error
-	// PutBatch upserts len(keys) values from vals.
-	PutBatch(keys []uint64, vals []byte) error
-}
-
-// PeekSession is an optional Session extension for engines whose reads
-// normally have consistency effects (MLKV's clocked Gets). Peek reads
-// without them: no vector-clock participation, no copy toward the mutable
-// tail. Evaluation traffic goes through SessionPeek so scoring a model
-// never acquires clock tokens that would stall training reads.
-type PeekSession interface {
-	Session
-	// Peek reads key's value into dst without consistency effects.
-	Peek(key uint64, dst []byte) (bool, error)
-}
-
-// LookaheadSession is an optional Session extension for engines with a
-// native batched prefetch: the network client ships one LOOKAHEAD frame
-// instead of one Prefetch round trip per key.
-type LookaheadSession interface {
-	Session
-	// Lookahead hints that keys will be read soon, returning how many
-	// records the engine reports moving toward memory.
-	Lookahead(keys []uint64) (int, error)
-}
-
-// Checkpointer is an optional Store extension for engines that can make
-// their contents durable on demand.
-type Checkpointer interface {
-	Checkpoint() error
-}
-
-// StatsReporter is an optional Store extension exposing the engine's
-// merged operation counters (summed across shards for a sharded store).
-type StatsReporter interface {
-	Stats() faster.StatsSnapshot
-}
-
-// Sharded is an optional Store extension reporting the hash-partition
-// count backing the store.
-type Sharded interface {
-	Shards() int
-}
-
-// CtxSession is an optional Session extension for engines whose reads
-// can block (MLKV's clocked Gets waiting on the staleness bound): GetCtx
-// gives up with ctx.Err() when ctx ends, without acquiring a token. The
-// serving layer uses it to honor a remote client's deadline server-side,
-// so an abandoned request cannot strand a staleness token.
-type CtxSession interface {
-	Session
-	// GetCtx is Get bounded by ctx.
-	GetCtx(ctx context.Context, key uint64, dst []byte) (bool, error)
-}
-
-// CtxBatchSession is the batch counterpart of CtxSession.
-type CtxBatchSession interface {
-	BatchSession
-	// GetBatchCtx is GetBatch bounded by ctx, checked on every key.
-	GetBatchCtx(ctx context.Context, keys []uint64, vals []byte, found []bool) error
-}
-
-// Bounded is an optional Store extension for engines with MLKV's
-// bounded-staleness clock: the serving layer reports the bound in OPEN
-// responses and applies a client-requested bound at open time.
-type Bounded interface {
-	// StalenessBound returns the current bound (shared by all shards).
-	StalenessBound() int64
-	// SetStalenessBound changes the bound at runtime, on every shard.
-	SetStalenessBound(int64)
-}
-
-// SessionPeek reads key without consistency effects when s supports it,
-// falling back to a plain Get — which, for the clock-free engines that
-// lack Peek (LSM, B+tree), is the same thing.
-func SessionPeek(s Session, key uint64, dst []byte) (bool, error) {
-	if ps, ok := s.(PeekSession); ok {
-		return ps.Peek(key, dst)
-	}
-	return s.Get(key, dst)
-}
-
-// SessionLookahead hints that keys will be read soon — as one batched call
-// when the engine has one, else one Prefetch per key — returning how many
-// records the engine reports moving toward memory.
-func SessionLookahead(s Session, keys []uint64) (int, error) {
-	if ls, ok := s.(LookaheadSession); ok {
-		return ls.Lookahead(keys)
-	}
-	n := 0
-	for _, k := range keys {
-		ok, err := s.Prefetch(k)
-		if err != nil {
-			return n, err
-		}
-		if ok {
-			n++
-		}
-	}
-	return n, nil
-}
-
-// SessionGetCtx reads key under ctx when s supports cancellation, falling
-// back to a plain Get (engines whose reads never block).
-func SessionGetCtx(ctx context.Context, s Session, key uint64, dst []byte) (bool, error) {
-	if cs, ok := s.(CtxSession); ok {
-		return cs.GetCtx(ctx, key, dst)
-	}
-	return s.Get(key, dst)
-}
-
-// SessionGetBatch reads len(keys) values into vals (len(keys)×valueSize)
-// through s's native batch path when it has one, else key by key. Missing
-// keys get found[i]=false and a zeroed value slot either way.
+// SessionGetBatch reads len(keys) values into vals (len(keys)×valueSize).
+// Missing keys get found[i]=false and a zeroed value slot.
 func SessionGetBatch(s Session, valueSize int, keys []uint64, vals []byte, found []bool) error {
 	return SessionGetBatchCtx(context.Background(), s, valueSize, keys, vals, found)
 }
 
-// SessionGetBatchCtx is SessionGetBatch bounded by ctx where the engine
-// supports it.
+// SessionGetBatchCtx is SessionGetBatch bounded by ctx.
 func SessionGetBatchCtx(ctx context.Context, s Session, valueSize int, keys []uint64, vals []byte, found []bool) error {
 	if len(vals) != len(keys)*valueSize || len(found) != len(keys) {
 		return fmt.Errorf("kv: GetBatch buffers sized %d/%d for %d keys × %d bytes",
 			len(vals), len(found), len(keys), valueSize)
 	}
-	if bs, ok := s.(CtxBatchSession); ok {
-		return bs.GetBatchCtx(ctx, keys, vals, found)
-	}
-	if bs, ok := s.(BatchSession); ok {
-		return bs.GetBatch(keys, vals, found)
-	}
-	for i, k := range keys {
-		slot := vals[i*valueSize : (i+1)*valueSize]
-		ok, err := SessionGetCtx(ctx, s, k, slot)
-		if err != nil {
-			return err
-		}
-		found[i] = ok
-		if !ok {
-			clear(slot)
-		}
-	}
-	return nil
+	return s.GetBatchCtx(ctx, keys, vals, found)
 }
 
-// SessionPutBatch upserts len(keys) values from vals through s's native
-// batch path when it has one, else key by key.
+// SessionPutBatch upserts len(keys) values from vals (len(keys)×valueSize).
 func SessionPutBatch(s Session, valueSize int, keys []uint64, vals []byte) error {
 	if len(vals) != len(keys)*valueSize {
 		return fmt.Errorf("kv: PutBatch vals sized %d for %d keys × %d bytes",
 			len(vals), len(keys), valueSize)
 	}
-	if bs, ok := s.(BatchSession); ok {
-		return bs.PutBatch(keys, vals)
-	}
-	for i, k := range keys {
-		if err := s.Put(k, vals[i*valueSize:(i+1)*valueSize]); err != nil {
-			return err
-		}
-	}
-	return nil
+	return s.PutBatch(keys, vals)
 }

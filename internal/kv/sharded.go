@@ -1,0 +1,261 @@
+package kv
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"sync"
+
+	"github.com/llm-db/mlkv-go/internal/faster"
+	"github.com/llm-db/mlkv-go/internal/util"
+)
+
+// shardedStore hash-partitions the key space across independent engine
+// instances (each hybrid-log shard has its own log, hash index, epoch
+// domain, and background flusher). Single-key operations route to the
+// shard util.ShardOf assigns the key — a constant mix distinct from the
+// in-shard index hash, so partitioning and bucket placement stay
+// uncorrelated. One shard is the same code with one group: 1-vs-N
+// comparisons measure sharding alone.
+type shardedStore struct {
+	shards []shard
+	engine string // canonical engine name
+	name   string
+	vs     int
+}
+
+func (w *shardedStore) ValueSize() int { return w.vs }
+func (w *shardedStore) Name() string   { return w.name }
+func (w *shardedStore) Shards() int    { return len(w.shards) }
+
+// StalenessBound reports the bound all shards share.
+func (w *shardedStore) StalenessBound() int64 { return w.shards[0].StalenessBound() }
+
+func (w *shardedStore) SetStalenessBound(b int64) error {
+	if err := checkBound(w.engine, b); err != nil {
+		return err
+	}
+	for _, sh := range w.shards {
+		sh.SetStalenessBound(b)
+	}
+	return nil
+}
+
+// checkBound refuses a blocking staleness bound (BSP or finite SSP) on an
+// engine without a vector clock, at open and at SetStalenessBound.
+func checkBound(engine string, bound int64) error {
+	if ClockFree(engine) && faster.BlockingBound(bound) {
+		return fmt.Errorf("kv: engine %q has no vector clock and cannot honor blocking staleness bound %d (use the faster engine, or an async/disabled bound)", engine, bound)
+	}
+	return nil
+}
+
+// Close closes every shard, reporting every failure.
+func (w *shardedStore) Close() error {
+	errs := make([]error, len(w.shards))
+	for i, sh := range w.shards {
+		errs[i] = sh.Close()
+	}
+	return errors.Join(errs...)
+}
+
+// Checkpoint makes every shard durable, in parallel, reporting every
+// failing shard.
+func (w *shardedStore) Checkpoint() error {
+	var wg sync.WaitGroup
+	errs := make([]error, len(w.shards))
+	for i, sh := range w.shards {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = sh.Checkpoint()
+		}()
+	}
+	wg.Wait()
+	return errors.Join(errs...)
+}
+
+// Stats returns the element-wise sum of every shard's counters.
+func (w *shardedStore) Stats() faster.StatsSnapshot {
+	var sum faster.StatsSnapshot
+	for _, sh := range w.shards {
+		sum = sum.Add(sh.Stats())
+	}
+	return sum
+}
+
+// BatchCallReporter is an optional Store extension counting the native
+// engine-level batch calls the store has issued. It is the measurement
+// behind the batch-amplification regression gate: one session GetBatch
+// through a sharded LSM or B+tree store must reach the engine as at most
+// Shards calls, never one call per key.
+type BatchCallReporter interface {
+	// BatchCalls returns the cumulative engine-level batch read and batch
+	// write call counts.
+	BatchCalls() (gets, puts int64)
+}
+
+// BatchCalls implements BatchCallReporter; the hybrid log has no native
+// batch call and counts none.
+func (w *shardedStore) BatchCalls() (gets, puts int64) {
+	for _, sh := range w.shards {
+		if c, ok := sh.(*clockFreeShard); ok {
+			gets += c.batchGets.Load()
+			puts += c.batchPuts.Load()
+		}
+	}
+	return gets, puts
+}
+
+func (w *shardedStore) NewSession() (Session, error) {
+	ss := make([]shardSession, len(w.shards))
+	for i, sh := range w.shards {
+		s, err := sh.newSession()
+		if err != nil {
+			for _, prev := range ss[:i] {
+				prev.Close()
+			}
+			return nil, err
+		}
+		ss[i] = s
+	}
+	return &shardedSession{
+		st:     w,
+		ss:     ss,
+		groups: make([][]int, len(ss)),
+		errs:   make([]error, len(ss)),
+	}, nil
+}
+
+// shardedSession is one worker's handle: one engine session per shard.
+// During a parallel fan-out it drives its shards from several goroutines,
+// but each shard's session is touched by exactly one of them, preserving
+// the engines' single-goroutine session contract.
+type shardedSession struct {
+	st     *shardedStore
+	ss     []shardSession
+	groups [][]int // reusable per-shard index groups for batches
+	errs   []error // reusable per-shard fan-out results
+	one    [1]int  // the index list of a one-key getAt
+}
+
+func (se *shardedSession) route(key uint64) shardSession {
+	return se.ss[util.ShardOf(key, len(se.ss))]
+}
+
+func (se *shardedSession) Get(key uint64, dst []byte) (bool, error) {
+	return se.route(key).GetCtx(context.Background(), key, dst)
+}
+func (se *shardedSession) GetCtx(ctx context.Context, key uint64, dst []byte) (bool, error) {
+	return se.route(key).GetCtx(ctx, key, dst)
+}
+func (se *shardedSession) Peek(key uint64, dst []byte) (bool, error) {
+	return se.route(key).Peek(key, dst)
+}
+func (se *shardedSession) Put(key uint64, val []byte) error { return se.route(key).Put(key, val) }
+func (se *shardedSession) Delete(key uint64) error          { return se.route(key).Delete(key) }
+func (se *shardedSession) RMW(key uint64, fn func(cur []byte, exists bool)) error {
+	return se.route(key).RMW(key, fn)
+}
+func (se *shardedSession) Prefetch(key uint64) (bool, error) { return se.route(key).Prefetch(key) }
+
+func (se *shardedSession) Lookahead(keys []uint64) (int, error) {
+	n := 0
+	for _, k := range keys {
+		ok, err := se.Prefetch(k)
+		if err != nil {
+			return n, err
+		}
+		if ok {
+			n++
+		}
+	}
+	return n, nil
+}
+
+func (se *shardedSession) Close() {
+	for _, s := range se.ss {
+		s.Close()
+	}
+}
+
+// batchFanoutMin is the batch size below which cross-shard batches run
+// serially: goroutine spawn costs more than the handful of routed
+// operations it would overlap.
+const batchFanoutMin = 16
+
+// GetBatchCtx groups keys by owning shard and runs the per-shard groups in
+// parallel, overlapping disk reads and flush waits across shards.
+//
+// The blocking-bound ordering rule lives here: under a blocking staleness
+// bound (BSP or finite SSP) a clocked read is a token acquisition that
+// only the matching Put releases, so two sessions acquiring different
+// shards in parallel could each hold a key the other is blocked on. Such
+// a batch runs serially in the caller's key order instead; callers that
+// may block pass unique keys in ascending order, which keeps the
+// cross-session wait graph acyclic exactly as on the scalar path. Any
+// layer above that must repair a missing key under such a bound does so
+// before moving to the next key, never after the whole batch.
+func (se *shardedSession) GetBatchCtx(ctx context.Context, keys []uint64, vals []byte, found []bool) error {
+	if faster.BlockingBound(se.st.StalenessBound()) {
+		for i, k := range keys {
+			se.one[0] = i
+			if err := se.route(k).getAt(ctx, keys, se.one[:], vals, found); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	return se.fanOut(keys, func(sh int, idxs []int) error {
+		return se.ss[sh].getAt(ctx, keys, idxs, vals, found)
+	})
+}
+
+// PutBatch fans out like GetBatchCtx; writes never wait on the bound, so
+// they need no ordering.
+func (se *shardedSession) PutBatch(keys []uint64, vals []byte) error {
+	return se.fanOut(keys, func(sh int, idxs []int) error {
+		return se.ss[sh].putAt(keys, idxs, vals)
+	})
+}
+
+// fanOut groups the positions of keys by owning shard into the session's
+// reusable buffers and runs op over each non-empty group: serially for
+// small batches, one goroutine per shard otherwise. The first error by
+// shard order is returned.
+func (se *shardedSession) fanOut(keys []uint64, op func(shard int, idxs []int) error) error {
+	n := len(se.ss)
+	for sh := range se.groups {
+		se.groups[sh] = se.groups[sh][:0]
+	}
+	for i, k := range keys {
+		sh := util.ShardOf(k, n)
+		se.groups[sh] = append(se.groups[sh], i)
+	}
+	parallel := n > 1 && len(keys) >= batchFanoutMin
+	var wg sync.WaitGroup
+	for sh, idxs := range se.groups {
+		se.errs[sh] = nil
+		if len(idxs) == 0 {
+			continue
+		}
+		if !parallel {
+			if err := op(sh, idxs); err != nil {
+				return err
+			}
+			continue
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			se.errs[sh] = op(sh, idxs)
+		}()
+	}
+	wg.Wait()
+	for _, err := range se.errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}

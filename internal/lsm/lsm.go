@@ -520,12 +520,18 @@ func (s *Store) ValueSize() int { return s.cfg.ValueSize }
 // Name identifies the engine.
 func (s *Store) Name() string { return "lsm" }
 
-// Session adapts the store to kv.Session. The store is internally
-// synchronized, so sessions are stateless.
-type Session struct{ s *Store }
+// Session is one worker's operation handle. The store is internally
+// synchronized; the session only owns scratch, so like every engine
+// session it belongs to one goroutine.
+type Session struct {
+	s       *Store
+	scratch []byte // one value: Prefetch's read target, Delete's tombstone payload
+}
 
 // NewSession returns an operation handle.
-func (s *Store) NewSession() (*Session, error) { return &Session{s: s}, nil }
+func (s *Store) NewSession() (*Session, error) {
+	return &Session{s: s, scratch: make([]byte, s.cfg.ValueSize)}, nil
+}
 
 // Get reads key into dst.
 func (se *Session) Get(key uint64, dst []byte) (bool, error) {
@@ -545,7 +551,8 @@ func (se *Session) Put(key uint64, val []byte) error {
 
 // Delete removes key.
 func (se *Session) Delete(key uint64) error {
-	return se.s.put(key, make([]byte, se.s.cfg.ValueSize), true)
+	clear(se.scratch)
+	return se.s.put(key, se.scratch, true)
 }
 
 // GetBatch reads keys[i] into vals[i*vs:(i+1)*vs], setting found[i]. The
@@ -571,9 +578,7 @@ func (se *Session) PutBatch(keys []uint64, vals []byte) error {
 
 // Prefetch pulls key's block into the block cache.
 func (se *Session) Prefetch(key uint64) (bool, error) {
-	dst := make([]byte, se.s.cfg.ValueSize)
-	found, err := se.s.get(key, dst)
-	return found, err
+	return se.s.get(key, se.scratch)
 }
 
 // Close releases the session (no-op).

@@ -349,3 +349,26 @@ func TestLSMConfigValidation(t *testing.T) {
 		t.Fatal("missing ValueSize accepted")
 	}
 }
+
+// TestSessionScratchAllocs: Prefetch reads into, and Delete writes its
+// tombstone from, the session's own scratch. The lookahead pool calls
+// Prefetch per hinted key, so it must not allocate; Delete may only pay
+// what the store's write path pays for any Put (the WAL record).
+func TestSessionScratchAllocs(t *testing.T) {
+	const vs = 32
+	s := testLSM(t, vs)
+	se, _ := s.NewSession()
+	val := lval(vs, 1)
+	for k := uint64(0); k < 8; k++ {
+		if err := se.Put(k, val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { se.Prefetch(3) }); n != 0 {
+		t.Fatalf("Prefetch allocates %.0f times per call", n)
+	}
+	put := testing.AllocsPerRun(100, func() { se.Put(3, val) })
+	if del := testing.AllocsPerRun(100, func() { se.Delete(3) }); del > put {
+		t.Fatalf("Delete allocates %.0f times per call, Put of the same key %.0f", del, put)
+	}
+}

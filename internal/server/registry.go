@@ -102,7 +102,7 @@ func validateModelID(id string) error {
 // the registry default (and is advisory for an existing model: the store
 // keeps the count it was created with). A bound other than wire.BoundUnset
 // is applied to the model — at creation for a new one, via
-// kv.Bounded.SetStalenessBound for an existing one, matching the paper's
+// kv.Store.SetStalenessBound for an existing one, matching the paper's
 // interface where the trainer declares the consistency it needs. engine
 // "" takes the server's choice for a new model and is never a mismatch
 // for an existing one; a named engine must match an existing model's and
@@ -149,10 +149,8 @@ func (r *Registry) Open(id string, dim, shards int, bound int64, engine string) 
 			return nil, fmt.Errorf("server: model %q runs engine %q, requested %q", id, m.engine, engine)
 		}
 		if bound != wire.BoundUnset {
-			if bd, ok := m.store.(kv.Bounded); ok {
-				bd.SetStalenessBound(bound)
-			} else if faster.BlockingBound(bound) {
-				return nil, fmt.Errorf("server: model %q: engine %q has no vector clock and cannot honor blocking staleness bound %d", id, m.engine, bound)
+			if err := m.store.SetStalenessBound(bound); err != nil {
+				return nil, fmt.Errorf("server: model %q: %w", id, err)
 			}
 		}
 		return m, nil
@@ -279,15 +277,12 @@ func (r *Registry) ReplWatermark() uint64 {
 	return wm
 }
 
-// Checkpoint makes every model that can checkpoint durable, returning the
-// first error.
+// Checkpoint makes every model durable, returning the first error.
 func (r *Registry) Checkpoint() error {
 	var first error
 	for _, m := range r.Models() {
-		if cp, ok := m.store.(kv.Checkpointer); ok {
-			if err := cp.Checkpoint(); err != nil && first == nil {
-				first = fmt.Errorf("model %q: %w", m.id, err)
-			}
+		if err := m.store.Checkpoint(); err != nil && first == nil {
+			first = fmt.Errorf("model %q: %w", m.id, err)
 		}
 	}
 	return first
@@ -380,33 +375,15 @@ func (m *Model) Store() kv.Store { return m.store }
 // client sessions are currently open on the model.
 func (m *Model) ActiveSessions() int64 { return m.activeSessions.Load() }
 
-// shards reports the store's hash-partition count.
-func (m *Model) shards() int {
-	if sh, ok := m.store.(kv.Sharded); ok {
-		return sh.Shards()
-	}
-	return 1
-}
-
-// bound reports the store's staleness bound (-1 when the engine has none).
-func (m *Model) bound() int64 {
-	if bd, ok := m.store.(kv.Bounded); ok {
-		return bd.StalenessBound()
-	}
-	return -1
-}
-
 // Stats merges the engine's counters with the serving layer's per-model
 // counters into the STATS payload.
 func (m *Model) Stats() wire.ModelStats {
 	s := wire.ModelStats{
+		StatsSnapshot:   m.store.Stats(),
 		BatchGets:       m.batchGets.Load(),
 		BatchPuts:       m.batchPuts.Load(),
 		LookaheadFrames: m.lookaheadFrames.Load(),
 		ActiveSessions:  m.activeSessions.Load(),
-	}
-	if sr, ok := m.store.(kv.StatsReporter); ok {
-		s.StatsSnapshot = sr.Stats()
 	}
 	if cr, ok := m.store.(kv.CacheStatsReporter); ok {
 		cs := cr.CacheStats()

@@ -341,7 +341,7 @@ func (s *Server) handle(st *connState, op wire.Op, p []byte) (respOp wire.Op, pa
 		if err != nil {
 			return fail(err)
 		}
-		return wire.RespOK, wire.EncodeOpenResp(m.handle, m.dim, m.shards(), m.bound(), m.store.Name()), false
+		return wire.RespOK, wire.EncodeOpenResp(m.handle, m.dim, m.store.Shards(), m.store.StalenessBound(), m.store.Name()), false
 
 	case wire.OpAttach:
 		h, rest, err := wire.DecodeHandle(p)
@@ -395,11 +395,7 @@ func (s *Server) handle(st *connState, op wire.Op, p []byte) (respOp wire.Op, pa
 		if err != nil {
 			return fail(err)
 		}
-		cp, ok := m.store.(kv.Checkpointer)
-		if !ok {
-			return fail(fmt.Errorf("server: engine %s cannot checkpoint", m.store.Name()))
-		}
-		if err := cp.Checkpoint(); err != nil {
+		if err := m.store.Checkpoint(); err != nil {
 			return fail(err)
 		}
 		return wire.RespOK, nil, false
@@ -484,7 +480,7 @@ func (s *Server) handle(st *connState, op wire.Op, p []byte) (respOp wire.Op, pa
 		}
 		ctx, cancel := waitCtx(waitMs)
 		start := time.Now()
-		found, err := kv.SessionGetCtx(ctx, cm.sess, key, cm.scratch)
+		found, err := cm.sess.GetCtx(ctx, key, cm.scratch)
 		cm.m.lat.Since(latency.OpGet, start)
 		cancel()
 		if err != nil {
@@ -502,7 +498,7 @@ func (s *Server) handle(st *connState, op wire.Op, p []byte) (respOp wire.Op, pa
 			return s.notOwner()
 		}
 		start := time.Now()
-		found, err := kv.SessionPeek(cm.sess, key, cm.scratch)
+		found, err := cm.sess.Peek(key, cm.scratch)
 		cm.m.lat.Since(latency.OpGet, start)
 		if err != nil {
 			return fail(err)
@@ -607,7 +603,7 @@ func (s *Server) handle(st *connState, op wire.Op, p []byte) (respOp wire.Op, pa
 		vals := out[4+n:]
 		start := time.Now()
 		for i, k := range keys {
-			found, err := kv.SessionPeek(cm.sess, k, vals[i*cm.vs:(i+1)*cm.vs])
+			found, err := cm.sess.Peek(k, vals[i*cm.vs:(i+1)*cm.vs])
 			if err != nil {
 				cm.m.lat.Since(latency.OpGetBatch, start)
 				return fail(err)
@@ -652,17 +648,11 @@ func (s *Server) handle(st *connState, op wire.Op, p []byte) (respOp wire.Op, pa
 			return s.notOwner()
 		}
 		cm.m.lookaheadFrames.Add(1)
-		var copied uint32
-		for _, k := range keys {
-			ok, err := cm.sess.Prefetch(k)
-			if err != nil {
-				return fail(err)
-			}
-			if ok {
-				copied++
-			}
+		copied, err := cm.sess.Lookahead(keys)
+		if err != nil {
+			return fail(err)
 		}
-		return wire.RespOK, wire.EncodeUint32(copied), false
+		return wire.RespOK, wire.EncodeUint32(uint32(copied)), false
 
 	case wire.OpReplWrite:
 		// The replication stream from this range's primary. Bypasses the

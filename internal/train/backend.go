@@ -19,8 +19,6 @@ import (
 	"sync"
 
 	"github.com/llm-db/mlkv-go/internal/core"
-	"github.com/llm-db/mlkv-go/internal/kv"
-	"github.com/llm-db/mlkv-go/internal/tensor"
 	"github.com/llm-db/mlkv-go/internal/util"
 )
 
@@ -67,8 +65,10 @@ type Handle interface {
 
 // --- MLKV / FASTER backend (core.Table) ---
 
-// TableBackend adapts a core.Table. With StalenessBound disabled it *is*
-// the plain-FASTER baseline; with a bound it is MLKV.
+// TableBackend adapts a core.Table on any engine. On the hybrid log with
+// StalenessBound disabled it *is* the plain-FASTER baseline, with a bound
+// it is MLKV; on the LSM-tree or B+tree it is the paper's "framework +
+// RocksDB/WiredTiger" integration.
 type TableBackend struct {
 	T            *Table
 	UseLookahead bool
@@ -85,12 +85,7 @@ func NewTableBackend(t *core.Table, useLookahead bool) *TableBackend {
 }
 
 // Name identifies the engine.
-func (b *TableBackend) Name() string {
-	if b.T.Store().StalenessBound() >= 0 {
-		return "mlkv"
-	}
-	return "faster"
-}
+func (b *TableBackend) Name() string { return b.T.EngineName() }
 
 // Dim returns the embedding dimension.
 func (b *TableBackend) Dim() int { return b.T.Dim() }
@@ -126,147 +121,6 @@ func (h *tableHandle) Lookahead(keys []uint64) {
 	}
 }
 func (h *tableHandle) Close() { h.s.Close() }
-
-// --- kv.Store backend (LSM, B+tree, remote) ---
-
-// KVBackend adapts a byte-interface kv.Store, adding float32 conversion
-// and first-touch initialization on the application side — exactly how the
-// paper's "framework + RocksDB/WiredTiger" integrations offload embeddings.
-type KVBackend struct {
-	S    kv.Store
-	DimN int
-	Init core.Initializer
-}
-
-// NewKVBackend wraps a store.
-func NewKVBackend(s kv.Store, dim int, init core.Initializer) *KVBackend {
-	return &KVBackend{S: s, DimN: dim, Init: init}
-}
-
-// Name identifies the engine.
-func (b *KVBackend) Name() string { return b.S.Name() }
-
-// Dim returns the embedding dimension.
-func (b *KVBackend) Dim() int { return b.DimN }
-
-// NewHandle returns a session adapter.
-func (b *KVBackend) NewHandle() (Handle, error) {
-	s, err := b.S.NewSession()
-	if err != nil {
-		return nil, err
-	}
-	return &kvHandle{b: b, s: s, buf: make([]byte, b.DimN*4)}, nil
-}
-
-type kvHandle struct {
-	b   *KVBackend
-	s   kv.Session
-	buf []byte // one value, scalar-path staging
-
-	// Batch-path scratch, grown on demand and reused across steps.
-	bbuf     []byte
-	found    []bool
-	missKeys []uint64
-	missVals []byte
-}
-
-func (h *kvHandle) initInto(key uint64, dst []float32) {
-	if h.b.Init != nil {
-		h.b.Init(key, dst)
-		return
-	}
-	zero32(dst)
-}
-
-func (h *kvHandle) Get(key uint64, dst []float32) error {
-	found, err := h.s.Get(key, h.buf)
-	if err != nil {
-		return err
-	}
-	if !found {
-		h.initInto(key, dst)
-		tensor.F32sToBytes(dst, h.buf)
-		return h.s.Put(key, h.buf)
-	}
-	tensor.BytesToF32s(h.buf, dst)
-	return nil
-}
-
-// GetBatch issues one batched read, then initializes and writes back the
-// missing keys with one batched write — the first-touch protocol of the
-// scalar path, paid once per step instead of once per key.
-func (h *kvHandle) GetBatch(keys []uint64, dst []float32) error {
-	dim := h.b.DimN
-	if len(dst) != len(keys)*dim {
-		return fmt.Errorf("train: dst length %d != %d keys × dim %d", len(dst), len(keys), dim)
-	}
-	vs := dim * 4
-	h.bbuf = grow(h.bbuf, len(keys)*vs)
-	h.found = grow(h.found, len(keys))
-	if err := kv.SessionGetBatch(h.s, vs, keys, h.bbuf, h.found); err != nil {
-		return err
-	}
-	h.missKeys = h.missKeys[:0]
-	h.missVals = h.missVals[:0]
-	for i, ok := range h.found {
-		seg := dst[i*dim : (i+1)*dim]
-		if ok {
-			tensor.BytesToF32s(h.bbuf[i*vs:], seg)
-			continue
-		}
-		h.initInto(keys[i], seg)
-		h.missKeys = append(h.missKeys, keys[i])
-		n := len(h.missVals)
-		h.missVals = append(h.missVals, make([]byte, vs)...)
-		tensor.F32sToBytes(seg, h.missVals[n:])
-	}
-	if len(h.missKeys) == 0 {
-		return nil
-	}
-	return kv.SessionPutBatch(h.s, vs, h.missKeys, h.missVals)
-}
-
-func (h *kvHandle) Put(key uint64, val []float32) error {
-	tensor.F32sToBytes(val, h.buf)
-	return h.s.Put(key, h.buf)
-}
-
-func (h *kvHandle) PutBatch(keys []uint64, vals []float32) error {
-	dim := h.b.DimN
-	if len(vals) != len(keys)*dim {
-		return fmt.Errorf("train: vals length %d != %d keys × dim %d", len(vals), len(keys), dim)
-	}
-	vs := dim * 4
-	h.bbuf = grow(h.bbuf, len(keys)*vs)
-	tensor.F32sToBytes(vals, h.bbuf)
-	return kv.SessionPutBatch(h.s, vs, keys, h.bbuf[:len(keys)*vs])
-}
-
-func (h *kvHandle) Peek(key uint64, dst []float32) (bool, error) {
-	found, err := kv.SessionPeek(h.s, key, h.buf)
-	if found {
-		tensor.BytesToF32s(h.buf, dst)
-	}
-	return found, err
-}
-
-// Lookahead ships the whole key list as one batched call when the session
-// supports it (one LOOKAHEAD frame on the network client) instead of one
-// Prefetch per key.
-func (h *kvHandle) Lookahead(keys []uint64) {
-	kv.SessionLookahead(h.s, keys)
-}
-
-func (h *kvHandle) Close() { h.s.Close() }
-
-// grow resizes a reusable scratch slice to n elements without preserving
-// contents (callers overwrite the whole slice).
-func grow[T any](b []T, n int) []T {
-	if cap(b) < n {
-		return make([]T, n)
-	}
-	return b[:n]
-}
 
 // --- sharded in-memory backend ---
 

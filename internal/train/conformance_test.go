@@ -7,11 +7,9 @@ import (
 	"testing"
 	"time"
 
-	"github.com/llm-db/mlkv-go/internal/bptree"
 	"github.com/llm-db/mlkv-go/internal/core"
 	"github.com/llm-db/mlkv-go/internal/data"
 	"github.com/llm-db/mlkv-go/internal/kv"
-	"github.com/llm-db/mlkv-go/internal/lsm"
 	"github.com/llm-db/mlkv-go/internal/models"
 	"github.com/llm-db/mlkv-go/internal/server"
 )
@@ -21,36 +19,19 @@ const confDim = 8
 var confInit = core.UniformInit(0.05, 1)
 
 // confBackends builds one instance of every Handle implementation: MLKV
-// table (clock on), plain FASTER (clock off), LSM and B+tree through the
-// lifted KV adapters, sharded memory, and remote backends speaking the
-// wire protocol to loopback mlkv-servers — one per engine, so the remote
-// matrix covers every engine an OPEN frame can request. Each comes fresh
-// (empty store).
+// table (clock on), plain FASTER (clock off), LSM and B+tree tables,
+// sharded memory, and remote backends speaking the wire protocol to
+// loopback mlkv-servers — one per engine, so the remote matrix covers
+// every engine an OPEN frame can request. Each comes fresh (empty store).
 func confBackends(t *testing.T) map[string]Backend {
 	t.Helper()
 	out := map[string]Backend{
 		"mlkv":   mlkvBackend(t, confDim, core.BoundASP),
 		"faster": mlkvBackend(t, confDim, core.BoundDisabled),
 		"mem":    NewMemBackend("mem", confDim, confInit),
+		"lsm":    engineBackend(t, kv.EngineLSM, confDim, core.BoundDisabled),
+		"bptree": engineBackend(t, kv.EngineBPTree, confDim, core.BoundDisabled),
 	}
-
-	ls, err := lsm.Open(lsm.Config{
-		Dir: t.TempDir(), ValueSize: confDim * 4,
-		MemtableBytes: 64 << 10, CacheBytes: 64 << 10,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ls.Close() })
-	out["lsm"] = NewKVBackend(kv.WrapLSM(ls), confDim, confInit)
-
-	bt, err := bptree.Open(bptree.Config{Dir: t.TempDir(), ValueSize: confDim * 4, PoolPages: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { bt.Close() })
-	out["bptree"] = NewKVBackend(kv.WrapBPTree(bt), confDim, confInit)
-
 	out["remote"] = remoteBackend(t, confDim, 0, core.BoundASP, "mlkv")
 	out["remote-lsm"] = remoteBackend(t, confDim, 0, core.BoundASP, "lsm")
 	out["remote-bptree"] = remoteBackend(t, confDim, 0, core.BoundASP, "bptree")

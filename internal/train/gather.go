@@ -1,5 +1,7 @@
 package train
 
+import "github.com/llm-db/mlkv-go/internal/util"
+
 // gather owns one worker's gather/scatter state for a training step: the
 // deduplicated key set, the fetched embeddings, and the accumulated
 // gradients. All three trainers drive it the same way —
@@ -59,8 +61,8 @@ func (g *gather) fetch(h Handle) error {
 		g.pos[k] = i
 	}
 	n := len(g.keys) * g.dim
-	g.embs = grow(g.embs, n)
-	g.grads = grow(g.grads, n)
+	g.embs = util.Grow(g.embs, n)
+	g.grads = util.Grow(g.grads, n)
 	zero32(g.grads)
 	if g.scalar {
 		for i, k := range g.keys {

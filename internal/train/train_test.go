@@ -7,7 +7,6 @@ import (
 	"github.com/llm-db/mlkv-go/internal/core"
 	"github.com/llm-db/mlkv-go/internal/data"
 	"github.com/llm-db/mlkv-go/internal/kv"
-	"github.com/llm-db/mlkv-go/internal/lsm"
 	"github.com/llm-db/mlkv-go/internal/models"
 )
 
@@ -16,9 +15,15 @@ func memBackend(dim int) Backend {
 }
 
 func mlkvBackend(t *testing.T, dim int, bound int64) Backend {
+	return engineBackend(t, kv.EngineFaster, dim, bound)
+}
+
+// engineBackend is a TableBackend over a fresh core.Table on the named
+// engine.
+func engineBackend(t *testing.T, engine string, dim int, bound int64) Backend {
 	t.Helper()
 	tbl, err := core.OpenTable(core.Options{
-		Dir: t.TempDir(), Dim: dim, StalenessBound: bound,
+		Dir: t.TempDir(), Dim: dim, Engine: engine, StalenessBound: bound,
 		MemoryBytes: 1 << 20, RecordsPerPage: 64,
 		Init: core.UniformInit(0.05, 1),
 	})
@@ -189,16 +194,11 @@ func TestTrainGATRuns(t *testing.T) {
 }
 
 func TestTrainCTROnLSMBackend(t *testing.T) {
-	s, err := lsm.Open(lsm.Config{Dir: t.TempDir(), ValueSize: 16, MemtableBytes: 64 << 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { s.Close() })
 	gen := data.NewCTRGen(data.CTRConfig{Fields: 3, DenseDim: 2, FieldCard: 200, Seed: 47})
 	model := models.NewDLRM(models.FFNN, 3, 4, 2, []int{8}, 53)
 	res, err := TrainCTR(CTROptions{
 		Gen: gen, Model: model,
-		Backend: NewKVBackend(kv.WrapLSM(s), 4, core.UniformInit(0.05, 1)),
+		Backend: engineBackend(t, kv.EngineLSM, 4, core.BoundDisabled),
 		Workers: 2, Batch: 8, Mode: ModeAsync,
 		DenseLR: 0.05, EmbLR: 0.05,
 		MaxSamples: 2000,

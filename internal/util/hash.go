@@ -44,3 +44,12 @@ func NextPow2(v uint64) uint64 {
 	v |= v >> 32
 	return v + 1
 }
+
+// Grow resizes a reusable scratch slice to n elements without preserving
+// contents (callers overwrite the whole slice).
+func Grow[T any](b []T, n int) []T {
+	if cap(b) < n {
+		return make([]T, n)
+	}
+	return b[:n]
+}

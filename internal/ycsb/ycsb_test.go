@@ -10,19 +10,17 @@ import (
 
 func fasterStore(t *testing.T, bound int64) kv.Store {
 	t.Helper()
-	st, err := faster.Open(faster.Config{
-		Dir: t.TempDir(), ValueSize: 64, RecordsPerPage: 256,
-		MemPages: 16, MutablePages: 6, StalenessBound: bound,
-		ExpectedKeys: 1 << 14,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	name := "faster"
 	if bound >= 0 {
 		name = "mlkv"
 	}
-	s := kv.WrapFaster(st, name)
+	s, err := kv.OpenEngine(kv.EngineFaster, kv.ShardedConfig{
+		Dir: t.TempDir(), ValueSize: 64, MemoryBytes: 16 * 256 * (64 + 24),
+		StalenessBound: bound, ExpectedKeys: 1 << 14,
+	}, name)
+	if err != nil {
+		t.Fatal(err)
+	}
 	t.Cleanup(func() { s.Close() })
 	return s
 }
