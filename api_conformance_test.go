@@ -5,7 +5,10 @@ import (
 	"errors"
 	"math"
 	"net"
+	"path"
 	"path/filepath"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -14,7 +17,7 @@ import (
 	"github.com/llm-db/mlkv-go/internal/cluster"
 	"github.com/llm-db/mlkv-go/internal/kv"
 	"github.com/llm-db/mlkv-go/internal/server"
-	"github.com/llm-db/mlkv-go/internal/wire"
+	"github.com/llm-db/mlkv-go/internal/stats"
 )
 
 // engineCases are the engine axis of the conformance matrix: every
@@ -145,7 +148,7 @@ func startTestCluster(t *testing.T, bound int64, withReplica bool) (string, map[
 // clusterModelStats returns the named model's server-side stats on one
 // node of the cluster. The router eager-opens models on every node, so a
 // missing model is a harness failure, not an assertable condition.
-func clusterModelStats(t *testing.T, reg *server.Registry, id string) wire.ModelStats {
+func clusterModelStats(t *testing.T, reg *server.Registry, id string) stats.Counters {
 	t.Helper()
 	for _, m := range reg.Models() {
 		if m.ID() == id {
@@ -153,7 +156,7 @@ func clusterModelStats(t *testing.T, reg *server.Registry, id string) wire.Model
 		}
 	}
 	t.Fatalf("node %s has no model %q", reg.Name(), id)
-	return wire.ModelStats{}
+	return stats.Counters{}
 }
 
 // withTargets runs fn against a local directory DB, a live loopback
@@ -330,6 +333,88 @@ func TestAPITwoModels(t *testing.T) {
 		}
 		if st.Gets == 0 || st.Puts == 0 || st.BatchGets == 0 || st.BatchPuts == 0 {
 			t.Fatalf("stats dropped counters: %+v", st)
+		}
+	})
+}
+
+// TestAPIStatsParity runs one Get/GetBatch/Put/PutBatch/RMW/Lookahead
+// script against every cell and requires the same counters to come out
+// non-zero in each — the end-to-end check on the one counter record: a
+// field some layer forgets to fill or forward reads zero in one cell only.
+// The differences between cells are the documented ones: a local RMW is
+// one engine RMW while a remote one is the Get+Put composite, and only a
+// cluster target reports topology.
+func TestAPIStatsParity(t *testing.T) {
+	common := []string{
+		"Gets", "Puts", "MemHits", "InPlaceUpdates", "RCUAppends",
+		"BatchGets", "BatchPuts", "LookaheadCalls",
+		"LatGet", "LatGetBatch", "LatPut", "LatPutBatch", "LatRMW",
+	}
+	extra := map[string][]string{
+		"local":   {"RMWs"},
+		"remote":  nil,
+		"cluster": {"ClusterNodes", "ClusterEpoch"},
+	}
+	withTargets(t, func(t *testing.T, db *mlkv.DB) {
+		m, err := db.Open("stats-parity", 4, mlkv.WithStalenessBound(mlkv.ASP), mlkv.WithMemory(4<<20))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer m.Close()
+		s, err := m.NewSession()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		keys := make([]uint64, 64) // enough to land on every cluster owner
+		vals := make([]float32, len(keys)*4)
+		for i := range keys {
+			keys[i] = uint64(i)
+			vals[i*4] = float32(i)
+		}
+		one, grad := make([]float32, 4), []float32{1, 0, 0, 0}
+		for _, step := range []func() error{
+			func() error { return s.PutBatch(keys, vals) },
+			func() error { return s.GetBatch(keys, vals) },
+			func() error { return s.PutBatch(keys, vals) }, // balance the clocked reads
+			func() error { return s.Get(1, one) },
+			func() error { return s.Put(1, one) },
+			func() error { return s.RMW(2, grad, 0.5) },
+			func() error { return s.Lookahead(keys) },
+		} {
+			if err := step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Lookahead is asynchronous on every driver: wait for it to count.
+		var st mlkv.Stats
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+			if st, err = m.StatsCtx(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			if st.LookaheadCalls > 0 || time.Now().After(deadline) {
+				break
+			}
+		}
+		var got []string
+		v := reflect.ValueOf(st)
+		for i := 0; i < v.NumField(); i++ {
+			f := v.Field(i)
+			if f.Kind() == reflect.Struct {
+				f = f.FieldByName("Count") // a LatencySummary is non-zero once exercised
+			}
+			if f.Int() != 0 {
+				got = append(got, v.Type().Field(i).Name)
+			}
+		}
+		want := append(append([]string{}, common...), extra[path.Base(t.Name())]...)
+		sort.Strings(got)
+		sort.Strings(want)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("non-zero counters:\n got %v\nwant %v\nstats %+v", got, want, st)
+		}
+		if path.Base(t.Name()) == "cluster" && st.ClusterNodes != 3 {
+			t.Fatalf("ClusterNodes = %d, want 3", st.ClusterNodes)
 		}
 	})
 }
@@ -943,6 +1028,16 @@ func TestClusterReplicaDeathFallback(t *testing.T) {
 	}
 	if emb[0] != 9 {
 		t.Fatalf("late-opened model read back %v, want 9", emb[0])
+	}
+
+	// Stats merge the two primaries and skip the unreachable replica: its
+	// counters are unavailable, not an error.
+	st, err := m.StatsCtx(context.Background())
+	if err != nil {
+		t.Fatalf("stats after replica death: %v", err)
+	}
+	if st.Puts < int64(len(keys)) || st.ClusterNodes != 3 {
+		t.Fatalf("stats after replica death: puts=%d nodes=%d, want >= %d puts from the primaries and the 3-node map", st.Puts, st.ClusterNodes, len(keys))
 	}
 }
 

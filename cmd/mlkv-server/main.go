@@ -60,6 +60,7 @@ import (
 	"github.com/llm-db/mlkv-go/internal/kv"
 	"github.com/llm-db/mlkv-go/internal/latency"
 	"github.com/llm-db/mlkv-go/internal/server"
+	"github.com/llm-db/mlkv-go/internal/stats"
 )
 
 func main() {
@@ -291,28 +292,20 @@ func main() {
 			return out
 		}))
 		expvar.Publish("mlkv_engines", expvar.Func(func() any {
-			type engineAgg struct {
-				Models                           int
-				Gets, Puts, BatchGets, BatchPuts int64
-				MemHits, DiskReads               int64
-				ActiveSessions                   int64
+			// engine → model count + the merged counters of its models.
+			type perEngine struct {
+				Models int
+				stats.Counters
 			}
-			out := map[string]*engineAgg{}
+			out := map[string]*perEngine{}
 			for _, m := range reg.Models() {
-				agg := out[m.Engine()]
-				if agg == nil {
-					agg = &engineAgg{}
-					out[m.Engine()] = agg
+				e := out[m.Engine()]
+				if e == nil {
+					e = &perEngine{}
+					out[m.Engine()] = e
 				}
-				s := m.Stats()
-				agg.Models++
-				agg.Gets += s.Gets
-				agg.Puts += s.Puts
-				agg.BatchGets += s.BatchGets
-				agg.BatchPuts += s.BatchPuts
-				agg.MemHits += s.MemHits
-				agg.DiskReads += s.DiskReads
-				agg.ActiveSessions += s.ActiveSessions
+				e.Models++
+				e.Counters = e.Counters.Add(m.Stats())
 			}
 			return out
 		}))
@@ -394,7 +387,7 @@ func main() {
 	for _, m := range reg.Models() {
 		s := m.Stats()
 		log.Printf("mlkv-server: model %q: gets=%d puts=%d batchGets=%d batchPuts=%d lookaheadFrames=%d sessions=%d memhits=%d diskreads=%d flushed=%dB",
-			m.ID(), s.Gets, s.Puts, s.BatchGets, s.BatchPuts, s.LookaheadFrames,
+			m.ID(), s.Gets, s.Puts, s.BatchGets, s.BatchPuts, s.LookaheadCalls,
 			s.ActiveSessions, s.MemHits, s.DiskReads, s.BytesFlushed)
 	}
 }

@@ -166,23 +166,13 @@ func main() {
 	s := store.Stats()
 	fmt.Printf("store: gets=%d puts=%d memhits=%d diskreads=%d inplace=%d rcu=%d flushed=%dB\n",
 		s.Gets, s.Puts, s.MemHits, s.DiskReads, s.InPlaceUpdates, s.RCUAppends, s.BytesFlushed)
-	if hr, ok := store.(interface {
-		HedgeStats() (issued, won, wasted, suppressed int64)
-	}); ok {
-		if issued, won, wasted, suppressed := hr.HedgeStats(); issued+suppressed > 0 {
-			fmt.Printf("hedge: issued=%d won=%d wasted=%d suppressed=%d\n",
-				issued, won, wasted, suppressed)
-		}
+	if s.HedgedReads+s.HedgeSuppressed > 0 {
+		fmt.Printf("hedge: issued=%d won=%d wasted=%d suppressed=%d\n",
+			s.HedgedReads, s.HedgeWins, s.HedgeWasted, s.HedgeSuppressed)
 	}
-	if cr, ok := store.(kv.CacheStatsReporter); ok {
-		cs := cr.CacheStats()
-		total := cs.Hits + cs.Misses
-		pct := 0.0
-		if total > 0 {
-			pct = 100 * float64(cs.Hits) / float64(total)
-		}
+	if total := s.CacheHits + s.CacheMisses; total > 0 {
 		fmt.Printf("cache: hits=%d misses=%d evictions=%d hit-rate=%.1f%%\n",
-			cs.Hits, cs.Misses, cs.Evictions, pct)
+			s.CacheHits, s.CacheMisses, s.CacheEvictions, 100*float64(s.CacheHits)/float64(total))
 	}
 }
 

@@ -67,7 +67,7 @@ func (e *Env) CacheSweep() error {
 				return err
 			}
 			rates[pass] = rate
-			ts := tbl.TableStats()
+			ts := tbl.Stats()
 			if lookups := ts.CacheHits + ts.CacheMisses; lookups > 0 {
 				hitPct = 100 * float64(ts.CacheHits) / float64(lookups)
 			}

@@ -227,7 +227,7 @@ func (e *Env) flushPaceLeg(measure func(tier string, cacheEntries int, newSess f
 		})
 		close(stop)
 		werr := <-writerDone
-		ts := tbl.TableStats()
+		ts := tbl.Stats()
 		e.printf("flush: pages=%d group-commits=%d pace-stalls=%d\n",
 			ts.FlushedPages, ts.GroupCommits, ts.FlushPaceStalls)
 		tbl.Close()

@@ -12,6 +12,7 @@ import (
 
 	"github.com/llm-db/mlkv-go/internal/kv"
 	"github.com/llm-db/mlkv-go/internal/server"
+	"github.com/llm-db/mlkv-go/internal/stats"
 )
 
 // TestRedialBackoff pins the redial breaker: when the pool's host dies,
@@ -106,7 +107,9 @@ func TestRedialBackoff(t *testing.T) {
 			backoffErrs++
 		}
 	}
-	retries, backoffs := cl.DialStats()
+	var st stats.Counters
+	cl.AddCounters(&st)
+	retries, backoffs := st.DialRetries, st.DialBackoffs
 	if retries == 0 {
 		t.Fatal("no redial was ever attempted")
 	}
@@ -129,8 +132,9 @@ func TestRedialBackoff(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	healedRetries, _ := cl.DialStats()
-	if healedRetries <= retries {
-		t.Fatalf("healing did not record a retry: %d -> %d", retries, healedRetries)
+	st = stats.Counters{}
+	cl.AddCounters(&st)
+	if st.DialRetries <= retries {
+		t.Fatalf("healing did not record a retry: %d -> %d", retries, st.DialRetries)
 	}
 }

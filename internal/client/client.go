@@ -33,6 +33,7 @@ import (
 	"github.com/llm-db/mlkv-go/internal/faster"
 	"github.com/llm-db/mlkv-go/internal/kv"
 	"github.com/llm-db/mlkv-go/internal/latency"
+	"github.com/llm-db/mlkv-go/internal/stats"
 	"github.com/llm-db/mlkv-go/internal/wire"
 )
 
@@ -126,7 +127,7 @@ type Client struct {
 	dialBackoffs atomic.Int64 // redials refused by the breaker window
 
 	// Hedge state. The credit bucket and cached adaptive delay are shared
-	// by every session on the pool; counters feed HedgeStats.
+	// by every session on the pool; counters feed AddCounters.
 	hedgeCredit     atomic.Int64
 	hedgeDelayNS    atomic.Int64  // cached adaptive delay (ns)
 	hedgeDelayTick  atomic.Uint32 // reads since the cache was refreshed
@@ -134,20 +135,6 @@ type Client struct {
 	hedgeWon        atomic.Int64
 	hedgeWasted     atomic.Int64
 	hedgeSuppressed atomic.Int64
-}
-
-// HedgeStats is a point-in-time copy of the pool's hedging counters.
-type HedgeStats struct {
-	// Issued counts hedge duplicates actually put on the wire.
-	Issued int64
-	// Won counts hedges whose response arrived before the primary's.
-	Won int64
-	// Wasted counts hedges beaten by their primary (the duplicate's work
-	// bought nothing).
-	Wasted int64
-	// Suppressed counts hedges the token bucket refused — reads that
-	// crossed the delay but stayed single-shot to cap duplicate load.
-	Suppressed int64
 }
 
 // Redial backoff: the first failed redial opens a dialBackoffMin window,
@@ -159,20 +146,22 @@ const (
 	dialBackoffMax = time.Second
 )
 
-// DialStats reports the pool's redial counters: attempts actually dialed
-// and attempts refused fast by the breaker's backoff window.
-func (c *Client) DialStats() (retries, backoffs int64) {
-	return c.dialRetries.Load(), c.dialBackoffs.Load()
+// AddCounters adds the counters this pool owns — hedging and redial — to s.
+func (c *Client) AddCounters(s *stats.Counters) {
+	s.HedgedReads += c.hedgeIssued.Load()
+	s.HedgeWins += c.hedgeWon.Load()
+	s.HedgeWasted += c.hedgeWasted.Load()
+	s.HedgeSuppressed += c.hedgeSuppressed.Load()
+	s.DialRetries += c.dialRetries.Load()
+	s.DialBackoffs += c.dialBackoffs.Load()
 }
 
-// HedgeStats snapshots the pool's hedging counters.
-func (c *Client) HedgeStats() HedgeStats {
-	return HedgeStats{
-		Issued:     c.hedgeIssued.Load(),
-		Won:        c.hedgeWon.Load(),
-		Wasted:     c.hedgeWasted.Load(),
-		Suppressed: c.hedgeSuppressed.Load(),
-	}
+// FillStats is AddCounters plus the pool's round-trip latency summaries
+// (wall time from frame write to response, demux queueing included), which
+// overwrite whatever s held.
+func (c *Client) FillStats(s *stats.Counters) {
+	c.AddCounters(s)
+	s.SetLatency(&c.lat)
 }
 
 // hedging reports whether any hedge configuration is active on the pool.
@@ -234,10 +223,6 @@ func (c *Client) takeHedgeToken() bool {
 		}
 	}
 }
-
-// Latency exposes the pool's round-trip histograms. The driver folds
-// them into Stats; the composite remote RMW records into OpRMW here.
-func (c *Client) Latency() *latency.OpSet { return &c.lat }
 
 // Dial connects the pool and performs the HELLO handshake, failing fast
 // on a protocol-version mismatch.
@@ -301,9 +286,7 @@ func (e *NotOwnerError) Error() string {
 }
 
 // ClusterMapRaw fetches the server's encoded cluster map — the bootstrap
-// probe. A server not running in cluster mode (or predating the op)
-// answers RespErr, which comes back as an ordinary error with the
-// connection still usable.
+// probe. A server not running in cluster mode answers with an empty map.
 func (c *Client) ClusterMapRaw(ctx context.Context) ([]byte, error) {
 	cn, err := c.pick()
 	if err != nil {
@@ -543,27 +526,25 @@ func (m *Model) CheckpointCtx(ctx context.Context) error {
 	return err
 }
 
-// Stats fetches the engine's merged operation counters.
-func (m *Model) Stats() faster.StatsSnapshot {
-	s, err := m.ModelStats(context.Background())
-	if err != nil {
-		return faster.StatsSnapshot{}
-	}
-	return s.StatsSnapshot
+// Stats is StatsCtx best effort, for the kv.Store face: zero counters when
+// the server is unreachable.
+func (m *Model) Stats() stats.Counters {
+	s, _ := m.StatsCtx(context.Background())
+	return s
 }
 
-// ModelStats fetches the full per-model counter set: engine counters plus
-// the server's batch/lookahead frame counts and active-session gauge.
-func (m *Model) ModelStats(ctx context.Context) (wire.ModelStats, error) {
+// StatsCtx fetches the server's counters for the model with one STATS
+// round trip.
+func (m *Model) StatsCtx(ctx context.Context) (stats.Counters, error) {
 	cn, err := m.c.pick()
 	if err != nil {
-		return wire.ModelStats{}, err
+		return stats.Counters{}, err
 	}
 	p, err := cn.roundTripCtx(ctx, wire.OpStats, wire.EncodeHandle(m.handle))
 	if err != nil {
-		return wire.ModelStats{}, err
+		return stats.Counters{}, err
 	}
-	s, err := wire.DecodeStatsResp(p)
+	s, err := stats.Decode(p)
 	cn.release(p)
 	return s, err
 }

@@ -21,6 +21,7 @@ import (
 	"github.com/llm-db/mlkv-go/internal/kv"
 	"github.com/llm-db/mlkv-go/internal/latency"
 	"github.com/llm-db/mlkv-go/internal/server"
+	"github.com/llm-db/mlkv-go/internal/stats"
 	"github.com/llm-db/mlkv-go/internal/wire"
 )
 
@@ -260,7 +261,7 @@ func TestHedgeWinsOnSlowPrimary(t *testing.T) {
 	}
 	elapsed := time.Since(start)
 	checkBatchVals(t, keys, vals, found, dim*4)
-	if hs := cl.HedgeStats(); hs.Issued != 1 || hs.Won != 1 {
+	if hs := hedgeStats(cl); hs.Issued != 1 || hs.Won != 1 {
 		t.Fatalf("hedge stats %+v, want exactly one issued and won", hs)
 	}
 	if elapsed >= 80*time.Millisecond {
@@ -290,7 +291,7 @@ func TestHedgeErrorDefersToPrimary(t *testing.T) {
 		t.Fatalf("read failed even though the primary succeeded: %v", err)
 	}
 	checkBatchVals(t, keys, vals, found, dim*4)
-	hs := cl.HedgeStats()
+	hs := hedgeStats(cl)
 	if hs.Issued != 1 || hs.Won != 0 || hs.Wasted != 1 {
 		t.Fatalf("hedge stats %+v, want the failed hedge issued and wasted, never won", hs)
 	}
@@ -322,7 +323,7 @@ func TestHedgeCtxCancelsBothAttempts(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("cancellation took %s", elapsed)
 	}
-	if hs := cl.HedgeStats(); hs.Issued != 1 {
+	if hs := hedgeStats(cl); hs.Issued != 1 {
 		t.Fatalf("hedge stats %+v, want the hedge issued before the deadline", hs)
 	}
 	// Both attempts are in flight forever (the fake never answers); their
@@ -359,7 +360,7 @@ func TestClockedReadsNeverHedge(t *testing.T) {
 	if err := bsp.GetBatch(keys, vals, found); err != nil {
 		t.Fatal(err)
 	}
-	if hs := cl.HedgeStats(); hs != (HedgeStats{}) {
+	if hs := hedgeStats(cl); hs != (hedges{}) {
 		t.Fatalf("clocked reads hedged: %+v", hs)
 	}
 
@@ -371,20 +372,20 @@ func TestClockedReadsNeverHedge(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	hs := cl.HedgeStats()
+	hs := hedgeStats(cl)
 	if hs.Issued+hs.Suppressed == 0 {
 		t.Fatalf("admissible slow reads never attempted a hedge: %+v", hs)
 	}
 
 	// Retune the model to BSP: hedging stops at once.
 	asp.SetBoundHint(0)
-	before := cl.HedgeStats()
+	before := hedgeStats(cl)
 	for i := 0; i < 3; i++ {
 		if _, err := aspSess.Get(uint64(i), dst); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if after := cl.HedgeStats(); after != before {
+	if after := hedgeStats(cl); after != before {
 		t.Fatalf("reads after a BSP bound hint still hedged: %+v -> %+v", before, after)
 	}
 }
@@ -432,7 +433,7 @@ func TestHedgeTokenBucketCapsDuplicates(t *testing.T) {
 	}
 
 	const reads = workers * perWorker
-	hs := cl.HedgeStats()
+	hs := hedgeStats(cl)
 	if hs.Issued+hs.Suppressed != reads {
 		t.Fatalf("attempts = %d (%+v), want every one of %d slow reads to cross the delay", hs.Issued+hs.Suppressed, hs, reads)
 	}
@@ -657,4 +658,13 @@ func TestCoalescedClientWrites(t *testing.T) {
 		t.Fatalf("%d pipelined puts cost %d conn writes; want them coalesced well below %d",
 			requests, burst, requests/2)
 	}
+}
+
+// hedges is the pool's hedge counters as AddCounters reports them.
+type hedges struct{ Issued, Won, Wasted, Suppressed int64 }
+
+func hedgeStats(cl *Client) hedges {
+	var c stats.Counters
+	cl.AddCounters(&c)
+	return hedges{c.HedgedReads, c.HedgeWins, c.HedgeWasted, c.HedgeSuppressed}
 }

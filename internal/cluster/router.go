@@ -13,6 +13,7 @@ import (
 	"github.com/llm-db/mlkv-go/internal/faster"
 	"github.com/llm-db/mlkv-go/internal/hotcache"
 	"github.com/llm-db/mlkv-go/internal/latency"
+	"github.com/llm-db/mlkv-go/internal/stats"
 )
 
 // Router is the client side of the cluster: one connection pool per node,
@@ -107,42 +108,22 @@ func NewRouter(m *Map, seedAddr string, seed *client.Client, opts RouterOptions)
 // Map returns the router's current topology (immutable).
 func (r *Router) Map() *Map { return r.cur.Load() }
 
-// Latency exposes the router-level histograms (the driver folds them into
-// Stats and records composite RMWs into OpRMW here).
-func (r *Router) Latency() *latency.OpSet { return &r.lat }
-
-// Redirects counts NOT_OWNER redirects followed.
-func (r *Router) Redirects() int64 { return r.redirects.Load() }
-
-// ReplicaReads counts keys served by replicas instead of primaries.
-func (r *Router) ReplicaReads() int64 { return r.replicaReads.Load() }
-
-// DialStats sums the redial counters across the node pools: retries
-// actually dialed and attempts the per-pool breaker refused fast.
-func (r *Router) DialStats() (retries, backoffs int64) {
+// FillStats adds what the client side of the cluster owns to c: every node
+// pool's hedging and redial counters, the topology the router holds, the
+// redirects it followed and the keys replicas served — and overwrites the
+// latency summaries with the router-level round trips (one routed call,
+// however many owners it fanned out to).
+func (r *Router) FillStats(c *stats.Counters) {
 	r.mu.Lock()
-	defer r.mu.Unlock()
 	for _, p := range r.pools {
-		dr, db := p.DialStats()
-		retries += dr
-		backoffs += db
+		p.AddCounters(c)
 	}
-	return retries, backoffs
-}
-
-// HedgeStats sums hedging counters across the node pools.
-func (r *Router) HedgeStats() client.HedgeStats {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var out client.HedgeStats
-	for _, p := range r.pools {
-		hs := p.HedgeStats()
-		out.Issued += hs.Issued
-		out.Won += hs.Won
-		out.Wasted += hs.Wasted
-		out.Suppressed += hs.Suppressed
-	}
-	return out
+	r.mu.Unlock()
+	m := r.Map()
+	c.ClusterNodes, c.ClusterEpoch = int64(len(m.Nodes)), int64(m.Epoch)
+	c.ClusterRedirects += r.redirects.Load()
+	c.ReplicaReads += r.replicaReads.Load()
+	c.SetLatency(&r.lat)
 }
 
 // Close tears down every node pool.
@@ -396,21 +377,20 @@ func (m *RModel) CheckpointCtx(ctx context.Context) error {
 	return nil
 }
 
-// ModelStats merges every node's counters: scalars sum, latency summaries
-// fold (counts and sums add, percentiles take the worst node — a merged
-// percentile without the raw histograms would be a guess), and ReplicaLag
-// reports the laggiest replica. An unreachable replica is skipped — its
-// counters are unavailable, not zero, and a dead read optimization must
-// not take down the stats of a serving cluster. Primaries stay strict.
-func (m *RModel) ModelStats(ctx context.Context) (wireStats, error) {
+// StatsCtx merges every node's counters with stats.Counters.Add (scalars
+// sum, ReplicaLag reports the laggiest replica, latency summaries fold).
+// An unreachable replica is skipped — its counters are unavailable, not
+// zero, and a dead read optimization must not take down the stats of a
+// serving cluster. Primaries stay strict.
+func (m *RModel) StatsCtx(ctx context.Context) (stats.Counters, error) {
 	mp := m.r.Map()
-	var out wireStats
+	var out stats.Counters
 	for i := range mp.Nodes {
 		cm, err := m.model(ctx, &mp.Nodes[i])
 		if err == nil {
-			var s wireStats
-			if s, err = cm.ModelStats(ctx); err == nil {
-				addStats(&out, s)
+			var s stats.Counters
+			if s, err = cm.StatsCtx(ctx); err == nil {
+				out = out.Add(s)
 				continue
 			}
 		}
@@ -446,7 +426,7 @@ func (m *RModel) lagOf(ctx context.Context, rep *Node) int64 {
 	if err != nil {
 		return e.lag.Load()
 	}
-	s, err := cm.ModelStats(ctx)
+	s, err := cm.StatsCtx(ctx)
 	if err != nil {
 		return e.lag.Load()
 	}

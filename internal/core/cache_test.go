@@ -238,7 +238,7 @@ func TestTableHotTier(t *testing.T) {
 	if got := get(1); got != 10 {
 		t.Fatalf("got %v, want 10 (write-through)", got)
 	}
-	hitsAfterFirst := tbl.TableStats().CacheHits
+	hitsAfterFirst := tbl.Stats().CacheHits
 	if hitsAfterFirst == 0 {
 		t.Fatal("write-through entry not served")
 	}
@@ -258,14 +258,14 @@ func TestTableHotTier(t *testing.T) {
 	}
 
 	// RMW invalidates: the next read must come from the store.
-	missesBefore := tbl.TableStats().CacheMisses
+	missesBefore := tbl.Stats().CacheMisses
 	if err := s.ApplyGradient(1, []float32{1, 1}, 1); err != nil {
 		t.Fatal(err)
 	}
 	if got := get(1); got != 19 {
 		t.Fatalf("got %v, want 19 after RMW", got)
 	}
-	if tbl.TableStats().CacheMisses == missesBefore {
+	if tbl.Stats().CacheMisses == missesBefore {
 		t.Fatal("RMW did not invalidate the tier entry")
 	}
 
@@ -276,7 +276,7 @@ func TestTableHotTier(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		put(3, float32(i))
 	}
-	hitsBefore := tbl.TableStats().CacheHits
+	hitsBefore := tbl.Stats().CacheHits
 	if got := get(2); got != 5 {
 		t.Fatalf("got %v, want 5", got)
 	}
@@ -284,7 +284,7 @@ func TestTableHotTier(t *testing.T) {
 	// only have grown by the write-through refresh that followed, so check
 	// misses moved instead.
 	_ = hitsBefore
-	if tbl.TableStats().CacheMisses == missesBefore {
+	if tbl.Stats().CacheMisses == missesBefore {
 		t.Fatal("beyond-bound entry was served from the tier")
 	}
 
@@ -328,7 +328,7 @@ func TestTableHotTierBSPNeverServes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ts := tbl.TableStats()
+	ts := tbl.Stats()
 	if ts.CacheHits != 0 {
 		t.Fatalf("BSP served %d reads from the tier", ts.CacheHits)
 	}

@@ -85,7 +85,7 @@ func TestTableConformance(t *testing.T) {
 			}
 		}
 		// The counters are the sum over shards, whatever their number.
-		if st := tbl.StoreStats(); st.Puts != n || st.Gets != n {
+		if st := tbl.Stats(); st.Puts != n || st.Gets != n {
 			t.Fatalf("merged stats: %d puts, %d gets, want %d each", st.Puts, st.Gets, n)
 		}
 		// Delete must route to the same shard Put used.
@@ -438,7 +438,7 @@ func TestBlockingBoundBatchAcquiresInOrder(t *testing.T) {
 		}
 		done <- s.PutBatch(keys, dst)
 	}()
-	for deadline := time.Now().Add(10 * time.Second); tbl.StoreStats().StalenessWaits == 0; {
+	for deadline := time.Now().Add(10 * time.Second); tbl.Stats().StalenessWaits == 0; {
 		if time.Now().After(deadline) {
 			t.Fatal("the batch never blocked on the held key")
 		}

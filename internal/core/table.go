@@ -21,6 +21,7 @@ import (
 	"github.com/llm-db/mlkv-go/internal/faster"
 	"github.com/llm-db/mlkv-go/internal/kv"
 	"github.com/llm-db/mlkv-go/internal/latency"
+	"github.com/llm-db/mlkv-go/internal/stats"
 	"github.com/llm-db/mlkv-go/internal/tensor"
 	"github.com/llm-db/mlkv-go/internal/util"
 )
@@ -100,7 +101,7 @@ type Options struct {
 	FlushPace time.Duration
 	// TrackLatency attaches per-op-class latency histograms to the table:
 	// session Get/GetBatch/Put/PutBatch/ApplyGradient record their wall
-	// time (wait-free, no allocation) and TableStats reports the
+	// time (wait-free, no allocation) and Stats reports the
 	// percentile summaries. Off by default for direct core users; the
 	// public-API local driver turns it on so both drivers expose the same
 	// latency fields.
@@ -247,65 +248,25 @@ func (t *Table) Close() error {
 	return t.store.Close()
 }
 
-// StoreStats returns the engine's operation counters summed across
-// shards: the single-store view regardless of the shard count.
-func (t *Table) StoreStats() faster.StatsSnapshot { return t.store.Stats() }
-
-// PrefetchStats reports Lookahead activity: copies made into the memory
-// buffer and requests dropped due to a full queue.
-func (t *Table) PrefetchStats() (copied, dropped int64) {
-	return t.StoreStats().PrefetchCopies, t.prefetchDropped.Load()
-}
-
-// TableStats is the table-level counter snapshot: the engine counters
-// summed across shards plus the counters that only exist above the engine
-// (batch calls, Lookahead calls, dropped prefetch requests).
-type TableStats struct {
-	faster.StatsSnapshot
-	// BatchGets / BatchPuts count GetBatch / PutBatch calls (each may
-	// cover thousands of keys; the per-key counts are in Gets/Puts).
-	BatchGets int64
-	BatchPuts int64
-	// LookaheadCalls counts Lookahead invocations.
-	LookaheadCalls int64
-	// PrefetchDropped counts Lookahead keys dropped on a full queue.
-	PrefetchDropped int64
-	// CacheHits / CacheMisses / CacheEvictions are the hot tier's counters
-	// (zero without Options.CacheEntries). A miss includes entries present
-	// but inadmissible under the staleness bound.
-	CacheHits      int64
-	CacheMisses    int64
-	CacheEvictions int64
-	// Per-op-class latency summaries in nanoseconds (all zero without
-	// Options.TrackLatency). LatRMW covers ApplyGradient.
-	LatGet      latency.Snapshot
-	LatGetBatch latency.Snapshot
-	LatPut      latency.Snapshot
-	LatPutBatch latency.Snapshot
-	LatRMW      latency.Snapshot
-}
-
-// TableStats returns the full table-level counter snapshot.
-func (t *Table) TableStats() TableStats {
-	ts := TableStats{
-		StatsSnapshot:   t.StoreStats(),
-		BatchGets:       t.batchGets.Load(),
-		BatchPuts:       t.batchPuts.Load(),
-		LookaheadCalls:  t.lookaheadCalls.Load(),
-		PrefetchDropped: t.prefetchDropped.Load(),
-	}
+// Stats returns the table's counters: the store's (the engine's, summed
+// across shards) plus the ones that exist only above it — batch and
+// Lookahead calls, dropped prefetch hints, the session gauge, the hot tier
+// and, with Options.TrackLatency, the per-op-class latency summaries
+// (LatRMW covers ApplyGradient).
+func (t *Table) Stats() stats.Counters {
+	c := t.store.Stats()
+	c.BatchGets = t.batchGets.Load()
+	c.BatchPuts = t.batchPuts.Load()
+	c.LookaheadCalls = t.lookaheadCalls.Load()
+	c.PrefetchDropped = t.prefetchDropped.Load()
+	c.ActiveSessions = t.activeSessions.Load()
 	if t.cache != nil {
-		cs := t.cache.Stats()
-		ts.CacheHits, ts.CacheMisses, ts.CacheEvictions = cs.Hits, cs.Misses, cs.Evictions
+		t.cache.Stats().AddTo(&c)
 	}
 	if t.lat != nil {
-		ts.LatGet = t.lat[latency.OpGet].Snapshot()
-		ts.LatGetBatch = t.lat[latency.OpGetBatch].Snapshot()
-		ts.LatPut = t.lat[latency.OpPut].Snapshot()
-		ts.LatPutBatch = t.lat[latency.OpPutBatch].Snapshot()
-		ts.LatRMW = t.lat[latency.OpRMW].Snapshot()
+		c.SetLatency(t.lat)
 	}
-	return ts
+	return c
 }
 
 // prefetchPool runs the Lookahead workers, each on its own store session.
@@ -358,11 +319,6 @@ func (t *Table) NewSession() (*Session, error) {
 	t.activeSessions.Add(1)
 	return &Session{t: t, s: s, buf: make([]byte, t.vs)}, nil
 }
-
-// ActiveSessions reports how many sessions are currently open — the
-// lifecycle hook a serving front-end uses to decide when a drain has
-// finished and for load diagnostics.
-func (t *Table) ActiveSessions() int64 { return t.activeSessions.Load() }
 
 // Close unregisters the session. Closing twice is safe; only the first
 // call releases the store session.

@@ -171,18 +171,16 @@ func TestLookaheadStorageBufferWarmsDiskRecords(t *testing.T) {
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		copied, _ := tbl.PrefetchStats()
-		if copied >= int64(len(cold)) || time.Now().After(deadline) {
+		if tbl.Stats().PrefetchCopies >= int64(len(cold)) || time.Now().After(deadline) {
 			break
 		}
 		time.Sleep(time.Millisecond)
 	}
-	copied, dropped := tbl.PrefetchStats()
-	if copied < int64(len(cold)) {
-		t.Fatalf("prefetch copied %d of %d (dropped %d)", copied, len(cold), dropped)
+	if st := tbl.Stats(); st.PrefetchCopies < int64(len(cold)) {
+		t.Fatalf("prefetch copied %d of %d (dropped %d)", st.PrefetchCopies, len(cold), st.PrefetchDropped)
 	}
 	// The subsequent Gets should be disk-free.
-	before := tbl.StoreStats().DiskReads
+	before := tbl.Stats().DiskReads
 	for _, k := range cold {
 		if err := s.Get(k, emb); err != nil {
 			t.Fatal(err)
@@ -194,7 +192,7 @@ func TestLookaheadStorageBufferWarmsDiskRecords(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	after := tbl.StoreStats().DiskReads
+	after := tbl.Stats().DiskReads
 	if after != before {
 		t.Fatalf("gets after lookahead hit disk %d times", after-before)
 	}
@@ -358,7 +356,7 @@ func TestBoundModesSmoke(t *testing.T) {
 // tracks opens and closes, and double-close does not double-count.
 func TestActiveSessions(t *testing.T) {
 	tbl := testTable(t, 4, BoundDisabled)
-	if n := tbl.ActiveSessions(); n != 0 {
+	if n := tbl.Stats().ActiveSessions; n != 0 {
 		t.Fatalf("fresh table has %d sessions", n)
 	}
 	var sessions []*Session
@@ -368,19 +366,19 @@ func TestActiveSessions(t *testing.T) {
 			t.Fatal(err)
 		}
 		sessions = append(sessions, s)
-		if n := tbl.ActiveSessions(); n != int64(i+1) {
+		if n := tbl.Stats().ActiveSessions; n != int64(i+1) {
 			t.Fatalf("after %d opens: count %d", i+1, n)
 		}
 	}
 	sessions[0].Close()
 	sessions[0].Close() // idempotent
-	if n := tbl.ActiveSessions(); n != 2 {
+	if n := tbl.Stats().ActiveSessions; n != 2 {
 		t.Fatalf("after double-close: count %d", n)
 	}
 	for _, s := range sessions[1:] {
 		s.Close()
 	}
-	if n := tbl.ActiveSessions(); n != 0 {
+	if n := tbl.Stats().ActiveSessions; n != 0 {
 		t.Fatalf("after all closes: count %d", n)
 	}
 }

@@ -21,7 +21,7 @@ import (
 	"time"
 
 	"github.com/llm-db/mlkv-go/internal/core"
-	"github.com/llm-db/mlkv-go/internal/latency"
+	"github.com/llm-db/mlkv-go/internal/stats"
 )
 
 // Scheme prefixes a remote target: "mlkv://host:port", or a comma-
@@ -98,45 +98,6 @@ type Config struct {
 	Init core.Initializer
 }
 
-// Stats is the driver-neutral counter snapshot behind mlkv.Stats.
-type Stats struct {
-	Gets, Puts, RMWs, Deletes       int64
-	MemHits, DiskReads              int64
-	InPlaceUpdates, RCUAppends      int64
-	StalenessWaits                  int64
-	PrefetchCopies, PrefetchDropped int64
-	FlushedPages, BytesFlushed      int64
-	// GroupCommits counts multi-page flush writes (adjacent frozen pages
-	// merged into one write); FlushPaceStalls counts pacing sleeps the
-	// flusher took between writes (Config.FlushPace / server -flush-pace).
-	GroupCommits, FlushPaceStalls int64
-	BatchGets, BatchPuts          int64
-	LookaheadCalls                int64
-	// Hedged-read counters (remote models with ConnectOptions hedging):
-	// duplicates issued, duplicates that beat their primary, duplicates
-	// the primary beat, and hedges the token bucket suppressed. The pool
-	// is per-Connect, so they cover every model opened from this DB.
-	HedgedReads, HedgeWins, HedgeWasted, HedgeSuppressed int64
-	// Hot-tier counters (WithCache). For a remote model they merge the
-	// client-side tier with the server's shared per-model tier.
-	CacheHits, CacheMisses, CacheEvictions int64
-	// Cluster topology counters (cluster targets; zero elsewhere):
-	// node count and map epoch the router currently holds, NOT_OWNER
-	// redirects it followed, and keys served by replicas instead of
-	// primaries.
-	ClusterNodes, ClusterEpoch, ClusterRedirects, ReplicaReads int64
-	// Redial breaker counters (remote targets; zero for local): redial
-	// attempts actually made against dead pooled connections, and checkout
-	// attempts the jittered-backoff breaker refused fast instead of
-	// re-dialing a host already known dead.
-	DialRetries, DialBackoffs int64
-	// Per-op-class latency summaries (nanoseconds). A local model reports
-	// the core table's op timings; a remote model reports the connection
-	// pool's round-trip timings — end to end, including queueing in the
-	// pipelined demux — which is the tail a caller actually experiences.
-	LatGet, LatGetBatch, LatPut, LatPutBatch, LatRMW latency.Snapshot
-}
-
 // DB is one target: a local data directory or a remote server.
 type DB interface {
 	// Open creates or looks up the named model.
@@ -159,8 +120,12 @@ type Model interface {
 	StalenessBound() int64
 	SetStalenessBound(ctx context.Context, b int64) error
 	Checkpoint(ctx context.Context) error
-	Stats(ctx context.Context) (Stats, error)
-	ActiveSessions(ctx context.Context) (int64, error)
+	// Stats returns the model's counters. A local model reports the core
+	// table's view; a remote model reports the server's (merged across a
+	// cluster's nodes) overlaid with what this process owns: the client
+	// tier, dropped hints, hedging, redials, cluster routing, and the
+	// pool's round-trip latencies in place of the server's store timings.
+	Stats(ctx context.Context) (stats.Counters, error)
 	NewSession(ctx context.Context) (Session, error)
 	Close() error
 }

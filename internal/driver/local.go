@@ -9,6 +9,7 @@ import (
 
 	"github.com/llm-db/mlkv-go/internal/core"
 	"github.com/llm-db/mlkv-go/internal/kv"
+	"github.com/llm-db/mlkv-go/internal/stats"
 )
 
 // localDB serves models out of one data directory, each model a
@@ -163,27 +164,8 @@ func (m *localModel) Checkpoint(ctx context.Context) error {
 	return m.t.Checkpoint()
 }
 
-func (m *localModel) Stats(ctx context.Context) (Stats, error) {
-	ts := m.t.TableStats()
-	return Stats{
-		Gets: ts.Gets, Puts: ts.Puts, RMWs: ts.RMWs, Deletes: ts.Deletes,
-		MemHits: ts.MemHits, DiskReads: ts.DiskReads,
-		InPlaceUpdates: ts.InPlaceUpdates, RCUAppends: ts.RCUAppends,
-		StalenessWaits: ts.StalenessWaits,
-		PrefetchCopies: ts.PrefetchCopies, PrefetchDropped: ts.PrefetchDropped,
-		FlushedPages: ts.FlushedPages, BytesFlushed: ts.BytesFlushed,
-		GroupCommits: ts.GroupCommits, FlushPaceStalls: ts.FlushPaceStalls,
-		BatchGets: ts.BatchGets, BatchPuts: ts.BatchPuts,
-		LookaheadCalls: ts.LookaheadCalls,
-		CacheHits:      ts.CacheHits, CacheMisses: ts.CacheMisses,
-		CacheEvictions: ts.CacheEvictions,
-		LatGet:         ts.LatGet, LatGetBatch: ts.LatGetBatch,
-		LatPut: ts.LatPut, LatPutBatch: ts.LatPutBatch, LatRMW: ts.LatRMW,
-	}, nil
-}
-
-func (m *localModel) ActiveSessions(ctx context.Context) (int64, error) {
-	return m.t.ActiveSessions(), nil
+func (m *localModel) Stats(ctx context.Context) (stats.Counters, error) {
+	return m.t.Stats(), nil
 }
 
 func (m *localModel) NewSession(ctx context.Context) (Session, error) {

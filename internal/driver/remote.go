@@ -2,7 +2,6 @@ package driver
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -14,6 +13,7 @@ import (
 	"github.com/llm-db/mlkv-go/internal/hotcache"
 	"github.com/llm-db/mlkv-go/internal/kv"
 	"github.com/llm-db/mlkv-go/internal/latency"
+	"github.com/llm-db/mlkv-go/internal/stats"
 	"github.com/llm-db/mlkv-go/internal/tensor"
 	"github.com/llm-db/mlkv-go/internal/wire"
 )
@@ -41,7 +41,7 @@ type wireModel interface {
 	StalenessBound() int64
 	SetBoundHint(bound int64)
 	CheckpointCtx(ctx context.Context) error
-	ModelStats(ctx context.Context) (wire.ModelStats, error)
+	StatsCtx(ctx context.Context) (stats.Counters, error)
 	NewWireSession(ctx context.Context) (wireSession, error)
 }
 
@@ -55,14 +55,10 @@ var ErrNoLiveOwner = cluster.ErrNoLiveOwner
 // cluster router fanning over many.
 type wireBackend interface {
 	OpenWireModel(ctx context.Context, spec client.OpenSpec) (wireModel, error)
-	Latency() *latency.OpSet
-	HedgeStats() client.HedgeStats
-	// ClusterInfo reports (nodes, epoch, redirects, replicaReads); all
-	// zero for a single-server backend.
-	ClusterInfo() (int64, int64, int64, int64)
-	// DialStats reports (redial attempts, breaker fast-fails), summed
-	// across every pool the backend holds.
-	DialStats() (int64, int64)
+	// FillStats overlays the client-side counters the backend owns onto a
+	// server-side snapshot: hedging and redials (summed across every pool
+	// it holds), cluster routing, and its round-trip latency summaries.
+	FillStats(c *stats.Counters)
 	Close() error
 }
 
@@ -83,11 +79,8 @@ func (b singleBackend) OpenWireModel(ctx context.Context, spec client.OpenSpec) 
 	}
 	return singleModel{m}, nil
 }
-func (b singleBackend) Latency() *latency.OpSet                 { return b.c.Latency() }
-func (b singleBackend) HedgeStats() client.HedgeStats           { return b.c.HedgeStats() }
-func (b singleBackend) ClusterInfo() (int64, int64, int64, int64) { return 0, 0, 0, 0 }
-func (b singleBackend) DialStats() (int64, int64)                 { return b.c.DialStats() }
-func (b singleBackend) Close() error                            { return b.c.Close() }
+func (b singleBackend) FillStats(c *stats.Counters) { b.c.FillStats(c) }
+func (b singleBackend) Close() error                { return b.c.Close() }
 
 // clusterBackend is the cluster router behind the same seam.
 type clusterBackend struct{ r *cluster.Router }
@@ -106,14 +99,8 @@ func (b clusterBackend) OpenWireModel(ctx context.Context, spec client.OpenSpec)
 	}
 	return clusterModel{m}, nil
 }
-func (b clusterBackend) Latency() *latency.OpSet       { return b.r.Latency() }
-func (b clusterBackend) HedgeStats() client.HedgeStats { return b.r.HedgeStats() }
-func (b clusterBackend) ClusterInfo() (int64, int64, int64, int64) {
-	m := b.r.Map()
-	return int64(len(m.Nodes)), int64(m.Epoch), b.r.Redirects(), b.r.ReplicaReads()
-}
-func (b clusterBackend) DialStats() (int64, int64) { return b.r.DialStats() }
-func (b clusterBackend) Close() error              { return b.r.Close() }
+func (b clusterBackend) FillStats(c *stats.Counters) { b.r.FillStats(c) }
+func (b clusterBackend) Close() error                { return b.r.Close() }
 
 // remoteDB is a backend onto one or many mlkv-servers; models open over
 // the wire with OPEN frames and all data moves through internal/tensor's
@@ -123,14 +110,18 @@ func (b clusterBackend) Close() error              { return b.r.Close() }
 type remoteDB struct {
 	target string
 	c      wireBackend
+	// rmw times the composite remote RMW (Get + step + Put, up to two round
+	// trips): what a trainer waits on, and invisible to the per-frame
+	// histograms because the wire has no RMW frame.
+	rmw latency.Histogram
 }
 
 // connectRemote bootstraps from the first reachable seed: every server is
 // probed with CLUSTERMAP. A map answer builds the cluster router (so a
-// client bootstrapped from any single seed discovers all nodes); a refusal
-// from a single-host target is the plain one-server backend; a refusal
-// from a multi-host target is a configuration error — a seed list promises
-// a cluster.
+// client bootstrapped from any single seed discovers all nodes); an empty
+// answer — the server is not clustered — from a single-host target is the
+// plain one-server backend, and from a multi-host target a configuration
+// error: a seed list promises a cluster.
 func connectRemote(target string, addrs []string, opts ConnectOptions) (DB, error) {
 	copts := client.Options{
 		Conns:         opts.Conns,
@@ -152,26 +143,25 @@ func connectRemote(target string, addrs []string, opts ConnectOptions) (DB, erro
 		ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
 		raw, err := c.ClusterMapRaw(ctx)
 		cancel()
-		if err == nil {
-			m, derr := cluster.DecodeMap(raw)
-			if derr != nil {
-				c.Close()
-				return nil, fmt.Errorf("driver: node %s served a bad cluster map: %w", addr, derr)
-			}
-			ropts := cluster.RouterOptions{Client: copts, ReadReplicas: opts.ReadReplicas}
-			return &remoteDB{target: target, c: clusterBackend{r: cluster.NewRouter(m, addr, c, ropts)}}, nil
+		if err != nil {
+			c.Close()
+			lastErr = err
+			continue
 		}
-		var se *client.ServerError
-		if errors.As(err, &se) {
-			// The server answered: reachable, just not clustered.
+		if len(raw) == 0 { // reachable, just not clustered
 			if len(addrs) > 1 {
 				c.Close()
-				return nil, fmt.Errorf("driver: target %q names %d servers but %s is not clustered: %s", target, len(addrs), addr, se.Msg)
+				return nil, fmt.Errorf("driver: target %q names %d servers but %s is not clustered", target, len(addrs), addr)
 			}
 			return &remoteDB{target: target, c: singleBackend{c: c}}, nil
 		}
-		c.Close()
-		lastErr = err
+		m, err := cluster.DecodeMap(raw)
+		if err != nil {
+			c.Close()
+			return nil, fmt.Errorf("driver: node %s served a bad cluster map: %w", addr, err)
+		}
+		ropts := cluster.RouterOptions{Client: copts, ReadReplicas: opts.ReadReplicas}
+		return &remoteDB{target: target, c: clusterBackend{r: cluster.NewRouter(m, addr, c, ropts)}}, nil
 	}
 	return nil, fmt.Errorf("driver: no reachable server in %q: %w", target, lastErr)
 }
@@ -276,59 +266,26 @@ func (m *remoteModel) SetStalenessBound(ctx context.Context, b int64) error {
 
 func (m *remoteModel) Checkpoint(ctx context.Context) error { return m.m.CheckpointCtx(ctx) }
 
-func (m *remoteModel) Stats(ctx context.Context) (Stats, error) {
-	ms, err := m.m.ModelStats(ctx)
+func (m *remoteModel) Stats(ctx context.Context) (stats.Counters, error) {
+	c, err := m.m.StatsCtx(ctx)
 	if err != nil {
-		return Stats{}, err
+		return stats.Counters{}, err
 	}
-	// The hot-tier view merges the server's shared per-model tier with
-	// this handle's client-side tier: both sit in front of the same store.
-	cache := hotcache.Stats{Hits: ms.CacheHits, Misses: ms.CacheMisses, Evictions: ms.CacheEvictions}
+	// The server's view, overlaid with what this process owns. The client
+	// tier adds to the server's shared tier (both front the same store);
+	// dropped hints are this handle's queue. Latency becomes the pool's
+	// round-trip view — end to end, including demux queueing — not the
+	// server-side store timings (those stay visible through the
+	// mlkv_latency expvar and raw STATS frames). The pool is per-DB, so
+	// hedging, redials and the summaries cover every model opened from
+	// this Connect.
 	if m.cache != nil {
-		cache = cache.Add(m.cache.Stats())
+		m.cache.Stats().AddTo(&c)
 	}
-	// Latency is this pool's round-trip view — end to end, including
-	// demux queueing — not the server-side store timings in ms.Lat* (those
-	// stay visible through the mlkv_latency expvar and raw STATS frames).
-	// The pool is per-DB, so the summaries cover every model opened from
-	// this Connect; RMW is the composite client-side Get+step+Put.
-	lat := m.db.c.Latency()
-	hs := m.db.c.HedgeStats()
-	nodes, epoch, redirects, replicaReads := m.db.c.ClusterInfo()
-	dialRetries, dialBackoffs := m.db.c.DialStats()
-	return Stats{
-		ClusterNodes: nodes, ClusterEpoch: epoch,
-		ClusterRedirects: redirects, ReplicaReads: replicaReads,
-		DialRetries: dialRetries, DialBackoffs: dialBackoffs,
-		Gets: ms.Gets, Puts: ms.Puts, RMWs: ms.RMWs, Deletes: ms.Deletes,
-		MemHits: ms.MemHits, DiskReads: ms.DiskReads,
-		InPlaceUpdates: ms.InPlaceUpdates, RCUAppends: ms.RCUAppends,
-		StalenessWaits: ms.StalenessWaits,
-		PrefetchCopies: ms.PrefetchCopies, PrefetchDropped: m.lookDropped.Load(),
-		FlushedPages: ms.FlushedPages, BytesFlushed: ms.BytesFlushed,
-		GroupCommits: ms.GroupCommits, FlushPaceStalls: ms.FlushPaceStalls,
-		BatchGets: ms.BatchGets, BatchPuts: ms.BatchPuts,
-		LookaheadCalls: ms.LookaheadFrames,
-		CacheHits:      cache.Hits, CacheMisses: cache.Misses,
-		CacheEvictions: cache.Evictions,
-		HedgedReads:    hs.Issued, HedgeWins: hs.Won,
-		HedgeWasted: hs.Wasted, HedgeSuppressed: hs.Suppressed,
-		LatGet:         lat[latency.OpGet].Snapshot(),
-		LatGetBatch:    lat[latency.OpGetBatch].Snapshot(),
-		LatPut:         lat[latency.OpPut].Snapshot(),
-		LatPutBatch:    lat[latency.OpPutBatch].Snapshot(),
-		LatRMW:         lat[latency.OpRMW].Snapshot(),
-	}, nil
-}
-
-// ActiveSessions reports the server's attach-minus-detach balance for the
-// model — every remote client's sessions, not just this process's.
-func (m *remoteModel) ActiveSessions(ctx context.Context) (int64, error) {
-	ms, err := m.m.ModelStats(ctx)
-	if err != nil {
-		return 0, err
-	}
-	return ms.ActiveSessions, nil
+	c.PrefetchDropped = m.lookDropped.Load()
+	m.db.c.FillStats(&c)
+	c.LatRMW = m.db.rmw.Snapshot()
+	return c, nil
 }
 
 func (m *remoteModel) NewSession(ctx context.Context) (Session, error) {
@@ -602,10 +559,7 @@ func (s *remoteSession) RMW(ctx context.Context, key uint64, grad []float32, lr 
 	if len(grad) != dim {
 		return fmt.Errorf("driver: grad length %d != dim %d", len(grad), dim)
 	}
-	// The composite is what a trainer waits on, so record its full span —
-	// up to two round trips — into the pool's RMW class (the wire has no
-	// RMW frame for the per-frame histograms to see).
-	defer s.m.db.c.Latency().Since(latency.OpRMW, time.Now())
+	defer s.m.db.rmw.Since(time.Now())
 	s.rmw = growSlice(s.rmw, dim)
 	cur := s.rmw
 	if err := s.Get(ctx, key, cur); err != nil {
@@ -706,9 +660,10 @@ type dialedStore struct {
 
 func (d *dialedStore) Close() error { return d.c.Close() }
 
-// HedgeStats reports the pool's hedging counters (issued, won, wasted,
-// suppressed) for harness summaries; all zero when hedging is off.
-func (d *dialedStore) HedgeStats() (issued, won, wasted, suppressed int64) {
-	hs := d.c.HedgeStats()
-	return hs.Issued, hs.Won, hs.Wasted, hs.Suppressed
+// Stats is the served model's counters overlaid with the pool's own
+// (hedging, redials, round-trip latencies) for harness summaries.
+func (d *dialedStore) Stats() stats.Counters {
+	c := d.Model.Stats()
+	d.c.FillStats(&c)
+	return c
 }

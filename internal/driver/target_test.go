@@ -1,9 +1,15 @@
 package driver
 
 import (
+	"context"
+	"net"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
+
+	"github.com/llm-db/mlkv-go/internal/kv"
+	"github.com/llm-db/mlkv-go/internal/server"
 )
 
 // TestParseTarget drives the full remote-target grammar: single host,
@@ -67,5 +73,56 @@ func TestConnectEmptyHostError(t *testing.T) {
 		} else if strings.Contains(err.Error(), "connection refused") {
 			t.Fatalf("Connect(%q) surfaced a dial error (%v), want a parse error", target, err)
 		}
+	}
+}
+
+// TestConnectNonClusteredSeed pins the bootstrap rule for a server that
+// answers the CLUSTERMAP probe with an empty map: one host is the plain
+// single-server target, while a seed list — a promise of a cluster —
+// naming it is a configuration error.
+func TestConnectNonClusteredSeed(t *testing.T) {
+	dir := t.TempDir()
+	reg := server.NewRegistry(server.RegistryConfig{
+		DefaultShards: 1,
+		DefaultBound:  -1,
+		Opener: func(id string, dim, shards int, bound int64, engine string) (kv.Store, error) {
+			return kv.OpenEngine(engine, kv.ShardedConfig{
+				Dir: filepath.Join(dir, id), Shards: shards, ValueSize: dim * 4,
+				MemoryBytes: 1 << 20, StalenessBound: bound,
+			}, "target-test")
+		},
+	})
+	defer reg.Close()
+	srv := server.New(server.Config{Registry: reg})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
+	defer func() {
+		if err := srv.Shutdown(context.Background()); err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+		if err := <-served; err != nil {
+			t.Errorf("serve: %v", err)
+		}
+	}()
+	addr := ln.Addr().String()
+
+	db, err := Connect(Scheme+addr, ConnectOptions{})
+	if err != nil {
+		t.Fatalf("single non-clustered host: %v", err)
+	}
+	if _, single := db.(*remoteDB).c.(singleBackend); !single {
+		t.Fatalf("single non-clustered host built %T, want the one-server backend", db.(*remoteDB).c)
+	}
+	db.Close()
+
+	if _, err := Connect(Scheme+addr+","+addr, ConnectOptions{}); err == nil || !strings.Contains(err.Error(), "not clustered") {
+		t.Fatalf("seed list naming a non-clustered host: err = %v, want a \"not clustered\" configuration error", err)
+	}
+	if n := srv.Stats().Errors; n != 0 {
+		t.Fatalf("bootstrap probes cost %d server errors, want 0", n)
 	}
 }

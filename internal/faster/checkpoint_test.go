@@ -236,3 +236,109 @@ func TestRecoverKeyZero(t *testing.T) {
 		t.Fatalf("key 0 value: got %v want %v", got, want)
 	}
 }
+
+// TestAbandonedAppendNotResurrected forces the index-CAS loss that leaves
+// an abandoned record in the log — a copy-to-tail of the old value that a
+// concurrent Put beats to the index but not to the tail, so the loser sits
+// at the higher address — then checkpoints and reopens. Recovery re-indexes
+// by address order, so unless the loser was erased it shadows the Put. Both
+// copy sources are covered: a disk record (Prefetch, or a clocked Get) and
+// a read-only in-memory record (a clocked Get).
+func TestAbandonedAppendNotResurrected(t *testing.T) {
+	const key, vs = uint64(7), 16
+	oldVal, newVal := val(vs, 1), val(vs, 2)
+	for _, tc := range []struct {
+		name string
+		// cold leaves key's only record outside the mutable region and
+		// reports the region a chain walk must find it in.
+		cold func(t *testing.T, cfg Config) (*Store, region)
+	}{
+		{"disk", func(t *testing.T, cfg Config) (*Store, region) {
+			st := mustOpen(t, cfg)
+			mustPut(t, st, key, oldVal)
+			if err := st.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+			return mustOpen(t, cfg), regionDisk // recovered records are all disk-resident
+		}},
+		{"readOnly", func(t *testing.T, cfg Config) (*Store, region) {
+			st := mustOpen(t, cfg)
+			mustPut(t, st, key, oldVal)
+			// Opening page 1 freezes page 0 (MutablePages is 1).
+			for k := uint64(100); k < 100+uint64(cfg.RecordsPerPage); k++ {
+				mustPut(t, st, k, oldVal)
+			}
+			return st, regionReadOnly
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// MemPages is large enough that no allocation below has to
+			// recycle a frame, which would wait on the protected loser.
+			cfg := Config{
+				Dir: t.TempDir(), ValueSize: vs, RecordsPerPage: 8, MemPages: 8,
+				MutablePages: 1, StalenessBound: BoundAsync,
+			}
+			st, want := tc.cold(t, cfg)
+			loser, _ := st.NewSession()
+			loser.es.Protect()
+			hit, err := loser.findKey(key, false)
+			if err != nil || hit.addr == InvalidAddr || hit.reg != want {
+				t.Fatalf("findKey: addr=%d region=%v err=%v, want region %v", hit.addr, hit.reg, err, want)
+			}
+			hdr := hit.diskRec.hdr
+			if want == regionReadOnly {
+				hdr = hit.f.hdrs[hit.slot].Load()
+			}
+			mustPut(t, st, key, newVal) // takes the lower tail address and the index entry
+			ok, err := loser.copyToTail(key, hdr&^lockedBit, oldVal, hit)
+			loser.es.Unprotect()
+			loser.Close()
+			if err != nil || ok {
+				t.Fatalf("stale copy-to-tail: ok=%v err=%v, want a lost CAS", ok, err)
+			}
+			if n := st.Stats().AbandonedAppends; n != 1 {
+				t.Fatalf("AbandonedAppends = %d, want 1", n)
+			}
+			if err := st.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			st = mustOpen(t, cfg)
+			defer st.Close()
+			s, _ := st.NewSession()
+			defer s.Close()
+			got := make([]byte, vs)
+			if found, err := s.Get(key, got); err != nil || !found || !bytes.Equal(got, newVal) {
+				t.Fatalf("after reopen: found=%v err=%v, value is the Put's: %v", found, err, bytes.Equal(got, newVal))
+			}
+		})
+	}
+}
+
+func mustOpen(t *testing.T, cfg Config) *Store {
+	t.Helper()
+	st, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// mustPut writes through a throwaway session.
+func mustPut(t *testing.T, st *Store, key uint64, v []byte) {
+	t.Helper()
+	s, err := st.NewSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.Put(key, v); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -1,6 +1,10 @@
 package faster
 
-import "sync/atomic"
+import (
+	"sync/atomic"
+
+	"github.com/llm-db/mlkv-go/internal/stats"
+)
 
 // Stats holds the store's operation counters. All fields are updated with
 // atomics on the hot path and read via snapshot.
@@ -22,27 +26,9 @@ type Stats struct {
 	FlushPaceStalls  atomic.Int64 // pacing sleeps taken between flush writes
 }
 
-// StatsSnapshot is a plain-value copy of Stats.
-type StatsSnapshot struct {
-	Gets             int64
-	Puts             int64
-	RMWs             int64
-	Deletes          int64
-	MemHits          int64
-	DiskReads        int64
-	InPlaceUpdates   int64
-	RCUAppends       int64
-	PrefetchCopies   int64
-	AbandonedAppends int64
-	StalenessWaits   int64
-	FlushedPages     int64
-	BytesFlushed     int64
-	GroupCommits     int64
-	FlushPaceStalls  int64
-}
-
-func (s *Stats) snapshot() StatsSnapshot {
-	return StatsSnapshot{
+// snapshot copies the engine counters into the shared counter record.
+func (s *Stats) snapshot() stats.Counters {
+	return stats.Counters{
 		Gets:             s.Gets.Load(),
 		Puts:             s.Puts.Load(),
 		RMWs:             s.RMWs.Load(),
@@ -58,48 +44,5 @@ func (s *Stats) snapshot() StatsSnapshot {
 		BytesFlushed:     s.BytesFlushed.Load(),
 		GroupCommits:     s.GroupCommits.Load(),
 		FlushPaceStalls:  s.FlushPaceStalls.Load(),
-	}
-}
-
-// Add returns the element-wise sum a+b (for merging per-shard snapshots
-// into one top-level view).
-func (a StatsSnapshot) Add(b StatsSnapshot) StatsSnapshot {
-	return StatsSnapshot{
-		Gets:             a.Gets + b.Gets,
-		Puts:             a.Puts + b.Puts,
-		RMWs:             a.RMWs + b.RMWs,
-		Deletes:          a.Deletes + b.Deletes,
-		MemHits:          a.MemHits + b.MemHits,
-		DiskReads:        a.DiskReads + b.DiskReads,
-		InPlaceUpdates:   a.InPlaceUpdates + b.InPlaceUpdates,
-		RCUAppends:       a.RCUAppends + b.RCUAppends,
-		PrefetchCopies:   a.PrefetchCopies + b.PrefetchCopies,
-		AbandonedAppends: a.AbandonedAppends + b.AbandonedAppends,
-		StalenessWaits:   a.StalenessWaits + b.StalenessWaits,
-		FlushedPages:     a.FlushedPages + b.FlushedPages,
-		BytesFlushed:     a.BytesFlushed + b.BytesFlushed,
-		GroupCommits:     a.GroupCommits + b.GroupCommits,
-		FlushPaceStalls:  a.FlushPaceStalls + b.FlushPaceStalls,
-	}
-}
-
-// Sub returns the element-wise difference a-b (for interval measurements).
-func (a StatsSnapshot) Sub(b StatsSnapshot) StatsSnapshot {
-	return StatsSnapshot{
-		Gets:             a.Gets - b.Gets,
-		Puts:             a.Puts - b.Puts,
-		RMWs:             a.RMWs - b.RMWs,
-		Deletes:          a.Deletes - b.Deletes,
-		MemHits:          a.MemHits - b.MemHits,
-		DiskReads:        a.DiskReads - b.DiskReads,
-		InPlaceUpdates:   a.InPlaceUpdates - b.InPlaceUpdates,
-		RCUAppends:       a.RCUAppends - b.RCUAppends,
-		PrefetchCopies:   a.PrefetchCopies - b.PrefetchCopies,
-		AbandonedAppends: a.AbandonedAppends - b.AbandonedAppends,
-		StalenessWaits:   a.StalenessWaits - b.StalenessWaits,
-		FlushedPages:     a.FlushedPages - b.FlushedPages,
-		BytesFlushed:     a.BytesFlushed - b.BytesFlushed,
-		GroupCommits:     a.GroupCommits - b.GroupCommits,
-		FlushPaceStalls:  a.FlushPaceStalls - b.FlushPaceStalls,
 	}
 }

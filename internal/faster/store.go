@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"github.com/llm-db/mlkv-go/internal/epoch"
+	"github.com/llm-db/mlkv-go/internal/stats"
 	"github.com/llm-db/mlkv-go/internal/util"
 )
 
@@ -160,7 +161,7 @@ func (st *Store) StalenessBound() int64 { return st.bound.Load() }
 func BlockingBound(bound int64) bool { return bound >= 0 && bound != BoundAsync }
 
 // Stats returns a snapshot of operation counters.
-func (st *Store) Stats() StatsSnapshot { return st.stats.snapshot() }
+func (st *Store) Stats() stats.Counters { return st.stats.snapshot() }
 
 // MemoryBytes reports the approximate in-memory footprint of the log frames.
 func (st *Store) MemoryBytes() int64 {
@@ -656,7 +657,16 @@ func (s *Session) appendRecordHdr(key uint64, hdr uint64, val []byte, hit chainH
 		}
 		return true, nil
 	}
-	// Lost the race: abandon the allocated record (it is unreachable).
+	// Lost the race: abandon the allocated record. Nothing can reach it now,
+	// but recovery re-indexes the log in address order, so a fully formed
+	// loser above the winner's address would resurrect its older value on
+	// reopen. Zero the slot — recover skips an all-zero record as an
+	// unallocated gap. No Refresh has happened since allocate, so the page
+	// cannot have frozen or flushed under us.
+	f.hdrs[slot].Store(0)
+	f.keys[slot] = 0
+	f.prevs[slot] = 0
+	clearBytes(f.vals[slot*vs : (slot+1)*vs])
 	st.stats.AbandonedAppends.Add(1)
 	return false, nil
 }

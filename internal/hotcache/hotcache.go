@@ -20,6 +20,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"github.com/llm-db/mlkv-go/internal/stats"
 	"github.com/llm-db/mlkv-go/internal/util"
 )
 
@@ -37,10 +38,12 @@ type Stats struct {
 	Evictions int64
 }
 
-// Add returns the element-wise sum (for merging client- and server-side
-// tiers into one view).
-func (a Stats) Add(b Stats) Stats {
-	return Stats{Hits: a.Hits + b.Hits, Misses: a.Misses + b.Misses, Evictions: a.Evictions + b.Evictions}
+// AddTo adds the tier's counters to c; tiers in front of the same store
+// (client-side and server-side) sum into one view.
+func (s Stats) AddTo(c *stats.Counters) {
+	c.CacheHits += s.Hits
+	c.CacheMisses += s.Misses
+	c.CacheEvictions += s.Evictions
 }
 
 // Admissible reports whether an entry whose clock stamp trails the

@@ -4,15 +4,9 @@ import (
 	"context"
 	"sync/atomic"
 
-	"github.com/llm-db/mlkv-go/internal/faster"
 	"github.com/llm-db/mlkv-go/internal/hotcache"
+	"github.com/llm-db/mlkv-go/internal/stats"
 )
-
-// CacheStatsReporter is an optional Store extension exposing a hot tier's
-// counters (the serving layer folds them into per-model STATS).
-type CacheStatsReporter interface {
-	CacheStats() hotcache.Stats
-}
 
 // WrapCached layers a staleness-aware hot tier over a byte-level store:
 // the shared per-model cache mlkv-server enables with -cache, and the
@@ -46,10 +40,14 @@ func (w *cachedStore) Shards() int                     { return w.inner.Shards()
 func (w *cachedStore) StalenessBound() int64           { return w.inner.StalenessBound() }
 func (w *cachedStore) SetStalenessBound(b int64) error { return w.inner.SetStalenessBound(b) }
 func (w *cachedStore) Checkpoint() error               { return w.inner.Checkpoint() }
-func (w *cachedStore) Stats() faster.StatsSnapshot     { return w.inner.Stats() }
 func (w *cachedStore) Close() error                    { return w.inner.Close() }
 
-func (w *cachedStore) CacheStats() hotcache.Stats { return w.cache.Stats() }
+// Stats adds the tier's counters to the wrapped store's.
+func (w *cachedStore) Stats() stats.Counters {
+	c := w.inner.Stats()
+	w.cache.Stats().AddTo(&c)
+	return c
+}
 
 func (w *cachedStore) NewSession() (Session, error) {
 	s, err := w.inner.NewSession()

@@ -89,9 +89,7 @@ func TestCachedStoreEquivalence(t *testing.T) {
 	if fa || fb {
 		t.Fatalf("deleted key found: raw=%v cached=%v", fa, fb)
 	}
-	if cr, ok := cached.(CacheStatsReporter); !ok {
-		t.Fatal("cached store does not report cache stats")
-	} else if cr.CacheStats().Hits == 0 {
+	if cached.Stats().CacheHits == 0 {
 		t.Fatal("no reads were served from the tier")
 	}
 }
@@ -167,7 +165,7 @@ func TestCachedStoreBSPBypasses(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if hits := cached.(CacheStatsReporter).CacheStats().Hits; hits != 0 {
+	if hits := cached.Stats().CacheHits; hits != 0 {
 		t.Fatalf("BSP served %d reads from the tier", hits)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"github.com/llm-db/mlkv-go/internal/bptree"
 	"github.com/llm-db/mlkv-go/internal/faster"
 	"github.com/llm-db/mlkv-go/internal/lsm"
+	"github.com/llm-db/mlkv-go/internal/stats"
 	"github.com/llm-db/mlkv-go/internal/util"
 )
 
@@ -16,7 +17,7 @@ import (
 type shard interface {
 	newSession() (shardSession, error)
 	Checkpoint() error
-	Stats() faster.StatsSnapshot
+	Stats() stats.Counters
 	// StalenessBound / SetStalenessBound drive the vector clock; a
 	// clock-free engine reports -1 and ignores the setter.
 	StalenessBound() int64
@@ -159,9 +160,9 @@ func (c *clockFreeShard) StalenessBound() int64   { return -1 }
 func (c *clockFreeShard) SetStalenessBound(int64) {}
 func (c *clockFreeShard) Close() error            { return c.closeFn() }
 
-func (c *clockFreeShard) Stats() faster.StatsSnapshot {
+func (c *clockFreeShard) Stats() stats.Counters {
 	memHits, diskReads, flushed := c.ioStats()
-	return faster.StatsSnapshot{
+	return stats.Counters{
 		Gets: c.gets.Load(), Puts: c.puts.Load(),
 		RMWs: c.rmws.Load(), Deletes: c.deletes.Load(),
 		MemHits: memHits, DiskReads: diskReads, FlushedPages: flushed,

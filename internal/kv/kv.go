@@ -11,7 +11,7 @@ import (
 	"context"
 	"fmt"
 
-	"github.com/llm-db/mlkv-go/internal/faster"
+	"github.com/llm-db/mlkv-go/internal/stats"
 )
 
 // Store is a disk-backed key-value store with fixed-size values. Its
@@ -36,8 +36,9 @@ type Store interface {
 	SetStalenessBound(int64) error
 	// Checkpoint makes the contents durable.
 	Checkpoint() error
-	// Stats returns the engine's operation counters, summed across shards.
-	Stats() faster.StatsSnapshot
+	// Stats returns the counters this store and everything beneath it
+	// own: the engine's, summed across shards, plus a hot tier's.
+	Stats() stats.Counters
 	// Close releases resources.
 	Close() error
 }

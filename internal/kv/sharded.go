@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"github.com/llm-db/mlkv-go/internal/faster"
+	"github.com/llm-db/mlkv-go/internal/stats"
 	"github.com/llm-db/mlkv-go/internal/util"
 )
 
@@ -75,9 +76,9 @@ func (w *shardedStore) Checkpoint() error {
 	return errors.Join(errs...)
 }
 
-// Stats returns the element-wise sum of every shard's counters.
-func (w *shardedStore) Stats() faster.StatsSnapshot {
-	var sum faster.StatsSnapshot
+// Stats merges every shard's counters.
+func (w *shardedStore) Stats() stats.Counters {
+	var sum stats.Counters
 	for _, sh := range w.shards {
 		sum = sum.Add(sh.Stats())
 	}

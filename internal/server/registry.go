@@ -9,6 +9,7 @@ import (
 	"github.com/llm-db/mlkv-go/internal/faster"
 	"github.com/llm-db/mlkv-go/internal/kv"
 	"github.com/llm-db/mlkv-go/internal/latency"
+	"github.com/llm-db/mlkv-go/internal/stats"
 	"github.com/llm-db/mlkv-go/internal/wire"
 )
 
@@ -334,10 +335,8 @@ type Model struct {
 	ready   chan struct{}
 	openErr error
 
-	requests        atomic.Int64
 	batchGets       atomic.Int64
 	batchPuts       atomic.Int64
-	batchKeys       atomic.Int64
 	lookaheadFrames atomic.Int64
 	activeSessions  atomic.Int64
 	// replicaLag is the primary's stream head minus the highest REPLWRITE
@@ -371,31 +370,19 @@ func (m *Model) Engine() string { return m.engine }
 // Store exposes the backing store.
 func (m *Model) Store() kv.Store { return m.store }
 
-// ActiveSessions reports the attach-minus-detach balance: how many remote
-// client sessions are currently open on the model.
-func (m *Model) ActiveSessions() int64 { return m.activeSessions.Load() }
-
-// Stats merges the engine's counters with the serving layer's per-model
-// counters into the STATS payload.
-func (m *Model) Stats() wire.ModelStats {
-	s := wire.ModelStats{
-		StatsSnapshot:   m.store.Stats(),
-		BatchGets:       m.batchGets.Load(),
-		BatchPuts:       m.batchPuts.Load(),
-		LookaheadFrames: m.lookaheadFrames.Load(),
-		ActiveSessions:  m.activeSessions.Load(),
-	}
-	if cr, ok := m.store.(kv.CacheStatsReporter); ok {
-		cs := cr.CacheStats()
-		s.CacheHits, s.CacheMisses, s.CacheEvictions = cs.Hits, cs.Misses, cs.Evictions
-	}
-	s.ReplicaLag = m.replicaLag.Load()
-	s.LatGet = m.lat[latency.OpGet].Snapshot()
-	s.LatGetBatch = m.lat[latency.OpGetBatch].Snapshot()
-	s.LatPut = m.lat[latency.OpPut].Snapshot()
-	s.LatPutBatch = m.lat[latency.OpPutBatch].Snapshot()
-	s.LatRMW = m.lat[latency.OpRMW].Snapshot()
-	return s
+// Stats returns the model's counters — the STATS payload: the store's
+// (engine counters, plus the -cache tier's) and the serving layer's own —
+// frames served, the attach balance, the replication lag, and the store
+// calls timed in the conn handler.
+func (m *Model) Stats() stats.Counters {
+	c := m.store.Stats()
+	c.BatchGets = m.batchGets.Load()
+	c.BatchPuts = m.batchPuts.Load()
+	c.LookaheadCalls = m.lookaheadFrames.Load()
+	c.ActiveSessions = m.activeSessions.Load()
+	c.ReplicaLag = m.replicaLag.Load()
+	c.SetLatency(&m.lat)
+	return c
 }
 
 // Latency exposes the model's per-op-class histograms (the mlkv_latency

@@ -409,11 +409,13 @@ func (s *Server) handle(st *connState, op wire.Op, p []byte) (respOp wire.Op, pa
 		if err != nil {
 			return fail(err)
 		}
-		return wire.RespOK, wire.EncodeStatsResp(m.Stats()), false
+		return wire.RespOK, m.Stats().Encode(), false
 
 	case wire.OpClusterMap:
 		if s.cfg.Cluster == nil {
-			return fail(errors.New("server: not clustered"))
+			// Every client probes with this at bootstrap; "not clustered"
+			// is an answer (an empty map), not an error to count.
+			return wire.RespOK, nil, false
 		}
 		return wire.RespOK, s.cfg.Cluster.Encoded(), false
 
@@ -468,7 +470,6 @@ func (s *Server) handle(st *connState, op wire.Op, p []byte) (respOp wire.Op, pa
 	if err != nil {
 		return fail(err)
 	}
-	cm.m.requests.Add(1)
 	switch op {
 	case wire.OpGet:
 		key, waitMs, err := wire.DecodeGet(rest)
@@ -553,7 +554,6 @@ func (s *Server) handle(st *connState, op wire.Op, p []byte) (respOp wire.Op, pa
 		n := len(keys)
 		s.batchKeys.Add(int64(n))
 		cm.m.batchGets.Add(1)
-		cm.m.batchKeys.Add(int64(n))
 		// Build the response in place: found flags and values land
 		// directly in the outgoing payload, one batched store call. The
 		// payload buffer is per-connection and reused across frames (the
@@ -595,7 +595,6 @@ func (s *Server) handle(st *connState, op wire.Op, p []byte) (respOp wire.Op, pa
 		n := len(keys)
 		s.batchKeys.Add(int64(n))
 		cm.m.batchGets.Add(1)
-		cm.m.batchKeys.Add(int64(n))
 		out := growBytes(cm.out, 4+n+n*cm.vs)
 		cm.out = out
 		clear(out[4 : 4+n])
@@ -628,7 +627,6 @@ func (s *Server) handle(st *connState, op wire.Op, p []byte) (respOp wire.Op, pa
 		}
 		s.batchKeys.Add(int64(len(keys)))
 		cm.m.batchPuts.Add(1)
-		cm.m.batchKeys.Add(int64(len(keys)))
 		start := time.Now()
 		err = kv.SessionPutBatch(cm.sess, cm.vs, keys, vals)
 		cm.m.lat.Since(latency.OpPutBatch, start)

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	mlkv "github.com/llm-db/mlkv-go"
 	"github.com/llm-db/mlkv-go/internal/client"
 	"github.com/llm-db/mlkv-go/internal/kv"
 	"github.com/llm-db/mlkv-go/internal/wire"
@@ -199,7 +200,7 @@ func TestSessionAccounting(t *testing.T) {
 
 	reg := srv.cfg.Registry
 	model := reg.Models()[0]
-	if n := model.ActiveSessions(); n != 0 {
+	if n := model.Stats().ActiveSessions; n != 0 {
 		t.Fatalf("fresh model has %d sessions", n)
 	}
 	s1, err := m.NewSession()
@@ -210,20 +211,20 @@ func TestSessionAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := model.ActiveSessions(); n != 2 {
+	if n := model.Stats().ActiveSessions; n != 2 {
 		t.Fatalf("ActiveSessions = %d after two attaches, want 2", n)
 	}
 	s1.Close()
 	s1.Close() // idempotent: must not double-detach
-	if n := model.ActiveSessions(); n != 1 {
+	if n := model.Stats().ActiveSessions; n != 1 {
 		t.Fatalf("ActiveSessions = %d after detach, want 1", n)
 	}
 	_ = s2 // left attached: the connection teardown must release it
 	cl.Close()
 	deadline := time.Now().Add(5 * time.Second)
-	for model.ActiveSessions() != 0 {
+	for model.Stats().ActiveSessions != 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("ActiveSessions = %d after connection close, want 0", model.ActiveSessions())
+			t.Fatalf("ActiveSessions = %d after connection close, want 0", model.Stats().ActiveSessions)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -303,7 +304,7 @@ func TestRemoteBatchConcurrent(t *testing.T) {
 	if st.Errors != 0 {
 		t.Fatalf("server answered %d errors", st.Errors)
 	}
-	ms, err := m.ModelStats(context.Background())
+	ms, err := m.StatsCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -578,5 +579,53 @@ func TestReplicaLagContiguity(t *testing.T) {
 	}
 	if lag := apply(2, 4); lag != 2 {
 		t.Fatalf("after restart (2,4): lag = %d, want 2", lag)
+	}
+}
+
+// TestBootstrapProbeIsNotAnError pins what a non-clustered server does
+// with the cluster ops: CLUSTERMAP, which every client sends once at
+// Connect, is answered with an empty map and counts no error, while the
+// control ops that only make sense inside a cluster keep refusing.
+func TestBootstrapProbeIsNotAnError(t *testing.T) {
+	addr, srv, stop := startServer(t, t.TempDir())
+	defer stop()
+
+	db, err := mlkv.Connect(mlkv.Scheme + addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	m, err := db.Open("probe", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	s, err := m.NewSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put(1, []float32{1, 2}); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	if st := m.Stats(); st.Puts != 1 || st.ClusterNodes != 0 {
+		t.Fatalf("single-server stats: puts=%d clusterNodes=%d, want 1 and 0", st.Puts, st.ClusterNodes)
+	}
+	if n := srv.Stats().Errors; n != 0 {
+		t.Fatalf("Connect + Open + Put cost %d server errors, want 0", n)
+	}
+
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	for i, op := range []wire.Op{wire.OpClusterJoin, wire.OpClusterPing, wire.OpClusterLeave, wire.OpClusterSync} {
+		if err := wire.WriteFrame(nc, uint32(i), op, nil); err != nil {
+			t.Fatal(err)
+		}
+		if f, err := wire.ReadFrame(nc, 0); err != nil || f.Op != wire.RespErr {
+			t.Fatalf("%s on a non-clustered server: %+v err=%v, want RespErr", op, f, err)
+		}
 	}
 }

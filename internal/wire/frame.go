@@ -46,7 +46,9 @@ const (
 	OpLookahead
 	// OpCheckpoint makes the store durable.
 	OpCheckpoint
-	// OpStats fetches the store's merged operation counters.
+	// OpStats fetches one model's counters. The response payload is
+	// stats.Counters.Encode: the counter table (internal/stats) owns the
+	// slot order, and a Version bump accompanies any change to it.
 	OpStats
 	// OpPeek reads one key without consistency effects: no vector-clock
 	// participation, no copy-to-tail. Evaluation traffic uses it so scoring
@@ -78,9 +80,9 @@ const (
 	// OpClusterMap fetches the server's cluster topology: an epoch-numbered
 	// map of node id → address → hash ranges → role (internal/cluster's
 	// codec). Empty request payload. A server not running in cluster mode
-	// answers RespErr and keeps the connection usable, which is also what
-	// pre-cluster servers do for the unknown opcode — so a client may probe
-	// any server with it to discover whether it fronts a cluster.
+	// answers RespOK with an empty payload — so a client may probe any
+	// server with it to discover whether it fronts a cluster without the
+	// probe counting as an error.
 	OpClusterMap
 	// OpClusterJoin announces a new node to a cluster member: the request
 	// carries the joining node encoded as a single-node cluster map (epoch
@@ -181,16 +183,12 @@ func (o Op) String() string {
 	return fmt.Sprintf("Op(%d)", uint8(o))
 }
 
-// Version is the protocol revision carried in HELLO. A server refuses a
-// mismatched client rather than guessing at payload layouts.
-//
-// Version 2 made the server multi-model: OPEN/ATTACH/DETACH were added,
-// every data frame gained a uint32 model-handle prefix, the HELLO
-// response dropped the single store's geometry (each OPEN response now
-// carries its model's), and the STATS response grew batch/lookahead/
-// session counters. Version-1 frames would misparse, so a v1 HELLO is
-// answered with a clear RespErr and the connection closed.
-const Version = 2
+// Version is the protocol revision carried in HELLO. The two sides must
+// match exactly — a server answers any other version with a clear RespErr
+// and closes the connection rather than guess at payload layouts — so any
+// change to a payload layout, or to the order or length of the STATS
+// counter table (internal/stats), bumps it.
+const Version = 3
 
 const (
 	// minLength is the smallest legal length field: corrID + op.

@@ -4,9 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-
-	"github.com/llm-db/mlkv-go/internal/faster"
-	"github.com/llm-db/mlkv-go/internal/latency"
 )
 
 // Payload layouts, one section per op. Every decoder checks lengths
@@ -56,76 +53,41 @@ func DecodeHelloResp(p []byte) (version uint32, name string, err error) {
 	return binary.LittleEndian.Uint32(p[0:]), string(p[4:]), nil
 }
 
-// engineMarker introduces the optional engine extension in an OPEN
-// request. Model ids are restricted to ASCII letters, digits, '.', '_',
-// and '-' (see the server's validation), so 0xFF can never be an id's
-// first byte: its presence at the id position unambiguously signals the
-// extension without a protocol version bump. An OPEN with no engine
-// requested is byte-identical to the version-2 layout, so pre-engine
-// clients keep getting the server's default (FASTER), and an
-// engine-requesting OPEN sent to a pre-engine server fails its model-id
-// validation with a clean RespErr rather than misparsing.
-const engineMarker = 0xFF
-
-// Engine codes carried in the OPEN extension byte.
-const (
-	engineCodeUnset  = 0 // no engine requested (same as omitting the extension)
-	engineCodeFaster = 1
-	engineCodeLSM    = 2
-	engineCodeBPTree = 3
-)
+// engineNames maps the OPEN engine byte to the canonical engine name;
+// code 0 ("") requests no engine: the server's choice.
+var engineNames = [...]string{"", "faster", "lsm", "bptree"}
 
 func engineCode(engine string) (byte, error) {
-	switch engine {
-	case "":
-		return engineCodeUnset, nil
-	case "faster":
-		return engineCodeFaster, nil
-	case "lsm":
-		return engineCodeLSM, nil
-	case "bptree":
-		return engineCodeBPTree, nil
+	for code, name := range engineNames {
+		if name == engine {
+			return byte(code), nil
+		}
 	}
 	return 0, fmt.Errorf("wire: unknown engine %q in OPEN", engine)
 }
 
 func engineName(code byte) (string, error) {
-	switch code {
-	case engineCodeUnset:
-		return "", nil
-	case engineCodeFaster:
-		return "faster", nil
-	case engineCodeLSM:
-		return "lsm", nil
-	case engineCodeBPTree:
-		return "bptree", nil
+	if int(code) >= len(engineNames) {
+		return "", fmt.Errorf("wire: unknown engine code %d in OPEN", code)
 	}
-	return "", fmt.Errorf("wire: unknown engine code %d in OPEN", code)
+	return engineNames[code], nil
 }
 
 // EncodeOpen builds an OPEN request: uint32 dim | uint32 shards (0 lets
 // the server choose) | int64 staleness bound (BoundUnset for the server
-// default) | [0xFF marker | engine code, when an engine is requested] |
-// model id bytes. engine "" omits the extension entirely, keeping the
-// frame byte-identical to protocol version 2.
+// default) | uint8 engine code (0 for the server's choice) | model id
+// bytes.
 func EncodeOpen(id string, dim, shards int, bound int64, engine string) ([]byte, error) {
 	code, err := engineCode(engine)
 	if err != nil {
 		return nil, err
 	}
-	ext := 0
-	if code != engineCodeUnset {
-		ext = 2
-	}
-	p := make([]byte, 16+ext+len(id))
+	p := make([]byte, 17+len(id))
 	binary.LittleEndian.PutUint32(p[0:], uint32(dim))
 	binary.LittleEndian.PutUint32(p[4:], uint32(shards))
 	binary.LittleEndian.PutUint64(p[8:], uint64(bound))
-	if ext != 0 {
-		p[16] = engineMarker
-		p[17] = code
-	}
-	copy(p[16+ext:], id)
+	p[16] = code
+	copy(p[17:], id)
 	return p, nil
 }
 
@@ -136,18 +98,10 @@ func DecodeOpen(p []byte) (id string, dim, shards int, bound int64, engine strin
 	if len(p) < 17 {
 		return "", 0, 0, 0, "", fmt.Errorf("%w: OPEN wants >= 17 bytes, got %d", ErrShortPayload, len(p))
 	}
-	idb := p[16:]
-	if idb[0] == engineMarker {
-		if len(idb) < 3 {
-			return "", 0, 0, 0, "", fmt.Errorf("%w: OPEN engine extension truncated", ErrShortPayload)
-		}
-		engine, err = engineName(idb[1])
-		if err != nil {
-			return "", 0, 0, 0, "", err
-		}
-		idb = idb[2:]
+	if engine, err = engineName(p[16]); err != nil {
+		return "", 0, 0, 0, "", err
 	}
-	return string(idb),
+	return string(p[17:]),
 		int(binary.LittleEndian.Uint32(p[0:])),
 		int(binary.LittleEndian.Uint32(p[4:])),
 		int64(binary.LittleEndian.Uint64(p[8:])), engine, nil
@@ -449,103 +403,6 @@ func DecodeUint32(p []byte) (uint32, error) {
 		return 0, fmt.Errorf("%w: counter wants 4 bytes, got %d", ErrShortPayload, len(p))
 	}
 	return binary.LittleEndian.Uint32(p), nil
-}
-
-// ModelStats is the STATS payload for one model: the engine's merged
-// counters plus the serving layer's batch/lookahead frame counts and the
-// model's active remote-session gauge.
-type ModelStats struct {
-	faster.StatsSnapshot
-	// BatchGets / BatchPuts count GETBATCH / PUTBATCH frames served.
-	BatchGets int64
-	BatchPuts int64
-	// LookaheadFrames counts LOOKAHEAD frames served.
-	LookaheadFrames int64
-	// ActiveSessions is the attach-minus-detach balance: how many remote
-	// client sessions are currently open on the model.
-	ActiveSessions int64
-	// CacheHits / CacheMisses / CacheEvictions are the server-side hot
-	// tier's counters (zero unless the server runs with -cache).
-	CacheHits      int64
-	CacheMisses    int64
-	CacheEvictions int64
-	// Per-op-class latency summaries (nanoseconds), recorded around the
-	// store calls in the conn handler. LatRMW stays zero on the wire
-	// today — the protocol has no RMW frame — but the slot keeps the
-	// class set uniform across server, client, and core reporting.
-	LatGet      latency.Snapshot
-	LatGetBatch latency.Snapshot
-	LatPut      latency.Snapshot
-	LatPutBatch latency.Snapshot
-	LatRMW      latency.Snapshot
-	// ReplicaLag is how far this model's replication stream trails its
-	// primary, in write events (primary head − last applied sequence). Zero
-	// on primaries and non-clustered servers. The cluster router reads it to
-	// decide whether an SSP read may be served from this replica:
-	// hotcache.Admissible(bound, ReplicaLag).
-	ReplicaLag int64
-}
-
-// latFields appends one latency summary's fields in wire order.
-func latFields(dst []*int64, s *latency.Snapshot) []*int64 {
-	return append(dst, &s.Count, &s.Sum, &s.Max, &s.P50, &s.P90, &s.P99, &s.P999)
-}
-
-// statsFields lists the counters in wire order. Appending new counters at
-// the end keeps old readers working: the response carries its own field
-// count and each side reads the prefix both understand. (GroupCommits and
-// FlushPaceStalls arrived after the latency block, so they sit at the tail
-// even though their struct fields live in the engine snapshot.)
-func statsFields(s *ModelStats) []*int64 {
-	fields := []*int64{
-		&s.Gets, &s.Puts, &s.RMWs, &s.Deletes, &s.MemHits, &s.DiskReads,
-		&s.InPlaceUpdates, &s.RCUAppends, &s.PrefetchCopies,
-		&s.AbandonedAppends, &s.StalenessWaits, &s.FlushedPages,
-		&s.BytesFlushed,
-		&s.BatchGets, &s.BatchPuts, &s.LookaheadFrames, &s.ActiveSessions,
-		&s.CacheHits, &s.CacheMisses, &s.CacheEvictions,
-	}
-	for _, l := range []*latency.Snapshot{
-		&s.LatGet, &s.LatGetBatch, &s.LatPut, &s.LatPutBatch, &s.LatRMW,
-	} {
-		fields = latFields(fields, l)
-	}
-	return append(fields, &s.GroupCommits, &s.FlushPaceStalls, &s.ReplicaLag)
-}
-
-// EncodeStatsResp builds a STATS response: uint32 field count | count
-// int64 counters in statsFields order.
-func EncodeStatsResp(s ModelStats) []byte {
-	fields := statsFields(&s)
-	p := make([]byte, 4+8*len(fields))
-	binary.LittleEndian.PutUint32(p, uint32(len(fields)))
-	for i, f := range fields {
-		binary.LittleEndian.PutUint64(p[4+8*i:], uint64(*f))
-	}
-	return p
-}
-
-// DecodeStatsResp parses a STATS response, reading the field prefix both
-// sides understand: a server that reports more trailing counters than this
-// client knows is fine (the extras are skipped), and a server predating
-// the newest tail counters leaves them zero instead of failing the call.
-func DecodeStatsResp(p []byte) (ModelStats, error) {
-	var s ModelStats
-	if len(p) < 4 {
-		return s, fmt.Errorf("%w: STATS response wants >= 4 bytes, got %d", ErrShortPayload, len(p))
-	}
-	n := int(binary.LittleEndian.Uint32(p))
-	if len(p) != 4+8*n {
-		return s, fmt.Errorf("%w: %d-field STATS response wants %d bytes, got %d", ErrShortPayload, n, 4+8*n, len(p))
-	}
-	fields := statsFields(&s)
-	if n < len(fields) {
-		fields = fields[:n]
-	}
-	for i, f := range fields {
-		*f = int64(binary.LittleEndian.Uint64(p[4+8*i:]))
-	}
-	return s, nil
 }
 
 // Replication write kinds carried in a REPLWRITE frame.

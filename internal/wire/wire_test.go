@@ -6,7 +6,7 @@ import (
 	"io"
 	"testing"
 
-	"github.com/llm-db/mlkv-go/internal/faster"
+	"github.com/llm-db/mlkv-go/internal/stats"
 	"github.com/llm-db/mlkv-go/internal/util"
 )
 
@@ -136,8 +136,8 @@ func TestPayloadRoundTrips(t *testing.T) {
 	if _, _, _, b, _, err := DecodeOpen(mustEncodeOpen(t, "m", 8, 0, BoundUnset, "")); err != nil || b != BoundUnset {
 		t.Fatalf("open unset bound: %d %v", b, err)
 	}
-	// The engine extension survives a round trip for every engine, and an
-	// engine-less frame stays byte-identical to the pre-engine layout.
+	// The engine byte survives a round trip for every engine, and an
+	// unknown code is refused on both sides.
 	for _, wantEng := range []string{"faster", "lsm", "bptree"} {
 		id, _, _, _, eng, err := DecodeOpen(mustEncodeOpen(t, "m-1", 8, 2, 4, wantEng))
 		if err != nil || id != "m-1" || eng != wantEng {
@@ -147,9 +147,10 @@ func TestPayloadRoundTrips(t *testing.T) {
 	if _, err := EncodeOpen("m", 8, 0, 4, "rocksdb"); err == nil {
 		t.Fatal("EncodeOpen accepted unknown engine")
 	}
-	plain := mustEncodeOpen(t, "m", 8, 2, 4, "")
-	if len(plain) != 16+1 {
-		t.Fatalf("engine-less OPEN grew to %d bytes (must stay v2-identical)", len(plain))
+	bad := mustEncodeOpen(t, "m", 8, 2, 4, "lsm")
+	bad[16] = 0xFF
+	if _, _, _, _, _, err := DecodeOpen(bad); err == nil {
+		t.Fatal("DecodeOpen accepted unknown engine code")
 	}
 	oh, odim, osh, ob, oname, err := DecodeOpenResp(EncodeOpenResp(3, 16, 4, -1, "mlkv"))
 	if err != nil || oh != 3 || odim != 16 || osh != 4 || ob != -1 || oname != "mlkv" {
@@ -224,17 +225,6 @@ func TestPayloadRoundTrips(t *testing.T) {
 	if v, err := DecodeUint32(EncodeUint32(77)); err != nil || v != 77 {
 		t.Fatalf("uint32: %d %v", v, err)
 	}
-
-	snap := ModelStats{StatsSnapshot: faster.StatsSnapshot{
-		Gets: 1, Puts: 2, RMWs: 3, Deletes: 4,
-		MemHits: 5, DiskReads: 6, InPlaceUpdates: 7, RCUAppends: 8,
-		PrefetchCopies: 9, AbandonedAppends: 10, StalenessWaits: 11,
-		FlushedPages: 12, BytesFlushed: 13},
-		BatchGets: 14, BatchPuts: 15, LookaheadFrames: 16, ActiveSessions: 17}
-	got, err := DecodeStatsResp(EncodeStatsResp(snap))
-	if err != nil || got != snap {
-		t.Fatalf("stats: %+v %v", got, err)
-	}
 }
 
 // mustEncodeOpen is EncodeOpen for known-good engines in tests.
@@ -255,7 +245,7 @@ func TestDecodeRejectsTruncation(t *testing.T) {
 	vals := bytes.Repeat([]byte{9}, 3*vs)
 	found := []bool{true, false, true}
 	// Variable-length string tails: a shorter tail is still a valid payload.
-	varTail := map[string]int{"helloResp": 4, "open": 16, "openEngine": 18, "openResp": 20}
+	varTail := map[string]int{"helloResp": 4, "open": 17, "openEngine": 17, "openResp": 20}
 	cases := []struct {
 		name    string
 		payload []byte
@@ -281,7 +271,7 @@ func TestDecodeRejectsTruncation(t *testing.T) {
 			return DecodeGetBatchResp(p, vs, make([]bool, 3), make([]byte, 3*vs))
 		}},
 		{"uint32", EncodeUint32(9), func(p []byte) error { _, err := DecodeUint32(p); return err }},
-		{"stats", EncodeStatsResp(ModelStats{BatchGets: 1}), func(p []byte) error { _, err := DecodeStatsResp(p); return err }},
+		{"stats", stats.Counters{BatchGets: 1}.Encode(), func(p []byte) error { _, err := stats.Decode(p); return err }},
 	}
 	for _, tc := range cases {
 		if err := tc.decode(tc.payload); err != nil {

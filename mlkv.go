@@ -45,6 +45,7 @@ import (
 	"github.com/llm-db/mlkv-go/internal/core"
 	"github.com/llm-db/mlkv-go/internal/driver"
 	"github.com/llm-db/mlkv-go/internal/latency"
+	"github.com/llm-db/mlkv-go/internal/stats"
 )
 
 // Staleness bounds with paper-aligned names (§III-C1).
@@ -498,7 +499,7 @@ type LatencySummary struct {
 	Max   time.Duration
 }
 
-// summaryOf converts the driver's nanosecond snapshot to the public type.
+// summaryOf converts a nanosecond snapshot to the public type.
 func summaryOf(s latency.Snapshot) LatencySummary {
 	return LatencySummary{
 		Count: s.Count,
@@ -525,6 +526,13 @@ func (m *Model) StatsCtx(ctx context.Context) (Stats, error) {
 	if err != nil {
 		return Stats{}, err
 	}
+	return statsOf(s), nil
+}
+
+// statsOf is the one conversion of the internal counter record: every
+// Stats field is the same-named stats.Counters field, latency nanoseconds
+// becoming time.Duration.
+func statsOf(s stats.Counters) Stats {
 	return Stats{
 		Gets: s.Gets, Puts: s.Puts, RMWs: s.RMWs, Deletes: s.Deletes,
 		DiskReads: s.DiskReads, MemHits: s.MemHits,
@@ -535,9 +543,9 @@ func (m *Model) StatsCtx(ctx context.Context) (Stats, error) {
 		LookaheadCalls: s.LookaheadCalls,
 		CacheHits:      s.CacheHits, CacheMisses: s.CacheMisses,
 		CacheEvictions: s.CacheEvictions,
-		FlushedPages: s.FlushedPages, BytesFlushed: s.BytesFlushed,
+		FlushedPages:   s.FlushedPages, BytesFlushed: s.BytesFlushed,
 		GroupCommits: s.GroupCommits, FlushPaceStalls: s.FlushPaceStalls,
-		HedgedReads:  s.HedgedReads, HedgeWins: s.HedgeWins,
+		HedgedReads: s.HedgedReads, HedgeWins: s.HedgeWins,
 		HedgeWasted: s.HedgeWasted, HedgeSuppressed: s.HedgeSuppressed,
 		ClusterNodes: s.ClusterNodes, ClusterEpoch: s.ClusterEpoch,
 		ClusterRedirects: s.ClusterRedirects, ReplicaReads: s.ReplicaReads,
@@ -545,15 +553,15 @@ func (m *Model) StatsCtx(ctx context.Context) (Stats, error) {
 		LatGet: summaryOf(s.LatGet), LatGetBatch: summaryOf(s.LatGetBatch),
 		LatPut: summaryOf(s.LatPut), LatPutBatch: summaryOf(s.LatPutBatch),
 		LatRMW: summaryOf(s.LatRMW),
-	}, nil
+	}
 }
 
 // ActiveSessions reports how many sessions are currently open on the
 // model (serving front-ends use it to track drains and load). On a remote
 // model it is the server's count across every client, fetched best effort.
 func (m *Model) ActiveSessions() int64 {
-	n, _ := m.m.ActiveSessions(context.Background())
-	return n
+	s, _ := m.m.Stats(context.Background())
+	return s.ActiveSessions
 }
 
 // Close releases the model (and, for a model opened with the package-level
