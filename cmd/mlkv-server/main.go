@@ -65,18 +65,18 @@ import (
 
 func main() {
 	var (
-		addr      = flag.String("addr", "127.0.0.1:7070", "TCP listen address")
-		debugAddr = flag.String("debug-addr", "", "optional HTTP listen address for expvar (/debug/vars, incl. mlkv_latency percentiles) and pprof (/debug/pprof/)")
-		dir       = flag.String("dir", "", "data directory, one subdirectory per model (default: temp, deleted on exit)")
-		shards    = flag.Int("shards", 1, "default hash partitions per model (an OPEN may request its own)")
-		bufferMB  = flag.Int("buffer-mb", 64, "per-model in-memory buffer budget (total, split across its shards)")
-		records   = flag.Uint64("records", 1<<20, "expected key count per model (sizes the hash indexes)")
-		engine    = flag.String("engine", "mlkv", "default storage engine for new models (mlkv|faster|lsm|bptree); faster is the hybrid log with the clock off")
-		staleness = flag.Int64("staleness", -2, "default staleness bound for new models: -2=asp (never blocks, default), 0=bsp, n>0=ssp")
-		cache     = flag.Int("cache", 0, "per-model server-side hot-tier capacity in entries (0 disables); cached reads are served only within each model's staleness bound")
-		sync      = flag.Bool("sync", false, "fsync every flushed log page; also checkpoint all models on shutdown")
-		flushPace = flag.Duration("flush-pace", 0, "minimum gap between background flush writes per model shard, smearing flush bursts away from the read tail (0 = unpaced); adjacent frozen pages still merge into group-commit writes")
-		drainSecs = flag.Int("drain-timeout", 10, "seconds to wait for connections to drain on shutdown")
+		addr         = flag.String("addr", "127.0.0.1:7070", "TCP listen address")
+		debugAddr    = flag.String("debug-addr", "", "optional HTTP listen address for expvar (/debug/vars, incl. mlkv_latency percentiles) and pprof (/debug/pprof/)")
+		dir          = flag.String("dir", "", "data directory, one subdirectory per model (default: temp, deleted on exit)")
+		shards       = flag.Int("shards", 1, "default hash partitions per model (an OPEN may request its own)")
+		bufferMB     = flag.Int("buffer-mb", 64, "per-model in-memory buffer budget (total, split across its shards)")
+		records      = flag.Uint64("records", 1<<20, "expected key count per model (sizes the hash indexes)")
+		engine       = flag.String("engine", "mlkv", "default storage engine for new models (mlkv|faster|lsm|bptree); faster is the hybrid log with the clock off")
+		staleness    = flag.Int64("staleness", -2, "default staleness bound for new models: -2=asp (never blocks, default), 0=bsp, n>0=ssp")
+		cache        = flag.Int("cache", 0, "per-model server-side hot-tier capacity in entries (0 disables); cached reads are served only within each model's staleness bound")
+		sync         = flag.Bool("sync", false, "fsync every flushed log page; also checkpoint all models on shutdown")
+		flushPace    = flag.Duration("flush-pace", 0, "minimum gap between background flush writes per model shard, smearing flush bursts away from the read tail (0 = unpaced); adjacent frozen pages still merge into group-commit writes")
+		drainSecs    = flag.Int("drain-timeout", 10, "seconds to wait for connections to drain on shutdown")
 		clusterID    = flag.String("cluster", "", "run as one node of a cluster, with this node id; clients connect with mlkv://host1,host2,... and route by hash range")
 		joinAddr     = flag.String("join", "", "host:port of any existing cluster node to join through (requires -cluster); omitted, this node seeds a new cluster")
 		replicaOf    = flag.String("replica-of", "", "serve as a read replica of the named primary node instead of owning ranges (requires -cluster and -join)")

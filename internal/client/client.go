@@ -37,6 +37,10 @@ import (
 	"github.com/llm-db/mlkv-go/internal/wire"
 )
 
+// maxKeysPerFrame splits larger batches into multiple frames; it must stay
+// within wire.MaxBatchKeys.
+const maxKeysPerFrame = 4096
+
 // Options configures Dial.
 type Options struct {
 	// Conns is the pool size (default 2). Each server connection is
@@ -50,9 +54,6 @@ type Options struct {
 	MaxFrame uint32
 	// DialTimeout bounds each TCP connect (default 5s).
 	DialTimeout time.Duration
-	// MaxKeysPerFrame splits larger batches into multiple frames (default
-	// 4096, capped at wire.MaxBatchKeys).
-	MaxKeysPerFrame int
 	// HedgeDelay, when positive, re-issues an admissible read (GET or
 	// GETBATCH on a model whose staleness bound cannot block) as a
 	// clock-free duplicate on a second pooled connection if the first
@@ -235,9 +236,6 @@ func Dial(addr string, opts Options) (*Client, error) {
 	}
 	if opts.DialTimeout == 0 {
 		opts.DialTimeout = 5 * time.Second
-	}
-	if opts.MaxKeysPerFrame <= 0 || opts.MaxKeysPerFrame > wire.MaxBatchKeys {
-		opts.MaxKeysPerFrame = 4096
 	}
 	c := &Client{opts: opts, addr: addr}
 	c.hedgeCredit.Store(hedgeBurstTenths) // start with a full burst banked
@@ -849,10 +847,7 @@ func (s *Session) LookaheadCtx(ctx context.Context, keys []uint64) (int, error) 
 	}
 	total := 0
 	for len(keys) > 0 {
-		chunk := keys
-		if len(chunk) > s.m.c.opts.MaxKeysPerFrame {
-			chunk = chunk[:s.m.c.opts.MaxKeysPerFrame]
-		}
+		chunk := keys[:min(len(keys), maxKeysPerFrame)]
 		keys = keys[len(chunk):]
 		s.enc = wire.AppendKeys(s.enc[:0], s.m.handle, chunk)
 		p, err := s.cn.roundTripCtx(ctx, wire.OpLookahead, s.enc)
@@ -869,7 +864,7 @@ func (s *Session) LookaheadCtx(ctx context.Context, keys []uint64) (int, error) 
 	return total, nil
 }
 
-// GetBatch ships one frame per MaxKeysPerFrame chunk, each fanned into the
+// GetBatch ships one frame per maxKeysPerFrame chunk, each fanned into the
 // server's sharded store as a single batched read.
 func (s *Session) GetBatch(keys []uint64, vals []byte, found []bool) error {
 	return s.GetBatchCtx(context.Background(), keys, vals, found)
@@ -884,10 +879,7 @@ func (s *Session) GetBatchCtx(ctx context.Context, keys []uint64, vals []byte, f
 	}
 	vs := s.vs
 	for len(keys) > 0 {
-		n := len(keys)
-		if n > s.m.c.opts.MaxKeysPerFrame {
-			n = s.m.c.opts.MaxKeysPerFrame
-		}
+		n := min(len(keys), maxKeysPerFrame)
 		s.enc = wire.AppendGetBatch(s.enc[:0], s.m.handle, waitMsFrom(ctx), keys[:n])
 		var p []byte
 		var err error
@@ -917,7 +909,7 @@ func (s *Session) GetBatchCtx(ctx context.Context, keys []uint64, vals []byte, f
 	return nil
 }
 
-// PutBatch ships one frame per MaxKeysPerFrame chunk.
+// PutBatch ships one frame per maxKeysPerFrame chunk.
 func (s *Session) PutBatch(keys []uint64, vals []byte) error {
 	return s.PutBatchCtx(context.Background(), keys, vals)
 }
@@ -929,10 +921,7 @@ func (s *Session) PutBatchCtx(ctx context.Context, keys []uint64, vals []byte) e
 	}
 	vs := s.vs
 	for len(keys) > 0 {
-		n := len(keys)
-		if n > s.m.c.opts.MaxKeysPerFrame {
-			n = s.m.c.opts.MaxKeysPerFrame
-		}
+		n := min(len(keys), maxKeysPerFrame)
 		s.enc = wire.AppendPutBatch(s.enc[:0], s.m.handle, keys[:n], vals[:n*vs])
 		p, err := s.cn.roundTripCtx(ctx, wire.OpPutBatch, s.enc)
 		s.cn.release(p)
@@ -976,10 +965,7 @@ func (s *Session) PeekBatchCtx(ctx context.Context, keys []uint64, vals []byte, 
 	}
 	vs := s.vs
 	for len(keys) > 0 {
-		n := len(keys)
-		if n > s.m.c.opts.MaxKeysPerFrame {
-			n = s.m.c.opts.MaxKeysPerFrame
-		}
+		n := min(len(keys), maxKeysPerFrame)
 		s.enc = wire.AppendKeys(s.enc[:0], s.m.handle, keys[:n])
 		p, err := s.cn.roundTripCtx(ctx, wire.OpPeekBatch, s.enc)
 		if err != nil {

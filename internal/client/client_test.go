@@ -559,27 +559,24 @@ func (c *countingConn) Write(p []byte) (int, error) {
 	return c.Conn.Write(p)
 }
 
-// TestCoalescedClientWrites pins the tentpole write-path property against
-// the real server: 64 concurrent pipelined requests on one connection
-// coalesce their flushes — the connection sees far fewer Write calls than
-// requests, instead of one flush per request.
-func TestCoalescedClientWrites(t *testing.T) {
-	const dim = 4
-	const requests = 64
+// startRealServer serves a lazily-opening registry (clock-free hybrid log,
+// one shard) on loopback for the tests that need the real server behind
+// the pool, and returns its address.
+func startRealServer(t *testing.T) string {
+	t.Helper()
 	dir := t.TempDir()
 	reg := server.NewRegistry(server.RegistryConfig{
 		DefaultShards: 1,
 		DefaultBound:  -1,
-		Name:          "coalesce-test",
+		Name:          "client-test",
 		Opener: func(id string, dim, shards int, bound int64, engine string) (kv.Store, error) {
 			return kv.OpenEngine(engine, kv.ShardedConfig{
 				Dir: filepath.Join(dir, id), Shards: shards, ValueSize: dim * 4,
 				RecordsPerPage: 64, MemoryBytes: 1 << 20, ExpectedKeys: 1 << 12,
 				StalenessBound: bound,
-			}, "coalesce-test")
+			}, "client-test")
 		},
 	})
-	defer reg.Close()
 	srv := server.New(server.Config{Registry: reg})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -587,15 +584,27 @@ func TestCoalescedClientWrites(t *testing.T) {
 	}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
-	defer func() {
+	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
 		srv.Shutdown(ctx)
 		<-serveErr
-	}()
+		reg.Close()
+	})
+	return ln.Addr().String()
+}
+
+// TestCoalescedClientWrites pins the tentpole write-path property against
+// the real server: 64 concurrent pipelined requests on one connection
+// coalesce their flushes — the connection sees far fewer Write calls than
+// requests, instead of one flush per request.
+func TestCoalescedClientWrites(t *testing.T) {
+	const dim = 4
+	const requests = 64
+	addr := startRealServer(t)
 
 	var writes atomic.Int64
-	cl, err := Dial(ln.Addr().String(), Options{
+	cl, err := Dial(addr, Options{
 		Conns: 1,
 		dial: func(addr string, timeout time.Duration) (net.Conn, error) {
 			nc, err := net.DialTimeout("tcp", addr, timeout)
@@ -667,4 +676,54 @@ func hedgeStats(cl *Client) hedges {
 	var c stats.Counters
 	cl.AddCounters(&c)
 	return hedges{c.HedgedReads, c.HedgeWins, c.HedgeWasted, c.HedgeSuppressed}
+}
+
+// TestBatchesSplitAtMaxKeysPerFrame pins the chunking maxKeysPerFrame
+// governs: a batch one key past a frame's worth and then some crosses the
+// wire as two frames — counted server-side — and still round-trips whole.
+func TestBatchesSplitAtMaxKeysPerFrame(t *testing.T) {
+	const dim, n = 2, 5000
+	if n <= maxKeysPerFrame || n > 2*maxKeysPerFrame {
+		t.Fatalf("%d keys no longer split into exactly two frames of %d", n, maxKeysPerFrame)
+	}
+	cl, err := Dial(startRealServer(t), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	ctx := context.Background()
+	m, err := cl.OpenModel(ctx, OpenSpec{ID: "chunks", Dim: dim, Bound: wire.BoundUnset})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := m.NewSessionCtx(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+
+	keys, vals := make([]uint64, n), make([]byte, 0, n*dim*4)
+	for i := range keys {
+		keys[i] = uint64(i) * 7
+		vals = append(vals, fakeVal(dim, keys[i])...)
+	}
+	if err := s.PutBatchCtx(ctx, keys, vals); err != nil {
+		t.Fatal(err)
+	}
+	got, found := make([]byte, len(vals)), make([]bool, n)
+	if err := s.GetBatchCtx(ctx, keys, got, found); err != nil {
+		t.Fatal(err)
+	}
+	checkBatchVals(t, keys, got, found, dim*4)
+	if _, err := s.LookaheadCtx(ctx, keys); err != nil {
+		t.Fatal(err)
+	}
+	st, err := m.StatsCtx(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.BatchPuts != 2 || st.BatchGets != 2 || st.LookaheadCalls != 2 {
+		t.Fatalf("server saw %d PUTBATCH, %d GETBATCH, %d LOOKAHEAD frames for %d keys, want 2 each",
+			st.BatchPuts, st.BatchGets, st.LookaheadCalls, n)
+	}
 }

@@ -8,7 +8,7 @@
 //     CLUSTERMAP/CLUSTERJOIN/CLUSTERSYNC frames, rejects data ops for keys
 //     it does not own with a NOT_OWNER redirect carrying the map, and (on
 //     primaries) streams writes to its replicas.
-//   - Router: the client side. It lifts internal/core's shard fan-out one
+//   - Router: the client side. It lifts internal/kv's shard fan-out one
 //     level up — per-server key groups, parallel batch fan-out with the
 //     blocking-bound serial gate — and routes reads by staleness bound:
 //     ASP reads may hit any replica, BSP must hit the primary, SSP hits a

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -17,7 +18,7 @@ import (
 )
 
 // Router is the client side of the cluster: one connection pool per node,
-// a cached Map, and routing that lifts internal/core's shard fan-out one
+// a cached Map, and routing that lifts internal/kv's shard fan-out one
 // level up — group keys by owning server, fan batches out in parallel,
 // keep the blocking-bound serial gate. Reads are staleness-bound-aware
 // when RouterOptions.ReadReplicas is set: ASP reads may hit any replica,
@@ -49,10 +50,11 @@ type RouterOptions struct {
 	// ReadReplicas routes admissible reads to replicas; off, every
 	// operation goes to owning primaries.
 	ReadReplicas bool
-	// LagRefresh is how long a replica's advertised lag is trusted before
-	// the router re-fetches it (default 100ms). Only SSP reads consult lag.
-	LagRefresh time.Duration
 }
+
+// lagRefresh is how long a replica's advertised lag is trusted before the
+// router re-fetches it. Only SSP reads consult lag.
+const lagRefresh = 100 * time.Millisecond
 
 // maxRedirects bounds NOT_OWNER retries per operation: each retry adopts
 // the redirecting server's map, so more than a few means the topology is
@@ -87,19 +89,18 @@ func transportFailure(err error) bool {
 		errors.Is(err, errNoOwner) {
 		return false
 	}
-	var noe *client.NotOwnerError
-	if errors.As(err, &noe) {
-		return false
-	}
 	var se *client.ServerError
-	return !errors.As(err, &se)
+	return !notOwner(err) && !errors.As(err, &se)
+}
+
+// notOwner reports whether err is a NOT_OWNER redirect.
+func notOwner(err error) bool {
+	var noe *client.NotOwnerError
+	return errors.As(err, &noe)
 }
 
 // NewRouter wraps an already-dialed seed pool and the map it served.
 func NewRouter(m *Map, seedAddr string, seed *client.Client, opts RouterOptions) *Router {
-	if opts.LagRefresh <= 0 {
-		opts.LagRefresh = 100 * time.Millisecond
-	}
 	r := &Router{opts: opts, pools: map[string]*client.Client{seedAddr: seed}}
 	r.cur.Store(m.Clone())
 	return r
@@ -246,13 +247,14 @@ func (r *Router) finalize(err error, retries int) error {
 }
 
 // redirected handles one operation error: if it is a NOT_OWNER redirect
-// and the attempt budget allows, the attached map is adopted and the
-// caller should retry. Anything else is final.
-func (r *Router) redirected(err error, attempt int) bool {
+// and the operation has followed fewer than maxRedirects, the attached map
+// is adopted and the caller should retry. Anything else is final.
+func (r *Router) redirected(err error, redirects *int) bool {
 	var noe *client.NotOwnerError
-	if !errors.As(err, &noe) || attempt >= maxRedirects {
+	if !errors.As(err, &noe) || *redirects >= maxRedirects {
 		return false
 	}
+	*redirects++
 	r.adopt(noe.Map)
 	r.redirects.Add(1)
 	return true
@@ -294,6 +296,10 @@ type RModel struct {
 	bound  atomic.Int64
 	once   sync.Once // latches geometry from the first successful open
 }
+
+// lagUnknown is the lag of a replica that has not (or cannot be) asked:
+// infinite, so no finite bound admits it.
+const lagUnknown = int64(math.MaxInt64)
 
 // lagEntry caches one replica's advertised lag between refreshes.
 type lagEntry struct {
@@ -403,35 +409,33 @@ func (m *RModel) StatsCtx(ctx context.Context) (stats.Counters, error) {
 }
 
 // lagOf returns one replica's advertised replication lag, refreshed at
-// most every LagRefresh. Unreachable replicas report an infinite lag, so
+// most every lagRefresh. Unreachable replicas report an infinite lag, so
 // admissibility holds them out of rotation instead of guessing.
 func (m *RModel) lagOf(ctx context.Context, rep *Node) int64 {
 	m.mu.Lock()
 	e := m.lags[rep.ID]
 	if e == nil {
 		e = &lagEntry{}
-		e.lag.Store(int64(^uint64(0) >> 1)) // unknown = infinite until fetched
+		e.lag.Store(lagUnknown)
 		m.lags[rep.ID] = e
 	}
 	m.mu.Unlock()
 	now := time.Now().UnixNano()
 	last := e.at.Load()
-	if last != 0 && now-last < int64(m.r.opts.LagRefresh) {
+	if last != 0 && now-last < int64(lagRefresh) {
 		return e.lag.Load()
 	}
 	if !e.at.CompareAndSwap(last, now) {
 		return e.lag.Load() // someone else is refreshing
 	}
-	cm, err := m.model(ctx, rep)
-	if err != nil {
-		return e.lag.Load()
+	lag := lagUnknown // a replica that cannot say is held out of rotation
+	if cm, err := m.model(ctx, rep); err == nil {
+		if s, err := cm.StatsCtx(ctx); err == nil {
+			lag = s.ReplicaLag
+		}
 	}
-	s, err := cm.StatsCtx(ctx)
-	if err != nil {
-		return e.lag.Load()
-	}
-	e.lag.Store(s.ReplicaLag)
-	return s.ReplicaLag
+	e.lag.Store(lag)
+	return lag
 }
 
 // replicaAdmissible decides whether a read under bound may be served by

@@ -44,13 +44,26 @@ type Initializer func(key uint64, dst []float32)
 // UniformInit returns an Initializer drawing i.i.d. values from
 // [-scale, scale), seeded per key so initialization is deterministic.
 func UniformInit(scale float32, seed uint64) Initializer {
-	return func(key uint64, dst []float32) {
-		r := util.NewRNG(util.Mix64(key) ^ seed)
-		for i := range dst {
-			dst[i] = (r.Float32()*2 - 1) * scale
-		}
+	return uniformInit{scale, seed}.fill
+}
+
+// uniformInit is a method value rather than a closure: when UniformInit
+// inlines into its caller the compiler copies a closure's body without
+// inlining the calls inside it, which heap-allocated the RNG on every key.
+type uniformInit struct {
+	scale float32
+	seed  uint64
+}
+
+func (u uniformInit) fill(key uint64, dst []float32) {
+	r := util.NewRNG(util.Mix64(key) ^ u.seed)
+	for i := range dst {
+		dst[i] = (r.Float32()*2 - 1) * u.scale
 	}
 }
+
+// prefetchQueue is the Lookahead queue capacity; hints beyond it drop.
+const prefetchQueue = 4096
 
 // Options configures a Table.
 type Options struct {
@@ -81,8 +94,6 @@ type Options struct {
 	ExpectedKeys uint64
 	// PrefetchWorkers is the Lookahead pool size. Default 2.
 	PrefetchWorkers int
-	// PrefetchQueue is the Lookahead queue capacity. Default 4096.
-	PrefetchQueue int
 	// CacheEntries attaches a staleness-aware hot tier (a table-owned
 	// Cache) of this capacity in front of the read path: Get/GetBatch
 	// consult it before the store and serve a hit only within the staleness
@@ -99,13 +110,6 @@ type Options struct {
 	// flush burst is smeared instead of stalling concurrent reads (see
 	// faster.Config.FlushPace). Zero disables pacing.
 	FlushPace time.Duration
-	// TrackLatency attaches per-op-class latency histograms to the table:
-	// session Get/GetBatch/Put/PutBatch/ApplyGradient record their wall
-	// time (wait-free, no allocation) and Stats reports the
-	// percentile summaries. Off by default for direct core users; the
-	// public-API local driver turns it on so both drivers expose the same
-	// latency fields.
-	TrackLatency bool
 }
 
 // Table is one embedding table over a sharded engine store. It is safe for
@@ -134,9 +138,9 @@ type Table struct {
 	batchPuts       atomic.Int64
 	lookaheadCalls  atomic.Int64
 
-	// lat is the optional per-op-class histogram set (Options.TrackLatency);
-	// nil when tracking is off, so the hot path pays one nil check.
-	lat *latency.OpSet
+	// lat times session Get/GetBatch/Put/PutBatch/ApplyGradient per op
+	// class (wait-free, no allocation); Stats reports the summaries.
+	lat latency.OpSet
 }
 
 // OpenTable creates or recovers an embedding table.
@@ -159,9 +163,6 @@ func OpenTable(opts Options) (*Table, error) {
 	}
 	if opts.PrefetchWorkers == 0 {
 		opts.PrefetchWorkers = 2
-	}
-	if opts.PrefetchQueue == 0 {
-		opts.PrefetchQueue = 4096
 	}
 	if opts.RecordsPerPage == 0 {
 		opts.RecordsPerPage = 1024
@@ -186,15 +187,12 @@ func OpenTable(opts Options) (*Table, error) {
 		dim:          opts.Dim,
 		vs:           opts.Dim * 4,
 		init:         opts.Init,
-		prefetchCh:   make(chan uint64, opts.PrefetchQueue),
+		prefetchCh:   make(chan uint64, prefetchQueue),
 		prefetchStop: make(chan struct{}),
 		prefetchDone: make(chan struct{}),
 	}
 	if opts.CacheEntries > 0 {
 		t.cache = NewCache(opts.CacheEntries, opts.Dim)
-	}
-	if opts.TrackLatency {
-		t.lat = new(latency.OpSet)
 	}
 	go t.prefetchPool(opts.PrefetchWorkers)
 	return t, nil
@@ -251,8 +249,7 @@ func (t *Table) Close() error {
 // Stats returns the table's counters: the store's (the engine's, summed
 // across shards) plus the ones that exist only above it — batch and
 // Lookahead calls, dropped prefetch hints, the session gauge, the hot tier
-// and, with Options.TrackLatency, the per-op-class latency summaries
-// (LatRMW covers ApplyGradient).
+// and the per-op-class latency summaries (LatRMW covers ApplyGradient).
 func (t *Table) Stats() stats.Counters {
 	c := t.store.Stats()
 	c.BatchGets = t.batchGets.Load()
@@ -263,9 +260,7 @@ func (t *Table) Stats() stats.Counters {
 	if t.cache != nil {
 		t.cache.Stats().AddTo(&c)
 	}
-	if t.lat != nil {
-		c.SetLatency(t.lat)
-	}
+	c.SetLatency(&t.lat)
 	return c
 }
 
@@ -302,11 +297,12 @@ type Session struct {
 	t *Table
 	s kv.Session
 
-	buf      []byte   // one value, scalar-path staging
-	bbuf     []byte   // batch staging, grown on demand
-	found    []bool   // batch presence flags
-	missIdx  []int    // hot-tier miss positions of a batch
-	missKeys []uint64 // their keys, compacted in caller order
+	buf      []byte    // one value, scalar-path staging
+	ibuf     []float32 // first-touch initializer staging
+	bbuf     []byte    // batch staging, grown on demand
+	found    []bool    // batch presence flags
+	missIdx  []int     // hot-tier miss positions of a batch
+	missKeys []uint64  // their keys, compacted in caller order
 	closed   bool
 }
 
@@ -344,11 +340,9 @@ func (s *Session) GetCtx(ctx context.Context, key uint64, dst []float32) error {
 	if len(dst) != s.t.dim {
 		return fmt.Errorf("core: dst length %d != dim %d", len(dst), s.t.dim)
 	}
-	if s.t.lat != nil {
-		// Deferred with the start time evaluated here: records on every
-		// return path, including a read stalled on the staleness bound.
-		defer s.t.lat.Since(latency.OpGet, time.Now())
-	}
+	// Deferred with the start time evaluated here: records on every return
+	// path, including a read stalled on the staleness bound.
+	defer s.t.lat.Since(latency.OpGet, time.Now())
 	c := s.t.cache
 	bound := int64(BoundBSP)
 	if c != nil {
@@ -399,9 +393,10 @@ func (s *Session) initKey(key uint64) error {
 		if exists || s.t.init == nil {
 			return
 		}
-		tmp := make([]float32, s.t.dim)
-		s.t.init(key, tmp)
-		tensor.F32sToBytes(tmp, cur)
+		s.ibuf = util.Grow(s.ibuf, s.t.dim)
+		clear(s.ibuf) // the Initializer contract: dst arrives zeroed
+		s.t.init(key, s.ibuf)
+		tensor.F32sToBytes(s.ibuf, cur)
 	})
 }
 
@@ -428,9 +423,7 @@ func (s *Session) GetBatchCtx(ctx context.Context, keys []uint64, dst []float32)
 	if len(dst) != len(keys)*s.t.dim {
 		return fmt.Errorf("core: dst length %d != %d keys × dim %d", len(dst), len(keys), s.t.dim)
 	}
-	if s.t.lat != nil {
-		defer s.t.lat.Since(latency.OpGetBatch, time.Now())
-	}
+	defer s.t.lat.Since(latency.OpGetBatch, time.Now())
 	s.t.batchGets.Add(1)
 	dim, vs := s.t.dim, s.t.vs
 	bound := s.t.store.StalenessBound()
@@ -510,9 +503,7 @@ func (s *Session) Put(key uint64, val []float32) error {
 	if len(val) != s.t.dim {
 		return fmt.Errorf("core: val length %d != dim %d", len(val), s.t.dim)
 	}
-	if s.t.lat != nil {
-		defer s.t.lat.Since(latency.OpPut, time.Now())
-	}
+	defer s.t.lat.Since(latency.OpPut, time.Now())
 	tensor.F32sToBytes(val, s.buf)
 	if err := s.s.Put(key, s.buf); err != nil {
 		return err
@@ -532,9 +523,7 @@ func (s *Session) PutBatch(keys []uint64, vals []float32) error {
 	if len(vals) != len(keys)*dim {
 		return fmt.Errorf("core: vals length %d != %d keys × dim %d", len(vals), len(keys), dim)
 	}
-	if s.t.lat != nil {
-		defer s.t.lat.Since(latency.OpPutBatch, time.Now())
-	}
+	defer s.t.lat.Since(latency.OpPutBatch, time.Now())
 	s.t.batchPuts.Add(1)
 	s.bbuf = util.Grow(s.bbuf, len(keys)*s.t.vs)
 	tensor.F32sToBytes(vals, s.bbuf)
@@ -556,9 +545,7 @@ func (s *Session) ApplyGradient(key uint64, grad []float32, lr float32) error {
 	if len(grad) != s.t.dim {
 		return fmt.Errorf("core: grad length %d != dim %d", len(grad), s.t.dim)
 	}
-	if s.t.lat != nil {
-		defer s.t.lat.Since(latency.OpRMW, time.Now())
-	}
+	defer s.t.lat.Since(latency.OpRMW, time.Now())
 	err := s.s.RMW(key, func(cur []byte, exists bool) {
 		for i := 0; i < s.t.dim; i++ {
 			v := math.Float32frombits(binary.LittleEndian.Uint32(cur[i*4:]))

@@ -382,3 +382,29 @@ func TestActiveSessions(t *testing.T) {
 		t.Fatalf("after all closes: count %d", n)
 	}
 }
+
+// TestFirstTouchGetAllocs pins the first-touch staging buffer: initializing
+// a key costs the RMW closure on top of a hit's allocations and nothing per
+// key — the initializer's float32 staging is session-owned.
+func TestFirstTouchGetAllocs(t *testing.T) {
+	tbl := testTable(t, 16, BoundDisabled)
+	s, err := tbl.NewSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	emb := make([]float32, 16)
+	get := func(key uint64) {
+		if err := s.Get(key, emb); err != nil {
+			t.Fatal(err)
+		}
+	}
+	get(1) // grows the staging buffer once
+	hit := testing.AllocsPerRun(200, func() { get(1) })
+	next := uint64(1 << 20)
+	first := testing.AllocsPerRun(200, func() { next++; get(next) })
+	t.Logf("hit %.0f allocs/op, first touch %.0f allocs/op", hit, first)
+	if first > hit+1 {
+		t.Fatalf("first-touch Get allocates %.0f/op, a hit %.0f/op: more than the closure on top", first, hit)
+	}
+}

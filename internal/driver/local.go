@@ -85,9 +85,6 @@ func (db *localDB) Open(ctx context.Context, id string, cfg Config) (Model, erro
 		CacheEntries:    cfg.CacheEntries,
 		FlushPace:       cfg.FlushPace,
 		Init:            cfg.Init,
-		// Always on through the public API: both drivers report the same
-		// latency fields in Stats, so local-vs-remote comparisons hold.
-		TrackLatency: true,
 	})
 	if err != nil {
 		return nil, err

@@ -15,6 +15,7 @@ import (
 	"github.com/llm-db/mlkv-go/internal/latency"
 	"github.com/llm-db/mlkv-go/internal/stats"
 	"github.com/llm-db/mlkv-go/internal/tensor"
+	"github.com/llm-db/mlkv-go/internal/util"
 	"github.com/llm-db/mlkv-go/internal/wire"
 )
 
@@ -473,8 +474,8 @@ func (s *remoteSession) GetBatch(ctx context.Context, keys []uint64, dst []float
 		fetch, idx = s.fetchKeys, s.cacheMiss
 	}
 	n := len(fetch)
-	s.bbuf = growSlice(s.bbuf, n*vs)
-	s.found = growSlice(s.found, n)
+	s.bbuf = util.Grow(s.bbuf, n*vs)
+	s.found = util.Grow(s.found, n)
 	if err := s.s.GetBatchCtx(ctx, fetch, s.bbuf, s.found); err != nil {
 		return err
 	}
@@ -534,7 +535,7 @@ func (s *remoteSession) PutBatch(ctx context.Context, keys []uint64, vals []floa
 		return fmt.Errorf("driver: vals length %d != %d keys × dim %d", len(vals), len(keys), dim)
 	}
 	vs := dim * 4
-	s.bbuf = growSlice(s.bbuf, len(keys)*vs)
+	s.bbuf = util.Grow(s.bbuf, len(keys)*vs)
 	tensor.F32sToBytes(vals, s.bbuf)
 	if err := s.s.PutBatchCtx(ctx, keys, s.bbuf[:len(keys)*vs]); err != nil {
 		return err
@@ -560,7 +561,7 @@ func (s *remoteSession) RMW(ctx context.Context, key uint64, grad []float32, lr 
 		return fmt.Errorf("driver: grad length %d != dim %d", len(grad), dim)
 	}
 	defer s.m.db.rmw.Since(time.Now())
-	s.rmw = growSlice(s.rmw, dim)
+	s.rmw = util.Grow(s.rmw, dim)
 	cur := s.rmw
 	if err := s.Get(ctx, key, cur); err != nil {
 		return err
@@ -601,15 +602,6 @@ func (s *remoteSession) Lookahead(keys []uint64) error {
 }
 
 func (s *remoteSession) Close() { s.s.Close() }
-
-// growSlice resizes a reusable scratch slice to n elements without
-// preserving contents (callers overwrite the whole slice).
-func growSlice[T any](b []T, n int) []T {
-	if cap(b) < n {
-		return make([]T, n)
-	}
-	return b[:n]
-}
 
 // extendBytes grows b by n bytes in place, preserving its contents —
 // the reusable replacement for appending a fresh zero slab per missing

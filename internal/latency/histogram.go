@@ -30,11 +30,11 @@ import (
 )
 
 const (
-	sigBits    = 6                 // sub-bucket resolution: 2^6 per octave
-	linBits    = sigBits + 1       // values below 2^7 are bucketed exactly
-	numLinear  = 1 << linBits      // 128 exact buckets
-	subCount   = 1 << sigBits      // 64 sub-buckets per octave
-	numOctaves = 64 - linBits      // msb 7..63
+	sigBits    = 6            // sub-bucket resolution: 2^6 per octave
+	linBits    = sigBits + 1  // values below 2^7 are bucketed exactly
+	numLinear  = 1 << linBits // 128 exact buckets
+	subCount   = 1 << sigBits // 64 sub-buckets per octave
+	numOctaves = 64 - linBits // msb 7..63
 	numBuckets = numLinear + numOctaves*subCount
 )
 

@@ -22,6 +22,7 @@ import (
 
 	"github.com/llm-db/mlkv-go/internal/kv"
 	"github.com/llm-db/mlkv-go/internal/latency"
+	"github.com/llm-db/mlkv-go/internal/util"
 	"github.com/llm-db/mlkv-go/internal/wire"
 )
 
@@ -558,12 +559,13 @@ func (s *Server) handle(st *connState, op wire.Op, p []byte) (respOp wire.Op, pa
 		// directly in the outgoing payload, one batched store call. The
 		// payload buffer is per-connection and reused across frames (the
 		// response is flushed before the next frame is read).
-		out := growBytes(cm.out, 4+n+n*cm.vs)
+		out := util.Grow(cm.out, 4+n+n*cm.vs)
 		cm.out = out
 		clear(out[4 : 4+n])
 		binary.LittleEndian.PutUint32(out, uint32(n))
 		vals := out[4+n:]
-		cm.found = grow(cm.found, n)
+		cm.found = util.Grow(cm.found, n)
+		clear(cm.found)
 		ctx, cancel := waitCtx(waitMs)
 		start := time.Now()
 		err = kv.SessionGetBatchCtx(ctx, cm.sess, cm.vs, keys, vals, cm.found)
@@ -595,7 +597,7 @@ func (s *Server) handle(st *connState, op wire.Op, p []byte) (respOp wire.Op, pa
 		n := len(keys)
 		s.batchKeys.Add(int64(n))
 		cm.m.batchGets.Add(1)
-		out := growBytes(cm.out, 4+n+n*cm.vs)
+		out := util.Grow(cm.out, 4+n+n*cm.vs)
 		cm.out = out
 		clear(out[4 : 4+n])
 		binary.LittleEndian.PutUint32(out, uint32(n))
@@ -750,22 +752,4 @@ func waitCtx(waitMs uint32) (context.Context, context.CancelFunc) {
 		return context.Background(), func() {}
 	}
 	return context.WithTimeout(context.Background(), time.Duration(waitMs)*time.Millisecond)
-}
-
-func grow(b []bool, n int) []bool {
-	if cap(b) < n {
-		return make([]bool, n)
-	}
-	b = b[:n]
-	clear(b)
-	return b
-}
-
-// growBytes resizes a reusable byte buffer to n without preserving
-// contents.
-func growBytes(b []byte, n int) []byte {
-	if cap(b) < n {
-		return make([]byte, n)
-	}
-	return b[:n]
 }
