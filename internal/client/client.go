@@ -18,14 +18,12 @@
 package client
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"net"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -979,339 +977,4 @@ func (s *Session) PeekBatchCtx(ctx context.Context, keys []uint64, vals []byte, 
 		keys, found, vals = keys[n:], found[n:], vals[n*vs:]
 	}
 	return nil
-}
-
-// conn is one pooled connection with a demultiplexing reader goroutine.
-type conn struct {
-	c   net.Conn
-	idx int // position in the owning pool (hedges pick a neighbor)
-	bw  *bufio.Writer
-	fw  *wire.FrameWriter // over bw; guarded by wmu
-
-	wmu sync.Mutex // serializes frame writes across sessions
-	// writers counts round trips between "committed to write" and "frame
-	// written": the last one out flushes, so concurrent pipelined requests
-	// coalesce into one syscall (the server's flush-on-idle pattern,
-	// mirrored client-side).
-	writers atomic.Int32
-
-	pmu     sync.Mutex
-	pending map[uint32]chan response
-	closed  bool
-	failure error
-
-	nextID atomic.Uint32
-	done   chan struct{}
-
-	// bufs recycles response payload buffers: the read loop copies each
-	// frame's payload out of its reusable frame buffer into a pooled one,
-	// and the round-trip caller releases it back after parsing. Callers
-	// that abandon a round trip simply leak their buffer to the GC.
-	bufs sync.Pool
-
-	// lat points at the owning Client's pool-wide histograms; data-op
-	// round trips record into it (nil on test-only bare conns).
-	lat *latency.OpSet
-}
-
-// broken reports whether the connection has been poisoned by a failure or
-// closed: its slot should be re-checked out, not written to.
-func (cn *conn) broken() bool {
-	cn.pmu.Lock()
-	b := cn.closed || cn.failure != nil
-	cn.pmu.Unlock()
-	return b
-}
-
-// getBuf returns a pooled buffer of length n (allocating if the pooled
-// one is too small).
-func (cn *conn) getBuf(n int) []byte {
-	if v := cn.bufs.Get(); v != nil {
-		b := *(v.(*[]byte))
-		if cap(b) >= n {
-			return b[:n]
-		}
-	}
-	return make([]byte, n)
-}
-
-// release returns a round trip's payload to the pool. Safe on nil and
-// zero-capacity slices.
-func (cn *conn) release(b []byte) {
-	if cap(b) == 0 {
-		return
-	}
-	b = b[:0]
-	cn.bufs.Put(&b)
-}
-
-type response struct {
-	op      wire.Op
-	payload []byte
-}
-
-func dialConn(addr string, opts Options, lat *latency.OpSet) (*conn, error) {
-	dial := opts.dial
-	if dial == nil {
-		dial = func(addr string, timeout time.Duration) (net.Conn, error) {
-			return net.DialTimeout("tcp", addr, timeout)
-		}
-	}
-	nc, err := dial(addr, opts.DialTimeout)
-	if err != nil {
-		return nil, err
-	}
-	if tc, ok := nc.(*net.TCPConn); ok {
-		tc.SetNoDelay(true) // latency matters more than segment count
-	}
-	cn := &conn{
-		c:       nc,
-		bw:      bufio.NewWriterSize(nc, connBufSize),
-		pending: make(map[uint32]chan response),
-		done:    make(chan struct{}),
-		lat:     lat,
-	}
-	cn.fw = wire.NewFrameWriter(cn.bw)
-	go cn.readLoop(opts.MaxFrame)
-	return cn, nil
-}
-
-const connBufSize = 64 << 10
-
-// readLoop demultiplexes responses to their waiting round trips until the
-// connection dies, then fails everything still pending.
-func (cn *conn) readLoop(maxFrame uint32) {
-	br := bufio.NewReaderSize(cn.c, connBufSize)
-	var err error
-	// One reusable frame buffer for the loop; each payload is copied into
-	// a pooled buffer before handoff, so neither side of the exchange
-	// allocates in steady state.
-	var frameBuf []byte
-	for {
-		var f wire.Frame
-		f, frameBuf, err = wire.ReadFrameBuf(br, maxFrame, frameBuf)
-		if err != nil {
-			break
-		}
-		cn.pmu.Lock()
-		ch, ok := cn.pending[f.CorrID]
-		delete(cn.pending, f.CorrID)
-		cn.pmu.Unlock()
-		if ok {
-			var p []byte
-			if len(f.Payload) > 0 {
-				p = cn.getBuf(len(f.Payload))
-				copy(p, f.Payload)
-			}
-			// Buffered (cap 1): a caller that gave up on ctx is not
-			// reading, and the response must not stall the loop.
-			ch <- response{op: f.Op, payload: p}
-		}
-	}
-	cn.pmu.Lock()
-	if cn.failure == nil {
-		cn.failure = fmt.Errorf("client: connection lost: %w", err)
-	}
-	for id, ch := range cn.pending {
-		delete(cn.pending, id)
-		close(ch)
-	}
-	cn.pmu.Unlock()
-	close(cn.done)
-}
-
-// roundTrip sends one request and blocks for its response. Concurrent
-// calls pipeline: writes interleave under wmu and the read loop routes
-// each response to its caller.
-func (cn *conn) roundTrip(op wire.Op, payload []byte) ([]byte, error) {
-	return cn.roundTripCtx(context.Background(), op, payload)
-}
-
-// roundTripCtx is roundTrip bounded by ctx: if ctx ends first the caller
-// gets ctx.Err() and the eventual response is dropped by the read loop.
-// The request itself is not retracted — the server will still process it.
-//
-// A non-empty success payload is a pooled buffer: the caller must hand it
-// back with cn.release once parsed (forgetting to merely costs the reuse).
-func (cn *conn) roundTripCtx(ctx context.Context, op wire.Op, payload []byte) ([]byte, error) {
-	cls, timed := opClass(op)
-	if !timed || cn.lat == nil {
-		return cn.doRoundTrip(ctx, op, payload)
-	}
-	start := time.Now()
-	p, err := cn.doRoundTrip(ctx, op, payload)
-	cn.lat.Since(cls, start)
-	return p, err
-}
-
-// opClass maps a request opcode to its latency class; control-plane ops
-// (HELLO, OPEN, ATTACH, STATS, ...) are not timed. PEEK shares the Get
-// histogram and DELETE the Put one, matching the server's folding.
-func opClass(op wire.Op) (latency.Op, bool) {
-	switch op {
-	case wire.OpGet, wire.OpPeek:
-		return latency.OpGet, true
-	case wire.OpGetBatch, wire.OpPeekBatch:
-		return latency.OpGetBatch, true
-	case wire.OpPut, wire.OpDelete:
-		return latency.OpPut, true
-	case wire.OpPutBatch:
-		return latency.OpPutBatch, true
-	case wire.OpLookahead:
-		// Prefetch hints ride the Get class: they contend for the same
-		// store shards and their stalls surface as read tail.
-		return latency.OpGet, true
-	}
-	return 0, false
-}
-
-func (cn *conn) doRoundTrip(ctx context.Context, op wire.Op, payload []byte) ([]byte, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	ch, err := cn.begin(op, payload)
-	if err != nil {
-		return nil, err
-	}
-	select {
-	case r, ok := <-ch:
-		return cn.finish(r, ok)
-	case <-ctx.Done():
-		// Abandon the round trip. Leave the pending entry for the read
-		// loop: the buffered channel absorbs the late response.
-		return nil, ctx.Err()
-	}
-}
-
-// begin registers a pending slot and writes the request frame; the
-// response will arrive on the returned buffered channel (closed if the
-// connection dies first). It is the send half of a round trip, split out
-// so a hedged read can have two requests in flight and wait on both.
-func (cn *conn) begin(op wire.Op, payload []byte) (chan response, error) {
-	id := cn.nextID.Add(1)
-	ch := make(chan response, 1)
-	cn.pmu.Lock()
-	if cn.closed || cn.failure != nil {
-		err := cn.failure
-		cn.pmu.Unlock()
-		if err == nil {
-			err = errors.New("client: connection closed")
-		}
-		return nil, err
-	}
-	cn.pending[id] = ch
-	cn.pmu.Unlock()
-
-	if err := cn.send(id, op, payload); err != nil {
-		cn.pmu.Lock()
-		delete(cn.pending, id)
-		cn.pmu.Unlock()
-		return nil, err
-	}
-	return ch, nil
-}
-
-// send writes one frame, flushing only when this is the last counted
-// writer: N concurrent pipelined requests coalesce into ~1 syscall.
-// Correctness of the skipped flush: the writer it yielded to has already
-// incremented the counter and will hold wmu after us, so every buffered
-// byte is flushed by whichever counted writer leaves last.
-func (cn *conn) send(id uint32, op wire.Op, payload []byte) error {
-	cn.writers.Add(1)
-	cn.wmu.Lock()
-	err := cn.fw.Write(id, op, payload)
-	if cn.writers.Add(-1) == 0 && err == nil {
-		err = cn.bw.Flush()
-	}
-	cn.wmu.Unlock()
-	if err != nil {
-		// A failed write or flush leaves the stream framing unknown (and
-		// may strand another writer's coalesced bytes); poison the
-		// connection so everything pending fails fast instead of waiting
-		// on responses that can never arrive.
-		cn.fail(err)
-	}
-	return err
-}
-
-// fail marks the connection broken and closes it, which unblocks the
-// read loop to fail every pending round trip. First error wins.
-func (cn *conn) fail(err error) {
-	cn.pmu.Lock()
-	if cn.failure == nil {
-		cn.failure = fmt.Errorf("client: write failed: %w", err)
-	}
-	cn.pmu.Unlock()
-	cn.c.Close()
-}
-
-// finish interprets a delivered response (or the closed channel of a dead
-// connection). It is the receive half of a round trip.
-func (cn *conn) finish(r response, ok bool) ([]byte, error) {
-	if !ok {
-		cn.pmu.Lock()
-		err := cn.failure
-		cn.pmu.Unlock()
-		return nil, err
-	}
-	switch r.op {
-	case wire.RespOK:
-		return r.payload, nil
-	case wire.RespErr:
-		err := respError(string(r.payload))
-		cn.release(r.payload)
-		return nil, err
-	case wire.RespNotOwner:
-		m := append([]byte(nil), r.payload...)
-		cn.release(r.payload)
-		return nil, &NotOwnerError{Map: m}
-	}
-	cn.release(r.payload)
-	return nil, fmt.Errorf("client: unexpected response opcode %s", r.op)
-}
-
-// reap drains an abandoned round trip's channel in the background and
-// returns the late payload to the pool. The read loop deletes the
-// pending entry when the response lands (so no map leak either way);
-// connection death closes the channel, ending the wait. Hedged reads use
-// it for the losing attempt.
-func (cn *conn) reap(ch chan response) {
-	go func() {
-		if r, ok := <-ch; ok {
-			cn.release(r.payload)
-		}
-	}()
-}
-
-// ServerError is an application-level refusal: the server processed the
-// request and answered RespErr over a healthy connection. Anything else a
-// round trip returns is transport trouble (a dead connection, a timeout) —
-// callers that probe capabilities (the cluster bootstrap) branch on the
-// distinction with errors.As.
-type ServerError struct{ Msg string }
-
-// Error returns the server's message verbatim.
-func (e *ServerError) Error() string { return e.Msg }
-
-// respError rebuilds a server error. Deadline/cancellation errors — a
-// read that gave up server-side at the wait budget this client put on the
-// wire — come back as the canonical context errors so errors.Is works
-// across the network boundary.
-func respError(msg string) error {
-	switch {
-	case strings.Contains(msg, context.DeadlineExceeded.Error()):
-		return fmt.Errorf("client: server gave up: %w", context.DeadlineExceeded)
-	case strings.Contains(msg, context.Canceled.Error()):
-		return fmt.Errorf("client: server gave up: %w", context.Canceled)
-	}
-	return &ServerError{Msg: msg}
-}
-
-func (cn *conn) close() error {
-	cn.pmu.Lock()
-	cn.closed = true
-	cn.pmu.Unlock()
-	err := cn.c.Close()
-	<-cn.done // reader has failed all pending and exited
-	return err
 }
