@@ -1,19 +1,22 @@
 package mlkv_test
 
 import (
+	"context"
 	"testing"
+	"time"
 
 	"github.com/llm-db/mlkv-go/internal/util"
 )
 
 // remoteGetBatchAllocBudget is the committed allocs/op ceiling for the
 // remote 256-key GetBatch hot path, client and loopback server combined.
-// The steady state after the zero-allocation work is 5 allocs/op (one
-// response channel, the pooled-buffer box, and map churn — see
-// BENCH_allocs.json); the budget leaves headroom for scheduler noise
-// while still failing loudly if per-frame or per-batch allocations creep
-// back in (the pre-pooling path was 13).
-const remoteGetBatchAllocBudget = 8
+// The steady state is 2 allocs/op, both inside the sharded store's batch
+// fan-out (the response channel, the pooled-buffer box and the frame
+// reader's length prefix went with the single-key work below, from 5); the
+// budget leaves headroom for scheduler noise while still failing loudly if
+// per-frame or per-batch allocations creep back in (the pre-pooling path
+// was 13).
+const remoteGetBatchAllocBudget = 4
 
 // TestRemoteGetBatchAllocBudget is the allocation-regression gate wired
 // into CI's bench-smoke step: it fails when the remote hot read path
@@ -52,5 +55,69 @@ func TestRemoteGetBatchAllocBudget(t *testing.T) {
 	if avg > remoteGetBatchAllocBudget {
 		t.Fatalf("remote GetBatch(%d) allocates %.1f/op, budget %d — the hot path regressed",
 			batch, avg, remoteGetBatchAllocBudget)
+	}
+}
+
+// Committed allocs/op ceilings for the remote single-key ops, client and
+// loopback server combined, called with a deadline-carrying context as the
+// benchmark's op loop does. They sit at the measured steady state — the
+// single-key frame path allocates nothing — where the previous path
+// measured Get 9, Put 6, RMW 15: a context.WithTimeout per GET on the
+// server, a []uint64{key} per write for replicate, a response channel and
+// a pooled-buffer box per round trip, the frame reader's escaping length
+// prefix on both sides, and two frames per RMW. (AllocsPerRun truncates to
+// an integer, so the odd sudog refill after a GC does not trip a zero.)
+const (
+	remoteGetAllocBudget = 0
+	remotePutAllocBudget = 0
+	remoteRMWAllocBudget = 0
+)
+
+// TestRemoteSingleKeyAllocBudget is the single-key half of the allocation
+// gate (CI's "Allocation gate" step): remote Get, Put and RMW on existing
+// keys may allocate at most their committed budgets per call.
+func TestRemoteSingleKeyAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation gate needs a steady loopback server")
+	}
+	if raceEnabled {
+		t.Skip("race instrumentation changes allocation counts")
+	}
+	s, _, dst := newRemoteBenchSession(t, 256, 0)
+	val := dst[:remoteBenchDim]
+	grad := make([]float32, remoteBenchDim)
+	for i := range grad {
+		grad[i] = 1
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	zipf := util.NewScrambledZipf(util.NewRNG(7), remoteBenchRecords, 0.99)
+	for _, op := range []struct {
+		name   string
+		budget float64
+		call   func(key uint64) error
+	}{
+		{"Get", remoteGetAllocBudget, func(k uint64) error { return s.GetCtx(ctx, k, val) }},
+		{"Put", remotePutAllocBudget, func(k uint64) error { return s.PutCtx(ctx, k, val) }},
+		{"RMW", remoteRMWAllocBudget, func(k uint64) error { return s.RMWCtx(ctx, k, grad, 0.5) }},
+	} {
+		t.Run(op.name, func(t *testing.T) {
+			// A few untimed rounds settle the pools and scratch growth.
+			for i := 0; i < 64; i++ {
+				if err := op.call(zipf.Next()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			avg := testing.AllocsPerRun(500, func() {
+				if err := op.call(zipf.Next()); err != nil {
+					t.Fatal(err)
+				}
+			})
+			t.Logf("remote %s: %.2f allocs/op (budget %.0f)", op.name, avg, op.budget)
+			if avg > op.budget {
+				t.Fatalf("remote %s allocates %.2f/op, budget %.0f — the single-key frame path regressed",
+					op.name, avg, op.budget)
+			}
+		})
 	}
 }

@@ -37,6 +37,14 @@ var engineCases = []struct {
 // OPEN frame requests, exactly like cmd/mlkv-server.
 func startTestServer(t *testing.T, bound int64) string {
 	t.Helper()
+	target, _ := startCountedTestServer(t, bound)
+	return target
+}
+
+// startCountedTestServer is startTestServer that also hands back the
+// server, for tests that count the frames a call costs.
+func startCountedTestServer(t *testing.T, bound int64) (string, *server.Server) {
+	t.Helper()
 	dir := t.TempDir()
 	reg := server.NewRegistry(server.RegistryConfig{
 		DefaultShards: 2,
@@ -71,7 +79,7 @@ func startTestServer(t *testing.T, bound int64) string {
 		}
 		reg.Close()
 	})
-	return mlkv.Scheme + ln.Addr().String()
+	return mlkv.Scheme + ln.Addr().String(), srv
 }
 
 // startTestCluster serves a three-node loopback cluster — primaries n0,
@@ -341,18 +349,15 @@ func TestAPITwoModels(t *testing.T) {
 // script against every cell and requires the same counters to come out
 // non-zero in each — the end-to-end check on the one counter record: a
 // field some layer forgets to fill or forward reads zero in one cell only.
-// The differences between cells are the documented ones: a local RMW is
-// one engine RMW while a remote one is the Get+Put composite, and only a
-// cluster target reports topology.
+// An RMW is one engine RMW in every cell (remotely, one APPLY frame); the
+// one documented difference is that only a cluster target reports topology.
 func TestAPIStatsParity(t *testing.T) {
 	common := []string{
-		"Gets", "Puts", "MemHits", "InPlaceUpdates", "RCUAppends",
+		"Gets", "Puts", "RMWs", "MemHits", "InPlaceUpdates", "RCUAppends",
 		"BatchGets", "BatchPuts", "LookaheadCalls",
 		"LatGet", "LatGetBatch", "LatPut", "LatPutBatch", "LatRMW",
 	}
 	extra := map[string][]string{
-		"local":   {"RMWs"},
-		"remote":  nil,
 		"cluster": {"ClusterNodes", "ClusterEpoch"},
 	}
 	withTargets(t, func(t *testing.T, db *mlkv.DB) {
@@ -466,6 +471,151 @@ func TestAPIFirstTouchParity(t *testing.T) {
 			t.Fatalf("first-touch values diverge on %s: local=%v remote=%v want=%v",
 				ec.name, lv, rv, want)
 		}
+	}
+}
+
+// TestAPIRMWFirstTouchParity pins RMW on a never-read key in every cell of
+// the matrix: it steps from the initializer's value, exactly as a Get
+// followed by the update would — init(key) − lr·grad, bit for bit, whether
+// the engine RMW initializes inside its callback (local) or the server
+// answers found=0 and the client writes the first-touch step back (remote,
+// cluster). The initializer is seeded per key, so a second model's Get of
+// the same key supplies the reference.
+func TestAPIRMWFirstTouchParity(t *testing.T) {
+	withEngineTargets(t, func(t *testing.T, db *mlkv.DB, engine string, _ bool) {
+		const dim, key, lr = 8, 4242, float32(0.25)
+		// The closers run before withTargets closes db (a t.Cleanup would
+		// run after it).
+		session := func(id string) (*mlkv.Session, func()) {
+			m, err := db.Open(id, dim, mlkv.WithEngine(engine), mlkv.WithStalenessBound(mlkv.ASP))
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := m.NewSession()
+			if err != nil {
+				m.Close()
+				t.Fatal(err)
+			}
+			return s, func() { s.Close(); m.Close() }
+		}
+		ref, closeRef := session("ft-read")
+		defer closeRef()
+		s, closeS := session("ft-rmw")
+		defer closeS()
+		want, grad := make([]float32, dim), make([]float32, dim)
+		if err := ref.Get(key, want); err != nil {
+			t.Fatal(err)
+		}
+		if f32sEq(want, make([]float32, dim)) {
+			t.Fatal("the default initializer produced zeros; the parity check would be vacuous")
+		}
+		for i := range grad {
+			grad[i] = float32(i) - 3
+			want[i] -= lr * grad[i]
+		}
+		if err := s.RMW(key, grad, lr); err != nil {
+			t.Fatal(err)
+		}
+		got := make([]float32, dim)
+		if found, err := s.Peek(key, got); err != nil || !found || !f32sEq(got, want) {
+			t.Fatalf("RMW on a never-read key: found=%v err=%v\n got %v\nwant %v (init − lr·grad)", found, err, got, want)
+		}
+	})
+}
+
+// TestAPIRMWNoLostUpdates is the atomicity check on the update primitive:
+// N sessions × M RMWs of a unit gradient on one key must land on exactly
+// start − N·M on every driver. Remotely that holds because an RMW is one
+// APPLY frame run as a single engine RMW; a client-side Get+step+Put loses
+// steps here. Only the hybrid log makes the step atomic across sessions —
+// the clock-free engines' RMW is read-fn-write (kv's clockFreeSession.RMW
+// says so), locally and behind a server alike, so they sit this one out.
+func TestAPIRMWNoLostUpdates(t *testing.T) {
+	withEngineTargets(t, func(t *testing.T, db *mlkv.DB, engine string, clockFree bool) {
+		if clockFree {
+			t.Skip("clock-free engines do not make RMW atomic across sessions")
+		}
+		const dim, key, sessions, steps, start = 4, 77, 4, 200, float32(5000)
+		m, err := db.Open("lost-update", dim, mlkv.WithEngine(engine), mlkv.WithStalenessBound(mlkv.ASP))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer m.Close()
+		ss := make([]*mlkv.Session, sessions)
+		for i := range ss {
+			if ss[i], err = m.NewSession(); err != nil {
+				t.Fatal(err)
+			}
+			defer ss[i].Close()
+		}
+		if err := ss[0].Put(key, []float32{start, start, start, start}); err != nil {
+			t.Fatal(err)
+		}
+		grad := []float32{1, 1, 1, 1}
+		errs := make(chan error, sessions)
+		for _, s := range ss {
+			go func(s *mlkv.Session) {
+				for i := 0; i < steps; i++ {
+					if err := s.RMW(key, grad, 1); err != nil {
+						errs <- err
+						return
+					}
+				}
+				errs <- nil
+			}(s)
+		}
+		for range ss {
+			if err := <-errs; err != nil {
+				t.Fatal(err)
+			}
+		}
+		got, want := make([]float32, dim), start-sessions*steps
+		if found, err := ss[0].Peek(key, got); err != nil || !found || !f32sEq(got, []float32{want, want, want, want}) {
+			t.Fatalf("%d sessions × %d unit steps from %v: found=%v err=%v value %v, want %v in every slot",
+				sessions, steps, start, found, err, got, want)
+		}
+	})
+}
+
+// TestRemoteRMWIsOneFrame counts what an RMW costs the server: exactly one
+// request on an existing key (the APPLY), and the first-touch sequence on
+// an absent one — the APPLY that finds nothing, then the PUT of
+// init − lr·grad.
+func TestRemoteRMWIsOneFrame(t *testing.T) {
+	target, srv := startCountedTestServer(t, mlkv.ASP)
+	db, err := mlkv.Connect(target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	m, err := db.Open("one-frame", 4, mlkv.WithStalenessBound(mlkv.ASP))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	s, err := m.NewSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	grad := []float32{1, 1, 1, 1}
+	cost := func(key uint64) int64 {
+		before := srv.Stats().Requests
+		if err := s.RMW(key, grad, 0.5); err != nil {
+			t.Fatal(err)
+		}
+		return srv.Stats().Requests - before
+	}
+	if n := cost(1); n != 2 {
+		t.Fatalf("RMW on an absent key cost %d requests, want 2 (APPLY found nothing, PUT wrote the first touch)", n)
+	}
+	for i := 0; i < 3; i++ {
+		if n := cost(1); n != 1 {
+			t.Fatalf("RMW on an existing key cost %d requests, want exactly 1", n)
+		}
+	}
+	if st := srv.Stats(); st.Errors != 0 {
+		t.Fatalf("the server answered %d errors", st.Errors)
 	}
 }
 

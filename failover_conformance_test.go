@@ -185,13 +185,20 @@ func TestClusterFailoverPromotion(t *testing.T) {
 			n0Owned = append(n0Owned, k)
 		}
 	}
-	if len(n0Owned) == 0 {
-		t.Fatal("no keys landed on n0; the scenario cannot run")
+	if len(n0Owned) < 2 {
+		t.Fatal("fewer than two keys landed on n0; the scenario cannot run")
+	}
+	// One n0-owned key also takes a gradient step: the APPLY's post-image
+	// rides the same replication stream as the puts, so the stepped value
+	// is what the promoted replica must serve.
+	stepped, unitGrad := n0Owned[len(n0Owned)-1], []float32{1, 1, 1, 1}
+	if err := ses.RMW(stepped, unitGrad, 1); err != nil {
+		t.Fatal(err)
 	}
 	// The promotion read-back is only honest once the replica has applied
 	// everything the dying primary acked.
 	waitFor(t, 5*time.Second, "replica catch-up", func() bool {
-		return n2.reg.ReplWatermark() >= uint64(len(n0Owned))
+		return n2.reg.ReplWatermark() >= uint64(len(n0Owned))+1
 	})
 
 	// Kill n0: sever its network, then stop the process. Peers see pure
@@ -229,11 +236,18 @@ func TestClusterFailoverPromotion(t *testing.T) {
 	}
 
 	// Every write acked before or after the kill must read back: phase-1
-	// values for untouched keys, the phase-2 value for the probe.
+	// values for untouched keys, the phase-2 value for the probe, and the
+	// phase-1 value less one unit step for the stepped key.
 	for _, k := range append([]uint64(nil), n0Owned...) {
 		gen := 1
 		if k == probe {
 			gen = 2
+		}
+		want := failVal(k, gen, dim)
+		if k == stepped {
+			for i := range want {
+				want[i]--
+			}
 		}
 		got := make([]float32, dim)
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -242,9 +256,22 @@ func TestClusterFailoverPromotion(t *testing.T) {
 		if err != nil {
 			t.Fatalf("acked key %d unreadable after failover: %v", k, err)
 		}
-		if want := failVal(k, gen, dim); !f32sEq(got, want) {
+		if !f32sEq(got, want) {
 			t.Fatalf("acked key %d read back %v, want %v: an acked write was lost", k, got, want)
 		}
+	}
+	// And the new owner steps it further: an APPLY routed by the refreshed
+	// map lands on the promoted replica.
+	if err := ses.RMW(stepped, unitGrad, 1); err != nil {
+		t.Fatalf("post-failover RMW: %v", err)
+	}
+	got := make([]float32, dim)
+	want := failVal(stepped, 1, dim)
+	for i := range want {
+		want[i] -= 2
+	}
+	if found, err := ses.Peek(stepped, got); err != nil || !found || !f32sEq(got, want) {
+		t.Fatalf("stepped key after a second step on the new owner: found=%v err=%v %v, want %v", found, err, got, want)
 	}
 
 	// More writes across the ring must now succeed first-try on the new
@@ -284,7 +311,6 @@ func TestClusterFailoverPromotion(t *testing.T) {
 	if err := ses.Put(probe, failVal(probe, 3, dim)); err != nil {
 		t.Fatalf("write after rejoin: %v", err)
 	}
-	got := make([]float32, dim)
 	if err := ses.Get(probe, got); err != nil || !f32sEq(got, failVal(probe, 3, dim)) {
 		t.Fatalf("read after rejoin: %v %v", got, err)
 	}

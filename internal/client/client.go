@@ -32,6 +32,7 @@ import (
 	"github.com/llm-db/mlkv-go/internal/kv"
 	"github.com/llm-db/mlkv-go/internal/latency"
 	"github.com/llm-db/mlkv-go/internal/stats"
+	"github.com/llm-db/mlkv-go/internal/util"
 	"github.com/llm-db/mlkv-go/internal/wire"
 )
 
@@ -583,6 +584,25 @@ type Session struct {
 	// clock-free PEEK/PEEKBATCH) has a different payload layout than its
 	// primary, and enc's bytes were already claimed by the primary's write.
 	henc []byte
+	// resp is the channel the session's round trips receive on, reused from
+	// one to the next: a session has at most one unhedged request in flight.
+	// nil until first use and after a round trip spent it (see roundTripOn).
+	resp chan response
+	// rmw is RMW's staging value.
+	rmw []byte
+}
+
+// roundTrip sends s.enc as op on the session's connection and waits for the
+// response on the session's own channel.
+func (s *Session) roundTrip(ctx context.Context, op wire.Op) ([]byte, error) {
+	if s.resp == nil {
+		s.resp = make(chan response, 1)
+	}
+	p, spent, err := s.cn.roundTripOn(ctx, op, s.enc, s.resp)
+	if spent {
+		s.resp = nil
+	}
+	return p, err
 }
 
 // checkout returns the session's connection, following the pool slot to a
@@ -639,8 +659,10 @@ func (s *Session) hedgedRead(ctx context.Context, op, hedgeOp wire.Op, cls laten
 	start := time.Now()
 	defer func() { c.lat.Since(cls, start) }()
 
-	ch1, err := s.cn.begin(op, s.enc)
-	if err != nil {
+	// Hedged reads keep their own channels: the loser's is reaped in the
+	// background, long after the session has moved on.
+	ch1 := make(chan response, 1)
+	if err := s.cn.begin(op, s.enc, ch1); err != nil {
 		return nil, s.cn, err
 	}
 	timer := time.NewTimer(c.hedgeDelay(cls))
@@ -658,7 +680,8 @@ func (s *Session) hedgedRead(ctx context.Context, op, hedgeOp wire.Op, cls laten
 		if c.takeHedgeToken() {
 			cn2 = c.pickNot(s.cn)
 			s.henc = encodeHedge(s.henc[:0])
-			if ch2, err = cn2.begin(hedgeOp, s.henc); err != nil {
+			ch2 = make(chan response, 1)
+			if err := cn2.begin(hedgeOp, s.henc, ch2); err != nil {
 				cn2, ch2 = nil, nil // hedge conn broken; primary carries on
 			} else {
 				c.hedgeIssued.Add(1)
@@ -723,7 +746,7 @@ func (s *Session) GetCtx(ctx context.Context, key uint64, dst []byte) (bool, err
 			return wire.AppendKey(dst, s.m.handle, key)
 		})
 	} else {
-		p, err = s.cn.roundTripCtx(ctx, wire.OpGet, s.enc)
+		p, err = s.roundTrip(ctx, wire.OpGet)
 	}
 	if err != nil {
 		// Near the deadline the server's "gave up" error and our own
@@ -770,7 +793,7 @@ func (s *Session) PeekCtx(ctx context.Context, key uint64, dst []byte) (bool, er
 		return false, err
 	}
 	s.enc = wire.AppendKey(s.enc[:0], s.m.handle, key)
-	p, err := s.cn.roundTripCtx(ctx, wire.OpPeek, s.enc)
+	p, err := s.roundTrip(ctx, wire.OpPeek)
 	if err != nil {
 		return false, err
 	}
@@ -792,7 +815,7 @@ func (s *Session) PutCtx(ctx context.Context, key uint64, val []byte) error {
 		return err
 	}
 	s.enc = wire.AppendPut(s.enc[:0], s.m.handle, key, val)
-	p, err := s.cn.roundTripCtx(ctx, wire.OpPut, s.enc)
+	p, err := s.roundTrip(ctx, wire.OpPut)
 	s.cn.release(p)
 	return err
 }
@@ -807,22 +830,76 @@ func (s *Session) DeleteCtx(ctx context.Context, key uint64) error {
 		return err
 	}
 	s.enc = wire.AppendKey(s.enc[:0], s.m.handle, key)
-	p, err := s.cn.roundTripCtx(ctx, wire.OpDelete, s.enc)
+	p, err := s.roundTrip(ctx, wire.OpDelete)
 	s.cn.release(p)
 	return err
 }
 
-// RMW is a Get, fn, and a Put: the protocol has no RMW frame, so the step
-// is not atomic against other sessions (the clocked Get/Put pair still
-// balances its staleness token).
-func (s *Session) RMW(key uint64, fn func(cur []byte, exists bool)) error {
-	cur := make([]byte, s.vs)
-	found, err := s.Get(key, cur)
+// RMW is the kv.Session face, whose arbitrary closure cannot cross the
+// wire: a Get, fn, and a Put, two round trips and not atomic against other
+// sessions (the clocked Get/Put pair still balances its staleness token).
+// It is the only Get+fn+Put left on the remote path — the gradient step
+// every trainer means travels as one APPLY frame through ApplyCtx.
+func (s *Session) RMW(key uint64, fn func(cur []byte, exists bool) bool) error {
+	s.rmw = util.Grow(s.rmw, s.vs)
+	found, err := s.Get(key, s.rmw)
 	if err != nil {
 		return err
 	}
-	fn(cur, found)
-	return s.Put(key, cur)
+	if !found {
+		clear(s.rmw)
+	}
+	if !fn(s.rmw, found) {
+		return nil
+	}
+	return s.Put(key, s.rmw)
+}
+
+// UnackedError reports an APPLY whose frame reached the socket but whose
+// response never arrived: the step may or may not have run. A gradient
+// step is not idempotent, so nothing below the caller may re-send it — the
+// cluster router surfaces it instead of retrying against a refreshed map.
+type UnackedError struct{ Err error }
+
+// Error describes the lost response.
+func (e *UnackedError) Error() string {
+	return "client: APPLY sent but not acknowledged (may or may not have applied): " + e.Err.Error()
+}
+
+// Unwrap exposes the transport cause (a dead connection, a context error).
+func (e *UnackedError) Unwrap() error { return e.Err }
+
+// ApplyCtx applies val ← val − lr·grad to key in one APPLY round trip: the
+// server runs it as a single engine RMW, atomic against every other
+// session, never waiting on the staleness bound, and releasing one clock
+// token like a Put. found=false means the key was absent and was left
+// absent — the server knows no initializer, so first touch is the caller's.
+// An error before the frame is written (checkout) or a NOT_OWNER refusal
+// proves the step did not run; any later transport failure comes back as
+// an *UnackedError. APPLY is never hedged.
+func (s *Session) ApplyCtx(ctx context.Context, key uint64, lr float32, grad []float32) (found bool, err error) {
+	if len(grad)*4 != s.vs {
+		return false, fmt.Errorf("client: grad length %d != dim %d", len(grad), s.vs/4)
+	}
+	if err := ctx.Err(); err != nil {
+		return false, err
+	}
+	if _, err := s.checkout(ctx); err != nil {
+		return false, err
+	}
+	s.enc = wire.AppendApply(s.enc[:0], s.m.handle, key, lr, grad)
+	p, err := s.roundTrip(ctx, wire.OpApply)
+	if err != nil {
+		var se *ServerError
+		var noe *NotOwnerError
+		if errors.As(err, &se) || errors.As(err, &noe) {
+			return false, err // answered: the server refused before stepping
+		}
+		return false, &UnackedError{Err: err}
+	}
+	found, err = wire.DecodeApplyResp(p)
+	s.cn.release(p)
+	return found, err
 }
 
 // Prefetch ships a one-key LOOKAHEAD; true means the server copied the
@@ -848,7 +925,7 @@ func (s *Session) LookaheadCtx(ctx context.Context, keys []uint64) (int, error) 
 		chunk := keys[:min(len(keys), maxKeysPerFrame)]
 		keys = keys[len(chunk):]
 		s.enc = wire.AppendKeys(s.enc[:0], s.m.handle, chunk)
-		p, err := s.cn.roundTripCtx(ctx, wire.OpLookahead, s.enc)
+		p, err := s.roundTrip(ctx, wire.OpLookahead)
 		if err != nil {
 			return total, err
 		}
@@ -889,7 +966,7 @@ func (s *Session) GetBatchCtx(ctx context.Context, keys []uint64, vals []byte, f
 				return wire.AppendKeys(dst, s.m.handle, keys[:n])
 			})
 		} else {
-			p, err = s.cn.roundTripCtx(ctx, wire.OpGetBatch, s.enc)
+			p, err = s.roundTrip(ctx, wire.OpGetBatch)
 		}
 		if err != nil {
 			if cerr := ctx.Err(); cerr != nil {
@@ -921,7 +998,7 @@ func (s *Session) PutBatchCtx(ctx context.Context, keys []uint64, vals []byte) e
 	for len(keys) > 0 {
 		n := min(len(keys), maxKeysPerFrame)
 		s.enc = wire.AppendPutBatch(s.enc[:0], s.m.handle, keys[:n], vals[:n*vs])
-		p, err := s.cn.roundTripCtx(ctx, wire.OpPutBatch, s.enc)
+		p, err := s.roundTrip(ctx, wire.OpPutBatch)
 		s.cn.release(p)
 		if err != nil {
 			return err
@@ -965,7 +1042,7 @@ func (s *Session) PeekBatchCtx(ctx context.Context, keys []uint64, vals []byte, 
 	for len(keys) > 0 {
 		n := min(len(keys), maxKeysPerFrame)
 		s.enc = wire.AppendKeys(s.enc[:0], s.m.handle, keys[:n])
-		p, err := s.cn.roundTripCtx(ctx, wire.OpPeekBatch, s.enc)
+		p, err := s.roundTrip(ctx, wire.OpPeekBatch)
 		if err != nil {
 			return err
 		}

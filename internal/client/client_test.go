@@ -8,6 +8,7 @@ package client
 // against the real server through a write-counting net.Conn.
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"net"
@@ -148,6 +149,8 @@ func (s *fakeServer) handle(c net.Conn, wmu *sync.Mutex, f wire.Frame) {
 			_, rest, _ := wire.DecodeHandle(f.Payload)
 			keys, _ := wire.DecodeKeys(rest, nil)
 			resp = fakeBatchResp(s.dim, keys)
+		case wire.OpApply:
+			resp = wire.AppendApplyResp(nil, true)
 		default:
 			op, resp = wire.RespErr, []byte("fake: unhandled op")
 		}
@@ -725,5 +728,95 @@ func TestBatchesSplitAtMaxKeysPerFrame(t *testing.T) {
 	if st.BatchPuts != 2 || st.BatchGets != 2 || st.LookaheadCalls != 2 {
 		t.Fatalf("server saw %d PUTBATCH, %d GETBATCH, %d LOOKAHEAD frames for %d keys, want 2 each",
 			st.BatchPuts, st.BatchGets, st.LookaheadCalls, n)
+	}
+}
+
+// TestSessionResponseChannelReplacedAfterAbandon pins the reuse rule of the
+// per-session response channel: round trips that complete share one
+// channel, and a round trip abandoned on ctx gives its channel up — the
+// late response lands on the old one, so the next request, already waiting
+// when it arrives, still gets its own answer.
+func TestSessionResponseChannelReplacedAfterAbandon(t *testing.T) {
+	const dim = 4
+	fs := newFakeServer(t, dim)
+	cl := fakeClient(t, fs, Options{Conns: 1})
+	_, s := fakeSession(t, cl, "reuse", dim, faster.BoundAsync)
+	dst := make([]byte, dim*4)
+	get := func(ctx context.Context, key uint64) error {
+		found, err := s.GetCtx(ctx, key, dst)
+		if err == nil && (!found || !bytes.Equal(dst, fakeVal(dim, key))) {
+			t.Fatalf("get %d answered found=%v %v: another request's response", key, found, dst)
+		}
+		return err
+	}
+	if err := get(context.Background(), 1); err != nil {
+		t.Fatal(err)
+	}
+	first := s.resp
+	if err := get(context.Background(), 2); err != nil {
+		t.Fatal(err)
+	}
+	if first == nil || s.resp != first {
+		t.Fatal("completed round trips did not reuse the session's response channel")
+	}
+
+	fs.setDelay(wire.OpGet, 150*time.Millisecond)
+	short, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
+	defer cancel()
+	if err := get(short, 3); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("abandoned get returned %v, want the deadline", err)
+	}
+	if s.resp == first {
+		t.Fatal("an abandoned round trip kept its channel: the late response would answer the next request")
+	}
+	// Key 3's response arrives ~120ms into this wait; it must not be taken
+	// for key 4's.
+	if err := get(context.Background(), 4); err != nil {
+		t.Fatal(err)
+	}
+	waitDrained(t, cl)
+}
+
+// TestApplyErrorsSaySentOrNot pins what an APPLY error tells the caller: a
+// server refusal answered over a healthy connection passes through (the
+// step did not run), while a connection that dies after the frame was
+// written comes back as *UnackedError (it may have).
+func TestApplyErrorsSaySentOrNot(t *testing.T) {
+	const dim = 4
+	fs := newFakeServer(t, dim)
+	cl := fakeClient(t, fs, Options{Conns: 1})
+	_, s := fakeSession(t, cl, "apply", dim, faster.BoundAsync)
+	grad := make([]float32, dim)
+	ctx := context.Background()
+	if found, err := s.ApplyCtx(ctx, 1, 0.5, grad); err != nil || !found {
+		t.Fatalf("apply: found=%v err=%v", found, err)
+	}
+	if n := cl.lat[latency.OpRMW].Snapshot().Count; n != 1 {
+		t.Fatalf("the pool timed %d round trips into the RMW class, want 1", n)
+	}
+
+	fs.setErr(wire.OpApply, "engine says no")
+	var se *ServerError
+	var ue *UnackedError
+	if _, err := s.ApplyCtx(ctx, 1, 0.5, grad); !errors.As(err, &se) || errors.As(err, &ue) {
+		t.Fatalf("a server refusal came back as %v, want a bare *ServerError", err)
+	}
+
+	fs.setErr(wire.OpApply, "")
+	fs.mute(wire.OpApply)
+	errc := make(chan error, 1)
+	go func() {
+		_, err := s.ApplyCtx(ctx, 1, 0.5, grad)
+		errc <- err
+	}()
+	for deadline := time.Now().Add(5 * time.Second); pendingTotal(cl) == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("the APPLY never went out")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	cl.conns[0].c.Close() // the frame is on the wire; its response never comes
+	if err := <-errc; !errors.As(err, &ue) {
+		t.Fatalf("a connection lost after the send came back as %v, want *UnackedError", err)
 	}
 }

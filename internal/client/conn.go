@@ -40,8 +40,10 @@ type conn struct {
 	// bufs recycles response payload buffers: the read loop copies each
 	// frame's payload out of its reusable frame buffer into a pooled one,
 	// and the round-trip caller releases it back after parsing. Callers
-	// that abandon a round trip simply leak their buffer to the GC.
-	bufs sync.Pool
+	// that abandon a round trip simply leak their buffer to the GC. A pool
+	// holds pointers, so boxes recycles the *[]byte cells the buffers ride
+	// in: release takes an empty cell instead of allocating one per response.
+	bufs, boxes sync.Pool
 
 	// lat points at the owning Client's pool-wide histograms; data-op
 	// round trips record into it (nil on test-only bare conns).
@@ -61,7 +63,10 @@ func (cn *conn) broken() bool {
 // one is too small).
 func (cn *conn) getBuf(n int) []byte {
 	if v := cn.bufs.Get(); v != nil {
-		b := *(v.(*[]byte))
+		box := v.(*[]byte)
+		b := *box
+		*box = nil
+		cn.boxes.Put(box)
 		if cap(b) >= n {
 			return b[:n]
 		}
@@ -75,8 +80,12 @@ func (cn *conn) release(b []byte) {
 	if cap(b) == 0 {
 		return
 	}
-	b = b[:0]
-	cn.bufs.Put(&b)
+	box, _ := cn.boxes.Get().(*[]byte)
+	if box == nil {
+		box = new([]byte)
+	}
+	*box = b[:0]
+	cn.bufs.Put(box)
 }
 
 type response struct {
@@ -168,14 +177,24 @@ func (cn *conn) roundTrip(op wire.Op, payload []byte) ([]byte, error) {
 // A non-empty success payload is a pooled buffer: the caller must hand it
 // back with cn.release once parsed (forgetting to merely costs the reuse).
 func (cn *conn) roundTripCtx(ctx context.Context, op wire.Op, payload []byte) ([]byte, error) {
+	p, _, err := cn.roundTripOn(ctx, op, payload, make(chan response, 1))
+	return p, err
+}
+
+// roundTripOn is roundTripCtx with the response arriving on the caller's
+// channel ch (buffered, cap 1, empty), so a session reuses one channel
+// across its round trips. spent reports that ch must not be used again: a
+// late response to an abandoned request may still land on it, or the
+// connection's death closed it.
+func (cn *conn) roundTripOn(ctx context.Context, op wire.Op, payload []byte, ch chan response) (p []byte, spent bool, err error) {
 	cls, timed := opClass(op)
 	if !timed || cn.lat == nil {
-		return cn.doRoundTrip(ctx, op, payload)
+		return cn.doRoundTrip(ctx, op, payload, ch)
 	}
 	start := time.Now()
-	p, err := cn.doRoundTrip(ctx, op, payload)
+	p, spent, err = cn.doRoundTrip(ctx, op, payload, ch)
 	cn.lat.Since(cls, start)
-	return p, err
+	return p, spent, err
 }
 
 // opClass maps a request opcode to its latency class; control-plane ops
@@ -191,6 +210,8 @@ func opClass(op wire.Op) (latency.Op, bool) {
 		return latency.OpPut, true
 	case wire.OpPutBatch:
 		return latency.OpPutBatch, true
+	case wire.OpApply:
+		return latency.OpRMW, true
 	case wire.OpLookahead:
 		// Prefetch hints ride the Get class: they contend for the same
 		// store shards and their stalls surface as read tail.
@@ -199,31 +220,31 @@ func opClass(op wire.Op) (latency.Op, bool) {
 	return 0, false
 }
 
-func (cn *conn) doRoundTrip(ctx context.Context, op wire.Op, payload []byte) ([]byte, error) {
+func (cn *conn) doRoundTrip(ctx context.Context, op wire.Op, payload []byte, ch chan response) (p []byte, spent bool, err error) {
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	ch, err := cn.begin(op, payload)
-	if err != nil {
-		return nil, err
+	if err := cn.begin(op, payload, ch); err != nil {
+		// A failed send races the read loop closing every pending channel.
+		return nil, true, err
 	}
 	select {
 	case r, ok := <-ch:
-		return cn.finish(r, ok)
+		p, err = cn.finish(r, ok)
+		return p, !ok, err
 	case <-ctx.Done():
 		// Abandon the round trip. Leave the pending entry for the read
 		// loop: the buffered channel absorbs the late response.
-		return nil, ctx.Err()
+		return nil, true, ctx.Err()
 	}
 }
 
-// begin registers a pending slot and writes the request frame; the
-// response will arrive on the returned buffered channel (closed if the
-// connection dies first). It is the send half of a round trip, split out
-// so a hedged read can have two requests in flight and wait on both.
-func (cn *conn) begin(op wire.Op, payload []byte) (chan response, error) {
+// begin registers ch (buffered, cap 1) as a pending slot and writes the
+// request frame; the response will arrive on ch (closed if the connection
+// dies first). It is the send half of a round trip, split out so a hedged
+// read can have two requests in flight and wait on both.
+func (cn *conn) begin(op wire.Op, payload []byte, ch chan response) error {
 	id := cn.nextID.Add(1)
-	ch := make(chan response, 1)
 	cn.pmu.Lock()
 	if cn.closed || cn.failure != nil {
 		err := cn.failure
@@ -231,7 +252,7 @@ func (cn *conn) begin(op wire.Op, payload []byte) (chan response, error) {
 		if err == nil {
 			err = errors.New("client: connection closed")
 		}
-		return nil, err
+		return err
 	}
 	cn.pending[id] = ch
 	cn.pmu.Unlock()
@@ -240,9 +261,9 @@ func (cn *conn) begin(op wire.Op, payload []byte) (chan response, error) {
 		cn.pmu.Lock()
 		delete(cn.pending, id)
 		cn.pmu.Unlock()
-		return nil, err
+		return err
 	}
-	return ch, nil
+	return nil
 }
 
 // send writes one frame, flushing only when this is the last counted

@@ -78,10 +78,12 @@ const (
 // budget — the cluster is genuinely degraded, not just slow.
 var ErrNoLiveOwner = errors.New("cluster: no live owner for key range")
 
-// transportFailure reports whether err says the peer may be dead — as
-// opposed to a server refusal (ServerError), a routing redirect
-// (NotOwnerError), the caller's own cancellation, or a malformed map.
-// Only transport failures are worth retrying against a refreshed map.
+// transportFailure reports whether err says the peer may be dead and the
+// operation is safe to repeat — as opposed to a server refusal
+// (ServerError), a routing redirect (NotOwnerError), the caller's own
+// cancellation, a malformed map, or a non-idempotent frame that may already
+// have run (UnackedError). Only transport failures are worth retrying
+// against a refreshed map.
 func transportFailure(err error) bool {
 	if err == nil ||
 		errors.Is(err, context.Canceled) ||
@@ -90,7 +92,8 @@ func transportFailure(err error) bool {
 		return false
 	}
 	var se *client.ServerError
-	return !notOwner(err) && !errors.As(err, &se)
+	var ue *client.UnackedError
+	return !notOwner(err) && !errors.As(err, &se) && !errors.As(err, &ue)
 }
 
 // notOwner reports whether err is a NOT_OWNER redirect.

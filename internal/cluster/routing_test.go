@@ -7,7 +7,9 @@ package cluster_test
 // public API; the cases here are the ones only visible one layer down.
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"math"
 	"net"
@@ -578,5 +580,101 @@ func TestLookaheadFollowsRedirect(t *testing.T) {
 	}
 	if n0, n1 := nodes["n0"].modelStats(t).LookaheadCalls, nodes["n1"].modelStats(t).LookaheadCalls; n0 != 0 || n1 != 1 {
 		t.Fatalf("hint frames served: n0=%d n1=%d, want only the true owner n1 to take one", n0, n1)
+	}
+}
+
+// f32Val encodes v in every slot of one testDim value.
+func f32Val(v float32) []byte {
+	b := make([]byte, testVS)
+	for i := 0; i < testDim; i++ {
+		binary.LittleEndian.PutUint32(b[i*4:], math.Float32bits(v))
+	}
+	return b
+}
+
+var unitGrad = []float32{1, 1, 1, 1}
+
+// TestApplyFollowsRedirectOnce pins APPLY's one safe re-send: a NOT_OWNER
+// answer proves the step did not run, so a frame routed by a stale map
+// follows the redirect and applies exactly once, on the true owner only.
+func TestApplyFollowsRedirectOnce(t *testing.T) {
+	m, nodes := startCluster(t, twoPrimaries())
+	ctx := context.Background()
+	key := keysOwnedBy(m, "n1", 1)[0]
+	_, fresh := openRouted(t, m, faster.BoundAsync, false)
+	if err := newSession(t, fresh).PutCtx(ctx, key, f32Val(10)); err != nil {
+		t.Fatal(err)
+	}
+
+	stale := m.Clone()
+	stale.Epoch = 0
+	stale.Nodes[0].Ranges, stale.Nodes[1].Ranges = stale.Nodes[1].Ranges, stale.Nodes[0].Ranges
+	r, rm := openRouted(t, stale, faster.BoundAsync, false)
+	rs := newSession(t, rm)
+	found, err := rs.ApplyCtx(ctx, key, 1, unitGrad) // the stale map sends it to n0
+	if err != nil || !found {
+		t.Fatalf("apply over a stale map: found=%v err=%v", found, err)
+	}
+	if got := routerStats(r); got.ClusterRedirects != 1 || got.ClusterEpoch != int64(m.Epoch) {
+		t.Fatalf("redirects=%d epoch=%d, want one redirect followed to epoch %d", got.ClusterRedirects, got.ClusterEpoch, m.Epoch)
+	}
+	if n0, n1 := nodes["n0"].modelStats(t).RMWs, nodes["n1"].modelStats(t).RMWs; n0 != 0 || n1 != 1 {
+		t.Fatalf("engine RMWs: n0=%d n1=%d, want the step on the true owner n1 only, once", n0, n1)
+	}
+	got := make([]byte, testVS)
+	if ok, err := rs.PeekCtx(ctx, key, got); err != nil || !ok || !bytes.Equal(got, f32Val(9)) {
+		t.Fatalf("after one unit step from 10: found=%v err=%v value %v", ok, err, got)
+	}
+}
+
+// TestApplyAtMostOnce cuts the connection after an APPLY is delivered and
+// before its response: the call must surface the lost acknowledgement — a
+// gradient step is not idempotent, so the owner-retry loop that re-sends
+// every other frame against a refreshed map must leave this one alone —
+// and the key has stepped exactly once, however reachable the owner is
+// again by then.
+func TestApplyAtMostOnce(t *testing.T) {
+	m, nodes := startCluster(t, []cluster.Node{{ID: "n0", Role: cluster.RolePrimary}}, "n0")
+	_, rm := openRouted(t, m, faster.BoundAsync, false)
+	rs := newSession(t, rm)
+	ctx := context.Background()
+	const key = 7
+	if err := rs.PutCtx(ctx, key, f32Val(10)); err != nil {
+		t.Fatal(err)
+	}
+
+	// Every forwarded chunk now waits in the proxy: the request reaches the
+	// server late, and the response is still held when the cut comes.
+	n0 := nodes["n0"]
+	n0.proxy.SetDelay(400 * time.Millisecond)
+	applied := n0.modelStats(t).RMWs
+	errc := make(chan error, 1)
+	go func() {
+		_, err := rs.ApplyCtx(ctx, key, 1, unitGrad)
+		errc <- err
+	}()
+	for deadline := time.Now().Add(5 * time.Second); n0.modelStats(t).RMWs == applied; {
+		if time.Now().After(deadline) {
+			t.Fatal("the APPLY never reached the server")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	n0.proxy.Partition() // the step ran; its response dies in the proxy
+	n0.proxy.Heal()      // and the owner is reachable again for any retry
+
+	err := <-errc
+	var ue *client.UnackedError
+	if !errors.As(err, &ue) {
+		t.Fatalf("apply whose response was cut returned %v, want a *client.UnackedError", err)
+	}
+	if errors.Is(err, cluster.ErrNoLiveOwner) {
+		t.Fatalf("an unacknowledged apply was retried to exhaustion: %v", err)
+	}
+	if n := n0.modelStats(t).RMWs - applied; n != 1 {
+		t.Fatalf("the server ran %d steps for one call, want exactly 1", n)
+	}
+	got := make([]byte, testVS)
+	if ok, err := rs.PeekCtx(ctx, key, got); err != nil || !ok || !bytes.Equal(got, f32Val(9)) {
+		t.Fatalf("after one delivered unit step from 10: found=%v err=%v value %v", ok, err, got)
 	}
 }

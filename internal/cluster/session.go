@@ -67,7 +67,9 @@ const primaryOnly = int64(0)
 // times, after which the error becomes ErrNoLiveOwner. Advisory calls pass
 // backoff=false: they follow redirects but never wait for a failover.
 // Retrying a whole batch repeats groups that already succeeded — reads and
-// upserts are idempotent, so that costs duplicate work, not duplicate state.
+// upserts are idempotent, so that costs duplicate work, not duplicate state;
+// the one frame that is not, APPLY, is never a transport failure once sent
+// (see transportFailure), so it is never repeated.
 func (s *RSession) do(ctx context.Context, backoff bool, attempt func(mp *Map) (ownerID string, err error)) error {
 	r := s.m.r
 	var redirects, ownerRetries int
@@ -350,9 +352,10 @@ func (s *RSession) degradedOrFail(ctx context.Context, key uint64, dst []byte, e
 	return false, err
 }
 
-// writeOne runs one single-key write against key's owning primary.
-func (s *RSession) writeOne(ctx context.Context, key uint64, send func(ss *client.Session) error) error {
-	defer s.m.r.lat.Since(latency.OpPut, time.Now())
+// writeOne runs one single-key write against key's owning primary, timed
+// into the router's cls histogram.
+func (s *RSession) writeOne(ctx context.Context, cls latency.Op, key uint64, send func(ss *client.Session) error) error {
+	defer s.m.r.lat.Since(cls, time.Now())
 	return s.do(ctx, true, func(mp *Map) (string, error) {
 		p := mp.Owner(key)
 		if p == nil {
@@ -368,12 +371,27 @@ func (s *RSession) writeOne(ctx context.Context, key uint64, send func(ss *clien
 
 // PutCtx writes one key to its owning primary.
 func (s *RSession) PutCtx(ctx context.Context, key uint64, val []byte) error {
-	return s.writeOne(ctx, key, func(ss *client.Session) error { return ss.PutCtx(ctx, key, val) })
+	return s.writeOne(ctx, latency.OpPut, key, func(ss *client.Session) error { return ss.PutCtx(ctx, key, val) })
 }
 
 // DeleteCtx removes one key on its owning primary.
 func (s *RSession) DeleteCtx(ctx context.Context, key uint64) error {
-	return s.writeOne(ctx, key, func(ss *client.Session) error { return ss.DeleteCtx(ctx, key) })
+	return s.writeOne(ctx, latency.OpPut, key, func(ss *client.Session) error { return ss.DeleteCtx(ctx, key) })
+}
+
+// ApplyCtx applies val ← val − lr·grad on key's owning primary in one APPLY
+// frame (see client.Session.ApplyCtx). A step is not idempotent, so do
+// re-sends it only when it provably did not run: a NOT_OWNER redirect, or a
+// failure to reach the owner at all. Once the frame was written a lost
+// response is a *client.UnackedError, which is no transport failure to
+// retry — it surfaces to the caller, who alone knows whether stepping
+// twice is acceptable.
+func (s *RSession) ApplyCtx(ctx context.Context, key uint64, lr float32, grad []float32) (found bool, err error) {
+	err = s.writeOne(ctx, latency.OpRMW, key, func(ss *client.Session) (err error) {
+		found, err = ss.ApplyCtx(ctx, key, lr, grad)
+		return err
+	})
+	return found, err
 }
 
 // GetBatchCtx reads a batch through the cluster: keys group by read node

@@ -11,10 +11,8 @@ package core
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 	"sync/atomic"
 	"time"
 
@@ -386,18 +384,29 @@ func (s *Session) getOne(ctx context.Context, key uint64, dst []float32) error {
 	}
 }
 
-// initKey writes the initial embedding if key is still absent.
+// initKey writes the initial embedding if key is still absent; losing the
+// race to another session's init declines the store and appends nothing.
 func (s *Session) initKey(key uint64) error {
 	s.t.writeClock.Add(1)
-	return s.s.RMW(key, func(cur []byte, exists bool) {
-		if exists || s.t.init == nil {
-			return
+	return s.s.RMW(key, func(cur []byte, exists bool) bool {
+		if exists {
+			return false
 		}
-		s.ibuf = util.Grow(s.ibuf, s.t.dim)
-		clear(s.ibuf) // the Initializer contract: dst arrives zeroed
-		s.t.init(key, s.ibuf)
-		tensor.F32sToBytes(s.ibuf, cur)
+		s.initInto(key, cur)
+		return true
 	})
+}
+
+// initInto encodes key's first-touch embedding into cur, which arrives
+// zeroed (an RMW callback's view of an absent key).
+func (s *Session) initInto(key uint64, cur []byte) {
+	if s.t.init == nil {
+		return
+	}
+	s.ibuf = util.Grow(s.ibuf, s.t.dim)
+	clear(s.ibuf) // the Initializer contract: dst arrives zeroed
+	s.t.init(key, s.ibuf)
+	tensor.F32sToBytes(s.ibuf, cur)
 }
 
 // GetBatch reads len(keys) embeddings into dst (len == len(keys)*Dim) as
@@ -540,18 +549,20 @@ func (s *Session) PutBatch(keys []uint64, vals []float32) error {
 }
 
 // ApplyGradient performs emb ← emb − lr·grad as a single storage-side
-// read-modify-write (the Rmw path of Figure 4, step 8).
+// read-modify-write (the Rmw path of Figure 4, step 8). A never-read key
+// is initialized inside the same step, so it lands on init(key) − lr·grad
+// exactly as a Get followed by the update would.
 func (s *Session) ApplyGradient(key uint64, grad []float32, lr float32) error {
 	if len(grad) != s.t.dim {
 		return fmt.Errorf("core: grad length %d != dim %d", len(grad), s.t.dim)
 	}
 	defer s.t.lat.Since(latency.OpRMW, time.Now())
-	err := s.s.RMW(key, func(cur []byte, exists bool) {
-		for i := 0; i < s.t.dim; i++ {
-			v := math.Float32frombits(binary.LittleEndian.Uint32(cur[i*4:]))
-			v -= lr * grad[i]
-			binary.LittleEndian.PutUint32(cur[i*4:], math.Float32bits(v))
+	err := s.s.RMW(key, func(cur []byte, exists bool) bool {
+		if !exists {
+			s.initInto(key, cur)
 		}
+		tensor.StepBytes(cur, grad, lr)
+		return true
 	})
 	if err != nil {
 		return err

@@ -136,6 +136,32 @@ func TestApplyGradient(t *testing.T) {
 	}
 }
 
+// TestInitKeyDeclinesWhenKeyExists pins the lost init race: a session that
+// finds the key already initialized stores nothing — no identical copy
+// appended, no in-place rewrite, no clock token released behind the
+// reader that holds it.
+func TestInitKeyDeclinesWhenKeyExists(t *testing.T) {
+	tbl := testTable(t, 4, 4)
+	s, _ := tbl.NewSession()
+	defer s.Close()
+	want, got := make([]float32, 4), make([]float32, 4)
+	if err := s.Get(1, want); err != nil { // first touch; holds one token
+		t.Fatal(err)
+	}
+	before := tbl.Stats()
+	if err := s.initKey(1); err != nil {
+		t.Fatal(err)
+	}
+	after := tbl.Stats()
+	if after.RCUAppends != before.RCUAppends || after.InPlaceUpdates != before.InPlaceUpdates {
+		t.Fatalf("a lost init race wrote: appends %d→%d, in-place %d→%d",
+			before.RCUAppends, after.RCUAppends, before.InPlaceUpdates, after.InPlaceUpdates)
+	}
+	if found, err := s.Peek(1, got); err != nil || !found || got[0] != want[0] {
+		t.Fatalf("peek after the declined init: found=%v err=%v %v, want %v", found, err, got, want)
+	}
+}
+
 func TestLookaheadStorageBufferWarmsDiskRecords(t *testing.T) {
 	// A 64 KiB buffer holds ~1100 records of dim 8; writing 6000 evicts the
 	// early keys to disk.

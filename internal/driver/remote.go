@@ -12,7 +12,6 @@ import (
 	"github.com/llm-db/mlkv-go/internal/core"
 	"github.com/llm-db/mlkv-go/internal/hotcache"
 	"github.com/llm-db/mlkv-go/internal/kv"
-	"github.com/llm-db/mlkv-go/internal/latency"
 	"github.com/llm-db/mlkv-go/internal/stats"
 	"github.com/llm-db/mlkv-go/internal/tensor"
 	"github.com/llm-db/mlkv-go/internal/util"
@@ -27,6 +26,7 @@ type wireSession interface {
 	PeekCtx(ctx context.Context, key uint64, dst []byte) (bool, error)
 	PutCtx(ctx context.Context, key uint64, val []byte) error
 	DeleteCtx(ctx context.Context, key uint64) error
+	ApplyCtx(ctx context.Context, key uint64, lr float32, grad []float32) (found bool, err error)
 	GetBatchCtx(ctx context.Context, keys []uint64, vals []byte, found []bool) error
 	PutBatchCtx(ctx context.Context, keys []uint64, vals []byte) error
 	LookaheadCtx(ctx context.Context, keys []uint64) (int, error)
@@ -111,10 +111,6 @@ func (b clusterBackend) Close() error                { return b.r.Close() }
 type remoteDB struct {
 	target string
 	c      wireBackend
-	// rmw times the composite remote RMW (Get + step + Put, up to two round
-	// trips): what a trainer waits on, and invisible to the per-frame
-	// histograms because the wire has no RMW frame.
-	rmw latency.Histogram
 }
 
 // connectRemote bootstraps from the first reachable seed: every server is
@@ -277,15 +273,14 @@ func (m *remoteModel) Stats(ctx context.Context) (stats.Counters, error) {
 	// dropped hints are this handle's queue. Latency becomes the pool's
 	// round-trip view — end to end, including demux queueing — not the
 	// server-side store timings (those stay visible through the
-	// mlkv_latency expvar and raw STATS frames). The pool is per-DB, so
-	// hedging, redials and the summaries cover every model opened from
-	// this Connect.
+	// mlkv_latency expvar and raw STATS frames); LatRMW is the APPLY round
+	// trip. The pool is per-DB, so hedging, redials and the summaries cover
+	// every model opened from this Connect.
 	if m.cache != nil {
 		m.cache.Stats().AddTo(&c)
 	}
 	c.PrefetchDropped = m.lookDropped.Load()
 	m.db.c.FillStats(&c)
-	c.LatRMW = m.db.rmw.Snapshot()
 	return c, nil
 }
 
@@ -378,16 +373,15 @@ type remoteSession struct {
 	// keys (what actually goes on the wire).
 	cacheMiss []int
 	fetchKeys []uint64
-	// rmw is the read-modify-write staging value.
+	// rmw stages a first-touch RMW's init − lr·grad.
 	rmw []float32
 }
 
 func (s *remoteSession) initInto(key uint64, dst []float32) {
+	clear(dst) // the Initializer contract: dst arrives zeroed
 	if s.m.init != nil {
 		s.m.init(key, dst)
-		return
 	}
-	clear(dst)
 }
 
 // tier returns the model's hot tier when it may be consulted: present and
@@ -549,27 +543,33 @@ func (s *remoteSession) PutBatch(ctx context.Context, keys []uint64, vals []floa
 	return nil
 }
 
-// RMW emulates the storage-side read-modify-write over the wire: a
-// clocked read (initializing on first touch), the gradient step applied
-// client-side, and the balancing write. With a hot tier the read may be
-// served from it — the step then applies to a value at most the staleness
-// bound behind, which is exactly the guarantee bounded-staleness training
-// grants — and the write refreshes the tier through Put.
+// RMW is the storage-side read-modify-write over the wire: one APPLY
+// frame, which the server runs as a single engine RMW — atomic against
+// every other session, never waiting on the staleness bound. The stepped
+// value materializes on the server, so the hot tier's copy is dropped. Only
+// a never-written key costs more: the server knows no initializer and
+// leaves it absent, and the step from init(key) is written back with one
+// Put — first touch, as on the read path, is not atomic across clients.
 func (s *remoteSession) RMW(ctx context.Context, key uint64, grad []float32, lr float32) error {
 	dim := s.m.Dim()
 	if len(grad) != dim {
 		return fmt.Errorf("driver: grad length %d != dim %d", len(grad), dim)
 	}
-	defer s.m.db.rmw.Since(time.Now())
-	s.rmw = util.Grow(s.rmw, dim)
-	cur := s.rmw
-	if err := s.Get(ctx, key, cur); err != nil {
+	found, err := s.s.ApplyCtx(ctx, key, lr, grad)
+	if err != nil {
 		return err
 	}
-	for i := range cur {
-		cur[i] -= lr * grad[i]
+	if !found {
+		s.rmw = util.Grow(s.rmw, dim)
+		s.initInto(key, s.rmw)
+		tensor.Axpy(-lr, grad, s.rmw)
+		return s.Put(ctx, key, s.rmw)
 	}
-	return s.Put(ctx, key, cur)
+	if c := s.m.cache; c != nil {
+		s.m.clock.Add(1)
+		c.Invalidate(key)
+	}
+	return nil
 }
 
 func (s *remoteSession) Peek(ctx context.Context, key uint64, dst []float32) (bool, error) {

@@ -44,7 +44,7 @@ func TestStoreMatchesModelMap(t *testing.T) {
 					}
 					delete(model, k)
 				case 5: // RMW increment first byte
-					if err := s.RMW(k, func(cur []byte, exists bool) { cur[0]++ }); err != nil {
+					if err := s.RMW(k, func(cur []byte, exists bool) bool { cur[0]++; return true }); err != nil {
 						t.Fatal(err)
 					}
 					mv, ok := model[k]

@@ -459,20 +459,23 @@ func (s *Session) Put(key uint64, val []byte) error {
 		return ErrValueSize
 	}
 	s.st.stats.Puts.Add(1)
-	return s.update(key, func(cur []byte, _ bool) {
+	return s.update(key, func(cur []byte, _ bool) bool {
 		copy(cur, val)
+		return true
 	})
 }
 
 // RMW applies fn to the current value (zeroed if the key is absent) as a
 // single atomic read-modify-write: in place in the mutable region, by
-// append elsewhere. It follows Put's staleness semantics.
-func (s *Session) RMW(key uint64, fn func(cur []byte, exists bool)) error {
+// append elsewhere. It follows Put's staleness semantics. fn returns
+// whether to store cur; a declining fn must leave cur untouched, and the
+// record — value, clock, generation, or absence — stays exactly as it was.
+func (s *Session) RMW(key uint64, fn func(cur []byte, exists bool) bool) error {
 	s.st.stats.RMWs.Add(1)
 	return s.update(key, fn)
 }
 
-func (s *Session) update(key uint64, fn func(cur []byte, exists bool)) error {
+func (s *Session) update(key uint64, fn func(cur []byte, exists bool) bool) error {
 	bound := s.st.bound.Load()
 	s.es.Protect()
 	defer s.es.Unprotect()
@@ -492,7 +495,7 @@ func (s *Session) update(key uint64, fn func(cur []byte, exists bool)) error {
 	}
 }
 
-func (s *Session) updateOnce(key uint64, hit chainHit, fn func([]byte, bool), bound int64) (bool, error) {
+func (s *Session) updateOnce(key uint64, hit chainHit, fn func([]byte, bool) bool, bound int64) (bool, error) {
 	st := s.st
 	vs := st.cfg.ValueSize
 	exists := hit.addr != InvalidAddr && !hit.tomb
@@ -509,7 +512,10 @@ func (s *Session) updateOnce(key uint64, hit chainHit, fn func([]byte, bool), bo
 		if !hit.f.hdrs[hit.slot].CompareAndSwap(h, withLock(h, delta)) {
 			return false, nil
 		}
-		fn(hit.f.vals[hit.slot*vs:(hit.slot+1)*vs], true)
+		if !fn(hit.f.vals[hit.slot*vs:(hit.slot+1)*vs], true) {
+			hit.f.hdrs[hit.slot].Store(h) // declined: unlock, nothing else moved
+			return true, nil
+		}
 		hit.f.hdrs[hit.slot].Store(releaseHeader(withLock(h, delta), true))
 		st.stats.InPlaceUpdates.Add(1)
 		return true, nil
@@ -523,7 +529,9 @@ func (s *Session) updateOnce(key uint64, hit chainHit, fn func([]byte, bool), bo
 	var newHdr uint64
 	if !exists {
 		clearBytes(s.scratch)
-		fn(s.scratch, false)
+		if !fn(s.scratch, false) {
+			return true, nil
+		}
 		newHdr = PackHeader(false, false, 0, 0)
 	} else {
 		var oldHdr uint64
@@ -535,7 +543,9 @@ func (s *Session) updateOnce(key uint64, hit chainHit, fn func([]byte, bool), bo
 			oldHdr = hit.diskRec.hdr
 			// diskRec.val already aliases scratch.
 		}
-		fn(s.scratch, true)
+		if !fn(s.scratch, true) {
+			return true, nil
+		}
 		stal := Staleness(oldHdr)
 		if bound >= 0 && stal > 0 {
 			stal--

@@ -143,9 +143,10 @@ func TestRMW(t *testing.T) {
 	st := testStore(t, 8, 64, 8, 2, -1)
 	s, _ := st.NewSession()
 	defer s.Close()
-	inc := func(cur []byte, exists bool) {
+	inc := func(cur []byte, exists bool) bool {
 		v := binary.LittleEndian.Uint64(cur)
 		binary.LittleEndian.PutUint64(cur, v+1)
+		return true
 	}
 	for i := 0; i < 100; i++ {
 		if err := s.RMW(1, inc); err != nil {
@@ -158,6 +159,54 @@ func TestRMW(t *testing.T) {
 	}
 	if v := binary.LittleEndian.Uint64(dst); v != 100 {
 		t.Fatalf("RMW counter = %d, want 100", v)
+	}
+}
+
+// TestRMWDecline pins the declining callback: an fn that returns false
+// leaves an absent key absent and an existing record — mutable, read-only
+// or on disk — byte-identical, appending nothing and releasing no token.
+func TestRMWDecline(t *testing.T) {
+	const vs = 16
+	st := testStore(t, vs, 32, 6, 2, 4)
+	s, _ := st.NewSession()
+	defer s.Close()
+	decline := func(cur []byte, exists bool) bool { return false }
+
+	if err := s.RMW(9999, decline); err != nil {
+		t.Fatal(err)
+	}
+	dst := make([]byte, vs)
+	if found, _ := s.Peek(9999, dst); found {
+		t.Fatal("a declined RMW created the key")
+	}
+
+	const n = 2000 // >> 6*32 in-memory slots: key 1 ends on disk, key n mutable
+	for k := uint64(1); k <= n; k++ {
+		if err := s.Put(k, val(vs, k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if found, err := s.Get(n, dst); err != nil || !found { // hold one token on the mutable record
+		t.Fatalf("get: found=%v err=%v", found, err)
+	}
+	before := st.Stats()
+	for _, k := range []uint64{1, n / 2, n - 100, n} {
+		if err := s.RMW(k, decline); err != nil {
+			t.Fatal(err)
+		}
+		if found, _ := s.Peek(k, dst); !found || !bytes.Equal(dst, val(vs, k)) {
+			t.Fatalf("key %d changed under a declined RMW", k)
+		}
+	}
+	after := st.Stats()
+	if after.RCUAppends != before.RCUAppends || after.InPlaceUpdates != before.InPlaceUpdates {
+		t.Fatalf("a declined RMW wrote: appends %d→%d, in-place %d→%d",
+			before.RCUAppends, after.RCUAppends, before.InPlaceUpdates, after.InPlaceUpdates)
+	}
+	// The token the Get took is still held: a write releases exactly one.
+	hit, _ := s.findKey(n, false)
+	if got := Staleness(hit.f.hdrs[hit.slot].Load()); got != 1 {
+		t.Fatalf("staleness after a declined RMW = %d, want the held token (1)", got)
 	}
 }
 
@@ -422,8 +471,9 @@ func TestConcurrentRMWCounters(t *testing.T) {
 	const workers = 8
 	const iters = 300
 	const keys = 5
-	inc := func(cur []byte, exists bool) {
+	inc := func(cur []byte, exists bool) bool {
 		binary.LittleEndian.PutUint64(cur, binary.LittleEndian.Uint64(cur)+1)
+		return true
 	}
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {

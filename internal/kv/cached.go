@@ -126,7 +126,7 @@ func (s *cachedSession) Delete(key uint64) error {
 
 // RMW materializes the new value inside the engine, so the tier's copy
 // is dropped rather than updated.
-func (s *cachedSession) RMW(key uint64, fn func(cur []byte, exists bool)) error {
+func (s *cachedSession) RMW(key uint64, fn func(cur []byte, exists bool) bool) error {
 	if err := s.inner.RMW(key, fn); err != nil {
 		return err
 	}

@@ -100,12 +100,19 @@ func TestStoreConformance(t *testing.T) {
 		}
 
 		// RMW: on a present key fn sees the value, on an absent one zeros.
-		bump := func(cur []byte, exists bool) { cur[0]++ }
+		bump := func(cur []byte, exists bool) bool { cur[0]++; return true }
 		if err := s.RMW(6, bump); err != nil {
 			t.Fatal(err)
 		}
 		if err := s.RMW(7777, bump); err != nil {
 			t.Fatal(err)
+		}
+		// A declining fn stores nothing: an absent key stays absent.
+		if err := s.RMW(8888, func([]byte, bool) bool { return false }); err != nil {
+			t.Fatal(err)
+		}
+		if found, _ := s.Peek(8888, dst); found {
+			t.Fatal("a declined RMW created the key")
 		}
 		if _, _ = s.Get(6, dst); dst[0] != 8 || dst[1] != 7 {
 			t.Fatalf("RMW of present key left %v", dst[:2])

@@ -34,7 +34,7 @@ type shardSession interface {
 	Peek(key uint64, dst []byte) (bool, error)
 	Put(key uint64, val []byte) error
 	Delete(key uint64) error
-	RMW(key uint64, fn func(cur []byte, exists bool)) error
+	RMW(key uint64, fn func(cur []byte, exists bool) bool) error
 	Prefetch(key uint64) (bool, error)
 	// getAt reads keys[i] into vals[i×ValueSize:] and found[i] for each i
 	// in idxs, zeroing the slot of a missing key.
@@ -208,7 +208,7 @@ func (s *clockFreeSession) Delete(key uint64) error {
 // RMW reads, applies fn, and writes back. Unlike the hybrid log's
 // in-storage RMW this is not atomic across sessions; concurrent updaters
 // of one key should batch their gradients the way the trainers do.
-func (s *clockFreeSession) RMW(key uint64, fn func(cur []byte, exists bool)) error {
+func (s *clockFreeSession) RMW(key uint64, fn func(cur []byte, exists bool) bool) error {
 	s.st.rmws.Add(1)
 	found, err := s.ns.Get(key, s.buf)
 	if err != nil {
@@ -217,7 +217,9 @@ func (s *clockFreeSession) RMW(key uint64, fn func(cur []byte, exists bool)) err
 	if !found {
 		clear(s.buf)
 	}
-	fn(s.buf, found)
+	if !fn(s.buf, found) {
+		return nil
+	}
 	return s.ns.Put(key, s.buf)
 }
 

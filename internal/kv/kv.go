@@ -62,9 +62,13 @@ type Session interface {
 	// Delete removes key.
 	Delete(key uint64) error
 	// RMW applies fn to key's current value (zeroed when absent) and
-	// stores the result: one atomic in-storage step on the hybrid log, a
-	// read, fn, and a write on the clock-free engines and over the wire.
-	RMW(key uint64, fn func(cur []byte, exists bool)) error
+	// stores the result if fn returns true; a declining fn must leave cur
+	// untouched, and the record (or its absence) stays as it was. One
+	// atomic in-storage step on the hybrid log — which is what the wire's
+	// APPLY frame runs server-side; a read, fn, and a write on the
+	// clock-free engines, and on the network client, whose closure cannot
+	// cross the wire.
+	RMW(key uint64, fn func(cur []byte, exists bool) bool) error
 	// Prefetch hints that key will be read soon, reporting whether the
 	// engine moved a record toward memory.
 	Prefetch(key uint64) (bool, error)

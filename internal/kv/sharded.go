@@ -155,7 +155,7 @@ func (se *shardedSession) Peek(key uint64, dst []byte) (bool, error) {
 }
 func (se *shardedSession) Put(key uint64, val []byte) error { return se.route(key).Put(key, val) }
 func (se *shardedSession) Delete(key uint64) error          { return se.route(key).Delete(key) }
-func (se *shardedSession) RMW(key uint64, fn func(cur []byte, exists bool)) error {
+func (se *shardedSession) RMW(key uint64, fn func(cur []byte, exists bool) bool) error {
 	return se.route(key).RMW(key, fn)
 }
 func (se *shardedSession) Prefetch(key uint64) (bool, error) { return se.route(key).Prefetch(key) }

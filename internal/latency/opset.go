@@ -6,9 +6,8 @@ import "time"
 // layer of the stack shares: scalar reads, batched reads, scalar writes,
 // batched writes, and read-modify-write. Layers that see more operations
 // than this fold them into the nearest class (the server counts PEEK as
-// a Get and DELETE as a Put); layers that see fewer leave the unused
-// class empty (the wire protocol has no RMW frame, so a server-side RMW
-// histogram only fills via the core table or the composite client RMW).
+// a Get and DELETE as a Put, and times an APPLY frame as the RMW it runs);
+// layers that see fewer leave the unused class empty.
 type Op int
 
 const (

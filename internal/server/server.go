@@ -20,8 +20,10 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/llm-db/mlkv-go/internal/faster"
 	"github.com/llm-db/mlkv-go/internal/kv"
 	"github.com/llm-db/mlkv-go/internal/latency"
+	"github.com/llm-db/mlkv-go/internal/tensor"
 	"github.com/llm-db/mlkv-go/internal/util"
 	"github.com/llm-db/mlkv-go/internal/wire"
 )
@@ -238,9 +240,30 @@ type connModel struct {
 	vs      int
 	keys    []uint64
 	found   []bool
-	scratch []byte // vs bytes, single-key GET staging
-	resp    []byte // reusable GET/PEEK response payload (1+vs bytes)
+	scratch []byte // vs bytes: single-key GET staging, APPLY's post-image
+	resp    []byte // reusable GET/PEEK/APPLY response payload (1+vs bytes)
 	out     []byte // reusable GETBATCH response payload
+
+	// The APPLY frame in hand. applyStep is the RMW callback, bound once at
+	// attach so a frame allocates no closure; it reads lr and grad and
+	// leaves found and, in scratch, the stepped value.
+	grad      []float32 // dim
+	lr        float32
+	hit       bool
+	applyStep func(cur []byte, exists bool) bool
+}
+
+// step is APPLY's RMW callback: v ← v − lr·grad on an existing key, whose
+// post-image it copies out for the replication stream while the record is
+// still held. An absent key declines the store — the server knows no
+// initializer, so the client answers found=0 with its first-touch path.
+func (cm *connModel) step(cur []byte, exists bool) bool {
+	if cm.hit = exists; !exists {
+		return false
+	}
+	tensor.StepBytes(cur, cm.grad, cm.lr)
+	copy(cm.scratch, cur)
+	return true
 }
 
 // connState is one connection's handler state: the models it has touched,
@@ -355,8 +378,9 @@ func (s *Server) handle(st *connState, op wire.Op, p []byte) (respOp wire.Op, pa
 		}
 		cm := st.models[h]
 		if cm == nil {
-			cm = &connModel{m: m, vs: m.dim * 4}
+			cm = &connModel{m: m, vs: m.dim * 4, grad: make([]float32, m.dim)}
 			cm.scratch = make([]byte, cm.vs)
+			cm.applyStep = cm.step
 			st.models[h] = cm
 		}
 		if cm.sess == nil {
@@ -480,7 +504,7 @@ func (s *Server) handle(st *connState, op wire.Op, p []byte) (respOp wire.Op, pa
 		if !s.mayRead(key) {
 			return s.notOwner()
 		}
-		ctx, cancel := waitCtx(waitMs)
+		ctx, cancel := waitCtx(waitMs, cm.m.store.StalenessBound())
 		start := time.Now()
 		found, err := cm.sess.GetCtx(ctx, key, cm.scratch)
 		cm.m.lat.Since(latency.OpGet, start)
@@ -522,7 +546,7 @@ func (s *Server) handle(st *connState, op wire.Op, p []byte) (respOp wire.Op, pa
 		if err != nil {
 			return fail(err)
 		}
-		s.replicate(cm, wire.ReplPut, []uint64{key}, val)
+		s.replicate(cm, wire.ReplPut, cm.oneKey(key), val)
 		return wire.RespOK, nil, false
 
 	case wire.OpDelete:
@@ -540,8 +564,34 @@ func (s *Server) handle(st *connState, op wire.Op, p []byte) (respOp wire.Op, pa
 		if err != nil {
 			return fail(err)
 		}
-		s.replicate(cm, wire.ReplDelete, []uint64{key}, nil)
+		s.replicate(cm, wire.ReplDelete, cm.oneKey(key), nil)
 		return wire.RespOK, nil, false
+
+	case wire.OpApply:
+		key, lr, err := wire.DecodeApply(rest, cm.grad)
+		if err != nil {
+			return fail(err)
+		}
+		if !s.mayWrite(key) {
+			return s.notOwner()
+		}
+		cm.lr = lr
+		start := time.Now()
+		err = cm.sess.RMW(key, cm.applyStep)
+		cm.m.lat.Since(latency.OpRMW, start)
+		if err != nil {
+			return fail(err)
+		}
+		if cm.hit {
+			// Replicas receive the post-image as an ordinary upsert: they
+			// need not replay the arithmetic, and the replicator is unchanged.
+			// Like PUT's, the enqueue follows the engine call rather than
+			// sharing its record lock, so two connections stepping one key
+			// can enqueue out of order (ARCHITECTURE, replication).
+			s.replicate(cm, wire.ReplPut, cm.oneKey(key), cm.scratch)
+		}
+		cm.resp = wire.AppendApplyResp(cm.resp[:0], cm.hit)
+		return wire.RespOK, cm.resp, false
 
 	case wire.OpGetBatch:
 		keys, waitMs, err := wire.DecodeGetBatch(rest, cm.keys)
@@ -566,7 +616,7 @@ func (s *Server) handle(st *connState, op wire.Op, p []byte) (respOp wire.Op, pa
 		vals := out[4+n:]
 		cm.found = util.Grow(cm.found, n)
 		clear(cm.found)
-		ctx, cancel := waitCtx(waitMs)
+		ctx, cancel := waitCtx(waitMs, cm.m.store.StalenessBound())
 		start := time.Now()
 		err = kv.SessionGetBatchCtx(ctx, cm.sess, cm.vs, keys, vals, cm.found)
 		cm.m.lat.Since(latency.OpGetBatch, start)
@@ -743,12 +793,25 @@ func (s *Server) replicate(cm *connModel, kind byte, keys []uint64, vals []byte)
 	}
 }
 
+// oneKey stages a single-key write's key for replicate in the connection's
+// reusable key slice (Replicate copies the event before returning).
+func (cm *connModel) oneKey(key uint64) []uint64 {
+	cm.keys = append(cm.keys[:0], key)
+	return cm.keys
+}
+
 // waitCtx turns a frame's wait budget into a context: a clocked read
 // stalled on the staleness bound gives up server-side at the client's
 // deadline instead of stranding a token on an abandoned request (and
-// wedging this connection's handler).
-func waitCtx(waitMs uint32) (context.Context, context.CancelFunc) {
-	if waitMs == 0 {
+// wedging this connection's handler). Under a bound that cannot block
+// there is nothing to give up on, so the read runs without a timer.
+//
+// bound is the caller's load, one before the read's own: a runtime flip to
+// a blocking bound (another connection's OPEN) landing between the two lets
+// that one read stall with no deadline, as a waitMs-0 read would, until a
+// write to the key releases it.
+func waitCtx(waitMs uint32, bound int64) (context.Context, context.CancelFunc) {
+	if waitMs == 0 || !faster.BlockingBound(bound) {
 		return context.Background(), func() {}
 	}
 	return context.WithTimeout(context.Background(), time.Duration(waitMs)*time.Millisecond)

@@ -7,6 +7,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -15,6 +16,7 @@ import (
 	mlkv "github.com/llm-db/mlkv-go"
 	"github.com/llm-db/mlkv-go/internal/client"
 	"github.com/llm-db/mlkv-go/internal/kv"
+	"github.com/llm-db/mlkv-go/internal/tensor"
 	"github.com/llm-db/mlkv-go/internal/wire"
 )
 
@@ -122,6 +124,74 @@ func TestRemoteRoundTrip(t *testing.T) {
 	}
 	if err := s.Put(2, val[:3]); err == nil {
 		t.Fatal("short value accepted")
+	}
+}
+
+// TestRemoteApply drives the APPLY frame end to end: an existing key
+// steps by exactly lr·grad and answers found, an absent key is left absent
+// and answers not-found, the step releases a clock token like a Put and
+// never waits on the bound (BSP here), and the server times it into the
+// model's RMW class.
+func TestRemoteApply(t *testing.T) {
+	const dim = 4
+	addr, _, stop := startServer(t, t.TempDir())
+	defer stop()
+	cl, err := client.Dial(addr, client.Options{Conns: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	m, err := cl.OpenModel(context.Background(), client.OpenSpec{ID: "apply", Dim: dim, Bound: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := m.NewSessionCtx(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ctx := context.Background()
+	val, got := make([]byte, dim*4), make([]byte, dim*4)
+	tensor.F32sToBytes([]float32{10, 20, 30, 40}, val)
+	if err := s.Put(1, val); err != nil {
+		t.Fatal(err)
+	}
+	if found, err := s.Get(1, got); err != nil || !found { // takes the record's one BSP token
+		t.Fatalf("get: found=%v err=%v", found, err)
+	}
+
+	grad := []float32{1, 2, 3, 4}
+	if found, err := s.ApplyCtx(ctx, 1, 0.5, grad); err != nil || !found {
+		t.Fatalf("apply on an existing key: found=%v err=%v", found, err)
+	}
+	// The step released the token: a BSP read proceeds instead of stalling.
+	short, cancel := context.WithTimeout(ctx, 2*time.Second)
+	defer cancel()
+	if found, err := s.GetCtx(short, 1, got); err != nil || !found {
+		t.Fatalf("clocked read after the step: found=%v err=%v", found, err)
+	}
+	f := make([]float32, dim)
+	tensor.BytesToF32s(got, f)
+	if want := []float32{9.5, 19, 28.5, 38}; !reflect.DeepEqual(f, want) {
+		t.Fatalf("stepped value %v, want %v", f, want)
+	}
+
+	if found, err := s.ApplyCtx(ctx, 2, 0.5, grad); err != nil || found {
+		t.Fatalf("apply on an absent key: found=%v err=%v, want not found", found, err)
+	}
+	if found, _ := s.Peek(2, got); found {
+		t.Fatal("apply created the absent key: the server knows no initializer")
+	}
+	if _, err := s.ApplyCtx(ctx, 1, 0.5, grad[:3]); err == nil {
+		t.Fatal("a gradient of the wrong dimension was accepted")
+	}
+
+	st, err := m.StatsCtx(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.RMWs != 2 || st.LatRMW.Count != 2 {
+		t.Fatalf("server-side RMWs=%d LatRMW.Count=%d, want 2 and 2 (one per APPLY frame)", st.RMWs, st.LatRMW.Count)
 	}
 }
 
@@ -484,6 +554,16 @@ func TestProtocolErrorPaths(t *testing.T) {
 		t.Fatalf("short put: %+v err=%v", f, err)
 	}
 
+	// APPLY with a gradient of the wrong dimension (3 floats, dim 2) →
+	// RespErr, connection lives, and nothing was stepped.
+	if err := wire.WriteFrame(nc, 10, wire.OpApply, wire.AppendApply(nil, handle, 7, 1, []float32{1, 1, 1})); err != nil {
+		t.Fatal(err)
+	}
+	f, err = wire.ReadFrame(nc, 0)
+	if err != nil || f.Op != wire.RespErr || f.CorrID != 10 {
+		t.Fatalf("mis-sized apply: %+v err=%v", f, err)
+	}
+
 	// Unknown handle → RespErr, connection lives.
 	if err := wire.WriteFrame(nc, 7, wire.OpGet, wire.EncodeGet(99, 7, 0)); err != nil {
 		t.Fatal(err)
@@ -502,14 +582,15 @@ func TestProtocolErrorPaths(t *testing.T) {
 		t.Fatalf("get after errors: %+v err=%v", f, err)
 	}
 
-	// An old client's HELLO (version 1) → a clear RespErr, then close.
+	// The previous protocol's HELLO (version 3, no APPLY frame) → a clear
+	// RespErr, then close: there is no compat path.
 	old := wire.EncodeHello()
-	old[0] = 1
+	old[0] = wire.Version - 1
 	if err := wire.WriteFrame(nc, 9, wire.OpHello, old); err != nil {
 		t.Fatal(err)
 	}
 	f, err = wire.ReadFrame(nc, 0)
-	if err != nil || f.Op != wire.RespErr || !strings.Contains(string(f.Payload), "version 1") {
+	if err != nil || f.Op != wire.RespErr || !strings.Contains(string(f.Payload), "version 3, want 4 (upgrade the older side)") {
 		t.Fatalf("version mismatch: %+v err=%v", f, err)
 	}
 	nc.SetReadDeadline(time.Now().Add(2 * time.Second))

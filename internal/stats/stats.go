@@ -90,9 +90,9 @@ type Counters struct {
 
 	// Per-op-class latency summaries in nanoseconds, owned by the layer
 	// that times the calls: core.Table (store operations), the server
-	// (store calls in the conn handler; LatRMW stays zero, the wire has no
-	// RMW frame), and the client pool or router (round trips, RMW as the
-	// Get+step+Put composite).
+	// (store calls in the conn handler; LatRMW is the APPLY frame's engine
+	// RMW), and the client pool or router (round trips; LatRMW is the APPLY
+	// round trip).
 	LatGet      latency.Snapshot
 	LatGetBatch latency.Snapshot
 	LatPut      latency.Snapshot

@@ -26,3 +26,15 @@ func F32sToBytes(src []float32, dst []byte) {
 		binary.LittleEndian.PutUint32(dst[i*4:], math.Float32bits(v))
 	}
 }
+
+// StepBytes applies val ← val − lr·grad to an encoded embedding in place:
+// the gradient step of core.Session.ApplyGradient and of the server's APPLY
+// frame, one definition so a local and a remote update round identically.
+// val must hold at least 4*len(grad) bytes.
+func StepBytes(val []byte, grad []float32, lr float32) {
+	for i, g := range grad {
+		v := math.Float32frombits(binary.LittleEndian.Uint32(val[i*4:]))
+		v -= lr * g
+		binary.LittleEndian.PutUint32(val[i*4:], math.Float32bits(v))
+	}
+}

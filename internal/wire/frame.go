@@ -115,6 +115,14 @@ const (
 	// immediately — a graceful restart skips the suspicion timeout that an
 	// actual crash must wait out.
 	OpClusterLeave
+	// OpApply is the embedding-update primitive (the paper's storage-side
+	// Rmw, Fig. 4 step 8): the server applies v ← v − lr·grad to one key
+	// inside a single engine RMW and answers whether the key existed. An
+	// absent key is left absent (found=0) — the server knows no initializer,
+	// so the client runs its first-touch path. A gradient step is not
+	// idempotent: a client re-sends an APPLY only when it provably did not
+	// run (NOT_OWNER, or a failure before the frame was written).
+	OpApply
 )
 
 // Response opcodes.
@@ -173,6 +181,8 @@ func (o Op) String() string {
 		return "CLUSTERPING"
 	case OpClusterLeave:
 		return "CLUSTERLEAVE"
+	case OpApply:
+		return "APPLY"
 	case RespOK:
 		return "OK"
 	case RespErr:
@@ -188,7 +198,7 @@ func (o Op) String() string {
 // and closes the connection rather than guess at payload layouts — so any
 // change to a payload layout, or to the order or length of the STATS
 // counter table (internal/stats), bumps it.
-const Version = 3
+const Version = 4
 
 const (
 	// minLength is the smallest legal length field: corrID + op.
@@ -273,14 +283,19 @@ func ReadFrame(r io.Reader, maxFrame uint32) (Frame, error) {
 // Frame.Payload aliases the buffer and is valid only until the next use
 // of it.
 func ReadFrameBuf(r io.Reader, maxFrame uint32, buf []byte) (Frame, []byte, error) {
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
+	// The length prefix is read into buf too (the body then overwrites it):
+	// a local array would escape through the io.Reader, once per frame.
+	if cap(buf) < minLength {
+		buf = make([]byte, minLength)
+	}
+	lenBuf := buf[:4]
+	if _, err := io.ReadFull(r, lenBuf); err != nil {
 		if errors.Is(err, io.ErrUnexpectedEOF) {
 			return Frame{}, buf, io.ErrUnexpectedEOF
 		}
 		return Frame{}, buf, err
 	}
-	n := binary.LittleEndian.Uint32(lenBuf[:])
+	n := binary.LittleEndian.Uint32(lenBuf)
 	if n < minLength {
 		return Frame{}, buf, fmt.Errorf("%w: length %d < %d", ErrMalformed, n, minLength)
 	}

@@ -219,6 +219,46 @@ func DecodePut(p []byte, valueSize int) (key uint64, val []byte, err error) {
 	return binary.LittleEndian.Uint64(p), p[8:], nil
 }
 
+// AppendApply appends an APPLY request payload: uint32 handle | uint64 key
+// | float32 lr | dim×float32 grad.
+func AppendApply(dst []byte, handle uint32, key uint64, lr float32, grad []float32) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, handle)
+	dst = binary.LittleEndian.AppendUint64(dst, key)
+	dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(lr))
+	for _, g := range grad {
+		dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(g))
+	}
+	return dst
+}
+
+// DecodeApply parses an APPLY request (after DecodeHandle) into grad, whose
+// length is the model's dim: a gradient of any other dimension is refused.
+func DecodeApply(p []byte, grad []float32) (key uint64, lr float32, err error) {
+	if len(p) != 12+4*len(grad) {
+		return 0, 0, fmt.Errorf("%w: APPLY wants %d bytes, got %d", ErrShortPayload, 12+4*len(grad), len(p))
+	}
+	for i := range grad {
+		grad[i] = math.Float32frombits(binary.LittleEndian.Uint32(p[12+4*i:]))
+	}
+	return binary.LittleEndian.Uint64(p), math.Float32frombits(binary.LittleEndian.Uint32(p[8:])), nil
+}
+
+// AppendApplyResp appends an APPLY response payload: uint8 found.
+func AppendApplyResp(dst []byte, found bool) []byte {
+	if found {
+		return append(dst, 1)
+	}
+	return append(dst, 0)
+}
+
+// DecodeApplyResp parses an APPLY response.
+func DecodeApplyResp(p []byte) (found bool, err error) {
+	if len(p) != 1 {
+		return false, fmt.Errorf("%w: APPLY response wants 1 byte, got %d", ErrShortPayload, len(p))
+	}
+	return p[0] != 0, nil
+}
+
 // AppendGetResp appends a GET response payload (see EncodeGetResp).
 func AppendGetResp(dst []byte, found bool, val []byte) []byte {
 	if !found {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"reflect"
 	"testing"
 
 	"github.com/llm-db/mlkv-go/internal/stats"
@@ -173,6 +174,30 @@ func TestPayloadRoundTrips(t *testing.T) {
 		t.Fatalf("put: %d %v", k2, err)
 	}
 
+	grad := make([]float32, vs/4)
+	for i := range grad {
+		grad[i] = r.Float32()*2 - 1
+	}
+	gotGrad := make([]float32, len(grad))
+	ak, alr, err := DecodeApply(stripHandle(t, AppendApply(nil, hdl, 43, 0.25, grad), hdl), gotGrad)
+	if err != nil || ak != 43 || alr != 0.25 || !reflect.DeepEqual(gotGrad, grad) {
+		t.Fatalf("apply: key=%d lr=%v grad=%v err=%v", ak, alr, gotGrad, err)
+	}
+	// A gradient of the wrong dimension is refused, not truncated or padded.
+	for _, dim := range []int{len(grad) - 1, len(grad) + 1} {
+		if _, _, err := DecodeApply(stripHandle(t, AppendApply(nil, hdl, 43, 0.25, grad), hdl), make([]float32, dim)); err == nil {
+			t.Fatalf("apply: a %d-float gradient decoded into dim %d", len(grad), dim)
+		}
+	}
+	for _, want := range []bool{true, false} {
+		if found, err := DecodeApplyResp(AppendApplyResp(nil, want)); err != nil || found != want {
+			t.Fatalf("apply resp: found=%v err=%v, want %v", found, err, want)
+		}
+	}
+	if got := OpApply.String(); got != "APPLY" {
+		t.Fatalf("OpApply.String() = %q", got)
+	}
+
 	dst := make([]byte, vs)
 	if found, err := DecodeGetResp(EncodeGetResp(true, val), dst); err != nil || !found || !bytes.Equal(dst, val) {
 		t.Fatalf("get hit: %v %v", found, err)
@@ -261,6 +286,11 @@ func TestDecodeRejectsTruncation(t *testing.T) {
 		{"get", stripHandle(t, EncodeGet(1, 5, 9), 1), func(p []byte) error { _, _, err := DecodeGet(p); return err }},
 		{"getBatch", stripHandle(t, EncodeGetBatch(1, 9, keys), 1), func(p []byte) error { _, _, err := DecodeGetBatch(p, nil); return err }},
 		{"put", stripHandle(t, EncodePut(1, 5, vals[:vs]), 1), func(p []byte) error { _, _, err := DecodePut(p, vs); return err }},
+		{"apply", stripHandle(t, AppendApply(nil, 1, 5, 0.5, []float32{1, 2, 3, 4}), 1), func(p []byte) error {
+			_, _, err := DecodeApply(p, make([]float32, 4))
+			return err
+		}},
+		{"applyResp", AppendApplyResp(nil, true), func(p []byte) error { _, err := DecodeApplyResp(p); return err }},
 		{"getRespHit", EncodeGetResp(true, vals[:vs]), func(p []byte) error {
 			_, err := DecodeGetResp(p, make([]byte, vs))
 			return err

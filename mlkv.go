@@ -477,7 +477,8 @@ type Stats struct {
 	// trips (per connection pool, so every model opened from the same
 	// Connect shares the summaries), which includes queueing in the
 	// pipelined client — the tail your callers actually see. LatRMW is
-	// the full RMW span: storage-side locally, Get+step+Put remotely.
+	// the full RMW span: the storage-side step locally, its one round
+	// trip remotely.
 	LatGet      LatencySummary
 	LatGetBatch LatencySummary
 	LatPut      LatencySummary
@@ -652,8 +653,12 @@ func (s *Session) PutBatchCtx(ctx context.Context, keys []uint64, vals []float32
 	return s.s.PutBatch(ctx, keys, vals)
 }
 
-// RMW applies emb ← emb − lr·grad atomically in storage (remotely: a
-// clocked read, the step applied client-side, and the balancing write).
+// RMW applies emb ← emb − lr·grad atomically in storage, locally and
+// remotely alike: over the wire it is one round trip, run by the server as
+// the same storage-side step. A never-read key steps from its initial
+// embedding. A step is not idempotent, so a remote RMW is never re-sent
+// once its request was written: an error after that point means the step
+// may or may not have been applied.
 func (s *Session) RMW(key uint64, grad []float32, lr float32) error {
 	return s.s.RMW(context.Background(), key, grad, lr)
 }
