@@ -5,18 +5,20 @@ import (
 	"testing"
 	"time"
 
+	mlkv "github.com/llm-db/mlkv-go"
 	"github.com/llm-db/mlkv-go/internal/util"
 )
 
 // remoteGetBatchAllocBudget is the committed allocs/op ceiling for the
 // remote 256-key GetBatch hot path, client and loopback server combined.
-// The steady state is 2 allocs/op, both inside the sharded store's batch
-// fan-out (the response channel, the pooled-buffer box and the frame
-// reader's length prefix went with the single-key work below, from 5); the
-// budget leaves headroom for scheduler noise while still failing loudly if
+// The steady state is 0 allocs/op (the response channel, the pooled-buffer
+// box and the frame reader's length prefix went with the single-key work
+// below, from 5; the last 2 were the sharded store's fan-out closure and
+// wait group, gone with TestLocalGetBatchAllocBudget's rule); the budget
+// leaves headroom for scheduler noise while still failing loudly if
 // per-frame or per-batch allocations creep back in (the pre-pooling path
 // was 13).
-const remoteGetBatchAllocBudget = 4
+const remoteGetBatchAllocBudget = 2
 
 // TestRemoteGetBatchAllocBudget is the allocation-regression gate wired
 // into CI's bench-smoke step: it fails when the remote hot read path
@@ -117,6 +119,105 @@ func TestRemoteSingleKeyAllocBudget(t *testing.T) {
 			if avg > op.budget {
 				t.Fatalf("remote %s allocates %.2f/op, budget %.0f — the single-key frame path regressed",
 					op.name, avg, op.budget)
+			}
+		})
+	}
+}
+
+// Committed allocs/op ceilings for a local 256-key GetBatch on a 4-shard
+// model opened with WithCache, public API to hybrid log. While the table
+// fits in WithMemory the batch runs on the caller's goroutine — shard
+// groups one after another, hot tier bypassed — and allocates nothing; a
+// goroutine spawn allocates, so the zero pins that rule (the
+// goroutine-per-shard path it replaced measured 6/op here). Once the store
+// has spilled the groups run one goroutine per shard to overlap their disk
+// reads: the steady state is 4 allocs/op, one goroutine closure per shard
+// (16 before: the fan-out's wait group and closure, and a record buffer
+// per disk read), and the ceiling leaves the headroom the remote budget
+// does. A spilled batch under kv's 16-key fan-out floor spawns nothing and
+// allocates nothing: a spawn costs more than the few reads it would overlap.
+const (
+	localGetBatchResidentAllocBudget     = 0
+	localGetBatchSpilledAllocBudget      = 8
+	localGetBatchSpilledSmallAllocBudget = 0
+)
+
+// TestLocalGetBatchAllocBudget is the local half of the allocation gate
+// (CI's "Allocation gate" step).
+func TestLocalGetBatchAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation changes allocation counts")
+	}
+	const (
+		dim     = 16
+		batch   = 256
+		records = 1 << 14
+	)
+	db, err := mlkv.Connect(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	zipf := util.NewScrambledZipf(util.NewRNG(7), records, 0.99)
+	for _, c := range []struct {
+		name   string
+		memory int64 // WithMemory: holds all records, or a few pages
+		read   int   // keys per timed GetBatch
+		budget float64
+	}{
+		{"resident", 32 << 20, batch, localGetBatchResidentAllocBudget},
+		{"spilled", 1, batch, localGetBatchSpilledAllocBudget},
+		{"spilled-small", 1, 15, localGetBatchSpilledSmallAllocBudget},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			m, err := db.Open("alloc-"+c.name, dim, mlkv.WithShards(4), mlkv.WithCache(1024),
+				mlkv.WithStalenessBound(mlkv.ASP), mlkv.WithMemory(c.memory), mlkv.WithExpectedKeys(records))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer m.Close()
+			s, err := m.NewSession()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			keys := make([]uint64, batch)
+			dst := make([]float32, batch*dim)
+			for lo := 0; lo < records; lo += batch {
+				for j := range keys {
+					keys[j] = uint64(lo + j)
+				}
+				if err := s.PutBatch(keys, dst); err != nil {
+					t.Fatal(err)
+				}
+			}
+			keys, dst = keys[:c.read], dst[:c.read*dim]
+			read := func() {
+				for j := range keys {
+					keys[j] = zipf.Next()
+				}
+				if err := s.GetBatch(keys, dst); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// A few untimed rounds settle scratch growth and the tier.
+			for i := 0; i < 16; i++ {
+				read()
+			}
+			before := m.Stats()
+			avg := testing.AllocsPerRun(100, read)
+			after := m.Stats()
+			tier := after.CacheHits + after.CacheMisses - before.CacheHits - before.CacheMisses
+			if spilled := after.DiskReads > 0; spilled != (c.memory == 1) {
+				t.Fatalf("fixture is not %s: %d disk reads so far", c.name, after.DiskReads)
+			}
+			if consulted := tier > 0; consulted != (c.memory == 1) {
+				t.Fatalf("%s model made %d tier lookups in 101 batches", c.name, tier)
+			}
+			t.Logf("local GetBatch(%d) %s: %.1f allocs/op (budget %.0f)", c.read, c.name, avg, c.budget)
+			if avg > c.budget {
+				t.Fatalf("local GetBatch(%d) on a %s model allocates %.1f/op, budget %.0f",
+					c.read, c.name, avg, c.budget)
 			}
 		})
 	}

@@ -82,25 +82,64 @@ func driveModel(t *testing.T, m *mlkv.Model, dim int) []float32 {
 	return seen
 }
 
+// spillModel writes filler embeddings (keys 2^32 and up) through m until
+// the oldest of them reads back from disk: from the first evicted page on,
+// a local model's reads go through its hot tier (WithCache) and its
+// batches fan out a goroutine per shard. Open m with a WithMemory of a few
+// pages, or this takes a while.
+func spillModel(t *testing.T, m *mlkv.Model, dim int) {
+	t.Helper()
+	s, err := m.NewSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	const base, chunk = uint64(1) << 32, 1024
+	keys := make([]uint64, chunk)
+	vals := make([]float32, chunk*dim)
+	for n := uint64(0); m.Stats().DiskReads == 0; n += chunk {
+		if n == 1<<20 {
+			t.Fatal("no read reached disk after 2^20 filler writes")
+		}
+		for i := range keys {
+			keys[i] = base + n + uint64(i)
+		}
+		if err := s.PutBatch(keys, vals); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Peek(base, vals[:dim]); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestAPICacheEquivalence is the cache-on vs cache-off conformance check
 // on both drivers: the same op sequence over a cached and an uncached
 // model must observe identical values — the hot tier may only change
 // speed, never results — and the cached model must actually have served
-// reads from the tier.
+// reads from the tier. A local model's tier fronts the store only once it
+// has spilled to disk, so the local pair is a few pages large and spilled
+// first; a third, resident local model must read the same values without
+// a single tier lookup.
 func TestAPICacheEquivalence(t *testing.T) {
 	const dim = 4
 	for _, bound := range []int64{mlkv.ASP, 3 /* SSP */} {
 		withTargets(t, func(t *testing.T, db *mlkv.DB) {
-			plain, err := db.Open("ce-plain", dim, mlkv.WithStalenessBound(bound))
+			opts := []mlkv.Option{mlkv.WithStalenessBound(bound), mlkv.WithMemory(1)}
+			plain, err := db.Open("ce-plain", dim, opts...)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer plain.Close()
-			cached, err := db.Open("ce-cached", dim, mlkv.WithStalenessBound(bound), mlkv.WithCache(1024))
+			cached, err := db.Open("ce-cached", dim, append(opts, mlkv.WithCache(1024))...)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer cached.Close()
+			if !db.Remote() {
+				spillModel(t, plain, dim)
+				spillModel(t, cached, dim)
+			}
 
 			want := driveModel(t, plain, dim)
 			got := driveModel(t, cached, dim)
@@ -113,6 +152,22 @@ func TestAPICacheEquivalence(t *testing.T) {
 			}
 			if plain.Stats().CacheHits != 0 {
 				t.Fatal("uncached model reported tier hits")
+			}
+			if db.Remote() {
+				return // the client tier saves a round trip: always in front
+			}
+
+			resident, err := db.Open("ce-resident", dim, mlkv.WithStalenessBound(bound), mlkv.WithCache(1024))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resident.Close()
+			if got := driveModel(t, resident, dim); !f32sEq(got, want) {
+				t.Fatalf("bound %d: resident cached model diverged from uncached", bound)
+			}
+			if st := resident.Stats(); st.DiskReads+st.CacheHits+st.CacheMisses+st.CacheEvictions != 0 {
+				t.Fatalf("bound %d: model that fits in memory: %d disk reads, tier %d hits / %d misses / %d evictions, want none",
+					bound, st.DiskReads, st.CacheHits, st.CacheMisses, st.CacheEvictions)
 			}
 		})
 	}
@@ -160,16 +215,22 @@ func TestAPICacheBSPNeverServes(t *testing.T) {
 
 // TestAPIServerSideCache exercises the server's shared per-model hot tier
 // (-cache): a registry with CacheEntries set serves correct values and
-// reports tier hits through the STATS op into the public Stats surface.
+// reports tier hits through the STATS op into the public Stats surface —
+// for a model that has spilled to disk. One that fits in the server's
+// memory is served by the log and never consults the tier.
 func TestAPIServerSideCache(t *testing.T) {
 	dir := t.TempDir()
 	reg := server.NewRegistry(server.RegistryConfig{
 		DefaultBound: mlkv.ASP,
 		CacheEntries: 1024,
 		Opener: func(id string, dim, shards int, b int64, engine string) (kv.Store, error) {
+			mem := int64(1 << 20)
+			if id == "srv-cache" {
+				mem = 1 // the four-page floor: 256 records
+			}
 			return kv.OpenEngine(kv.EngineFaster, kv.ShardedConfig{
 				Dir: filepath.Join(dir, id), Shards: shards, ValueSize: dim * 4,
-				RecordsPerPage: 64, MemoryBytes: 1 << 20, ExpectedKeys: 1 << 12,
+				RecordsPerPage: 64, MemoryBytes: mem, ExpectedKeys: 1 << 12,
 				StalenessBound: b,
 			}, "mlkv")
 		},
@@ -194,11 +255,36 @@ func TestAPIServerSideCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
+	// The mirror first: eight reads of a model that fits in memory.
+	fits, err := db.Open("srv-fits", 4, mlkv.WithStalenessBound(mlkv.ASP))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fits.Close()
+	fs, err := fits.NewSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close()
+	if err := fs.Put(9, []float32{1, 2, 3, 4}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 8; i++ {
+		if err := fs.Get(9, make([]float32, 4)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := fits.Stats(); st.Gets != 8 || st.CacheHits+st.CacheMisses+st.CacheEvictions != 0 {
+		t.Fatalf("resident model: %d engine reads, tier %d hits / %d misses / %d evictions, want 8 and none",
+			st.Gets, st.CacheHits, st.CacheMisses, st.CacheEvictions)
+	}
+
 	m, err := db.Open("srv-cache", 4, mlkv.WithStalenessBound(mlkv.ASP))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer m.Close()
+	spillModel(t, m, 4)
 	s, err := m.NewSession()
 	if err != nil {
 		t.Fatal(err)

@@ -73,7 +73,7 @@ func main() {
 		records      = flag.Uint64("records", 1<<20, "expected key count per model (sizes the hash indexes)")
 		engine       = flag.String("engine", "mlkv", "default storage engine for new models (mlkv|faster|lsm|bptree); faster is the hybrid log with the clock off")
 		staleness    = flag.Int64("staleness", -2, "default staleness bound for new models: -2=asp (never blocks, default), 0=bsp, n>0=ssp")
-		cache        = flag.Int("cache", 0, "per-model server-side hot-tier capacity in entries (0 disables); cached reads are served only within each model's staleness bound")
+		cache        = flag.Int("cache", 0, "per-model server-side hot-tier capacity in entries (0 disables); consulted once a model's store has spilled to disk (one that fits in -buffer-mb is served by the log's in-memory region), and cached reads are served only within each model's staleness bound")
 		sync         = flag.Bool("sync", false, "fsync every flushed log page; also checkpoint all models on shutdown")
 		flushPace    = flag.Duration("flush-pace", 0, "minimum gap between background flush writes per model shard, smearing flush bursts away from the read tail (0 = unpaced); adjacent frozen pages still merge into group-commit writes")
 		drainSecs    = flag.Int("drain-timeout", 10, "seconds to wait for connections to drain on shutdown")

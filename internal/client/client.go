@@ -501,6 +501,11 @@ func (m *Model) SetStalenessBound(bound int64) error {
 	return nil
 }
 
+// Resident is false: every read of a remote model can wait — on the wire
+// if not on the server's disk — so a tier in front of it always has a
+// round trip to save.
+func (m *Model) Resident() bool { return false }
+
 // Name identifies the remote engine in benchmark output.
 func (m *Model) Name() string { return "remote(" + m.engine + ")" }
 

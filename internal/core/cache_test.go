@@ -199,18 +199,50 @@ func TestCacheConcurrentFill(t *testing.T) {
 	}
 }
 
-// TestTableHotTier exercises the wired read path: reads fill the tier,
-// Puts write through, RMW and Delete invalidate, and under SSP the tier
-// stops serving once enough writes land.
+// spillTable writes filler embeddings (keys 2^32 and up) until tbl's store
+// has evicted its first page — from then on reads go through the hot tier —
+// and reads the fillers back oldest first until one comes from disk.
+func spillTable(t *testing.T, tbl *Table) {
+	t.Helper()
+	s, err := tbl.NewSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	const base = uint64(1) << 32
+	v := make([]float32, tbl.Dim())
+	n := uint64(0)
+	for ; tbl.store.Resident(); n++ {
+		if n == 1<<20 {
+			t.Fatal("table still resident after 2^20 filler writes")
+		}
+		if err := s.Put(base+n, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for k := uint64(0); k < n && tbl.Stats().DiskReads == 0; k++ {
+		if _, err := s.Peek(base+k, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if tbl.Stats().DiskReads == 0 {
+		t.Fatal("spilled table served every filler key from memory")
+	}
+}
+
+// TestTableHotTier exercises the wired read path of a table that has
+// spilled to disk: reads fill the tier, Puts write through, RMW and Delete
+// invalidate, and under SSP the tier stops serving once enough writes land.
 func TestTableHotTier(t *testing.T) {
 	tbl, err := OpenTable(Options{
 		Dir: t.TempDir(), Dim: 2, StalenessBound: 4, // SSP(4)
-		MemoryBytes: 1 << 20, CacheEntries: 256,
+		MemoryBytes: 1, RecordsPerPage: 64, CacheEntries: 256, // four pages
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tbl.Close()
+	spillTable(t, tbl)
 	s, err := tbl.NewSession()
 	if err != nil {
 		t.Fatal(err)
@@ -295,6 +327,79 @@ func TestTableHotTier(t *testing.T) {
 	dst := make([]float32, 2)
 	if found, err := s.Peek(2, dst); err != nil || found {
 		t.Fatalf("peek after delete: found=%v err=%v", found, err)
+	}
+}
+
+// TestTableHotTierResidentBypass is TestTableHotTier's mirror on a table
+// that fits in memory: reads never look at the tier — the log's in-memory
+// region is the cache — while writes keep it coherent, so that the first
+// read after the table spills is served the newest value, from the tier.
+func TestTableHotTierResidentBypass(t *testing.T) {
+	tbl, err := OpenTable(Options{
+		Dir: t.TempDir(), Dim: 2, StalenessBound: BoundASP,
+		MemoryBytes: 1, RecordsPerPage: 64,
+		CacheEntries: 1 << 14, // room for the spill's filler beside the four keys
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tbl.Close()
+	s, err := tbl.NewSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	dst := make([]float32, 2)
+	batch := []uint64{1, 2, 3, 4}
+	bdst := make([]float32, len(batch)*2)
+	for round := float32(0); round < 3; round++ {
+		for _, k := range batch {
+			if err := s.Put(k, []float32{round, float32(k)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, k := range batch {
+			if err := s.Get(k, dst); err != nil {
+				t.Fatal(err)
+			}
+			if dst[0] != round || dst[1] != float32(k) {
+				t.Fatalf("round %v key %d read %v", round, k, dst)
+			}
+		}
+		if err := s.GetBatch(batch, bdst); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !tbl.store.Resident() {
+		t.Fatal("fixture spilled")
+	}
+	if st := tbl.Stats(); st.CacheHits+st.CacheMisses+st.CacheEvictions != 0 {
+		t.Fatalf("resident table consulted the tier: %d hits, %d misses, %d evictions",
+			st.CacheHits, st.CacheMisses, st.CacheEvictions)
+	}
+	if tbl.Cache().Len() != len(batch) {
+		t.Fatalf("tier holds %d entries after writing %d keys through", tbl.Cache().Len(), len(batch))
+	}
+	// An RMW while resident must still invalidate: after the spill key 1
+	// comes from the store with the step applied, keys 2..4 from the tier.
+	if err := s.ApplyGradient(1, []float32{1, 0}, 1); err != nil {
+		t.Fatal(err)
+	}
+	spillTable(t, tbl)
+	for _, k := range batch {
+		if err := s.Get(k, dst); err != nil {
+			t.Fatal(err)
+		}
+		want := float32(2)
+		if k == 1 {
+			want = 1
+		}
+		if dst[0] != want || dst[1] != float32(k) {
+			t.Fatalf("after the spill key %d read %v, want [%v %d]", k, dst, want, k)
+		}
+	}
+	if st := tbl.Stats(); st.CacheHits != 3 || st.CacheMisses != 1 {
+		t.Fatalf("after the spill: %d tier hits, %d misses, want 3 and 1", st.CacheHits, st.CacheMisses)
 	}
 }
 

@@ -74,10 +74,10 @@ type Options struct {
 	// vector clock and refuse a blocking StalenessBound.
 	Engine string
 	// Shards is the number of independent engine instances the key space
-	// is hash-partitioned across. Batch operations fan out across shards
-	// in parallel. Default 1: a single store, laid out exactly as
-	// unsharded tables always were. The memory budget and expected-key
-	// sizing are split evenly across shards.
+	// is hash-partitioned across. Batch operations fan out across shards,
+	// in parallel once the store has spilled to disk. Default 1: a single
+	// store, laid out exactly as unsharded tables always were. The memory
+	// budget and expected-key sizing are split evenly across shards.
 	Shards int
 	// StalenessBound is the consistency knob (§III-C1): BoundBSP, BoundASP,
 	// BoundDisabled, or any positive SSP bound.
@@ -93,10 +93,13 @@ type Options struct {
 	// PrefetchWorkers is the Lookahead pool size. Default 2.
 	PrefetchWorkers int
 	// CacheEntries attaches a staleness-aware hot tier (a table-owned
-	// Cache) of this capacity in front of the read path: Get/GetBatch
-	// consult it before the store and serve a hit only within the staleness
-	// bound, reads fill it, Put/PutBatch update it in place, and RMW/Delete
-	// invalidate. 0 (the default) disables it.
+	// Cache) of this capacity in front of the read path: once the store has
+	// spilled to disk Get/GetBatch consult it before the store and serve a
+	// hit only within the staleness bound, and reads fill it; Put/PutBatch
+	// update it in place and RMW/Delete invalidate, always. While the table
+	// still fits in MemoryBytes reads are served by the log's in-memory
+	// region and skip the tier (see Table.readTier). 0 (the default)
+	// disables it.
 	CacheEntries int
 	// Init initializes first-touch embeddings. Default: zeros.
 	Init Initializer
@@ -341,14 +344,12 @@ func (s *Session) GetCtx(ctx context.Context, key uint64, dst []float32) error {
 	// Deferred with the start time evaluated here: records on every return
 	// path, including a read stalled on the staleness bound.
 	defer s.t.lat.Since(latency.OpGet, time.Now())
-	c := s.t.cache
-	bound := int64(BoundBSP)
-	if c != nil {
-		bound = s.t.store.StalenessBound()
+	if s.t.cache == nil { // the common case: do not even load the bound
+		return s.getOne(ctx, key, dst)
 	}
-	// Under BSP every read must synchronize through the store, so the tier
-	// is neither consulted nor filled; writes still keep it coherent.
-	if c == nil || bound == BoundBSP {
+	bound := s.t.store.StalenessBound()
+	c := s.t.readTier(bound)
+	if c == nil {
 		return s.getOne(ctx, key, dst)
 	}
 	now := s.t.writeClock.Load()
@@ -362,6 +363,21 @@ func (s *Session) GetCtx(ctx context.Context, key uint64, dst []float32) error {
 	// entry's apparent gap, keeping admissibility conservative.
 	c.Put(key, dst, now)
 	return nil
+}
+
+// readTier returns the hot tier a read under bound goes through, nil when
+// it goes straight to the store: no tier is configured; the bound is BSP,
+// under which every read must synchronize through the store; or the store
+// is still resident, so its log memory already is the cache and a tier
+// lookup costs more than the read it would save. A bypassed tier is neither
+// consulted nor filled, but writes keep it coherent all the same
+// (Put/PutBatch write through, ApplyGradient/Delete invalidate), so the
+// first read after the store spills finds no stale entry.
+func (t *Table) readTier(bound int64) *Cache {
+	if t.cache == nil || bound == BoundBSP || t.store.Resident() {
+		return nil
+	}
+	return t.cache
 }
 
 // getOne runs the clocked read against the store. Hot-tier consult and
@@ -410,10 +426,10 @@ func (s *Session) initInto(key uint64, cur []byte) {
 }
 
 // GetBatch reads len(keys) embeddings into dst (len == len(keys)*Dim) as
-// one store batch, which a sharded store fans out across shards in
-// parallel. Duplicate keys each perform their own clocked read;
-// deduplicate in the caller if the training step applies one combined
-// update.
+// one store batch, which a sharded store fans out across shards (in
+// parallel once it has spilled to disk). Duplicate keys each perform their
+// own clocked read; deduplicate in the caller if the training step applies
+// one combined update.
 //
 // Under a blocking staleness bound (BSP or finite SSP) the batch instead
 // runs key by key in the caller's order — read, first-touch init, re-read,
@@ -436,10 +452,7 @@ func (s *Session) GetBatchCtx(ctx context.Context, keys []uint64, dst []float32)
 	s.t.batchGets.Add(1)
 	dim, vs := s.t.dim, s.t.vs
 	bound := s.t.store.StalenessBound()
-	c := s.t.cache
-	if bound == BoundBSP {
-		c = nil // see GetCtx
-	}
+	c := s.t.readTier(bound)
 
 	// Hot-tier sweep: admissible keys fill straight from the cache and
 	// only the misses go to the store. The miss subset preserves the

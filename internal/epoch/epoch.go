@@ -21,9 +21,16 @@ type Manager struct {
 	current atomic.Uint64
 
 	slots []slot
+	// used is the high-water mark of registered slots: slots[used:] have
+	// never held a session, so SafeEpoch does not scan them.
+	used atomic.Int32
+	// npending mirrors len(pending) so that tryDrain — run by every
+	// Unprotect, i.e. every key operation of every session — can see
+	// "nothing to do" without taking mu. It is written only under mu.
+	npending atomic.Int32
 
 	mu      sync.Mutex
-	free    []int     // indices of unregistered slots
+	free    []int     // stack of unregistered slots, initially lowest on top; used is a high-water mark either way
 	pending []trigger // actions awaiting safety, ordered by epoch
 }
 
@@ -47,9 +54,11 @@ func NewManager(maxSessions int) *Manager {
 	}
 	m := &Manager{slots: make([]slot, maxSessions)}
 	m.current.Store(1)
+	// Slots are handed out from index 0 up, which keeps used — and so the
+	// SafeEpoch scan — proportional to the sessions that ever coexisted.
 	m.free = make([]int, maxSessions)
 	for i := range m.free {
-		m.free[i] = i
+		m.free[i] = maxSessions - 1 - i
 	}
 	return m
 }
@@ -73,6 +82,9 @@ func (m *Manager) Register() *Session {
 	}
 	i := m.free[len(m.free)-1]
 	m.free = m.free[:len(m.free)-1]
+	if int32(i) >= m.used.Load() {
+		m.used.Store(int32(i) + 1)
+	}
 	return &Session{m: m, slot: i}
 }
 
@@ -117,6 +129,7 @@ func (m *Manager) BumpWith(action func()) {
 	e := m.current.Add(1)
 	m.mu.Lock()
 	m.pending = append(m.pending, trigger{epoch: e, action: action})
+	m.npending.Store(int32(len(m.pending)))
 	m.mu.Unlock()
 	m.tryDrain()
 }
@@ -128,8 +141,9 @@ func (m *Manager) Bump() { m.current.Add(1) }
 // has observed an epoch >= E. Actions queued at epochs <= SafeEpoch may run.
 func (m *Manager) SafeEpoch() uint64 {
 	safe := uint64(math.MaxUint64)
-	for i := range m.slots {
-		if e := m.slots[i].epoch.Load(); e != unprotected && e < safe {
+	slots := m.slots[:m.used.Load()]
+	for i := range slots {
+		if e := slots[i].epoch.Load(); e != unprotected && e < safe {
 			safe = e
 		}
 	}
@@ -141,12 +155,18 @@ func (m *Manager) SafeEpoch() uint64 {
 
 // tryDrain runs every pending action whose epoch has become safe. Actions
 // run outside the manager lock, in epoch order.
+//
+// With nothing pending it returns on one atomic load, without the lock. No
+// action is stranded by that: BumpWith publishes the count before its own
+// drain scans the slots, and a session clears (or advances) its slot before
+// it loads the count, so — the atomics being sequentially consistent —
+// either the session sees the count and drains, or the bumper's scan sees
+// the session's slot already clear.
 func (m *Manager) tryDrain() {
-	m.mu.Lock()
-	if len(m.pending) == 0 {
-		m.mu.Unlock()
+	if m.npending.Load() == 0 {
 		return
 	}
+	m.mu.Lock()
 	safe := m.SafeEpoch()
 	var ready []trigger
 	rest := m.pending[:0]
@@ -158,6 +178,7 @@ func (m *Manager) tryDrain() {
 		}
 	}
 	m.pending = rest
+	m.npending.Store(int32(len(rest)))
 	m.mu.Unlock()
 	for _, t := range ready {
 		t.action()
@@ -168,13 +189,7 @@ func (m *Manager) tryDrain() {
 // repeatedly attempting the drain. It must only be called from an
 // unprotected context, otherwise the caller deadlocks against itself.
 func (m *Manager) Drain() {
-	for {
+	for m.npending.Load() != 0 {
 		m.tryDrain()
-		m.mu.Lock()
-		n := len(m.pending)
-		m.mu.Unlock()
-		if n == 0 {
-			return
-		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestBumpWithNoSessionsRunsImmediately(t *testing.T) {
@@ -186,4 +187,140 @@ func TestProtectedFlag(t *testing.T) {
 		t.Fatal("session should report unprotected")
 	}
 	s.Unregister()
+}
+
+// TestIdleDrainCheckTakesNoLock pins the fast path every key operation
+// rides: with no action pending, Protect/Refresh/Unprotect must not touch
+// the manager lock. The test holds the lock itself, so a session that
+// takes it never finishes.
+func TestIdleDrainCheckTakesNoLock(t *testing.T) {
+	m := NewManager(4)
+	s := m.Register()
+	m.mu.Lock()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 1000; i++ {
+			s.Protect()
+			s.Refresh()
+			s.Unprotect()
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Error("Protect/Refresh/Unprotect with nothing pending blocked on the manager lock")
+	}
+	m.mu.Unlock()
+	<-done
+	s.Unregister()
+}
+
+// TestUnprotectRacingBumpStrandsNothing races the one Unprotect that makes
+// an action safe against the BumpWith that queues it, and then lets
+// nothing else happen: whichever of the two drains, the action must have
+// run once both return. A lock-free "nothing pending" check that could miss
+// the bumper's publication would leave it queued forever.
+func TestUnprotectRacingBumpStrandsNothing(t *testing.T) {
+	m := NewManager(4)
+	s := m.Register()
+	defer s.Unregister()
+	for round := 0; round < 20000; round++ {
+		s.Protect()
+		var ran atomic.Bool
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			m.BumpWith(func() { ran.Store(true) })
+		}()
+		go func() {
+			defer wg.Done()
+			s.Unprotect()
+		}()
+		wg.Wait()
+		if !ran.Load() {
+			t.Fatalf("round %d: action stranded after BumpWith and Unprotect both returned", round)
+		}
+	}
+}
+
+// TestSpinningSessionsRunEveryAction: sessions spinning Protect/Unprotect
+// (what Get/Put/RMW do per key) against a bumper. Nobody calls Drain, so
+// every action the bumper could not run itself must be run by a session's
+// own Unprotect.
+func TestSpinningSessionsRunEveryAction(t *testing.T) {
+	m := NewManager(16)
+	const sessions, actions = 4, 5000
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < sessions; i++ {
+		s := m.Register()
+		if s == nil {
+			t.Fatal("registration failed")
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer s.Unregister()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				s.Protect()
+				s.Unprotect()
+			}
+		}()
+	}
+	var ran atomic.Int64
+	for i := 0; i < actions; i++ {
+		m.BumpWith(func() { ran.Add(1) })
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for ran.Load() != actions && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	close(stop)
+	wg.Wait()
+	if got := ran.Load(); got != actions {
+		t.Fatalf("%d of %d actions ran", got, actions)
+	}
+}
+
+// TestSafeEpochScansRegisteredSlotsOnly: slots are handed out from index 0
+// and the scan stops at the high-water mark, however large the manager.
+func TestSafeEpochScansRegisteredSlotsOnly(t *testing.T) {
+	m := NewManager(512)
+	a, b, c := m.Register(), m.Register(), m.Register()
+	if got := m.used.Load(); got != 3 {
+		t.Fatalf("high-water mark %d after three registrations, want 3", got)
+	}
+	c.Protect() // the highest registered slot must still be inside the scan
+	e := m.Current()
+	m.Bump()
+	if got := m.SafeEpoch(); got != e {
+		t.Fatalf("SafeEpoch = %d, want %d (the mark of the last registered slot)", got, e)
+	}
+	c.Unprotect()
+	b.Unregister()
+	if d := m.Register(); d == nil || m.used.Load() != 3 {
+		t.Fatalf("a freed slot was not reused: high-water mark %d", m.used.Load())
+	}
+	_ = a
+}
+
+// BenchmarkProtectUnprotectIdle is the per-key epoch cost of a store with
+// nothing to drain, from every core at once; it was a global mutex.
+func BenchmarkProtectUnprotectIdle(b *testing.B) {
+	m := NewManager(512)
+	b.RunParallel(func(pb *testing.PB) {
+		s := m.Register()
+		defer s.Unregister()
+		for pb.Next() {
+			s.Protect()
+			s.Unprotect()
+		}
+	})
 }

@@ -81,7 +81,7 @@ func (st *Store) maybeRecover() error {
 // copied forward on first touch.
 func (st *Store) recover(tail uint64) error {
 	rec := make([]byte, st.log.recSize)
-	for addr := uint64(1); addr < tail; addr++ {
+	for addr := uint64(firstAddr); addr < tail; addr++ {
 		if _, err := st.log.file.ReadAt(rec, int64(addr)*int64(st.log.recSize)); err != nil {
 			return fmt.Errorf("faster: recovery read at %d: %w", addr, err)
 		}

@@ -20,6 +20,9 @@ type logWriter interface {
 	Sync() error
 }
 
+// firstAddr is the first record address of a fresh log (0 is InvalidAddr).
+const firstAddr = 1
+
 // maxGroupPages caps how many adjacent frozen pages one flush write may
 // merge. The cap bounds the flusher's scratch buffer and keeps a single
 // write from monopolizing the device for long bursts.
@@ -130,12 +133,12 @@ func newHybridLog(path string, valueSize, recsPerPage, memPages, mutPages int, s
 	l.flushedPage = -1
 	l.frozenEnq = -1
 
-	// Address 0 is reserved as InvalidAddr; allocation starts at 1 within
-	// page 0, which is materialized eagerly.
-	l.nextAddr.Store(1)
-	l.headAddr.Store(1)
-	l.roAddr.Store(1)
-	l.safeRoAddr.Store(1)
+	// Address 0 is reserved as InvalidAddr; allocation starts at firstAddr
+	// within page 0, which is materialized eagerly.
+	l.nextAddr.Store(firstAddr)
+	l.headAddr.Store(firstAddr)
+	l.roAddr.Store(firstAddr)
+	l.safeRoAddr.Store(firstAddr)
 	l.frames[0].holds.Store(0)
 
 	go l.flusher()
@@ -426,20 +429,17 @@ type diskRecord struct {
 	val  []byte
 }
 
-// readDisk reads the record at addr from the log file.
-func (l *hybridLog) readDisk(addr uint64, valBuf []byte) (diskRecord, error) {
-	buf := make([]byte, l.recSize)
+// readDisk reads the record at addr from the log file through buf (the
+// calling session's recSize-byte record buffer), copying the value into
+// valBuf, which the returned record's val aliases.
+func (l *hybridLog) readDisk(addr uint64, buf, valBuf []byte) (diskRecord, error) {
 	if _, err := l.file.ReadAt(buf, int64(addr)*int64(l.recSize)); err != nil {
 		return diskRecord{}, fmt.Errorf("faster: read record %d: %w", addr, err)
 	}
-	l.stats.DiskReads.Add(1)
 	rec := diskRecord{
 		hdr:  binary.LittleEndian.Uint64(buf),
 		key:  binary.LittleEndian.Uint64(buf[8:]),
 		prev: binary.LittleEndian.Uint64(buf[16:]),
-	}
-	if valBuf == nil {
-		valBuf = make([]byte, l.valueSize)
 	}
 	copy(valBuf, buf[24:24+l.valueSize])
 	rec.val = valBuf[:l.valueSize]
@@ -451,7 +451,7 @@ func (l *hybridLog) readDisk(addr uint64, valBuf []byte) (diskRecord, error) {
 // used by Checkpoint and Close).
 func (l *hybridLog) flushAll() error {
 	tail := l.nextAddr.Load()
-	if tail <= 1 {
+	if tail <= firstAddr {
 		return nil
 	}
 	lastPage := l.pageOf(tail - 1)

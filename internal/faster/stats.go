@@ -6,8 +6,10 @@ import (
 	"github.com/llm-db/mlkv-go/internal/stats"
 )
 
-// Stats holds the store's operation counters. All fields are updated with
-// atomics on the hot path and read via snapshot.
+// Stats is one block of operation counters: every Session owns one for the
+// operations it runs and the Store one for its flusher (Store.Stats sums
+// them). All fields are updated with atomics on the hot path and read via
+// snapshot.
 type Stats struct {
 	Gets             atomic.Int64
 	Puts             atomic.Int64

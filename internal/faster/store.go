@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -99,8 +100,16 @@ type Store struct {
 	em    *epoch.Manager
 	ix    *index
 	log   *hybridLog
-	stats Stats
 	bound atomic.Int64 // current staleness bound (mutable at runtime)
+
+	// Operation counters are per session: one shared block would be a
+	// cache line every key operation of every session writes. stats holds
+	// what no session owns (the flusher's counters); Stats sums it, the
+	// live sessions' blocks and closed, the total of the sessions gone.
+	stats    Stats
+	sessMu   sync.Mutex
+	sessions map[*Session]struct{}
+	closed   stats.Counters
 }
 
 // Open creates or opens a store in cfg.Dir. If a checkpoint exists it is
@@ -115,7 +124,7 @@ func Open(cfg Config) (*Store, error) {
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, err
 	}
-	st := &Store{cfg: cfg}
+	st := &Store{cfg: cfg, sessions: make(map[*Session]struct{})}
 	st.bound.Store(cfg.StalenessBound)
 	st.em = epoch.NewManager(cfg.MaxSessions)
 	st.ix = newIndex(cfg.IndexBuckets)
@@ -161,7 +170,23 @@ func (st *Store) StalenessBound() int64 { return st.bound.Load() }
 func BlockingBound(bound int64) bool { return bound >= 0 && bound != BoundAsync }
 
 // Stats returns a snapshot of operation counters.
-func (st *Store) Stats() stats.Counters { return st.stats.snapshot() }
+func (st *Store) Stats() stats.Counters {
+	st.sessMu.Lock()
+	defer st.sessMu.Unlock()
+	c := st.stats.snapshot().Add(st.closed)
+	for s := range st.sessions {
+		c = c.Add(s.stats.snapshot())
+	}
+	return c
+}
+
+// Resident reports whether every record ever written is still in memory:
+// the head boundary has never left the log's first address, so no read can
+// touch the file. A fresh store is resident until its first page is
+// evicted; a recovered one never is (recovery leaves all it found on disk).
+// The flag is monotone — once false it stays false — and costs one atomic
+// load.
+func (st *Store) Resident() bool { return st.log.headAddr.Load() == firstAddr }
 
 // MemoryBytes reports the approximate in-memory footprint of the log frames.
 func (st *Store) MemoryBytes() int64 {
@@ -174,21 +199,40 @@ func (st *Store) MemoryBytes() int64 {
 type Session struct {
 	st      *Store
 	es      *epoch.Session
-	scratch []byte
+	stats   Stats  // this session's operations (see Store.stats)
+	scratch []byte // one value
+	rec     []byte // one on-disk record: readDisk's read buffer
 }
 
 // NewSession registers a session. It returns an error if MaxSessions are
-// already active.
+// already active. A session must be Closed when done: until then the store
+// holds its epoch slot and, for Stats, the session itself with its buffers.
 func (st *Store) NewSession() (*Session, error) {
 	es := st.em.Register()
 	if es == nil {
 		return nil, errors.New("faster: too many sessions")
 	}
-	return &Session{st: st, es: es, scratch: make([]byte, st.cfg.ValueSize)}, nil
+	s := &Session{
+		st:      st,
+		es:      es,
+		scratch: make([]byte, st.cfg.ValueSize),
+		rec:     make([]byte, st.log.recSize),
+	}
+	st.sessMu.Lock()
+	st.sessions[s] = struct{}{}
+	st.sessMu.Unlock()
+	return s, nil
 }
 
-// Close unregisters the session.
-func (s *Session) Close() { s.es.Unregister() }
+// Close unregisters the session, leaving its counts with the store.
+func (s *Session) Close() {
+	st := s.st
+	st.sessMu.Lock()
+	st.closed = st.closed.Add(s.stats.snapshot())
+	delete(st.sessions, s)
+	st.sessMu.Unlock()
+	s.es.Unregister()
+}
 
 // Address regions, newest to oldest.
 type region int
@@ -256,10 +300,11 @@ func (s *Session) findKey(key uint64, create bool) (chainHit, error) {
 	for addr != InvalidAddr {
 		reg := st.regionOf(addr)
 		if reg == regionDisk {
-			rec, err := st.log.readDisk(addr, s.scratch)
+			rec, err := st.log.readDisk(addr, s.rec, s.scratch)
 			if err != nil {
 				return chainHit{}, err
 			}
+			s.stats.DiskReads.Add(1)
 			if rec.key == key {
 				hit.addr, hit.reg, hit.diskRec = addr, regionDisk, rec
 				hit.tomb = isTombstone(rec.prev)
@@ -308,7 +353,7 @@ func (s *Session) GetCtx(ctx context.Context, key uint64, dst []byte) (bool, err
 	if len(dst) != s.st.cfg.ValueSize {
 		return false, ErrValueSize
 	}
-	s.st.stats.Gets.Add(1)
+	s.stats.Gets.Add(1)
 	bound := s.st.bound.Load()
 	s.es.Protect()
 	defer s.es.Unprotect()
@@ -347,7 +392,7 @@ func (s *Session) getOnce(key uint64, hit chainHit, dst []byte, bound int64) (do
 			return false, false, nil
 		}
 		if bound >= 0 && int64(Staleness(h)) > bound {
-			st.stats.StalenessWaits.Add(1)
+			s.stats.StalenessWaits.Add(1)
 			return false, false, nil
 		}
 		delta := 0
@@ -359,7 +404,7 @@ func (s *Session) getOnce(key uint64, hit chainHit, dst []byte, bound int64) (do
 		}
 		copy(dst, hit.f.vals[hit.slot*st.cfg.ValueSize:(hit.slot+1)*st.cfg.ValueSize])
 		hit.f.hdrs[hit.slot].Store(releaseHeader(withLock(h, delta), false))
-		st.stats.MemHits.Add(1)
+		s.stats.MemHits.Add(1)
 		return true, true, nil
 
 	case regionFuzzy:
@@ -371,7 +416,7 @@ func (s *Session) getOnce(key uint64, hit chainHit, dst []byte, bound int64) (do
 		if bound < 0 {
 			// Plain FASTER read: values are immutable here, no lock needed.
 			copy(dst, hit.f.vals[hit.slot*st.cfg.ValueSize:(hit.slot+1)*st.cfg.ValueSize])
-			st.stats.MemHits.Add(1)
+			s.stats.MemHits.Add(1)
 			return true, true, nil
 		}
 		// BSC requires mutating the vector clock, which frozen pages cannot
@@ -379,7 +424,7 @@ func (s *Session) getOnce(key uint64, hit chainHit, dst []byte, bound int64) (do
 		// preserved) and retry there.
 		h := hit.f.hdrs[hit.slot].Load()
 		if bound >= 0 && int64(Staleness(h)) > bound {
-			st.stats.StalenessWaits.Add(1)
+			s.stats.StalenessWaits.Add(1)
 			s.es.Refresh()
 			return false, false, nil
 		}
@@ -396,7 +441,7 @@ func (s *Session) getOnce(key uint64, hit chainHit, dst []byte, bound int64) (do
 		}
 		h := hit.diskRec.hdr
 		if int64(Staleness(h)) > bound {
-			st.stats.StalenessWaits.Add(1)
+			s.stats.StalenessWaits.Add(1)
 			s.es.Refresh()
 			return false, false, nil
 		}
@@ -458,7 +503,7 @@ func (s *Session) Put(key uint64, val []byte) error {
 	if len(val) != s.st.cfg.ValueSize {
 		return ErrValueSize
 	}
-	s.st.stats.Puts.Add(1)
+	s.stats.Puts.Add(1)
 	return s.update(key, func(cur []byte, _ bool) bool {
 		copy(cur, val)
 		return true
@@ -471,7 +516,7 @@ func (s *Session) Put(key uint64, val []byte) error {
 // whether to store cur; a declining fn must leave cur untouched, and the
 // record — value, clock, generation, or absence — stays exactly as it was.
 func (s *Session) RMW(key uint64, fn func(cur []byte, exists bool) bool) error {
-	s.st.stats.RMWs.Add(1)
+	s.stats.RMWs.Add(1)
 	return s.update(key, fn)
 }
 
@@ -517,7 +562,7 @@ func (s *Session) updateOnce(key uint64, hit chainHit, fn func([]byte, bool) boo
 			return true, nil
 		}
 		hit.f.hdrs[hit.slot].Store(releaseHeader(withLock(h, delta), true))
-		st.stats.InPlaceUpdates.Add(1)
+		s.stats.InPlaceUpdates.Add(1)
 		return true, nil
 	}
 	if exists && hit.reg == regionFuzzy {
@@ -557,7 +602,7 @@ func (s *Session) updateOnce(key uint64, hit chainHit, fn func([]byte, bool) boo
 		return false, err
 	}
 	if ok {
-		st.stats.RCUAppends.Add(1)
+		s.stats.RCUAppends.Add(1)
 		return true, nil
 	}
 	return false, nil
@@ -565,7 +610,7 @@ func (s *Session) updateOnce(key uint64, hit chainHit, fn func([]byte, bool) boo
 
 // Delete appends a tombstone for key. Subsequent Gets report not-found.
 func (s *Session) Delete(key uint64) error {
-	s.st.stats.Deletes.Add(1)
+	s.stats.Deletes.Add(1)
 	s.es.Protect()
 	defer s.es.Unprotect()
 	for attempt := 0; ; attempt++ {
@@ -609,7 +654,7 @@ func (s *Session) Prefetch(key uint64) (bool, error) {
 		return false, err
 	}
 	if ok {
-		s.st.stats.PrefetchCopies.Add(1)
+		s.stats.PrefetchCopies.Add(1)
 		return true, nil
 	}
 	return false, nil
@@ -677,7 +722,7 @@ func (s *Session) appendRecordHdr(key uint64, hdr uint64, val []byte, hit chainH
 	f.keys[slot] = 0
 	f.prevs[slot] = 0
 	clearBytes(f.vals[slot*vs : (slot+1)*vs])
-	st.stats.AbandonedAppends.Add(1)
+	s.stats.AbandonedAppends.Add(1)
 	return false, nil
 }
 

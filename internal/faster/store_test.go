@@ -246,6 +246,114 @@ func TestEvictionToDisk(t *testing.T) {
 }
 
 // TestUpdateAfterEviction updates cold keys, forcing the RCU append path.
+// TestResident: a fresh store is resident, stops being so at its first
+// evicted page and never is again — not after more writes, and not after a
+// checkpoint and reopen, which leaves everything it recovered on disk.
+func TestResident(t *testing.T) {
+	cfg := Config{
+		Dir: t.TempDir(), ValueSize: 16, RecordsPerPage: 16,
+		MemPages: 4, MutablePages: 2, StalenessBound: -1, ExpectedKeys: 1 << 10,
+	}
+	st := mustOpen(t, cfg)
+	s, err := st.NewSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !st.Resident() {
+		t.Fatal("fresh store is not resident")
+	}
+	dst := make([]byte, 16)
+	flipped := uint64(0)
+	for k := uint64(1); k <= 400; k++ {
+		if err := s.Put(k, val(16, k)); err != nil {
+			t.Fatal(err)
+		}
+		switch {
+		case flipped == 0 && !st.Resident():
+			flipped = k
+		case flipped != 0 && st.Resident():
+			t.Fatalf("store became resident again at key %d (first eviction at %d)", k, flipped)
+		}
+		if flipped == 0 {
+			// While resident, no read may touch the file.
+			if _, err := s.Get(1, dst); err != nil {
+				t.Fatal(err)
+			}
+			if n := st.Stats().DiskReads; n != 0 {
+				t.Fatalf("resident store did %d disk reads", n)
+			}
+		}
+	}
+	// 4 pages of 16 records hold addresses 1..63; the 64th append evicts.
+	if flipped != 64 {
+		t.Fatalf("store left residency at key %d, want 64 (the first evicted page)", flipped)
+	}
+	if found, err := s.Get(1, dst); err != nil || !found {
+		t.Fatalf("get evicted key: found=%v err=%v", found, err)
+	}
+	if st.Stats().DiskReads == 0 {
+		t.Fatal("a spilled store read an evicted key without touching disk")
+	}
+	s.Close()
+	if err := st.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// A store that fit in memory, checkpointed and reopened: not resident.
+	small := cfg
+	small.Dir = t.TempDir()
+	st2 := mustOpen(t, small)
+	mustPut(t, st2, 1, val(16, 1))
+	if !st2.Resident() {
+		t.Fatal("one-record store is not resident")
+	}
+	if err := st2.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := st2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []Config{cfg, small} {
+		re := mustOpen(t, c)
+		if re.Resident() {
+			t.Fatalf("store reopened from %s reports resident", c.Dir)
+		}
+		re.Close()
+	}
+}
+
+// TestColdReadDoesNotAllocate: a disk read goes through the session's own
+// record buffer.
+func TestColdReadDoesNotAllocate(t *testing.T) {
+	st := testStore(t, 16, 16, 4, 2, -1)
+	s, err := st.NewSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for k := uint64(1); k <= 400; k++ {
+		if err := s.Put(k, val(16, k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dst := make([]byte, 16)
+	before := st.Stats().DiskReads
+	allocs := testing.AllocsPerRun(100, func() {
+		if found, err := s.Peek(1, dst); err != nil || !found {
+			t.Fatalf("peek: found=%v err=%v", found, err)
+		}
+	})
+	if st.Stats().DiskReads == before {
+		t.Fatal("key 1 was not read from disk")
+	}
+	if allocs != 0 {
+		t.Fatalf("cold read allocates %.0f/op, want 0", allocs)
+	}
+}
+
 func TestUpdateAfterEviction(t *testing.T) {
 	const vs = 16
 	st := testStore(t, vs, 32, 6, 2, -1)

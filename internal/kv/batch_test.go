@@ -18,7 +18,7 @@ func TestShardedBatchBlockingBoundSerial(t *testing.T) {
 	}
 	defer s.Close()
 
-	const n = 64 // above batchFanoutMin: without the gate this would fan out
+	const n = 64
 	keys := make([]uint64, n)
 	vals := make([]byte, n*vs)
 	for i := range keys {
@@ -46,11 +46,17 @@ func TestShardedBatchBlockingBoundSerial(t *testing.T) {
 	}
 }
 
-// TestShardedBatchConcurrent exercises the parallel fan-out from many
-// sessions at once (meaningful under -race).
+// TestShardedBatchConcurrent exercises the parallel fan-out — the mode of
+// a store that has spilled — from many sessions at once (meaningful under
+// -race).
 func TestShardedBatchConcurrent(t *testing.T) {
 	const vs, workers, batch = 8, 4, 64
-	store := openTestStore(t, EngineFaster, 4, vs, -1)
+	store, err := OpenEngine(EngineFaster, spillConfig(t.TempDir(), 4, vs, -1), EngineFaster)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	spill(t, store)
 	var wg sync.WaitGroup
 	errCh := make(chan error, workers)
 	for w := 0; w < workers; w++ {

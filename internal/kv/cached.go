@@ -19,6 +19,10 @@ import (
 // without a bound the tier is coherent as long as every writer goes
 // through this wrapper.
 //
+// The tier earns its keep by saving a disk read or a round trip. Where it
+// can save neither reads bypass it — neither consulted nor filled — while
+// writes keep it coherent all the same (see readTier).
+//
 // Peek and Prefetch/Lookahead bypass the tier: evaluation reads stay
 // exact and prefetch targets the engine's own memory.
 func WrapCached(inner Store, entries int) Store {
@@ -39,6 +43,7 @@ func (w *cachedStore) Name() string                    { return w.inner.Name() }
 func (w *cachedStore) Shards() int                     { return w.inner.Shards() }
 func (w *cachedStore) StalenessBound() int64           { return w.inner.StalenessBound() }
 func (w *cachedStore) SetStalenessBound(b int64) error { return w.inner.SetStalenessBound(b) }
+func (w *cachedStore) Resident() bool                  { return w.inner.Resident() }
 func (w *cachedStore) Checkpoint() error               { return w.inner.Checkpoint() }
 func (w *cachedStore) Close() error                    { return w.inner.Close() }
 
@@ -47,6 +52,17 @@ func (w *cachedStore) Stats() stats.Counters {
 	c := w.inner.Stats()
 	w.cache.Stats().AddTo(&c)
 	return c
+}
+
+// readTier returns the store's staleness bound and whether a read under it
+// goes through the tier. Two cases keep reads on the engine: BSP, where
+// every read must synchronize through the store, and a resident store,
+// whose log memory already is the cache — a lookup there costs more than
+// the read it would save. Writes update or invalidate the tier regardless,
+// so the first read after the store spills finds no stale entry.
+func (w *cachedStore) readTier() (bound int64, consult bool) {
+	bound = w.inner.StalenessBound()
+	return bound, bound != 0 && !w.inner.Resident()
 }
 
 func (w *cachedStore) NewSession() (Session, error) {
@@ -84,12 +100,11 @@ func (s *cachedSession) Get(key uint64, dst []byte) (bool, error) {
 	return s.GetCtx(context.Background(), key, dst)
 }
 
-// GetCtx puts the tier in front: an admissible entry is served without
-// touching the engine; a miss reads the engine and fills the tier with a
-// conservative pre-read stamp.
+// GetCtx puts the tier in front (unless readTier says otherwise): an
+// admissible entry is served without touching the engine; a miss reads the
+// engine and fills the tier with a conservative pre-read stamp.
 func (s *cachedSession) GetCtx(ctx context.Context, key uint64, dst []byte) (bool, error) {
-	bound := s.w.inner.StalenessBound()
-	consult := bound != 0
+	bound, consult := s.w.readTier()
 	var now int64
 	if consult {
 		now = s.w.clock.Load()
@@ -139,8 +154,8 @@ func (s *cachedSession) RMW(key uint64, fn func(cur []byte, exists bool) bool) e
 // compacted miss set. The miss subset preserves the caller's key order,
 // so the ordering rule blocking bounds rely on is unaffected.
 func (s *cachedSession) GetBatchCtx(ctx context.Context, keys []uint64, vals []byte, found []bool) error {
-	bound := s.w.inner.StalenessBound()
-	if bound == 0 || len(keys) == 0 {
+	bound, consult := s.w.readTier()
+	if !consult || len(keys) == 0 {
 		return s.inner.GetBatchCtx(ctx, keys, vals, found)
 	}
 	now := s.w.clock.Load()

@@ -2,24 +2,31 @@ package kv
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"github.com/llm-db/mlkv-go/internal/faster"
 )
 
 // openCachedPair opens one sharded FASTER store raw and one wrapped in
-// the hot tier, both under the given bound.
-func openCachedPair(t *testing.T, bound int64, entries int) (raw, cached Store) {
+// the hot tier, both under the given bound: both spilled to disk (a few
+// pages of memory, filler written until the first eviction), which is when
+// reads go through the tier, or both resident with memory to spare.
+func openCachedPair(t *testing.T, bound int64, entries int, spilled bool) (raw, cached Store) {
 	t.Helper()
 	open := func(dir string) Store {
-		st, err := OpenEngine(EngineFaster, ShardedConfig{
-			Dir: dir, Shards: 2, ValueSize: 16, RecordsPerPage: 64,
-			MemoryBytes: 1 << 20, ExpectedKeys: 1 << 10, StalenessBound: bound,
-		}, "mlkv")
+		cfg := spillConfig(dir, 2, 16, bound)
+		if !spilled {
+			cfg.MemoryBytes = 1 << 20
+		}
+		st, err := OpenEngine(EngineFaster, cfg, "mlkv")
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { st.Close() })
+		if spilled {
+			spill(t, st)
+		}
 		return st
 	}
 	raw = open(t.TempDir())
@@ -29,9 +36,19 @@ func openCachedPair(t *testing.T, bound int64, entries int) (raw, cached Store) 
 
 // TestCachedStoreEquivalence drives an identical operation sequence
 // through a raw store and a hot-tier-wrapped one and requires identical
-// observable results — the cache must be invisible except for speed.
+// observable results — the cache must be invisible except for speed. On a
+// spilled pair the tier must have served reads; on a resident pair it must
+// not even have been looked at, while the writes still landed in it.
 func TestCachedStoreEquivalence(t *testing.T) {
-	raw, cached := openCachedPair(t, faster.BoundAsync, 256)
+	for _, spilled := range []bool{true, false} {
+		t.Run(fmt.Sprintf("spilled=%v", spilled), func(t *testing.T) {
+			testCachedStoreEquivalence(t, spilled)
+		})
+	}
+}
+
+func testCachedStoreEquivalence(t *testing.T, spilled bool) {
+	raw, cached := openCachedPair(t, faster.BoundAsync, 256, spilled)
 	rs, err := raw.NewSession()
 	if err != nil {
 		t.Fatal(err)
@@ -89,8 +106,25 @@ func TestCachedStoreEquivalence(t *testing.T) {
 	if fa || fb {
 		t.Fatalf("deleted key found: raw=%v cached=%v", fa, fb)
 	}
-	if cached.Stats().CacheHits == 0 {
-		t.Fatal("no reads were served from the tier")
+	st := cached.Stats()
+	if spilled {
+		if cached.Resident() || st.DiskReads == 0 {
+			t.Fatalf("fixture did not spill: Resident()=%v, %d disk reads", cached.Resident(), st.DiskReads)
+		}
+		if st.CacheHits == 0 {
+			t.Fatal("no reads were served from the tier")
+		}
+		return
+	}
+	if !cached.Resident() {
+		t.Fatal("fixture spilled")
+	}
+	if n := st.CacheHits + st.CacheMisses + st.CacheEvictions; n != 0 {
+		t.Fatalf("resident store consulted the tier: %d hits, %d misses, %d evictions",
+			st.CacheHits, st.CacheMisses, st.CacheEvictions)
+	}
+	if n := cached.(*cachedStore).cache.Len(); n == 0 {
+		t.Fatal("writes to a resident store did not land in the tier")
 	}
 }
 
@@ -98,7 +132,7 @@ func TestCachedStoreEquivalence(t *testing.T) {
 // a batch where some keys are tier-resident, some engine-resident, and
 // some absent must land every value and found flag in the right slot.
 func TestCachedStoreBatchPartialHits(t *testing.T) {
-	_, cached := openCachedPair(t, faster.BoundAsync, 256)
+	_, cached := openCachedPair(t, faster.BoundAsync, 256, true)
 	s, err := cached.NewSession()
 	if err != nil {
 		t.Fatal(err)
@@ -119,8 +153,12 @@ func TestCachedStoreBatchPartialHits(t *testing.T) {
 	keys := []uint64{3, 100, 7, 101, 12, 1}
 	vals := make([]byte, len(keys)*16)
 	found := make([]bool, len(keys))
+	before := cached.Stats()
 	if err := SessionGetBatch(s, 16, keys, vals, found); err != nil {
 		t.Fatal(err)
+	}
+	if d := cached.Stats().Sub(before); d.CacheHits != 4 || d.CacheMisses != 2 {
+		t.Fatalf("batch of 4 tier-resident and 2 absent keys: %d hits, %d misses", d.CacheHits, d.CacheMisses)
 	}
 	for i, k := range keys {
 		slot := vals[i*16 : (i+1)*16]
@@ -147,7 +185,7 @@ func TestCachedStoreBatchPartialHits(t *testing.T) {
 // TestCachedStoreBSPBypasses pins the consistency rule at the kv layer:
 // under BSP (bound 0) the tier must never serve a read.
 func TestCachedStoreBSPBypasses(t *testing.T) {
-	_, cached := openCachedPair(t, 0, 256)
+	_, cached := openCachedPair(t, 0, 256, true)
 	s, err := cached.NewSession()
 	if err != nil {
 		t.Fatal(err)

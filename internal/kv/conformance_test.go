@@ -121,8 +121,8 @@ func TestStoreConformance(t *testing.T) {
 			t.Fatalf("RMW of absent key: found=%v value %v", found, dst[:2])
 		}
 
-		// A batch above batchFanoutMin (the parallel path) round-trips, and
-		// the counters, summed over shards, move by exactly its key count.
+		// A batch across every shard round-trips, and the counters, summed
+		// over shards, move by exactly its key count.
 		before := st.Stats()
 		keys := make([]uint64, 300)
 		vals := make([]byte, len(keys)*vs)

@@ -22,6 +22,8 @@ type shard interface {
 	// clock-free engine reports -1 and ignores the setter.
 	StalenessBound() int64
 	SetStalenessBound(int64)
+	// Resident: see Store.Resident. Only the hybrid log can say yes.
+	Resident() bool
 	Close() error
 }
 
@@ -158,6 +160,7 @@ func (c *clockFreeShard) newSession() (shardSession, error) {
 func (c *clockFreeShard) Checkpoint() error       { return c.checkpoint() }
 func (c *clockFreeShard) StalenessBound() int64   { return -1 }
 func (c *clockFreeShard) SetStalenessBound(int64) {}
+func (c *clockFreeShard) Resident() bool          { return false }
 func (c *clockFreeShard) Close() error            { return c.closeFn() }
 
 func (c *clockFreeShard) Stats() stats.Counters {

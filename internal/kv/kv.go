@@ -34,6 +34,16 @@ type Store interface {
 	// clock-free engine refuses a blocking bound (BSP or finite SSP): it
 	// would silently serve unbounded reads.
 	SetStalenessBound(int64) error
+	// Resident reports whether every record the store holds is still in
+	// its engine's memory, so that no read can wait on a disk: true for a
+	// hybrid-log store none of whose shards has evicted a page yet; false
+	// from the first eviction on, on a store recovered from a checkpoint,
+	// on the LSM and B+tree engines, and on a remote model. The answer is
+	// monotone (it never returns to true) and costs one atomic load per
+	// shard. The layers that exist only to hide disk latency — a hot tier
+	// in front of a local engine, goroutine-per-shard batch fan-out — stand
+	// aside while it holds.
+	Resident() bool
 	// Checkpoint makes the contents durable.
 	Checkpoint() error
 	// Stats returns the counters this store and everything beneath it

@@ -51,6 +51,16 @@ func checkBound(engine string, bound int64) error {
 	return nil
 }
 
+// Resident reports whether every shard is still wholly in memory.
+func (w *shardedStore) Resident() bool {
+	for _, sh := range w.shards {
+		if !sh.Resident() {
+			return false
+		}
+	}
+	return true
+}
+
 // Close closes every shard, reporting every failure.
 func (w *shardedStore) Close() error {
 	errs := make([]error, len(w.shards))
@@ -135,9 +145,11 @@ func (w *shardedStore) NewSession() (Session, error) {
 type shardedSession struct {
 	st     *shardedStore
 	ss     []shardSession
-	groups [][]int // reusable per-shard index groups for batches
-	errs   []error // reusable per-shard fan-out results
-	one    [1]int  // the index list of a one-key getAt
+	groups [][]int        // reusable per-shard index groups for batches
+	errs   []error        // reusable per-shard fan-out results
+	cur    batch          // the batch being fanned out
+	wg     sync.WaitGroup // joins a parallel fan-out
+	one    [1]int         // the index list of a one-key getAt
 }
 
 func (se *shardedSession) route(key uint64) shardSession {
@@ -181,12 +193,13 @@ func (se *shardedSession) Close() {
 }
 
 // batchFanoutMin is the batch size below which cross-shard batches run
-// serially: goroutine spawn costs more than the handful of routed
-// operations it would overlap.
+// serially even on a spilled store: goroutine spawn costs more than the
+// handful of routed operations it would overlap.
 const batchFanoutMin = 16
 
-// GetBatchCtx groups keys by owning shard and runs the per-shard groups in
-// parallel, overlapping disk reads and flush waits across shards.
+// GetBatchCtx groups keys by owning shard and runs the per-shard groups —
+// in parallel once the store has spilled, overlapping disk reads and flush
+// waits across shards (see fanOut).
 //
 // The blocking-bound ordering rule lives here: under a blocking staleness
 // bound (BSP or finite SSP) a clocked read is a token acquisition that
@@ -207,52 +220,72 @@ func (se *shardedSession) GetBatchCtx(ctx context.Context, keys []uint64, vals [
 		}
 		return nil
 	}
-	return se.fanOut(keys, func(sh int, idxs []int) error {
-		return se.ss[sh].getAt(ctx, keys, idxs, vals, found)
-	})
+	return se.fanOut(batch{ctx: ctx, keys: keys, vals: vals, found: found})
 }
 
 // PutBatch fans out like GetBatchCtx; writes never wait on the bound, so
 // they need no ordering.
 func (se *shardedSession) PutBatch(keys []uint64, vals []byte) error {
-	return se.fanOut(keys, func(sh int, idxs []int) error {
-		return se.ss[sh].putAt(keys, idxs, vals)
-	})
+	return se.fanOut(batch{keys: keys, vals: vals, put: true})
 }
 
-// fanOut groups the positions of keys by owning shard into the session's
-// reusable buffers and runs op over each non-empty group: serially for
-// small batches, one goroutine per shard otherwise. The first error by
-// shard order is returned.
-func (se *shardedSession) fanOut(keys []uint64, op func(shard int, idxs []int) error) error {
+// batch is one GetBatchCtx or PutBatch call's arguments. fanOut parks it in
+// the session rather than closing over it: a closure handed to goroutines
+// escapes, which would cost the serial path a heap allocation per call.
+type batch struct {
+	ctx   context.Context
+	keys  []uint64
+	vals  []byte
+	found []bool
+	put   bool
+}
+
+// runGroup serves the parked batch's positions idxs on shard sh.
+func (se *shardedSession) runGroup(sh int, idxs []int) error {
+	b := &se.cur
+	if b.put {
+		return se.ss[sh].putAt(b.keys, idxs, b.vals)
+	}
+	return se.ss[sh].getAt(b.ctx, b.keys, idxs, b.vals, b.found)
+}
+
+// fanOut groups the positions of b's keys by owning shard into the
+// session's reusable buffers and serves each non-empty group. What a
+// goroutine per group buys is overlapped waiting — disk reads, flush
+// back-pressure — so while the store is resident, when no group can wait
+// on a page, the groups run one after another on the caller's goroutine;
+// from the first eviction on, batches of batchFanoutMin keys or more run
+// one goroutine per shard. The first error by shard order is returned.
+func (se *shardedSession) fanOut(b batch) error {
+	se.cur = b
+	defer func() { se.cur = batch{} }() // drop the caller's buffers
 	n := len(se.ss)
 	for sh := range se.groups {
 		se.groups[sh] = se.groups[sh][:0]
 	}
-	for i, k := range keys {
+	for i, k := range b.keys {
 		sh := util.ShardOf(k, n)
 		se.groups[sh] = append(se.groups[sh], i)
 	}
-	parallel := n > 1 && len(keys) >= batchFanoutMin
-	var wg sync.WaitGroup
+	parallel := n > 1 && len(b.keys) >= batchFanoutMin && !se.st.Resident()
 	for sh, idxs := range se.groups {
 		se.errs[sh] = nil
 		if len(idxs) == 0 {
 			continue
 		}
 		if !parallel {
-			if err := op(sh, idxs); err != nil {
+			if err := se.runGroup(sh, idxs); err != nil {
 				return err
 			}
 			continue
 		}
-		wg.Add(1)
+		se.wg.Add(1)
 		go func() {
-			defer wg.Done()
-			se.errs[sh] = op(sh, idxs)
+			defer se.wg.Done()
+			se.errs[sh] = se.runGroup(sh, idxs)
 		}()
 	}
-	wg.Wait()
+	se.wg.Wait()
 	for _, err := range se.errs {
 		if err != nil {
 			return err

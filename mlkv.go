@@ -261,7 +261,11 @@ func WithPrefetchWorkers(n int) Option { return func(c *config) { c.workers = n 
 // update the tier in place (Put/PutBatch) or invalidate it (RMW,
 // Delete). On a local model the tier sits above the store and its clock
 // counts every writer of the table, so a served value is never more than
-// the bound allows. On a remote model the tier lives client-side and
+// the bound allows; it is consulted once the store has spilled to disk —
+// a table that fits in WithMemory is served by the log's in-memory
+// region, which already is the cache, and its reads skip the tier (the
+// Stats cache counters stay zero) while writes keep it coherent for the
+// day it spills. On a remote model the tier lives client-side and
 // saves the network round trip on a hit — but its clock counts only this
 // process's writes, so under a finite SSP bound the gap check bounds
 // staleness relative to this client alone; other clients' writes are
@@ -291,8 +295,10 @@ func WithFlushPace(pace time.Duration) Option {
 // WithShards hash-partitions the embedding table across n independent
 // FASTER store instances, each with its own hybrid log, hash index, and
 // epoch domain. Batch operations (GetBatch, PutBatch) group keys by shard
-// and fan out across shards in parallel, and concurrent sessions contend
-// on n log tails instead of one. The memory budget is split evenly across
+// and fan out across shards — on the caller's goroutine while the table
+// fits in memory, a goroutine per shard once it has spilled and there are
+// disk waits to overlap (batches under 16 keys stay serial) — and concurrent sessions contend on n log tails
+// instead of one. The memory budget is split evenly across
 // shards. Default 1 (unsharded, the paper's configuration). A table must
 // be reopened with the shard count it was created with; for a remote
 // model the count is advisory — it applies only if the server creates the
