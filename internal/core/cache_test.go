@@ -1,203 +1,10 @@
 package core
 
 import (
-	"sync"
 	"testing"
-	"time"
+
+	"github.com/llm-db/mlkv-go/internal/util"
 )
-
-// newBareCache builds a cache without touching any table.
-func newBareCache(t *testing.T, capacity, dim int) *Cache {
-	t.Helper()
-	c := NewCache(capacity, dim)
-	t.Cleanup(c.Close)
-	return c
-}
-
-func TestCacheHitMissCounters(t *testing.T) {
-	c := newBareCache(t, 64, 2)
-	dst := make([]float32, 2)
-	if c.Get(1, dst, 0, BoundASP) {
-		t.Fatal("empty cache hit")
-	}
-	c.Put(1, []float32{1, 2}, 0)
-	if !c.Get(1, dst, 0, BoundASP) {
-		t.Fatal("resident key missed")
-	}
-	if dst[0] != 1 || dst[1] != 2 {
-		t.Fatalf("wrong value: %v", dst)
-	}
-	st := c.Stats()
-	if st.Hits != 1 || st.Misses != 1 {
-		t.Fatalf("counters: hits=%d misses=%d, want 1/1", st.Hits, st.Misses)
-	}
-}
-
-// TestCacheEvictionOrder pins the LRU policy: with every key landing in
-// one shard, a Get refreshes recency, so the untouched key is the one
-// evicted when the shard overflows.
-func TestCacheEvictionOrder(t *testing.T) {
-	// Capacity 16 spreads 1 slot over each of the 16 shards; find three
-	// keys sharing a shard by probing insert/evict behavior is fragile, so
-	// instead use capacity 32 (2 per shard) and probe with Len.
-	c := newBareCache(t, 32, 1)
-	// Find three keys mapping to one shard: insert keys until Len stops
-	// growing — the key that evicted another shares that shard.
-	dst := make([]float32, 1)
-	var shardKeys []uint64
-	for k := uint64(0); k < 256 && len(shardKeys) < 3; k++ {
-		c2 := newBareCache(t, 16, 1) // 1 slot per shard
-		c2.Put(100, []float32{100}, 0)
-		c2.Put(k, []float32{float32(k)}, 0)
-		if k != 100 && c2.Len() == 1 {
-			// k evicted 100 (or landed on 100's shard): same shard.
-			shardKeys = append(shardKeys, k)
-		}
-	}
-	if len(shardKeys) < 3 {
-		t.Fatalf("could not find 3 keys sharing a shard, got %d", len(shardKeys))
-	}
-	a, b, x := shardKeys[0], shardKeys[1], shardKeys[2]
-	c = newBareCache(t, 32, 1) // 2 slots per shard
-	c.Put(a, []float32{1}, 0)
-	c.Put(b, []float32{2}, 0)
-	if !c.Get(a, dst, 0, BoundASP) { // refresh a: b becomes LRU
-		t.Fatal("a missing")
-	}
-	c.Put(x, []float32{3}, 0) // shard full: evicts b
-	if c.Get(b, dst, 0, BoundASP) {
-		t.Fatal("LRU key b survived eviction")
-	}
-	if !c.Get(a, dst, 0, BoundASP) || !c.Get(x, dst, 0, BoundASP) {
-		t.Fatal("recently used keys evicted")
-	}
-	if c.Stats().Evictions == 0 {
-		t.Fatal("eviction not counted")
-	}
-}
-
-func TestCacheDimMismatch(t *testing.T) {
-	c := newBareCache(t, 64, 4)
-	c.Put(1, []float32{1, 2, 3, 4}, 0)
-	// Wrong-length destination never hits.
-	if c.Get(1, make([]float32, 3), 0, BoundASP) {
-		t.Fatal("short dst served")
-	}
-	if c.Get(1, make([]float32, 5), 0, BoundASP) {
-		t.Fatal("long dst served")
-	}
-	// Wrong-length value is dropped, not truncated.
-	c.Put(2, []float32{1, 2}, 0)
-	if c.Get(2, make([]float32, 4), 0, BoundASP) {
-		t.Fatal("short value admitted")
-	}
-}
-
-// TestCacheStalenessBound is the contract the hot tier exists for: a
-// cached value must NOT be served once the clock gap exceeds the bound.
-func TestCacheStalenessBound(t *testing.T) {
-	c := newBareCache(t, 64, 1)
-	dst := make([]float32, 1)
-	c.Put(1, []float32{42}, 10) // filled at clock 10
-
-	// ASP: any gap is admissible.
-	if !c.Get(1, dst, 1<<40, BoundASP) {
-		t.Fatal("ASP refused a cached value")
-	}
-	// BSP: nothing is admissible, even at gap zero.
-	if c.Get(1, dst, 10, BoundBSP) {
-		t.Fatal("BSP served a cached value")
-	}
-	// SSP(4): gap 4 admissible, gap 5 not.
-	if !c.Get(1, dst, 14, 4) {
-		t.Fatal("SSP refused a within-bound value (gap 4, bound 4)")
-	}
-	if c.Get(1, dst, 15, 4) {
-		t.Fatal("SSP served a beyond-bound value (gap 5, bound 4)")
-	}
-	// Disabled clock (-1): cache serves freely.
-	if !c.Get(1, dst, 1<<40, BoundDisabled) {
-		t.Fatal("disabled bound refused a cached value")
-	}
-}
-
-// TestCacheStaleFillDoesNotRegress pins the monotonic-stamp rule: a
-// read-side fill carrying an older stamp than the resident write-through
-// entry must be dropped, or a racing reader could roll the tier back to a
-// stale value.
-func TestCacheStaleFillDoesNotRegress(t *testing.T) {
-	c := newBareCache(t, 64, 1)
-	c.Put(7, []float32{2}, 20) // write-through at clock 20
-	c.Put(7, []float32{1}, 10) // stale read fill stamped 10: dropped
-	dst := make([]float32, 1)
-	if !c.Get(7, dst, 20, BoundASP) {
-		t.Fatal("entry missing")
-	}
-	if dst[0] != 2 {
-		t.Fatalf("stale fill regressed the entry: got %v, want 2", dst[0])
-	}
-}
-
-// TestCacheConcurrentFill drives the Lookahead(DestAppCache) fill channel
-// from many goroutines while readers consult the cache — the concurrent
-// path the fill worker and sharded LRU must survive (run under -race).
-func TestCacheConcurrentFill(t *testing.T) {
-	tbl := testTable(t, 4, 8)
-	s, err := tbl.NewSession()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	emb := make([]float32, 4)
-	for k := uint64(1); k <= 200; k++ {
-		for i := range emb {
-			emb[i] = float32(k)
-		}
-		if err := s.Put(k, emb); err != nil {
-			t.Fatal(err)
-		}
-	}
-	c := newBareCache(t, 256, 4)
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			sess, err := tbl.NewSession()
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			defer sess.Close()
-			keys := make([]uint64, 8)
-			dst := make([]float32, 4)
-			for i := 0; i < 100; i++ {
-				for j := range keys {
-					keys[j] = uint64((w*100+i+j)%200) + 1
-				}
-				if err := sess.Lookahead(keys, DestAppCache, c); err != nil {
-					t.Error(err)
-					return
-				}
-				for _, k := range keys {
-					if c.Get(k, dst, tbl.WriteClock(), BoundASP) && dst[0] != float32(k) {
-						t.Errorf("key %d served value %v", k, dst[0])
-						return
-					}
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	// The fill worker drains asynchronously; eventually something lands.
-	deadline := time.Now().Add(5 * time.Second)
-	for c.Len() == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if c.Len() == 0 {
-		t.Fatal("no fills landed")
-	}
-}
 
 // spillTable writes filler embeddings (keys 2^32 and up) until tbl's store
 // has evicted its first page — from then on reads go through the hot tier —
@@ -377,11 +184,10 @@ func TestTableHotTierResidentBypass(t *testing.T) {
 		t.Fatalf("resident table consulted the tier: %d hits, %d misses, %d evictions",
 			st.CacheHits, st.CacheMisses, st.CacheEvictions)
 	}
-	if tbl.Cache().Len() != len(batch) {
-		t.Fatalf("tier holds %d entries after writing %d keys through", tbl.Cache().Len(), len(batch))
-	}
-	// An RMW while resident must still invalidate: after the spill key 1
-	// comes from the store with the step applied, keys 2..4 from the tier.
+	// The writes landed in the bypassed tier all the same, and an RMW while
+	// resident must still invalidate: after the spill key 1 comes from the
+	// store with the step applied, keys 2..4 from the tier (the three hits
+	// counted below are entries written through while resident).
 	if err := s.ApplyGradient(1, []float32{1, 0}, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -436,5 +242,69 @@ func TestTableHotTierBSPNeverServes(t *testing.T) {
 	ts := tbl.Stats()
 	if ts.CacheHits != 0 {
 		t.Fatalf("BSP served %d reads from the tier", ts.CacheHits)
+	}
+}
+
+// BenchmarkTableGetBatchSpilledTier times the path no benchmark workload
+// runs: a 256-key GetBatch on a spilled table whose tier is consulted. "hot"
+// draws every batch from 256 tier-resident keys (all hits: the sweep plus a
+// bytes→float32 decode per key); "mixed" draws uniformly from 16 Ki keys
+// behind a 4 Ki-entry tier (mostly misses: sweep, one engine batch, fills).
+func BenchmarkTableGetBatchSpilledTier(b *testing.B) {
+	const (
+		dim   = 16
+		nKeys = 1 << 14
+		batch = 256
+	)
+	for _, span := range []struct {
+		name string
+		keys uint64
+	}{{"hot", batch}, {"mixed", nKeys}} {
+		b.Run(span.name, func(b *testing.B) {
+			tbl, err := OpenTable(Options{
+				Dir: b.TempDir(), Dim: dim, Shards: 4, StalenessBound: BoundASP,
+				MemoryBytes: 1 << 18, RecordsPerPage: 64, CacheEntries: 1 << 12,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer tbl.Close()
+			s, err := tbl.NewSession()
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer s.Close()
+			v := make([]float32, dim)
+			for k := uint64(nKeys); k > 0; k-- { // the hot span is written last
+				if err := s.Put(k-1, v); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if tbl.store.Resident() {
+				b.Fatal("fixture did not spill")
+			}
+			keys, dst := make([]uint64, batch), make([]float32, batch*dim)
+			rng := util.NewRNG(1)
+			draw := func() {
+				for i := range keys {
+					keys[i] = rng.Uint64() % span.keys
+				}
+			}
+			draw()
+			if err := s.GetBatch(keys, dst); err != nil { // fill the tier
+				b.Fatal(err)
+			}
+			before := tbl.Stats()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				draw()
+				if err := s.GetBatch(keys, dst); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			d := tbl.Stats().Sub(before)
+			b.ReportMetric(float64(d.CacheHits)/float64(d.CacheHits+d.CacheMisses), "hit-ratio")
+		})
 	}
 }

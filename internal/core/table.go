@@ -3,10 +3,9 @@
 // the kv engine seam: it stores one embedding table (fixed dimension) in a
 // sharded engine store — by default the FASTER-style hybrid log with MLKV's
 // bounded-staleness consistency — and adds what is table-level: the
-// float32 codec, seeded first-touch initialization, a staleness-aware hot
-// tier, and the Lookahead interface, an asynchronous prefetch pool that
-// moves disk-resident embeddings into the store's mutable memory buffer
-// (or an application-side cache) ahead of use.
+// float32 codec, seeded first-touch initialization, and the Lookahead
+// interface, an asynchronous prefetch pool that moves disk-resident
+// embeddings into the store's mutable memory buffer ahead of use.
 package core
 
 import (
@@ -92,14 +91,13 @@ type Options struct {
 	ExpectedKeys uint64
 	// PrefetchWorkers is the Lookahead pool size. Default 2.
 	PrefetchWorkers int
-	// CacheEntries attaches a staleness-aware hot tier (a table-owned
-	// Cache) of this capacity in front of the read path: once the store has
-	// spilled to disk Get/GetBatch consult it before the store and serve a
-	// hit only within the staleness bound, and reads fill it; Put/PutBatch
-	// update it in place and RMW/Delete invalidate, always. While the table
-	// still fits in MemoryBytes reads are served by the log's in-memory
-	// region and skip the tier (see Table.readTier). 0 (the default)
-	// disables it.
+	// CacheEntries puts a staleness-aware hot tier of this capacity in
+	// front of the store (kv.WrapCached): once the store has spilled to disk
+	// Get/GetBatch consult it before the engine and serve a hit only within
+	// the staleness bound, and reads fill it; Put/PutBatch update it in
+	// place and RMW/Delete invalidate, always. While the table still fits in
+	// MemoryBytes reads are served by the log's in-memory region and skip
+	// the tier. 0 (the default) disables it.
 	CacheEntries int
 	// Init initializes first-touch embeddings. Default: zeros.
 	Init Initializer
@@ -121,14 +119,6 @@ type Table struct {
 	dim    int
 	vs     int
 	init   Initializer
-	cache  *Cache // optional hot tier (Options.CacheEntries)
-
-	// writeClock counts key writes (Put, RMW, Delete, first-touch init)
-	// table-wide. Hot-tier entries are stamped with it at fill time; the
-	// gap between the current clock and an entry's stamp bounds from above
-	// how many versions stale the entry can be, which is what makes a
-	// cached read admissible under a finite staleness bound.
-	writeClock atomic.Int64
 
 	prefetchCh      chan uint64
 	prefetchStop    chan struct{}
@@ -182,6 +172,9 @@ func OpenTable(opts Options) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	if opts.CacheEntries > 0 {
+		store = kv.WrapCached(store, opts.CacheEntries)
+	}
 	t := &Table{
 		store:        store,
 		engine:       engine,
@@ -192,20 +185,9 @@ func OpenTable(opts Options) (*Table, error) {
 		prefetchStop: make(chan struct{}),
 		prefetchDone: make(chan struct{}),
 	}
-	if opts.CacheEntries > 0 {
-		t.cache = NewCache(opts.CacheEntries, opts.Dim)
-	}
 	go t.prefetchPool(opts.PrefetchWorkers)
 	return t, nil
 }
-
-// Cache returns the table-owned hot tier, nil unless Options.CacheEntries
-// was set.
-func (t *Table) Cache() *Cache { return t.cache }
-
-// WriteClock returns the table-wide write counter hot-tier entries are
-// stamped with.
-func (t *Table) WriteClock() int64 { return t.writeClock.Load() }
 
 // Dim returns the embedding dimension.
 func (t *Table) Dim() int { return t.dim }
@@ -241,16 +223,14 @@ func (t *Table) Checkpoint() error { return t.store.Checkpoint() }
 func (t *Table) Close() error {
 	close(t.prefetchStop)
 	<-t.prefetchDone
-	if t.cache != nil {
-		t.cache.Close()
-	}
 	return t.store.Close()
 }
 
 // Stats returns the table's counters: the store's (the engine's, summed
-// across shards) plus the ones that exist only above it — batch and
-// Lookahead calls, dropped prefetch hints, the session gauge, the hot tier
-// and the per-op-class latency summaries (LatRMW covers ApplyGradient).
+// across shards, and the hot tier's when one fronts it) plus the ones that
+// exist only above it — batch and Lookahead calls, dropped prefetch hints,
+// the session gauge and the per-op-class latency summaries (LatRMW covers
+// ApplyGradient).
 func (t *Table) Stats() stats.Counters {
 	c := t.store.Stats()
 	c.BatchGets = t.batchGets.Load()
@@ -258,9 +238,6 @@ func (t *Table) Stats() stats.Counters {
 	c.LookaheadCalls = t.lookaheadCalls.Load()
 	c.PrefetchDropped = t.prefetchDropped.Load()
 	c.ActiveSessions = t.activeSessions.Load()
-	if t.cache != nil {
-		t.cache.Stats().AddTo(&c)
-	}
 	c.SetLatency(&t.lat)
 	return c
 }
@@ -298,13 +275,11 @@ type Session struct {
 	t *Table
 	s kv.Session
 
-	buf      []byte    // one value, scalar-path staging
-	ibuf     []float32 // first-touch initializer staging
-	bbuf     []byte    // batch staging, grown on demand
-	found    []bool    // batch presence flags
-	missIdx  []int     // hot-tier miss positions of a batch
-	missKeys []uint64  // their keys, compacted in caller order
-	closed   bool
+	buf    []byte    // one value, scalar-path staging
+	ibuf   []float32 // first-touch initializer staging
+	bbuf   []byte    // batch staging, grown on demand
+	found  []bool    // batch presence flags
+	closed bool
 }
 
 // NewSession registers a session on the store.
@@ -344,44 +319,10 @@ func (s *Session) GetCtx(ctx context.Context, key uint64, dst []float32) error {
 	// Deferred with the start time evaluated here: records on every return
 	// path, including a read stalled on the staleness bound.
 	defer s.t.lat.Since(latency.OpGet, time.Now())
-	if s.t.cache == nil { // the common case: do not even load the bound
-		return s.getOne(ctx, key, dst)
-	}
-	bound := s.t.store.StalenessBound()
-	c := s.t.readTier(bound)
-	if c == nil {
-		return s.getOne(ctx, key, dst)
-	}
-	now := s.t.writeClock.Load()
-	if c.Get(key, dst, now, bound) {
-		return nil
-	}
-	if err := s.getOne(ctx, key, dst); err != nil {
-		return err
-	}
-	// Fill with the pre-read stamp: writes racing the read only widen the
-	// entry's apparent gap, keeping admissibility conservative.
-	c.Put(key, dst, now)
-	return nil
+	return s.getOne(ctx, key, dst)
 }
 
-// readTier returns the hot tier a read under bound goes through, nil when
-// it goes straight to the store: no tier is configured; the bound is BSP,
-// under which every read must synchronize through the store; or the store
-// is still resident, so its log memory already is the cache and a tier
-// lookup costs more than the read it would save. A bypassed tier is neither
-// consulted nor filled, but writes keep it coherent all the same
-// (Put/PutBatch write through, ApplyGradient/Delete invalidate), so the
-// first read after the store spills finds no stale entry.
-func (t *Table) readTier(bound int64) *Cache {
-	if t.cache == nil || bound == BoundBSP || t.store.Resident() {
-		return nil
-	}
-	return t.cache
-}
-
-// getOne runs the clocked read against the store. Hot-tier consult and
-// fill belong to the callers (GetCtx, GetBatchCtx).
+// getOne runs the clocked read against the store.
 func (s *Session) getOne(ctx context.Context, key uint64, dst []float32) error {
 	for {
 		found, err := s.s.GetCtx(ctx, key, s.buf)
@@ -403,7 +344,6 @@ func (s *Session) getOne(ctx context.Context, key uint64, dst []float32) error {
 // initKey writes the initial embedding if key is still absent; losing the
 // race to another session's init declines the store and appends nothing.
 func (s *Session) initKey(key uint64) error {
-	s.t.writeClock.Add(1)
 	return s.s.RMW(key, func(cur []byte, exists bool) bool {
 		if exists {
 			return false
@@ -451,54 +391,22 @@ func (s *Session) GetBatchCtx(ctx context.Context, keys []uint64, dst []float32)
 	defer s.t.lat.Since(latency.OpGetBatch, time.Now())
 	s.t.batchGets.Add(1)
 	dim, vs := s.t.dim, s.t.vs
-	bound := s.t.store.StalenessBound()
-	c := s.t.readTier(bound)
-
-	// Hot-tier sweep: admissible keys fill straight from the cache and
-	// only the misses go to the store. The miss subset preserves the
-	// caller's key order, so the deadlock-freedom argument for blocking
-	// bounds (unique ascending keys ⇒ acyclic wait graph) is unaffected.
-	read := keys   // keys still to read
-	var miss []int // their positions in keys; nil = all, in place
-	var stamp int64
-	if c != nil {
-		stamp = s.t.writeClock.Load()
-		s.missIdx, s.missKeys = s.missIdx[:0], s.missKeys[:0]
-		for i, k := range keys {
-			if !c.Get(k, dst[i*dim:(i+1)*dim], stamp, bound) {
-				s.missIdx = append(s.missIdx, i)
-				s.missKeys = append(s.missKeys, k)
-			}
-		}
-		if len(s.missIdx) == 0 {
-			return nil
-		}
-		read, miss = s.missKeys, s.missIdx
-	}
-	seg := func(j int) []float32 {
-		if miss != nil {
-			j = miss[j]
-		}
-		return dst[j*dim : (j+1)*dim]
-	}
 
 	// One store batch, unless the bound blocks: then every key is read —
 	// and, on first touch, initialized and re-read — before the next.
-	batched := !faster.BlockingBound(bound)
+	batched := !faster.BlockingBound(s.t.store.StalenessBound())
 	if batched {
-		s.bbuf, s.found = util.Grow(s.bbuf, len(read)*vs), util.Grow(s.found, len(read))
-		if err := s.s.GetBatchCtx(ctx, read, s.bbuf, s.found); err != nil {
+		s.bbuf, s.found = util.Grow(s.bbuf, len(keys)*vs), util.Grow(s.found, len(keys))
+		if err := s.s.GetBatchCtx(ctx, keys, s.bbuf, s.found); err != nil {
 			return err
 		}
 	}
-	for j, k := range read {
+	for j, k := range keys {
+		seg := dst[j*dim : (j+1)*dim]
 		if batched && s.found[j] {
-			tensor.BytesToF32s(s.bbuf[j*vs:], seg(j))
-		} else if err := s.getOne(ctx, k, seg(j)); err != nil {
+			tensor.BytesToF32s(s.bbuf[j*vs:], seg)
+		} else if err := s.getOne(ctx, k, seg); err != nil {
 			return err
-		}
-		if c != nil {
-			c.Put(k, seg(j), stamp)
 		}
 	}
 	return nil
@@ -517,29 +425,18 @@ func (s *Session) Peek(key uint64, dst []float32) (bool, error) {
 }
 
 // Put upserts the embedding for key (the backward-propagation write of
-// Figure 3, line 17). Puts never wait on the staleness bound. It then
-// advances the write clock and writes the hot tier through: the entry it
-// leaves is the value just written, stamped with the write's own clock
-// tick, so the tier never lags a Put.
+// Figure 3, line 17). Puts never wait on the staleness bound.
 func (s *Session) Put(key uint64, val []float32) error {
 	if len(val) != s.t.dim {
 		return fmt.Errorf("core: val length %d != dim %d", len(val), s.t.dim)
 	}
 	defer s.t.lat.Since(latency.OpPut, time.Now())
 	tensor.F32sToBytes(val, s.buf)
-	if err := s.s.Put(key, s.buf); err != nil {
-		return err
-	}
-	clock := s.t.writeClock.Add(1)
-	if c := s.t.cache; c != nil {
-		c.Put(key, val, clock)
-	}
-	return nil
+	return s.s.Put(key, s.buf)
 }
 
 // PutBatch upserts len(keys) embeddings from vals (len == len(keys)*Dim)
-// as one store batch, then writes the hot tier through with the batch's
-// clock advance.
+// as one store batch.
 func (s *Session) PutBatch(keys []uint64, vals []float32) error {
 	dim := s.t.dim
 	if len(vals) != len(keys)*dim {
@@ -549,16 +446,7 @@ func (s *Session) PutBatch(keys []uint64, vals []float32) error {
 	s.t.batchPuts.Add(1)
 	s.bbuf = util.Grow(s.bbuf, len(keys)*s.t.vs)
 	tensor.F32sToBytes(vals, s.bbuf)
-	if err := s.s.PutBatch(keys, s.bbuf); err != nil {
-		return err
-	}
-	clock := s.t.writeClock.Add(int64(len(keys)))
-	if c := s.t.cache; c != nil {
-		for i, k := range keys {
-			c.Put(k, vals[i*dim:(i+1)*dim], clock)
-		}
-	}
-	return nil
+	return s.s.PutBatch(keys, s.bbuf)
 }
 
 // ApplyGradient performs emb ← emb − lr·grad as a single storage-side
@@ -570,73 +458,29 @@ func (s *Session) ApplyGradient(key uint64, grad []float32, lr float32) error {
 		return fmt.Errorf("core: grad length %d != dim %d", len(grad), s.t.dim)
 	}
 	defer s.t.lat.Since(latency.OpRMW, time.Now())
-	err := s.s.RMW(key, func(cur []byte, exists bool) bool {
+	return s.s.RMW(key, func(cur []byte, exists bool) bool {
 		if !exists {
 			s.initInto(key, cur)
 		}
 		tensor.StepBytes(cur, grad, lr)
 		return true
 	})
-	if err != nil {
-		return err
-	}
-	// The new value materialized inside storage; drop the tier's copy.
-	s.t.writeClock.Add(1)
-	if c := s.t.cache; c != nil {
-		c.Invalidate(key)
-	}
-	return nil
 }
 
 // Delete removes key's embedding.
-func (s *Session) Delete(key uint64) error {
-	if err := s.s.Delete(key); err != nil {
-		return err
-	}
-	s.t.writeClock.Add(1)
-	if c := s.t.cache; c != nil {
-		c.Invalidate(key)
-	}
-	return nil
-}
+func (s *Session) Delete(key uint64) error { return s.s.Delete(key) }
 
-// LookaheadDest selects where Lookahead materializes embeddings (Fig. 5b).
-type LookaheadDest int
-
-const (
-	// DestStorageBuffer copies disk-resident records into MLKV's mutable
-	// memory buffer (the default, and the paper's headline optimization:
-	// it is not limited by the staleness bound).
-	DestStorageBuffer LookaheadDest = iota
-	// DestAppCache loads values into an application-provided Cache,
-	// equivalent to conventional prefetching.
-	DestAppCache
-)
-
-// Lookahead asynchronously warms the given keys (§III-C2). It never blocks:
-// requests beyond the queue capacity are dropped (and counted). With
-// DestAppCache, cache must be non-nil.
-func (s *Session) Lookahead(keys []uint64, dest LookaheadDest, cache *Cache) error {
+// Lookahead asynchronously copies the disk-resident records among keys into
+// the store's mutable memory buffer (§III-C2, Fig. 5b) — the paper's
+// headline optimization, and not limited by the staleness bound. It never
+// blocks: requests beyond the queue capacity are dropped (and counted).
+func (s *Session) Lookahead(keys []uint64) {
 	s.t.lookaheadCalls.Add(1)
-	switch dest {
-	case DestStorageBuffer:
-		for _, k := range keys {
-			select {
-			case s.t.prefetchCh <- k:
-			default:
-				s.t.prefetchDropped.Add(1)
-			}
+	for _, k := range keys {
+		select {
+		case s.t.prefetchCh <- k:
+		default:
+			s.t.prefetchDropped.Add(1)
 		}
-		return nil
-	case DestAppCache:
-		if cache == nil {
-			cache = s.t.cache // default to the table-owned hot tier
-		}
-		if cache == nil {
-			return errors.New("core: DestAppCache requires a cache")
-		}
-		cache.requestFill(s.t, keys)
-		return nil
 	}
-	return fmt.Errorf("core: unknown Lookahead destination %d", dest)
 }

@@ -192,9 +192,7 @@ func TestLookaheadStorageBufferWarmsDiskRecords(t *testing.T) {
 	}
 	// Prefetch early (cold) keys and wait for copies to land.
 	cold := []uint64{1, 2, 3, 4, 5, 6, 7, 8}
-	if err := s.Lookahead(cold, DestStorageBuffer, nil); err != nil {
-		t.Fatal(err)
-	}
+	s.Lookahead(cold)
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		if tbl.Stats().PrefetchCopies >= int64(len(cold)) || time.Now().After(deadline) {
@@ -221,64 +219,6 @@ func TestLookaheadStorageBufferWarmsDiskRecords(t *testing.T) {
 	after := tbl.Stats().DiskReads
 	if after != before {
 		t.Fatalf("gets after lookahead hit disk %d times", after-before)
-	}
-}
-
-func TestLookaheadAppCache(t *testing.T) {
-	tbl := testTable(t, 8, 4)
-	s, _ := tbl.NewSession()
-	defer s.Close()
-	emb := make([]float32, 8)
-	for k := uint64(1); k <= 100; k++ {
-		for i := range emb {
-			emb[i] = float32(k)
-		}
-		s.Put(k, emb)
-	}
-	cache := NewCache(64, 8)
-	defer cache.Close()
-	if err := s.Lookahead([]uint64{5, 6, 7}, DestAppCache, cache); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for cache.Len() < 3 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	got := make([]float32, 8)
-	if !cache.Get(5, got, tbl.WriteClock(), BoundASP) {
-		t.Fatal("key 5 not in app cache after Lookahead")
-	}
-	if got[0] != 5 {
-		t.Fatalf("cached value wrong: %v", got[0])
-	}
-	if err := s.Lookahead([]uint64{1}, DestAppCache, nil); err == nil {
-		t.Fatal("nil cache accepted for DestAppCache")
-	}
-}
-
-func TestCacheLRUEviction(t *testing.T) {
-	c := NewCache(16, 2) // 16 slots over 16 shards => 1 per shard
-	defer c.Close()
-	for k := uint64(0); k < 64; k++ {
-		c.Put(k, []float32{float32(k), 0}, 0)
-	}
-	if c.Len() > 16 {
-		t.Fatalf("cache exceeded capacity: %d", c.Len())
-	}
-	// Most recent key per shard must be resident.
-	got := make([]float32, 2)
-	if !c.Get(63, got, 0, BoundASP) {
-		t.Fatal("most recent key evicted")
-	}
-}
-
-func TestCacheInvalidate(t *testing.T) {
-	c := NewCache(32, 2)
-	defer c.Close()
-	c.Put(1, []float32{1, 2}, 0)
-	c.Invalidate(1)
-	if c.Get(1, make([]float32, 2), 0, BoundASP) {
-		t.Fatal("invalidated key still cached")
 	}
 }
 

@@ -244,7 +244,8 @@ func (s *localSession) Delete(ctx context.Context, key uint64) error {
 }
 
 func (s *localSession) Lookahead(keys []uint64) error {
-	return s.s.Lookahead(keys, core.DestStorageBuffer, nil)
+	s.s.Lookahead(keys)
+	return nil
 }
 
 func (s *localSession) Close() { s.s.Close() }

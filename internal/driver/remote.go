@@ -214,17 +214,15 @@ type remoteModel struct {
 	init core.Initializer
 
 	// cache is the client-side hot tier (Config.CacheEntries), shared by
-	// every session of this model handle. clock counts this process's
-	// writes to the model — the stamp source for tier entries — and bound
-	// tracks the staleness bound in effect (updated by SetStalenessBound,
-	// which the wire otherwise reports only at open time). The tier's gap
-	// check therefore bounds staleness relative to this process's writes;
-	// other clients' writes are invisible to it, exactly as they are to a
-	// PERSIA-style application-side cache. Workloads where foreign writes
-	// must bound cached reads belong on the server-side tier (-cache),
-	// whose clock sees every client.
+	// every session of this model handle; its write clock counts this
+	// process's writes to the model. bound tracks the staleness bound in
+	// effect (updated by SetStalenessBound, which the wire otherwise reports
+	// only at open time). The tier's gap check therefore bounds staleness
+	// relative to this process's writes; other clients' writes are invisible
+	// to it, exactly as they are to a PERSIA-style application-side cache.
+	// Workloads where foreign writes must bound cached reads belong on the
+	// server-side tier (-cache), whose clock sees every client.
 	cache *hotcache.Cache[float32]
-	clock atomic.Int64
 	bound atomic.Int64
 
 	// lookMu orders worker start against Close, so a hint racing a Close
@@ -384,28 +382,27 @@ func (s *remoteSession) initInto(key uint64, dst []float32) {
 	}
 }
 
-// tier returns the model's hot tier when it may be consulted: present and
-// not under BSP, where every read must synchronize through the store.
-func (s *remoteSession) tier() (*hotcache.Cache[float32], int64, bool) {
-	c := s.m.cache
-	if c == nil {
-		return nil, 0, false
-	}
+// tier returns the model's hot tier and the bound to consult it under, nil
+// when reads go straight to the wire: no tier is configured, or the bound is
+// BSP, under which every read must synchronize through the store. The
+// protocol is hotcache.Cache's; this site only adds what the wire needs —
+// float32 values and client-side first touch.
+func (s *remoteSession) tier() (*hotcache.Cache[float32], int64) {
 	bound := s.m.bound.Load()
 	if bound == 0 {
-		return nil, 0, false
+		return nil, 0
 	}
-	return c, bound, true
+	return s.m.cache, bound
 }
 
 func (s *remoteSession) Get(ctx context.Context, key uint64, dst []float32) error {
 	if len(dst) != s.m.Dim() {
 		return fmt.Errorf("driver: dst length %d != dim %d", len(dst), s.m.Dim())
 	}
-	c, bound, on := s.tier()
+	c, bound := s.tier()
 	var stamp int64
-	if on {
-		stamp = s.m.clock.Load()
+	if c != nil {
+		stamp = c.Now()
 		if c.Get(key, dst, stamp, bound) {
 			return nil
 		}
@@ -420,19 +417,11 @@ func (s *remoteSession) Get(ctx context.Context, key uint64, dst []float32) erro
 		// record's clock starts balanced — a miss acquired no token, and
 		// a Put on a zero-staleness record is floored, not underflowed.
 		s.initInto(key, dst)
-		tensor.F32sToBytes(dst, s.buf)
-		if err := s.s.PutCtx(ctx, key, s.buf); err != nil {
-			return err
-		}
-		if on {
-			c.Put(key, dst, s.m.clock.Add(1))
-		}
-		return nil
+		return s.Put(ctx, key, dst)
 	}
 	tensor.BytesToF32s(s.buf, dst)
-	if on {
-		// Pre-read stamp: concurrent writes only widen the apparent gap.
-		c.Put(key, dst, stamp)
+	if c != nil {
+		c.Fill(key, dst, stamp)
 	}
 	return nil
 }
@@ -447,25 +436,22 @@ func (s *remoteSession) GetBatch(ctx context.Context, keys []uint64, dst []float
 		return fmt.Errorf("driver: dst length %d != %d keys × dim %d", len(dst), len(keys), dim)
 	}
 	vs := dim * 4
-	c, bound, on := s.tier()
+	c, bound := s.tier()
 	fetch := keys
 	var idx []int // position of fetch[j] in keys; nil = identity
 	var stamp int64
-	if on {
-		stamp = s.m.clock.Load()
-		s.cacheMiss = s.cacheMiss[:0]
-		s.fetchKeys = s.fetchKeys[:0]
-		for i, k := range keys {
-			if c.Get(k, dst[i*dim:(i+1)*dim], stamp, bound) {
-				continue
-			}
-			s.cacheMiss = append(s.cacheMiss, i)
-			s.fetchKeys = append(s.fetchKeys, k)
-		}
+	if c != nil {
+		stamp, s.cacheMiss, s.fetchKeys = c.Sweep(keys, dst, bound, s.cacheMiss, s.fetchKeys)
 		if len(s.fetchKeys) == 0 {
 			return nil
 		}
 		fetch, idx = s.fetchKeys, s.cacheMiss
+	}
+	seg := func(j int) []float32 {
+		if idx != nil {
+			j = idx[j]
+		}
+		return dst[j*dim : (j+1)*dim]
 	}
 	n := len(fetch)
 	s.bbuf = util.Grow(s.bbuf, n*vs)
@@ -476,26 +462,19 @@ func (s *remoteSession) GetBatch(ctx context.Context, keys []uint64, dst []float
 	s.missKeys = s.missKeys[:0]
 	s.missVals = s.missVals[:0]
 	for j, ok := range s.found {
-		i := j
-		if idx != nil {
-			i = idx[j]
-		}
-		seg := dst[i*dim : (i+1)*dim]
 		if ok {
-			tensor.BytesToF32s(s.bbuf[j*vs:], seg)
-		} else {
-			// First touch. The tier fill below is safe even if the
-			// write-back fails: the initializer is deterministic in key, so
-			// any later read would materialize the same value.
-			s.initInto(fetch[j], seg)
-			s.missKeys = append(s.missKeys, fetch[j])
-			nv := len(s.missVals)
-			s.missVals = extendBytes(s.missVals, vs)
-			tensor.F32sToBytes(seg, s.missVals[nv:])
+			tensor.BytesToF32s(s.bbuf[j*vs:], seg(j))
+			if c != nil {
+				c.Fill(fetch[j], seg(j), stamp)
+			}
+			continue
 		}
-		if on {
-			c.Put(keys[i], seg, stamp)
-		}
+		// First touch.
+		s.initInto(fetch[j], seg(j))
+		s.missKeys = append(s.missKeys, fetch[j])
+		nv := len(s.missVals)
+		s.missVals = extendBytes(s.missVals, vs)
+		tensor.F32sToBytes(seg(j), s.missVals[nv:])
 	}
 	if len(s.missKeys) == 0 {
 		return nil
@@ -503,8 +482,12 @@ func (s *remoteSession) GetBatch(ctx context.Context, keys []uint64, dst []float
 	if err := s.s.PutBatchCtx(ctx, s.missKeys, s.missVals); err != nil {
 		return err
 	}
-	if on {
-		s.m.clock.Add(int64(len(s.missKeys)))
+	if c != nil {
+		for j, ok := range s.found {
+			if !ok {
+				c.Write(fetch[j], seg(j))
+			}
+		}
 	}
 	return nil
 }
@@ -518,7 +501,7 @@ func (s *remoteSession) Put(ctx context.Context, key uint64, val []float32) erro
 		return err
 	}
 	if c := s.m.cache; c != nil {
-		c.Put(key, val, s.m.clock.Add(1))
+		c.Write(key, val)
 	}
 	return nil
 }
@@ -535,10 +518,7 @@ func (s *remoteSession) PutBatch(ctx context.Context, keys []uint64, vals []floa
 		return err
 	}
 	if c := s.m.cache; c != nil {
-		clock := s.m.clock.Add(int64(len(keys)))
-		for i, k := range keys {
-			c.Put(k, vals[i*dim:(i+1)*dim], clock)
-		}
+		c.WriteBatch(keys, vals)
 	}
 	return nil
 }
@@ -566,8 +546,7 @@ func (s *remoteSession) RMW(ctx context.Context, key uint64, grad []float32, lr 
 		return s.Put(ctx, key, s.rmw)
 	}
 	if c := s.m.cache; c != nil {
-		s.m.clock.Add(1)
-		c.Invalidate(key)
+		c.Drop(key)
 	}
 	return nil
 }
@@ -588,8 +567,7 @@ func (s *remoteSession) Delete(ctx context.Context, key uint64) error {
 		return err
 	}
 	if c := s.m.cache; c != nil {
-		s.m.clock.Add(1)
-		c.Invalidate(key)
+		c.Drop(key)
 	}
 	return nil
 }

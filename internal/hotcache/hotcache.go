@@ -8,11 +8,22 @@
 // front of a bounded-staleness store without weakening the guarantee the
 // bound spells out.
 //
+// The Cache owns the write clock, so the whole protocol is stated here and
+// its two sites only call it. A reader takes the clock (Now, or Sweep for a
+// batch), consults under that stamp, reads the store on a miss and Fills
+// with the stamp it took before the read: writes racing the read only widen
+// the entry's apparent gap, so admissibility stays conservative. A writer
+// calls the store first, then Write/WriteBatch (the new value is at hand:
+// tick and write through) or Drop (it is not — a storage-side RMW, a
+// delete: tick and invalidate). A Drop leaves its tick on the key's shard,
+// and a Fill stamped before it is refused: a read that began before the
+// update cannot land its pre-update value after the invalidation.
+//
 // The tier is generic over the element type so the same structure serves
-// float32 embeddings (core.Table, the remote driver) and raw value bytes
-// (the kv wrapper the server uses). Entries recycle in place once a shard
-// reaches capacity, so the steady-state hot path — hit, refresh, or
-// eviction-reusing fill — performs no allocation.
+// raw value bytes (kv.WrapCached: every local table, the server, mlkv-ycsb)
+// and float32 embeddings (the remote driver's client-side tier). Entries
+// recycle in place once a shard reaches capacity, so the steady-state hot
+// path — hit, refresh, or eviction-reusing fill — performs no allocation.
 package hotcache
 
 import (
@@ -74,6 +85,12 @@ type Cache[T any] struct {
 	shards [nShards]shard[T]
 	valLen int
 
+	// clock counts key writes through the tier (Write, WriteBatch, Drop).
+	// Entries are stamped with it; the gap between the current clock and an
+	// entry's stamp bounds from above how many versions stale the entry can
+	// be, which is what makes a cached read admissible under a finite bound.
+	clock atomic.Int64
+
 	hits      atomic.Int64
 	misses    atomic.Int64
 	evictions atomic.Int64
@@ -90,11 +107,12 @@ type entry[T any] struct {
 }
 
 type shard[T any] struct {
-	mu    sync.Mutex
-	cap   int
-	items map[uint64]*entry[T]
-	head  *entry[T] // most recently used
-	tail  *entry[T] // least recently used
+	mu      sync.Mutex
+	cap     int
+	dropped int64 // tick of the shard's latest Drop; a Fill stamped before it is refused
+	items   map[uint64]*entry[T]
+	head    *entry[T] // most recently used
+	tail    *entry[T] // least recently used
 }
 
 // New builds a tier holding up to capacity values of valLen elements,
@@ -112,12 +130,13 @@ func New[T any](capacity, valLen int) *Cache[T] {
 	return c
 }
 
-// ValLen returns the fixed value length the tier was built for.
-func (c *Cache[T]) ValLen() int { return c.valLen }
-
 func (c *Cache[T]) shardOf(key uint64) *shard[T] {
 	return &c.shards[util.Mix64(key)&(nShards-1)]
 }
+
+// Now returns the write clock: the stamp a reader takes before it consults
+// the tier and reads the store, and hands back to Fill.
+func (c *Cache[T]) Now() int64 { return c.clock.Load() }
 
 // Get copies the cached value for key into dst if an entry exists and is
 // admissible: its clock stamp must trail now by no more than bound allows
@@ -142,24 +161,65 @@ func (c *Cache[T]) Get(key uint64, dst []T, now, bound int64) bool {
 	return true
 }
 
-// Put inserts or refreshes key's value, stamped with clock. A refresh
+// Sweep is the batch consult: it takes the clock once, copies every
+// admissible key's value into its slot of dst (len(keys) values) and
+// appends the rest — position in keys, and key — to idx[:0] and miss[:0] in
+// the caller's order, so a blocking bound's ascending-key rule survives the
+// compaction. The stamp is the one every Fill of this batch's misses carries.
+func (c *Cache[T]) Sweep(keys []uint64, dst []T, bound int64, idx []int, miss []uint64) (stamp int64, _ []int, _ []uint64) {
+	stamp = c.clock.Load()
+	idx, miss = idx[:0], miss[:0]
+	for i, k := range keys {
+		if !c.Get(k, dst[i*c.valLen:(i+1)*c.valLen], stamp, bound) {
+			idx = append(idx, i)
+			miss = append(miss, k)
+		}
+	}
+	return stamp, idx, miss
+}
+
+// Fill is the read-side insert: val is what a reader found in the store
+// after taking stamp. A stamp older than the shard's latest Drop is refused
+// — the read may predate the update that dropped the key — and so is one
+// older than the resident entry's (see put).
+func (c *Cache[T]) Fill(key uint64, val []T, stamp int64) { c.put(key, val, stamp, true) }
+
+// Write is the write-through of a value the caller just stored: it ticks
+// the clock and leaves val in the tier under that tick, so the tier never
+// lags a Put. Its stamp is newer than any in-flight reader's, so the drop
+// rule does not apply to it.
+func (c *Cache[T]) Write(key uint64, val []T) { c.put(key, val, c.clock.Add(1), false) }
+
+// WriteBatch writes len(keys) just-stored values (vals, len(keys) values)
+// through under the batch's one clock advance.
+func (c *Cache[T]) WriteBatch(keys []uint64, vals []T) {
+	stamp := c.clock.Add(int64(len(keys)))
+	for i, k := range keys {
+		c.put(k, vals[i*c.valLen:(i+1)*c.valLen], stamp, false)
+	}
+}
+
+// put inserts or refreshes key's value, stamped with stamp. A refresh
 // carrying an older stamp than the resident entry is dropped: a stale
 // read-side fill racing a write-through must not regress the entry, whose
-// invariant is "val reflects the table at or after clock". Values of the
-// wrong length are ignored.
-func (c *Cache[T]) Put(key uint64, val []T, clock int64) {
+// invariant is "val reflects the store at or after its stamp". Values of
+// the wrong length are ignored.
+func (c *Cache[T]) put(key uint64, val []T, stamp int64, fill bool) {
 	if len(val) != c.valLen {
 		return
 	}
 	sh := c.shardOf(key)
 	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if fill && stamp < sh.dropped {
+		return
+	}
 	if e, ok := sh.items[key]; ok {
-		if clock >= e.clock {
+		if stamp >= e.clock {
 			copy(e.val, val)
-			e.clock = clock
+			e.clock = stamp
 			sh.moveToFront(e)
 		}
-		sh.mu.Unlock()
 		return
 	}
 	var e *entry[T]
@@ -173,18 +233,21 @@ func (c *Cache[T]) Put(key uint64, val []T, clock int64) {
 		e = &entry[T]{val: make([]T, c.valLen)}
 	}
 	e.key = key
-	e.clock = clock
+	e.clock = stamp
 	copy(e.val, val)
 	sh.items[key] = e
 	sh.pushFront(e)
-	sh.mu.Unlock()
 }
 
-// Invalidate drops key's entry (after an update whose new value is not at
-// hand, e.g. a storage-side RMW, or a delete).
-func (c *Cache[T]) Invalidate(key uint64) {
+// Drop ticks the clock and removes key's entry: the store holds a value the
+// caller does not (a storage-side RMW, a delete). The tick stays on the
+// shard — one int64, no tombstone entry — and refuses every later Fill
+// stamped before it.
+func (c *Cache[T]) Drop(key uint64) {
+	tick := c.clock.Add(1)
 	sh := c.shardOf(key)
 	sh.mu.Lock()
+	sh.dropped = max(sh.dropped, tick)
 	if e, ok := sh.items[key]; ok {
 		sh.unlink(e)
 		delete(sh.items, key)

@@ -2,22 +2,23 @@ package kv
 
 import (
 	"context"
-	"sync/atomic"
 
 	"github.com/llm-db/mlkv-go/internal/hotcache"
 	"github.com/llm-db/mlkv-go/internal/stats"
+	"github.com/llm-db/mlkv-go/internal/util"
 )
 
 // WrapCached layers a staleness-aware hot tier over a byte-level store:
-// the shared per-model cache mlkv-server enables with -cache, and the
-// client-side tier mlkv-ycsb uses. All sessions of the wrapped store
-// share one tier and one write clock; every write through the wrapper
-// advances the clock and updates (Put) or invalidates (Delete, RMW) the
-// tier, so an entry is never older than its stamp claims. Reads consult the
-// tier first and serve a hit only when the entry is admissible under the
-// store's current staleness bound (see hotcache.Admissible); for engines
-// without a bound the tier is coherent as long as every writer goes
-// through this wrapper.
+// the tier of every local table opened with CacheEntries (core.OpenTable
+// wraps the store it opens), the shared per-model cache mlkv-server enables
+// with -cache, and the client-side tier mlkv-ycsb uses. All sessions of the
+// wrapped store share one tier and its write clock; every write through the
+// wrapper advances the clock and updates (Put) or invalidates (Delete, RMW)
+// the tier, so an entry is never older than its stamp claims. Reads consult
+// the tier first and serve a hit only when the entry is admissible under
+// the store's current staleness bound (see hotcache.Admissible); for
+// engines without a bound the tier is coherent as long as every writer goes
+// through this wrapper. The protocol itself is hotcache.Cache's.
 //
 // The tier earns its keep by saving a disk read or a round trip. Where it
 // can save neither reads bypass it — neither consulted nor filled — while
@@ -35,7 +36,6 @@ func WrapCached(inner Store, entries int) Store {
 type cachedStore struct {
 	inner Store
 	cache *hotcache.Cache[byte]
-	clock atomic.Int64
 }
 
 func (w *cachedStore) ValueSize() int                  { return w.inner.ValueSize() }
@@ -105,28 +105,26 @@ func (s *cachedSession) Get(key uint64, dst []byte) (bool, error) {
 // engine and fills the tier with a conservative pre-read stamp.
 func (s *cachedSession) GetCtx(ctx context.Context, key uint64, dst []byte) (bool, error) {
 	bound, consult := s.w.readTier()
-	var now int64
-	if consult {
-		now = s.w.clock.Load()
-		if s.w.cache.Get(key, dst, now, bound) {
-			return true, nil
-		}
+	if !consult {
+		return s.inner.GetCtx(ctx, key, dst)
+	}
+	c := s.w.cache
+	stamp := c.Now()
+	if c.Get(key, dst, stamp, bound) {
+		return true, nil
 	}
 	found, err := s.inner.GetCtx(ctx, key, dst)
-	if err != nil || !found {
-		return found, err
+	if err == nil && found {
+		c.Fill(key, dst, stamp)
 	}
-	if consult {
-		s.w.cache.Put(key, dst, now)
-	}
-	return true, nil
+	return found, err
 }
 
 func (s *cachedSession) Put(key uint64, val []byte) error {
 	if err := s.inner.Put(key, val); err != nil {
 		return err
 	}
-	s.w.cache.Put(key, val, s.w.clock.Add(1))
+	s.w.cache.Write(key, val)
 	return nil
 }
 
@@ -134,8 +132,7 @@ func (s *cachedSession) Delete(key uint64) error {
 	if err := s.inner.Delete(key); err != nil {
 		return err
 	}
-	s.w.clock.Add(1)
-	s.w.cache.Invalidate(key)
+	s.w.cache.Drop(key)
 	return nil
 }
 
@@ -145,8 +142,7 @@ func (s *cachedSession) RMW(key uint64, fn func(cur []byte, exists bool) bool) e
 	if err := s.inner.RMW(key, fn); err != nil {
 		return err
 	}
-	s.w.clock.Add(1)
-	s.w.cache.Invalidate(key)
+	s.w.cache.Drop(key)
 	return nil
 }
 
@@ -158,37 +154,26 @@ func (s *cachedSession) GetBatchCtx(ctx context.Context, keys []uint64, vals []b
 	if !consult || len(keys) == 0 {
 		return s.inner.GetBatchCtx(ctx, keys, vals, found)
 	}
-	now := s.w.clock.Load()
-	s.missIdx = s.missIdx[:0]
-	s.fetchKeys = s.fetchKeys[:0]
-	for i, k := range keys {
-		if s.w.cache.Get(k, vals[i*s.vs:(i+1)*s.vs], now, bound) {
-			found[i] = true
-			continue
-		}
-		s.missIdx = append(s.missIdx, i)
-		s.fetchKeys = append(s.fetchKeys, k)
+	c, vs := s.w.cache, s.vs
+	var stamp int64
+	stamp, s.missIdx, s.fetchKeys = c.Sweep(keys, vals[:len(keys)*vs], bound, s.missIdx, s.fetchKeys)
+	for i := range keys {
+		found[i] = true // a hit; the misses are overwritten below
 	}
 	n := len(s.fetchKeys)
 	if n == 0 {
 		return nil
 	}
-	if cap(s.fetchVals) < n*s.vs {
-		s.fetchVals = make([]byte, n*s.vs)
-	}
-	if cap(s.fetchFound) < n {
-		s.fetchFound = make([]bool, n)
-	}
-	fv, ff := s.fetchVals[:n*s.vs], s.fetchFound[:n]
-	if err := s.inner.GetBatchCtx(ctx, s.fetchKeys, fv, ff); err != nil {
+	s.fetchVals, s.fetchFound = util.Grow(s.fetchVals, n*vs), util.Grow(s.fetchFound, n)
+	if err := s.inner.GetBatchCtx(ctx, s.fetchKeys, s.fetchVals, s.fetchFound); err != nil {
 		return err
 	}
 	for j, i := range s.missIdx {
-		slot := vals[i*s.vs : (i+1)*s.vs]
-		copy(slot, fv[j*s.vs:(j+1)*s.vs])
-		found[i] = ff[j]
-		if ff[j] {
-			s.w.cache.Put(keys[i], slot, now)
+		slot := vals[i*vs : (i+1)*vs]
+		copy(slot, s.fetchVals[j*vs:(j+1)*vs])
+		found[i] = s.fetchFound[j]
+		if found[i] {
+			c.Fill(keys[i], slot, stamp)
 		}
 	}
 	return nil
@@ -200,9 +185,6 @@ func (s *cachedSession) PutBatch(keys []uint64, vals []byte) error {
 	if err := s.inner.PutBatch(keys, vals); err != nil {
 		return err
 	}
-	clock := s.w.clock.Add(int64(len(keys)))
-	for i, k := range keys {
-		s.w.cache.Put(k, vals[i*s.vs:(i+1)*s.vs], clock)
-	}
+	s.w.cache.WriteBatch(keys, vals)
 	return nil
 }

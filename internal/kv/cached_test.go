@@ -2,7 +2,10 @@ package kv
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"github.com/llm-db/mlkv-go/internal/faster"
@@ -205,5 +208,103 @@ func TestCachedStoreBSPBypasses(t *testing.T) {
 	}
 	if hits := cached.Stats().CacheHits; hits != 0 {
 		t.Fatalf("BSP served %d reads from the tier", hits)
+	}
+}
+
+// TestCachedStoreFillAfterRMW races hotcache's drop rule through the
+// wrapper (run under -race): a reader loops GetBatch — tier sweep, one
+// engine batch for the misses, a fill per miss with the sweep's stamp —
+// while a writer loops RMW, each one invalidating an entry the reader is
+// about to fill. A fill that lands after the invalidation it raced holds
+// the pre-RMW value, and with no bound to age it out it is served until the
+// key's next write: without the rule the quiesced check below fails within
+// a run or two. Once the writer stops every Get must equal Peek and the
+// last counter written.
+func TestCachedStoreFillAfterRMW(t *testing.T) {
+	const (
+		keys   = 64
+		rounds = 500
+	)
+	for _, bound := range []int64{-1, faster.BoundAsync} {
+		t.Run(fmt.Sprintf("bound=%d", bound), func(t *testing.T) {
+			_, cached := openCachedPair(t, bound, 256, true)
+			var done atomic.Bool
+			var wg sync.WaitGroup
+			wg.Add(2)
+			go func() { // writer: counter += 1, storage-side
+				defer wg.Done()
+				defer done.Store(true)
+				s, err := cached.NewSession()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				defer s.Close()
+				for i := 0; i < rounds; i++ {
+					for k := uint64(0); k < keys; k++ {
+						err := s.RMW(k, func(cur []byte, _ bool) bool {
+							binary.LittleEndian.PutUint64(cur, binary.LittleEndian.Uint64(cur)+1)
+							return true
+						})
+						if err != nil {
+							t.Error(err)
+							return
+						}
+					}
+				}
+			}()
+			go func() { // reader: never sees a counter run backwards
+				defer wg.Done()
+				s, err := cached.NewSession()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				defer s.Close()
+				ks := make([]uint64, keys)
+				for i := range ks {
+					ks[i] = uint64(i)
+				}
+				v := make([]byte, 16*keys)
+				fd := make([]bool, keys)
+				var last [keys]uint64
+				for !done.Load() {
+					if err := SessionGetBatch(s, 16, ks, v, fd); err != nil {
+						t.Error(err)
+						return
+					}
+					for k := uint64(0); k < keys; k++ {
+						if n := binary.LittleEndian.Uint64(v[k*16:]); fd[k] && n < last[k] {
+							t.Errorf("key %d read %d after %d", k, n, last[k])
+							return
+						} else if fd[k] {
+							last[k] = n
+						}
+					}
+				}
+			}()
+			wg.Wait()
+			if t.Failed() {
+				return
+			}
+			s, err := cached.NewSession()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			g, p := make([]byte, 16), make([]byte, 16)
+			for k := uint64(0); k < keys; k++ {
+				if _, err := s.Get(k, g); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := s.Peek(k, p); err != nil {
+					t.Fatal(err)
+				}
+				gn, pn := binary.LittleEndian.Uint64(g), binary.LittleEndian.Uint64(p)
+				if gn != rounds || pn != rounds {
+					t.Fatalf("quiesced key %d: Get %d, Peek %d, want %d", k, gn, pn, rounds)
+				}
+			}
+		})
 	}
 }

@@ -49,9 +49,9 @@ type Counters struct {
 	// client-side.
 	PrefetchDropped int64
 
-	// Hot-tier counters, owned by whichever tier fronts the store (core's,
-	// kv.WrapCached's on a server, the remote driver's client-side tier);
-	// tiers in front of the same store add up. A miss includes entries
+	// Hot-tier counters, owned by whichever tier fronts the store
+	// (kv.WrapCached's — a local table's or a server's — and the remote
+	// driver's client-side tier); tiers in front of the same store add up. A miss includes entries
 	// present but inadmissible under the staleness bound.
 	CacheHits      int64
 	CacheMisses    int64

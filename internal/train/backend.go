@@ -77,7 +77,7 @@ type TableBackend struct {
 // Table aliases core.Table for brevity in this package.
 type Table = core.Table
 
-// NewTableBackend wraps a table. useLookahead enables DestStorageBuffer
+// NewTableBackend wraps a table. useLookahead enables storage-buffer
 // prefetching for Lookahead calls (MLKV); when false Lookahead is a no-op
 // (plain FASTER, which has no such interface).
 func NewTableBackend(t *core.Table, useLookahead bool) *TableBackend {
@@ -117,7 +117,7 @@ func (h *tableHandle) Peek(key uint64, dst []float32) (bool, error) {
 }
 func (h *tableHandle) Lookahead(keys []uint64) {
 	if h.b.UseLookahead {
-		h.s.Lookahead(keys, core.DestStorageBuffer, nil)
+		h.s.Lookahead(keys)
 	}
 }
 func (h *tableHandle) Close() { h.s.Close() }
