@@ -3,6 +3,7 @@ package mlkv_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"net"
 	"path"
@@ -422,6 +423,65 @@ func TestAPIStatsParity(t *testing.T) {
 			t.Fatalf("ClusterNodes = %d, want 3", st.ClusterNodes)
 		}
 	})
+}
+
+// TestAPIFloatBits pins what the byte view of a []float32 promises across
+// every cell of the matrix, the wire and the client-side tier included: the
+// caller's words reach the engine and come back bit for bit — NaN payloads
+// (quiet, signalling, negative), −0, a denormal — through Put/PutBatch and
+// Get/GetBatch/Peek alike.
+func TestAPIFloatBits(t *testing.T) {
+	want := []float32{1.5, -2.25, float32(math.Inf(-1))}
+	for _, bits := range []uint32{0x7fc00001, 0x7f800001, 0xffc12345, 0x80000000, 0x00000001} {
+		want = append(want, math.Float32frombits(bits))
+	}
+	withEngineTargets(t, func(t *testing.T, db *mlkv.DB, engine string, _ bool) {
+		for _, tier := range []int{0, 64} {
+			m, err := db.Open(fmt.Sprintf("bits%d", tier), len(want), mlkv.WithEngine(engine),
+				mlkv.WithStalenessBound(mlkv.ASP), mlkv.WithCache(tier))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer m.Close()
+			s, err := m.NewSession()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			if err := s.Put(7, want); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.PutBatch([]uint64{8, 9}, append(append([]float32{}, want...), want...)); err != nil {
+				t.Fatal(err)
+			}
+			got, batch, peeked := make([]float32, len(want)), make([]float32, 3*len(want)), make([]float32, len(want))
+			if err := s.Get(8, got); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.GetBatch([]uint64{9, 7, 8}, batch); err != nil {
+				t.Fatal(err)
+			}
+			if ok, err := s.Peek(7, peeked); err != nil || !ok {
+				t.Fatal(ok, err)
+			}
+			for name, v := range map[string][]float32{
+				"Get": got, "Peek": peeked,
+				"GetBatch[0]": batch[:len(want)], "GetBatch[1]": batch[len(want) : 2*len(want)], "GetBatch[2]": batch[2*len(want):],
+			} {
+				if !f32sEq(v, want) {
+					t.Fatalf("tier %d: %s returned %x, want %x", tier, name, f32Bits(v), f32Bits(want))
+				}
+			}
+		}
+	})
+}
+
+func f32Bits(v []float32) []uint32 {
+	out := make([]uint32, len(v))
+	for i, x := range v {
+		out[i] = math.Float32bits(x)
+	}
+	return out
 }
 
 // TestAPIFirstTouchParity pins the property the CI quickstart-divergence

@@ -117,7 +117,6 @@ type Table struct {
 	store  kv.Store
 	engine string // canonical engine name
 	dim    int
-	vs     int
 	init   Initializer
 
 	prefetchCh      chan uint64
@@ -179,7 +178,6 @@ func OpenTable(opts Options) (*Table, error) {
 		store:        store,
 		engine:       engine,
 		dim:          opts.Dim,
-		vs:           opts.Dim * 4,
 		init:         opts.Init,
 		prefetchCh:   make(chan uint64, prefetchQueue),
 		prefetchStop: make(chan struct{}),
@@ -269,15 +267,14 @@ func (t *Table) prefetchPool(workers int) {
 	}
 }
 
-// Session is one worker's handle onto the table: one store session plus
-// codec staging. Not safe for concurrent use; create one per goroutine.
+// Session is one worker's handle onto the table: one store session, which
+// reads into and writes from the caller's own []float32 (tensor.F32Bytes).
+// Not safe for concurrent use; create one per goroutine.
 type Session struct {
 	t *Table
 	s kv.Session
 
-	buf    []byte    // one value, scalar-path staging
 	ibuf   []float32 // first-touch initializer staging
-	bbuf   []byte    // batch staging, grown on demand
 	found  []bool    // batch presence flags
 	closed bool
 }
@@ -289,7 +286,7 @@ func (t *Table) NewSession() (*Session, error) {
 		return nil, err
 	}
 	t.activeSessions.Add(1)
-	return &Session{t: t, s: s, buf: make([]byte, t.vs)}, nil
+	return &Session{t: t, s: s}, nil
 }
 
 // Close unregisters the session. Closing twice is safe; only the first
@@ -305,6 +302,8 @@ func (s *Session) Close() {
 
 // Get reads the embedding for key into dst (len == Dim), initializing it on
 // first touch. It participates in the bounded-staleness protocol (§III-C1).
+// The store writes into dst directly: when Get (or GetBatch) returns an
+// error, what dst holds is undefined.
 func (s *Session) Get(key uint64, dst []float32) error {
 	return s.GetCtx(context.Background(), key, dst)
 }
@@ -325,13 +324,9 @@ func (s *Session) GetCtx(ctx context.Context, key uint64, dst []float32) error {
 // getOne runs the clocked read against the store.
 func (s *Session) getOne(ctx context.Context, key uint64, dst []float32) error {
 	for {
-		found, err := s.s.GetCtx(ctx, key, s.buf)
-		if err != nil {
+		found, err := s.s.GetCtx(ctx, key, tensor.F32Bytes(dst))
+		if err != nil || found {
 			return err
-		}
-		if found {
-			tensor.BytesToF32s(s.buf, dst)
-			return nil
 		}
 		// First touch: initialize atomically, then retry the Get so the
 		// vector-clock accounting matches a normal read.
@@ -390,22 +385,23 @@ func (s *Session) GetBatchCtx(ctx context.Context, keys []uint64, dst []float32)
 	}
 	defer s.t.lat.Since(latency.OpGetBatch, time.Now())
 	s.t.batchGets.Add(1)
-	dim, vs := s.t.dim, s.t.vs
+	dim := s.t.dim
 
-	// One store batch, unless the bound blocks: then every key is read —
-	// and, on first touch, initialized and re-read — before the next.
+	// One store batch straight into dst, unless the bound blocks: then every
+	// key is read — and, on first touch, initialized and re-read — before
+	// the next.
 	batched := !faster.BlockingBound(s.t.store.StalenessBound())
 	if batched {
-		s.bbuf, s.found = util.Grow(s.bbuf, len(keys)*vs), util.Grow(s.found, len(keys))
-		if err := s.s.GetBatchCtx(ctx, keys, s.bbuf, s.found); err != nil {
+		s.found = util.Grow(s.found, len(keys))
+		if err := s.s.GetBatchCtx(ctx, keys, tensor.F32Bytes(dst), s.found); err != nil {
 			return err
 		}
 	}
 	for j, k := range keys {
-		seg := dst[j*dim : (j+1)*dim]
 		if batched && s.found[j] {
-			tensor.BytesToF32s(s.bbuf[j*vs:], seg)
-		} else if err := s.getOne(ctx, k, seg); err != nil {
+			continue
+		}
+		if err := s.getOne(ctx, k, dst[j*dim:(j+1)*dim]); err != nil {
 			return err
 		}
 	}
@@ -417,11 +413,7 @@ func (s *Session) Peek(key uint64, dst []float32) (bool, error) {
 	if len(dst) != s.t.dim {
 		return false, fmt.Errorf("core: dst length %d != dim %d", len(dst), s.t.dim)
 	}
-	found, err := s.s.Peek(key, s.buf)
-	if found {
-		tensor.BytesToF32s(s.buf, dst)
-	}
-	return found, err
+	return s.s.Peek(key, tensor.F32Bytes(dst))
 }
 
 // Put upserts the embedding for key (the backward-propagation write of
@@ -431,8 +423,7 @@ func (s *Session) Put(key uint64, val []float32) error {
 		return fmt.Errorf("core: val length %d != dim %d", len(val), s.t.dim)
 	}
 	defer s.t.lat.Since(latency.OpPut, time.Now())
-	tensor.F32sToBytes(val, s.buf)
-	return s.s.Put(key, s.buf)
+	return s.s.Put(key, tensor.F32Bytes(val))
 }
 
 // PutBatch upserts len(keys) embeddings from vals (len == len(keys)*Dim)
@@ -444,9 +435,7 @@ func (s *Session) PutBatch(keys []uint64, vals []float32) error {
 	}
 	defer s.t.lat.Since(latency.OpPutBatch, time.Now())
 	s.t.batchPuts.Add(1)
-	s.bbuf = util.Grow(s.bbuf, len(keys)*s.t.vs)
-	tensor.F32sToBytes(vals, s.bbuf)
-	return s.s.PutBatch(keys, s.bbuf)
+	return s.s.PutBatch(keys, tensor.F32Bytes(vals))
 }
 
 // ApplyGradient performs emb ← emb − lr·grad as a single storage-side

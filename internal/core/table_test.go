@@ -61,21 +61,39 @@ func TestTableGetInitializesFirstTouch(t *testing.T) {
 	}
 }
 
+// TestTablePutGetRoundTrip includes the values a float32 round trip can
+// lose and a byte view cannot: NaN payloads (quiet, signalling, negative),
+// −0 and a denormal must come back bit for bit from Get, GetBatch and Peek.
 func TestTablePutGetRoundTrip(t *testing.T) {
-	tbl := testTable(t, 4, BoundDisabled)
+	tbl := testTable(t, 8, BoundDisabled)
 	s, _ := tbl.NewSession()
 	defer s.Close()
-	want := []float32{1.5, -2.25, 3.125, -0.0625}
+	want := []float32{1.5, -2.25, 3.125}
+	for _, bits := range []uint32{0x7fc00001, 0x7f800001, 0xffc12345, 0x80000000, 0x00000001} {
+		want = append(want, math.Float32frombits(bits))
+	}
 	if err := s.Put(7, want); err != nil {
 		t.Fatal(err)
 	}
-	got := make([]float32, 4)
+	if err := s.PutBatch([]uint64{8}, want); err != nil {
+		t.Fatal(err)
+	}
+	got, batch, peeked := make([]float32, 8), make([]float32, 16), make([]float32, 8)
 	if err := s.Get(7, got); err != nil {
 		t.Fatal(err)
 	}
+	if err := s.GetBatch([]uint64{8, 7}, batch); err != nil {
+		t.Fatal(err)
+	}
+	if ok, err := s.Peek(7, peeked); err != nil || !ok {
+		t.Fatal(ok, err)
+	}
 	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("dim %d: got %v want %v", i, got[i], want[i])
+		w := math.Float32bits(want[i])
+		for name, v := range map[string]float32{"Get": got[i], "GetBatch": batch[i], "GetBatch[1]": batch[8+i], "Peek": peeked[i]} {
+			if math.Float32bits(v) != w {
+				t.Fatalf("dim %d: %s returned %08x, want %08x", i, name, math.Float32bits(v), w)
+			}
 		}
 	}
 }

@@ -130,7 +130,8 @@ type Model interface {
 	Close() error
 }
 
-// Session is one worker's handle. Not safe for concurrent use.
+// Session is one worker's handle. Not safe for concurrent use. Reads are
+// written into dst as they arrive: after an error its contents are undefined.
 type Session interface {
 	Get(ctx context.Context, key uint64, dst []float32) error
 	GetBatch(ctx context.Context, keys []uint64, dst []float32) error

@@ -287,8 +287,7 @@ func (m *remoteModel) NewSession(ctx context.Context) (Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	vs := m.m.Dim() * 4
-	return &remoteSession{m: m, s: s, buf: make([]byte, vs)}, nil
+	return &remoteSession{m: m, s: s}, nil
 }
 
 // Close stops the lookahead worker. The server keeps the model open (the
@@ -358,12 +357,13 @@ func (m *remoteModel) enqueueLookahead(keys []uint64) {
 // "framework + plain KV store" integration pattern, with the initializer
 // seeded per key so every worker initializes an embedding identically.
 type remoteSession struct {
-	m   *remoteModel
-	s   wireSession
-	buf []byte // one value, scalar-path staging
+	m *remoteModel
+	s wireSession
 
-	// Batch-path scratch, grown on demand and reused across steps.
-	bbuf     []byte
+	// Batch-path scratch, grown on demand and reused across steps. The wire
+	// reads into and writes from the caller's own []float32
+	// (tensor.F32Bytes); missVals stages only what that cannot serve: the
+	// compacted fetch behind a tier sweep, then the first-touch write-back.
 	found    []bool
 	missKeys []uint64
 	missVals []byte
@@ -407,7 +407,7 @@ func (s *remoteSession) Get(ctx context.Context, key uint64, dst []float32) erro
 			return nil
 		}
 	}
-	found, err := s.s.GetCtx(ctx, key, s.buf)
+	found, err := s.s.GetCtx(ctx, key, tensor.F32Bytes(dst))
 	if err != nil {
 		return err
 	}
@@ -419,7 +419,6 @@ func (s *remoteSession) Get(ctx context.Context, key uint64, dst []float32) erro
 		s.initInto(key, dst)
 		return s.Put(ctx, key, dst)
 	}
-	tensor.BytesToF32s(s.buf, dst)
 	if c != nil {
 		c.Fill(key, dst, stamp)
 	}
@@ -437,7 +436,7 @@ func (s *remoteSession) GetBatch(ctx context.Context, keys []uint64, dst []float
 	}
 	vs := dim * 4
 	c, bound := s.tier()
-	fetch := keys
+	fetch, into := keys, tensor.F32Bytes(dst)
 	var idx []int // position of fetch[j] in keys; nil = identity
 	var stamp int64
 	if c != nil {
@@ -447,34 +446,38 @@ func (s *remoteSession) GetBatch(ctx context.Context, keys []uint64, dst []float
 		}
 		fetch, idx = s.fetchKeys, s.cacheMiss
 	}
+	s.missVals = util.Grow(s.missVals, len(fetch)*vs)
+	if idx != nil {
+		into = s.missVals // the misses arrive compacted; dst holds the hits
+	}
 	seg := func(j int) []float32 {
 		if idx != nil {
 			j = idx[j]
 		}
 		return dst[j*dim : (j+1)*dim]
 	}
-	n := len(fetch)
-	s.bbuf = util.Grow(s.bbuf, n*vs)
-	s.found = util.Grow(s.found, n)
-	if err := s.s.GetBatchCtx(ctx, fetch, s.bbuf, s.found); err != nil {
+	s.found = util.Grow(s.found, len(fetch))
+	if err := s.s.GetBatchCtx(ctx, fetch, into, s.found); err != nil {
 		return err
 	}
 	s.missKeys = s.missKeys[:0]
 	s.missVals = s.missVals[:0]
 	for j, ok := range s.found {
 		if ok {
-			tensor.BytesToF32s(s.bbuf[j*vs:], seg(j))
+			if idx != nil {
+				tensor.BytesToF32s(into[j*vs:], seg(j))
+			}
 			if c != nil {
 				c.Fill(fetch[j], seg(j), stamp)
 			}
 			continue
 		}
-		// First touch.
+		// First touch. The write-back list never outgrows its capacity (one
+		// value per fetched key) and grows no faster than j, so it may share
+		// into's memory behind the read position.
 		s.initInto(fetch[j], seg(j))
 		s.missKeys = append(s.missKeys, fetch[j])
-		nv := len(s.missVals)
-		s.missVals = extendBytes(s.missVals, vs)
-		tensor.F32sToBytes(seg(j), s.missVals[nv:])
+		s.missVals = append(s.missVals, tensor.F32Bytes(seg(j))...)
 	}
 	if len(s.missKeys) == 0 {
 		return nil
@@ -496,8 +499,7 @@ func (s *remoteSession) Put(ctx context.Context, key uint64, val []float32) erro
 	if len(val) != s.m.Dim() {
 		return fmt.Errorf("driver: val length %d != dim %d", len(val), s.m.Dim())
 	}
-	tensor.F32sToBytes(val, s.buf)
-	if err := s.s.PutCtx(ctx, key, s.buf); err != nil {
+	if err := s.s.PutCtx(ctx, key, tensor.F32Bytes(val)); err != nil {
 		return err
 	}
 	if c := s.m.cache; c != nil {
@@ -511,10 +513,7 @@ func (s *remoteSession) PutBatch(ctx context.Context, keys []uint64, vals []floa
 	if len(vals) != len(keys)*dim {
 		return fmt.Errorf("driver: vals length %d != %d keys × dim %d", len(vals), len(keys), dim)
 	}
-	vs := dim * 4
-	s.bbuf = util.Grow(s.bbuf, len(keys)*vs)
-	tensor.F32sToBytes(vals, s.bbuf)
-	if err := s.s.PutBatchCtx(ctx, keys, s.bbuf[:len(keys)*vs]); err != nil {
+	if err := s.s.PutBatchCtx(ctx, keys, tensor.F32Bytes(vals)); err != nil {
 		return err
 	}
 	if c := s.m.cache; c != nil {
@@ -555,11 +554,7 @@ func (s *remoteSession) Peek(ctx context.Context, key uint64, dst []float32) (bo
 	if len(dst) != s.m.Dim() {
 		return false, fmt.Errorf("driver: dst length %d != dim %d", len(dst), s.m.Dim())
 	}
-	found, err := s.s.PeekCtx(ctx, key, s.buf)
-	if found {
-		tensor.BytesToF32s(s.buf, dst)
-	}
-	return found, err
+	return s.s.PeekCtx(ctx, key, tensor.F32Bytes(dst))
 }
 
 func (s *remoteSession) Delete(ctx context.Context, key uint64) error {
@@ -580,19 +575,6 @@ func (s *remoteSession) Lookahead(keys []uint64) error {
 }
 
 func (s *remoteSession) Close() { s.s.Close() }
-
-// extendBytes grows b by n bytes in place, preserving its contents —
-// the reusable replacement for appending a fresh zero slab per missing
-// key: steady state extends within capacity and allocates nothing.
-func extendBytes(b []byte, n int) []byte {
-	want := len(b) + n
-	if cap(b) >= want {
-		return b[:want]
-	}
-	nb := make([]byte, want, 2*want)
-	copy(nb, b)
-	return nb
-}
 
 // DialKV opens the named model on a remote server as a byte-level
 // kv.Store — the escape hatch for harnesses that work on raw values (the

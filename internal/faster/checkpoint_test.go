@@ -321,6 +321,59 @@ func TestAbandonedAppendNotResurrected(t *testing.T) {
 	}
 }
 
+// TestSkippedSlotRecoversAsGap drives allocate's other way of abandoning a
+// slot — handed out, then seen frozen before anything was written to it —
+// on a frame that has held an earlier page, whose bytes the slot would
+// otherwise keep. After a checkpoint and reopen the slot must be a gap: with
+// stale value bytes it reads as a record of key 0 and, sitting above the
+// real one, replaces it.
+func TestSkippedSlotRecoversAsGap(t *testing.T) {
+	const vs, rpp = 8, 16
+	cfg := Config{
+		Dir: t.TempDir(), ValueSize: vs, RecordsPerPage: rpp, MemPages: 4,
+		MutablePages: 1, StalenessBound: BoundAsync,
+	}
+	st := mustOpen(t, cfg)
+	zero := val(vs, 99)
+	mustPut(t, st, 0, zero)
+	for k := uint64(1); k < 6*rpp; k++ { // into page 6: every frame reused
+		mustPut(t, st, k, val(vs, k))
+	}
+	// Freeze the next slot under the allocator, as the opener of a later
+	// page does to one that waited for its own page across the bump.
+	next, ro := st.log.nextAddr.Load(), st.log.roAddr.Load()
+	if st.log.slotOf(next) == 0 || st.log.pageOf(next) < int64(cfg.MemPages) {
+		t.Fatalf("next address %d is not mid-page on a reused frame", next)
+	}
+	st.log.roAddr.Store(next + 1)
+	mustPut(t, st, 1000, val(vs, 1000))
+	st.log.roAddr.Store(ro)
+	if n := st.Stats().AbandonedAppends; n != 1 {
+		t.Fatalf("AbandonedAppends = %d, want the one skipped slot", n)
+	}
+	if err := st.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	st = mustOpen(t, cfg)
+	defer st.Close()
+	s, _ := st.NewSession()
+	defer s.Close()
+	got := make([]byte, vs)
+	for _, k := range []uint64{0, 1000} {
+		want := zero
+		if k != 0 {
+			want = val(vs, k)
+		}
+		if found, err := s.Peek(k, got); err != nil || !found || !bytes.Equal(got, want) {
+			t.Fatalf("key %d after reopen: found=%v err=%v value % x, want % x", k, found, err, got, want)
+		}
+	}
+}
+
 func mustOpen(t *testing.T, cfg Config) *Store {
 	t.Helper()
 	st, err := Open(cfg)

@@ -161,16 +161,27 @@ func (l *hybridLog) frameFor(p int64) *frame {
 // failed: no further page can ever be recycled, so the append side of the
 // log is permanently down and every caller must see the error.
 func (l *hybridLog) allocate(s *epoch.Session) (uint64, error) {
-	addr := l.nextAddr.Add(1) - 1
-	p := l.pageOf(addr)
-	if l.slotOf(addr) == 0 {
-		if err := l.openPage(p, s); err != nil {
+	for {
+		addr := l.nextAddr.Add(1) - 1
+		p := l.pageOf(addr)
+		if l.slotOf(addr) == 0 {
+			if err := l.openPage(p, s); err != nil {
+				return 0, err
+			}
+		} else if err := l.waitPageReady(p, s); err != nil {
 			return 0, err
 		}
-	} else if err := l.waitPageReady(p, s); err != nil {
-		return 0, err
+		// The waits above refresh the caller's epoch, and a refresh that
+		// follows the bump freezing page p stops holding that page's drain
+		// back: it could be flushed before the caller has written the slot.
+		// Seen still mutable after the last refresh, the slot is safe — any
+		// later freeze bumps an epoch the caller has not observed. Otherwise
+		// leave it an all-zero gap (recovery skips those) and take another.
+		if addr >= l.roAddr.Load() {
+			return addr, nil
+		}
+		l.stats.AbandonedAppends.Add(1)
 	}
-	return addr, nil
 }
 
 // openPage is run by the allocator that received the first slot of page p.
@@ -223,22 +234,18 @@ func (l *hybridLog) openPage(p int64, s *epoch.Session) error {
 		l.frameMu.Unlock()
 	}
 
-	// 3. Reset and publish.
+	// 3. Reset and publish. Values too: a slot nobody writes (see allocate)
+	// must reach the file all zero, the only record recovery skips.
 	for i := range f.hdrs {
 		f.hdrs[i].Store(0)
 	}
-	clearUint64(f.keys)
-	clearUint64(f.prevs)
+	clear(f.keys)
+	clear(f.prevs)
+	clear(f.vals)
 	f.freed.Store(false)
 	f.holds.Store(p)
 	l.broadcastFrames()
 	return nil
-}
-
-func clearUint64(s []uint64) {
-	for i := range s {
-		s[i] = 0
-	}
 }
 
 // onROBoundaryDrained runs once every session has observed the read-only

@@ -27,7 +27,8 @@ type Config struct {
 	// RecordsPerPage is the number of records per log page (power of two).
 	RecordsPerPage int
 	// MemPages is the number of in-memory page frames: the store's memory
-	// budget is roughly MemPages × RecordsPerPage × (ValueSize + 40) bytes.
+	// budget is MemPages × RecordsPerPage × (ValueSize + 24) bytes — a
+	// record's value plus its header, key and chain words (see MemoryBytes).
 	MemPages int
 	// MutablePages is how many of the newest pages accept in-place updates.
 	// Must be at least 1 and at most MemPages-2.
@@ -199,9 +200,15 @@ func (st *Store) MemoryBytes() int64 {
 type Session struct {
 	st      *Store
 	es      *epoch.Session
-	stats   Stats  // this session's operations (see Store.stats)
-	scratch []byte // one value
-	rec     []byte // one on-disk record: readDisk's read buffer
+	stats   Stats    // this session's operations (see Store.stats)
+	scratch []byte   // one value
+	rec     []byte   // one on-disk record: readDisk's read buffer
+	hit     chainHit // findKey's result: one chain walk at a time
+	tally   int64    // what the pass in progress has counted (see pass)
+
+	// The one-key batch GetCtx and Put run as.
+	oneKey   [1]uint64
+	oneFound [1]bool
 }
 
 // NewSession registers a session. It returns an error if MaxSessions are
@@ -268,7 +275,9 @@ func (st *Store) memRecord(addr uint64) (*frame, int) {
 	return f, st.log.slotOf(addr)
 }
 
-// chainHit is the outcome of a hash-chain walk.
+// chainHit is the outcome of a hash-chain walk. Every session owns one
+// (Session.hit): findKey fills it in place and the steps that act on the
+// located version read it through a pointer, so no operation copies it.
 type chainHit struct {
 	entry    *atomic.Uint64
 	entryVal uint64 // entry word at lookup time (CAS expectation)
@@ -280,10 +289,12 @@ type chainHit struct {
 	diskRec  diskRecord // set for disk hits
 }
 
-// findKey walks the hash chain for key. Must be called under protection.
-// create controls whether a missing index entry is established.
-func (s *Session) findKey(key uint64, create bool) (chainHit, error) {
+// findKey walks the hash chain for key into s.hit, which it returns. Must
+// be called under protection. create controls whether a missing index entry
+// is established.
+func (s *Session) findKey(key uint64, create bool) (*chainHit, error) {
 	st := s.st
+	hit := &s.hit
 	hash := util.HashKey(key)
 	var entry *atomic.Uint64
 	if create {
@@ -291,18 +302,19 @@ func (s *Session) findKey(key uint64, create bool) (chainHit, error) {
 	} else {
 		entry = st.ix.find(hash)
 		if entry == nil {
-			return chainHit{}, nil
+			*hit = chainHit{}
+			return hit, nil
 		}
 	}
 	ev := entry.Load()
-	hit := chainHit{entry: entry, entryVal: ev, addr: entryAddr(ev)}
+	*hit = chainHit{entry: entry, entryVal: ev, addr: entryAddr(ev)}
 	addr := hit.addr
 	for addr != InvalidAddr {
 		reg := st.regionOf(addr)
 		if reg == regionDisk {
 			rec, err := st.log.readDisk(addr, s.rec, s.scratch)
 			if err != nil {
-				return chainHit{}, err
+				return nil, err
 			}
 			s.stats.DiskReads.Add(1)
 			if rec.key == key {
@@ -333,12 +345,39 @@ func (s *Session) findKey(key uint64, create bool) (chainHit, error) {
 // ErrValueSize is returned when a caller buffer does not match ValueSize.
 var ErrValueSize = errors.New("faster: buffer length must equal ValueSize")
 
+// readLocked is the clocked read of a mutable-region record (§III-C1): one
+// CAS takes the lock and, with the clock running, a staleness token; the
+// value is copied out into dst (exactly one value long) and the lock
+// released. Not done, the record was locked, replaced or the CAS lost —
+// re-resolve the chain — or stale: beyond the bound, wait for a releasing Put.
+func readLocked(f *frame, slot int, dst []byte, bound int64) (done, stale bool) {
+	hdr := &f.hdrs[slot]
+	h := hdr.Load()
+	if h&(lockedBit|replacedBit) != 0 {
+		return false, false
+	}
+	delta := 0
+	if bound >= 0 {
+		if int64(Staleness(h)) > bound {
+			return false, true
+		}
+		delta = 1
+	}
+	locked := withLock(h, delta)
+	if !hdr.CompareAndSwap(h, locked) {
+		return false, false
+	}
+	copy(dst, f.vals[slot*len(dst):])
+	hdr.Store(releaseHeader(locked, false))
+	return true, false
+}
+
 // Get reads the value for key into dst. Under bounded-staleness consistency
 // it implements the paper's protocol: wait until the record's staleness
 // counter is within the bound, then atomically {lock, staleness+1}, copy the
 // value, and release. Cold records (read-only region or disk) are first
 // copied to the mutable tail with their vector clock preserved.
-// Returns found=false for absent or deleted keys.
+// Returns found=false, and a zeroed dst, for absent or deleted keys.
 func (s *Session) Get(key uint64, dst []byte) (bool, error) {
 	return s.GetCtx(context.Background(), key, dst)
 }
@@ -348,34 +387,90 @@ func (s *Session) Get(key uint64, dst []byte) (bool, error) {
 // ctx.Err() when ctx is cancelled or its deadline passes, instead of
 // spinning until the releasing write arrives. The clock is untouched on a
 // cancelled read — no token was acquired — so a caller that times out owes
-// no balancing Put.
+// no balancing Put. It is GetBatchAt's one-key case.
 func (s *Session) GetCtx(ctx context.Context, key uint64, dst []byte) (bool, error) {
-	if len(dst) != s.st.cfg.ValueSize {
-		return false, ErrValueSize
-	}
-	s.stats.Gets.Add(1)
-	bound := s.st.bound.Load()
+	s.oneKey[0] = key
+	err := s.GetBatchAt(ctx, s.oneKey[:], firstIdx[:], dst, s.oneFound[:])
+	return s.oneFound[0] && err == nil, err
+}
+
+// firstIdx is the index list of a one-key batch.
+var firstIdx = [1]int{0}
+
+// pass runs step(i) for each i in idxs, in that order, as one engine pass:
+// one epoch protection, and one add each to ops — the keys reached — and to
+// served, what the steps counted in s.tally (reads served from memory,
+// updates made in place). step reports whether its key was the common case
+// — the newest version mutable, taken on the first try. After any other
+// (cold, read-only, fuzzy, contended, stale, absent: a disk read, a wait or
+// an append) the pass refreshes its epoch, so protection never spans more
+// than one such key and a batch holds back page turnover no longer than a
+// single-key call could.
+func (s *Session) pass(idxs []int, ops, served *atomic.Int64, step func(i int) (plain bool, err error)) (err error) {
+	n := 0
 	s.es.Protect()
-	defer s.es.Unprotect()
+	for _, i := range idxs {
+		n++
+		var plain bool
+		if plain, err = step(i); err != nil {
+			break
+		}
+		if !plain {
+			s.es.Refresh()
+		}
+	}
+	s.es.Unprotect()
+	ops.Add(int64(n))
+	served.Add(s.tally)
+	s.tally = 0
+	return err
+}
+
+// GetBatchAt is Get for keys[i], for each i in idxs in that order, into
+// vals[i×ValueSize:] and found[i] — index-addressed, so a caller that
+// partitions a batch across stores hands each its positions and nothing is
+// gathered or scattered. Every key is its own clocked read, as if Get had
+// been called on it (duplicates included); the keys share only the pass's
+// bookkeeping. On an error the positions not yet reached are untouched and
+// the one that failed is undefined.
+func (s *Session) GetBatchAt(ctx context.Context, keys []uint64, idxs []int, vals []byte, found []bool) error {
+	vs := s.st.cfg.ValueSize
+	if len(vals) != len(keys)*vs || len(found) != len(keys) {
+		return ErrValueSize
+	}
+	bound := s.st.bound.Load()
+	return s.pass(idxs, &s.stats.Gets, &s.stats.MemHits, func(i int) (plain bool, err error) {
+		dst := vals[i*vs : (i+1)*vs]
+		if found[i], plain, err = s.get(ctx, keys[i], dst, bound); !found[i] {
+			clear(dst)
+		}
+		return plain, err
+	})
+}
+
+// get is the clocked read of one key: resolve the chain, act on the version
+// found, and retry — backing off, observing ctx — until the read completes.
+// plain reports the common case (see pass). The caller holds protection.
+func (s *Session) get(ctx context.Context, key uint64, dst []byte, bound int64) (found, plain bool, err error) {
 	for attempt := 0; ; attempt++ {
 		if attempt > 0 {
 			if err := ctx.Err(); err != nil {
-				return false, err
+				return false, false, err
 			}
 		}
 		hit, err := s.findKey(key, false)
 		if err != nil {
-			return false, err
+			return false, false, err
 		}
 		if hit.addr == InvalidAddr || hit.tomb {
-			return false, nil
+			return false, false, nil
 		}
-		done, found, err := s.getOnce(key, hit, dst, bound)
+		done, err := s.getOnce(key, hit, dst, bound)
 		if err != nil {
-			return false, err
+			return false, false, err
 		}
 		if done {
-			return found, nil
+			return true, attempt == 0 && hit.reg == regionMutable, nil
 		}
 		s.backoff(attempt)
 	}
@@ -383,82 +478,67 @@ func (s *Session) GetCtx(ctx context.Context, key uint64, dst []byte) (bool, err
 
 // getOnce attempts the Get against one located record version. done=false
 // means the caller must re-resolve the chain and retry.
-func (s *Session) getOnce(key uint64, hit chainHit, dst []byte, bound int64) (done, found bool, err error) {
-	st := s.st
+func (s *Session) getOnce(key uint64, hit *chainHit, dst []byte, bound int64) (done bool, err error) {
+	vs := s.st.cfg.ValueSize
 	switch hit.reg {
 	case regionMutable:
-		h := hit.f.hdrs[hit.slot].Load()
-		if Locked(h) || Replaced(h) {
-			return false, false, nil
-		}
-		if bound >= 0 && int64(Staleness(h)) > bound {
+		done, stale := readLocked(hit.f, hit.slot, dst, bound)
+		if done {
+			s.tally++
+		} else if stale {
 			s.stats.StalenessWaits.Add(1)
-			return false, false, nil
 		}
-		delta := 0
-		if bound >= 0 {
-			delta = 1
-		}
-		if !hit.f.hdrs[hit.slot].CompareAndSwap(h, withLock(h, delta)) {
-			return false, false, nil
-		}
-		copy(dst, hit.f.vals[hit.slot*st.cfg.ValueSize:(hit.slot+1)*st.cfg.ValueSize])
-		hit.f.hdrs[hit.slot].Store(releaseHeader(withLock(h, delta), false))
-		s.stats.MemHits.Add(1)
-		return true, true, nil
+		return done, nil
 
 	case regionFuzzy:
 		// The read-only boundary is draining; wait for it to settle.
 		s.es.Refresh()
-		return false, false, nil
+		return false, nil
 
 	case regionReadOnly:
 		if bound < 0 {
 			// Plain FASTER read: values are immutable here, no lock needed.
-			copy(dst, hit.f.vals[hit.slot*st.cfg.ValueSize:(hit.slot+1)*st.cfg.ValueSize])
-			s.stats.MemHits.Add(1)
-			return true, true, nil
+			copy(dst, hit.f.vals[hit.slot*vs:(hit.slot+1)*vs])
+			s.tally++
+			return true, nil
 		}
 		// BSC requires mutating the vector clock, which frozen pages cannot
 		// do consistently: copy the record to the mutable tail (clock
 		// preserved) and retry there.
 		h := hit.f.hdrs[hit.slot].Load()
-		if bound >= 0 && int64(Staleness(h)) > bound {
+		if int64(Staleness(h)) > bound {
 			s.stats.StalenessWaits.Add(1)
 			s.es.Refresh()
-			return false, false, nil
+			return false, nil
 		}
-		copy(s.scratch, hit.f.vals[hit.slot*st.cfg.ValueSize:(hit.slot+1)*st.cfg.ValueSize])
-		if _, err := s.copyToTail(key, h&^lockedBit, s.scratch, hit); err != nil {
-			return false, false, err
-		}
-		return false, false, nil
+		copy(s.scratch, hit.f.vals[hit.slot*vs:(hit.slot+1)*vs])
+		_, err := s.copyToTail(key, h&^lockedBit, s.scratch, hit)
+		return false, err
 
 	case regionDisk:
 		if bound < 0 {
 			copy(dst, hit.diskRec.val)
-			return true, true, nil
+			return true, nil
 		}
 		h := hit.diskRec.hdr
 		if int64(Staleness(h)) > bound {
 			s.stats.StalenessWaits.Add(1)
 			s.es.Refresh()
-			return false, false, nil
+			return false, nil
 		}
 		// diskRec.val aliases s.scratch (findKey read into it).
-		if _, err := s.copyToTail(key, h&^lockedBit, hit.diskRec.val, hit); err != nil {
-			return false, false, err
-		}
-		return false, false, nil
+		_, err := s.copyToTail(key, h&^lockedBit, hit.diskRec.val, hit)
+		return false, err
 	}
-	return false, false, nil
+	return false, nil
 }
 
 // Peek reads the value for key without touching the vector clock and
 // without copying cold records to the tail. Used for evaluation and
 // diagnostics; it never blocks on staleness.
 func (s *Session) Peek(key uint64, dst []byte) (bool, error) {
-	if len(dst) != s.st.cfg.ValueSize {
+	vs := s.st.cfg.ValueSize
+	if len(dst) != vs {
 		return false, ErrValueSize
 	}
 	s.es.Protect()
@@ -476,21 +556,13 @@ func (s *Session) Peek(key uint64, dst []byte) (bool, error) {
 			copy(dst, hit.diskRec.val)
 			return true, nil
 		case regionReadOnly:
-			copy(dst, hit.f.vals[hit.slot*s.st.cfg.ValueSize:(hit.slot+1)*s.st.cfg.ValueSize])
+			copy(dst, hit.f.vals[hit.slot*vs:(hit.slot+1)*vs])
 			return true, nil
 		default: // mutable or fuzzy: locked read for value atomicity
-			h := hit.f.hdrs[hit.slot].Load()
-			if Locked(h) || Replaced(h) {
-				s.backoff(attempt)
-				continue
+			if done, _ := readLocked(hit.f, hit.slot, dst, -1); done {
+				return true, nil
 			}
-			if !hit.f.hdrs[hit.slot].CompareAndSwap(h, h|lockedBit) {
-				s.backoff(attempt)
-				continue
-			}
-			copy(dst, hit.f.vals[hit.slot*s.st.cfg.ValueSize:(hit.slot+1)*s.st.cfg.ValueSize])
-			hit.f.hdrs[hit.slot].Store(h)
-			return true, nil
+			s.backoff(attempt)
 		}
 	}
 }
@@ -498,15 +570,29 @@ func (s *Session) Peek(key uint64, dst []byte) (bool, error) {
 // Put upserts the value for key. Under BSC it atomically {lock,
 // staleness-1}s in the mutable region (a Put never waits on the bound —
 // it only reduces staleness) and bumps the record generation on release.
-// Cold or absent records get a new version appended at the tail.
+// Cold or absent records get a new version appended at the tail. It is
+// PutBatchAt's one-key case.
 func (s *Session) Put(key uint64, val []byte) error {
-	if len(val) != s.st.cfg.ValueSize {
+	s.oneKey[0] = key
+	return s.PutBatchAt(s.oneKey[:], firstIdx[:], val)
+}
+
+// PutBatchAt is Put for keys[i] = vals[i×ValueSize:], for each i in idxs in
+// that order, as one pass.
+func (s *Session) PutBatchAt(keys []uint64, idxs []int, vals []byte) error {
+	vs := s.st.cfg.ValueSize
+	if len(vals) != len(keys)*vs {
 		return ErrValueSize
 	}
-	s.stats.Puts.Add(1)
-	return s.update(key, func(cur []byte, _ bool) bool {
+	bound := s.st.bound.Load()
+	var val []byte
+	put := func(cur []byte, _ bool) bool {
 		copy(cur, val)
 		return true
+	}
+	return s.pass(idxs, &s.stats.Puts, &s.stats.InPlaceUpdates, func(i int) (bool, error) {
+		val = vals[i*vs : (i+1)*vs]
+		return s.update(keys[i], bound, put)
 	})
 }
 
@@ -516,31 +602,33 @@ func (s *Session) Put(key uint64, val []byte) error {
 // whether to store cur; a declining fn must leave cur untouched, and the
 // record — value, clock, generation, or absence — stays exactly as it was.
 func (s *Session) RMW(key uint64, fn func(cur []byte, exists bool) bool) error {
-	s.stats.RMWs.Add(1)
-	return s.update(key, fn)
+	bound := s.st.bound.Load()
+	return s.pass(firstIdx[:], &s.stats.RMWs, &s.stats.InPlaceUpdates, func(int) (bool, error) {
+		return s.update(key, bound, fn)
+	})
 }
 
-func (s *Session) update(key uint64, fn func(cur []byte, exists bool) bool) error {
-	bound := s.st.bound.Load()
-	s.es.Protect()
-	defer s.es.Unprotect()
+// update is the upsert of one key: resolve the chain (establishing the index
+// entry), apply fn in place or by append, and retry until it lands. plain
+// reports the common case (see pass). The caller holds protection.
+func (s *Session) update(key uint64, bound int64, fn func(cur []byte, exists bool) bool) (plain bool, err error) {
 	for attempt := 0; ; attempt++ {
 		hit, err := s.findKey(key, true)
 		if err != nil {
-			return err
+			return false, err
 		}
 		done, err := s.updateOnce(key, hit, fn, bound)
 		if err != nil {
-			return err
+			return false, err
 		}
 		if done {
-			return nil
+			return attempt == 0 && hit.addr != InvalidAddr && !hit.tomb && hit.reg == regionMutable, nil
 		}
 		s.backoff(attempt)
 	}
 }
 
-func (s *Session) updateOnce(key uint64, hit chainHit, fn func([]byte, bool) bool, bound int64) (bool, error) {
+func (s *Session) updateOnce(key uint64, hit *chainHit, fn func([]byte, bool) bool, bound int64) (bool, error) {
 	st := s.st
 	vs := st.cfg.ValueSize
 	exists := hit.addr != InvalidAddr && !hit.tomb
@@ -562,7 +650,7 @@ func (s *Session) updateOnce(key uint64, hit chainHit, fn func([]byte, bool) boo
 			return true, nil
 		}
 		hit.f.hdrs[hit.slot].Store(releaseHeader(withLock(h, delta), true))
-		s.stats.InPlaceUpdates.Add(1)
+		s.tally++
 		return true, nil
 	}
 	if exists && hit.reg == regionFuzzy {
@@ -573,7 +661,7 @@ func (s *Session) updateOnce(key uint64, hit chainHit, fn func([]byte, bool) boo
 	// Append path (RCU): build the new version in scratch.
 	var newHdr uint64
 	if !exists {
-		clearBytes(s.scratch)
+		clear(s.scratch)
 		if !fn(s.scratch, false) {
 			return true, nil
 		}
@@ -621,7 +709,7 @@ func (s *Session) Delete(key uint64) error {
 		if hit.addr == InvalidAddr || hit.tomb {
 			return nil // nothing to delete
 		}
-		clearBytes(s.scratch)
+		clear(s.scratch)
 		ok, err := s.appendRecord(key, PackHeader(false, false, 0, 0), s.scratch, hit, true)
 		if err != nil {
 			return err
@@ -664,15 +752,11 @@ func (s *Session) Prefetch(key uint64) (bool, error) {
 // captured in hit as its predecessor, then CASes the index entry. Returns
 // false if the chain moved (caller retries or abandons); a non-nil error
 // means the log can no longer allocate (background flush failed).
-func (s *Session) copyToTail(key uint64, hdr uint64, val []byte, hit chainHit) (bool, error) {
-	return s.appendRecordHdr(key, hdr, val, hit, false)
+func (s *Session) copyToTail(key uint64, hdr uint64, val []byte, hit *chainHit) (bool, error) {
+	return s.appendRecord(key, hdr, val, hit, false)
 }
 
-func (s *Session) appendRecord(key uint64, hdr uint64, val []byte, hit chainHit, tomb bool) (bool, error) {
-	return s.appendRecordHdr(key, hdr, val, hit, tomb)
-}
-
-func (s *Session) appendRecordHdr(key uint64, hdr uint64, val []byte, hit chainHit, tomb bool) (bool, error) {
+func (s *Session) appendRecord(key uint64, hdr uint64, val []byte, hit *chainHit, tomb bool) (bool, error) {
 	st := s.st
 	// allocate may Refresh the session; hit.entryVal remains a valid CAS
 	// expectation (addresses are stable), but frame pointers in hit must
@@ -721,7 +805,7 @@ func (s *Session) appendRecordHdr(key uint64, hdr uint64, val []byte, hit chainH
 	f.hdrs[slot].Store(0)
 	f.keys[slot] = 0
 	f.prevs[slot] = 0
-	clearBytes(f.vals[slot*vs : (slot+1)*vs])
+	clear(f.vals[slot*vs : (slot+1)*vs])
 	s.stats.AbandonedAppends.Add(1)
 	return false, nil
 }
@@ -732,12 +816,6 @@ func (s *Session) backoff(attempt int) {
 	s.es.Refresh()
 	if attempt > 4 {
 		runtime.Gosched()
-	}
-}
-
-func clearBytes(b []byte) {
-	for i := range b {
-		b[i] = 0
 	}
 }
 

@@ -1,9 +1,12 @@
 package kv
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 )
 
 // TestShardedBatchBlockingBoundSerial covers the GetBatch ordering gate:
@@ -42,6 +45,54 @@ func TestShardedBatchBlockingBoundSerial(t *testing.T) {
 		// Release the tokens the clocked reads acquired.
 		if err := SessionPutBatch(s, vs, keys, got); err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// TestShardedBatchBlockingBoundOrder pins the order itself: under BSP a
+// batch parked on a key another session holds must already hold every key
+// before it in the caller's order and none after it, whichever shards they
+// hash to — the engine's batch pass must not reorder or run ahead.
+func TestShardedBatchBlockingBoundOrder(t *testing.T) {
+	const vs = 8
+	store := openTestStore(t, EngineFaster, 4, vs, 0)
+	holder, err := store.NewSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer holder.Close()
+	reader, err := store.NewSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reader.Close()
+
+	keys := []uint64{40, 10, 30, 20, 50} // not ascending, spread over the shards
+	const parked = 2                     // the batch stalls on keys[parked]
+	val := make([]byte, vs)
+	for _, k := range keys {
+		if err := holder.Put(k, val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if ok, err := holder.Get(keys[parked], val); err != nil || !ok { // take its token
+		t.Fatal(ok, err)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	vals, found := make([]byte, len(keys)*vs), make([]bool, len(keys))
+	if err := SessionGetBatchCtx(ctx, reader, vs, keys, vals, found); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("batch over a held key returned %v, want a deadline", err)
+	}
+	// A key the batch acquired now refuses a second BSP read; one it never
+	// reached serves it.
+	for i, k := range keys {
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+		_, err := holder.GetCtx(ctx, k, val)
+		cancel()
+		if held := errors.Is(err, context.DeadlineExceeded); held != (i <= parked) {
+			t.Fatalf("key %d (position %d, parked at %d): held=%v (%v)", k, i, parked, held, err)
 		}
 	}
 }

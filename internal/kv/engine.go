@@ -24,6 +24,8 @@ type shard interface {
 	SetStalenessBound(int64)
 	// Resident: see Store.Resident. Only the hybrid log can say yes.
 	Resident() bool
+	// batchCalls counts the getAt / putAt calls that reached the engine.
+	batchCalls() (gets, puts int64)
 	Close() error
 }
 
@@ -48,46 +50,43 @@ type shardSession interface {
 
 // --- hybrid log ---
 
-type fasterShard struct{ *faster.Store }
+// batchCounter counts a shard's native batch calls, all sessions together.
+type batchCounter struct{ batchGets, batchPuts atomic.Int64 }
 
-func (f fasterShard) newSession() (shardSession, error) {
+func (b *batchCounter) batchCalls() (gets, puts int64) {
+	return b.batchGets.Load(), b.batchPuts.Load()
+}
+
+// fasterShard adapts one hybrid-log store.
+type fasterShard struct {
+	*faster.Store
+	batchCounter
+}
+
+func (f *fasterShard) newSession() (shardSession, error) {
 	s, err := f.Store.NewSession()
 	if err != nil {
 		return nil, err
 	}
-	return &fasterSession{Session: s, vs: f.ValueSize()}, nil
+	return &fasterSession{Session: s, sh: f}, nil
 }
 
-// fasterSession batches as a per-key loop into the caller's slots: the
-// hybrid log has no cheaper multi-key read, and every clocked read must
-// stay its own token acquisition.
+// fasterSession batches as one engine pass over the group's positions,
+// straight from and into the caller's slots; every clocked read in it stays
+// its own token acquisition (see faster.Session.GetBatchAt).
 type fasterSession struct {
 	*faster.Session
-	vs int
+	sh *fasterShard
 }
 
 func (s *fasterSession) getAt(ctx context.Context, keys []uint64, idxs []int, vals []byte, found []bool) error {
-	for _, i := range idxs {
-		slot := vals[i*s.vs : (i+1)*s.vs]
-		ok, err := s.GetCtx(ctx, keys[i], slot)
-		if err != nil {
-			return err
-		}
-		found[i] = ok
-		if !ok {
-			clear(slot)
-		}
-	}
-	return nil
+	s.sh.batchGets.Add(1)
+	return s.GetBatchAt(ctx, keys, idxs, vals, found)
 }
 
 func (s *fasterSession) putAt(keys []uint64, idxs []int, vals []byte) error {
-	for _, i := range idxs {
-		if err := s.Put(keys[i], vals[i*s.vs:(i+1)*s.vs]); err != nil {
-			return err
-		}
-	}
-	return nil
+	s.sh.batchPuts.Add(1)
+	return s.PutBatchAt(keys, idxs, vals)
 }
 
 // --- clock-free engines (LSM-tree, B+tree) ---
@@ -115,7 +114,7 @@ type clockFreeShard struct {
 	closeFn    func() error
 
 	gets, puts, deletes, rmws atomic.Int64 // per key
-	batchGets, batchPuts      atomic.Int64 // native batch calls
+	batchCounter
 }
 
 // lsmShard adapts an LSM store: Checkpoint is Flush (memtable + WAL to

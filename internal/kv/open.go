@@ -131,7 +131,7 @@ func openShard(engine, dir string, cfg ShardedConfig, mem int64, keys uint64) (s
 	if err != nil {
 		return nil, err
 	}
-	return fasterShard{st}, nil
+	return &fasterShard{Store: st}, nil
 }
 
 // engineMetaFile pins a store directory to one engine, so reopening with a

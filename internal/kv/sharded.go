@@ -98,22 +98,19 @@ func (w *shardedStore) Stats() stats.Counters {
 // BatchCallReporter is an optional Store extension counting the native
 // engine-level batch calls the store has issued. It is the measurement
 // behind the batch-amplification regression gate: one session GetBatch
-// through a sharded LSM or B+tree store must reach the engine as at most
-// Shards calls, never one call per key.
+// through a sharded store must reach the engine — any of the three — as at
+// most Shards calls, never one call per key.
 type BatchCallReporter interface {
 	// BatchCalls returns the cumulative engine-level batch read and batch
 	// write call counts.
 	BatchCalls() (gets, puts int64)
 }
 
-// BatchCalls implements BatchCallReporter; the hybrid log has no native
-// batch call and counts none.
+// BatchCalls implements BatchCallReporter.
 func (w *shardedStore) BatchCalls() (gets, puts int64) {
 	for _, sh := range w.shards {
-		if c, ok := sh.(*clockFreeShard); ok {
-			gets += c.batchGets.Load()
-			puts += c.batchPuts.Load()
-		}
+		g, p := sh.batchCalls()
+		gets, puts = gets+g, puts+p
 	}
 	return gets, puts
 }
@@ -149,7 +146,6 @@ type shardedSession struct {
 	errs   []error        // reusable per-shard fan-out results
 	cur    batch          // the batch being fanned out
 	wg     sync.WaitGroup // joins a parallel fan-out
-	one    [1]int         // the index list of a one-key getAt
 }
 
 func (se *shardedSession) route(key uint64) shardSession {
@@ -212,10 +208,15 @@ const batchFanoutMin = 16
 // before moving to the next key, never after the whole batch.
 func (se *shardedSession) GetBatchCtx(ctx context.Context, keys []uint64, vals []byte, found []bool) error {
 	if faster.BlockingBound(se.st.StalenessBound()) {
+		vs := se.st.vs
 		for i, k := range keys {
-			se.one[0] = i
-			if err := se.route(k).getAt(ctx, keys, se.one[:], vals, found); err != nil {
+			slot := vals[i*vs : (i+1)*vs]
+			ok, err := se.route(k).GetCtx(ctx, k, slot)
+			if err != nil {
 				return err
+			}
+			if found[i] = ok; !ok {
+				clear(slot)
 			}
 		}
 		return nil

@@ -39,6 +39,24 @@ func TestF32CodecLittleEndian(t *testing.T) {
 	}
 }
 
+// TestF32BytesAliases pins the view: it is the vector's own memory in the
+// storage byte order, both ways, and an empty vector has an empty view.
+func TestF32BytesAliases(t *testing.T) {
+	v := []float32{1.0, 0}
+	b := F32Bytes(v)
+	if len(b) != 8 || [4]byte(b[:4]) != [4]byte{0x00, 0x00, 0x80, 0x3f} {
+		t.Fatalf("view of 1.0 = % x", b)
+	}
+	copy(b[4:], []byte{0x00, 0x00, 0x00, 0xc0}) // -2.0, written through the view
+	v[0] = 0.5                                  // read back through it
+	if v[1] != -2 || [4]byte(b[:4]) != [4]byte{0x00, 0x00, 0x00, 0x3f} {
+		t.Fatalf("view does not alias: v=%v b=% x", v, b)
+	}
+	if n := len(F32Bytes(nil)); n != 0 {
+		t.Fatalf("view of nil has %d bytes", n)
+	}
+}
+
 func BenchmarkF32sToBytes(b *testing.B) {
 	src := make([]float32, 64) // a typical embedding vector
 	for i := range src {

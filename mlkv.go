@@ -611,7 +611,8 @@ func (s *Session) Close() { s.s.Close() }
 // Get reads the embedding for key into dst (len == Dim), initializing on
 // first touch, under the bounded-staleness protocol: it waits until the
 // record's outstanding-update count is within the bound, then atomically
-// increments it.
+// increments it. Reads land in dst directly, on either driver: after an
+// error from Get or GetBatch, what dst holds is undefined.
 func (s *Session) Get(key uint64, dst []float32) error {
 	return s.s.Get(context.Background(), key, dst)
 }
