@@ -11,9 +11,10 @@
 // Remote training goes through the public mlkv API: the trainer connects
 // to "mlkv://addr" and opens the named model (-model, default the task
 // name) with its dimension — the server creates it on first open. Each
-// training step travels as one GETBATCH and one PUTBATCH frame; -scalar
-// forces the legacy one-call-per-key path for comparison. For BSP over
-// the network, run the server with -staleness 0 and train with -mode sync.
+// training step travels as one GETBATCH and one PUTBATCH frame. The
+// server owns the model's engine, staleness bound and sizing: for BSP
+// over the network, run the server with -staleness 0 and train with
+// -mode sync.
 package main
 
 import (
@@ -44,7 +45,6 @@ func main() {
 		dim       = flag.Int("dim", 16, "embedding dimension")
 		keys      = flag.Uint64("keys", 1_000_000, "entity / key-space size")
 		lookahead = flag.Int("lookahead", 16, "look-ahead depth (0 disables)")
-		scalar    = flag.Bool("scalar", false, "use the per-key access path instead of batched gather/scatter")
 		cache     = flag.Int("cache", 0, "staleness-aware hot-tier capacity in entries on the model's read path (0 disables; under SSP a remote tier bounds staleness against this trainer's own writes — use mlkv-server -cache when other clients' writes matter)")
 		modeN     = flag.String("mode", "async", "pipeline structure for dlrm (async|sync); sync barriers every minibatch (BSP)")
 		dir       = flag.String("dir", "", "data directory (default: temp)")
@@ -70,75 +70,62 @@ func main() {
 	}
 
 	var backend train.Backend
-	if *addr != "" {
-		nc := *conns
-		if nc <= 0 {
-			// One connection per training worker (a BSP worker's blocked
-			// read must not queue behind its unblocker's write on a shared
-			// connection) plus slack for the evaluation handle and the
-			// remote backend's lookahead worker.
-			nc = *workers + 2
-		}
-		model := *modelID
-		if model == "" {
-			model = *task
-		}
-		var mopts []mlkv.Option
-		if *cache > 0 {
-			mopts = append(mopts, mlkv.WithCache(*cache))
-		}
-		rb, err := train.DialRemote(*addr, model, *dim, init, nc, mopts...)
-		if err != nil {
-			fail(err)
-		}
-		defer rb.Close()
-		backend = rb
+	if *addr == "" && *backendN == "mem" {
+		backend = train.NewMemBackend("mem", *dim, init)
 	} else {
-		d := *dir
-		if d == "" {
-			var err error
-			d, err = os.MkdirTemp("", "mlkv-train-*")
-			if err != nil {
-				fail(err)
+		// One path for both targets: the public API against a local
+		// directory, or against mlkv://addr — the same calls plus the wire.
+		target := *dir
+		var copts []mlkv.ConnectOption
+		mopts := []mlkv.Option{mlkv.WithInitializer(init), mlkv.WithCache(*cache)}
+		useLookahead := true
+		if *addr != "" {
+			nc := *conns
+			if nc <= 0 {
+				// One connection per training worker (a BSP worker's blocked
+				// read must not queue behind its unblocker's write on a
+				// shared connection) plus slack for the evaluation handle
+				// and the remote model's lookahead worker.
+				nc = *workers + 2
 			}
-			defer os.RemoveAll(d)
-		}
-		switch *backendN {
-		case "mlkv", "faster", "lsm", "bptree":
-			// The public API against a local directory target — the same
-			// code path a remote run takes, minus the wire. Only the mlkv
-			// backend runs the staleness clock.
+			target, copts = mlkv.Scheme+*addr, []mlkv.ConnectOption{mlkv.WithConns(nc)}
+		} else {
+			if target == "" {
+				var err error
+				if target, err = os.MkdirTemp("", "mlkv-train-*"); err != nil {
+					fail(err)
+				}
+				defer os.RemoveAll(target)
+			}
+			// A server owns its models' engine, bound and sizing; a local
+			// directory takes them from the flags. Only the mlkv backend
+			// runs the staleness clock and has a prefetch interface.
 			bound := mlkv.Disabled
 			if *backendN == "mlkv" {
 				bound = *staleness
 			}
-			db, err := mlkv.Connect(d)
-			if err != nil {
-				fail(err)
-			}
-			defer db.Close()
-			model := *modelID
-			if model == "" {
-				model = *task
-			}
-			mdl, err := db.Open(model, *dim,
+			useLookahead = *backendN == "mlkv"
+			mopts = append(mopts,
 				mlkv.WithEngine(*backendN),
 				mlkv.WithStalenessBound(bound),
 				mlkv.WithMemory(int64(*bufferMB)<<20),
-				mlkv.WithExpectedKeys(*keys),
-				mlkv.WithInitializer(init),
-				mlkv.WithCache(*cache))
-			if err != nil {
-				fail(err)
-			}
-			defer mdl.Close()
-			backend = train.NewModelBackend(mdl, *backendN == "mlkv" && *lookahead > 0)
-		case "mem":
-			backend = train.NewMemBackend("mem", *dim, init)
-		default:
-			fmt.Fprintf(os.Stderr, "unknown backend %q\n", *backendN)
-			os.Exit(2)
+				mlkv.WithExpectedKeys(*keys))
 		}
+		db, err := mlkv.Connect(target, copts...)
+		if err != nil {
+			fail(err)
+		}
+		defer db.Close()
+		model := *modelID
+		if model == "" {
+			model = *task
+		}
+		mdl, err := db.Open(model, *dim, mopts...)
+		if err != nil {
+			fail(err)
+		}
+		defer mdl.Close()
+		backend = train.NewModelBackend(mdl, useLookahead)
 	}
 
 	var res *train.Result
@@ -150,7 +137,7 @@ func main() {
 		model := models.NewDLRM(models.FFNN, 8, *dim, 4, []int{32}, 13)
 		res, err = train.TrainCTR(train.CTROptions{
 			Gen: gen, Model: model, Backend: backend,
-			Workers: *workers, Mode: mode, Scalar: *scalar,
+			Workers: *workers, Mode: mode,
 			DenseLR: 0.05, EmbLR: 0.05, Duration: *duration, MaxSamples: *maxSamp,
 			LookaheadDepth: *lookahead, EvalEvery: eval,
 		})
@@ -159,7 +146,7 @@ func main() {
 		model := models.NewKGE(models.DistMult, *dim)
 		res, err = train.TrainKGE(train.KGEOptions{
 			Gen: gen, Model: model, Backend: backend,
-			Workers: *workers, EmbLR: 0.1, Duration: *duration, MaxSamples: *maxSamp, Scalar: *scalar,
+			Workers: *workers, EmbLR: 0.1, Duration: *duration, MaxSamples: *maxSamp,
 			LookaheadDepth: *lookahead, EvalEvery: eval,
 		})
 	case "gnn":
@@ -167,7 +154,7 @@ func main() {
 		sage := models.NewGraphSage(*dim, 32, 8, 23)
 		res, err = train.TrainGNN(train.GNNOptions{
 			Graph: graph, Kind: train.KindGraphSage, Sage: sage, Backend: backend,
-			Workers: *workers, DenseLR: 0.05, EmbLR: 0.05, Duration: *duration, MaxSamples: *maxSamp, Scalar: *scalar,
+			Workers: *workers, DenseLR: 0.05, EmbLR: 0.05, Duration: *duration, MaxSamples: *maxSamp,
 			LookaheadDepth: *lookahead, EvalEvery: eval,
 		})
 	default:
@@ -181,11 +168,7 @@ func main() {
 	if tot == 0 {
 		tot = 1
 	}
-	path := "batched"
-	if *scalar {
-		path = "scalar"
-	}
-	fmt.Printf("task=%s backend=%s path=%s samples=%d throughput=%.0f/s\n", *task, res.Backend, path, res.Samples, res.Throughput)
+	fmt.Printf("task=%s backend=%s samples=%d throughput=%.0f/s\n", *task, res.Backend, res.Samples, res.Throughput)
 	fmt.Printf("latency breakdown: emb=%.1f%% fwd=%.1f%% bwd=%.1f%%\n",
 		res.Stage.Emb.Seconds()/tot*100, res.Stage.Forward.Seconds()/tot*100, res.Stage.Backward.Seconds()/tot*100)
 	fmt.Printf("final metric: %.4f\n", res.FinalMetric)

@@ -143,39 +143,17 @@ func TestJoulesPerBatch(t *testing.T) {
 	_ = data.CTRConfig{}
 }
 
-// TestTrainBatchSweepRunsAtTinyScale covers the gather/scatter experiment:
-// all four configurations (scalar/batched × local/loopback) must train end
-// to end and report their throughput rows.
-func TestTrainBatchSweepRunsAtTinyScale(t *testing.T) {
-	if testing.Short() {
-		t.Skip("integration harness; skipped in -short")
-	}
-	var out bytes.Buffer
-	sc := Tiny
-	sc.MaxSamples = 1500
-	e := NewEnv(sc, t.TempDir(), &out)
-	if err := e.Run("trainbatch"); err != nil {
-		t.Fatalf("trainbatch: %v\n%s", err, out.String())
-	}
-	s := out.String()
-	for _, want := range []string{"local-scalar", "local-batched", "loopback-scalar", "loopback-batched", "speedup"} {
-		if !strings.Contains(s, want) {
-			t.Fatalf("output missing %q:\n%s", want, s)
-		}
-	}
-}
-
-// benchCTRSamples backs the CI bench-smoke: one DLRM training sample per
-// iteration over an in-memory backend, so a -benchtime=1x run exercises
-// the full step pipeline on both access paths.
-func benchCTRSamples(b *testing.B, scalar bool) {
+// BenchmarkCTRSampleBatched backs the CI bench-smoke: one DLRM training
+// sample per iteration over an in-memory backend, so a -benchtime=1x run
+// exercises the full step pipeline.
+func BenchmarkCTRSampleBatched(b *testing.B) {
 	gen := data.NewCTRGen(data.CTRConfig{Fields: 4, DenseDim: 2, FieldCard: 2000, Seed: 3})
 	model := models.NewDLRM(models.FFNN, 4, 8, 2, []int{16}, 5)
 	backend := train.NewMemBackend("mem", 8, nil)
 	res, err := train.TrainCTR(train.CTROptions{
 		Gen: gen, Model: model, Backend: backend,
 		Workers: 1, Batch: 32, Mode: train.ModeAsync,
-		DenseLR: 0.05, EmbLR: 0.05, Scalar: scalar,
+		DenseLR: 0.05, EmbLR: 0.05,
 		MaxSamples: int64(b.N),
 	})
 	if err != nil {
@@ -185,9 +163,6 @@ func benchCTRSamples(b *testing.B, scalar bool) {
 		b.Fatalf("trained %d of %d samples", res.Samples, b.N)
 	}
 }
-
-func BenchmarkCTRSampleScalar(b *testing.B)  { benchCTRSamples(b, true) }
-func BenchmarkCTRSampleBatched(b *testing.B) { benchCTRSamples(b, false) }
 
 // TestNetworkSweepRunsAtTinyScale covers the serving-layer experiment:
 // local vs loopback throughput must be measured at every batch size.

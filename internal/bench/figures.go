@@ -515,7 +515,7 @@ func (e *Env) runShardedYCSB(shards, threads, vs, bufKB int) (float64, error) {
 // measurements the experiment records land in BENCH_<name>.json.
 func (e *Env) Run(name string) error {
 	if name == "all" {
-		for _, n := range []string{"fig2", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "shards", "network", "trainbatch", "cache", "allocs", "engines", "latency", "cluster", "failover"} {
+		for _, n := range []string{"fig2", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "shards", "network", "cache", "allocs", "engines", "latency", "cluster", "failover"} {
 			if err := e.Run(n); err != nil {
 				return fmt.Errorf("%s: %w", n, err)
 			}
@@ -543,8 +543,6 @@ func (e *Env) Run(name string) error {
 		err = e.ShardSweep()
 	case "network":
 		err = e.NetworkSweep()
-	case "trainbatch":
-		err = e.TrainBatchSweep()
 	case "cache":
 		err = e.CacheSweep()
 	case "allocs":
@@ -558,7 +556,7 @@ func (e *Env) Run(name string) error {
 	case "failover":
 		err = e.FailoverSweep()
 	default:
-		return fmt.Errorf("bench: unknown experiment %q (fig2|fig6|fig7|fig8|fig9|fig10|fig11|shards|network|trainbatch|cache|allocs|engines|latency|cluster|failover|all)", name)
+		return fmt.Errorf("bench: unknown experiment %q (fig2|fig6|fig7|fig8|fig9|fig10|fig11|shards|network|cache|allocs|engines|latency|cluster|failover|all)", name)
 	}
 	if err != nil {
 		return err

@@ -59,8 +59,12 @@ func (u uniformInit) fill(key uint64, dst []float32) {
 	}
 }
 
-// prefetchQueue is the Lookahead queue capacity; hints beyond it drop.
-const prefetchQueue = 4096
+const (
+	// prefetchQueue is the Lookahead queue capacity; hints beyond it drop.
+	prefetchQueue = 4096
+	// prefetchWorkers is the Lookahead pool size.
+	prefetchWorkers = 2
+)
 
 // Options configures a Table.
 type Options struct {
@@ -89,8 +93,6 @@ type Options struct {
 	MutableFraction float64
 	// ExpectedKeys sizes the hash index.
 	ExpectedKeys uint64
-	// PrefetchWorkers is the Lookahead pool size. Default 2.
-	PrefetchWorkers int
 	// CacheEntries puts a staleness-aware hot tier of this capacity in
 	// front of the store (kv.WrapCached): once the store has spilled to disk
 	// Get/GetBatch consult it before the engine and serve a hit only within
@@ -151,9 +153,6 @@ func OpenTable(opts Options) (*Table, error) {
 	if opts.MemoryBytes == 0 {
 		opts.MemoryBytes = 64 << 20
 	}
-	if opts.PrefetchWorkers == 0 {
-		opts.PrefetchWorkers = 2
-	}
 	if opts.RecordsPerPage == 0 {
 		opts.RecordsPerPage = 1024
 	}
@@ -183,7 +182,7 @@ func OpenTable(opts Options) (*Table, error) {
 		prefetchStop: make(chan struct{}),
 		prefetchDone: make(chan struct{}),
 	}
-	go t.prefetchPool(opts.PrefetchWorkers)
+	go t.prefetchPool()
 	return t, nil
 }
 
@@ -241,10 +240,10 @@ func (t *Table) Stats() stats.Counters {
 }
 
 // prefetchPool runs the Lookahead workers, each on its own store session.
-func (t *Table) prefetchPool(workers int) {
+func (t *Table) prefetchPool() {
 	defer close(t.prefetchDone)
 	done := make(chan struct{})
-	for w := 0; w < workers; w++ {
+	for w := 0; w < prefetchWorkers; w++ {
 		go func() {
 			defer func() { done <- struct{}{} }()
 			sess, err := t.store.NewSession()
@@ -262,7 +261,7 @@ func (t *Table) prefetchPool(workers int) {
 			}
 		}()
 	}
-	for w := 0; w < workers; w++ {
+	for w := 0; w < prefetchWorkers; w++ {
 		<-done
 	}
 }

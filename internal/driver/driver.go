@@ -76,11 +76,10 @@ type Config struct {
 	// Bound is the staleness bound; applied only when BoundSet.
 	Bound    int64
 	BoundSet bool
-	// MemoryBytes / ExpectedKeys / PrefetchWorkers size the local engine;
-	// a remote server owns its own sizing and ignores them.
-	MemoryBytes     int64
-	ExpectedKeys    uint64
-	PrefetchWorkers int
+	// MemoryBytes / ExpectedKeys size the local engine; a remote server
+	// owns its own sizing and ignores them.
+	MemoryBytes  int64
+	ExpectedKeys uint64
 	// CacheEntries attaches a staleness-aware hot tier of this capacity in
 	// front of the model's read path: above the local engine, or
 	// client-side for a remote model. 0 disables it.

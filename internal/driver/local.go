@@ -74,17 +74,16 @@ func (db *localDB) Open(ctx context.Context, id string, cfg Config) (Model, erro
 		}
 	}
 	t, err := core.OpenTable(core.Options{
-		Dir:             filepath.Join(db.dir, id),
-		Dim:             cfg.Dim,
-		Engine:          engine,
-		Shards:          cfg.Shards,
-		StalenessBound:  bound,
-		MemoryBytes:     cfg.MemoryBytes,
-		ExpectedKeys:    cfg.ExpectedKeys,
-		PrefetchWorkers: cfg.PrefetchWorkers,
-		CacheEntries:    cfg.CacheEntries,
-		FlushPace:       cfg.FlushPace,
-		Init:            cfg.Init,
+		Dir:            filepath.Join(db.dir, id),
+		Dim:            cfg.Dim,
+		Engine:         engine,
+		Shards:         cfg.Shards,
+		StalenessBound: bound,
+		MemoryBytes:    cfg.MemoryBytes,
+		ExpectedKeys:   cfg.ExpectedKeys,
+		CacheEntries:   cfg.CacheEntries,
+		FlushPace:      cfg.FlushPace,
+		Init:           cfg.Init,
 	})
 	if err != nil {
 		return nil, err

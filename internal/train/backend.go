@@ -6,18 +6,25 @@
 // (embedding access, forward, backward) and periodic quality evaluation —
 // everything needed to regenerate Figures 2 and 6–11.
 //
-// All three trainers access storage through the batched gather/scatter
-// path (gather.go): the minibatch's keys are deduplicated and sorted, one
-// GetBatch fetches every unique embedding, gradients accumulate per unique
-// key, and one PutBatch writes everything back — so the vector-clock
-// protocol applies to each unique key exactly once per step, and a remote
-// backend pays two framed round trips per step instead of two per key.
+// There is one training loop (run.go): a handle and a goroutine per
+// worker, the sample budget and deadline, the optional per-round barrier,
+// stage timing, periodic evaluation, and first-error-stops-everyone. A
+// trainer (ctr.go, kge.go, gnn.go) supplies its option defaults, a
+// per-worker step/apply and an evaluation function, nothing else.
+//
+// Every step accesses storage through the batched gather/scatter path
+// (gather.go): the step's keys are deduplicated and sorted, one GetBatch
+// fetches every unique embedding, gradients accumulate per unique key,
+// and one PutBatch writes everything back — so the vector-clock protocol
+// applies to each unique key exactly once per step, and a remote backend
+// pays two framed round trips per step instead of two per key.
 package train
 
 import (
 	"fmt"
 	"sync"
 
+	mlkv "github.com/llm-db/mlkv-go"
 	"github.com/llm-db/mlkv-go/internal/core"
 	"github.com/llm-db/mlkv-go/internal/util"
 )
@@ -63,12 +70,83 @@ type Handle interface {
 	Close()
 }
 
-// --- MLKV / FASTER backend (core.Table) ---
+// peekOrZero is the evaluators' read: a key no worker has touched yet
+// scores as the zero embedding.
+func peekOrZero(h Handle, key uint64, dst []float32) {
+	if found, _ := h.Peek(key, dst); !found {
+		clear(dst)
+	}
+}
+
+// --- public-API backend (mlkv.Model, local or remote) ---
+
+// ModelBackend adapts a public mlkv.Model to the trainer seam — the same
+// backend for an in-process table and a remote mlkv-server, because the
+// public API hides the target behind its driver. A worker's per-step
+// gather and scatter travel as one GetBatch and one PutBatch (one framed
+// round trip each on a remote model), Lookahead hints are asynchronous on
+// both targets, and evaluation reads are clock-free Peeks.
+type ModelBackend struct {
+	M            *mlkv.Model
+	UseLookahead bool
+}
+
+// NewModelBackend wraps a model. useLookahead enables Lookahead hints
+// (MLKV's prefetch interface); when false Lookahead is a no-op (the
+// plain-FASTER baseline, which has no such interface).
+func NewModelBackend(m *mlkv.Model, useLookahead bool) *ModelBackend {
+	return &ModelBackend{M: m, UseLookahead: useLookahead}
+}
+
+// Name identifies the engine ("mlkv", "faster", or "remote(<engine>)").
+func (b *ModelBackend) Name() string { return b.M.EngineName() }
+
+// Dim returns the embedding dimension.
+func (b *ModelBackend) Dim() int { return b.M.Dim() }
+
+// NewHandle registers a session on the model.
+func (b *ModelBackend) NewHandle() (Handle, error) {
+	s, err := b.M.NewSession()
+	if err != nil {
+		return nil, err
+	}
+	return &modelHandle{b: b, s: s}, nil
+}
+
+type modelHandle struct {
+	b *ModelBackend
+	s *mlkv.Session
+}
+
+func (h *modelHandle) Get(key uint64, dst []float32) error { return h.s.Get(key, dst) }
+func (h *modelHandle) GetBatch(keys []uint64, dst []float32) error {
+	return h.s.GetBatch(keys, dst)
+}
+func (h *modelHandle) Put(key uint64, val []float32) error { return h.s.Put(key, val) }
+func (h *modelHandle) PutBatch(keys []uint64, vals []float32) error {
+	return h.s.PutBatch(keys, vals)
+}
+func (h *modelHandle) Peek(key uint64, dst []float32) (bool, error) {
+	return h.s.Peek(key, dst)
+}
+func (h *modelHandle) Lookahead(keys []uint64) {
+	if h.b.UseLookahead {
+		h.s.Lookahead(keys) //nolint:errcheck // best-effort hint
+	}
+}
+func (h *modelHandle) Close() { h.s.Close() }
+
+// --- core.Table backend ---
 
 // TableBackend adapts a core.Table on any engine. On the hybrid log with
 // StalenessBound disabled it *is* the plain-FASTER baseline, with a bound
 // it is MLKV; on the LSM-tree or B+tree it is the paper's "framework +
 // RocksDB/WiredTiger" integration.
+//
+// Kept beside ModelBackend only for internal/bench, whose figures open
+// tables with RecordsPerPage 256/64 so tiny buffers keep their
+// data÷memory ratio — the public API has no page-size option; it leaves
+// with internal/bench.
 type TableBackend struct {
 	T            *Table
 	UseLookahead bool
@@ -182,7 +260,7 @@ func (h *memHandle) Get(key uint64, dst []float32) error {
 	if h.b.Init != nil {
 		h.b.Init(key, dst)
 	} else {
-		zero32(dst)
+		clear(dst)
 	}
 	sh.mu.Lock()
 	if v, ok := sh.m[key]; ok {
@@ -225,7 +303,7 @@ func (h *memHandle) GetBatch(keys []uint64, dst []float32) error {
 			if h.b.Init != nil {
 				h.b.Init(keys[i], seg)
 			} else {
-				zero32(seg)
+				clear(seg)
 			}
 		}
 		s.mu.Lock()

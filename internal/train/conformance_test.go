@@ -4,9 +4,11 @@ import (
 	"context"
 	"math"
 	"net"
+	"slices"
 	"testing"
 	"time"
 
+	mlkv "github.com/llm-db/mlkv-go"
 	"github.com/llm-db/mlkv-go/internal/core"
 	"github.com/llm-db/mlkv-go/internal/data"
 	"github.com/llm-db/mlkv-go/internal/kv"
@@ -39,10 +41,13 @@ func confBackends(t *testing.T) map[string]Backend {
 }
 
 // remoteBackend serves a fresh sharded store of the named engine on
-// loopback and dials it through the public API. conns sizes the
-// connection pool (0 = a small default). The clock-free engines must be
-// paired with a non-blocking bound.
-func remoteBackend(t *testing.T, dim, conns int, bound int64, engine string) *RemoteBackend {
+// loopback and opens it through the public API (mlkv.Connect → db.Open),
+// the path mlkv-train -addr takes. conns sizes the connection pool (0 = a
+// small default); under a blocking bound it must cover every concurrently
+// training handle, or a blocked read shares a connection — and the
+// server's per-connection handler — with the write that unblocks it. The
+// clock-free engines must be paired with a non-blocking bound.
+func remoteBackend(t *testing.T, dim, conns int, bound int64, engine string) *ModelBackend {
 	t.Helper()
 	if conns <= 0 {
 		conns = 4
@@ -65,19 +70,24 @@ func remoteBackend(t *testing.T, dim, conns int, bound int64, engine string) *Re
 	}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
-	rb, err := DialRemote(ln.Addr().String(), "conformance", dim, confInit, conns)
+	db, err := mlkv.Connect(mlkv.Scheme+ln.Addr().String(), mlkv.WithConns(conns))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := db.Open("conformance", dim, mlkv.WithInitializer(confInit))
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() {
-		rb.Close()
+		m.Close()
+		db.Close()
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
 		srv.Shutdown(ctx)
 		<-serveErr
 		reg.Close()
 	})
-	return rb
+	return NewModelBackend(m, true)
 }
 
 func f32Eq(a, b []float32) bool {
@@ -130,7 +140,7 @@ func TestHandleConformance(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			// Scalar Get must see exactly what the batch saw (the init
+			// A per-key Get must see exactly what the batch saw (the init
 			// persisted; no re-initialization on later reads).
 			one := make([]float32, dim)
 			for i, k := range keys {
@@ -186,70 +196,44 @@ func TestHandleConformance(t *testing.T) {
 // scatter applies each unique key's combined update exactly once.
 func TestGatherDedupAndScatter(t *testing.T) {
 	const dim = 4
-	for _, scalar := range []bool{false, true} {
-		b := NewMemBackend("mem", dim, nil) // zero-init
-		h, err := b.NewHandle()
-		if err != nil {
-			t.Fatal(err)
-		}
-		g := newGather(dim, scalar)
-		g.reset()
-		for _, k := range []uint64{9, 5, 9, 7, 5, 9} {
-			g.add(k)
-		}
-		if g.keyCount() != 3 {
-			t.Fatalf("scalar=%v: %d unique keys, want 3", scalar, g.keyCount())
-		}
-		if err := g.fetch(h); err != nil {
-			t.Fatal(err)
-		}
-		for i, want := range []uint64{5, 7, 9} {
-			if g.keys[i] != want {
-				t.Fatalf("scalar=%v: keys[%d] = %d, want %d (ascending)", scalar, i, g.keys[i], want)
-			}
-		}
-		// Duplicate keys alias one embedding slot.
-		g.emb(9)[0] = 42
-		if g.emb(9)[0] != 42 {
-			t.Fatal("emb(9) not aliased")
-		}
-		// Gradients accumulate per unique key; scatter applies once.
-		g.accumulate(9, []float32{1, 0, 0, 0}, 1)
-		g.accumulate(9, []float32{2, 0, 0, 0}, 1)
-		g.accumulate(5, []float32{1, 1, 1, 1}, 0.5)
-		if err := g.scatter(h, 1.0); err != nil {
-			t.Fatal(err)
-		}
-		out := make([]float32, dim)
-		if found, _ := h.Peek(9, out); !found || out[0] != 42-3 {
-			t.Fatalf("scalar=%v: key 9 = %v, want first elem %v", scalar, out, 42-3)
-		}
-		if found, _ := h.Peek(5, out); !found || out[0] != -0.5 {
-			t.Fatalf("scalar=%v: key 5 = %v, want first elem -0.5", scalar, out)
-		}
-		if found, _ := h.Peek(7, out); !found || out[0] != 0 {
-			t.Fatalf("scalar=%v: key 7 = %v, want zeros (fetched, no grad, still written)", scalar, out)
-		}
-		h.Close()
-	}
-}
-
-// TestTrainCTRScalarPath keeps the legacy per-key access path working end
-// to end (the trainbatch bench's baseline) under BSP sync training.
-func TestTrainCTRScalarPath(t *testing.T) {
-	gen := data.NewCTRGen(data.CTRConfig{Fields: 3, DenseDim: 2, FieldCard: 200, Seed: 11})
-	model := models.NewDLRM(models.FFNN, 3, 4, 2, []int{8}, 13)
-	res, err := TrainCTR(CTROptions{
-		Gen: gen, Model: model, Backend: mlkvBackend(t, 4, core.BoundBSP),
-		Workers: 3, Batch: 8, Mode: ModeSync, Scalar: true,
-		DenseLR: 0.05, EmbLR: 0.05,
-		MaxSamples: 2000,
-	})
+	b := NewMemBackend("mem", dim, nil) // zero-init
+	h, err := b.NewHandle()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Samples < 2000 {
-		t.Fatalf("scalar sync training stalled at %d samples", res.Samples)
+	defer h.Close()
+	g := newGather(dim)
+	g.reset()
+	for _, k := range []uint64{9, 5, 9, 7, 5, 9} {
+		g.add(k)
+	}
+	if err := g.fetch(h); err != nil {
+		t.Fatal(err)
+	}
+	if want := []uint64{5, 7, 9}; !slices.Equal(g.keys, want) {
+		t.Fatalf("keys = %v, want %v (unique, ascending)", g.keys, want)
+	}
+	// Duplicate keys alias one embedding slot.
+	g.emb(9)[0] = 42
+	if g.emb(9)[0] != 42 {
+		t.Fatal("emb(9) not aliased")
+	}
+	// Gradients accumulate per unique key; scatter applies once.
+	g.accumulate(9, []float32{1, 0, 0, 0}, 1)
+	g.accumulate(9, []float32{2, 0, 0, 0}, 1)
+	g.accumulate(5, []float32{1, 1, 1, 1}, 0.5)
+	if err := g.scatter(h, 1.0); err != nil {
+		t.Fatal(err)
+	}
+	out := make([]float32, dim)
+	if found, _ := h.Peek(9, out); !found || out[0] != 42-3 {
+		t.Fatalf("key 9 = %v, want first elem %v", out, 42-3)
+	}
+	if found, _ := h.Peek(5, out); !found || out[0] != -0.5 {
+		t.Fatalf("key 5 = %v, want first elem -0.5", out)
+	}
+	if found, _ := h.Peek(7, out); !found || out[0] != 0 {
+		t.Fatalf("key 7 = %v, want zeros (fetched, no grad, still written)", out)
 	}
 }
 

@@ -2,63 +2,12 @@ package train
 
 import (
 	"math"
-	"slices"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/llm-db/mlkv-go/internal/data"
-	"github.com/llm-db/mlkv-go/internal/latency"
 	"github.com/llm-db/mlkv-go/internal/models"
 	"github.com/llm-db/mlkv-go/internal/util"
 )
-
-// Mode selects the consistency discipline of the training pipeline. The
-// storage-level staleness bound lives in the backend; Mode controls the
-// pipeline structure (per-batch barriers for sync training).
-type Mode int
-
-const (
-	// ModeSync barriers all workers after every batch (BSP, Figure 2
-	// "Sync"): embedding reads always see the previous batch's updates.
-	ModeSync Mode = iota
-	// ModeAsync lets workers free-run; consistency comes only from the
-	// backend's staleness bound (SSP / ASP).
-	ModeAsync
-)
-
-// StageTimes decomposes per-sample latency (Figure 2 left).
-type StageTimes struct {
-	Emb      time.Duration // embedding Get + Put (data stalls land here)
-	Forward  time.Duration
-	Backward time.Duration
-}
-
-// Total returns the sum of stages.
-func (s StageTimes) Total() time.Duration { return s.Emb + s.Forward + s.Backward }
-
-// CurvePoint is one quality measurement on the convergence curve.
-type CurvePoint struct {
-	Seconds float64
-	Metric  float64 // AUC, accuracy, or Hits@k depending on task
-}
-
-// Result summarizes a training run.
-type Result struct {
-	Backend     string
-	Samples     int64
-	Elapsed     time.Duration
-	Throughput  float64 // samples/s
-	Stage       StageTimes
-	Curve       []CurvePoint
-	FinalMetric float64
-	// EmbLat is the distribution of per-step embedding-access time (one
-	// observation per minibatch: batched gather + batched scatter),
-	// recorded across every worker. Stage.Emb is its sum; the percentiles
-	// expose the tail — a flush or staleness stall shows up in p99 here
-	// long before it moves the mean.
-	EmbLat latency.Snapshot
-}
 
 // CTROptions configures DLRM CTR training (the paper's PERSIA workload).
 type CTROptions struct {
@@ -74,12 +23,6 @@ type CTROptions struct {
 	MaxSamples int64         // optional hard cap (0 = unlimited)
 
 	LookaheadDepth int // samples generated ahead and prefetched (0 = off)
-
-	// Scalar forces the legacy per-key Get/Put access path: one storage
-	// call per key instead of one batched gather and one batched scatter
-	// per minibatch. The trainbatch bench uses it to measure what batching
-	// buys; key ordering, dedup, and clock balance are identical either way.
-	Scalar bool
 
 	EvalEvery   time.Duration // 0 disables the convergence curve
 	EvalSamples int
@@ -101,213 +44,125 @@ func TrainCTR(opts CTROptions) (*Result, error) {
 	if opts.EvalSamples == 0 {
 		opts.EvalSamples = 2000
 	}
-	res := &Result{Backend: opts.Backend.Name()}
-	var sampleCount atomic.Int64
-	var embNS, fwdNS, bwdNS atomic.Int64
-	var embLat latency.Histogram
-	stop := make(chan struct{})
-	start := time.Now()
-
 	// Fixed evaluation set: same planted ground truth, disjoint stream.
-	evalGen := data.NewCTRGen(withStream(opts.Gen.Config(), 0xe7a1))
-	evalSet := evalGen.Batch(opts.EvalSamples)
-
-	var curveMu sync.Mutex
-	evalDone := make(chan struct{})
-	if opts.EvalEvery > 0 {
-		go func() {
-			defer close(evalDone)
-			h, err := opts.Backend.NewHandle()
-			if err != nil {
-				return
-			}
-			defer h.Close()
-			w := opts.Model.NewWorker()
-			tick := time.NewTicker(opts.EvalEvery)
-			defer tick.Stop()
-			for {
-				select {
-				case <-stop:
-					return
-				case <-tick.C:
-					auc := evalCTRAUC(opts, h, w, evalSet)
-					curveMu.Lock()
-					res.Curve = append(res.Curve, CurvePoint{Seconds: time.Since(start).Seconds(), Metric: auc})
-					curveMu.Unlock()
-				}
-			}
-		}()
-	} else {
-		close(evalDone)
-	}
-
-	var wg sync.WaitGroup
-	var barrier *syncBarrier
-	if opts.Mode == ModeSync {
-		barrier = newSyncBarrier(opts.Workers)
-	}
-	errCh := make(chan error, opts.Workers)
-	for wID := 0; wID < opts.Workers; wID++ {
-		wg.Add(1)
-		go func(wID int) {
-			defer wg.Done()
-			h, err := opts.Backend.NewHandle()
-			if err != nil {
-				errCh <- err
-				return
-			}
-			defer h.Close()
-			worker := opts.Model.NewWorker()
-			gen := data.NewCTRGen(withStream(opts.Gen.Config(), uint64(wID)*7919+1))
-			dim := opts.Model.Dim
-			embs := make([]float32, opts.Model.Fields*dim)
-			g := newGather(dim, opts.Scalar)
-			samples := make([]data.CTRSample, 0, opts.Batch)
-
-			// Look-ahead pipeline: generate ahead, prefetch keys.
-			var pending []data.CTRSample
-			nextSample := func() data.CTRSample {
-				if opts.LookaheadDepth <= 0 {
-					return gen.Next()
-				}
-				for len(pending) <= opts.LookaheadDepth {
-					s := gen.Next()
-					h.Lookahead(s.Keys)
-					pending = append(pending, s)
-				}
-				s := pending[0]
-				pending = pending[1:]
-				return s
-			}
-
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				// One step = one minibatch: collect the samples, dedup their
-				// keys, fetch every unique embedding with one batched gather
-				// (ascending order — under small staleness bounds clocked
-				// reads are blocking token acquisitions, and a global order
-				// keeps the cross-worker wait graph acyclic).
-				samples = samples[:0]
-				g.reset()
-				for b := 0; b < opts.Batch; b++ {
-					s := nextSample()
-					samples = append(samples, s)
-					// Fields draw from disjoint key ranges, so duplicates
-					// only arise across samples; add dedups them.
-					for _, k := range s.Keys {
-						g.add(k)
-					}
-				}
-				t0 := time.Now()
-				if err := g.fetch(h); err != nil {
-					errCh <- err
-					return
-				}
-				t1 := time.Now()
-				var fwdD, bwdD time.Duration
-				capped := false
-				for _, s := range samples {
-					for f, k := range s.Keys {
-						copy(embs[f*dim:(f+1)*dim], g.emb(k))
-					}
-					tf := time.Now()
-					logit, err := worker.Forward(s.Dense, embs)
-					if err != nil {
-						errCh <- err
-						return
-					}
-					tb := time.Now()
-					_, dLogit := bceLogit(logit, s.Label)
-					dEmb := worker.Backward(dLogit)
-					for f, k := range s.Keys {
-						g.accumulate(k, dEmb[f*dim:(f+1)*dim], 1)
-					}
-					td := time.Now()
-					fwdD += tb.Sub(tf)
-					bwdD += td.Sub(tb)
-					n := sampleCount.Add(1)
-					if opts.MaxSamples > 0 && n >= opts.MaxSamples {
-						capped = true
-						break
-					}
-				}
-				// Scatter before anything can stop the worker: every fetched
-				// key owes its write-back (clock balance), even on the final
-				// truncated minibatch.
-				t2 := time.Now()
-				if err := g.scatter(h, opts.EmbLR); err != nil {
-					errCh <- err
-					return
-				}
-				t3 := time.Now()
-				embNS.Add(int64(t1.Sub(t0) + t3.Sub(t2)))
-				embLat.Record(t1.Sub(t0) + t3.Sub(t2))
-				fwdNS.Add(int64(fwdD))
-				bwdNS.Add(int64(bwdD))
-				worker.Apply(opts.DenseLR)
-				if capped {
-					safeClose(stop)
-					return
-				}
-				if opts.BatchSyncDelay > 0 {
-					time.Sleep(opts.BatchSyncDelay)
-				}
-				if barrier != nil && !barrier.wait(stop) {
-					return
-				}
-				if opts.Duration > 0 && time.Since(start) >= opts.Duration {
-					safeClose(stop)
-					return
-				}
-			}
-		}(wID)
-	}
-	wg.Wait()
-	safeClose(stop)
-	<-evalDone
-	select {
-	case err := <-errCh:
-		return nil, err
-	default:
-	}
-
-	res.Samples = sampleCount.Load()
-	res.Elapsed = time.Since(start)
-	res.Throughput = float64(res.Samples) / res.Elapsed.Seconds()
-	res.Stage = StageTimes{
-		Emb:      time.Duration(embNS.Load()),
-		Forward:  time.Duration(fwdNS.Load()),
-		Backward: time.Duration(bwdNS.Load()),
-	}
-	res.EmbLat = embLat.Snapshot()
-	// Final quality measurement.
-	h, err := opts.Backend.NewHandle()
-	if err == nil {
-		w := opts.Model.NewWorker()
-		res.FinalMetric = evalCTRAUC(opts, h, w, evalSet)
-		h.Close()
-	}
-	return res, nil
+	evalSet := data.NewCTRGen(withStream(opts.Gen.Config(), 0xe7a1)).Batch(opts.EvalSamples)
+	evalNet := opts.Model.NewWorker()
+	return runner{
+		backend: opts.Backend, workers: opts.Workers,
+		stepSamples: opts.Batch, roundSteps: 1,
+		sync: opts.Mode == ModeSync, syncDelay: opts.BatchSyncDelay,
+		duration: opts.Duration, maxSamples: opts.MaxSamples, evalEvery: opts.EvalEvery,
+		newWorker: func(id int, h Handle) worker { return newCTRWorker(&opts, id, h) },
+		eval:      func(h Handle) float64 { return evalCTRAUC(&opts, h, evalNet, evalSet) },
+	}.run()
 }
 
+// ctrWorker trains one minibatch per step: it draws the samples (hinting
+// their keys ahead when look-ahead is on), fetches every unique embedding
+// with one batched gather, runs the dense tower sample by sample, and
+// scatters the accumulated embedding gradients.
+type ctrWorker struct {
+	opts *CTROptions
+	h    Handle
+	net  *models.DLRMWorker
+	gen  *data.CTRGen
+
+	embs    []float32 // one sample's Fields×dim input
+	g       *gather
+	samples []data.CTRSample
+	pending []data.CTRSample // drawn and hinted, not yet trained
+}
+
+func newCTRWorker(opts *CTROptions, id int, h Handle) *ctrWorker {
+	dim := opts.Model.Dim
+	return &ctrWorker{
+		opts: opts, h: h,
+		net:     opts.Model.NewWorker(),
+		gen:     data.NewCTRGen(withStream(opts.Gen.Config(), uint64(id)*7919+1)),
+		embs:    make([]float32, opts.Model.Fields*dim),
+		g:       newGather(dim),
+		samples: make([]data.CTRSample, 0, opts.Batch),
+	}
+}
+
+// next returns the next training sample, keeping LookaheadDepth samples
+// drawn ahead of it with their keys hinted to the backend.
+func (w *ctrWorker) next() data.CTRSample {
+	if w.opts.LookaheadDepth <= 0 {
+		return w.gen.Next()
+	}
+	for len(w.pending) <= w.opts.LookaheadDepth {
+		s := w.gen.Next()
+		w.h.Lookahead(s.Keys)
+		w.pending = append(w.pending, s)
+	}
+	s := w.pending[0]
+	w.pending = w.pending[1:]
+	return s
+}
+
+// step draws a full minibatch and trains its first n samples (n is short
+// only on the run's last step). The unique keys go out in one batched
+// gather, ascending: under small staleness bounds clocked reads are
+// blocking token acquisitions, and a global order keeps the cross-worker
+// wait graph acyclic. Every fetched key is written back, trained on or
+// not: each clocked read owes its write (clock balance).
+func (w *ctrWorker) step(n int) (StageTimes, error) {
+	g, dim := w.g, w.opts.Model.Dim
+	w.samples = w.samples[:0]
+	g.reset()
+	for b := 0; b < w.opts.Batch; b++ {
+		s := w.next()
+		w.samples = append(w.samples, s)
+		// Fields draw from disjoint key ranges, so duplicates only arise
+		// across samples; add dedups them.
+		for _, k := range s.Keys {
+			g.add(k)
+		}
+	}
+	var st StageTimes
+	t0 := time.Now()
+	if err := g.fetch(w.h); err != nil {
+		return st, err
+	}
+	st.Emb = time.Since(t0)
+	for _, s := range w.samples[:n] {
+		for f, k := range s.Keys {
+			copy(w.embs[f*dim:(f+1)*dim], g.emb(k))
+		}
+		tf := time.Now()
+		logit, err := w.net.Forward(s.Dense, w.embs)
+		if err != nil {
+			return st, err
+		}
+		tb := time.Now()
+		_, dLogit := bceLogit(logit, s.Label)
+		dEmb := w.net.Backward(dLogit)
+		for f, k := range s.Keys {
+			g.accumulate(k, dEmb[f*dim:(f+1)*dim], 1)
+		}
+		st.Forward += tb.Sub(tf)
+		st.Backward += time.Since(tb)
+	}
+	t2 := time.Now()
+	if err := g.scatter(w.h, w.opts.EmbLR); err != nil {
+		return st, err
+	}
+	st.Emb += time.Since(t2)
+	return st, nil
+}
+
+func (w *ctrWorker) apply() { w.net.Apply(w.opts.DenseLR) }
+
 // evalCTRAUC scores the fixed evaluation set with Peek (no clock effects).
-func evalCTRAUC(opts CTROptions, h Handle, w *models.DLRMWorker, evalSet []data.CTRSample) float64 {
+func evalCTRAUC(opts *CTROptions, h Handle, w *models.DLRMWorker, evalSet []data.CTRSample) float64 {
 	dim := opts.Model.Dim
 	embs := make([]float32, opts.Model.Fields*dim)
 	scores := make([]float64, len(evalSet))
 	labels := make([]int, len(evalSet))
 	for i, s := range evalSet {
 		for f, k := range s.Keys {
-			seg := embs[f*dim : (f+1)*dim]
-			if found, _ := h.Peek(k, seg); !found {
-				for j := range seg {
-					seg[j] = 0
-				}
-			}
+			peekOrZero(h, k, embs[f*dim:(f+1)*dim])
 		}
 		p, err := w.Predict(s.Dense, embs)
 		if err != nil {
@@ -334,69 +189,4 @@ func bceLogit(logit, label float32) (float32, float32) {
 func withStream(cfg data.CTRConfig, stream uint64) data.CTRConfig {
 	cfg.Stream = stream
 	return cfg
-}
-
-// sortU64 sorts keys ascending. Per-step unique key sets reach a few
-// hundred entries (CTR minibatches), so this is the stdlib sort rather
-// than an insertion sort.
-func sortU64(keys []uint64) {
-	slices.Sort(keys)
-}
-
-// syncBarrier is a reusable barrier that also honours the stop channel.
-type syncBarrier struct {
-	mu    sync.Mutex
-	cond  *sync.Cond
-	n     int
-	count int
-	gen   int
-}
-
-func newSyncBarrier(n int) *syncBarrier {
-	b := &syncBarrier{n: n}
-	b.cond = sync.NewCond(&b.mu)
-	return b
-}
-
-// wait blocks until all n participants arrive or stop closes; it returns
-// false when stopping.
-func (b *syncBarrier) wait(stop <-chan struct{}) bool {
-	b.mu.Lock()
-	gen := b.gen
-	b.count++
-	if b.count == b.n {
-		b.count = 0
-		b.gen++
-		b.cond.Broadcast()
-		b.mu.Unlock()
-		return true
-	}
-	done := make(chan struct{})
-	go func() {
-		select {
-		case <-stop:
-			b.mu.Lock()
-			b.cond.Broadcast()
-			b.mu.Unlock()
-		case <-done:
-		}
-	}()
-	for gen == b.gen {
-		select {
-		case <-stop:
-			b.mu.Unlock()
-			close(done)
-			return false
-		default:
-		}
-		b.cond.Wait()
-	}
-	b.mu.Unlock()
-	close(done)
-	return true
-}
-
-func safeClose(ch chan struct{}) {
-	defer func() { recover() }()
-	close(ch)
 }

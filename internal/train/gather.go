@@ -1,6 +1,10 @@
 package train
 
-import "github.com/llm-db/mlkv-go/internal/util"
+import (
+	"slices"
+
+	"github.com/llm-db/mlkv-go/internal/util"
+)
 
 // gather owns one worker's gather/scatter state for a training step: the
 // deduplicated key set, the fetched embeddings, and the accumulated
@@ -17,13 +21,12 @@ import "github.com/llm-db/mlkv-go/internal/util"
 // unique key exactly once per step (one clocked read, one write), and
 // because the keys are unique and sorted ascending, acquisitions stay in
 // a global order and the cross-worker wait graph remains acyclic under
-// blocking bounds, exactly as on the scalar path.
+// blocking bounds.
 //
 // Duplicate keys inside a step alias one embedding slot and their
 // gradients sum — minibatch SGD on the step's snapshot.
 type gather struct {
-	dim    int
-	scalar bool // per-key Get/Put in the same order (baseline path)
+	dim int
 
 	keys  []uint64 // unique keys, ascending after fetch
 	pos   map[uint64]int
@@ -31,8 +34,8 @@ type gather struct {
 	grads []float32 // len(keys)×dim accumulated gradients
 }
 
-func newGather(dim int, scalar bool) *gather {
-	return &gather{dim: dim, scalar: scalar, pos: make(map[uint64]int)}
+func newGather(dim int) *gather {
+	return &gather{dim: dim, pos: make(map[uint64]int)}
 }
 
 // reset begins a new step.
@@ -49,29 +52,17 @@ func (g *gather) add(key uint64) {
 	}
 }
 
-// keyCount returns the number of unique keys collected.
-func (g *gather) keyCount() int { return len(g.keys) }
-
-// fetch sorts the unique keys ascending and reads them all: one GetBatch
-// on the batched path, per-key Gets in the same order on the scalar path.
-// Gradient accumulators start zeroed.
+// fetch sorts the unique keys ascending and reads them all with one
+// GetBatch. Gradient accumulators start zeroed.
 func (g *gather) fetch(h Handle) error {
-	sortU64(g.keys)
+	slices.Sort(g.keys)
 	for i, k := range g.keys {
 		g.pos[k] = i
 	}
 	n := len(g.keys) * g.dim
 	g.embs = util.Grow(g.embs, n)
 	g.grads = util.Grow(g.grads, n)
-	zero32(g.grads)
-	if g.scalar {
-		for i, k := range g.keys {
-			if err := h.Get(k, g.embs[i*g.dim:(i+1)*g.dim]); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
+	clear(g.grads)
 	return h.GetBatch(g.keys, g.embs)
 }
 
@@ -98,20 +89,11 @@ func (g *gather) accumulate(key uint64, grad []float32, scale float32) {
 }
 
 // scatter applies emb ← emb − lr·grad to every unique key and writes all
-// of them back: one PutBatch on the batched path, per-key Puts in the
-// same ascending order on the scalar path. Keys fetched without gradient
-// still get their Put — every clocked read owes exactly one write.
+// of them back with one PutBatch. Keys fetched without gradient are
+// written too — every clocked read owes exactly one write.
 func (g *gather) scatter(h Handle, lr float32) error {
 	for i := 0; i < len(g.keys)*g.dim; i++ {
 		g.embs[i] -= lr * g.grads[i]
-	}
-	if g.scalar {
-		for i, k := range g.keys {
-			if err := h.Put(k, g.embs[i*g.dim:(i+1)*g.dim]); err != nil {
-				return err
-			}
-		}
-		return nil
 	}
 	return h.PutBatch(g.keys, g.embs)
 }

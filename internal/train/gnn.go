@@ -1,8 +1,6 @@
 package train
 
 import (
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/llm-db/mlkv-go/internal/data"
@@ -39,10 +37,6 @@ type GNNOptions struct {
 
 	LookaheadDepth int
 
-	// Scalar forces the legacy per-key Get/Put access path (see
-	// CTROptions.Scalar).
-	Scalar bool
-
 	EvalEvery time.Duration
 	EvalNodes int
 
@@ -67,107 +61,14 @@ func TrainGNN(opts GNNOptions) (*Result, error) {
 	if opts.EvalNodes == 0 {
 		opts.EvalNodes = 500
 	}
-	res := &Result{Backend: opts.Backend.Name()}
-	var sampleCount atomic.Int64
-	var embNS, fwdNS, bwdNS atomic.Int64
-	stop := make(chan struct{})
-	start := time.Now()
-
-	var curveMu sync.Mutex
-	evalDone := make(chan struct{})
-	if opts.EvalEvery > 0 {
-		go func() {
-			defer close(evalDone)
-			h, err := opts.Backend.NewHandle()
-			if err != nil {
-				return
-			}
-			defer h.Close()
-			tick := time.NewTicker(opts.EvalEvery)
-			defer tick.Stop()
-			for {
-				select {
-				case <-stop:
-					return
-				case <-tick.C:
-					acc := evalGNNAccuracy(opts, h)
-					curveMu.Lock()
-					res.Curve = append(res.Curve, CurvePoint{Seconds: time.Since(start).Seconds(), Metric: acc})
-					curveMu.Unlock()
-				}
-			}
-		}()
-	} else {
-		close(evalDone)
-	}
-
-	var wg sync.WaitGroup
-	errCh := make(chan error, opts.Workers)
-	for wID := 0; wID < opts.Workers; wID++ {
-		wg.Add(1)
-		go func(wID int) {
-			defer wg.Done()
-			h, err := opts.Backend.NewHandle()
-			if err != nil {
-				errCh <- err
-				return
-			}
-			defer h.Close()
-			w := newGNNWorker(opts, uint64(wID))
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				for b := 0; b < opts.Batch; b++ {
-					te, tf, tb, err := w.step(h)
-					if err != nil {
-						errCh <- err
-						return
-					}
-					embNS.Add(int64(te))
-					fwdNS.Add(int64(tf))
-					bwdNS.Add(int64(tb))
-					n := sampleCount.Add(1)
-					if opts.MaxSamples > 0 && n >= opts.MaxSamples {
-						safeClose(stop)
-						w.apply()
-						return
-					}
-				}
-				w.apply()
-				if opts.BatchSyncDelay > 0 {
-					time.Sleep(opts.BatchSyncDelay)
-				}
-				if opts.Duration > 0 && time.Since(start) >= opts.Duration {
-					safeClose(stop)
-					return
-				}
-			}
-		}(wID)
-	}
-	wg.Wait()
-	safeClose(stop)
-	<-evalDone
-	select {
-	case err := <-errCh:
-		return nil, err
-	default:
-	}
-	res.Samples = sampleCount.Load()
-	res.Elapsed = time.Since(start)
-	res.Throughput = float64(res.Samples) / res.Elapsed.Seconds()
-	res.Stage = StageTimes{
-		Emb:      time.Duration(embNS.Load()),
-		Forward:  time.Duration(fwdNS.Load()),
-		Backward: time.Duration(bwdNS.Load()),
-	}
-	if h, err := opts.Backend.NewHandle(); err == nil {
-		res.FinalMetric = evalGNNAccuracy(opts, h)
-		h.Close()
-	}
-	return res, nil
+	return runner{
+		backend: opts.Backend, workers: opts.Workers,
+		stepSamples: 1, roundSteps: opts.Batch,
+		syncDelay: opts.BatchSyncDelay,
+		duration:  opts.Duration, maxSamples: opts.MaxSamples, evalEvery: opts.EvalEvery,
+		newWorker: func(id int, h Handle) worker { return newGNNWorker(&opts, uint64(id), h) },
+		eval:      func(h Handle) float64 { return evalGNNAccuracy(&opts, h) },
+	}.run()
 }
 
 // gnnWorker assembles neighborhoods, runs the model, and scatters
@@ -176,7 +77,8 @@ func TrainGNN(opts GNNOptions) (*Result, error) {
 // written back with one batched write (so every clocked read has exactly
 // one matching write, keeping the vector clock balanced).
 type gnnWorker struct {
-	opts GNNOptions
+	opts *GNNOptions
+	h    Handle
 	rng  *util.RNG
 	salt uint64
 	dim  int
@@ -192,9 +94,10 @@ type gnnWorker struct {
 	g      *gather
 }
 
-func newGNNWorker(opts GNNOptions, wID uint64) *gnnWorker {
+func newGNNWorker(opts *GNNOptions, wID uint64, h Handle) *gnnWorker {
 	w := &gnnWorker{
 		opts: opts,
+		h:    h,
 		rng:  util.NewRNG(wID*31 + 7),
 		salt: wID,
 	}
@@ -220,7 +123,7 @@ func newGNNWorker(opts GNNOptions, wID uint64) *gnnWorker {
 			w.inputs = append(w.inputs, row)
 		}
 	}
-	w.g = newGather(w.dim, opts.Scalar)
+	w.g = newGather(w.dim)
 	return w
 }
 
@@ -240,7 +143,7 @@ func (w *gnnWorker) sample() {
 // neighborhood, sorts it ascending (a global acquisition order keeps the
 // wait graph acyclic under blocking staleness bounds), and issues one
 // batched read.
-func (w *gnnWorker) fetch(h Handle) error {
+func (w *gnnWorker) fetch() error {
 	w.g.reset()
 	for i, u := range w.nodes1 {
 		w.g.add(u)
@@ -248,22 +151,22 @@ func (w *gnnWorker) fetch(h Handle) error {
 			w.g.add(x)
 		}
 	}
-	return w.g.fetch(h)
+	return w.g.fetch(w.h)
 }
 
-// step trains on one sampled neighborhood, returning stage durations.
-func (w *gnnWorker) step(h Handle) (embT, fwdT, bwdT time.Duration, err error) {
+// step trains on one sampled neighborhood.
+func (w *gnnWorker) step(int) (StageTimes, error) {
 	w.sample()
 	if w.opts.LookaheadDepth > 0 {
 		// Prefetch the *next* node's neighborhood before fetching this one.
 		g := w.opts.Graph
 		nv := g.TrainNode(w.rng.Split())
 		keys := append([]uint64{nv}, g.SampleNeighbors(nv, w.opts.Fanout, w.salt)...)
-		h.Lookahead(keys)
+		w.h.Lookahead(keys)
 	}
 	t0 := time.Now()
-	if err := w.fetch(h); err != nil {
-		return 0, 0, 0, err
+	if err := w.fetch(); err != nil {
+		return StageTimes{}, err
 	}
 	t1 := time.Now()
 
@@ -274,7 +177,7 @@ func (w *gnnWorker) step(h Handle) (embT, fwdT, bwdT time.Duration, err error) {
 		for i, u := range w.nodes1 {
 			copy(w.eSelf[i], w.g.emb(u))
 			mean := w.eMean[i]
-			zero32(mean)
+			clear(mean)
 			for _, x := range w.nbh[i] {
 				e := w.g.emb(x)
 				for d := 0; d < w.dim; d++ {
@@ -311,12 +214,15 @@ func (w *gnnWorker) step(h Handle) (embT, fwdT, bwdT time.Duration, err error) {
 	// Apply and write back each unique node once — including nodes fetched
 	// without gradient, which still owe their write (clock balance).
 	t3 := time.Now()
-	if err := w.g.scatter(h, w.opts.EmbLR); err != nil {
-		return 0, 0, 0, err
+	if err := w.g.scatter(w.h, w.opts.EmbLR); err != nil {
+		return StageTimes{}, err
 	}
 	t4 := time.Now()
 	half := t2.Sub(t1) / 2
-	return t1.Sub(t0) + t4.Sub(t3), half, t2.Sub(t1) - half + t3.Sub(t2), nil
+	return StageTimes{
+		Emb:     t1.Sub(t0) + t4.Sub(t3),
+		Forward: half, Backward: t2.Sub(t1) - half + t3.Sub(t2),
+	}, nil
 }
 
 func (w *gnnWorker) apply() {
@@ -329,14 +235,10 @@ func (w *gnnWorker) apply() {
 }
 
 // evalGNNAccuracy scores fresh nodes with Peek.
-func evalGNNAccuracy(opts GNNOptions, h Handle) float64 {
-	w := newGNNWorker(opts, 0xe7a1)
+func evalGNNAccuracy(opts *GNNOptions, h Handle) float64 {
+	w := newGNNWorker(opts, 0xe7a1, h)
+	tmp := make([]float32, w.dim)
 	correct := 0
-	peek := func(u uint64, dst []float32) {
-		if found, _ := h.Peek(u, dst); !found {
-			zero32(dst)
-		}
-	}
 	for i := 0; i < opts.EvalNodes; i++ {
 		w.sample()
 		label := opts.Graph.Label(w.nodes1[0])
@@ -344,11 +246,10 @@ func evalGNNAccuracy(opts GNNOptions, h Handle) float64 {
 		switch opts.Kind {
 		case KindGraphSage:
 			for j, u := range w.nodes1 {
-				peek(u, w.eSelf[j])
-				zero32(w.eMean[j])
-				tmp := make([]float32, w.dim)
+				peekOrZero(h, u, w.eSelf[j])
+				clear(w.eMean[j])
 				for _, x := range w.nbh[j] {
-					peek(x, tmp)
+					peekOrZero(h, x, tmp)
 					for d := 0; d < w.dim; d++ {
 						w.eMean[j][d] += tmp[d] / float32(len(w.nbh[j]))
 					}
@@ -357,9 +258,9 @@ func evalGNNAccuracy(opts GNNOptions, h Handle) float64 {
 			pred = w.sage.Predict(w.eSelf, w.eMean)
 		case KindGAT:
 			for j, u := range w.nodes1 {
-				peek(u, w.inputs[j][0])
+				peekOrZero(h, u, w.inputs[j][0])
 				for jj, x := range w.nbh[j] {
-					peek(x, w.inputs[j][jj+1])
+					peekOrZero(h, x, w.inputs[j][jj+1])
 				}
 			}
 			pred = w.gat.Predict(w.inputs)

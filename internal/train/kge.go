@@ -28,10 +28,6 @@ type KGEOptions struct {
 
 	LookaheadDepth int
 
-	// Scalar forces the legacy per-key Get/Put access path (see
-	// CTROptions.Scalar).
-	Scalar bool
-
 	// BETA enables Marius-style partition-ordered training: entities are
 	// range-partitioned, only triples inside the buffered partition pair
 	// train, and partition swaps Lookahead the incoming partition
@@ -71,203 +67,151 @@ func TrainKGE(opts KGEOptions) (*Result, error) {
 			opts.BETABuffer = opts.BETAPartitions / 2
 		}
 	}
-	dim := opts.Model.Dim
-	res := &Result{Backend: opts.Backend.Name()}
-	var sampleCount atomic.Int64
-	var embNS, fwdNS, bwdNS atomic.Int64
-	stop := make(chan struct{})
-	start := time.Now()
-
 	evalCfg := opts.Gen.Config()
 	evalCfg.Stream = 31337
 	evalGen := data.NewKGGen(evalCfg)
 	evalSet := evalGen.Batch(opts.EvalTriples)
-
-	var curveMu sync.Mutex
-	evalDone := make(chan struct{})
-	if opts.EvalEvery > 0 {
-		go func() {
-			defer close(evalDone)
-			h, err := opts.Backend.NewHandle()
-			if err != nil {
-				return
-			}
-			defer h.Close()
-			tick := time.NewTicker(opts.EvalEvery)
-			defer tick.Stop()
-			for {
-				select {
-				case <-stop:
-					return
-				case <-tick.C:
-					hits := evalHits(opts, h, evalGen, evalSet)
-					curveMu.Lock()
-					res.Curve = append(res.Curve, CurvePoint{Seconds: time.Since(start).Seconds(), Metric: hits})
-					curveMu.Unlock()
-				}
-			}
-		}()
-	} else {
-		close(evalDone)
-	}
 
 	// BETA partition schedule, shared across workers.
 	var sched *betaSchedule
 	if opts.BETA {
 		sched = newBetaSchedule(opts.Gen.Config().Entities, opts.BETAPartitions, opts.BETABuffer)
 	}
-
-	var wg sync.WaitGroup
-	errCh := make(chan error, opts.Workers)
-	for wID := 0; wID < opts.Workers; wID++ {
-		wg.Add(1)
-		go func(wID int) {
-			defer wg.Done()
-			h, err := opts.Backend.NewHandle()
-			if err != nil {
-				errCh <- err
-				return
-			}
-			defer h.Close()
-			cfg := opts.Gen.Config()
-			cfg.Stream = uint64(wID)*6151 + 1
-			gen := data.NewKGGen(cfg)
-			rng := util.NewRNG(uint64(wID) + 17)
-
-			dh := make([]float32, dim)
-			dr := make([]float32, dim)
-			dt := make([]float32, dim)
-			dNeg := make([][]float32, opts.Negatives)
-			negEmb := make([][]float32, opts.Negatives)
-			negKeys := make([]uint64, opts.Negatives)
-			for i := range dNeg {
-				dNeg[i] = make([]float32, dim)
-			}
-			g := newGather(dim, opts.Scalar)
-			var pending []data.Triple
-
-			nextTriple := func() data.Triple {
-				for {
-					if opts.LookaheadDepth > 0 {
-						for len(pending) <= opts.LookaheadDepth {
-							tr := gen.Next()
-							if sched == nil || sched.admits(tr) {
-								h.Lookahead([]uint64{tr.H, tr.T})
-								pending = append(pending, tr)
-							}
-						}
-						tr := pending[0]
-						pending = pending[1:]
-						return tr
-					}
-					tr := gen.Next()
-					if sched == nil || sched.admits(tr) {
-						return tr
-					}
-				}
-			}
-
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				tr := nextTriple()
-				for i := range negKeys {
-					negKeys[i] = gen.NegativeTail(tr)
-				}
-				rKey := RelationKeyBase + uint64(tr.R)
-				// One step = one triple plus its negatives: the gather
-				// dedups the key set, fetches it with one batched read in
-				// ascending order (keeping cross-worker token acquisitions
-				// in a global order under blocking bounds), and the scatter
-				// writes each unique key back exactly once — so gradients of
-				// duplicated keys compose and the vector clock stays
-				// balanced, as on the scalar path.
-				g.reset()
-				g.add(tr.H)
-				g.add(rKey)
-				g.add(tr.T)
-				for _, k := range negKeys {
-					g.add(k)
-				}
-				t0 := time.Now()
-				if err := g.fetch(h); err != nil {
-					errCh <- err
-					return
-				}
-				hEmb, rEmb, tEmb := g.emb(tr.H), g.emb(rKey), g.emb(tr.T)
-				for i, nk := range negKeys {
-					negEmb[i] = g.emb(nk)
-				}
-				t1 := time.Now()
-				zero32(dh)
-				zero32(dr)
-				zero32(dt)
-				for i := range dNeg {
-					zero32(dNeg[i])
-				}
-				opts.Model.TripleLoss(hEmb, rEmb, tEmb, negEmb, dh, dr, dt, dNeg)
-				t2 := time.Now()
-				g.accumulate(tr.H, dh, 1)
-				g.accumulate(rKey, dr, 1)
-				g.accumulate(tr.T, dt, 1)
-				for i, nk := range negKeys {
-					g.accumulate(nk, dNeg[i], 1)
-				}
-				if err := g.scatter(h, opts.EmbLR); err != nil {
-					errCh <- err
-					return
-				}
-				t3 := time.Now()
-				embNS.Add(int64(t1.Sub(t0) + t3.Sub(t2)))
-				fwdNS.Add(int64(t2.Sub(t1)) / 2)
-				bwdNS.Add(int64(t2.Sub(t1)) - int64(t2.Sub(t1))/2)
-				n := sampleCount.Add(1)
-				if opts.MaxSamples > 0 && n >= opts.MaxSamples {
-					safeClose(stop)
-					return
-				}
-				if sched != nil && rng.Uint64n(64) == 0 {
-					// Periodically advance the partition schedule; the
-					// incoming partition is prefetched via Lookahead.
-					if in := sched.maybeAdvance(n); in != nil {
-						h.Lookahead(in)
-					}
-				}
-				if opts.Duration > 0 && time.Since(start) >= opts.Duration {
-					safeClose(stop)
-					return
-				}
-			}
-		}(wID)
-	}
-	wg.Wait()
-	safeClose(stop)
-	<-evalDone
-	select {
-	case err := <-errCh:
-		return nil, err
-	default:
-	}
-	res.Samples = sampleCount.Load()
-	res.Elapsed = time.Since(start)
-	res.Throughput = float64(res.Samples) / res.Elapsed.Seconds()
-	res.Stage = StageTimes{
-		Emb:      time.Duration(embNS.Load()),
-		Forward:  time.Duration(fwdNS.Load()),
-		Backward: time.Duration(bwdNS.Load()),
-	}
-	if h, err := opts.Backend.NewHandle(); err == nil {
-		res.FinalMetric = evalHits(opts, h, evalGen, evalSet)
-		h.Close()
-	}
-	return res, nil
+	return runner{
+		backend: opts.Backend, workers: opts.Workers,
+		stepSamples: 1, roundSteps: 1,
+		duration: opts.Duration, maxSamples: opts.MaxSamples, evalEvery: opts.EvalEvery,
+		newWorker: func(id int, h Handle) worker { return newKGEWorker(&opts, id, h, sched) },
+		eval:      func(h Handle) float64 { return evalHits(&opts, h, evalGen, evalSet) },
+	}.run()
 }
 
+// kgeWorker trains one triple and its negatives per step.
+type kgeWorker struct {
+	opts  *KGEOptions
+	h     Handle
+	gen   *data.KGGen
+	rng   *util.RNG
+	sched *betaSchedule // nil without BETA
+
+	dh, dr, dt []float32
+	dNeg       [][]float32
+	negEmb     [][]float32
+	negKeys    []uint64
+	g          *gather
+	pending    []data.Triple // drawn and hinted, not yet trained
+}
+
+func newKGEWorker(opts *KGEOptions, id int, h Handle, sched *betaSchedule) *kgeWorker {
+	cfg := opts.Gen.Config()
+	cfg.Stream = uint64(id)*6151 + 1
+	dim := opts.Model.Dim
+	w := &kgeWorker{
+		opts: opts, h: h, sched: sched,
+		gen: data.NewKGGen(cfg), rng: util.NewRNG(uint64(id) + 17),
+		dh: make([]float32, dim), dr: make([]float32, dim), dt: make([]float32, dim),
+		dNeg:    make([][]float32, opts.Negatives),
+		negEmb:  make([][]float32, opts.Negatives),
+		negKeys: make([]uint64, opts.Negatives),
+		g:       newGather(dim),
+	}
+	for i := range w.dNeg {
+		w.dNeg[i] = make([]float32, dim)
+	}
+	return w
+}
+
+// draw returns the next triple the partition schedule admits.
+func (w *kgeWorker) draw() data.Triple {
+	for {
+		if tr := w.gen.Next(); w.sched == nil || w.sched.admits(tr) {
+			return tr
+		}
+	}
+}
+
+// next returns the next training triple, keeping LookaheadDepth triples
+// drawn ahead of it with their entities hinted to the backend.
+func (w *kgeWorker) next() data.Triple {
+	if w.opts.LookaheadDepth <= 0 {
+		return w.draw()
+	}
+	for len(w.pending) <= w.opts.LookaheadDepth {
+		tr := w.draw()
+		w.h.Lookahead([]uint64{tr.H, tr.T})
+		w.pending = append(w.pending, tr)
+	}
+	tr := w.pending[0]
+	w.pending = w.pending[1:]
+	return tr
+}
+
+// step trains one triple plus its negatives: the gather dedups the key
+// set, fetches it with one batched read in ascending order (keeping
+// cross-worker token acquisitions in a global order under blocking
+// bounds), and the scatter writes each unique key back exactly once — so
+// gradients of duplicated keys compose and the vector clock stays
+// balanced.
+func (w *kgeWorker) step(int) (StageTimes, error) {
+	g := w.g
+	tr := w.next()
+	for i := range w.negKeys {
+		w.negKeys[i] = w.gen.NegativeTail(tr)
+	}
+	rKey := RelationKeyBase + uint64(tr.R)
+	g.reset()
+	g.add(tr.H)
+	g.add(rKey)
+	g.add(tr.T)
+	for _, k := range w.negKeys {
+		g.add(k)
+	}
+	t0 := time.Now()
+	if err := g.fetch(w.h); err != nil {
+		return StageTimes{}, err
+	}
+	hEmb, rEmb, tEmb := g.emb(tr.H), g.emb(rKey), g.emb(tr.T)
+	for i, nk := range w.negKeys {
+		w.negEmb[i] = g.emb(nk)
+	}
+	t1 := time.Now()
+	clear(w.dh)
+	clear(w.dr)
+	clear(w.dt)
+	for i := range w.dNeg {
+		clear(w.dNeg[i])
+	}
+	w.opts.Model.TripleLoss(hEmb, rEmb, tEmb, w.negEmb, w.dh, w.dr, w.dt, w.dNeg)
+	t2 := time.Now()
+	g.accumulate(tr.H, w.dh, 1)
+	g.accumulate(rKey, w.dr, 1)
+	g.accumulate(tr.T, w.dt, 1)
+	for i, nk := range w.negKeys {
+		g.accumulate(nk, w.dNeg[i], 1)
+	}
+	if err := g.scatter(w.h, w.opts.EmbLR); err != nil {
+		return StageTimes{}, err
+	}
+	t3 := time.Now()
+	if w.sched != nil {
+		// Periodically advance the partition schedule; the incoming
+		// partition is prefetched via Lookahead.
+		n := w.sched.trained.Add(1)
+		if w.rng.Uint64n(64) == 0 {
+			if in := w.sched.maybeAdvance(n); in != nil {
+				w.h.Lookahead(in)
+			}
+		}
+	}
+	// Forward and backward happen inside TripleLoss; split evenly.
+	half := t2.Sub(t1) / 2
+	return StageTimes{Emb: t1.Sub(t0) + t3.Sub(t2), Forward: half, Backward: t2.Sub(t1) - half}, nil
+}
+
+func (*kgeWorker) apply() {} // no dense parameters
+
 // evalHits computes Hits@K over the fixed evaluation triples using Peek.
-func evalHits(opts KGEOptions, h Handle, gen *data.KGGen, evalSet []data.Triple) float64 {
+func evalHits(opts *KGEOptions, h Handle, gen *data.KGGen, evalSet []data.Triple) float64 {
 	dim := opts.Model.Dim
 	hEmb := make([]float32, dim)
 	rEmb := make([]float32, dim)
@@ -289,23 +233,12 @@ func evalHits(opts KGEOptions, h Handle, gen *data.KGGen, evalSet []data.Triple)
 	return float64(hits) / float64(len(evalSet)) * 100
 }
 
-func peekOrZero(h Handle, key uint64, dst []float32) {
-	if found, _ := h.Peek(key, dst); !found {
-		zero32(dst)
-	}
-}
-
-func zero32(x []float32) {
-	for i := range x {
-		x[i] = 0
-	}
-}
-
 // betaSchedule rotates a buffer of entity partitions in the spirit of
 // Marius' BETA (buffer-aware edge traversal) ordering: training admits only
 // triples whose endpoints fall in buffered partitions, maximizing reuse of
 // in-memory embeddings between swaps.
 type betaSchedule struct {
+	trained    atomic.Int64 // triples trained by all workers
 	mu         sync.Mutex
 	entities   uint64
 	partitions int

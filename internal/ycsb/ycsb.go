@@ -140,6 +140,7 @@ func Run(opts Options) (*Result, error) {
 	var readLat, updateLat latency.Histogram
 	var ops, reads, updates, notFound atomic.Int64
 	stop := make(chan struct{})
+	halt := sync.OnceFunc(func() { close(stop) })
 	var wg sync.WaitGroup
 	errCh := make(chan error, opts.Threads)
 	start := time.Now()
@@ -150,6 +151,7 @@ func Run(opts Options) (*Result, error) {
 			s, err := opts.Store.NewSession()
 			if err != nil {
 				errCh <- err
+				halt()
 				return
 			}
 			defer s.Close()
@@ -166,12 +168,12 @@ func Run(opts Options) (*Result, error) {
 					case <-stop:
 						return
 					case <-opts.Stop: // nil when unset: never ready
-						safeClose(stop)
+						halt()
 						return
 					default:
 					}
 					if opts.Duration > 0 && time.Since(start) >= opts.Duration {
-						safeClose(stop)
+						halt()
 						return
 					}
 				}
@@ -187,6 +189,7 @@ func Run(opts Options) (*Result, error) {
 					readLat.Since(opStart)
 					if err != nil {
 						errCh <- err
+						halt()
 						return
 					}
 					if !found {
@@ -200,19 +203,19 @@ func Run(opts Options) (*Result, error) {
 					updateLat.Since(opStart)
 					if err != nil {
 						errCh <- err
+						halt()
 						return
 					}
 					updates.Add(1)
 				}
 				if n := ops.Add(1); opts.MaxOps > 0 && n >= opts.MaxOps {
-					safeClose(stop)
+					halt()
 					return
 				}
 			}
 		}(th)
 	}
 	wg.Wait()
-	safeClose(stop)
 	select {
 	case err := <-errCh:
 		return nil, err
@@ -231,9 +234,4 @@ func Run(opts Options) (*Result, error) {
 	all.Merge(&updateLat)
 	res.OpLat = all.Snapshot()
 	return res, nil
-}
-
-func safeClose(ch chan struct{}) {
-	defer func() { recover() }()
-	close(ch)
 }

@@ -196,7 +196,6 @@ type config struct {
 	keys         uint64
 	initScale    float32
 	init         Initializer
-	workers      int
 	shards       int
 	cacheEntries int
 	flushPace    time.Duration
@@ -246,10 +245,6 @@ func WithInitScale(s float32) Option { return func(c *config) { c.initScale = s 
 // WithInitializer installs a custom first-touch initializer, overriding
 // WithInitScale. It must be deterministic in key (see Initializer).
 func WithInitializer(fn Initializer) Option { return func(c *config) { c.init = fn } }
-
-// WithPrefetchWorkers sizes the Lookahead worker pool of a local model
-// (default 2).
-func WithPrefetchWorkers(n int) Option { return func(c *config) { c.workers = n } }
 
 // WithCache attaches a staleness-aware hot tier holding up to entries
 // embeddings in front of the model's read path (Figure 5(b)'s
@@ -323,23 +318,21 @@ func (db *DB) OpenCtx(ctx context.Context, id string, dim int, opts ...Option) (
 	cfg := config{
 		memory:    256 << 20,
 		initScale: 0.05,
-		workers:   2,
 	}
 	for _, o := range opts {
 		o(&cfg)
 	}
 	dcfg := driver.Config{
-		Dim:             dim,
-		Engine:          cfg.engine,
-		Shards:          cfg.shards,
-		Bound:           cfg.bound,
-		BoundSet:        cfg.boundSet,
-		MemoryBytes:     cfg.memory,
-		ExpectedKeys:    cfg.keys,
-		PrefetchWorkers: cfg.workers,
-		CacheEntries:    cfg.cacheEntries,
-		FlushPace:       cfg.flushPace,
-		Init:            cfg.init,
+		Dim:          dim,
+		Engine:       cfg.engine,
+		Shards:       cfg.shards,
+		Bound:        cfg.bound,
+		BoundSet:     cfg.boundSet,
+		MemoryBytes:  cfg.memory,
+		ExpectedKeys: cfg.keys,
+		CacheEntries: cfg.cacheEntries,
+		FlushPace:    cfg.flushPace,
+		Init:         cfg.init,
 	}
 	if dcfg.Init == nil && cfg.initScale > 0 {
 		dcfg.Init = core.UniformInit(cfg.initScale, initSeed)
