@@ -222,3 +222,109 @@ func TestLocalGetBatchAllocBudget(t *testing.T) {
 		})
 	}
 }
+
+// Committed allocs/op ceilings for a trainer's step as storage sees it with
+// look-ahead on: one 256-key hint for the next batch, then the 256-key read
+// of the current one (which allocates nothing on these memory-resident
+// fixtures, see above). Locally the hint is copied into the table's recycled
+// chunk buffers and served by the pool's own sessions: nothing allocates.
+// Remotely the driver copies it into a recycled buffer and its worker's
+// LOOKAHEAD frame rides the pooled frame path; the one allocation is the
+// server encoding the reply's count. Before the buffers were recycled every
+// remote hint also allocated its own copy of the keys.
+const (
+	localLookaheadAllocBudget  = 0
+	remoteLookaheadAllocBudget = 1
+)
+
+// TestLookaheadAllocBudget is the look-ahead part of the allocation gate
+// (CI's "Allocation gate" step). The read paces the hints as a training
+// step does, but with no compute between steps a queue can still fill, so
+// the budget covers the drop path too; the accounting must add up either
+// way: the table counts every call, the server counts the frames it got,
+// and what the remote driver's queue dropped it dropped whole, in keys.
+func TestLookaheadAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation changes allocation counts")
+	}
+	const (
+		dim     = 16
+		batch   = 256
+		records = 1 << 12 // fits the test server's 1 MiB
+		steps   = 128 + 1 + 100
+	)
+	for _, c := range []struct {
+		name   string
+		target func() string
+		budget float64
+	}{
+		{"local", t.TempDir, localLookaheadAllocBudget},
+		{"remote", func() string { return startTestServer(t, mlkv.ASP) }, remoteLookaheadAllocBudget},
+	} {
+		remote := c.name == "remote"
+		t.Run(c.name, func(t *testing.T) {
+			db, err := mlkv.Connect(c.target())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			m, err := db.Open("hint-alloc", dim, mlkv.WithStalenessBound(mlkv.ASP), mlkv.WithExpectedKeys(records))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer m.Close()
+			s, err := m.NewSession()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			cur, next := make([]uint64, batch), make([]uint64, batch)
+			dst := make([]float32, batch*dim)
+			for lo := 0; lo < records; lo += batch {
+				for j := range cur {
+					cur[j] = uint64(lo + j)
+				}
+				if err := s.PutBatch(cur, dst); err != nil {
+					t.Fatal(err)
+				}
+			}
+			zipf := util.NewScrambledZipf(util.NewRNG(7), records, 0.99)
+			step := func() {
+				cur, next = next, cur
+				for j := range next {
+					next[j] = zipf.Next()
+				}
+				if err := s.Lookahead(next); err != nil {
+					t.Fatal(err)
+				}
+				if err := s.GetBatch(cur, dst); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// Untimed rounds grow the scratch and cycle every hint buffer once.
+			for i := 0; i < 128; i++ {
+				step()
+			}
+			avg := testing.AllocsPerRun(100, step)
+			// The last remote hints are still in flight behind the last read.
+			accounted := func(st mlkv.Stats) int64 {
+				if remote {
+					return st.LookaheadCalls + st.PrefetchDropped/batch
+				}
+				return st.LookaheadCalls
+			}
+			st := m.Stats()
+			for deadline := time.Now().Add(5 * time.Second); accounted(st) < steps && time.Now().Before(deadline); st = m.Stats() {
+				time.Sleep(time.Millisecond)
+			}
+			// Drops are whole: 64-key chunks locally, hints remotely.
+			if accounted(st) != steps || st.PrefetchDropped%64 != 0 || st.LookaheadCalls == 0 {
+				t.Fatalf("%d hints sent: LookaheadCalls %d, %d keys dropped", steps, st.LookaheadCalls, st.PrefetchDropped)
+			}
+			t.Logf("%s Lookahead(%d) + GetBatch: %.1f allocs/op (budget %.0f)", c.name, batch, avg, c.budget)
+			if avg > c.budget {
+				t.Fatalf("%s Lookahead(%d) + GetBatch allocates %.1f/op, budget %.0f", c.name, batch, avg, c.budget)
+			}
+		})
+	}
+}

@@ -637,6 +637,85 @@ func TestAPIRMWNoLostUpdates(t *testing.T) {
 	})
 }
 
+// TestAPILookaheadLeadsRead drives the look-ahead contract through the
+// public API on every target: a hint per upcoming batch, issued before the
+// batch is read, turns each of its disk-resident records into a copy in
+// memory — locally through the table's prefetch pool, remotely as one
+// LOOKAHEAD frame per hint (one per owning node in a cluster) — and the
+// batch reads that follow do not touch disk.
+func TestAPILookaheadLeadsRead(t *testing.T) {
+	const (
+		dim     = 16
+		batch   = 256
+		hints   = 3
+		records = 80 * 1024 // ~7 MiB of log against 1 MiB of memory per store
+	)
+	withTargets(t, func(t *testing.T, db *mlkv.DB) {
+		m, err := db.Open("lookahead", dim, mlkv.WithStalenessBound(mlkv.ASP), mlkv.WithMemory(1<<20))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer m.Close()
+		s, err := m.NewSession()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		keys := make([]uint64, 1024)
+		vals := make([]float32, len(keys)*dim)
+		for lo := 0; lo < records; lo += len(keys) {
+			for i := range keys {
+				keys[i] = uint64(lo + i)
+				vals[i*dim] = float32(lo + i)
+			}
+			if err := s.PutBatch(keys, vals); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// The oldest keys are the coldest. One key slice serves every hint:
+		// Lookahead keeps no reference to it.
+		keys, vals = keys[:batch], vals[:batch*dim]
+		before := m.Stats()
+		for h := 0; h < hints; h++ {
+			for i := range keys {
+				keys[i] = uint64(h*batch + i)
+			}
+			if err := s.Lookahead(keys); err != nil {
+				t.Fatal(err)
+			}
+		}
+		st := m.Stats()
+		for deadline := time.Now().Add(5 * time.Second); st.PrefetchCopies-before.PrefetchCopies < hints*batch && time.Now().Before(deadline); st = m.Stats() {
+			time.Sleep(time.Millisecond)
+		}
+		if got := st.PrefetchCopies - before.PrefetchCopies; got != hints*batch || st.PrefetchDropped != 0 {
+			t.Fatalf("%d hints of %d cold keys: %d copies, %d keys dropped", hints, batch, got, st.PrefetchDropped)
+		}
+		// A table counts calls, a server the frames it received: one per
+		// hint, or in a cluster one per node that owns any of its keys.
+		calls := st.LookaheadCalls - before.LookaheadCalls
+		if nodes := max(st.ClusterNodes, 1); calls < hints || calls > hints*nodes {
+			t.Fatalf("%d hints sent, LookaheadCalls rose by %d (%d nodes)", hints, calls, nodes)
+		}
+		for h := 0; h < hints; h++ {
+			for i := range keys {
+				keys[i] = uint64(h*batch + i)
+			}
+			if err := s.GetBatch(keys, vals); err != nil {
+				t.Fatal(err)
+			}
+			for i, k := range keys {
+				if vals[i*dim] != float32(k) {
+					t.Fatalf("key %d reads %v after its hint", k, vals[i*dim])
+				}
+			}
+		}
+		if got := m.Stats().DiskReads - st.DiskReads; got != 0 {
+			t.Fatalf("the hinted batches read disk %d times", got)
+		}
+	})
+}
+
 // TestRemoteRMWIsOneFrame counts what an RMW costs the server: exactly one
 // request on an existing key (the APPLY), and the first-touch sequence on
 // an absent one — the APPLY that finds nothing, then the PUT of

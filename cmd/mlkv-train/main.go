@@ -44,7 +44,7 @@ func main() {
 		workers   = flag.Int("workers", 4, "training workers")
 		dim       = flag.Int("dim", 16, "embedding dimension")
 		keys      = flag.Uint64("keys", 1_000_000, "entity / key-space size")
-		lookahead = flag.Int("lookahead", 16, "look-ahead depth (0 disables)")
+		lookahead = flag.Int("lookahead", 16, "look-ahead depth in samples (0 disables); dlrm rounds it up to whole minibatches and hints one per step, gnn hints one step ahead at any depth")
 		cache     = flag.Int("cache", 0, "staleness-aware hot-tier capacity in entries on the model's read path (0 disables; under SSP a remote tier bounds staleness against this trainer's own writes — use mlkv-server -cache when other clients' writes matter)")
 		modeN     = flag.String("mode", "async", "pipeline structure for dlrm (async|sync); sync barriers every minibatch (BSP)")
 		dir       = flag.String("dir", "", "data directory (default: temp)")

@@ -78,6 +78,6 @@ func main() {
 	}
 	fmt.Printf("final AUC: %.4f\n", res.FinalMetric)
 	st := model.Stats()
-	fmt.Printf("lookahead: %d embeddings copied to the memory buffer, %d requests dropped\n",
+	fmt.Printf("lookahead: %d embeddings copied to the memory buffer, %d hinted keys dropped\n",
 		st.PrefetchCopies, st.PrefetchDropped)
 }

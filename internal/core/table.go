@@ -60,10 +60,16 @@ func (u uniformInit) fill(key uint64, dst []float32) {
 }
 
 const (
-	// prefetchQueue is the Lookahead queue capacity; hints beyond it drop.
+	// prefetchQueue is the Lookahead queue capacity in keys; hints beyond it
+	// drop.
 	prefetchQueue = 4096
 	// prefetchWorkers is the Lookahead pool size.
 	prefetchWorkers = 2
+	// prefetchChunk is how many keys of a hint one pool worker takes at a
+	// time: small enough that a minibatch's hint (a few hundred keys) is
+	// dealt to both workers, large enough that the queue costs one channel
+	// operation per chunk instead of one per key.
+	prefetchChunk = 64
 )
 
 // Options configures a Table.
@@ -121,7 +127,14 @@ type Table struct {
 	dim    int
 	init   Initializer
 
-	prefetchCh      chan uint64
+	// A hint travels to the pool as chunks of at most prefetchChunk keys,
+	// copied into buffers that cycle prefetchFree → prefetchCh → a worker →
+	// prefetchFree. There are prefetchQueue/prefetchChunk buffers and both
+	// channels hold that many, so holding a free buffer is the right to
+	// enqueue it (the send cannot block) and an empty free list is a full
+	// queue.
+	prefetchCh      chan []uint64
+	prefetchFree    chan []uint64
 	prefetchStop    chan struct{}
 	prefetchDone    chan struct{}
 	prefetchDropped atomic.Int64
@@ -178,9 +191,13 @@ func OpenTable(opts Options) (*Table, error) {
 		engine:       engine,
 		dim:          opts.Dim,
 		init:         opts.Init,
-		prefetchCh:   make(chan uint64, prefetchQueue),
+		prefetchCh:   make(chan []uint64, prefetchQueue/prefetchChunk),
+		prefetchFree: make(chan []uint64, prefetchQueue/prefetchChunk),
 		prefetchStop: make(chan struct{}),
 		prefetchDone: make(chan struct{}),
+	}
+	for i := 0; i < cap(t.prefetchFree); i++ {
+		t.prefetchFree <- make([]uint64, 0, prefetchChunk)
 	}
 	go t.prefetchPool()
 	return t, nil
@@ -255,8 +272,9 @@ func (t *Table) prefetchPool() {
 				select {
 				case <-t.prefetchStop:
 					return
-				case key := <-t.prefetchCh:
-					sess.Prefetch(key) //nolint:errcheck // best-effort hint
+				case chunk := <-t.prefetchCh:
+					sess.Lookahead(chunk) //nolint:errcheck // best-effort hint
+					t.prefetchFree <- chunk
 				}
 			}
 		}()
@@ -460,15 +478,24 @@ func (s *Session) Delete(key uint64) error { return s.s.Delete(key) }
 
 // Lookahead asynchronously copies the disk-resident records among keys into
 // the store's mutable memory buffer (§III-C2, Fig. 5b) — the paper's
-// headline optimization, and not limited by the staleness bound. It never
-// blocks: requests beyond the queue capacity are dropped (and counted).
+// headline optimization, and not limited by the staleness bound. Call it
+// once per upcoming batch, at least one batch ahead of that batch's
+// GetBatch: the copies are made by a background pool, so a hint issued with
+// the read is wasted. It never blocks and keeps no reference to keys: the
+// hint is copied into the pool's queue in chunks, and the chunks that do not
+// fit are dropped (PrefetchDropped counts their keys).
 func (s *Session) Lookahead(keys []uint64) {
-	s.t.lookaheadCalls.Add(1)
-	for _, k := range keys {
+	t := s.t
+	t.lookaheadCalls.Add(1)
+	for len(keys) > 0 {
 		select {
-		case s.t.prefetchCh <- k:
+		case chunk := <-t.prefetchFree:
+			n := min(len(keys), prefetchChunk)
+			t.prefetchCh <- append(chunk[:0], keys[:n]...)
+			keys = keys[n:]
 		default:
-			s.t.prefetchDropped.Add(1)
+			t.prefetchDropped.Add(int64(len(keys)))
+			return
 		}
 	}
 }

@@ -180,9 +180,11 @@ func TestInitKeyDeclinesWhenKeyExists(t *testing.T) {
 	}
 }
 
-func TestLookaheadStorageBufferWarmsDiskRecords(t *testing.T) {
-	// A 64 KiB buffer holds ~1100 records of dim 8; writing 6000 evicts the
-	// early keys to disk.
+// coldTable returns a table whose early keys live on disk only: a 64 KiB
+// buffer holds ~1100 records of dim 8, and keys 1..6000 are written in
+// order, embedding k being all float32(k).
+func coldTable(t *testing.T) (*Table, *Session) {
+	t.Helper()
 	tbl, err := OpenTable(Options{
 		Dir:            t.TempDir(),
 		Dim:            8,
@@ -194,13 +196,14 @@ func TestLookaheadStorageBufferWarmsDiskRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer tbl.Close()
-	s, _ := tbl.NewSession()
-	defer s.Close()
-	// Write enough embeddings to evict the early keys to disk.
+	t.Cleanup(func() { tbl.Close() })
+	s, err := tbl.NewSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
 	emb := make([]float32, 8)
-	const n = 6000
-	for k := uint64(1); k <= n; k++ {
+	for k := uint64(1); k <= 6000; k++ {
 		for i := range emb {
 			emb[i] = float32(k)
 		}
@@ -208,35 +211,100 @@ func TestLookaheadStorageBufferWarmsDiskRecords(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Prefetch early (cold) keys and wait for copies to land.
-	cold := []uint64{1, 2, 3, 4, 5, 6, 7, 8}
-	s.Lookahead(cold)
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if tbl.Stats().PrefetchCopies >= int64(len(cold)) || time.Now().After(deadline) {
-			break
+	return tbl, s
+}
+
+// waitPrefetchIdle returns once every chunk buffer is back on the free
+// list: nothing is queued and no pool worker is serving a chunk.
+func waitPrefetchIdle(t *testing.T, tbl *Table) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); len(tbl.prefetchFree) < cap(tbl.prefetchFree); {
+		if time.Now().After(deadline) {
+			t.Fatalf("prefetch pool still busy: %d of %d buffers free", len(tbl.prefetchFree), cap(tbl.prefetchFree))
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if st := tbl.Stats(); st.PrefetchCopies < int64(len(cold)) {
-		t.Fatalf("prefetch copied %d of %d (dropped %d)", st.PrefetchCopies, len(cold), st.PrefetchDropped)
+}
+
+// seq returns n consecutive keys starting at first.
+func seq(first uint64, n int) []uint64 {
+	keys := make([]uint64, n)
+	for i := range keys {
+		keys[i] = first + uint64(i)
 	}
-	// The subsequent Gets should be disk-free.
-	before := tbl.Stats().DiskReads
-	for _, k := range cold {
-		if err := s.Get(k, emb); err != nil {
-			t.Fatal(err)
-		}
-		if emb[0] != float32(k) {
+	return keys
+}
+
+// TestLookaheadStorageBufferWarmsDiskRecords: one hint for a minibatch of
+// cold keys, issued ahead of the read, turns every one of them into a copy
+// at the tail, and the batch read that follows does not touch disk.
+func TestLookaheadStorageBufferWarmsDiskRecords(t *testing.T) {
+	tbl, s := coldTable(t)
+	cold := seq(1, 256)
+	before := tbl.Stats()
+	s.Lookahead(cold)
+	waitPrefetchIdle(t, tbl)
+	hinted := tbl.Stats()
+	if got := hinted.PrefetchCopies - before.PrefetchCopies; got != int64(len(cold)) || hinted.PrefetchDropped != 0 {
+		t.Fatalf("one hint of %d cold keys: %d copies, %d dropped", len(cold), got, hinted.PrefetchDropped)
+	}
+	if got := hinted.LookaheadCalls - before.LookaheadCalls; got != 1 {
+		t.Fatalf("LookaheadCalls rose by %d, want 1", got)
+	}
+	embs := make([]float32, len(cold)*8)
+	if err := s.GetBatch(cold, embs); err != nil {
+		t.Fatal(err)
+	}
+	for i, k := range cold {
+		if embs[i*8] != float32(k) {
 			t.Fatalf("key %d: wrong value after prefetch", k)
 		}
-		if err := s.Put(k, emb); err != nil { // balance the clock
-			t.Fatal(err)
+	}
+	if got := tbl.Stats().DiskReads - hinted.DiskReads; got != 0 {
+		t.Fatalf("GetBatch after the hint read disk %d times", got)
+	}
+}
+
+// TestLookaheadDropsWholeChunks: a hint that does not fit the queue loses
+// whole chunks, PrefetchDropped counts their keys, and every key is either
+// copied or counted as dropped.
+func TestLookaheadDropsWholeChunks(t *testing.T) {
+	tbl, s := coldTable(t)
+	// Take buffers off the free list: the queue is as full as if that many
+	// chunks were waiting in it.
+	hold := func(n int) (release func()) {
+		held := make([][]uint64, n)
+		for i := range held {
+			held[i] = <-tbl.prefetchFree
+		}
+		return func() {
+			for _, b := range held {
+				tbl.prefetchFree <- b
+			}
 		}
 	}
-	after := tbl.Stats().DiskReads
-	if after != before {
-		t.Fatalf("gets after lookahead hit disk %d times", after-before)
+	chunks := cap(tbl.prefetchFree)
+
+	release := hold(chunks) // full: the whole hint drops
+	s.Lookahead(seq(1, 3*prefetchChunk+7))
+	release()
+	if st := tbl.Stats(); st.PrefetchDropped != 3*prefetchChunk+7 || st.PrefetchCopies != 0 {
+		t.Fatalf("hint into a full queue: %d dropped, %d copies; want %d, 0",
+			st.PrefetchDropped, st.PrefetchCopies, 3*prefetchChunk+7)
+	}
+
+	release = hold(chunks - 2) // room for two chunks (more as the pool returns them)
+	const n = 40 * prefetchChunk
+	s.Lookahead(seq(1001, n))
+	release()
+	waitPrefetchIdle(t, tbl)
+	st := tbl.Stats()
+	dropped := st.PrefetchDropped - (3*prefetchChunk + 7)
+	if st.PrefetchCopies+dropped != n || dropped%prefetchChunk != 0 || st.PrefetchCopies < 2*prefetchChunk {
+		t.Fatalf("%d-key hint: %d copies + %d dropped", n, st.PrefetchCopies, dropped)
+	}
+	if dropped == 0 {
+		t.Logf("the pool drained %d chunks while the hint was being queued; nothing dropped", n/prefetchChunk)
 	}
 }
 

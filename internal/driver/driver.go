@@ -139,8 +139,9 @@ type Session interface {
 	RMW(ctx context.Context, key uint64, grad []float32, lr float32) error
 	Peek(ctx context.Context, key uint64, dst []float32) (bool, error)
 	Delete(ctx context.Context, key uint64) error
-	// Lookahead is asynchronous on both drivers and never blocks; hints
-	// beyond the queue capacity are dropped (and counted).
+	// Lookahead is asynchronous on both drivers, never blocks and keeps no
+	// reference to keys; what does not fit the queue is dropped, and
+	// PrefetchDropped counts the keys.
 	Lookahead(keys []uint64) error
 	Close()
 }

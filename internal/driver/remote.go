@@ -188,9 +188,13 @@ func (db *remoteDB) Open(ctx context.Context, id string, cfg Config) (Model, err
 		db:       db,
 		m:        cm,
 		init:     cfg.Init,
-		lookCh:   make(chan []uint64, 1024),
+		lookCh:   make(chan []uint64, lookQueue),
+		lookFree: make(chan []uint64, lookQueue),
 		lookStop: make(chan struct{}),
 		lookDone: make(chan struct{}),
+	}
+	for i := 0; i < lookQueue; i++ {
+		m.lookFree <- nil // grown to the caller's hint size on first use
 	}
 	m.bound.Store(cm.StalenessBound())
 	if cfg.CacheEntries > 0 {
@@ -203,11 +207,18 @@ func (db *remoteDB) Open(ctx context.Context, id string, cfg Config) (Model, err
 // this DB fail afterwards (and their Lookahead hints drop).
 func (db *remoteDB) Close() error { return db.c.Close() }
 
+// lookQueue is how many hints may wait for the lookahead worker. The
+// trainers hint once per step, so the worker's one round trip per hint
+// keeps up; a hint that would wait behind this many others would reach the
+// server after the read it was meant to lead.
+const lookQueue = 64
+
 // remoteModel is one named model on the server. Lookahead hints are
 // fire-and-forget on a local table but a blocking round trip on the wire,
 // so the model hands them to a background worker with its own session
-// (started on the first hint); a full queue drops the hint, matching
-// core.Table's prefetch-pool semantics.
+// (started on the first hint), one LOOKAHEAD frame per hint; a full queue
+// drops the hint and counts its keys, matching core.Table's prefetch-pool
+// semantics.
 type remoteModel struct {
 	db   *remoteDB
 	m    wireModel
@@ -230,7 +241,11 @@ type remoteModel struct {
 	lookMu      sync.Mutex
 	lookStarted bool
 	lookClosed  bool
+	// A hint is copied into a buffer that cycles lookFree → lookCh → the
+	// worker → lookFree; both hold lookQueue, so holding a free buffer is
+	// the right to enqueue it and an empty free list is a full queue.
 	lookCh      chan []uint64
+	lookFree    chan []uint64
 	lookStop    chan struct{}
 	lookDone    chan struct{}
 	lookDropped atomic.Int64
@@ -323,16 +338,16 @@ func (m *remoteModel) lookaheadWorker() {
 		case <-m.lookStop:
 			return
 		case keys := <-m.lookCh:
-			if _, err := s.LookaheadCtx(context.Background(), keys); err != nil {
-				continue
-			}
+			s.LookaheadCtx(context.Background(), keys) //nolint:errcheck // best-effort hint
+			m.lookFree <- keys
 		}
 	}
 }
 
-// enqueueLookahead hands keys to the worker, starting it on first use;
-// hints beyond the queue capacity drop (and are counted). A hint racing
-// Close is dropped — start and close are ordered under lookMu.
+// enqueueLookahead hands a copy of keys (the caller reuses its slice) to
+// the worker, starting it on first use; a hint beyond the queue capacity
+// drops and PrefetchDropped counts its keys. A hint racing Close is dropped
+// — start and close are ordered under lookMu.
 func (m *remoteModel) enqueueLookahead(keys []uint64) {
 	m.lookMu.Lock()
 	if m.lookClosed {
@@ -344,11 +359,11 @@ func (m *remoteModel) enqueueLookahead(keys []uint64) {
 		go m.lookaheadWorker()
 	}
 	m.lookMu.Unlock()
-	cp := append([]uint64(nil), keys...) // caller reuses its slice
 	select {
-	case m.lookCh <- cp:
+	case buf := <-m.lookFree:
+		m.lookCh <- append(buf[:0], keys...)
 	default:
-		m.lookDropped.Add(1)
+		m.lookDropped.Add(int64(len(keys)))
 	}
 }
 

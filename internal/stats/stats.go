@@ -44,9 +44,9 @@ type Counters struct {
 	BatchGets      int64
 	BatchPuts      int64
 	LookaheadCalls int64
-	// PrefetchDropped counts Lookahead hints dropped on a full queue:
-	// core's prefetch pool locally, the remote driver's hint queue
-	// client-side.
+	// PrefetchDropped counts the keys of Lookahead hints dropped on a full
+	// queue: core's prefetch pool locally (whole chunks of a hint), the
+	// remote driver's hint queue client-side (whole hints).
 	PrefetchDropped int64
 
 	// Hot-tier counters, owned by whichever tier fronts the store

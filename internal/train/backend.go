@@ -64,7 +64,10 @@ type Handle interface {
 	// Peek reads without consistency effects (evaluation). Missing keys
 	// leave dst zeroed and return false.
 	Peek(key uint64, dst []float32) (bool, error)
-	// Lookahead hints that keys will be read soon (best-effort, async).
+	// Lookahead hints that keys will be read soon (best-effort, async; the
+	// implementation copies what it keeps of keys). Call it once per
+	// upcoming batch, at least one batch ahead of that batch's GetBatch: a
+	// hint issued with the read is wasted.
 	Lookahead(keys []uint64)
 	// Close releases the handle.
 	Close()

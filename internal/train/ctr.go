@@ -22,7 +22,11 @@ type CTROptions struct {
 	Duration   time.Duration // wall-clock budget
 	MaxSamples int64         // optional hard cap (0 = unlimited)
 
-	LookaheadDepth int // samples generated ahead and prefetched (0 = off)
+	// LookaheadDepth is how many samples ahead of training a key is hinted
+	// to the backend (0 = off). It is rounded up to whole minibatches: the
+	// trainer issues one hint per step, for a minibatch that is read
+	// ⌈LookaheadDepth/Batch⌉ steps later.
+	LookaheadDepth int
 
 	EvalEvery   time.Duration // 0 disables the convergence curve
 	EvalSamples int
@@ -57,63 +61,82 @@ func TrainCTR(opts CTROptions) (*Result, error) {
 	}.run()
 }
 
-// ctrWorker trains one minibatch per step: it draws the samples (hinting
-// their keys ahead when look-ahead is on), fetches every unique embedding
-// with one batched gather, runs the dense tower sample by sample, and
-// scatters the accumulated embedding gradients.
+// ctrWorker trains one minibatch per step: it draws a minibatch (hinting
+// its keys in one call when look-ahead is on — a minibatch that is read
+// lead steps later), fetches every unique embedding of the minibatch that
+// is due with one batched gather, runs the dense tower sample by sample,
+// and scatters the accumulated embedding gradients.
 type ctrWorker struct {
 	opts *CTROptions
 	h    Handle
 	net  *models.DLRMWorker
 	gen  *data.CTRGen
 
-	embs    []float32 // one sample's Fields×dim input
-	g       *gather
-	samples []data.CTRSample
-	pending []data.CTRSample // drawn and hinted, not yet trained
+	embs []float32 // one sample's Fields×dim input
+	g    *gather
+	// ring holds lead+1 minibatches: minibatch i sits in slot i mod (lead+1)
+	// from the step that draws (and hints) it to the step that trains it,
+	// lead steps later.
+	ring           []data.CTRSample
+	drawn, trained int      // minibatches
+	hint           []uint64 // keys of the samples drawn this step
 }
 
 func newCTRWorker(opts *CTROptions, id int, h Handle) *ctrWorker {
 	dim := opts.Model.Dim
+	lead := 0
+	if opts.LookaheadDepth > 0 {
+		lead = (opts.LookaheadDepth + opts.Batch - 1) / opts.Batch
+	}
 	return &ctrWorker{
 		opts: opts, h: h,
-		net:     opts.Model.NewWorker(),
-		gen:     data.NewCTRGen(withStream(opts.Gen.Config(), uint64(id)*7919+1)),
-		embs:    make([]float32, opts.Model.Fields*dim),
-		g:       newGather(dim),
-		samples: make([]data.CTRSample, 0, opts.Batch),
+		net:  opts.Model.NewWorker(),
+		gen:  data.NewCTRGen(withStream(opts.Gen.Config(), uint64(id)*7919+1)),
+		embs: make([]float32, opts.Model.Fields*dim),
+		g:    newGather(dim),
+		ring: make([]data.CTRSample, (lead+1)*opts.Batch),
 	}
 }
 
-// next returns the next training sample, keeping LookaheadDepth samples
-// drawn ahead of it with their keys hinted to the backend.
-func (w *ctrWorker) next() data.CTRSample {
-	if w.opts.LookaheadDepth <= 0 {
-		return w.gen.Next()
+// next returns the minibatch to train, in the order the generator produced
+// it, after drawing as many as keep lead of them ahead: one per step, lead+1
+// on the first. With look-ahead on, the keys drawn go out as one hint, so
+// every key of a minibatch is hinted lead whole steps before the step that
+// reads it — a hint issued inside the reading step has no time to turn into
+// a copy.
+func (w *ctrWorker) next() []data.CTRSample {
+	batch := w.opts.Batch
+	slots := len(w.ring) / batch
+	slot := func(i int) []data.CTRSample { return w.ring[i%slots*batch:][:batch] }
+	hinting := w.opts.LookaheadDepth > 0
+	w.hint = w.hint[:0]
+	for ; w.drawn < w.trained+slots; w.drawn++ {
+		fresh := slot(w.drawn)
+		for i := range fresh {
+			fresh[i] = w.gen.Next()
+			if hinting {
+				w.hint = append(w.hint, fresh[i].Keys...)
+			}
+		}
 	}
-	for len(w.pending) <= w.opts.LookaheadDepth {
-		s := w.gen.Next()
-		w.h.Lookahead(s.Keys)
-		w.pending = append(w.pending, s)
+	if hinting {
+		w.h.Lookahead(w.hint)
 	}
-	s := w.pending[0]
-	w.pending = w.pending[1:]
-	return s
+	w.trained++
+	return slot(w.trained - 1)
 }
 
-// step draws a full minibatch and trains its first n samples (n is short
-// only on the run's last step). The unique keys go out in one batched
-// gather, ascending: under small staleness bounds clocked reads are
-// blocking token acquisitions, and a global order keeps the cross-worker
-// wait graph acyclic. Every fetched key is written back, trained on or
-// not: each clocked read owes its write (clock balance).
+// step draws a full minibatch and trains the first n samples of the one
+// that is due (n is short only on the run's last step). The unique keys go
+// out in one batched gather, ascending: under small staleness bounds
+// clocked reads are blocking token acquisitions, and a global order keeps
+// the cross-worker wait graph acyclic. Every fetched key is written back,
+// trained on or not: each clocked read owes its write (clock balance).
 func (w *ctrWorker) step(n int) (StageTimes, error) {
 	g, dim := w.g, w.opts.Model.Dim
-	w.samples = w.samples[:0]
+	samples := w.next()
 	g.reset()
-	for b := 0; b < w.opts.Batch; b++ {
-		s := w.next()
-		w.samples = append(w.samples, s)
+	for _, s := range samples {
 		// Fields draw from disjoint key ranges, so duplicates only arise
 		// across samples; add dedups them.
 		for _, k := range s.Keys {
@@ -126,7 +149,7 @@ func (w *ctrWorker) step(n int) (StageTimes, error) {
 		return st, err
 	}
 	st.Emb = time.Since(t0)
-	for _, s := range w.samples[:n] {
+	for _, s := range samples[:n] {
 		for f, k := range s.Keys {
 			copy(w.embs[f*dim:(f+1)*dim], g.emb(k))
 		}

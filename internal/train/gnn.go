@@ -35,6 +35,10 @@ type GNNOptions struct {
 	Duration   time.Duration
 	MaxSamples int64
 
+	// LookaheadDepth > 0 samples each step's neighborhood one step early
+	// and hints its whole 2-hop key set before the current step's read
+	// (0 = off). A step is one neighborhood, so the lead is one step
+	// whatever the value.
 	LookaheadDepth int
 
 	EvalEvery time.Duration
@@ -88,6 +92,13 @@ type gnnWorker struct {
 
 	nodes1 []uint64   // {v} ∪ N1
 	nbh    [][]uint64 // N2 per layer-1 node
+	// With look-ahead on, the next step's neighborhood: sampled and hinted
+	// one step before it is read, then swapped in.
+	aheadNodes1 []uint64
+	aheadNbh    [][]uint64
+	primed      bool // a neighborhood has been drawn ahead
+	hint        []uint64
+
 	eSelf  [][]float32
 	eMean  [][]float32
 	inputs [][][]float32
@@ -104,6 +115,10 @@ func newGNNWorker(opts *GNNOptions, wID uint64, h Handle) *gnnWorker {
 	n1 := opts.Fanout + 1
 	w.nodes1 = make([]uint64, n1)
 	w.nbh = make([][]uint64, n1)
+	if opts.LookaheadDepth > 0 {
+		w.aheadNodes1 = make([]uint64, n1)
+		w.aheadNbh = make([][]uint64, n1)
+	}
 	switch opts.Kind {
 	case KindGraphSage:
 		w.dim = opts.Sage.Dim
@@ -127,16 +142,35 @@ func newGNNWorker(opts *GNNOptions, wID uint64, h Handle) *gnnWorker {
 	return w
 }
 
-// sample draws the neighborhood for one training node.
-func (w *gnnWorker) sample() {
+// sample draws the neighborhood for one training node into nodes1 and nbh.
+func (w *gnnWorker) sample(nodes1 []uint64, nbh [][]uint64) {
 	g := w.opts.Graph
 	v := g.TrainNode(w.rng)
-	w.nodes1[0] = v
+	nodes1[0] = v
 	n1 := g.SampleNeighbors(v, w.opts.Fanout, w.salt^w.rng.Uint64())
-	copy(w.nodes1[1:], n1)
-	for i, u := range w.nodes1 {
-		w.nbh[i] = g.SampleNeighbors(u, w.opts.Fanout2, w.salt^w.rng.Uint64())
+	copy(nodes1[1:], n1)
+	for i, u := range nodes1 {
+		nbh[i] = g.SampleNeighbors(u, w.opts.Fanout2, w.salt^w.rng.Uint64())
 	}
+}
+
+// sampleAhead is sample with a one-step lead: it makes the neighborhood
+// drawn on the previous step current, draws the next one and hints its
+// whole 2-hop key set. Every draw goes through sample on w.rng, so the
+// nodes trained are the ones a run without hints trains.
+func (w *gnnWorker) sampleAhead() {
+	if !w.primed {
+		w.primed = true
+		w.sample(w.aheadNodes1, w.aheadNbh)
+	}
+	w.nodes1, w.aheadNodes1 = w.aheadNodes1, w.nodes1
+	w.nbh, w.aheadNbh = w.aheadNbh, w.nbh
+	w.sample(w.aheadNodes1, w.aheadNbh) // over the neighborhood trained last step
+	w.hint = w.hint[:0]
+	for i, u := range w.aheadNodes1 {
+		w.hint = append(append(w.hint, u), w.aheadNbh[i]...)
+	}
+	w.h.Lookahead(w.hint)
 }
 
 // fetch loads every unique node embedding once: the gather dedups the
@@ -156,13 +190,10 @@ func (w *gnnWorker) fetch() error {
 
 // step trains on one sampled neighborhood.
 func (w *gnnWorker) step(int) (StageTimes, error) {
-	w.sample()
 	if w.opts.LookaheadDepth > 0 {
-		// Prefetch the *next* node's neighborhood before fetching this one.
-		g := w.opts.Graph
-		nv := g.TrainNode(w.rng.Split())
-		keys := append([]uint64{nv}, g.SampleNeighbors(nv, w.opts.Fanout, w.salt)...)
-		w.h.Lookahead(keys)
+		w.sampleAhead()
+	} else {
+		w.sample(w.nodes1, w.nbh)
 	}
 	t0 := time.Now()
 	if err := w.fetch(); err != nil {
@@ -240,7 +271,7 @@ func evalGNNAccuracy(opts *GNNOptions, h Handle) float64 {
 	tmp := make([]float32, w.dim)
 	correct := 0
 	for i := 0; i < opts.EvalNodes; i++ {
-		w.sample()
+		w.sample(w.nodes1, w.nbh)
 		label := opts.Graph.Label(w.nodes1[0])
 		var pred int
 		switch opts.Kind {

@@ -99,7 +99,12 @@ type kgeWorker struct {
 	negEmb     [][]float32
 	negKeys    []uint64
 	g          *gather
-	pending    []data.Triple // drawn and hinted, not yet trained
+	// pending is a ring of LookaheadDepth+1 triples: triple i sits in slot
+	// i mod len from the step that draws (and hints) it to the step that
+	// trains it.
+	pending        []data.Triple
+	drawn, trained int
+	hint           [2]uint64 // one triple's entities (Lookahead copies what it keeps)
 }
 
 func newKGEWorker(opts *KGEOptions, id int, h Handle, sched *betaSchedule) *kgeWorker {
@@ -114,6 +119,9 @@ func newKGEWorker(opts *KGEOptions, id int, h Handle, sched *betaSchedule) *kgeW
 		negEmb:  make([][]float32, opts.Negatives),
 		negKeys: make([]uint64, opts.Negatives),
 		g:       newGather(dim),
+	}
+	if opts.LookaheadDepth > 0 {
+		w.pending = make([]data.Triple, opts.LookaheadDepth+1)
 	}
 	for i := range w.dNeg {
 		w.dNeg[i] = make([]float32, dim)
@@ -136,13 +144,14 @@ func (w *kgeWorker) next() data.Triple {
 	if w.opts.LookaheadDepth <= 0 {
 		return w.draw()
 	}
-	for len(w.pending) <= w.opts.LookaheadDepth {
+	for ; w.drawn < w.trained+len(w.pending); w.drawn++ {
 		tr := w.draw()
-		w.h.Lookahead([]uint64{tr.H, tr.T})
-		w.pending = append(w.pending, tr)
+		w.hint = [2]uint64{tr.H, tr.T}
+		w.h.Lookahead(w.hint[:])
+		w.pending[w.drawn%len(w.pending)] = tr
 	}
-	tr := w.pending[0]
-	w.pending = w.pending[1:]
+	tr := w.pending[w.trained%len(w.pending)]
+	w.trained++
 	return tr
 }
 

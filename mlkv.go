@@ -423,8 +423,8 @@ type Stats struct {
 	StalenessWaits int64
 	InPlaceUpdates int64
 	RCUAppends     int64
-	// Look-ahead activity: records copied into the memory buffer and
-	// hints dropped on a full queue.
+	// Look-ahead activity: records copied into the memory buffer, and the
+	// keys of hints dropped on a full queue.
 	PrefetchCopies  int64
 	PrefetchDropped int64
 	// Batch amortization: GetBatch/PutBatch calls (each may cover
@@ -690,9 +690,12 @@ func (s *Session) DeleteCtx(ctx context.Context, key uint64) error {
 
 // Lookahead asynchronously copies the given keys' embeddings from disk into
 // MLKV's mutable memory buffer ahead of use (§III-C2). Unlike conventional
-// prefetching it is not limited by the staleness bound. It never blocks:
-// on a remote model the hint travels on a background session, and hints
-// beyond the queue capacity are dropped (and counted in Stats).
+// prefetching it is not limited by the staleness bound. Call it once per
+// upcoming batch, at least one batch ahead of that batch's GetBatch: the
+// copies are made in the background, so a hint issued with the read is
+// wasted. It never blocks and keeps no reference to keys: on a remote model
+// the hint travels as one frame on a background session, and what does not
+// fit the queue is dropped (Stats.PrefetchDropped counts the keys).
 func (s *Session) Lookahead(keys []uint64) error {
 	return s.s.Lookahead(keys)
 }
