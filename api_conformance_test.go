@@ -487,10 +487,12 @@ func f32Bits(v []float32) []uint32 {
 // TestAPIFirstTouchParity pins the property the CI quickstart-divergence
 // check relies on, widened across the engine matrix: the same key
 // initializes to the same embedding on every engine, local or remote
-// (every cell runs the same seeded initializer).
+// (every cell runs the same seeded initializer) — and that initializer,
+// the default, is exactly UniformInit(0.05).
 func TestAPIFirstTouchParity(t *testing.T) {
-	read := func(t *testing.T, db *mlkv.DB, engine string) []float32 {
-		m, err := db.Open("parity", 8, mlkv.WithEngine(engine), mlkv.WithStalenessBound(mlkv.ASP))
+	read := func(t *testing.T, db *mlkv.DB, id, engine string, opts ...mlkv.Option) []float32 {
+		opts = append(opts, mlkv.WithEngine(engine), mlkv.WithStalenessBound(mlkv.ASP))
+		m, err := db.Open(id, 8, opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -520,16 +522,19 @@ func TestAPIFirstTouchParity(t *testing.T) {
 			local.Close()
 			t.Fatal(err)
 		}
-		lv := read(t, local, ec.name)
-		rv := read(t, remote, ec.name)
+		lv := read(t, local, "parity", ec.name)
+		rv := read(t, remote, "parity", ec.name)
+		explicit := mlkv.WithInitializer(mlkv.UniformInit(0.05))
+		lx := read(t, local, "parity-explicit", ec.name, explicit)
+		rx := read(t, remote, "parity-explicit", ec.name, explicit)
 		local.Close()
 		remote.Close()
 		if want == nil {
 			want = lv
 		}
-		if !f32sEq(lv, want) || !f32sEq(rv, want) {
-			t.Fatalf("first-touch values diverge on %s: local=%v remote=%v want=%v",
-				ec.name, lv, rv, want)
+		if !f32sEq(lv, want) || !f32sEq(rv, want) || !f32sEq(lx, want) || !f32sEq(rx, want) {
+			t.Fatalf("first-touch values diverge on %s: local=%v remote=%v, UniformInit(0.05) local=%v remote=%v, want=%v",
+				ec.name, lv, rv, lx, rx, want)
 		}
 	}
 }

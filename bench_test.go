@@ -79,8 +79,12 @@ func BenchmarkLatency(b *testing.B) { runFigure(b, "latency") }
 // BenchmarkGetPut measures raw single-key Get+Put latency through the
 // public API with the clock enabled (micro-benchmark, not a paper figure).
 func BenchmarkGetPut(b *testing.B) {
-	m, err := mlkv.Open("bench", 16,
-		mlkv.WithDir(b.TempDir()), mlkv.WithMemory(64<<20), mlkv.WithStalenessBound(mlkv.ASP))
+	db, err := mlkv.Connect(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer db.Close()
+	m, err := db.Open("bench", 16, mlkv.WithMemory(64<<20), mlkv.WithStalenessBound(mlkv.ASP))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -159,7 +163,7 @@ const (
 // caller's measured loop is pure steady-state reads (the first-touch
 // init/write-back path allocates by design — per-key RNG seeding and a
 // write-back round trip). Everything tears down via tb.Cleanup.
-func newRemoteBenchSession(tb testing.TB, batch, cacheEntries int, copts ...mlkv.ConnectOption) (*mlkv.Session, []uint64, []float32) {
+func newRemoteBenchSession(tb testing.TB, batch, cacheEntries int) (*mlkv.Session, []uint64, []float32) {
 	tb.Helper()
 	dir := tb.TempDir()
 	reg := server.NewRegistry(server.RegistryConfig{
@@ -187,7 +191,7 @@ func newRemoteBenchSession(tb testing.TB, batch, cacheEntries int, copts ...mlkv
 		<-serveErr
 	})
 
-	db, err := mlkv.Connect(mlkv.Scheme+ln.Addr().String(), copts...)
+	db, err := mlkv.Connect(mlkv.Scheme + ln.Addr().String())
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -226,9 +230,9 @@ func newRemoteBenchSession(tb testing.TB, batch, cacheEntries int, copts ...mlkv
 // allocation trajectory for the whole client+server path (both run in
 // this process), which BENCH_allocs.json and the CI allocation gate
 // track.
-func benchRemoteGetBatch(b *testing.B, batch int, cacheEntries int, copts ...mlkv.ConnectOption) {
+func benchRemoteGetBatch(b *testing.B, batch int, cacheEntries int) {
 	b.Helper()
-	s, keys, dst := newRemoteBenchSession(b, batch, cacheEntries, copts...)
+	s, keys, dst := newRemoteBenchSession(b, batch, cacheEntries)
 	zipf := util.NewScrambledZipf(util.NewRNG(7), remoteBenchRecords, 0.99)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -250,15 +254,6 @@ func BenchmarkRemoteGetBatch256(b *testing.B) { benchRemoteGetBatch(b, 256, 0) }
 // BenchmarkRemoteGetBatch256Cached is the same path with the client-side
 // hot tier enabled, at a capacity covering the whole key space.
 func BenchmarkRemoteGetBatch256Cached(b *testing.B) { benchRemoteGetBatch(b, 256, 1<<16) }
-
-// BenchmarkRemoteGetBatch256Hedged is the same path with adaptive read
-// hedging armed on a two-connection pool — the configuration the latency
-// experiment's remote-hedge rows measure. On an unloaded loopback almost
-// no hedge fires (the adaptive delay tracks the observed p99), so the
-// number also documents hedging's overhead when it is not needed.
-func BenchmarkRemoteGetBatch256Hedged(b *testing.B) {
-	benchRemoteGetBatch(b, 256, 0, mlkv.WithConns(2), mlkv.WithAdaptiveHedge())
-}
 
 // BenchmarkYCSBZipfian measures raw KV throughput under YCSB-A skew
 // (micro-benchmark feeding Figure 10's shape).

@@ -37,7 +37,6 @@ func main() {
 		workdir    = flag.String("workdir", "", "scratch directory for store data (default: a temp dir)")
 		shards     = flag.Int("shards", 1, "hash partitions for every MLKV/FASTER table opened by figX experiments")
 		jsonDir    = flag.String("json", "", "directory to write machine-readable BENCH_<experiment>.json results into (empty disables)")
-		hedge      = flag.Duration("hedge", 0, "fixed hedge delay for the latency experiment's hedged remote rows (0 = adaptive, derived from the pool's observed tail)")
 	)
 	flag.Parse()
 
@@ -59,7 +58,6 @@ func main() {
 	env := bench.NewEnv(scale, dir, os.Stdout)
 	env.Shards = *shards
 	env.JSONDir = *jsonDir
-	env.HedgeDelay = *hedge
 	if err := env.Run(*experiment); err != nil {
 		fmt.Fprintln(os.Stderr, "mlkv-bench:", err)
 		os.Exit(1)

@@ -52,8 +52,6 @@ func main() {
 		addr     = flag.String("addr", "", "run against a remote mlkv-server at this address instead of in-process")
 		model    = flag.String("model", "ycsb", "model name to open on the remote server")
 		cache    = flag.Int("cache", 0, "staleness-aware hot-tier capacity in entries, layered client-side over the store (0 disables)")
-		hedge    = flag.Duration("hedge", 0, "remote only: re-issue reads slower than this as clock-free duplicates on a second connection (0 disables; requires -hedge-adaptive or a positive delay)")
-		hedgeAda = flag.Bool("hedge-adaptive", false, "remote only: hedge reads slower than the pool's own observed p99 (-hedge then caps the warmup fallback)")
 	)
 	flag.Parse()
 	if *shards < 1 {
@@ -83,14 +81,14 @@ func main() {
 			fmt.Fprintf(os.Stderr, "-valuesize must be a multiple of 4 for a remote model, got %d\n", *vs)
 			os.Exit(2)
 		}
-		cl, err := driver.DialKVHedged(*addr, *model, *vs/4, *threads, *hedge, *hedgeAda)
+		cl, err := driver.DialKV(*addr, *model, *vs/4, *threads)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
 		store = cl
-		fmt.Printf("remote store %s model %q at %s: valuesize=%d shards=%d hedge=%s adaptive=%v\n",
-			cl.Name(), *model, *addr, cl.ValueSize(), cl.Shards(), *hedge, *hedgeAda)
+		fmt.Printf("remote store %s model %q at %s: valuesize=%d shards=%d\n",
+			cl.Name(), *model, *addr, cl.ValueSize(), cl.Shards())
 	} else {
 		bound := faster.BoundAsync // MLKV: clock maintained, never blocks
 		if *engine == "faster" {
@@ -166,10 +164,6 @@ func main() {
 	s := store.Stats()
 	fmt.Printf("store: gets=%d puts=%d memhits=%d diskreads=%d inplace=%d rcu=%d flushed=%dB\n",
 		s.Gets, s.Puts, s.MemHits, s.DiskReads, s.InPlaceUpdates, s.RCUAppends, s.BytesFlushed)
-	if s.HedgedReads+s.HedgeSuppressed > 0 {
-		fmt.Printf("hedge: issued=%d won=%d wasted=%d suppressed=%d\n",
-			s.HedgedReads, s.HedgeWins, s.HedgeWasted, s.HedgeSuppressed)
-	}
 	if total := s.CacheHits + s.CacheMisses; total > 0 {
 		fmt.Printf("cache: hits=%d misses=%d evictions=%d hit-rate=%.1f%%\n",
 			s.CacheHits, s.CacheMisses, s.CacheEvictions, 100*float64(s.CacheHits)/float64(total))

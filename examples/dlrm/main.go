@@ -47,7 +47,7 @@ func main() {
 		mlkv.WithStalenessBound(8), // SSP
 		mlkv.WithMemory(16<<20),
 		mlkv.WithExpectedKeys(800_000),
-		mlkv.WithInitScale(0.1),
+		mlkv.WithInitializer(mlkv.UniformInit(0.1)),
 	)
 	if err != nil {
 		log.Fatal(err)

@@ -45,7 +45,7 @@ func main() {
 		mlkv.WithStalenessBound(8),
 		mlkv.WithMemory(16<<20),
 		mlkv.WithExpectedKeys(200_000),
-		mlkv.WithInitScale(0.3),
+		mlkv.WithInitializer(mlkv.UniformInit(0.3)),
 	)
 	if err != nil {
 		log.Fatal(err)

@@ -44,7 +44,7 @@ func main() {
 		mlkv.WithStalenessBound(8),
 		mlkv.WithMemory(16<<20),
 		mlkv.WithExpectedKeys(500_000),
-		mlkv.WithInitScale(0.5), // multiplicative scorers need scale
+		mlkv.WithInitializer(mlkv.UniformInit(0.5)), // multiplicative scorers need scale
 	)
 	if err != nil {
 		log.Fatal(err)

@@ -204,10 +204,10 @@ func TestLatencySweepRunsAtTinyScale(t *testing.T) {
 			t.Fatalf("output missing %q:\n%s", want, s)
 		}
 	}
-	// 7 legs — local and remote × 2 cache settings each, the flush-pace
-	// pair (unpaced vs paced), and the hedged remote leg — each swept
-	// over 2 batch sizes × len(Threads) workers.
-	if want := 7 * 2 * len(sc.Threads); len(e.results) != want {
+	// 6 legs — local and remote × 2 cache settings each and the
+	// flush-pace pair (unpaced vs paced) — each swept over 2 batch sizes ×
+	// len(Threads) workers.
+	if want := 6 * 2 * len(sc.Threads); len(e.results) != want {
 		t.Fatalf("recorded %d results, want %d", len(e.results), want)
 	}
 	for _, r := range e.results {

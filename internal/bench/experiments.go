@@ -92,12 +92,8 @@ type Env struct {
 	// measurements to BENCH_<experiment>.json under it (the repo's tracked
 	// perf trajectory).
 	JSONDir string
-	// HedgeDelay fixes the hedge trigger of the latency experiment's
-	// hedged remote rows (the -hedge flag); 0 uses the adaptive delay
-	// derived from the pool's own observed tail.
-	HedgeDelay time.Duration
-	n          int
-	results    []Result
+	n       int
+	results []Result
 }
 
 // NewEnv builds an Env writing results to out and data under workDir.

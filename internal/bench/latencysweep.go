@@ -56,7 +56,7 @@ func (e *Env) LatencySweep() error {
 					"records": records, "dim": dim, "buffer_kb": bufKB,
 					"workers": workers, "batch": batch, "bound": "asp",
 					"cache_entries": cacheEntries, "zipf": 0.99,
-					"remote": tier == "remote" || tier == "remote-hedge", "ops": lat.Count,
+					"remote": tier == "remote", "ops": lat.Count,
 				}
 				for k, v := range extra {
 					cfg[k] = v
@@ -151,36 +151,6 @@ func (e *Env) LatencySweep() error {
 		if err != nil {
 			return err
 		}
-	}
-
-	// Hedged remote leg: the exact harness of the cache=0 remote rows —
-	// same server, same workload, same seeds — with read hedging on, so
-	// the remote/cache=0 vs remote-hedge/cache=0 delta is attributable to
-	// hedging (plus the coalesced write path both legs share). The model
-	// runs ASP, so every read is hedge-admissible.
-	hedgeOpts := []mlkv.ConnectOption{mlkv.WithConns(maxWorkers), mlkv.WithAdaptiveHedge()}
-	hedgeCfg := map[string]any{"hedge": "adaptive"}
-	if e.HedgeDelay > 0 {
-		hedgeOpts = []mlkv.ConnectOption{mlkv.WithConns(maxWorkers), mlkv.WithHedge(e.HedgeDelay)}
-		hedgeCfg = map[string]any{"hedge": e.HedgeDelay.String()}
-	}
-	hdb, err := mlkv.Connect(mlkv.Scheme+ln.Addr().String(), hedgeOpts...)
-	if err != nil {
-		return err
-	}
-	defer hdb.Close()
-	hm, err := hdb.Open("latency-c0", dim, mlkv.WithStalenessBound(mlkv.ASP))
-	if err != nil {
-		return err
-	}
-	defer hm.Close()
-	hedgeSess := func() (sweepSession, error) { return hm.NewSession() }
-	if err := measure("remote-hedge", 0, hedgeSess, 701, hedgeCfg); err != nil {
-		return err
-	}
-	if st, err := hm.StatsCtx(context.Background()); err == nil {
-		e.printf("hedges: issued=%d won=%d wasted=%d suppressed=%d\n",
-			st.HedgedReads, st.HedgeWins, st.HedgeWasted, st.HedgeSuppressed)
 	}
 	return nil
 }

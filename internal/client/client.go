@@ -28,7 +28,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/llm-db/mlkv-go/internal/faster"
 	"github.com/llm-db/mlkv-go/internal/kv"
 	"github.com/llm-db/mlkv-go/internal/latency"
 	"github.com/llm-db/mlkv-go/internal/stats"
@@ -53,45 +52,10 @@ type Options struct {
 	MaxFrame uint32
 	// DialTimeout bounds each TCP connect (default 5s).
 	DialTimeout time.Duration
-	// HedgeDelay, when positive, re-issues an admissible read (GET or
-	// GETBATCH on a model whose staleness bound cannot block) as a
-	// clock-free duplicate on a second pooled connection if the first
-	// response has not arrived within the delay; whichever response
-	// arrives first wins. Zero disables hedging unless HedgeAdaptive.
-	HedgeDelay time.Duration
-	// HedgeAdaptive derives the hedge delay from the pool's own observed
-	// round-trip histogram (the op class's p99, floored), so the trigger
-	// tracks the workload instead of a guessed constant. HedgeDelay, when
-	// also set, is the fallback until enough samples accumulate.
-	HedgeAdaptive bool
 
 	// dial overrides the TCP dial for tests (write-counting conns).
 	dial func(addr string, timeout time.Duration) (net.Conn, error)
 }
-
-// Hedge pacing: a token bucket in tenths of a hedge. Every admissible
-// read deposits one tenth (capped at the burst), a hedge withdraws ten —
-// so hedges are capped at ~10% of admissible reads with a small burst,
-// and a server melting down (every request slow ⇒ every request wants a
-// hedge) sees at most 1.1× its offered load instead of 2×.
-const (
-	hedgeCostTenths  = 10
-	hedgeBurstTenths = 100
-	// hedgeAdaptiveMinSamples gates the adaptive delay: below this many
-	// observations the histogram's tail is noise, so the fixed fallback
-	// applies.
-	hedgeAdaptiveMinSamples = 64
-	// hedgeMinDelay floors the adaptive delay so a very fast loopback
-	// does not hedge every read that hits one scheduler hiccup.
-	hedgeMinDelay = 200 * time.Microsecond
-	// hedgeDefaultDelay is the adaptive mode's fallback before enough
-	// samples exist (when no fixed HedgeDelay was given).
-	hedgeDefaultDelay = 2 * time.Millisecond
-	// hedgeDelayRefresh is how many hedgeable reads share one cached
-	// adaptive-delay computation (a histogram scan per read would tax the
-	// hot path for a value that moves slowly).
-	hedgeDelayRefresh = 256
-)
 
 // Client is a connection pool onto one mlkv-server. Models are opened
 // from it with OpenModel; the Client itself carries no store state.
@@ -125,16 +89,6 @@ type Client struct {
 
 	dialRetries  atomic.Int64 // redial attempts actually made
 	dialBackoffs atomic.Int64 // redials refused by the breaker window
-
-	// Hedge state. The credit bucket and cached adaptive delay are shared
-	// by every session on the pool; counters feed AddCounters.
-	hedgeCredit     atomic.Int64
-	hedgeDelayNS    atomic.Int64  // cached adaptive delay (ns)
-	hedgeDelayTick  atomic.Uint32 // reads since the cache was refreshed
-	hedgeIssued     atomic.Int64
-	hedgeWon        atomic.Int64
-	hedgeWasted     atomic.Int64
-	hedgeSuppressed atomic.Int64
 }
 
 // Redial backoff: the first failed redial opens a dialBackoffMin window,
@@ -146,12 +100,8 @@ const (
 	dialBackoffMax = time.Second
 )
 
-// AddCounters adds the counters this pool owns — hedging and redial — to s.
+// AddCounters adds the counters this pool owns — its redials — to s.
 func (c *Client) AddCounters(s *stats.Counters) {
-	s.HedgedReads += c.hedgeIssued.Load()
-	s.HedgeWins += c.hedgeWon.Load()
-	s.HedgeWasted += c.hedgeWasted.Load()
-	s.HedgeSuppressed += c.hedgeSuppressed.Load()
 	s.DialRetries += c.dialRetries.Load()
 	s.DialBackoffs += c.dialBackoffs.Load()
 }
@@ -162,66 +112,6 @@ func (c *Client) AddCounters(s *stats.Counters) {
 func (c *Client) FillStats(s *stats.Counters) {
 	c.AddCounters(s)
 	s.SetLatency(&c.lat)
-}
-
-// hedging reports whether any hedge configuration is active on the pool.
-func (c *Client) hedging() bool {
-	return c.opts.HedgeDelay > 0 || c.opts.HedgeAdaptive
-}
-
-// hedgeDelay resolves the delay before a read hedges. Fixed mode returns
-// the configured constant; adaptive mode tracks the pool's own observed
-// p99 for the op class (floored), recomputed every hedgeDelayRefresh
-// hedgeable reads so the hot path never scans a histogram.
-func (c *Client) hedgeDelay(cls latency.Op) time.Duration {
-	if !c.opts.HedgeAdaptive {
-		return c.opts.HedgeDelay
-	}
-	if c.hedgeDelayTick.Add(1)%hedgeDelayRefresh != 1 {
-		if d := c.hedgeDelayNS.Load(); d > 0 {
-			return time.Duration(d)
-		}
-	}
-	s := c.lat[cls].Snapshot()
-	d := c.opts.HedgeDelay
-	if d <= 0 {
-		d = hedgeDefaultDelay
-	}
-	if s.Count >= hedgeAdaptiveMinSamples {
-		d = time.Duration(s.P99)
-		if d < hedgeMinDelay {
-			d = hedgeMinDelay
-		}
-	}
-	c.hedgeDelayNS.Store(int64(d))
-	return d
-}
-
-// depositHedgeCredit banks one tenth of a hedge for an admissible read.
-func (c *Client) depositHedgeCredit() {
-	for {
-		cur := c.hedgeCredit.Load()
-		if cur >= hedgeBurstTenths {
-			return
-		}
-		if c.hedgeCredit.CompareAndSwap(cur, cur+1) {
-			return
-		}
-	}
-}
-
-// takeHedgeToken withdraws one hedge's worth of credit, reporting whether
-// the bucket could afford it.
-func (c *Client) takeHedgeToken() bool {
-	for {
-		cur := c.hedgeCredit.Load()
-		if cur < hedgeCostTenths {
-			return false
-		}
-		if c.hedgeCredit.CompareAndSwap(cur, cur-hedgeCostTenths) {
-			return true
-		}
-	}
 }
 
 // Dial connects the pool and performs the HELLO handshake, failing fast
@@ -237,7 +127,6 @@ func Dial(addr string, opts Options) (*Client, error) {
 		opts.DialTimeout = 5 * time.Second
 	}
 	c := &Client{opts: opts, addr: addr}
-	c.hedgeCredit.Store(hedgeBurstTenths) // start with a full burst banked
 	for i := 0; i < opts.Conns; i++ {
 		cn, err := dialConn(addr, opts, &c.lat)
 		if err != nil {
@@ -391,20 +280,6 @@ func (c *Client) pick() (*conn, error) {
 	return c.connAt(int(c.next.Add(1) % uint64(len(c.conns))))
 }
 
-// pickNot returns a pooled connection other than avoid (avoid itself when
-// the pool has only one). Hedges use it: a duplicate on the primary's own
-// connection would queue behind the very frame it is trying to outrun.
-func (c *Client) pickNot(avoid *conn) *conn {
-	if len(c.conns) < 2 {
-		return avoid
-	}
-	cn, err := c.connAt((avoid.idx + 1) % len(c.conns))
-	if err != nil {
-		return avoid // hedge conn unavailable; caller's begin will no-op it
-	}
-	return cn
-}
-
 // OpenSpec names the model an OpenModel call wants.
 type OpenSpec struct {
 	// ID is the model name (letters, digits, '.', '_', '-').
@@ -461,9 +336,8 @@ type Model struct {
 	dim    int
 	shards int
 	// bound is the staleness bound the server reported, kept current by
-	// SetBoundHint when the caller re-opens with a new bound. Atomic
-	// because hedge admissibility reads it on every read while another
-	// goroutine may be retuning the bound.
+	// SetStalenessBound. Atomic because a kv.Store's bound may be retuned
+	// while other goroutines read it.
 	bound  atomic.Int64
 	engine string
 }
@@ -480,15 +354,9 @@ func (m *Model) ValueSize() int { return m.dim * 4 }
 // Shards returns the server store's hash-partition count.
 func (m *Model) Shards() int { return m.shards }
 
-// StalenessBound returns the bound currently in effect (as of the last
-// open or SetBoundHint).
+// StalenessBound returns the bound currently in effect (as of open or the
+// last SetStalenessBound).
 func (m *Model) StalenessBound() int64 { return m.bound.Load() }
-
-// SetBoundHint records a bound change made through a fresh OPEN of the
-// same model, so hedge admissibility tracks the runtime bound: a model
-// retuned from ASP to BSP must stop hedging immediately — a clocked read
-// re-issued clock-free would silently weaken its consistency.
-func (m *Model) SetBoundHint(bound int64) { m.bound.Store(bound) }
 
 // SetStalenessBound applies a new bound on the server by re-opening the
 // model with it — the wire protocol's way to retune an existing model —
@@ -585,12 +453,8 @@ type Session struct {
 	// written, so reuse across requests is safe and the steady-state
 	// request path allocates nothing.
 	enc []byte
-	// henc is the hedge duplicate's encode scratch: the hedge frame (a
-	// clock-free PEEK/PEEKBATCH) has a different payload layout than its
-	// primary, and enc's bytes were already claimed by the primary's write.
-	henc []byte
 	// resp is the channel the session's round trips receive on, reused from
-	// one to the next: a session has at most one unhedged request in flight.
+	// one to the next: a session has at most one request in flight.
 	// nil until first use and after a round trip spent it (see roundTripOn).
 	resp chan response
 	// rmw is RMW's staging value.
@@ -633,97 +497,6 @@ func (s *Session) checkout(ctx context.Context) (*conn, error) {
 	return s.cn, nil
 }
 
-// hedgeable reports whether this session's reads may hedge right now:
-// hedging configured, a second connection to duplicate onto, and the
-// model's current bound unable to block (ASP or disabled — never BSP/SSP,
-// whose reads wait on clock tokens a duplicate must not touch).
-func (s *Session) hedgeable() bool {
-	c := s.m.c
-	return c.hedging() && len(c.conns) > 1 && !faster.BlockingBound(s.m.bound.Load())
-}
-
-// hedgedRead is a read round trip that re-issues itself if the response
-// lags: the primary (op, s.enc) goes to the session's own connection; if
-// no response arrives within the pool's hedge delay and the token bucket
-// admits it, the clock-free duplicate (hedgeOp, encoded by encodeHedge
-// into s.henc) goes to a neighboring connection, and whichever response
-// arrives first wins. The loser is reaped in the background — its pending
-// entry is deleted by the read loop on arrival and its payload returned
-// to the pool, so abandoned hedges leak nothing.
-//
-// A hedge that answers with an error never wins: the primary is still in
-// flight and authoritative (this also keeps hedging safe against servers
-// predating PEEKBATCH, which answer RespErr). The returned conn is the
-// winner; release the payload to it.
-func (s *Session) hedgedRead(ctx context.Context, op, hedgeOp wire.Op, cls latency.Op, encodeHedge func(dst []byte) []byte) ([]byte, *conn, error) {
-	c := s.m.c
-	if err := ctx.Err(); err != nil {
-		return nil, s.cn, err
-	}
-	c.depositHedgeCredit()
-	start := time.Now()
-	defer func() { c.lat.Since(cls, start) }()
-
-	// Hedged reads keep their own channels: the loser's is reaped in the
-	// background, long after the session has moved on.
-	ch1 := make(chan response, 1)
-	if err := s.cn.begin(op, s.enc, ch1); err != nil {
-		return nil, s.cn, err
-	}
-	timer := time.NewTimer(c.hedgeDelay(cls))
-	var cn2 *conn
-	var ch2 chan response
-	select {
-	case r, ok := <-ch1:
-		timer.Stop()
-		p, err := s.cn.finish(r, ok)
-		return p, s.cn, err
-	case <-ctx.Done():
-		timer.Stop()
-		return nil, s.cn, ctx.Err()
-	case <-timer.C:
-		if c.takeHedgeToken() {
-			cn2 = c.pickNot(s.cn)
-			s.henc = encodeHedge(s.henc[:0])
-			ch2 = make(chan response, 1)
-			if err := cn2.begin(hedgeOp, s.henc, ch2); err != nil {
-				cn2, ch2 = nil, nil // hedge conn broken; primary carries on
-			} else {
-				c.hedgeIssued.Add(1)
-			}
-		} else {
-			c.hedgeSuppressed.Add(1)
-		}
-	}
-	for {
-		select {
-		case r, ok := <-ch1:
-			if ch2 != nil {
-				c.hedgeWasted.Add(1)
-				cn2.reap(ch2)
-			}
-			p, err := s.cn.finish(r, ok)
-			return p, s.cn, err
-		case r, ok := <-ch2: // nil (blocks forever) when no hedge went out
-			p, err := cn2.finish(r, ok)
-			if err != nil {
-				// Failed hedges defer to the still-pending primary.
-				c.hedgeWasted.Add(1)
-				ch2 = nil
-				continue
-			}
-			c.hedgeWon.Add(1)
-			s.cn.reap(ch1)
-			return p, cn2, nil
-		case <-ctx.Done():
-			if ch2 != nil {
-				cn2.reap(ch2)
-			}
-			return nil, s.cn, ctx.Err()
-		}
-	}
-}
-
 func (s *Session) Get(key uint64, dst []byte) (bool, error) {
 	return s.GetCtx(context.Background(), key, dst)
 }
@@ -740,19 +513,7 @@ func (s *Session) GetCtx(ctx context.Context, key uint64, dst []byte) (bool, err
 		return false, err
 	}
 	s.enc = wire.AppendGet(s.enc[:0], s.m.handle, key, waitMsFrom(ctx))
-	var p []byte
-	var err error
-	winner := s.cn
-	if s.hedgeable() {
-		// The duplicate is a PEEK: same read, clock-free by construction,
-		// so a straggling primary can be outrun without consistency cost
-		// (the bound already admits unbounded staleness here).
-		p, winner, err = s.hedgedRead(ctx, wire.OpGet, wire.OpPeek, latency.OpGet, func(dst []byte) []byte {
-			return wire.AppendKey(dst, s.m.handle, key)
-		})
-	} else {
-		p, err = s.roundTrip(ctx, wire.OpGet)
-	}
+	p, err := s.roundTrip(ctx, wire.OpGet)
 	if err != nil {
 		// Near the deadline the server's "gave up" error and our own
 		// timer race; the caller asked for ctx semantics either way.
@@ -762,7 +523,7 @@ func (s *Session) GetCtx(ctx context.Context, key uint64, dst []byte) (bool, err
 		return false, err
 	}
 	found, err := wire.DecodeGetResp(p, dst)
-	winner.release(p)
+	s.cn.release(p)
 	return found, err
 }
 
@@ -881,7 +642,7 @@ func (e *UnackedError) Unwrap() error { return e.Err }
 // absent — the server knows no initializer, so first touch is the caller's.
 // An error before the frame is written (checkout) or a NOT_OWNER refusal
 // proves the step did not run; any later transport failure comes back as
-// an *UnackedError. APPLY is never hedged.
+// an *UnackedError.
 func (s *Session) ApplyCtx(ctx context.Context, key uint64, lr float32, grad []float32) (found bool, err error) {
 	if len(grad)*4 != s.vs {
 		return false, fmt.Errorf("client: grad length %d != dim %d", len(grad), s.vs/4)
@@ -961,18 +722,7 @@ func (s *Session) GetBatchCtx(ctx context.Context, keys []uint64, vals []byte, f
 	for len(keys) > 0 {
 		n := min(len(keys), maxKeysPerFrame)
 		s.enc = wire.AppendGetBatch(s.enc[:0], s.m.handle, waitMsFrom(ctx), keys[:n])
-		var p []byte
-		var err error
-		winner := s.cn
-		if s.hedgeable() {
-			// Duplicate as PEEKBATCH: identical response layout, clock-free
-			// by construction (see GetCtx).
-			p, winner, err = s.hedgedRead(ctx, wire.OpGetBatch, wire.OpPeekBatch, latency.OpGetBatch, func(dst []byte) []byte {
-				return wire.AppendKeys(dst, s.m.handle, keys[:n])
-			})
-		} else {
-			p, err = s.roundTrip(ctx, wire.OpGetBatch)
-		}
+		p, err := s.roundTrip(ctx, wire.OpGetBatch)
 		if err != nil {
 			if cerr := ctx.Err(); cerr != nil {
 				return cerr
@@ -980,7 +730,7 @@ func (s *Session) GetBatchCtx(ctx context.Context, keys []uint64, vals []byte, f
 			return err
 		}
 		err = wire.DecodeGetBatchResp(p, vs, found[:n], vals[:n*vs])
-		winner.release(p)
+		s.cn.release(p)
 		if err != nil {
 			return err
 		}

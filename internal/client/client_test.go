@@ -1,11 +1,13 @@
 package client
 
-// Tests for the pool's two tail optimizations: coalesced frame flushing
-// (many pipelined writers, ~one syscall) and hedged reads (a straggling
-// admissible read re-issued clock-free on a second connection). The
-// hedge lifecycle tests run against a scripted in-test wire server so
-// response timing is controlled exactly; the coalescing test runs
-// against the real server through a write-counting net.Conn.
+// Tests for the pool's round trip: a session healing onto a redialed
+// connection, a round trip abandoned on its context (the late response
+// must not answer the next request, and an unanswered one must not hang
+// Close), what an APPLY error says about whether the step ran, frame
+// chunking, and coalesced frame flushing (many pipelined writers, ~one
+// syscall). The lifecycle tests run against a scripted in-test wire server
+// so response timing is controlled exactly; chunking and coalescing run
+// against the real server, the latter through a write-counting net.Conn.
 
 import (
 	"bytes"
@@ -22,15 +24,14 @@ import (
 	"github.com/llm-db/mlkv-go/internal/kv"
 	"github.com/llm-db/mlkv-go/internal/latency"
 	"github.com/llm-db/mlkv-go/internal/server"
-	"github.com/llm-db/mlkv-go/internal/stats"
 	"github.com/llm-db/mlkv-go/internal/wire"
 )
 
 // fakeServer speaks just enough of the wire protocol to open a model and
 // answer reads, with per-opcode scripted behavior: an added delay, a
 // forced RespErr, or a muted (never answered) op. Each request is handled
-// on its own goroutine so a delayed GETBATCH does not block the PEEKBATCH
-// pipelined behind it — the property hedging depends on server-side.
+// on its own goroutine so a delayed or muted request does not block the
+// ones pipelined behind it on the same connection.
 type fakeServer struct {
 	ln  net.Listener
 	dim int
@@ -137,17 +138,9 @@ func (s *fakeServer) handle(c net.Conn, wmu *sync.Mutex, f wire.Frame) {
 			_, rest, _ := wire.DecodeHandle(f.Payload)
 			key, _, _ := wire.DecodeGet(rest)
 			resp = wire.EncodeGetResp(true, fakeVal(s.dim, key))
-		case wire.OpPeek:
-			_, rest, _ := wire.DecodeHandle(f.Payload)
-			key, _ := wire.DecodeKey(rest)
-			resp = wire.EncodeGetResp(true, fakeVal(s.dim, key))
 		case wire.OpGetBatch:
 			_, rest, _ := wire.DecodeHandle(f.Payload)
 			keys, _, _ := wire.DecodeGetBatch(rest, nil)
-			resp = fakeBatchResp(s.dim, keys)
-		case wire.OpPeekBatch:
-			_, rest, _ := wire.DecodeHandle(f.Payload)
-			keys, _ := wire.DecodeKeys(rest, nil)
 			resp = fakeBatchResp(s.dim, keys)
 		case wire.OpApply:
 			resp = wire.AppendApplyResp(nil, true)
@@ -218,7 +211,7 @@ func pendingTotal(cl *Client) int {
 }
 
 // waitDrained waits for every in-flight correlation entry across the pool
-// to be consumed — the no-leak invariant for abandoned hedge losers.
+// to be consumed — the no-leak invariant for abandoned round trips.
 func waitDrained(t *testing.T, cl *Client) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -241,249 +234,6 @@ func checkBatchVals(t *testing.T, keys []uint64, vals []byte, found []bool, vs i
 				t.Fatalf("key %d byte %d = %d, want %d", k, j, vals[i*vs+j], byte(k))
 			}
 		}
-	}
-}
-
-// TestHedgeWinsOnSlowPrimary pins the happy hedge path: a GETBATCH whose
-// primary is scripted slow returns via the clock-free PEEKBATCH duplicate
-// well before the primary's delay, the payload is the duplicate's, and
-// the straggling primary drains without leaking its pending entry.
-func TestHedgeWinsOnSlowPrimary(t *testing.T) {
-	const dim = 2
-	fs := newFakeServer(t, dim)
-	fs.setDelay(wire.OpGetBatch, 80*time.Millisecond)
-	cl := fakeClient(t, fs, Options{Conns: 2, HedgeDelay: 2 * time.Millisecond})
-	_, s := fakeSession(t, cl, "m", dim, wire.BoundUnset) // fake answers ASP
-
-	keys := []uint64{1, 2, 3}
-	vals := make([]byte, len(keys)*dim*4)
-	found := make([]bool, len(keys))
-	start := time.Now()
-	if err := s.GetBatch(keys, vals, found); err != nil {
-		t.Fatal(err)
-	}
-	elapsed := time.Since(start)
-	checkBatchVals(t, keys, vals, found, dim*4)
-	if hs := hedgeStats(cl); hs.Issued != 1 || hs.Won != 1 {
-		t.Fatalf("hedge stats %+v, want exactly one issued and won", hs)
-	}
-	if elapsed >= 80*time.Millisecond {
-		t.Fatalf("hedged read took %s, no faster than the 80ms primary", elapsed)
-	}
-	// The late primary's response must be reaped: pending entry deleted by
-	// the read loop, payload returned — no leak from the abandoned loser.
-	waitDrained(t, cl)
-}
-
-// TestHedgeErrorDefersToPrimary pins the compatibility rule: a hedge
-// answered with RespErr (e.g. a server predating PEEKBATCH) never wins —
-// the caller still gets the primary's successful answer and the hedge is
-// counted wasted.
-func TestHedgeErrorDefersToPrimary(t *testing.T) {
-	const dim = 2
-	fs := newFakeServer(t, dim)
-	fs.setDelay(wire.OpGetBatch, 40*time.Millisecond)
-	fs.setErr(wire.OpPeekBatch, "fake: unknown opcode PEEKBATCH")
-	cl := fakeClient(t, fs, Options{Conns: 2, HedgeDelay: 2 * time.Millisecond})
-	_, s := fakeSession(t, cl, "m", dim, wire.BoundUnset)
-
-	keys := []uint64{7, 8}
-	vals := make([]byte, len(keys)*dim*4)
-	found := make([]bool, len(keys))
-	if err := s.GetBatch(keys, vals, found); err != nil {
-		t.Fatalf("read failed even though the primary succeeded: %v", err)
-	}
-	checkBatchVals(t, keys, vals, found, dim*4)
-	hs := hedgeStats(cl)
-	if hs.Issued != 1 || hs.Won != 0 || hs.Wasted != 1 {
-		t.Fatalf("hedge stats %+v, want the failed hedge issued and wasted, never won", hs)
-	}
-	waitDrained(t, cl)
-}
-
-// TestHedgeCtxCancelsBothAttempts pins cancellation: with both the
-// primary and the hedge muted server-side, the caller's deadline ends the
-// round trip (both attempts abandoned to the read loop) and closing the
-// client does not hang on the orphaned entries.
-func TestHedgeCtxCancelsBothAttempts(t *testing.T) {
-	const dim = 2
-	fs := newFakeServer(t, dim)
-	fs.mute(wire.OpGetBatch)
-	fs.mute(wire.OpPeekBatch)
-	cl := fakeClient(t, fs, Options{Conns: 2, HedgeDelay: 2 * time.Millisecond})
-	_, s := fakeSession(t, cl, "m", dim, wire.BoundUnset)
-
-	keys := []uint64{1}
-	vals := make([]byte, dim*4)
-	found := make([]bool, 1)
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	err := s.GetBatchCtx(ctx, keys, vals, found)
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v, want deadline exceeded", err)
-	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("cancellation took %s", elapsed)
-	}
-	if hs := hedgeStats(cl); hs.Issued != 1 {
-		t.Fatalf("hedge stats %+v, want the hedge issued before the deadline", hs)
-	}
-	// Both attempts are in flight forever (the fake never answers); their
-	// entries stay pending until Close fails them — the t.Cleanup Close
-	// doubles as the no-hang check.
-	if n := pendingTotal(cl); n != 2 {
-		t.Fatalf("pending entries after cancel = %d, want both attempts", n)
-	}
-}
-
-// TestClockedReadsNeverHedge pins admissibility: reads on a BSP (or any
-// clocked) model must never hedge — a clocked read re-issued clock-free
-// would weaken its consistency — and a bound retuned via SetBoundHint
-// stops hedging immediately.
-func TestClockedReadsNeverHedge(t *testing.T) {
-	const dim = 2
-	fs := newFakeServer(t, dim)
-	fs.setDelay(wire.OpGet, 8*time.Millisecond)
-	fs.setDelay(wire.OpGetBatch, 8*time.Millisecond)
-	cl := fakeClient(t, fs, Options{Conns: 2, HedgeDelay: time.Millisecond})
-
-	dst := make([]byte, dim*4)
-	keys := []uint64{1, 2}
-	vals := make([]byte, len(keys)*dim*4)
-	found := make([]bool, len(keys))
-
-	// BSP model: every read is slow enough to want a hedge; none may.
-	_, bsp := fakeSession(t, cl, "bsp", dim, 0)
-	for i := 0; i < 3; i++ {
-		if _, err := bsp.Get(uint64(i), dst); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := bsp.GetBatch(keys, vals, found); err != nil {
-		t.Fatal(err)
-	}
-	if hs := hedgeStats(cl); hs != (hedges{}) {
-		t.Fatalf("clocked reads hedged: %+v", hs)
-	}
-
-	// ASP model on the same pool: the same reads hedge (or are at least
-	// counted suppressed when the bucket is dry).
-	asp, aspSess := fakeSession(t, cl, "asp", dim, faster.BoundAsync)
-	for i := 0; i < 3; i++ {
-		if _, err := aspSess.Get(uint64(i), dst); err != nil {
-			t.Fatal(err)
-		}
-	}
-	hs := hedgeStats(cl)
-	if hs.Issued+hs.Suppressed == 0 {
-		t.Fatalf("admissible slow reads never attempted a hedge: %+v", hs)
-	}
-
-	// Retune the model to BSP: hedging stops at once.
-	asp.SetBoundHint(0)
-	before := hedgeStats(cl)
-	for i := 0; i < 3; i++ {
-		if _, err := aspSess.Get(uint64(i), dst); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if after := hedgeStats(cl); after != before {
-		t.Fatalf("reads after a BSP bound hint still hedged: %+v -> %+v", before, after)
-	}
-}
-
-// TestHedgeTokenBucketCapsDuplicates pins the pacing contract: when every
-// admissible read wants a hedge, the bucket admits the burst plus ~10% of
-// reads and suppresses the rest, so a melting-down server sees at most
-// ~1.1x its offered load.
-func TestHedgeTokenBucketCapsDuplicates(t *testing.T) {
-	const dim = 2
-	const workers, perWorker = 8, 12
-	fs := newFakeServer(t, dim)
-	fs.setDelay(wire.OpGet, 20*time.Millisecond) // PEEK stays instant: hedges win fast
-	cl := fakeClient(t, fs, Options{Conns: 2, HedgeDelay: time.Millisecond})
-	m, err := cl.OpenModel(context.Background(), OpenSpec{ID: "m", Dim: dim, Bound: wire.BoundUnset})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var wg sync.WaitGroup
-	errCh := make(chan error, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			s, err := m.NewSessionCtx(context.Background())
-			if err != nil {
-				errCh <- err
-				return
-			}
-			defer s.Close()
-			dst := make([]byte, dim*4)
-			for i := 0; i < perWorker; i++ {
-				if _, err := s.Get(uint64(w*perWorker+i), dst); err != nil {
-					errCh <- err
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	close(errCh)
-	for err := range errCh {
-		t.Fatal(err)
-	}
-
-	const reads = workers * perWorker
-	hs := hedgeStats(cl)
-	if hs.Issued+hs.Suppressed != reads {
-		t.Fatalf("attempts = %d (%+v), want every one of %d slow reads to cross the delay", hs.Issued+hs.Suppressed, hs, reads)
-	}
-	// Bucket math: a full burst (hedgeBurstTenths) plus one tenth banked
-	// per read bounds the issuable hedges.
-	maxIssued := int64((hedgeBurstTenths + reads) / hedgeCostTenths)
-	if hs.Issued > maxIssued {
-		t.Fatalf("issued %d hedges, bucket admits at most %d", hs.Issued, maxIssued)
-	}
-	if hs.Issued < hedgeBurstTenths/hedgeCostTenths {
-		t.Fatalf("issued %d hedges, the burst alone covers %d", hs.Issued, hedgeBurstTenths/hedgeCostTenths)
-	}
-	if hs.Suppressed == 0 {
-		t.Fatalf("no hedge suppressed across %d over-budget reads: %+v", reads, hs)
-	}
-	waitDrained(t, cl)
-}
-
-// TestAdaptiveHedgeDelayTracksTail pins the adaptive trigger: before any
-// samples the fallback applies; once the pool's histogram holds a tail,
-// the delay tracks its p99 (floored at hedgeMinDelay).
-func TestAdaptiveHedgeDelayTracksTail(t *testing.T) {
-	c := &Client{opts: Options{HedgeAdaptive: true}}
-	if d := c.hedgeDelay(latency.OpGet); d != hedgeDefaultDelay {
-		t.Fatalf("sampleless adaptive delay = %s, want fallback %s", d, hedgeDefaultDelay)
-	}
-	c = &Client{opts: Options{HedgeAdaptive: true, HedgeDelay: 7 * time.Millisecond}}
-	if d := c.hedgeDelay(latency.OpGet); d != 7*time.Millisecond {
-		t.Fatalf("sampleless adaptive delay = %s, want configured fallback 7ms", d)
-	}
-	for i := 0; i < 4*hedgeAdaptiveMinSamples; i++ {
-		c.lat.Record(latency.OpGet, 5*time.Millisecond)
-	}
-	c.hedgeDelayTick.Store(0) // force a recompute on the next call
-	d := c.hedgeDelay(latency.OpGet)
-	if d < 4*time.Millisecond || d > 8*time.Millisecond {
-		t.Fatalf("adaptive delay = %s, want ~p99 of the 5ms samples", d)
-	}
-	// A uniformly fast pool floors at hedgeMinDelay instead of hedging
-	// every read that hits one scheduler hiccup.
-	c = &Client{opts: Options{HedgeAdaptive: true}}
-	for i := 0; i < 4*hedgeAdaptiveMinSamples; i++ {
-		c.lat.Record(latency.OpGet, 5*time.Microsecond)
-	}
-	c.hedgeDelayTick.Store(0)
-	if d := c.hedgeDelay(latency.OpGet); d != hedgeMinDelay {
-		t.Fatalf("fast-pool adaptive delay = %s, want the %s floor", d, hedgeMinDelay)
 	}
 }
 
@@ -672,15 +422,6 @@ func TestCoalescedClientWrites(t *testing.T) {
 	}
 }
 
-// hedges is the pool's hedge counters as AddCounters reports them.
-type hedges struct{ Issued, Won, Wasted, Suppressed int64 }
-
-func hedgeStats(cl *Client) hedges {
-	var c stats.Counters
-	cl.AddCounters(&c)
-	return hedges{c.HedgedReads, c.HedgeWins, c.HedgeWasted, c.HedgeSuppressed}
-}
-
 // TestBatchesSplitAtMaxKeysPerFrame pins the chunking maxKeysPerFrame
 // governs: a batch one key past a frame's worth and then some crosses the
 // wire as two frames — counted server-side — and still round-trips whole.
@@ -735,7 +476,9 @@ func TestBatchesSplitAtMaxKeysPerFrame(t *testing.T) {
 // per-session response channel: round trips that complete share one
 // channel, and a round trip abandoned on ctx gives its channel up — the
 // late response lands on the old one, so the next request, already waiting
-// when it arrives, still gets its own answer.
+// when it arrives, still gets its own answer. A batch read the server never
+// answers ends at the deadline too, and its pending entry does not hang
+// Close.
 func TestSessionResponseChannelReplacedAfterAbandon(t *testing.T) {
 	const dim = 4
 	fs := newFakeServer(t, dim)
@@ -775,6 +518,22 @@ func TestSessionResponseChannelReplacedAfterAbandon(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitDrained(t, cl)
+
+	fs.mute(wire.OpGetBatch)
+	short, cancel = context.WithTimeout(context.Background(), 30*time.Millisecond)
+	defer cancel()
+	if err := s.GetBatchCtx(short, []uint64{5}, dst, make([]bool, 1)); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("unanswered batch read returned %v, want the deadline", err)
+	}
+	if n := pendingTotal(cl); n != 1 {
+		t.Fatalf("%d pending entries after the abandoned batch read, want 1", n)
+	}
+	if err := cl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := pendingTotal(cl); n != 0 {
+		t.Fatalf("Close left %d pending entries", n)
+	}
 }
 
 // TestApplyErrorsSaySentOrNot pins what an APPLY error tells the caller: a

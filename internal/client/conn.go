@@ -18,7 +18,7 @@ import (
 // conn is one pooled connection with a demultiplexing reader goroutine.
 type conn struct {
 	c   net.Conn
-	idx int // position in the owning pool (hedges pick a neighbor)
+	idx int // position in the owning pool: the slot a session follows on redial
 	bw  *bufio.Writer
 	fw  *wire.FrameWriter // over bw; guarded by wmu
 
@@ -224,26 +224,6 @@ func (cn *conn) doRoundTrip(ctx context.Context, op wire.Op, payload []byte, ch 
 	if err := ctx.Err(); err != nil {
 		return nil, false, err
 	}
-	if err := cn.begin(op, payload, ch); err != nil {
-		// A failed send races the read loop closing every pending channel.
-		return nil, true, err
-	}
-	select {
-	case r, ok := <-ch:
-		p, err = cn.finish(r, ok)
-		return p, !ok, err
-	case <-ctx.Done():
-		// Abandon the round trip. Leave the pending entry for the read
-		// loop: the buffered channel absorbs the late response.
-		return nil, true, ctx.Err()
-	}
-}
-
-// begin registers ch (buffered, cap 1) as a pending slot and writes the
-// request frame; the response will arrive on ch (closed if the connection
-// dies first). It is the send half of a round trip, split out so a hedged
-// read can have two requests in flight and wait on both.
-func (cn *conn) begin(op wire.Op, payload []byte, ch chan response) error {
 	id := cn.nextID.Add(1)
 	cn.pmu.Lock()
 	if cn.closed || cn.failure != nil {
@@ -252,18 +232,45 @@ func (cn *conn) begin(op wire.Op, payload []byte, ch chan response) error {
 		if err == nil {
 			err = errors.New("client: connection closed")
 		}
-		return err
+		return nil, true, err
 	}
 	cn.pending[id] = ch
 	cn.pmu.Unlock()
 
 	if err := cn.send(id, op, payload); err != nil {
+		// A failed send races the read loop closing every pending channel.
 		cn.pmu.Lock()
 		delete(cn.pending, id)
 		cn.pmu.Unlock()
-		return err
+		return nil, true, err
 	}
-	return nil
+	var r response
+	var ok bool
+	select {
+	case r, ok = <-ch:
+	case <-ctx.Done():
+		// Abandon the round trip. Leave the pending entry for the read
+		// loop: the buffered channel absorbs the late response.
+		return nil, true, ctx.Err()
+	}
+	if !ok { // the connection died first and closed ch
+		cn.pmu.Lock()
+		err := cn.failure
+		cn.pmu.Unlock()
+		return nil, true, err
+	}
+	switch r.op {
+	case wire.RespOK:
+		return r.payload, false, nil
+	case wire.RespErr:
+		err = respError(string(r.payload))
+	case wire.RespNotOwner:
+		err = &NotOwnerError{Map: append([]byte(nil), r.payload...)}
+	default:
+		err = fmt.Errorf("client: unexpected response opcode %s", r.op)
+	}
+	cn.release(r.payload)
+	return nil, false, err
 }
 
 // send writes one frame, flushing only when this is the last counted
@@ -298,44 +305,6 @@ func (cn *conn) fail(err error) {
 	}
 	cn.pmu.Unlock()
 	cn.c.Close()
-}
-
-// finish interprets a delivered response (or the closed channel of a dead
-// connection). It is the receive half of a round trip.
-func (cn *conn) finish(r response, ok bool) ([]byte, error) {
-	if !ok {
-		cn.pmu.Lock()
-		err := cn.failure
-		cn.pmu.Unlock()
-		return nil, err
-	}
-	switch r.op {
-	case wire.RespOK:
-		return r.payload, nil
-	case wire.RespErr:
-		err := respError(string(r.payload))
-		cn.release(r.payload)
-		return nil, err
-	case wire.RespNotOwner:
-		m := append([]byte(nil), r.payload...)
-		cn.release(r.payload)
-		return nil, &NotOwnerError{Map: m}
-	}
-	cn.release(r.payload)
-	return nil, fmt.Errorf("client: unexpected response opcode %s", r.op)
-}
-
-// reap drains an abandoned round trip's channel in the background and
-// returns the late payload to the pool. The read loop deletes the
-// pending entry when the response lands (so no map leak either way);
-// connection death closes the channel, ending the wait. Hedged reads use
-// it for the losing attempt.
-func (cn *conn) reap(ch chan response) {
-	go func() {
-		if r, ok := <-ch; ok {
-			cn.release(r.payload)
-		}
-	}()
 }
 
 // ServerError is an application-level refusal: the server processed the

@@ -44,8 +44,7 @@ type Router struct {
 
 // RouterOptions configures NewRouter.
 type RouterOptions struct {
-	// Client configures every node pool (conns, hedging, timeouts); hedges
-	// ride each node's own pool, so PR 8's hedge machinery applies per node.
+	// Client configures every node pool (conns, timeouts).
 	Client client.Options
 	// ReadReplicas routes admissible reads to replicas; off, every
 	// operation goes to owning primaries.
@@ -360,16 +359,9 @@ func (m *RModel) Name() string {
 // StalenessBound returns the bound in effect.
 func (m *RModel) StalenessBound() int64 { return m.bound.Load() }
 
-// SetBoundHint records a bound change on the routed model and every
-// per-node model, so hedge and replica admissibility react immediately.
-func (m *RModel) SetBoundHint(bound int64) {
-	m.bound.Store(bound)
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, cm := range m.models {
-		cm.SetBoundHint(bound)
-	}
-}
+// SetBoundHint records a bound change made through a re-open, so replica
+// admissibility reacts immediately.
+func (m *RModel) SetBoundHint(bound int64) { m.bound.Store(bound) }
 
 // CheckpointCtx checkpoints the model on every primary.
 func (m *RModel) CheckpointCtx(ctx context.Context) error {

@@ -45,16 +45,6 @@ type ConnectOptions struct {
 	Conns int
 	// DialTimeout bounds each TCP connect (default 5s).
 	DialTimeout time.Duration
-	// HedgeDelay, when positive, re-issues admissible reads (GET/GETBATCH
-	// on models whose staleness bound cannot block) as clock-free
-	// duplicates on a second pooled connection when the first response is
-	// slower than the delay; first response wins. Zero disables hedging
-	// unless HedgeAdaptive.
-	HedgeDelay time.Duration
-	// HedgeAdaptive derives the hedge delay from the pool's own observed
-	// tail (per-op-class p99, floored) instead of a fixed constant;
-	// HedgeDelay then serves as the fallback until enough samples exist.
-	HedgeAdaptive bool
 	// ReadReplicas lets a cluster target route admissible reads to
 	// replicas: ASP reads may hit any replica, SSP reads a replica whose
 	// advertised lag passes the bound, BSP always the primary. Off, every
@@ -84,12 +74,6 @@ type Config struct {
 	// front of the model's read path: above the local engine, or
 	// client-side for a remote model. 0 disables it.
 	CacheEntries int
-	// FlushPace rate-limits the local hybrid log's background flusher: a
-	// minimum gap between flush writes, smearing a burst of frozen pages
-	// over time instead of saturating the device under foreground reads.
-	// 0 flushes as fast as the device allows. Remote servers own their own
-	// pacing (-flush-pace) and ignore it.
-	FlushPace time.Duration
 	// Init produces first-touch embeddings. The local engine runs it
 	// inside storage; the remote driver runs it client-side on a miss and
 	// writes the result back, so a given key initializes identically on
@@ -122,7 +106,7 @@ type Model interface {
 	// Stats returns the model's counters. A local model reports the core
 	// table's view; a remote model reports the server's (merged across a
 	// cluster's nodes) overlaid with what this process owns: the client
-	// tier, dropped hints, hedging, redials, cluster routing, and the
+	// tier, dropped hints, redials, cluster routing, and the
 	// pool's round-trip latencies in place of the server's store timings.
 	Stats(ctx context.Context) (stats.Counters, error)
 	NewSession(ctx context.Context) (Session, error)

@@ -82,7 +82,6 @@ func (db *localDB) Open(ctx context.Context, id string, cfg Config) (Model, erro
 		MemoryBytes:    cfg.MemoryBytes,
 		ExpectedKeys:   cfg.ExpectedKeys,
 		CacheEntries:   cfg.CacheEntries,
-		FlushPace:      cfg.FlushPace,
 		Init:           cfg.Init,
 	})
 	if err != nil {

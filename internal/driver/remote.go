@@ -57,8 +57,8 @@ var ErrNoLiveOwner = cluster.ErrNoLiveOwner
 type wireBackend interface {
 	OpenWireModel(ctx context.Context, spec client.OpenSpec) (wireModel, error)
 	// FillStats overlays the client-side counters the backend owns onto a
-	// server-side snapshot: hedging and redials (summed across every pool
-	// it holds), cluster routing, and its round-trip latency summaries.
+	// server-side snapshot: redials (summed across every pool it holds),
+	// cluster routing, and its round-trip latency summaries.
 	FillStats(c *stats.Counters)
 	Close() error
 }
@@ -72,6 +72,11 @@ type singleModel struct{ *client.Model }
 func (m singleModel) NewWireSession(ctx context.Context) (wireSession, error) {
 	return m.Model.NewSessionCtx(ctx)
 }
+
+// SetBoundHint has nothing to update: nothing on a single server's read
+// path consults the bound, and remoteModel's own mirror is the one its tier
+// reads.
+func (singleModel) SetBoundHint(int64) {}
 
 func (b singleBackend) OpenWireModel(ctx context.Context, spec client.OpenSpec) (wireModel, error) {
 	m, err := b.c.OpenModel(ctx, spec)
@@ -120,12 +125,7 @@ type remoteDB struct {
 // plain one-server backend, and from a multi-host target a configuration
 // error: a seed list promises a cluster.
 func connectRemote(target string, addrs []string, opts ConnectOptions) (DB, error) {
-	copts := client.Options{
-		Conns:         opts.Conns,
-		DialTimeout:   opts.DialTimeout,
-		HedgeDelay:    opts.HedgeDelay,
-		HedgeAdaptive: opts.HedgeAdaptive,
-	}
+	copts := client.Options{Conns: opts.Conns, DialTimeout: opts.DialTimeout}
 	probeTimeout := opts.DialTimeout
 	if probeTimeout <= 0 {
 		probeTimeout = 5 * time.Second
@@ -267,8 +267,7 @@ func (m *remoteModel) SetStalenessBound(ctx context.Context, b int64) error {
 	})
 	if err == nil {
 		m.bound.Store(b)
-		// The wire model's own mirror gates hedge admissibility; a model
-		// retuned to a blocking bound must stop hedging immediately.
+		// A cluster router's mirror gates replica admissibility.
 		m.m.SetBoundHint(b)
 	}
 	return err
@@ -287,7 +286,7 @@ func (m *remoteModel) Stats(ctx context.Context) (stats.Counters, error) {
 	// round-trip view — end to end, including demux queueing — not the
 	// server-side store timings (those stay visible through the
 	// mlkv_latency expvar and raw STATS frames); LatRMW is the APPLY round
-	// trip. The pool is per-DB, so hedging, redials and the summaries cover
+	// trip. The pool is per-DB, so redials and the summaries cover
 	// every model opened from this Connect.
 	if m.cache != nil {
 		m.cache.Stats().AddTo(&c)
@@ -596,16 +595,7 @@ func (s *remoteSession) Close() { s.s.Close() }
 // YCSB benchmark, the network sweep). Closing the returned store closes
 // its connection pool.
 func DialKV(addr, model string, dim, conns int) (kv.Store, error) {
-	return DialKVHedged(addr, model, dim, conns, 0, false)
-}
-
-// DialKVHedged is DialKV with read hedging: hedge > 0 re-issues slow
-// admissible reads after that fixed delay, adaptive derives the delay
-// from the pool's observed tail instead (see ConnectOptions).
-func DialKVHedged(addr, model string, dim, conns int, hedge time.Duration, adaptive bool) (kv.Store, error) {
-	c, err := client.Dial(addr, client.Options{
-		Conns: conns, HedgeDelay: hedge, HedgeAdaptive: adaptive,
-	})
+	c, err := client.Dial(addr, client.Options{Conns: conns})
 	if err != nil {
 		return nil, err
 	}
@@ -628,7 +618,7 @@ type dialedStore struct {
 func (d *dialedStore) Close() error { return d.c.Close() }
 
 // Stats is the served model's counters overlaid with the pool's own
-// (hedging, redials, round-trip latencies) for harness summaries.
+// (redials, round-trip latencies) for harness summaries.
 func (d *dialedStore) Stats() stats.Counters {
 	c := d.Model.Stats()
 	d.c.FillStats(&c)

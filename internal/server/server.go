@@ -632,10 +632,9 @@ func (s *Server) handle(st *connState, op wire.Op, p []byte) (respOp wire.Op, pa
 		return wire.RespOK, out, false
 
 	case wire.OpPeekBatch:
-		// The batched PEEK a hedged read re-issues: same response layout as
-		// GETBATCH, but clock-free per key — no staleness tokens, no
-		// copy-to-tail, never blocks — so a duplicate of an in-flight batch
-		// is harmless no matter which copy the client keeps.
+		// The batched PEEK the cluster router sends for replica batch reads
+		// and routed peeks: same response layout as GETBATCH, but clock-free
+		// per key — no staleness tokens, no copy-to-tail, never blocks.
 		keys, err := wire.DecodeKeys(rest, cm.keys)
 		if err != nil {
 			return fail(err)

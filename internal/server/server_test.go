@@ -582,15 +582,16 @@ func TestProtocolErrorPaths(t *testing.T) {
 		t.Fatalf("get after errors: %+v err=%v", f, err)
 	}
 
-	// The previous protocol's HELLO (version 3, no APPLY frame) → a clear
-	// RespErr, then close: there is no compat path.
+	// The previous protocol's HELLO → a clear RespErr, then close: there is
+	// no compat path.
 	old := wire.EncodeHello()
 	old[0] = wire.Version - 1
 	if err := wire.WriteFrame(nc, 9, wire.OpHello, old); err != nil {
 		t.Fatal(err)
 	}
 	f, err = wire.ReadFrame(nc, 0)
-	if err != nil || f.Op != wire.RespErr || !strings.Contains(string(f.Payload), "version 3, want 4 (upgrade the older side)") {
+	want := fmt.Sprintf("version %d, want %d (upgrade the older side)", wire.Version-1, wire.Version)
+	if err != nil || f.Op != wire.RespErr || !strings.Contains(string(f.Payload), want) {
 		t.Fatalf("version mismatch: %+v err=%v", f, err)
 	}
 	nc.SetReadDeadline(time.Now().Add(2 * time.Second))

@@ -46,7 +46,7 @@ type Counters struct {
 	LookaheadCalls int64
 	// PrefetchDropped counts the keys of Lookahead hints dropped on a full
 	// queue: core's prefetch pool locally (whole chunks of a hint), the
-	// remote driver's hint queue client-side (whole hints).
+	// remote driver's hint queue client-side (all of a hint's keys).
 	PrefetchDropped int64
 
 	// Hot-tier counters, owned by whichever tier fronts the store
@@ -65,14 +65,6 @@ type Counters struct {
 	// servers. Merged as a maximum: the cluster view is the laggiest
 	// replica.
 	ReplicaLag int64
-
-	// Hedged-read counters, owned by the client pool: duplicates issued,
-	// duplicates that beat their primary, duplicates the primary beat, and
-	// hedges the token bucket suppressed.
-	HedgedReads     int64
-	HedgeWins       int64
-	HedgeWasted     int64
-	HedgeSuppressed int64
 
 	// Cluster counters, owned by the cluster router: node count and map
 	// epoch it currently holds, NOT_OWNER redirects followed, and keys
@@ -151,10 +143,6 @@ var fields = []field{
 	{"CacheEvictions", kindSum, func(c *Counters) *int64 { return &c.CacheEvictions }, nil},
 	{"ActiveSessions", kindSum, func(c *Counters) *int64 { return &c.ActiveSessions }, nil},
 	{"ReplicaLag", kindMax, func(c *Counters) *int64 { return &c.ReplicaLag }, nil},
-	{"HedgedReads", kindSum, func(c *Counters) *int64 { return &c.HedgedReads }, nil},
-	{"HedgeWins", kindSum, func(c *Counters) *int64 { return &c.HedgeWins }, nil},
-	{"HedgeWasted", kindSum, func(c *Counters) *int64 { return &c.HedgeWasted }, nil},
-	{"HedgeSuppressed", kindSum, func(c *Counters) *int64 { return &c.HedgeSuppressed }, nil},
 	{"ClusterNodes", kindMax, func(c *Counters) *int64 { return &c.ClusterNodes }, nil},
 	{"ClusterEpoch", kindMax, func(c *Counters) *int64 { return &c.ClusterEpoch }, nil},
 	{"ClusterRedirects", kindSum, func(c *Counters) *int64 { return &c.ClusterRedirects }, nil},

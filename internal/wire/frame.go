@@ -71,11 +71,11 @@ const (
 	OpDetach
 	// OpPeekBatch reads up to MaxBatchKeys keys in one frame with PEEK
 	// semantics: no vector-clock participation, no copy-to-tail, never
-	// blocks on a staleness bound. It is the idempotent duplicate the
-	// client's hedged reads re-issue — a hedge must never acquire clock
-	// tokens or block, or the duplicate could deadlock with its primary.
-	// Request payload is AppendKeys (handle|n|keys — no wait budget, peeks
-	// cannot block); the response reuses the GETBATCH layout.
+	// blocks on a staleness bound. The cluster router sends it for the
+	// batch reads it routes to a replica, which holds no clock, and for a
+	// routed PeekBatch. Request payload is AppendKeys (handle|n|keys — no
+	// wait budget, peeks cannot block); the response reuses the GETBATCH
+	// layout.
 	OpPeekBatch
 	// OpClusterMap fetches the server's cluster topology: an epoch-numbered
 	// map of node id → address → hash ranges → role (internal/cluster's
@@ -198,7 +198,7 @@ func (o Op) String() string {
 // and closes the connection rather than guess at payload layouts — so any
 // change to a payload layout, or to the order or length of the STATS
 // counter table (internal/stats), bumps it.
-const Version = 4
+const Version = 5
 
 const (
 	// minLength is the smallest legal length field: corrID + op.

@@ -85,11 +85,9 @@ const initSeed = 0x6d6c6b76
 type ConnectOption func(*connectConfig)
 
 type connectConfig struct {
-	conns         int
-	dialTimeout   time.Duration
-	hedgeDelay    time.Duration
-	hedgeAdaptive bool
-	readReplicas  bool
+	conns        int
+	dialTimeout  time.Duration
+	readReplicas bool
 }
 
 // WithConns sizes the connection pool of a remote target (default 2).
@@ -101,37 +99,6 @@ func WithConns(n int) ConnectOption { return func(c *connectConfig) { c.conns = 
 // WithDialTimeout bounds each TCP connect of a remote target (default 5s).
 func WithDialTimeout(d time.Duration) ConnectOption {
 	return func(c *connectConfig) { c.dialTimeout = d }
-}
-
-// WithHedge attacks the read tail of a remote target: when a GET or
-// GETBATCH response has not arrived within delay, the read is re-issued
-// as a clock-free duplicate (PEEK/PEEKBATCH) on a second pooled
-// connection, and whichever response arrives first wins — one slow
-// server thread, GC pause, or lost-in-queue frame no longer decides the
-// p99. Hedging applies only to reads that cannot block on the staleness
-// bound (ASP or a disabled clock — never BSP or finite SSP, whose reads
-// wait on clock tokens a duplicate must not touch), so a hedged read
-// returns exactly what the primary would have. A token bucket caps
-// duplicates at ~10% of admissible reads (with a small burst), so a
-// uniformly slow server sees at most 1.1× its offered load. Counted in
-// Stats (HedgedReads / HedgeWins / HedgeWasted / HedgeSuppressed).
-// delay <= 0 is ignored. Local targets ignore the option.
-func WithHedge(delay time.Duration) ConnectOption {
-	return func(c *connectConfig) {
-		if delay > 0 {
-			c.hedgeDelay = delay
-		}
-	}
-}
-
-// WithAdaptiveHedge is WithHedge with the trigger derived from the
-// connection pool's own latency histograms: the delay tracks the
-// observed per-op-class p99 (floored at 200µs), so reads hedge exactly
-// when they are slower than 99% of their recent peers, with no constant
-// to tune. Until enough samples accumulate the pool falls back to the
-// WithHedge delay if one was given, else 2ms.
-func WithAdaptiveHedge() ConnectOption {
-	return func(c *connectConfig) { c.hedgeAdaptive = true }
 }
 
 // WithReadReplicas lets a cluster target ("mlkv://a,b,c") serve reads
@@ -162,11 +129,9 @@ func Connect(target string, opts ...ConnectOption) (*DB, error) {
 		o(&cfg)
 	}
 	d, err := driver.Connect(target, driver.ConnectOptions{
-		Conns:         cfg.conns,
-		DialTimeout:   cfg.dialTimeout,
-		HedgeDelay:    cfg.hedgeDelay,
-		HedgeAdaptive: cfg.hedgeAdaptive,
-		ReadReplicas:  cfg.readReplicas,
+		Conns:        cfg.conns,
+		DialTimeout:  cfg.dialTimeout,
+		ReadReplicas: cfg.readReplicas,
 	})
 	if err != nil {
 		return nil, err
@@ -188,23 +153,15 @@ func (db *DB) Close() error { return db.d.Close() }
 type Option func(*config)
 
 type config struct {
-	dir          string // compat: mlkv.Open's connect target
 	engine       string
 	bound        int64
 	boundSet     bool
 	memory       int64
 	keys         uint64
-	initScale    float32
 	init         Initializer
 	shards       int
 	cacheEntries int
-	flushPace    time.Duration
 }
-
-// WithDir places the model's storage under dir (default: ./mlkv-data).
-// It applies to the compatibility entry point Open; with Connect the DB
-// already names the target and the option is ignored.
-func WithDir(dir string) Option { return func(c *config) { c.dir = dir } }
 
 // WithEngine selects the storage engine behind the model: "mlkv" (or
 // "faster" — the clocked hybrid log, the default), "lsm" (a write-optimized
@@ -236,15 +193,22 @@ func WithMemory(bytes int64) Option { return func(c *config) { c.memory = bytes 
 // (local models).
 func WithExpectedKeys(n uint64) Option { return func(c *config) { c.keys = n } }
 
-// WithInitScale sets the uniform first-touch initialization range
-// [-scale, scale) (default 0.05; 0 keeps zeros). The initializer is
-// seeded per key, so local and remote workers all derive the same
-// embedding for a given key.
-func WithInitScale(s float32) Option { return func(c *config) { c.initScale = s } }
+// UniformInit returns the initializer drawing each first-touch embedding
+// uniformly from [-scale, scale), seeded per key, so local and remote
+// workers all derive the same embedding for a given key. UniformInit(0)
+// keeps every first-touch value at zero.
+func UniformInit(scale float32) Initializer { return core.UniformInit(scale, initSeed) }
 
-// WithInitializer installs a custom first-touch initializer, overriding
-// WithInitScale. It must be deterministic in key (see Initializer).
-func WithInitializer(fn Initializer) Option { return func(c *config) { c.init = fn } }
+// WithInitializer installs the first-touch initializer (default
+// UniformInit(0.05); nil keeps the default). It must be deterministic in
+// key (see Initializer).
+func WithInitializer(fn Initializer) Option {
+	return func(c *config) {
+		if fn != nil {
+			c.init = fn
+		}
+	}
+}
 
 // WithCache attaches a staleness-aware hot tier holding up to entries
 // embeddings in front of the model's read path (Figure 5(b)'s
@@ -270,22 +234,6 @@ func WithInitializer(fn Initializer) Option { return func(c *config) { c.init = 
 // (mlkv-server -cache), whose clock sees every client. Default 0 (no
 // cache).
 func WithCache(entries int) Option { return func(c *config) { c.cacheEntries = entries } }
-
-// WithFlushPace rate-limits a local model's background log flusher: at
-// most one flush write per pace interval, smearing a burst of frozen
-// pages over time instead of letting it saturate the device under
-// foreground reads — flush bandwidth traded for read-tail latency. The
-// flusher still merges adjacent frozen pages into single group-commit
-// writes, so pacing delays durability by at most a few intervals even
-// under write bursts. 0 (the default) flushes as fast as the device
-// allows. Remote models ignore it: pace the server with -flush-pace.
-func WithFlushPace(pace time.Duration) Option {
-	return func(c *config) {
-		if pace > 0 {
-			c.flushPace = pace
-		}
-	}
-}
 
 // WithShards hash-partitions the embedding table across n independent
 // FASTER store instances, each with its own hybrid log, hash index, and
@@ -315,10 +263,7 @@ func (db *DB) OpenCtx(ctx context.Context, id string, dim int, opts ...Option) (
 	if dim <= 0 {
 		return nil, errors.New("mlkv: dim must be positive")
 	}
-	cfg := config{
-		memory:    256 << 20,
-		initScale: 0.05,
-	}
+	cfg := config{memory: 256 << 20, init: UniformInit(0.05)}
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -331,11 +276,7 @@ func (db *DB) OpenCtx(ctx context.Context, id string, dim int, opts ...Option) (
 		MemoryBytes:  cfg.memory,
 		ExpectedKeys: cfg.keys,
 		CacheEntries: cfg.cacheEntries,
-		FlushPace:    cfg.flushPace,
 		Init:         cfg.init,
-	}
-	if dcfg.Init == nil && cfg.initScale > 0 {
-		dcfg.Init = core.UniformInit(cfg.initScale, initSeed)
 	}
 	m, err := db.d.Open(ctx, id, dcfg)
 	if err != nil {
@@ -344,34 +285,11 @@ func (db *DB) OpenCtx(ctx context.Context, id string, dim int, opts ...Option) (
 	return &Model{m: m, id: id}, nil
 }
 
-// Open creates or recovers the embedding model id under a local directory
-// (WithDir, default ./mlkv-data) — the one-call form of
-// Connect(dir).Open(id, dim, ...). Closing the model also closes the DB
-// it implicitly connected.
-func Open(id string, dim int, opts ...Option) (*Model, error) {
-	cfg := config{dir: "mlkv-data"}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	db, err := Connect(cfg.dir)
-	if err != nil {
-		return nil, err
-	}
-	m, err := db.Open(id, dim, opts...)
-	if err != nil {
-		db.Close()
-		return nil, err
-	}
-	m.ownsDB = db
-	return m, nil
-}
-
 // Model is one embedding model: a named, disk-backed embedding table,
 // served in-process or by a remote server.
 type Model struct {
-	m      driver.Model
-	id     string
-	ownsDB *DB // set by the package-level Open
+	m  driver.Model
+	id string
 }
 
 // ID returns the model identifier.
@@ -441,20 +359,11 @@ type Stats struct {
 	// Flush volume and shaping: pages and bytes written by the background
 	// flusher, multi-page group-commit writes (adjacent frozen pages
 	// merged into one write), and pacing sleeps taken between writes
-	// (WithFlushPace / mlkv-server -flush-pace).
+	// (mlkv-server -flush-pace).
 	FlushedPages    int64
 	BytesFlushed    int64
 	GroupCommits    int64
 	FlushPaceStalls int64
-	// Hedged-read activity of a remote model's connection pool
-	// (WithHedge/WithAdaptiveHedge; shared by every model opened from the
-	// same Connect): duplicates issued, duplicates that beat their
-	// primary, duplicates the primary beat, and hedges suppressed by the
-	// token bucket.
-	HedgedReads     int64
-	HedgeWins       int64
-	HedgeWasted     int64
-	HedgeSuppressed int64
 	// Cluster activity (targets of the form "mlkv://a,b,c"; zero
 	// elsewhere): nodes and map epoch the client's router currently holds,
 	// NOT_OWNER redirects it followed (each adopting the server's newer
@@ -545,8 +454,6 @@ func statsOf(s stats.Counters) Stats {
 		CacheEvictions: s.CacheEvictions,
 		FlushedPages:   s.FlushedPages, BytesFlushed: s.BytesFlushed,
 		GroupCommits: s.GroupCommits, FlushPaceStalls: s.FlushPaceStalls,
-		HedgedReads: s.HedgedReads, HedgeWins: s.HedgeWins,
-		HedgeWasted: s.HedgeWasted, HedgeSuppressed: s.HedgeSuppressed,
 		ClusterNodes: s.ClusterNodes, ClusterEpoch: s.ClusterEpoch,
 		ClusterRedirects: s.ClusterRedirects, ReplicaReads: s.ReplicaReads,
 		DialRetries: s.DialRetries, DialBackoffs: s.DialBackoffs,
@@ -564,17 +471,8 @@ func (m *Model) ActiveSessions() int64 {
 	return s.ActiveSessions
 }
 
-// Close releases the model (and, for a model opened with the package-level
-// Open, its implicit DB).
-func (m *Model) Close() error {
-	err := m.m.Close()
-	if m.ownsDB != nil {
-		if cerr := m.ownsDB.Close(); err == nil {
-			err = cerr
-		}
-	}
-	return err
-}
+// Close releases the model.
+func (m *Model) Close() error { return m.m.Close() }
 
 // NewSession registers a session. Sessions are cheap; create one per
 // worker goroutine and close it when done.

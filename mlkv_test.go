@@ -8,13 +8,21 @@ import (
 	mlkv "github.com/llm-db/mlkv-go"
 )
 
+// connectDir connects a local DB on dir, closed when the test ends.
+func connectDir(t *testing.T, dir string) *mlkv.DB {
+	t.Helper()
+	db, err := mlkv.Connect(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	return db
+}
+
 func openModel(t *testing.T, opts ...mlkv.Option) *mlkv.Model {
 	t.Helper()
-	opts = append([]mlkv.Option{
-		mlkv.WithDir(t.TempDir()),
-		mlkv.WithMemory(8 << 20),
-	}, opts...)
-	m, err := mlkv.Open("test-model", 8, opts...)
+	opts = append([]mlkv.Option{mlkv.WithMemory(8 << 20)}, opts...)
+	m, err := connectDir(t, t.TempDir()).Open("test-model", 8, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +117,8 @@ func TestLookaheadAndStats(t *testing.T) {
 
 func TestDeleteAndCheckpoint(t *testing.T) {
 	dir := t.TempDir()
-	m, err := mlkv.Open("ckpt", 4, mlkv.WithDir(dir), mlkv.WithMemory(4<<20), mlkv.WithInitScale(0))
+	db := connectDir(t, dir)
+	m, err := db.Open("ckpt", 4, mlkv.WithMemory(4<<20), mlkv.WithInitializer(mlkv.UniformInit(0)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,8 +130,9 @@ func TestDeleteAndCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.Close()
+	db.Close()
 
-	m2, err := mlkv.Open("ckpt", 4, mlkv.WithDir(dir), mlkv.WithMemory(4<<20), mlkv.WithInitScale(0))
+	m2, err := connectDir(t, dir).Open("ckpt", 4, mlkv.WithMemory(4<<20), mlkv.WithInitializer(mlkv.UniformInit(0)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,10 +176,11 @@ func TestConcurrentSessions(t *testing.T) {
 }
 
 func TestOpenValidation(t *testing.T) {
-	if _, err := mlkv.Open("", 8); err == nil {
+	db := connectDir(t, t.TempDir())
+	if _, err := db.Open("", 8); err == nil {
 		t.Fatal("empty id accepted")
 	}
-	if _, err := mlkv.Open("x", 0, mlkv.WithDir(t.TempDir())); err == nil {
+	if _, err := db.Open("x", 0); err == nil {
 		t.Fatal("zero dim accepted")
 	}
 }
