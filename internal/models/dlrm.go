@@ -10,7 +10,7 @@ import (
 	"fmt"
 
 	"github.com/llm-db/mlkv-go/internal/nn"
-	"github.com/llm-db/mlkv-go/internal/tensor"
+	"github.com/llm-db/mlkv-go/internal/util"
 )
 
 // DLRMKind selects the dense architecture.
@@ -67,26 +67,24 @@ func NewDLRM(kind DLRMKind, fields, dim, denseDim int, hidden []int, seed uint64
 // InputDim returns the dense-network input width.
 func (m *DLRM) InputDim() int { return m.DenseDim + m.Fields*m.Dim }
 
-// DLRMWorker holds one goroutine's activations and gradient accumulators.
+// DLRMWorker holds one goroutine's activations and gradient accumulators
+// for minibatches of samples, one input row per sample.
 type DLRMWorker struct {
 	m     *DLRM
-	x0    []float32
-	dEmb  []float32
+	dEmb  []float32 // n × Fields·Dim
 	ffnn  *nn.MLPWorker
 	cross *nn.CrossWorker
 	deep  *nn.MLPWorker
 	comb  *nn.MLPWorker
-	cat   []float32 // DCN: [crossOut ‖ deepOut]
-	dcat  []float32
+	hid   int       // DCN: deep-tower output width
+	cat   []float32 // DCN: n rows of [crossOut ‖ deepOut]
+	dxc   []float32 // DCN: the cross half of comb's input gradient, n×InputDim
+	dxd   []float32 // DCN: the deep half, n×hid
 }
 
 // NewWorker allocates a worker context.
 func (m *DLRM) NewWorker() *DLRMWorker {
-	w := &DLRMWorker{
-		m:    m,
-		x0:   make([]float32, m.InputDim()),
-		dEmb: make([]float32, m.Fields*m.Dim),
-	}
+	w := &DLRMWorker{m: m}
 	switch m.Kind {
 	case FFNN:
 		w.ffnn = m.ffnn.NewWorker()
@@ -94,74 +92,68 @@ func (m *DLRM) NewWorker() *DLRMWorker {
 		w.cross = m.cross.NewWorker()
 		w.deep = m.deep.NewWorker()
 		w.comb = m.comb.NewWorker()
-		hid := m.deep.Sizes[len(m.deep.Sizes)-1]
-		w.cat = make([]float32, m.InputDim()+hid)
-		w.dcat = make([]float32, m.InputDim()+hid)
+		w.hid = m.deep.Sizes[len(m.deep.Sizes)-1]
 	}
 	return w
 }
 
-// Forward computes the CTR logit for one sample. embs is the concatenation
-// of the Fields embeddings (Fields×Dim floats).
-func (w *DLRMWorker) Forward(dense, embs []float32) (float32, error) {
+// Forward computes the CTR logits of n samples. x holds one row of
+// InputDim floats per sample: its DenseDim dense features, then its Fields
+// embeddings (Fields×Dim). The n logits are worker-owned and valid until
+// the next Forward.
+func (w *DLRMWorker) Forward(x []float32) ([]float32, error) {
 	m := w.m
-	if len(dense) != m.DenseDim || len(embs) != m.Fields*m.Dim {
-		return 0, fmt.Errorf("models: DLRM input dims (%d,%d) != (%d,%d)", len(dense), len(embs), m.DenseDim, m.Fields*m.Dim)
+	in := m.InputDim()
+	if len(x) == 0 || len(x)%in != 0 {
+		return nil, fmt.Errorf("models: DLRM input of %d floats is not whole rows of %d", len(x), in)
 	}
-	copy(w.x0, dense)
-	copy(w.x0[m.DenseDim:], embs)
-	switch m.Kind {
-	case FFNN:
-		return w.ffnn.Forward(w.x0)[0], nil
-	default: // DCN
-		co := w.cross.Forward(w.x0)
-		do := w.deep.Forward(w.x0)
-		copy(w.cat, co)
-		copy(w.cat[len(co):], do)
-		return w.comb.Forward(w.cat)[0], nil
+	if m.Kind == FFNN {
+		return w.ffnn.Forward(x), nil
 	}
+	n, width := len(x)/in, in+w.hid
+	co := w.cross.Forward(x)
+	do := w.deep.Forward(x)
+	w.cat = util.Grow(w.cat, n*width)
+	for s := 0; s < n; s++ {
+		row := w.cat[s*width : (s+1)*width]
+		copy(row, co[s*in:(s+1)*in])
+		copy(row[in:], do[s*w.hid:(s+1)*w.hid])
+	}
+	return w.comb.Forward(w.cat), nil
 }
 
-// Backward accumulates dense-parameter gradients for the last Forward and
-// returns the gradient w.r.t. the embeddings (worker-owned slice).
-func (w *DLRMWorker) Backward(dLogit float32) []float32 {
+// Backward accumulates dense-parameter gradients for the rows of the last
+// Forward given each row's dLoss/dLogit and returns the gradient w.r.t. the
+// embeddings, one row of Fields×Dim per sample (worker-owned).
+func (w *DLRMWorker) Backward(dLogits []float32) []float32 {
 	m := w.m
-	switch m.Kind {
-	case FFNN:
-		dx := w.ffnn.Backward([]float32{dLogit})
-		copy(w.dEmb, dx[m.DenseDim:])
-	default: // DCN
-		dcat := w.comb.Backward([]float32{dLogit})
-		copy(w.dcat, dcat)
-		in := m.InputDim()
-		dxc := w.cross.Backward(w.dcat[:in])
-		dxd := w.deep.Backward(w.dcat[in:])
-		for i := 0; i < m.Fields*m.Dim; i++ {
-			w.dEmb[i] = dxc[m.DenseDim+i] + dxd[m.DenseDim+i]
+	n, in, e := len(dLogits), m.InputDim(), m.Fields*m.Dim
+	w.dEmb = util.Grow(w.dEmb, n*e)
+	if m.Kind == FFNN {
+		dx := w.ffnn.Backward(dLogits)
+		for s := 0; s < n; s++ {
+			copy(w.dEmb[s*e:(s+1)*e], dx[s*in+m.DenseDim:(s+1)*in])
+		}
+		return w.dEmb
+	}
+	width := in + w.hid
+	dcat := w.comb.Backward(dLogits)
+	w.dxc = util.Grow(w.dxc, n*in)
+	w.dxd = util.Grow(w.dxd, n*w.hid)
+	for s := 0; s < n; s++ {
+		row := dcat[s*width : (s+1)*width]
+		copy(w.dxc[s*in:(s+1)*in], row[:in])
+		copy(w.dxd[s*w.hid:(s+1)*w.hid], row[in:])
+	}
+	dxc := w.cross.Backward(w.dxc)
+	dxd := w.deep.Backward(w.dxd)
+	for s := 0; s < n; s++ {
+		for i := 0; i < e; i++ {
+			j := s*in + m.DenseDim + i
+			w.dEmb[s*e+i] = dxc[j] + dxd[j]
 		}
 	}
 	return w.dEmb
-}
-
-// Step runs forward + loss + backward for one labeled sample and returns
-// (loss, predicted probability, embedding gradient).
-func (w *DLRMWorker) Step(dense, embs []float32, label float32) (loss, prob float32, dEmb []float32, err error) {
-	logit, err := w.Forward(dense, embs)
-	if err != nil {
-		return 0, 0, nil, err
-	}
-	loss, dLogit := nn.BCEWithLogits(logit, label)
-	dEmb = w.Backward(dLogit)
-	return loss, tensor.Sigmoid(logit), dEmb, nil
-}
-
-// Predict computes the probability without touching gradients.
-func (w *DLRMWorker) Predict(dense, embs []float32) (float32, error) {
-	logit, err := w.Forward(dense, embs)
-	if err != nil {
-		return 0, err
-	}
-	return tensor.Sigmoid(logit), nil
 }
 
 // Apply folds accumulated dense gradients into the shared parameters.

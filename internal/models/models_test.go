@@ -39,18 +39,23 @@ func TestDLRMGradCheckEmbeddings(t *testing.T) {
 			m := NewDLRM(kind, 3, 4, 2, []int{8}, 1)
 			w := m.NewWorker()
 			r := util.NewRNG(2)
-			dense := randVec(r, 2)
-			embs := randVec(r, 12)
+			x := randVec(r, m.InputDim()) // 2 dense features, then 3×4 embeddings
+			embs := x[m.DenseDim:]
 			label := float32(1)
 			lossAt := func() float32 {
-				logit, _ := w.Forward(dense, embs)
-				l, _ := bceLoss(logit, label)
+				logits, _ := w.Forward(x)
+				l, _ := bceLoss(logits[0], label)
 				return l
 			}
-			loss, _, dEmb, err := w.Step(dense, embs, label)
-			if err != nil || loss <= 0 {
-				t.Fatalf("step: loss=%v err=%v", loss, err)
+			logits, err := w.Forward(x)
+			if err != nil {
+				t.Fatal(err)
 			}
+			loss, dLogit := bceLoss(logits[0], label)
+			if loss <= 0 {
+				t.Fatalf("loss=%v", loss)
+			}
+			dEmb := w.Backward([]float32{dLogit})
 			for i := range embs {
 				want := numGrad32(lossAt, embs, i)
 				if !approx(dEmb[i], want, 2e-2) {
@@ -85,7 +90,6 @@ func TestDLRMLearnsSyntheticSignal(t *testing.T) {
 			labels[i] = 1
 		}
 	}
-	dense := []float32{0.5, -0.5}
 	var lastAvg float32
 	for epoch := 0; epoch < 200; epoch++ {
 		var sum float32
@@ -93,8 +97,13 @@ func TestDLRMLearnsSyntheticSignal(t *testing.T) {
 			k1 := int(r.Uint64n(20))
 			k2 := int(r.Uint64n(20))
 			label := labels[k1]
-			embs := append(append([]float32(nil), table[k1]...), table[k2]...)
-			loss, _, dEmb, _ := w.Step(dense, embs, label)
+			x := append(append([]float32{0.5, -0.5}, table[k1]...), table[k2]...)
+			logits, err := w.Forward(x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			loss, dLogit := bceLoss(logits[0], label)
+			dEmb := w.Backward([]float32{dLogit})
 			sum += loss
 			for i := 0; i < 4; i++ {
 				table[k1][i] -= 0.1 * dEmb[i]

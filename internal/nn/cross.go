@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"sync"
 
@@ -40,23 +41,23 @@ func NewCrossStack(dim, layers int, seed uint64) *CrossStack {
 	return c
 }
 
-// CrossWorker holds per-goroutine activations and gradient accumulators.
+// CrossWorker holds per-goroutine activations and gradient accumulators,
+// sized like MLPWorker's for the largest minibatch run so far.
 type CrossWorker struct {
-	c   *CrossStack
-	xs  [][]float32 // xs[l] = input to layer l; xs[Layers] = output
-	dot []float32   // w_l · x_l per layer
-	dW  [][]float32
-	dB  [][]float32
-	dx  []float32
-	n   int
+	c    *CrossStack
+	rows int         // rows of the last Forward
+	xs   [][]float32 // xs[l] = input rows of layer l; xs[Layers] = output rows
+	dot  []float32   // w_l · x_l per row and layer (rows × Layers)
+	dW   [][]float32
+	dB   [][]float32
+	dx   []float32 // dLoss/dx0 rows
+	g    []float32 // one row's running dLoss/dx_l
+	n    int
 }
 
 // NewWorker allocates a worker context.
 func (c *CrossStack) NewWorker() *CrossWorker {
-	w := &CrossWorker{c: c, dot: make([]float32, c.Layers), dx: make([]float32, c.Dim)}
-	for l := 0; l <= c.Layers; l++ {
-		w.xs = append(w.xs, make([]float32, c.Dim))
-	}
+	w := &CrossWorker{c: c, xs: make([][]float32, c.Layers+1), g: make([]float32, c.Dim)}
 	for l := 0; l < c.Layers; l++ {
 		w.dW = append(w.dW, make([]float32, c.Dim))
 		w.dB = append(w.dB, make([]float32, c.Dim))
@@ -64,49 +65,71 @@ func (c *CrossStack) NewWorker() *CrossWorker {
 	return w
 }
 
-// Forward runs the cross stack; the returned slice is worker-owned.
+// Forward runs the cross stack on the rows of x0 (n rows of Dim) and
+// returns the n output rows; the returned slice is worker-owned.
 func (w *CrossWorker) Forward(x0 []float32) []float32 {
 	c := w.c
+	n := rowsOf(x0, c.Dim)
 	c.Mu.RLock()
 	defer c.Mu.RUnlock()
+	w.rows = n
+	for l := range w.xs {
+		w.xs[l] = util.Grow(w.xs[l], len(x0))
+	}
+	w.dot = util.Grow(w.dot, n*c.Layers)
 	copy(w.xs[0], x0)
-	for l := 0; l < c.Layers; l++ {
-		d := tensor.Dot(c.W[l], w.xs[l])
-		w.dot[l] = d
-		out := w.xs[l+1]
-		for i := 0; i < c.Dim; i++ {
-			out[i] = w.xs[0][i]*d + c.B[l][i] + w.xs[l][i]
+	for s := 0; s < n; s++ {
+		row := w.xs[0][s*c.Dim : (s+1)*c.Dim]
+		for l := 0; l < c.Layers; l++ {
+			xl := w.xs[l][s*c.Dim : (s+1)*c.Dim]
+			d := tensor.Dot(c.W[l], xl)
+			w.dot[s*c.Layers+l] = d
+			out := w.xs[l+1][s*c.Dim : (s+1)*c.Dim]
+			for i := range out {
+				out[i] = row[i]*d + c.B[l][i] + xl[i]
+			}
 		}
 	}
 	return w.xs[c.Layers]
 }
 
-// Backward accumulates gradients given dOut and returns dLoss/dx0.
+// Backward accumulates gradients for the rows of the last Forward given
+// dOut (n rows) and returns dLoss/dx0 per row. Rows fold into the
+// gradients in order, as n one-row calls would.
 func (w *CrossWorker) Backward(dOut []float32) []float32 {
 	c := w.c
+	n := w.rows
+	if len(dOut) != n*c.Dim {
+		panic(fmt.Sprintf("nn: %d output gradients for %d rows of %d", len(dOut), n, c.Dim))
+	}
 	c.Mu.RLock()
 	defer c.Mu.RUnlock()
-	dx := append([]float32(nil), dOut...)
-	dx0 := make([]float32, c.Dim)
-	for l := c.Layers - 1; l >= 0; l-- {
-		// x_{l+1} = x0·d + b + x_l with d = w·x_l.
-		// ∂L/∂d   = dx · x0
-		dd := tensor.Dot(dx, w.xs[0])
-		// ∂L/∂x0 += dx · d   (direct term; x0 also feeds shallower layers)
-		tensor.Axpy(w.dot[l], dx, dx0)
-		// ∂L/∂b  += dx
-		tensor.Axpy(1, dx, w.dB[l])
-		// ∂L/∂w  += dd · x_l
-		tensor.Axpy(dd, w.xs[l], w.dW[l])
-		// ∂L/∂x_l = dx + dd·w
-		for i := 0; i < c.Dim; i++ {
-			dx[i] += dd * c.W[l][i]
+	w.dx = util.Grow(w.dx, len(dOut))
+	dx := w.g
+	for s := 0; s < n; s++ {
+		x0 := w.xs[0][s*c.Dim : (s+1)*c.Dim]
+		dx0 := w.dx[s*c.Dim : (s+1)*c.Dim]
+		copy(dx, dOut[s*c.Dim:(s+1)*c.Dim])
+		tensor.Zero(dx0)
+		for l := c.Layers - 1; l >= 0; l-- {
+			// x_{l+1} = x0·d + b + x_l with d = w·x_l.
+			// ∂L/∂d   = dx · x0
+			dd := tensor.Dot(dx, x0)
+			// ∂L/∂x0 += dx · d   (direct term; x0 also feeds shallower layers)
+			tensor.Axpy(w.dot[s*c.Layers+l], dx, dx0)
+			// ∂L/∂b  += dx
+			tensor.Axpy(1, dx, w.dB[l])
+			// ∂L/∂w  += dd · x_l
+			tensor.Axpy(dd, w.xs[l][s*c.Dim:(s+1)*c.Dim], w.dW[l])
+			// ∂L/∂x_l = dx + dd·w
+			for i := range dx {
+				dx[i] += dd * c.W[l][i]
+			}
 		}
+		// The layer-0 input is x0 itself: fold in the skip-path gradient.
+		tensor.Axpy(1, dx, dx0)
 	}
-	// The layer-0 input is x0 itself: fold in the skip-path gradient.
-	tensor.Axpy(1, dx, dx0)
-	copy(w.dx, dx0)
-	w.n++
+	w.n += n
 	return w.dx
 }
 

@@ -8,6 +8,7 @@
 package nn
 
 import (
+	"fmt"
 	"sync"
 
 	"github.com/llm-db/mlkv-go/internal/tensor"
@@ -41,68 +42,94 @@ func NewMLP(sizes []int, seed uint64) *MLP {
 }
 
 // MLPWorker holds one goroutine's activations and gradient accumulators.
+// Its buffers hold as many rows as the largest minibatch it has run, so a
+// steady stream of equal minibatches allocates nothing.
 type MLPWorker struct {
 	m    *MLP
-	acts [][]float32 // acts[0] = input copy, acts[l+1] = layer l output
+	rows int         // rows of the last Forward
+	acts [][]float32 // acts[0] = input rows, acts[l+1] = layer l output rows
+	dx   [][]float32 // dx[l] = gradient rows w.r.t. acts[l]
 	dW   [][]float32
 	dB   [][]float32
-	dx   [][]float32
 	n    int // accumulated examples
 }
 
 // NewWorker allocates a worker context.
 func (m *MLP) NewWorker() *MLPWorker {
-	w := &MLPWorker{m: m}
-	w.acts = append(w.acts, make([]float32, m.Sizes[0]))
-	for l := 0; l < len(m.W); l++ {
-		w.acts = append(w.acts, make([]float32, m.Sizes[l+1]))
+	w := &MLPWorker{m: m, acts: make([][]float32, len(m.Sizes)), dx: make([][]float32, len(m.W))}
+	for l := range m.W {
 		w.dW = append(w.dW, make([]float32, len(m.W[l])))
 		w.dB = append(w.dB, make([]float32, len(m.B[l])))
-		w.dx = append(w.dx, make([]float32, m.Sizes[l]))
 	}
 	return w
 }
 
-// Forward runs the network on x (len Sizes[0]) and returns the output
-// activations (len Sizes[last]). The returned slice is owned by the worker.
-func (w *MLPWorker) Forward(x []float32) []float32 {
-	m := w.m
-	m.Mu.RLock()
-	defer m.Mu.RUnlock()
-	copy(w.acts[0], x)
-	for l := 0; l < len(m.W); l++ {
-		in, out := m.Sizes[l], m.Sizes[l+1]
-		tensor.MatVec(m.W[l], out, in, w.acts[l], w.acts[l+1])
-		for i := 0; i < out; i++ {
-			w.acts[l+1][i] += m.B[l][i]
-		}
-		if l != len(m.W)-1 {
-			tensor.ReLU(w.acts[l+1])
-		}
+// rowsOf returns how many rows of width x holds.
+func rowsOf(x []float32, width int) int {
+	if len(x)%width != 0 {
+		panic(fmt.Sprintf("nn: %d values are not whole rows of %d", len(x), width))
 	}
-	return w.acts[len(w.acts)-1]
+	return len(x) / width
 }
 
-// Backward accumulates gradients for the last Forward call given dOut
-// (gradient of the loss w.r.t. the output) and returns the gradient w.r.t.
-// the input (owned by the worker, valid until the next call).
-func (w *MLPWorker) Backward(dOut []float32) []float32 {
+// Forward runs the network on the rows of x (n rows of Sizes[0]; one row is
+// a single sample) and returns the n output rows (n×Sizes[last]), owned by
+// the worker. Each layer is one pass over all n rows.
+func (w *MLPWorker) Forward(x []float32) []float32 {
 	m := w.m
+	n := rowsOf(x, m.Sizes[0])
 	m.Mu.RLock()
 	defer m.Mu.RUnlock()
+	w.rows = n
+	w.acts[0] = append(w.acts[0][:0], x...)
+	for l := range m.W {
+		in, out := m.Sizes[l], m.Sizes[l+1]
+		y := util.Grow(w.acts[l+1], n*out)
+		w.acts[l+1] = y
+		tensor.MatVecRows(m.W[l], out, in, w.acts[l], n, y)
+		for s := 0; s < n; s++ {
+			row := y[s*out : (s+1)*out]
+			for i, b := range m.B[l] {
+				row[i] += b
+			}
+		}
+		if l != len(m.W)-1 {
+			tensor.ReLU(y)
+		}
+	}
+	return w.acts[len(m.W)]
+}
+
+// Backward accumulates gradients for the rows of the last Forward call
+// given dOut (n rows of the loss gradient w.r.t. each output row) and
+// returns the gradient w.r.t. each input row (n×Sizes[0], owned by the
+// worker, valid until the next call). The rows fold into the weight and
+// bias gradients in order, so n rows accumulate exactly what n one-row
+// calls would, bit for bit.
+func (w *MLPWorker) Backward(dOut []float32) []float32 {
+	m := w.m
 	L := len(m.W)
-	dy := append([]float32(nil), dOut...)
+	n := w.rows
+	if len(dOut) != n*m.Sizes[L] {
+		panic(fmt.Sprintf("nn: %d output gradients for %d rows of %d", len(dOut), n, m.Sizes[L]))
+	}
+	m.Mu.RLock()
+	defer m.Mu.RUnlock()
+	dy := dOut // read only: the output layer has no ReLU to mask
 	for l := L - 1; l >= 0; l-- {
 		in, out := m.Sizes[l], m.Sizes[l+1]
 		if l != L-1 {
 			tensor.ReLUGrad(w.acts[l+1], dy)
 		}
-		tensor.OuterAcc(w.dW[l], out, in, dy, w.acts[l])
-		tensor.Axpy(1, dy, w.dB[l])
-		tensor.MatVecT(m.W[l], out, in, dy, w.dx[l])
+		tensor.OuterAccRows(w.dW[l], out, in, dy, w.acts[l], n)
+		for s := 0; s < n; s++ {
+			tensor.Axpy(1, dy[s*out:(s+1)*out], w.dB[l])
+		}
+		w.dx[l] = util.Grow(w.dx[l], n*in)
+		tensor.MatVecTRows(m.W[l], out, in, dy, n, w.dx[l])
 		dy = w.dx[l]
 	}
-	w.n++
+	w.n += n
 	return w.dx[0]
 }
 

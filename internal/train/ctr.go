@@ -1,11 +1,13 @@
 package train
 
 import (
+	"fmt"
 	"math"
 	"time"
 
 	"github.com/llm-db/mlkv-go/internal/data"
 	"github.com/llm-db/mlkv-go/internal/models"
+	"github.com/llm-db/mlkv-go/internal/tensor"
 	"github.com/llm-db/mlkv-go/internal/util"
 )
 
@@ -48,8 +50,13 @@ func TrainCTR(opts CTROptions) (*Result, error) {
 	if opts.EvalSamples == 0 {
 		opts.EvalSamples = 2000
 	}
+	cfg, m := opts.Gen.Config(), opts.Model
+	if cfg.Fields != m.Fields || cfg.DenseDim != m.DenseDim {
+		return nil, fmt.Errorf("train: samples have %d fields and %d dense features, the model takes %d and %d",
+			cfg.Fields, cfg.DenseDim, m.Fields, m.DenseDim)
+	}
 	// Fixed evaluation set: same planted ground truth, disjoint stream.
-	evalSet := data.NewCTRGen(withStream(opts.Gen.Config(), 0xe7a1)).Batch(opts.EvalSamples)
+	evalSet := data.NewCTRGen(withStream(cfg, 0xe7a1)).Batch(opts.EvalSamples)
 	evalNet := opts.Model.NewWorker()
 	return runner{
 		backend: opts.Backend, workers: opts.Workers,
@@ -64,16 +71,17 @@ func TrainCTR(opts CTROptions) (*Result, error) {
 // ctrWorker trains one minibatch per step: it draws a minibatch (hinting
 // its keys in one call when look-ahead is on — a minibatch that is read
 // lead steps later), fetches every unique embedding of the minibatch that
-// is due with one batched gather, runs the dense tower sample by sample,
-// and scatters the accumulated embedding gradients.
+// is due with one batched gather, runs the dense tower once over all of
+// its samples, and scatters the accumulated embedding gradients.
 type ctrWorker struct {
 	opts *CTROptions
 	h    Handle
 	net  *models.DLRMWorker
 	gen  *data.CTRGen
 
-	embs []float32 // one sample's Fields×dim input
-	g    *gather
+	x       []float32 // Batch tower input rows: a sample's dense features, then its embeddings
+	dLogits []float32 // Batch
+	g       *gather
 	// ring holds lead+1 minibatches: minibatch i sits in slot i mod (lead+1)
 	// from the step that draws (and hints) it to the step that trains it,
 	// lead steps later.
@@ -90,11 +98,12 @@ func newCTRWorker(opts *CTROptions, id int, h Handle) *ctrWorker {
 	}
 	return &ctrWorker{
 		opts: opts, h: h,
-		net:  opts.Model.NewWorker(),
-		gen:  data.NewCTRGen(withStream(opts.Gen.Config(), uint64(id)*7919+1)),
-		embs: make([]float32, opts.Model.Fields*dim),
-		g:    newGather(dim),
-		ring: make([]data.CTRSample, (lead+1)*opts.Batch),
+		net:     opts.Model.NewWorker(),
+		gen:     data.NewCTRGen(withStream(opts.Gen.Config(), uint64(id)*7919+1)),
+		x:       make([]float32, opts.Batch*opts.Model.InputDim()),
+		dLogits: make([]float32, opts.Batch),
+		g:       newGather(dim),
+		ring:    make([]data.CTRSample, (lead+1)*opts.Batch),
 	}
 }
 
@@ -132,6 +141,10 @@ func (w *ctrWorker) next() []data.CTRSample {
 // clocked reads are blocking token acquisitions, and a global order keeps
 // the cross-worker wait graph acyclic. Every fetched key is written back,
 // trained on or not: each clocked read owes its write (clock balance).
+// The n samples go through the tower as one n-row forward and one n-row
+// backward, and their embedding gradients accumulate sample by sample in
+// field order — the order the tower's one-row form used — so a step stores
+// the same bits either way. The clock is read once per stage boundary.
 func (w *ctrWorker) step(n int) (StageTimes, error) {
 	g, dim := w.g, w.opts.Model.Dim
 	samples := w.next()
@@ -143,56 +156,68 @@ func (w *ctrWorker) step(n int) (StageTimes, error) {
 			g.add(k)
 		}
 	}
-	var st StageTimes
 	t0 := time.Now()
 	if err := g.fetch(w.h); err != nil {
-		return st, err
+		return StageTimes{}, err
 	}
-	st.Emb = time.Since(t0)
-	for _, s := range samples[:n] {
+	t1 := time.Now()
+	in, dd := w.opts.Model.InputDim(), w.opts.Model.DenseDim
+	x := w.x[:n*in]
+	for i, s := range samples[:n] {
+		row := x[i*in : (i+1)*in]
+		copy(row, s.Dense)
 		for f, k := range s.Keys {
-			copy(w.embs[f*dim:(f+1)*dim], g.emb(k))
+			copy(row[dd+f*dim:dd+(f+1)*dim], g.emb(k))
 		}
-		tf := time.Now()
-		logit, err := w.net.Forward(s.Dense, w.embs)
-		if err != nil {
-			return st, err
-		}
-		tb := time.Now()
-		_, dLogit := bceLogit(logit, s.Label)
-		dEmb := w.net.Backward(dLogit)
-		for f, k := range s.Keys {
-			g.accumulate(k, dEmb[f*dim:(f+1)*dim], 1)
-		}
-		st.Forward += tb.Sub(tf)
-		st.Backward += time.Since(tb)
+	}
+	logits, err := w.net.Forward(x)
+	if err != nil {
+		return StageTimes{}, err
 	}
 	t2 := time.Now()
-	if err := g.scatter(w.h, w.opts.EmbLR); err != nil {
-		return st, err
+	for i, s := range samples[:n] {
+		_, w.dLogits[i] = bceLogit(logits[i], s.Label)
 	}
-	st.Emb += time.Since(t2)
-	return st, nil
+	dEmb := w.net.Backward(w.dLogits[:n])
+	e := len(dEmb) / n
+	for i, s := range samples[:n] {
+		for f, k := range s.Keys {
+			g.accumulate(k, dEmb[i*e+f*dim:i*e+(f+1)*dim], 1)
+		}
+	}
+	t3 := time.Now()
+	if err := g.scatter(w.h, w.opts.EmbLR); err != nil {
+		return StageTimes{}, err
+	}
+	return StageTimes{Emb: t1.Sub(t0) + time.Since(t3), Forward: t2.Sub(t1), Backward: t3.Sub(t2)}, nil
 }
 
 func (w *ctrWorker) apply() { w.net.Apply(w.opts.DenseLR) }
 
-// evalCTRAUC scores the fixed evaluation set with Peek (no clock effects).
+// evalCTRAUC scores the fixed evaluation set with Peek (no clock effects),
+// Batch samples per forward — the same n-row forward training runs.
 func evalCTRAUC(opts *CTROptions, h Handle, w *models.DLRMWorker, evalSet []data.CTRSample) float64 {
-	dim := opts.Model.Dim
-	embs := make([]float32, opts.Model.Fields*dim)
+	dim, in, dd := opts.Model.Dim, opts.Model.InputDim(), opts.Model.DenseDim
+	x := make([]float32, opts.Batch*in)
 	scores := make([]float64, len(evalSet))
 	labels := make([]int, len(evalSet))
-	for i, s := range evalSet {
-		for f, k := range s.Keys {
-			peekOrZero(h, k, embs[f*dim:(f+1)*dim])
+	for lo := 0; lo < len(evalSet); lo += opts.Batch {
+		chunk := evalSet[lo:min(lo+opts.Batch, len(evalSet))]
+		for i, s := range chunk {
+			row := x[i*in : (i+1)*in]
+			copy(row, s.Dense)
+			for f, k := range s.Keys {
+				peekOrZero(h, k, row[dd+f*dim:dd+(f+1)*dim])
+			}
 		}
-		p, err := w.Predict(s.Dense, embs)
+		logits, err := w.Forward(x[:len(chunk)*in])
 		if err != nil {
 			return 0.5
 		}
-		scores[i] = float64(p)
-		labels[i] = int(s.Label)
+		for i, s := range chunk {
+			scores[lo+i] = float64(tensor.Sigmoid(logits[i]))
+			labels[lo+i] = int(s.Label)
+		}
 	}
 	return util.AUC(scores, labels)
 }

@@ -22,7 +22,9 @@ const (
 	ModeAsync
 )
 
-// StageTimes decomposes per-sample latency (Figure 2 left).
+// StageTimes decomposes training time into stages (Figure 2 left). A step
+// returns its own, measured once per stage over its whole minibatch; the
+// runner sums them into Result.Stage.
 type StageTimes struct {
 	Emb      time.Duration // embedding Get + Put (data stalls land here)
 	Forward  time.Duration
