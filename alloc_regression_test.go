@@ -223,6 +223,59 @@ func TestLocalGetBatchAllocBudget(t *testing.T) {
 	}
 }
 
+// TestLocalFirstTouchAllocBudget gates first touch under a blocking bound:
+// a 256-key GetBatch of keys never read before, on a one-shard SSP(4)
+// model, creates every key inside the engine pass through a callback the
+// session binds once, and allocates nothing — the PutBatch releasing the
+// tokens included. The three-call path it replaced (read, RMW-init, read
+// again per key) allocated an RMW closure per key: 256/op.
+func TestLocalFirstTouchAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation changes allocation counts")
+	}
+	const dim, batch = 16, 256
+	db, err := mlkv.Connect(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	m, err := db.Open("first-touch", dim, mlkv.WithStalenessBound(4),
+		mlkv.WithMemory(64<<20), mlkv.WithExpectedKeys(1<<16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	s, err := m.NewSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	keys, dst := make([]uint64, batch), make([]float32, batch*dim)
+	next := uint64(0)
+	step := func() {
+		for j := range keys {
+			keys[j] = next
+			next++
+		}
+		if err := s.GetBatch(keys, dst); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.PutBatch(keys, dst); err != nil {
+			t.Fatal(err)
+		}
+	}
+	step() // grows the session scratch once
+	before := m.Stats()
+	avg := testing.AllocsPerRun(100, step)
+	if created := m.Stats().RCUAppends - before.RCUAppends; created != 101*batch {
+		t.Fatalf("%d first touches appended %d records", 101*batch, created)
+	}
+	t.Logf("local first-touch GetBatch(%d) + PutBatch: %.1f allocs/op", batch, avg)
+	if avg > 0 {
+		t.Fatalf("local first-touch GetBatch(%d) + PutBatch allocates %.1f/op, budget 0", batch, avg)
+	}
+}
+
 // Committed allocs/op ceilings for a trainer's step as storage sees it with
 // look-ahead on: one 256-key hint for the next batch, then the 256-key read
 // of the current one (which allocates nothing on these memory-resident

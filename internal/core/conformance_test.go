@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -228,6 +229,73 @@ func TestTableBatchRoundTripConcurrent(t *testing.T) {
 	})
 }
 
+// TestParallelFirstTouch reads a batch of absent keys wide enough to fan
+// out one goroutine per shard of a spilled table. Every key must be created
+// from its own initializer values: the session stages each first touch in
+// one reused buffer, so the fan-out must never run two creations at once.
+// The initializer fails the test if it is entered while another call is in
+// flight; the sleep widens the window in which an overlap would show.
+func TestParallelFirstTouch(t *testing.T) {
+	const dim, n = 4, 64
+	for _, engine := range []string{kv.EngineFaster, kv.EngineLSM, kv.EngineBPTree} {
+		t.Run(engine, func(t *testing.T) {
+			bound := BoundASP
+			if kv.ClockFree(engine) {
+				bound = BoundDisabled
+			}
+			opts := matrixOptions(t.TempDir(), engine, dim, 4, bound)
+			opts.MemoryBytes = 1
+			uniform := UniformInit(0.1, 42)
+			var inFlight, overlaps atomic.Int32
+			opts.Init = func(key uint64, dst []float32) {
+				if inFlight.Add(1) > 1 {
+					overlaps.Add(1)
+				}
+				time.Sleep(100 * time.Microsecond)
+				uniform(key, dst)
+				inFlight.Add(-1)
+			}
+			tbl, err := OpenTable(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer tbl.Close()
+			s, err := tbl.NewSession()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			filler := make([]float32, dim)
+			for k := uint64(1) << 32; tbl.store.Resident(); k++ {
+				if err := s.Put(k, filler); err != nil {
+					t.Fatal(err)
+				}
+			}
+			keys := make([]uint64, n)
+			for i := range keys {
+				keys[i] = uint64(i)
+			}
+			got := make([]float32, n*dim)
+			want := make([]float32, dim)
+			// The first read creates every key, the second reads the records.
+			for round := 0; round < 2; round++ {
+				if err := s.GetBatch(keys, got); err != nil {
+					t.Fatal(err)
+				}
+				for i, k := range keys {
+					uniform(k, want)
+					if fmt.Sprint(got[i*dim:(i+1)*dim]) != fmt.Sprint(want) {
+						t.Fatalf("round %d key %d read %v, initializer gives %v", round, k, got[i*dim:(i+1)*dim], want)
+					}
+				}
+			}
+			if o := overlaps.Load(); o != 0 {
+				t.Fatalf("%d initializer calls overlapped another", o)
+			}
+		})
+	}
+}
+
 // TestTableRecovery checkpoints, closes and reopens every matrix cell and
 // pins the shard-count guard at the table level.
 func TestTableRecovery(t *testing.T) {
@@ -396,10 +464,10 @@ func TestCrossStackReopen(t *testing.T) {
 // TestBlockingBoundBatchAcquiresInOrder pins the ordering rule for batches
 // under a blocking bound, with a first-touch miss in the batch. A clocked
 // read is a token acquisition only the matching Put releases, so every key
-// must be read, initialized and re-read before the next one is touched: a
-// session that batch-read everything and only then repaired its misses
-// would hold a later key's token while re-reading an earlier key another
-// session may hold — a cycle. The test parks a batch [absent, held,
+// must be read — on a first touch, created with its token — before the
+// next one is touched: a session that batch-read everything and only then
+// repaired its misses would hold a later key's token while creating an
+// earlier key another session may hold — a cycle. The test parks a batch [absent, held,
 // present] on its middle key and probes what it holds: the absent key
 // must already be initialized and taken, the key past the block untouched.
 func TestBlockingBoundBatchAcquiresInOrder(t *testing.T) {

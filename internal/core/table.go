@@ -289,10 +289,14 @@ func (t *Table) prefetchPool() {
 // Not safe for concurrent use; create one per goroutine.
 type Session struct {
 	t *Table
-	s kv.Session
+	s localSession
 
+	// create is initInto, bound once: a method value made per read would
+	// be a heap allocation per call.
+	create func(key uint64, cur []byte)
 	ibuf   []float32 // first-touch initializer staging
 	found  []bool    // batch presence flags
+	oneKey [1]uint64 // the one-key batch GetCtx runs as
 	closed bool
 }
 
@@ -303,7 +307,17 @@ func (t *Table) NewSession() (*Session, error) {
 		return nil, err
 	}
 	t.activeSessions.Add(1)
-	return &Session{t: t, s: s}, nil
+	sess := &Session{t: t, s: s.(localSession)}
+	sess.create = sess.initInto
+	return sess, nil
+}
+
+// localSession is a session of the local store OpenTable opens — kv's
+// sharded store, or the hot tier over it — whose sessions all have the
+// read-or-create batch read.
+type localSession interface {
+	kv.Session
+	kv.Creator
 }
 
 // Close unregisters the session. Closing twice is safe; only the first
@@ -327,7 +341,8 @@ func (s *Session) Get(key uint64, dst []float32) error {
 
 // GetCtx is Get with cancellation: a read stalled on the staleness bound
 // returns ctx.Err() when ctx ends instead of waiting for the releasing
-// write. No token is held after a cancelled read.
+// write. No token is held after a cancelled read. It is GetBatch's one-key
+// case.
 func (s *Session) GetCtx(ctx context.Context, key uint64, dst []float32) error {
 	if len(dst) != s.t.dim {
 		return fmt.Errorf("core: dst length %d != dim %d", len(dst), s.t.dim)
@@ -335,38 +350,21 @@ func (s *Session) GetCtx(ctx context.Context, key uint64, dst []float32) error {
 	// Deferred with the start time evaluated here: records on every return
 	// path, including a read stalled on the staleness bound.
 	defer s.t.lat.Since(latency.OpGet, time.Now())
-	return s.getOne(ctx, key, dst)
+	s.oneKey[0] = key
+	return s.getBatch(ctx, s.oneKey[:], dst)
 }
 
-// getOne runs the clocked read against the store.
-func (s *Session) getOne(ctx context.Context, key uint64, dst []float32) error {
-	for {
-		found, err := s.s.GetCtx(ctx, key, tensor.F32Bytes(dst))
-		if err != nil || found {
-			return err
-		}
-		// First touch: initialize atomically, then retry the Get so the
-		// vector-clock accounting matches a normal read.
-		if err := s.initKey(key); err != nil {
-			return err
-		}
-	}
-}
-
-// initKey writes the initial embedding if key is still absent; losing the
-// race to another session's init declines the store and appends nothing.
-func (s *Session) initKey(key uint64) error {
-	return s.s.RMW(key, func(cur []byte, exists bool) bool {
-		if exists {
-			return false
-		}
-		s.initInto(key, cur)
-		return true
-	})
+// getBatch is the clocked read-or-create of keys into dst: one store batch,
+// in which the engine creates each absent key from the initializer in its
+// turn (kv.Creator).
+func (s *Session) getBatch(ctx context.Context, keys []uint64, dst []float32) error {
+	s.found = util.Grow(s.found, len(keys))
+	return s.s.GetOrCreateBatchCtx(ctx, keys, tensor.F32Bytes(dst), s.found, s.create)
 }
 
 // initInto encodes key's first-touch embedding into cur, which arrives
-// zeroed (an RMW callback's view of an absent key).
+// zeroed: an absent key's slot in a read-or-create batch, or an RMW
+// callback's view of an absent key.
 func (s *Session) initInto(key uint64, cur []byte) {
 	if s.t.init == nil {
 		return
@@ -378,18 +376,20 @@ func (s *Session) initInto(key uint64, cur []byte) {
 }
 
 // GetBatch reads len(keys) embeddings into dst (len == len(keys)*Dim) as
-// one store batch, which a sharded store fans out across shards (in
+// one store batch, initializing each key on first touch inside the engine
+// pass that reads it. A sharded store fans the batch out across shards (in
 // parallel once it has spilled to disk). Duplicate keys each perform their
 // own clocked read; deduplicate in the caller if the training step applies
 // one combined update.
 //
-// Under a blocking staleness bound (BSP or finite SSP) the batch instead
-// runs key by key in the caller's order — read, first-touch init, re-read,
-// then the next key — because a clocked Get is a token acquisition that
-// only the matching Put releases (see kv's sharded GetBatchCtx for the
-// rule). Callers that may block (the trainers) pass unique keys in
-// ascending order, which keeps the cross-session wait graph acyclic
-// exactly as it does on the scalar path.
+// Under a blocking staleness bound (BSP or finite SSP) the keys are instead
+// read strictly in the caller's order — one engine pass per run of keys on
+// the same shard, so one pass on an unsharded table — because a clocked Get
+// is a token acquisition that only the matching Put releases (see kv's
+// sharded GetBatchCtx for the rule). A first touch takes its token as it
+// creates the key, before the next key is read. Callers that may block (the
+// trainers) pass unique keys in ascending order, which keeps the
+// cross-session wait graph acyclic exactly as it does on the scalar path.
 func (s *Session) GetBatch(keys []uint64, dst []float32) error {
 	return s.GetBatchCtx(context.Background(), keys, dst)
 }
@@ -402,27 +402,7 @@ func (s *Session) GetBatchCtx(ctx context.Context, keys []uint64, dst []float32)
 	}
 	defer s.t.lat.Since(latency.OpGetBatch, time.Now())
 	s.t.batchGets.Add(1)
-	dim := s.t.dim
-
-	// One store batch straight into dst, unless the bound blocks: then every
-	// key is read — and, on first touch, initialized and re-read — before
-	// the next.
-	batched := !faster.BlockingBound(s.t.store.StalenessBound())
-	if batched {
-		s.found = util.Grow(s.found, len(keys))
-		if err := s.s.GetBatchCtx(ctx, keys, tensor.F32Bytes(dst), s.found); err != nil {
-			return err
-		}
-	}
-	for j, k := range keys {
-		if batched && s.found[j] {
-			continue
-		}
-		if err := s.getOne(ctx, k, dst[j*dim:(j+1)*dim]); err != nil {
-			return err
-		}
-	}
-	return nil
+	return s.getBatch(ctx, keys, dst)
 }
 
 // Peek reads without touching the vector clock (evaluation path).

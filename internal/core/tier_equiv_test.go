@@ -1,11 +1,11 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"slices"
 	"testing"
 
-	"github.com/llm-db/mlkv-go/internal/faster"
 	"github.com/llm-db/mlkv-go/internal/kv"
 	"github.com/llm-db/mlkv-go/internal/stats"
 	"github.com/llm-db/mlkv-go/internal/tensor"
@@ -22,8 +22,8 @@ type embSession interface {
 }
 
 // handSession is a table session written out by hand over a byte-level
-// store: the float32 codec, first-touch init and the blocking-bound batch
-// rule, and nothing about a tier.
+// store: the float32 codec and first touch as a read-or-create batch, and
+// nothing about a tier.
 type handSession struct {
 	st   kv.Store
 	s    kv.Session
@@ -39,44 +39,15 @@ func (h *handSession) initInto(key uint64, cur []byte) {
 }
 
 func (h *handSession) Get(key uint64, dst []float32) error {
-	for {
-		found, err := h.s.Get(key, h.buf)
-		if err != nil {
-			return err
-		}
-		if found {
-			tensor.BytesToF32s(h.buf, dst)
-			return nil
-		}
-		err = h.s.RMW(key, func(cur []byte, exists bool) bool {
-			if !exists {
-				h.initInto(key, cur)
-			}
-			return !exists
-		})
-		if err != nil {
-			return err
-		}
-	}
+	return h.GetBatch([]uint64{key}, dst)
 }
 
 func (h *handSession) GetBatch(keys []uint64, dst []float32) error {
-	vs := h.dim * 4
-	vals, found := make([]byte, len(keys)*vs), make([]bool, len(keys))
-	batched := !faster.BlockingBound(h.st.StalenessBound())
-	if batched {
-		if err := kv.SessionGetBatch(h.s, vs, keys, vals, found); err != nil {
-			return err
-		}
+	vals, found := make([]byte, len(keys)*h.dim*4), make([]bool, len(keys))
+	if err := h.s.(kv.Creator).GetOrCreateBatchCtx(context.Background(), keys, vals, found, h.initInto); err != nil {
+		return err
 	}
-	for i, k := range keys {
-		seg := dst[i*h.dim : (i+1)*h.dim]
-		if batched && found[i] {
-			tensor.BytesToF32s(vals[i*vs:], seg)
-		} else if err := h.Get(k, seg); err != nil {
-			return err
-		}
-	}
+	tensor.BytesToF32s(vals, dst)
 	return nil
 }
 

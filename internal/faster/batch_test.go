@@ -30,7 +30,7 @@ func (m batchMode) get(t *testing.T, s *Session, keys []uint64, idxs []int, vals
 	var err error
 	switch m {
 	case viaBatchPass:
-		err = s.GetBatchAt(context.Background(), keys, idxs, vals, found)
+		err = s.GetBatchAt(context.Background(), keys, idxs, vals, found, nil)
 	case viaKeyLoop:
 		for _, i := range idxs {
 			if found[i], err = s.Get(keys[i], vals[i*vs:(i+1)*vs]); err != nil {
@@ -299,7 +299,7 @@ func TestBatchPassUnderPageTurnover(t *testing.T) {
 			}
 			vals, found := make([]byte, len(keys)*vs), make([]bool, len(keys))
 			for n := 0; n < rounds; n++ {
-				if err := s.GetBatchAt(context.Background(), keys, idxs, vals, found); err != nil {
+				if err := s.GetBatchAt(context.Background(), keys, idxs, vals, found, nil); err != nil {
 					return err
 				}
 				for i := range keys {
@@ -377,7 +377,7 @@ func BenchmarkSessionGetBatch(b *testing.B) {
 			for b.Loop() {
 				switch m {
 				case viaBatchPass:
-					err = s.GetBatchAt(context.Background(), keys, idxs, vals, found)
+					err = s.GetBatchAt(context.Background(), keys, idxs, vals, found, nil)
 				default:
 					for _, i := range idxs {
 						if found[i], err = s.Get(keys[i], vals[i*vs:(i+1)*vs]); err != nil {

@@ -390,7 +390,7 @@ func (s *Session) Get(key uint64, dst []byte) (bool, error) {
 // no balancing Put. It is GetBatchAt's one-key case.
 func (s *Session) GetCtx(ctx context.Context, key uint64, dst []byte) (bool, error) {
 	s.oneKey[0] = key
-	err := s.GetBatchAt(ctx, s.oneKey[:], firstIdx[:], dst, s.oneFound[:])
+	err := s.GetBatchAt(ctx, s.oneKey[:], firstIdx[:], dst, s.oneFound[:], nil)
 	return s.oneFound[0] && err == nil, err
 }
 
@@ -433,7 +433,18 @@ func (s *Session) pass(idxs []int, ops, served *atomic.Int64, step func(i int) (
 // been called on it (duplicates included); the keys share only the pass's
 // bookkeeping. On an error the positions not yet reached are untouched and
 // the one that failed is undefined.
-func (s *Session) GetBatchAt(ctx context.Context, keys []uint64, idxs []int, vals []byte, found []bool) error {
+//
+// With create nil an absent (or deleted) key reports found[i] false. With
+// create set it is read-or-create: such a key is created in its turn, inside
+// the pass — create writes its first value into the key's zeroed vals slot,
+// the pass appends that value, and found[i] is true. The new record's clock
+// already carries this read's token, so the key ends exactly as a write of
+// the value followed by a Get would leave it, with no gap between the two in
+// which another session could read it first. Under a blocking bound the
+// next key is therefore not read before this one holds its token, which is
+// the order the caller's key order promises. If another session's create
+// wins the key, the pass reads the winner's record instead.
+func (s *Session) GetBatchAt(ctx context.Context, keys []uint64, idxs []int, vals []byte, found []bool, create func(key uint64, val []byte)) error {
 	vs := s.st.cfg.ValueSize
 	if len(vals) != len(keys)*vs || len(found) != len(keys) {
 		return ErrValueSize
@@ -441,7 +452,7 @@ func (s *Session) GetBatchAt(ctx context.Context, keys []uint64, idxs []int, val
 	bound := s.st.bound.Load()
 	return s.pass(idxs, &s.stats.Gets, &s.stats.MemHits, func(i int) (plain bool, err error) {
 		dst := vals[i*vs : (i+1)*vs]
-		if found[i], plain, err = s.get(ctx, keys[i], dst, bound); !found[i] {
+		if found[i], plain, err = s.get(ctx, keys[i], dst, bound, create); !found[i] {
 			clear(dst)
 		}
 		return plain, err
@@ -449,9 +460,10 @@ func (s *Session) GetBatchAt(ctx context.Context, keys []uint64, idxs []int, val
 }
 
 // get is the clocked read of one key: resolve the chain, act on the version
-// found, and retry — backing off, observing ctx — until the read completes.
-// plain reports the common case (see pass). The caller holds protection.
-func (s *Session) get(ctx context.Context, key uint64, dst []byte, bound int64) (found, plain bool, err error) {
+// found — or, with create set, create an absent key — and retry, backing off
+// and observing ctx, until the read completes. plain reports the common case
+// (see pass). The caller holds protection.
+func (s *Session) get(ctx context.Context, key uint64, dst []byte, bound int64, create func(uint64, []byte)) (found, plain bool, err error) {
 	for attempt := 0; ; attempt++ {
 		if attempt > 0 {
 			if err := ctx.Err(); err != nil {
@@ -459,21 +471,51 @@ func (s *Session) get(ctx context.Context, key uint64, dst []byte, bound int64) 
 			}
 		}
 		hit, err := s.findKey(key, false)
+		if err == nil && hit.entry == nil && create != nil {
+			// Absent, with no index entry to append behind: establish one.
+			// A read of a key that exists never pays for the second probe.
+			hit, err = s.findKey(key, true)
+		}
 		if err != nil {
 			return false, false, err
 		}
-		if hit.addr == InvalidAddr || hit.tomb {
+		absent := hit.addr == InvalidAddr || hit.tomb
+		if absent && create == nil {
 			return false, false, nil
 		}
-		done, err := s.getOnce(key, hit, dst, bound)
+		var done bool
+		if absent {
+			done, err = s.createOnce(key, hit, dst, bound, create)
+		} else {
+			done, err = s.getOnce(key, hit, dst, bound)
+		}
 		if err != nil {
 			return false, false, err
 		}
 		if done {
-			return true, attempt == 0 && hit.reg == regionMutable, nil
+			return true, attempt == 0 && !absent && hit.reg == regionMutable, nil
 		}
 		s.backoff(attempt)
 	}
+}
+
+// createOnce appends key's first version, which create writes into dst,
+// behind the absent or deleted chain head in hit. The header is a fresh
+// record's (generation 0) with, while the clock runs, the creating read's
+// token already taken. done=false means another session changed the chain
+// first; the caller re-resolves it.
+func (s *Session) createOnce(key uint64, hit *chainHit, dst []byte, bound int64, create func(uint64, []byte)) (done bool, err error) {
+	clear(dst)
+	create(key, dst)
+	var token uint64
+	if bound >= 0 {
+		token = 1
+	}
+	if done, err = s.copyToTail(key, PackHeader(false, false, 0, token), dst, hit); done {
+		s.stats.RCUAppends.Add(1)
+		s.tally++
+	}
+	return done, err
 }
 
 // getOnce attempts the Get against one located record version. done=false

@@ -2,6 +2,7 @@ package kv
 
 import (
 	"context"
+	"fmt"
 
 	"github.com/llm-db/mlkv-go/internal/hotcache"
 	"github.com/llm-db/mlkv-go/internal/stats"
@@ -150,9 +151,16 @@ func (s *cachedSession) RMW(key uint64, fn func(cur []byte, exists bool) bool) e
 // compacted miss set. The miss subset preserves the caller's key order,
 // so the ordering rule blocking bounds rely on is unaffected.
 func (s *cachedSession) GetBatchCtx(ctx context.Context, keys []uint64, vals []byte, found []bool) error {
+	return s.GetOrCreateBatchCtx(ctx, keys, vals, found, nil)
+}
+
+// GetOrCreateBatchCtx implements Creator when the wrapped store's sessions
+// do: GetBatchCtx, with the keys the engine creates filled into the tier
+// like the ones it reads.
+func (s *cachedSession) GetOrCreateBatchCtx(ctx context.Context, keys []uint64, vals []byte, found []bool, create func(uint64, []byte)) error {
 	bound, consult := s.w.readTier()
 	if !consult || len(keys) == 0 {
-		return s.inner.GetBatchCtx(ctx, keys, vals, found)
+		return s.innerGet(ctx, keys, vals, found, create)
 	}
 	c, vs := s.w.cache, s.vs
 	var stamp int64
@@ -165,7 +173,7 @@ func (s *cachedSession) GetBatchCtx(ctx context.Context, keys []uint64, vals []b
 		return nil
 	}
 	s.fetchVals, s.fetchFound = util.Grow(s.fetchVals, n*vs), util.Grow(s.fetchFound, n)
-	if err := s.inner.GetBatchCtx(ctx, s.fetchKeys, s.fetchVals, s.fetchFound); err != nil {
+	if err := s.innerGet(ctx, s.fetchKeys, s.fetchVals, s.fetchFound, create); err != nil {
 		return err
 	}
 	for j, i := range s.missIdx {
@@ -177,6 +185,19 @@ func (s *cachedSession) GetBatchCtx(ctx context.Context, keys []uint64, vals []b
 		}
 	}
 	return nil
+}
+
+// innerGet is the wrapped session's batch read, read-or-create when create
+// is set.
+func (s *cachedSession) innerGet(ctx context.Context, keys []uint64, vals []byte, found []bool, create func(uint64, []byte)) error {
+	if create == nil {
+		return s.inner.GetBatchCtx(ctx, keys, vals, found)
+	}
+	c, ok := s.inner.(Creator)
+	if !ok {
+		return fmt.Errorf("kv: %s sessions cannot create keys", s.w.inner.Name())
+	}
+	return c.GetOrCreateBatchCtx(ctx, keys, vals, found, create)
 }
 
 // PutBatch does the engine write first, then a write-through of every key

@@ -41,8 +41,9 @@ type shardSession interface {
 	RMW(key uint64, fn func(cur []byte, exists bool) bool) error
 	Prefetch(key uint64) (bool, error)
 	// getAt reads keys[i] into vals[i×ValueSize:] and found[i] for each i
-	// in idxs, zeroing the slot of a missing key.
-	getAt(ctx context.Context, keys []uint64, idxs []int, vals []byte, found []bool) error
+	// in idxs, zeroing the slot of a missing key — or, with create set,
+	// creating it (see Creator).
+	getAt(ctx context.Context, keys []uint64, idxs []int, vals []byte, found []bool, create func(key uint64, val []byte)) error
 	// putAt upserts keys[i] = vals[i×ValueSize:] for each i in idxs.
 	putAt(keys []uint64, idxs []int, vals []byte) error
 	Close()
@@ -73,15 +74,16 @@ func (f *fasterShard) newSession() (shardSession, error) {
 
 // fasterSession batches as one engine pass over the group's positions,
 // straight from and into the caller's slots; every clocked read in it stays
-// its own token acquisition (see faster.Session.GetBatchAt).
+// its own token acquisition, and a key it creates is appended in its turn
+// (see faster.Session.GetBatchAt).
 type fasterSession struct {
 	*faster.Session
 	sh *fasterShard
 }
 
-func (s *fasterSession) getAt(ctx context.Context, keys []uint64, idxs []int, vals []byte, found []bool) error {
+func (s *fasterSession) getAt(ctx context.Context, keys []uint64, idxs []int, vals []byte, found []bool, create func(uint64, []byte)) error {
 	s.sh.batchGets.Add(1)
-	return s.GetBatchAt(ctx, keys, idxs, vals, found)
+	return s.GetBatchAt(ctx, keys, idxs, vals, found, create)
 }
 
 func (s *fasterSession) putAt(keys []uint64, idxs []int, vals []byte) error {
@@ -238,7 +240,10 @@ func (s *clockFreeSession) gather(keys []uint64, idxs []int) {
 	s.fnd = util.Grow(s.fnd, len(idxs))
 }
 
-func (s *clockFreeSession) getAt(_ context.Context, keys []uint64, idxs []int, vals []byte, found []bool) error {
+// getAt creates a missing key, when asked to, by a write after the batch
+// read. Like RMW that is not atomic across sessions; racing creators store
+// the same first value as long as create is a function of the key alone.
+func (s *clockFreeSession) getAt(_ context.Context, keys []uint64, idxs []int, vals []byte, found []bool, create func(uint64, []byte)) error {
 	vs := s.st.vs
 	s.gather(keys, idxs)
 	sv, sf := s.vals, s.fnd
@@ -251,8 +256,15 @@ func (s *clockFreeSession) getAt(_ context.Context, keys []uint64, idxs []int, v
 		slot := vals[i*vs : (i+1)*vs]
 		if found[i] = sf[j]; sf[j] {
 			copy(slot, sv[j*vs:(j+1)*vs])
-		} else {
-			clear(slot)
+			continue
+		}
+		clear(slot)
+		if create != nil {
+			create(keys[i], slot)
+			if err := s.Put(keys[i], slot); err != nil {
+				return err
+			}
+			found[i] = true
 		}
 	}
 	return nil

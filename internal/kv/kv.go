@@ -96,6 +96,23 @@ type Session interface {
 	Close()
 }
 
+// Creator is the read-or-create batch read. The sessions of a local engine
+// store implement it: OpenEngine's, and WrapCached's, which pass a create
+// on to the store they wrap and fail it over a store whose sessions are
+// not Creators. A remote model's sessions are not, because a key is never
+// initialized server-side.
+type Creator interface {
+	// GetOrCreateBatchCtx is GetBatchCtx, except that a missing key is
+	// created in its turn: create writes its first value into the key's
+	// zeroed slot, the engine stores it, and found reports true. On the
+	// hybrid log that happens inside the engine pass that reads the key,
+	// with the read's staleness token already taken (see
+	// faster.Session.GetBatchAt). create may run on a goroutine other than
+	// the caller's, but never while another of the batch's create calls is
+	// running, so it may reuse the session's scratch state.
+	GetOrCreateBatchCtx(ctx context.Context, keys []uint64, vals []byte, found []bool, create func(key uint64, val []byte)) error
+}
+
 // SessionGetBatch reads len(keys) values into vals (len(keys)×valueSize).
 // Missing keys get found[i]=false and a zeroed value slot.
 func SessionGetBatch(s Session, valueSize int, keys []uint64, vals []byte, found []bool) error {

@@ -127,12 +127,14 @@ func (w *shardedStore) NewSession() (Session, error) {
 		}
 		ss[i] = s
 	}
-	return &shardedSession{
+	se := &shardedSession{
 		st:     w,
 		ss:     ss,
 		groups: make([][]int, len(ss)),
 		errs:   make([]error, len(ss)),
-	}, nil
+	}
+	se.createSerial = se.createLocked
+	return se, nil
 }
 
 // shardedSession is one worker's handle: one engine session per shard.
@@ -143,9 +145,15 @@ type shardedSession struct {
 	st     *shardedStore
 	ss     []shardSession
 	groups [][]int        // reusable per-shard index groups for batches
+	run    []int          // reusable run of an in-order batch
 	errs   []error        // reusable per-shard fan-out results
 	cur    batch          // the batch being fanned out
 	wg     sync.WaitGroup // joins a parallel fan-out
+
+	// createSerial is createLocked, bound once; createMu serializes the
+	// parked batch's create calls across a parallel fan-out's goroutines.
+	createSerial func(uint64, []byte)
+	createMu     sync.Mutex
 }
 
 func (se *shardedSession) route(key uint64) shardSession {
@@ -201,27 +209,39 @@ const batchFanoutMin = 16
 // bound (BSP or finite SSP) a clocked read is a token acquisition that
 // only the matching Put releases, so two sessions acquiring different
 // shards in parallel could each hold a key the other is blocked on. Such
-// a batch runs serially in the caller's key order instead; callers that
-// may block pass unique keys in ascending order, which keeps the
-// cross-session wait graph acyclic exactly as on the scalar path. Any
-// layer above that must repair a missing key under such a bound does so
-// before moving to the next key, never after the whole batch.
+// a batch runs serially in the caller's key order instead (see inOrder);
+// callers that may block pass unique keys in ascending order, which keeps
+// the cross-session wait graph acyclic exactly as on the scalar path. A
+// missing key that must exist before the next is read is created in its
+// turn by GetOrCreateBatchCtx, never repaired after the whole batch.
 func (se *shardedSession) GetBatchCtx(ctx context.Context, keys []uint64, vals []byte, found []bool) error {
+	return se.GetOrCreateBatchCtx(ctx, keys, vals, found, nil)
+}
+
+// GetOrCreateBatchCtx implements Creator, with GetBatchCtx's routing.
+func (se *shardedSession) GetOrCreateBatchCtx(ctx context.Context, keys []uint64, vals []byte, found []bool, create func(uint64, []byte)) error {
 	if faster.BlockingBound(se.st.StalenessBound()) {
-		vs := se.st.vs
-		for i, k := range keys {
-			slot := vals[i*vs : (i+1)*vs]
-			ok, err := se.route(k).GetCtx(ctx, k, slot)
-			if err != nil {
-				return err
-			}
-			if found[i] = ok; !ok {
-				clear(slot)
-			}
-		}
-		return nil
+		return se.inOrder(ctx, keys, vals, found, create)
 	}
-	return se.fanOut(batch{ctx: ctx, keys: keys, vals: vals, found: found})
+	return se.fanOut(batch{ctx: ctx, keys: keys, vals: vals, found: found, create: create})
+}
+
+// inOrder serves a batch in the caller's key order, one engine pass per run
+// of consecutive keys that hash to the same shard: on one shard the whole
+// batch is a single pass.
+func (se *shardedSession) inOrder(ctx context.Context, keys []uint64, vals []byte, found []bool, create func(uint64, []byte)) error {
+	n := len(se.ss)
+	for i := 0; i < len(keys); {
+		sh := util.ShardOf(keys[i], n)
+		se.run = se.run[:0]
+		for ; i < len(keys) && util.ShardOf(keys[i], n) == sh; i++ {
+			se.run = append(se.run, i)
+		}
+		if err := se.ss[sh].getAt(ctx, keys, se.run, vals, found, create); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // PutBatch fans out like GetBatchCtx; writes never wait on the bound, so
@@ -230,24 +250,45 @@ func (se *shardedSession) PutBatch(keys []uint64, vals []byte) error {
 	return se.fanOut(batch{keys: keys, vals: vals, put: true})
 }
 
-// batch is one GetBatchCtx or PutBatch call's arguments. fanOut parks it in
-// the session rather than closing over it: a closure handed to goroutines
-// escapes, which would cost the serial path a heap allocation per call.
+// batch is one GetOrCreateBatchCtx or PutBatch call's arguments. fanOut
+// parks it in the session rather than closing over it: a closure handed to
+// goroutines escapes, which would cost the serial path a heap allocation
+// per call.
 type batch struct {
-	ctx   context.Context
-	keys  []uint64
-	vals  []byte
-	found []bool
-	put   bool
+	ctx    context.Context
+	keys   []uint64
+	vals   []byte
+	found  []bool
+	create func(uint64, []byte)
+	put    bool
 }
 
-// runGroup serves the parked batch's positions idxs on shard sh.
-func (se *shardedSession) runGroup(sh int, idxs []int) error {
+// runGroup serves the parked batch's positions idxs on shard sh, creating
+// absent keys with create.
+func (se *shardedSession) runGroup(sh int, idxs []int, create func(uint64, []byte)) error {
 	b := &se.cur
 	if b.put {
 		return se.ss[sh].putAt(b.keys, idxs, b.vals)
 	}
-	return se.ss[sh].getAt(b.ctx, b.keys, idxs, b.vals, b.found)
+	return se.ss[sh].getAt(b.ctx, b.keys, idxs, b.vals, b.found, create)
+}
+
+// runGroupAsync is runGroup as one goroutine of a parallel fan-out. fanOut
+// starts it as a go statement, not a closure: a closure capturing fanOut's
+// create variable would move it to the heap on every call, serial or not.
+func (se *shardedSession) runGroupAsync(sh int, idxs []int, create func(uint64, []byte)) {
+	defer se.wg.Done()
+	se.errs[sh] = se.runGroup(sh, idxs, create)
+}
+
+// createLocked runs the parked batch's create under createMu. A caller's
+// create is single-goroutine code — core's reuses one staging buffer per
+// session — so a parallel fan-out hands its shards this instead: the reads
+// still overlap, the creations take turns.
+func (se *shardedSession) createLocked(key uint64, cur []byte) {
+	se.createMu.Lock()
+	defer se.createMu.Unlock()
+	se.cur.create(key, cur)
 }
 
 // fanOut groups the positions of b's keys by owning shard into the
@@ -256,7 +297,8 @@ func (se *shardedSession) runGroup(sh int, idxs []int) error {
 // back-pressure — so while the store is resident, when no group can wait
 // on a page, the groups run one after another on the caller's goroutine;
 // from the first eviction on, batches of batchFanoutMin keys or more run
-// one goroutine per shard. The first error by shard order is returned.
+// one goroutine per shard, with b.create serialized (createLocked). The
+// first error by shard order is returned.
 func (se *shardedSession) fanOut(b batch) error {
 	se.cur = b
 	defer func() { se.cur = batch{} }() // drop the caller's buffers
@@ -269,22 +311,23 @@ func (se *shardedSession) fanOut(b batch) error {
 		se.groups[sh] = append(se.groups[sh], i)
 	}
 	parallel := n > 1 && len(b.keys) >= batchFanoutMin && !se.st.Resident()
+	create := b.create
+	if parallel && create != nil {
+		create = se.createSerial
+	}
 	for sh, idxs := range se.groups {
 		se.errs[sh] = nil
 		if len(idxs) == 0 {
 			continue
 		}
 		if !parallel {
-			if err := se.runGroup(sh, idxs); err != nil {
+			if err := se.runGroup(sh, idxs, create); err != nil {
 				return err
 			}
 			continue
 		}
 		se.wg.Add(1)
-		go func() {
-			defer se.wg.Done()
-			se.errs[sh] = se.runGroup(sh, idxs)
-		}()
+		go se.runGroupAsync(sh, idxs, create)
 	}
 	se.wg.Wait()
 	for _, err := range se.errs {
