@@ -958,8 +958,8 @@ func TestAPIEngineSelection(t *testing.T) {
 				if b := m.StalenessBound(); b != mlkv.Disabled {
 					t.Fatalf("%s: StalenessBound = %d, want Disabled", ec.name, b)
 				}
-			} else if b := m.StalenessBound(); b != 4 {
-				t.Fatalf("mlkv local default bound = %d, want SSP(4)", b)
+			} else if b := m.StalenessBound(); b != mlkv.ASP {
+				t.Fatalf("mlkv local default bound = %d, want ASP", b)
 			}
 			// A live model refuses a conflicting engine...
 			if _, err := db.Open("sel-"+ec.name, 4, mlkv.WithEngine(otherEngine(ec.name))); err == nil {
@@ -1038,6 +1038,64 @@ func TestAPIEngineValidation(t *testing.T) {
 			m.Close()
 		}
 	})
+}
+
+// TestAPIBoundFixedAtOpen pins that a live model's staleness bound is the
+// one it opened with, on every driver: a second handle asking for another
+// bound is refused and leaves the first handle's bound alone, while a
+// reopen at the same bound or with none shares the model and reports the
+// bound its store runs.
+func TestAPIBoundFixedAtOpen(t *testing.T) {
+	withTargets(t, func(t *testing.T, db *mlkv.DB) {
+		a, err := db.Open("fixed", 4, mlkv.WithStalenessBound(4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer a.Close()
+		if b, err := db.Open("fixed", 4, mlkv.WithStalenessBound(mlkv.ASP)); err == nil {
+			b.Close()
+			t.Fatalf("reopen at ASP of a model running SSP(4) accepted; first handle now reports %d", a.StalenessBound())
+		} else if !strings.Contains(err.Error(), `"fixed"`) || !strings.Contains(err.Error(), "bound 4") {
+			t.Fatalf("bound refusal does not name the model and its bound: %v", err)
+		}
+		if got := a.StalenessBound(); got != 4 {
+			t.Fatalf("first handle reports bound %d after a refused reopen, want 4", got)
+		}
+		for _, opts := range [][]mlkv.Option{{mlkv.WithStalenessBound(4)}, nil} {
+			c, err := db.Open("fixed", 4, opts...)
+			if err != nil {
+				t.Fatalf("reopen with %d options: %v", len(opts), err)
+			}
+			if got := c.StalenessBound(); got != 4 {
+				t.Fatalf("reopen with %d options reports bound %d, want 4", len(opts), got)
+			}
+			c.Close()
+		}
+	})
+}
+
+// TestAPIDefaultBound pins the one default: a model opened without
+// WithStalenessBound runs the same bound on a local directory as on a
+// server whose registry default is kv.DefaultBound.
+func TestAPIDefaultBound(t *testing.T) {
+	open := func(target string) int64 {
+		t.Helper()
+		db, err := mlkv.Connect(target)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close()
+		m, err := db.Open("default-bound", 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer m.Close()
+		return m.StalenessBound()
+	}
+	local, remote := open(t.TempDir()), open(startTestServer(t, kv.DefaultBound))
+	if local != remote || local != kv.DefaultBound {
+		t.Fatalf("default bound: local %d, remote %d, want both %d", local, remote, kv.DefaultBound)
+	}
 }
 
 // TestClusterOwnerRouting pins the partitioning invariant end to end:

@@ -72,7 +72,7 @@ func main() {
 		bufferMB     = flag.Int("buffer-mb", 64, "per-model in-memory buffer budget (total, split across its shards)")
 		records      = flag.Uint64("records", 1<<20, "expected key count per model (sizes the hash indexes)")
 		engine       = flag.String("engine", "mlkv", "default storage engine for new models (mlkv|faster|lsm|bptree); faster is the hybrid log with the clock off")
-		staleness    = flag.Int64("staleness", -2, "default staleness bound for new models: -2=asp (never blocks, default), 0=bsp, n>0=ssp")
+		staleness    = flag.Int64("staleness", -2, "default staleness bound for new models: -2=asp (never blocks; the default, as for a local model), 0=bsp, n>0=ssp")
 		cache        = flag.Int("cache", 0, "per-model server-side hot-tier capacity in entries (0 disables); consulted once a model's store has spilled to disk (one that fits in -buffer-mb is served by the log's in-memory region), and cached reads are served only within each model's staleness bound")
 		sync         = flag.Bool("sync", false, "fsync every flushed log page; also checkpoint all models on shutdown")
 		flushPace    = flag.Duration("flush-pace", 0, "minimum gap between background flush writes per model shard, smearing flush bursts away from the read tail (0 = unpaced); adjacent frozen pages still merge into group-commit writes")
@@ -109,7 +109,7 @@ func main() {
 	}
 	defaultBound := *staleness
 	if defaultBound == -2 {
-		defaultBound = faster.BoundAsync
+		defaultBound = kv.DefaultBound
 	} else if defaultBound < 0 {
 		fmt.Fprintf(os.Stderr, "-staleness must be -2 (asp) or >= 0 (bsp/ssp), got %d\n", defaultBound)
 		os.Exit(2)

@@ -289,8 +289,10 @@ type OpenSpec struct {
 	// Shards requests a hash-partition count for a newly created model
 	// (0 lets the server choose; advisory for an existing model).
 	Shards int
-	// Bound is the staleness bound to apply; wire.BoundUnset keeps the
-	// server's default (new model) or the current bound (existing model).
+	// Bound is the staleness bound the model runs under. It is fixed while
+	// the model is open on the server: a live model refuses any other
+	// (see kv.ResolveOpen). wire.BoundUnset takes the server's default for
+	// a new model and the running bound of a live one.
 	Bound int64
 	// Engine requests a storage engine ("faster", "lsm", "bptree") for a
 	// newly created model; "" takes the server's choice. An existing model
@@ -322,9 +324,7 @@ func (c *Client) OpenModel(ctx context.Context, spec OpenSpec) (*Model, error) {
 	if dim != spec.Dim {
 		return nil, fmt.Errorf("client: model %q: server dim %d != requested %d", spec.ID, dim, spec.Dim)
 	}
-	m := &Model{c: c, handle: handle, id: spec.ID, dim: dim, shards: shards, engine: engine}
-	m.bound.Store(bound)
-	return m, nil
+	return &Model{c: c, handle: handle, id: spec.ID, dim: dim, shards: shards, bound: bound, engine: engine}, nil
 }
 
 // Model is one named model on the server: a remote kv.Store, every
@@ -335,10 +335,7 @@ type Model struct {
 	id     string
 	dim    int
 	shards int
-	// bound is the staleness bound the server reported, kept current by
-	// SetStalenessBound. Atomic because a kv.Store's bound may be retuned
-	// while other goroutines read it.
-	bound  atomic.Int64
+	bound  int64 // the staleness bound the server reported at open
 	engine string
 }
 
@@ -354,20 +351,9 @@ func (m *Model) ValueSize() int { return m.dim * 4 }
 // Shards returns the server store's hash-partition count.
 func (m *Model) Shards() int { return m.shards }
 
-// StalenessBound returns the bound currently in effect (as of open or the
-// last SetStalenessBound).
-func (m *Model) StalenessBound() int64 { return m.bound.Load() }
-
-// SetStalenessBound applies a new bound on the server by re-opening the
-// model with it — the wire protocol's way to retune an existing model —
-// and updates the local mirror on success.
-func (m *Model) SetStalenessBound(bound int64) error {
-	if _, err := m.c.OpenModel(context.Background(), OpenSpec{ID: m.id, Dim: m.dim, Bound: bound}); err != nil {
-		return err
-	}
-	m.bound.Store(bound)
-	return nil
-}
+// StalenessBound returns the bound the server runs the model under, fixed
+// while it is open.
+func (m *Model) StalenessBound() int64 { return m.bound }
 
 // Resident is false: every read of a remote model can wait — on the wire
 // if not on the server's disk — so a tier in front of it always has a

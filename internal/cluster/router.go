@@ -262,13 +262,12 @@ func (r *Router) redirected(err error, redirects *int) bool {
 	return true
 }
 
-// OpenModel opens the model on every node in the current map (so a bound
-// change propagates cluster-wide) and returns the routed model. Calling it
-// again with the same ID re-opens with the new spec on every node. An
-// unreachable replica does not fail the open — replicas are a read
-// optimization, so the model opens there lazily when a read first routes
-// to it, and readTarget falls back to the primary until then. Primaries
-// stay strict: every range owner must accept the spec.
+// OpenModel opens the model on every node in the current map, each of
+// which refuses a spec its live model does not match, and returns the
+// routed model. An unreachable replica does not fail the open — replicas
+// are a read optimization, so the model opens there lazily when a read
+// first routes to it, and readTarget falls back to the primary until then.
+// Primaries stay strict: every range owner must accept the spec.
 func (r *Router) OpenModel(ctx context.Context, spec client.OpenSpec) (*RModel, error) {
 	m := &RModel{r: r, spec: spec, models: map[string]*client.Model{}, lags: map[string]*lagEntry{}}
 	mp := r.Map()
@@ -295,8 +294,8 @@ type RModel struct {
 	dim    int
 	shards int
 	engine string
-	bound  atomic.Int64
-	once   sync.Once // latches geometry from the first successful open
+	bound  int64
+	once   sync.Once // latches geometry and bound from the first successful open
 }
 
 // lagUnknown is the lag of a replica that has not (or cannot be) asked:
@@ -336,7 +335,7 @@ func (m *RModel) model(ctx context.Context, n *Node) (*client.Model, error) {
 		m.dim = cm.Dim()
 		m.shards = cm.Shards()
 		m.engine = cm.Name()
-		m.bound.Store(cm.StalenessBound())
+		m.bound = cm.StalenessBound()
 	})
 	return cm, nil
 }
@@ -356,12 +355,9 @@ func (m *RModel) Name() string {
 	return fmt.Sprintf("cluster(%d×%s)", len(m.r.Map().Nodes), m.engine)
 }
 
-// StalenessBound returns the bound in effect.
-func (m *RModel) StalenessBound() int64 { return m.bound.Load() }
-
-// SetBoundHint records a bound change made through a re-open, so replica
-// admissibility reacts immediately.
-func (m *RModel) SetBoundHint(bound int64) { m.bound.Store(bound) }
+// StalenessBound returns the bound the model runs under, fixed while it is
+// open.
+func (m *RModel) StalenessBound() int64 { return m.bound }
 
 // CheckpointCtx checkpoints the model on every primary.
 func (m *RModel) CheckpointCtx(ctx context.Context) error {

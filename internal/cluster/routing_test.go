@@ -474,11 +474,11 @@ func TestBlockingBatchKeepsCallerOrder(t *testing.T) {
 
 // TestOwnerRetryBudget pins the loop's owner-retry leg against a dead
 // primary that nothing promotes over: a cancelled context cuts the backoff
-// short with the plain failure; a read that may not use a replica (BSP)
-// gives up with ErrNoLiveOwner after refetching the map exactly
+// short with the plain failure; a read of a BSP model, which may not use a
+// replica, gives up with ErrNoLiveOwner after refetching the map exactly
 // ownerRetryBudget times (each refetch probes the one surviving member
-// once); and the same read under ASP spends the same budget, then degrades
-// to the replica instead of failing.
+// once); and the same read of an ASP model spends the same budget, then
+// degrades to the replica instead of failing.
 func TestOwnerRetryBudget(t *testing.T) {
 	m, nodes := startCluster(t, []cluster.Node{
 		{ID: "n0", Role: cluster.RolePrimary},
@@ -486,6 +486,11 @@ func TestOwnerRetryBudget(t *testing.T) {
 	}, "n0")
 	r, rm := openRouted(t, m, faster.BoundAsync, false)
 	rs := newSession(t, rm)
+	bsp, err := r.OpenModel(context.Background(), client.OpenSpec{ID: testModel + "-bsp", Dim: testDim, Bound: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bs := newSession(t, bsp)
 	keys := []uint64{7}
 	val, got := valsFor(keys), make([]byte, testVS)
 	if err := rs.PutCtx(context.Background(), keys[0], val); err != nil {
@@ -502,7 +507,7 @@ func TestOwnerRetryBudget(t *testing.T) {
 	short, cancel := context.WithTimeout(context.Background(), 60*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	err := rs.PutCtx(short, keys[0], val)
+	err = rs.PutCtx(short, keys[0], val)
 	if err == nil || errors.Is(err, cluster.ErrNoLiveOwner) {
 		t.Fatalf("put under a 60ms deadline returned %v, want the plain failure", err)
 	}
@@ -510,16 +515,14 @@ func TestOwnerRetryBudget(t *testing.T) {
 		t.Fatalf("a 60ms deadline took %v to surface: the backoff ignored it", d)
 	}
 
-	rm.SetBoundHint(0)
 	probes := nodes["n1"].st.encodes.Load()
-	if _, err = rs.GetCtx(context.Background(), keys[0], got); !errors.Is(err, cluster.ErrNoLiveOwner) {
+	if _, err = bs.GetCtx(context.Background(), keys[0], got); !errors.Is(err, cluster.ErrNoLiveOwner) {
 		t.Fatalf("BSP read of a dead, unpromoted primary returned %v, want ErrNoLiveOwner", err)
 	}
 	if n := nodes["n1"].st.encodes.Load() - probes; n != cluster.OwnerRetryBudget {
 		t.Fatalf("the survivor answered %d map refetches, want exactly the budget of %d", n, cluster.OwnerRetryBudget)
 	}
 
-	rm.SetBoundHint(faster.BoundAsync)
 	found, err := rs.GetCtx(context.Background(), keys[0], got)
 	if err != nil {
 		t.Fatalf("ASP read with a live replica and a dead primary: %v", err)

@@ -296,7 +296,7 @@ func (s *RSession) getCtx(ctx context.Context, key uint64, dst []byte, peek bool
 		if p == nil {
 			return "", errNoOwner
 		}
-		rn, ss, err := s.readTarget(ctx, mp, p, s.m.bound.Load())
+		rn, ss, err := s.readTarget(ctx, mp, p, s.m.bound)
 		if err != nil {
 			return p.ID, err
 		}
@@ -334,7 +334,7 @@ func (s *RSession) getCtx(ctx context.Context, key uint64, dst []byte, peek bool
 // stale-but-bounded answer instead of an outage. Blocking bounds (and
 // reads with no admissible replica) surface the typed failure err.
 func (s *RSession) degradedOrFail(ctx context.Context, key uint64, dst []byte, err error) (bool, error) {
-	mp, bound := s.m.r.Map(), s.m.bound.Load()
+	mp, bound := s.m.r.Map(), s.m.bound
 	// The budget was spent against an owner, so the key has one.
 	for _, rep := range mp.ReplicasOf(mp.Owner(key).ID) {
 		if !s.m.replicaAdmissible(ctx, bound, rep) {
@@ -413,7 +413,7 @@ func (s *RSession) PeekBatchCtx(ctx context.Context, keys []uint64, vals []byte,
 
 func (s *RSession) batchRead(ctx context.Context, keys []uint64, vals []byte, found []bool, op wire.Op) error {
 	return s.do(ctx, true, func(mp *Map) (string, error) {
-		bound := s.m.bound.Load()
+		bound := s.m.bound
 		groups, err := s.groupBy(ctx, mp, keys, nil, bound)
 		if err != nil {
 			return "", err

@@ -222,13 +222,9 @@ func (t *Table) EngineName() string {
 	return "faster"
 }
 
-// StalenessBound returns the consistency bound in effect (-1 on a
-// clock-free engine).
+// StalenessBound returns the consistency bound the table opened with (-1
+// on a clock-free engine).
 func (t *Table) StalenessBound() int64 { return t.store.StalenessBound() }
-
-// SetStalenessBound adjusts the consistency bound at runtime, on every
-// shard. A clock-free engine refuses a blocking bound.
-func (t *Table) SetStalenessBound(b int64) error { return t.store.SetStalenessBound(b) }
 
 // Checkpoint makes the table durable (call at a training barrier).
 func (t *Table) Checkpoint() error { return t.store.Checkpoint() }

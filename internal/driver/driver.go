@@ -63,7 +63,9 @@ type Config struct {
 	Engine string
 	// Shards is the hash-partition count (0 = target default).
 	Shards int
-	// Bound is the staleness bound; applied only when BoundSet.
+	// Bound is the staleness bound; applied only when BoundSet. Unset, a
+	// new model opens under the target's default (kv.DefaultBound locally,
+	// the server's -staleness remotely) and a live one keeps its bound.
 	Bound    int64
 	BoundSet bool
 	// MemoryBytes / ExpectedKeys size the local engine; a remote server
@@ -100,8 +102,9 @@ type Model interface {
 	// EngineName identifies the backing engine ("mlkv", "faster", "lsm",
 	// "bptree", or "remote(<engine>)").
 	EngineName() string
+	// StalenessBound is the bound the model runs under, fixed while it is
+	// open (see kv.ResolveOpen).
 	StalenessBound() int64
-	SetStalenessBound(ctx context.Context, b int64) error
 	Checkpoint(ctx context.Context) error
 	// Stats returns the model's counters. A local model reports the core
 	// table's view; a remote model reports the server's (merged across a

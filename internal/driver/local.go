@@ -31,10 +31,10 @@ func (db *localDB) Open(ctx context.Context, id string, cfg Config) (Model, erro
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	engine := "" // "" = caller has no preference; reopens match anything
-	if cfg.Engine != "" {
+	req := kv.OpenRequest{ID: id, Dim: cfg.Dim, Bound: cfg.Bound, BoundSet: cfg.BoundSet}
+	if cfg.Engine != "" { // "" = caller has no preference; reopens match anything
 		var err error
-		if engine, err = kv.NormalizeEngine(cfg.Engine); err != nil {
+		if req.Engine, err = kv.NormalizeEngine(cfg.Engine); err != nil {
 			return nil, err
 		}
 	}
@@ -44,39 +44,24 @@ func (db *localDB) Open(ctx context.Context, id string, cfg Config) (Model, erro
 		return nil, fmt.Errorf("driver: db %q is closed", db.dir)
 	}
 	if m, ok := db.models[id]; ok {
-		if m.t.Dim() != cfg.Dim {
-			return nil, fmt.Errorf("driver: model %q has dim %d, requested %d", id, m.t.Dim(), cfg.Dim)
-		}
-		if engine != "" && engine != m.engine {
-			return nil, fmt.Errorf("driver: model %q runs engine %q, requested %q", id, m.engine, engine)
-		}
-		if cfg.BoundSet {
-			if err := m.t.SetStalenessBound(cfg.Bound); err != nil {
-				return nil, err
-			}
+		live := kv.LiveModel{Dim: m.t.Dim(), Engine: m.engine, Bound: m.t.StalenessBound()}
+		if _, err := kv.ResolveOpen(req, &live, kv.DefaultBound); err != nil {
+			return nil, err
 		}
 		m.refs++
 		return &localHandle{localModel: m}, nil
 	}
-	if engine == "" {
-		engine = kv.EngineFaster
+	if req.Engine == "" {
+		req.Engine = kv.EngineFaster
 	}
-	bound := cfg.Bound
-	if !cfg.BoundSet {
-		// The public API's historical local default: SSP(4) on the hybrid
-		// log, the bound off on an engine with no clock to run it. It lives
-		// here rather than in the public layer so that an engine-less reopen
-		// of an existing clock-free model never carries an implied blocking
-		// bound the model would have to refuse.
-		bound = 4
-		if kv.ClockFree(engine) {
-			bound = -1
-		}
+	bound, err := kv.ResolveOpen(req, nil, kv.DefaultBound)
+	if err != nil {
+		return nil, err
 	}
 	t, err := core.OpenTable(core.Options{
 		Dir:            filepath.Join(db.dir, id),
 		Dim:            cfg.Dim,
-		Engine:         engine,
+		Engine:         req.Engine,
 		Shards:         cfg.Shards,
 		StalenessBound: bound,
 		MemoryBytes:    cfg.MemoryBytes,
@@ -87,7 +72,7 @@ func (db *localDB) Open(ctx context.Context, id string, cfg Config) (Model, erro
 	if err != nil {
 		return nil, err
 	}
-	m := &localModel{db: db, id: id, engine: engine, t: t, refs: 1}
+	m := &localModel{db: db, id: id, engine: req.Engine, t: t, refs: 1}
 	db.models[id] = m
 	return &localHandle{localModel: m}, nil
 }
@@ -147,10 +132,6 @@ func (m *localModel) Dim() int              { return m.t.Dim() }
 func (m *localModel) Shards() int           { return m.t.Shards() }
 func (m *localModel) EngineName() string    { return m.t.EngineName() }
 func (m *localModel) StalenessBound() int64 { return m.t.StalenessBound() }
-
-func (m *localModel) SetStalenessBound(ctx context.Context, b int64) error {
-	return m.t.SetStalenessBound(b)
-}
 
 func (m *localModel) Checkpoint(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {

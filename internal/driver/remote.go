@@ -40,7 +40,6 @@ type wireModel interface {
 	Shards() int
 	Name() string
 	StalenessBound() int64
-	SetBoundHint(bound int64)
 	CheckpointCtx(ctx context.Context) error
 	StatsCtx(ctx context.Context) (stats.Counters, error)
 	NewWireSession(ctx context.Context) (wireSession, error)
@@ -72,11 +71,6 @@ type singleModel struct{ *client.Model }
 func (m singleModel) NewWireSession(ctx context.Context) (wireSession, error) {
 	return m.Model.NewSessionCtx(ctx)
 }
-
-// SetBoundHint has nothing to update: nothing on a single server's read
-// path consults the bound, and remoteModel's own mirror is the one its tier
-// reads.
-func (singleModel) SetBoundHint(int64) {}
 
 func (b singleBackend) OpenWireModel(ctx context.Context, spec client.OpenSpec) (wireModel, error) {
 	m, err := b.c.OpenModel(ctx, spec)
@@ -188,6 +182,7 @@ func (db *remoteDB) Open(ctx context.Context, id string, cfg Config) (Model, err
 		db:       db,
 		m:        cm,
 		init:     cfg.Init,
+		bound:    cm.StalenessBound(),
 		lookCh:   make(chan []uint64, lookQueue),
 		lookFree: make(chan []uint64, lookQueue),
 		lookStop: make(chan struct{}),
@@ -196,7 +191,6 @@ func (db *remoteDB) Open(ctx context.Context, id string, cfg Config) (Model, err
 	for i := 0; i < lookQueue; i++ {
 		m.lookFree <- nil // grown to the caller's hint size on first use
 	}
-	m.bound.Store(cm.StalenessBound())
 	if cfg.CacheEntries > 0 {
 		m.cache = hotcache.New[float32](cfg.CacheEntries, cfg.Dim)
 	}
@@ -226,15 +220,15 @@ type remoteModel struct {
 
 	// cache is the client-side hot tier (Config.CacheEntries), shared by
 	// every session of this model handle; its write clock counts this
-	// process's writes to the model. bound tracks the staleness bound in
-	// effect (updated by SetStalenessBound, which the wire otherwise reports
-	// only at open time). The tier's gap check therefore bounds staleness
+	// process's writes to the model. bound is the staleness bound the
+	// server reported at open, fixed while the model is open. The tier's gap
+	// check therefore bounds staleness
 	// relative to this process's writes; other clients' writes are invisible
 	// to it, exactly as they are to a PERSIA-style application-side cache.
 	// Workloads where foreign writes must bound cached reads belong on the
 	// server-side tier (-cache), whose clock sees every client.
 	cache *hotcache.Cache[float32]
-	bound atomic.Int64
+	bound int64
 
 	// lookMu orders worker start against Close, so a hint racing a Close
 	// can never start a worker Close no longer sees.
@@ -255,23 +249,7 @@ func (m *remoteModel) ID() string            { return m.m.ID() }
 func (m *remoteModel) Dim() int              { return m.m.Dim() }
 func (m *remoteModel) Shards() int           { return m.m.Shards() }
 func (m *remoteModel) EngineName() string    { return m.m.Name() }
-func (m *remoteModel) StalenessBound() int64 { return m.bound.Load() }
-
-// SetStalenessBound re-opens the model with an explicit bound — the wire
-// protocol's way to adjust an existing model's consistency. The local
-// bound mirror (which the hot tier's admissibility checks read) updates
-// only on success.
-func (m *remoteModel) SetStalenessBound(ctx context.Context, b int64) error {
-	_, err := m.db.c.OpenWireModel(ctx, client.OpenSpec{
-		ID: m.m.ID(), Dim: m.m.Dim(), Bound: b,
-	})
-	if err == nil {
-		m.bound.Store(b)
-		// A cluster router's mirror gates replica admissibility.
-		m.m.SetBoundHint(b)
-	}
-	return err
-}
+func (m *remoteModel) StalenessBound() int64 { return m.bound }
 
 func (m *remoteModel) Checkpoint(ctx context.Context) error { return m.m.CheckpointCtx(ctx) }
 
@@ -402,7 +380,7 @@ func (s *remoteSession) initInto(key uint64, dst []float32) {
 // protocol is hotcache.Cache's; this site only adds what the wire needs —
 // float32 values and client-side first touch.
 func (s *remoteSession) tier() (*hotcache.Cache[float32], int64) {
-	bound := s.m.bound.Load()
+	bound := s.m.bound
 	if bound == 0 {
 		return nil, 0
 	}

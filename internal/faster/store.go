@@ -101,7 +101,7 @@ type Store struct {
 	em    *epoch.Manager
 	ix    *index
 	log   *hybridLog
-	bound atomic.Int64 // current staleness bound (mutable at runtime)
+	bound int64 // the staleness bound, fixed at open
 
 	// Operation counters are per session: one shared block would be a
 	// cache line every key operation of every session writes. stats holds
@@ -125,8 +125,7 @@ func Open(cfg Config) (*Store, error) {
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, err
 	}
-	st := &Store{cfg: cfg, sessions: make(map[*Session]struct{})}
-	st.bound.Store(cfg.StalenessBound)
+	st := &Store{cfg: cfg, bound: cfg.StalenessBound, sessions: make(map[*Session]struct{})}
 	st.em = epoch.NewManager(cfg.MaxSessions)
 	st.ix = newIndex(cfg.IndexBuckets)
 	var err error
@@ -155,12 +154,9 @@ func (st *Store) Close() error {
 // ValueSize returns the fixed value payload size.
 func (st *Store) ValueSize() int { return st.cfg.ValueSize }
 
-// SetStalenessBound changes the staleness bound at runtime (used by the
-// benchmark harness to sweep bounds without reopening the store).
-func (st *Store) SetStalenessBound(b int64) { st.bound.Store(b) }
-
-// StalenessBound returns the current bound.
-func (st *Store) StalenessBound() int64 { return st.bound.Load() }
+// StalenessBound returns the bound the store was opened with; it is fixed
+// for the store's life.
+func (st *Store) StalenessBound() int64 { return st.bound }
 
 // BlockingBound reports whether clocked reads under bound can wait on the
 // vector clock. Only then does batch ordering matter for deadlock freedom:
@@ -449,7 +445,7 @@ func (s *Session) GetBatchAt(ctx context.Context, keys []uint64, idxs []int, val
 	if len(vals) != len(keys)*vs || len(found) != len(keys) {
 		return ErrValueSize
 	}
-	bound := s.st.bound.Load()
+	bound := s.st.bound
 	return s.pass(idxs, &s.stats.Gets, &s.stats.MemHits, func(i int) (plain bool, err error) {
 		dst := vals[i*vs : (i+1)*vs]
 		if found[i], plain, err = s.get(ctx, keys[i], dst, bound, create); !found[i] {
@@ -626,7 +622,7 @@ func (s *Session) PutBatchAt(keys []uint64, idxs []int, vals []byte) error {
 	if len(vals) != len(keys)*vs {
 		return ErrValueSize
 	}
-	bound := s.st.bound.Load()
+	bound := s.st.bound
 	var val []byte
 	put := func(cur []byte, _ bool) bool {
 		copy(cur, val)
@@ -644,7 +640,7 @@ func (s *Session) PutBatchAt(keys []uint64, idxs []int, vals []byte) error {
 // whether to store cur; a declining fn must leave cur untouched, and the
 // record — value, clock, generation, or absence — stays exactly as it was.
 func (s *Session) RMW(key uint64, fn func(cur []byte, exists bool) bool) error {
-	bound := s.st.bound.Load()
+	bound := s.st.bound
 	return s.pass(firstIdx[:], &s.stats.RMWs, &s.stats.InPlaceUpdates, func(int) (bool, error) {
 		return s.update(key, bound, fn)
 	})

@@ -710,17 +710,6 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-func TestSetStalenessBound(t *testing.T) {
-	st := testStore(t, 8, 64, 8, 2, 0)
-	if st.StalenessBound() != 0 {
-		t.Fatal("initial bound")
-	}
-	st.SetStalenessBound(42)
-	if st.StalenessBound() != 42 {
-		t.Fatal("bound update")
-	}
-}
-
 func TestManyTablesSimultaneously(t *testing.T) {
 	// Multiple independent stores (one per embedding table) in one process.
 	stores := make([]*Store, 4)

@@ -39,14 +39,13 @@ type cachedStore struct {
 	cache *hotcache.Cache[byte]
 }
 
-func (w *cachedStore) ValueSize() int                  { return w.inner.ValueSize() }
-func (w *cachedStore) Name() string                    { return w.inner.Name() }
-func (w *cachedStore) Shards() int                     { return w.inner.Shards() }
-func (w *cachedStore) StalenessBound() int64           { return w.inner.StalenessBound() }
-func (w *cachedStore) SetStalenessBound(b int64) error { return w.inner.SetStalenessBound(b) }
-func (w *cachedStore) Resident() bool                  { return w.inner.Resident() }
-func (w *cachedStore) Checkpoint() error               { return w.inner.Checkpoint() }
-func (w *cachedStore) Close() error                    { return w.inner.Close() }
+func (w *cachedStore) ValueSize() int        { return w.inner.ValueSize() }
+func (w *cachedStore) Name() string          { return w.inner.Name() }
+func (w *cachedStore) Shards() int           { return w.inner.Shards() }
+func (w *cachedStore) StalenessBound() int64 { return w.inner.StalenessBound() }
+func (w *cachedStore) Resident() bool        { return w.inner.Resident() }
+func (w *cachedStore) Checkpoint() error     { return w.inner.Checkpoint() }
+func (w *cachedStore) Close() error          { return w.inner.Close() }
 
 // Stats adds the tier's counters to the wrapped store's.
 func (w *cachedStore) Stats() stats.Counters {

@@ -3,6 +3,7 @@ package kv
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -244,33 +245,77 @@ func TestStoreRecovery(t *testing.T) {
 }
 
 // TestStoreBoundRefusal: the clock-free engines refuse blocking bounds at
-// open and at SetStalenessBound and accept the non-blocking ones; the
-// hybrid log takes any bound, on every shard.
+// open and accept the non-blocking ones, reporting -1; the hybrid log takes
+// any bound, on every shard, and reports it.
 func TestStoreBoundRefusal(t *testing.T) {
 	const asp = int64(1<<63 - 1)
 	forEachStore(t, func(t *testing.T, engine string, shards int) {
-		for _, bound := range []int64{0, 4} {
-			_, err := OpenEngine(engine, testConfig(t.TempDir(), shards, 8, bound), engine)
-			if ClockFree(engine) == (err == nil) {
-				t.Fatalf("open with blocking bound %d: err=%v", bound, err)
-			}
-		}
-		st := openTestStore(t, engine, shards, 8, asp)
 		for _, bound := range []int64{0, 4, -1, asp} {
-			err := st.SetStalenessBound(bound)
-			refuse := ClockFree(engine) && bound >= 0 && bound != asp
-			if refuse != (err != nil) {
-				t.Fatalf("SetStalenessBound(%d): err=%v", bound, err)
+			st, err := OpenEngine(engine, testConfig(t.TempDir(), shards, 8, bound), engine)
+			if refuse := ClockFree(engine) && bound >= 0 && bound != asp; refuse != (err != nil) {
+				t.Fatalf("open with bound %d: err=%v", bound, err)
+			}
+			if err != nil {
+				continue
 			}
 			want := bound
 			if ClockFree(engine) {
 				want = -1
 			}
 			if got := st.StalenessBound(); got != want {
-				t.Fatalf("after SetStalenessBound(%d): StalenessBound()=%d, want %d", bound, got, want)
+				t.Fatalf("opened with bound %d: StalenessBound()=%d, want %d", bound, got, want)
+			}
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
 			}
 		}
 	})
+}
+
+// TestResolveOpen pins the open policy both openers share: a live model
+// refuses another dim, another named engine and another explicit bound
+// (one without a clock takes any non-blocking bound), and a new model
+// opens under the requested bound or the default, which a clock-free
+// engine runs as -1 when it would block.
+func TestResolveOpen(t *testing.T) {
+	const asp, refused = DefaultBound, int64(-2)
+	clocked := &LiveModel{Dim: 4, Engine: EngineFaster, Bound: 4}
+	clockless := &LiveModel{Dim: 4, Engine: EngineLSM, Bound: -1}
+	req := func(engine string, bound int64, set bool) OpenRequest {
+		return OpenRequest{ID: "m", Dim: 4, Engine: engine, Bound: bound, BoundSet: set}
+	}
+	for _, c := range []struct {
+		name string
+		req  OpenRequest
+		live *LiveModel
+		def  int64
+		want int64
+	}{
+		{"live unset", req("", 0, false), clocked, asp, 4},
+		{"live same bound", req(EngineFaster, 4, true), clocked, asp, 4},
+		{"live other bound", req("", asp, true), clocked, asp, refused},
+		{"live other dim", OpenRequest{ID: "m", Dim: 8}, clocked, asp, refused},
+		{"live other engine", req(EngineLSM, 0, false), clocked, asp, refused},
+		{"clockless asp", req("", asp, true), clockless, asp, -1},
+		{"clockless bsp", req("", 0, true), clockless, asp, refused},
+		{"new default", req(EngineFaster, 0, false), nil, asp, asp},
+		{"new requested", req(EngineFaster, 0, true), nil, asp, 0},
+		{"new clockless blocking default", req(EngineBPTree, 0, false), nil, 0, -1},
+		{"new clockless blocking bound", req(EngineBPTree, 4, true), nil, asp, refused},
+	} {
+		got, err := ResolveOpen(c.req, c.live, c.def)
+		if c.want == refused {
+			if err == nil {
+				t.Errorf("%s: accepted with bound %d", c.name, got)
+			} else if c.live != nil && !strings.Contains(err.Error(), `model "m"`) {
+				t.Errorf("%s: refusal does not name the model: %v", c.name, err)
+			}
+			continue
+		}
+		if err != nil || got != c.want {
+			t.Errorf("%s: got %d, %v; want %d", c.name, got, err, c.want)
+		}
+	}
 }
 
 // TestSplitBudget pins the one budget split: totals divide evenly and a

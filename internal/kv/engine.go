@@ -18,10 +18,9 @@ type shard interface {
 	newSession() (shardSession, error)
 	Checkpoint() error
 	Stats() stats.Counters
-	// StalenessBound / SetStalenessBound drive the vector clock; a
-	// clock-free engine reports -1 and ignores the setter.
+	// StalenessBound is the bound the vector clock runs under; a
+	// clock-free engine reports -1.
 	StalenessBound() int64
-	SetStalenessBound(int64)
 	// Resident: see Store.Resident. Only the hybrid log can say yes.
 	Resident() bool
 	// batchCalls counts the getAt / putAt calls that reached the engine.
@@ -158,11 +157,10 @@ func (c *clockFreeShard) newSession() (shardSession, error) {
 	return &clockFreeSession{st: c, ns: ns, buf: make([]byte, c.vs)}, nil
 }
 
-func (c *clockFreeShard) Checkpoint() error       { return c.checkpoint() }
-func (c *clockFreeShard) StalenessBound() int64   { return -1 }
-func (c *clockFreeShard) SetStalenessBound(int64) {}
-func (c *clockFreeShard) Resident() bool          { return false }
-func (c *clockFreeShard) Close() error            { return c.closeFn() }
+func (c *clockFreeShard) Checkpoint() error     { return c.checkpoint() }
+func (c *clockFreeShard) StalenessBound() int64 { return -1 }
+func (c *clockFreeShard) Resident() bool        { return false }
+func (c *clockFreeShard) Close() error          { return c.closeFn() }
 
 func (c *clockFreeShard) Stats() stats.Counters {
 	memHits, diskReads, flushed := c.ioStats()

@@ -28,12 +28,9 @@ type Store interface {
 	// Shards is the hash-partition count backing the store.
 	Shards() int
 	// StalenessBound returns the bound of MLKV's bounded-staleness clock,
-	// shared by all shards; a clock-free engine reports -1.
+	// shared by all shards and fixed when the store opens; a clock-free
+	// engine reports -1.
 	StalenessBound() int64
-	// SetStalenessBound changes the bound at runtime, on every shard. A
-	// clock-free engine refuses a blocking bound (BSP or finite SSP): it
-	// would silently serve unbounded reads.
-	SetStalenessBound(int64) error
 	// Resident reports whether every record the store holds is still in
 	// its engine's memory, so that no read can wait on a disk: true for a
 	// hybrid-log store none of whose shards has evicted a page yet; false

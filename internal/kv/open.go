@@ -44,6 +44,74 @@ func NormalizeEngine(engine string) (string, error) {
 // rather than silently serving unbounded reads.
 func ClockFree(engine string) bool { return engine == EngineLSM || engine == EngineBPTree }
 
+// checkBound refuses a blocking staleness bound (BSP or finite SSP) on an
+// engine without a vector clock.
+func checkBound(engine string, bound int64) error {
+	if ClockFree(engine) && faster.BlockingBound(bound) {
+		return fmt.Errorf("kv: engine %q has no vector clock and cannot honor blocking staleness bound %d (use the faster engine, or an async/disabled bound)", engine, bound)
+	}
+	return nil
+}
+
+// DefaultBound is the staleness bound a model opens with when its opener
+// names none, on a local directory and on a server left at its default:
+// ASP, which every engine runs — the hybrid log keeps its clock and never
+// blocks on it, a clock-free engine runs without one.
+const DefaultBound = faster.BoundAsync
+
+// OpenRequest is what an opener asks of a named model.
+type OpenRequest struct {
+	ID  string
+	Dim int
+	// Engine is a canonical engine name, or "" for no preference.
+	Engine string
+	// Bound is the requested staleness bound, applied only when BoundSet.
+	Bound    int64
+	BoundSet bool
+}
+
+// LiveModel is what an open model runs. Bound is what its store reports:
+// -1 when no clock runs.
+type LiveModel struct {
+	Dim    int
+	Engine string
+	Bound  int64
+}
+
+// ResolveOpen is the open policy of both openers, the local driver and the
+// server registry. It returns the staleness bound the model runs under, or
+// why the request is refused.
+//
+// A live model (live non-nil) refuses a request with another dim, one
+// naming another engine, and one setting a bound other than the one the
+// model reports; a model reporting -1 runs no clock, so it also accepts
+// any non-blocking bound. The bound is fixed while the model is open: once
+// its last handle closes, the next open may choose another.
+//
+// A new model (live nil) opens under the requested bound, or def when
+// none is set. A clock-free engine refuses a requested blocking bound and
+// runs a blocking default as -1.
+func ResolveOpen(req OpenRequest, live *LiveModel, def int64) (int64, error) {
+	if live != nil {
+		switch {
+		case live.Dim != req.Dim:
+			return 0, fmt.Errorf("kv: model %q has dim %d, requested %d", req.ID, live.Dim, req.Dim)
+		case req.Engine != "" && req.Engine != live.Engine:
+			return 0, fmt.Errorf("kv: model %q runs engine %q, requested %q", req.ID, live.Engine, req.Engine)
+		case req.BoundSet && req.Bound != live.Bound && (live.Bound != -1 || faster.BlockingBound(req.Bound)):
+			return 0, fmt.Errorf("kv: model %q runs staleness bound %d, requested %d", req.ID, live.Bound, req.Bound)
+		}
+		return live.Bound, nil
+	}
+	if req.BoundSet {
+		return req.Bound, checkBound(req.Engine, req.Bound)
+	}
+	if ClockFree(req.Engine) && faster.BlockingBound(def) {
+		return -1, nil
+	}
+	return def, nil
+}
+
 // ShardedConfig sizes a hash-partitioned engine store. The memory and
 // expected-key budgets are totals: S shards together use the same
 // resources one unsharded store would, so 1-vs-N comparisons are fair.
@@ -185,7 +253,7 @@ func OpenEngine(engine string, cfg ShardedConfig, name string) (Store, error) {
 	if err := util.ValidateShardMeta(cfg.Dir, cfg.Shards); err != nil {
 		return nil, fmt.Errorf("kv: %w", err)
 	}
-	st := &shardedStore{engine: eng, name: name, vs: cfg.ValueSize}
+	st := &shardedStore{name: name, vs: cfg.ValueSize}
 	mem, keys := splitBudget(cfg.MemoryBytes, cfg.Shards, cfg.ExpectedKeys)
 	for i := 0; i < cfg.Shards; i++ {
 		d := cfg.Dir

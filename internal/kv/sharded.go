@@ -3,7 +3,6 @@ package kv
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync"
 
 	"github.com/llm-db/mlkv-go/internal/faster"
@@ -20,7 +19,6 @@ import (
 // comparisons measure sharding alone.
 type shardedStore struct {
 	shards []shard
-	engine string // canonical engine name
 	name   string
 	vs     int
 }
@@ -31,25 +29,6 @@ func (w *shardedStore) Shards() int    { return len(w.shards) }
 
 // StalenessBound reports the bound all shards share.
 func (w *shardedStore) StalenessBound() int64 { return w.shards[0].StalenessBound() }
-
-func (w *shardedStore) SetStalenessBound(b int64) error {
-	if err := checkBound(w.engine, b); err != nil {
-		return err
-	}
-	for _, sh := range w.shards {
-		sh.SetStalenessBound(b)
-	}
-	return nil
-}
-
-// checkBound refuses a blocking staleness bound (BSP or finite SSP) on an
-// engine without a vector clock, at open and at SetStalenessBound.
-func checkBound(engine string, bound int64) error {
-	if ClockFree(engine) && faster.BlockingBound(bound) {
-		return fmt.Errorf("kv: engine %q has no vector clock and cannot honor blocking staleness bound %d (use the faster engine, or an async/disabled bound)", engine, bound)
-	}
-	return nil
-}
 
 // Resident reports whether every shard is still wholly in memory.
 func (w *shardedStore) Resident() bool {

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"github.com/llm-db/mlkv-go/internal/faster"
 	"github.com/llm-db/mlkv-go/internal/kv"
 	"github.com/llm-db/mlkv-go/internal/latency"
 	"github.com/llm-db/mlkv-go/internal/stats"
@@ -42,7 +41,7 @@ type RegistryConfig struct {
 	DefaultShards int
 	// DefaultBound is the staleness bound applied when an OPEN carries
 	// wire.BoundUnset and the model does not exist yet. Zero value means
-	// BSP; set it deliberately.
+	// BSP; set it deliberately (kv.DefaultBound is a local model's).
 	DefaultBound int64
 	// CacheEntries layers a server-side staleness-aware hot tier of this
 	// capacity (kv.WrapCached) over every model the Opener opens, shared by
@@ -99,15 +98,15 @@ func validateModelID(id string) error {
 }
 
 // Open returns the model named id, opening it through the configured
-// Opener on first use. dim must match an existing model. shards 0 takes
-// the registry default (and is advisory for an existing model: the store
-// keeps the count it was created with). A bound other than wire.BoundUnset
-// is applied to the model — at creation for a new one, via
-// kv.Store.SetStalenessBound for an existing one, matching the paper's
-// interface where the trainer declares the consistency it needs. engine
-// "" takes the server's choice for a new model and is never a mismatch
-// for an existing one; a named engine must match an existing model's and
-// is passed to the Opener for a new one.
+// Opener on first use. shards 0 takes the registry default (and is
+// advisory for an existing model: the store keeps the count it was created
+// with). A bound other than wire.BoundUnset is the one the trainer
+// declares, as in the paper's interface: a new model opens under it, and a
+// live one refuses any other (see kv.ResolveOpen, which also holds the dim
+// and engine rules); unset, a new model takes the registry default. engine
+// "" takes the server's choice for a new model and is never a mismatch for
+// an existing one; a named engine must match an existing model's and is
+// passed to the Opener for a new one.
 //
 // The Opener runs outside the registry lock (store opens do directory
 // creation and log recovery I/O), so one tenant's slow cold open never
@@ -123,13 +122,11 @@ func (r *Registry) Open(id string, dim, shards int, bound int64, engine string) 
 	if shards < 0 {
 		return nil, fmt.Errorf("server: model %q: negative shard count %d", id, shards)
 	}
+	req := kv.OpenRequest{ID: id, Dim: dim, Bound: bound, BoundSet: bound != wire.BoundUnset}
 	if engine != "" {
 		var err error
-		if engine, err = kv.NormalizeEngine(engine); err != nil {
+		if req.Engine, err = kv.NormalizeEngine(engine); err != nil {
 			return nil, fmt.Errorf("server: model %q: %w", id, err)
-		}
-		if kv.ClockFree(engine) && bound != wire.BoundUnset && faster.BlockingBound(bound) {
-			return nil, fmt.Errorf("server: model %q: engine %q has no vector clock and cannot honor blocking staleness bound %d", id, engine, bound)
 		}
 	}
 	r.mu.Lock()
@@ -143,16 +140,9 @@ func (r *Registry) Open(id string, dim, shards int, bound int64, engine string) 
 		if m.openErr != nil {
 			return nil, m.openErr
 		}
-		if m.dim != dim {
-			return nil, fmt.Errorf("server: model %q has dim %d, requested %d", id, m.dim, dim)
-		}
-		if engine != "" && engine != m.engine {
-			return nil, fmt.Errorf("server: model %q runs engine %q, requested %q", id, m.engine, engine)
-		}
-		if bound != wire.BoundUnset {
-			if err := m.store.SetStalenessBound(bound); err != nil {
-				return nil, fmt.Errorf("server: model %q: %w", id, err)
-			}
+		live := kv.LiveModel{Dim: m.dim, Engine: m.engine, Bound: m.store.StalenessBound()}
+		if _, err := kv.ResolveOpen(req, &live, r.cfg.DefaultBound); err != nil {
+			return nil, err
 		}
 		return m, nil
 	}
@@ -160,25 +150,20 @@ func (r *Registry) Open(id string, dim, shards int, bound int64, engine string) 
 		r.mu.Unlock()
 		return nil, fmt.Errorf("server: unknown model %q (server opens no new models)", id)
 	}
+	bound, err := kv.ResolveOpen(req, nil, r.cfg.DefaultBound)
+	if err != nil {
+		r.mu.Unlock()
+		return nil, err
+	}
 	if shards == 0 {
 		shards = r.cfg.DefaultShards
-	}
-	if bound == wire.BoundUnset {
-		bound = r.cfg.DefaultBound
-		if kv.ClockFree(engine) {
-			// A clock-free engine cannot run the server's default bound if
-			// that bound blocks; open it unbounded instead of failing.
-			if faster.BlockingBound(bound) {
-				bound = -1
-			}
-		}
 	}
 	// Publish a pending entry, open outside the lock, then resolve it.
 	m := &Model{id: id, dim: dim, ready: make(chan struct{})}
 	r.byName[id] = m
 	r.mu.Unlock()
 
-	store, err := r.cfg.Opener(id, dim, shards, bound, engine)
+	store, err := r.cfg.Opener(id, dim, shards, bound, req.Engine)
 	if err == nil {
 		if vs := store.ValueSize(); vs != dim*4 {
 			store.Close()

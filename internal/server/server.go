@@ -803,12 +803,8 @@ func (cm *connModel) oneKey(key uint64) []uint64 {
 // stalled on the staleness bound gives up server-side at the client's
 // deadline instead of stranding a token on an abandoned request (and
 // wedging this connection's handler). Under a bound that cannot block
-// there is nothing to give up on, so the read runs without a timer.
-//
-// bound is the caller's load, one before the read's own: a runtime flip to
-// a blocking bound (another connection's OPEN) landing between the two lets
-// that one read stall with no deadline, as a waitMs-0 read would, until a
-// write to the key releases it.
+// there is nothing to give up on, so the read runs without a timer. bound
+// is the model's, fixed while it is open.
 func waitCtx(waitMs uint32, bound int64) (context.Context, context.CancelFunc) {
 	if waitMs == 0 || !faster.BlockingBound(bound) {
 		return context.Background(), func() {}

@@ -17,7 +17,9 @@ import (
 
 // BoundUnset is the staleness-bound sentinel in an OPEN request meaning
 // "the caller did not specify a bound": the server applies its default to
-// a new model and leaves an existing model's bound untouched.
+// a new model and answers with a live model's bound. Any other bound must
+// equal a live model's (see kv.ResolveOpen): the bound is fixed while the
+// model is open.
 const BoundUnset = int64(math.MinInt64)
 
 // EncodeHello builds the HELLO request: uint32 version.

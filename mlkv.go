@@ -177,9 +177,14 @@ type config struct {
 func WithEngine(name string) Option { return func(c *config) { c.engine = name } }
 
 // WithStalenessBound sets the consistency bound: BSP, ASP, Disabled, or any
-// positive SSP bound. Unset, a local model on the hybrid log defaults to
-// SSP(4), a local model on a clock-free engine (WithEngine "lsm"/"bptree")
-// runs unbounded, and a remote model keeps the server's bound for it.
+// positive SSP bound. The bound is fixed while the model is open: a second
+// Open of a live model (on this DB, or on the same server from any client)
+// with a different bound is refused. Locally, once every handle has closed,
+// the next Open may choose another; a server keeps its models open until
+// it exits. A model without a clock (a clock-free engine, or Disabled)
+// reports Disabled and also accepts any non-blocking bound. Unset, a live model keeps its bound and a new one opens under ASP
+// — the one bound every engine runs — locally, and under the server's
+// -staleness default (also ASP unless set) remotely.
 func WithStalenessBound(b int64) Option {
 	return func(c *config) { c.bound, c.boundSet = b, true }
 }
@@ -228,8 +233,7 @@ func WithInitializer(fn Initializer) Option {
 // saves the network round trip on a hit — but its clock counts only this
 // process's writes, so under a finite SSP bound the gap check bounds
 // staleness relative to this client alone; other clients' writes are
-// invisible to it (as they are to any application-side cache), and a
-// bound changed by another client's re-open is not seen either. When
+// invisible to it (as they are to any application-side cache). When
 // foreign writes must bound cached reads, use the server's shared tier
 // (mlkv-server -cache), whose clock sees every client. Default 0 (no
 // cache).
@@ -306,19 +310,9 @@ func (m *Model) Shards() int { return m.m.Shards() }
 // disabled), "lsm", "bptree", or "remote(<engine>)".
 func (m *Model) EngineName() string { return m.m.EngineName() }
 
-// StalenessBound returns the consistency bound in effect when the model
-// was opened (or last set through this handle).
+// StalenessBound returns the consistency bound the model runs under,
+// fixed while it is open (see WithStalenessBound).
 func (m *Model) StalenessBound() int64 { return m.m.StalenessBound() }
-
-// SetStalenessBound adjusts the consistency bound at runtime, best
-// effort; use SetStalenessBoundCtx to observe a remote error.
-func (m *Model) SetStalenessBound(b int64) { m.m.SetStalenessBound(context.Background(), b) } //nolint:errcheck
-
-// SetStalenessBoundCtx adjusts the consistency bound at runtime. On a
-// remote model this re-opens the model with an explicit bound.
-func (m *Model) SetStalenessBoundCtx(ctx context.Context, b int64) error {
-	return m.m.SetStalenessBound(ctx, b)
-}
 
 // Checkpoint persists the model durably; call it at a training barrier
 // (the paper checkpoints local NVMe state to durable storage periodically).
