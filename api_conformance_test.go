@@ -1076,7 +1076,8 @@ func TestAPIBoundFixedAtOpen(t *testing.T) {
 
 // TestAPIDefaultBound pins the one default: a model opened without
 // WithStalenessBound runs the same bound on a local directory as on a
-// server whose registry default is kv.DefaultBound.
+// server started with mlkv-server's default -staleness flag (-2, mapped by
+// server.FlagBound, which the command calls).
 func TestAPIDefaultBound(t *testing.T) {
 	open := func(target string) int64 {
 		t.Helper()
@@ -1092,7 +1093,11 @@ func TestAPIDefaultBound(t *testing.T) {
 		defer m.Close()
 		return m.StalenessBound()
 	}
-	local, remote := open(t.TempDir()), open(startTestServer(t, kv.DefaultBound))
+	flagDefault, err := server.FlagBound(-2, "mlkv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	local, remote := open(t.TempDir()), open(startTestServer(t, flagDefault))
 	if local != remote || local != kv.DefaultBound {
 		t.Fatalf("default bound: local %d, remote %d, want both %d", local, remote, kv.DefaultBound)
 	}

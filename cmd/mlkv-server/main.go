@@ -107,15 +107,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "-engine: %v\n", err)
 		os.Exit(2)
 	}
-	defaultBound := *staleness
-	if defaultBound == -2 {
-		defaultBound = kv.DefaultBound
-	} else if defaultBound < 0 {
-		fmt.Fprintf(os.Stderr, "-staleness must be -2 (asp) or >= 0 (bsp/ssp), got %d\n", defaultBound)
+	defaultBound, err := server.FlagBound(*staleness, *engine)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
-	}
-	if *engine == "faster" || kv.ClockFree(defaultEngine) {
-		defaultBound = -1 // clock off entirely
 	}
 	d := *dir
 	if d == "" {

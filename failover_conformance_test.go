@@ -439,3 +439,120 @@ func TestClusterFailoverRestartFromPersistedMaps(t *testing.T) {
 		t.Fatalf("client sees nodes=%d epoch=%d, want %d/%d", st.ClusterNodes, st.ClusterEpoch, len(ids), m.Epoch)
 	}
 }
+
+// TestClusterFailoverKeepsBound pins the bound across a promotion when
+// the replica first saw the model through the replication stream, not
+// through a client OPEN: the replica is cut off while the client opens an
+// SSP(4) model, so the replicator's OPEN is the one that creates the
+// model there. That OPEN must carry the bound the primary runs. A replica
+// that ran its own server default instead would refuse the router's
+// SSP(4) OPEN once promoted (the bound is fixed while a model is open),
+// and every op on the failed-over ranges would fail.
+func TestClusterFailoverKeepsBound(t *testing.T) {
+	const (
+		dim   = 4
+		bound = 4
+	)
+	var lns [3]net.Listener
+	for i := range lns {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		lns[i] = ln
+	}
+	// n0 is proxied so the test can kill it; n2 is proxied so the test
+	// can keep the client's OPEN from reaching it.
+	p0, err := faultnet.New(lns[0].Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p0.Close()
+	p2, err := faultnet.New(lns[2].Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p2.Close()
+	m, err := cluster.BuildMap([]cluster.Node{
+		{ID: "n0", Addr: p0.Addr(), Role: cluster.RolePrimary},
+		{ID: "n1", Addr: lns[1].Addr().String(), Role: cluster.RolePrimary},
+		{ID: "n2", Addr: p2.Addr(), Role: cluster.RoleReplica, PrimaryID: "n0"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n0 := startFailoverNode(t, "n0", t.TempDir(), lns[0], m)
+	n1 := startFailoverNode(t, "n1", t.TempDir(), lns[1], m)
+	n2 := startFailoverNode(t, "n2", t.TempDir(), lns[2], m)
+	defer n1.stop(true)
+	defer n2.stop(true)
+
+	p2.Partition()
+	db, err := mlkv.Connect(mlkv.Scheme+strings.Join([]string{p0.Addr(), lns[1].Addr().String()}, ","),
+		mlkv.WithConns(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	mdl, err := db.Open("bound", dim, mlkv.WithStalenessBound(bound))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mdl.Close()
+	if len(n2.reg.Models()) != 0 {
+		t.Fatal("the client's OPEN reached the partitioned replica; the scenario cannot run")
+	}
+	p2.Heal()
+
+	ses, err := mdl.NewSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ses.Close()
+	var n0Owned []uint64
+	for k := uint64(0); k < 32; k++ {
+		if err := ses.Put(k, failVal(k, 1, dim)); err != nil {
+			t.Fatal(err)
+		}
+		if m.Owner(k).ID == "n0" {
+			n0Owned = append(n0Owned, k)
+		}
+	}
+	if len(n0Owned) == 0 {
+		t.Fatal("no key landed on n0; the scenario cannot run")
+	}
+	waitFor(t, 5*time.Second, "replica catch-up", func() bool {
+		return n2.reg.ReplWatermark() >= uint64(len(n0Owned))
+	})
+	for _, rm := range n2.reg.Models() {
+		if got := rm.Store().StalenessBound(); got != bound {
+			t.Fatalf("replicator opened %q on the replica at bound %d, want the primary's %d", rm.ID(), got, bound)
+		}
+	}
+
+	p0.Partition()
+	n0.stop(false)
+	probe := n0Owned[0]
+	waitFor(t, 30*time.Second, "first post-failure acked write", func() bool {
+		ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
+		defer cancel()
+		err := ses.PutCtx(ctx, probe, failVal(probe, 2, dim))
+		if err != nil && strings.Contains(err.Error(), "staleness bound") {
+			t.Fatalf("promoted replica refused the model's bound: %v", err)
+		}
+		return err == nil
+	})
+	for _, k := range n0Owned {
+		gen := 1
+		if k == probe {
+			gen = 2
+		}
+		got := make([]float32, dim)
+		if err := ses.Get(k, got); err != nil || !f32sEq(got, failVal(k, gen, dim)) {
+			t.Fatalf("key %d on the promoted replica: %v %v, want %v", k, got, err, failVal(k, gen, dim))
+		}
+	}
+	if got := mdl.StalenessBound(); got != bound {
+		t.Fatalf("model reports bound %d after failover, want %d", got, bound)
+	}
+}

@@ -61,7 +61,8 @@ type replRec struct {
 // a ring of the last replLogCap records. Sequence seq lives at slot
 // (seq-1)%replLogCap while seq > head−replLogCap.
 type replModel struct {
-	dim int
+	dim   int
+	bound int64 // the bound the primary's model runs; the replica opens under it
 
 	mu   sync.Mutex
 	head uint64
@@ -160,7 +161,7 @@ func (r *Replicator) refresh() {
 
 // replicate copies one committed write into the model's ring and wakes
 // every sender.
-func (r *Replicator) replicate(model string, dim int, kind byte, keys []uint64, vals []byte) {
+func (r *Replicator) replicate(model string, dim int, bound int64, kind byte, keys []uint64, vals []byte) {
 	r.mu.Lock()
 	if r.closed || len(r.streams) == 0 {
 		r.mu.Unlock()
@@ -168,7 +169,7 @@ func (r *Replicator) replicate(model string, dim int, kind byte, keys []uint64, 
 	}
 	rm := r.models[model]
 	if rm == nil {
-		rm = &replModel{dim: dim}
+		rm = &replModel{dim: dim, bound: bound}
 		r.models[model] = rm
 	}
 	r.mu.Unlock()
@@ -302,7 +303,7 @@ func (sn *sender) sweepModel(id string, rm *replModel) (ok bool) {
 		}
 		handle, opened := sn.handles[id]
 		if !opened {
-			h, err := sn.r.openModel(sn.rc, id, rm.dim)
+			h, err := sn.r.openModel(sn.rc, id, rm.dim, rm.bound)
 			if err != nil {
 				if IsRemoteRefusal(err) {
 					sn.r.dropped.Add(1)
@@ -330,9 +331,12 @@ func (sn *sender) sweepModel(id string, rm *replModel) (ok bool) {
 }
 
 // openModel opens and attaches the model on the replica, returning its
-// handle there (handles are per-server, not cluster-wide).
-func (r *Replicator) openModel(rc *rawConn, model string, dim int) (uint32, error) {
-	req, err := wire.EncodeOpen(model, dim, 0, wire.BoundUnset, "")
+// handle there (handles are per-server, not cluster-wide). It passes the
+// primary's bound, not an unset one: the bound is fixed while a model is
+// open, so a replica that first opened it under its own default would,
+// once promoted, refuse the router's OPEN with the model's real bound.
+func (r *Replicator) openModel(rc *rawConn, model string, dim int, bound int64) (uint32, error) {
+	req, err := wire.EncodeOpen(model, dim, 0, bound, "")
 	if err != nil {
 		return 0, err
 	}

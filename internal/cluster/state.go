@@ -257,10 +257,11 @@ func (st *State) EnableReplication() {
 
 // Replicate forwards a committed write to this node's replicas, if
 // replication is enabled and the map names any. keys and vals are copied —
-// the server reuses its frame buffers.
-func (st *State) Replicate(model string, dim int, kind byte, keys []uint64, vals []byte) {
+// the server reuses its frame buffers. bound is the staleness bound the
+// model runs here, which a replica opens it under.
+func (st *State) Replicate(model string, dim int, bound int64, kind byte, keys []uint64, vals []byte) {
 	if r := st.repl.Load(); r != nil {
-		r.replicate(model, dim, kind, keys, vals)
+		r.replicate(model, dim, bound, kind, keys, vals)
 	}
 }
 

@@ -51,6 +51,22 @@ type RegistryConfig struct {
 	Name string
 }
 
+// FlagBound maps mlkv-server's -staleness flag to a DefaultBound: -2 is
+// kv.DefaultBound (ASP), 0 BSP, n>0 SSP(n). Under the engine named
+// "faster" (the hybrid log with the clock off) or a clock-free engine,
+// models run without a clock (-1).
+func FlagBound(staleness int64, engine string) (int64, error) {
+	if staleness == -2 {
+		staleness = kv.DefaultBound
+	} else if staleness < 0 {
+		return 0, fmt.Errorf("-staleness must be -2 (asp) or >= 0 (bsp/ssp), got %d", staleness)
+	}
+	if canonical, _ := kv.NormalizeEngine(engine); engine == "faster" || kv.ClockFree(canonical) {
+		return -1, nil
+	}
+	return staleness, nil
+}
+
 // NewRegistry builds an empty registry.
 func NewRegistry(cfg RegistryConfig) *Registry {
 	if cfg.DefaultShards <= 0 {

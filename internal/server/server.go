@@ -38,8 +38,10 @@ type ClusterState interface {
 	// ReadOwned / WriteOwned gate data frames by the key's hash range.
 	ReadOwned(key uint64) bool
 	WriteOwned(key uint64) bool
-	// Replicate streams one committed write to this node's replicas.
-	Replicate(model string, dim int, kind byte, keys []uint64, vals []byte)
+	// Replicate streams one committed write to this node's replicas;
+	// bound is the staleness bound the model runs, which the replica
+	// opens it under.
+	Replicate(model string, dim int, bound int64, kind byte, keys []uint64, vals []byte)
 	// HandleJoin merges a CLUSTERJOIN node record into the membership and
 	// returns the merged map, encoded.
 	HandleJoin(payload []byte) ([]byte, error)
@@ -788,7 +790,7 @@ func (s *Server) mayWriteAll(keys []uint64) bool {
 // (async — the event is copied and queued, never on this request's path).
 func (s *Server) replicate(cm *connModel, kind byte, keys []uint64, vals []byte) {
 	if s.cfg.Cluster != nil {
-		s.cfg.Cluster.Replicate(cm.m.id, cm.m.dim, kind, keys, vals)
+		s.cfg.Cluster.Replicate(cm.m.id, cm.m.dim, cm.m.store.StalenessBound(), kind, keys, vals)
 	}
 }
 

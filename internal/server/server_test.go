@@ -711,3 +711,28 @@ func TestBootstrapProbeIsNotAnError(t *testing.T) {
 		}
 	}
 }
+
+// TestFlagBound pins mlkv-server's -staleness mapping: -2 is the shared
+// default, other negatives are refused, and an engine without a clock
+// runs every model at -1 whatever the flag says.
+func TestFlagBound(t *testing.T) {
+	for _, c := range []struct {
+		staleness int64
+		engine    string
+		want      int64
+		err       bool
+	}{
+		{-2, "mlkv", kv.DefaultBound, false},
+		{0, "mlkv", 0, false},
+		{4, "mlkv", 4, false},
+		{-1, "mlkv", 0, true},
+		{-2, "faster", -1, false},
+		{4, "lsm", -1, false},
+		{0, "bptree", -1, false},
+	} {
+		got, err := FlagBound(c.staleness, c.engine)
+		if (err != nil) != c.err || (!c.err && got != c.want) {
+			t.Fatalf("FlagBound(%d, %q) = %d, %v; want %d (error %v)", c.staleness, c.engine, got, err, c.want, c.err)
+		}
+	}
+}

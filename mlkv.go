@@ -182,9 +182,10 @@ func WithEngine(name string) Option { return func(c *config) { c.engine = name }
 // with a different bound is refused. Locally, once every handle has closed,
 // the next Open may choose another; a server keeps its models open until
 // it exits. A model without a clock (a clock-free engine, or Disabled)
-// reports Disabled and also accepts any non-blocking bound. Unset, a live model keeps its bound and a new one opens under ASP
-// — the one bound every engine runs — locally, and under the server's
-// -staleness default (also ASP unless set) remotely.
+// reports Disabled and also accepts any non-blocking bound. Unset, a live
+// model keeps its bound and a new one opens under ASP — the one bound
+// every engine runs — locally, and under the server's -staleness default
+// (also ASP unless set) remotely.
 func WithStalenessBound(b int64) Option {
 	return func(c *config) { c.bound, c.boundSet = b, true }
 }
