@@ -29,7 +29,6 @@ var engineCases = []struct {
 	clockFree bool
 }{
 	{"mlkv", false},
-	{"lsm", true},
 	{"bptree", true},
 }
 
@@ -53,7 +52,7 @@ func startCountedTestServer(t *testing.T, bound int64) (string, *server.Server) 
 		Opener: func(id string, dim, shards int, b int64, engine string) (kv.Store, error) {
 			name := engine
 			if eng, err := kv.NormalizeEngine(engine); err == nil && eng == kv.EngineFaster {
-				name = "mlkv"
+				name = kv.HybridLogName(b)
 			}
 			return kv.OpenEngine(engine, kv.ShardedConfig{
 				Dir: filepath.Join(dir, id), Shards: shards, ValueSize: dim * 4,
@@ -201,8 +200,8 @@ func withTargets(t *testing.T, fn func(t *testing.T, db *mlkv.DB)) {
 }
 
 // withEngineTargets runs fn over the full conformance matrix: every
-// engine (mlkv, lsm, bptree) behind both drivers (local, remote). The
-// same API calls must observe the same behavior in all six cells, except
+// engine (mlkv, bptree) behind both drivers (local, remote). The same
+// API calls must observe the same behavior in all four cells, except
 // where a staleness-ladder case names a capability an engine genuinely
 // lacks (and then the test documents the skip).
 func withEngineTargets(t *testing.T, fn func(t *testing.T, db *mlkv.DB, engine string, clockFree bool)) {
@@ -593,7 +592,7 @@ func TestAPIRMWFirstTouchParity(t *testing.T) {
 // start − N·M on every driver. Remotely that holds because an RMW is one
 // APPLY frame run as a single engine RMW; a client-side Get+step+Put loses
 // steps here. Only the hybrid log makes the step atomic across sessions —
-// the clock-free engines' RMW is read-fn-write (kv's clockFreeSession.RMW
+// the clock-free engine's RMW is read-fn-write (kv's bptreeSession.RMW
 // says so), locally and behind a server alike, so they sit this one out.
 func TestAPIRMWNoLostUpdates(t *testing.T) {
 	withEngineTargets(t, func(t *testing.T, db *mlkv.DB, engine string, clockFree bool) {
@@ -802,13 +801,18 @@ func TestAPICtxCancellation(t *testing.T) {
 		if err := s1.Get(key, emb); err != nil {
 			t.Fatal(err)
 		}
-		// s2's read must stall on the bound and give up at the deadline.
+		// s2's read must stall on the bound and give up at the deadline:
+		// not before it (a remote server gives up a little early, but the
+		// call still ends at the deadline), and not long after.
 		ctx, cancel := context.WithTimeout(context.Background(), 150*time.Millisecond)
 		defer cancel()
 		start := time.Now()
 		err = s2.GetCtx(ctx, key, emb)
 		if !errors.Is(err, context.DeadlineExceeded) {
 			t.Fatalf("stalled read returned %v, want DeadlineExceeded", err)
+		}
+		if d, _ := ctx.Deadline(); time.Now().Before(d) {
+			t.Fatalf("stalled read returned %v before its deadline", d.Sub(time.Now()))
 		}
 		if time.Since(start) > 5*time.Second {
 			t.Fatal("cancelled read did not return promptly")
@@ -936,7 +940,8 @@ func TestAPISharedModelClose(t *testing.T) {
 // engine a model opens with is the engine that serves it, is reported by
 // EngineName on both drivers, and sticks to the model — a conflicting
 // reopen is refused while the model is live and again from its on-disk
-// marker after it closes.
+// marker after it closes. Remotely, plain FASTER also comes from a server
+// whose default bound is -staleness -1, without naming an engine.
 func TestAPIEngineSelection(t *testing.T) {
 	t.Run("local", func(t *testing.T) {
 		dir := t.TempDir()
@@ -945,7 +950,7 @@ func TestAPIEngineSelection(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer db.Close()
-		want := map[string]string{"mlkv": "mlkv", "lsm": "lsm", "bptree": "bptree"}
+		want := map[string]string{"mlkv": "mlkv", "bptree": "bptree"}
 		for _, ec := range engineCases {
 			m, err := db.Open("sel-"+ec.name, 4, mlkv.WithEngine(ec.name))
 			if err != nil {
@@ -1000,20 +1005,54 @@ func TestAPIEngineSelection(t *testing.T) {
 			}
 			m.Close()
 		}
+		// Plain FASTER needs no engine name: against a registry whose
+		// default is mlkv-server's -staleness -1, a model opened with no
+		// options runs the hybrid log with the clock off, while one asking
+		// for ASP on the same server runs the clock.
+		bound, err := server.FlagBound(-1, "mlkv")
+		if err != nil {
+			t.Fatal(err)
+		}
+		plainDB, err := mlkv.Connect(startTestServer(t, bound), mlkv.WithConns(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer plainDB.Close()
+		for _, c := range []struct {
+			id    string
+			opts  []mlkv.Option
+			name  string
+			bound int64
+		}{
+			{"plain", nil, "remote(faster)", mlkv.Disabled},
+			{"clocked", []mlkv.Option{mlkv.WithStalenessBound(mlkv.ASP)}, "remote(mlkv)", mlkv.ASP},
+		} {
+			m, err := plainDB.Open(c.id, 4, c.opts...)
+			if err != nil {
+				t.Fatalf("%s: %v", c.id, err)
+			}
+			if got := m.EngineName(); got != c.name {
+				t.Fatalf("%s: EngineName = %q, want %q", c.id, got, c.name)
+			}
+			if got := m.StalenessBound(); got != c.bound {
+				t.Fatalf("%s: StalenessBound = %d, want %d", c.id, got, c.bound)
+			}
+			m.Close()
+		}
 	})
 }
 
 // otherEngine returns an engine different from name, for conflict tests.
 func otherEngine(name string) string {
-	if name == "lsm" {
-		return "bptree"
+	if name == "bptree" {
+		return "mlkv"
 	}
-	return "lsm"
+	return "bptree"
 }
 
 // TestAPIEngineValidation pins the engine-seam error surface on both
-// drivers: unknown engines are rejected, and the clock-free engines
-// refuse the blocking bounds (BSP, finite SSP) they cannot honor while
+// drivers: unknown engines are rejected, and the clock-free B+tree
+// refuses the blocking bounds (BSP, finite SSP) it cannot honor while
 // accepting the non-blocking ones.
 func TestAPIEngineValidation(t *testing.T) {
 	withTargets(t, func(t *testing.T, db *mlkv.DB) {
@@ -1022,7 +1061,7 @@ func TestAPIEngineValidation(t *testing.T) {
 		} else if !strings.Contains(err.Error(), "rocksdb") {
 			t.Fatalf("unknown-engine error does not name the engine: %v", err)
 		}
-		for _, engine := range []string{"lsm", "bptree"} {
+		for _, engine := range []string{"bptree"} {
 			for _, bound := range []int64{mlkv.BSP, 4} {
 				if _, err := db.Open("cf-"+engine, 4, mlkv.WithEngine(engine),
 					mlkv.WithStalenessBound(bound)); err == nil {
@@ -1215,6 +1254,17 @@ func TestClusterReplicaRouting(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// Replication is asynchronous: let the replica apply every write
+	// first, so the reads below find the keys there instead of missing
+	// and re-reading from the primary, which ReplicaReads does not count.
+	waitFor(t, 5*time.Second, "the replica to apply the ASP writes", func() bool {
+		for _, m := range regs["n2"].Models() {
+			if m.ID() == "repl-asp" {
+				return m.Stats().Puts >= int64(len(keys))
+			}
+		}
+		return false
+	})
 	for _, k := range keys {
 		if err := sa.Get(k, emb); err != nil {
 			t.Fatal(err)

@@ -49,7 +49,7 @@ func BenchmarkFig2SyncVsAsync(b *testing.B) { runFigure(b, "fig2") }
 func BenchmarkFig6Convergence(b *testing.B) { runFigure(b, "fig6") }
 
 // BenchmarkFig7Backends regenerates Figure 7 (larger-than-memory
-// throughput and energy across mlkv/faster/lsm/bptree and buffer sizes).
+// throughput and energy across mlkv/faster/bptree and buffer sizes).
 func BenchmarkFig7Backends(b *testing.B) { runFigure(b, "fig7") }
 
 // BenchmarkFig8Staleness regenerates Figure 8 (throughput vs quality
@@ -66,7 +66,7 @@ func BenchmarkFig10YCSB(b *testing.B) { runFigure(b, "fig10") }
 // BenchmarkFig11EBay regenerates Figure 11 (eBay-like case studies).
 func BenchmarkFig11EBay(b *testing.B) { runFigure(b, "fig11") }
 
-// BenchmarkEngines runs the engine bake-off (faster vs lsm vs bptree on
+// BenchmarkEngines runs the engine bake-off (faster vs bptree on
 // YCSB mixes, batched DLRM training, and public-API batched reads — the
 // tracked BENCH_engines.json sweep).
 func BenchmarkEngines(b *testing.B) { runFigure(b, "engines") }

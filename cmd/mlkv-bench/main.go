@@ -13,7 +13,7 @@
 // (minutes, default), paper (hours). -shards partitions every table the
 // figX experiments open (the "shards" experiment sweeps shard counts
 // itself; "network" compares in-process against a loopback mlkv-server at
-// batch sizes 1/32/256; "engines" races the faster/lsm/bptree engines
+// batch sizes 1/32/256; "engines" races the faster/bptree engines
 // behind one seam on YCSB mixes, batched training, and public-API batched
 // reads; "latency" maps the read path's p50/p99/p999 tail across offered
 // load — workers × batch, in-process and loopback, hot tier off and on;

@@ -21,9 +21,8 @@
 // The storage engine behind each model resolves in precedence order: a
 // -model-engine id=engine pin, then the engine the client's OPEN frame
 // requested (mlkv.WithEngine), then the -engine default. A pinned model
-// refuses OPENs requesting a different engine. The clock-free engines
-// (lsm, bptree) have no staleness clock, so models they back always open
-// with the bound off.
+// refuses OPENs requesting a different engine. The clock-free B+tree has
+// no staleness clock, so models it backs always open with the bound off.
 //
 // SIGINT/SIGTERM shut down gracefully: the listener closes, in-flight
 // requests finish and flush, sessions drain, every model is checkpointed
@@ -71,8 +70,8 @@ func main() {
 		shards       = flag.Int("shards", 1, "default hash partitions per model (an OPEN may request its own)")
 		bufferMB     = flag.Int("buffer-mb", 64, "per-model in-memory buffer budget (total, split across its shards)")
 		records      = flag.Uint64("records", 1<<20, "expected key count per model (sizes the hash indexes)")
-		engine       = flag.String("engine", "mlkv", "default storage engine for new models (mlkv|faster|lsm|bptree); faster is the hybrid log with the clock off")
-		staleness    = flag.Int64("staleness", -2, "default staleness bound for new models: -2=asp (never blocks; the default, as for a local model), 0=bsp, n>0=ssp")
+		engine       = flag.String("engine", "mlkv", "default storage engine for new models (mlkv|bptree); for plain FASTER, the hybrid log with the clock off, use -staleness -1")
+		staleness    = flag.Int64("staleness", -2, "default staleness bound for new models: -2=asp (never blocks; the default, as for a local model), -1=off (plain FASTER), 0=bsp, n>0=ssp")
 		cache        = flag.Int("cache", 0, "per-model server-side hot-tier capacity in entries (0 disables); consulted once a model's store has spilled to disk (one that fits in -buffer-mb is served by the log's in-memory region), and cached reads are served only within each model's staleness bound")
 		sync         = flag.Bool("sync", false, "fsync every flushed log page; also checkpoint all models on shutdown")
 		flushPace    = flag.Duration("flush-pace", 0, "minimum gap between background flush writes per model shard, smearing flush bursts away from the read tail (0 = unpaced); adjacent frozen pages still merge into group-commit writes")
@@ -137,14 +136,14 @@ func main() {
 			} else if eng == "" {
 				eng = defaultEngine
 			}
-			if *engine == "faster" || kv.ClockFree(eng) {
+			if kv.ClockFree(eng) {
 				bound = -1
 			}
 			log.Printf("mlkv-server: opening model %q (engine=%s dim=%d shards=%d staleness=%s)",
 				id, eng, dim, shards, boundName(bound))
 			name := eng
 			if eng == kv.EngineFaster {
-				name = *engine // keep the mlkv/faster naming the flag chose
+				name = kv.HybridLogName(bound)
 			}
 			return kv.OpenEngine(eng, kv.ShardedConfig{
 				Dir: filepath.Join(d, id), Shards: shards, ValueSize: dim * 4,

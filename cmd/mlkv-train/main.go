@@ -33,7 +33,7 @@ import (
 func main() {
 	var (
 		task      = flag.String("task", "dlrm", "task (dlrm|kge|gnn)")
-		backendN  = flag.String("backend", "mlkv", "backend (mlkv|faster|lsm|bptree|mem)")
+		backendN  = flag.String("backend", "mlkv", "backend (mlkv|faster|bptree|mem)")
 		addr      = flag.String("addr", "", "train against a running mlkv-server at this address (overrides -backend)")
 		modelID   = flag.String("model", "", "model name on the server (default: the task name)")
 		conns     = flag.Int("conns", 0, "remote connection pool size (default: workers+2)")

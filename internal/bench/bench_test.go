@@ -101,7 +101,7 @@ func TestFig6And7(t *testing.T) {
 			t.Fatalf("%s: %v\n%s", fig, err, out.String())
 		}
 	}
-	for _, want := range []string{"lsm", "bptree", "J/batch", "native"} {
+	for _, want := range []string{"mlkv", "faster", "bptree", "J/batch", "native"} {
 		if !strings.Contains(out.String(), want) {
 			t.Fatalf("output missing %q", want)
 		}
@@ -353,7 +353,7 @@ func TestEngineSweepRunsAtTinyScale(t *testing.T) {
 	s := out.String()
 	for _, want := range []string{
 		"read-heavy", "update-heavy", "public API",
-		"faster", "lsm", "bptree", "vs-faster",
+		"faster", "bptree", "vs-faster",
 	} {
 		if !strings.Contains(s, want) {
 			t.Fatalf("output missing %q:\n%s", want, s)

@@ -14,9 +14,9 @@ import (
 
 // benchEngines is the bake-off roster: every engine the seam can put
 // behind a model, in the order the tables print.
-var benchEngines = []string{kv.EngineFaster, kv.EngineLSM, kv.EngineBPTree}
+var benchEngines = []string{kv.EngineFaster, kv.EngineBPTree}
 
-// EngineSweep races the three storage engines behind the same seam on the
+// EngineSweep races the two storage engines behind the same seam on the
 // same workloads: YCSB read-heavy and update-heavy over kv.OpenEngine
 // (exactly what mlkv-server runs per model), a batched DLRM training leg
 // over core.Table on each engine, then a batched Zipf read leg through the
@@ -33,7 +33,7 @@ func (e *Env) EngineSweep() error {
 	bufKB := s.BufferKBs[0]
 	vs := s.Dim * 4
 
-	e.printf("== Engines: faster vs lsm vs bptree on identical workloads ==\n")
+	e.printf("== Engines: faster vs bptree on identical workloads ==\n")
 	e.printf("records=%d dim=%d buffer=%dKB threads=%d shards=4\n", records, s.Dim, bufKB, threads)
 
 	for _, wl := range []struct {

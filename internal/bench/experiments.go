@@ -144,7 +144,6 @@ func (e *Env) backendSet(dim int, bound int64, bufKB int, keys uint64, init core
 	}{
 		{"mlkv", kv.EngineFaster, bound},
 		{"faster", kv.EngineFaster, core.BoundDisabled},
-		{"lsm", kv.EngineLSM, core.BoundDisabled},
 		{"bptree", kv.EngineBPTree, core.BoundDisabled},
 	} {
 		t, err := e.engineTable(b.name, b.engine, dim, b.bound, bufKB, keys, init)

@@ -143,7 +143,7 @@ func printCurve(e *Env, name, metric string, res *train.Result) {
 
 // Fig7 reproduces Figure 7: larger-than-memory training throughput (top)
 // and energy (bottom) across backends and buffer sizes, for all three
-// tasks. Expected shape: mlkv > faster > {lsm, bptree}, gaps narrowing as
+// tasks. Expected shape: mlkv > faster > bptree, gaps narrowing as
 // buffers grow.
 func (e *Env) Fig7() error {
 	e.printf("== Figure 7: larger-than-memory throughput and energy vs buffer size ==\n")
@@ -156,7 +156,7 @@ func (e *Env) Fig7() error {
 		}
 		e.printf("\n")
 		rows := map[string][]string{}
-		order := []string{"mlkv", "faster", "lsm", "bptree"}
+		order := []string{"mlkv", "faster", "bptree"}
 		for _, kb := range e.Scale.BufferKBs {
 			init := e.ctrInit()
 			keys := e.Scale.CTRCard * uint64(e.Scale.CTRFields)

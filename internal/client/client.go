@@ -50,7 +50,7 @@ type Options struct {
 	Conns int
 	// MaxFrame bounds incoming response frames (default wire.DefaultMaxFrame).
 	MaxFrame uint32
-	// DialTimeout bounds each TCP connect (default 5s).
+	// DialTimeout bounds each TCP connect (default DefaultDialTimeout).
 	DialTimeout time.Duration
 
 	// dial overrides the TCP dial for tests (write-counting conns).
@@ -114,6 +114,10 @@ func (c *Client) FillStats(s *stats.Counters) {
 	s.SetLatency(&c.lat)
 }
 
+// DefaultDialTimeout bounds each TCP connect and HELLO handshake unless
+// Options.DialTimeout says otherwise.
+const DefaultDialTimeout = 5 * time.Second
+
 // Dial connects the pool and performs the HELLO handshake, failing fast
 // on a protocol-version mismatch.
 func Dial(addr string, opts Options) (*Client, error) {
@@ -124,7 +128,7 @@ func Dial(addr string, opts Options) (*Client, error) {
 		opts.MaxFrame = wire.DefaultMaxFrame
 	}
 	if opts.DialTimeout == 0 {
-		opts.DialTimeout = 5 * time.Second
+		opts.DialTimeout = DefaultDialTimeout
 	}
 	c := &Client{opts: opts, addr: addr}
 	for i := 0; i < opts.Conns; i++ {
@@ -294,7 +298,7 @@ type OpenSpec struct {
 	// (see kv.ResolveOpen). wire.BoundUnset takes the server's default for
 	// a new model and the running bound of a live one.
 	Bound int64
-	// Engine requests a storage engine ("faster", "lsm", "bptree") for a
+	// Engine requests a storage engine ("faster", "bptree") for a
 	// newly created model; "" takes the server's choice. An existing model
 	// opened with a different engine is refused by the server.
 	Engine string
@@ -488,9 +492,10 @@ func (s *Session) Get(key uint64, dst []byte) (bool, error) {
 }
 
 // GetCtx reads one key, honoring ctx end to end: the frame carries the
-// context's remaining budget so a clocked read stalled on the staleness
-// bound gives up on the server at the deadline (stranding no token), and
-// the round trip itself returns ctx.Err() if ctx ends first.
+// context's remaining budget, less a lead (see waitMsFrom), so a clocked
+// read stalled on the staleness bound gives up on the server just before
+// the deadline (stranding no token), and the round trip itself returns
+// ctx.Err() if ctx ends first.
 func (s *Session) GetCtx(ctx context.Context, key uint64, dst []byte) (bool, error) {
 	if len(dst) != s.vs {
 		return false, fmt.Errorf("client: dst length %d != value size %d", len(dst), s.vs)
@@ -501,26 +506,31 @@ func (s *Session) GetCtx(ctx context.Context, key uint64, dst []byte) (bool, err
 	s.enc = wire.AppendGet(s.enc[:0], s.m.handle, key, waitMsFrom(ctx))
 	p, err := s.roundTrip(ctx, wire.OpGet)
 	if err != nil {
-		// Near the deadline the server's "gave up" error and our own
-		// timer race; the caller asked for ctx semantics either way.
-		if cerr := ctx.Err(); cerr != nil {
-			return false, cerr
-		}
-		return false, err
+		return false, ctxErr(ctx, err)
 	}
 	found, err := wire.DecodeGetResp(p, dst)
 	s.cn.release(p)
 	return found, err
 }
 
-// waitMsFrom converts ctx's remaining budget to the wire's wait field
-// (0 = no deadline, wait forever).
+// verdictLead is how far ahead of the caller's deadline a clocked read
+// gives up on the server. The server starts the frame's budget when the
+// frame arrives, so a budget of the whole remaining time would end after
+// the caller's deadline: a read abandoned at that deadline could still take
+// a staleness token from a releasing write landing in between, and nobody
+// would return it. Giving up a lead early puts the server's verdict back
+// before the deadline unless a round trip takes longer than the lead.
+const verdictLead = 25 * time.Millisecond
+
+// waitMsFrom converts ctx's remaining budget, less min(a quarter of it,
+// verdictLead), to the wire's wait field (0 = no deadline, wait forever).
 func waitMsFrom(ctx context.Context) uint32 {
 	d, ok := ctx.Deadline()
 	if !ok {
 		return 0
 	}
-	ms := time.Until(d).Milliseconds()
+	left := time.Until(d)
+	ms := (left - min(left/4, verdictLead)).Milliseconds()
 	if ms <= 0 {
 		return 1
 	}
@@ -528,6 +538,21 @@ func waitMsFrom(ctx context.Context) uint32 {
 		return math.MaxUint32
 	}
 	return uint32(ms)
+}
+
+// ctxErr maps a failed read's round trip to what the caller sees. The
+// server's "gave up" verdict comes a lead before ctx's deadline (see
+// verdictLead); the read still ends at the deadline itself with ctx.Err(),
+// as a local one does. Near the deadline the verdict and our own timer
+// race; the caller asked for ctx semantics either way.
+func ctxErr(ctx context.Context, err error) error {
+	if _, ok := ctx.Deadline(); ok && errors.Is(err, context.DeadlineExceeded) {
+		<-ctx.Done()
+	}
+	if cerr := ctx.Err(); cerr != nil {
+		return cerr
+	}
+	return err
 }
 
 // Peek is a clock-free read on the server, so remote evaluation never
@@ -699,7 +724,7 @@ func (s *Session) GetBatch(keys []uint64, vals []byte, found []bool) error {
 
 // GetBatchCtx is GetBatch bounded by ctx end to end: checked per frame on
 // the round trip, and carried in each frame so a stalled batch gives up
-// on the server at the deadline (see GetCtx).
+// on the server just before the deadline (see GetCtx).
 func (s *Session) GetBatchCtx(ctx context.Context, keys []uint64, vals []byte, found []bool) error {
 	if _, err := s.checkout(ctx); err != nil {
 		return err
@@ -710,10 +735,7 @@ func (s *Session) GetBatchCtx(ctx context.Context, keys []uint64, vals []byte, f
 		s.enc = wire.AppendGetBatch(s.enc[:0], s.m.handle, waitMsFrom(ctx), keys[:n])
 		p, err := s.roundTrip(ctx, wire.OpGetBatch)
 		if err != nil {
-			if cerr := ctx.Err(); cerr != nil {
-				return cerr
-			}
-			return err
+			return ctxErr(ctx, err)
 		}
 		err = wire.DecodeGetBatchResp(p, vs, found[:n], vals[:n*vs])
 		s.cn.release(p)

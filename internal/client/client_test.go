@@ -536,6 +536,69 @@ func TestSessionResponseChannelReplacedAfterAbandon(t *testing.T) {
 	}
 }
 
+// TestClockedReadGivesUpBeforeDeadline pins how a deadline-carrying read
+// ends. Its frame asks the server to give up a lead before the caller's
+// deadline, so the server's verdict comes back before a read abandoned at
+// that deadline could take a staleness token nobody returns. The call
+// still ends at the deadline itself with ctx.Err(), as a local read does:
+// after an early "gave up" verdict (single-key and batch), and when no
+// answer comes at all.
+func TestClockedReadGivesUpBeforeDeadline(t *testing.T) {
+	if w := waitMsFrom(context.Background()); w != 0 {
+		t.Fatalf("no deadline sent wait %d ms, want 0 (wait forever)", w)
+	}
+	for _, c := range []struct{ left, lo, hi time.Duration }{
+		{time.Minute, time.Minute - 2*verdictLead, time.Minute - verdictLead},
+		{40 * time.Millisecond, 25 * time.Millisecond, 30 * time.Millisecond},
+	} {
+		ctx, cancel := context.WithTimeout(context.Background(), c.left)
+		w := time.Duration(waitMsFrom(ctx)) * time.Millisecond
+		cancel()
+		if w < c.lo || w > c.hi {
+			t.Fatalf("%v left sent wait %v, want within [%v, %v]", c.left, w, c.lo, c.hi)
+		}
+	}
+
+	const dim = 4
+	fs := newFakeServer(t, dim)
+	cl := fakeClient(t, fs, Options{Conns: 1})
+	_, s := fakeSession(t, cl, "verdict", dim, 0) // BSP
+	dst := make([]byte, dim*4)
+	gaveUp := "kv: " + context.DeadlineExceeded.Error()
+	fs.setErr(wire.OpGet, gaveUp)
+	fs.setErr(wire.OpGetBatch, gaveUp)
+	reads := map[string]func(context.Context) error{
+		"get": func(ctx context.Context) error {
+			_, err := s.GetCtx(ctx, 1, dst)
+			return err
+		},
+		"batch": func(ctx context.Context) error {
+			return s.GetBatchCtx(ctx, []uint64{2}, dst, make([]bool, 1))
+		},
+	}
+	check := func(what string, read func(context.Context) error) {
+		t.Helper()
+		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Millisecond)
+		defer cancel()
+		d, _ := ctx.Deadline()
+		err := read(ctx)
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("%s returned %v, want DeadlineExceeded", what, err)
+		}
+		if now := time.Now(); now.Before(d) || now.After(d.Add(time.Second)) {
+			t.Fatalf("%s returned %v from its deadline, want at it", what, now.Sub(d))
+		}
+	}
+	for name, read := range reads {
+		check(name+" after an early verdict", read)
+	}
+	fs.mute(wire.OpGet)
+	fs.mute(wire.OpGetBatch)
+	for name, read := range reads {
+		check("unanswered "+name, read)
+	}
+}
+
 // TestApplyErrorsSaySentOrNot pins what an APPLY error tells the caller: a
 // server refusal answered over a healthy connection passes through (the
 // step did not run), while a connection that dies after the frame was

@@ -35,9 +35,9 @@ func testShardedTable(t *testing.T, dim, shards int, bound int64) *Table {
 }
 
 // forEachTable runs fn over the same matrix kv's TestStoreConformance
-// covers one layer down: engine ∈ {faster, lsm, bptree} × shards ∈ {1, 4}.
+// covers one layer down: engine ∈ {faster, bptree} × shards ∈ {1, 4}.
 func forEachTable(t *testing.T, fn func(t *testing.T, engine string, shards int)) {
-	for _, engine := range []string{kv.EngineFaster, kv.EngineLSM, kv.EngineBPTree} {
+	for _, engine := range []string{kv.EngineFaster, kv.EngineBPTree} {
 		for _, shards := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%s/shards=%d", engine, shards), func(t *testing.T) {
 				fn(t, engine, shards)
@@ -237,7 +237,7 @@ func TestTableBatchRoundTripConcurrent(t *testing.T) {
 // flight; the sleep widens the window in which an overlap would show.
 func TestParallelFirstTouch(t *testing.T) {
 	const dim, n = 4, 64
-	for _, engine := range []string{kv.EngineFaster, kv.EngineLSM, kv.EngineBPTree} {
+	for _, engine := range []string{kv.EngineFaster, kv.EngineBPTree} {
 		t.Run(engine, func(t *testing.T) {
 			bound := BoundASP
 			if kv.ClockFree(engine) {

@@ -79,8 +79,8 @@ type Options struct {
 	// Dim is the embedding dimension.
 	Dim int
 	// Engine selects the storage engine: "" / "mlkv" / "faster" (the
-	// hybrid log, the default), "lsm", or "bptree". The latter two have no
-	// vector clock and refuse a blocking StalenessBound.
+	// hybrid log, the default) or "bptree", which has no vector clock and
+	// refuses a blocking StalenessBound.
 	Engine string
 	// Shards is the number of independent engine instances the key space
 	// is hash-partitioned across. Batch operations fan out across shards,
@@ -216,10 +216,7 @@ func (t *Table) EngineName() string {
 	if t.engine != kv.EngineFaster {
 		return t.engine
 	}
-	if t.StalenessBound() >= 0 {
-		return "mlkv"
-	}
-	return "faster"
+	return kv.HybridLogName(t.StalenessBound())
 }
 
 // StalenessBound returns the consistency bound the table opened with (-1

@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"net"
 	"strings"
-	"time"
 
 	"github.com/llm-db/mlkv-go/internal/core"
 	"github.com/llm-db/mlkv-go/internal/stats"
@@ -43,8 +42,6 @@ type ConnectOptions struct {
 	// blocked remote read must not queue behind the write that unblocks
 	// it on a shared connection.
 	Conns int
-	// DialTimeout bounds each TCP connect (default 5s).
-	DialTimeout time.Duration
 	// ReadReplicas lets a cluster target route admissible reads to
 	// replicas: ASP reads may hit any replica, SSP reads a replica whose
 	// advertised lag passes the bound, BSP always the primary. Off, every
@@ -58,8 +55,8 @@ type Config struct {
 	Dim int
 	// Engine selects the storage engine behind the model: "" lets the
 	// target choose (locally the clocked hybrid log; remotely the server's
-	// default), otherwise "mlkv"/"faster" (the hybrid log), "lsm", or
-	// "bptree". The clock-free engines reject blocking staleness bounds.
+	// default), otherwise "mlkv"/"faster" (the hybrid log) or "bptree".
+	// The clock-free B+tree rejects blocking staleness bounds.
 	Engine string
 	// Shards is the hash-partition count (0 = target default).
 	Shards int
@@ -99,7 +96,7 @@ type Model interface {
 	ID() string
 	Dim() int
 	Shards() int
-	// EngineName identifies the backing engine ("mlkv", "faster", "lsm",
+	// EngineName identifies the backing engine ("mlkv", "faster",
 	// "bptree", or "remote(<engine>)").
 	EngineName() string
 	// StalenessBound is the bound the model runs under, fixed while it is

@@ -107,7 +107,7 @@ func (db *localDB) Close() error {
 type localModel struct {
 	db     *localDB
 	id     string
-	engine string // canonical: faster, lsm, or bptree
+	engine string // canonical: faster or bptree
 	t      *core.Table
 	refs   int // guarded by db.mu
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"github.com/llm-db/mlkv-go/internal/client"
 	"github.com/llm-db/mlkv-go/internal/cluster"
@@ -119,11 +118,7 @@ type remoteDB struct {
 // plain one-server backend, and from a multi-host target a configuration
 // error: a seed list promises a cluster.
 func connectRemote(target string, addrs []string, opts ConnectOptions) (DB, error) {
-	copts := client.Options{Conns: opts.Conns, DialTimeout: opts.DialTimeout}
-	probeTimeout := opts.DialTimeout
-	if probeTimeout <= 0 {
-		probeTimeout = 5 * time.Second
-	}
+	copts := client.Options{Conns: opts.Conns}
 	var lastErr error
 	for _, addr := range addrs {
 		c, err := client.Dial(addr, copts)
@@ -131,7 +126,7 @@ func connectRemote(target string, addrs []string, opts ConnectOptions) (DB, erro
 			lastErr = err
 			continue
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
+		ctx, cancel := context.WithTimeout(context.Background(), client.DefaultDialTimeout)
 		raw, err := c.ClusterMapRaw(ctx)
 		cancel()
 		if err != nil {

@@ -2,6 +2,7 @@ package faster
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"github.com/llm-db/mlkv-go/internal/util"
@@ -9,27 +10,76 @@ import (
 
 // TestStoreMatchesModelMap runs long random operation sequences against the
 // store and an in-memory reference map simultaneously, across key spaces
-// large enough to force eviction, and demands exact agreement. This is the
-// backbone property test for the whole engine.
+// large enough to force eviction, and demands exact agreement. Under the
+// bounds that never block (plain and ASP) the sequence also crosses a
+// Checkpoint, Close and reopen every reopenEvery operations, and every key
+// of the map is compared after each reopen. This is the backbone property
+// test for the whole engine.
 func TestStoreMatchesModelMap(t *testing.T) {
 	const (
-		vs       = 12
-		keySpace = 800
-		ops      = 20000
+		vs          = 12
+		keySpace    = 800
+		ops         = 20000
+		reopenEvery = 2000
 	)
 	for _, bound := range []int64{-1, 0, 4, BoundAsync} {
 		bound := bound
 		t.Run(boundName(bound), func(t *testing.T) {
-			st := testStore(t, vs, 32, 6, 2, bound)
+			cfg := Config{
+				Dir: t.TempDir(), ValueSize: vs, RecordsPerPage: 32,
+				MemPages: 6, MutablePages: 2, StalenessBound: bound, ExpectedKeys: 1 << 14,
+			}
+			st, err := Open(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
 			s, err := st.NewSession()
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer s.Close()
+			defer func() {
+				s.Close()
+				st.Close()
+			}()
 			model := make(map[uint64][]byte)
-			r := util.NewRNG(0xfeed ^ uint64(bound))
 			dst := make([]byte, vs)
+			// verify compares every key of the key space by Peek
+			// (staleness-neutral) against the map.
+			verify := func(when string) {
+				for k := uint64(1); k <= keySpace; k++ {
+					found, err := s.Peek(k, dst)
+					if err != nil {
+						t.Fatal(err)
+					}
+					mv, ok := model[k]
+					if found != ok {
+						t.Fatalf("%s: key %d found=%v model=%v", when, k, found, ok)
+					}
+					if found && !bytes.Equal(dst, mv) {
+						t.Fatalf("%s: key %d mismatch", when, k)
+					}
+				}
+			}
+			reopens := 0
+			r := util.NewRNG(0xfeed ^ uint64(bound))
 			for i := 0; i < ops; i++ {
+				if i > 0 && i%reopenEvery == 0 && !BlockingBound(bound) {
+					s.Close()
+					if err := st.Checkpoint(); err != nil {
+						t.Fatal(err)
+					}
+					if err := st.Close(); err != nil {
+						t.Fatal(err)
+					}
+					if st, err = Open(cfg); err != nil {
+						t.Fatal(err)
+					}
+					if s, err = st.NewSession(); err != nil {
+						t.Fatal(err)
+					}
+					reopens++
+					verify(fmt.Sprintf("op %d, after reopen %d", i, reopens))
+				}
 				k := r.Uint64n(keySpace) + 1
 				switch r.Uint64n(10) {
 				case 0, 1, 2, 3: // Put
@@ -95,19 +145,9 @@ func TestStoreMatchesModelMap(t *testing.T) {
 					}
 				}
 			}
-			// Final full verification via Peek (staleness-neutral).
-			for k := uint64(1); k <= keySpace; k++ {
-				found, err := s.Peek(k, dst)
-				if err != nil {
-					t.Fatal(err)
-				}
-				mv, ok := model[k]
-				if found != ok {
-					t.Fatalf("final: key %d found=%v model=%v", k, found, ok)
-				}
-				if found && !bytes.Equal(dst, mv) {
-					t.Fatalf("final: key %d mismatch", k)
-				}
+			verify("final")
+			if want := (ops - 1) / reopenEvery; !BlockingBound(bound) && reopens != want {
+				t.Fatalf("crossed %d reopens, want %d", reopens, want)
 			}
 		})
 	}

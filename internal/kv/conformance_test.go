@@ -33,9 +33,9 @@ func openTestStore(t *testing.T, engine string, shards, vs int, bound int64) Sto
 }
 
 // forEachStore runs fn over the conformance matrix: engine ∈ {faster,
-// lsm, bptree} × shards ∈ {1, 4}.
+// bptree} × shards ∈ {1, 4}.
 func forEachStore(t *testing.T, fn func(t *testing.T, engine string, shards int)) {
-	for _, engine := range []string{EngineFaster, EngineLSM, EngineBPTree} {
+	for _, engine := range []string{EngineFaster, EngineBPTree} {
 		for _, shards := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%s/shards=%d", engine, shards), func(t *testing.T) {
 				fn(t, engine, shards)
@@ -216,8 +216,8 @@ func TestStoreRecovery(t *testing.T) {
 		if _, err := OpenEngine(engine, wrong, engine); err == nil {
 			t.Fatalf("reopening a %d-shard store with %d shards must fail", shards, wrong.Shards)
 		}
-		other := EngineLSM
-		if engine == EngineLSM {
+		other := EngineBPTree
+		if engine == EngineBPTree {
 			other = EngineFaster
 		}
 		if _, err := OpenEngine(other, cfg, other); err == nil {
@@ -280,7 +280,7 @@ func TestStoreBoundRefusal(t *testing.T) {
 func TestResolveOpen(t *testing.T) {
 	const asp, refused = DefaultBound, int64(-2)
 	clocked := &LiveModel{Dim: 4, Engine: EngineFaster, Bound: 4}
-	clockless := &LiveModel{Dim: 4, Engine: EngineLSM, Bound: -1}
+	clockless := &LiveModel{Dim: 4, Engine: EngineBPTree, Bound: -1}
 	req := func(engine string, bound int64, set bool) OpenRequest {
 		return OpenRequest{ID: "m", Dim: 4, Engine: engine, Bound: bound, BoundSet: set}
 	}
@@ -295,7 +295,7 @@ func TestResolveOpen(t *testing.T) {
 		{"live same bound", req(EngineFaster, 4, true), clocked, asp, 4},
 		{"live other bound", req("", asp, true), clocked, asp, refused},
 		{"live other dim", OpenRequest{ID: "m", Dim: 8}, clocked, asp, refused},
-		{"live other engine", req(EngineLSM, 0, false), clocked, asp, refused},
+		{"live other engine", req(EngineBPTree, 0, false), clocked, asp, refused},
 		{"clockless asp", req("", asp, true), clockless, asp, -1},
 		{"clockless bsp", req("", 0, true), clockless, asp, refused},
 		{"new default", req(EngineFaster, 0, false), nil, asp, asp},

@@ -6,7 +6,6 @@ import (
 
 	"github.com/llm-db/mlkv-go/internal/bptree"
 	"github.com/llm-db/mlkv-go/internal/faster"
-	"github.com/llm-db/mlkv-go/internal/lsm"
 	"github.com/llm-db/mlkv-go/internal/stats"
 	"github.com/llm-db/mlkv-go/internal/util"
 )
@@ -90,80 +89,35 @@ func (s *fasterSession) putAt(keys []uint64, idxs []int, vals []byte) error {
 	return s.PutBatchAt(keys, idxs, vals)
 }
 
-// --- clock-free engines (LSM-tree, B+tree) ---
+// --- clock-free engine (B+tree) ---
 
-// nativeSession is the session surface *lsm.Session and *bptree.Session
-// share, batch entry points included.
-type nativeSession interface {
-	Get(key uint64, dst []byte) (bool, error)
-	Put(key uint64, val []byte) error
-	Delete(key uint64) error
-	Prefetch(key uint64) (bool, error)
-	GetBatch(keys []uint64, vals []byte, found []bool) error
-	PutBatch(keys []uint64, vals []byte) error
-	Close()
-}
-
-// clockFreeShard adapts one LSM or B+tree store. The engines count only
-// IO, so the operation counters live here; they have no vector clock, so
-// the bound is always -1.
-type clockFreeShard struct {
-	vs         int
-	newSess    func() (nativeSession, error)
-	checkpoint func() error
-	ioStats    func() (memHits, diskReads, flushed int64)
-	closeFn    func() error
+// bptreeShard adapts one B+tree store: Checkpoint is Sync (dirty pages +
+// metadata to the file); pager stats map to mem-hit, disk-read, and
+// flushed-page counters. The tree counts only IO, so the operation
+// counters live here; it has no vector clock, so the bound is always -1.
+type bptreeShard struct {
+	st *bptree.Store
+	vs int
 
 	gets, puts, deletes, rmws atomic.Int64 // per key
 	batchCounter
 }
 
-// lsmShard adapts an LSM store: Checkpoint is Flush (memtable + WAL to
-// sorted tables); block-cache stats map to mem-hit and disk-read counters.
-func lsmShard(s *lsm.Store) *clockFreeShard {
-	return &clockFreeShard{
-		vs:         s.ValueSize(),
-		newSess:    func() (nativeSession, error) { return s.NewSession() },
-		checkpoint: s.Flush,
-		ioStats: func() (int64, int64, int64) {
-			hits, misses := s.CacheStats()
-			return hits, misses, 0
-		},
-		closeFn: s.Close,
-	}
-}
-
-// bptreeShard adapts a B+tree store: Checkpoint is Sync (dirty pages +
-// metadata to the file); pager stats map to mem-hit, disk-read, and
-// flushed-page counters.
-func bptreeShard(s *bptree.Store) *clockFreeShard {
-	return &clockFreeShard{
-		vs:         s.ValueSize(),
-		newSess:    func() (nativeSession, error) { return s.NewSession() },
-		checkpoint: s.Sync,
-		ioStats: func() (int64, int64, int64) {
-			reads, writes, hits := s.IOStats()
-			return hits, reads, writes
-		},
-		closeFn: s.Close,
-	}
-}
-
-func (c *clockFreeShard) newSession() (shardSession, error) {
-	ns, err := c.newSess()
+func (c *bptreeShard) newSession() (shardSession, error) {
+	ns, err := c.st.NewSession()
 	if err != nil {
 		return nil, err
 	}
-	return &clockFreeSession{st: c, ns: ns, buf: make([]byte, c.vs)}, nil
+	return &bptreeSession{st: c, ns: ns, buf: make([]byte, c.vs)}, nil
 }
 
-func (c *clockFreeShard) Checkpoint() error     { return c.checkpoint() }
-func (c *clockFreeShard) StalenessBound() int64 { return -1 }
-func (c *clockFreeShard) Resident() bool        { return false }
-func (c *clockFreeShard) Close() error          { return c.closeFn() }
+func (c *bptreeShard) Checkpoint() error     { return c.st.Sync() }
+func (c *bptreeShard) StalenessBound() int64 { return -1 }
+func (c *bptreeShard) Resident() bool        { return false }
+func (c *bptreeShard) Close() error          { return c.st.Close() }
 
-func (c *clockFreeShard) Stats() stats.Counters {
-	memHits, diskReads, flushed := c.ioStats()
+func (c *bptreeShard) Stats() stats.Counters {
+	diskReads, flushed, memHits := c.st.IOStats()
 	return stats.Counters{
 		Gets: c.gets.Load(), Puts: c.puts.Load(),
 		RMWs: c.rmws.Load(), Deletes: c.deletes.Load(),
@@ -171,12 +125,12 @@ func (c *clockFreeShard) Stats() stats.Counters {
 	}
 }
 
-// clockFreeSession batches as gather → one native batch call → scatter,
-// so a batch costs the engine one lock acquisition (and, for writes, one
-// WAL record) per shard instead of one per key.
-type clockFreeSession struct {
-	st  *clockFreeShard
-	ns  nativeSession
+// bptreeSession batches as gather → one native batch call → scatter, so a
+// batch costs the tree one lock acquisition per shard instead of one per
+// key.
+type bptreeSession struct {
+	st  *bptreeShard
+	ns  *bptree.Session
 	buf []byte // RMW staging, one value
 
 	// Reusable gather buffers.
@@ -186,23 +140,23 @@ type clockFreeSession struct {
 }
 
 // GetCtx ignores ctx: a clock-free read never waits.
-func (s *clockFreeSession) GetCtx(_ context.Context, key uint64, dst []byte) (bool, error) {
+func (s *bptreeSession) GetCtx(_ context.Context, key uint64, dst []byte) (bool, error) {
 	s.st.gets.Add(1)
 	return s.ns.Get(key, dst)
 }
 
 // Peek is a plain read — without a clock there are no consistency effects
 // to skip — left out of Gets as on the hybrid log.
-func (s *clockFreeSession) Peek(key uint64, dst []byte) (bool, error) {
+func (s *bptreeSession) Peek(key uint64, dst []byte) (bool, error) {
 	return s.ns.Get(key, dst)
 }
 
-func (s *clockFreeSession) Put(key uint64, val []byte) error {
+func (s *bptreeSession) Put(key uint64, val []byte) error {
 	s.st.puts.Add(1)
 	return s.ns.Put(key, val)
 }
 
-func (s *clockFreeSession) Delete(key uint64) error {
+func (s *bptreeSession) Delete(key uint64) error {
 	s.st.deletes.Add(1)
 	return s.ns.Delete(key)
 }
@@ -210,7 +164,7 @@ func (s *clockFreeSession) Delete(key uint64) error {
 // RMW reads, applies fn, and writes back. Unlike the hybrid log's
 // in-storage RMW this is not atomic across sessions; concurrent updaters
 // of one key should batch their gradients the way the trainers do.
-func (s *clockFreeSession) RMW(key uint64, fn func(cur []byte, exists bool) bool) error {
+func (s *bptreeSession) RMW(key uint64, fn func(cur []byte, exists bool) bool) error {
 	s.st.rmws.Add(1)
 	found, err := s.ns.Get(key, s.buf)
 	if err != nil {
@@ -225,11 +179,11 @@ func (s *clockFreeSession) RMW(key uint64, fn func(cur []byte, exists bool) bool
 	return s.ns.Put(key, s.buf)
 }
 
-func (s *clockFreeSession) Prefetch(key uint64) (bool, error) { return s.ns.Prefetch(key) }
-func (s *clockFreeSession) Close()                            { s.ns.Close() }
+func (s *bptreeSession) Prefetch(key uint64) (bool, error) { return s.ns.Prefetch(key) }
+func (s *bptreeSession) Close()                            { s.ns.Close() }
 
 // gather fills the key list and sizes the staging buffers for idxs.
-func (s *clockFreeSession) gather(keys []uint64, idxs []int) {
+func (s *bptreeSession) gather(keys []uint64, idxs []int) {
 	s.keys = s.keys[:0]
 	for _, i := range idxs {
 		s.keys = append(s.keys, keys[i])
@@ -241,7 +195,7 @@ func (s *clockFreeSession) gather(keys []uint64, idxs []int) {
 // getAt creates a missing key, when asked to, by a write after the batch
 // read. Like RMW that is not atomic across sessions; racing creators store
 // the same first value as long as create is a function of the key alone.
-func (s *clockFreeSession) getAt(_ context.Context, keys []uint64, idxs []int, vals []byte, found []bool, create func(uint64, []byte)) error {
+func (s *bptreeSession) getAt(_ context.Context, keys []uint64, idxs []int, vals []byte, found []bool, create func(uint64, []byte)) error {
 	vs := s.st.vs
 	s.gather(keys, idxs)
 	sv, sf := s.vals, s.fnd
@@ -268,7 +222,7 @@ func (s *clockFreeSession) getAt(_ context.Context, keys []uint64, idxs []int, v
 	return nil
 }
 
-func (s *clockFreeSession) putAt(keys []uint64, idxs []int, vals []byte) error {
+func (s *bptreeSession) putAt(keys []uint64, idxs []int, vals []byte) error {
 	vs := s.st.vs
 	s.gather(keys, idxs)
 	sv := s.vals

@@ -1,7 +1,7 @@
 // Package kv is the one embedding-access layer over the disk engines: the
 // byte-level Store/Session contract every framework integration programs
-// against, the per-shard engine contract the three engines (FASTER hybrid
-// log, LSM-tree, disk B+tree) implement, and the single sharded store that
+// against, the per-shard engine contract the two engines (FASTER hybrid
+// log, disk B+tree) implement, and the single sharded store that
 // opens, hash-partitions, fans out over, checkpoints and sums them. It
 // mirrors how the paper integrates PERSIA/DGL/DGL-KE with FASTER, RocksDB,
 // and WiredTiger behind one layer instead of one storage stack each.
@@ -35,7 +35,7 @@ type Store interface {
 	// its engine's memory, so that no read can wait on a disk: true for a
 	// hybrid-log store none of whose shards has evicted a page yet; false
 	// from the first eviction on, on a store recovered from a checkpoint,
-	// on the LSM and B+tree engines, and on a remote model. The answer is
+	// on the B+tree engine, and on a remote model. The answer is
 	// monotone (it never returns to true) and costs one atomic load per
 	// shard. The layers that exist only to hide disk latency — a hot tier
 	// in front of a local engine, goroutine-per-shard batch fan-out — stand

@@ -10,7 +10,6 @@ import (
 
 	"github.com/llm-db/mlkv-go/internal/bptree"
 	"github.com/llm-db/mlkv-go/internal/faster"
-	"github.com/llm-db/mlkv-go/internal/lsm"
 	"github.com/llm-db/mlkv-go/internal/util"
 )
 
@@ -20,9 +19,18 @@ import (
 // bound's business, not the engine name's).
 const (
 	EngineFaster = "faster"
-	EngineLSM    = "lsm"
 	EngineBPTree = "bptree"
 )
+
+// HybridLogName is what a hybrid-log store running under bound is called
+// in results and OPEN responses: "mlkv" while its vector clock runs,
+// "faster" (plain FASTER) with the clock off.
+func HybridLogName(bound int64) string {
+	if bound < 0 {
+		return EngineFaster
+	}
+	return "mlkv"
+}
 
 // NormalizeEngine maps an engine name (or alias, or "") to its canonical
 // form, rejecting unknown names with the accepted set in the message.
@@ -30,19 +38,17 @@ func NormalizeEngine(engine string) (string, error) {
 	switch strings.ToLower(engine) {
 	case "", "mlkv", EngineFaster:
 		return EngineFaster, nil
-	case EngineLSM:
-		return EngineLSM, nil
 	case EngineBPTree:
 		return EngineBPTree, nil
 	}
-	return "", fmt.Errorf("kv: unknown engine %q (want faster, lsm, or bptree)", engine)
+	return "", fmt.Errorf("kv: unknown engine %q (want faster or bptree)", engine)
 }
 
 // ClockFree reports whether the canonical engine name has no vector
 // clock, so it can never honor a blocking staleness bound (BSP or finite
 // SSP). Callers reject explicit blocking bounds on such engines up front
 // rather than silently serving unbounded reads.
-func ClockFree(engine string) bool { return engine == EngineLSM || engine == EngineBPTree }
+func ClockFree(engine string) bool { return engine == EngineBPTree }
 
 // checkBound refuses a blocking staleness bound (BSP or finite SSP) on an
 // engine without a vector clock.
@@ -129,8 +135,7 @@ type ShardedConfig struct {
 	// it was written with.
 	RecordsPerPage int
 	// MemoryBytes is the total in-memory budget across all shards: log
-	// pages for the hybrid log, memtable plus block cache (half each) for
-	// the LSM-tree, buffer pool for the B+tree.
+	// pages for the hybrid log, buffer pool for the B+tree.
 	MemoryBytes int64
 	// MutableFraction is the share of each hybrid-log shard's pages
 	// accepting in-place updates (default 0.5).
@@ -161,18 +166,7 @@ func splitBudget(memoryBytes int64, shards int, expectedKeys uint64) (memPerShar
 // openShard opens one shard of the named engine in dir with its share of
 // the budgets.
 func openShard(engine, dir string, cfg ShardedConfig, mem int64, keys uint64) (shard, error) {
-	switch engine {
-	case EngineLSM:
-		half := max(int(mem/2), 64<<10)
-		st, err := lsm.Open(lsm.Config{
-			Dir: dir, ValueSize: cfg.ValueSize,
-			MemtableBytes: half, CacheBytes: half, SyncWAL: cfg.SyncWrites,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return lsmShard(st), nil
-	case EngineBPTree:
+	if engine == EngineBPTree {
 		st, err := bptree.Open(bptree.Config{
 			Dir: dir, ValueSize: cfg.ValueSize,
 			PoolPages: max(int(mem/4096), 64), SyncWrites: cfg.SyncWrites,
@@ -180,7 +174,7 @@ func openShard(engine, dir string, cfg ShardedConfig, mem int64, keys uint64) (s
 		if err != nil {
 			return nil, err
 		}
-		return bptreeShard(st), nil
+		return &bptreeShard{st: st, vs: st.ValueSize()}, nil
 	}
 	recBytes := int64(cfg.ValueSize + 24)
 	memPages := max(int(mem/(recBytes*int64(cfg.RecordsPerPage))), 4)
@@ -222,7 +216,7 @@ func checkEngineMeta(dir, engine string) error {
 }
 
 // OpenEngine opens a store of the named engine ("faster" with aliases ""
-// and "mlkv", "lsm", or "bptree") under cfg — the one place every CLI,
+// and "mlkv", or "bptree") under cfg — the one place every CLI,
 // server, table, and driver derives an engine store from a total budget,
 // so the split policy, the directory layout, and the engine and
 // shard-count guards cannot drift between them. name is what Store.Name

@@ -56,14 +56,12 @@ func spill(t *testing.T, st Store) {
 
 // TestResident pins the one question the engine seam answers about disk:
 // true on a fresh hybrid-log store, false from its first evicted page on
-// and after checkpoint → reopen, false on the engines that cannot say, and
+// and after checkpoint → reopen, false on the engine that cannot say, and
 // the hot-tier wrapper passes its inner store's answer through.
 func TestResident(t *testing.T) {
 	const vs = 16
-	for _, engine := range []string{EngineLSM, EngineBPTree} {
-		if openTestStore(t, engine, 4, vs, -1).Resident() {
-			t.Fatalf("%s store reports resident", engine)
-		}
+	if openTestStore(t, EngineBPTree, 4, vs, -1).Resident() {
+		t.Fatal("bptree store reports resident")
 	}
 	cfg := spillConfig(t.TempDir(), 4, vs, -1)
 	st, err := OpenEngine(EngineFaster, cfg, EngineFaster)

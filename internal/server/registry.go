@@ -52,16 +52,19 @@ type RegistryConfig struct {
 }
 
 // FlagBound maps mlkv-server's -staleness flag to a DefaultBound: -2 is
-// kv.DefaultBound (ASP), 0 BSP, n>0 SSP(n). Under the engine named
-// "faster" (the hybrid log with the clock off) or a clock-free engine,
-// models run without a clock (-1).
+// kv.DefaultBound (ASP), -1 the clock off (plain FASTER), 0 BSP, n>0
+// SSP(n). engine is the -engine flag, mlkv or bptree; under the clock-free
+// bptree every model runs without a clock (-1).
 func FlagBound(staleness int64, engine string) (int64, error) {
+	if engine != "mlkv" && engine != kv.EngineBPTree {
+		return 0, fmt.Errorf("-engine must be mlkv or bptree, got %q (plain FASTER is -staleness -1)", engine)
+	}
 	if staleness == -2 {
 		staleness = kv.DefaultBound
-	} else if staleness < 0 {
-		return 0, fmt.Errorf("-staleness must be -2 (asp) or >= 0 (bsp/ssp), got %d", staleness)
+	} else if staleness < -1 {
+		return 0, fmt.Errorf("-staleness must be -2 (asp), -1 (off) or >= 0 (bsp/ssp), got %d", staleness)
 	}
-	if canonical, _ := kv.NormalizeEngine(engine); engine == "faster" || kv.ClockFree(canonical) {
+	if kv.ClockFree(engine) {
 		return -1, nil
 	}
 	return staleness, nil
@@ -329,7 +332,7 @@ type Model struct {
 	id     string
 	handle uint32
 	dim    int
-	engine string // canonical engine name (kv.EngineFaster/LSM/BPTree)
+	engine string // canonical engine name (kv.EngineFaster/BPTree)
 	store  kv.Store
 	// ready is closed once store/openErr are resolved; concurrent opens
 	// of the same name wait on it instead of double-opening.

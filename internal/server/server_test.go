@@ -713,8 +713,9 @@ func TestBootstrapProbeIsNotAnError(t *testing.T) {
 }
 
 // TestFlagBound pins mlkv-server's -staleness mapping: -2 is the shared
-// default, other negatives are refused, and an engine without a clock
-// runs every model at -1 whatever the flag says.
+// default, -1 turns the clock off, other negatives are refused, and an
+// engine without a clock runs every model at -1 whatever the flag says.
+// -engine names only mlkv or bptree: plain FASTER is -staleness -1.
 func TestFlagBound(t *testing.T) {
 	for _, c := range []struct {
 		staleness int64
@@ -725,9 +726,11 @@ func TestFlagBound(t *testing.T) {
 		{-2, "mlkv", kv.DefaultBound, false},
 		{0, "mlkv", 0, false},
 		{4, "mlkv", 4, false},
-		{-1, "mlkv", 0, true},
-		{-2, "faster", -1, false},
-		{4, "lsm", -1, false},
+		{-1, "mlkv", -1, false},
+		{-3, "mlkv", 0, true},
+		{-2, "faster", 0, true},
+		{-1, "lsm", 0, true},
+		{4, "bptree", -1, false},
 		{0, "bptree", -1, false},
 	} {
 		got, err := FlagBound(c.staleness, c.engine)

@@ -20,9 +20,8 @@ import (
 // field leaves it zero.
 type Counters struct {
 	// Engine counters, owned by the storage engine and summed across
-	// shards. The hybrid log fills all of them; lsm and bptree report the
-	// four op counts plus MemHits, DiskReads and FlushedPages from their
-	// block cache / pager.
+	// shards. The hybrid log fills all of them; bptree reports the four op
+	// counts plus MemHits, DiskReads and FlushedPages from its pager.
 	Gets             int64
 	Puts             int64
 	RMWs             int64

@@ -21,7 +21,7 @@ const confDim = 8
 var confInit = core.UniformInit(0.05, 1)
 
 // confBackends builds one instance of every Handle implementation: MLKV
-// table (clock on), plain FASTER (clock off), LSM and B+tree tables,
+// table (clock on), plain FASTER (clock off), a B+tree table,
 // sharded memory, and remote backends speaking the wire protocol to
 // loopback mlkv-servers — one per engine, so the remote matrix covers
 // every engine an OPEN frame can request. Each comes fresh (empty store).
@@ -31,11 +31,9 @@ func confBackends(t *testing.T) map[string]Backend {
 		"mlkv":   mlkvBackend(t, confDim, core.BoundASP),
 		"faster": mlkvBackend(t, confDim, core.BoundDisabled),
 		"mem":    NewMemBackend("mem", confDim, confInit),
-		"lsm":    engineBackend(t, kv.EngineLSM, confDim, core.BoundDisabled),
 		"bptree": engineBackend(t, kv.EngineBPTree, confDim, core.BoundDisabled),
 	}
 	out["remote"] = remoteBackend(t, confDim, 0, core.BoundASP, "mlkv")
-	out["remote-lsm"] = remoteBackend(t, confDim, 0, core.BoundASP, "lsm")
 	out["remote-bptree"] = remoteBackend(t, confDim, 0, core.BoundASP, "bptree")
 	return out
 }

@@ -193,27 +193,6 @@ func TestTrainGATRuns(t *testing.T) {
 	}
 }
 
-func TestTrainCTROnLSMBackend(t *testing.T) {
-	gen := data.NewCTRGen(data.CTRConfig{Fields: 3, DenseDim: 2, FieldCard: 200, Seed: 47})
-	model := models.NewDLRM(models.FFNN, 3, 4, 2, []int{8}, 53)
-	res, err := TrainCTR(CTROptions{
-		Gen: gen, Model: model,
-		Backend: engineBackend(t, kv.EngineLSM, 4, core.BoundDisabled),
-		Workers: 2, Batch: 8, Mode: ModeAsync,
-		DenseLR: 0.05, EmbLR: 0.05,
-		MaxSamples: 2000,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Backend != "lsm" {
-		t.Fatalf("backend name %q", res.Backend)
-	}
-	if res.Samples < 2000 {
-		t.Fatal("LSM-backed training stalled")
-	}
-}
-
 func TestDDPSimulationSlowsThroughput(t *testing.T) {
 	gen := data.NewCTRGen(data.CTRConfig{Fields: 3, DenseDim: 2, FieldCard: 200, Seed: 59})
 	mk := func(delay time.Duration) float64 {

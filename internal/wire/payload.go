@@ -56,8 +56,9 @@ func DecodeHelloResp(p []byte) (version uint32, name string, err error) {
 }
 
 // engineNames maps the OPEN engine byte to the canonical engine name;
-// code 0 ("") requests no engine: the server's choice.
-var engineNames = [...]string{"", "faster", "lsm", "bptree"}
+// code 0 ("") requests no engine: the server's choice. Code 2 was the
+// retired LSM engine; both sides refuse it.
+var engineNames = [...]string{"", "faster", "", "bptree"}
 
 func engineCode(engine string) (byte, error) {
 	for code, name := range engineNames {
@@ -69,7 +70,7 @@ func engineCode(engine string) (byte, error) {
 }
 
 func engineName(code byte) (string, error) {
-	if int(code) >= len(engineNames) {
+	if int(code) >= len(engineNames) || (code != 0 && engineNames[code] == "") {
 		return "", fmt.Errorf("wire: unknown engine code %d in OPEN", code)
 	}
 	return engineNames[code], nil

@@ -138,8 +138,9 @@ func TestPayloadRoundTrips(t *testing.T) {
 		t.Fatalf("open unset bound: %d %v", b, err)
 	}
 	// The engine byte survives a round trip for every engine, and an
-	// unknown code is refused on both sides.
-	for _, wantEng := range []string{"faster", "lsm", "bptree"} {
+	// unknown code — the retired LSM's 2 among them — is refused on both
+	// sides.
+	for _, wantEng := range []string{"faster", "bptree"} {
 		id, _, _, _, eng, err := DecodeOpen(mustEncodeOpen(t, "m-1", 8, 2, 4, wantEng))
 		if err != nil || id != "m-1" || eng != wantEng {
 			t.Fatalf("open engine %q: id=%q eng=%q err=%v", wantEng, id, eng, err)
@@ -148,10 +149,15 @@ func TestPayloadRoundTrips(t *testing.T) {
 	if _, err := EncodeOpen("m", 8, 0, 4, "rocksdb"); err == nil {
 		t.Fatal("EncodeOpen accepted unknown engine")
 	}
-	bad := mustEncodeOpen(t, "m", 8, 2, 4, "lsm")
-	bad[16] = 0xFF
-	if _, _, _, _, _, err := DecodeOpen(bad); err == nil {
-		t.Fatal("DecodeOpen accepted unknown engine code")
+	if p := mustEncodeOpen(t, "m", 8, 2, 4, "bptree"); p[16] != 3 {
+		t.Fatalf("bptree encodes as engine code %d, want 3", p[16])
+	}
+	for _, code := range []byte{2, 0xFF} {
+		bad := mustEncodeOpen(t, "m", 8, 2, 4, "bptree")
+		bad[16] = code
+		if _, _, _, _, _, err := DecodeOpen(bad); err == nil {
+			t.Fatalf("DecodeOpen accepted unknown engine code %d", code)
+		}
 	}
 	oh, odim, osh, ob, oname, err := DecodeOpenResp(EncodeOpenResp(3, 16, 4, -1, "mlkv"))
 	if err != nil || oh != 3 || odim != 16 || osh != 4 || ob != -1 || oname != "mlkv" {
@@ -279,7 +285,7 @@ func TestDecodeRejectsTruncation(t *testing.T) {
 		{"hello", EncodeHello(), func(p []byte) error { _, err := DecodeHello(p); return err }},
 		{"helloResp", EncodeHelloResp("x"), func(p []byte) error { _, _, err := DecodeHelloResp(p); return err }},
 		{"open", mustEncodeOpen(t, "m", 8, 2, 4, ""), func(p []byte) error { _, _, _, _, _, err := DecodeOpen(p); return err }},
-		{"openEngine", mustEncodeOpen(t, "m", 8, 2, 4, "lsm"), func(p []byte) error { _, _, _, _, _, err := DecodeOpen(p); return err }},
+		{"openEngine", mustEncodeOpen(t, "m", 8, 2, 4, "bptree"), func(p []byte) error { _, _, _, _, _, err := DecodeOpen(p); return err }},
 		{"openResp", EncodeOpenResp(1, 8, 2, 4, "x"), func(p []byte) error { _, _, _, _, _, err := DecodeOpenResp(p); return err }},
 		{"handle", EncodeHandle(5), func(p []byte) error { _, _, err := DecodeHandle(p); return err }},
 		{"key", stripHandle(t, EncodeKey(1, 5), 1), func(p []byte) error { _, err := DecodeKey(p); return err }},

@@ -86,7 +86,6 @@ type ConnectOption func(*connectConfig)
 
 type connectConfig struct {
 	conns        int
-	dialTimeout  time.Duration
 	readReplicas bool
 }
 
@@ -95,11 +94,6 @@ type connectConfig struct {
 // finite SSP bound, a blocked remote read must not queue behind the write
 // that unblocks it on a shared connection. Local targets ignore it.
 func WithConns(n int) ConnectOption { return func(c *connectConfig) { c.conns = n } }
-
-// WithDialTimeout bounds each TCP connect of a remote target (default 5s).
-func WithDialTimeout(d time.Duration) ConnectOption {
-	return func(c *connectConfig) { c.dialTimeout = d }
-}
 
 // WithReadReplicas lets a cluster target ("mlkv://a,b,c") serve reads
 // from replicas, staleness-bound-aware: ASP reads may hit any replica of
@@ -130,7 +124,6 @@ func Connect(target string, opts ...ConnectOption) (*DB, error) {
 	}
 	d, err := driver.Connect(target, driver.ConnectOptions{
 		Conns:        cfg.conns,
-		DialTimeout:  cfg.dialTimeout,
 		ReadReplicas: cfg.readReplicas,
 	})
 	if err != nil {
@@ -164,14 +157,13 @@ type config struct {
 }
 
 // WithEngine selects the storage engine behind the model: "mlkv" (or
-// "faster" — the clocked hybrid log, the default), "lsm" (a write-optimized
-// log-structured merge tree), or "bptree" (a read-optimized on-disk
-// B+tree). On a remote DB the engine travels in the OPEN frame, so the
-// same option picks the engine server-side; a server may pin a model to an
-// engine, in which case a conflicting request fails. The clock-free
-// engines (lsm, bptree) have no staleness clock: they reject BSP and
-// finite SSP bounds, always run effectively unbounded, and a model opens
-// with the engine it was created with — reopening under a different one is
+// "faster" — the clocked hybrid log, the default) or "bptree" (a
+// read-optimized on-disk B+tree). On a remote DB the engine travels in the
+// OPEN frame, so the same option picks the engine server-side; a server
+// may pin a model to an engine, in which case a conflicting request fails.
+// The clock-free B+tree has no staleness clock: it rejects BSP and finite
+// SSP bounds and always runs effectively unbounded. A model opens with the
+// engine it was created with — reopening under a different one is
 // refused. Unset (or ""), the target chooses: locally the hybrid log,
 // remotely the server's default engine.
 func WithEngine(name string) Option { return func(c *config) { c.engine = name } }
@@ -308,7 +300,7 @@ func (m *Model) Dim() int { return m.m.Dim() }
 func (m *Model) Shards() int { return m.m.Shards() }
 
 // EngineName identifies the backing engine: "mlkv", "faster" (clock
-// disabled), "lsm", "bptree", or "remote(<engine>)".
+// disabled), "bptree", or "remote(<engine>)".
 func (m *Model) EngineName() string { return m.m.EngineName() }
 
 // StalenessBound returns the consistency bound the model runs under,
@@ -507,9 +499,10 @@ func (s *Session) Get(key uint64, dst []float32) error {
 // a remote round trip) returns ctx.Err() when ctx ends. A read that ends
 // this way holds no staleness token, so it owes no balancing Put. On a
 // remote model the guarantee rides on the context's *deadline*, which
-// travels in the frame so the server abandons the stalled read too;
-// cancelling a deadline-free context returns early but leaves the
-// server-side read running — prefer deadlines for remote reads.
+// travels in the frame so the server abandons the stalled read too, up to
+// 25 ms early so that its verdict is back in time (the call still returns
+// at the deadline); cancelling a deadline-free context returns early but
+// leaves the server-side read running — prefer deadlines for remote reads.
 func (s *Session) GetCtx(ctx context.Context, key uint64, dst []float32) error {
 	return s.s.Get(ctx, key, dst)
 }
