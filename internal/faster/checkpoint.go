@@ -38,11 +38,36 @@ func (st *Store) Checkpoint() error {
 	binary.LittleEndian.PutUint64(buf[16:], uint64(st.cfg.ValueSize))
 	crc := crc32.ChecksumIEEE(buf[:24])
 	binary.LittleEndian.PutUint32(buf[24:], crc)
-	tmp := filepath.Join(st.cfg.Dir, metaTmpFile)
-	if err := os.WriteFile(tmp, buf, 0o644); err != nil {
+	if err := writeDurable(st.cfg.Dir, metaTmpFile, metaFile, buf); err != nil {
 		return fmt.Errorf("faster: write checkpoint: %w", err)
 	}
-	return os.Rename(tmp, filepath.Join(st.cfg.Dir, metaFile))
+	return nil
+}
+
+// writeDurable replaces dir/name with data so that, once it returns nil, a
+// power loss leaves either the old file or the new one: data is written to
+// dir/tmp and fsynced, renamed over name, and the directory is fsynced so
+// the rename itself is on disk.
+func writeDurable(dir, tmp, name string, data []byte) error {
+	tmpPath := filepath.Join(dir, tmp)
+	f, err := os.OpenFile(tmpPath, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return err
+	}
+	if err := os.Rename(tmpPath, filepath.Join(dir, name)); err != nil {
+		return err
+	}
+	return syncDir(dir)
 }
 
 // ErrCorruptCheckpoint indicates a damaged or torn checkpoint file.
@@ -80,10 +105,28 @@ func (st *Store) maybeRecover() error {
 // the durable region: recovered records are all disk-resident and will be
 // copied forward on first touch.
 func (st *Store) recover(tail uint64) error {
+	// The log must hold every record below the tail before any of it is
+	// mapped: a read past the end of the file would fault.
+	var need int64
+	if tail > firstAddr {
+		need = int64(tail) * int64(st.log.recSize)
+	}
+	fi, err := st.log.file.Stat()
+	if err != nil {
+		return fmt.Errorf("faster: recovery: %w", err)
+	}
+	if fi.Size() < need {
+		return fmt.Errorf("faster: recovery: log file is %d bytes, but the checkpoint's tail %d needs %d", fi.Size(), tail, need)
+	}
+	if err := st.log.view.cover(need); err != nil {
+		return err
+	}
+	st.log.view.advise(adviseSequential)
+	defer st.log.view.advise(adviseRandom)
 	rec := make([]byte, st.log.recSize)
 	for addr := uint64(firstAddr); addr < tail; addr++ {
-		if _, err := st.log.file.ReadAt(rec, int64(addr)*int64(st.log.recSize)); err != nil {
-			return fmt.Errorf("faster: recovery read at %d: %w", addr, err)
+		if err := st.log.readRecord(addr, rec); err != nil {
+			return fmt.Errorf("faster: recovery: %w", err)
 		}
 		key := binary.LittleEndian.Uint64(rec[8:])
 		hdr := binary.LittleEndian.Uint64(rec)

@@ -2,6 +2,7 @@ package faster
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
 	"runtime"
@@ -35,7 +36,7 @@ const maxGroupPages = 8
 //	[tail ......... roAddr)   mutable   — in-place updates allowed
 //	[roAddr .. safeRoAddr)    fuzzy     — boundary is draining; ops retry
 //	[safeRoAddr ..... head)   read-only — in-memory, immutable values
-//	[head ............. 1]    disk      — positional reads from the file
+//	[head ............. 1]    disk      — read from the file (logView)
 //
 // (Regions listed from the newest address down; roAddr >= safeRoAddr >=
 // headAddr always holds.) Page frames recycle only after the page is flushed
@@ -52,6 +53,7 @@ type hybridLog struct {
 
 	file *os.File
 	w    logWriter // write seam (== file outside fault-injection tests)
+	view *logView  // read side: every disk-region record is read through it
 	em   *epoch.Manager
 
 	nextAddr   atomic.Uint64 // next record index to allocate
@@ -105,6 +107,7 @@ func newHybridLog(path string, valueSize, recsPerPage, memPages, mutPages int, s
 		mutPages:   mutPages,
 		file:       f,
 		w:          f,
+		view:       newLogView(f, diskRecSize(valueSize)),
 		em:         em,
 		flushCh:    make(chan int64, 4*memPages),
 		flushDone:  make(chan struct{}),
@@ -396,6 +399,12 @@ func (l *hybridLog) writeGroup(p int64, n int, buf []byte) error {
 			return err
 		}
 	}
+	// Map the pages before publishing them: a reader reaches an address
+	// below the head only after this page's flush is published.
+	if err := l.view.cover((p + int64(n)) * int64(pageBytes)); err != nil {
+		l.failFlush(err)
+		return err
+	}
 	l.stats.FlushedPages.Add(int64(n))
 	l.stats.BytesFlushed.Add(int64(len(buf)))
 	if n > 1 {
@@ -436,12 +445,20 @@ type diskRecord struct {
 	val  []byte
 }
 
+// readRecord copies the on-disk record at addr into buf (recSize bytes).
+func (l *hybridLog) readRecord(addr uint64, buf []byte) error {
+	if err := l.view.readAt(buf, int64(addr)*int64(l.recSize)); err != nil {
+		return fmt.Errorf("read record %d: %w", addr, err)
+	}
+	return nil
+}
+
 // readDisk reads the record at addr from the log file through buf (the
 // calling session's recSize-byte record buffer), copying the value into
 // valBuf, which the returned record's val aliases.
 func (l *hybridLog) readDisk(addr uint64, buf, valBuf []byte) (diskRecord, error) {
-	if _, err := l.file.ReadAt(buf, int64(addr)*int64(l.recSize)); err != nil {
-		return diskRecord{}, fmt.Errorf("faster: read record %d: %w", addr, err)
+	if err := l.readRecord(addr, buf); err != nil {
+		return diskRecord{}, fmt.Errorf("faster: %w", err)
 	}
 	rec := diskRecord{
 		hdr:  binary.LittleEndian.Uint64(buf),
@@ -499,9 +516,9 @@ func (l *hybridLog) flushAll() error {
 	return l.w.Sync()
 }
 
-// close stops the flusher and closes the file.
+// close stops the flusher, unmaps the file and closes it.
 func (l *hybridLog) close() error {
 	l.flushCh <- -1
 	<-l.flushDone
-	return l.file.Close()
+	return errors.Join(l.view.close(), l.file.Close())
 }

@@ -184,7 +184,9 @@ func WithStalenessBound(b int64) Option {
 
 // WithMemory sets the in-memory buffer budget in bytes (the paper's
 // "buffer size"; default 256 MiB). Remote models ignore it: the server
-// owns its sizing.
+// owns its sizing. It bounds the log's in-memory frames only: records
+// evicted to disk are read through a read-only mapping of the log file,
+// so the log pages a run touches also count toward the process's RSS.
 func WithMemory(bytes int64) Option { return func(c *config) { c.memory = bytes } }
 
 // WithExpectedKeys sizes the hash index for the expected embedding count
