@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"net"
+	"os"
 	"path"
 	"path/filepath"
 	"reflect"
@@ -21,20 +22,13 @@ import (
 	"github.com/llm-db/mlkv-go/internal/stats"
 )
 
-// engineCases are the engine axis of the conformance matrix: every
-// storage engine the public API can select, and whether it carries the
-// vector clock the staleness ladder needs.
-var engineCases = []struct {
-	name      string
-	clockFree bool
-}{
-	{"mlkv", false},
-	{"bptree", true},
-}
+// engineCases are the engine axis of the conformance matrix. The hybrid
+// log is the one engine; the axis keeps its level in every subtest name.
+var engineCases = []string{"mlkv"}
 
 // startTestServer serves a lazily-opening model registry on loopback and
-// returns an "mlkv://" target for it. The opener honors the engine each
-// OPEN frame requests, exactly like cmd/mlkv-server.
+// returns an "mlkv://" target for it. The opener names each store by its
+// bound, exactly like cmd/mlkv-server.
 func startTestServer(t *testing.T, bound int64) string {
 	t.Helper()
 	target, _ := startCountedTestServer(t, bound)
@@ -45,20 +39,21 @@ func startTestServer(t *testing.T, bound int64) string {
 // server, for tests that count the frames a call costs.
 func startCountedTestServer(t *testing.T, bound int64) (string, *server.Server) {
 	t.Helper()
-	dir := t.TempDir()
+	return startTestServerIn(t, t.TempDir(), bound)
+}
+
+// startTestServerIn is startCountedTestServer with its models under dir.
+func startTestServerIn(t *testing.T, dir string, bound int64) (string, *server.Server) {
+	t.Helper()
 	reg := server.NewRegistry(server.RegistryConfig{
 		DefaultShards: 2,
 		DefaultBound:  bound,
-		Opener: func(id string, dim, shards int, b int64, engine string) (kv.Store, error) {
-			name := engine
-			if eng, err := kv.NormalizeEngine(engine); err == nil && eng == kv.EngineFaster {
-				name = kv.HybridLogName(b)
-			}
-			return kv.OpenEngine(engine, kv.ShardedConfig{
+		Opener: func(id string, dim, shards int, b int64) (kv.Store, error) {
+			return kv.OpenEngine(kv.EngineFaster, kv.ShardedConfig{
 				Dir: filepath.Join(dir, id), Shards: shards, ValueSize: dim * 4,
 				RecordsPerPage: 64, MemoryBytes: 1 << 20, ExpectedKeys: 1 << 12,
 				StalenessBound: b,
-			}, name)
+			}, kv.HybridLogName(b))
 		},
 	})
 	srv := server.New(server.Config{Registry: reg})
@@ -89,6 +84,13 @@ func startCountedTestServer(t *testing.T, bound int64) (string, *server.Server) 
 // map clients will discover.
 func startTestCluster(t *testing.T, bound int64, withReplica bool) (string, map[string]*server.Registry, *cluster.Map) {
 	t.Helper()
+	return startTestClusterIn(t, t.TempDir(), bound, withReplica)
+}
+
+// startTestClusterIn is startTestCluster with node n's models under
+// root/n.
+func startTestClusterIn(t *testing.T, root string, bound int64, withReplica bool) (string, map[string]*server.Registry, *cluster.Map) {
+	t.Helper()
 	ids := []string{"n0", "n1", "n2"}
 	lns := make([]net.Listener, len(ids))
 	specs := make([]cluster.Node, len(ids))
@@ -111,21 +113,17 @@ func startTestCluster(t *testing.T, bound int64, withReplica bool) (string, map[
 	}
 	regs := make(map[string]*server.Registry, len(ids))
 	for i := range ids {
-		dir := t.TempDir()
+		dir := filepath.Join(root, ids[i])
 		reg := server.NewRegistry(server.RegistryConfig{
 			DefaultShards: 2,
 			DefaultBound:  bound,
 			Name:          ids[i],
-			Opener: func(id string, dim, shards int, b int64, engine string) (kv.Store, error) {
-				name := engine
-				if eng, err := kv.NormalizeEngine(engine); err == nil && eng == kv.EngineFaster {
-					name = "mlkv"
-				}
-				return kv.OpenEngine(engine, kv.ShardedConfig{
+			Opener: func(id string, dim, shards int, b int64) (kv.Store, error) {
+				return kv.OpenEngine(kv.EngineFaster, kv.ShardedConfig{
 					Dir: filepath.Join(dir, id), Shards: shards, ValueSize: dim * 4,
 					RecordsPerPage: 64, MemoryBytes: 1 << 20, ExpectedKeys: 1 << 12,
 					StalenessBound: b,
-				}, name)
+				}, "mlkv")
 			},
 		})
 		st, err := cluster.NewState(ids[i], m)
@@ -199,19 +197,12 @@ func withTargets(t *testing.T, fn func(t *testing.T, db *mlkv.DB)) {
 	})
 }
 
-// withEngineTargets runs fn over the full conformance matrix: every
-// engine (mlkv, bptree) behind both drivers (local, remote). The same
-// API calls must observe the same behavior in all four cells, except
-// where a staleness-ladder case names a capability an engine genuinely
-// lacks (and then the test documents the skip).
-func withEngineTargets(t *testing.T, fn func(t *testing.T, db *mlkv.DB, engine string, clockFree bool)) {
-	for _, ec := range engineCases {
-		ec := ec
-		t.Run(ec.name, func(t *testing.T) {
-			withTargets(t, func(t *testing.T, db *mlkv.DB) {
-				fn(t, db, ec.name, ec.clockFree)
-			})
-		})
+// withEngineTargets runs fn over the full conformance matrix: the engine
+// axis × every driver (local, remote, cluster). The same API calls must
+// observe the same behavior in every cell.
+func withEngineTargets(t *testing.T, fn func(t *testing.T, db *mlkv.DB)) {
+	for _, engine := range engineCases {
+		t.Run(engine, func(t *testing.T) { withTargets(t, fn) })
 	}
 }
 
@@ -230,17 +221,15 @@ func f32sEq(a, b []float32) bool {
 // TestAPITwoModels opens two models with differing dimensions on one DB
 // and drives the full session surface on both: first-touch Get, batch
 // round trips, Peek, Lookahead, RMW, Delete, Checkpoint, and stats —
-// on every engine, over both drivers.
+// over every driver.
 func TestAPITwoModels(t *testing.T) {
-	withEngineTargets(t, func(t *testing.T, db *mlkv.DB, engine string, _ bool) {
-		a, err := db.Open("conf-a", 8, mlkv.WithEngine(engine),
-			mlkv.WithStalenessBound(mlkv.ASP), mlkv.WithMemory(4<<20))
+	withEngineTargets(t, func(t *testing.T, db *mlkv.DB) {
+		a, err := db.Open("conf-a", 8, mlkv.WithStalenessBound(mlkv.ASP), mlkv.WithMemory(4<<20))
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer a.Close()
-		b, err := db.Open("conf-b", 4, mlkv.WithEngine(engine),
-			mlkv.WithStalenessBound(mlkv.ASP), mlkv.WithMemory(4<<20))
+		b, err := db.Open("conf-b", 4, mlkv.WithStalenessBound(mlkv.ASP), mlkv.WithMemory(4<<20))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -434,10 +423,9 @@ func TestAPIFloatBits(t *testing.T) {
 	for _, bits := range []uint32{0x7fc00001, 0x7f800001, 0xffc12345, 0x80000000, 0x00000001} {
 		want = append(want, math.Float32frombits(bits))
 	}
-	withEngineTargets(t, func(t *testing.T, db *mlkv.DB, engine string, _ bool) {
+	withEngineTargets(t, func(t *testing.T, db *mlkv.DB) {
 		for _, tier := range []int{0, 64} {
-			m, err := db.Open(fmt.Sprintf("bits%d", tier), len(want), mlkv.WithEngine(engine),
-				mlkv.WithStalenessBound(mlkv.ASP), mlkv.WithCache(tier))
+			m, err := db.Open(fmt.Sprintf("bits%d", tier), len(want), mlkv.WithStalenessBound(mlkv.ASP), mlkv.WithCache(tier))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -484,13 +472,12 @@ func f32Bits(v []float32) []uint32 {
 }
 
 // TestAPIFirstTouchParity pins the property the CI quickstart-divergence
-// check relies on, widened across the engine matrix: the same key
-// initializes to the same embedding on every engine, local or remote
-// (every cell runs the same seeded initializer) — and that initializer,
+// check relies on: the same key initializes to the same embedding local or
+// remote (every cell runs the same seeded initializer) — and that initializer,
 // the default, is exactly UniformInit(0.05).
 func TestAPIFirstTouchParity(t *testing.T) {
-	read := func(t *testing.T, db *mlkv.DB, id, engine string, opts ...mlkv.Option) []float32 {
-		opts = append(opts, mlkv.WithEngine(engine), mlkv.WithStalenessBound(mlkv.ASP))
+	read := func(t *testing.T, db *mlkv.DB, id string, opts ...mlkv.Option) []float32 {
+		opts = append(opts, mlkv.WithStalenessBound(mlkv.ASP))
 		m, err := db.Open(id, 8, opts...)
 		if err != nil {
 			t.Fatal(err)
@@ -510,31 +497,24 @@ func TestAPIFirstTouchParity(t *testing.T) {
 		}
 		return out
 	}
-	var want []float32
-	for _, ec := range engineCases {
-		local, err := mlkv.Connect(t.TempDir())
-		if err != nil {
-			t.Fatal(err)
-		}
-		remote, err := mlkv.Connect(startTestServer(t, mlkv.ASP), mlkv.WithConns(2))
-		if err != nil {
-			local.Close()
-			t.Fatal(err)
-		}
-		lv := read(t, local, "parity", ec.name)
-		rv := read(t, remote, "parity", ec.name)
-		explicit := mlkv.WithInitializer(mlkv.UniformInit(0.05))
-		lx := read(t, local, "parity-explicit", ec.name, explicit)
-		rx := read(t, remote, "parity-explicit", ec.name, explicit)
-		local.Close()
-		remote.Close()
-		if want == nil {
-			want = lv
-		}
-		if !f32sEq(lv, want) || !f32sEq(rv, want) || !f32sEq(lx, want) || !f32sEq(rx, want) {
-			t.Fatalf("first-touch values diverge on %s: local=%v remote=%v, UniformInit(0.05) local=%v remote=%v, want=%v",
-				ec.name, lv, rv, lx, rx, want)
-		}
+	local, err := mlkv.Connect(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer local.Close()
+	remote, err := mlkv.Connect(startTestServer(t, mlkv.ASP), mlkv.WithConns(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer remote.Close()
+	lv := read(t, local, "parity")
+	rv := read(t, remote, "parity")
+	explicit := mlkv.WithInitializer(mlkv.UniformInit(0.05))
+	lx := read(t, local, "parity-explicit", explicit)
+	rx := read(t, remote, "parity-explicit", explicit)
+	if !f32sEq(rv, lv) || !f32sEq(lx, lv) || !f32sEq(rx, lv) {
+		t.Fatalf("first-touch values diverge: local=%v remote=%v, UniformInit(0.05) local=%v remote=%v",
+			lv, rv, lx, rx)
 	}
 }
 
@@ -546,12 +526,12 @@ func TestAPIFirstTouchParity(t *testing.T) {
 // cluster). The initializer is seeded per key, so a second model's Get of
 // the same key supplies the reference.
 func TestAPIRMWFirstTouchParity(t *testing.T) {
-	withEngineTargets(t, func(t *testing.T, db *mlkv.DB, engine string, _ bool) {
+	withEngineTargets(t, func(t *testing.T, db *mlkv.DB) {
 		const dim, key, lr = 8, 4242, float32(0.25)
 		// The closers run before withTargets closes db (a t.Cleanup would
 		// run after it).
 		session := func(id string) (*mlkv.Session, func()) {
-			m, err := db.Open(id, dim, mlkv.WithEngine(engine), mlkv.WithStalenessBound(mlkv.ASP))
+			m, err := db.Open(id, dim, mlkv.WithStalenessBound(mlkv.ASP))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -591,16 +571,11 @@ func TestAPIRMWFirstTouchParity(t *testing.T) {
 // N sessions × M RMWs of a unit gradient on one key must land on exactly
 // start − N·M on every driver. Remotely that holds because an RMW is one
 // APPLY frame run as a single engine RMW; a client-side Get+step+Put loses
-// steps here. Only the hybrid log makes the step atomic across sessions —
-// the clock-free engine's RMW is read-fn-write (kv's bptreeSession.RMW
-// says so), locally and behind a server alike, so they sit this one out.
+// steps here.
 func TestAPIRMWNoLostUpdates(t *testing.T) {
-	withEngineTargets(t, func(t *testing.T, db *mlkv.DB, engine string, clockFree bool) {
-		if clockFree {
-			t.Skip("clock-free engines do not make RMW atomic across sessions")
-		}
+	withEngineTargets(t, func(t *testing.T, db *mlkv.DB) {
 		const dim, key, sessions, steps, start = 4, 77, 4, 200, float32(5000)
-		m, err := db.Open("lost-update", dim, mlkv.WithEngine(engine), mlkv.WithStalenessBound(mlkv.ASP))
+		m, err := db.Open("lost-update", dim, mlkv.WithStalenessBound(mlkv.ASP))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -766,9 +741,7 @@ func TestRemoteRMWIsOneFrame(t *testing.T) {
 // clocked read stalled on the staleness bound (BSP, token held by another
 // session) returns ctx.Err() at the deadline instead of waiting, holds no
 // token afterward, and the stalled key becomes readable once the
-// releasing write lands. Only the hybrid log carries the vector clock
-// this ladder exercises; the clock-free engines reject BSP at open (see
-// TestAPIEngineValidation), so their cells skip rather than fake a stall.
+// releasing write lands.
 func TestAPICtxCancellation(t *testing.T) {
 	run := func(t *testing.T, db *mlkv.DB) {
 		m, err := db.Open("cancel", 4, mlkv.WithStalenessBound(mlkv.BSP), mlkv.WithMemory(4<<20))
@@ -831,12 +804,8 @@ func TestAPICtxCancellation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for _, ec := range engineCases {
-		ec := ec
-		t.Run(ec.name, func(t *testing.T) {
-			if ec.clockFree {
-				t.Skipf("engine %q has no vector clock: it rejects the BSP bound this ladder needs, so there is no staleness wait to cancel", ec.name)
-			}
+	for _, engine := range engineCases {
+		t.Run(engine, func(t *testing.T) {
 			t.Run("local", func(t *testing.T) {
 				db, err := mlkv.Connect(t.TempDir())
 				if err != nil {
@@ -860,18 +829,16 @@ func TestAPICtxCancellation(t *testing.T) {
 }
 
 // TestAPIRemoteSessionRelease verifies the public remote driver detaches
-// sessions on every engine: the server's per-model gauge follows
-// Session.Close regardless of what backs the model.
+// sessions: the server's per-model gauge follows Session.Close.
 func TestAPIRemoteSessionRelease(t *testing.T) {
-	for _, ec := range engineCases {
-		ec := ec
-		t.Run(ec.name, func(t *testing.T) {
+	for _, engine := range engineCases {
+		t.Run(engine, func(t *testing.T) {
 			db, err := mlkv.Connect(startTestServer(t, mlkv.ASP), mlkv.WithConns(2))
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer db.Close()
-			m, err := db.Open("release", 4, mlkv.WithEngine(ec.name))
+			m, err := db.Open("release", 4)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -903,12 +870,12 @@ func TestAPIRemoteSessionRelease(t *testing.T) {
 // opening a name twice shares the model, and double-closing one handle
 // releases its reference exactly once — the sibling handle keeps working.
 func TestAPISharedModelClose(t *testing.T) {
-	withEngineTargets(t, func(t *testing.T, db *mlkv.DB, engine string, _ bool) {
-		m1, err := db.Open("shared", 4, mlkv.WithEngine(engine), mlkv.WithStalenessBound(mlkv.ASP))
+	withEngineTargets(t, func(t *testing.T, db *mlkv.DB) {
+		m1, err := db.Open("shared", 4, mlkv.WithStalenessBound(mlkv.ASP))
 		if err != nil {
 			t.Fatal(err)
 		}
-		m2, err := db.Open("shared", 4, mlkv.WithEngine(engine), mlkv.WithStalenessBound(mlkv.ASP))
+		m2, err := db.Open("shared", 4, mlkv.WithStalenessBound(mlkv.ASP))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -936,54 +903,47 @@ func TestAPISharedModelClose(t *testing.T) {
 	})
 }
 
-// TestAPIEngineSelection pins what WithEngine means end to end: the
-// engine a model opens with is the engine that serves it, is reported by
-// EngineName on both drivers, and sticks to the model — a conflicting
-// reopen is refused while the model is live and again from its on-disk
-// marker after it closes. Remotely, plain FASTER also comes from a server
-// whose default bound is -staleness -1, without naming an engine.
+// TestAPIEngineSelection pins how a model names its engine end to end:
+// the bound alone decides it. A model with a running clock is "mlkv", one
+// opened Disabled is "faster" (plain FASTER), on both drivers; remotely,
+// plain FASTER also comes from a server whose default bound is -staleness
+// -1, with no option at all.
 func TestAPIEngineSelection(t *testing.T) {
+	cases := []struct {
+		id    string
+		opts  []mlkv.Option
+		name  string
+		bound int64
+	}{
+		{"sel-mlkv", nil, "mlkv", mlkv.ASP},
+		{"sel-faster", []mlkv.Option{mlkv.WithStalenessBound(mlkv.Disabled)}, "faster", mlkv.Disabled},
+	}
+	check := func(t *testing.T, db *mlkv.DB, wrap string) {
+		for _, c := range cases {
+			m, err := db.Open(c.id, 4, c.opts...)
+			if err != nil {
+				t.Fatalf("%s: %v", c.id, err)
+			}
+			want := c.name
+			if wrap != "" {
+				want = wrap + "(" + c.name + ")"
+			}
+			if got := m.EngineName(); got != want {
+				t.Fatalf("%s: EngineName = %q, want %q", c.id, got, want)
+			}
+			if got := m.StalenessBound(); got != c.bound {
+				t.Fatalf("%s: StalenessBound = %d, want %d", c.id, got, c.bound)
+			}
+			m.Close()
+		}
+	}
 	t.Run("local", func(t *testing.T) {
-		dir := t.TempDir()
-		db, err := mlkv.Connect(dir)
+		db, err := mlkv.Connect(t.TempDir())
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer db.Close()
-		want := map[string]string{"mlkv": "mlkv", "bptree": "bptree"}
-		for _, ec := range engineCases {
-			m, err := db.Open("sel-"+ec.name, 4, mlkv.WithEngine(ec.name))
-			if err != nil {
-				t.Fatalf("%s: %v", ec.name, err)
-			}
-			if got := m.EngineName(); got != want[ec.name] {
-				t.Fatalf("%s: EngineName = %q, want %q", ec.name, got, want[ec.name])
-			}
-			if ec.clockFree {
-				if b := m.StalenessBound(); b != mlkv.Disabled {
-					t.Fatalf("%s: StalenessBound = %d, want Disabled", ec.name, b)
-				}
-			} else if b := m.StalenessBound(); b != mlkv.ASP {
-				t.Fatalf("mlkv local default bound = %d, want ASP", b)
-			}
-			// A live model refuses a conflicting engine...
-			if _, err := db.Open("sel-"+ec.name, 4, mlkv.WithEngine(otherEngine(ec.name))); err == nil {
-				t.Fatalf("%s: live engine conflict accepted", ec.name)
-			}
-			// ...and an engine-less reopen shares it as-is.
-			m2, err := db.Open("sel-"+ec.name, 4)
-			if err != nil {
-				t.Fatalf("%s: engine-less reopen: %v", ec.name, err)
-			}
-			m2.Close()
-			if err := m.Close(); err != nil {
-				t.Fatal(err)
-			}
-			// Closed and on disk, the directory still pins the engine.
-			if _, err := db.Open("sel-"+ec.name, 4, mlkv.WithEngine(otherEngine(ec.name))); err == nil {
-				t.Fatalf("%s: on-disk engine conflict accepted", ec.name)
-			}
-		}
+		check(t, db, "")
 	})
 	t.Run("remote", func(t *testing.T) {
 		db, err := mlkv.Connect(startTestServer(t, mlkv.ASP), mlkv.WithConns(2))
@@ -991,25 +951,11 @@ func TestAPIEngineSelection(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer db.Close()
-		for _, ec := range engineCases {
-			m, err := db.Open("sel-"+ec.name, 4, mlkv.WithEngine(ec.name))
-			if err != nil {
-				t.Fatalf("%s: %v", ec.name, err)
-			}
-			if got, want := m.EngineName(), "remote("+ec.name+")"; got != want {
-				t.Fatalf("%s: EngineName = %q, want %q", ec.name, got, want)
-			}
-			// The server refuses to swap a live model's engine.
-			if _, err := db.Open("sel-"+ec.name, 4, mlkv.WithEngine(otherEngine(ec.name))); err == nil {
-				t.Fatalf("%s: remote engine conflict accepted", ec.name)
-			}
-			m.Close()
-		}
-		// Plain FASTER needs no engine name: against a registry whose
-		// default is mlkv-server's -staleness -1, a model opened with no
-		// options runs the hybrid log with the clock off, while one asking
-		// for ASP on the same server runs the clock.
-		bound, err := server.FlagBound(-1, "mlkv")
+		check(t, db, "remote")
+		// Against a registry whose default is mlkv-server's -staleness -1,
+		// a model opened with no options runs the hybrid log with the
+		// clock off, while one asking for ASP on the same server runs it.
+		bound, err := server.FlagBound(-1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -1018,64 +964,71 @@ func TestAPIEngineSelection(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer plainDB.Close()
-		for _, c := range []struct {
+		cases = []struct {
 			id    string
 			opts  []mlkv.Option
 			name  string
 			bound int64
 		}{
-			{"plain", nil, "remote(faster)", mlkv.Disabled},
-			{"clocked", []mlkv.Option{mlkv.WithStalenessBound(mlkv.ASP)}, "remote(mlkv)", mlkv.ASP},
-		} {
-			m, err := plainDB.Open(c.id, 4, c.opts...)
-			if err != nil {
-				t.Fatalf("%s: %v", c.id, err)
-			}
-			if got := m.EngineName(); got != c.name {
-				t.Fatalf("%s: EngineName = %q, want %q", c.id, got, c.name)
-			}
-			if got := m.StalenessBound(); got != c.bound {
-				t.Fatalf("%s: StalenessBound = %d, want %d", c.id, got, c.bound)
-			}
-			m.Close()
+			{"plain", nil, "faster", mlkv.Disabled},
+			{"clocked", []mlkv.Option{mlkv.WithStalenessBound(mlkv.ASP)}, "mlkv", mlkv.ASP},
 		}
+		check(t, plainDB, "remote")
 	})
 }
 
-// otherEngine returns an engine different from name, for conflict tests.
-func otherEngine(name string) string {
-	if name == "bptree" {
-		return "mlkv"
-	}
-	return "bptree"
-}
-
-// TestAPIEngineValidation pins the engine-seam error surface on both
-// drivers: unknown engines are rejected, and the clock-free B+tree
-// refuses the blocking bounds (BSP, finite SSP) it cannot honor while
-// accepting the non-blocking ones.
+// TestAPIEngineValidation pins the engine refusals that remain with one
+// engine: kv.OpenEngine refuses an unknown engine name, naming it, and on
+// every driver a model whose directory's ENGINE marker names the retired
+// B+tree is refused by name rather than opened as an empty log.
 func TestAPIEngineValidation(t *testing.T) {
-	withTargets(t, func(t *testing.T, db *mlkv.DB) {
-		if _, err := db.Open("bad-engine", 4, mlkv.WithEngine("rocksdb")); err == nil {
-			t.Fatal("unknown engine accepted")
-		} else if !strings.Contains(err.Error(), "rocksdb") {
-			t.Fatalf("unknown-engine error does not name the engine: %v", err)
+	if _, err := kv.OpenEngine("rocksdb", kv.ShardedConfig{Dir: t.TempDir(), ValueSize: 16}, "x"); err == nil {
+		t.Fatal("unknown engine accepted")
+	} else if !strings.Contains(err.Error(), "rocksdb") {
+		t.Fatalf("unknown-engine error does not name the engine: %v", err)
+	}
+	// markRetired leaves model "old" under dir as a B+tree would have.
+	markRetired := func(t *testing.T, dir string) {
+		if err := os.MkdirAll(filepath.Join(dir, "old"), 0o755); err != nil {
+			t.Fatal(err)
 		}
-		for _, engine := range []string{"bptree"} {
-			for _, bound := range []int64{mlkv.BSP, 4} {
-				if _, err := db.Open("cf-"+engine, 4, mlkv.WithEngine(engine),
-					mlkv.WithStalenessBound(bound)); err == nil {
-					t.Fatalf("engine %s accepted blocking bound %d", engine, bound)
-				}
-			}
-			// Non-blocking bounds are no-ops, not errors.
-			m, err := db.Open("cf-ok-"+engine, 4, mlkv.WithEngine(engine),
-				mlkv.WithStalenessBound(mlkv.ASP))
-			if err != nil {
-				t.Fatalf("engine %s rejected ASP: %v", engine, err)
-			}
+		if err := os.WriteFile(filepath.Join(dir, "old", "ENGINE"), []byte("bptree\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	refused := func(t *testing.T, target string) {
+		db, err := mlkv.Connect(target, mlkv.WithConns(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close()
+		m, err := db.Open("old", 4)
+		if err == nil {
 			m.Close()
+			t.Fatal("a directory marked bptree opened")
 		}
+		if !strings.Contains(err.Error(), `"bptree"`) {
+			t.Fatalf("refusal does not name the marker: %v", err)
+		}
+	}
+	t.Run("local", func(t *testing.T) {
+		dir := t.TempDir()
+		markRetired(t, dir)
+		refused(t, dir)
+	})
+	t.Run("remote", func(t *testing.T) {
+		dir := t.TempDir()
+		markRetired(t, dir)
+		target, _ := startTestServerIn(t, dir, mlkv.ASP)
+		refused(t, target)
+	})
+	t.Run("cluster", func(t *testing.T) {
+		root := t.TempDir()
+		for _, n := range []string{"n0", "n1", "n2"} {
+			markRetired(t, filepath.Join(root, n))
+		}
+		target, _, _ := startTestClusterIn(t, root, mlkv.ASP, false)
+		refused(t, target)
 	})
 }
 
@@ -1132,7 +1085,7 @@ func TestAPIDefaultBound(t *testing.T) {
 		defer m.Close()
 		return m.StalenessBound()
 	}
-	flagDefault, err := server.FlagBound(-2, "mlkv")
+	flagDefault, err := server.FlagBound(-2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1314,8 +1267,8 @@ func TestClusterReplicaDeathFallback(t *testing.T) {
 			DefaultShards: 2,
 			DefaultBound:  mlkv.ASP,
 			Name:          ids[i],
-			Opener: func(id string, dim, shards int, b int64, engine string) (kv.Store, error) {
-				return kv.OpenEngine(engine, kv.ShardedConfig{
+			Opener: func(id string, dim, shards int, b int64) (kv.Store, error) {
+				return kv.OpenEngine(kv.EngineFaster, kv.ShardedConfig{
 					Dir: filepath.Join(dir, id), Shards: shards, ValueSize: dim * 4,
 					RecordsPerPage: 64, MemoryBytes: 1 << 20, ExpectedKeys: 1 << 12,
 					StalenessBound: b,

@@ -49,7 +49,7 @@ func BenchmarkFig2SyncVsAsync(b *testing.B) { runFigure(b, "fig2") }
 func BenchmarkFig6Convergence(b *testing.B) { runFigure(b, "fig6") }
 
 // BenchmarkFig7Backends regenerates Figure 7 (larger-than-memory
-// throughput and energy across mlkv/faster/bptree and buffer sizes).
+// throughput and energy across mlkv/faster and buffer sizes).
 func BenchmarkFig7Backends(b *testing.B) { runFigure(b, "fig7") }
 
 // BenchmarkFig8Staleness regenerates Figure 8 (throughput vs quality
@@ -65,11 +65,6 @@ func BenchmarkFig10YCSB(b *testing.B) { runFigure(b, "fig10") }
 
 // BenchmarkFig11EBay regenerates Figure 11 (eBay-like case studies).
 func BenchmarkFig11EBay(b *testing.B) { runFigure(b, "fig11") }
-
-// BenchmarkEngines runs the engine bake-off (faster vs bptree on
-// YCSB mixes, batched DLRM training, and public-API batched reads — the
-// tracked BENCH_engines.json sweep).
-func BenchmarkEngines(b *testing.B) { runFigure(b, "engines") }
 
 // BenchmarkLatency runs the tail-latency sweep (Zipf reads across
 // workers × batch on the in-process and loopback tiers, hot tier off and
@@ -168,7 +163,7 @@ func newRemoteBenchSession(tb testing.TB, batch, cacheEntries int) (*mlkv.Sessio
 	dir := tb.TempDir()
 	reg := server.NewRegistry(server.RegistryConfig{
 		DefaultBound: faster.BoundAsync,
-		Opener: func(id string, d, shards int, bound int64, engine string) (kv.Store, error) {
+		Opener: func(id string, d, shards int, bound int64) (kv.Store, error) {
 			return kv.OpenEngine(kv.EngineFaster, kv.ShardedConfig{
 				Dir: dir + "/" + id, Shards: shards, ValueSize: d * 4,
 				MemoryBytes: 32 << 20, ExpectedKeys: remoteBenchRecords,

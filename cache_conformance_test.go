@@ -223,7 +223,7 @@ func TestAPIServerSideCache(t *testing.T) {
 	reg := server.NewRegistry(server.RegistryConfig{
 		DefaultBound: mlkv.ASP,
 		CacheEntries: 1024,
-		Opener: func(id string, dim, shards int, b int64, engine string) (kv.Store, error) {
+		Opener: func(id string, dim, shards int, b int64) (kv.Store, error) {
 			mem := int64(1 << 20)
 			if id == "srv-cache" {
 				mem = 1 // the four-page floor: 256 records

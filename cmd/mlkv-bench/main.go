@@ -6,16 +6,14 @@
 //	mlkv-bench -experiment fig7 -scale small -workdir /tmp/mlkv-bench
 //	mlkv-bench -experiment shards -scale small
 //	mlkv-bench -experiment network -scale small
-//	mlkv-bench -experiment engines -scale small -json .
+//	mlkv-bench -experiment latency -scale small -json .
 //
 // Experiments: fig2 fig6 fig7 fig8 fig9 fig10 fig11 shards network cache
-// allocs engines latency cluster all. Scales: tiny (seconds), small
+// allocs latency cluster all. Scales: tiny (seconds), small
 // (minutes, default), paper (hours). -shards partitions every table the
 // figX experiments open (the "shards" experiment sweeps shard counts
 // itself; "network" compares in-process against a loopback mlkv-server at
-// batch sizes 1/32/256; "engines" races the faster/bptree engines
-// behind one seam on YCSB mixes, batched training, and public-API batched
-// reads; "latency" maps the read path's p50/p99/p999 tail across offered
+// batch sizes 1/32/256; "latency" maps the read path's p50/p99/p999 tail across offered
 // load — workers × batch, in-process and loopback, hot tier off and on;
 // "cluster" runs the Zipf workload against one loopback node vs a
 // three-node cluster — two primaries plus a read replica — at batch 1/256
@@ -32,7 +30,7 @@ import (
 
 func main() {
 	var (
-		experiment = flag.String("experiment", "all", "which experiment to run (fig2|fig6|fig7|fig8|fig9|fig10|fig11|shards|network|cache|allocs|engines|latency|cluster|all)")
+		experiment = flag.String("experiment", "all", "which experiment to run (fig2|fig6|fig7|fig8|fig9|fig10|fig11|shards|network|cache|allocs|latency|cluster|all)")
 		scaleName  = flag.String("scale", "small", "workload scale (tiny|small|paper)")
 		workdir    = flag.String("workdir", "", "scratch directory for store data (default: a temp dir)")
 		shards     = flag.Int("shards", 1, "hash partitions for every MLKV/FASTER table opened by figX experiments")

@@ -11,18 +11,13 @@
 //
 //	mlkv-server -addr 127.0.0.1:7070 -dir /data/mlkv -shards 4 \
 //	            -buffer-mb 64 -records 1000000 -sync \
-//	            -engine mlkv -model-engine eval-model=bptree \
 //	            -debug-addr 127.0.0.1:7071
 //
 // Flags size each model the server opens: -shards, -buffer-mb, -records,
 // and -staleness are per-model defaults (an OPEN may request its own shard
 // count and staleness bound; dimensions always come from the client).
-//
-// The storage engine behind each model resolves in precedence order: a
-// -model-engine id=engine pin, then the engine the client's OPEN frame
-// requested (mlkv.WithEngine), then the -engine default. A pinned model
-// refuses OPENs requesting a different engine. The clock-free B+tree has
-// no staleness clock, so models it backs always open with the bound off.
+// Every model is a hybrid log; -staleness -1 serves plain FASTER, the log
+// with its clock off.
 //
 // SIGINT/SIGTERM shut down gracefully: the listener closes, in-flight
 // requests finish and flush, sessions drain, every model is checkpointed
@@ -31,8 +26,8 @@
 //
 // With -debug-addr set, an HTTP listener exposes expvar at /debug/vars —
 // per-model counters (mlkv_models), per-model per-op-class latency
-// percentiles (mlkv_latency), per-engine aggregates (mlkv_engines), and
-// the server's connection/request counters (mlkv_server) — plus the
+// percentiles (mlkv_latency), and the server's connection/request
+// counters (mlkv_server) — plus the
 // net/http/pprof profiling endpoints under /debug/pprof/ on the same
 // listener, so a CPU or heap profile of a live server is one curl away.
 package main
@@ -50,7 +45,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"strings"
 	"syscall"
 	"time"
 
@@ -59,7 +53,6 @@ import (
 	"github.com/llm-db/mlkv-go/internal/kv"
 	"github.com/llm-db/mlkv-go/internal/latency"
 	"github.com/llm-db/mlkv-go/internal/server"
-	"github.com/llm-db/mlkv-go/internal/stats"
 )
 
 func main() {
@@ -70,7 +63,6 @@ func main() {
 		shards       = flag.Int("shards", 1, "default hash partitions per model (an OPEN may request its own)")
 		bufferMB     = flag.Int("buffer-mb", 64, "per-model in-memory buffer budget (total, split across its shards)")
 		records      = flag.Uint64("records", 1<<20, "expected key count per model (sizes the hash indexes)")
-		engine       = flag.String("engine", "mlkv", "default storage engine for new models (mlkv|bptree); for plain FASTER, the hybrid log with the clock off, use -staleness -1")
 		staleness    = flag.Int64("staleness", -2, "default staleness bound for new models: -2=asp (never blocks; the default, as for a local model), -1=off (plain FASTER), 0=bsp, n>0=ssp")
 		cache        = flag.Int("cache", 0, "per-model server-side hot-tier capacity in entries (0 disables); consulted once a model's store has spilled to disk (one that fits in -buffer-mb is served by the log's in-memory region), and cached reads are served only within each model's staleness bound")
 		sync         = flag.Bool("sync", false, "fsync every flushed log page; also checkpoint all models on shutdown")
@@ -83,30 +75,12 @@ func main() {
 		heartbeat    = flag.Duration("heartbeat", 500*time.Millisecond, "cluster heartbeat interval between peers")
 		suspectAfter = flag.Duration("suspect-after", 2*time.Second, "how long a silent peer is tolerated before this node suspects it dead; a quorum of suspecting peers confirms the death and triggers replica promotion")
 	)
-	modelEngines := map[string]string{}
-	flag.Func("model-engine", "pin a model to an engine as id=engine (repeatable); a pinned model refuses OPENs requesting another engine", func(v string) error {
-		id, eng, ok := strings.Cut(v, "=")
-		if !ok || id == "" {
-			return fmt.Errorf("want id=engine, got %q", v)
-		}
-		canonical, err := kv.NormalizeEngine(eng)
-		if err != nil {
-			return err
-		}
-		modelEngines[id] = canonical
-		return nil
-	})
 	flag.Parse()
 	if *shards < 1 {
 		fmt.Fprintf(os.Stderr, "-shards must be >= 1, got %d\n", *shards)
 		os.Exit(2)
 	}
-	defaultEngine, err := kv.NormalizeEngine(*engine)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "-engine: %v\n", err)
-		os.Exit(2)
-	}
-	defaultBound, err := server.FlagBound(*staleness, *engine)
+	defaultBound, err := server.FlagBound(*staleness)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -125,32 +99,15 @@ func main() {
 		DefaultShards: *shards,
 		DefaultBound:  defaultBound,
 		CacheEntries:  *cache,
-		Name:          *engine,
-		Opener: func(id string, dim, shards int, bound int64, reqEngine string) (kv.Store, error) {
-			eng := reqEngine
-			if pinned, ok := modelEngines[id]; ok {
-				if reqEngine != "" && reqEngine != pinned {
-					return nil, fmt.Errorf("model %q is pinned to engine %q, client requested %q", id, pinned, reqEngine)
-				}
-				eng = pinned
-			} else if eng == "" {
-				eng = defaultEngine
-			}
-			if kv.ClockFree(eng) {
-				bound = -1
-			}
-			log.Printf("mlkv-server: opening model %q (engine=%s dim=%d shards=%d staleness=%s)",
-				id, eng, dim, shards, boundName(bound))
-			name := eng
-			if eng == kv.EngineFaster {
-				name = kv.HybridLogName(bound)
-			}
-			return kv.OpenEngine(eng, kv.ShardedConfig{
+		Opener: func(id string, dim, shards int, bound int64) (kv.Store, error) {
+			log.Printf("mlkv-server: opening model %q (dim=%d shards=%d staleness=%s)",
+				id, dim, shards, boundName(bound))
+			return kv.OpenEngine(kv.EngineFaster, kv.ShardedConfig{
 				Dir: filepath.Join(d, id), Shards: shards, ValueSize: dim * 4,
 				RecordsPerPage: 256, MemoryBytes: int64(*bufferMB) << 20,
 				ExpectedKeys: *records, StalenessBound: bound, SyncWrites: *sync,
 				FlushPace: *flushPace,
-			}, name)
+			}, kv.HybridLogName(bound))
 		},
 	})
 	defer reg.Close()
@@ -274,32 +231,14 @@ func main() {
 		srvCfg.Cluster = clusterState
 	}
 	srv := server.New(srvCfg)
-	log.Printf("mlkv-server: serving %s models (default shards=%d buffer=%dMB/model staleness=%s cache=%d sync=%v) on %s",
-		*engine, *shards, *bufferMB, boundName(defaultBound), *cache, *sync, ln.Addr())
+	log.Printf("mlkv-server: serving models (default shards=%d buffer=%dMB/model staleness=%s cache=%d sync=%v) on %s",
+		*shards, *bufferMB, boundName(defaultBound), *cache, *sync, ln.Addr())
 
 	if *debugAddr != "" {
 		expvar.Publish("mlkv_models", expvar.Func(func() any {
 			out := map[string]any{}
 			for _, m := range reg.Models() {
 				out[m.ID()] = m.Stats()
-			}
-			return out
-		}))
-		expvar.Publish("mlkv_engines", expvar.Func(func() any {
-			// engine → model count + the merged counters of its models.
-			type perEngine struct {
-				Models int
-				stats.Counters
-			}
-			out := map[string]*perEngine{}
-			for _, m := range reg.Models() {
-				e := out[m.Engine()]
-				if e == nil {
-					e = &perEngine{}
-					out[m.Engine()] = e
-				}
-				e.Models++
-				e.Counters = e.Counters.Add(m.Stats())
 			}
 			return out
 		}))

@@ -12,7 +12,7 @@
 // to "mlkv://addr" and opens the named model (-model, default the task
 // name) with its dimension — the server creates it on first open. Each
 // training step travels as one GETBATCH and one PUTBATCH frame. The
-// server owns the model's engine, staleness bound and sizing: for BSP
+// server owns the model's staleness bound and sizing: for BSP
 // over the network, run the server with -staleness 0 and train with
 // -mode sync.
 package main
@@ -33,7 +33,7 @@ import (
 func main() {
 	var (
 		task      = flag.String("task", "dlrm", "task (dlrm|kge|gnn)")
-		backendN  = flag.String("backend", "mlkv", "backend (mlkv|faster|bptree|mem)")
+		backendN  = flag.String("backend", "mlkv", "backend (mlkv|faster|mem): faster is the hybrid log with its clock off, mem an in-memory table")
 		addr      = flag.String("addr", "", "train against a running mlkv-server at this address (overrides -backend)")
 		modelID   = flag.String("model", "", "model name on the server (default: the task name)")
 		conns     = flag.Int("conns", 0, "remote connection pool size (default: workers+2)")
@@ -57,6 +57,12 @@ func main() {
 		mode = train.ModeSync
 	default:
 		fmt.Fprintf(os.Stderr, "unknown mode %q (async|sync)\n", *modeN)
+		os.Exit(2)
+	}
+	switch *backendN {
+	case "mlkv", "faster", "mem":
+	default:
+		fmt.Fprintf(os.Stderr, "unknown backend %q (mlkv|faster|mem)\n", *backendN)
 		os.Exit(2)
 	}
 
@@ -97,16 +103,16 @@ func main() {
 				}
 				defer os.RemoveAll(target)
 			}
-			// A server owns its models' engine, bound and sizing; a local
-			// directory takes them from the flags. Only the mlkv backend
-			// runs the staleness clock and has a prefetch interface.
+			// A server owns its models' bound and sizing; a local directory
+			// takes them from the flags. Only the mlkv backend runs the
+			// staleness clock and looks ahead; faster is the same log
+			// with the clock off.
 			bound := mlkv.Disabled
 			if *backendN == "mlkv" {
 				bound = *staleness
 			}
 			useLookahead = *backendN == "mlkv"
 			mopts = append(mopts,
-				mlkv.WithEngine(*backendN),
 				mlkv.WithStalenessBound(bound),
 				mlkv.WithMemory(int64(*bufferMB)<<20),
 				mlkv.WithExpectedKeys(*keys))

@@ -42,7 +42,7 @@ func main() {
 		ops      = flag.Int64("ops", 1<<21, "operations to run")
 		threads  = flag.Int("threads", 8, "client threads")
 		distName = flag.String("dist", "zipfian", "request distribution (uniform|zipfian)")
-		vs       = flag.Int("valuesize", 64, "value size in bytes (local engines)")
+		vs       = flag.Int("valuesize", 64, "value size in bytes (local store)")
 		bufferMB = flag.Int("buffer-mb", 64, "in-memory buffer budget (total, split across shards)")
 		engine   = flag.String("engine", "mlkv", "engine (mlkv|faster)")
 		readFrac = flag.Float64("read-fraction", 0.5, "fraction of reads")

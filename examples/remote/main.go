@@ -27,15 +27,14 @@ func main() {
 	}
 	defer os.RemoveAll(dir)
 
-	// A model registry that lazily opens a 4-shard store per named model —
-	// exactly what cmd/mlkv-server builds from its flags. The engine the
-	// client requested (mlkv.WithEngine, "" for the default) picks the
-	// storage engine behind the model.
+	// A model registry that lazily opens a 4-shard hybrid-log store per
+	// named model under the bound the client's Open carries — exactly what
+	// cmd/mlkv-server builds from its flags.
 	reg := server.NewRegistry(server.RegistryConfig{
 		DefaultShards: 4,
 		DefaultBound:  mlkv.ASP,
-		Opener: func(id string, dim, shards int, bound int64, engine string) (kv.Store, error) {
-			return kv.OpenEngine(engine, kv.ShardedConfig{
+		Opener: func(id string, dim, shards int, bound int64) (kv.Store, error) {
+			return kv.OpenEngine(kv.EngineFaster, kv.ShardedConfig{
 				Dir: filepath.Join(dir, id), Shards: shards, ValueSize: dim * 4,
 				MemoryBytes: 8 << 20, ExpectedKeys: 10000, StalenessBound: bound,
 			}, "mlkv")

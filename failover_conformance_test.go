@@ -47,8 +47,8 @@ func startFailoverNode(t *testing.T, id, dir string, ln net.Listener, m *cluster
 		DefaultShards: 2,
 		DefaultBound:  mlkv.ASP,
 		Name:          id,
-		Opener: func(model string, dim, shards int, b int64, engine string) (kv.Store, error) {
-			return kv.OpenEngine(engine, kv.ShardedConfig{
+		Opener: func(model string, dim, shards int, b int64) (kv.Store, error) {
+			return kv.OpenEngine(kv.EngineFaster, kv.ShardedConfig{
 				Dir: filepath.Join(dir, model), Shards: shards, ValueSize: dim * 4,
 				RecordsPerPage: 64, MemoryBytes: 1 << 20, ExpectedKeys: 1 << 12,
 				StalenessBound: b,

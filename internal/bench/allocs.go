@@ -35,7 +35,7 @@ func (e *Env) AllocSweep() error {
 	for _, entries := range []int{0, records} {
 		reg := server.NewRegistry(server.RegistryConfig{
 			DefaultBound: faster.BoundAsync,
-			Opener: func(id string, d, shards int, bound int64, engine string) (kv.Store, error) {
+			Opener: func(id string, d, shards int, bound int64) (kv.Store, error) {
 				return kv.OpenEngine(kv.EngineFaster, kv.ShardedConfig{
 					Dir: e.dir("allocs"), Shards: shards, ValueSize: d * 4,
 					MemoryBytes: 32 << 20, ExpectedKeys: records,

@@ -101,7 +101,7 @@ func TestFig6And7(t *testing.T) {
 			t.Fatalf("%s: %v\n%s", fig, err, out.String())
 		}
 	}
-	for _, want := range []string{"mlkv", "faster", "bptree", "J/batch", "native"} {
+	for _, want := range []string{"mlkv", "faster", "J/batch", "native"} {
 		if !strings.Contains(out.String(), want) {
 			t.Fatalf("output missing %q", want)
 		}
@@ -334,29 +334,6 @@ func BenchmarkFailover(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := e.failoverTrial(i, failoverBenchHealth); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-// TestEngineSweepRunsAtTinyScale covers the bake-off experiment: every
-// engine must complete both YCSB mixes and the public-API read leg, and
-// the report must carry one row per engine in each table.
-func TestEngineSweepRunsAtTinyScale(t *testing.T) {
-	if testing.Short() {
-		t.Skip("integration harness; skipped in -short")
-	}
-	var out bytes.Buffer
-	e := NewEnv(Tiny, t.TempDir(), &out)
-	if err := e.Run("engines"); err != nil {
-		t.Fatalf("engines: %v\n%s", err, out.String())
-	}
-	s := out.String()
-	for _, want := range []string{
-		"read-heavy", "update-heavy", "public API",
-		"faster", "bptree", "vs-faster",
-	} {
-		if !strings.Contains(s, want) {
-			t.Fatalf("output missing %q:\n%s", want, s)
 		}
 	}
 }

@@ -57,7 +57,7 @@ func (e *Env) clusterNodes(n int, records uint64, bufKB int) (string, func(), er
 		reg := server.NewRegistry(server.RegistryConfig{
 			DefaultShards: 1,
 			Name:          specs[i].ID,
-			Opener: func(id string, d, shards int, bound int64, engine string) (kv.Store, error) {
+			Opener: func(id string, d, shards int, bound int64) (kv.Store, error) {
 				return kv.OpenEngine(kv.EngineFaster, kv.ShardedConfig{
 					Dir: dir + "/" + id, Shards: shards, ValueSize: d * 4,
 					MemoryBytes: int64(bufKB) << 10, RecordsPerPage: 256,

@@ -9,7 +9,6 @@ import (
 
 	"github.com/llm-db/mlkv-go/internal/core"
 	"github.com/llm-db/mlkv-go/internal/data"
-	"github.com/llm-db/mlkv-go/internal/kv"
 	"github.com/llm-db/mlkv-go/internal/models"
 	"github.com/llm-db/mlkv-go/internal/train"
 )
@@ -115,21 +114,17 @@ func (e *Env) printf(format string, args ...any) {
 // mlkvTable opens a hybrid-log core.Table sized to bufKB kilobytes of
 // memory, partitioned across e.Shards shards.
 func (e *Env) mlkvTable(tag string, dim int, bound int64, bufKB int, expectedKeys uint64, init core.Initializer) (*core.Table, error) {
-	return e.engineTable(tag, kv.EngineFaster, dim, bound, bufKB, expectedKeys, init)
-}
-
-// engineTable is mlkvTable on a named engine.
-func (e *Env) engineTable(tag, engine string, dim int, bound int64, bufKB int, expectedKeys uint64, init core.Initializer) (*core.Table, error) {
 	return core.OpenTable(core.Options{
-		Dir: e.dir(tag), Dim: dim, Engine: engine, StalenessBound: bound, Shards: e.Shards,
+		Dir: e.dir(tag), Dim: dim, StalenessBound: bound, Shards: e.Shards,
 		MemoryBytes: int64(bufKB) << 10, RecordsPerPage: 256,
 		ExpectedKeys: expectedKeys, Init: init,
 	})
 }
 
-// backendSet builds the Figure 7 engine lineup at one buffer size: every
-// engine behind the same core.Table, so the figure compares storage
-// engines and nothing else.
+// backendSet builds the Figure 7 lineup at one buffer size: MLKV and plain
+// FASTER, the same hybrid log behind the same core.Table with the clock on
+// and off, so the figure measures the clock and look-ahead and nothing
+// else.
 func (e *Env) backendSet(dim int, bound int64, bufKB int, keys uint64, init core.Initializer) (map[string]train.Backend, func(), error) {
 	out := map[string]train.Backend{}
 	var tables []*core.Table
@@ -139,14 +134,13 @@ func (e *Env) backendSet(dim int, bound int64, bufKB int, keys uint64, init core
 		}
 	}
 	for _, b := range []struct {
-		name, engine string
-		bound        int64
+		name  string
+		bound int64
 	}{
-		{"mlkv", kv.EngineFaster, bound},
-		{"faster", kv.EngineFaster, core.BoundDisabled},
-		{"bptree", kv.EngineBPTree, core.BoundDisabled},
+		{"mlkv", bound},
+		{"faster", core.BoundDisabled},
 	} {
-		t, err := e.engineTable(b.name, b.engine, dim, b.bound, bufKB, keys, init)
+		t, err := e.mlkvTable(b.name, dim, b.bound, bufKB, keys, init)
 		if err != nil {
 			closeAll()
 			return nil, nil, err

@@ -112,7 +112,7 @@ func (e *Env) failoverTrial(trial int, hc cluster.HealthConfig) (time.Duration, 
 		reg := server.NewRegistry(server.RegistryConfig{
 			DefaultShards: 1,
 			Name:          id,
-			Opener: func(model string, d, shards int, bound int64, engine string) (kv.Store, error) {
+			Opener: func(model string, d, shards int, bound int64) (kv.Store, error) {
 				return kv.OpenEngine(kv.EngineFaster, kv.ShardedConfig{
 					Dir: dir + "/" + model, Shards: shards, ValueSize: d * 4,
 					MemoryBytes: 1 << 20, RecordsPerPage: 256,

@@ -143,8 +143,8 @@ func printCurve(e *Env, name, metric string, res *train.Result) {
 
 // Fig7 reproduces Figure 7: larger-than-memory training throughput (top)
 // and energy (bottom) across backends and buffer sizes, for all three
-// tasks. Expected shape: mlkv > faster > bptree, gaps narrowing as
-// buffers grow.
+// tasks, MLKV against plain FASTER. Expected shape: mlkv > faster, the gap
+// narrowing as buffers grow.
 func (e *Env) Fig7() error {
 	e.printf("== Figure 7: larger-than-memory throughput and energy vs buffer size ==\n")
 	tasks := []string{"dlrm", "kge", "gnn"}
@@ -156,7 +156,7 @@ func (e *Env) Fig7() error {
 		}
 		e.printf("\n")
 		rows := map[string][]string{}
-		order := []string{"mlkv", "faster", "bptree"}
+		order := []string{"mlkv", "faster"}
 		for _, kb := range e.Scale.BufferKBs {
 			init := e.ctrInit()
 			keys := e.Scale.CTRCard * uint64(e.Scale.CTRFields)
@@ -515,7 +515,7 @@ func (e *Env) runShardedYCSB(shards, threads, vs, bufKB int) (float64, error) {
 // measurements the experiment records land in BENCH_<name>.json.
 func (e *Env) Run(name string) error {
 	if name == "all" {
-		for _, n := range []string{"fig2", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "shards", "network", "cache", "allocs", "engines", "latency", "cluster", "failover"} {
+		for _, n := range []string{"fig2", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "shards", "network", "cache", "allocs", "latency", "cluster", "failover"} {
 			if err := e.Run(n); err != nil {
 				return fmt.Errorf("%s: %w", n, err)
 			}
@@ -547,8 +547,6 @@ func (e *Env) Run(name string) error {
 		err = e.CacheSweep()
 	case "allocs":
 		err = e.AllocSweep()
-	case "engines":
-		err = e.EngineSweep()
 	case "latency":
 		err = e.LatencySweep()
 	case "cluster":
@@ -556,7 +554,7 @@ func (e *Env) Run(name string) error {
 	case "failover":
 		err = e.FailoverSweep()
 	default:
-		return fmt.Errorf("bench: unknown experiment %q (fig2|fig6|fig7|fig8|fig9|fig10|fig11|shards|network|cache|allocs|engines|latency|cluster|failover|all)", name)
+		return fmt.Errorf("bench: unknown experiment %q (fig2|fig6|fig7|fig8|fig9|fig10|fig11|shards|network|cache|allocs|latency|cluster|failover|all)", name)
 	}
 	if err != nil {
 		return err

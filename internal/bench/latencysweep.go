@@ -104,7 +104,7 @@ func (e *Env) LatencySweep() error {
 	// floor — which is exactly what the cache-on rows then erase.
 	reg := server.NewRegistry(server.RegistryConfig{
 		DefaultBound: faster.BoundAsync,
-		Opener: func(id string, d, shards int, bound int64, engine string) (kv.Store, error) {
+		Opener: func(id string, d, shards int, bound int64) (kv.Store, error) {
 			return kv.OpenEngine(kv.EngineFaster, kv.ShardedConfig{
 				Dir: e.dir("latency-remote"), Shards: shards, ValueSize: d * 4,
 				MemoryBytes: int64(bufKB) << 10, RecordsPerPage: 256,

@@ -25,8 +25,8 @@ func TestRedialBackoff(t *testing.T) {
 		DefaultShards: 1,
 		DefaultBound:  -1,
 		Name:          "backoff-test",
-		Opener: func(id string, dim, shards int, bound int64, engine string) (kv.Store, error) {
-			return kv.OpenEngine(engine, kv.ShardedConfig{
+		Opener: func(id string, dim, shards int, bound int64) (kv.Store, error) {
+			return kv.OpenEngine(kv.EngineFaster, kv.ShardedConfig{
 				Dir: filepath.Join(dir, id), Shards: shards, ValueSize: dim * 4,
 				RecordsPerPage: 64, MemoryBytes: 1 << 20, ExpectedKeys: 1 << 12,
 				StalenessBound: bound,

@@ -2,7 +2,7 @@
 // speaking the internal/wire protocol, from which callers open any number
 // of named models — the network half of the paper's
 // Open(model_id, dim, staleness_bound) interface. Each opened Model
-// exposes the same kv.Store/kv.Session interfaces the in-process engines
+// exposes the same kv.Store/kv.Session interfaces the in-process stores
 // implement, so the YCSB harness, benchmark sweeps, and examples run
 // against a remote model unchanged.
 //
@@ -298,20 +298,13 @@ type OpenSpec struct {
 	// (see kv.ResolveOpen). wire.BoundUnset takes the server's default for
 	// a new model and the running bound of a live one.
 	Bound int64
-	// Engine requests a storage engine ("faster", "bptree") for a
-	// newly created model; "" takes the server's choice. An existing model
-	// opened with a different engine is refused by the server.
-	Engine string
 }
 
 // OpenModel creates or looks up the named model on the server and returns
 // its handle. Opening the same name twice returns equivalent models — the
 // server deduplicates by name.
 func (c *Client) OpenModel(ctx context.Context, spec OpenSpec) (*Model, error) {
-	req, err := wire.EncodeOpen(spec.ID, spec.Dim, spec.Shards, spec.Bound, spec.Engine)
-	if err != nil {
-		return nil, fmt.Errorf("client: open model %q: %w", spec.ID, err)
-	}
+	req := wire.EncodeOpen(spec.ID, spec.Dim, spec.Shards, spec.Bound)
 	cn, err := c.pick()
 	if err != nil {
 		return nil, fmt.Errorf("client: open model %q: %w", spec.ID, err)
@@ -320,7 +313,7 @@ func (c *Client) OpenModel(ctx context.Context, spec OpenSpec) (*Model, error) {
 	if err != nil {
 		return nil, fmt.Errorf("client: open model %q: %w", spec.ID, err)
 	}
-	handle, dim, shards, bound, engine, err := wire.DecodeOpenResp(p)
+	handle, dim, shards, bound, name, err := wire.DecodeOpenResp(p)
 	cn.release(p)
 	if err != nil {
 		return nil, fmt.Errorf("client: open model %q: %w", spec.ID, err)
@@ -328,7 +321,7 @@ func (c *Client) OpenModel(ctx context.Context, spec OpenSpec) (*Model, error) {
 	if dim != spec.Dim {
 		return nil, fmt.Errorf("client: model %q: server dim %d != requested %d", spec.ID, dim, spec.Dim)
 	}
-	return &Model{c: c, handle: handle, id: spec.ID, dim: dim, shards: shards, bound: bound, engine: engine}, nil
+	return &Model{c: c, handle: handle, id: spec.ID, dim: dim, shards: shards, bound: bound, name: name}, nil
 }
 
 // Model is one named model on the server: a remote kv.Store, every
@@ -339,8 +332,8 @@ type Model struct {
 	id     string
 	dim    int
 	shards int
-	bound  int64 // the staleness bound the server reported at open
-	engine string
+	bound  int64  // the staleness bound the server reported at open
+	name   string // the server store's Name
 }
 
 // ID returns the model name.
@@ -364,8 +357,8 @@ func (m *Model) StalenessBound() int64 { return m.bound }
 // round trip to save.
 func (m *Model) Resident() bool { return false }
 
-// Name identifies the remote engine in benchmark output.
-func (m *Model) Name() string { return "remote(" + m.engine + ")" }
+// Name identifies the remote store in benchmark output.
+func (m *Model) Name() string { return "remote(" + m.name + ")" }
 
 // Close releases nothing on the server (the registry owns the model's
 // lifecycle); it exists to satisfy kv.Store. Close the Client to tear

@@ -122,7 +122,7 @@ func (s *fakeServer) handle(c net.Conn, wmu *sync.Mutex, f wire.Frame) {
 		case wire.OpHello:
 			resp = wire.EncodeHelloResp("fake")
 		case wire.OpOpen:
-			_, dim, _, bound, _, err := wire.DecodeOpen(f.Payload)
+			_, dim, _, bound, err := wire.DecodeOpen(f.Payload)
 			if err != nil {
 				op, resp = wire.RespErr, []byte(err.Error())
 				break
@@ -322,8 +322,8 @@ func startRealServer(t *testing.T) string {
 		DefaultShards: 1,
 		DefaultBound:  -1,
 		Name:          "client-test",
-		Opener: func(id string, dim, shards int, bound int64, engine string) (kv.Store, error) {
-			return kv.OpenEngine(engine, kv.ShardedConfig{
+		Opener: func(id string, dim, shards int, bound int64) (kv.Store, error) {
+			return kv.OpenEngine(kv.EngineFaster, kv.ShardedConfig{
 				Dir: filepath.Join(dir, id), Shards: shards, ValueSize: dim * 4,
 				RecordsPerPage: 64, MemoryBytes: 1 << 20, ExpectedKeys: 1 << 12,
 				StalenessBound: bound,

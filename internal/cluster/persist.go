@@ -7,6 +7,8 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+
+	"github.com/llm-db/mlkv-go/internal/util"
 )
 
 // Cluster-map persistence: each node saves its current map (and its own
@@ -19,10 +21,11 @@ import (
 //	[2]  self-id length (LE)  [n] self-id bytes
 //	[..] EncodeMap payload (the wire codec — one format, one fuzzer)
 //
-// Writes go through a temp file + os.Rename, so a crash mid-write leaves
-// either the old map or the new one, never a torn file; the CRC catches
-// torn or bit-rotted content anyway and the loader refuses it with a
-// clear error rather than booting from garbage. A persisted map is a
+// Writes go through util.WriteDurable (temp file, fsync, rename, directory
+// fsync), so a crash mid-write leaves either the old map or the new one,
+// never a torn file; the CRC catches torn or bit-rotted content anyway and
+// the loader refuses it with a clear error rather than booting from
+// garbage. A persisted map is a
 // *hint*, not truth: the boot path syncs with live peers afterward, so a
 // stale epoch on disk is superseded by the first CLUSTERSYNC exchange.
 
@@ -51,24 +54,7 @@ func SaveMap(dir, self string, m *Map) error {
 	buf = append(buf, enc...)
 	binary.LittleEndian.PutUint32(buf[8:], crc32.ChecksumIEEE(buf[12:]))
 
-	path := filepath.Join(dir, mapFileName)
-	tmp, err := os.CreateTemp(dir, mapFileName+".tmp*")
-	if err != nil {
-		return fmt.Errorf("cluster: save map: %w", err)
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(buf); err != nil {
-		tmp.Close()
-		return fmt.Errorf("cluster: save map: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("cluster: save map: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("cluster: save map: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
+	if err := util.WriteDurable(filepath.Join(dir, mapFileName), buf); err != nil {
 		return fmt.Errorf("cluster: save map: %w", err)
 	}
 	return nil

@@ -336,11 +336,7 @@ func (sn *sender) sweepModel(id string, rm *replModel) (ok bool) {
 // open, so a replica that first opened it under its own default would,
 // once promoted, refuse the router's OPEN with the model's real bound.
 func (r *Replicator) openModel(rc *rawConn, model string, dim int, bound int64) (uint32, error) {
-	req, err := wire.EncodeOpen(model, dim, 0, bound, "")
-	if err != nil {
-		return 0, err
-	}
-	p, err := rc.roundTrip(wire.OpOpen, req, replDialTimeout)
+	p, err := rc.roundTrip(wire.OpOpen, wire.EncodeOpen(model, dim, 0, bound), replDialTimeout)
 	if err != nil {
 		return 0, err
 	}

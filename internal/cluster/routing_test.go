@@ -100,8 +100,8 @@ func startCluster(t *testing.T, specs []cluster.Node, proxied ...string) (*clust
 			DefaultShards: 1,
 			DefaultBound:  faster.BoundAsync,
 			Name:          spec.ID,
-			Opener: func(id string, dim, shards int, b int64, engine string) (kv.Store, error) {
-				return kv.OpenEngine(engine, kv.ShardedConfig{
+			Opener: func(id string, dim, shards int, b int64) (kv.Store, error) {
+				return kv.OpenEngine(kv.EngineFaster, kv.ShardedConfig{
 					Dir: filepath.Join(dir, id), Shards: shards, ValueSize: dim * 4,
 					RecordsPerPage: 64, MemoryBytes: 1 << 20, ExpectedKeys: 1 << 12,
 					StalenessBound: b,

@@ -17,16 +17,16 @@ import (
 )
 
 // matrixOptions is the conformance matrix's table sizing.
-func matrixOptions(dir, engine string, dim, shards int, bound int64) Options {
+func matrixOptions(dir string, dim, shards int, bound int64) Options {
 	return Options{
-		Dir: dir, Dim: dim, Engine: engine, Shards: shards, StalenessBound: bound,
+		Dir: dir, Dim: dim, Shards: shards, StalenessBound: bound,
 		MemoryBytes: 1 << 20, RecordsPerPage: 64, Init: UniformInit(0.1, 42),
 	}
 }
 
 func testShardedTable(t *testing.T, dim, shards int, bound int64) *Table {
 	t.Helper()
-	tbl, err := OpenTable(matrixOptions(t.TempDir(), kv.EngineFaster, dim, shards, bound))
+	tbl, err := OpenTable(matrixOptions(t.TempDir(), dim, shards, bound))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,9 +35,10 @@ func testShardedTable(t *testing.T, dim, shards int, bound int64) *Table {
 }
 
 // forEachTable runs fn over the same matrix kv's TestStoreConformance
-// covers one layer down: engine ∈ {faster, bptree} × shards ∈ {1, 4}.
+// covers one layer down: the hybrid log (the one engine, which keeps its
+// level in the subtest names) × shards ∈ {1, 4}.
 func forEachTable(t *testing.T, fn func(t *testing.T, engine string, shards int)) {
-	for _, engine := range []string{kv.EngineFaster, kv.EngineBPTree} {
+	for _, engine := range []string{kv.EngineFaster} {
 		for _, shards := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%s/shards=%d", engine, shards), func(t *testing.T) {
 				fn(t, engine, shards)
@@ -46,13 +47,12 @@ func forEachTable(t *testing.T, fn func(t *testing.T, engine string, shards int)
 	}
 }
 
-// TestTableConformance: a table behaves the same on every engine at every
-// shard count — typed round trips, seeded first-touch init, in-storage
+// TestTableConformance: a table behaves the same at every shard count — typed round trips, seeded first-touch init, in-storage
 // gradient steps, merged counters, lookahead.
 func TestTableConformance(t *testing.T) {
 	const dim = 4
 	forEachTable(t, func(t *testing.T, engine string, shards int) {
-		tbl, err := OpenTable(matrixOptions(t.TempDir(), engine, dim, shards, BoundDisabled))
+		tbl, err := OpenTable(matrixOptions(t.TempDir(), dim, shards, BoundDisabled))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,7 +100,7 @@ func TestTableConformance(t *testing.T) {
 		}
 
 		// First touch: scalar and batched reads of untouched keys see the
-		// seeded initializer's values, identical on every engine.
+		// seeded initializer's values, identical at every shard count.
 		fresh := []uint64{1 << 40, 1<<40 + 1, 1<<40 + 2, 1<<40 + 3}
 		want := make([]float32, dim)
 		if err := s.Get(fresh[0], got); err != nil {
@@ -162,11 +162,7 @@ func TestTableBatchRoundTripConcurrent(t *testing.T) {
 		// would deadlock this access pattern by design: Zipf batches repeat
 		// hot keys, every worker reads before writing, and a read of a
 		// record at the bound waits for a Put no blocked worker can issue.
-		bound := BoundASP
-		if kv.ClockFree(engine) {
-			bound = BoundDisabled
-		}
-		tbl, err := OpenTable(matrixOptions(t.TempDir(), engine, dim, shards, bound))
+		tbl, err := OpenTable(matrixOptions(t.TempDir(), dim, shards, BoundASP))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -237,13 +233,9 @@ func TestTableBatchRoundTripConcurrent(t *testing.T) {
 // flight; the sleep widens the window in which an overlap would show.
 func TestParallelFirstTouch(t *testing.T) {
 	const dim, n = 4, 64
-	for _, engine := range []string{kv.EngineFaster, kv.EngineBPTree} {
+	for _, engine := range []string{kv.EngineFaster} {
 		t.Run(engine, func(t *testing.T) {
-			bound := BoundASP
-			if kv.ClockFree(engine) {
-				bound = BoundDisabled
-			}
-			opts := matrixOptions(t.TempDir(), engine, dim, 4, bound)
+			opts := matrixOptions(t.TempDir(), dim, 4, BoundASP)
 			opts.MemoryBytes = 1
 			uniform := UniformInit(0.1, 42)
 			var inFlight, overlaps atomic.Int32
@@ -301,7 +293,7 @@ func TestParallelFirstTouch(t *testing.T) {
 func TestTableRecovery(t *testing.T) {
 	const dim = 4
 	forEachTable(t, func(t *testing.T, engine string, shards int) {
-		opts := matrixOptions(t.TempDir(), engine, dim, shards, BoundDisabled)
+		opts := matrixOptions(t.TempDir(), dim, shards, BoundDisabled)
 		tbl, err := OpenTable(opts)
 		if err != nil {
 			t.Fatal(err)
@@ -353,7 +345,7 @@ func TestTableRecovery(t *testing.T) {
 // TestCrossStackReopen: there is one owner of the on-disk layout, so a
 // model directory written through kv.OpenEngine (the server's opener)
 // reopens through core.OpenTable (the local driver's) with the same
-// engine, shard count and page size and reads back byte-exact — and the
+// shard count and page size and reads back byte-exact — and the
 // reverse. The hybrid log does not persist its page size, so the test
 // pins it on both sides.
 func TestCrossStackReopen(t *testing.T) {
@@ -398,7 +390,7 @@ func TestCrossStackReopen(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			tbl, err := OpenTable(matrixOptions(dir, engine, dim, shards, BoundDisabled))
+			tbl, err := OpenTable(matrixOptions(dir, dim, shards, BoundDisabled))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -418,7 +410,7 @@ func TestCrossStackReopen(t *testing.T) {
 		})
 		t.Run("core-then-kv", func(t *testing.T) {
 			dir := t.TempDir()
-			tbl, err := OpenTable(matrixOptions(dir, engine, dim, shards, BoundDisabled))
+			tbl, err := OpenTable(matrixOptions(dir, dim, shards, BoundDisabled))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,8 +1,8 @@
 // Package core implements MLKV proper: the embedding-table abstraction the
 // paper's §III exposes to ML frameworks. A Table is the typed layer over
-// the kv engine seam: it stores one embedding table (fixed dimension) in a
-// sharded engine store — by default the FASTER-style hybrid log with MLKV's
-// bounded-staleness consistency — and adds what is table-level: the
+// the kv store: it stores one embedding table (fixed dimension) in a
+// sharded FASTER-style hybrid log with MLKV's bounded-staleness
+// consistency, and adds what is table-level: the
 // float32 codec, seeded first-touch initialization, and the Lookahead
 // interface, an asynchronous prefetch pool that moves disk-resident
 // embeddings into the store's mutable memory buffer ahead of use.
@@ -78,10 +78,6 @@ type Options struct {
 	Dir string
 	// Dim is the embedding dimension.
 	Dim int
-	// Engine selects the storage engine: "" / "mlkv" / "faster" (the
-	// hybrid log, the default) or "bptree", which has no vector clock and
-	// refuses a blocking StalenessBound.
-	Engine string
 	// Shards is the number of independent engine instances the key space
 	// is hash-partitioned across. Batch operations fan out across shards,
 	// in parallel once the store has spilled to disk. Default 1: a single
@@ -119,13 +115,12 @@ type Options struct {
 	FlushPace time.Duration
 }
 
-// Table is one embedding table over a sharded engine store. It is safe for
+// Table is one embedding table over a sharded hybrid-log store. It is safe for
 // concurrent use through per-goroutine Sessions.
 type Table struct {
-	store  kv.Store
-	engine string // canonical engine name
-	dim    int
-	init   Initializer
+	store kv.Store
+	dim   int
+	init  Initializer
 
 	// A hint travels to the pool as chunks of at most prefetchChunk keys,
 	// copied into buffers that cycle prefetchFree → prefetchCh → a worker →
@@ -159,17 +154,13 @@ func OpenTable(opts Options) (*Table, error) {
 	if opts.Shards < 0 {
 		return nil, fmt.Errorf("core: Shards must be non-negative, got %d", opts.Shards)
 	}
-	engine, err := kv.NormalizeEngine(opts.Engine)
-	if err != nil {
-		return nil, err
-	}
 	if opts.MemoryBytes == 0 {
 		opts.MemoryBytes = 64 << 20
 	}
 	if opts.RecordsPerPage == 0 {
 		opts.RecordsPerPage = 1024
 	}
-	store, err := kv.OpenEngine(engine, kv.ShardedConfig{
+	store, err := kv.OpenEngine(kv.EngineFaster, kv.ShardedConfig{
 		Dir:             opts.Dir,
 		Shards:          opts.Shards,
 		ValueSize:       opts.Dim * 4,
@@ -179,7 +170,7 @@ func OpenTable(opts Options) (*Table, error) {
 		ExpectedKeys:    opts.ExpectedKeys,
 		StalenessBound:  opts.StalenessBound,
 		FlushPace:       opts.FlushPace,
-	}, engine)
+	}, kv.EngineFaster)
 	if err != nil {
 		return nil, err
 	}
@@ -188,7 +179,6 @@ func OpenTable(opts Options) (*Table, error) {
 	}
 	t := &Table{
 		store:        store,
-		engine:       engine,
 		dim:          opts.Dim,
 		init:         opts.Init,
 		prefetchCh:   make(chan []uint64, prefetchQueue/prefetchChunk),
@@ -211,16 +201,11 @@ func (t *Table) Shards() int { return t.store.Shards() }
 
 // EngineName identifies the engine the way results and OPEN responses do:
 // the hybrid log is "mlkv" while its vector clock runs and "faster" with
-// the bound disabled; the clock-free engines go by their own names.
-func (t *Table) EngineName() string {
-	if t.engine != kv.EngineFaster {
-		return t.engine
-	}
-	return kv.HybridLogName(t.StalenessBound())
-}
+// the bound disabled.
+func (t *Table) EngineName() string { return kv.HybridLogName(t.StalenessBound()) }
 
 // StalenessBound returns the consistency bound the table opened with (-1
-// on a clock-free engine).
+// with the clock off).
 func (t *Table) StalenessBound() int64 { return t.store.StalenessBound() }
 
 // Checkpoint makes the table durable (call at a training barrier).

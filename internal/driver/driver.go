@@ -53,11 +53,6 @@ type ConnectOptions struct {
 type Config struct {
 	// Dim is the embedding dimension.
 	Dim int
-	// Engine selects the storage engine behind the model: "" lets the
-	// target choose (locally the clocked hybrid log; remotely the server's
-	// default), otherwise "mlkv"/"faster" (the hybrid log) or "bptree".
-	// The clock-free B+tree rejects blocking staleness bounds.
-	Engine string
 	// Shards is the hash-partition count (0 = target default).
 	Shards int
 	// Bound is the staleness bound; applied only when BoundSet. Unset, a
@@ -96,8 +91,8 @@ type Model interface {
 	ID() string
 	Dim() int
 	Shards() int
-	// EngineName identifies the backing engine ("mlkv", "faster",
-	// "bptree", or "remote(<engine>)").
+	// EngineName identifies the backing store: "mlkv", "faster" (the
+	// clock off), or "remote(<name>)".
 	EngineName() string
 	// StalenessBound is the bound the model runs under, fixed while it is
 	// open (see kv.ResolveOpen).

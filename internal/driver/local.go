@@ -13,9 +13,8 @@ import (
 )
 
 // localDB serves models out of one data directory, each model a
-// core.Table under <dir>/<id> on the engine Config.Engine names (the
-// clocked hybrid log by default). Opening the same id twice returns the
-// same model (refcounted), mirroring the server registry's by-name
+// core.Table under <dir>/<id>. Opening the same id twice returns the same
+// model (refcounted), mirroring the server registry's by-name
 // deduplication.
 type localDB struct {
 	dir string
@@ -32,27 +31,18 @@ func (db *localDB) Open(ctx context.Context, id string, cfg Config) (Model, erro
 		return nil, err
 	}
 	req := kv.OpenRequest{ID: id, Dim: cfg.Dim, Bound: cfg.Bound, BoundSet: cfg.BoundSet}
-	if cfg.Engine != "" { // "" = caller has no preference; reopens match anything
-		var err error
-		if req.Engine, err = kv.NormalizeEngine(cfg.Engine); err != nil {
-			return nil, err
-		}
-	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if db.closed {
 		return nil, fmt.Errorf("driver: db %q is closed", db.dir)
 	}
 	if m, ok := db.models[id]; ok {
-		live := kv.LiveModel{Dim: m.t.Dim(), Engine: m.engine, Bound: m.t.StalenessBound()}
+		live := kv.LiveModel{Dim: m.t.Dim(), Bound: m.t.StalenessBound()}
 		if _, err := kv.ResolveOpen(req, &live, kv.DefaultBound); err != nil {
 			return nil, err
 		}
 		m.refs++
 		return &localHandle{localModel: m}, nil
-	}
-	if req.Engine == "" {
-		req.Engine = kv.EngineFaster
 	}
 	bound, err := kv.ResolveOpen(req, nil, kv.DefaultBound)
 	if err != nil {
@@ -61,7 +51,6 @@ func (db *localDB) Open(ctx context.Context, id string, cfg Config) (Model, erro
 	t, err := core.OpenTable(core.Options{
 		Dir:            filepath.Join(db.dir, id),
 		Dim:            cfg.Dim,
-		Engine:         req.Engine,
 		Shards:         cfg.Shards,
 		StalenessBound: bound,
 		MemoryBytes:    cfg.MemoryBytes,
@@ -72,7 +61,7 @@ func (db *localDB) Open(ctx context.Context, id string, cfg Config) (Model, erro
 	if err != nil {
 		return nil, err
 	}
-	m := &localModel{db: db, id: id, engine: req.Engine, t: t, refs: 1}
+	m := &localModel{db: db, id: id, t: t, refs: 1}
 	db.models[id] = m
 	return &localHandle{localModel: m}, nil
 }
@@ -105,11 +94,10 @@ func (db *localDB) Close() error {
 // returns its own localHandle so a double Close of one handle releases
 // its reference once, never a sibling's.
 type localModel struct {
-	db     *localDB
-	id     string
-	engine string // canonical: faster or bptree
-	t      *core.Table
-	refs   int // guarded by db.mu
+	db   *localDB
+	id   string
+	t    *core.Table
+	refs int // guarded by db.mu
 }
 
 // localHandle is one Open's view of a shared localModel.

@@ -159,16 +159,8 @@ func (db *remoteDB) Open(ctx context.Context, id string, cfg Config) (Model, err
 	if cfg.BoundSet {
 		bound = cfg.Bound
 	}
-	engine := "" // "" = the server's choice; the wire carries canonical names
-	if cfg.Engine != "" {
-		var err error
-		if engine, err = kv.NormalizeEngine(cfg.Engine); err != nil {
-			return nil, err
-		}
-	}
 	cm, err := db.c.OpenWireModel(ctx, client.OpenSpec{
 		ID: id, Dim: cfg.Dim, Shards: cfg.Shards, Bound: bound,
-		Engine: engine,
 	})
 	if err != nil {
 		return nil, err

@@ -85,8 +85,8 @@ func TestConnectNonClusteredSeed(t *testing.T) {
 	reg := server.NewRegistry(server.RegistryConfig{
 		DefaultShards: 1,
 		DefaultBound:  -1,
-		Opener: func(id string, dim, shards int, bound int64, engine string) (kv.Store, error) {
-			return kv.OpenEngine(engine, kv.ShardedConfig{
+		Opener: func(id string, dim, shards int, bound int64) (kv.Store, error) {
+			return kv.OpenEngine(kv.EngineFaster, kv.ShardedConfig{
 				Dir: filepath.Join(dir, id), Shards: shards, ValueSize: dim * 4,
 				MemoryBytes: 1 << 20, StalenessBound: bound,
 			}, "target-test")

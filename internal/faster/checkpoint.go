@@ -18,10 +18,9 @@ import (
 // which the index is rebuilt by a forward scan on recovery.
 
 const (
-	metaMagic   = uint64(0x4d4c4b56464b5631) // "MLKVFKV1"
-	metaFile    = "CHECKPOINT"
-	metaTmpFile = "CHECKPOINT.tmp"
-	metaSize    = 8 + 8 + 8 + 4 // magic | tailAddr | valueSize | crc
+	metaMagic = uint64(0x4d4c4b56464b5631) // "MLKVFKV1"
+	metaFile  = "CHECKPOINT"
+	metaSize  = 8 + 8 + 8 + 4 // magic | tailAddr | valueSize | crc
 )
 
 // Checkpoint makes the current store contents durable. The caller must
@@ -38,36 +37,10 @@ func (st *Store) Checkpoint() error {
 	binary.LittleEndian.PutUint64(buf[16:], uint64(st.cfg.ValueSize))
 	crc := crc32.ChecksumIEEE(buf[:24])
 	binary.LittleEndian.PutUint32(buf[24:], crc)
-	if err := writeDurable(st.cfg.Dir, metaTmpFile, metaFile, buf); err != nil {
+	if err := util.WriteDurable(filepath.Join(st.cfg.Dir, metaFile), buf); err != nil {
 		return fmt.Errorf("faster: write checkpoint: %w", err)
 	}
 	return nil
-}
-
-// writeDurable replaces dir/name with data so that, once it returns nil, a
-// power loss leaves either the old file or the new one: data is written to
-// dir/tmp and fsynced, renamed over name, and the directory is fsynced so
-// the rename itself is on disk.
-func writeDurable(dir, tmp, name string, data []byte) error {
-	tmpPath := filepath.Join(dir, tmp)
-	f, err := os.OpenFile(tmpPath, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	_, err = f.Write(data)
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return err
-	}
-	if err := os.Rename(tmpPath, filepath.Join(dir, name)); err != nil {
-		return err
-	}
-	return syncDir(dir)
 }
 
 // ErrCorruptCheckpoint indicates a damaged or torn checkpoint file.

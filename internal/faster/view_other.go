@@ -19,7 +19,4 @@ func (v *logView) readAt(buf []byte, off int64) error {
 
 func (v *logView) close() error { return nil }
 
-// syncDir is a no-op here: not every such platform can fsync a directory.
-func syncDir(string) error { return nil }
-
 func (v *logView) advise(int) {}

@@ -116,16 +116,3 @@ func (v *logView) close() error {
 	}
 	return first
 }
-
-// syncDir fsyncs directory dir, making a rename inside it durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}

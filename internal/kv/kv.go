@@ -1,10 +1,9 @@
-// Package kv is the one embedding-access layer over the disk engines: the
+// Package kv is the one embedding-access layer over the disk engine: the
 // byte-level Store/Session contract every framework integration programs
-// against, the per-shard engine contract the two engines (FASTER hybrid
-// log, disk B+tree) implement, and the single sharded store that
-// opens, hash-partitions, fans out over, checkpoints and sums them. It
-// mirrors how the paper integrates PERSIA/DGL/DGL-KE with FASTER, RocksDB,
-// and WiredTiger behind one layer instead of one storage stack each.
+// against, and the sharded store that opens, hash-partitions, fans out
+// over, checkpoints and sums FASTER-style hybrid logs (internal/faster).
+// It mirrors how the paper integrates PERSIA/DGL/DGL-KE with its storage
+// behind one layer instead of one storage stack each.
 package kv
 
 import (
@@ -28,14 +27,14 @@ type Store interface {
 	// Shards is the hash-partition count backing the store.
 	Shards() int
 	// StalenessBound returns the bound of MLKV's bounded-staleness clock,
-	// shared by all shards and fixed when the store opens; a clock-free
-	// engine reports -1.
+	// shared by all shards and fixed when the store opens; -1 when the
+	// clock is off (plain FASTER).
 	StalenessBound() int64
 	// Resident reports whether every record the store holds is still in
 	// its engine's memory, so that no read can wait on a disk: true for a
 	// hybrid-log store none of whose shards has evicted a page yet; false
 	// from the first eviction on, on a store recovered from a checkpoint,
-	// on the B+tree engine, and on a remote model. The answer is
+	// and on a remote model. The answer is
 	// monotone (it never returns to true) and costs one atomic load per
 	// shard. The layers that exist only to hide disk latency — a hot tier
 	// in front of a local engine, goroutine-per-shard batch fan-out — stand
@@ -62,7 +61,7 @@ type Session interface {
 	// Peek reads without consistency effects: no vector-clock
 	// participation, no copy toward the mutable tail. Evaluation traffic
 	// uses it so scoring a model never acquires tokens that would stall
-	// training reads. On a clock-free engine it is Get.
+	// training reads. With the clock off it is Get.
 	Peek(key uint64, dst []byte) (bool, error)
 	// Put upserts key's value.
 	Put(key uint64, val []byte) error
@@ -72,9 +71,8 @@ type Session interface {
 	// stores the result if fn returns true; a declining fn must leave cur
 	// untouched, and the record (or its absence) stays as it was. One
 	// atomic in-storage step on the hybrid log — which is what the wire's
-	// APPLY frame runs server-side; a read, fn, and a write on the
-	// clock-free engines, and on the network client, whose closure cannot
-	// cross the wire.
+	// APPLY frame runs server-side; a read, fn, and a write on the network
+	// client, whose closure cannot cross the wire.
 	RMW(key uint64, fn func(cur []byte, exists bool) bool) error
 	// Prefetch hints that key will be read soon, reporting whether the
 	// engine moved a record toward memory.

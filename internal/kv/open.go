@@ -8,19 +8,14 @@ import (
 	"strings"
 	"time"
 
-	"github.com/llm-db/mlkv-go/internal/bptree"
 	"github.com/llm-db/mlkv-go/internal/faster"
 	"github.com/llm-db/mlkv-go/internal/util"
 )
 
-// Engine names accepted across the public API, the wire protocol, and the
-// server flags. "faster" is the canonical name of the hybrid-log engine;
-// "mlkv" and "" alias it (whether its vector clock runs is the staleness
-// bound's business, not the engine name's).
-const (
-	EngineFaster = "faster"
-	EngineBPTree = "bptree"
-)
+// EngineFaster is the canonical name of the one engine, the hybrid log;
+// "mlkv" and "" alias it. Whether its vector clock runs is the staleness
+// bound's business, not the engine name's.
+const EngineFaster = "faster"
 
 // HybridLogName is what a hybrid-log store running under bound is called
 // in results and OPEN responses: "mlkv" while its vector clock runs,
@@ -32,45 +27,15 @@ func HybridLogName(bound int64) string {
 	return "mlkv"
 }
 
-// NormalizeEngine maps an engine name (or alias, or "") to its canonical
-// form, rejecting unknown names with the accepted set in the message.
-func NormalizeEngine(engine string) (string, error) {
-	switch strings.ToLower(engine) {
-	case "", "mlkv", EngineFaster:
-		return EngineFaster, nil
-	case EngineBPTree:
-		return EngineBPTree, nil
-	}
-	return "", fmt.Errorf("kv: unknown engine %q (want faster or bptree)", engine)
-}
-
-// ClockFree reports whether the canonical engine name has no vector
-// clock, so it can never honor a blocking staleness bound (BSP or finite
-// SSP). Callers reject explicit blocking bounds on such engines up front
-// rather than silently serving unbounded reads.
-func ClockFree(engine string) bool { return engine == EngineBPTree }
-
-// checkBound refuses a blocking staleness bound (BSP or finite SSP) on an
-// engine without a vector clock.
-func checkBound(engine string, bound int64) error {
-	if ClockFree(engine) && faster.BlockingBound(bound) {
-		return fmt.Errorf("kv: engine %q has no vector clock and cannot honor blocking staleness bound %d (use the faster engine, or an async/disabled bound)", engine, bound)
-	}
-	return nil
-}
-
 // DefaultBound is the staleness bound a model opens with when its opener
 // names none, on a local directory and on a server left at its default:
-// ASP, which every engine runs — the hybrid log keeps its clock and never
-// blocks on it, a clock-free engine runs without one.
+// ASP, under which the clock runs and never blocks.
 const DefaultBound = faster.BoundAsync
 
 // OpenRequest is what an opener asks of a named model.
 type OpenRequest struct {
 	ID  string
 	Dim int
-	// Engine is a canonical engine name, or "" for no preference.
-	Engine string
 	// Bound is the requested staleness bound, applied only when BoundSet.
 	Bound    int64
 	BoundSet bool
@@ -79,46 +44,39 @@ type OpenRequest struct {
 // LiveModel is what an open model runs. Bound is what its store reports:
 // -1 when no clock runs.
 type LiveModel struct {
-	Dim    int
-	Engine string
-	Bound  int64
+	Dim   int
+	Bound int64
 }
 
 // ResolveOpen is the open policy of both openers, the local driver and the
 // server registry. It returns the staleness bound the model runs under, or
 // why the request is refused.
 //
-// A live model (live non-nil) refuses a request with another dim, one
-// naming another engine, and one setting a bound other than the one the
-// model reports; a model reporting -1 runs no clock, so it also accepts
-// any non-blocking bound. The bound is fixed while the model is open: once
-// its last handle closes, the next open may choose another.
+// A live model (live non-nil) refuses a request with another dim, and one
+// setting a bound other than the one the model reports; a model reporting
+// -1 runs no clock, so it also accepts any non-blocking bound. The bound
+// is fixed while the model is open: once its last handle closes, the next
+// open may choose another.
 //
 // A new model (live nil) opens under the requested bound, or def when
-// none is set. A clock-free engine refuses a requested blocking bound and
-// runs a blocking default as -1.
+// none is set.
 func ResolveOpen(req OpenRequest, live *LiveModel, def int64) (int64, error) {
 	if live != nil {
 		switch {
 		case live.Dim != req.Dim:
 			return 0, fmt.Errorf("kv: model %q has dim %d, requested %d", req.ID, live.Dim, req.Dim)
-		case req.Engine != "" && req.Engine != live.Engine:
-			return 0, fmt.Errorf("kv: model %q runs engine %q, requested %q", req.ID, live.Engine, req.Engine)
 		case req.BoundSet && req.Bound != live.Bound && (live.Bound != -1 || faster.BlockingBound(req.Bound)):
 			return 0, fmt.Errorf("kv: model %q runs staleness bound %d, requested %d", req.ID, live.Bound, req.Bound)
 		}
 		return live.Bound, nil
 	}
 	if req.BoundSet {
-		return req.Bound, checkBound(req.Engine, req.Bound)
-	}
-	if ClockFree(req.Engine) && faster.BlockingBound(def) {
-		return -1, nil
+		return req.Bound, nil
 	}
 	return def, nil
 }
 
-// ShardedConfig sizes a hash-partitioned engine store. The memory and
+// ShardedConfig sizes a hash-partitioned hybrid-log store. The memory and
 // expected-key budgets are totals: S shards together use the same
 // resources one unsharded store would, so 1-vs-N comparisons are fair.
 type ShardedConfig struct {
@@ -134,20 +92,20 @@ type ShardedConfig struct {
 	// The log does not persist it: reopen a directory with the page size
 	// it was written with.
 	RecordsPerPage int
-	// MemoryBytes is the total in-memory budget across all shards: log
-	// pages for the hybrid log, buffer pool for the B+tree.
+	// MemoryBytes is the total in-memory budget across all shards, spent
+	// on each shard's in-memory log pages.
 	MemoryBytes int64
-	// MutableFraction is the share of each hybrid-log shard's pages
+	// MutableFraction is the share of each shard's in-memory log pages
 	// accepting in-place updates (default 0.5).
 	MutableFraction float64
 	// ExpectedKeys sizes the hash indexes (total across all shards).
 	ExpectedKeys uint64
-	// StalenessBound configures the vector clock (see faster.Config). The
-	// clock-free engines refuse a blocking one.
+	// StalenessBound configures the vector clock (see faster.Config); -1
+	// turns it off, which is plain FASTER.
 	StalenessBound int64
-	// SyncWrites fsyncs every flushed log page / WAL record / page write.
+	// SyncWrites fsyncs every flushed log page.
 	SyncWrites bool
-	// FlushPace paces each hybrid-log shard's background flusher (see
+	// FlushPace paces each shard's background flusher (see
 	// faster.Config.FlushPace); zero disables pacing.
 	FlushPace time.Duration
 }
@@ -163,19 +121,8 @@ func splitBudget(memoryBytes int64, shards int, expectedKeys uint64) (memPerShar
 	return memoryBytes / int64(shards), keysPerShard
 }
 
-// openShard opens one shard of the named engine in dir with its share of
-// the budgets.
-func openShard(engine, dir string, cfg ShardedConfig, mem int64, keys uint64) (shard, error) {
-	if engine == EngineBPTree {
-		st, err := bptree.Open(bptree.Config{
-			Dir: dir, ValueSize: cfg.ValueSize,
-			PoolPages: max(int(mem/4096), 64), SyncWrites: cfg.SyncWrites,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return &bptreeShard{st: st, vs: st.ValueSize()}, nil
-	}
+// openShard opens one shard in dir with its share of the budgets.
+func openShard(dir string, cfg ShardedConfig, mem int64, keys uint64) (*fasterShard, error) {
 	recBytes := int64(cfg.ValueSize + 24)
 	memPages := max(int(mem/(recBytes*int64(cfg.RecordsPerPage))), 4)
 	mutPages := min(max(int(float64(memPages)*cfg.MutableFraction), 1), memPages-2)
@@ -196,38 +143,37 @@ func openShard(engine, dir string, cfg ShardedConfig, mem int64, keys uint64) (s
 	return &fasterShard{Store: st}, nil
 }
 
-// engineMetaFile pins a store directory to one engine, so reopening with a
-// different engine fails crisply instead of misparsing on-disk state.
+// engineMetaFile names the engine a store directory was written by. Only
+// the hybrid log is left, so the file always reads "faster"; it stays as a
+// stored check, so that a directory another engine wrote is refused by
+// name instead of opening as an empty log.
 const engineMetaFile = "ENGINE"
 
-func checkEngineMeta(dir, engine string) error {
+func checkEngineMeta(dir string) error {
 	path := filepath.Join(dir, engineMetaFile)
 	buf, err := os.ReadFile(path)
 	if errors.Is(err, os.ErrNotExist) {
-		return os.WriteFile(path, []byte(engine+"\n"), 0o644)
+		return util.WriteDurable(path, []byte(EngineFaster+"\n"))
 	}
 	if err != nil {
 		return err
 	}
-	if got := strings.TrimSpace(string(buf)); got != engine {
-		return fmt.Errorf("kv: directory %s holds a %q store, cannot reopen as %q", dir, got, engine)
+	if got := strings.TrimSpace(string(buf)); got != EngineFaster {
+		return fmt.Errorf("kv: directory %s holds a %q store, cannot reopen as %q", dir, got, EngineFaster)
 	}
 	return nil
 }
 
-// OpenEngine opens a store of the named engine ("faster" with aliases ""
-// and "mlkv", or "bptree") under cfg — the one place every CLI,
-// server, table, and driver derives an engine store from a total budget,
-// so the split policy, the directory layout, and the engine and
-// shard-count guards cannot drift between them. name is what Store.Name
-// reports.
+// OpenEngine opens a hybrid-log store under cfg — the one place every CLI,
+// server, table, and driver derives a store from a total budget, so the
+// split policy, the directory layout, and the engine and shard-count guards
+// cannot drift between them. engine must be "faster" or one of its aliases,
+// "" and "mlkv"; name is what Store.Name reports.
 func OpenEngine(engine string, cfg ShardedConfig, name string) (Store, error) {
-	eng, err := NormalizeEngine(engine)
-	if err != nil {
-		return nil, err
-	}
-	if err := checkBound(eng, cfg.StalenessBound); err != nil {
-		return nil, err
+	switch engine {
+	case "", "mlkv", EngineFaster:
+	default:
+		return nil, fmt.Errorf("kv: unknown engine %q (want faster)", engine)
 	}
 	if cfg.Shards <= 0 {
 		cfg.Shards = 1
@@ -241,7 +187,7 @@ func OpenEngine(engine string, cfg ShardedConfig, name string) (Store, error) {
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, err
 	}
-	if err := checkEngineMeta(cfg.Dir, eng); err != nil {
+	if err := checkEngineMeta(cfg.Dir); err != nil {
 		return nil, err
 	}
 	if err := util.ValidateShardMeta(cfg.Dir, cfg.Shards); err != nil {
@@ -254,7 +200,7 @@ func OpenEngine(engine string, cfg ShardedConfig, name string) (Store, error) {
 		if cfg.Shards > 1 {
 			d = filepath.Join(cfg.Dir, fmt.Sprintf("shard-%03d", i))
 		}
-		sh, err := openShard(eng, d, cfg, mem, keys)
+		sh, err := openShard(d, cfg, mem, keys)
 		if err != nil {
 			st.Close()
 			return nil, err

@@ -56,13 +56,10 @@ func spill(t *testing.T, st Store) {
 
 // TestResident pins the one question the engine seam answers about disk:
 // true on a fresh hybrid-log store, false from its first evicted page on
-// and after checkpoint → reopen, false on the engine that cannot say, and
-// the hot-tier wrapper passes its inner store's answer through.
+// and after checkpoint → reopen, and the hot-tier wrapper passes its inner
+// store's answer through.
 func TestResident(t *testing.T) {
 	const vs = 16
-	if openTestStore(t, EngineBPTree, 4, vs, -1).Resident() {
-		t.Fatal("bptree store reports resident")
-	}
 	cfg := spillConfig(t.TempDir(), 4, vs, -1)
 	st, err := OpenEngine(EngineFaster, cfg, EngineFaster)
 	if err != nil {
@@ -132,23 +129,12 @@ func TestResident(t *testing.T) {
 	}
 }
 
-// modeShard pins a shard's answer to Resident — all fanOut consults to
-// choose between its serial and its goroutine-per-shard mode.
-type modeShard struct {
-	shard
-	resident bool
-}
-
-func (m modeShard) Resident() bool { return m.resident }
-
 // withFanOutMode returns a view of st (sharing its shards) whose batches
-// always fan out serially, or always in parallel.
+// always fan out serially, or always in parallel: fanOut consults Resident
+// alone to choose between the two.
 func withFanOutMode(st Store, serial bool) Store {
 	view := *st.(*shardedStore)
-	view.shards = make([]shard, len(view.shards))
-	for i, sh := range st.(*shardedStore).shards {
-		view.shards[i] = modeShard{sh, serial}
-	}
+	view.pinned = &serial
 	return &view
 }
 

@@ -4,23 +4,59 @@ import (
 	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
 
 	"github.com/llm-db/mlkv-go/internal/faster"
 	"github.com/llm-db/mlkv-go/internal/stats"
 	"github.com/llm-db/mlkv-go/internal/util"
 )
 
-// shardedStore hash-partitions the key space across independent engine
-// instances (each hybrid-log shard has its own log, hash index, epoch
-// domain, and background flusher). Single-key operations route to the
+// shardedStore hash-partitions the key space across independent hybrid-log
+// instances (each shard has its own log, hash index, epoch domain, and
+// background flusher). Single-key operations route to the
 // shard util.ShardOf assigns the key — a constant mix distinct from the
 // in-shard index hash, so partitioning and bucket placement stay
 // uncorrelated. One shard is the same code with one group: 1-vs-N
 // comparisons measure sharding alone.
 type shardedStore struct {
-	shards []shard
+	shards []*fasterShard
 	name   string
 	vs     int
+	// pinned, when set, answers Resident in place of the shards, so that a
+	// test can hold fanOut in either of its modes.
+	pinned *bool
+}
+
+// fasterShard is one partition's hybrid log, counting the batch calls that
+// reach it, all sessions together.
+type fasterShard struct {
+	*faster.Store
+	batchGets, batchPuts atomic.Int64
+}
+
+// fasterSession is one worker's handle on one shard. Its batch calls are
+// index-addressed: they serve keys[i] for each i in idxs as one engine pass,
+// straight from and into the caller's i-th slot, so the sharded session
+// hands every shard its group of positions without copying keys or values
+// itself. Every clocked read in a pass stays its own token acquisition, and
+// a key it creates is appended in its turn (see faster.Session.GetBatchAt).
+type fasterSession struct {
+	*faster.Session
+	sh *fasterShard
+}
+
+// getAt reads keys[i] into vals[i×ValueSize:] and found[i] for each i in
+// idxs, zeroing the slot of a missing key — or, with create set, creating
+// it (see Creator).
+func (s *fasterSession) getAt(ctx context.Context, keys []uint64, idxs []int, vals []byte, found []bool, create func(uint64, []byte)) error {
+	s.sh.batchGets.Add(1)
+	return s.GetBatchAt(ctx, keys, idxs, vals, found, create)
+}
+
+// putAt upserts keys[i] = vals[i×ValueSize:] for each i in idxs.
+func (s *fasterSession) putAt(keys []uint64, idxs []int, vals []byte) error {
+	s.sh.batchPuts.Add(1)
+	return s.PutBatchAt(keys, idxs, vals)
 }
 
 func (w *shardedStore) ValueSize() int { return w.vs }
@@ -32,6 +68,9 @@ func (w *shardedStore) StalenessBound() int64 { return w.shards[0].StalenessBoun
 
 // Resident reports whether every shard is still wholly in memory.
 func (w *shardedStore) Resident() bool {
+	if w.pinned != nil {
+		return *w.pinned
+	}
 	for _, sh := range w.shards {
 		if !sh.Resident() {
 			return false
@@ -77,8 +116,8 @@ func (w *shardedStore) Stats() stats.Counters {
 // BatchCallReporter is an optional Store extension counting the native
 // engine-level batch calls the store has issued. It is the measurement
 // behind the batch-amplification regression gate: one session GetBatch
-// through a sharded store must reach the engine — any of the three — as at
-// most Shards calls, never one call per key.
+// through a sharded store must reach the engine as at most Shards calls,
+// never one call per key.
 type BatchCallReporter interface {
 	// BatchCalls returns the cumulative engine-level batch read and batch
 	// write call counts.
@@ -88,23 +127,23 @@ type BatchCallReporter interface {
 // BatchCalls implements BatchCallReporter.
 func (w *shardedStore) BatchCalls() (gets, puts int64) {
 	for _, sh := range w.shards {
-		g, p := sh.batchCalls()
-		gets, puts = gets+g, puts+p
+		gets += sh.batchGets.Load()
+		puts += sh.batchPuts.Load()
 	}
 	return gets, puts
 }
 
 func (w *shardedStore) NewSession() (Session, error) {
-	ss := make([]shardSession, len(w.shards))
+	ss := make([]*fasterSession, len(w.shards))
 	for i, sh := range w.shards {
-		s, err := sh.newSession()
+		s, err := sh.NewSession()
 		if err != nil {
 			for _, prev := range ss[:i] {
 				prev.Close()
 			}
 			return nil, err
 		}
-		ss[i] = s
+		ss[i] = &fasterSession{Session: s, sh: sh}
 	}
 	se := &shardedSession{
 		st:     w,
@@ -119,10 +158,10 @@ func (w *shardedStore) NewSession() (Session, error) {
 // shardedSession is one worker's handle: one engine session per shard.
 // During a parallel fan-out it drives its shards from several goroutines,
 // but each shard's session is touched by exactly one of them, preserving
-// the engines' single-goroutine session contract.
+// the engine's single-goroutine session contract.
 type shardedSession struct {
 	st     *shardedStore
-	ss     []shardSession
+	ss     []*fasterSession
 	groups [][]int        // reusable per-shard index groups for batches
 	run    []int          // reusable run of an in-order batch
 	errs   []error        // reusable per-shard fan-out results
@@ -135,7 +174,7 @@ type shardedSession struct {
 	createMu     sync.Mutex
 }
 
-func (se *shardedSession) route(key uint64) shardSession {
+func (se *shardedSession) route(key uint64) *fasterSession {
 	return se.ss[util.ShardOf(key, len(se.ss))]
 }
 

@@ -32,10 +32,9 @@ type Registry struct {
 type RegistryConfig struct {
 	// Opener opens the backing store for a model on its first OPEN. The
 	// id is validated (see validateModelID) before Opener runs, so it is
-	// safe to use as a directory name. engine is the canonical engine name
-	// the client requested, or "" for the server's choice. Required unless
-	// every model is pre-registered with Add.
-	Opener func(id string, dim, shards int, bound int64, engine string) (kv.Store, error)
+	// safe to use as a directory name. Required unless every model is
+	// pre-registered with Add.
+	Opener func(id string, dim, shards int, bound int64) (kv.Store, error)
 	// DefaultShards is the shard count applied when an OPEN requests 0.
 	// Defaults to 1.
 	DefaultShards int
@@ -53,19 +52,13 @@ type RegistryConfig struct {
 
 // FlagBound maps mlkv-server's -staleness flag to a DefaultBound: -2 is
 // kv.DefaultBound (ASP), -1 the clock off (plain FASTER), 0 BSP, n>0
-// SSP(n). engine is the -engine flag, mlkv or bptree; under the clock-free
-// bptree every model runs without a clock (-1).
-func FlagBound(staleness int64, engine string) (int64, error) {
-	if engine != "mlkv" && engine != kv.EngineBPTree {
-		return 0, fmt.Errorf("-engine must be mlkv or bptree, got %q (plain FASTER is -staleness -1)", engine)
-	}
+// SSP(n).
+func FlagBound(staleness int64) (int64, error) {
 	if staleness == -2 {
-		staleness = kv.DefaultBound
-	} else if staleness < -1 {
-		return 0, fmt.Errorf("-staleness must be -2 (asp), -1 (off) or >= 0 (bsp/ssp), got %d", staleness)
+		return kv.DefaultBound, nil
 	}
-	if kv.ClockFree(engine) {
-		return -1, nil
+	if staleness < -1 {
+		return 0, fmt.Errorf("-staleness must be -2 (asp), -1 (off) or >= 0 (bsp/ssp), got %d", staleness)
 	}
 	return staleness, nil
 }
@@ -122,16 +115,13 @@ func validateModelID(id string) error {
 // with). A bound other than wire.BoundUnset is the one the trainer
 // declares, as in the paper's interface: a new model opens under it, and a
 // live one refuses any other (see kv.ResolveOpen, which also holds the dim
-// and engine rules); unset, a new model takes the registry default. engine
-// "" takes the server's choice for a new model and is never a mismatch for
-// an existing one; a named engine must match an existing model's and is
-// passed to the Opener for a new one.
+// rule); unset, a new model takes the registry default.
 //
 // The Opener runs outside the registry lock (store opens do directory
 // creation and log recovery I/O), so one tenant's slow cold open never
 // stalls other connections' OPEN/ATTACH/STATS; concurrent opens of the
 // same name wait on one pending entry instead of double-opening.
-func (r *Registry) Open(id string, dim, shards int, bound int64, engine string) (*Model, error) {
+func (r *Registry) Open(id string, dim, shards int, bound int64) (*Model, error) {
 	if err := validateModelID(id); err != nil {
 		return nil, err
 	}
@@ -142,12 +132,6 @@ func (r *Registry) Open(id string, dim, shards int, bound int64, engine string) 
 		return nil, fmt.Errorf("server: model %q: negative shard count %d", id, shards)
 	}
 	req := kv.OpenRequest{ID: id, Dim: dim, Bound: bound, BoundSet: bound != wire.BoundUnset}
-	if engine != "" {
-		var err error
-		if req.Engine, err = kv.NormalizeEngine(engine); err != nil {
-			return nil, fmt.Errorf("server: model %q: %w", id, err)
-		}
-	}
 	r.mu.Lock()
 	if r.closed {
 		r.mu.Unlock()
@@ -159,7 +143,7 @@ func (r *Registry) Open(id string, dim, shards int, bound int64, engine string) 
 		if m.openErr != nil {
 			return nil, m.openErr
 		}
-		live := kv.LiveModel{Dim: m.dim, Engine: m.engine, Bound: m.store.StalenessBound()}
+		live := kv.LiveModel{Dim: m.dim, Bound: m.store.StalenessBound()}
 		if _, err := kv.ResolveOpen(req, &live, r.cfg.DefaultBound); err != nil {
 			return nil, err
 		}
@@ -182,7 +166,7 @@ func (r *Registry) Open(id string, dim, shards int, bound int64, engine string) 
 	r.byName[id] = m
 	r.mu.Unlock()
 
-	store, err := r.cfg.Opener(id, dim, shards, bound, req.Engine)
+	store, err := r.cfg.Opener(id, dim, shards, bound)
 	if err == nil {
 		if vs := store.ValueSize(); vs != dim*4 {
 			store.Close()
@@ -203,7 +187,6 @@ func (r *Registry) Open(id string, dim, shards int, bound int64, engine string) 
 		store.Close()
 	default:
 		m.store = store
-		m.engine = storeEngine(store)
 		r.nextHandle++
 		m.handle = r.nextHandle
 		r.byHandle[m.handle] = m
@@ -234,7 +217,7 @@ func (r *Registry) Add(id string, dim int, store kv.Store) (*Model, error) {
 		return nil, fmt.Errorf("server: model %q already registered", id)
 	}
 	r.nextHandle++
-	m := &Model{id: id, handle: r.nextHandle, dim: dim, store: store, engine: storeEngine(store), ready: make(chan struct{})}
+	m := &Model{id: id, handle: r.nextHandle, dim: dim, store: store, ready: make(chan struct{})}
 	close(m.ready)
 	r.byName[id] = m
 	r.byHandle[m.handle] = m
@@ -315,24 +298,12 @@ func (r *Registry) Close() error {
 	return first
 }
 
-// storeEngine derives a store's canonical engine name from its Name()
-// (the adapters name themselves after their engine); anything
-// unrecognized — custom store names, embedded tests — is the hybrid-log
-// engine, the only one with a vector clock.
-func storeEngine(s kv.Store) string {
-	if eng, err := kv.NormalizeEngine(s.Name()); err == nil {
-		return eng
-	}
-	return kv.EngineFaster
-}
-
 // Model is one served embedding model: a named store plus the serving
 // counters the engine cannot see (frames, remote sessions).
 type Model struct {
 	id     string
 	handle uint32
 	dim    int
-	engine string // canonical engine name (kv.EngineFaster/BPTree)
 	store  kv.Store
 	// ready is closed once store/openErr are resolved; concurrent opens
 	// of the same name wait on it instead of double-opening.
@@ -366,10 +337,6 @@ func (m *Model) Handle() uint32 { return m.handle }
 
 // Dim returns the embedding dimension.
 func (m *Model) Dim() int { return m.dim }
-
-// Engine returns the canonical name of the engine backing the model
-// (expvar groups per-engine aggregates by it).
-func (m *Model) Engine() string { return m.engine }
 
 // Store exposes the backing store.
 func (m *Model) Store() kv.Store { return m.store }

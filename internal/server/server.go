@@ -359,11 +359,11 @@ func (s *Server) handle(st *connState, op wire.Op, p []byte) (respOp wire.Op, pa
 		return wire.RespOK, wire.EncodeHelloResp(reg.Name()), false
 
 	case wire.OpOpen:
-		id, dim, shards, bound, engine, err := wire.DecodeOpen(p)
+		id, dim, shards, bound, err := wire.DecodeOpen(p)
 		if err != nil {
 			return fail(err)
 		}
-		m, err := reg.Open(id, dim, shards, bound, engine)
+		m, err := reg.Open(id, dim, shards, bound)
 		if err != nil {
 			return fail(err)
 		}

@@ -29,8 +29,8 @@ func startServer(t *testing.T, dir string) (string, *Server, func()) {
 		DefaultShards: 4,
 		DefaultBound:  -1,
 		Name:          "mlkv-test",
-		Opener: func(id string, dim, shards int, bound int64, engine string) (kv.Store, error) {
-			return kv.OpenEngine(engine, kv.ShardedConfig{
+		Opener: func(id string, dim, shards int, bound int64) (kv.Store, error) {
+			return kv.OpenEngine(kv.EngineFaster, kv.ShardedConfig{
 				Dir: filepath.Join(dir, id), Shards: shards, ValueSize: dim * 4,
 				RecordsPerPage: 64, MemoryBytes: 1 << 20, ExpectedKeys: 1 << 12,
 				StalenessBound: bound,
@@ -502,11 +502,7 @@ func TestProtocolErrorPaths(t *testing.T) {
 	}
 
 	// Open a real model so data frames have a live handle.
-	openReq, err := wire.EncodeOpen("raw", 2, 0, wire.BoundUnset, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := wire.WriteFrame(nc, 2, wire.OpOpen, openReq); err != nil {
+	if err := wire.WriteFrame(nc, 2, wire.OpOpen, wire.EncodeOpen("raw", 2, 0, wire.BoundUnset)); err != nil {
 		t.Fatal(err)
 	}
 	f, err = wire.ReadFrame(nc, 0)
@@ -713,29 +709,23 @@ func TestBootstrapProbeIsNotAnError(t *testing.T) {
 }
 
 // TestFlagBound pins mlkv-server's -staleness mapping: -2 is the shared
-// default, -1 turns the clock off, other negatives are refused, and an
-// engine without a clock runs every model at -1 whatever the flag says.
-// -engine names only mlkv or bptree: plain FASTER is -staleness -1.
+// default, -1 turns the clock off (plain FASTER), and other negatives are
+// refused.
 func TestFlagBound(t *testing.T) {
 	for _, c := range []struct {
 		staleness int64
-		engine    string
 		want      int64
 		err       bool
 	}{
-		{-2, "mlkv", kv.DefaultBound, false},
-		{0, "mlkv", 0, false},
-		{4, "mlkv", 4, false},
-		{-1, "mlkv", -1, false},
-		{-3, "mlkv", 0, true},
-		{-2, "faster", 0, true},
-		{-1, "lsm", 0, true},
-		{4, "bptree", -1, false},
-		{0, "bptree", -1, false},
+		{-2, kv.DefaultBound, false},
+		{0, 0, false},
+		{4, 4, false},
+		{-1, -1, false},
+		{-3, 0, true},
 	} {
-		got, err := FlagBound(c.staleness, c.engine)
+		got, err := FlagBound(c.staleness)
 		if (err != nil) != c.err || (!c.err && got != c.want) {
-			t.Fatalf("FlagBound(%d, %q) = %d, %v; want %d (error %v)", c.staleness, c.engine, got, err, c.want, c.err)
+			t.Fatalf("FlagBound(%d) = %d, %v; want %d (error %v)", c.staleness, got, err, c.want, c.err)
 		}
 	}
 }

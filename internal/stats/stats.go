@@ -19,9 +19,7 @@ import (
 // Counters is one model's counter snapshot. A layer that does not own a
 // field leaves it zero.
 type Counters struct {
-	// Engine counters, owned by the storage engine and summed across
-	// shards. The hybrid log fills all of them; bptree reports the four op
-	// counts plus MemHits, DiskReads and FlushedPages from its pager.
+	// Engine counters, owned by the hybrid log and summed across shards.
 	Gets             int64
 	Puts             int64
 	RMWs             int64
@@ -171,8 +169,7 @@ func (c *Counters) slots() []*int64 {
 }
 
 // Add merges b into a by each field's kind — the one merge every layer
-// uses: shards into a store, engines into an expvar aggregate, cluster
-// nodes into one logical model.
+// uses: shards into a store, cluster nodes into one logical model.
 func (a Counters) Add(b Counters) Counters {
 	for _, f := range fields {
 		switch f.kind {

@@ -1,8 +1,8 @@
 // Package train implements the training pipelines of the paper's
 // evaluation: synchronous (BSP), bounded-staleness (SSP), and fully
 // asynchronous (ASP) out-of-core training of DLRM, KGE, and GNN models over
-// pluggable embedding backends (MLKV, plain FASTER, B+tree, sharded
-// memory, or a remote mlkv-server), with per-stage time instrumentation
+// pluggable embedding backends (MLKV, plain FASTER, sharded memory, or a
+// remote mlkv-server), with per-stage time instrumentation
 // (embedding access, forward, backward) and periodic quality evaluation —
 // everything needed to regenerate Figures 2 and 6–11.
 //
@@ -141,10 +141,8 @@ func (h *modelHandle) Close() { h.s.Close() }
 
 // --- core.Table backend ---
 
-// TableBackend adapts a core.Table on any engine. On the hybrid log with
-// StalenessBound disabled it *is* the plain-FASTER baseline, with a bound
-// it is MLKV; on the B+tree it is the paper's "framework + WiredTiger"
-// integration.
+// TableBackend adapts a core.Table. With StalenessBound disabled it *is*
+// the plain-FASTER baseline; with a bound it is MLKV.
 //
 // Kept beside ModelBackend only for internal/bench, whose figures open
 // tables with RecordsPerPage 256/64 so tiny buffers keep their

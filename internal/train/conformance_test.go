@@ -21,39 +21,34 @@ const confDim = 8
 var confInit = core.UniformInit(0.05, 1)
 
 // confBackends builds one instance of every Handle implementation: MLKV
-// table (clock on), plain FASTER (clock off), a B+tree table,
-// sharded memory, and remote backends speaking the wire protocol to
-// loopback mlkv-servers — one per engine, so the remote matrix covers
-// every engine an OPEN frame can request. Each comes fresh (empty store).
+// table (clock on), plain FASTER (clock off), sharded memory, and a remote
+// backend speaking the wire protocol to a loopback mlkv-server. Each comes
+// fresh (empty store).
 func confBackends(t *testing.T) map[string]Backend {
 	t.Helper()
 	out := map[string]Backend{
 		"mlkv":   mlkvBackend(t, confDim, core.BoundASP),
 		"faster": mlkvBackend(t, confDim, core.BoundDisabled),
 		"mem":    NewMemBackend("mem", confDim, confInit),
-		"bptree": engineBackend(t, kv.EngineBPTree, confDim, core.BoundDisabled),
+		"remote": remoteBackend(t, confDim, 0, core.BoundASP),
 	}
-	out["remote"] = remoteBackend(t, confDim, 0, core.BoundASP, "mlkv")
-	out["remote-bptree"] = remoteBackend(t, confDim, 0, core.BoundASP, "bptree")
 	return out
 }
 
-// remoteBackend serves a fresh sharded store of the named engine on
-// loopback and opens it through the public API (mlkv.Connect → db.Open),
+// remoteBackend serves a fresh sharded store on loopback and opens it through the public API (mlkv.Connect → db.Open),
 // the path mlkv-train -addr takes. conns sizes the connection pool (0 = a
 // small default); under a blocking bound it must cover every concurrently
 // training handle, or a blocked read shares a connection — and the
-// server's per-connection handler — with the write that unblocks it. The
-// clock-free engines must be paired with a non-blocking bound.
-func remoteBackend(t *testing.T, dim, conns int, bound int64, engine string) *ModelBackend {
+// server's per-connection handler — with the write that unblocks it.
+func remoteBackend(t *testing.T, dim, conns int, bound int64) *ModelBackend {
 	t.Helper()
 	if conns <= 0 {
 		conns = 4
 	}
-	store, err := kv.OpenEngine(engine, kv.ShardedConfig{
+	store, err := kv.OpenEngine(kv.EngineFaster, kv.ShardedConfig{
 		Dir: t.TempDir(), Shards: 4, ValueSize: dim * 4, RecordsPerPage: 64,
 		MemoryBytes: 1 << 20, StalenessBound: bound,
-	}, engine)
+	}, kv.HybridLogName(bound))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +237,7 @@ func TestGatherDedupAndScatter(t *testing.T) {
 // across steps, clock-free PEEK evaluation.
 func TestTrainCTRRemoteBSP(t *testing.T) {
 	const workers = 2
-	rb := remoteBackend(t, confDim, workers+2, core.BoundBSP, "mlkv")
+	rb := remoteBackend(t, confDim, workers+2, core.BoundBSP)
 	gen := data.NewCTRGen(data.CTRConfig{Fields: 3, DenseDim: 2, FieldCard: 200, Seed: 7})
 	model := models.NewDLRM(models.FFNN, 3, confDim, 2, []int{8}, 9)
 	res, err := TrainCTR(CTROptions{

@@ -6,7 +6,6 @@ import (
 
 	"github.com/llm-db/mlkv-go/internal/core"
 	"github.com/llm-db/mlkv-go/internal/data"
-	"github.com/llm-db/mlkv-go/internal/kv"
 	"github.com/llm-db/mlkv-go/internal/models"
 )
 
@@ -14,16 +13,11 @@ func memBackend(dim int) Backend {
 	return NewMemBackend("mem", dim, core.UniformInit(0.05, 1))
 }
 
+// mlkvBackend is a TableBackend over a fresh core.Table.
 func mlkvBackend(t *testing.T, dim int, bound int64) Backend {
-	return engineBackend(t, kv.EngineFaster, dim, bound)
-}
-
-// engineBackend is a TableBackend over a fresh core.Table on the named
-// engine.
-func engineBackend(t *testing.T, engine string, dim int, bound int64) Backend {
 	t.Helper()
 	tbl, err := core.OpenTable(core.Options{
-		Dir: t.TempDir(), Dim: dim, Engine: engine, StalenessBound: bound,
+		Dir: t.TempDir(), Dim: dim, StalenessBound: bound,
 		MemoryBytes: 1 << 20, RecordsPerPage: 64,
 		Init: core.UniformInit(0.05, 1),
 	})

@@ -1,6 +1,7 @@
 // Package util provides small shared helpers: deterministic random number
-// generation, skewed-distribution samplers, hashing, and statistics used by
-// the storage engines, workload generators, and benchmark harness.
+// generation, skewed-distribution samplers, hashing, statistics, and
+// durable metadata writes used by the storage engine, workload generators,
+// and benchmark harness.
 package util
 
 import "math"

@@ -43,5 +43,5 @@ func ValidateShardMeta(dir string, shards int) error {
 // WriteShardMeta records the shard count for future ValidateShardMeta
 // calls.
 func WriteShardMeta(dir string, shards int) error {
-	return os.WriteFile(filepath.Join(dir, ShardsMetaFile), []byte(strconv.Itoa(shards)+"\n"), 0o644)
+	return WriteDurable(filepath.Join(dir, ShardsMetaFile), []byte(strconv.Itoa(shards)+"\n"))
 }

@@ -198,7 +198,7 @@ func (o Op) String() string {
 // and closes the connection rather than guess at payload layouts — so any
 // change to a payload layout, or to the order or length of the STATS
 // counter table (internal/stats), bumps it.
-const Version = 5
+const Version = 6
 
 const (
 	// minLength is the smallest legal length field: corrID + op.

@@ -55,63 +55,32 @@ func DecodeHelloResp(p []byte) (version uint32, name string, err error) {
 	return binary.LittleEndian.Uint32(p[0:]), string(p[4:]), nil
 }
 
-// engineNames maps the OPEN engine byte to the canonical engine name;
-// code 0 ("") requests no engine: the server's choice. Code 2 was the
-// retired LSM engine; both sides refuse it.
-var engineNames = [...]string{"", "faster", "", "bptree"}
-
-func engineCode(engine string) (byte, error) {
-	for code, name := range engineNames {
-		if name == engine {
-			return byte(code), nil
-		}
-	}
-	return 0, fmt.Errorf("wire: unknown engine %q in OPEN", engine)
-}
-
-func engineName(code byte) (string, error) {
-	if int(code) >= len(engineNames) || (code != 0 && engineNames[code] == "") {
-		return "", fmt.Errorf("wire: unknown engine code %d in OPEN", code)
-	}
-	return engineNames[code], nil
-}
-
 // EncodeOpen builds an OPEN request: uint32 dim | uint32 shards (0 lets
 // the server choose) | int64 staleness bound (BoundUnset for the server
-// default) | uint8 engine code (0 for the server's choice) | model id
-// bytes.
-func EncodeOpen(id string, dim, shards int, bound int64, engine string) ([]byte, error) {
-	code, err := engineCode(engine)
-	if err != nil {
-		return nil, err
-	}
-	p := make([]byte, 17+len(id))
+// default) | model id bytes.
+func EncodeOpen(id string, dim, shards int, bound int64) []byte {
+	p := make([]byte, 16+len(id))
 	binary.LittleEndian.PutUint32(p[0:], uint32(dim))
 	binary.LittleEndian.PutUint32(p[4:], uint32(shards))
 	binary.LittleEndian.PutUint64(p[8:], uint64(bound))
-	p[16] = code
-	copy(p[17:], id)
-	return p, nil
+	copy(p[16:], id)
+	return p
 }
 
-// DecodeOpen parses an OPEN request. engine is "" when the client did not
-// request one (the server applies its default to a new model and leaves an
-// existing model's engine untouched).
-func DecodeOpen(p []byte) (id string, dim, shards int, bound int64, engine string, err error) {
-	if len(p) < 17 {
-		return "", 0, 0, 0, "", fmt.Errorf("%w: OPEN wants >= 17 bytes, got %d", ErrShortPayload, len(p))
+// DecodeOpen parses an OPEN request.
+func DecodeOpen(p []byte) (id string, dim, shards int, bound int64, err error) {
+	if len(p) < 16 {
+		return "", 0, 0, 0, fmt.Errorf("%w: OPEN wants >= 16 bytes, got %d", ErrShortPayload, len(p))
 	}
-	if engine, err = engineName(p[16]); err != nil {
-		return "", 0, 0, 0, "", err
-	}
-	return string(p[17:]),
+	return string(p[16:]),
 		int(binary.LittleEndian.Uint32(p[0:])),
 		int(binary.LittleEndian.Uint32(p[4:])),
-		int64(binary.LittleEndian.Uint64(p[8:])), engine, nil
+		int64(binary.LittleEndian.Uint64(p[8:])), nil
 }
 
 // EncodeOpenResp builds an OPEN response: uint32 handle | uint32 dim |
-// uint32 shards | int64 staleness bound in effect | engine name bytes.
+// uint32 shards | int64 staleness bound in effect | store name bytes
+// (Store.Name: "mlkv", or "faster" with the clock off).
 func EncodeOpenResp(handle uint32, dim, shards int, bound int64, name string) []byte {
 	p := make([]byte, 20+len(name))
 	binary.LittleEndian.PutUint32(p[0:], handle)

@@ -130,34 +130,20 @@ func TestPayloadRoundTrips(t *testing.T) {
 		t.Fatalf("hello resp: %d %q %v", v, name, err)
 	}
 
-	id, dim, sh, bound, eng, err := DecodeOpen(mustEncodeOpen(t, "ctr-model", 16, 4, 8, ""))
-	if err != nil || id != "ctr-model" || dim != 16 || sh != 4 || bound != 8 || eng != "" {
-		t.Fatalf("open: %q %d %d %d %q %v", id, dim, sh, bound, eng, err)
+	id, dim, sh, bound, err := DecodeOpen(EncodeOpen("ctr-model", 16, 4, 8))
+	if err != nil || id != "ctr-model" || dim != 16 || sh != 4 || bound != 8 {
+		t.Fatalf("open: %q %d %d %d %v", id, dim, sh, bound, err)
 	}
-	if _, _, _, b, _, err := DecodeOpen(mustEncodeOpen(t, "m", 8, 0, BoundUnset, "")); err != nil || b != BoundUnset {
+	if _, _, _, b, err := DecodeOpen(EncodeOpen("m", 8, 0, BoundUnset)); err != nil || b != BoundUnset {
 		t.Fatalf("open unset bound: %d %v", b, err)
 	}
-	// The engine byte survives a round trip for every engine, and an
-	// unknown code — the retired LSM's 2 among them — is refused on both
-	// sides.
-	for _, wantEng := range []string{"faster", "bptree"} {
-		id, _, _, _, eng, err := DecodeOpen(mustEncodeOpen(t, "m-1", 8, 2, 4, wantEng))
-		if err != nil || id != "m-1" || eng != wantEng {
-			t.Fatalf("open engine %q: id=%q eng=%q err=%v", wantEng, id, eng, err)
-		}
+	// OPEN at v6 carries no engine byte: the id starts at byte 16, and a
+	// bare 16-byte header opens the empty id.
+	if p := EncodeOpen("xyz", 8, 2, 4); len(p) != 19 || string(p[16:]) != "xyz" {
+		t.Fatalf("open layout: %d bytes, tail %q", len(p), p[16:])
 	}
-	if _, err := EncodeOpen("m", 8, 0, 4, "rocksdb"); err == nil {
-		t.Fatal("EncodeOpen accepted unknown engine")
-	}
-	if p := mustEncodeOpen(t, "m", 8, 2, 4, "bptree"); p[16] != 3 {
-		t.Fatalf("bptree encodes as engine code %d, want 3", p[16])
-	}
-	for _, code := range []byte{2, 0xFF} {
-		bad := mustEncodeOpen(t, "m", 8, 2, 4, "bptree")
-		bad[16] = code
-		if _, _, _, _, _, err := DecodeOpen(bad); err == nil {
-			t.Fatalf("DecodeOpen accepted unknown engine code %d", code)
-		}
+	if id, _, _, _, err := DecodeOpen(EncodeOpen("", 8, 2, 4)); err != nil || id != "" {
+		t.Fatalf("open empty id: %q %v", id, err)
 	}
 	oh, odim, osh, ob, oname, err := DecodeOpenResp(EncodeOpenResp(3, 16, 4, -1, "mlkv"))
 	if err != nil || oh != 3 || odim != 16 || osh != 4 || ob != -1 || oname != "mlkv" {
@@ -258,16 +244,6 @@ func TestPayloadRoundTrips(t *testing.T) {
 	}
 }
 
-// mustEncodeOpen is EncodeOpen for known-good engines in tests.
-func mustEncodeOpen(t *testing.T, id string, dim, shards int, bound int64, engine string) []byte {
-	t.Helper()
-	p, err := EncodeOpen(id, dim, shards, bound, engine)
-	if err != nil {
-		t.Fatalf("EncodeOpen(%q): %v", engine, err)
-	}
-	return p
-}
-
 // TestDecodeRejectsTruncation feeds every decoder every proper prefix of a
 // valid payload: each must error (never panic, never accept).
 func TestDecodeRejectsTruncation(t *testing.T) {
@@ -276,7 +252,7 @@ func TestDecodeRejectsTruncation(t *testing.T) {
 	vals := bytes.Repeat([]byte{9}, 3*vs)
 	found := []bool{true, false, true}
 	// Variable-length string tails: a shorter tail is still a valid payload.
-	varTail := map[string]int{"helloResp": 4, "open": 17, "openEngine": 17, "openResp": 20}
+	varTail := map[string]int{"helloResp": 4, "open": 16, "openResp": 20}
 	cases := []struct {
 		name    string
 		payload []byte
@@ -284,8 +260,7 @@ func TestDecodeRejectsTruncation(t *testing.T) {
 	}{
 		{"hello", EncodeHello(), func(p []byte) error { _, err := DecodeHello(p); return err }},
 		{"helloResp", EncodeHelloResp("x"), func(p []byte) error { _, _, err := DecodeHelloResp(p); return err }},
-		{"open", mustEncodeOpen(t, "m", 8, 2, 4, ""), func(p []byte) error { _, _, _, _, _, err := DecodeOpen(p); return err }},
-		{"openEngine", mustEncodeOpen(t, "m", 8, 2, 4, "bptree"), func(p []byte) error { _, _, _, _, _, err := DecodeOpen(p); return err }},
+		{"open", EncodeOpen("m", 8, 2, 4), func(p []byte) error { _, _, _, _, err := DecodeOpen(p); return err }},
 		{"openResp", EncodeOpenResp(1, 8, 2, 4, "x"), func(p []byte) error { _, _, _, _, _, err := DecodeOpenResp(p); return err }},
 		{"handle", EncodeHandle(5), func(p []byte) error { _, _, err := DecodeHandle(p); return err }},
 		{"key", stripHandle(t, EncodeKey(1, 5), 1), func(p []byte) error { _, err := DecodeKey(p); return err }},

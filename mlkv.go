@@ -146,7 +146,6 @@ func (db *DB) Close() error { return db.d.Close() }
 type Option func(*config)
 
 type config struct {
-	engine       string
 	bound        int64
 	boundSet     bool
 	memory       int64
@@ -156,28 +155,15 @@ type config struct {
 	cacheEntries int
 }
 
-// WithEngine selects the storage engine behind the model: "mlkv" (or
-// "faster" — the clocked hybrid log, the default) or "bptree" (a
-// read-optimized on-disk B+tree). On a remote DB the engine travels in the
-// OPEN frame, so the same option picks the engine server-side; a server
-// may pin a model to an engine, in which case a conflicting request fails.
-// The clock-free B+tree has no staleness clock: it rejects BSP and finite
-// SSP bounds and always runs effectively unbounded. A model opens with the
-// engine it was created with — reopening under a different one is
-// refused. Unset (or ""), the target chooses: locally the hybrid log,
-// remotely the server's default engine.
-func WithEngine(name string) Option { return func(c *config) { c.engine = name } }
-
 // WithStalenessBound sets the consistency bound: BSP, ASP, Disabled, or any
 // positive SSP bound. The bound is fixed while the model is open: a second
 // Open of a live model (on this DB, or on the same server from any client)
 // with a different bound is refused. Locally, once every handle has closed,
 // the next Open may choose another; a server keeps its models open until
-// it exits. A model without a clock (a clock-free engine, or Disabled)
+// it exits. A model opened with Disabled — plain FASTER, no clock —
 // reports Disabled and also accepts any non-blocking bound. Unset, a live
-// model keeps its bound and a new one opens under ASP — the one bound
-// every engine runs — locally, and under the server's -staleness default
-// (also ASP unless set) remotely.
+// model keeps its bound and a new one opens under ASP locally, and under
+// the server's -staleness default (also ASP unless set) remotely.
 func WithStalenessBound(b int64) Option {
 	return func(c *config) { c.bound, c.boundSet = b, true }
 }
@@ -268,7 +254,6 @@ func (db *DB) OpenCtx(ctx context.Context, id string, dim int, opts ...Option) (
 	}
 	dcfg := driver.Config{
 		Dim:          dim,
-		Engine:       cfg.engine,
 		Shards:       cfg.shards,
 		Bound:        cfg.bound,
 		BoundSet:     cfg.boundSet,
@@ -301,8 +286,8 @@ func (m *Model) Dim() int { return m.m.Dim() }
 // WithShards).
 func (m *Model) Shards() int { return m.m.Shards() }
 
-// EngineName identifies the backing engine: "mlkv", "faster" (clock
-// disabled), "bptree", or "remote(<engine>)".
+// EngineName identifies the backing store: "mlkv", "faster" (clock
+// Disabled), or "remote(<name>)".
 func (m *Model) EngineName() string { return m.m.EngineName() }
 
 // StalenessBound returns the consistency bound the model runs under,
