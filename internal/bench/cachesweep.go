@@ -14,6 +14,7 @@ import (
 	"github.com/llm-db/mlkv-go/internal/kv"
 	"github.com/llm-db/mlkv-go/internal/latency"
 	"github.com/llm-db/mlkv-go/internal/server"
+	"github.com/llm-db/mlkv-go/internal/train"
 	"github.com/llm-db/mlkv-go/internal/util"
 )
 
@@ -56,7 +57,7 @@ func (e *Env) CacheSweep() error {
 			if err != nil {
 				return err
 			}
-			tableSess := func() (sweepSession, error) { return tbl.NewSession() }
+			tableSess := func() (sweepSession, error) { return train.NewTableBackend(tbl, false).NewHandle() }
 			if err := loadKeys(tableSess, records, dim); err != nil {
 				tbl.Close()
 				return err
@@ -191,8 +192,8 @@ func (e *Env) cacheSweepRemote() error {
 }
 
 // sweepSession is the read/write surface the cache sweep drives; both
-// core.Session (local leg) and mlkv.Session (remote leg) satisfy it, so
-// one loader and one measurer serve both.
+// train.Handle (local leg, over the core table) and mlkv.Session (remote
+// leg) satisfy it, so one loader and one measurer serve both.
 type sweepSession interface {
 	Get(key uint64, dst []float32) error
 	GetBatch(keys []uint64, dst []float32) error

@@ -12,6 +12,7 @@ import (
 	"github.com/llm-db/mlkv-go/internal/kv"
 	"github.com/llm-db/mlkv-go/internal/latency"
 	"github.com/llm-db/mlkv-go/internal/server"
+	"github.com/llm-db/mlkv-go/internal/train"
 	"github.com/llm-db/mlkv-go/internal/util"
 )
 
@@ -83,7 +84,7 @@ func (e *Env) LatencySweep() error {
 		if err != nil {
 			return err
 		}
-		tableSess := func() (sweepSession, error) { return tbl.NewSession() }
+		tableSess := func() (sweepSession, error) { return train.NewTableBackend(tbl, false).NewHandle() }
 		if err := loadKeys(tableSess, records, dim); err != nil {
 			tbl.Close()
 			return err
@@ -181,7 +182,7 @@ func (e *Env) flushPaceLeg(measure func(tier string, cacheEntries int, newSess f
 		if err != nil {
 			return err
 		}
-		tableSess := func() (sweepSession, error) { return tbl.NewSession() }
+		tableSess := func() (sweepSession, error) { return train.NewTableBackend(tbl, false).NewHandle() }
 		if err := loadKeys(tableSess, records, dim); err != nil {
 			tbl.Close()
 			return err

@@ -672,13 +672,6 @@ func (s *Session) ApplyCtx(ctx context.Context, key uint64, lr float32, grad []f
 	return found, err
 }
 
-// Prefetch ships a one-key LOOKAHEAD; true means the server copied the
-// record toward memory.
-func (s *Session) Prefetch(key uint64) (bool, error) {
-	n, err := s.Lookahead([]uint64{key})
-	return n > 0, err
-}
-
 // Lookahead asks the server to prefetch keys, returning how many records
 // it copied toward memory.
 func (s *Session) Lookahead(keys []uint64) (int, error) {
@@ -780,16 +773,11 @@ func (s *Session) Close() {
 	s.cn.release(p)
 }
 
-// PeekBatch reads a batch with PEEK semantics (see Peek): clock-free, so
-// it never blocks on a staleness bound.
-func (s *Session) PeekBatch(keys []uint64, vals []byte, found []bool) error {
-	return s.PeekBatchCtx(context.Background(), keys, vals, found)
-}
-
-// PeekBatchCtx is PeekBatch bounded by ctx, checked per frame. The cluster
-// router reads replicas through it — a peek acquires no clock tokens, so a
-// lagging replica can answer it without consistency cost, and a miss falls
-// back to the primary.
+// PeekBatchCtx reads a batch with PEEK semantics (see Peek), bounded by
+// ctx, checked per frame: clock-free, so it never blocks on a staleness
+// bound. The cluster router reads replicas through it — a peek acquires no
+// clock tokens, so a lagging replica can answer it without consistency
+// cost, and a miss falls back to the primary.
 func (s *Session) PeekBatchCtx(ctx context.Context, keys []uint64, vals []byte, found []bool) error {
 	if _, err := s.checkout(ctx); err != nil {
 		return err

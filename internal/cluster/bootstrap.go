@@ -82,20 +82,6 @@ func (rc *rawConn) roundTrip(op wire.Op, payload []byte, timeout time.Duration) 
 
 func (rc *rawConn) close() { rc.c.Close() }
 
-// FetchMap asks one node for its current cluster map.
-func FetchMap(addr string, timeout time.Duration) (*Map, error) {
-	rc, err := dialRaw(addr, timeout)
-	if err != nil {
-		return nil, err
-	}
-	defer rc.close()
-	p, err := rc.roundTrip(wire.OpClusterMap, nil, timeout)
-	if err != nil {
-		return nil, err
-	}
-	return DecodeMap(p)
-}
-
 // JoinCluster announces n to the seed node and returns the merged map at
 // its new epoch. The caller then gossips that map to the remaining members
 // with PushMap so they learn the joiner without waiting for a redirect.

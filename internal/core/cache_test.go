@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"github.com/llm-db/mlkv-go/internal/util"
@@ -11,6 +12,7 @@ import (
 // and reads the fillers back oldest first until one comes from disk.
 func spillTable(t *testing.T, tbl *Table) {
 	t.Helper()
+	ctx := context.Background()
 	s, err := tbl.NewSession()
 	if err != nil {
 		t.Fatal(err)
@@ -23,12 +25,12 @@ func spillTable(t *testing.T, tbl *Table) {
 		if n == 1<<20 {
 			t.Fatal("table still resident after 2^20 filler writes")
 		}
-		if err := s.Put(base+n, v); err != nil {
+		if err := s.Put(ctx, base+n, v); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for k := uint64(0); k < n && tbl.Stats().DiskReads == 0; k++ {
-		if _, err := s.Peek(base+k, v); err != nil {
+		if _, err := s.Peek(ctx, base+k, v); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -41,6 +43,7 @@ func spillTable(t *testing.T, tbl *Table) {
 // spilled to disk: reads fill the tier, Puts write through, RMW and Delete
 // invalidate, and under SSP the tier stops serving once enough writes land.
 func TestTableHotTier(t *testing.T) {
+	ctx := context.Background()
 	tbl, err := OpenTable(Options{
 		Dir: t.TempDir(), Dim: 2, StalenessBound: 4, // SSP(4)
 		MemoryBytes: 1, RecordsPerPage: 64, CacheEntries: 256, // four pages
@@ -57,17 +60,17 @@ func TestTableHotTier(t *testing.T) {
 	defer s.Close()
 
 	put := func(k uint64, v float32) {
-		if err := s.Put(k, []float32{v, v}); err != nil {
+		if err := s.Put(ctx, k, []float32{v, v}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	get := func(k uint64) float32 {
 		dst := make([]float32, 2)
-		if err := s.Get(k, dst); err != nil {
+		if err := s.Get(ctx, k, dst); err != nil {
 			t.Fatal(err)
 		}
 		// Balance the clocked read so SSP never blocks this single session.
-		if err := s.Put(k, dst); err != nil {
+		if err := s.Put(ctx, k, dst); err != nil {
 			t.Fatal(err)
 		}
 		return dst[0]
@@ -88,7 +91,7 @@ func TestTableHotTier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s2.Put(1, []float32{20, 20}); err != nil {
+	if err := s2.Put(ctx, 1, []float32{20, 20}); err != nil {
 		t.Fatal(err)
 	}
 	s2.Close()
@@ -98,7 +101,7 @@ func TestTableHotTier(t *testing.T) {
 
 	// RMW invalidates: the next read must come from the store.
 	missesBefore := tbl.Stats().CacheMisses
-	if err := s.ApplyGradient(1, []float32{1, 1}, 1); err != nil {
+	if err := s.RMW(ctx, 1, []float32{1, 1}, 1); err != nil {
 		t.Fatal(err)
 	}
 	if got := get(1); got != 19 {
@@ -128,11 +131,11 @@ func TestTableHotTier(t *testing.T) {
 	}
 
 	// Delete invalidates.
-	if err := s.Delete(2); err != nil {
+	if err := s.Delete(ctx, 2); err != nil {
 		t.Fatal(err)
 	}
 	dst := make([]float32, 2)
-	if found, err := s.Peek(2, dst); err != nil || found {
+	if found, err := s.Peek(ctx, 2, dst); err != nil || found {
 		t.Fatalf("peek after delete: found=%v err=%v", found, err)
 	}
 }
@@ -142,6 +145,7 @@ func TestTableHotTier(t *testing.T) {
 // region is the cache — while writes keep it coherent, so that the first
 // read after the table spills is served the newest value, from the tier.
 func TestTableHotTierResidentBypass(t *testing.T) {
+	ctx := context.Background()
 	tbl, err := OpenTable(Options{
 		Dir: t.TempDir(), Dim: 2, StalenessBound: BoundASP,
 		MemoryBytes: 1, RecordsPerPage: 64,
@@ -161,19 +165,19 @@ func TestTableHotTierResidentBypass(t *testing.T) {
 	bdst := make([]float32, len(batch)*2)
 	for round := float32(0); round < 3; round++ {
 		for _, k := range batch {
-			if err := s.Put(k, []float32{round, float32(k)}); err != nil {
+			if err := s.Put(ctx, k, []float32{round, float32(k)}); err != nil {
 				t.Fatal(err)
 			}
 		}
 		for _, k := range batch {
-			if err := s.Get(k, dst); err != nil {
+			if err := s.Get(ctx, k, dst); err != nil {
 				t.Fatal(err)
 			}
 			if dst[0] != round || dst[1] != float32(k) {
 				t.Fatalf("round %v key %d read %v", round, k, dst)
 			}
 		}
-		if err := s.GetBatch(batch, bdst); err != nil {
+		if err := s.GetBatch(ctx, batch, bdst); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -188,12 +192,12 @@ func TestTableHotTierResidentBypass(t *testing.T) {
 	// resident must still invalidate: after the spill key 1 comes from the
 	// store with the step applied, keys 2..4 from the tier (the three hits
 	// counted below are entries written through while resident).
-	if err := s.ApplyGradient(1, []float32{1, 0}, 1); err != nil {
+	if err := s.RMW(ctx, 1, []float32{1, 0}, 1); err != nil {
 		t.Fatal(err)
 	}
 	spillTable(t, tbl)
 	for _, k := range batch {
-		if err := s.Get(k, dst); err != nil {
+		if err := s.Get(ctx, k, dst); err != nil {
 			t.Fatal(err)
 		}
 		want := float32(2)
@@ -213,6 +217,7 @@ func TestTableHotTierResidentBypass(t *testing.T) {
 // 0 every read synchronizes through the store and the tier records no
 // hits at all.
 func TestTableHotTierBSPNeverServes(t *testing.T) {
+	ctx := context.Background()
 	tbl, err := OpenTable(Options{
 		Dir: t.TempDir(), Dim: 2, StalenessBound: BoundBSP,
 		MemoryBytes: 1 << 20, CacheEntries: 256,
@@ -229,13 +234,13 @@ func TestTableHotTierBSPNeverServes(t *testing.T) {
 	emb := []float32{1, 1}
 	dst := make([]float32, 2)
 	for k := uint64(1); k <= 50; k++ {
-		if err := s.Put(k, emb); err != nil {
+		if err := s.Put(ctx, k, emb); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.Get(k, dst); err != nil {
+		if err := s.Get(ctx, k, dst); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.Put(k, dst); err != nil { // balance the token
+		if err := s.Put(ctx, k, dst); err != nil { // balance the token
 			t.Fatal(err)
 		}
 	}
@@ -251,6 +256,7 @@ func TestTableHotTierBSPNeverServes(t *testing.T) {
 // bytes→float32 decode per key); "mixed" draws uniformly from 16 Ki keys
 // behind a 4 Ki-entry tier (mostly misses: sweep, one engine batch, fills).
 func BenchmarkTableGetBatchSpilledTier(b *testing.B) {
+	ctx := context.Background()
 	const (
 		dim   = 16
 		nKeys = 1 << 14
@@ -276,7 +282,7 @@ func BenchmarkTableGetBatchSpilledTier(b *testing.B) {
 			defer s.Close()
 			v := make([]float32, dim)
 			for k := uint64(nKeys); k > 0; k-- { // the hot span is written last
-				if err := s.Put(k-1, v); err != nil {
+				if err := s.Put(ctx, k-1, v); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -291,14 +297,14 @@ func BenchmarkTableGetBatchSpilledTier(b *testing.B) {
 				}
 			}
 			draw()
-			if err := s.GetBatch(keys, dst); err != nil { // fill the tier
+			if err := s.GetBatch(ctx, keys, dst); err != nil { // fill the tier
 				b.Fatal(err)
 			}
 			before := tbl.Stats()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				draw()
-				if err := s.GetBatch(keys, dst); err != nil {
+				if err := s.GetBatch(ctx, keys, dst); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -50,6 +50,7 @@ func forEachTable(t *testing.T, fn func(t *testing.T, engine string, shards int)
 // TestTableConformance: a table behaves the same at every shard count — typed round trips, seeded first-touch init, in-storage
 // gradient steps, merged counters, lookahead.
 func TestTableConformance(t *testing.T) {
+	ctx := context.Background()
 	const dim = 4
 	forEachTable(t, func(t *testing.T, engine string, shards int) {
 		tbl, err := OpenTable(matrixOptions(t.TempDir(), dim, shards, BoundDisabled))
@@ -70,10 +71,10 @@ func TestTableConformance(t *testing.T) {
 		val := []float32{1, 2, 3, 4}
 		got := make([]float32, dim)
 		for k := uint64(0); k < n; k++ {
-			if err := s.Put(k, val); err != nil {
+			if err := s.Put(ctx, k, val); err != nil {
 				t.Fatal(err)
 			}
-			if err := s.Get(k, got); err != nil {
+			if err := s.Get(ctx, k, got); err != nil {
 				t.Fatal(err)
 			}
 			for i := range val {
@@ -81,7 +82,7 @@ func TestTableConformance(t *testing.T) {
 					t.Fatalf("key %d: got %v want %v", k, got, val)
 				}
 			}
-			if found, err := s.Peek(k, got); err != nil || !found {
+			if found, err := s.Peek(ctx, k, got); err != nil || !found {
 				t.Fatalf("Peek(%d) = %v, %v", k, found, err)
 			}
 		}
@@ -91,10 +92,10 @@ func TestTableConformance(t *testing.T) {
 		}
 		// Delete must route to the same shard Put used.
 		for k := uint64(0); k < n; k += 7 {
-			if err := s.Delete(k); err != nil {
+			if err := s.Delete(ctx, k); err != nil {
 				t.Fatal(err)
 			}
-			if found, _ := s.Peek(k, got); found {
+			if found, _ := s.Peek(ctx, k, got); found {
 				t.Fatalf("key %d still present after Delete", k)
 			}
 		}
@@ -103,7 +104,7 @@ func TestTableConformance(t *testing.T) {
 		// seeded initializer's values, identical at every shard count.
 		fresh := []uint64{1 << 40, 1<<40 + 1, 1<<40 + 2, 1<<40 + 3}
 		want := make([]float32, dim)
-		if err := s.Get(fresh[0], got); err != nil {
+		if err := s.Get(ctx, fresh[0], got); err != nil {
 			t.Fatal(err)
 		}
 		UniformInit(0.1, 42)(fresh[0], want)
@@ -111,7 +112,7 @@ func TestTableConformance(t *testing.T) {
 			t.Fatalf("first touch read %v, initializer gives %v", got, want)
 		}
 		batch := make([]float32, len(fresh)*dim)
-		if err := s.GetBatch(fresh, batch); err != nil {
+		if err := s.GetBatch(ctx, fresh, batch); err != nil {
 			t.Fatal(err)
 		}
 		for i, k := range fresh {
@@ -119,19 +120,19 @@ func TestTableConformance(t *testing.T) {
 			if fmt.Sprint(batch[i*dim:(i+1)*dim]) != fmt.Sprint(want) {
 				t.Fatalf("batched first touch of %d read %v, initializer gives %v", k, batch[i*dim:(i+1)*dim], want)
 			}
-			if found, _ := s.Peek(k, got); !found {
+			if found, _ := s.Peek(ctx, k, got); !found {
 				t.Fatalf("first touch of %d was not persisted", k)
 			}
 		}
 
-		// ApplyGradient steps the stored value.
-		if err := s.Put(3, val); err != nil {
+		// RMW steps the stored value.
+		if err := s.Put(ctx, 3, val); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.ApplyGradient(3, []float32{1, 1, 1, 1}, 0.5); err != nil {
+		if err := s.RMW(ctx, 3, []float32{1, 1, 1, 1}, 0.5); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.Get(3, got); err != nil {
+		if err := s.Get(ctx, 3, got); err != nil {
 			t.Fatal(err)
 		}
 		if fmt.Sprint(got) != fmt.Sprint([]float32{0.5, 1.5, 2.5, 3.5}) {
@@ -151,6 +152,7 @@ func TestTableConformance(t *testing.T) {
 // TestTableBatchRoundTripConcurrent drives the batch path from several
 // sessions at once over every matrix cell (meaningful under -race).
 func TestTableBatchRoundTripConcurrent(t *testing.T) {
+	ctx := context.Background()
 	const (
 		dim     = 8
 		workers = 4
@@ -197,11 +199,11 @@ func TestTableBatchRoundTripConcurrent(t *testing.T) {
 							vals[i*dim+j] = valAt(keys[i], j)
 						}
 					}
-					if err := s.PutBatch(keys, vals); err != nil {
+					if err := s.PutBatch(ctx, keys, vals); err != nil {
 						errCh <- fmt.Errorf("worker %d PutBatch: %w", w, err)
 						return
 					}
-					if err := s.GetBatch(keys, got); err != nil {
+					if err := s.GetBatch(ctx, keys, got); err != nil {
 						errCh <- fmt.Errorf("worker %d GetBatch: %w", w, err)
 						return
 					}
@@ -232,6 +234,7 @@ func TestTableBatchRoundTripConcurrent(t *testing.T) {
 // The initializer fails the test if it is entered while another call is in
 // flight; the sleep widens the window in which an overlap would show.
 func TestParallelFirstTouch(t *testing.T) {
+	ctx := context.Background()
 	const dim, n = 4, 64
 	for _, engine := range []string{kv.EngineFaster} {
 		t.Run(engine, func(t *testing.T) {
@@ -259,7 +262,7 @@ func TestParallelFirstTouch(t *testing.T) {
 			defer s.Close()
 			filler := make([]float32, dim)
 			for k := uint64(1) << 32; tbl.store.Resident(); k++ {
-				if err := s.Put(k, filler); err != nil {
+				if err := s.Put(ctx, k, filler); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -271,7 +274,7 @@ func TestParallelFirstTouch(t *testing.T) {
 			want := make([]float32, dim)
 			// The first read creates every key, the second reads the records.
 			for round := 0; round < 2; round++ {
-				if err := s.GetBatch(keys, got); err != nil {
+				if err := s.GetBatch(ctx, keys, got); err != nil {
 					t.Fatal(err)
 				}
 				for i, k := range keys {
@@ -291,6 +294,7 @@ func TestParallelFirstTouch(t *testing.T) {
 // TestTableRecovery checkpoints, closes and reopens every matrix cell and
 // pins the shard-count guard at the table level.
 func TestTableRecovery(t *testing.T) {
+	ctx := context.Background()
 	const dim = 4
 	forEachTable(t, func(t *testing.T, engine string, shards int) {
 		opts := matrixOptions(t.TempDir(), dim, shards, BoundDisabled)
@@ -304,7 +308,7 @@ func TestTableRecovery(t *testing.T) {
 		}
 		val := []float32{9, 8, 7, 6}
 		for k := uint64(0); k < 300; k++ {
-			if err := s.Put(k, val); err != nil {
+			if err := s.Put(ctx, k, val); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -334,7 +338,7 @@ func TestTableRecovery(t *testing.T) {
 		defer s2.Close()
 		got := make([]float32, dim)
 		for k := uint64(0); k < 300; k++ {
-			found, err := s2.Peek(k, got)
+			found, err := s2.Peek(ctx, k, got)
 			if err != nil || !found || fmt.Sprint(got) != fmt.Sprint(val) {
 				t.Fatalf("key %d after recovery: found=%v err=%v value %v", k, found, err, got)
 			}
@@ -349,6 +353,7 @@ func TestTableRecovery(t *testing.T) {
 // reverse. The hybrid log does not persist its page size, so the test
 // pins it on both sides.
 func TestCrossStackReopen(t *testing.T) {
+	ctx := context.Background()
 	const (
 		dim = 4
 		vs  = dim * 4
@@ -402,7 +407,7 @@ func TestCrossStackReopen(t *testing.T) {
 			defer ts.Close()
 			got := make([]float32, dim)
 			for k := uint64(0); k < n; k++ {
-				found, err := ts.Peek(k, got)
+				found, err := ts.Peek(ctx, k, got)
 				if err != nil || !found || fmt.Sprint(got) != fmt.Sprint(embAt(k)) {
 					t.Fatalf("key %d through core: found=%v err=%v value %v", k, found, err, got)
 				}
@@ -419,7 +424,7 @@ func TestCrossStackReopen(t *testing.T) {
 				t.Fatal(err)
 			}
 			for k := uint64(0); k < n; k++ {
-				if err := ts.Put(k, embAt(k)); err != nil {
+				if err := ts.Put(ctx, k, embAt(k)); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -473,11 +478,11 @@ func TestBlockingBoundBatchAcquiresInOrder(t *testing.T) {
 	}
 	defer holder.Close()
 	for _, k := range keys[1:] {
-		if err := holder.Put(k, val); err != nil {
+		if err := holder.Put(context.Background(), k, val); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := holder.Get(4, make([]float32, dim)); err != nil { // take 4's token
+	if err := holder.Get(context.Background(), 4, make([]float32, dim)); err != nil { // take 4's token
 		t.Fatal(err)
 	}
 
@@ -490,11 +495,11 @@ func TestBlockingBoundBatchAcquiresInOrder(t *testing.T) {
 		}
 		defer s.Close()
 		dst := make([]float32, len(keys)*dim)
-		if err := s.GetBatch(keys, dst); err != nil {
+		if err := s.GetBatch(context.Background(), keys, dst); err != nil {
 			done <- err
 			return
 		}
-		done <- s.PutBatch(keys, dst)
+		done <- s.PutBatch(context.Background(), keys, dst)
 	}()
 	for deadline := time.Now().Add(10 * time.Second); tbl.Stats().StalenessWaits == 0; {
 		if time.Now().After(deadline) {
@@ -510,21 +515,21 @@ func TestBlockingBoundBatchAcquiresInOrder(t *testing.T) {
 	defer probe.Close()
 	got := make([]float32, dim)
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	err = probe.GetCtx(ctx, 3, got)
+	err = probe.Get(ctx, 3, got)
 	cancel()
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("key 3 precedes the blocked key, so the batch must hold its token (first touch included); probe read returned %v", err)
 	}
 	ctx, cancel = context.WithTimeout(context.Background(), 5*time.Second)
-	err = probe.GetCtx(ctx, 5, got)
+	err = probe.Get(ctx, 5, got)
 	cancel()
 	if err != nil {
 		t.Fatalf("key 5 follows the blocked key, so the batch must not hold it yet; probe read returned %v", err)
 	}
-	if err := probe.Put(5, got); err != nil {
+	if err := probe.Put(context.Background(), 5, got); err != nil {
 		t.Fatal(err)
 	}
-	if err := holder.Put(4, val); err != nil { // release: the batch finishes
+	if err := holder.Put(context.Background(), 4, val); err != nil { // release: the batch finishes
 		t.Fatal(err)
 	}
 	select {
@@ -542,6 +547,7 @@ func TestBlockingBoundBatchAcquiresInOrder(t *testing.T) {
 // included, over a sliding window of a half-empty 4-shard table at BSP
 // and a finite SSP bound; a hang fails the test.
 func TestBlockingBoundBatchWorkers(t *testing.T) {
+	ctx := context.Background()
 	const (
 		dim     = 4
 		workers = 4
@@ -558,7 +564,7 @@ func TestBlockingBoundBatchWorkers(t *testing.T) {
 				t.Fatal(err)
 			}
 			for k := uint64(0); k < rounds*16+window; k += 2 {
-				if err := pre.Put(k, []float32{1, 1, 1, 1}); err != nil {
+				if err := pre.Put(ctx, k, []float32{1, 1, 1, 1}); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -589,12 +595,12 @@ func TestBlockingBoundBatchWorkers(t *testing.T) {
 								left--
 							}
 						}
-						if err := s.GetBatch(keys, vals[:len(keys)*dim]); err != nil {
+						if err := s.GetBatch(ctx, keys, vals[:len(keys)*dim]); err != nil {
 							errCh <- fmt.Errorf("worker %d GetBatch: %w", w, err)
 							return
 						}
 						// The balancing write releases every token.
-						if err := s.PutBatch(keys, vals[:len(keys)*dim]); err != nil {
+						if err := s.PutBatch(ctx, keys, vals[:len(keys)*dim]); err != nil {
 							errCh <- fmt.Errorf("worker %d PutBatch: %w", w, err)
 							return
 						}

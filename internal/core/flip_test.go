@@ -52,10 +52,10 @@ type tableSession struct {
 func (s *tableSession) close() { s.s.Close() }
 func (s *tableSession) put(k uint64, ver uint32) error {
 	s.buf = [2]float32{float32(ver), float32(ver)}
-	return s.s.Put(k, s.buf[:])
+	return s.s.Put(context.Background(), k, s.buf[:])
 }
 func (s *tableSession) bump(k uint64) error {
-	return s.s.ApplyGradient(k, []float32{-1, -1}, 1)
+	return s.s.RMW(context.Background(), k, []float32{-1, -1}, 1)
 }
 func (s *tableSession) version() (uint32, error) {
 	if s.buf[0] != s.buf[1] {
@@ -64,13 +64,13 @@ func (s *tableSession) version() (uint32, error) {
 	return uint32(s.buf[0]), nil
 }
 func (s *tableSession) get(ctx context.Context, k uint64) (uint32, error) {
-	if err := s.s.GetCtx(ctx, k, s.buf[:]); err != nil {
+	if err := s.s.Get(ctx, k, s.buf[:]); err != nil {
 		return 0, err
 	}
 	return s.version()
 }
 func (s *tableSession) peek(k uint64) (uint32, error) {
-	if found, err := s.s.Peek(k, s.buf[:]); err != nil || !found {
+	if found, err := s.s.Peek(context.Background(), k, s.buf[:]); err != nil || !found {
 		return 0, fmt.Errorf("peek: found=%v err=%v", found, err)
 	}
 	return s.version()

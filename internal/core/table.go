@@ -38,6 +38,16 @@ const (
 // time. dst has the table's dimension; it arrives zeroed.
 type Initializer func(key uint64, dst []float32)
 
+// Fill writes key's first-touch embedding into dst: it clears dst, then
+// runs f, if there is one, on it. Every first touch goes through it, so
+// none can hand an initializer a dirty buffer.
+func (f Initializer) Fill(key uint64, dst []float32) {
+	clear(dst)
+	if f != nil {
+		f(key, dst)
+	}
+}
+
 // UniformInit returns an Initializer drawing i.i.d. values from
 // [-scale, scale), seeded per key so initialization is deterministic.
 func UniformInit(scale float32, seed uint64) Initializer {
@@ -90,9 +100,6 @@ type Options struct {
 	// MemoryBytes is the in-memory buffer budget (the paper's "buffer
 	// size"). Default 64 MiB.
 	MemoryBytes int64
-	// MutableFraction is the share of the buffer accepting in-place
-	// updates. Default 0.5.
-	MutableFraction float64
 	// ExpectedKeys sizes the hash index.
 	ExpectedKeys uint64
 	// CacheEntries puts a staleness-aware hot tier of this capacity in
@@ -138,7 +145,7 @@ type Table struct {
 	batchPuts       atomic.Int64
 	lookaheadCalls  atomic.Int64
 
-	// lat times session Get/GetBatch/Put/PutBatch/ApplyGradient per op
+	// lat times session Get/GetBatch/Put/PutBatch/RMW per op
 	// class (wait-free, no allocation); Stats reports the summaries.
 	lat latency.OpSet
 }
@@ -161,15 +168,14 @@ func OpenTable(opts Options) (*Table, error) {
 		opts.RecordsPerPage = 1024
 	}
 	store, err := kv.OpenEngine(kv.EngineFaster, kv.ShardedConfig{
-		Dir:             opts.Dir,
-		Shards:          opts.Shards,
-		ValueSize:       opts.Dim * 4,
-		RecordsPerPage:  opts.RecordsPerPage,
-		MemoryBytes:     opts.MemoryBytes,
-		MutableFraction: opts.MutableFraction,
-		ExpectedKeys:    opts.ExpectedKeys,
-		StalenessBound:  opts.StalenessBound,
-		FlushPace:       opts.FlushPace,
+		Dir:            opts.Dir,
+		Shards:         opts.Shards,
+		ValueSize:      opts.Dim * 4,
+		RecordsPerPage: opts.RecordsPerPage,
+		MemoryBytes:    opts.MemoryBytes,
+		ExpectedKeys:   opts.ExpectedKeys,
+		StalenessBound: opts.StalenessBound,
+		FlushPace:      opts.FlushPace,
 	}, kv.EngineFaster)
 	if err != nil {
 		return nil, err
@@ -221,8 +227,7 @@ func (t *Table) Close() error {
 // Stats returns the table's counters: the store's (the engine's, summed
 // across shards, and the hot tier's when one fronts it) plus the ones that
 // exist only above it — batch and Lookahead calls, dropped prefetch hints,
-// the session gauge and the per-op-class latency summaries (LatRMW covers
-// ApplyGradient).
+// the session gauge and the per-op-class latency summaries.
 func (t *Table) Stats() stats.Counters {
 	c := t.store.Stats()
 	c.BatchGets = t.batchGets.Load()
@@ -264,7 +269,9 @@ func (t *Table) prefetchPool() {
 
 // Session is one worker's handle onto the table: one store session, which
 // reads into and writes from the caller's own []float32 (tensor.F32Bytes).
-// Not safe for concurrent use; create one per goroutine.
+// Every operation takes the caller's ctx first; the local driver hands a
+// Session out as its driver.Session as is. Not safe for concurrent use;
+// create one per goroutine.
 type Session struct {
 	t *Table
 	s localSession
@@ -274,7 +281,7 @@ type Session struct {
 	create func(key uint64, cur []byte)
 	ibuf   []float32 // first-touch initializer staging
 	found  []bool    // batch presence flags
-	oneKey [1]uint64 // the one-key batch GetCtx runs as
+	oneKey [1]uint64 // the one-key batch Get runs as
 	closed bool
 }
 
@@ -310,18 +317,12 @@ func (s *Session) Close() {
 }
 
 // Get reads the embedding for key into dst (len == Dim), initializing it on
-// first touch. It participates in the bounded-staleness protocol (§III-C1).
+// first touch. It participates in the bounded-staleness protocol (§III-C1):
+// a read stalled on the staleness bound returns ctx.Err() when ctx ends
+// instead of waiting for the releasing write, and holds no token after.
 // The store writes into dst directly: when Get (or GetBatch) returns an
-// error, what dst holds is undefined.
-func (s *Session) Get(key uint64, dst []float32) error {
-	return s.GetCtx(context.Background(), key, dst)
-}
-
-// GetCtx is Get with cancellation: a read stalled on the staleness bound
-// returns ctx.Err() when ctx ends instead of waiting for the releasing
-// write. No token is held after a cancelled read. It is GetBatch's one-key
-// case.
-func (s *Session) GetCtx(ctx context.Context, key uint64, dst []float32) error {
+// error, what dst holds is undefined. It is GetBatch's one-key case.
+func (s *Session) Get(ctx context.Context, key uint64, dst []float32) error {
 	if len(dst) != s.t.dim {
 		return fmt.Errorf("core: dst length %d != dim %d", len(dst), s.t.dim)
 	}
@@ -340,25 +341,25 @@ func (s *Session) getBatch(ctx context.Context, keys []uint64, dst []float32) er
 	return s.s.GetOrCreateBatchCtx(ctx, keys, tensor.F32Bytes(dst), s.found, s.create)
 }
 
-// initInto encodes key's first-touch embedding into cur, which arrives
-// zeroed: an absent key's slot in a read-or-create batch, or an RMW
-// callback's view of an absent key.
+// initInto encodes key's first-touch embedding into cur: an absent key's
+// slot in a read-or-create batch, or an RMW callback's view of an absent
+// key.
 func (s *Session) initInto(key uint64, cur []byte) {
 	if s.t.init == nil {
-		return
+		return // cur arrives zeroed
 	}
 	s.ibuf = util.Grow(s.ibuf, s.t.dim)
-	clear(s.ibuf) // the Initializer contract: dst arrives zeroed
-	s.t.init(key, s.ibuf)
+	s.t.init.Fill(key, s.ibuf)
 	tensor.F32sToBytes(s.ibuf, cur)
 }
 
 // GetBatch reads len(keys) embeddings into dst (len == len(keys)*Dim) as
 // one store batch, initializing each key on first touch inside the engine
-// pass that reads it. A sharded store fans the batch out across shards (in
-// parallel once it has spilled to disk). Duplicate keys each perform their
-// own clocked read; deduplicate in the caller if the training step applies
-// one combined update.
+// pass that reads it; ctx is checked on every key's clocked read (see
+// Get). A sharded store fans the batch out across shards (in parallel once
+// it has spilled to disk). Duplicate keys each perform their own clocked
+// read; deduplicate in the caller if the training step applies one
+// combined update.
 //
 // Under a blocking staleness bound (BSP or finite SSP) the keys are instead
 // read strictly in the caller's order — one engine pass per run of keys on
@@ -368,13 +369,7 @@ func (s *Session) initInto(key uint64, cur []byte) {
 // creates the key, before the next key is read. Callers that may block (the
 // trainers) pass unique keys in ascending order, which keeps the
 // cross-session wait graph acyclic exactly as it does on the scalar path.
-func (s *Session) GetBatch(keys []uint64, dst []float32) error {
-	return s.GetBatchCtx(context.Background(), keys, dst)
-}
-
-// GetBatchCtx is GetBatch with cancellation, checked on every key's
-// clocked read (see GetCtx).
-func (s *Session) GetBatchCtx(ctx context.Context, keys []uint64, dst []float32) error {
+func (s *Session) GetBatch(ctx context.Context, keys []uint64, dst []float32) error {
 	if len(dst) != len(keys)*s.t.dim {
 		return fmt.Errorf("core: dst length %d != %d keys × dim %d", len(dst), len(keys), s.t.dim)
 	}
@@ -384,7 +379,10 @@ func (s *Session) GetBatchCtx(ctx context.Context, keys []uint64, dst []float32)
 }
 
 // Peek reads without touching the vector clock (evaluation path).
-func (s *Session) Peek(key uint64, dst []float32) (bool, error) {
+func (s *Session) Peek(ctx context.Context, key uint64, dst []float32) (bool, error) {
+	if err := ctx.Err(); err != nil {
+		return false, err
+	}
 	if len(dst) != s.t.dim {
 		return false, fmt.Errorf("core: dst length %d != dim %d", len(dst), s.t.dim)
 	}
@@ -393,7 +391,10 @@ func (s *Session) Peek(key uint64, dst []float32) (bool, error) {
 
 // Put upserts the embedding for key (the backward-propagation write of
 // Figure 3, line 17). Puts never wait on the staleness bound.
-func (s *Session) Put(key uint64, val []float32) error {
+func (s *Session) Put(ctx context.Context, key uint64, val []float32) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
 	if len(val) != s.t.dim {
 		return fmt.Errorf("core: val length %d != dim %d", len(val), s.t.dim)
 	}
@@ -403,7 +404,10 @@ func (s *Session) Put(key uint64, val []float32) error {
 
 // PutBatch upserts len(keys) embeddings from vals (len == len(keys)*Dim)
 // as one store batch.
-func (s *Session) PutBatch(keys []uint64, vals []float32) error {
+func (s *Session) PutBatch(ctx context.Context, keys []uint64, vals []float32) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
 	dim := s.t.dim
 	if len(vals) != len(keys)*dim {
 		return fmt.Errorf("core: vals length %d != %d keys × dim %d", len(vals), len(keys), dim)
@@ -413,11 +417,14 @@ func (s *Session) PutBatch(keys []uint64, vals []float32) error {
 	return s.s.PutBatch(keys, tensor.F32Bytes(vals))
 }
 
-// ApplyGradient performs emb ← emb − lr·grad as a single storage-side
+// RMW performs emb ← emb − lr·grad as a single storage-side
 // read-modify-write (the Rmw path of Figure 4, step 8). A never-read key
 // is initialized inside the same step, so it lands on init(key) − lr·grad
 // exactly as a Get followed by the update would.
-func (s *Session) ApplyGradient(key uint64, grad []float32, lr float32) error {
+func (s *Session) RMW(ctx context.Context, key uint64, grad []float32, lr float32) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
 	if len(grad) != s.t.dim {
 		return fmt.Errorf("core: grad length %d != dim %d", len(grad), s.t.dim)
 	}
@@ -432,17 +439,22 @@ func (s *Session) ApplyGradient(key uint64, grad []float32, lr float32) error {
 }
 
 // Delete removes key's embedding.
-func (s *Session) Delete(key uint64) error { return s.s.Delete(key) }
+func (s *Session) Delete(ctx context.Context, key uint64) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	return s.s.Delete(key)
+}
 
 // Lookahead asynchronously copies the disk-resident records among keys into
 // the store's mutable memory buffer (§III-C2, Fig. 5b) — the paper's
 // headline optimization, and not limited by the staleness bound. Call it
 // once per upcoming batch, at least one batch ahead of that batch's
 // GetBatch: the copies are made by a background pool, so a hint issued with
-// the read is wasted. It never blocks and keeps no reference to keys: the
-// hint is copied into the pool's queue in chunks, and the chunks that do not
-// fit are dropped (PrefetchDropped counts their keys).
-func (s *Session) Lookahead(keys []uint64) {
+// the read is wasted. It never blocks, never fails and keeps no reference
+// to keys: the hint is copied into the pool's queue in chunks, and the
+// chunks that do not fit are dropped (PrefetchDropped counts their keys).
+func (s *Session) Lookahead(keys []uint64) error {
 	t := s.t
 	t.lookaheadCalls.Add(1)
 	for len(keys) > 0 {
@@ -453,7 +465,8 @@ func (s *Session) Lookahead(keys []uint64) {
 			keys = keys[n:]
 		default:
 			t.prefetchDropped.Add(int64(len(keys)))
-			return
+			return nil
 		}
 	}
+	return nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"sync"
 	"testing"
@@ -27,6 +28,7 @@ func testTable(t *testing.T, dim int, bound int64) *Table {
 }
 
 func TestTableGetInitializesFirstTouch(t *testing.T) {
+	ctx := context.Background()
 	tbl := testTable(t, 8, BoundDisabled)
 	s, err := tbl.NewSession()
 	if err != nil {
@@ -34,7 +36,7 @@ func TestTableGetInitializesFirstTouch(t *testing.T) {
 	}
 	defer s.Close()
 	emb := make([]float32, 8)
-	if err := s.Get(1, emb); err != nil {
+	if err := s.Get(ctx, 1, emb); err != nil {
 		t.Fatal(err)
 	}
 	nonzero := false
@@ -51,7 +53,7 @@ func TestTableGetInitializesFirstTouch(t *testing.T) {
 	}
 	// Same key, same init — deterministic.
 	emb2 := make([]float32, 8)
-	if err := s.Get(1, emb2); err != nil {
+	if err := s.Get(ctx, 1, emb2); err != nil {
 		t.Fatal(err)
 	}
 	for i := range emb {
@@ -65,6 +67,7 @@ func TestTableGetInitializesFirstTouch(t *testing.T) {
 // lose and a byte view cannot: NaN payloads (quiet, signalling, negative),
 // −0 and a denormal must come back bit for bit from Get, GetBatch and Peek.
 func TestTablePutGetRoundTrip(t *testing.T) {
+	ctx := context.Background()
 	tbl := testTable(t, 8, BoundDisabled)
 	s, _ := tbl.NewSession()
 	defer s.Close()
@@ -72,20 +75,20 @@ func TestTablePutGetRoundTrip(t *testing.T) {
 	for _, bits := range []uint32{0x7fc00001, 0x7f800001, 0xffc12345, 0x80000000, 0x00000001} {
 		want = append(want, math.Float32frombits(bits))
 	}
-	if err := s.Put(7, want); err != nil {
+	if err := s.Put(ctx, 7, want); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.PutBatch([]uint64{8}, want); err != nil {
+	if err := s.PutBatch(ctx, []uint64{8}, want); err != nil {
 		t.Fatal(err)
 	}
 	got, batch, peeked := make([]float32, 8), make([]float32, 16), make([]float32, 8)
-	if err := s.Get(7, got); err != nil {
+	if err := s.Get(ctx, 7, got); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.GetBatch([]uint64{8, 7}, batch); err != nil {
+	if err := s.GetBatch(ctx, []uint64{8, 7}, batch); err != nil {
 		t.Fatal(err)
 	}
-	if ok, err := s.Peek(7, peeked); err != nil || !ok {
+	if ok, err := s.Peek(ctx, 7, peeked); err != nil || !ok {
 		t.Fatal(ok, err)
 	}
 	for i := range want {
@@ -99,6 +102,7 @@ func TestTablePutGetRoundTrip(t *testing.T) {
 }
 
 func TestTableBatchOps(t *testing.T) {
+	ctx := context.Background()
 	tbl := testTable(t, 4, BoundDisabled)
 	s, _ := tbl.NewSession()
 	defer s.Close()
@@ -107,11 +111,11 @@ func TestTableBatchOps(t *testing.T) {
 	for i := range vals {
 		vals[i] = float32(i)
 	}
-	if err := s.PutBatch(keys, vals); err != nil {
+	if err := s.PutBatch(ctx, keys, vals); err != nil {
 		t.Fatal(err)
 	}
 	got := make([]float32, 12)
-	if err := s.GetBatch(keys, got); err != nil {
+	if err := s.GetBatch(ctx, keys, got); err != nil {
 		t.Fatal(err)
 	}
 	for i := range vals {
@@ -122,30 +126,32 @@ func TestTableBatchOps(t *testing.T) {
 }
 
 func TestTableDimValidation(t *testing.T) {
+	ctx := context.Background()
 	tbl := testTable(t, 4, BoundDisabled)
 	s, _ := tbl.NewSession()
 	defer s.Close()
-	if err := s.Get(1, make([]float32, 3)); err == nil {
+	if err := s.Get(ctx, 1, make([]float32, 3)); err == nil {
 		t.Fatal("wrong dim accepted in Get")
 	}
-	if err := s.Put(1, make([]float32, 5)); err == nil {
+	if err := s.Put(ctx, 1, make([]float32, 5)); err == nil {
 		t.Fatal("wrong dim accepted in Put")
 	}
-	if err := s.GetBatch([]uint64{1, 2}, make([]float32, 7)); err == nil {
+	if err := s.GetBatch(ctx, []uint64{1, 2}, make([]float32, 7)); err == nil {
 		t.Fatal("wrong batch size accepted")
 	}
 }
 
 func TestApplyGradient(t *testing.T) {
+	ctx := context.Background()
 	tbl := testTable(t, 4, BoundDisabled)
 	s, _ := tbl.NewSession()
 	defer s.Close()
-	s.Put(1, []float32{1, 1, 1, 1})
-	if err := s.ApplyGradient(1, []float32{1, 2, 3, 4}, 0.5); err != nil {
+	s.Put(ctx, 1, []float32{1, 1, 1, 1})
+	if err := s.RMW(ctx, 1, []float32{1, 2, 3, 4}, 0.5); err != nil {
 		t.Fatal(err)
 	}
 	got := make([]float32, 4)
-	s.Get(1, got)
+	s.Get(ctx, 1, got)
 	want := []float32{0.5, 0, -0.5, -1}
 	for i := range want {
 		if math.Abs(float64(got[i]-want[i])) > 1e-6 {
@@ -160,21 +166,22 @@ func TestApplyGradient(t *testing.T) {
 // trained value — and eight sessions first-touching one key set under BSP
 // append exactly one record per key between them.
 func TestFirstTouchCreatesOnce(t *testing.T) {
+	ctx := context.Background()
 	tbl := testTable(t, 4, 4)
 	a, _ := tbl.NewSession()
 	defer a.Close()
 	b, _ := tbl.NewSession()
 	defer b.Close()
 	emb, got := make([]float32, 4), make([]float32, 4)
-	if err := a.Get(1, emb); err != nil { // first touch; holds one token
+	if err := a.Get(ctx, 1, emb); err != nil { // first touch; holds one token
 		t.Fatal(err)
 	}
 	trained := []float32{9, 8, 7, 6}
-	if err := a.Put(1, trained); err != nil {
+	if err := a.Put(ctx, 1, trained); err != nil {
 		t.Fatal(err)
 	}
 	before := tbl.Stats()
-	if err := b.Get(1, got); err != nil {
+	if err := b.Get(ctx, 1, got); err != nil {
 		t.Fatal(err)
 	}
 	after := tbl.Stats()
@@ -206,11 +213,11 @@ func TestFirstTouchCreatesOnce(t *testing.T) {
 			}
 			defer s.Close()
 			vals := make([]float32, n*4)
-			if err := s.GetBatch(keys, vals); err != nil {
+			if err := s.GetBatch(ctx, keys, vals); err != nil {
 				t.Error(err)
 				return
 			}
-			if err := s.PutBatch(keys, vals); err != nil { // release the tokens
+			if err := s.PutBatch(ctx, keys, vals); err != nil { // release the tokens
 				t.Error(err)
 			}
 		}()
@@ -227,7 +234,7 @@ func TestFirstTouchCreatesOnce(t *testing.T) {
 	for _, k := range keys {
 		clear(want)
 		UniformInit(0.1, 42)(k, want)
-		if ok, err := s.Peek(k, got); err != nil || !ok {
+		if ok, err := s.Peek(ctx, k, got); err != nil || !ok {
 			t.Fatal(ok, err)
 		}
 		for i := range want {
@@ -265,7 +272,7 @@ func coldTable(t *testing.T) (*Table, *Session) {
 		for i := range emb {
 			emb[i] = float32(k)
 		}
-		if err := s.Put(k, emb); err != nil {
+		if err := s.Put(context.Background(), k, emb); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -310,7 +317,7 @@ func TestLookaheadStorageBufferWarmsDiskRecords(t *testing.T) {
 		t.Fatalf("LookaheadCalls rose by %d, want 1", got)
 	}
 	embs := make([]float32, len(cold)*8)
-	if err := s.GetBatch(cold, embs); err != nil {
+	if err := s.GetBatch(context.Background(), cold, embs); err != nil {
 		t.Fatal(err)
 	}
 	for i, k := range cold {
@@ -367,6 +374,7 @@ func TestLookaheadDropsWholeChunks(t *testing.T) {
 }
 
 func TestTableConcurrentTraining(t *testing.T) {
+	ctx := context.Background()
 	// Simulated async training: workers Get, compute, Put, with a bound.
 	tbl := testTable(t, 8, 8)
 	const workers = 4
@@ -385,14 +393,14 @@ func TestTableConcurrentTraining(t *testing.T) {
 			emb := make([]float32, 8)
 			for i := 0; i < 500; i++ {
 				k := r.Uint64n(200) + 1
-				if err := s.Get(k, emb); err != nil {
+				if err := s.Get(ctx, k, emb); err != nil {
 					t.Error(err)
 					return
 				}
 				for j := range emb {
 					emb[j] += 0.001
 				}
-				if err := s.Put(k, emb); err != nil {
+				if err := s.Put(ctx, k, emb); err != nil {
 					t.Error(err)
 					return
 				}
@@ -403,6 +411,7 @@ func TestTableConcurrentTraining(t *testing.T) {
 }
 
 func TestTableCheckpointRestore(t *testing.T) {
+	ctx := context.Background()
 	dir := t.TempDir()
 	opts := Options{
 		Dir: dir, Dim: 4, StalenessBound: BoundDisabled,
@@ -413,7 +422,7 @@ func TestTableCheckpointRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 	s, _ := tbl.NewSession()
-	s.Put(1, []float32{1, 2, 3, 4})
+	s.Put(ctx, 1, []float32{1, 2, 3, 4})
 	s.Close()
 	if err := tbl.Checkpoint(); err != nil {
 		t.Fatal(err)
@@ -428,7 +437,7 @@ func TestTableCheckpointRestore(t *testing.T) {
 	s2, _ := tbl2.NewSession()
 	defer s2.Close()
 	got := make([]float32, 4)
-	if err := s2.Get(1, got); err != nil {
+	if err := s2.Get(ctx, 1, got); err != nil {
 		t.Fatal(err)
 	}
 	if got[0] != 1 || got[3] != 4 {
@@ -446,15 +455,16 @@ func TestOpenTableValidation(t *testing.T) {
 }
 
 func TestBoundModesSmoke(t *testing.T) {
+	ctx := context.Background()
 	for _, bound := range []int64{BoundDisabled, BoundBSP, 4, BoundASP} {
 		tbl := testTable(t, 4, bound)
 		s, _ := tbl.NewSession()
 		emb := make([]float32, 4)
 		for k := uint64(1); k <= 50; k++ {
-			if err := s.Get(k, emb); err != nil {
+			if err := s.Get(ctx, k, emb); err != nil {
 				t.Fatalf("bound %d: %v", bound, err)
 			}
-			if err := s.Put(k, emb); err != nil {
+			if err := s.Put(ctx, k, emb); err != nil {
 				t.Fatalf("bound %d: %v", bound, err)
 			}
 		}
@@ -505,7 +515,7 @@ func TestFirstTouchGetAllocs(t *testing.T) {
 	defer s.Close()
 	emb := make([]float32, 16)
 	get := func(key uint64) {
-		if err := s.Get(key, emb); err != nil {
+		if err := s.Get(context.Background(), key, emb); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -525,6 +535,7 @@ func TestFirstTouchGetAllocs(t *testing.T) {
 // reads keys that exist; "first-touch" reads 256 keys never seen before,
 // which the batch creates. read-ns/key is the GetBatch alone.
 func BenchmarkTableGetBatchBlocking(b *testing.B) {
+	ctx := context.Background()
 	const (
 		dim   = 16
 		batch = 256
@@ -559,10 +570,10 @@ func BenchmarkTableGetBatchBlocking(b *testing.B) {
 				}
 			}
 			draw()
-			if err := s.GetBatch(keys, dst); err != nil { // the present keys' first touch
+			if err := s.GetBatch(ctx, keys, dst); err != nil { // the present keys' first touch
 				b.Fatal(err)
 			}
-			if err := s.PutBatch(keys, dst); err != nil {
+			if err := s.PutBatch(ctx, keys, dst); err != nil {
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
@@ -570,11 +581,11 @@ func BenchmarkTableGetBatchBlocking(b *testing.B) {
 			for b.Loop() {
 				draw()
 				t0 := time.Now()
-				if err := s.GetBatch(keys, dst); err != nil {
+				if err := s.GetBatch(ctx, keys, dst); err != nil {
 					b.Fatal(err)
 				}
 				read += time.Since(t0)
-				if err := s.PutBatch(keys, dst); err != nil {
+				if err := s.PutBatch(ctx, keys, dst); err != nil {
 					b.Fatal(err)
 				}
 			}

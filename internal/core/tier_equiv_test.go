@@ -13,12 +13,12 @@ import (
 
 // embSession is the slice of *Session the equivalence script drives.
 type embSession interface {
-	Get(key uint64, dst []float32) error
-	GetBatch(keys []uint64, dst []float32) error
-	Put(key uint64, val []float32) error
-	PutBatch(keys []uint64, vals []float32) error
-	ApplyGradient(key uint64, grad []float32, lr float32) error
-	Delete(key uint64) error
+	Get(ctx context.Context, key uint64, dst []float32) error
+	GetBatch(ctx context.Context, keys []uint64, dst []float32) error
+	Put(ctx context.Context, key uint64, val []float32) error
+	PutBatch(ctx context.Context, keys []uint64, vals []float32) error
+	RMW(ctx context.Context, key uint64, grad []float32, lr float32) error
+	Delete(ctx context.Context, key uint64) error
 }
 
 // handSession is a table session written out by hand over a byte-level
@@ -38,31 +38,31 @@ func (h *handSession) initInto(key uint64, cur []byte) {
 	tensor.F32sToBytes(v, cur)
 }
 
-func (h *handSession) Get(key uint64, dst []float32) error {
-	return h.GetBatch([]uint64{key}, dst)
+func (h *handSession) Get(ctx context.Context, key uint64, dst []float32) error {
+	return h.GetBatch(ctx, []uint64{key}, dst)
 }
 
-func (h *handSession) GetBatch(keys []uint64, dst []float32) error {
+func (h *handSession) GetBatch(ctx context.Context, keys []uint64, dst []float32) error {
 	vals, found := make([]byte, len(keys)*h.dim*4), make([]bool, len(keys))
-	if err := h.s.(kv.Creator).GetOrCreateBatchCtx(context.Background(), keys, vals, found, h.initInto); err != nil {
+	if err := h.s.(kv.Creator).GetOrCreateBatchCtx(ctx, keys, vals, found, h.initInto); err != nil {
 		return err
 	}
 	tensor.BytesToF32s(vals, dst)
 	return nil
 }
 
-func (h *handSession) Put(key uint64, val []float32) error {
+func (h *handSession) Put(_ context.Context, key uint64, val []float32) error {
 	tensor.F32sToBytes(val, h.buf)
 	return h.s.Put(key, h.buf)
 }
 
-func (h *handSession) PutBatch(keys []uint64, vals []float32) error {
+func (h *handSession) PutBatch(_ context.Context, keys []uint64, vals []float32) error {
 	b := make([]byte, len(vals)*4)
 	tensor.F32sToBytes(vals, b)
 	return kv.SessionPutBatch(h.s, h.dim*4, keys, b)
 }
 
-func (h *handSession) ApplyGradient(key uint64, grad []float32, lr float32) error {
+func (h *handSession) RMW(_ context.Context, key uint64, grad []float32, lr float32) error {
 	return h.s.RMW(key, func(cur []byte, exists bool) bool {
 		if !exists {
 			h.initInto(key, cur)
@@ -72,7 +72,7 @@ func (h *handSession) ApplyGradient(key uint64, grad []float32, lr float32) erro
 	})
 }
 
-func (h *handSession) Delete(key uint64) error { return h.s.Delete(key) }
+func (h *handSession) Delete(_ context.Context, key uint64) error { return h.s.Delete(key) }
 
 // TestTableTierIsTheWrapper pins "one implementation": a table opened with
 // CacheEntries and kv.WrapCached over a bare engine store with the table's
@@ -119,6 +119,7 @@ func TestTableTierIsTheWrapper(t *testing.T) {
 			hs := &handSession{st: st, s: ks, dim: dim, init: init, buf: make([]byte, dim*4)}
 
 			sides := []embSession{ts, hs}
+			ctx := context.Background()
 			tier := func(c stats.Counters) [3]int64 {
 				return [3]int64{c.CacheHits, c.CacheMisses, c.CacheEvictions}
 			}
@@ -147,18 +148,18 @@ func TestTableTierIsTheWrapper(t *testing.T) {
 			// blocking bound never stalls the single session.
 			get := func(k uint64) {
 				both(fmt.Sprintf("Get %d", k), func(s embSession, out []float32) error {
-					if err := s.Get(k, out); err != nil {
+					if err := s.Get(ctx, k, out); err != nil {
 						return err
 					}
-					return s.Put(k, out)
+					return s.Put(ctx, k, out)
 				}, dim)
 			}
 			getBatch := func(keys []uint64) {
 				both(fmt.Sprintf("GetBatch %v", keys), func(s embSession, out []float32) error {
-					if err := s.GetBatch(keys, out); err != nil {
+					if err := s.GetBatch(ctx, keys, out); err != nil {
 						return err
 					}
-					return s.PutBatch(keys, out)
+					return s.PutBatch(ctx, keys, out)
 				}, len(keys)*dim)
 			}
 
@@ -168,7 +169,7 @@ func TestTableTierIsTheWrapper(t *testing.T) {
 				if n == 1<<20 {
 					t.Fatal("still resident after 2^20 filler writes")
 				}
-				both("filler", func(s embSession, _ []float32) error { return s.Put(1<<32+n, zero) }, 0)
+				both("filler", func(s embSession, _ []float32) error { return s.Put(ctx, 1<<32+n, zero) }, 0)
 			}
 
 			keys := make([]uint64, 40)
@@ -177,7 +178,7 @@ func TestTableTierIsTheWrapper(t *testing.T) {
 				keys[i] = uint64(i + 1)
 				vals[i*dim], vals[i*dim+1] = float32(i+1), float32(-i-1)
 			}
-			both("PutBatch 1..40", func(s embSession, _ []float32) error { return s.PutBatch(keys, vals) }, 0)
+			both("PutBatch 1..40", func(s embSession, _ []float32) error { return s.PutBatch(ctx, keys, vals) }, 0)
 			for k := uint64(33); k <= 40; k++ { // the newest entries: hits unless BSP
 				get(k)
 			}
@@ -185,11 +186,11 @@ func TestTableTierIsTheWrapper(t *testing.T) {
 			grad := []float32{1, -1}
 			for _, k := range []uint64{38, 100, 999} { // cached, first-touched, absent
 				both(fmt.Sprintf("RMW %d", k), func(s embSession, _ []float32) error {
-					return s.ApplyGradient(k, grad, 0.5)
+					return s.RMW(ctx, k, grad, 0.5)
 				}, 0)
 				get(k)
 			}
-			both("Delete 40", func(s embSession, _ []float32) error { return s.Delete(40) }, 0)
+			both("Delete 40", func(s embSession, _ []float32) error { return s.Delete(ctx, 40) }, 0)
 			get(40)                              // first touch again
 			for k := uint64(200); k < 300; k++ { // churn: first touches that evict
 				get(k)

@@ -71,9 +71,6 @@ func NewCTRGen(cfg CTRConfig) *CTRGen {
 // Config returns the generator's effective configuration.
 func (g *CTRGen) Config() CTRConfig { return g.cfg }
 
-// NumKeys returns the size of the embedding key space.
-func (g *CTRGen) NumKeys() uint64 { return uint64(g.cfg.Fields) * g.cfg.FieldCard }
-
 // Key maps (field, value) to a global embedding key.
 func (g *CTRGen) Key(field int, value uint64) uint64 {
 	return uint64(field)*g.cfg.FieldCard + value

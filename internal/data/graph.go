@@ -129,10 +129,6 @@ func NewBipartiteGen(cfg BipartiteConfig) *BipartiteGen {
 // Config returns the effective configuration.
 func (g *BipartiteGen) Config() BipartiteConfig { return g.cfg }
 
-// NumNodes returns the total node count (transactions + entities).
-// Entity node IDs follow transaction IDs.
-func (g *BipartiteGen) NumNodes() uint64 { return g.cfg.Transactions + g.cfg.Entities }
-
 // EntityNode maps an entity index to its global node ID.
 func (g *BipartiteGen) EntityNode(e uint64) uint64 { return g.cfg.Transactions + e }
 

@@ -138,9 +138,9 @@ func (m *localModel) NewSession(ctx context.Context) (Session, error) {
 	}
 	s, err := m.t.NewSession()
 	if err != nil {
-		return nil, err
+		return nil, err // a nil interface, not a typed nil *core.Session
 	}
-	return &localSession{s: s}, nil
+	return s, nil
 }
 
 // release drops one reference; the table closes when the last one goes.
@@ -161,58 +161,3 @@ func (m *localModel) release() error {
 	}
 	return m.t.Close()
 }
-
-// localSession adapts core.Session to the driver seam.
-type localSession struct {
-	s *core.Session
-}
-
-func (s *localSession) Get(ctx context.Context, key uint64, dst []float32) error {
-	return s.s.GetCtx(ctx, key, dst)
-}
-
-func (s *localSession) GetBatch(ctx context.Context, keys []uint64, dst []float32) error {
-	return s.s.GetBatchCtx(ctx, keys, dst)
-}
-
-func (s *localSession) Put(ctx context.Context, key uint64, val []float32) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return s.s.Put(key, val)
-}
-
-func (s *localSession) PutBatch(ctx context.Context, keys []uint64, vals []float32) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return s.s.PutBatch(keys, vals)
-}
-
-func (s *localSession) RMW(ctx context.Context, key uint64, grad []float32, lr float32) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return s.s.ApplyGradient(key, grad, lr)
-}
-
-func (s *localSession) Peek(ctx context.Context, key uint64, dst []float32) (bool, error) {
-	if err := ctx.Err(); err != nil {
-		return false, err
-	}
-	return s.s.Peek(key, dst)
-}
-
-func (s *localSession) Delete(ctx context.Context, key uint64) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return s.s.Delete(key)
-}
-
-func (s *localSession) Lookahead(keys []uint64) error {
-	s.s.Lookahead(keys)
-	return nil
-}
-
-func (s *localSession) Close() { s.s.Close() }

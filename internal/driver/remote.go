@@ -354,13 +354,6 @@ type remoteSession struct {
 	rmw []float32
 }
 
-func (s *remoteSession) initInto(key uint64, dst []float32) {
-	clear(dst) // the Initializer contract: dst arrives zeroed
-	if s.m.init != nil {
-		s.m.init(key, dst)
-	}
-}
-
 // tier returns the model's hot tier and the bound to consult it under, nil
 // when reads go straight to the wire: no tier is configured, or the bound is
 // BSP, under which every read must synchronize through the store. The
@@ -395,7 +388,7 @@ func (s *remoteSession) Get(ctx context.Context, key uint64, dst []float32) erro
 		// reads (from any worker) see the same embedding. The fresh
 		// record's clock starts balanced — a miss acquired no token, and
 		// a Put on a zero-staleness record is floored, not underflowed.
-		s.initInto(key, dst)
+		s.m.init.Fill(key, dst)
 		return s.Put(ctx, key, dst)
 	}
 	if c != nil {
@@ -454,7 +447,7 @@ func (s *remoteSession) GetBatch(ctx context.Context, keys []uint64, dst []float
 		// First touch. The write-back list never outgrows its capacity (one
 		// value per fetched key) and grows no faster than j, so it may share
 		// into's memory behind the read position.
-		s.initInto(fetch[j], seg(j))
+		s.m.init.Fill(fetch[j], seg(j))
 		s.missKeys = append(s.missKeys, fetch[j])
 		s.missVals = append(s.missVals, tensor.F32Bytes(seg(j))...)
 	}
@@ -519,7 +512,7 @@ func (s *remoteSession) RMW(ctx context.Context, key uint64, grad []float32, lr 
 	}
 	if !found {
 		s.rmw = util.Grow(s.rmw, dim)
-		s.initInto(key, s.rmw)
+		s.m.init.Fill(key, s.rmw)
 		tensor.Axpy(-lr, grad, s.rmw)
 		return s.Put(ctx, key, s.rmw)
 	}

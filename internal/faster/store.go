@@ -859,9 +859,3 @@ func (s *Session) backoff(attempt int) {
 
 // TailAddr returns the next address to be allocated (diagnostics).
 func (st *Store) TailAddr() uint64 { return st.log.nextAddr.Load() }
-
-// HeadAddr returns the first in-memory address (diagnostics).
-func (st *Store) HeadAddr() uint64 { return st.log.headAddr.Load() }
-
-// ReadOnlyAddr returns the first mutable address (diagnostics).
-func (st *Store) ReadOnlyAddr() uint64 { return st.log.roAddr.Load() }

@@ -25,7 +25,7 @@ import (
 // can save neither reads bypass it — neither consulted nor filled — while
 // writes keep it coherent all the same (see readTier).
 //
-// Peek and Prefetch/Lookahead bypass the tier: evaluation reads stay
+// Peek and Lookahead bypass the tier: evaluation reads stay
 // exact and prefetch targets the engine's own memory.
 func WrapCached(inner Store, entries int) Store {
 	return &cachedStore{
@@ -90,7 +90,6 @@ type cachedSession struct {
 }
 
 func (s *cachedSession) Close()                               { s.inner.Close() }
-func (s *cachedSession) Prefetch(key uint64) (bool, error)    { return s.inner.Prefetch(key) }
 func (s *cachedSession) Lookahead(keys []uint64) (int, error) { return s.inner.Lookahead(keys) }
 
 // Peek bypasses the tier: evaluation reads stay exact.

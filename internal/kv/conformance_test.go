@@ -96,7 +96,7 @@ func TestStoreConformance(t *testing.T) {
 		if found, err := s.Peek(6, dst); err != nil || !found || !bytes.Equal(dst, val) {
 			t.Fatalf("peek: found=%v err=%v", found, err)
 		}
-		if _, err := s.Prefetch(6); err != nil {
+		if _, err := s.Lookahead([]uint64{6}); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := s.Lookahead([]uint64{6, 7, 9999}); err != nil {

@@ -74,11 +74,9 @@ type Session interface {
 	// APPLY frame runs server-side; a read, fn, and a write on the network
 	// client, whose closure cannot cross the wire.
 	RMW(key uint64, fn func(cur []byte, exists bool) bool) error
-	// Prefetch hints that key will be read soon, reporting whether the
-	// engine moved a record toward memory.
-	Prefetch(key uint64) (bool, error)
-	// Lookahead is Prefetch over a key list (one frame on the network
-	// client), returning how many records the engine reports moving.
+	// Lookahead hints that keys will be read soon (one frame on the
+	// network client), returning how many records the engine reports
+	// moving toward memory.
 	Lookahead(keys []uint64) (int, error)
 	// GetBatchCtx reads len(keys) values into vals (len(keys)×ValueSize)
 	// under ctx, recording presence in found and zeroing the value slot of

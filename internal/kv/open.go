@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"github.com/llm-db/mlkv-go/internal/faster"
@@ -122,11 +123,11 @@ func splitBudget(memoryBytes int64, shards int, expectedKeys uint64) (memPerShar
 }
 
 // openShard opens one shard in dir with its share of the budgets.
-func openShard(dir string, cfg ShardedConfig, mem int64, keys uint64) (*fasterShard, error) {
+func openShard(dir string, cfg ShardedConfig, mem int64, keys uint64) (*faster.Store, error) {
 	recBytes := int64(cfg.ValueSize + 24)
 	memPages := max(int(mem/(recBytes*int64(cfg.RecordsPerPage))), 4)
 	mutPages := min(max(int(float64(memPages)*cfg.MutableFraction), 1), memPages-2)
-	st, err := faster.Open(faster.Config{
+	return faster.Open(faster.Config{
 		Dir:            dir,
 		ValueSize:      cfg.ValueSize,
 		RecordsPerPage: cfg.RecordsPerPage,
@@ -137,10 +138,6 @@ func openShard(dir string, cfg ShardedConfig, mem int64, keys uint64) (*fasterSh
 		SyncWrites:     cfg.SyncWrites,
 		FlushPace:      cfg.FlushPace,
 	})
-	if err != nil {
-		return nil, err
-	}
-	return &fasterShard{Store: st}, nil
 }
 
 // engineMetaFile names the engine a store directory was written by. Only
@@ -193,7 +190,12 @@ func OpenEngine(engine string, cfg ShardedConfig, name string) (Store, error) {
 	if err := util.ValidateShardMeta(cfg.Dir, cfg.Shards); err != nil {
 		return nil, fmt.Errorf("kv: %w", err)
 	}
-	st := &shardedStore{name: name, vs: cfg.ValueSize}
+	st := &shardedStore{
+		name:      name,
+		vs:        cfg.ValueSize,
+		batchGets: make([]atomic.Int64, cfg.Shards),
+		batchPuts: make([]atomic.Int64, cfg.Shards),
+	}
 	mem, keys := splitBudget(cfg.MemoryBytes, cfg.Shards, cfg.ExpectedKeys)
 	for i := 0; i < cfg.Shards; i++ {
 		d := cfg.Dir

@@ -19,44 +19,15 @@ import (
 // uncorrelated. One shard is the same code with one group: 1-vs-N
 // comparisons measure sharding alone.
 type shardedStore struct {
-	shards []*fasterShard
-	name   string
-	vs     int
+	shards []*faster.Store
+	// batchGets and batchPuts count, per shard, the engine batch calls that
+	// reach it, all sessions together (BatchCallReporter).
+	batchGets, batchPuts []atomic.Int64
+	name                 string
+	vs                   int
 	// pinned, when set, answers Resident in place of the shards, so that a
 	// test can hold fanOut in either of its modes.
 	pinned *bool
-}
-
-// fasterShard is one partition's hybrid log, counting the batch calls that
-// reach it, all sessions together.
-type fasterShard struct {
-	*faster.Store
-	batchGets, batchPuts atomic.Int64
-}
-
-// fasterSession is one worker's handle on one shard. Its batch calls are
-// index-addressed: they serve keys[i] for each i in idxs as one engine pass,
-// straight from and into the caller's i-th slot, so the sharded session
-// hands every shard its group of positions without copying keys or values
-// itself. Every clocked read in a pass stays its own token acquisition, and
-// a key it creates is appended in its turn (see faster.Session.GetBatchAt).
-type fasterSession struct {
-	*faster.Session
-	sh *fasterShard
-}
-
-// getAt reads keys[i] into vals[i×ValueSize:] and found[i] for each i in
-// idxs, zeroing the slot of a missing key — or, with create set, creating
-// it (see Creator).
-func (s *fasterSession) getAt(ctx context.Context, keys []uint64, idxs []int, vals []byte, found []bool, create func(uint64, []byte)) error {
-	s.sh.batchGets.Add(1)
-	return s.GetBatchAt(ctx, keys, idxs, vals, found, create)
-}
-
-// putAt upserts keys[i] = vals[i×ValueSize:] for each i in idxs.
-func (s *fasterSession) putAt(keys []uint64, idxs []int, vals []byte) error {
-	s.sh.batchPuts.Add(1)
-	return s.PutBatchAt(keys, idxs, vals)
 }
 
 func (w *shardedStore) ValueSize() int { return w.vs }
@@ -126,15 +97,15 @@ type BatchCallReporter interface {
 
 // BatchCalls implements BatchCallReporter.
 func (w *shardedStore) BatchCalls() (gets, puts int64) {
-	for _, sh := range w.shards {
-		gets += sh.batchGets.Load()
-		puts += sh.batchPuts.Load()
+	for i := range w.shards {
+		gets += w.batchGets[i].Load()
+		puts += w.batchPuts[i].Load()
 	}
 	return gets, puts
 }
 
 func (w *shardedStore) NewSession() (Session, error) {
-	ss := make([]*fasterSession, len(w.shards))
+	ss := make([]*faster.Session, len(w.shards))
 	for i, sh := range w.shards {
 		s, err := sh.NewSession()
 		if err != nil {
@@ -143,7 +114,7 @@ func (w *shardedStore) NewSession() (Session, error) {
 			}
 			return nil, err
 		}
-		ss[i] = &fasterSession{Session: s, sh: sh}
+		ss[i] = s
 	}
 	se := &shardedSession{
 		st:     w,
@@ -161,7 +132,7 @@ func (w *shardedStore) NewSession() (Session, error) {
 // the engine's single-goroutine session contract.
 type shardedSession struct {
 	st     *shardedStore
-	ss     []*fasterSession
+	ss     []*faster.Session
 	groups [][]int        // reusable per-shard index groups for batches
 	run    []int          // reusable run of an in-order batch
 	errs   []error        // reusable per-shard fan-out results
@@ -174,8 +145,28 @@ type shardedSession struct {
 	createMu     sync.Mutex
 }
 
-func (se *shardedSession) route(key uint64) *fasterSession {
+func (se *shardedSession) route(key uint64) *faster.Session {
 	return se.ss[util.ShardOf(key, len(se.ss))]
+}
+
+// getAt reads keys[i] into vals[i×ValueSize:] and found[i] for each i in
+// idxs as one pass of shard sh's engine, zeroing the slot of a missing key
+// — or, with create set, creating it (see Creator). Like putAt it is
+// index-addressed, straight from and into the caller's i-th slot, so the
+// session hands every shard its group of positions without copying keys or
+// values. Every clocked read in a pass stays its own token acquisition,
+// and a key it creates is appended in its turn (see
+// faster.Session.GetBatchAt).
+func (se *shardedSession) getAt(ctx context.Context, sh int, keys []uint64, idxs []int, vals []byte, found []bool, create func(uint64, []byte)) error {
+	se.st.batchGets[sh].Add(1)
+	return se.ss[sh].GetBatchAt(ctx, keys, idxs, vals, found, create)
+}
+
+// putAt upserts keys[i] = vals[i×ValueSize:] for each i in idxs as one pass
+// of shard sh's engine.
+func (se *shardedSession) putAt(sh int, keys []uint64, idxs []int, vals []byte) error {
+	se.st.batchPuts[sh].Add(1)
+	return se.ss[sh].PutBatchAt(keys, idxs, vals)
 }
 
 func (se *shardedSession) Get(key uint64, dst []byte) (bool, error) {
@@ -192,12 +183,11 @@ func (se *shardedSession) Delete(key uint64) error          { return se.route(ke
 func (se *shardedSession) RMW(key uint64, fn func(cur []byte, exists bool) bool) error {
 	return se.route(key).RMW(key, fn)
 }
-func (se *shardedSession) Prefetch(key uint64) (bool, error) { return se.route(key).Prefetch(key) }
 
 func (se *shardedSession) Lookahead(keys []uint64) (int, error) {
 	n := 0
 	for _, k := range keys {
-		ok, err := se.Prefetch(k)
+		ok, err := se.route(k).Prefetch(k)
 		if err != nil {
 			return n, err
 		}
@@ -255,7 +245,7 @@ func (se *shardedSession) inOrder(ctx context.Context, keys []uint64, vals []byt
 		for ; i < len(keys) && util.ShardOf(keys[i], n) == sh; i++ {
 			se.run = append(se.run, i)
 		}
-		if err := se.ss[sh].getAt(ctx, keys, se.run, vals, found, create); err != nil {
+		if err := se.getAt(ctx, sh, keys, se.run, vals, found, create); err != nil {
 			return err
 		}
 	}
@@ -286,9 +276,9 @@ type batch struct {
 func (se *shardedSession) runGroup(sh int, idxs []int, create func(uint64, []byte)) error {
 	b := &se.cur
 	if b.put {
-		return se.ss[sh].putAt(b.keys, idxs, b.vals)
+		return se.putAt(sh, b.keys, idxs, b.vals)
 	}
-	return se.ss[sh].getAt(b.ctx, b.keys, idxs, b.vals, b.found, create)
+	return se.getAt(b.ctx, sh, b.keys, idxs, b.vals, b.found, create)
 }
 
 // runGroupAsync is runGroup as one goroutine of a parallel fan-out. fanOut

@@ -1,9 +1,6 @@
 package models
 
-import (
-	"github.com/llm-db/mlkv-go/internal/tensor"
-	"github.com/llm-db/mlkv-go/internal/util"
-)
+import "github.com/llm-db/mlkv-go/internal/tensor"
 
 // KGEKind selects the knowledge-graph-embedding scoring function.
 type KGEKind int
@@ -130,15 +127,4 @@ func softplus(x float32) float32 {
 		return 0
 	}
 	return logf32(1 + expf32(x))
-}
-
-// KGEInit returns an embedding initializer appropriate for KGE training.
-func KGEInit(dim int, seed uint64) func(key uint64, dst []float32) {
-	scale := float32(0.5) / float32(dim)
-	return func(key uint64, dst []float32) {
-		r := util.NewRNG(util.Mix64(key) ^ seed)
-		for i := range dst {
-			dst[i] = (r.Float32()*2 - 1) * scale * float32(dim)
-		}
-	}
 }

@@ -119,7 +119,7 @@ func TestRemoteRoundTrip(t *testing.T) {
 	if found, _ := s.Get(1, dst); found {
 		t.Fatal("key survived delete")
 	}
-	if _, err := s.Prefetch(1); err != nil {
+	if _, err := s.Lookahead([]uint64{1}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Put(2, val[:3]); err == nil {

@@ -35,8 +35,8 @@ func F32sToBytes(src []float32, dst []byte) {
 }
 
 // StepBytes applies val ← val − lr·grad to an encoded embedding in place:
-// the gradient step of core.Session.ApplyGradient and of the server's APPLY
-// frame, one definition so a local and a remote update round identically.
+// the gradient step of core.Session.RMW and of the server's APPLY frame,
+// one definition so a local and a remote update round identically.
 // val must hold at least 4*len(grad) bytes. It goes word by word through
 // encoding/binary: val sits wherever the engine keeps the record, which
 // need not be float32-aligned.

@@ -21,6 +21,7 @@
 package train
 
 import (
+	"context"
 	"fmt"
 	"sync"
 
@@ -183,20 +184,24 @@ type tableHandle struct {
 	s *core.Session
 }
 
-func (h *tableHandle) Get(key uint64, dst []float32) error { return h.s.Get(key, dst) }
-func (h *tableHandle) GetBatch(keys []uint64, dst []float32) error {
-	return h.s.GetBatch(keys, dst)
+func (h *tableHandle) Get(key uint64, dst []float32) error {
+	return h.s.Get(context.Background(), key, dst)
 }
-func (h *tableHandle) Put(key uint64, val []float32) error { return h.s.Put(key, val) }
+func (h *tableHandle) GetBatch(keys []uint64, dst []float32) error {
+	return h.s.GetBatch(context.Background(), keys, dst)
+}
+func (h *tableHandle) Put(key uint64, val []float32) error {
+	return h.s.Put(context.Background(), key, val)
+}
 func (h *tableHandle) PutBatch(keys []uint64, vals []float32) error {
-	return h.s.PutBatch(keys, vals)
+	return h.s.PutBatch(context.Background(), keys, vals)
 }
 func (h *tableHandle) Peek(key uint64, dst []float32) (bool, error) {
-	return h.s.Peek(key, dst)
+	return h.s.Peek(context.Background(), key, dst)
 }
 func (h *tableHandle) Lookahead(keys []uint64) {
 	if h.b.UseLookahead {
-		h.s.Lookahead(keys)
+		h.s.Lookahead(keys) //nolint:errcheck // never fails
 	}
 }
 func (h *tableHandle) Close() { h.s.Close() }
@@ -258,11 +263,7 @@ func (h *memHandle) Get(key uint64, dst []float32) error {
 		return nil
 	}
 	sh.mu.RUnlock()
-	if h.b.Init != nil {
-		h.b.Init(key, dst)
-	} else {
-		clear(dst)
-	}
+	h.b.Init.Fill(key, dst)
 	sh.mu.Lock()
 	if v, ok := sh.m[key]; ok {
 		copy(dst, v)
@@ -300,12 +301,7 @@ func (h *memHandle) GetBatch(keys []uint64, dst []float32) error {
 			continue
 		}
 		for _, i := range h.miss {
-			seg := dst[i*dim : (i+1)*dim]
-			if h.b.Init != nil {
-				h.b.Init(keys[i], seg)
-			} else {
-				clear(seg)
-			}
+			h.b.Init.Fill(keys[i], dst[i*dim:(i+1)*dim])
 		}
 		s.mu.Lock()
 		for _, i := range h.miss {

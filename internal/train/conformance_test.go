@@ -95,6 +95,53 @@ func f32Eq(a, b []float32) bool {
 	return true
 }
 
+// TestFirstTouchArrivesZeroed pins the Initializer contract on both local
+// first-touch paths: dst arrives zeroed, so an initializer that writes only
+// part of it leaves zeros in the rest, whatever the caller's buffer held.
+func TestFirstTouchArrivesZeroed(t *testing.T) {
+	const dim = 4
+	partial := core.Initializer(func(_ uint64, dst []float32) { dst[0] = 1 })
+	tbl, err := core.OpenTable(core.Options{Dir: t.TempDir(), Dim: dim, StalenessBound: core.BoundASP, Init: partial})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { tbl.Close() })
+	want := []float32{1, 0, 0, 0}
+	dirty := func(n int) []float32 {
+		buf := make([]float32, n)
+		for i := range buf {
+			buf[i] = 7
+		}
+		return buf
+	}
+	for name, b := range map[string]Backend{
+		"mem":   NewMemBackend("mem", dim, partial),
+		"table": NewTableBackend(tbl, false),
+	} {
+		t.Run(name, func(t *testing.T) {
+			h, err := b.NewHandle()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer h.Close()
+			got := dirty(dim)
+			if err := h.Get(1, got); err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got, want) {
+				t.Errorf("Get first touch = %v, want %v", got, want)
+			}
+			got = dirty(2 * dim)
+			if err := h.GetBatch([]uint64{2, 3}, got); err != nil {
+				t.Fatal(err)
+			}
+			if wantBatch := slices.Concat(want, want); !slices.Equal(got, wantBatch) {
+				t.Errorf("GetBatch first touch = %v, want %v", got, wantBatch)
+			}
+		})
+	}
+}
+
 // TestHandleConformance runs the same observable-behavior contract over
 // every backend: first-touch init is deterministic and persistent,
 // GetBatch and scalar Get agree, PutBatch round-trips, Peek sees the last

@@ -84,16 +84,13 @@ const initSeed = 0x6d6c6b76
 // ConnectOption customizes Connect.
 type ConnectOption func(*connectConfig)
 
-type connectConfig struct {
-	conns        int
-	readReplicas bool
-}
+type connectConfig = driver.ConnectOptions
 
 // WithConns sizes the connection pool of a remote target (default 2).
 // Size it to the number of concurrently blocking sessions: under BSP or a
 // finite SSP bound, a blocked remote read must not queue behind the write
 // that unblocks it on a shared connection. Local targets ignore it.
-func WithConns(n int) ConnectOption { return func(c *connectConfig) { c.conns = n } }
+func WithConns(n int) ConnectOption { return func(c *connectConfig) { c.Conns = n } }
 
 // WithReadReplicas lets a cluster target ("mlkv://a,b,c") serve reads
 // from replicas, staleness-bound-aware: ASP reads may hit any replica of
@@ -104,7 +101,7 @@ func WithConns(n int) ConnectOption { return func(c *connectConfig) { c.conns = 
 // replicas are counted in Stats.ReplicaReads. Non-cluster targets ignore
 // the option.
 func WithReadReplicas() ConnectOption {
-	return func(c *connectConfig) { c.readReplicas = true }
+	return func(c *connectConfig) { c.ReadReplicas = true }
 }
 
 // DB is one storage target serving named models: a local data directory
@@ -122,10 +119,7 @@ func Connect(target string, opts ...ConnectOption) (*DB, error) {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	d, err := driver.Connect(target, driver.ConnectOptions{
-		Conns:        cfg.conns,
-		ReadReplicas: cfg.readReplicas,
-	})
+	d, err := driver.Connect(target, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -145,15 +139,7 @@ func (db *DB) Close() error { return db.d.Close() }
 // Option customizes DB.Open.
 type Option func(*config)
 
-type config struct {
-	bound        int64
-	boundSet     bool
-	memory       int64
-	keys         uint64
-	init         Initializer
-	shards       int
-	cacheEntries int
-}
+type config = driver.Config
 
 // WithStalenessBound sets the consistency bound: BSP, ASP, Disabled, or any
 // positive SSP bound. The bound is fixed while the model is open: a second
@@ -165,7 +151,7 @@ type config struct {
 // model keeps its bound and a new one opens under ASP locally, and under
 // the server's -staleness default (also ASP unless set) remotely.
 func WithStalenessBound(b int64) Option {
-	return func(c *config) { c.bound, c.boundSet = b, true }
+	return func(c *config) { c.Bound, c.BoundSet = b, true }
 }
 
 // WithMemory sets the in-memory buffer budget in bytes (the paper's
@@ -173,11 +159,11 @@ func WithStalenessBound(b int64) Option {
 // owns its sizing. It bounds the log's in-memory frames only: records
 // evicted to disk are read through a read-only mapping of the log file,
 // so the log pages a run touches also count toward the process's RSS.
-func WithMemory(bytes int64) Option { return func(c *config) { c.memory = bytes } }
+func WithMemory(bytes int64) Option { return func(c *config) { c.MemoryBytes = bytes } }
 
 // WithExpectedKeys sizes the hash index for the expected embedding count
 // (local models).
-func WithExpectedKeys(n uint64) Option { return func(c *config) { c.keys = n } }
+func WithExpectedKeys(n uint64) Option { return func(c *config) { c.ExpectedKeys = n } }
 
 // UniformInit returns the initializer drawing each first-touch embedding
 // uniformly from [-scale, scale), seeded per key, so local and remote
@@ -191,7 +177,7 @@ func UniformInit(scale float32) Initializer { return core.UniformInit(scale, ini
 func WithInitializer(fn Initializer) Option {
 	return func(c *config) {
 		if fn != nil {
-			c.init = fn
+			c.Init = fn
 		}
 	}
 }
@@ -218,20 +204,20 @@ func WithInitializer(fn Initializer) Option {
 // foreign writes must bound cached reads, use the server's shared tier
 // (mlkv-server -cache), whose clock sees every client. Default 0 (no
 // cache).
-func WithCache(entries int) Option { return func(c *config) { c.cacheEntries = entries } }
+func WithCache(entries int) Option { return func(c *config) { c.CacheEntries = entries } }
 
 // WithShards hash-partitions the embedding table across n independent
 // FASTER store instances, each with its own hybrid log, hash index, and
 // epoch domain. Batch operations (GetBatch, PutBatch) group keys by shard
 // and fan out across shards — on the caller's goroutine while the table
 // fits in memory, a goroutine per shard once it has spilled and there are
-// disk waits to overlap (batches under 16 keys stay serial) — and concurrent sessions contend on n log tails
-// instead of one. The memory budget is split evenly across
-// shards. Default 1 (unsharded, the paper's configuration). A table must
-// be reopened with the shard count it was created with; for a remote
-// model the count is advisory — it applies only if the server creates the
-// model on this Open.
-func WithShards(n int) Option { return func(c *config) { c.shards = n } }
+// disk waits to overlap (batches under 16 keys stay serial) — and
+// concurrent sessions contend on n log tails instead of one. The memory
+// budget is split evenly across shards. Default 1 (unsharded, the paper's
+// configuration). A table must be reopened with the shard count it was
+// created with; for a remote model the count is advisory — it applies only
+// if the server creates the model on this Open.
+func WithShards(n int) Option { return func(c *config) { c.Shards = n } }
 
 // Open creates or looks up the named model with the given embedding
 // dimension. Opening the same name twice on one DB returns the same
@@ -248,21 +234,11 @@ func (db *DB) OpenCtx(ctx context.Context, id string, dim int, opts ...Option) (
 	if dim <= 0 {
 		return nil, errors.New("mlkv: dim must be positive")
 	}
-	cfg := config{memory: 256 << 20, init: UniformInit(0.05)}
+	cfg := config{Dim: dim, MemoryBytes: 256 << 20, Init: UniformInit(0.05)}
 	for _, o := range opts {
 		o(&cfg)
 	}
-	dcfg := driver.Config{
-		Dim:          dim,
-		Shards:       cfg.shards,
-		Bound:        cfg.bound,
-		BoundSet:     cfg.boundSet,
-		MemoryBytes:  cfg.memory,
-		ExpectedKeys: cfg.keys,
-		CacheEntries: cfg.cacheEntries,
-		Init:         cfg.init,
-	}
-	m, err := db.d.Open(ctx, id, dcfg)
+	m, err := db.d.Open(ctx, id, cfg)
 	if err != nil {
 		return nil, err
 	}
