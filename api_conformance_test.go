@@ -1143,8 +1143,8 @@ func TestClusterOwnerRouting(t *testing.T) {
 // TestClusterReplicaRouting pins staleness-aware read routing against a
 // two-primaries-plus-replica topology: BSP reads never touch the replica
 // (a clocked read must see the primary's vector clock), while ASP reads on
-// the same keys do — counted both server-side (the replica's GET-class
-// latency counter) and client-side (Stats.ReplicaReads).
+// the same keys do — counted both server-side (the replica's read frames of
+// either kind, single or batch) and client-side (Stats.ReplicaReads).
 func TestClusterReplicaRouting(t *testing.T) {
 	target, regs, mp := startTestCluster(t, mlkv.ASP, true)
 	db, err := mlkv.Connect(target, mlkv.WithConns(2), mlkv.WithReadReplicas())
@@ -1178,8 +1178,8 @@ func TestClusterReplicaRouting(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if st := clusterModelStats(t, regs["n2"], "repl-bsp"); st.LatGet.Count != 0 {
-		t.Fatalf("BSP reads reached the replica %d times; a clocked read must stay on the primary", st.LatGet.Count)
+	if st := clusterModelStats(t, regs["n2"], "repl-bsp"); st.LatGet.Count+st.LatGetBatch.Count != 0 {
+		t.Fatalf("BSP reads reached the replica %d times; a clocked read must stay on the primary", st.LatGet.Count+st.LatGetBatch.Count)
 	}
 	bst, err := bsp.StatsCtx(context.Background())
 	if err != nil {
@@ -1223,7 +1223,7 @@ func TestClusterReplicaRouting(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if st := clusterModelStats(t, regs["n2"], "repl-asp"); st.LatGet.Count == 0 {
+	if st := clusterModelStats(t, regs["n2"], "repl-asp"); st.LatGet.Count+st.LatGetBatch.Count == 0 {
 		t.Fatal("ASP reads of replica-covered keys never reached the replica")
 	}
 	ast, err := asp.StatsCtx(context.Background())
@@ -1340,7 +1340,7 @@ func TestClusterReplicaDeathFallback(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if st := clusterModelStats(t, regs["n2"], "repl-death"); st.LatGet.Count == 0 {
+	if st := clusterModelStats(t, regs["n2"], "repl-death"); st.LatGet.Count+st.LatGetBatch.Count == 0 {
 		t.Fatal("ASP reads never reached the replica; the fallback path is not being exercised")
 	}
 

@@ -712,14 +712,25 @@ func (s *Session) GetBatch(keys []uint64, vals []byte, found []bool) error {
 // the round trip, and carried in each frame so a stalled batch gives up
 // on the server just before the deadline (see GetCtx).
 func (s *Session) GetBatchCtx(ctx context.Context, keys []uint64, vals []byte, found []bool) error {
+	return s.readBatch(ctx, wire.OpGetBatch, keys, vals, found)
+}
+
+// readBatch is GetBatchCtx's and PeekBatchCtx's one loop: one op frame per
+// maxKeysPerFrame chunk. Only a GETBATCH frame carries ctx's budget; a peek
+// never waits on the bound.
+func (s *Session) readBatch(ctx context.Context, op wire.Op, keys []uint64, vals []byte, found []bool) error {
 	if _, err := s.checkout(ctx); err != nil {
 		return err
 	}
 	vs := s.vs
 	for len(keys) > 0 {
 		n := min(len(keys), maxKeysPerFrame)
-		s.enc = wire.AppendGetBatch(s.enc[:0], s.m.handle, waitMsFrom(ctx), keys[:n])
-		p, err := s.roundTrip(ctx, wire.OpGetBatch)
+		if op == wire.OpGetBatch {
+			s.enc = wire.AppendGetBatch(s.enc[:0], s.m.handle, waitMsFrom(ctx), keys[:n])
+		} else {
+			s.enc = wire.AppendKeys(s.enc[:0], s.m.handle, keys[:n])
+		}
+		p, err := s.roundTrip(ctx, op)
 		if err != nil {
 			return ctxErr(ctx, err)
 		}
@@ -779,23 +790,5 @@ func (s *Session) Close() {
 // clock tokens, so a lagging replica can answer it without consistency
 // cost, and a miss falls back to the primary.
 func (s *Session) PeekBatchCtx(ctx context.Context, keys []uint64, vals []byte, found []bool) error {
-	if _, err := s.checkout(ctx); err != nil {
-		return err
-	}
-	vs := s.vs
-	for len(keys) > 0 {
-		n := min(len(keys), maxKeysPerFrame)
-		s.enc = wire.AppendKeys(s.enc[:0], s.m.handle, keys[:n])
-		p, err := s.roundTrip(ctx, wire.OpPeekBatch)
-		if err != nil {
-			return err
-		}
-		err = wire.DecodeGetBatchResp(p, vs, found[:n], vals[:n*vs])
-		s.cn.release(p)
-		if err != nil {
-			return err
-		}
-		keys, found, vals = keys[n:], found[n:], vals[n*vs:]
-	}
-	return nil
+	return s.readBatch(ctx, wire.OpPeekBatch, keys, vals, found)
 }

@@ -444,7 +444,7 @@ func (m *RModel) replicaAdmissible(ctx context.Context, bound int64, rep *Node) 
 	return hotcache.Admissible(bound, m.lagOf(ctx, rep))
 }
 
-// NewSession opens a routed session (kv.Session shape, one goroutine).
+// NewSession opens a routed session for one goroutine (see RSession).
 func (m *RModel) NewSession(ctx context.Context) (*RSession, error) {
 	return &RSession{m: m, sess: map[string]*client.Session{}}, nil
 }

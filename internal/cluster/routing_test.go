@@ -14,6 +14,7 @@ import (
 	"math"
 	"net"
 	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -427,11 +428,13 @@ func TestReplicaDiesMidRead(t *testing.T) {
 }
 
 // TestBlockingBatchKeepsCallerOrder pins the serial gate one level up: a
-// batch spanning two nodes under a blocking bound is issued key by key in
-// caller order. Another session holds key #5's staleness tokens, so the
-// batch stalls there until its deadline — and the node that does not own
-// key #5 must by then have served exactly its keys before position 5, as
-// single GETs, and none after.
+// batch spanning two nodes under a blocking bound is issued as runs of
+// consecutive same-owner keys in caller order. With the owners interleaved
+// every run is one key. Another session holds key #5's staleness tokens, so
+// the batch stalls there until its deadline — and the node that does not
+// own key #5 must by then have served exactly its keys before position 5,
+// as one-key GETBATCH frames, and none after. With the keys ordered by
+// owner the same batch costs each node exactly one frame.
 func TestBlockingBatchKeepsCallerOrder(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -464,9 +467,28 @@ func TestBlockingBatchKeepsCallerOrder(t *testing.T) {
 				t.Fatalf("batch stalled on a held key returned %v, want the deadline", err)
 			}
 			got := nodes["n0"].modelStats(t).Sub(before)
-			if got.Gets != 3 || got.BatchGets != 0 {
-				t.Fatalf("n0 served %d single gets and %d batch frames, want its 3 keys ahead of the stall, one by one",
+			if got.Gets != 3 || got.BatchGets != 3 {
+				t.Fatalf("n0 served %d gets in %d batch frames, want its 3 keys ahead of the stall, one frame each",
 					got.Gets, got.BatchGets)
+			}
+
+			// Owner runs: every n0 key, then every n1 key — two runs, one
+			// frame per node.
+			runs := append(keysOwnedBy(m, "n0", 8)[4:], keysOwnedBy(m, "n1", 8)[4:]...)
+			vals, found = valsFor(runs), make([]bool, len(runs))
+			if err := rs.PutBatchCtx(ctx, runs, vals); err != nil {
+				t.Fatal(err)
+			}
+			before0, before1 := nodes["n0"].modelStats(t), nodes["n1"].modelStats(t)
+			if err := rs.GetBatchCtx(ctx, runs, vals, found); err != nil {
+				t.Fatal(err)
+			}
+			checkRead(t, runs, vals, found)
+			for id, before := range map[string]stats.Counters{"n0": before0, "n1": before1} {
+				if got := nodes[id].modelStats(t).Sub(before); got.Gets != 4 || got.BatchGets != 1 {
+					t.Fatalf("%s served %d gets in %d batch frames, want its run of 4 keys as one frame",
+						id, got.Gets, got.BatchGets)
+				}
 			}
 		})
 	}
@@ -478,7 +500,8 @@ func TestBlockingBatchKeepsCallerOrder(t *testing.T) {
 // replica, gives up with ErrNoLiveOwner after refetching the map exactly
 // ownerRetryBudget times (each refetch probes the one surviving member
 // once); and the same read of an ASP model spends the same budget, then
-// degrades to the replica instead of failing.
+// degrades to the replica instead of failing — a single key and a batch
+// alike.
 func TestOwnerRetryBudget(t *testing.T) {
 	m, nodes := startCluster(t, []cluster.Node{
 		{ID: "n0", Role: cluster.RolePrimary},
@@ -491,12 +514,15 @@ func TestOwnerRetryBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	bs := newSession(t, bsp)
-	keys := []uint64{7}
+	keys, batch := []uint64{7}, []uint64{11, 12, 13, 14}
 	val, got := valsFor(keys), make([]byte, testVS)
 	if err := rs.PutCtx(context.Background(), keys[0], val); err != nil {
 		t.Fatal(err)
 	}
-	for deadline := time.Now().Add(5 * time.Second); nodes["n1"].reg.ReplWatermark() < 1; {
+	if err := rs.PutBatchCtx(context.Background(), batch, valsFor(batch)); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); nodes["n1"].reg.ReplWatermark() < 2; {
 		if time.Now().After(deadline) {
 			t.Fatal("the replica never applied the write")
 		}
@@ -530,6 +556,45 @@ func TestOwnerRetryBudget(t *testing.T) {
 	checkRead(t, keys, got, []bool{found})
 	if n := routerStats(r).ReplicaReads; n != 1 {
 		t.Fatalf("ReplicaReads = %d, want the one degraded read", n)
+	}
+
+	bvals, bfound := make([]byte, len(batch)*testVS), make([]bool, len(batch))
+	if err := rs.GetBatchCtx(context.Background(), batch, bvals, bfound); err != nil {
+		t.Fatalf("ASP batch read with a live replica and a dead primary: %v", err)
+	}
+	checkRead(t, batch, bvals, bfound)
+	if n := routerStats(r).ReplicaReads; n != int64(1+len(batch)) {
+		t.Fatalf("ReplicaReads = %d, want %d: the single key and the whole degraded batch", n, 1+len(batch))
+	}
+}
+
+// TestBlockingBatchRetryBudget pins the owner-retry budget for a blocking
+// batch that spans a dead primary and a live one: the batch is one routed
+// call, so it gives up after exactly ownerRetryBudget map refetches at the
+// survivor, with ErrNoLiveOwner wrapped once — not a per-key budget spent
+// inside a retried outer one.
+func TestBlockingBatchRetryBudget(t *testing.T) {
+	m, nodes := startCluster(t, twoPrimaries(), "n0")
+	_, rm := openRouted(t, m, 0, false)
+	rs := newSession(t, rm)
+	ctx := context.Background()
+	keys := interleave(keysOwnedBy(m, "n0", 2), keysOwnedBy(m, "n1", 2))
+	vals, found := valsFor(keys), make([]bool, len(keys))
+	if err := rs.PutBatchCtx(ctx, keys, vals); err != nil {
+		t.Fatal(err)
+	}
+	nodes["n0"].proxy.Partition()
+
+	probes := nodes["n1"].st.encodes.Load()
+	err := rs.GetBatchCtx(ctx, keys, vals, found)
+	if !errors.Is(err, cluster.ErrNoLiveOwner) {
+		t.Fatalf("BSP batch over a dead, unpromoted primary returned %v, want ErrNoLiveOwner", err)
+	}
+	if n := strings.Count(err.Error(), cluster.ErrNoLiveOwner.Error()); n != 1 {
+		t.Fatalf("ErrNoLiveOwner wrapped %d times, want once: %v", n, err)
+	}
+	if n := nodes["n1"].st.encodes.Load() - probes; n != cluster.OwnerRetryBudget {
+		t.Fatalf("the survivor answered %d map refetches, want exactly the budget of %d", n, cluster.OwnerRetryBudget)
 	}
 }
 

@@ -18,15 +18,16 @@ import (
 var errNoOwner = errors.New("cluster: key has no owner in the current map")
 
 // RSession is one worker's routed session: a lazy per-node client session
-// behind each node the worker's keys touch. Like every kv.Session it is
-// single-goroutine from the caller's side; fanOut below spawns one
-// goroutine per extra node group, each owning that node's session for the
-// call.
+// behind each node the worker's keys touch. It is single-goroutine from the
+// caller's side; fanOut below spawns one goroutine per extra node group,
+// each owning that node's session for the call.
 //
 // Every public method is one routed call built from four pieces: do (the
 // redirect / owner-retry loop), groupBy (keys → per-node groups), exchange
 // (one group's gather → frame → scatter) and fanOut (the groups in
-// parallel, errors ranked).
+// parallel, errors ranked). A single-key Get, Peek or Put is the one-key
+// case of its batch call; only DeleteCtx and ApplyCtx, which have no batch
+// frame, send a single-key frame (writeOne).
 type RSession struct {
 	m    *RModel
 	sess map[string]*client.Session // node id → session
@@ -34,10 +35,13 @@ type RSession struct {
 
 	// Routing scratch, reused across calls: groups keeps every slot's
 	// buffers at their high-water capacity, miss lists the caller-space
-	// indices the owning primaries must (re-)serve after a replica pass.
-	groups []group
-	miss   []int
-	wg     sync.WaitGroup
+	// indices the owning primaries must (re-)serve after a replica pass,
+	// and one/oneFound hold a single-key call's batch of one.
+	groups   []group
+	miss     []int
+	one      [1]uint64
+	oneFound [1]bool
+	wg       sync.WaitGroup
 }
 
 // group is one node's share of a batch. A routed call names the frame its
@@ -55,8 +59,8 @@ type group struct {
 }
 
 // primaryOnly is the groupBy target that never admits a replica: the
-// bound-0 rule (a BSP read stays on its primary), reused for writes, hints
-// and authoritative re-reads.
+// bound-0 rule (a BSP read stays on its primary), reused for writes, hints,
+// authoritative re-reads and reads while the router does not read replicas.
 const primaryOnly = int64(0)
 
 // do is the one retry loop. attempt runs against the router's current map
@@ -104,10 +108,10 @@ func (s *RSession) node(ctx context.Context, n *Node) (*client.Session, error) {
 
 // readTarget picks where a read of p's range goes under bound: an
 // admissible replica (round-robin when several) with its session, else the
-// primary. Replica session-attach failures fall back to the primary here;
-// a replica failing mid-read falls back in getCtx and fanOut's caller.
+// primary. Replica session-attach failures fall back to the primary here; a
+// replica failing mid-read falls back in primaryRefetch (see read).
 func (s *RSession) readTarget(ctx context.Context, mp *Map, p *Node, bound int64) (*Node, *client.Session, error) {
-	if s.m.r.opts.ReadReplicas {
+	if bound != primaryOnly {
 		reps := mp.ReplicasOf(p.ID)
 		for i := 0; i < len(reps); i++ {
 			rep := reps[int(s.rr)%len(reps)]
@@ -208,12 +212,13 @@ func (s *RSession) exchange(ctx context.Context, g *group, op wire.Op, keys []ui
 // each further one on its own, which owns that node's session until the
 // join — and ranks the outcomes: a NOT_OWNER from any group outranks every
 // other failure (adopting its map and retrying may fix them all), then the
-// first primary failure. A replica that failed is not an error: its whole
-// group joins s.miss, next to the keys a healthy replica did not hold, for
-// the caller's primaryRefetch. ReplicaReads counts what replicas did serve.
-func (s *RSession) fanOut(ctx context.Context, groups []group, op wire.Op, keys []uint64, vals []byte, found []bool) error {
+// first primary failure, named by its owner for do. A replica that failed
+// is not an error: its whole group joins s.miss, next to the keys a healthy
+// replica did not hold, for read to re-serve. ReplicaReads counts what
+// replicas did serve.
+func (s *RSession) fanOut(ctx context.Context, groups []group, op wire.Op, keys []uint64, vals []byte, found []bool) (string, error) {
 	if len(groups) == 0 {
-		return nil // an empty batch
+		return "", nil // an empty batch
 	}
 	for gi := 1; gi < len(groups); gi++ {
 		s.wg.Add(1)
@@ -226,7 +231,7 @@ func (s *RSession) fanOut(ctx context.Context, groups []group, op wire.Op, keys 
 	s.wg.Wait()
 
 	s.miss = s.miss[:0]
-	var first error
+	var first *group
 	for gi := range groups {
 		g := &groups[gi]
 		switch {
@@ -244,112 +249,129 @@ func (s *RSession) fanOut(ctx context.Context, groups []group, op wire.Op, keys 
 			}
 			s.m.r.replicaReads.Add(int64(served))
 		case notOwner(g.err):
-			return g.err
+			return "", g.err
 		case g.replica:
 			s.miss = append(s.miss, g.idxs...)
 		case first == nil:
-			first = g.err
+			first = g
 		}
 	}
-	return first
+	if first == nil {
+		return "", nil
+	}
+	return first.primary.ID, first.err
 }
 
 // primaryRefetch re-serves s.miss from the owning primaries: a miss on a
 // lagging replica is not authoritative, and a replica that died mid-read
 // answered nothing. Serial — the fan-out has joined, so every session is
 // free again, and the common case is no miss at all.
-func (s *RSession) primaryRefetch(ctx context.Context, mp *Map, op wire.Op, keys []uint64, vals []byte, found []bool) error {
+func (s *RSession) primaryRefetch(ctx context.Context, mp *Map, op wire.Op, keys []uint64, vals []byte, found []bool) (string, error) {
 	if len(s.miss) == 0 {
-		return nil
+		return "", nil
 	}
 	groups, err := s.groupBy(ctx, mp, keys, s.miss, primaryOnly)
 	if err != nil {
-		return err
+		return "", err
 	}
 	for gi := range groups {
 		if err := s.exchange(ctx, &groups[gi], op, keys, vals, found); err != nil {
-			return err
+			return groups[gi].primary.ID, err
 		}
 	}
-	return nil
+	return "", nil
 }
 
-// GetCtx reads one key through the cluster: replica when the staleness
-// bound admits it (a clock-free PEEK — a replica holds no clock), primary
-// otherwise; a replica miss re-reads authoritatively from the primary.
+// read is the one routed read behind GetCtx, PeekCtx, GetBatchCtx and
+// PeekBatchCtx (op GETBATCH or PEEKBATCH), timed into cls: one do loop of
+// readRuns, with replicas serving what the bound admits when the router
+// reads them. Once the loop gives up with ErrNoLiveOwner, a bound that may
+// read a replica at all (any but BSP) gets one degraded pass: admissible
+// replicas serve their primaries' keys whether or not the router reads
+// replicas — a stale-but-bounded answer instead of an outage. A replica
+// that fails or misses there fails the read with the loop's error: a
+// replica miss is not authoritative, and the primary that is has gone.
+func (s *RSession) read(ctx context.Context, cls latency.Op, op wire.Op, keys []uint64, vals []byte, found []bool) error {
+	defer s.m.r.lat.Since(cls, time.Now())
+	err := s.do(ctx, true, func(mp *Map) (string, error) {
+		return s.readRuns(ctx, mp, op, keys, vals, found, false)
+	})
+	if errors.Is(err, ErrNoLiveOwner) && s.m.bound != primaryOnly {
+		if _, derr := s.readRuns(ctx, s.m.r.Map(), op, keys, vals, found, true); derr == nil {
+			return nil
+		}
+	}
+	return err
+}
+
+// readRuns is one attempt of read against mp. Keys group by read node
+// (internal/kv's shard grouping, one level up) and the groups fan out in
+// parallel — except under a blocking bound, where the serial gate applies:
+// the batch is served as runs of consecutive same-owner keys in caller
+// order, each its own fan-out, exactly as kv's inOrder runs shards, so
+// token acquisition order stays deterministic. A batch one owner serves is
+// one run, forwarded whole; the server's own gate orders it. Keys a replica
+// did not serve are re-read from their primaries, except in the degraded
+// pass, where they fail the attempt.
+func (s *RSession) readRuns(ctx context.Context, mp *Map, op wire.Op, keys []uint64, vals []byte, found []bool, degraded bool) (string, error) {
+	target, vs := primaryOnly, s.m.dim*4
+	if degraded || s.m.r.opts.ReadReplicas {
+		target = s.m.bound
+	}
+	for lo, hi := 0, 0; lo < len(keys); lo = hi {
+		hi = len(keys)
+		if faster.BlockingBound(s.m.bound) {
+			p := mp.Owner(keys[lo])
+			for hi = lo + 1; hi < len(keys) && mp.Owner(keys[hi]) == p; hi++ {
+			}
+		}
+		k, v, f := keys[lo:hi], vals[lo*vs:hi*vs], found[lo:hi]
+		groups, err := s.groupBy(ctx, mp, k, nil, target)
+		if err != nil {
+			return "", err
+		}
+		if id, err := s.fanOut(ctx, groups, op, k, v, f); err != nil {
+			return id, err
+		}
+		if degraded && len(s.miss) > 0 {
+			return "", ErrNoLiveOwner // read keeps the loop's own error
+		}
+		if id, err := s.primaryRefetch(ctx, mp, op, k, v, f); err != nil {
+			return id, err
+		}
+	}
+	return "", nil
+}
+
+// GetCtx reads one key through the cluster: GetBatchCtx's one-key case,
+// timed as a single get.
 func (s *RSession) GetCtx(ctx context.Context, key uint64, dst []byte) (bool, error) {
-	defer s.m.r.lat.Since(latency.OpGet, time.Now())
-	return s.getCtx(ctx, key, dst, false)
+	return s.readOne(ctx, wire.OpGetBatch, key, dst)
 }
 
 // PeekCtx is the clock-free read, routed like GetCtx (the bound still
 // gates replica use, so BSP peeks stay on the primary too).
 func (s *RSession) PeekCtx(ctx context.Context, key uint64, dst []byte) (bool, error) {
-	defer s.m.r.lat.Since(latency.OpGet, time.Now())
-	return s.getCtx(ctx, key, dst, true)
+	return s.readOne(ctx, wire.OpPeekBatch, key, dst)
 }
 
-func (s *RSession) getCtx(ctx context.Context, key uint64, dst []byte, peek bool) (bool, error) {
-	var found bool
-	err := s.do(ctx, true, func(mp *Map) (string, error) {
-		p := mp.Owner(key)
-		if p == nil {
-			return "", errNoOwner
-		}
-		rn, ss, err := s.readTarget(ctx, mp, p, s.m.bound)
-		if err != nil {
-			return p.ID, err
-		}
-		if rn != p {
-			found, err = ss.PeekCtx(ctx, key, dst)
-			if err == nil && found {
-				s.m.r.replicaReads.Add(1)
-				return p.ID, nil
-			}
-			if notOwner(err) {
-				return p.ID, err
-			}
-			// Replica miss or failure: maybe lag, maybe a dead node — the
-			// owning primary is authoritative either way.
-			if ss, err = s.node(ctx, p); err != nil {
-				return p.ID, err
-			}
-		}
-		if peek {
-			found, err = ss.PeekCtx(ctx, key, dst)
-		} else {
-			found, err = ss.GetCtx(ctx, key, dst)
-		}
-		return p.ID, err
-	})
-	if errors.Is(err, ErrNoLiveOwner) {
-		return s.degradedOrFail(ctx, key, dst, err)
-	}
-	return found, err
+// readOne is a single-key read as a batch of one, in the session's scratch.
+func (s *RSession) readOne(ctx context.Context, op wire.Op, key uint64, dst []byte) (bool, error) {
+	s.one[0] = key
+	err := s.read(ctx, latency.OpGet, op, s.one[:], dst, s.oneFound[:])
+	return s.oneFound[0], err
 }
 
-// degradedOrFail is a read's last resort once the owner-retry budget is
-// spent: a read whose staleness bound cannot block may still be served by
-// an admissible replica of the dead primary — graceful degradation, a
-// stale-but-bounded answer instead of an outage. Blocking bounds (and
-// reads with no admissible replica) surface the typed failure err.
-func (s *RSession) degradedOrFail(ctx context.Context, key uint64, dst []byte, err error) (bool, error) {
-	mp, bound := s.m.r.Map(), s.m.bound
-	// The budget was spent against an owner, so the key has one.
-	for _, rep := range mp.ReplicasOf(mp.Owner(key).ID) {
-		if !s.m.replicaAdmissible(ctx, bound, rep) {
-			continue
-		}
-		ss, serr := s.node(ctx, rep)
-		if serr != nil {
-			continue
-		}
-		if f, perr := ss.PeekCtx(ctx, key, dst); perr == nil {
-			s.m.r.replicaReads.Add(1)
-			return f, nil
-		}
-	}
-	return false, err
+// GetBatchCtx reads a batch through the cluster (see read): a replica when
+// the staleness bound admits it (a clock-free PEEK — a replica holds no
+// clock), the owning primary otherwise.
+func (s *RSession) GetBatchCtx(ctx context.Context, keys []uint64, vals []byte, found []bool) error {
+	return s.read(ctx, latency.OpGetBatch, wire.OpGetBatch, keys, vals, found)
+}
+
+// PeekBatchCtx is the clock-free batch read, routed like GetBatchCtx.
+func (s *RSession) PeekBatchCtx(ctx context.Context, keys []uint64, vals []byte, found []bool) error {
+	return s.read(ctx, latency.OpGetBatch, wire.OpPeekBatch, keys, vals, found)
 }
 
 // writeOne runs one single-key write against key's owning primary, timed
@@ -369,9 +391,11 @@ func (s *RSession) writeOne(ctx context.Context, cls latency.Op, key uint64, sen
 	})
 }
 
-// PutCtx writes one key to its owning primary.
+// PutCtx writes one key to its owning primary: PutBatchCtx's one-key case,
+// timed as a single put.
 func (s *RSession) PutCtx(ctx context.Context, key uint64, val []byte) error {
-	return s.writeOne(ctx, latency.OpPut, key, func(ss *client.Session) error { return ss.PutCtx(ctx, key, val) })
+	s.one[0] = key
+	return s.write(ctx, latency.OpPut, s.one[:], val)
 }
 
 // DeleteCtx removes one key on its owning primary.
@@ -394,59 +418,21 @@ func (s *RSession) ApplyCtx(ctx context.Context, key uint64, lr float32, grad []
 	return found, err
 }
 
-// GetBatchCtx reads a batch through the cluster: keys group by read node
-// (internal/kv's shard grouping, one level up) and the groups fan out in
-// parallel — except under a blocking bound, where the serial gate applies:
-// multi-node blocking reads go one key at a time in caller order, exactly
-// like the sharded store serializes blocking batch reads, so token
-// acquisition order stays deterministic.
-func (s *RSession) GetBatchCtx(ctx context.Context, keys []uint64, vals []byte, found []bool) error {
-	defer s.m.r.lat.Since(latency.OpGetBatch, time.Now())
-	return s.batchRead(ctx, keys, vals, found, wire.OpGetBatch)
-}
-
-// PeekBatchCtx is the clock-free batch read, routed like GetBatchCtx.
-func (s *RSession) PeekBatchCtx(ctx context.Context, keys []uint64, vals []byte, found []bool) error {
-	defer s.m.r.lat.Since(latency.OpGetBatch, time.Now())
-	return s.batchRead(ctx, keys, vals, found, wire.OpPeekBatch)
-}
-
-func (s *RSession) batchRead(ctx context.Context, keys []uint64, vals []byte, found []bool, op wire.Op) error {
-	return s.do(ctx, true, func(mp *Map) (string, error) {
-		bound := s.m.bound
-		groups, err := s.groupBy(ctx, mp, keys, nil, bound)
-		if err != nil {
-			return "", err
-		}
-		// A batch one node serves is forwarded whole — the server-side gate
-		// handles blocking bounds. Across nodes the gate sits here: blocking
-		// reads go key by key in caller order, each its own routed call.
-		if len(groups) > 1 && faster.BlockingBound(bound) {
-			vs := s.m.dim * 4
-			for i, k := range keys {
-				if found[i], err = s.getCtx(ctx, k, vals[i*vs:(i+1)*vs], op == wire.OpPeekBatch); err != nil {
-					return "", err
-				}
-			}
-			return "", nil
-		}
-		if err := s.fanOut(ctx, groups, op, keys, vals, found); err != nil {
-			return "", err
-		}
-		return "", s.primaryRefetch(ctx, mp, op, keys, vals, found)
-	})
-}
-
 // PutBatchCtx writes a batch through the cluster, grouped by owning
 // primary and fanned out in parallel. Writes never see replicas.
 func (s *RSession) PutBatchCtx(ctx context.Context, keys []uint64, vals []byte) error {
-	defer s.m.r.lat.Since(latency.OpPutBatch, time.Now())
+	return s.write(ctx, latency.OpPutBatch, keys, vals)
+}
+
+// write is PutCtx's and PutBatchCtx's one routed write, timed into cls.
+func (s *RSession) write(ctx context.Context, cls latency.Op, keys []uint64, vals []byte) error {
+	defer s.m.r.lat.Since(cls, time.Now())
 	return s.do(ctx, true, func(mp *Map) (string, error) {
 		groups, err := s.groupBy(ctx, mp, keys, nil, primaryOnly)
 		if err != nil {
 			return "", err
 		}
-		return "", s.fanOut(ctx, groups, wire.OpPutBatch, keys, vals, nil)
+		return s.fanOut(ctx, groups, wire.OpPutBatch, keys, vals, nil)
 	})
 }
 
@@ -461,8 +447,8 @@ func (s *RSession) LookaheadCtx(ctx context.Context, keys []uint64) (int, error)
 		if err != nil {
 			return "", err
 		}
-		if err := s.fanOut(ctx, groups, wire.OpLookahead, keys, nil, nil); err != nil {
-			return "", err
+		if id, err := s.fanOut(ctx, groups, wire.OpLookahead, keys, nil, nil); err != nil {
+			return id, err
 		}
 		for gi := range groups {
 			total += groups[gi].hinted

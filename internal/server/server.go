@@ -595,8 +595,17 @@ func (s *Server) handle(st *connState, op wire.Op, p []byte) (respOp wire.Op, pa
 		cm.resp = wire.AppendApplyResp(cm.resp[:0], cm.hit)
 		return wire.RespOK, cm.resp, false
 
-	case wire.OpGetBatch:
-		keys, waitMs, err := wire.DecodeGetBatch(rest, cm.keys)
+	case wire.OpGetBatch, wire.OpPeekBatch:
+		// PEEKBATCH — the cluster router's replica reads and routed peeks —
+		// answers in GETBATCH's layout but reads clock-free per key: no
+		// staleness tokens, no copy-to-tail, never blocks.
+		var keys []uint64
+		var waitMs uint32
+		if op == wire.OpGetBatch {
+			keys, waitMs, err = wire.DecodeGetBatch(rest, cm.keys)
+		} else {
+			keys, err = wire.DecodeKeys(rest, cm.keys)
+		}
 		if err != nil {
 			return fail(err)
 		}
@@ -608,9 +617,9 @@ func (s *Server) handle(st *connState, op wire.Op, p []byte) (respOp wire.Op, pa
 		s.batchKeys.Add(int64(n))
 		cm.m.batchGets.Add(1)
 		// Build the response in place: found flags and values land
-		// directly in the outgoing payload, one batched store call. The
-		// payload buffer is per-connection and reused across frames (the
-		// response is flushed before the next frame is read).
+		// directly in the outgoing payload. The payload buffer is
+		// per-connection and reused across frames (the response is flushed
+		// before the next frame is read).
 		out := util.Grow(cm.out, 4+n+n*cm.vs)
 		cm.out = out
 		clear(out[4 : 4+n])
@@ -618,55 +627,27 @@ func (s *Server) handle(st *connState, op wire.Op, p []byte) (respOp wire.Op, pa
 		vals := out[4+n:]
 		cm.found = util.Grow(cm.found, n)
 		clear(cm.found)
-		ctx, cancel := waitCtx(waitMs, cm.m.store.StalenessBound())
 		start := time.Now()
-		err = kv.SessionGetBatchCtx(ctx, cm.sess, cm.vs, keys, vals, cm.found)
+		if op == wire.OpGetBatch {
+			ctx, cancel := waitCtx(waitMs, cm.m.store.StalenessBound())
+			err = kv.SessionGetBatchCtx(ctx, cm.sess, cm.vs, keys, vals, cm.found)
+			cancel()
+		} else {
+			for i := 0; i < n && err == nil; i++ {
+				cm.found[i], err = cm.sess.Peek(keys[i], vals[i*cm.vs:(i+1)*cm.vs])
+			}
+		}
 		cm.m.lat.Since(latency.OpGetBatch, start)
-		cancel()
 		if err != nil {
 			return fail(err)
 		}
 		for i, f := range cm.found {
 			if f {
 				out[4+i] = 1
-			}
-		}
-		return wire.RespOK, out, false
-
-	case wire.OpPeekBatch:
-		// The batched PEEK the cluster router sends for replica batch reads
-		// and routed peeks: same response layout as GETBATCH, but clock-free
-		// per key — no staleness tokens, no copy-to-tail, never blocks.
-		keys, err := wire.DecodeKeys(rest, cm.keys)
-		if err != nil {
-			return fail(err)
-		}
-		cm.keys = keys
-		if !s.mayReadAll(keys) {
-			return s.notOwner()
-		}
-		n := len(keys)
-		s.batchKeys.Add(int64(n))
-		cm.m.batchGets.Add(1)
-		out := util.Grow(cm.out, 4+n+n*cm.vs)
-		cm.out = out
-		clear(out[4 : 4+n])
-		binary.LittleEndian.PutUint32(out, uint32(n))
-		vals := out[4+n:]
-		start := time.Now()
-		for i, k := range keys {
-			found, err := cm.sess.Peek(k, vals[i*cm.vs:(i+1)*cm.vs])
-			if err != nil {
-				cm.m.lat.Since(latency.OpGetBatch, start)
-				return fail(err)
-			}
-			if found {
-				out[4+i] = 1
 			} else {
-				clear(vals[i*cm.vs : (i+1)*cm.vs]) // keep offsets fixed, like GETBATCH
+				clear(vals[i*cm.vs : (i+1)*cm.vs]) // no bytes of an earlier frame
 			}
 		}
-		cm.m.lat.Since(latency.OpGetBatch, start)
 		return wire.RespOK, out, false
 
 	case wire.OpPutBatch:
