@@ -67,17 +67,20 @@ func TestRemoteGetBatchAllocBudget(t *testing.T) {
 // measured Get 9, Put 6, RMW 15: a context.WithTimeout per GET on the
 // server, a []uint64{key} per write for replicate, a response channel and
 // a pooled-buffer box per round trip, the frame reader's escaping length
-// prefix on both sides, and two frames per RMW. (AllocsPerRun truncates to
-// an integer, so the odd sudog refill after a GC does not trip a zero.)
+// prefix on both sides, and two frames per RMW. Peek, the evaluation
+// path's read, travels as a one-key PEEKBATCH and allocates nothing either.
+// (AllocsPerRun truncates to an integer, so the odd sudog refill after a GC
+// does not trip a zero.)
 const (
-	remoteGetAllocBudget = 0
-	remotePutAllocBudget = 0
-	remoteRMWAllocBudget = 0
+	remoteGetAllocBudget  = 0
+	remotePutAllocBudget  = 0
+	remoteRMWAllocBudget  = 0
+	remotePeekAllocBudget = 0
 )
 
 // TestRemoteSingleKeyAllocBudget is the single-key half of the allocation
-// gate (CI's "Allocation gate" step): remote Get, Put and RMW on existing
-// keys may allocate at most their committed budgets per call.
+// gate (CI's "Allocation gate" step): remote Get, Put, RMW and Peek on
+// existing keys may allocate at most their committed budgets per call.
 func TestRemoteSingleKeyAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation gate needs a steady loopback server")
@@ -102,6 +105,7 @@ func TestRemoteSingleKeyAllocBudget(t *testing.T) {
 		{"Get", remoteGetAllocBudget, func(k uint64) error { return s.GetCtx(ctx, k, val) }},
 		{"Put", remotePutAllocBudget, func(k uint64) error { return s.PutCtx(ctx, k, val) }},
 		{"RMW", remoteRMWAllocBudget, func(k uint64) error { return s.RMWCtx(ctx, k, grad, 0.5) }},
+		{"Peek", remotePeekAllocBudget, func(k uint64) error { _, err := s.PeekCtx(ctx, k, val); return err }},
 	} {
 		t.Run(op.name, func(t *testing.T) {
 			// A few untimed rounds settle the pools and scratch growth.

@@ -334,12 +334,16 @@ func TestAPITwoModels(t *testing.T) {
 	})
 }
 
-// TestAPIStatsParity runs one Get/GetBatch/Put/PutBatch/RMW/Lookahead
+// TestAPIStatsParity runs one Get/GetBatch/Put/PutBatch/RMW/Peek/Lookahead
 // script against every cell and requires the same counters to come out
 // non-zero in each — the end-to-end check on the one counter record: a
 // field some layer forgets to fill or forward reads zero in one cell only.
 // An RMW is one engine RMW in every cell (remotely, one APPLY frame); the
 // one documented difference is that only a cluster target reports topology.
+// Latency is timed per model handle at the same ops in every cell: each
+// class counts exactly the calls of its op (Peek and Lookahead are
+// untimed), and a second model on the same DB that was never used reports
+// none of them.
 func TestAPIStatsParity(t *testing.T) {
 	common := []string{
 		"Gets", "Puts", "RMWs", "MemHits", "InPlaceUpdates", "RCUAppends",
@@ -355,6 +359,11 @@ func TestAPIStatsParity(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer m.Close()
+		idle, err := db.Open("stats-parity-idle", 4, mlkv.WithStalenessBound(mlkv.ASP), mlkv.WithMemory(4<<20))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer idle.Close()
 		s, err := m.NewSession()
 		if err != nil {
 			t.Fatal(err)
@@ -374,6 +383,7 @@ func TestAPIStatsParity(t *testing.T) {
 			func() error { return s.Get(1, one) },
 			func() error { return s.Put(1, one) },
 			func() error { return s.RMW(2, grad, 0.5) },
+			func() error { _, err := s.Peek(3, one); return err },
 			func() error { return s.Lookahead(keys) },
 		} {
 			if err := step(); err != nil {
@@ -409,6 +419,19 @@ func TestAPIStatsParity(t *testing.T) {
 		}
 		if path.Base(t.Name()) == "cluster" && st.ClusterNodes != 3 {
 			t.Fatalf("ClusterNodes = %d, want 3", st.ClusterNodes)
+		}
+		lat := func(st mlkv.Stats) [5]int64 {
+			return [5]int64{st.LatGet.Count, st.LatGetBatch.Count, st.LatPut.Count, st.LatPutBatch.Count, st.LatRMW.Count}
+		}
+		if got, want := lat(st), [5]int64{1, 1, 1, 2, 1}; got != want {
+			t.Errorf("latency counts Get/GetBatch/Put/PutBatch/RMW = %v, want %v", got, want)
+		}
+		ist, err := idle.StatsCtx(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := lat(ist); got != [5]int64{} {
+			t.Fatalf("a model never used reports latency counts Get/GetBatch/Put/PutBatch/RMW = %v, want none", got)
 		}
 	})
 }

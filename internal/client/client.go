@@ -29,7 +29,6 @@ import (
 	"time"
 
 	"github.com/llm-db/mlkv-go/internal/kv"
-	"github.com/llm-db/mlkv-go/internal/latency"
 	"github.com/llm-db/mlkv-go/internal/stats"
 	"github.com/llm-db/mlkv-go/internal/util"
 	"github.com/llm-db/mlkv-go/internal/wire"
@@ -72,12 +71,6 @@ type Client struct {
 	next       atomic.Uint64
 	serverName string
 
-	// lat holds per-op-class round-trip histograms shared by every
-	// connection in the pool: wall time from just before the frame write
-	// to response receipt, so it includes queueing in the pipelined
-	// demux — the end-to-end tail a caller actually experiences.
-	lat latency.OpSet
-
 	// Redial breaker state, guarded by connMu. Every slot dials the same
 	// address, so one slot's dial failure is evidence about them all:
 	// consecutive failures open a shared jittered-backoff window during
@@ -106,14 +99,6 @@ func (c *Client) AddCounters(s *stats.Counters) {
 	s.DialBackoffs += c.dialBackoffs.Load()
 }
 
-// FillStats is AddCounters plus the pool's round-trip latency summaries
-// (wall time from frame write to response, demux queueing included), which
-// overwrite whatever s held.
-func (c *Client) FillStats(s *stats.Counters) {
-	c.AddCounters(s)
-	s.SetLatency(&c.lat)
-}
-
 // DefaultDialTimeout bounds each TCP connect and HELLO handshake unless
 // Options.DialTimeout says otherwise.
 const DefaultDialTimeout = 5 * time.Second
@@ -132,7 +117,7 @@ func Dial(addr string, opts Options) (*Client, error) {
 	}
 	c := &Client{opts: opts, addr: addr}
 	for i := 0; i < opts.Conns; i++ {
-		cn, err := dialConn(addr, opts, &c.lat)
+		cn, err := dialConn(addr, opts)
 		if err != nil {
 			c.Close()
 			return nil, err
@@ -264,7 +249,7 @@ func (c *Client) connAt(slot int) (*conn, error) {
 // says nothing, and an unbounded handshake there would hang the checkout
 // (and everyone queued on connMu) forever.
 func (c *Client) redial() (*conn, error) {
-	fresh, err := dialConn(c.addr, c.opts, &c.lat)
+	fresh, err := dialConn(c.addr, c.opts)
 	if err != nil {
 		return nil, fmt.Errorf("client: redial %s: %w", c.addr, err)
 	}

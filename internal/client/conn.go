@@ -11,7 +11,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/llm-db/mlkv-go/internal/latency"
 	"github.com/llm-db/mlkv-go/internal/wire"
 )
 
@@ -44,10 +43,6 @@ type conn struct {
 	// holds pointers, so boxes recycles the *[]byte cells the buffers ride
 	// in: release takes an empty cell instead of allocating one per response.
 	bufs, boxes sync.Pool
-
-	// lat points at the owning Client's pool-wide histograms; data-op
-	// round trips record into it (nil on test-only bare conns).
-	lat *latency.OpSet
 }
 
 // broken reports whether the connection has been poisoned by a failure or
@@ -93,7 +88,7 @@ type response struct {
 	payload []byte
 }
 
-func dialConn(addr string, opts Options, lat *latency.OpSet) (*conn, error) {
+func dialConn(addr string, opts Options) (*conn, error) {
 	dial := opts.dial
 	if dial == nil {
 		dial = func(addr string, timeout time.Duration) (net.Conn, error) {
@@ -112,7 +107,6 @@ func dialConn(addr string, opts Options, lat *latency.OpSet) (*conn, error) {
 		bw:      bufio.NewWriterSize(nc, connBufSize),
 		pending: make(map[uint32]chan response),
 		done:    make(chan struct{}),
-		lat:     lat,
 	}
 	cn.fw = wire.NewFrameWriter(cn.bw)
 	go cn.readLoop(opts.MaxFrame)
@@ -187,40 +181,6 @@ func (cn *conn) roundTripCtx(ctx context.Context, op wire.Op, payload []byte) ([
 // late response to an abandoned request may still land on it, or the
 // connection's death closed it.
 func (cn *conn) roundTripOn(ctx context.Context, op wire.Op, payload []byte, ch chan response) (p []byte, spent bool, err error) {
-	cls, timed := opClass(op)
-	if !timed || cn.lat == nil {
-		return cn.doRoundTrip(ctx, op, payload, ch)
-	}
-	start := time.Now()
-	p, spent, err = cn.doRoundTrip(ctx, op, payload, ch)
-	cn.lat.Since(cls, start)
-	return p, spent, err
-}
-
-// opClass maps a request opcode to its latency class; control-plane ops
-// (HELLO, OPEN, ATTACH, STATS, ...) are not timed. PEEK shares the Get
-// histogram and DELETE the Put one, matching the server's folding.
-func opClass(op wire.Op) (latency.Op, bool) {
-	switch op {
-	case wire.OpGet, wire.OpPeek:
-		return latency.OpGet, true
-	case wire.OpGetBatch, wire.OpPeekBatch:
-		return latency.OpGetBatch, true
-	case wire.OpPut, wire.OpDelete:
-		return latency.OpPut, true
-	case wire.OpPutBatch:
-		return latency.OpPutBatch, true
-	case wire.OpApply:
-		return latency.OpRMW, true
-	case wire.OpLookahead:
-		// Prefetch hints ride the Get class: they contend for the same
-		// store shards and their stalls surface as read tail.
-		return latency.OpGet, true
-	}
-	return 0, false
-}
-
-func (cn *conn) doRoundTrip(ctx context.Context, op wire.Op, payload []byte, ch chan response) (p []byte, spent bool, err error) {
 	if err := ctx.Err(); err != nil {
 		return nil, false, err
 	}

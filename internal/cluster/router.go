@@ -13,7 +13,6 @@ import (
 	"github.com/llm-db/mlkv-go/internal/client"
 	"github.com/llm-db/mlkv-go/internal/faster"
 	"github.com/llm-db/mlkv-go/internal/hotcache"
-	"github.com/llm-db/mlkv-go/internal/latency"
 	"github.com/llm-db/mlkv-go/internal/stats"
 )
 
@@ -32,11 +31,6 @@ type Router struct {
 	mu     sync.Mutex
 	pools  map[string]*client.Client // node address → pool
 	closed bool
-
-	// lat times whole routed operations — including redirects, fan-out
-	// joins, and replica fallbacks — the latency a cluster caller actually
-	// experiences. Each node pool keeps its own per-hop histograms below.
-	lat latency.OpSet
 
 	redirects    atomic.Int64
 	replicaReads atomic.Int64
@@ -113,9 +107,7 @@ func (r *Router) Map() *Map { return r.cur.Load() }
 
 // FillStats adds what the client side of the cluster owns to c: every node
 // pool's hedging and redial counters, the topology the router holds, the
-// redirects it followed and the keys replicas served — and overwrites the
-// latency summaries with the router-level round trips (one routed call,
-// however many owners it fanned out to).
+// redirects it followed and the keys replicas served.
 func (r *Router) FillStats(c *stats.Counters) {
 	r.mu.Lock()
 	for _, p := range r.pools {
@@ -126,7 +118,6 @@ func (r *Router) FillStats(c *stats.Counters) {
 	c.ClusterNodes, c.ClusterEpoch = int64(len(m.Nodes)), int64(m.Epoch)
 	c.ClusterRedirects += r.redirects.Load()
 	c.ReplicaReads += r.replicaReads.Load()
-	c.SetLatency(&r.lat)
 }
 
 // Close tears down every node pool.

@@ -412,7 +412,7 @@ func TestReplicaDiesMidRead(t *testing.T) {
 			vals, found := make([]byte, len(tc.keys)*testVS), make([]bool, len(tc.keys))
 			var err error
 			if len(tc.keys) == 1 {
-				found[0], err = tc.rs.GetCtx(ctx, tc.keys[0], vals)
+				found[0], err = getOne(ctx, tc.rs, tc.keys[0], vals)
 			} else {
 				err = tc.rs.GetBatchCtx(ctx, tc.keys, vals, found)
 			}
@@ -454,7 +454,7 @@ func TestBlockingBatchKeepsCallerOrder(t *testing.T) {
 			}
 			const stall = 5 // owned by n1; n0 owns positions 0, 2, 4 before it
 			for i := int64(0); i <= bound; i++ {
-				if _, err := holder.GetCtx(ctx, keys[stall], vals[:testVS]); err != nil {
+				if _, err := getOne(ctx, holder, keys[stall], vals[:testVS]); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -516,7 +516,7 @@ func TestOwnerRetryBudget(t *testing.T) {
 	bs := newSession(t, bsp)
 	keys, batch := []uint64{7}, []uint64{11, 12, 13, 14}
 	val, got := valsFor(keys), make([]byte, testVS)
-	if err := rs.PutCtx(context.Background(), keys[0], val); err != nil {
+	if err := putOne(context.Background(), rs, keys[0], val); err != nil {
 		t.Fatal(err)
 	}
 	if err := rs.PutBatchCtx(context.Background(), batch, valsFor(batch)); err != nil {
@@ -533,7 +533,7 @@ func TestOwnerRetryBudget(t *testing.T) {
 	short, cancel := context.WithTimeout(context.Background(), 60*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	err = rs.PutCtx(short, keys[0], val)
+	err = putOne(short, rs, keys[0], val)
 	if err == nil || errors.Is(err, cluster.ErrNoLiveOwner) {
 		t.Fatalf("put under a 60ms deadline returned %v, want the plain failure", err)
 	}
@@ -542,14 +542,14 @@ func TestOwnerRetryBudget(t *testing.T) {
 	}
 
 	probes := nodes["n1"].st.encodes.Load()
-	if _, err = bs.GetCtx(context.Background(), keys[0], got); !errors.Is(err, cluster.ErrNoLiveOwner) {
+	if _, err = getOne(context.Background(), bs, keys[0], got); !errors.Is(err, cluster.ErrNoLiveOwner) {
 		t.Fatalf("BSP read of a dead, unpromoted primary returned %v, want ErrNoLiveOwner", err)
 	}
 	if n := nodes["n1"].st.encodes.Load() - probes; n != cluster.OwnerRetryBudget {
 		t.Fatalf("the survivor answered %d map refetches, want exactly the budget of %d", n, cluster.OwnerRetryBudget)
 	}
 
-	found, err := rs.GetCtx(context.Background(), keys[0], got)
+	found, err := getOne(context.Background(), rs, keys[0], got)
 	if err != nil {
 		t.Fatalf("ASP read with a live replica and a dead primary: %v", err)
 	}
@@ -651,6 +651,24 @@ func TestLookaheadFollowsRedirect(t *testing.T) {
 	}
 }
 
+// getOne, peekOne and putOne send one key as a batch of one: a routed
+// session has no single-key read or put.
+func getOne(ctx context.Context, rs *cluster.RSession, key uint64, dst []byte) (bool, error) {
+	found := []bool{false}
+	err := rs.GetBatchCtx(ctx, []uint64{key}, dst, found)
+	return found[0], err
+}
+
+func peekOne(ctx context.Context, rs *cluster.RSession, key uint64, dst []byte) (bool, error) {
+	found := []bool{false}
+	err := rs.PeekBatchCtx(ctx, []uint64{key}, dst, found)
+	return found[0], err
+}
+
+func putOne(ctx context.Context, rs *cluster.RSession, key uint64, val []byte) error {
+	return rs.PutBatchCtx(ctx, []uint64{key}, val)
+}
+
 // f32Val encodes v in every slot of one testDim value.
 func f32Val(v float32) []byte {
 	b := make([]byte, testVS)
@@ -670,7 +688,7 @@ func TestApplyFollowsRedirectOnce(t *testing.T) {
 	ctx := context.Background()
 	key := keysOwnedBy(m, "n1", 1)[0]
 	_, fresh := openRouted(t, m, faster.BoundAsync, false)
-	if err := newSession(t, fresh).PutCtx(ctx, key, f32Val(10)); err != nil {
+	if err := putOne(ctx, newSession(t, fresh), key, f32Val(10)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -690,7 +708,7 @@ func TestApplyFollowsRedirectOnce(t *testing.T) {
 		t.Fatalf("engine RMWs: n0=%d n1=%d, want the step on the true owner n1 only, once", n0, n1)
 	}
 	got := make([]byte, testVS)
-	if ok, err := rs.PeekCtx(ctx, key, got); err != nil || !ok || !bytes.Equal(got, f32Val(9)) {
+	if ok, err := peekOne(ctx, rs, key, got); err != nil || !ok || !bytes.Equal(got, f32Val(9)) {
 		t.Fatalf("after one unit step from 10: found=%v err=%v value %v", ok, err, got)
 	}
 }
@@ -707,7 +725,7 @@ func TestApplyAtMostOnce(t *testing.T) {
 	rs := newSession(t, rm)
 	ctx := context.Background()
 	const key = 7
-	if err := rs.PutCtx(ctx, key, f32Val(10)); err != nil {
+	if err := putOne(ctx, rs, key, f32Val(10)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -742,7 +760,7 @@ func TestApplyAtMostOnce(t *testing.T) {
 		t.Fatalf("the server ran %d steps for one call, want exactly 1", n)
 	}
 	got := make([]byte, testVS)
-	if ok, err := rs.PeekCtx(ctx, key, got); err != nil || !ok || !bytes.Equal(got, f32Val(9)) {
+	if ok, err := peekOne(ctx, rs, key, got); err != nil || !ok || !bytes.Equal(got, f32Val(9)) {
 		t.Fatalf("after one delivered unit step from 10: found=%v err=%v value %v", ok, err, got)
 	}
 }

@@ -4,11 +4,9 @@ import (
 	"context"
 	"errors"
 	"sync"
-	"time"
 
 	"github.com/llm-db/mlkv-go/internal/client"
 	"github.com/llm-db/mlkv-go/internal/faster"
-	"github.com/llm-db/mlkv-go/internal/latency"
 	"github.com/llm-db/mlkv-go/internal/util"
 	"github.com/llm-db/mlkv-go/internal/wire"
 )
@@ -25,23 +23,21 @@ var errNoOwner = errors.New("cluster: key has no owner in the current map")
 // Every public method is one routed call built from four pieces: do (the
 // redirect / owner-retry loop), groupBy (keys → per-node groups), exchange
 // (one group's gather → frame → scatter) and fanOut (the groups in
-// parallel, errors ranked). A single-key Get, Peek or Put is the one-key
-// case of its batch call; only DeleteCtx and ApplyCtx, which have no batch
-// frame, send a single-key frame (writeOne).
+// parallel, errors ranked). There is no single-key read or put: a caller's
+// single key is a batch of one. Only DeleteCtx and ApplyCtx, which have no
+// batch frame, send a single-key frame (writeOne).
 type RSession struct {
 	m    *RModel
 	sess map[string]*client.Session // node id → session
 	rr   uint32                     // replica round-robin cursor
 
 	// Routing scratch, reused across calls: groups keeps every slot's
-	// buffers at their high-water capacity, miss lists the caller-space
-	// indices the owning primaries must (re-)serve after a replica pass,
-	// and one/oneFound hold a single-key call's batch of one.
-	groups   []group
-	miss     []int
-	one      [1]uint64
-	oneFound [1]bool
-	wg       sync.WaitGroup
+	// buffers at their high-water capacity, and miss lists the
+	// caller-space indices the owning primaries must (re-)serve after a
+	// replica pass.
+	groups []group
+	miss   []int
+	wg     sync.WaitGroup
 }
 
 // group is one node's share of a batch. A routed call names the frame its
@@ -282,8 +278,8 @@ func (s *RSession) primaryRefetch(ctx context.Context, mp *Map, op wire.Op, keys
 	return "", nil
 }
 
-// read is the one routed read behind GetCtx, PeekCtx, GetBatchCtx and
-// PeekBatchCtx (op GETBATCH or PEEKBATCH), timed into cls: one do loop of
+// read is the one routed read behind GetBatchCtx and PeekBatchCtx (op
+// GETBATCH or PEEKBATCH): one do loop of
 // readRuns, with replicas serving what the bound admits when the router
 // reads them. Once the loop gives up with ErrNoLiveOwner, a bound that may
 // read a replica at all (any but BSP) gets one degraded pass: admissible
@@ -291,8 +287,7 @@ func (s *RSession) primaryRefetch(ctx context.Context, mp *Map, op wire.Op, keys
 // replicas — a stale-but-bounded answer instead of an outage. A replica
 // that fails or misses there fails the read with the loop's error: a
 // replica miss is not authoritative, and the primary that is has gone.
-func (s *RSession) read(ctx context.Context, cls latency.Op, op wire.Op, keys []uint64, vals []byte, found []bool) error {
-	defer s.m.r.lat.Since(cls, time.Now())
+func (s *RSession) read(ctx context.Context, op wire.Op, keys []uint64, vals []byte, found []bool) error {
 	err := s.do(ctx, true, func(mp *Map) (string, error) {
 		return s.readRuns(ctx, mp, op, keys, vals, found, false)
 	})
@@ -343,41 +338,22 @@ func (s *RSession) readRuns(ctx context.Context, mp *Map, op wire.Op, keys []uin
 	return "", nil
 }
 
-// GetCtx reads one key through the cluster: GetBatchCtx's one-key case,
-// timed as a single get.
-func (s *RSession) GetCtx(ctx context.Context, key uint64, dst []byte) (bool, error) {
-	return s.readOne(ctx, wire.OpGetBatch, key, dst)
-}
-
-// PeekCtx is the clock-free read, routed like GetCtx (the bound still
-// gates replica use, so BSP peeks stay on the primary too).
-func (s *RSession) PeekCtx(ctx context.Context, key uint64, dst []byte) (bool, error) {
-	return s.readOne(ctx, wire.OpPeekBatch, key, dst)
-}
-
-// readOne is a single-key read as a batch of one, in the session's scratch.
-func (s *RSession) readOne(ctx context.Context, op wire.Op, key uint64, dst []byte) (bool, error) {
-	s.one[0] = key
-	err := s.read(ctx, latency.OpGet, op, s.one[:], dst, s.oneFound[:])
-	return s.oneFound[0], err
-}
-
 // GetBatchCtx reads a batch through the cluster (see read): a replica when
 // the staleness bound admits it (a clock-free PEEK — a replica holds no
 // clock), the owning primary otherwise.
 func (s *RSession) GetBatchCtx(ctx context.Context, keys []uint64, vals []byte, found []bool) error {
-	return s.read(ctx, latency.OpGetBatch, wire.OpGetBatch, keys, vals, found)
+	return s.read(ctx, wire.OpGetBatch, keys, vals, found)
 }
 
-// PeekBatchCtx is the clock-free batch read, routed like GetBatchCtx.
+// PeekBatchCtx is the clock-free batch read, routed like GetBatchCtx (the
+// bound still gates replica use, so BSP peeks stay on the primary too).
 func (s *RSession) PeekBatchCtx(ctx context.Context, keys []uint64, vals []byte, found []bool) error {
-	return s.read(ctx, latency.OpGetBatch, wire.OpPeekBatch, keys, vals, found)
+	return s.read(ctx, wire.OpPeekBatch, keys, vals, found)
 }
 
-// writeOne runs one single-key write against key's owning primary, timed
-// into the router's cls histogram.
-func (s *RSession) writeOne(ctx context.Context, cls latency.Op, key uint64, send func(ss *client.Session) error) error {
-	defer s.m.r.lat.Since(cls, time.Now())
+// writeOne runs one single-key write against key's owning primary: the
+// frames with no batch form, DELETE and APPLY.
+func (s *RSession) writeOne(ctx context.Context, key uint64, send func(ss *client.Session) error) error {
 	return s.do(ctx, true, func(mp *Map) (string, error) {
 		p := mp.Owner(key)
 		if p == nil {
@@ -391,16 +367,9 @@ func (s *RSession) writeOne(ctx context.Context, cls latency.Op, key uint64, sen
 	})
 }
 
-// PutCtx writes one key to its owning primary: PutBatchCtx's one-key case,
-// timed as a single put.
-func (s *RSession) PutCtx(ctx context.Context, key uint64, val []byte) error {
-	s.one[0] = key
-	return s.write(ctx, latency.OpPut, s.one[:], val)
-}
-
 // DeleteCtx removes one key on its owning primary.
 func (s *RSession) DeleteCtx(ctx context.Context, key uint64) error {
-	return s.writeOne(ctx, latency.OpPut, key, func(ss *client.Session) error { return ss.DeleteCtx(ctx, key) })
+	return s.writeOne(ctx, key, func(ss *client.Session) error { return ss.DeleteCtx(ctx, key) })
 }
 
 // ApplyCtx applies val ← val − lr·grad on key's owning primary in one APPLY
@@ -411,7 +380,7 @@ func (s *RSession) DeleteCtx(ctx context.Context, key uint64) error {
 // retry — it surfaces to the caller, who alone knows whether stepping
 // twice is acceptable.
 func (s *RSession) ApplyCtx(ctx context.Context, key uint64, lr float32, grad []float32) (found bool, err error) {
-	err = s.writeOne(ctx, latency.OpRMW, key, func(ss *client.Session) (err error) {
+	err = s.writeOne(ctx, key, func(ss *client.Session) (err error) {
 		found, err = ss.ApplyCtx(ctx, key, lr, grad)
 		return err
 	})
@@ -421,12 +390,6 @@ func (s *RSession) ApplyCtx(ctx context.Context, key uint64, lr float32, grad []
 // PutBatchCtx writes a batch through the cluster, grouped by owning
 // primary and fanned out in parallel. Writes never see replicas.
 func (s *RSession) PutBatchCtx(ctx context.Context, keys []uint64, vals []byte) error {
-	return s.write(ctx, latency.OpPutBatch, keys, vals)
-}
-
-// write is PutCtx's and PutBatchCtx's one routed write, timed into cls.
-func (s *RSession) write(ctx context.Context, cls latency.Op, keys []uint64, vals []byte) error {
-	defer s.m.r.lat.Since(cls, time.Now())
 	return s.do(ctx, true, func(mp *Map) (string, error) {
 		groups, err := s.groupBy(ctx, mp, keys, nil, primaryOnly)
 		if err != nil {

@@ -5,12 +5,14 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"github.com/llm-db/mlkv-go/internal/client"
 	"github.com/llm-db/mlkv-go/internal/cluster"
 	"github.com/llm-db/mlkv-go/internal/core"
 	"github.com/llm-db/mlkv-go/internal/hotcache"
 	"github.com/llm-db/mlkv-go/internal/kv"
+	"github.com/llm-db/mlkv-go/internal/latency"
 	"github.com/llm-db/mlkv-go/internal/stats"
 	"github.com/llm-db/mlkv-go/internal/tensor"
 	"github.com/llm-db/mlkv-go/internal/util"
@@ -21,12 +23,10 @@ import (
 // satisfied by both *client.Session (one server) and *cluster.RSession
 // (routed across a cluster). Not safe for concurrent use.
 type wireSession interface {
-	GetCtx(ctx context.Context, key uint64, dst []byte) (bool, error)
-	PeekCtx(ctx context.Context, key uint64, dst []byte) (bool, error)
-	PutCtx(ctx context.Context, key uint64, val []byte) error
 	DeleteCtx(ctx context.Context, key uint64) error
 	ApplyCtx(ctx context.Context, key uint64, lr float32, grad []float32) (found bool, err error)
 	GetBatchCtx(ctx context.Context, keys []uint64, vals []byte, found []bool) error
+	PeekBatchCtx(ctx context.Context, keys []uint64, vals []byte, found []bool) error
 	PutBatchCtx(ctx context.Context, keys []uint64, vals []byte) error
 	LookaheadCtx(ctx context.Context, keys []uint64) (int, error)
 	Close()
@@ -55,8 +55,8 @@ var ErrNoLiveOwner = cluster.ErrNoLiveOwner
 type wireBackend interface {
 	OpenWireModel(ctx context.Context, spec client.OpenSpec) (wireModel, error)
 	// FillStats overlays the client-side counters the backend owns onto a
-	// server-side snapshot: redials (summed across every pool it holds),
-	// cluster routing, and its round-trip latency summaries.
+	// server-side snapshot: redials (summed across every pool it holds) and
+	// cluster routing. Latency is the model handle's (remoteModel.lat).
 	FillStats(c *stats.Counters)
 	Close() error
 }
@@ -78,7 +78,7 @@ func (b singleBackend) OpenWireModel(ctx context.Context, spec client.OpenSpec) 
 	}
 	return singleModel{m}, nil
 }
-func (b singleBackend) FillStats(c *stats.Counters) { b.c.FillStats(c) }
+func (b singleBackend) FillStats(c *stats.Counters) { b.c.AddCounters(c) }
 func (b singleBackend) Close() error                { return b.c.Close() }
 
 // clusterBackend is the cluster router behind the same seam.
@@ -216,6 +216,8 @@ type remoteModel struct {
 	// server-side tier (-cache), whose clock sees every client.
 	cache *hotcache.Cache[float32]
 	bound int64
+	// lat times this handle's sessions' ops, at the ops core.Session times.
+	lat latency.OpSet
 
 	// lookMu orders worker start against Close, so a hint racing a Close
 	// can never start a worker Close no longer sees.
@@ -247,17 +249,17 @@ func (m *remoteModel) Stats(ctx context.Context) (stats.Counters, error) {
 	}
 	// The server's view, overlaid with what this process owns. The client
 	// tier adds to the server's shared tier (both front the same store);
-	// dropped hints are this handle's queue. Latency becomes the pool's
-	// round-trip view — end to end, including demux queueing — not the
-	// server-side store timings (those stay visible through the
-	// mlkv_latency expvar and raw STATS frames); LatRMW is the APPLY round
-	// trip. The pool is per-DB, so redials and the summaries cover
-	// every model opened from this Connect.
+	// dropped hints are this handle's queue. Latency becomes this handle's
+	// end-to-end view — tier hits, round trips with their demux queueing,
+	// first-touch write-backs — not the server-side store timings (those
+	// stay visible through the mlkv_latency expvar and raw STATS frames).
+	// The pool is per-DB, so redials cover every model from this Connect.
 	if m.cache != nil {
 		m.cache.Stats().AddTo(&c)
 	}
 	c.PrefetchDropped = m.lookDropped.Load()
 	m.db.c.FillStats(&c)
+	c.SetLatency(&m.lat)
 	return c, nil
 }
 
@@ -335,10 +337,17 @@ func (m *remoteModel) enqueueLookahead(keys []uint64) {
 // client-side first-touch initialization — the paper's
 // "framework + plain KV store" integration pattern, with the initializer
 // seeded per key so every worker initializes an embedding identically.
+// Every single-key read or put is the one-key case of its batch path, so
+// the tier consult, the tier fill and the first-touch write-back each
+// exist once. Ops are timed into the model's latency set where
+// core.Session times them: Get, GetBatch, Put, PutBatch and RMW, with a
+// first-touch write-back part of the op that caused it.
 type remoteSession struct {
 	m *remoteModel
 	s wireSession
 
+	// one holds a single-key op's batch of one.
+	one [1]uint64
 	// Batch-path scratch, grown on demand and reused across steps. The wire
 	// reads into and writes from the caller's own []float32
 	// (tensor.F32Bytes); missVals stages only what that cannot serve: the
@@ -367,45 +376,29 @@ func (s *remoteSession) tier() (*hotcache.Cache[float32], int64) {
 	return s.m.cache, bound
 }
 
+// Get is GetBatch's one-key case.
 func (s *remoteSession) Get(ctx context.Context, key uint64, dst []float32) error {
 	if len(dst) != s.m.Dim() {
 		return fmt.Errorf("driver: dst length %d != dim %d", len(dst), s.m.Dim())
 	}
-	c, bound := s.tier()
-	var stamp int64
-	if c != nil {
-		stamp = c.Now()
-		if c.Get(key, dst, stamp, bound) {
-			return nil
-		}
-	}
-	found, err := s.s.GetCtx(ctx, key, tensor.F32Bytes(dst))
-	if err != nil {
-		return err
-	}
-	if !found {
-		// First touch: initialize client-side and write back, so later
-		// reads (from any worker) see the same embedding. The fresh
-		// record's clock starts balanced — a miss acquired no token, and
-		// a Put on a zero-staleness record is floored, not underflowed.
-		s.m.init.Fill(key, dst)
-		return s.Put(ctx, key, dst)
-	}
-	if c != nil {
-		c.Fill(key, dst, stamp)
-	}
-	return nil
+	defer s.m.lat.Since(latency.OpGet, time.Now())
+	s.one[0] = key
+	return s.getBatch(ctx, s.one[:], dst)
 }
 
-// GetBatch serves admissible keys from the hot tier, issues one batched
-// read for the rest, then initializes and writes back the missing keys
-// with one batched write — the first-touch protocol of the scalar path,
-// paid once per step instead of once per key.
 func (s *remoteSession) GetBatch(ctx context.Context, keys []uint64, dst []float32) error {
-	dim := s.m.Dim()
-	if len(dst) != len(keys)*dim {
-		return fmt.Errorf("driver: dst length %d != %d keys × dim %d", len(dst), len(keys), dim)
+	if len(dst) != len(keys)*s.m.Dim() {
+		return fmt.Errorf("driver: dst length %d != %d keys × dim %d", len(dst), len(keys), s.m.Dim())
 	}
+	defer s.m.lat.Since(latency.OpGetBatch, time.Now())
+	return s.getBatch(ctx, keys, dst)
+}
+
+// getBatch serves admissible keys from the hot tier, issues one batched
+// read for the rest, then initializes and writes back the missing keys
+// with one batched write — first touch, paid once per call.
+func (s *remoteSession) getBatch(ctx context.Context, keys []uint64, dst []float32) error {
+	dim := s.m.Dim()
 	vs := dim * 4
 	c, bound := s.tier()
 	fetch, into := keys, tensor.F32Bytes(dst)
@@ -446,7 +439,9 @@ func (s *remoteSession) GetBatch(ctx context.Context, keys []uint64, dst []float
 		}
 		// First touch. The write-back list never outgrows its capacity (one
 		// value per fetched key) and grows no faster than j, so it may share
-		// into's memory behind the read position.
+		// into's memory behind the read position. The fresh record's clock
+		// starts balanced: a miss acquired no token, and a put on a
+		// zero-staleness record is floored, not underflowed.
 		s.m.init.Fill(fetch[j], seg(j))
 		s.missKeys = append(s.missKeys, fetch[j])
 		s.missVals = append(s.missVals, tensor.F32Bytes(seg(j))...)
@@ -467,24 +462,26 @@ func (s *remoteSession) GetBatch(ctx context.Context, keys []uint64, dst []float
 	return nil
 }
 
+// Put is PutBatch's one-key case.
 func (s *remoteSession) Put(ctx context.Context, key uint64, val []float32) error {
 	if len(val) != s.m.Dim() {
 		return fmt.Errorf("driver: val length %d != dim %d", len(val), s.m.Dim())
 	}
-	if err := s.s.PutCtx(ctx, key, tensor.F32Bytes(val)); err != nil {
-		return err
-	}
-	if c := s.m.cache; c != nil {
-		c.Write(key, val)
-	}
-	return nil
+	defer s.m.lat.Since(latency.OpPut, time.Now())
+	s.one[0] = key
+	return s.putBatch(ctx, s.one[:], val)
 }
 
 func (s *remoteSession) PutBatch(ctx context.Context, keys []uint64, vals []float32) error {
-	dim := s.m.Dim()
-	if len(vals) != len(keys)*dim {
-		return fmt.Errorf("driver: vals length %d != %d keys × dim %d", len(vals), len(keys), dim)
+	if len(vals) != len(keys)*s.m.Dim() {
+		return fmt.Errorf("driver: vals length %d != %d keys × dim %d", len(vals), len(keys), s.m.Dim())
 	}
+	defer s.m.lat.Since(latency.OpPutBatch, time.Now())
+	return s.putBatch(ctx, keys, vals)
+}
+
+// putBatch is the one put path: one batched write, then the tier.
+func (s *remoteSession) putBatch(ctx context.Context, keys []uint64, vals []float32) error {
 	if err := s.s.PutBatchCtx(ctx, keys, tensor.F32Bytes(vals)); err != nil {
 		return err
 	}
@@ -499,13 +496,15 @@ func (s *remoteSession) PutBatch(ctx context.Context, keys []uint64, vals []floa
 // every other session, never waiting on the staleness bound. The stepped
 // value materializes on the server, so the hot tier's copy is dropped. Only
 // a never-written key costs more: the server knows no initializer and
-// leaves it absent, and the step from init(key) is written back with one
-// Put — first touch, as on the read path, is not atomic across clients.
+// leaves it absent, and the step from init(key) is written back through
+// the put path — first touch, as on the read path, is not atomic across
+// clients.
 func (s *remoteSession) RMW(ctx context.Context, key uint64, grad []float32, lr float32) error {
 	dim := s.m.Dim()
 	if len(grad) != dim {
 		return fmt.Errorf("driver: grad length %d != dim %d", len(grad), dim)
 	}
+	defer s.m.lat.Since(latency.OpRMW, time.Now())
 	found, err := s.s.ApplyCtx(ctx, key, lr, grad)
 	if err != nil {
 		return err
@@ -514,7 +513,8 @@ func (s *remoteSession) RMW(ctx context.Context, key uint64, grad []float32, lr 
 		s.rmw = util.Grow(s.rmw, dim)
 		s.m.init.Fill(key, s.rmw)
 		tensor.Axpy(-lr, grad, s.rmw)
-		return s.Put(ctx, key, s.rmw)
+		s.one[0] = key
+		return s.putBatch(ctx, s.one[:], s.rmw)
 	}
 	if c := s.m.cache; c != nil {
 		c.Drop(key)
@@ -522,11 +522,16 @@ func (s *remoteSession) RMW(ctx context.Context, key uint64, grad []float32, lr 
 	return nil
 }
 
+// Peek is a one-key PEEKBATCH: it reads without touching the vector clock
+// or the hot tier, and is untimed, as it is locally.
 func (s *remoteSession) Peek(ctx context.Context, key uint64, dst []float32) (bool, error) {
 	if len(dst) != s.m.Dim() {
 		return false, fmt.Errorf("driver: dst length %d != dim %d", len(dst), s.m.Dim())
 	}
-	return s.s.PeekCtx(ctx, key, tensor.F32Bytes(dst))
+	s.one[0] = key
+	s.found = util.Grow(s.found, 1)
+	err := s.s.PeekBatchCtx(ctx, s.one[:], tensor.F32Bytes(dst), s.found)
+	return s.found[0], err
 }
 
 func (s *remoteSession) Delete(ctx context.Context, key uint64) error {
@@ -575,10 +580,11 @@ type dialedStore struct {
 
 func (d *dialedStore) Close() error { return d.c.Close() }
 
-// Stats is the served model's counters overlaid with the pool's own
-// (redials, round-trip latencies) for harness summaries.
+// Stats is the served model's counters plus the pool's redials, for
+// harness summaries; latency is the server's store-call timing (the
+// harness times its own round trips).
 func (d *dialedStore) Stats() stats.Counters {
 	c := d.Model.Stats()
-	d.c.FillStats(&c)
+	d.c.AddCounters(&c)
 	return c
 }

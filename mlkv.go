@@ -330,13 +330,14 @@ type Stats struct {
 	// pool waiting out a dead host, not hammering it.
 	DialRetries  int64
 	DialBackoffs int64
-	// Per-op-class latency, always on. A local model times the table's
-	// store operations; a remote model times this process's network round
-	// trips (per connection pool, so every model opened from the same
-	// Connect shares the summaries), which includes queueing in the
-	// pipelined client — the tail your callers actually see. LatRMW is
-	// the full RMW span: the storage-side step locally, its one round
-	// trip remotely.
+	// Per-op-class latency, always on: each class counts the calls of its
+	// op (Get, GetBatch, Put, PutBatch, RMW) — the tail your callers
+	// actually see. A local model times the table's store operations; a
+	// remote model handle times its own sessions' whole calls in this
+	// process (not per connection pool), tier hits, round trips with their
+	// queueing in the pipelined client, and first-touch write-backs
+	// included: a write-back counts as part of the Get or RMW that caused
+	// it, not as a Put. Peek, Delete and Lookahead are untimed.
 	LatGet      LatencySummary
 	LatGetBatch LatencySummary
 	LatPut      LatencySummary
