@@ -3,8 +3,9 @@
 // of named models — the network half of the paper's
 // Open(model_id, dim, staleness_bound) interface. Each opened Model
 // exposes the same kv.Store/kv.Session interfaces the in-process stores
-// implement, so the YCSB harness, benchmark sweeps, and examples run
-// against a remote model unchanged.
+// implement, so the harnesses that work on raw values (mlkv-ycsb -addr and
+// the network sweep, through driver.DialKV) run against a remote model
+// unchanged.
 //
 // Sessions are assigned to pooled connections round-robin and announce
 // themselves to the server with an ATTACH frame (and a DETACH on Close),
@@ -14,7 +15,8 @@
 // their requests: the second request is on the wire before the first
 // response returns. Batch operations travel as single frames and fan into
 // the server's sharded store as one batched call — the unit that
-// amortizes the network round trip.
+// amortizes the network round trip. A single-key Get, Peek or Put is a
+// batch of one: no server serves a single-key read or put frame.
 package client
 
 import (
@@ -22,7 +24,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -223,16 +224,7 @@ func (c *Client) connAt(slot int) (*conn, error) {
 	fresh, err := c.redial()
 	if err != nil {
 		c.dialFails++
-		shift := c.dialFails - 1
-		if shift > 7 {
-			shift = 7
-		}
-		backoff := dialBackoffMin << shift
-		if backoff > dialBackoffMax {
-			backoff = dialBackoffMax
-		}
-		backoff = backoff/2 + time.Duration(rand.Int63n(int64(backoff))) // ±50% jitter
-		c.dialNext = now.Add(backoff)
+		c.dialNext = now.Add(util.Backoff(c.dialFails, dialBackoffMin, dialBackoffMax))
 		c.lastDialErr = err
 		return nil, err
 	}
@@ -425,6 +417,9 @@ type Session struct {
 	// one to the next: a session has at most one request in flight.
 	// nil until first use and after a round trip spent it (see roundTripOn).
 	resp chan response
+	// one and oneFound hold a single-key op's batch of one.
+	one      [1]uint64
+	oneFound [1]bool
 	// rmw is RMW's staging value.
 	rmw []byte
 }
@@ -465,30 +460,14 @@ func (s *Session) checkout(ctx context.Context) (*conn, error) {
 	return s.cn, nil
 }
 
+// Get is a one-key GetBatchCtx.
 func (s *Session) Get(key uint64, dst []byte) (bool, error) {
-	return s.GetCtx(context.Background(), key, dst)
-}
-
-// GetCtx reads one key, honoring ctx end to end: the frame carries the
-// context's remaining budget, less a lead (see waitMsFrom), so a clocked
-// read stalled on the staleness bound gives up on the server just before
-// the deadline (stranding no token), and the round trip itself returns
-// ctx.Err() if ctx ends first.
-func (s *Session) GetCtx(ctx context.Context, key uint64, dst []byte) (bool, error) {
 	if len(dst) != s.vs {
 		return false, fmt.Errorf("client: dst length %d != value size %d", len(dst), s.vs)
 	}
-	if _, err := s.checkout(ctx); err != nil {
-		return false, err
-	}
-	s.enc = wire.AppendGet(s.enc[:0], s.m.handle, key, waitMsFrom(ctx))
-	p, err := s.roundTrip(ctx, wire.OpGet)
-	if err != nil {
-		return false, ctxErr(ctx, err)
-	}
-	found, err := wire.DecodeGetResp(p, dst)
-	s.cn.release(p)
-	return found, err
+	s.one[0] = key
+	err := s.GetBatchCtx(context.Background(), s.one[:], dst, s.oneFound[:])
+	return err == nil && s.oneFound[0], err
 }
 
 // verdictLead is how far ahead of the caller's deadline a clocked read
@@ -533,46 +512,25 @@ func ctxErr(ctx context.Context, err error) error {
 	return err
 }
 
-// Peek is a clock-free read on the server, so remote evaluation never
-// acquires staleness tokens that would stall training reads.
+// Peek is a one-key PeekBatchCtx: a clock-free read on the server, so
+// remote evaluation never acquires staleness tokens that would stall
+// training reads.
 func (s *Session) Peek(key uint64, dst []byte) (bool, error) {
-	return s.PeekCtx(context.Background(), key, dst)
-}
-
-// PeekCtx is Peek bounded by ctx.
-func (s *Session) PeekCtx(ctx context.Context, key uint64, dst []byte) (bool, error) {
 	if len(dst) != s.vs {
 		return false, fmt.Errorf("client: dst length %d != value size %d", len(dst), s.vs)
 	}
-	if _, err := s.checkout(ctx); err != nil {
-		return false, err
-	}
-	s.enc = wire.AppendKey(s.enc[:0], s.m.handle, key)
-	p, err := s.roundTrip(ctx, wire.OpPeek)
-	if err != nil {
-		return false, err
-	}
-	found, err := wire.DecodeGetResp(p, dst)
-	s.cn.release(p)
-	return found, err
+	s.one[0] = key
+	err := s.PeekBatchCtx(context.Background(), s.one[:], dst, s.oneFound[:])
+	return err == nil && s.oneFound[0], err
 }
 
+// Put is a one-key PutBatchCtx.
 func (s *Session) Put(key uint64, val []byte) error {
-	return s.PutCtx(context.Background(), key, val)
-}
-
-// PutCtx is Put bounded by ctx.
-func (s *Session) PutCtx(ctx context.Context, key uint64, val []byte) error {
 	if len(val) != s.vs {
 		return fmt.Errorf("client: val length %d != value size %d", len(val), s.vs)
 	}
-	if _, err := s.checkout(ctx); err != nil {
-		return err
-	}
-	s.enc = wire.AppendPut(s.enc[:0], s.m.handle, key, val)
-	p, err := s.roundTrip(ctx, wire.OpPut)
-	s.cn.release(p)
-	return err
+	s.one[0] = key
+	return s.PutBatchCtx(context.Background(), s.one[:], val)
 }
 
 func (s *Session) Delete(key uint64) error {
@@ -591,10 +549,11 @@ func (s *Session) DeleteCtx(ctx context.Context, key uint64) error {
 }
 
 // RMW is the kv.Session face, whose arbitrary closure cannot cross the
-// wire: a Get, fn, and a Put, two round trips and not atomic against other
-// sessions (the clocked Get/Put pair still balances its staleness token).
-// It is the only Get+fn+Put left on the remote path — the gradient step
-// every trainer means travels as one APPLY frame through ApplyCtx.
+// wire: a Get, fn, and a Put — a one-key GETBATCH and a one-key PUTBATCH,
+// two round trips and not atomic against other sessions (the clocked
+// Get/Put pair still balances its staleness token). Only driver.DialKV's
+// harnesses reach it; the gradient step every trainer means travels as one
+// APPLY frame through ApplyCtx.
 func (s *Session) RMW(key uint64, fn func(cur []byte, exists bool) bool) error {
 	s.rmw = util.Grow(s.rmw, s.vs)
 	found, err := s.Get(key, s.rmw)
@@ -694,8 +653,10 @@ func (s *Session) GetBatch(keys []uint64, vals []byte, found []bool) error {
 }
 
 // GetBatchCtx is GetBatch bounded by ctx end to end: checked per frame on
-// the round trip, and carried in each frame so a stalled batch gives up
-// on the server just before the deadline (see GetCtx).
+// the round trip, and carried in each frame, less a lead (see
+// waitMsFrom), so a clocked read stalled on the staleness bound gives up
+// on the server just before the deadline, stranding no token, and the
+// round trip itself returns ctx.Err() if ctx ends first.
 func (s *Session) GetBatchCtx(ctx context.Context, keys []uint64, vals []byte, found []bool) error {
 	return s.readBatch(ctx, wire.OpGetBatch, keys, vals, found)
 }

@@ -133,10 +133,6 @@ func (s *fakeServer) handle(c net.Conn, wmu *sync.Mutex, f wire.Frame) {
 		case wire.OpAttach:
 			s.attaches.Add(1)
 		case wire.OpDetach:
-		case wire.OpGet:
-			_, rest, _ := wire.DecodeHandle(f.Payload)
-			key, _, _ := wire.DecodeGet(rest)
-			resp = wire.EncodeGetResp(true, fakeVal(s.dim, key))
 		case wire.OpGetBatch:
 			_, rest, _ := wire.DecodeHandle(f.Payload)
 			keys, _, _ := wire.DecodeGetBatch(rest, nil)
@@ -483,11 +479,11 @@ func TestSessionResponseChannelReplacedAfterAbandon(t *testing.T) {
 	fs := newFakeServer(t, dim)
 	cl := fakeClient(t, fs, Options{Conns: 1})
 	_, s := fakeSession(t, cl, "reuse", dim, faster.BoundAsync)
-	dst := make([]byte, dim*4)
+	dst, found := make([]byte, dim*4), make([]bool, 1)
 	get := func(ctx context.Context, key uint64) error {
-		found, err := s.GetCtx(ctx, key, dst)
-		if err == nil && (!found || !bytes.Equal(dst, fakeVal(dim, key))) {
-			t.Fatalf("get %d answered found=%v %v: another request's response", key, found, dst)
+		err := s.GetBatchCtx(ctx, []uint64{key}, dst, found)
+		if err == nil && (!found[0] || !bytes.Equal(dst, fakeVal(dim, key))) {
+			t.Fatalf("get %d answered found=%v %v: another request's response", key, found[0], dst)
 		}
 		return err
 	}
@@ -502,7 +498,7 @@ func TestSessionResponseChannelReplacedAfterAbandon(t *testing.T) {
 		t.Fatal("completed round trips did not reuse the session's response channel")
 	}
 
-	fs.setDelay(wire.OpGet, 150*time.Millisecond)
+	fs.setDelay(wire.OpGetBatch, 150*time.Millisecond)
 	short, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
 	if err := get(short, 3); !errors.Is(err, context.DeadlineExceeded) {
@@ -521,7 +517,7 @@ func TestSessionResponseChannelReplacedAfterAbandon(t *testing.T) {
 	fs.mute(wire.OpGetBatch)
 	short, cancel = context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
-	if err := s.GetBatchCtx(short, []uint64{5}, dst, make([]bool, 1)); !errors.Is(err, context.DeadlineExceeded) {
+	if err := s.GetBatchCtx(short, []uint64{5}, dst, found); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("unanswered batch read returned %v, want the deadline", err)
 	}
 	if n := pendingTotal(cl); n != 1 {
@@ -540,8 +536,7 @@ func TestSessionResponseChannelReplacedAfterAbandon(t *testing.T) {
 // deadline, so the server's verdict comes back before a read abandoned at
 // that deadline could take a staleness token nobody returns. The call
 // still ends at the deadline itself with ctx.Err(), as a local read does:
-// after an early "gave up" verdict (single-key and batch), and when no
-// answer comes at all.
+// after an early "gave up" verdict, and when no answer comes at all.
 func TestClockedReadGivesUpBeforeDeadline(t *testing.T) {
 	if w := waitMsFrom(context.Background()); w != 0 {
 		t.Fatalf("no deadline sent wait %d ms, want 0 (wait forever)", w)
@@ -564,23 +559,13 @@ func TestClockedReadGivesUpBeforeDeadline(t *testing.T) {
 	_, s := fakeSession(t, cl, "verdict", dim, 0) // BSP
 	dst := make([]byte, dim*4)
 	gaveUp := "kv: " + context.DeadlineExceeded.Error()
-	fs.setErr(wire.OpGet, gaveUp)
 	fs.setErr(wire.OpGetBatch, gaveUp)
-	reads := map[string]func(context.Context) error{
-		"get": func(ctx context.Context) error {
-			_, err := s.GetCtx(ctx, 1, dst)
-			return err
-		},
-		"batch": func(ctx context.Context) error {
-			return s.GetBatchCtx(ctx, []uint64{2}, dst, make([]bool, 1))
-		},
-	}
-	check := func(what string, read func(context.Context) error) {
+	check := func(what string) {
 		t.Helper()
 		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Millisecond)
 		defer cancel()
 		d, _ := ctx.Deadline()
-		err := read(ctx)
+		err := s.GetBatchCtx(ctx, []uint64{2}, dst, make([]bool, 1))
 		if !errors.Is(err, context.DeadlineExceeded) {
 			t.Fatalf("%s returned %v, want DeadlineExceeded", what, err)
 		}
@@ -588,14 +573,9 @@ func TestClockedReadGivesUpBeforeDeadline(t *testing.T) {
 			t.Fatalf("%s returned %v from its deadline, want at it", what, now.Sub(d))
 		}
 	}
-	for name, read := range reads {
-		check(name+" after an early verdict", read)
-	}
-	fs.mute(wire.OpGet)
+	check("batch after an early verdict")
 	fs.mute(wire.OpGetBatch)
-	for name, read := range reads {
-		check("unanswered "+name, read)
-	}
+	check("unanswered batch")
 }
 
 // TestApplyErrorsSaySentOrNot pins what an APPLY error tells the caller: a

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -14,6 +13,7 @@ import (
 	"github.com/llm-db/mlkv-go/internal/faster"
 	"github.com/llm-db/mlkv-go/internal/hotcache"
 	"github.com/llm-db/mlkv-go/internal/stats"
+	"github.com/llm-db/mlkv-go/internal/util"
 )
 
 // Router is the client side of the cluster: one connection pool per node,
@@ -106,7 +106,7 @@ func NewRouter(m *Map, seedAddr string, seed *client.Client, opts RouterOptions)
 func (r *Router) Map() *Map { return r.cur.Load() }
 
 // FillStats adds what the client side of the cluster owns to c: every node
-// pool's hedging and redial counters, the topology the router holds, the
+// pool's redial counters, the topology the router holds, the
 // redirects it followed and the keys replicas served.
 func (r *Router) FillStats(c *stats.Counters) {
 	r.mu.Lock()
@@ -209,16 +209,7 @@ func (r *Router) retryOwner(ctx context.Context, retries *int, ownerID string, e
 	if r.refetchMap(ctx, cur, ownerID) {
 		return true // new topology: retry immediately
 	}
-	shift := *retries - 1
-	if shift > 7 {
-		shift = 7
-	}
-	backoff := ownerBackoffMin << shift
-	if backoff > ownerBackoffMax {
-		backoff = ownerBackoffMax
-	}
-	backoff = backoff/2 + time.Duration(rand.Int63n(int64(backoff))) // ±50% jitter
-	t := time.NewTimer(backoff)
+	t := time.NewTimer(util.Backoff(*retries, ownerBackoffMin, ownerBackoffMax))
 	defer t.Stop()
 	select {
 	case <-ctx.Done():

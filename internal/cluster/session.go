@@ -168,9 +168,9 @@ scan:
 }
 
 // exchange is one group's round trip: gather its keys (and values, for a
-// put) out of the caller's buffers, send one client.Session batch — a PEEK
-// whenever the node is a replica, which holds no clock — and scatter the
-// answer back.
+// put) out of the caller's buffers, send one client.Session batch — a
+// PEEKBATCH whenever the node is a replica, which holds no clock — and
+// scatter the answer back.
 func (s *RSession) exchange(ctx context.Context, g *group, op wire.Op, keys []uint64, vals []byte, found []bool) error {
 	n, vs := len(g.idxs), s.m.dim*4
 	g.keys, g.vals, g.found = util.Grow(g.keys, n), util.Grow(g.vals, n*vs), util.Grow(g.found, n)
@@ -339,8 +339,8 @@ func (s *RSession) readRuns(ctx context.Context, mp *Map, op wire.Op, keys []uin
 }
 
 // GetBatchCtx reads a batch through the cluster (see read): a replica when
-// the staleness bound admits it (a clock-free PEEK — a replica holds no
-// clock), the owning primary otherwise.
+// the staleness bound admits it (a clock-free PEEKBATCH — a replica holds
+// no clock), the owning primary otherwise.
 func (s *RSession) GetBatchCtx(ctx context.Context, keys []uint64, vals []byte, found []bool) error {
 	return s.read(ctx, wire.OpGetBatch, keys, vals, found)
 }

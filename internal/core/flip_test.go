@@ -119,7 +119,9 @@ func (s *wrapSession) version(found bool, err error) (uint32, error) {
 	return a, nil
 }
 func (s *wrapSession) get(ctx context.Context, k uint64) (uint32, error) {
-	return s.version(s.s.GetCtx(ctx, k, s.buf[:]))
+	var found [1]bool
+	err := kv.SessionGetBatchCtx(ctx, s.s, len(s.buf), []uint64{k}, s.buf[:], found[:])
+	return s.version(found[0], err)
 }
 func (s *wrapSession) peek(k uint64) (uint32, error) {
 	return s.version(s.s.Peek(k, s.buf[:]))

@@ -218,6 +218,10 @@ type remoteModel struct {
 	bound int64
 	// lat times this handle's sessions' ops, at the ops core.Session times.
 	lat latency.OpSet
+	// The caller's GetBatch, PutBatch and Lookahead calls, counted where
+	// core.Session counts them: the server counts frames, and a single key
+	// or a cluster fan-out sends batch frames of its own.
+	batchGets, batchPuts, lookaheadCalls atomic.Int64
 
 	// lookMu orders worker start against Close, so a hint racing a Close
 	// can never start a worker Close no longer sees.
@@ -254,10 +258,13 @@ func (m *remoteModel) Stats(ctx context.Context) (stats.Counters, error) {
 	// first-touch write-backs — not the server-side store timings (those
 	// stay visible through the mlkv_latency expvar and raw STATS frames).
 	// The pool is per-DB, so redials cover every model from this Connect.
+	// The batch counters are this handle's calls, not the server's frames.
 	if m.cache != nil {
 		m.cache.Stats().AddTo(&c)
 	}
 	c.PrefetchDropped = m.lookDropped.Load()
+	c.BatchGets, c.BatchPuts = m.batchGets.Load(), m.batchPuts.Load()
+	c.LookaheadCalls = m.lookaheadCalls.Load()
 	m.db.c.FillStats(&c)
 	c.SetLatency(&m.lat)
 	return c, nil
@@ -391,6 +398,7 @@ func (s *remoteSession) GetBatch(ctx context.Context, keys []uint64, dst []float
 		return fmt.Errorf("driver: dst length %d != %d keys × dim %d", len(dst), len(keys), s.m.Dim())
 	}
 	defer s.m.lat.Since(latency.OpGetBatch, time.Now())
+	s.m.batchGets.Add(1)
 	return s.getBatch(ctx, keys, dst)
 }
 
@@ -477,6 +485,7 @@ func (s *remoteSession) PutBatch(ctx context.Context, keys []uint64, vals []floa
 		return fmt.Errorf("driver: vals length %d != %d keys × dim %d", len(vals), len(keys), s.m.Dim())
 	}
 	defer s.m.lat.Since(latency.OpPutBatch, time.Now())
+	s.m.batchPuts.Add(1)
 	return s.putBatch(ctx, keys, vals)
 }
 
@@ -545,6 +554,7 @@ func (s *remoteSession) Delete(ctx context.Context, key uint64) error {
 }
 
 func (s *remoteSession) Lookahead(keys []uint64) error {
+	s.m.lookaheadCalls.Add(1)
 	if len(keys) > 0 {
 		s.m.enqueueLookahead(keys)
 	}

@@ -184,7 +184,7 @@ func TestCreateHoldsItsToken(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	if _, err := reader.GetCtx(ctx, key, make([]byte, vs)); !errors.Is(err, context.DeadlineExceeded) {
+	if err := reader.GetBatchAt(ctx, keys, idxs, make([]byte, vs), make([]bool, 1), nil); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("a read of a just-created key returned %v under BSP, want a deadline", err)
 	}
 	trained := val(vs, 7)

@@ -202,7 +202,7 @@ type Session struct {
 	hit     chainHit // findKey's result: one chain walk at a time
 	tally   int64    // what the pass in progress has counted (see pass)
 
-	// The one-key batch GetCtx and Put run as.
+	// The one-key batch Get and Put run as.
 	oneKey   [1]uint64
 	oneFound [1]bool
 }
@@ -374,19 +374,10 @@ func readLocked(f *frame, slot int, dst []byte, bound int64) (done, stale bool) 
 // value, and release. Cold records (read-only region or disk) are first
 // copied to the mutable tail with their vector clock preserved.
 // Returns found=false, and a zeroed dst, for absent or deleted keys.
+// It is GetBatchAt's one-key case.
 func (s *Session) Get(key uint64, dst []byte) (bool, error) {
-	return s.GetCtx(context.Background(), key, dst)
-}
-
-// GetCtx is Get with cancellation: a read stalled on the staleness bound
-// (another session's token not yet released by its Put) gives up with
-// ctx.Err() when ctx is cancelled or its deadline passes, instead of
-// spinning until the releasing write arrives. The clock is untouched on a
-// cancelled read — no token was acquired — so a caller that times out owes
-// no balancing Put. It is GetBatchAt's one-key case.
-func (s *Session) GetCtx(ctx context.Context, key uint64, dst []byte) (bool, error) {
 	s.oneKey[0] = key
-	err := s.GetBatchAt(ctx, s.oneKey[:], firstIdx[:], dst, s.oneFound[:], nil)
+	err := s.GetBatchAt(context.Background(), s.oneKey[:], firstIdx[:], dst, s.oneFound[:], nil)
 	return s.oneFound[0] && err == nil, err
 }
 
@@ -429,6 +420,12 @@ func (s *Session) pass(idxs []int, ops, served *atomic.Int64, step func(i int) (
 // been called on it (duplicates included); the keys share only the pass's
 // bookkeeping. On an error the positions not yet reached are untouched and
 // the one that failed is undefined.
+//
+// A read stalled on the staleness bound (another session's token not yet
+// released by its Put) gives up with ctx.Err() when ctx is cancelled or its
+// deadline passes, instead of spinning until the releasing write arrives.
+// The stalled key's clock is untouched — no token was acquired — so a caller
+// that times out owes no balancing Put for it.
 //
 // With create nil an absent (or deleted) key reports found[i] false. With
 // create set it is read-or-create: such a key is created in its turn, inside

@@ -111,7 +111,7 @@ func TestShardedBatchBlockingBoundOrder(t *testing.T) {
 					continue
 				}
 				ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-				_, err := holder.GetCtx(ctx, k, val)
+				err := SessionGetBatchCtx(ctx, holder, vs, []uint64{k}, val, make([]bool, 1))
 				cancel()
 				if held := errors.Is(err, context.DeadlineExceeded); held != (i <= parked) {
 					t.Fatalf("key %d (position %d, parked at %d): held=%v (%v)", k, i, parked, held, err)

@@ -81,6 +81,9 @@ type cachedSession struct {
 	inner Session
 	vs    int
 
+	// one and oneFound hold Get's batch of one.
+	one      [1]uint64
+	oneFound [1]bool
 	// Reusable batch scratch: hot-tier miss positions, their compacted
 	// keys, and the fetch staging the engine reads into.
 	missIdx    []int
@@ -95,28 +98,12 @@ func (s *cachedSession) Lookahead(keys []uint64) (int, error) { return s.inner.L
 // Peek bypasses the tier: evaluation reads stay exact.
 func (s *cachedSession) Peek(key uint64, dst []byte) (bool, error) { return s.inner.Peek(key, dst) }
 
+// Get is the one-key case of GetBatchCtx, so the tier consult and fill
+// exist once.
 func (s *cachedSession) Get(key uint64, dst []byte) (bool, error) {
-	return s.GetCtx(context.Background(), key, dst)
-}
-
-// GetCtx puts the tier in front (unless readTier says otherwise): an
-// admissible entry is served without touching the engine; a miss reads the
-// engine and fills the tier with a conservative pre-read stamp.
-func (s *cachedSession) GetCtx(ctx context.Context, key uint64, dst []byte) (bool, error) {
-	bound, consult := s.w.readTier()
-	if !consult {
-		return s.inner.GetCtx(ctx, key, dst)
-	}
-	c := s.w.cache
-	stamp := c.Now()
-	if c.Get(key, dst, stamp, bound) {
-		return true, nil
-	}
-	found, err := s.inner.GetCtx(ctx, key, dst)
-	if err == nil && found {
-		c.Fill(key, dst, stamp)
-	}
-	return found, err
+	s.one[0] = key
+	err := SessionGetBatchCtx(context.Background(), s, s.vs, s.one[:], dst, s.oneFound[:])
+	return err == nil && s.oneFound[0], err
 }
 
 func (s *cachedSession) Put(key uint64, val []byte) error {

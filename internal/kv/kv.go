@@ -53,11 +53,6 @@ type Store interface {
 type Session interface {
 	// Get reads key's value into dst (len must equal ValueSize).
 	Get(key uint64, dst []byte) (bool, error)
-	// GetCtx is Get bounded by ctx: a clocked read waiting on the
-	// staleness bound gives up with ctx.Err() when ctx ends, without
-	// acquiring a token. The serving layer uses it to honor a remote
-	// client's deadline, so an abandoned request cannot strand a token.
-	GetCtx(ctx context.Context, key uint64, dst []byte) (bool, error)
 	// Peek reads without consistency effects: no vector-clock
 	// participation, no copy toward the mutable tail. Evaluation traffic
 	// uses it so scoring a model never acquires tokens that would stall
@@ -80,8 +75,11 @@ type Session interface {
 	Lookahead(keys []uint64) (int, error)
 	// GetBatchCtx reads len(keys) values into vals (len(keys)×ValueSize)
 	// under ctx, recording presence in found and zeroing the value slot of
-	// any missing key. Callers go through SessionGetBatch[Ctx], which
-	// check the buffer lengths.
+	// any missing key. A clocked read waiting on the staleness bound gives
+	// up with ctx.Err() when ctx ends, without acquiring a token: the
+	// serving layer honors a remote client's deadline through it, so an
+	// abandoned request cannot strand a token. Callers go through
+	// SessionGetBatch[Ctx], which check the buffer lengths.
 	GetBatchCtx(ctx context.Context, keys []uint64, vals []byte, found []bool) error
 	// PutBatch upserts len(keys) values from vals; see SessionPutBatch.
 	PutBatch(keys []uint64, vals []byte) error

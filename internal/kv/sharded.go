@@ -170,10 +170,7 @@ func (se *shardedSession) putAt(sh int, keys []uint64, idxs []int, vals []byte) 
 }
 
 func (se *shardedSession) Get(key uint64, dst []byte) (bool, error) {
-	return se.route(key).GetCtx(context.Background(), key, dst)
-}
-func (se *shardedSession) GetCtx(ctx context.Context, key uint64, dst []byte) (bool, error) {
-	return se.route(key).GetCtx(ctx, key, dst)
+	return se.route(key).Get(key, dst)
 }
 func (se *shardedSession) Peek(key uint64, dst []byte) (bool, error) {
 	return se.route(key).Peek(key, dst)

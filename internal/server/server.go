@@ -90,7 +90,7 @@ type Stats struct {
 	ConnsAccepted int64
 	ConnsActive   int64
 	Requests      int64
-	BatchKeys     int64 // keys carried by GETBATCH/PUTBATCH frames
+	BatchKeys     int64 // keys carried by GETBATCH/PEEKBATCH/PUTBATCH frames
 	Errors        int64 // requests answered with RespErr
 }
 
@@ -242,8 +242,8 @@ type connModel struct {
 	vs      int
 	keys    []uint64
 	found   []bool
-	scratch []byte // vs bytes: single-key GET staging, APPLY's post-image
-	resp    []byte // reusable GET/PEEK/APPLY response payload (1+vs bytes)
+	scratch []byte // vs bytes: APPLY's post-image
+	resp    []byte // reusable APPLY response payload
 	out     []byte // reusable GETBATCH response payload
 
 	// The APPLY frame in hand. applyStep is the RMW callback, bound once at
@@ -498,59 +498,6 @@ func (s *Server) handle(st *connState, op wire.Op, p []byte) (respOp wire.Op, pa
 		return fail(err)
 	}
 	switch op {
-	case wire.OpGet:
-		key, waitMs, err := wire.DecodeGet(rest)
-		if err != nil {
-			return fail(err)
-		}
-		if !s.mayRead(key) {
-			return s.notOwner()
-		}
-		ctx, cancel := waitCtx(waitMs, cm.m.store.StalenessBound())
-		start := time.Now()
-		found, err := cm.sess.GetCtx(ctx, key, cm.scratch)
-		cm.m.lat.Since(latency.OpGet, start)
-		cancel()
-		if err != nil {
-			return fail(err)
-		}
-		cm.resp = wire.AppendGetResp(cm.resp[:0], found, cm.scratch)
-		return wire.RespOK, cm.resp, false
-
-	case wire.OpPeek:
-		key, err := wire.DecodeKey(rest)
-		if err != nil {
-			return fail(err)
-		}
-		if !s.mayRead(key) {
-			return s.notOwner()
-		}
-		start := time.Now()
-		found, err := cm.sess.Peek(key, cm.scratch)
-		cm.m.lat.Since(latency.OpGet, start)
-		if err != nil {
-			return fail(err)
-		}
-		cm.resp = wire.AppendGetResp(cm.resp[:0], found, cm.scratch)
-		return wire.RespOK, cm.resp, false
-
-	case wire.OpPut:
-		key, val, err := wire.DecodePut(rest, cm.vs)
-		if err != nil {
-			return fail(err)
-		}
-		if !s.mayWrite(key) {
-			return s.notOwner()
-		}
-		start := time.Now()
-		err = cm.sess.Put(key, val)
-		cm.m.lat.Since(latency.OpPut, start)
-		if err != nil {
-			return fail(err)
-		}
-		s.replicate(cm, wire.ReplPut, cm.oneKey(key), val)
-		return wire.RespOK, nil, false
-
 	case wire.OpDelete:
 		key, err := wire.DecodeKey(rest)
 		if err != nil {
@@ -587,7 +534,7 @@ func (s *Server) handle(st *connState, op wire.Op, p []byte) (respOp wire.Op, pa
 		if cm.hit {
 			// Replicas receive the post-image as an ordinary upsert: they
 			// need not replay the arithmetic, and the replicator is unchanged.
-			// Like PUT's, the enqueue follows the engine call rather than
+			// Like PUTBATCH's, the enqueue follows the engine call rather than
 			// sharing its record lock, so two connections stepping one key
 			// can enqueue out of order (ARCHITECTURE, replication).
 			s.replicate(cm, wire.ReplPut, cm.oneKey(key), cm.scratch)
@@ -730,13 +677,9 @@ func (s *Server) notOwner() (wire.Op, []byte, bool) {
 	return wire.RespNotOwner, s.cfg.Cluster.Encoded(), false
 }
 
-// mayRead reports whether this node serves reads for key: primaries for
-// their ranges, replicas for their primary's. A non-clustered server owns
-// everything.
-func (s *Server) mayRead(key uint64) bool {
-	return s.cfg.Cluster == nil || s.cfg.Cluster.ReadOwned(key)
-}
-
+// mayReadAll reports whether this node serves reads for every key:
+// primaries for their ranges, replicas for their primary's. A
+// non-clustered server owns everything.
 func (s *Server) mayReadAll(keys []uint64) bool {
 	if s.cfg.Cluster == nil {
 		return true

@@ -167,7 +167,8 @@ func TestRemoteApply(t *testing.T) {
 	// The step released the token: a BSP read proceeds instead of stalling.
 	short, cancel := context.WithTimeout(ctx, 2*time.Second)
 	defer cancel()
-	if found, err := s.GetCtx(short, 1, got); err != nil || !found {
+	found := make([]bool, 1)
+	if err := s.GetBatchCtx(short, []uint64{1}, got, found); err != nil || !found[0] {
 		t.Fatalf("clocked read after the step: found=%v err=%v", found, err)
 	}
 	f := make([]float32, dim)
@@ -480,8 +481,9 @@ func TestGracefulShutdownDrains(t *testing.T) {
 
 // TestProtocolErrorPaths talks raw frames to the server: bad opcodes,
 // oversized batches, and unattached handles must answer RespErr without
-// killing the connection; a version mismatch (an old client's HELLO) must
-// answer RespErr with a clear message and then close it.
+// killing the connection; so must the single-key GET, PEEK and PUT frames,
+// which no server serves since v7. A version mismatch (an old client's
+// HELLO) must answer RespErr with a clear message and then close it.
 func TestProtocolErrorPaths(t *testing.T) {
 	addr, _, stop := startServer(t, t.TempDir())
 	defer stop()
@@ -515,7 +517,7 @@ func TestProtocolErrorPaths(t *testing.T) {
 	}
 
 	// A data frame before ATTACH → RespErr, connection lives.
-	if err := wire.WriteFrame(nc, 3, wire.OpGet, wire.EncodeGet(handle, 7, 0)); err != nil {
+	if err := wire.WriteFrame(nc, 3, wire.OpGetBatch, wire.EncodeGetBatch(handle, 0, []uint64{7})); err != nil {
 		t.Fatal(err)
 	}
 	f, err = wire.ReadFrame(nc, 0)
@@ -541,13 +543,34 @@ func TestProtocolErrorPaths(t *testing.T) {
 		t.Fatalf("oversized batch: %+v err=%v", f, err)
 	}
 
-	// Mis-sized PUT → RespErr, connection lives.
-	if err := wire.WriteFrame(nc, 6, wire.OpPut, append(wire.EncodeHandle(handle), 1, 2, 3)); err != nil {
+	// Mis-sized PUTBATCH (one key, 3 value bytes, dim 2) → RespErr,
+	// connection lives.
+	if err := wire.WriteFrame(nc, 6, wire.OpPutBatch, wire.EncodePutBatch(handle, []uint64{7}, []byte{1, 2, 3})); err != nil {
 		t.Fatal(err)
 	}
 	f, err = wire.ReadFrame(nc, 0)
-	if err != nil || f.Op != wire.RespErr || f.CorrID != 6 {
+	if err != nil || f.Op != wire.RespErr || f.CorrID != 6 || strings.Contains(string(f.Payload), "unknown opcode") {
 		t.Fatalf("short put: %+v err=%v", f, err)
+	}
+
+	// The single-key frames no server serves since v7 → RespErr "unknown
+	// opcode" on a live session, connection lives.
+	for i, fr := range []struct {
+		op wire.Op
+		p  []byte
+	}{
+		{wire.OpGet, wire.EncodeGet(handle, 7, 0)},
+		{wire.OpPeek, wire.EncodeKey(handle, 7)},
+		{wire.OpPut, wire.EncodePut(handle, 7, make([]byte, 8))},
+	} {
+		corr := uint32(20 + i)
+		if err := wire.WriteFrame(nc, corr, fr.op, fr.p); err != nil {
+			t.Fatal(err)
+		}
+		f, err = wire.ReadFrame(nc, 0)
+		if err != nil || f.Op != wire.RespErr || f.CorrID != corr || !strings.Contains(string(f.Payload), "unknown opcode") {
+			t.Fatalf("single-key op %d: %+v err=%v", fr.op, f, err)
+		}
 	}
 
 	// APPLY with a gradient of the wrong dimension (3 floats, dim 2) →
@@ -561,7 +584,7 @@ func TestProtocolErrorPaths(t *testing.T) {
 	}
 
 	// Unknown handle → RespErr, connection lives.
-	if err := wire.WriteFrame(nc, 7, wire.OpGet, wire.EncodeGet(99, 7, 0)); err != nil {
+	if err := wire.WriteFrame(nc, 7, wire.OpGetBatch, wire.EncodeGetBatch(99, 0, []uint64{7})); err != nil {
 		t.Fatal(err)
 	}
 	f, err = wire.ReadFrame(nc, 0)
@@ -570,7 +593,7 @@ func TestProtocolErrorPaths(t *testing.T) {
 	}
 
 	// The connection still works.
-	if err := wire.WriteFrame(nc, 8, wire.OpGet, wire.EncodeGet(handle, 7, 0)); err != nil {
+	if err := wire.WriteFrame(nc, 8, wire.OpGetBatch, wire.EncodeGetBatch(handle, 0, []uint64{7})); err != nil {
 		t.Fatal(err)
 	}
 	f, err = wire.ReadFrame(nc, 0)

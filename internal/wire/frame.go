@@ -30,9 +30,13 @@ const (
 	// OpHello opens a connection: the client announces its protocol
 	// Version and learns the store's value size, shard count, and name.
 	OpHello Op = 1 + iota
-	// OpGet reads one key.
+	// OpGet reads one key. No server serves it since v7 (a client's single
+	// key is a one-key GETBATCH); only the benchmark's wire rung still
+	// encodes it.
 	OpGet
-	// OpPut upserts one key.
+	// OpPut upserts one key. No server serves it since v7 (a one-key
+	// PUTBATCH replaces it); only the benchmark's wire rung still encodes
+	// it.
 	OpPut
 	// OpDelete removes one key.
 	OpDelete
@@ -50,12 +54,9 @@ const (
 	// stats.Counters.Encode: the counter table (internal/stats) owns the
 	// slot order, and a Version bump accompanies any change to it.
 	OpStats
-	// OpPeek reads one key without consistency effects: no vector-clock
-	// participation, no copy-to-tail. Evaluation traffic uses it so scoring
-	// a model never leaves clock tokens that would stall training reads.
-	// Payload layouts match GET. (Servers predating this op answer RespErr
-	// and keep the connection usable; the request ops above keep their
-	// values.)
+	// OpPeek read one key without consistency effects. No server serves it
+	// since v7 (a one-key PEEKBATCH replaces it), and no client encodes it;
+	// the constant keeps the later ops' values.
 	OpPeek
 	// OpOpen creates or looks up a named model on the server — the wire
 	// face of the paper's Open(model_id, dim, staleness_bound) — and
@@ -198,7 +199,7 @@ func (o Op) String() string {
 // and closes the connection rather than guess at payload layouts — so any
 // change to a payload layout, or to the order or length of the STATS
 // counter table (internal/stats), bumps it.
-const Version = 6
+const Version = 7
 
 const (
 	// minLength is the smallest legal length field: corrID + op.

@@ -126,13 +126,13 @@ func DecodeHandle(p []byte) (handle uint32, rest []byte, err error) {
 // issuing millions of requests reuses one buffer instead of allocating
 // per frame. Encode* remains for cold paths and tests.
 
-// AppendKey appends a single-key request payload (PEEK, DELETE).
+// AppendKey appends a single-key request payload (DELETE).
 func AppendKey(dst []byte, handle uint32, key uint64) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, handle)
 	return binary.LittleEndian.AppendUint64(dst, key)
 }
 
-// EncodeKey builds a single-key request payload (PEEK, DELETE):
+// EncodeKey builds a single-key request payload (DELETE):
 // uint32 handle | uint64 key.
 func EncodeKey(handle uint32, key uint64) []byte {
 	return AppendKey(make([]byte, 0, 12), handle, key)
