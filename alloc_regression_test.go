@@ -283,10 +283,10 @@ func TestLocalFirstTouchAllocBudget(t *testing.T) {
 // Committed allocs/op ceilings for a trainer's step as storage sees it with
 // look-ahead on: one 256-key hint for the next batch, then the 256-key read
 // of the current one (which allocates nothing on these memory-resident
-// fixtures, see above). Locally the hint is copied into the table's recycled
-// chunk buffers and served by the pool's own sessions: nothing allocates.
-// Remotely the driver copies it into a recycled buffer and its worker's
-// LOOKAHEAD frame rides the pooled frame path; the one allocation is the
+// fixtures, see above). Both drivers copy the hint into their hint queue's
+// recycled chunk buffers. Locally the queue's own store sessions serve it:
+// nothing allocates. Remotely the queue's worker sends a LOOKAHEAD frame on
+// the pooled frame path; the one allocation is the
 // server encoding the reply's count. Before the buffers were recycled every
 // remote hint also allocated its own copy of the keys.
 const (
@@ -363,7 +363,10 @@ func TestLookaheadAllocBudget(t *testing.T) {
 			}
 			avg := testing.AllocsPerRun(100, step)
 			st := m.Stats()
-			// Drops are whole: 64-key chunks locally, hints remotely.
+			// One drop rule on both drivers: from the first chunk that finds
+			// the queue full the rest of the hint drops, so a 256-key hint
+			// (64-key chunks locally, one chunk remotely) drops in whole
+			// 64-key pieces.
 			if st.LookaheadCalls != steps || st.PrefetchDropped%64 != 0 {
 				t.Fatalf("%d hints sent: LookaheadCalls %d, %d keys dropped", steps, st.LookaheadCalls, st.PrefetchDropped)
 			}

@@ -91,7 +91,7 @@ func main() {
 				// One connection per training worker (a BSP worker's blocked
 				// read must not queue behind its unblocker's write on a
 				// shared connection) plus slack for the evaluation handle
-				// and the remote model's lookahead worker.
+				// and the remote model's hint-queue worker.
 				nc = *workers + 2
 			}
 			target, copts = mlkv.Scheme+*addr, []mlkv.ConnectOption{mlkv.WithConns(nc)}

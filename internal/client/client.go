@@ -35,9 +35,9 @@ import (
 	"github.com/llm-db/mlkv-go/internal/wire"
 )
 
-// maxKeysPerFrame splits larger batches into multiple frames; it must stay
+// MaxKeysPerFrame splits larger batches into multiple frames; it must stay
 // within wire.MaxBatchKeys.
-const maxKeysPerFrame = 4096
+const MaxKeysPerFrame = 4096
 
 // Options configures Dial.
 type Options struct {
@@ -629,7 +629,7 @@ func (s *Session) LookaheadCtx(ctx context.Context, keys []uint64) (int, error) 
 	}
 	total := 0
 	for len(keys) > 0 {
-		chunk := keys[:min(len(keys), maxKeysPerFrame)]
+		chunk := keys[:min(len(keys), MaxKeysPerFrame)]
 		keys = keys[len(chunk):]
 		s.enc = wire.AppendKeys(s.enc[:0], s.m.handle, chunk)
 		p, err := s.roundTrip(ctx, wire.OpLookahead)
@@ -646,7 +646,7 @@ func (s *Session) LookaheadCtx(ctx context.Context, keys []uint64) (int, error) 
 	return total, nil
 }
 
-// GetBatch ships one frame per maxKeysPerFrame chunk, each fanned into the
+// GetBatch ships one frame per MaxKeysPerFrame chunk, each fanned into the
 // server's sharded store as a single batched read.
 func (s *Session) GetBatch(keys []uint64, vals []byte, found []bool) error {
 	return s.GetBatchCtx(context.Background(), keys, vals, found)
@@ -662,7 +662,7 @@ func (s *Session) GetBatchCtx(ctx context.Context, keys []uint64, vals []byte, f
 }
 
 // readBatch is GetBatchCtx's and PeekBatchCtx's one loop: one op frame per
-// maxKeysPerFrame chunk. Only a GETBATCH frame carries ctx's budget; a peek
+// MaxKeysPerFrame chunk. Only a GETBATCH frame carries ctx's budget; a peek
 // never waits on the bound.
 func (s *Session) readBatch(ctx context.Context, op wire.Op, keys []uint64, vals []byte, found []bool) error {
 	if _, err := s.checkout(ctx); err != nil {
@@ -670,7 +670,7 @@ func (s *Session) readBatch(ctx context.Context, op wire.Op, keys []uint64, vals
 	}
 	vs := s.vs
 	for len(keys) > 0 {
-		n := min(len(keys), maxKeysPerFrame)
+		n := min(len(keys), MaxKeysPerFrame)
 		if op == wire.OpGetBatch {
 			s.enc = wire.AppendGetBatch(s.enc[:0], s.m.handle, waitMsFrom(ctx), keys[:n])
 		} else {
@@ -690,7 +690,7 @@ func (s *Session) readBatch(ctx context.Context, op wire.Op, keys []uint64, vals
 	return nil
 }
 
-// PutBatch ships one frame per maxKeysPerFrame chunk.
+// PutBatch ships one frame per MaxKeysPerFrame chunk.
 func (s *Session) PutBatch(keys []uint64, vals []byte) error {
 	return s.PutBatchCtx(context.Background(), keys, vals)
 }
@@ -702,7 +702,7 @@ func (s *Session) PutBatchCtx(ctx context.Context, keys []uint64, vals []byte) e
 	}
 	vs := s.vs
 	for len(keys) > 0 {
-		n := min(len(keys), maxKeysPerFrame)
+		n := min(len(keys), MaxKeysPerFrame)
 		s.enc = wire.AppendPutBatch(s.enc[:0], s.m.handle, keys[:n], vals[:n*vs])
 		p, err := s.roundTrip(ctx, wire.OpPutBatch)
 		s.cn.release(p)

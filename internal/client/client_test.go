@@ -417,13 +417,13 @@ func TestCoalescedClientWrites(t *testing.T) {
 	}
 }
 
-// TestBatchesSplitAtMaxKeysPerFrame pins the chunking maxKeysPerFrame
+// TestBatchesSplitAtMaxKeysPerFrame pins the chunking MaxKeysPerFrame
 // governs: a batch one key past a frame's worth and then some crosses the
 // wire as two frames — counted server-side — and still round-trips whole.
 func TestBatchesSplitAtMaxKeysPerFrame(t *testing.T) {
 	const dim, n = 2, 5000
-	if n <= maxKeysPerFrame || n > 2*maxKeysPerFrame {
-		t.Fatalf("%d keys no longer split into exactly two frames of %d", n, maxKeysPerFrame)
+	if n <= MaxKeysPerFrame || n > 2*MaxKeysPerFrame {
+		t.Fatalf("%d keys no longer split into exactly two frames of %d", n, MaxKeysPerFrame)
 	}
 	cl, err := Dial(startRealServer(t), Options{})
 	if err != nil {

@@ -4,8 +4,9 @@
 // sharded FASTER-style hybrid log with MLKV's bounded-staleness
 // consistency, and adds what is table-level: the
 // float32 codec, seeded first-touch initialization, and the Lookahead
-// interface, an asynchronous prefetch pool that moves disk-resident
-// embeddings into the store's mutable memory buffer ahead of use.
+// interface, whose hint queue (HintQueue, shared with the remote driver)
+// moves disk-resident embeddings into the store's mutable memory buffer
+// ahead of use.
 package core
 
 import (
@@ -69,17 +70,13 @@ func (u uniformInit) fill(key uint64, dst []float32) {
 	}
 }
 
+// A local hint is served in chunks of hintChunk keys by hintWorkers store
+// sessions: chunks small enough that a minibatch's hint (a few hundred keys)
+// is dealt to both workers, large enough that the queue costs one channel
+// operation per chunk instead of one per key.
 const (
-	// prefetchQueue is the Lookahead queue capacity in keys; hints beyond it
-	// drop.
-	prefetchQueue = 4096
-	// prefetchWorkers is the Lookahead pool size.
-	prefetchWorkers = 2
-	// prefetchChunk is how many keys of a hint one pool worker takes at a
-	// time: small enough that a minibatch's hint (a few hundred keys) is
-	// dealt to both workers, large enough that the queue costs one channel
-	// operation per chunk instead of one per key.
-	prefetchChunk = 64
+	hintChunk   = 64
+	hintWorkers = 2
 )
 
 // Options configures a Table.
@@ -129,21 +126,11 @@ type Table struct {
 	dim   int
 	init  Initializer
 
-	// A hint travels to the pool as chunks of at most prefetchChunk keys,
-	// copied into buffers that cycle prefetchFree → prefetchCh → a worker →
-	// prefetchFree. There are prefetchQueue/prefetchChunk buffers and both
-	// channels hold that many, so holding a free buffer is the right to
-	// enqueue it (the send cannot block) and an empty free list is a full
-	// queue.
-	prefetchCh      chan []uint64
-	prefetchFree    chan []uint64
-	prefetchStop    chan struct{}
-	prefetchDone    chan struct{}
-	prefetchDropped atomic.Int64
-	activeSessions  atomic.Int64
-	batchGets       atomic.Int64
-	batchPuts       atomic.Int64
-	lookaheadCalls  atomic.Int64
+	hints          *HintQueue
+	activeSessions atomic.Int64
+	batchGets      atomic.Int64
+	batchPuts      atomic.Int64
+	lookaheadCalls atomic.Int64
 
 	// lat times session Get/GetBatch/Put/PutBatch/RMW per op
 	// class (wait-free, no allocation); Stats reports the summaries.
@@ -183,20 +170,8 @@ func OpenTable(opts Options) (*Table, error) {
 	if opts.CacheEntries > 0 {
 		store = kv.WrapCached(store, opts.CacheEntries)
 	}
-	t := &Table{
-		store:        store,
-		dim:          opts.Dim,
-		init:         opts.Init,
-		prefetchCh:   make(chan []uint64, prefetchQueue/prefetchChunk),
-		prefetchFree: make(chan []uint64, prefetchQueue/prefetchChunk),
-		prefetchStop: make(chan struct{}),
-		prefetchDone: make(chan struct{}),
-	}
-	for i := 0; i < cap(t.prefetchFree); i++ {
-		t.prefetchFree <- make([]uint64, 0, prefetchChunk)
-	}
-	go t.prefetchPool()
-	return t, nil
+	hints := NewHintQueue(hintChunk, hintWorkers, func() (HintSession, error) { return store.NewSession() })
+	return &Table{store: store, dim: opts.Dim, init: opts.Init, hints: hints}, nil
 }
 
 // Dim returns the embedding dimension.
@@ -217,10 +192,9 @@ func (t *Table) StalenessBound() int64 { return t.store.StalenessBound() }
 // Checkpoint makes the table durable (call at a training barrier).
 func (t *Table) Checkpoint() error { return t.store.Checkpoint() }
 
-// Close stops the prefetch pool and closes the store.
+// Close stops the hint queue and closes the store.
 func (t *Table) Close() error {
-	close(t.prefetchStop)
-	<-t.prefetchDone
+	t.hints.Close()
 	return t.store.Close()
 }
 
@@ -233,38 +207,10 @@ func (t *Table) Stats() stats.Counters {
 	c.BatchGets = t.batchGets.Load()
 	c.BatchPuts = t.batchPuts.Load()
 	c.LookaheadCalls = t.lookaheadCalls.Load()
-	c.PrefetchDropped = t.prefetchDropped.Load()
+	c.PrefetchDropped = t.hints.Dropped()
 	c.ActiveSessions = t.activeSessions.Load()
 	c.SetLatency(&t.lat)
 	return c
-}
-
-// prefetchPool runs the Lookahead workers, each on its own store session.
-func (t *Table) prefetchPool() {
-	defer close(t.prefetchDone)
-	done := make(chan struct{})
-	for w := 0; w < prefetchWorkers; w++ {
-		go func() {
-			defer func() { done <- struct{}{} }()
-			sess, err := t.store.NewSession()
-			if err != nil {
-				return
-			}
-			defer sess.Close()
-			for {
-				select {
-				case <-t.prefetchStop:
-					return
-				case chunk := <-t.prefetchCh:
-					sess.Lookahead(chunk) //nolint:errcheck // best-effort hint
-					t.prefetchFree <- chunk
-				}
-			}
-		}()
-	}
-	for w := 0; w < prefetchWorkers; w++ {
-		<-done
-	}
 }
 
 // Session is one worker's handle onto the table: one store session, which
@@ -450,23 +396,13 @@ func (s *Session) Delete(ctx context.Context, key uint64) error {
 // the store's mutable memory buffer (§III-C2, Fig. 5b) — the paper's
 // headline optimization, and not limited by the staleness bound. Call it
 // once per upcoming batch, at least one batch ahead of that batch's
-// GetBatch: the copies are made by a background pool, so a hint issued with
-// the read is wasted. It never blocks, never fails and keeps no reference
-// to keys: the hint is copied into the pool's queue in chunks, and the
-// chunks that do not fit are dropped (PrefetchDropped counts their keys).
+// GetBatch: the copies are made by the table's hint queue in the
+// background, so a hint issued with the read is wasted. It never blocks,
+// never fails and keeps no reference to keys. The queue's one drop rule
+// applies (see HintQueue): from the first 64-key chunk that finds the queue
+// full, the rest of the hint drops and PrefetchDropped counts its keys.
 func (s *Session) Lookahead(keys []uint64) error {
-	t := s.t
-	t.lookaheadCalls.Add(1)
-	for len(keys) > 0 {
-		select {
-		case chunk := <-t.prefetchFree:
-			n := min(len(keys), prefetchChunk)
-			t.prefetchCh <- append(chunk[:0], keys[:n]...)
-			keys = keys[n:]
-		default:
-			t.prefetchDropped.Add(int64(len(keys)))
-			return nil
-		}
-	}
+	s.t.lookaheadCalls.Add(1)
+	s.t.hints.Push(keys)
 	return nil
 }

@@ -279,18 +279,6 @@ func coldTable(t *testing.T) (*Table, *Session) {
 	return tbl, s
 }
 
-// waitPrefetchIdle returns once every chunk buffer is back on the free
-// list: nothing is queued and no pool worker is serving a chunk.
-func waitPrefetchIdle(t *testing.T, tbl *Table) {
-	t.Helper()
-	for deadline := time.Now().Add(5 * time.Second); len(tbl.prefetchFree) < cap(tbl.prefetchFree); {
-		if time.Now().After(deadline) {
-			t.Fatalf("prefetch pool still busy: %d of %d buffers free", len(tbl.prefetchFree), cap(tbl.prefetchFree))
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
 // seq returns n consecutive keys starting at first.
 func seq(first uint64, n int) []uint64 {
 	keys := make([]uint64, n)
@@ -308,7 +296,7 @@ func TestLookaheadStorageBufferWarmsDiskRecords(t *testing.T) {
 	cold := seq(1, 256)
 	before := tbl.Stats()
 	s.Lookahead(cold)
-	waitPrefetchIdle(t, tbl)
+	waitHintsIdle(t, tbl.hints)
 	hinted := tbl.Stats()
 	if got := hinted.PrefetchCopies - before.PrefetchCopies; got != int64(len(cold)) || hinted.PrefetchDropped != 0 {
 		t.Fatalf("one hint of %d cold keys: %d copies, %d dropped", len(cold), got, hinted.PrefetchDropped)
@@ -327,49 +315,6 @@ func TestLookaheadStorageBufferWarmsDiskRecords(t *testing.T) {
 	}
 	if got := tbl.Stats().DiskReads - hinted.DiskReads; got != 0 {
 		t.Fatalf("GetBatch after the hint read disk %d times", got)
-	}
-}
-
-// TestLookaheadDropsWholeChunks: a hint that does not fit the queue loses
-// whole chunks, PrefetchDropped counts their keys, and every key is either
-// copied or counted as dropped.
-func TestLookaheadDropsWholeChunks(t *testing.T) {
-	tbl, s := coldTable(t)
-	// Take buffers off the free list: the queue is as full as if that many
-	// chunks were waiting in it.
-	hold := func(n int) (release func()) {
-		held := make([][]uint64, n)
-		for i := range held {
-			held[i] = <-tbl.prefetchFree
-		}
-		return func() {
-			for _, b := range held {
-				tbl.prefetchFree <- b
-			}
-		}
-	}
-	chunks := cap(tbl.prefetchFree)
-
-	release := hold(chunks) // full: the whole hint drops
-	s.Lookahead(seq(1, 3*prefetchChunk+7))
-	release()
-	if st := tbl.Stats(); st.PrefetchDropped != 3*prefetchChunk+7 || st.PrefetchCopies != 0 {
-		t.Fatalf("hint into a full queue: %d dropped, %d copies; want %d, 0",
-			st.PrefetchDropped, st.PrefetchCopies, 3*prefetchChunk+7)
-	}
-
-	release = hold(chunks - 2) // room for two chunks (more as the pool returns them)
-	const n = 40 * prefetchChunk
-	s.Lookahead(seq(1001, n))
-	release()
-	waitPrefetchIdle(t, tbl)
-	st := tbl.Stats()
-	dropped := st.PrefetchDropped - (3*prefetchChunk + 7)
-	if st.PrefetchCopies+dropped != n || dropped%prefetchChunk != 0 || st.PrefetchCopies < 2*prefetchChunk {
-		t.Fatalf("%d-key hint: %d copies + %d dropped", n, st.PrefetchCopies, dropped)
-	}
-	if dropped == 0 {
-		t.Logf("the pool drained %d chunks while the hint was being queued; nothing dropped", n/prefetchChunk)
 	}
 }
 

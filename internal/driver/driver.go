@@ -119,8 +119,9 @@ type Session interface {
 	Peek(ctx context.Context, key uint64, dst []float32) (bool, error)
 	Delete(ctx context.Context, key uint64) error
 	// Lookahead is asynchronous on both drivers, never blocks and keeps no
-	// reference to keys; what does not fit the queue is dropped, and
-	// PrefetchDropped counts the keys.
+	// reference to keys. Both push into a core.HintQueue with one drop rule:
+	// from the first chunk that finds the queue full, the rest of the hint
+	// drops, and PrefetchDropped counts those keys.
 	Lookahead(keys []uint64) error
 	Close()
 }

@@ -3,7 +3,6 @@ package driver
 import (
 	"context"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -165,19 +164,11 @@ func (db *remoteDB) Open(ctx context.Context, id string, cfg Config) (Model, err
 	if err != nil {
 		return nil, err
 	}
-	m := &remoteModel{
-		db:       db,
-		m:        cm,
-		init:     cfg.Init,
-		bound:    cm.StalenessBound(),
-		lookCh:   make(chan []uint64, lookQueue),
-		lookFree: make(chan []uint64, lookQueue),
-		lookStop: make(chan struct{}),
-		lookDone: make(chan struct{}),
-	}
-	for i := 0; i < lookQueue; i++ {
-		m.lookFree <- nil // grown to the caller's hint size on first use
-	}
+	m := &remoteModel{db: db, m: cm, init: cfg.Init, bound: cm.StalenessBound()}
+	m.hints = core.NewHintQueue(client.MaxKeysPerFrame, 1, func() (core.HintSession, error) {
+		s, err := cm.NewWireSession(context.Background())
+		return wireHints{s}, err
+	})
 	if cfg.CacheEntries > 0 {
 		m.cache = hotcache.New[float32](cfg.CacheEntries, cfg.Dim)
 	}
@@ -188,18 +179,11 @@ func (db *remoteDB) Open(ctx context.Context, id string, cfg Config) (Model, err
 // this DB fail afterwards (and their Lookahead hints drop).
 func (db *remoteDB) Close() error { return db.c.Close() }
 
-// lookQueue is how many hints may wait for the lookahead worker. The
-// trainers hint once per step, so the worker's one round trip per hint
-// keeps up; a hint that would wait behind this many others would reach the
-// server after the read it was meant to lead.
-const lookQueue = 64
-
 // remoteModel is one named model on the server. Lookahead hints are
-// fire-and-forget on a local table but a blocking round trip on the wire,
-// so the model hands them to a background worker with its own session
-// (started on the first hint), one LOOKAHEAD frame per hint; a full queue
-// drops the hint and counts its keys, matching core.Table's prefetch-pool
-// semantics.
+// fire-and-forget at the API but a blocking round trip on the wire, so the
+// model hands them to the same hint queue core.Table uses, with one worker
+// on its own wire session and chunks of one frame's worth of keys: a
+// trainer's hint leaves as one LOOKAHEAD frame per owner.
 type remoteModel struct {
 	db   *remoteDB
 	m    wireModel
@@ -223,19 +207,14 @@ type remoteModel struct {
 	// or a cluster fan-out sends batch frames of its own.
 	batchGets, batchPuts, lookaheadCalls atomic.Int64
 
-	// lookMu orders worker start against Close, so a hint racing a Close
-	// can never start a worker Close no longer sees.
-	lookMu      sync.Mutex
-	lookStarted bool
-	lookClosed  bool
-	// A hint is copied into a buffer that cycles lookFree → lookCh → the
-	// worker → lookFree; both hold lookQueue, so holding a free buffer is
-	// the right to enqueue it and an empty free list is a full queue.
-	lookCh      chan []uint64
-	lookFree    chan []uint64
-	lookStop    chan struct{}
-	lookDone    chan struct{}
-	lookDropped atomic.Int64
+	hints *core.HintQueue
+}
+
+// wireHints serves a hint-queue chunk as a LOOKAHEAD round trip.
+type wireHints struct{ wireSession }
+
+func (w wireHints) Lookahead(keys []uint64) (int, error) {
+	return w.LookaheadCtx(context.Background(), keys)
 }
 
 func (m *remoteModel) ID() string            { return m.m.ID() }
@@ -262,7 +241,7 @@ func (m *remoteModel) Stats(ctx context.Context) (stats.Counters, error) {
 	if m.cache != nil {
 		m.cache.Stats().AddTo(&c)
 	}
-	c.PrefetchDropped = m.lookDropped.Load()
+	c.PrefetchDropped = m.hints.Dropped()
 	c.BatchGets, c.BatchPuts = m.batchGets.Load(), m.batchPuts.Load()
 	c.LookaheadCalls = m.lookaheadCalls.Load()
 	m.db.c.FillStats(&c)
@@ -278,66 +257,11 @@ func (m *remoteModel) NewSession(ctx context.Context) (Session, error) {
 	return &remoteSession{m: m, s: s}, nil
 }
 
-// Close stops the lookahead worker. The server keeps the model open (the
+// Close stops the hint queue. The server keeps the model open (the
 // registry owns its lifecycle); the pool closes with the DB. Idempotent.
 func (m *remoteModel) Close() error {
-	m.lookMu.Lock()
-	if m.lookClosed {
-		m.lookMu.Unlock()
-		return nil
-	}
-	m.lookClosed = true
-	started := m.lookStarted
-	m.lookMu.Unlock()
-	if started {
-		close(m.lookStop)
-		<-m.lookDone
-	}
+	m.hints.Close()
 	return nil
-}
-
-// lookaheadWorker drains the hint queue into LOOKAHEAD frames on its own
-// session. Hints are best-effort: a transient server error drops this
-// hint, not the pipeline.
-func (m *remoteModel) lookaheadWorker() {
-	defer close(m.lookDone)
-	s, err := m.m.NewWireSession(context.Background())
-	if err != nil {
-		return
-	}
-	defer s.Close()
-	for {
-		select {
-		case <-m.lookStop:
-			return
-		case keys := <-m.lookCh:
-			s.LookaheadCtx(context.Background(), keys) //nolint:errcheck // best-effort hint
-			m.lookFree <- keys
-		}
-	}
-}
-
-// enqueueLookahead hands a copy of keys (the caller reuses its slice) to
-// the worker, starting it on first use; a hint beyond the queue capacity
-// drops and PrefetchDropped counts its keys. A hint racing Close is dropped
-// — start and close are ordered under lookMu.
-func (m *remoteModel) enqueueLookahead(keys []uint64) {
-	m.lookMu.Lock()
-	if m.lookClosed {
-		m.lookMu.Unlock()
-		return
-	}
-	if !m.lookStarted {
-		m.lookStarted = true
-		go m.lookaheadWorker()
-	}
-	m.lookMu.Unlock()
-	select {
-	case buf := <-m.lookFree:
-		m.lookCh <- append(buf[:0], keys...)
-	default:
-		m.lookDropped.Add(int64(len(keys)))
-	}
 }
 
 // remoteSession adapts a wire session to the float32 seam, adding
@@ -555,9 +479,7 @@ func (s *remoteSession) Delete(ctx context.Context, key uint64) error {
 
 func (s *remoteSession) Lookahead(keys []uint64) error {
 	s.m.lookaheadCalls.Add(1)
-	if len(keys) > 0 {
-		s.m.enqueueLookahead(keys)
-	}
+	s.m.hints.Push(keys)
 	return nil
 }
 

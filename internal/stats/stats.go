@@ -41,9 +41,10 @@ type Counters struct {
 	BatchGets      int64
 	BatchPuts      int64
 	LookaheadCalls int64
-	// PrefetchDropped counts the keys of Lookahead hints dropped on a full
-	// queue: core's prefetch pool locally (whole chunks of a hint), the
-	// remote driver's hint queue client-side (all of a hint's keys).
+	// PrefetchDropped counts the keys of Lookahead hints dropped by the
+	// model's hint queue (core.HintQueue, the table's locally, the remote
+	// driver's client-side): from the first chunk that finds the queue
+	// full, the rest of the hint.
 	PrefetchDropped int64
 
 	// Hot-tier counters, owned by whichever tier fronts the store

@@ -1,6 +1,7 @@
 package ycsb
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -86,9 +87,22 @@ func TestYCSBSkipLoad(t *testing.T) {
 	}
 }
 
-// TestYCSBStops covers the graceful-interrupt path: closing Stop ends an
-// otherwise unbounded run promptly with a usable partial result.
+// TestYCSBStops covers the graceful-interrupt path: a Stop closed during
+// the load phase ends Run with ErrLoadInterrupted, and one closed during
+// the run phase ends an otherwise unbounded run promptly with a usable
+// partial result.
 func TestYCSBStops(t *testing.T) {
+	store := fasterStore(t, -1)
+	// A stop closed before Run starts cuts the load phase short.
+	stopped := make(chan struct{})
+	close(stopped)
+	if _, err := Run(Options{Store: store, Records: 2000, Stop: stopped}); !errors.Is(err, ErrLoadInterrupted) {
+		t.Fatalf("Run with a closed stop: %v, want ErrLoadInterrupted", err)
+	}
+	// The run phase: loaded first, so the stop can only land in the run.
+	if err := Load(store, 2000, 4); err != nil {
+		t.Fatal(err)
+	}
 	stop := make(chan struct{})
 	go func() {
 		time.Sleep(50 * time.Millisecond)
@@ -96,9 +110,9 @@ func TestYCSBStops(t *testing.T) {
 	}()
 	start := time.Now()
 	res, err := Run(Options{
-		Store: fasterStore(t, -1), Records: 2000, Threads: 4,
+		Store: store, Records: 2000, Threads: 4,
 		ReadFraction: 0.5, Dist: Uniform, Seed: 4,
-		Duration: time.Hour, Stop: stop,
+		Duration: time.Hour, Stop: stop, SkipLoad: true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -543,9 +543,10 @@ func (s *Session) DeleteCtx(ctx context.Context, key uint64) error {
 // prefetching it is not limited by the staleness bound. Call it once per
 // upcoming batch, at least one batch ahead of that batch's GetBatch: the
 // copies are made in the background, so a hint issued with the read is
-// wasted. It never blocks and keeps no reference to keys: on a remote model
-// the hint travels as one frame on a background session, and what does not
-// fit the queue is dropped (Stats.PrefetchDropped counts the keys).
+// wasted. It never blocks and keeps no reference to keys: the hint is
+// queued in chunks (64 keys locally; up to 4096, one frame on a background
+// session, remotely), and from the first chunk that finds the queue full
+// the rest of the hint is dropped (Stats.PrefetchDropped counts the keys).
 func (s *Session) Lookahead(keys []uint64) error {
 	return s.s.Lookahead(keys)
 }
