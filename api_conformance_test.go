@@ -642,7 +642,7 @@ func TestAPIRMWNoLostUpdates(t *testing.T) {
 // TestAPILookaheadLeadsRead drives the look-ahead contract through the
 // public API on every target: a hint per upcoming batch, issued before the
 // batch is read, turns each of its disk-resident records into a copy in
-// memory — locally through the table's prefetch pool, remotely as one
+// memory — locally through the table's hint queue, remotely as one
 // LOOKAHEAD frame per hint (one per owning node in a cluster) — and the
 // batch reads that follow do not touch disk.
 func TestAPILookaheadLeadsRead(t *testing.T) {

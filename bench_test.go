@@ -102,31 +102,21 @@ func BenchmarkGetPut(b *testing.B) {
 	}
 }
 
-// benchShardedZipf measures Zipf read-heavy KV throughput over a store
-// hash-partitioned across the given shard count, with the total memory
-// budget held fixed, under durable (fsync-per-page) writes. The 1-vs-4
-// pair quantifies the shard router's win: one store serializes every log
-// append behind a single flusher's fsync stream, while independent
-// per-shard logs overlap their flushes.
+// benchShardedZipf measures the same Zipf 90/10 read/update KV mix over a
+// model hash-partitioned across the given shard count, with the total
+// memory budget held fixed and writes not fsynced per page (the public API
+// has no such option). The 1-vs-4 pair shows what the shard router buys:
+// concurrent sessions contend on four log tails and indexes instead of one.
 func benchShardedZipf(b *testing.B, shards int) {
 	b.Helper()
 	const records = 1 << 19
-	store, err := kv.OpenEngine(kv.EngineFaster, kv.ShardedConfig{
-		Dir: b.TempDir(), Shards: shards, ValueSize: 64,
-		MemoryBytes: 512 * 256 * (64 + 24), ExpectedKeys: records,
-		MutableFraction: 0.375,
-		StalenessBound:  faster.BoundAsync, SyncWrites: true,
-	}, "mlkv-sharded")
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer store.Close()
-	if err := ycsb.Load(store, records, 1); err != nil {
+	m := openYCSBModel(b, records, mlkv.WithShards(shards), mlkv.WithMemory(128*1024*(64+24)))
+	if err := ycsb.Load(m, records, 1); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	res, err := ycsb.Run(ycsb.Options{
-		Store: store, Records: records, Threads: 8,
+		Model: m, Records: records, Threads: 8,
 		ReadFraction: 0.9, Dist: ycsb.Zipfian,
 		MaxOps: int64(b.N) + 1000, Seed: 2, SkipLoad: true,
 	})
@@ -134,6 +124,23 @@ func benchShardedZipf(b *testing.B, shards int) {
 		b.Fatal(err)
 	}
 	b.ReportMetric(res.Throughput, "ops/s")
+}
+
+// openYCSBModel opens a local ASP model of 64-byte rows for records keys
+// under a temp dir, through the public API.
+func openYCSBModel(b *testing.B, records uint64, opts ...mlkv.Option) *mlkv.Model {
+	b.Helper()
+	db, err := mlkv.Connect(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { db.Close() })
+	opts = append(opts, mlkv.WithStalenessBound(mlkv.ASP), mlkv.WithExpectedKeys(records))
+	m, err := db.Open("ycsb", 16, opts...)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return m
 }
 
 // BenchmarkZipfUnsharded is the 1-shard baseline for the sharding pair.
@@ -253,20 +260,13 @@ func BenchmarkRemoteGetBatch256Cached(b *testing.B) { benchRemoteGetBatch(b, 256
 // BenchmarkYCSBZipfian measures raw KV throughput under YCSB-A skew
 // (micro-benchmark feeding Figure 10's shape).
 func BenchmarkYCSBZipfian(b *testing.B) {
-	store, err := kv.OpenEngine(kv.EngineFaster, kv.ShardedConfig{
-		Dir: b.TempDir(), ValueSize: 64, MemoryBytes: 64 * 256 * (64 + 24),
-		StalenessBound: faster.BoundAsync, ExpectedKeys: 1 << 16,
-	}, "mlkv")
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer store.Close()
-	if err := ycsb.Load(store, 1<<16, 1); err != nil {
+	m := openYCSBModel(b, 1<<16, mlkv.WithMemory(16*1024*(64+24)))
+	if err := ycsb.Load(m, 1<<16, 1); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	res, err := ycsb.Run(ycsb.Options{
-		Store: store, Records: 1 << 16, Threads: 4,
+		Model: m, Records: 1 << 16, Threads: 4,
 		ReadFraction: 0.5, Dist: ycsb.Zipfian,
 		MaxOps: int64(b.N) + 1000, Seed: 2, SkipLoad: true,
 	})

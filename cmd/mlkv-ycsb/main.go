@@ -1,24 +1,28 @@
 // Command mlkv-ycsb runs the YCSB-style NoSQL benchmark (Figure 10)
-// against the MLKV/FASTER engine — in-process, optionally hash-partitioned
-// across multiple shards (-shards), or against a remote mlkv-server
-// (-addr), opening the named model (-model, created on first open) with
-// every client thread on its own pooled connection and the load phase
-// shipping batched frames.
+// through the public API, against any target mlkv.Connect takes: a local
+// directory (-dir, default a temp dir), one mlkv-server (-addr host:port)
+// or a cluster (-addr with a comma-separated seed list). It opens the named
+// model (-model, created on first open) with dim = -valuesize/4, gives
+// every client thread its own session (and, remotely, its own pooled
+// connection), and loads in 1 024-key batches. -engine, -shards and
+// -buffer-mb size a local model; a server owns its models' bound and
+// sizing.
 //
 // Usage:
 //
 //	mlkv-ycsb -records 1000000 -ops 5000000 -threads 8 -dist zipfian \
 //	          -valuesize 64 -buffer-mb 64 -engine mlkv -shards 4
 //	mlkv-ycsb -addr 127.0.0.1:7070 -records 100000 -ops 1000000 -threads 8
+//	mlkv-ycsb -addr 127.0.0.1:7070,127.0.0.1:7071 -records 100000
 //
 // Results include per-op-class latency percentiles (read and update
 // p50/p99/p999 in microseconds) alongside throughput, recorded across
 // every client thread by the always-on histograms.
 //
 // SIGINT/SIGTERM end the run gracefully: workers finish their current
-// operation, the partial result — counters and latency lines covering
-// the partial run — and engine counters print, and (locally, with -sync)
-// the store is checkpointed. A second signal exits immediately.
+// operation, and the partial result — counters and latency lines covering
+// the partial run — and the model's counters print. A second signal exits
+// immediately.
 package main
 
 import (
@@ -29,9 +33,7 @@ import (
 	"os/signal"
 	"syscall"
 
-	"github.com/llm-db/mlkv-go/internal/driver"
-	"github.com/llm-db/mlkv-go/internal/faster"
-	"github.com/llm-db/mlkv-go/internal/kv"
+	mlkv "github.com/llm-db/mlkv-go"
 	"github.com/llm-db/mlkv-go/internal/latency"
 	"github.com/llm-db/mlkv-go/internal/ycsb"
 )
@@ -42,20 +44,23 @@ func main() {
 		ops      = flag.Int64("ops", 1<<21, "operations to run")
 		threads  = flag.Int("threads", 8, "client threads")
 		distName = flag.String("dist", "zipfian", "request distribution (uniform|zipfian)")
-		vs       = flag.Int("valuesize", 64, "value size in bytes (local store)")
-		bufferMB = flag.Int("buffer-mb", 64, "in-memory buffer budget (total, split across shards)")
-		engine   = flag.String("engine", "mlkv", "engine (mlkv|faster)")
+		vs       = flag.Int("valuesize", 64, "value size in bytes (a multiple of 4: rows of valuesize/4 float32s)")
+		bufferMB = flag.Int("buffer-mb", 64, "in-memory buffer budget (total, split across shards; local targets)")
+		engine   = flag.String("engine", "mlkv", "engine (mlkv = clock on at ASP | faster = clock off; local targets)")
 		readFrac = flag.Float64("read-fraction", 0.5, "fraction of reads")
 		dir      = flag.String("dir", "", "data directory (default: temp)")
-		shards   = flag.Int("shards", 1, "hash partitions (independent store instances)")
-		sync     = flag.Bool("sync", false, "fsync every flushed log page; checkpoint at the end")
-		addr     = flag.String("addr", "", "run against a remote mlkv-server at this address instead of in-process")
-		model    = flag.String("model", "ycsb", "model name to open on the remote server")
-		cache    = flag.Int("cache", 0, "staleness-aware hot-tier capacity in entries, layered client-side over the store (0 disables)")
+		shards   = flag.Int("shards", 1, "hash partitions (independent store instances; local targets)")
+		addr     = flag.String("addr", "", "run against a remote mlkv-server (or a comma-separated cluster seed list) instead of in-process")
+		model    = flag.String("model", "ycsb", "model name to open")
+		cache    = flag.Int("cache", 0, "staleness-aware hot-tier capacity in entries, in front of the model (0 disables)")
 	)
 	flag.Parse()
 	if *shards < 1 {
 		fmt.Fprintf(os.Stderr, "-shards must be >= 1, got %d\n", *shards)
+		os.Exit(2)
+	}
+	if *vs <= 0 || *vs%4 != 0 {
+		fmt.Fprintf(os.Stderr, "-valuesize must be a positive multiple of 4, got %d\n", *vs)
 		os.Exit(2)
 	}
 
@@ -69,59 +74,53 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown distribution %q\n", *distName)
 		os.Exit(2)
 	}
+	var bound int64
+	switch *engine {
+	case "mlkv":
+		bound = mlkv.ASP // clock maintained, never blocks
+	case "faster":
+		bound = mlkv.Disabled
+	default:
+		fmt.Fprintf(os.Stderr, "unknown engine %q (want mlkv|faster)\n", *engine)
+		os.Exit(2)
+	}
 
-	var store kv.Store
+	// One open path for every target: a directory, mlkv://host:port, or
+	// mlkv://a,b,c. A remote pool gets one connection per client thread,
+	// so the server sees the same session fan-out a local run has. A
+	// server owns its models' bound and sizing; a local directory takes
+	// them from the flags.
+	target := *dir
+	mopts := []mlkv.Option{mlkv.WithCache(*cache)}
 	if *addr != "" {
-		// Remote: open the named model on the server (created on first
-		// open; the server owns buffer sizing). Models are float32-typed,
-		// so -valuesize must be a multiple of 4. One pooled connection
-		// per client thread keeps the fan-out on the server's side equal
-		// to the local run's session count.
-		if *vs%4 != 0 {
-			fmt.Fprintf(os.Stderr, "-valuesize must be a multiple of 4 for a remote model, got %d\n", *vs)
-			os.Exit(2)
-		}
-		cl, err := driver.DialKV(*addr, *model, *vs/4, *threads)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		store = cl
-		fmt.Printf("remote store %s model %q at %s: valuesize=%d shards=%d\n",
-			cl.Name(), *model, *addr, cl.ValueSize(), cl.Shards())
+		target = mlkv.Scheme + *addr
 	} else {
-		bound := faster.BoundAsync // MLKV: clock maintained, never blocks
-		if *engine == "faster" {
-			bound = -1
-		}
-		d := *dir
-		if d == "" {
-			var err error
-			d, err = os.MkdirTemp("", "mlkv-ycsb-*")
+		if target == "" {
+			d, err := os.MkdirTemp("", "mlkv-ycsb-*")
 			if err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				os.Exit(1)
 			}
 			defer os.RemoveAll(d)
+			target = d
 		}
-		var err error
-		store, err = kv.OpenEngine(kv.EngineFaster, kv.ShardedConfig{
-			Dir: d, Shards: *shards, ValueSize: *vs, RecordsPerPage: 256,
-			MemoryBytes: int64(*bufferMB) << 20, ExpectedKeys: *records,
-			StalenessBound: bound, SyncWrites: *sync,
-		}, *engine)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		mopts = append(mopts, mlkv.WithStalenessBound(bound), mlkv.WithShards(*shards),
+			mlkv.WithMemory(int64(*bufferMB)<<20), mlkv.WithExpectedKeys(*records))
 	}
-	if *cache > 0 {
-		// The tier sits above whichever store the flags picked — local
-		// shards or a remote model — and serves hot keys within the
-		// staleness bound without touching it.
-		store = kv.WrapCached(store, *cache)
+	db, err := mlkv.Connect(target, mlkv.WithConns(*threads))
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
-	defer store.Close()
+	defer db.Close()
+	m, err := db.Open(*model, *vs/4, mopts...)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	defer m.Close()
+	fmt.Printf("model %q at %s: engine=%s valuesize=%d shards=%d\n",
+		m.ID(), db.Target(), m.EngineName(), m.Dim()*4, m.Shards())
 
 	// Graceful interrupt: close the stop channel so workers wind down and
 	// the partial result prints; a second signal force-exits.
@@ -139,7 +138,7 @@ func main() {
 
 	fmt.Printf("loading %d records...\n", *records)
 	res, err := ycsb.Run(ycsb.Options{
-		Store: store, Records: *records, Threads: *threads,
+		Model: m, Records: *records, Threads: *threads,
 		ReadFraction: *readFrac, Dist: dist, MaxOps: *ops, Seed: 42,
 		Stop: stop,
 	})
@@ -150,18 +149,13 @@ func main() {
 		}
 		os.Exit(1)
 	}
-	if *sync && *addr == "" {
-		if err := store.Checkpoint(); err != nil {
-			fmt.Fprintln(os.Stderr, "checkpoint:", err)
-		}
-	}
 	fmt.Printf("engine=%s dist=%s threads=%d valuesize=%d shards=%d\n",
-		store.Name(), dist, *threads, store.ValueSize(), store.Shards())
+		m.EngineName(), dist, *threads, m.Dim()*4, m.Shards())
 	fmt.Printf("ops=%d reads=%d updates=%d elapsed=%s throughput=%.0f ops/s\n",
 		res.Ops, res.Reads, res.Updates, res.Elapsed.Round(1e6), res.Throughput)
 	printLatency("read", res.ReadLat)
 	printLatency("update", res.UpdateLat)
-	s := store.Stats()
+	s := m.Stats()
 	fmt.Printf("store: gets=%d puts=%d memhits=%d diskreads=%d inplace=%d rcu=%d flushed=%dB\n",
 		s.Gets, s.Puts, s.MemHits, s.DiskReads, s.InPlaceUpdates, s.RCUAppends, s.BytesFlushed)
 	if total := s.CacheHits + s.CacheMisses; total > 0 {

@@ -4,9 +4,8 @@ import (
 	"fmt"
 	"time"
 
+	mlkv "github.com/llm-db/mlkv-go"
 	"github.com/llm-db/mlkv-go/internal/core"
-	"github.com/llm-db/mlkv-go/internal/faster"
-	"github.com/llm-db/mlkv-go/internal/kv"
 	"github.com/llm-db/mlkv-go/internal/train"
 	"github.com/llm-db/mlkv-go/internal/ycsb"
 )
@@ -315,19 +314,11 @@ func (e *Env) Fig9() error {
 // (zipfian) of FASTER.
 func (e *Env) Fig10() error {
 	e.printf("== Figure 10: YCSB throughput, MLKV vs FASTER ==\n")
-	run := func(name string, bound int64, bufKB, threads, vs int, dist ycsb.Distribution) (float64, error) {
-		store, err := kv.OpenEngine(kv.EngineFaster, kv.ShardedConfig{
-			Dir: e.dir("fig10"), ValueSize: vs, MemoryBytes: int64(bufKB) << 10,
-			StalenessBound: bound, ExpectedKeys: e.Scale.YCSBRecords,
-		}, name)
-		if err != nil {
-			return 0, err
-		}
-		defer store.Close()
-		res, err := ycsb.Run(ycsb.Options{
-			Store: store, Records: e.Scale.YCSBRecords, Threads: threads,
+	run := func(bound int64, bufKB, threads, vs int, dist ycsb.Distribution) (float64, error) {
+		res, err := e.runYCSB("fig10", vs, ycsb.Options{
+			Records: e.Scale.YCSBRecords, Threads: threads,
 			ReadFraction: 0.5, Dist: dist, MaxOps: e.Scale.YCSBOps, Seed: 42,
-		})
+		}, mlkv.WithStalenessBound(bound), mlkv.WithMemory(int64(bufKB)<<10))
 		if err != nil {
 			return 0, err
 		}
@@ -339,33 +330,33 @@ func (e *Env) Fig10() error {
 		e.printf("-- %s --\n", dist)
 		e.printf("%-10s %-10s %12s %12s %8s\n", "sweep", "point", "mlkv-ops/s", "faster-ops/s", "ratio")
 		for _, kb := range e.Scale.BufferKBs {
-			m, err := run("mlkv", faster.BoundAsync, kb, thDefault, vsDefault, dist)
+			m, err := run(mlkv.ASP, kb, thDefault, vsDefault, dist)
 			if err != nil {
 				return err
 			}
-			f, err := run("faster", core.BoundDisabled, kb, thDefault, vsDefault, dist)
+			f, err := run(mlkv.Disabled, kb, thDefault, vsDefault, dist)
 			if err != nil {
 				return err
 			}
 			e.printf("%-10s %-10s %12.0f %12.0f %8.3f\n", "buffer", fmt.Sprintf("%dKB", kb), m, f, m/f)
 		}
 		for _, th := range e.Scale.Threads {
-			m, err := run("mlkv", faster.BoundAsync, e.Scale.BufferKBs[0], th, vsDefault, dist)
+			m, err := run(mlkv.ASP, e.Scale.BufferKBs[0], th, vsDefault, dist)
 			if err != nil {
 				return err
 			}
-			f, err := run("faster", core.BoundDisabled, e.Scale.BufferKBs[0], th, vsDefault, dist)
+			f, err := run(mlkv.Disabled, e.Scale.BufferKBs[0], th, vsDefault, dist)
 			if err != nil {
 				return err
 			}
 			e.printf("%-10s %-10d %12.0f %12.0f %8.3f\n", "threads", th, m, f, m/f)
 		}
 		for _, vs := range e.Scale.ValueSizes {
-			m, err := run("mlkv", faster.BoundAsync, e.Scale.BufferKBs[0], thDefault, vs, dist)
+			m, err := run(mlkv.ASP, e.Scale.BufferKBs[0], thDefault, vs, dist)
 			if err != nil {
 				return err
 			}
-			f, err := run("faster", core.BoundDisabled, e.Scale.BufferKBs[0], thDefault, vs, dist)
+			f, err := run(mlkv.Disabled, e.Scale.BufferKBs[0], thDefault, vs, dist)
 			if err != nil {
 				return err
 			}
@@ -457,10 +448,11 @@ func (e *Env) Fig11() error {
 }
 
 // ShardSweep goes beyond the paper: it measures how hash-partitioning the
-// store across independent instances (each with its own hybrid log, index,
-// and epoch domain) scales a Zipf read-heavy YCSB workload, holding the
-// total memory budget, index budget, and thread count fixed. The speedup
-// column is throughput relative to the unsharded store.
+// model across independent store instances (each with its own hybrid log,
+// index, and epoch domain) scales the same Zipf 90/10 read/update YCSB mix,
+// holding the total memory budget, index budget, and thread count fixed.
+// Writes are not fsynced per page: the public API has no such option. The
+// speedup column is throughput relative to the unsharded model.
 func (e *Env) ShardSweep() error {
 	e.printf("== Sharding: YCSB zipfian read-heavy throughput vs shard count ==\n")
 	threads := e.Scale.Threads[len(e.Scale.Threads)-1]
@@ -469,7 +461,7 @@ func (e *Env) ShardSweep() error {
 	}
 	vs := e.Scale.ValueSizes[0]
 	bufKB := e.Scale.BufferKBs[0]
-	e.printf("records=%d ops=%d threads=%d valuesize=%d buffer=%dKB read-fraction=0.9 sync-writes\n",
+	e.printf("records=%d ops=%d threads=%d valuesize=%d buffer=%dKB read-fraction=0.9\n",
 		e.Scale.YCSBRecords, e.Scale.YCSBOps, threads, vs, bufKB)
 	e.printf("%-8s %12s %9s\n", "shards", "ops/s", "speedup")
 	var base float64
@@ -486,29 +478,33 @@ func (e *Env) ShardSweep() error {
 	return nil
 }
 
-// runShardedYCSB runs one Zipf read-heavy YCSB configuration over a store
-// hash-partitioned across the given shard count, splitting the bufKB
-// memory budget evenly. Durable (fsync-per-page) writes: that is where a
-// single store's lone flusher serializes every log append behind one fsync
-// stream, and where independent per-shard logs overlap their flushes.
+// runShardedYCSB runs the Zipf 90/10 mix on an ASP model hash-partitioned
+// across the given shard count, splitting the bufKB memory budget evenly.
 func (e *Env) runShardedYCSB(shards, threads, vs, bufKB int) (float64, error) {
-	store, err := kv.OpenEngine(kv.EngineFaster, kv.ShardedConfig{
-		Dir: e.dir("shardsweep"), Shards: shards, ValueSize: vs,
-		MemoryBytes: int64(bufKB) << 10, ExpectedKeys: e.Scale.YCSBRecords,
-		StalenessBound: faster.BoundAsync, SyncWrites: true,
-	}, fmt.Sprintf("mlkv-%dshard", shards))
-	if err != nil {
-		return 0, err
-	}
-	defer store.Close()
-	res, err := ycsb.Run(ycsb.Options{
-		Store: store, Records: e.Scale.YCSBRecords, Threads: threads,
+	res, err := e.runYCSB("shardsweep", vs, ycsb.Options{
+		Records: e.Scale.YCSBRecords, Threads: threads,
 		ReadFraction: 0.9, Dist: ycsb.Zipfian, MaxOps: e.Scale.YCSBOps, Seed: 42,
-	})
+	}, mlkv.WithStalenessBound(mlkv.ASP), mlkv.WithShards(shards), mlkv.WithMemory(int64(bufKB)<<10))
 	if err != nil {
 		return 0, err
 	}
 	return res.Throughput, nil
+}
+
+// runYCSB opens a fresh local model of vs-byte rows through the public API
+// in its own directory, sized for o.Records keys, and runs o on it.
+func (e *Env) runYCSB(tag string, vs int, o ycsb.Options, opts ...mlkv.Option) (*ycsb.Result, error) {
+	db, err := mlkv.Connect(e.dir(tag))
+	if err != nil {
+		return nil, err
+	}
+	defer db.Close()
+	m, err := db.Open("ycsb", vs/4, append(opts, mlkv.WithExpectedKeys(o.Records))...)
+	if err != nil {
+		return nil, err
+	}
+	o.Model = m
+	return ycsb.Run(o)
 }
 
 // Run dispatches one experiment by name. With Env.JSONDir set, the

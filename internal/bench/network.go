@@ -4,12 +4,12 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"github.com/llm-db/mlkv-go/internal/driver"
-	"github.com/llm-db/mlkv-go/internal/faster"
+	mlkv "github.com/llm-db/mlkv-go"
 	"github.com/llm-db/mlkv-go/internal/kv"
 	"github.com/llm-db/mlkv-go/internal/latency"
 	"github.com/llm-db/mlkv-go/internal/server"
@@ -18,12 +18,13 @@ import (
 )
 
 // NetworkSweep measures what the serving layer costs: the same sharded
-// store is driven first in-process and then through mlkv-server over
-// loopback, at batch sizes 1, 32, and 256 keys per GetBatch. Batch size 1
-// pays one framed round trip per key and shows the wire's floor; at 256
-// keys per frame the round trip amortizes across the batch and the server
-// fans the frame into the shards as one batched read, which is what lets
-// remote throughput approach the in-process number.
+// model, loaded the same way, is driven first in-process and then through
+// mlkv-server over loopback, both through the public API's GetBatch, at
+// batch sizes 1, 32, and 256 keys per call. Batch size 1 pays one framed
+// round trip per key and shows the wire's floor; at 256 keys per frame the
+// round trip amortizes across the batch and the server fans the frame into
+// the shards as one batched read, which is what lets remote throughput
+// approach the in-process number.
 func (e *Env) NetworkSweep() error {
 	shards := e.Shards
 	if shards <= 1 {
@@ -39,28 +40,26 @@ func (e *Env) NetworkSweep() error {
 		dur = 200 * time.Millisecond
 	}
 	records := e.Scale.YCSBRecords
+	mem := int64(e.Scale.BufferKBs[0]) << 10
 
 	e.printf("== Network: in-process vs loopback mlkv-server, zipfian GetBatch ==\n")
 	e.printf("records=%d shards=%d workers=%d valuesize=%d buffer=%dKB\n",
 		records, shards, workers, vs, e.Scale.BufferKBs[0])
 
-	store, err := kv.OpenEngine(kv.EngineFaster, kv.ShardedConfig{
-		Dir: e.dir("network"), Shards: shards, ValueSize: vs,
-		MemoryBytes: int64(e.Scale.BufferKBs[0]) << 10, ExpectedKeys: records,
-		StalenessBound: faster.BoundAsync,
-	}, "mlkv")
-	if err != nil {
-		return err
-	}
-	defer store.Close()
-	if err := ycsb.Load(store, records, 42); err != nil {
-		return err
-	}
-
-	reg := server.NewRegistry(server.RegistryConfig{})
-	if _, err := reg.Add("network", vs/4, store); err != nil {
-		return err
-	}
+	// The server opens its model the way a local Open does: the table's
+	// default page size, the same memory and index budgets.
+	serverDir := e.dir("network-server")
+	reg := server.NewRegistry(server.RegistryConfig{
+		DefaultBound: mlkv.ASP,
+		Opener: func(id string, d, shards int, bound int64) (kv.Store, error) {
+			return kv.OpenEngine(kv.EngineFaster, kv.ShardedConfig{
+				Dir: filepath.Join(serverDir, id), Shards: shards, ValueSize: d * 4,
+				RecordsPerPage: 1024, MemoryBytes: mem, ExpectedKeys: records,
+				StalenessBound: bound,
+			}, kv.EngineFaster)
+		},
+	})
+	defer reg.Close()
 	srv := server.New(server.Config{Registry: reg})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -74,19 +73,32 @@ func (e *Env) NetworkSweep() error {
 		srv.Shutdown(ctx)
 		<-serveErr
 	}()
-	cl, err := driver.DialKV(ln.Addr().String(), "network", vs/4, workers)
-	if err != nil {
-		return err
-	}
-	defer cl.Close()
 
-	e.printf("%-8s %14s %14s %8s\n", "batch", "local-keys/s", "remote-keys/s", "ratio")
-	for _, batch := range []int{1, 32, 256} {
-		local, localLat, err := measureGetBatch(store, records, batch, workers, dur)
+	var models [2]*mlkv.Model
+	for i, target := range []string{e.dir("network"), mlkv.Scheme + ln.Addr().String()} {
+		db, err := mlkv.Connect(target, mlkv.WithConns(workers))
 		if err != nil {
 			return err
 		}
-		remote, remoteLat, err := measureGetBatch(cl, records, batch, workers, dur)
+		defer db.Close()
+		m, err := db.Open("network", vs/4, mlkv.WithStalenessBound(mlkv.ASP),
+			mlkv.WithShards(shards), mlkv.WithMemory(mem), mlkv.WithExpectedKeys(records))
+		if err != nil {
+			return err
+		}
+		if err := ycsb.Load(m, records, 42); err != nil {
+			return err
+		}
+		models[i] = m
+	}
+
+	e.printf("%-8s %14s %14s %8s\n", "batch", "local-keys/s", "remote-keys/s", "ratio")
+	for _, batch := range []int{1, 32, 256} {
+		local, localLat, err := measureGetBatch(models[0], records, batch, workers, dur)
+		if err != nil {
+			return err
+		}
+		remote, remoteLat, err := measureGetBatch(models[1], records, batch, workers, dur)
 		if err != nil {
 			return err
 		}
@@ -110,8 +122,8 @@ func (e *Env) NetworkSweep() error {
 // measureGetBatch runs workers sessions issuing zipfian GetBatch calls of
 // the given batch size for roughly dur, returning keys read per second
 // and the per-call latency distribution across every worker.
-func measureGetBatch(store kv.Store, records uint64, batch, workers int, dur time.Duration) (float64, latency.Snapshot, error) {
-	vs := store.ValueSize()
+func measureGetBatch(m *mlkv.Model, records uint64, batch, workers int, dur time.Duration) (float64, latency.Snapshot, error) {
+	dim := m.Dim()
 	var lat latency.Histogram
 	var keysRead atomic.Int64
 	var errMu sync.Mutex
@@ -129,7 +141,7 @@ func measureGetBatch(store kv.Store, records uint64, batch, workers int, dur tim
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			s, err := store.NewSession()
+			s, err := m.NewSession()
 			if err != nil {
 				fail(err)
 				return
@@ -137,14 +149,13 @@ func measureGetBatch(store kv.Store, records uint64, batch, workers int, dur tim
 			defer s.Close()
 			zipf := util.NewScrambledZipf(util.NewRNG(uint64(97+w)), records, 0.99)
 			keys := make([]uint64, batch)
-			vals := make([]byte, batch*vs)
-			found := make([]bool, batch)
+			vals := make([]float32, batch*dim)
 			for time.Since(start) < dur {
 				for i := range keys {
 					keys[i] = zipf.Next()
 				}
 				opStart := time.Now()
-				if err := kv.SessionGetBatch(s, vs, keys, vals, found); err != nil {
+				if err := s.GetBatch(keys, vals); err != nil {
 					fail(err)
 					return
 				}

@@ -1,11 +1,11 @@
 // Package client is the remote face of an mlkv-server: a connection pool
 // speaking the internal/wire protocol, from which callers open any number
 // of named models — the network half of the paper's
-// Open(model_id, dim, staleness_bound) interface. Each opened Model
-// exposes the same kv.Store/kv.Session interfaces the in-process stores
-// implement, so the harnesses that work on raw values (mlkv-ycsb -addr and
-// the network sweep, through driver.DialKV) run against a remote model
-// unchanged.
+// Open(model_id, dim, staleness_bound) interface. A Model's sessions speak
+// byte-level batch frames with a context on every call; the remote driver
+// (internal/driver) and the cluster router (internal/cluster) are their
+// only callers, and everything else reaches a server through the public
+// API.
 //
 // Sessions are assigned to pooled connections round-robin and announce
 // themselves to the server with an ATTACH frame (and a DETACH on Close),
@@ -15,8 +15,8 @@
 // their requests: the second request is on the wire before the first
 // response returns. Batch operations travel as single frames and fan into
 // the server's sharded store as one batched call — the unit that
-// amortizes the network round trip. A single-key Get, Peek or Put is a
-// batch of one: no server serves a single-key read or put frame.
+// amortizes the network round trip. A session has no single-key read or
+// put: no server serves such a frame, so one key travels as a batch of one.
 package client
 
 import (
@@ -29,7 +29,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/llm-db/mlkv-go/internal/kv"
 	"github.com/llm-db/mlkv-go/internal/stats"
 	"github.com/llm-db/mlkv-go/internal/util"
 	"github.com/llm-db/mlkv-go/internal/wire"
@@ -301,8 +300,8 @@ func (c *Client) OpenModel(ctx context.Context, spec OpenSpec) (*Model, error) {
 	return &Model{c: c, handle: handle, id: spec.ID, dim: dim, shards: shards, bound: bound, name: name}, nil
 }
 
-// Model is one named model on the server: a remote kv.Store, every
-// method delegating to the server.
+// Model is one named model on the server, every method delegating to the
+// server.
 type Model struct {
 	c      *Client
 	handle uint32
@@ -319,9 +318,6 @@ func (m *Model) ID() string { return m.id }
 // Dim returns the embedding dimension.
 func (m *Model) Dim() int { return m.dim }
 
-// ValueSize returns the model's fixed value payload size (Dim × 4).
-func (m *Model) ValueSize() int { return m.dim * 4 }
-
 // Shards returns the server store's hash-partition count.
 func (m *Model) Shards() int { return m.shards }
 
@@ -329,23 +325,10 @@ func (m *Model) Shards() int { return m.shards }
 // while it is open.
 func (m *Model) StalenessBound() int64 { return m.bound }
 
-// Resident is false: every read of a remote model can wait — on the wire
-// if not on the server's disk — so a tier in front of it always has a
-// round trip to save.
-func (m *Model) Resident() bool { return false }
-
 // Name identifies the remote store in benchmark output.
 func (m *Model) Name() string { return "remote(" + m.name + ")" }
 
-// Close releases nothing on the server (the registry owns the model's
-// lifecycle); it exists to satisfy kv.Store. Close the Client to tear
-// down the connections.
-func (m *Model) Close() error { return nil }
-
-// Checkpoint asks the server to make the model durable.
-func (m *Model) Checkpoint() error { return m.CheckpointCtx(context.Background()) }
-
-// CheckpointCtx is Checkpoint bounded by ctx.
+// CheckpointCtx asks the server to make the model durable.
 func (m *Model) CheckpointCtx(ctx context.Context) error {
 	cn, err := m.c.pick()
 	if err != nil {
@@ -354,13 +337,6 @@ func (m *Model) CheckpointCtx(ctx context.Context) error {
 	p, err := cn.roundTripCtx(ctx, wire.OpCheckpoint, wire.EncodeHandle(m.handle))
 	cn.release(p)
 	return err
-}
-
-// Stats is StatsCtx best effort, for the kv.Store face: zero counters when
-// the server is unreachable.
-func (m *Model) Stats() stats.Counters {
-	s, _ := m.StatsCtx(context.Background())
-	return s
 }
 
 // StatsCtx fetches the server's counters for the model with one STATS
@@ -379,14 +355,9 @@ func (m *Model) StatsCtx(ctx context.Context) (stats.Counters, error) {
 	return s, err
 }
 
-// NewSession returns a session bound to one pooled connection, announced
-// to the server with an ATTACH frame. Like every kv.Session it is
+// NewSessionCtx returns a session bound to one pooled connection,
+// announced to the server with an ATTACH frame. A session is
 // single-goroutine; sessions sharing a connection pipeline.
-func (m *Model) NewSession() (kv.Session, error) {
-	return m.NewSessionCtx(context.Background())
-}
-
-// NewSessionCtx is NewSession bounded by ctx.
 func (m *Model) NewSessionCtx(ctx context.Context) (*Session, error) {
 	cn, err := m.c.pick()
 	if err != nil {
@@ -417,11 +388,6 @@ type Session struct {
 	// one to the next: a session has at most one request in flight.
 	// nil until first use and after a round trip spent it (see roundTripOn).
 	resp chan response
-	// one and oneFound hold a single-key op's batch of one.
-	one      [1]uint64
-	oneFound [1]bool
-	// rmw is RMW's staging value.
-	rmw []byte
 }
 
 // roundTrip sends s.enc as op on the session's connection and waits for the
@@ -458,16 +424,6 @@ func (s *Session) checkout(ctx context.Context) (*conn, error) {
 		s.cn = cn
 	}
 	return s.cn, nil
-}
-
-// Get is a one-key GetBatchCtx.
-func (s *Session) Get(key uint64, dst []byte) (bool, error) {
-	if len(dst) != s.vs {
-		return false, fmt.Errorf("client: dst length %d != value size %d", len(dst), s.vs)
-	}
-	s.one[0] = key
-	err := s.GetBatchCtx(context.Background(), s.one[:], dst, s.oneFound[:])
-	return err == nil && s.oneFound[0], err
 }
 
 // verdictLead is how far ahead of the caller's deadline a clocked read
@@ -512,32 +468,7 @@ func ctxErr(ctx context.Context, err error) error {
 	return err
 }
 
-// Peek is a one-key PeekBatchCtx: a clock-free read on the server, so
-// remote evaluation never acquires staleness tokens that would stall
-// training reads.
-func (s *Session) Peek(key uint64, dst []byte) (bool, error) {
-	if len(dst) != s.vs {
-		return false, fmt.Errorf("client: dst length %d != value size %d", len(dst), s.vs)
-	}
-	s.one[0] = key
-	err := s.PeekBatchCtx(context.Background(), s.one[:], dst, s.oneFound[:])
-	return err == nil && s.oneFound[0], err
-}
-
-// Put is a one-key PutBatchCtx.
-func (s *Session) Put(key uint64, val []byte) error {
-	if len(val) != s.vs {
-		return fmt.Errorf("client: val length %d != value size %d", len(val), s.vs)
-	}
-	s.one[0] = key
-	return s.PutBatchCtx(context.Background(), s.one[:], val)
-}
-
-func (s *Session) Delete(key uint64) error {
-	return s.DeleteCtx(context.Background(), key)
-}
-
-// DeleteCtx is Delete bounded by ctx.
+// DeleteCtx removes key on the server.
 func (s *Session) DeleteCtx(ctx context.Context, key uint64) error {
 	if _, err := s.checkout(ctx); err != nil {
 		return err
@@ -546,27 +477,6 @@ func (s *Session) DeleteCtx(ctx context.Context, key uint64) error {
 	p, err := s.roundTrip(ctx, wire.OpDelete)
 	s.cn.release(p)
 	return err
-}
-
-// RMW is the kv.Session face, whose arbitrary closure cannot cross the
-// wire: a Get, fn, and a Put — a one-key GETBATCH and a one-key PUTBATCH,
-// two round trips and not atomic against other sessions (the clocked
-// Get/Put pair still balances its staleness token). Only driver.DialKV's
-// harnesses reach it; the gradient step every trainer means travels as one
-// APPLY frame through ApplyCtx.
-func (s *Session) RMW(key uint64, fn func(cur []byte, exists bool) bool) error {
-	s.rmw = util.Grow(s.rmw, s.vs)
-	found, err := s.Get(key, s.rmw)
-	if err != nil {
-		return err
-	}
-	if !found {
-		clear(s.rmw)
-	}
-	if !fn(s.rmw, found) {
-		return nil
-	}
-	return s.Put(key, s.rmw)
 }
 
 // UnackedError reports an APPLY whose frame reached the socket but whose
@@ -616,13 +526,9 @@ func (s *Session) ApplyCtx(ctx context.Context, key uint64, lr float32, grad []f
 	return found, err
 }
 
-// Lookahead asks the server to prefetch keys, returning how many records
-// it copied toward memory.
-func (s *Session) Lookahead(keys []uint64) (int, error) {
-	return s.LookaheadCtx(context.Background(), keys)
-}
-
-// LookaheadCtx is Lookahead bounded by ctx.
+// LookaheadCtx asks the server to prefetch keys, one frame per
+// MaxKeysPerFrame chunk, returning how many records it copied toward
+// memory.
 func (s *Session) LookaheadCtx(ctx context.Context, keys []uint64) (int, error) {
 	if _, err := s.checkout(ctx); err != nil {
 		return 0, err
@@ -646,17 +552,13 @@ func (s *Session) LookaheadCtx(ctx context.Context, keys []uint64) (int, error) 
 	return total, nil
 }
 
-// GetBatch ships one frame per MaxKeysPerFrame chunk, each fanned into the
-// server's sharded store as a single batched read.
-func (s *Session) GetBatch(keys []uint64, vals []byte, found []bool) error {
-	return s.GetBatchCtx(context.Background(), keys, vals, found)
-}
-
-// GetBatchCtx is GetBatch bounded by ctx end to end: checked per frame on
-// the round trip, and carried in each frame, less a lead (see
-// waitMsFrom), so a clocked read stalled on the staleness bound gives up
-// on the server just before the deadline, stranding no token, and the
-// round trip itself returns ctx.Err() if ctx ends first.
+// GetBatchCtx ships one frame per MaxKeysPerFrame chunk, each fanned into
+// the server's sharded store as a single batched read. It is bounded by
+// ctx end to end: checked per frame on the round trip, and carried in each
+// frame, less a lead (see waitMsFrom), so a clocked read stalled on the
+// staleness bound gives up on the server just before the deadline,
+// stranding no token, and the round trip itself returns ctx.Err() if ctx
+// ends first.
 func (s *Session) GetBatchCtx(ctx context.Context, keys []uint64, vals []byte, found []bool) error {
 	return s.readBatch(ctx, wire.OpGetBatch, keys, vals, found)
 }
@@ -665,10 +567,14 @@ func (s *Session) GetBatchCtx(ctx context.Context, keys []uint64, vals []byte, f
 // MaxKeysPerFrame chunk. Only a GETBATCH frame carries ctx's budget; a peek
 // never waits on the bound.
 func (s *Session) readBatch(ctx context.Context, op wire.Op, keys []uint64, vals []byte, found []bool) error {
+	vs := s.vs
+	if len(vals) != len(keys)*vs || len(found) != len(keys) {
+		return fmt.Errorf("client: %d keys need %d value bytes and %d found flags, got %d and %d",
+			len(keys), len(keys)*vs, len(keys), len(vals), len(found))
+	}
 	if _, err := s.checkout(ctx); err != nil {
 		return err
 	}
-	vs := s.vs
 	for len(keys) > 0 {
 		n := min(len(keys), MaxKeysPerFrame)
 		if op == wire.OpGetBatch {
@@ -690,17 +596,16 @@ func (s *Session) readBatch(ctx context.Context, op wire.Op, keys []uint64, vals
 	return nil
 }
 
-// PutBatch ships one frame per MaxKeysPerFrame chunk.
-func (s *Session) PutBatch(keys []uint64, vals []byte) error {
-	return s.PutBatchCtx(context.Background(), keys, vals)
-}
-
-// PutBatchCtx is PutBatch bounded by ctx, checked per frame.
+// PutBatchCtx ships one frame per MaxKeysPerFrame chunk, bounded by ctx,
+// checked per frame.
 func (s *Session) PutBatchCtx(ctx context.Context, keys []uint64, vals []byte) error {
+	vs := s.vs
+	if len(vals) != len(keys)*vs {
+		return fmt.Errorf("client: vals length %d != %d keys × value size %d", len(vals), len(keys), vs)
+	}
 	if _, err := s.checkout(ctx); err != nil {
 		return err
 	}
-	vs := s.vs
 	for len(keys) > 0 {
 		n := min(len(keys), MaxKeysPerFrame)
 		s.enc = wire.AppendPutBatch(s.enc[:0], s.m.handle, keys[:n], vals[:n*vs])
@@ -730,11 +635,12 @@ func (s *Session) Close() {
 	s.cn.release(p)
 }
 
-// PeekBatchCtx reads a batch with PEEK semantics (see Peek), bounded by
-// ctx, checked per frame: clock-free, so it never blocks on a staleness
-// bound. The cluster router reads replicas through it — a peek acquires no
-// clock tokens, so a lagging replica can answer it without consistency
-// cost, and a miss falls back to the primary.
+// PeekBatchCtx reads a batch with PEEK semantics, bounded by ctx, checked
+// per frame: a clock-free read on the server, so it never blocks on a
+// staleness bound and remote evaluation never acquires tokens that would
+// stall training reads. The cluster router reads replicas through it — a
+// peek acquires no clock tokens, so a lagging replica can answer it
+// without consistency cost, and a miss falls back to the primary.
 func (s *Session) PeekBatchCtx(ctx context.Context, keys []uint64, vals []byte, found []bool) error {
 	return s.readBatch(ctx, wire.OpPeekBatch, keys, vals, found)
 }

@@ -243,8 +243,9 @@ func TestSessionRecoversFromDeadConnection(t *testing.T) {
 	cl := fakeClient(t, fs, Options{Conns: 1})
 	_, s := fakeSession(t, cl, "m", dim, wire.BoundUnset)
 
-	dst := make([]byte, dim*4)
-	if _, err := s.Get(1, dst); err != nil {
+	ctx := context.Background()
+	dst, found1 := make([]byte, dim*4), make([]bool, 1)
+	if err := s.GetBatchCtx(ctx, []uint64{1}, dst, found1); err != nil {
 		t.Fatal(err)
 	}
 	attachesBefore := fs.attaches.Load()
@@ -259,7 +260,7 @@ func TestSessionRecoversFromDeadConnection(t *testing.T) {
 	}
 
 	// The next read must succeed via redial + re-attach, not error.
-	if _, err := s.Get(2, dst); err != nil {
+	if err := s.GetBatchCtx(ctx, []uint64{2}, dst, found1); err != nil {
 		t.Fatalf("read after connection death: %v", err)
 	}
 	for j := range dst {
@@ -280,7 +281,7 @@ func TestSessionRecoversFromDeadConnection(t *testing.T) {
 	keys := []uint64{5, 6}
 	vals := make([]byte, len(keys)*dim*4)
 	found := make([]bool, len(keys))
-	if err := s.GetBatch(keys, vals, found); err != nil {
+	if err := s.GetBatchCtx(ctx, keys, vals, found); err != nil {
 		t.Fatal(err)
 	}
 	checkBatchVals(t, keys, vals, found, dim*4)
@@ -387,7 +388,7 @@ func TestCoalescedClientWrites(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			<-startCh
-			errCh <- sessions[i].Put(uint64(i), val)
+			errCh <- sessions[i].PutBatchCtx(context.Background(), []uint64{uint64(i)}, val)
 		}(i)
 	}
 	close(startCh)

@@ -10,7 +10,6 @@ import (
 	"github.com/llm-db/mlkv-go/internal/cluster"
 	"github.com/llm-db/mlkv-go/internal/core"
 	"github.com/llm-db/mlkv-go/internal/hotcache"
-	"github.com/llm-db/mlkv-go/internal/kv"
 	"github.com/llm-db/mlkv-go/internal/latency"
 	"github.com/llm-db/mlkv-go/internal/stats"
 	"github.com/llm-db/mlkv-go/internal/tensor"
@@ -104,7 +103,7 @@ func (b clusterBackend) Close() error                { return b.r.Close() }
 // the wire with OPEN frames and all data moves through internal/tensor's
 // float32 codecs. This package is the only one that may import
 // internal/client and internal/cluster — everything else reaches a server
-// through the public API (or DialKV below).
+// through the public API.
 type remoteDB struct {
 	target string
 	c      wireBackend
@@ -484,39 +483,3 @@ func (s *remoteSession) Lookahead(keys []uint64) error {
 }
 
 func (s *remoteSession) Close() { s.s.Close() }
-
-// DialKV opens the named model on a remote server as a byte-level
-// kv.Store — the escape hatch for harnesses that work on raw values (the
-// YCSB benchmark, the network sweep). Closing the returned store closes
-// its connection pool.
-func DialKV(addr, model string, dim, conns int) (kv.Store, error) {
-	c, err := client.Dial(addr, client.Options{Conns: conns})
-	if err != nil {
-		return nil, err
-	}
-	m, err := c.OpenModel(context.Background(), client.OpenSpec{
-		ID: model, Dim: dim, Bound: wire.BoundUnset,
-	})
-	if err != nil {
-		c.Close()
-		return nil, err
-	}
-	return &dialedStore{Model: m, c: c}, nil
-}
-
-// dialedStore pairs a remote model with ownership of its pool.
-type dialedStore struct {
-	*client.Model
-	c *client.Client
-}
-
-func (d *dialedStore) Close() error { return d.c.Close() }
-
-// Stats is the served model's counters plus the pool's redials, for
-// harness summaries; latency is the server's store-call timing (the
-// harness times its own round trips).
-func (d *dialedStore) Stats() stats.Counters {
-	c := d.Model.Stats()
-	d.c.AddCounters(&c)
-	return c
-}

@@ -11,19 +11,19 @@ import (
 
 // WrapCached layers a staleness-aware hot tier over a byte-level store:
 // the tier of every local table opened with CacheEntries (core.OpenTable
-// wraps the store it opens), the shared per-model cache mlkv-server enables
-// with -cache, and the client-side tier mlkv-ycsb uses. All sessions of the
-// wrapped store share one tier and its write clock; every write through the
-// wrapper advances the clock and updates (Put) or invalidates (Delete, RMW)
-// the tier, so an entry is never older than its stamp claims. Reads consult
-// the tier first and serve a hit only when the entry is admissible under
-// the store's current staleness bound (see hotcache.Admissible); with the
-// clock off the tier is coherent as long as every writer goes through this
-// wrapper. The protocol itself is hotcache.Cache's.
+// wraps the store it opens) and the shared per-model cache mlkv-server
+// enables with -cache. All sessions of the wrapped store share one tier
+// and its write clock; every write through the wrapper advances the clock
+// and updates (Put) or invalidates (Delete, RMW) the tier, so an entry is
+// never older than its stamp claims. Reads consult the tier first and
+// serve a hit only when the entry is admissible under the store's current
+// staleness bound (see hotcache.Admissible); with the clock off the tier
+// is coherent as long as every writer goes through this wrapper. The
+// protocol itself is hotcache.Cache's.
 //
-// The tier earns its keep by saving a disk read or a round trip. Where it
-// can save neither reads bypass it — neither consulted nor filled — while
-// writes keep it coherent all the same (see readTier).
+// The tier earns its keep by saving a disk read. Where it can save none,
+// reads bypass it — neither consulted nor filled — while writes keep it
+// coherent all the same (see readTier).
 //
 // Peek and Lookahead bypass the tier: evaluation reads stay
 // exact and prefetch targets the engine's own memory.

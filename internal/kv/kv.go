@@ -14,8 +14,9 @@ import (
 )
 
 // Store is a disk-backed key-value store with fixed-size values. Its
-// implementers are the sharded engine store (OpenEngine), the hot-tier
-// wrapper (WrapCached), and the network client's remote model.
+// implementers are in-process: the sharded engine store (OpenEngine) and
+// the hot-tier wrapper (WrapCached). A remote model is reached through the
+// public API, whose driver speaks the wire's batch frames directly.
 type Store interface {
 	// NewSession returns a handle for one worker goroutine. Sessions are
 	// not safe for concurrent use; the Store itself is.
@@ -33,12 +34,11 @@ type Store interface {
 	// Resident reports whether every record the store holds is still in
 	// its engine's memory, so that no read can wait on a disk: true for a
 	// hybrid-log store none of whose shards has evicted a page yet; false
-	// from the first eviction on, on a store recovered from a checkpoint,
-	// and on a remote model. The answer is
-	// monotone (it never returns to true) and costs one atomic load per
-	// shard. The layers that exist only to hide disk latency — a hot tier
-	// in front of a local engine, goroutine-per-shard batch fan-out — stand
-	// aside while it holds.
+	// from the first eviction on, and on a store recovered from a
+	// checkpoint. The answer is monotone (it never returns to true) and
+	// costs one atomic load per shard. The layers that exist only to hide
+	// disk latency — a hot tier in front of a local engine,
+	// goroutine-per-shard batch fan-out — stand aside while it holds.
 	Resident() bool
 	// Checkpoint makes the contents durable.
 	Checkpoint() error
@@ -65,13 +65,11 @@ type Session interface {
 	// RMW applies fn to key's current value (zeroed when absent) and
 	// stores the result if fn returns true; a declining fn must leave cur
 	// untouched, and the record (or its absence) stays as it was. One
-	// atomic in-storage step on the hybrid log — which is what the wire's
-	// APPLY frame runs server-side; a read, fn, and a write on the network
-	// client, whose closure cannot cross the wire.
+	// atomic in-storage step on the hybrid log, which is what the wire's
+	// APPLY frame runs server-side.
 	RMW(key uint64, fn func(cur []byte, exists bool) bool) error
-	// Lookahead hints that keys will be read soon (one frame on the
-	// network client), returning how many records the engine reports
-	// moving toward memory.
+	// Lookahead hints that keys will be read soon, returning how many
+	// records the engine reports moving toward memory.
 	Lookahead(keys []uint64) (int, error)
 	// GetBatchCtx reads len(keys) values into vals (len(keys)×ValueSize)
 	// under ctx, recording presence in found and zeroing the value slot of
@@ -90,8 +88,7 @@ type Session interface {
 // Creator is the read-or-create batch read. The sessions of a local engine
 // store implement it: OpenEngine's, and WrapCached's, which pass a create
 // on to the store they wrap and fail it over a store whose sessions are
-// not Creators. A remote model's sessions are not, because a key is never
-// initialized server-side.
+// not Creators.
 type Creator interface {
 	// GetOrCreateBatchCtx is GetBatchCtx, except that a missing key is
 	// created in its turn: create writes its first value into the key's

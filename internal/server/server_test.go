@@ -68,6 +68,24 @@ func openModel(t *testing.T, cl *client.Client, id string, dim int) *client.Mode
 	return m
 }
 
+// get1, peek1 and put1 send one key as a batch of one: a session has no
+// single-key read or put, as no server serves such a frame.
+func get1(s *client.Session, key uint64, dst []byte) (bool, error) {
+	found := make([]bool, 1)
+	err := s.GetBatchCtx(context.Background(), []uint64{key}, dst, found)
+	return found[0], err
+}
+
+func peek1(s *client.Session, key uint64, dst []byte) (bool, error) {
+	found := make([]bool, 1)
+	err := s.PeekBatchCtx(context.Background(), []uint64{key}, dst, found)
+	return found[0], err
+}
+
+func put1(s *client.Session, key uint64, val []byte) error {
+	return s.PutBatchCtx(context.Background(), []uint64{key}, val)
+}
+
 // TestRemoteRoundTrip drives the whole single-key surface through a real
 // TCP connection: handshake, open, put, get, delete, prefetch, value-size
 // guard.
@@ -87,8 +105,8 @@ func TestRemoteRoundTrip(t *testing.T) {
 	}
 
 	m := openModel(t, cl, "roundtrip", dim)
-	if m.ValueSize() != vs {
-		t.Fatalf("ValueSize = %d, want %d", m.ValueSize(), vs)
+	if m.Dim()*4 != vs {
+		t.Fatalf("value size = %d, want %d", m.Dim()*4, vs)
 	}
 	if m.Shards() != 4 {
 		t.Fatalf("Shards = %d, want 4", m.Shards())
@@ -97,32 +115,33 @@ func TestRemoteRoundTrip(t *testing.T) {
 		t.Fatalf("Name = %q", m.Name())
 	}
 
-	s, err := m.NewSession()
+	ctx := context.Background()
+	s, err := m.NewSessionCtx(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
 	val := bytes.Repeat([]byte{0xab}, vs)
 	dst := make([]byte, vs)
-	if found, _ := s.Get(1, dst); found {
+	if found, _ := get1(s, 1, dst); found {
 		t.Fatal("fresh store has key 1")
 	}
-	if err := s.Put(1, val); err != nil {
+	if err := put1(s, 1, val); err != nil {
 		t.Fatal(err)
 	}
-	if found, err := s.Get(1, dst); err != nil || !found || !bytes.Equal(dst, val) {
+	if found, err := get1(s, 1, dst); err != nil || !found || !bytes.Equal(dst, val) {
 		t.Fatalf("get after put: found=%v err=%v", found, err)
 	}
-	if err := s.Delete(1); err != nil {
+	if err := s.DeleteCtx(ctx, 1); err != nil {
 		t.Fatal(err)
 	}
-	if found, _ := s.Get(1, dst); found {
+	if found, _ := get1(s, 1, dst); found {
 		t.Fatal("key survived delete")
 	}
-	if _, err := s.Lookahead([]uint64{1}); err != nil {
+	if _, err := s.LookaheadCtx(ctx, []uint64{1}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Put(2, val[:3]); err == nil {
+	if err := put1(s, 2, val[:3]); err == nil {
 		t.Fatal("short value accepted")
 	}
 }
@@ -153,10 +172,10 @@ func TestRemoteApply(t *testing.T) {
 	ctx := context.Background()
 	val, got := make([]byte, dim*4), make([]byte, dim*4)
 	tensor.F32sToBytes([]float32{10, 20, 30, 40}, val)
-	if err := s.Put(1, val); err != nil {
+	if err := put1(s, 1, val); err != nil {
 		t.Fatal(err)
 	}
-	if found, err := s.Get(1, got); err != nil || !found { // takes the record's one BSP token
+	if found, err := get1(s, 1, got); err != nil || !found { // takes the record's one BSP token
 		t.Fatalf("get: found=%v err=%v", found, err)
 	}
 
@@ -180,7 +199,7 @@ func TestRemoteApply(t *testing.T) {
 	if found, err := s.ApplyCtx(ctx, 2, 0.5, grad); err != nil || found {
 		t.Fatalf("apply on an absent key: found=%v err=%v, want not found", found, err)
 	}
-	if found, _ := s.Peek(2, got); found {
+	if found, _ := peek1(s, 2, got); found {
 		t.Fatal("apply created the absent key: the server knows no initializer")
 	}
 	if _, err := s.ApplyCtx(ctx, 1, 0.5, grad[:3]); err == nil {
@@ -210,40 +229,40 @@ func TestMultiModel(t *testing.T) {
 
 	a := openModel(t, cl, "model-a", 8)
 	b := openModel(t, cl, "model-b", 4)
-	if a.ValueSize() == b.ValueSize() {
+	if a.Dim() == b.Dim() {
 		t.Fatal("models share a value size; want distinct dims")
 	}
 
-	sa, err := a.NewSession()
+	sa, err := a.NewSessionCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sa.Close()
-	sb, err := b.NewSession()
+	sb, err := b.NewSessionCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sb.Close()
 
-	va := bytes.Repeat([]byte{1}, a.ValueSize())
-	vb := bytes.Repeat([]byte{2}, b.ValueSize())
-	if err := sa.Put(7, va); err != nil {
+	va := bytes.Repeat([]byte{1}, a.Dim()*4)
+	vb := bytes.Repeat([]byte{2}, b.Dim()*4)
+	if err := put1(sa, 7, va); err != nil {
 		t.Fatal(err)
 	}
-	if err := sb.Put(7, vb); err != nil {
+	if err := put1(sb, 7, vb); err != nil {
 		t.Fatal(err)
 	}
-	da := make([]byte, a.ValueSize())
-	db := make([]byte, b.ValueSize())
-	if found, err := sa.Get(7, da); err != nil || !found || !bytes.Equal(da, va) {
+	da := make([]byte, a.Dim()*4)
+	db := make([]byte, b.Dim()*4)
+	if found, err := get1(sa, 7, da); err != nil || !found || !bytes.Equal(da, va) {
 		t.Fatalf("model-a key 7: found=%v err=%v val=%v", found, err, da)
 	}
-	if found, err := sb.Get(7, db); err != nil || !found || !bytes.Equal(db, vb) {
+	if found, err := get1(sb, 7, db); err != nil || !found || !bytes.Equal(db, vb) {
 		t.Fatalf("model-b key 7: found=%v err=%v val=%v", found, err, db)
 	}
 
 	// Same name, same dim: deduplicated. Same name, other dim: refused.
-	if again := openModel(t, cl, "model-a", 8); again.ValueSize() != a.ValueSize() {
+	if again := openModel(t, cl, "model-a", 8); again.Dim() != a.Dim() {
 		t.Fatal("reopen returned a different model")
 	}
 	if _, err := cl.OpenModel(context.Background(), client.OpenSpec{ID: "model-a", Dim: 16, Bound: wire.BoundUnset}); err == nil {
@@ -274,11 +293,11 @@ func TestSessionAccounting(t *testing.T) {
 	if n := model.Stats().ActiveSessions; n != 0 {
 		t.Fatalf("fresh model has %d sessions", n)
 	}
-	s1, err := m.NewSession()
+	s1, err := m.NewSessionCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := m.NewSession()
+	s2, err := m.NewSessionCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +342,8 @@ func TestRemoteBatchConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			s, err := m.NewSession()
+			ctx := context.Background()
+			s, err := m.NewSessionCtx(ctx)
 			if err != nil {
 				errCh <- err
 				return
@@ -339,11 +359,11 @@ func TestRemoteBatchConcurrent(t *testing.T) {
 			got := make([]byte, batch*vs)
 			found := make([]bool, batch)
 			for r := 0; r < rounds; r++ {
-				if err := kv.SessionPutBatch(s, vs, keys, vals); err != nil {
+				if err := s.PutBatchCtx(ctx, keys, vals); err != nil {
 					errCh <- err
 					return
 				}
-				if err := kv.SessionGetBatch(s, vs, keys, got, found); err != nil {
+				if err := s.GetBatchCtx(ctx, keys, got, found); err != nil {
 					errCh <- err
 					return
 				}
@@ -401,28 +421,29 @@ func TestRemoteStatsAndCheckpoint(t *testing.T) {
 	}
 	defer cl.Close()
 	m := openModel(t, cl, "ckpt", dim)
-	s, err := m.NewSession()
+	ctx := context.Background()
+	s, err := m.NewSessionCtx(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
 	val := make([]byte, vs)
 	for k := uint64(0); k < 100; k++ {
-		if err := s.Put(k, val); err != nil {
+		if err := put1(s, k, val); err != nil {
 			t.Fatal(err)
 		}
 	}
 	dst := make([]byte, vs)
 	for k := uint64(0); k < 100; k++ {
-		if _, err := s.Get(k, dst); err != nil {
+		if _, err := get1(s, k, dst); err != nil {
 			t.Fatal(err)
 		}
 	}
-	snap := m.Stats()
-	if snap.Puts < 100 || snap.Gets < 100 {
-		t.Fatalf("remote stats missed traffic: %+v", snap)
+	snap, err := m.StatsCtx(ctx)
+	if err != nil || snap.Puts < 100 || snap.Gets < 100 {
+		t.Fatalf("remote stats missed traffic: %+v err=%v", snap, err)
 	}
-	if err := m.Checkpoint(); err != nil {
+	if err := m.CheckpointCtx(ctx); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
@@ -446,7 +467,7 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	}
 	defer cl.Close()
 	m := openModel(t, cl, "drain", dim)
-	s, err := m.NewSession()
+	s, err := m.NewSessionCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -457,7 +478,7 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	go func() {
 		var err error
 		for k := uint64(0); k < 2000; k++ {
-			if err = s.Put(k, val); err != nil {
+			if err = put1(s, k, val); err != nil {
 				break
 			}
 		}

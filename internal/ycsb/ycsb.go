@@ -1,7 +1,8 @@
 // Package ycsb implements the YCSB-style NoSQL benchmark the paper uses to
 // isolate storage overhead from application code (§IV-E, Figure 10):
 // a configurable read/update mix over uniform or zipfian key popularity,
-// run by N concurrent client threads against any kv.Store.
+// run by N concurrent client threads against any *mlkv.Model — a local
+// directory, one mlkv-server or a cluster, through the same public API.
 package ycsb
 
 import (
@@ -11,7 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/llm-db/mlkv-go/internal/kv"
+	mlkv "github.com/llm-db/mlkv-go"
 	"github.com/llm-db/mlkv-go/internal/latency"
 	"github.com/llm-db/mlkv-go/internal/util"
 )
@@ -36,7 +37,9 @@ func (d Distribution) String() string {
 
 // Options configures a workload run.
 type Options struct {
-	Store        kv.Store
+	// Model is the table the workload reads and writes: rows of
+	// Model.Dim() float32s, one per key.
+	Model        *mlkv.Model
 	Records      uint64 // key space (loaded before the run)
 	Threads      int
 	ReadFraction float64 // 0.5 = YCSB-A
@@ -44,7 +47,7 @@ type Options struct {
 	Duration     time.Duration
 	MaxOps       int64 // optional cap (0 = duration-bound)
 	Seed         uint64
-	SkipLoad     bool // reuse a pre-loaded store
+	SkipLoad     bool // reuse a pre-loaded model
 	// Stop, when non-nil, ends the run early once closed: a load phase in
 	// progress stops at the next batch (Run returns ErrLoadInterrupted),
 	// and running workers finish their current operation and Run returns
@@ -52,12 +55,12 @@ type Options struct {
 	Stop <-chan struct{}
 }
 
-// Result summarizes a run.
+// Result summarizes a run. Every read is a Session.Get, which
+// first-touches a key it does not find, so a read never misses.
 type Result struct {
 	Ops        int64
 	Reads      int64
 	Updates    int64
-	NotFound   int64
 	Elapsed    time.Duration
 	Throughput float64 // ops/s
 	// Per-op-class latency distributions recorded across every thread
@@ -76,30 +79,30 @@ const loadBatch = 1024
 // ErrLoadInterrupted reports a load phase cut short by a stop signal.
 var ErrLoadInterrupted = errors.New("ycsb: load interrupted")
 
-// Load populates keys [0, Records) with deterministic values, in batches
+// Load populates keys [0, records) with FillValue(key, seed), in batches
 // so sharded stores fan the writes out and remote stores ship one frame
 // per batch instead of one round trip per key.
-func Load(store kv.Store, records uint64, seed uint64) error {
-	return load(store, records, seed, nil)
+func Load(m *mlkv.Model, records uint64, seed uint64) error {
+	return load(m, records, seed, nil)
 }
 
 // load is Load plus a stop channel checked between batches, so a
 // multi-minute preload answers an interrupt promptly.
-func load(store kv.Store, records uint64, seed uint64, stop <-chan struct{}) error {
-	s, err := store.NewSession()
+func load(m *mlkv.Model, records uint64, seed uint64, stop <-chan struct{}) error {
+	s, err := m.NewSession()
 	if err != nil {
 		return err
 	}
 	defer s.Close()
-	vs := store.ValueSize()
+	dim := m.Dim()
 	keys := make([]uint64, 0, loadBatch)
-	vals := make([]byte, 0, loadBatch*vs)
+	vals := make([]float32, 0, loadBatch*dim)
 	for k := uint64(0); k < records; k++ {
 		keys = append(keys, k)
-		vals = vals[:len(vals)+vs]
-		fillValue(vals[len(vals)-vs:], k, seed)
+		vals = vals[:len(vals)+dim]
+		FillValue(vals[len(vals)-dim:], k, seed)
 		if len(keys) == loadBatch || k == records-1 {
-			if err := kv.SessionPutBatch(s, vs, keys, vals); err != nil {
+			if err := s.PutBatch(keys, vals); err != nil {
 				return fmt.Errorf("ycsb: load keys %d..%d: %w", keys[0], k, err)
 			}
 			keys, vals = keys[:0], vals[:0]
@@ -113,10 +116,13 @@ func load(store kv.Store, records uint64, seed uint64, stop <-chan struct{}) err
 	return nil
 }
 
-func fillValue(buf []byte, key, seed uint64) {
+// FillValue writes the row the workload stores for key under seed: the
+// same bits for the same (key, seed), each float uniform in [0, 1). Load
+// writes FillValue(key, seed); an update writes a fresh seed.
+func FillValue(dst []float32, key, seed uint64) {
 	r := util.NewRNG(key ^ seed)
-	for i := range buf {
-		buf[i] = byte(r.Uint64())
+	for i := range dst {
+		dst[i] = r.Float32()
 	}
 }
 
@@ -132,13 +138,13 @@ func Run(opts Options) (*Result, error) {
 		opts.Records = 100000
 	}
 	if !opts.SkipLoad {
-		if err := load(opts.Store, opts.Records, opts.Seed, opts.Stop); err != nil {
+		if err := load(opts.Model, opts.Records, opts.Seed, opts.Stop); err != nil {
 			return nil, err
 		}
 	}
 	res := &Result{}
 	var readLat, updateLat latency.Histogram
-	var ops, reads, updates, notFound atomic.Int64
+	var ops, reads, updates atomic.Int64
 	stop := make(chan struct{})
 	halt := sync.OnceFunc(func() { close(stop) })
 	var wg sync.WaitGroup
@@ -148,7 +154,7 @@ func Run(opts Options) (*Result, error) {
 		wg.Add(1)
 		go func(th int) {
 			defer wg.Done()
-			s, err := opts.Store.NewSession()
+			s, err := opts.Model.NewSession()
 			if err != nil {
 				errCh <- err
 				halt()
@@ -160,8 +166,7 @@ func Run(opts Options) (*Result, error) {
 			if opts.Dist == Zipfian {
 				zipf = util.NewScrambledZipf(r.Split(), opts.Records, 0.99)
 			}
-			vs := opts.Store.ValueSize()
-			buf := make([]byte, vs)
+			buf := make([]float32, opts.Model.Dim())
 			for i := 0; ; i++ {
 				if i%256 == 0 {
 					select {
@@ -185,19 +190,16 @@ func Run(opts Options) (*Result, error) {
 				}
 				if r.Float64() < opts.ReadFraction {
 					opStart := time.Now()
-					found, err := s.Get(key, buf)
+					err := s.Get(key, buf)
 					readLat.Since(opStart)
 					if err != nil {
 						errCh <- err
 						halt()
 						return
 					}
-					if !found {
-						notFound.Add(1)
-					}
 					reads.Add(1)
 				} else {
-					fillValue(buf, key, opts.Seed+uint64(i))
+					FillValue(buf, key, opts.Seed+uint64(i))
 					opStart := time.Now()
 					err := s.Put(key, buf)
 					updateLat.Since(opStart)
@@ -224,7 +226,6 @@ func Run(opts Options) (*Result, error) {
 	res.Ops = ops.Load()
 	res.Reads = reads.Load()
 	res.Updates = updates.Load()
-	res.NotFound = notFound.Load()
 	res.Elapsed = time.Since(start)
 	res.Throughput = float64(res.Ops) / res.Elapsed.Seconds()
 	res.ReadLat = readLat.Snapshot()

@@ -2,33 +2,62 @@ package ycsb
 
 import (
 	"errors"
+	"math"
 	"testing"
 	"time"
 
-	"github.com/llm-db/mlkv-go/internal/faster"
-	"github.com/llm-db/mlkv-go/internal/kv"
+	mlkv "github.com/llm-db/mlkv-go"
 )
 
-func fasterStore(t *testing.T, bound int64) kv.Store {
+// testDim is a 64-byte row, the value size the paper's YCSB runs default to.
+const testDim = 16
+
+// openModel opens a local model under a temp dir with four default-size
+// log pages of memory, so the tests' 5 000-record loads spill to disk.
+func openModel(t *testing.T, bound int64) *mlkv.Model {
 	t.Helper()
-	name := "faster"
-	if bound >= 0 {
-		name = "mlkv"
-	}
-	s, err := kv.OpenEngine(kv.EngineFaster, kv.ShardedConfig{
-		Dir: t.TempDir(), ValueSize: 64, MemoryBytes: 16 * 256 * (64 + 24),
-		StalenessBound: bound, ExpectedKeys: 1 << 14,
-	}, name)
+	db, err := mlkv.Connect(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { s.Close() })
-	return s
+	t.Cleanup(func() { db.Close() })
+	m, err := db.Open("ycsb", testDim, mlkv.WithStalenessBound(bound),
+		mlkv.WithMemory(4*1024*(testDim*4+24)), mlkv.WithExpectedKeys(1<<14))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// peekBack requires every key in [0, records) to hold FillValue(key, seed)
+// bit for bit: a load that lost or mangled a row, or a run that overwrote
+// or first-touched one, fails it.
+func peekBack(t *testing.T, m *mlkv.Model, records, seed uint64) {
+	t.Helper()
+	s, err := m.NewSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	got, want := make([]float32, m.Dim()), make([]float32, m.Dim())
+	for k := uint64(0); k < records; k++ {
+		found, err := s.Peek(k, got)
+		if err != nil || !found {
+			t.Fatalf("key %d: found=%v err=%v after load", k, found, err)
+		}
+		FillValue(want, k, seed)
+		for i := range want {
+			if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+				t.Fatalf("key %d float %d = %v, want %v", k, i, got[i], want[i])
+			}
+		}
+	}
 }
 
 func TestYCSBUniform(t *testing.T) {
+	m := openModel(t, mlkv.Disabled)
 	res, err := Run(Options{
-		Store: fasterStore(t, -1), Records: 5000, Threads: 4,
+		Model: m, Records: 5000, Threads: 4,
 		ReadFraction: 0.5, Dist: Uniform, MaxOps: 20000, Seed: 1,
 	})
 	if err != nil {
@@ -36,9 +65,6 @@ func TestYCSBUniform(t *testing.T) {
 	}
 	if res.Ops < 20000 {
 		t.Fatalf("ran %d ops, want >= 20000", res.Ops)
-	}
-	if res.NotFound > 0 {
-		t.Fatalf("%d reads missed despite full preload", res.NotFound)
 	}
 	if res.Reads == 0 || res.Updates == 0 {
 		t.Fatal("mix not exercised")
@@ -53,7 +79,7 @@ func TestYCSBZipfian(t *testing.T) {
 	// MLKV with ASP bound: vector clock maintained, never blocks — this is
 	// the Figure 10 configuration measuring clock overhead.
 	res, err := Run(Options{
-		Store: fasterStore(t, faster.BoundAsync), Records: 5000, Threads: 4,
+		Model: openModel(t, mlkv.ASP), Records: 5000, Threads: 4,
 		ReadFraction: 0.5, Dist: Zipfian, MaxOps: 20000, Seed: 2,
 	})
 	if err != nil {
@@ -67,24 +93,26 @@ func TestYCSBZipfian(t *testing.T) {
 	}
 }
 
+// TestYCSBSkipLoad runs read-only over an explicit Load: every loaded row
+// reads back as written before the run and after it, so the run found
+// every key (a miss would have first-touched it with another value).
 func TestYCSBSkipLoad(t *testing.T) {
-	store := fasterStore(t, -1)
-	if err := Load(store, 1000, 3); err != nil {
+	m := openModel(t, mlkv.Disabled)
+	if err := Load(m, 1000, 3); err != nil {
 		t.Fatal(err)
 	}
+	peekBack(t, m, 1000, 3)
 	res, err := Run(Options{
-		Store: store, Records: 1000, Threads: 2,
+		Model: m, Records: 1000, Threads: 2,
 		ReadFraction: 1.0, Dist: Uniform, MaxOps: 5000, Seed: 3, SkipLoad: true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.NotFound > 0 {
-		t.Fatalf("%d misses after explicit load", res.NotFound)
-	}
 	if res.Updates != 0 {
 		t.Fatal("read-only run performed updates")
 	}
+	peekBack(t, m, 1000, 3)
 }
 
 // TestYCSBStops covers the graceful-interrupt path: a Stop closed during
@@ -92,15 +120,15 @@ func TestYCSBSkipLoad(t *testing.T) {
 // the run phase ends an otherwise unbounded run promptly with a usable
 // partial result.
 func TestYCSBStops(t *testing.T) {
-	store := fasterStore(t, -1)
+	m := openModel(t, mlkv.Disabled)
 	// A stop closed before Run starts cuts the load phase short.
 	stopped := make(chan struct{})
 	close(stopped)
-	if _, err := Run(Options{Store: store, Records: 2000, Stop: stopped}); !errors.Is(err, ErrLoadInterrupted) {
+	if _, err := Run(Options{Model: m, Records: 2000, Stop: stopped}); !errors.Is(err, ErrLoadInterrupted) {
 		t.Fatalf("Run with a closed stop: %v, want ErrLoadInterrupted", err)
 	}
 	// The run phase: loaded first, so the stop can only land in the run.
-	if err := Load(store, 2000, 4); err != nil {
+	if err := Load(m, 2000, 4); err != nil {
 		t.Fatal(err)
 	}
 	stop := make(chan struct{})
@@ -110,7 +138,7 @@ func TestYCSBStops(t *testing.T) {
 	}()
 	start := time.Now()
 	res, err := Run(Options{
-		Store: store, Records: 2000, Threads: 4,
+		Model: m, Records: 2000, Threads: 4,
 		ReadFraction: 0.5, Dist: Uniform, Seed: 4,
 		Duration: time.Hour, Stop: stop, SkipLoad: true,
 	})
