@@ -27,8 +27,8 @@ import (
 var engineCases = []string{"mlkv"}
 
 // startTestServer serves a lazily-opening model registry on loopback and
-// returns an "mlkv://" target for it. The opener names each store by its
-// bound, exactly like cmd/mlkv-server.
+// returns an "mlkv://" target for it. The registry names each store by its
+// bound, exactly like cmd/mlkv-server's.
 func startTestServer(t *testing.T, bound int64) string {
 	t.Helper()
 	target, _ := startCountedTestServer(t, bound)
@@ -42,20 +42,19 @@ func startCountedTestServer(t *testing.T, bound int64) (string, *server.Server) 
 	return startTestServerIn(t, t.TempDir(), bound)
 }
 
+// testStore is the test servers' store template: models under dir, two
+// shards and the given default bound, sized like a small local model.
+func testStore(dir string, bound int64) kv.ShardedConfig {
+	return kv.ShardedConfig{
+		Dir: dir, Shards: 2, RecordsPerPage: 64, MemoryBytes: 1 << 20,
+		ExpectedKeys: 1 << 12, StalenessBound: bound,
+	}
+}
+
 // startTestServerIn is startCountedTestServer with its models under dir.
 func startTestServerIn(t *testing.T, dir string, bound int64) (string, *server.Server) {
 	t.Helper()
-	reg := server.NewRegistry(server.RegistryConfig{
-		DefaultShards: 2,
-		DefaultBound:  bound,
-		Opener: func(id string, dim, shards int, b int64) (kv.Store, error) {
-			return kv.OpenEngine(kv.EngineFaster, kv.ShardedConfig{
-				Dir: filepath.Join(dir, id), Shards: shards, ValueSize: dim * 4,
-				RecordsPerPage: 64, MemoryBytes: 1 << 20, ExpectedKeys: 1 << 12,
-				StalenessBound: b,
-			}, kv.HybridLogName(b))
-		},
-	})
+	reg := server.NewRegistry(server.RegistryConfig{Store: testStore(dir, bound)})
 	srv := server.New(server.Config{Registry: reg})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -114,18 +113,7 @@ func startTestClusterIn(t *testing.T, root string, bound int64, withReplica bool
 	regs := make(map[string]*server.Registry, len(ids))
 	for i := range ids {
 		dir := filepath.Join(root, ids[i])
-		reg := server.NewRegistry(server.RegistryConfig{
-			DefaultShards: 2,
-			DefaultBound:  bound,
-			Name:          ids[i],
-			Opener: func(id string, dim, shards int, b int64) (kv.Store, error) {
-				return kv.OpenEngine(kv.EngineFaster, kv.ShardedConfig{
-					Dir: filepath.Join(dir, id), Shards: shards, ValueSize: dim * 4,
-					RecordsPerPage: 64, MemoryBytes: 1 << 20, ExpectedKeys: 1 << 12,
-					StalenessBound: b,
-				}, "mlkv")
-			},
-		})
+		reg := server.NewRegistry(server.RegistryConfig{Store: testStore(dir, bound), Name: ids[i]})
 		st, err := cluster.NewState(ids[i], m)
 		if err != nil {
 			t.Fatal(err)
@@ -1284,18 +1272,7 @@ func TestClusterReplicaDeathFallback(t *testing.T) {
 	stops := map[string]func(){}
 	for i := range ids {
 		dir := t.TempDir()
-		reg := server.NewRegistry(server.RegistryConfig{
-			DefaultShards: 2,
-			DefaultBound:  mlkv.ASP,
-			Name:          ids[i],
-			Opener: func(id string, dim, shards int, b int64) (kv.Store, error) {
-				return kv.OpenEngine(kv.EngineFaster, kv.ShardedConfig{
-					Dir: filepath.Join(dir, id), Shards: shards, ValueSize: dim * 4,
-					RecordsPerPage: 64, MemoryBytes: 1 << 20, ExpectedKeys: 1 << 12,
-					StalenessBound: b,
-				}, ids[i])
-			},
-		})
+		reg := server.NewRegistry(server.RegistryConfig{Store: testStore(dir, mlkv.ASP), Name: ids[i]})
 		st, err := cluster.NewState(ids[i], mp)
 		if err != nil {
 			t.Fatal(err)

@@ -168,16 +168,10 @@ const (
 func newRemoteBenchSession(tb testing.TB, batch, cacheEntries int) (*mlkv.Session, []uint64, []float32) {
 	tb.Helper()
 	dir := tb.TempDir()
-	reg := server.NewRegistry(server.RegistryConfig{
-		DefaultBound: faster.BoundAsync,
-		Opener: func(id string, d, shards int, bound int64) (kv.Store, error) {
-			return kv.OpenEngine(kv.EngineFaster, kv.ShardedConfig{
-				Dir: dir + "/" + id, Shards: shards, ValueSize: d * 4,
-				MemoryBytes: 32 << 20, ExpectedKeys: remoteBenchRecords,
-				StalenessBound: bound,
-			}, "mlkv")
-		},
-	})
+	reg := server.NewRegistry(server.RegistryConfig{Store: kv.ShardedConfig{
+		Dir: dir, MemoryBytes: 32 << 20, ExpectedKeys: remoteBenchRecords,
+		StalenessBound: faster.BoundAsync,
+	}})
 	tb.Cleanup(func() { reg.Close() })
 	srv := server.New(server.Config{Registry: reg})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")

@@ -3,7 +3,6 @@ package mlkv_test
 import (
 	"context"
 	"net"
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -219,44 +218,39 @@ func TestAPICacheBSPNeverServes(t *testing.T) {
 // for a model that has spilled to disk. One that fits in the server's
 // memory is served by the log and never consults the tier.
 func TestAPIServerSideCache(t *testing.T) {
-	dir := t.TempDir()
-	reg := server.NewRegistry(server.RegistryConfig{
-		DefaultBound: mlkv.ASP,
-		CacheEntries: 1024,
-		Opener: func(id string, dim, shards int, b int64) (kv.Store, error) {
-			mem := int64(1 << 20)
-			if id == "srv-cache" {
-				mem = 1 // the four-page floor: 256 records
-			}
-			return kv.OpenEngine(kv.EngineFaster, kv.ShardedConfig{
-				Dir: filepath.Join(dir, id), Shards: shards, ValueSize: dim * 4,
-				RecordsPerPage: 64, MemoryBytes: mem, ExpectedKeys: 1 << 12,
-				StalenessBound: b,
-			}, "mlkv")
-		},
-	})
-	defer reg.Close()
-	srv := server.New(server.Config{Registry: reg})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+	// Two registries, one template each: the same server cache over a
+	// model that fits in memory and one at the four-page floor (256
+	// records).
+	serve := func(mem int64) *mlkv.DB {
+		reg := server.NewRegistry(server.RegistryConfig{Store: kv.ShardedConfig{
+			Dir: t.TempDir(), RecordsPerPage: 64, MemoryBytes: mem, ExpectedKeys: 1 << 12,
+			StalenessBound: mlkv.ASP, CacheEntries: 1024,
+		}})
+		srv := server.New(server.Config{Registry: reg})
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		serveErr := make(chan error, 1)
+		go func() { serveErr <- srv.Serve(ln) }()
+		db, err := mlkv.Connect(mlkv.Scheme + ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() {
+			db.Close()
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			srv.Shutdown(ctx)
+			<-serveErr
+			reg.Close()
+		})
+		return db
 	}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- srv.Serve(ln) }()
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		srv.Shutdown(ctx)
-		<-serveErr
-	}()
+	fitsDB, floorDB := serve(1<<20), serve(1)
 
-	db, err := mlkv.Connect(mlkv.Scheme + ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
 	// The mirror first: eight reads of a model that fits in memory.
-	fits, err := db.Open("srv-fits", 4, mlkv.WithStalenessBound(mlkv.ASP))
+	fits, err := fitsDB.Open("srv-fits", 4, mlkv.WithStalenessBound(mlkv.ASP))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +273,7 @@ func TestAPIServerSideCache(t *testing.T) {
 			st.Gets, st.CacheHits, st.CacheMisses, st.CacheEvictions)
 	}
 
-	m, err := db.Open("srv-cache", 4, mlkv.WithStalenessBound(mlkv.ASP))
+	m, err := floorDB.Open("srv-cache", 4, mlkv.WithStalenessBound(mlkv.ASP))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,12 +44,10 @@ import (
 	_ "net/http/pprof" // /debug/pprof/ on the -debug-addr listener
 	"os"
 	"os/signal"
-	"path/filepath"
 	"syscall"
 	"time"
 
 	"github.com/llm-db/mlkv-go/internal/cluster"
-	"github.com/llm-db/mlkv-go/internal/faster"
 	"github.com/llm-db/mlkv-go/internal/kv"
 	"github.com/llm-db/mlkv-go/internal/latency"
 	"github.com/llm-db/mlkv-go/internal/server"
@@ -95,21 +93,11 @@ func main() {
 		defer os.RemoveAll(d)
 	}
 
-	reg := server.NewRegistry(server.RegistryConfig{
-		DefaultShards: *shards,
-		DefaultBound:  defaultBound,
-		CacheEntries:  *cache,
-		Opener: func(id string, dim, shards int, bound int64) (kv.Store, error) {
-			log.Printf("mlkv-server: opening model %q (dim=%d shards=%d staleness=%s)",
-				id, dim, shards, boundName(bound))
-			return kv.OpenEngine(kv.EngineFaster, kv.ShardedConfig{
-				Dir: filepath.Join(d, id), Shards: shards, ValueSize: dim * 4,
-				RecordsPerPage: 256, MemoryBytes: int64(*bufferMB) << 20,
-				ExpectedKeys: *records, StalenessBound: bound, SyncWrites: *sync,
-				FlushPace: *flushPace,
-			}, kv.HybridLogName(bound))
-		},
-	})
+	reg := server.NewRegistry(server.RegistryConfig{Store: kv.ShardedConfig{
+		Dir: d, Shards: *shards, RecordsPerPage: 256, MemoryBytes: int64(*bufferMB) << 20,
+		ExpectedKeys: *records, StalenessBound: defaultBound, SyncWrites: *sync,
+		FlushPace: *flushPace, CacheEntries: *cache,
+	}})
 	defer reg.Close()
 
 	ln, err := net.Listen("tcp", *addr)
@@ -232,7 +220,7 @@ func main() {
 	}
 	srv := server.New(srvCfg)
 	log.Printf("mlkv-server: serving models (default shards=%d buffer=%dMB/model staleness=%s cache=%d sync=%v) on %s",
-		*shards, *bufferMB, boundName(defaultBound), *cache, *sync, ln.Addr())
+		*shards, *bufferMB, server.BoundName(defaultBound), *cache, *sync, ln.Addr())
 
 	if *debugAddr != "" {
 		expvar.Publish("mlkv_models", expvar.Func(func() any {
@@ -323,17 +311,4 @@ func main() {
 			m.ID(), s.Gets, s.Puts, s.BatchGets, s.BatchPuts, s.LookaheadCalls,
 			s.ActiveSessions, s.MemHits, s.DiskReads, s.BytesFlushed)
 	}
-}
-
-// boundName renders a staleness bound the way the flags spell it.
-func boundName(bound int64) string {
-	switch {
-	case bound < 0:
-		return "off"
-	case bound == 0:
-		return "bsp"
-	case bound == faster.BoundAsync:
-		return "asp"
-	}
-	return fmt.Sprintf("ssp(%d)", bound)
 }

@@ -12,7 +12,6 @@ import (
 	"log"
 	"net"
 	"os"
-	"path/filepath"
 	"time"
 
 	mlkv "github.com/llm-db/mlkv-go"
@@ -30,16 +29,10 @@ func main() {
 	// A model registry that lazily opens a 4-shard hybrid-log store per
 	// named model under the bound the client's Open carries — exactly what
 	// cmd/mlkv-server builds from its flags.
-	reg := server.NewRegistry(server.RegistryConfig{
-		DefaultShards: 4,
-		DefaultBound:  mlkv.ASP,
-		Opener: func(id string, dim, shards int, bound int64) (kv.Store, error) {
-			return kv.OpenEngine(kv.EngineFaster, kv.ShardedConfig{
-				Dir: filepath.Join(dir, id), Shards: shards, ValueSize: dim * 4,
-				MemoryBytes: 8 << 20, ExpectedKeys: 10000, StalenessBound: bound,
-			}, "mlkv")
-		},
-	})
+	reg := server.NewRegistry(server.RegistryConfig{Store: kv.ShardedConfig{
+		Dir: dir, Shards: 4, MemoryBytes: 8 << 20, ExpectedKeys: 10000,
+		StalenessBound: mlkv.ASP,
+	}})
 	defer reg.Close()
 
 	// Serve it on loopback.

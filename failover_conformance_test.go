@@ -3,7 +3,6 @@ package mlkv_test
 import (
 	"context"
 	"net"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -11,7 +10,6 @@ import (
 	mlkv "github.com/llm-db/mlkv-go"
 	"github.com/llm-db/mlkv-go/internal/cluster"
 	"github.com/llm-db/mlkv-go/internal/faultnet"
-	"github.com/llm-db/mlkv-go/internal/kv"
 	"github.com/llm-db/mlkv-go/internal/server"
 )
 
@@ -43,18 +41,7 @@ type failoverNode struct {
 // registry, cluster state with persistence + replication + health, server.
 func startFailoverNode(t *testing.T, id, dir string, ln net.Listener, m *cluster.Map) *failoverNode {
 	t.Helper()
-	reg := server.NewRegistry(server.RegistryConfig{
-		DefaultShards: 2,
-		DefaultBound:  mlkv.ASP,
-		Name:          id,
-		Opener: func(model string, dim, shards int, b int64) (kv.Store, error) {
-			return kv.OpenEngine(kv.EngineFaster, kv.ShardedConfig{
-				Dir: filepath.Join(dir, model), Shards: shards, ValueSize: dim * 4,
-				RecordsPerPage: 64, MemoryBytes: 1 << 20, ExpectedKeys: 1 << 12,
-				StalenessBound: b,
-			}, "mlkv")
-		},
-	})
+	reg := server.NewRegistry(server.RegistryConfig{Store: testStore(dir, mlkv.ASP), Name: id})
 	st, err := cluster.NewState(id, m)
 	if err != nil {
 		t.Fatal(err)

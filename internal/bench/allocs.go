@@ -33,16 +33,10 @@ func (e *Env) AllocSweep() error {
 	e.printf("%-28s %12s %12s %10s %14s\n", "config", "ns/op", "allocs/op", "B/op", "keys/s")
 
 	for _, entries := range []int{0, records} {
-		reg := server.NewRegistry(server.RegistryConfig{
-			DefaultBound: faster.BoundAsync,
-			Opener: func(id string, d, shards int, bound int64) (kv.Store, error) {
-				return kv.OpenEngine(kv.EngineFaster, kv.ShardedConfig{
-					Dir: e.dir("allocs"), Shards: shards, ValueSize: d * 4,
-					MemoryBytes: 32 << 20, ExpectedKeys: records,
-					StalenessBound: bound,
-				}, "mlkv")
-			},
-		})
+		reg := server.NewRegistry(server.RegistryConfig{Store: kv.ShardedConfig{
+			Dir: e.dir("allocs"), MemoryBytes: 32 << 20, ExpectedKeys: records,
+			StalenessBound: faster.BoundAsync,
+		}})
 		srv := server.New(server.Config{Registry: reg})
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {

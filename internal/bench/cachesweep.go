@@ -112,16 +112,10 @@ func (e *Env) cacheSweepRemote() error {
 	}
 	bufKB := s.BufferKBs[0]
 
-	reg := server.NewRegistry(server.RegistryConfig{
-		DefaultBound: faster.BoundAsync,
-		Opener: func(id string, d, shards int, bound int64) (kv.Store, error) {
-			return kv.OpenEngine(kv.EngineFaster, kv.ShardedConfig{
-				Dir: e.dir("cache-remote"), Shards: shards, ValueSize: d * 4,
-				MemoryBytes: int64(bufKB) << 10, RecordsPerPage: 256,
-				ExpectedKeys: records, StalenessBound: bound,
-			}, "mlkv")
-		},
-	})
+	reg := server.NewRegistry(server.RegistryConfig{Store: kv.ShardedConfig{
+		Dir: e.dir("cache-remote"), MemoryBytes: int64(bufKB) << 10, RecordsPerPage: 256,
+		ExpectedKeys: records, StalenessBound: faster.BoundAsync,
+	}})
 	defer reg.Close()
 	srv := server.New(server.Config{Registry: reg})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")

@@ -55,15 +55,11 @@ func (e *Env) clusterNodes(n int, records uint64, bufKB int) (string, func(), er
 	for i := range lns {
 		dir := e.dir(fmt.Sprintf("cluster-%dn", n))
 		reg := server.NewRegistry(server.RegistryConfig{
-			DefaultShards: 1,
-			Name:          specs[i].ID,
-			Opener: func(id string, d, shards int, bound int64) (kv.Store, error) {
-				return kv.OpenEngine(kv.EngineFaster, kv.ShardedConfig{
-					Dir: dir + "/" + id, Shards: shards, ValueSize: d * 4,
-					MemoryBytes: int64(bufKB) << 10, RecordsPerPage: 256,
-					ExpectedKeys: records, StalenessBound: bound,
-				}, "mlkv")
+			Store: kv.ShardedConfig{
+				Dir: dir, MemoryBytes: int64(bufKB) << 10, RecordsPerPage: 256,
+				ExpectedKeys: records,
 			},
+			Name: specs[i].ID,
 		})
 		cfg := server.Config{Registry: reg}
 		var st *cluster.State

@@ -110,15 +110,11 @@ func (e *Env) failoverTrial(trial int, hc cluster.HealthConfig) (time.Duration, 
 	for i, id := range []string{"n0", "n1", "n2"} {
 		dir := e.dir(fmt.Sprintf("failover-%d-%s", trial, id))
 		reg := server.NewRegistry(server.RegistryConfig{
-			DefaultShards: 1,
-			Name:          id,
-			Opener: func(model string, d, shards int, bound int64) (kv.Store, error) {
-				return kv.OpenEngine(kv.EngineFaster, kv.ShardedConfig{
-					Dir: dir + "/" + model, Shards: shards, ValueSize: d * 4,
-					MemoryBytes: 1 << 20, RecordsPerPage: 256,
-					ExpectedKeys: keys * 4, StalenessBound: bound,
-				}, "mlkv")
+			Store: kv.ShardedConfig{
+				Dir: dir, MemoryBytes: 1 << 20, RecordsPerPage: 256,
+				ExpectedKeys: keys * 4,
 			},
+			Name: id,
 		})
 		st, err := cluster.NewState(id, m)
 		if err != nil {

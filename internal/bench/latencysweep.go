@@ -103,16 +103,10 @@ func (e *Env) LatencySweep() error {
 	// Remote tier: loopback mlkv-server, client-side tier off then on.
 	// batch=1 here pays one framed round trip per key — the wire's tail
 	// floor — which is exactly what the cache-on rows then erase.
-	reg := server.NewRegistry(server.RegistryConfig{
-		DefaultBound: faster.BoundAsync,
-		Opener: func(id string, d, shards int, bound int64) (kv.Store, error) {
-			return kv.OpenEngine(kv.EngineFaster, kv.ShardedConfig{
-				Dir: e.dir("latency-remote"), Shards: shards, ValueSize: d * 4,
-				MemoryBytes: int64(bufKB) << 10, RecordsPerPage: 256,
-				ExpectedKeys: records, StalenessBound: bound,
-			}, "mlkv")
-		},
-	})
+	reg := server.NewRegistry(server.RegistryConfig{Store: kv.ShardedConfig{
+		Dir: e.dir("latency-remote"), MemoryBytes: int64(bufKB) << 10, RecordsPerPage: 256,
+		ExpectedKeys: records, StalenessBound: faster.BoundAsync,
+	}})
 	defer reg.Close()
 	srv := server.New(server.Config{Registry: reg})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")

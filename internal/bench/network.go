@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"net"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -49,16 +48,10 @@ func (e *Env) NetworkSweep() error {
 	// The server opens its model the way a local Open does: the table's
 	// default page size, the same memory and index budgets.
 	serverDir := e.dir("network-server")
-	reg := server.NewRegistry(server.RegistryConfig{
-		DefaultBound: mlkv.ASP,
-		Opener: func(id string, d, shards int, bound int64) (kv.Store, error) {
-			return kv.OpenEngine(kv.EngineFaster, kv.ShardedConfig{
-				Dir: filepath.Join(serverDir, id), Shards: shards, ValueSize: d * 4,
-				RecordsPerPage: 1024, MemoryBytes: mem, ExpectedKeys: records,
-				StalenessBound: bound,
-			}, kv.EngineFaster)
-		},
-	})
+	reg := server.NewRegistry(server.RegistryConfig{Store: kv.ShardedConfig{
+		Dir: serverDir, RecordsPerPage: 1024, MemoryBytes: mem, ExpectedKeys: records,
+		StalenessBound: mlkv.ASP,
+	}})
 	defer reg.Close()
 	srv := server.New(server.Config{Registry: reg})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")

@@ -163,7 +163,7 @@ func (e *NotOwnerError) Error() string {
 // ClusterMapRaw fetches the server's encoded cluster map — the bootstrap
 // probe. A server not running in cluster mode answers with an empty map.
 func (c *Client) ClusterMapRaw(ctx context.Context) ([]byte, error) {
-	cn, err := c.pick()
+	cn, err := c.pick(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -194,8 +194,9 @@ func (c *Client) Close() error {
 
 // connAt returns the healthy connection at slot, evicting and re-dialing a
 // dead one: a connection poisoned mid-pipeline fails only the requests that
-// were in flight on it, and the slot heals on its next checkout.
-func (c *Client) connAt(slot int) (*conn, error) {
+// were in flight on it, and the slot heals on its next checkout. The
+// redial's handshake ends with ctx.
+func (c *Client) connAt(ctx context.Context, slot int) (*conn, error) {
 	c.connMu.RLock()
 	cn := c.conns[slot]
 	c.connMu.RUnlock()
@@ -214,17 +215,23 @@ func (c *Client) connAt(slot int) (*conn, error) {
 	// The breaker: inside an open backoff window the checkout fails fast
 	// on the cached error — against a dead host, thousands of checkouts
 	// must not each queue a TCP connect.
-	now := time.Now()
-	if now.Before(c.dialNext) {
+	if time.Now().Before(c.dialNext) {
 		c.dialBackoffs.Add(1)
 		return nil, fmt.Errorf("client: redial %s: backing off: %w", c.addr, c.lastDialErr)
 	}
 	c.dialRetries.Add(1)
-	fresh, err := c.redial()
+	fresh, err := c.redial(ctx)
 	if err != nil {
-		c.dialFails++
-		c.dialNext = now.Add(util.Backoff(c.dialFails, dialBackoffMin, dialBackoffMax))
-		c.lastDialErr = err
+		// A cancelled caller (Model.Close) proves nothing about the host,
+		// but an expired deadline does: a host that outlasts a caller's
+		// deadline would otherwise be redialled, under connMu, by every
+		// checkout. The window opens when the failure is known, so a slow
+		// failure does not find its own window already past.
+		if !errors.Is(ctx.Err(), context.Canceled) {
+			c.dialFails++
+			c.dialNext = time.Now().Add(util.Backoff(c.dialFails, dialBackoffMin, dialBackoffMax))
+			c.lastDialErr = err
+		}
 		return nil, err
 	}
 	c.dialFails = 0
@@ -236,15 +243,15 @@ func (c *Client) connAt(slot int) (*conn, error) {
 }
 
 // redial dials and handshakes one replacement connection. The HELLO is
-// bounded by DialTimeout: a blackholed host accepts the connect and then
-// says nothing, and an unbounded handshake there would hang the checkout
-// (and everyone queued on connMu) forever.
-func (c *Client) redial() (*conn, error) {
+// bounded by DialTimeout and by ctx: a blackholed host accepts the connect
+// and then says nothing, and an unbounded handshake there would hang the
+// checkout (and everyone queued on connMu) forever.
+func (c *Client) redial(ctx context.Context) (*conn, error) {
 	fresh, err := dialConn(c.addr, c.opts)
 	if err != nil {
 		return nil, fmt.Errorf("client: redial %s: %w", c.addr, err)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), c.opts.DialTimeout)
+	ctx, cancel := context.WithTimeout(ctx, c.opts.DialTimeout)
 	p, err := fresh.roundTripCtx(ctx, wire.OpHello, wire.EncodeHello())
 	cancel()
 	if err != nil {
@@ -256,8 +263,8 @@ func (c *Client) redial() (*conn, error) {
 }
 
 // pick returns the next pooled connection round-robin, healing dead slots.
-func (c *Client) pick() (*conn, error) {
-	return c.connAt(int(c.next.Add(1) % uint64(len(c.conns))))
+func (c *Client) pick(ctx context.Context) (*conn, error) {
+	return c.connAt(ctx, int(c.next.Add(1)%uint64(len(c.conns))))
 }
 
 // OpenSpec names the model an OpenModel call wants.
@@ -281,7 +288,7 @@ type OpenSpec struct {
 // server deduplicates by name.
 func (c *Client) OpenModel(ctx context.Context, spec OpenSpec) (*Model, error) {
 	req := wire.EncodeOpen(spec.ID, spec.Dim, spec.Shards, spec.Bound)
-	cn, err := c.pick()
+	cn, err := c.pick(ctx)
 	if err != nil {
 		return nil, fmt.Errorf("client: open model %q: %w", spec.ID, err)
 	}
@@ -330,7 +337,7 @@ func (m *Model) Name() string { return "remote(" + m.name + ")" }
 
 // CheckpointCtx asks the server to make the model durable.
 func (m *Model) CheckpointCtx(ctx context.Context) error {
-	cn, err := m.c.pick()
+	cn, err := m.c.pick(ctx)
 	if err != nil {
 		return err
 	}
@@ -342,7 +349,7 @@ func (m *Model) CheckpointCtx(ctx context.Context) error {
 // StatsCtx fetches the server's counters for the model with one STATS
 // round trip.
 func (m *Model) StatsCtx(ctx context.Context) (stats.Counters, error) {
-	cn, err := m.c.pick()
+	cn, err := m.c.pick(ctx)
 	if err != nil {
 		return stats.Counters{}, err
 	}
@@ -359,7 +366,7 @@ func (m *Model) StatsCtx(ctx context.Context) (stats.Counters, error) {
 // announced to the server with an ATTACH frame. A session is
 // single-goroutine; sessions sharing a connection pipeline.
 func (m *Model) NewSessionCtx(ctx context.Context) (*Session, error) {
-	cn, err := m.c.pick()
+	cn, err := m.c.pick(ctx)
 	if err != nil {
 		return nil, fmt.Errorf("client: attach to model %q: %w", m.id, err)
 	}
@@ -411,7 +418,7 @@ func (s *Session) checkout(ctx context.Context) (*conn, error) {
 	if !s.cn.broken() {
 		return s.cn, nil
 	}
-	cn, err := s.m.c.connAt(s.slot)
+	cn, err := s.m.c.connAt(ctx, s.slot)
 	if err != nil {
 		return nil, err
 	}

@@ -14,7 +14,6 @@ import (
 	"context"
 	"errors"
 	"net"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -315,16 +314,11 @@ func startRealServer(t *testing.T) string {
 	t.Helper()
 	dir := t.TempDir()
 	reg := server.NewRegistry(server.RegistryConfig{
-		DefaultShards: 1,
-		DefaultBound:  -1,
-		Name:          "client-test",
-		Opener: func(id string, dim, shards int, bound int64) (kv.Store, error) {
-			return kv.OpenEngine(kv.EngineFaster, kv.ShardedConfig{
-				Dir: filepath.Join(dir, id), Shards: shards, ValueSize: dim * 4,
-				RecordsPerPage: 64, MemoryBytes: 1 << 20, ExpectedKeys: 1 << 12,
-				StalenessBound: bound,
-			}, "client-test")
+		Store: kv.ShardedConfig{
+			Dir: dir, RecordsPerPage: 64, MemoryBytes: 1 << 20, ExpectedKeys: 1 << 12,
+			StalenessBound: -1,
 		},
+		Name: "client-test",
 	})
 	srv := server.New(server.Config{Registry: reg})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")

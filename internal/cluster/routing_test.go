@@ -13,7 +13,6 @@ import (
 	"errors"
 	"math"
 	"net"
-	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -98,16 +97,11 @@ func startCluster(t *testing.T, specs []cluster.Node, proxied ...string) (*clust
 	for i, spec := range specs {
 		n, dir := nodes[spec.ID], t.TempDir()
 		n.reg = server.NewRegistry(server.RegistryConfig{
-			DefaultShards: 1,
-			DefaultBound:  faster.BoundAsync,
-			Name:          spec.ID,
-			Opener: func(id string, dim, shards int, b int64) (kv.Store, error) {
-				return kv.OpenEngine(kv.EngineFaster, kv.ShardedConfig{
-					Dir: filepath.Join(dir, id), Shards: shards, ValueSize: dim * 4,
-					RecordsPerPage: 64, MemoryBytes: 1 << 20, ExpectedKeys: 1 << 12,
-					StalenessBound: b,
-				}, spec.ID)
+			Store: kv.ShardedConfig{
+				Dir: dir, RecordsPerPage: 64, MemoryBytes: 1 << 20, ExpectedKeys: 1 << 12,
+				StalenessBound: faster.BoundAsync,
 			},
+			Name: spec.ID,
 		})
 		st, err := cluster.NewState(spec.ID, m)
 		if err != nil {

@@ -13,10 +13,11 @@ import (
 	"github.com/llm-db/mlkv-go/internal/stats"
 )
 
-// flipCell is the hot tier (kv.WrapCached) in front of a hybrid-log store a
-// few pages large, driven in version numbers: a key's value is its version,
-// repeated in every slot. The two cells are the two ways in: a core.Table
-// opened with CacheEntries, and the wrapper over a bare engine store.
+// flipCell is the hot tier (kv.ShardedConfig.CacheEntries) in front of a
+// hybrid-log store a few pages large, driven in version numbers: a key's
+// value is its version, repeated in every slot. The two cells are the two
+// ways in: a core.Table opened with CacheEntries, and the byte-level store
+// opened with it.
 type flipCell interface {
 	session(t *testing.T) flipSession
 	resident() bool
@@ -157,12 +158,13 @@ func TestTierCoherentAcrossSpill(t *testing.T) {
 				st, err := kv.OpenEngine(kv.EngineFaster, kv.ShardedConfig{
 					Dir: t.TempDir(), Shards: 2, ValueSize: 8, RecordsPerPage: 64,
 					MemoryBytes: fourPages, ExpectedKeys: 1 << 12, StalenessBound: bound,
+					CacheEntries: 1 << 12,
 				}, "mlkv")
 				if err != nil {
 					t.Fatal(err)
 				}
 				t.Cleanup(func() { st.Close() })
-				return wrapCell{kv.WrapCached(st, 1<<12)}
+				return wrapCell{st}
 			},
 		}
 		for name, open := range cells {

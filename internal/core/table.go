@@ -100,12 +100,12 @@ type Options struct {
 	// ExpectedKeys sizes the hash index.
 	ExpectedKeys uint64
 	// CacheEntries puts a staleness-aware hot tier of this capacity in
-	// front of the store (kv.WrapCached): once the store has spilled to disk
-	// Get/GetBatch consult it before the engine and serve a hit only within
-	// the staleness bound, and reads fill it; Put/PutBatch update it in
-	// place and RMW/Delete invalidate, always. While the table still fits in
-	// MemoryBytes reads are served by the log's in-memory region and skip
-	// the tier. 0 (the default) disables it.
+	// front of the store's shards (kv.ShardedConfig.CacheEntries): once the
+	// store has spilled to disk Get/GetBatch consult it before the engine
+	// and serve a hit only within the staleness bound, and reads fill it;
+	// Put/PutBatch update it in place and RMW/Delete invalidate, always.
+	// While the table still fits in MemoryBytes reads are served by the
+	// log's in-memory region and skip the tier. 0 (the default) disables it.
 	CacheEntries int
 	// Init initializes first-touch embeddings. Default: zeros.
 	Init Initializer
@@ -163,12 +163,10 @@ func OpenTable(opts Options) (*Table, error) {
 		ExpectedKeys:   opts.ExpectedKeys,
 		StalenessBound: opts.StalenessBound,
 		FlushPace:      opts.FlushPace,
+		CacheEntries:   opts.CacheEntries,
 	}, kv.EngineFaster)
 	if err != nil {
 		return nil, err
-	}
-	if opts.CacheEntries > 0 {
-		store = kv.WrapCached(store, opts.CacheEntries)
 	}
 	hints := NewHintQueue(hintChunk, hintWorkers, func() (HintSession, error) { return store.NewSession() })
 	return &Table{store: store, dim: opts.Dim, init: opts.Init, hints: hints}, nil
@@ -220,7 +218,7 @@ func (t *Table) Stats() stats.Counters {
 // create one per goroutine.
 type Session struct {
 	t *Table
-	s localSession
+	s kv.Session
 
 	// create is initInto, bound once: a method value made per read would
 	// be a heap allocation per call.
@@ -238,17 +236,9 @@ func (t *Table) NewSession() (*Session, error) {
 		return nil, err
 	}
 	t.activeSessions.Add(1)
-	sess := &Session{t: t, s: s.(localSession)}
+	sess := &Session{t: t, s: s}
 	sess.create = sess.initInto
 	return sess, nil
-}
-
-// localSession is a session of the local store OpenTable opens — kv's
-// sharded store, or the hot tier over it — whose sessions all have the
-// read-or-create batch read.
-type localSession interface {
-	kv.Session
-	kv.Creator
 }
 
 // Close unregisters the session. Closing twice is safe; only the first
@@ -281,7 +271,7 @@ func (s *Session) Get(ctx context.Context, key uint64, dst []float32) error {
 
 // getBatch is the clocked read-or-create of keys into dst: one store batch,
 // in which the engine creates each absent key from the initializer in its
-// turn (kv.Creator).
+// turn (kv.Session.GetOrCreateBatchCtx).
 func (s *Session) getBatch(ctx context.Context, keys []uint64, dst []float32) error {
 	s.found = util.Grow(s.found, len(keys))
 	return s.s.GetOrCreateBatchCtx(ctx, keys, tensor.F32Bytes(dst), s.found, s.create)

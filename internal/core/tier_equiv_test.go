@@ -44,7 +44,7 @@ func (h *handSession) Get(ctx context.Context, key uint64, dst []float32) error 
 
 func (h *handSession) GetBatch(ctx context.Context, keys []uint64, dst []float32) error {
 	vals, found := make([]byte, len(keys)*h.dim*4), make([]bool, len(keys))
-	if err := h.s.(kv.Creator).GetOrCreateBatchCtx(ctx, keys, vals, found, h.initInto); err != nil {
+	if err := h.s.GetOrCreateBatchCtx(ctx, keys, vals, found, h.initInto); err != nil {
 		return err
 	}
 	tensor.BytesToF32s(vals, dst)
@@ -75,8 +75,9 @@ func (h *handSession) RMW(_ context.Context, key uint64, grad []float32, lr floa
 func (h *handSession) Delete(_ context.Context, key uint64) error { return h.s.Delete(key) }
 
 // TestTableTierIsTheWrapper pins "one implementation": a table opened with
-// CacheEntries and kv.WrapCached over a bare engine store with the table's
-// codec applied by hand are the same tier. One scripted sequence — spill,
+// CacheEntries and a byte-level engine store opened with
+// kv.ShardedConfig.CacheEntries, with the table's codec applied by hand,
+// are the same tier. One scripted sequence — spill,
 // Put, Get, GetBatch with partial hits, RMW, Delete, first touch, enough
 // keys to evict — returns identical values and leaves identical hit, miss
 // and eviction counts on both, under ASP, SSP(4) and BSP.
@@ -102,14 +103,13 @@ func TestTableTierIsTheWrapper(t *testing.T) {
 			}
 			defer ts.Close()
 
-			inner, err := kv.OpenEngine(kv.EngineFaster, kv.ShardedConfig{
+			st, err := kv.OpenEngine(kv.EngineFaster, kv.ShardedConfig{
 				Dir: t.TempDir(), Shards: 2, ValueSize: dim * 4, RecordsPerPage: 64,
-				MemoryBytes: 1, StalenessBound: bound,
+				MemoryBytes: 1, StalenessBound: bound, CacheEntries: entries,
 			}, kv.EngineFaster)
 			if err != nil {
 				t.Fatal(err)
 			}
-			st := kv.WrapCached(inner, entries)
 			defer st.Close()
 			ks, err := st.NewSession()
 			if err != nil {
@@ -137,10 +137,10 @@ func TestTableTierIsTheWrapper(t *testing.T) {
 					}
 				}
 				if !slices.Equal(outs[0], outs[1]) {
-					t.Fatalf("step %d (%s): table read %v, wrapper read %v", step, what, outs[0], outs[1])
+					t.Fatalf("step %d (%s): table read %v, store read %v", step, what, outs[0], outs[1])
 				}
 				if a, b := tier(tbl.Stats()), tier(st.Stats()); a != b {
-					t.Fatalf("step %d (%s): table tier hits/misses/evictions %v, wrapper %v", step, what, a, b)
+					t.Fatalf("step %d (%s): table tier hits/misses/evictions %v, store %v", step, what, a, b)
 				}
 				return outs[0]
 			}

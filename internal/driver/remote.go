@@ -164,9 +164,11 @@ func (db *remoteDB) Open(ctx context.Context, id string, cfg Config) (Model, err
 		return nil, err
 	}
 	m := &remoteModel{db: db, m: cm, init: cfg.Init, bound: cm.StalenessBound()}
+	hintCtx, stopHints := context.WithCancel(context.Background())
+	m.stopHints = stopHints
 	m.hints = core.NewHintQueue(client.MaxKeysPerFrame, 1, func() (core.HintSession, error) {
-		s, err := cm.NewWireSession(context.Background())
-		return wireHints{s}, err
+		s, err := cm.NewWireSession(hintCtx)
+		return wireHints{s, hintCtx}, err
 	})
 	if cfg.CacheEntries > 0 {
 		m.cache = hotcache.New[float32](cfg.CacheEntries, cfg.Dim)
@@ -206,15 +208,28 @@ type remoteModel struct {
 	// or a cluster fan-out sends batch frames of its own.
 	batchGets, batchPuts, lookaheadCalls atomic.Int64
 
-	hints *core.HintQueue
+	// hints runs on a context stopHints cancels, so that Close never waits
+	// on a round trip to a server that stopped answering.
+	hints     *core.HintQueue
+	stopHints context.CancelFunc
 }
 
-// wireHints serves a hint-queue chunk as a LOOKAHEAD round trip.
-type wireHints struct{ wireSession }
+// wireHints serves a hint-queue chunk as a LOOKAHEAD round trip under the
+// model's hint context.
+type wireHints struct {
+	s   wireSession
+	ctx context.Context
+}
 
 func (w wireHints) Lookahead(keys []uint64) (int, error) {
-	return w.LookaheadCtx(context.Background(), keys)
+	return w.s.LookaheadCtx(w.ctx, keys)
 }
+
+// Close detaches the worker's session without waiting for the answer: the
+// queue closes only once the model does, and the server it detaches from
+// may be the one that stopped answering. The round trip ends when its
+// answer arrives, the connection breaks or the pool closes.
+func (w wireHints) Close() { go w.s.Close() }
 
 func (m *remoteModel) ID() string            { return m.m.ID() }
 func (m *remoteModel) Dim() int              { return m.m.Dim() }
@@ -256,9 +271,11 @@ func (m *remoteModel) NewSession(ctx context.Context) (Session, error) {
 	return &remoteSession{m: m, s: s}, nil
 }
 
-// Close stops the hint queue. The server keeps the model open (the
-// registry owns its lifecycle); the pool closes with the DB. Idempotent.
+// Close abandons any hint in flight and stops the hint queue. The server
+// keeps the model open (the registry owns its lifecycle); the pool closes
+// with the DB. Idempotent.
 func (m *remoteModel) Close() error {
+	m.stopHints()
 	m.hints.Close()
 	return nil
 }

@@ -3,7 +3,6 @@ package driver
 import (
 	"context"
 	"net"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -82,16 +81,9 @@ func TestConnectEmptyHostError(t *testing.T) {
 // naming it is a configuration error.
 func TestConnectNonClusteredSeed(t *testing.T) {
 	dir := t.TempDir()
-	reg := server.NewRegistry(server.RegistryConfig{
-		DefaultShards: 1,
-		DefaultBound:  -1,
-		Opener: func(id string, dim, shards int, bound int64) (kv.Store, error) {
-			return kv.OpenEngine(kv.EngineFaster, kv.ShardedConfig{
-				Dir: filepath.Join(dir, id), Shards: shards, ValueSize: dim * 4,
-				MemoryBytes: 1 << 20, StalenessBound: bound,
-			}, "target-test")
-		},
-	})
+	reg := server.NewRegistry(server.RegistryConfig{Store: kv.ShardedConfig{
+		Dir: dir, MemoryBytes: 1 << 20, StalenessBound: -1,
+	}})
 	defer reg.Close()
 	srv := server.New(server.Config{Registry: reg})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")

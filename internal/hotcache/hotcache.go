@@ -20,10 +20,11 @@
 // update cannot land its pre-update value after the invalidation.
 //
 // The tier is generic over the element type so the same structure serves
-// raw value bytes (kv.WrapCached: every local table and the server) and
-// float32 embeddings (the remote driver's client-side tier). Entries
-// recycle in place once a shard reaches capacity, so the steady-state hot
-// path — hit, refresh, or eviction-reusing fill — performs no allocation.
+// raw value bytes (kv's sharded store with ShardedConfig.CacheEntries:
+// every local table and the server) and float32 embeddings (the remote
+// driver's client-side tier). Entries recycle in place once a shard
+// reaches capacity, so the steady-state hot path — hit, refresh, or
+// eviction-reusing fill — performs no allocation.
 package hotcache
 
 import (

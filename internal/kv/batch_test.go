@@ -94,7 +94,7 @@ func TestShardedBatchBlockingBoundOrder(t *testing.T) {
 			defer cancel()
 			vals, found := make([]byte, len(keys)*vs), make([]bool, len(keys))
 			if create {
-				err = reader.(Creator).GetOrCreateBatchCtx(ctx, keys, vals, found, func(_ uint64, v []byte) { v[0] = 0x5a })
+				err = reader.GetOrCreateBatchCtx(ctx, keys, vals, found, func(_ uint64, v []byte) { v[0] = 0x5a })
 			} else {
 				err = SessionGetBatchCtx(ctx, reader, vs, keys, vals, found)
 			}
@@ -152,15 +152,15 @@ func TestBlockingBatchIsOnePass(t *testing.T) {
 					runs++
 				}
 			}
-			rep := store.(BatchCallReporter)
-			g0, p0 := rep.BatchCalls()
+			batchCalls := countPasses(store)
+			g0, p0 := batchCalls()
 			c0 := store.Stats()
 			vals, found := make([]byte, n*vs), make([]bool, n)
-			if err := s.(Creator).GetOrCreateBatchCtx(context.Background(), keys, vals, found,
+			if err := s.GetOrCreateBatchCtx(context.Background(), keys, vals, found,
 				func(k uint64, v []byte) { v[0] = byte(k) }); err != nil {
 				t.Fatal(err)
 			}
-			g1, p1 := rep.BatchCalls()
+			g1, p1 := batchCalls()
 			c1 := store.Stats()
 			if g1-g0 != runs || p1 != p0 {
 				t.Fatalf("%d-key batch over %d shard runs made %d engine batch reads and %d writes", n, runs, g1-g0, p1-p0)

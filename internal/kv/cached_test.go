@@ -11,14 +11,16 @@ import (
 	"github.com/llm-db/mlkv-go/internal/faster"
 )
 
-// openCachedPair opens one sharded FASTER store raw and one wrapped in
-// the hot tier, both under the given bound: both spilled to disk (a few
-// pages of memory, filler written until the first eviction), which is when
-// reads go through the tier, or both resident with memory to spare.
+// openCachedPair opens one sharded FASTER store raw and one with a hot
+// tier of entries (ShardedConfig.CacheEntries), both under the given
+// bound: both spilled to disk (a few pages of memory, filler written until
+// the first eviction), which is when reads go through the tier, or both
+// resident with memory to spare.
 func openCachedPair(t *testing.T, bound int64, entries int, spilled bool) (raw, cached Store) {
 	t.Helper()
-	open := func(dir string) Store {
+	open := func(dir string, entries int) Store {
 		cfg := spillConfig(dir, 2, 16, bound)
+		cfg.CacheEntries = entries
 		if !spilled {
 			cfg.MemoryBytes = 1 << 20
 		}
@@ -32,13 +34,11 @@ func openCachedPair(t *testing.T, bound int64, entries int, spilled bool) (raw, 
 		}
 		return st
 	}
-	raw = open(t.TempDir())
-	cached = WrapCached(open(t.TempDir()), entries)
-	return raw, cached
+	return open(t.TempDir(), 0), open(t.TempDir(), entries)
 }
 
 // TestCachedStoreEquivalence drives an identical operation sequence
-// through a raw store and a hot-tier-wrapped one and requires identical
+// through a raw store and one with a hot tier and requires identical
 // observable results — the cache must be invisible except for speed. On a
 // spilled pair the tier must have served reads; on a resident pair it must
 // not even have been looked at, while the writes still landed in it.
@@ -126,7 +126,7 @@ func testCachedStoreEquivalence(t *testing.T, spilled bool) {
 		t.Fatalf("resident store consulted the tier: %d hits, %d misses, %d evictions",
 			st.CacheHits, st.CacheMisses, st.CacheEvictions)
 	}
-	if n := cached.(*cachedStore).cache.Len(); n == 0 {
+	if n := cached.(*shardedStore).tier.Len(); n == 0 {
 		t.Fatal("writes to a resident store did not land in the tier")
 	}
 }
@@ -212,7 +212,7 @@ func TestCachedStoreBSPBypasses(t *testing.T) {
 }
 
 // TestCachedStoreFillAfterRMW races hotcache's drop rule through the
-// wrapper (run under -race): a reader loops GetBatch — tier sweep, one
+// store's tier (run under -race): a reader loops GetBatch — tier sweep, one
 // engine batch for the misses, a fill per miss with the sweep's stamp —
 // while a writer loops RMW, each one invalidating an entry the reader is
 // about to fill. A fill that lands after the invalidation it raced holds

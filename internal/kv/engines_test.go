@@ -2,15 +2,31 @@ package kv
 
 import (
 	"bytes"
+	"sync/atomic"
 	"testing"
 
 	"github.com/llm-db/mlkv-go/internal/util"
 )
 
+// countPasses starts counting the engine batch calls st issues, all
+// sessions together, and returns a reader of the batch reads and batch
+// writes counted so far.
+func countPasses(st Store) func() (gets, puts int64) {
+	var g, p atomic.Int64
+	st.(*shardedStore).onPass = func(_ int, put bool) {
+		if put {
+			p.Add(1)
+		} else {
+			g.Add(1)
+		}
+	}
+	return func() (int64, int64) { return g.Load(), p.Load() }
+}
+
 // TestEngineBatchFanOutBounded is the batching regression test: a 256-key
 // GetBatch against a 4-shard engine store must reach the engine as at most
 // one native batch call per shard — not 256 scalar reads dressed up as a
-// batch. Same for PutBatch. The BatchCalls counters sit exactly at the
+// batch. Same for PutBatch. The batch-call counters sit exactly at the
 // shard boundary, so any regression to per-key fan-out moves them by two
 // orders of magnitude.
 func TestEngineBatchFanOutBounded(t *testing.T) {
@@ -22,10 +38,6 @@ func TestEngineBatchFanOutBounded(t *testing.T) {
 	for _, engine := range []string{EngineFaster} {
 		t.Run(engine, func(t *testing.T) {
 			st := openTestStore(t, engine, shards, vs, -1)
-			rep, ok := st.(BatchCallReporter)
-			if !ok {
-				t.Fatalf("%T does not report engine-level batch calls", st)
-			}
 			s, err := st.NewSession()
 			if err != nil {
 				t.Fatal(err)
@@ -41,11 +53,12 @@ func TestEngineBatchFanOutBounded(t *testing.T) {
 				vals[i*vs] = byte(i)
 			}
 
-			g0, p0 := rep.BatchCalls()
+			batchCalls := countPasses(st)
+			g0, p0 := batchCalls()
 			if err := SessionPutBatch(s, vs, keys, vals); err != nil {
 				t.Fatal(err)
 			}
-			g1, p1 := rep.BatchCalls()
+			g1, p1 := batchCalls()
 			if dp := p1 - p0; dp < 1 || dp > shards {
 				t.Fatalf("256-key PutBatch issued %d engine batch calls, want 1..%d", dp, shards)
 			}
@@ -57,7 +70,7 @@ func TestEngineBatchFanOutBounded(t *testing.T) {
 			if err := SessionGetBatch(s, vs, keys, read, found); err != nil {
 				t.Fatal(err)
 			}
-			g2, p2 := rep.BatchCalls()
+			g2, p2 := batchCalls()
 			if dg := g2 - g1; dg < 1 || dg > shards {
 				t.Fatalf("256-key GetBatch issued %d engine batch calls, want 1..%d", dg, shards)
 			}
@@ -72,6 +85,50 @@ func TestEngineBatchFanOutBounded(t *testing.T) {
 				}
 				if !bytes.Equal(read[i*vs:(i+1)*vs], vals[i*vs:(i+1)*vs]) {
 					t.Fatalf("key %d value mismatch", keys[i])
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkSessionSingleKey times kv's single-key Get and Put — the one-key
+// cases of GetBatchCtx and PutBatch — on a resident one-shard store with no
+// tier: the path core.Session's single-key ops and the benchmark's engine
+// rung take, so its cost over one engine pass is the batch path's
+// per-call overhead.
+func BenchmarkSessionSingleKey(b *testing.B) {
+	const vs, n = 64, 1 << 14
+	for _, op := range []string{"get", "put"} {
+		b.Run(op, func(b *testing.B) {
+			st, err := OpenEngine(EngineFaster, ShardedConfig{
+				Dir: b.TempDir(), ValueSize: vs, RecordsPerPage: 1024,
+				MemoryBytes: 64 << 20, ExpectedKeys: n, StalenessBound: -1,
+			}, EngineFaster)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer st.Close()
+			s, err := st.NewSession()
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer s.Close()
+			v := make([]byte, vs)
+			for k := uint64(0); k < n; k++ {
+				if err := s.Put(k, v); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				k := uint64(i) & (n - 1)
+				if op == "get" {
+					_, err = s.Get(k, v)
+				} else {
+					err = s.Put(k, v)
+				}
+				if err != nil {
+					b.Fatal(err)
 				}
 			}
 		})

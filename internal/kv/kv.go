@@ -1,7 +1,8 @@
 // Package kv is the one embedding-access layer over the disk engine: the
 // byte-level Store/Session contract every framework integration programs
 // against, and the sharded store that opens, hash-partitions, fans out
-// over, checkpoints and sums FASTER-style hybrid logs (internal/faster).
+// over, checkpoints and sums FASTER-style hybrid logs (internal/faster),
+// with an optional staleness-aware hot tier in front (internal/hotcache).
 // It mirrors how the paper integrates PERSIA/DGL/DGL-KE with its storage
 // behind one layer instead of one storage stack each.
 package kv
@@ -13,10 +14,11 @@ import (
 	"github.com/llm-db/mlkv-go/internal/stats"
 )
 
-// Store is a disk-backed key-value store with fixed-size values. Its
-// implementers are in-process: the sharded engine store (OpenEngine) and
-// the hot-tier wrapper (WrapCached). A remote model is reached through the
-// public API, whose driver speaks the wire's batch frames directly.
+// Store is a disk-backed key-value store with fixed-size values. Its one
+// implementer is in-process: the sharded engine store OpenEngine opens,
+// with its hot tier when ShardedConfig.CacheEntries asks for one. A remote
+// model is reached through the public API, whose driver speaks the wire's
+// batch frames directly.
 type Store interface {
 	// NewSession returns a handle for one worker goroutine. Sessions are
 	// not safe for concurrent use; the Store itself is.
@@ -79,17 +81,6 @@ type Session interface {
 	// abandoned request cannot strand a token. Callers go through
 	// SessionGetBatch[Ctx], which check the buffer lengths.
 	GetBatchCtx(ctx context.Context, keys []uint64, vals []byte, found []bool) error
-	// PutBatch upserts len(keys) values from vals; see SessionPutBatch.
-	PutBatch(keys []uint64, vals []byte) error
-	// Close releases the session.
-	Close()
-}
-
-// Creator is the read-or-create batch read. The sessions of a local engine
-// store implement it: OpenEngine's, and WrapCached's, which pass a create
-// on to the store they wrap and fail it over a store whose sessions are
-// not Creators.
-type Creator interface {
 	// GetOrCreateBatchCtx is GetBatchCtx, except that a missing key is
 	// created in its turn: create writes its first value into the key's
 	// zeroed slot, the engine stores it, and found reports true. On the
@@ -99,6 +90,10 @@ type Creator interface {
 	// the caller's, but never while another of the batch's create calls is
 	// running, so it may reuse the session's scratch state.
 	GetOrCreateBatchCtx(ctx context.Context, keys []uint64, vals []byte, found []bool, create func(key uint64, val []byte)) error
+	// PutBatch upserts len(keys) values from vals; see SessionPutBatch.
+	PutBatch(keys []uint64, vals []byte) error
+	// Close releases the session.
+	Close()
 }
 
 // SessionGetBatch reads len(keys) values into vals (len(keys)×valueSize).

@@ -6,10 +6,10 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"github.com/llm-db/mlkv-go/internal/faster"
+	"github.com/llm-db/mlkv-go/internal/hotcache"
 	"github.com/llm-db/mlkv-go/internal/util"
 )
 
@@ -109,6 +109,10 @@ type ShardedConfig struct {
 	// FlushPace paces each shard's background flusher (see
 	// faster.Config.FlushPace); zero disables pacing.
 	FlushPace time.Duration
+	// CacheEntries puts a staleness-aware hot tier of this capacity in
+	// front of the shards, shared by every session of the store (see
+	// shardedStore); 0 runs none.
+	CacheEntries int
 }
 
 // splitBudget divides the total memory and index budgets evenly over
@@ -190,11 +194,9 @@ func OpenEngine(engine string, cfg ShardedConfig, name string) (Store, error) {
 	if err := util.ValidateShardMeta(cfg.Dir, cfg.Shards); err != nil {
 		return nil, fmt.Errorf("kv: %w", err)
 	}
-	st := &shardedStore{
-		name:      name,
-		vs:        cfg.ValueSize,
-		batchGets: make([]atomic.Int64, cfg.Shards),
-		batchPuts: make([]atomic.Int64, cfg.Shards),
+	st := &shardedStore{name: name, vs: cfg.ValueSize}
+	if cfg.CacheEntries > 0 {
+		st.tier = hotcache.New[byte](cfg.CacheEntries, cfg.ValueSize)
 	}
 	mem, keys := splitBudget(cfg.MemoryBytes, cfg.Shards, cfg.ExpectedKeys)
 	for i := 0; i < cfg.Shards; i++ {

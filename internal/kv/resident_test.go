@@ -56,18 +56,18 @@ func spill(t *testing.T, st Store) {
 
 // TestResident pins the one question the engine seam answers about disk:
 // true on a fresh hybrid-log store, false from its first evicted page on
-// and after checkpoint → reopen, and the hot-tier wrapper passes its inner
-// store's answer through.
+// and after checkpoint → reopen, and a hot tier in front
+// (ShardedConfig.CacheEntries) leaves the shards' answer as it is.
 func TestResident(t *testing.T) {
 	const vs = 16
 	cfg := spillConfig(t.TempDir(), 4, vs, -1)
+	cfg.CacheEntries = 64
 	st, err := OpenEngine(EngineFaster, cfg, EngineFaster)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cached := WrapCached(st, 64)
-	if !st.Resident() || !cached.Resident() {
-		t.Fatalf("fresh store: Resident() = %v, wrapped %v", st.Resident(), cached.Resident())
+	if !st.Resident() {
+		t.Fatalf("fresh store with a tier: Resident() = %v", st.Resident())
 	}
 	spill(t, st) // one shard evicting is enough: the answer is "every shard"
 	s, err := st.NewSession()
@@ -79,7 +79,7 @@ func TestResident(t *testing.T) {
 		if err := s.Put(k, v); err != nil {
 			t.Fatal(err)
 		}
-		if st.Resident() || cached.Resident() {
+		if st.Resident() {
 			t.Fatalf("store became resident again after %d more writes", k+1)
 		}
 	}

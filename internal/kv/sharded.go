@@ -4,9 +4,9 @@ import (
 	"context"
 	"errors"
 	"sync"
-	"sync/atomic"
 
 	"github.com/llm-db/mlkv-go/internal/faster"
+	"github.com/llm-db/mlkv-go/internal/hotcache"
 	"github.com/llm-db/mlkv-go/internal/stats"
 	"github.com/llm-db/mlkv-go/internal/util"
 )
@@ -18,13 +18,29 @@ import (
 // in-shard index hash, so partitioning and bucket placement stay
 // uncorrelated. One shard is the same code with one group: 1-vs-N
 // comparisons measure sharding alone.
+//
+// With ShardedConfig.CacheEntries set the store also owns a
+// staleness-aware hot tier (hotcache.Cache), shared by all its sessions:
+// the tier of every local table opened with CacheEntries and the per-model
+// cache mlkv-server enables with -cache. Every write advances the tier's
+// clock and updates (Put, PutBatch) or invalidates (Delete, RMW) the key's
+// entry, so an entry is never older than its stamp claims. Reads consult
+// the tier first and serve a hit only when the entry is admissible under
+// the store's staleness bound (see hotcache.Admissible). The tier earns
+// its keep by saving a disk read; where it can save none, reads bypass it
+// while writes keep it coherent all the same (see readTier). Peek and
+// Lookahead always bypass it: evaluation reads stay exact and prefetch
+// targets the engine's own memory.
 type shardedStore struct {
 	shards []*faster.Store
-	// batchGets and batchPuts count, per shard, the engine batch calls that
-	// reach it, all sessions together (BatchCallReporter).
-	batchGets, batchPuts []atomic.Int64
-	name                 string
-	vs                   int
+	// tier is the hot tier, nil without CacheEntries.
+	tier *hotcache.Cache[byte]
+	// onPass, when set, is told of every engine batch call and its shard:
+	// the batch-amplification tests count passes through it. It is a hook,
+	// not a counter, so that no session pays for a shared write per call.
+	onPass func(shard int, put bool)
+	name   string
+	vs     int
 	// pinned, when set, answers Resident in place of the shards, so that a
 	// test can hold fanOut in either of its modes.
 	pinned *bool
@@ -75,33 +91,28 @@ func (w *shardedStore) Checkpoint() error {
 	return errors.Join(errs...)
 }
 
-// Stats merges every shard's counters.
+// Stats merges every shard's counters and adds the tier's.
 func (w *shardedStore) Stats() stats.Counters {
 	var sum stats.Counters
 	for _, sh := range w.shards {
 		sum = sum.Add(sh.Stats())
 	}
+	if w.tier != nil {
+		w.tier.Stats().AddTo(&sum)
+	}
 	return sum
 }
 
-// BatchCallReporter is an optional Store extension counting the native
-// engine-level batch calls the store has issued. It is the measurement
-// behind the batch-amplification regression gate: one session GetBatch
-// through a sharded store must reach the engine as at most Shards calls,
-// never one call per key.
-type BatchCallReporter interface {
-	// BatchCalls returns the cumulative engine-level batch read and batch
-	// write call counts.
-	BatchCalls() (gets, puts int64)
-}
-
-// BatchCalls implements BatchCallReporter.
-func (w *shardedStore) BatchCalls() (gets, puts int64) {
-	for i := range w.shards {
-		gets += w.batchGets[i].Load()
-		puts += w.batchPuts[i].Load()
-	}
-	return gets, puts
+// readTier returns the store's staleness bound and whether a read under it
+// goes through the tier. Besides a store with no tier, two cases keep reads
+// on the engine: BSP, where every read must synchronize through the store,
+// and a resident store, whose log memory already is the cache — a lookup
+// there costs more than the read it would save. Writes update or
+// invalidate the tier regardless, so the first read after the store spills
+// finds no stale entry.
+func (w *shardedStore) readTier() (bound int64, consult bool) {
+	bound = w.StalenessBound()
+	return bound, w.tier != nil && bound != 0 && !w.Resident()
 }
 
 func (w *shardedStore) NewSession() (Session, error) {
@@ -126,10 +137,12 @@ func (w *shardedStore) NewSession() (Session, error) {
 	return se, nil
 }
 
-// shardedSession is one worker's handle: one engine session per shard.
-// During a parallel fan-out it drives its shards from several goroutines,
-// but each shard's session is touched by exactly one of them, preserving
-// the engine's single-goroutine session contract.
+// shardedSession is one worker's handle: one engine session per shard,
+// in front of them the store's hot tier when it has one. During a parallel
+// fan-out it drives its shards from several goroutines, but each shard's
+// session is touched by exactly one of them, preserving the engine's
+// single-goroutine session contract; the shared tier is safe for
+// concurrent sessions.
 type shardedSession struct {
 	st     *shardedStore
 	ss     []*faster.Session
@@ -143,6 +156,16 @@ type shardedSession struct {
 	// parked batch's create calls across a parallel fan-out's goroutines.
 	createSerial func(uint64, []byte)
 	createMu     sync.Mutex
+
+	// one and oneFound hold a single-key op's batch of one.
+	one      [1]uint64
+	oneFound [1]bool
+	// Hot-tier batch scratch: the positions the tier missed, their
+	// compacted keys, and the fetch staging the engine reads into.
+	missIdx    []int
+	fetchKeys  []uint64
+	fetchVals  []byte
+	fetchFound []bool
 }
 
 func (se *shardedSession) route(key uint64) *faster.Session {
@@ -151,36 +174,78 @@ func (se *shardedSession) route(key uint64) *faster.Session {
 
 // getAt reads keys[i] into vals[i×ValueSize:] and found[i] for each i in
 // idxs as one pass of shard sh's engine, zeroing the slot of a missing key
-// — or, with create set, creating it (see Creator). Like putAt it is
-// index-addressed, straight from and into the caller's i-th slot, so the
-// session hands every shard its group of positions without copying keys or
-// values. Every clocked read in a pass stays its own token acquisition,
-// and a key it creates is appended in its turn (see
+// — or, with create set, creating it (see Session.GetOrCreateBatchCtx).
+// Like putAt it is index-addressed, straight from and into the caller's
+// i-th slot, so the session hands every shard its group of positions
+// without copying keys or values. Every clocked read in a pass stays its
+// own token acquisition, and a key it creates is appended in its turn (see
 // faster.Session.GetBatchAt).
 func (se *shardedSession) getAt(ctx context.Context, sh int, keys []uint64, idxs []int, vals []byte, found []bool, create func(uint64, []byte)) error {
-	se.st.batchGets[sh].Add(1)
+	if f := se.st.onPass; f != nil {
+		f(sh, false)
+	}
 	return se.ss[sh].GetBatchAt(ctx, keys, idxs, vals, found, create)
 }
 
 // putAt upserts keys[i] = vals[i×ValueSize:] for each i in idxs as one pass
 // of shard sh's engine.
 func (se *shardedSession) putAt(sh int, keys []uint64, idxs []int, vals []byte) error {
-	se.st.batchPuts[sh].Add(1)
+	if f := se.st.onPass; f != nil {
+		f(sh, true)
+	}
 	return se.ss[sh].PutBatchAt(keys, idxs, vals)
 }
 
+// Get is GetBatchCtx's one-key case, so the tier consult and fill exist
+// once.
 func (se *shardedSession) Get(key uint64, dst []byte) (bool, error) {
-	return se.route(key).Get(key, dst)
+	if len(dst) != se.st.vs {
+		return false, faster.ErrValueSize
+	}
+	se.one[0] = key
+	err := se.GetOrCreateBatchCtx(context.Background(), se.one[:], dst, se.oneFound[:], nil)
+	return err == nil && se.oneFound[0], err
 }
+
+// Put is PutBatch's one-key case.
+func (se *shardedSession) Put(key uint64, val []byte) error {
+	se.one[0] = key
+	return se.PutBatch(se.one[:], val)
+}
+
+// Peek bypasses the tier: evaluation reads stay exact.
 func (se *shardedSession) Peek(key uint64, dst []byte) (bool, error) {
 	return se.route(key).Peek(key, dst)
 }
-func (se *shardedSession) Put(key uint64, val []byte) error { return se.route(key).Put(key, val) }
-func (se *shardedSession) Delete(key uint64) error          { return se.route(key).Delete(key) }
-func (se *shardedSession) RMW(key uint64, fn func(cur []byte, exists bool) bool) error {
-	return se.route(key).RMW(key, fn)
+
+func (se *shardedSession) Delete(key uint64) error {
+	if err := se.route(key).Delete(key); err != nil {
+		return err
+	}
+	se.dropTier(key)
+	return nil
 }
 
+// RMW materializes the new value inside the engine, so the tier's copy is
+// dropped rather than updated.
+func (se *shardedSession) RMW(key uint64, fn func(cur []byte, exists bool) bool) error {
+	if err := se.route(key).RMW(key, fn); err != nil {
+		return err
+	}
+	se.dropTier(key)
+	return nil
+}
+
+// dropTier invalidates key's tier entry after a write whose value the
+// session does not hold.
+func (se *shardedSession) dropTier(key uint64) {
+	if se.st.tier != nil {
+		se.st.tier.Drop(key)
+	}
+}
+
+// Lookahead bypasses the tier: it moves records toward the engine's own
+// memory.
 func (se *shardedSession) Lookahead(keys []uint64) (int, error) {
 	n := 0
 	for _, k := range keys {
@@ -206,9 +271,10 @@ func (se *shardedSession) Close() {
 // handful of routed operations it would overlap.
 const batchFanoutMin = 16
 
-// GetBatchCtx groups keys by owning shard and runs the per-shard groups —
-// in parallel once the store has spilled, overlapping disk reads and flush
-// waits across shards (see fanOut).
+// GetBatchCtx serves what it can from the hot tier, then groups the rest
+// by owning shard and runs the per-shard groups — in parallel once the
+// store has spilled, overlapping disk reads and flush waits across shards
+// (see fanOut).
 //
 // The blocking-bound ordering rule lives here: under a blocking staleness
 // bound (BSP or finite SSP) a clocked read is a token acquisition that
@@ -223,12 +289,50 @@ func (se *shardedSession) GetBatchCtx(ctx context.Context, keys []uint64, vals [
 	return se.GetOrCreateBatchCtx(ctx, keys, vals, found, nil)
 }
 
-// GetOrCreateBatchCtx implements Creator, with GetBatchCtx's routing.
+// GetOrCreateBatchCtx is GetBatchCtx with read-or-create: a tier sweep
+// first, then one engine batch over the compacted miss set, whose keys —
+// read or created — fill the tier. The miss subset preserves the caller's
+// key order, so the ordering rule blocking bounds rely on is unaffected.
 func (se *shardedSession) GetOrCreateBatchCtx(ctx context.Context, keys []uint64, vals []byte, found []bool, create func(uint64, []byte)) error {
-	if faster.BlockingBound(se.st.StalenessBound()) {
+	bound, consult := se.st.readTier()
+	if !consult || len(keys) == 0 {
+		return se.engineGet(ctx, bound, keys, vals, found, create)
+	}
+	c, vs := se.st.tier, se.st.vs
+	var stamp int64
+	stamp, se.missIdx, se.fetchKeys = c.Sweep(keys, vals[:len(keys)*vs], bound, se.missIdx, se.fetchKeys)
+	for i := range keys {
+		found[i] = true // a hit; the misses are overwritten below
+	}
+	n := len(se.fetchKeys)
+	if n == 0 {
+		return nil
+	}
+	se.fetchVals, se.fetchFound = util.Grow(se.fetchVals, n*vs), util.Grow(se.fetchFound, n)
+	if err := se.engineGet(ctx, bound, se.fetchKeys, se.fetchVals, se.fetchFound, create); err != nil {
+		return err
+	}
+	for j, i := range se.missIdx {
+		slot := vals[i*vs : (i+1)*vs]
+		copy(slot, se.fetchVals[j*vs:(j+1)*vs])
+		found[i] = se.fetchFound[j]
+		if found[i] {
+			c.Fill(keys[i], slot, stamp)
+		}
+	}
+	return nil
+}
+
+// engineGet is the engine half of a batch read under bound: in the
+// caller's key order under a blocking bound, fanned out otherwise.
+func (se *shardedSession) engineGet(ctx context.Context, bound int64, keys []uint64, vals []byte, found []bool, create func(uint64, []byte)) error {
+	if faster.BlockingBound(bound) {
 		return se.inOrder(ctx, keys, vals, found, create)
 	}
-	return se.fanOut(batch{ctx: ctx, keys: keys, vals: vals, found: found, create: create})
+	if len(keys) == 1 { // one key is one shard's group (see fanOut)
+		return se.getAt(ctx, util.ShardOf(keys[0], len(se.ss)), keys, oneIdx[:], vals, found, create)
+	}
+	return se.fanOut(&batch{ctx: ctx, keys: keys, vals: vals, found: found, create: create})
 }
 
 // inOrder serves a batch in the caller's key order, one engine pass per run
@@ -250,10 +354,26 @@ func (se *shardedSession) inOrder(ctx context.Context, keys []uint64, vals []byt
 }
 
 // PutBatch fans out like GetBatchCtx; writes never wait on the bound, so
-// they need no ordering.
+// they need no ordering. The engine write comes first, then a
+// write-through of every key to the tier under the batch's clock advance.
 func (se *shardedSession) PutBatch(keys []uint64, vals []byte) error {
-	return se.fanOut(batch{keys: keys, vals: vals, put: true})
+	var err error
+	if len(keys) == 1 { // one key is one shard's group (see fanOut)
+		err = se.putAt(util.ShardOf(keys[0], len(se.ss)), keys, oneIdx[:], vals)
+	} else {
+		err = se.fanOut(&batch{keys: keys, vals: vals, put: true})
+	}
+	if err != nil {
+		return err
+	}
+	if se.st.tier != nil {
+		se.st.tier.WriteBatch(keys, vals)
+	}
+	return nil
 }
+
+// oneIdx is the position list of a one-key batch.
+var oneIdx = [1]int{0}
 
 // batch is one GetOrCreateBatchCtx or PutBatch call's arguments. fanOut
 // parks it in the session rather than closing over it: a closure handed to
@@ -303,11 +423,13 @@ func (se *shardedSession) createLocked(key uint64, cur []byte) {
 // on a page, the groups run one after another on the caller's goroutine;
 // from the first eviction on, batches of batchFanoutMin keys or more run
 // one goroutine per shard, with b.create serialized (createLocked). The
-// first error by shard order is returned.
-func (se *shardedSession) fanOut(b batch) error {
-	se.cur = b
-	defer func() { se.cur = batch{} }() // drop the caller's buffers
+// first error by shard order is returned. A one-key batch — every
+// single-key Get and Put — is one shard's group already, so its callers
+// hand it to getAt or putAt and skip the grouping.
+func (se *shardedSession) fanOut(b *batch) error {
 	n := len(se.ss)
+	se.cur = *b
+	defer func() { se.cur = batch{} }() // drop the caller's buffers
 	for sh := range se.groups {
 		se.groups[sh] = se.groups[sh][:0]
 	}

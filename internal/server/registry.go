@@ -3,9 +3,11 @@ package server
 import (
 	"errors"
 	"fmt"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 
+	"github.com/llm-db/mlkv-go/internal/faster"
 	"github.com/llm-db/mlkv-go/internal/kv"
 	"github.com/llm-db/mlkv-go/internal/latency"
 	"github.com/llm-db/mlkv-go/internal/stats"
@@ -30,29 +32,27 @@ type Registry struct {
 
 // RegistryConfig parameterizes a Registry.
 type RegistryConfig struct {
-	// Opener opens the backing store for a model on its first OPEN. The
-	// id is validated (see validateModelID) before Opener runs, so it is
-	// safe to use as a directory name. Required unless every model is
-	// pre-registered with Add.
-	Opener func(id string, dim, shards int, bound int64) (kv.Store, error)
-	// DefaultShards is the shard count applied when an OPEN requests 0.
-	// Defaults to 1.
-	DefaultShards int
-	// DefaultBound is the staleness bound applied when an OPEN carries
-	// wire.BoundUnset and the model does not exist yet. Zero value means
-	// BSP; set it deliberately (kv.DefaultBound is a local model's).
-	DefaultBound int64
-	// CacheEntries layers a server-side staleness-aware hot tier of this
-	// capacity (kv.WrapCached) over every model the Opener opens, shared by
-	// all connections serving that model. 0 disables it.
-	CacheEntries int
+	// Store is the template every model's store opens from on its first
+	// OPEN (kv.OpenEngine):
+	//   - Dir is the root directory; a model opens in Dir/<id>, its id
+	//     validated first (see validateModelID). With Dir empty the
+	//     registry opens no model.
+	//   - Shards is the count an OPEN requesting 0 takes (0 means 1).
+	//   - StalenessBound is the bound a new model takes when its OPEN
+	//     carries wire.BoundUnset. Its zero value is BSP; set it
+	//     deliberately (kv.DefaultBound is a local model's).
+	//   - CacheEntries is a server-side hot tier per model, shared by every
+	//     connection serving it (mlkv-server -cache).
+	// Each model's OPEN sets ValueSize (dim × 4), so a ValueSize set here
+	// is ignored, and the store is named kv.HybridLogName of its bound.
+	Store kv.ShardedConfig
 	// Name identifies the server in HELLO responses (default "mlkv").
 	Name string
 }
 
-// FlagBound maps mlkv-server's -staleness flag to a DefaultBound: -2 is
-// kv.DefaultBound (ASP), -1 the clock off (plain FASTER), 0 BSP, n>0
-// SSP(n).
+// FlagBound maps mlkv-server's -staleness flag to a registry's default
+// bound (RegistryConfig.Store.StalenessBound): -2 is kv.DefaultBound (ASP),
+// -1 the clock off (plain FASTER), 0 BSP, n>0 SSP(n).
 func FlagBound(staleness int64) (int64, error) {
 	if staleness == -2 {
 		return kv.DefaultBound, nil
@@ -63,10 +63,24 @@ func FlagBound(staleness int64) (int64, error) {
 	return staleness, nil
 }
 
+// BoundName renders a staleness bound the way mlkv-server's -staleness
+// flag spells it.
+func BoundName(bound int64) string {
+	switch {
+	case bound < 0:
+		return "off"
+	case bound == 0:
+		return "bsp"
+	case bound == faster.BoundAsync:
+		return "asp"
+	}
+	return fmt.Sprintf("ssp(%d)", bound)
+}
+
 // NewRegistry builds an empty registry.
 func NewRegistry(cfg RegistryConfig) *Registry {
-	if cfg.DefaultShards <= 0 {
-		cfg.DefaultShards = 1
+	if cfg.Store.Shards <= 0 {
+		cfg.Store.Shards = 1
 	}
 	if cfg.Name == "" {
 		cfg.Name = "mlkv"
@@ -109,72 +123,69 @@ func validateModelID(id string) error {
 	return nil
 }
 
-// Open returns the model named id, opening it through the configured
-// Opener on first use. shards 0 takes the registry default (and is
-// advisory for an existing model: the store keeps the count it was created
-// with). A bound other than wire.BoundUnset is the one the trainer
-// declares, as in the paper's interface: a new model opens under it, and a
-// live one refuses any other (see kv.ResolveOpen, which also holds the dim
-// rule); unset, a new model takes the registry default.
+// Open returns the model named id, opening its store from the Store
+// template on first use; opened reports that this call opened it. shards 0
+// takes the template's count (and is advisory for an existing model: the
+// store keeps the count it was created with). A bound other than
+// wire.BoundUnset is the one the trainer declares, as in the paper's
+// interface: a new model opens under it, and a live one refuses any other
+// (see kv.ResolveOpen, which also holds the dim rule); unset, a new model
+// takes the template's bound.
 //
-// The Opener runs outside the registry lock (store opens do directory
+// The store opens outside the registry lock (store opens do directory
 // creation and log recovery I/O), so one tenant's slow cold open never
 // stalls other connections' OPEN/ATTACH/STATS; concurrent opens of the
 // same name wait on one pending entry instead of double-opening.
-func (r *Registry) Open(id string, dim, shards int, bound int64) (*Model, error) {
+func (r *Registry) Open(id string, dim, shards int, bound int64) (m *Model, opened bool, err error) {
 	if err := validateModelID(id); err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	if dim <= 0 || dim > 1<<20 {
-		return nil, fmt.Errorf("server: model %q: dim %d out of range", id, dim)
+		return nil, false, fmt.Errorf("server: model %q: dim %d out of range", id, dim)
 	}
 	if shards < 0 {
-		return nil, fmt.Errorf("server: model %q: negative shard count %d", id, shards)
+		return nil, false, fmt.Errorf("server: model %q: negative shard count %d", id, shards)
 	}
 	req := kv.OpenRequest{ID: id, Dim: dim, Bound: bound, BoundSet: bound != wire.BoundUnset}
 	r.mu.Lock()
 	if r.closed {
 		r.mu.Unlock()
-		return nil, errors.New("server: registry closed")
+		return nil, false, errors.New("server: registry closed")
 	}
 	if m, ok := r.byName[id]; ok {
 		r.mu.Unlock()
 		<-m.ready
 		if m.openErr != nil {
-			return nil, m.openErr
+			return nil, false, m.openErr
 		}
 		live := kv.LiveModel{Dim: m.dim, Bound: m.store.StalenessBound()}
-		if _, err := kv.ResolveOpen(req, &live, r.cfg.DefaultBound); err != nil {
-			return nil, err
+		if _, err := kv.ResolveOpen(req, &live, r.cfg.Store.StalenessBound); err != nil {
+			return nil, false, err
 		}
-		return m, nil
+		return m, false, nil
 	}
-	if r.cfg.Opener == nil {
+	if r.cfg.Store.Dir == "" {
 		r.mu.Unlock()
-		return nil, fmt.Errorf("server: unknown model %q (server opens no new models)", id)
+		return nil, false, fmt.Errorf("server: unknown model %q (server opens no new models)", id)
 	}
-	bound, err := kv.ResolveOpen(req, nil, r.cfg.DefaultBound)
+	bound, err = kv.ResolveOpen(req, nil, r.cfg.Store.StalenessBound)
 	if err != nil {
 		r.mu.Unlock()
-		return nil, err
-	}
-	if shards == 0 {
-		shards = r.cfg.DefaultShards
+		return nil, false, err
 	}
 	// Publish a pending entry, open outside the lock, then resolve it.
-	m := &Model{id: id, dim: dim, ready: make(chan struct{})}
+	m = &Model{id: id, dim: dim, ready: make(chan struct{})}
 	r.byName[id] = m
 	r.mu.Unlock()
 
-	store, err := r.cfg.Opener(id, dim, shards, bound)
-	if err == nil {
-		if vs := store.ValueSize(); vs != dim*4 {
-			store.Close()
-			err = fmt.Errorf("store value size %d != dim %d × 4", vs, dim)
-		} else if r.cfg.CacheEntries > 0 {
-			store = kv.WrapCached(store, r.cfg.CacheEntries)
-		}
+	cfg := r.cfg.Store
+	cfg.Dir = filepath.Join(cfg.Dir, id)
+	cfg.ValueSize = dim * 4
+	cfg.StalenessBound = bound
+	if shards > 0 {
+		cfg.Shards = shards
 	}
+	store, err := kv.OpenEngine(kv.EngineFaster, cfg, kv.HybridLogName(bound))
 
 	r.mu.Lock()
 	switch {
@@ -194,34 +205,9 @@ func (r *Registry) Open(id string, dim, shards int, bound int64) (*Model, error)
 	close(m.ready)
 	r.mu.Unlock()
 	if m.openErr != nil {
-		return nil, m.openErr
+		return nil, false, m.openErr
 	}
-	return m, nil
-}
-
-// Add pre-registers an already-open store as the model named id (embedded
-// servers and tests). The registry takes ownership: Close closes it.
-func (r *Registry) Add(id string, dim int, store kv.Store) (*Model, error) {
-	if err := validateModelID(id); err != nil {
-		return nil, err
-	}
-	if store.ValueSize() != dim*4 {
-		return nil, fmt.Errorf("server: model %q: store value size %d != dim %d × 4", id, store.ValueSize(), dim)
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed {
-		return nil, errors.New("server: registry closed")
-	}
-	if _, ok := r.byName[id]; ok {
-		return nil, fmt.Errorf("server: model %q already registered", id)
-	}
-	r.nextHandle++
-	m := &Model{id: id, handle: r.nextHandle, dim: dim, store: store, ready: make(chan struct{})}
-	close(m.ready)
-	r.byName[id] = m
-	r.byHandle[m.handle] = m
-	return m, nil
+	return m, true, nil
 }
 
 // lookup resolves a handle carried by a data frame.

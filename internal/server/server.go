@@ -68,9 +68,9 @@ func newWriter(c net.Conn) *bufio.Writer { return bufio.NewWriterSize(c, connBuf
 // Config parameterizes a Server.
 type Config struct {
 	// Registry holds the named models the server serves. Models open
-	// lazily on OPEN frames (when the registry has an Opener) or are
-	// pre-registered with Registry.Add. The registry's lifecycle belongs
-	// to the caller: Shutdown drains connections but does not close it.
+	// lazily on OPEN frames, from the registry's store template. The
+	// registry's lifecycle belongs to the caller: Shutdown drains
+	// connections but does not close it.
 	Registry *Registry
 	// MaxFrame bounds incoming frame sizes (default wire.DefaultMaxFrame).
 	MaxFrame uint32
@@ -80,7 +80,7 @@ type Config struct {
 	// CLUSTERSYNC are served, committed writes stream to replicas, and
 	// REPLWRITE frames are accepted. Nil serves a plain single-node store.
 	Cluster ClusterState
-	// Logf, when set, receives connection-level diagnostics.
+	// Logf, when set, receives diagnostics: each model an OPEN opens.
 	Logf func(format string, args ...any)
 }
 
@@ -363,9 +363,13 @@ func (s *Server) handle(st *connState, op wire.Op, p []byte) (respOp wire.Op, pa
 		if err != nil {
 			return fail(err)
 		}
-		m, err := reg.Open(id, dim, shards, bound)
+		m, opened, err := reg.Open(id, dim, shards, bound)
 		if err != nil {
 			return fail(err)
+		}
+		if opened {
+			s.cfg.Logf("server: opened model %q (dim=%d shards=%d staleness=%s)",
+				id, dim, m.store.Shards(), BoundName(m.store.StalenessBound()))
 		}
 		return wire.RespOK, wire.EncodeOpenResp(m.handle, m.dim, m.store.Shards(), m.store.StalenessBound(), m.store.Name()), false
 

@@ -26,16 +26,11 @@ import (
 func startServer(t *testing.T, dir string) (string, *Server, func()) {
 	t.Helper()
 	reg := NewRegistry(RegistryConfig{
-		DefaultShards: 4,
-		DefaultBound:  -1,
-		Name:          "mlkv-test",
-		Opener: func(id string, dim, shards int, bound int64) (kv.Store, error) {
-			return kv.OpenEngine(kv.EngineFaster, kv.ShardedConfig{
-				Dir: filepath.Join(dir, id), Shards: shards, ValueSize: dim * 4,
-				RecordsPerPage: 64, MemoryBytes: 1 << 20, ExpectedKeys: 1 << 12,
-				StalenessBound: bound,
-			}, "mlkv-test")
+		Store: kv.ShardedConfig{
+			Dir: dir, Shards: 4, RecordsPerPage: 64, MemoryBytes: 1 << 20,
+			ExpectedKeys: 1 << 12, StalenessBound: -1,
 		},
+		Name: "mlkv-test",
 	})
 	srv := New(Config{Registry: reg})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -111,7 +106,7 @@ func TestRemoteRoundTrip(t *testing.T) {
 	if m.Shards() != 4 {
 		t.Fatalf("Shards = %d, want 4", m.Shards())
 	}
-	if !strings.Contains(m.Name(), "mlkv-test") {
+	if !strings.Contains(m.Name(), kv.HybridLogName(-1)) { // the registry names the store by its bound
 		t.Fatalf("Name = %q", m.Name())
 	}
 
@@ -217,9 +212,13 @@ func TestRemoteApply(t *testing.T) {
 
 // TestMultiModel serves two models with different dimensions over one
 // connection pool: keys are independent, value sizes differ, and the
-// registry deduplicates by name while refusing a dim mismatch.
+// registry deduplicates by name while refusing a dim mismatch. Every model
+// opens from the registry's store template: its files under Store.Dir/<id>,
+// an OPEN naming no shard count or bound taking the template's, one naming
+// them keeping its own, and a registry with no Store.Dir opening none.
 func TestMultiModel(t *testing.T) {
-	addr, _, stop := startServer(t, t.TempDir())
+	dir := t.TempDir()
+	addr, srv, stop := startServer(t, dir)
 	defer stop()
 	cl, err := client.Dial(addr, client.Options{Conns: 1})
 	if err != nil {
@@ -231,6 +230,27 @@ func TestMultiModel(t *testing.T) {
 	b := openModel(t, cl, "model-b", 4)
 	if a.Dim() == b.Dim() {
 		t.Fatal("models share a value size; want distinct dims")
+	}
+	for _, id := range []string{"model-a", "model-b"} {
+		if _, err := os.Stat(filepath.Join(dir, id, "ENGINE")); err != nil {
+			t.Fatalf("model %q not under Store.Dir/<id>: %v", id, err)
+		}
+	}
+	if b.Shards() != 4 || b.StalenessBound() != -1 {
+		t.Fatalf("OPEN with no shards or bound: shards=%d bound=%d, want the template's 4 and -1", b.Shards(), b.StalenessBound())
+	}
+	c, err := cl.OpenModel(context.Background(), client.OpenSpec{ID: "model-c", Dim: 4, Shards: 2, Bound: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Shards() != 2 || c.StalenessBound() != 8 {
+		t.Fatalf("OPEN with 2 shards and bound 8: shards=%d bound=%d", c.Shards(), c.StalenessBound())
+	}
+	if _, opened, err := srv.cfg.Registry.Open("model-a", 8, 0, wire.BoundUnset); err != nil || opened {
+		t.Fatalf("reopening a live model: opened=%v err=%v, want it found, not opened", opened, err)
+	}
+	if _, _, err := NewRegistry(RegistryConfig{}).Open("orphan", 8, 0, wire.BoundUnset); err == nil || !strings.Contains(err.Error(), `"orphan"`) {
+		t.Fatalf("registry with no Store.Dir: err=%v, want a refusal naming the model", err)
 	}
 
 	sa, err := a.NewSessionCtx(context.Background())

@@ -47,10 +47,11 @@ type Counters struct {
 	// full, the rest of the hint.
 	PrefetchDropped int64
 
-	// Hot-tier counters, owned by whichever tier fronts the store
-	// (kv.WrapCached's — a local table's or a server's — and the remote
-	// driver's client-side tier); tiers in front of the same store add up. A miss includes entries
-	// present but inadmissible under the staleness bound.
+	// Hot-tier counters, owned by whichever tier fronts the store (the
+	// sharded store's own, kv.ShardedConfig.CacheEntries — a local table's
+	// or a server's — and the remote driver's client-side tier); tiers in
+	// front of the same store add up. A miss includes entries present but
+	// inadmissible under the staleness bound.
 	CacheHits      int64
 	CacheMisses    int64
 	CacheEvictions int64

@@ -35,7 +35,8 @@ func confBackends(t *testing.T) map[string]Backend {
 	return out
 }
 
-// remoteBackend serves a fresh sharded store on loopback and opens it through the public API (mlkv.Connect → db.Open),
+// remoteBackend serves a registry that opens fresh sharded stores on
+// loopback and opens one through the public API (mlkv.Connect → db.Open),
 // the path mlkv-train -addr takes. conns sizes the connection pool (0 = a
 // small default); under a blocking bound it must cover every concurrently
 // training handle, or a blocked read shares a connection — and the
@@ -45,17 +46,10 @@ func remoteBackend(t *testing.T, dim, conns int, bound int64) *ModelBackend {
 	if conns <= 0 {
 		conns = 4
 	}
-	store, err := kv.OpenEngine(kv.EngineFaster, kv.ShardedConfig{
-		Dir: t.TempDir(), Shards: 4, ValueSize: dim * 4, RecordsPerPage: 64,
-		MemoryBytes: 1 << 20, StalenessBound: bound,
-	}, kv.HybridLogName(bound))
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := server.NewRegistry(server.RegistryConfig{})
-	if _, err := reg.Add("conformance", dim, store); err != nil {
-		t.Fatal(err)
-	}
+	reg := server.NewRegistry(server.RegistryConfig{Store: kv.ShardedConfig{
+		Dir: t.TempDir(), Shards: 4, RecordsPerPage: 64, MemoryBytes: 1 << 20,
+		StalenessBound: bound,
+	}})
 	srv := server.New(server.Config{Registry: reg})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

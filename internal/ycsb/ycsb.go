@@ -143,7 +143,11 @@ func Run(opts Options) (*Result, error) {
 		}
 	}
 	res := &Result{}
-	var readLat, updateLat latency.Histogram
+	// Each thread times its ops into its own pair of histograms, merged
+	// once the threads are done: shared ones would have every op of every
+	// thread contend on the same counters.
+	readLats := make([]latency.Histogram, opts.Threads)
+	updateLats := make([]latency.Histogram, opts.Threads)
 	var ops, reads, updates atomic.Int64
 	stop := make(chan struct{})
 	halt := sync.OnceFunc(func() { close(stop) })
@@ -161,6 +165,7 @@ func Run(opts Options) (*Result, error) {
 				return
 			}
 			defer s.Close()
+			readLat, updateLat := &readLats[th], &updateLats[th]
 			r := util.NewRNG(opts.Seed + uint64(th)*104729 + 1)
 			var zipf *util.ScrambledZipf
 			if opts.Dist == Zipfian {
@@ -228,9 +233,13 @@ func Run(opts Options) (*Result, error) {
 	res.Updates = updates.Load()
 	res.Elapsed = time.Since(start)
 	res.Throughput = float64(res.Ops) / res.Elapsed.Seconds()
+	var readLat, updateLat, all latency.Histogram
+	for th := range readLats {
+		readLat.Merge(&readLats[th])
+		updateLat.Merge(&updateLats[th])
+	}
 	res.ReadLat = readLat.Snapshot()
 	res.UpdateLat = updateLat.Snapshot()
-	var all latency.Histogram
 	all.Merge(&readLat)
 	all.Merge(&updateLat)
 	res.OpLat = all.Snapshot()
