@@ -1104,6 +1104,91 @@ func TestAPIDefaultBound(t *testing.T) {
 	}
 }
 
+// TestAPIReopenBlockingAfterASP pins that ASP leaves nothing on the clock:
+// a model that wrote and read its keys under ASP, checkpointed and closed,
+// reopens under BSP with every key readable at once — no read waits on a
+// token from the ASP era. Locally the second open asks for BSP; remotely
+// the server restarts on the same directory with a BSP default. A live
+// cluster keeps its models open, so it has no reopen to test.
+func TestAPIReopenBlockingAfterASP(t *testing.T) {
+	const n, dim = 10, 4
+	keys := make([]uint64, n)
+	vals := make([]float32, n*dim)
+	for i := range keys {
+		keys[i] = uint64(i*7 + 1)
+		for j := 0; j < dim; j++ {
+			vals[i*dim+j] = float32(i) + float32(j)/8
+		}
+	}
+	open := func(t *testing.T, target string, want int64, opts ...mlkv.Option) (*mlkv.DB, *mlkv.Model, *mlkv.Session) {
+		t.Helper()
+		db, err := mlkv.Connect(target)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := db.Open("reopen", dim, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := m.StalenessBound(); got != want {
+			t.Fatalf("model runs bound %d, want %d", got, want)
+		}
+		s, err := m.NewSession()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return db, m, s
+	}
+	underASP := func(t *testing.T, target string, opts ...mlkv.Option) {
+		db, m, s := open(t, target, mlkv.ASP, opts...)
+		defer db.Close()
+		defer m.Close()
+		defer s.Close()
+		if err := s.PutBatch(keys, vals); err != nil {
+			t.Fatal(err)
+		}
+		got := make([]float32, len(vals))
+		if err := s.GetBatch(keys, got); err != nil || !f32sEq(got, vals) {
+			t.Fatalf("GetBatch under ASP: %v, got %v", err, got)
+		}
+		if err := m.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	underBSP := func(t *testing.T, target string, opts ...mlkv.Option) {
+		db, m, s := open(t, target, mlkv.BSP, opts...)
+		defer db.Close()
+		defer m.Close()
+		defer s.Close()
+		dst := make([]float32, dim)
+		for i, k := range keys {
+			ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
+			err := s.GetCtx(ctx, k, dst)
+			cancel()
+			if err != nil {
+				t.Fatalf("key %d under BSP after ASP: %v", k, err)
+			}
+			if !f32sEq(dst, vals[i*dim:(i+1)*dim]) {
+				t.Fatalf("key %d under BSP after ASP: got %v", k, dst)
+			}
+		}
+	}
+	t.Run("local", func(t *testing.T) {
+		dir := t.TempDir()
+		underASP(t, dir, mlkv.WithStalenessBound(mlkv.ASP))
+		underBSP(t, dir, mlkv.WithStalenessBound(mlkv.BSP))
+	})
+	t.Run("remote", func(t *testing.T) {
+		dir := t.TempDir()
+		t.Run("asp", func(t *testing.T) { // its server stops when it ends
+			target, _ := startTestServerIn(t, dir, mlkv.ASP)
+			underASP(t, target)
+		})
+		target, _ := startTestServerIn(t, dir, mlkv.BSP)
+		underBSP(t, target)
+	})
+}
+
 // TestClusterOwnerRouting pins the partitioning invariant end to end:
 // every key written through the cluster driver lands on exactly the node
 // the topology map names as its owner — counted server-side, per node.

@@ -4,20 +4,20 @@
 // or a cluster (-addr with a comma-separated seed list). It opens the named
 // model (-model, created on first open) with dim = -valuesize/4, gives
 // every client thread its own session (and, remotely, its own pooled
-// connection), and loads in 1 024-key batches. -engine, -shards and
-// -buffer-mb size a local model; a server owns its models' bound and
-// sizing.
+// connection), and loads in 1 024-key batches. A local model opens under
+// the default bound, ASP, sized by -shards and -buffer-mb; a server owns
+// its models' bound and sizing.
 //
 // Usage:
 //
 //	mlkv-ycsb -records 1000000 -ops 5000000 -threads 8 -dist zipfian \
-//	          -valuesize 64 -buffer-mb 64 -engine mlkv -shards 4
+//	          -valuesize 64 -buffer-mb 64 -shards 4
 //	mlkv-ycsb -addr 127.0.0.1:7070 -records 100000 -ops 1000000 -threads 8
 //	mlkv-ycsb -addr 127.0.0.1:7070,127.0.0.1:7071 -records 100000
 //
 // Results include per-op-class latency percentiles (read and update
-// p50/p99/p999 in microseconds) alongside throughput, recorded across
-// every client thread by the always-on histograms.
+// p50/p99/p999 in microseconds) alongside throughput, from the model's own
+// Stats().LatGet and LatPut; the load's PutBatch calls are not in them.
 //
 // SIGINT/SIGTERM end the run gracefully: workers finish their current
 // operation, and the partial result — counters and latency lines covering
@@ -32,9 +32,9 @@ import (
 	"os"
 	"os/signal"
 	"syscall"
+	"time"
 
 	mlkv "github.com/llm-db/mlkv-go"
-	"github.com/llm-db/mlkv-go/internal/latency"
 	"github.com/llm-db/mlkv-go/internal/ycsb"
 )
 
@@ -46,7 +46,6 @@ func main() {
 		distName = flag.String("dist", "zipfian", "request distribution (uniform|zipfian)")
 		vs       = flag.Int("valuesize", 64, "value size in bytes (a multiple of 4: rows of valuesize/4 float32s)")
 		bufferMB = flag.Int("buffer-mb", 64, "in-memory buffer budget (total, split across shards; local targets)")
-		engine   = flag.String("engine", "mlkv", "engine (mlkv = clock on at ASP | faster = clock off; local targets)")
 		readFrac = flag.Float64("read-fraction", 0.5, "fraction of reads")
 		dir      = flag.String("dir", "", "data directory (default: temp)")
 		shards   = flag.Int("shards", 1, "hash partitions (independent store instances; local targets)")
@@ -74,17 +73,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown distribution %q\n", *distName)
 		os.Exit(2)
 	}
-	var bound int64
-	switch *engine {
-	case "mlkv":
-		bound = mlkv.ASP // clock maintained, never blocks
-	case "faster":
-		bound = mlkv.Disabled
-	default:
-		fmt.Fprintf(os.Stderr, "unknown engine %q (want mlkv|faster)\n", *engine)
-		os.Exit(2)
-	}
-
 	// One open path for every target: a directory, mlkv://host:port, or
 	// mlkv://a,b,c. A remote pool gets one connection per client thread,
 	// so the server sees the same session fan-out a local run has. A
@@ -104,7 +92,7 @@ func main() {
 			defer os.RemoveAll(d)
 			target = d
 		}
-		mopts = append(mopts, mlkv.WithStalenessBound(bound), mlkv.WithShards(*shards),
+		mopts = append(mopts, mlkv.WithShards(*shards),
 			mlkv.WithMemory(int64(*bufferMB)<<20), mlkv.WithExpectedKeys(*records))
 	}
 	db, err := mlkv.Connect(target, mlkv.WithConns(*threads))
@@ -153,9 +141,9 @@ func main() {
 		m.EngineName(), dist, *threads, m.Dim()*4, m.Shards())
 	fmt.Printf("ops=%d reads=%d updates=%d elapsed=%s throughput=%.0f ops/s\n",
 		res.Ops, res.Reads, res.Updates, res.Elapsed.Round(1e6), res.Throughput)
-	printLatency("read", res.ReadLat)
-	printLatency("update", res.UpdateLat)
 	s := m.Stats()
+	printLatency("read", s.LatGet)
+	printLatency("update", s.LatPut)
 	fmt.Printf("store: gets=%d puts=%d memhits=%d diskreads=%d inplace=%d rcu=%d flushed=%dB\n",
 		s.Gets, s.Puts, s.MemHits, s.DiskReads, s.InPlaceUpdates, s.RCUAppends, s.BytesFlushed)
 	if total := s.CacheHits + s.CacheMisses; total > 0 {
@@ -167,11 +155,11 @@ func main() {
 // printLatency renders one op class's percentile line in microseconds.
 // On a graceful early stop the snapshot covers the partial run, so the
 // line still prints; a class with no operations is skipped.
-func printLatency(class string, s latency.Snapshot) {
+func printLatency(class string, s mlkv.LatencySummary) {
 	if s.Count == 0 {
 		return
 	}
+	us := func(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }
 	fmt.Printf("%s latency (µs): p50=%.1f p99=%.1f p999=%.1f max=%.1f (n=%d)\n",
-		class, latency.Us(s.P50), latency.Us(s.P99), latency.Us(s.P999),
-		latency.Us(s.Max), s.Count)
+		class, us(s.P50), us(s.P99), us(s.P999), us(s.Max), s.Count)
 }

@@ -50,7 +50,7 @@ func (e *Env) CacheSweep() error {
 		var hitPct float64
 		for pass, cacheEntries := range []int{0, entries} {
 			tbl, err := core.OpenTable(core.Options{
-				Dir: e.dir("cache"), Dim: dim, StalenessBound: core.BoundASP,
+				Dir: e.dir("cache"), Dim: dim, StalenessBound: faster.BoundAsync,
 				MemoryBytes: int64(bufKB) << 10, RecordsPerPage: 256,
 				ExpectedKeys: records, CacheEntries: cacheEntries,
 			})

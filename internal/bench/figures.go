@@ -6,6 +6,7 @@ import (
 
 	mlkv "github.com/llm-db/mlkv-go"
 	"github.com/llm-db/mlkv-go/internal/core"
+	"github.com/llm-db/mlkv-go/internal/faster"
 	"github.com/llm-db/mlkv-go/internal/train"
 	"github.com/llm-db/mlkv-go/internal/ycsb"
 )
@@ -24,7 +25,7 @@ func (e *Env) Fig2() error {
 		bound int64
 	}{
 		{"sync", train.ModeSync, core.BoundBSP},
-		{"fully-async", train.ModeAsync, core.BoundASP},
+		{"fully-async", train.ModeAsync, faster.BoundAsync},
 	} {
 		tbl, err := e.mlkvTable("fig2", e.Scale.Dim, mode.bound, bufKB, e.Scale.CTRCard*uint64(e.Scale.CTRFields), e.ctrInit())
 		if err != nil {

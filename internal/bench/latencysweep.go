@@ -77,7 +77,7 @@ func (e *Env) LatencySweep() error {
 	// Local tier: the core table, cache off then on.
 	for _, cacheEntries := range []int{0, entries} {
 		tbl, err := core.OpenTable(core.Options{
-			Dir: e.dir("latency"), Dim: dim, StalenessBound: core.BoundASP,
+			Dir: e.dir("latency"), Dim: dim, StalenessBound: faster.BoundAsync,
 			MemoryBytes: int64(bufKB) << 10, RecordsPerPage: 256,
 			ExpectedKeys: records, CacheEntries: cacheEntries,
 		})
@@ -169,7 +169,7 @@ func (e *Env) flushPaceLeg(measure func(tier string, cacheEntries int, newSess f
 	const pace = 500 * time.Microsecond
 	for _, flushPace := range []time.Duration{0, pace} {
 		tbl, err := core.OpenTable(core.Options{
-			Dir: e.dir("latency-flush"), Dim: dim, StalenessBound: core.BoundASP,
+			Dir: e.dir("latency-flush"), Dim: dim, StalenessBound: faster.BoundAsync,
 			MemoryBytes: int64(bufKB) << 10, RecordsPerPage: 256,
 			ExpectedKeys: records, FlushPace: flushPace,
 		})

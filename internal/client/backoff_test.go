@@ -2,6 +2,7 @@ package client
 
 import (
 	"context"
+	"errors"
 	"net"
 	"strings"
 	"sync"
@@ -49,11 +50,11 @@ func TestRedialBackoff(t *testing.T) {
 	cl, err := Dial(ln.Addr().String(), Options{
 		Conns:       1,
 		DialTimeout: time.Second,
-		dial: func(addr string, timeout time.Duration) (net.Conn, error) {
+		dial: func(ctx context.Context, network, addr string) (net.Conn, error) {
 			if failDials.Load() {
 				return nil, &net.OpError{Op: "dial", Err: context.DeadlineExceeded}
 			}
-			nc, err := net.DialTimeout("tcp", addr, timeout)
+			nc, err := new(net.Dialer).DialContext(ctx, network, addr)
 			if err != nil {
 				return nil, err
 			}
@@ -216,11 +217,107 @@ func TestRedialBackoffCountsExpiredDeadline(t *testing.T) {
 		if fastFail && i == 0 {
 			t.Fatalf("a cancelled redial opened the breaker: %v", err)
 		}
+		if fastFail && errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("a fast-fail within the caller's deadline reads as that deadline: %v", err)
+		}
 	}
 	st = stats.Counters{}
 	cl.AddCounters(&st)
 	if !fastFail || st.DialBackoffs == 0 {
 		t.Fatalf("breaker never opened on expired deadlines: %d redials, %d backoffs",
 			st.DialRetries-retries, st.DialBackoffs)
+	}
+}
+
+// TestHungRedialStallsOnlyItsSlot pins that a redial runs outside every
+// lock: while one slot's dial hangs, a checkout of a healthy slot returns
+// at once, a checkout of the hanging slot returns at its own deadline, and
+// Close returns at once and ends the hung dial.
+func TestHungRedialStallsOnlyItsSlot(t *testing.T) {
+	reg := server.NewRegistry(server.RegistryConfig{Name: "hung-dial-test"})
+	defer reg.Close()
+	srv := server.New(server.Config{Registry: reg})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- srv.Serve(ln) }()
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		srv.Shutdown(ctx)
+		<-serveErr
+	}()
+
+	var hang atomic.Bool
+	hung := make(chan struct{}, 1)
+	var live []net.Conn // in slot order: Dial dials slot 0 first
+	cl, err := Dial(ln.Addr().String(), Options{
+		Conns:       2,
+		DialTimeout: 10 * time.Second,
+		dial: func(ctx context.Context, network, addr string) (net.Conn, error) {
+			if hang.Load() {
+				hung <- struct{}{}
+				<-ctx.Done() // only the redial's own ctx ends it
+				return nil, ctx.Err()
+			}
+			nc, err := new(net.Dialer).DialContext(ctx, network, addr)
+			if err == nil {
+				live = append(live, nc)
+			}
+			return nc, err
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
+	hang.Store(true)
+	live[0].Close()
+	for deadline := time.Now().Add(2 * time.Second); !cl.slots[0].cn.Load().broken(); {
+		if time.Now().After(deadline) {
+			t.Fatal("slot 0 never went broken after its conn closed")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	redialErr := make(chan error, 1)
+	go func() {
+		_, err := cl.connAt(context.Background(), 0)
+		redialErr <- err
+	}()
+	<-hung
+
+	start := time.Now()
+	if _, err := cl.connAt(context.Background(), 1); err != nil {
+		t.Fatalf("healthy slot: %v", err)
+	}
+	if d := time.Since(start); d > 10*time.Millisecond {
+		t.Fatalf("healthy slot's checkout took %v behind slot 0's hung dial", d)
+	}
+
+	const wait = 100 * time.Millisecond
+	ctx, cancel := context.WithTimeout(context.Background(), wait)
+	start = time.Now()
+	_, err = cl.connAt(ctx, 0)
+	d := time.Since(start)
+	cancel()
+	if !errors.Is(err, context.DeadlineExceeded) || d < wait || d > 2*wait {
+		t.Fatalf("hung slot's checkout returned %v after %v, want its deadline at %v", err, d, wait)
+	}
+
+	start = time.Now()
+	cl.Close()
+	if d := time.Since(start); d > 10*time.Millisecond {
+		t.Fatalf("Close took %v behind a hung dial", d)
+	}
+	select {
+	case err := <-redialErr:
+		if err == nil {
+			t.Fatal("the hung redial succeeded after Close")
+		}
+	case <-time.After(time.Second):
+		t.Fatal("Close did not end the hung redial")
 	}
 }

@@ -52,8 +52,8 @@ type Options struct {
 	// DialTimeout bounds each TCP connect (default DefaultDialTimeout).
 	DialTimeout time.Duration
 
-	// dial overrides the TCP dial for tests (write-counting conns).
-	dial func(addr string, timeout time.Duration) (net.Conn, error)
+	// dial overrides net.Dialer.DialContext for tests.
+	dial func(ctx context.Context, network, addr string) (net.Conn, error)
 }
 
 // Client is a connection pool onto one mlkv-server. Models are opened
@@ -61,27 +61,35 @@ type Options struct {
 type Client struct {
 	opts Options
 	addr string
-	// connMu guards the conns slice's elements: a pooled connection that
-	// died is evicted and replaced on the next checkout, so one mid-pipeline
-	// failure costs the requests in flight, not every later request on the
-	// slot. The slice itself never changes length after Dial.
-	connMu     sync.RWMutex
-	conns      []*conn
-	poolClosed bool
+	// slots never change length after Dial. A pooled connection that died
+	// is replaced on its slot's next checkout, so one mid-pipeline failure
+	// costs the requests in flight, not every later request on the slot.
+	slots      []poolSlot
 	next       atomic.Uint64
 	serverName string
+	// closing is cancelled by Close, ending every redial in flight.
+	closing  context.Context
+	closeNow context.CancelFunc
 
-	// Redial breaker state, guarded by connMu. Every slot dials the same
-	// address, so one slot's dial failure is evidence about them all:
-	// consecutive failures open a shared jittered-backoff window during
-	// which further redial attempts fail fast on the cached error instead
-	// of queueing a fresh TCP connect against a host already known dead.
+	// mu guards slot replacement, each slot's dialing and the redial
+	// breaker; it is never held across I/O. One slot's dial failure is
+	// evidence about every slot (they dial one address), so consecutive
+	// failures open a shared jittered-backoff window in which redials fail
+	// fast on the cached error instead of connecting to a dead host.
+	mu          sync.Mutex
 	dialFails   int       // consecutive failed redials
 	dialNext    time.Time // no redial before this instant
 	lastDialErr error     // what the breaker fast-fails with
 
 	dialRetries  atomic.Int64 // redial attempts actually made
 	dialBackoffs atomic.Int64 // redials refused by the breaker window
+}
+
+// poolSlot is one pool position: cn loads without a lock, and dialing is
+// non-nil while the slot's one redial runs and closed when it ends.
+type poolSlot struct {
+	cn      atomic.Pointer[conn]
+	dialing chan struct{}
 }
 
 // Redial backoff: the first failed redial opens a dialBackoffMin window,
@@ -115,28 +123,30 @@ func Dial(addr string, opts Options) (*Client, error) {
 	if opts.DialTimeout == 0 {
 		opts.DialTimeout = DefaultDialTimeout
 	}
-	c := &Client{opts: opts, addr: addr}
-	for i := 0; i < opts.Conns; i++ {
-		cn, err := dialConn(addr, opts)
+	c := &Client{opts: opts, addr: addr, slots: make([]poolSlot, opts.Conns)}
+	c.closing, c.closeNow = context.WithCancel(context.Background())
+	for i := range c.slots {
+		cn, err := dialConn(c.closing, addr, opts)
 		if err != nil {
+			c.slots = c.slots[:i]
 			c.Close()
 			return nil, err
 		}
 		cn.idx = i
-		c.conns = append(c.conns, cn)
+		c.slots[i].cn.Store(cn)
 	}
 	// The handshake rides the dial budget: an accepting-but-silent host
 	// (half-dead, or a fault-injection blackhole) must cost one timeout,
 	// not a forever-hung Dial.
 	hctx, hcancel := context.WithTimeout(context.Background(), opts.DialTimeout)
-	p, err := c.conns[0].roundTripCtx(hctx, wire.OpHello, wire.EncodeHello())
+	p, err := c.slots[0].cn.Load().roundTripCtx(hctx, wire.OpHello, wire.EncodeHello())
 	hcancel()
 	if err != nil {
 		c.Close()
 		return nil, fmt.Errorf("client: handshake: %w", err)
 	}
 	_, name, err := wire.DecodeHelloResp(p)
-	c.conns[0].release(p)
+	c.slots[0].cn.Load().release(p)
 	if err != nil {
 		c.Close()
 		return nil, fmt.Errorf("client: handshake: %w", err)
@@ -176,84 +186,112 @@ func (c *Client) ClusterMapRaw(ctx context.Context) ([]byte, error) {
 	return out, nil
 }
 
-// Close tears down every pooled connection; outstanding requests and all
-// models opened from this client fail afterwards.
+// Close tears down every pooled connection and ends any redial in flight;
+// outstanding requests and all models opened from this client fail
+// afterwards.
 func (c *Client) Close() error {
-	c.connMu.Lock()
-	c.poolClosed = true
-	conns := append([]*conn(nil), c.conns...)
-	c.connMu.Unlock()
+	c.mu.Lock() // a redial ending now sees closing done, or stores first
+	c.closeNow()
+	c.mu.Unlock()
 	var first error
-	for _, cn := range conns {
-		if err := cn.close(); err != nil && first == nil {
+	for i := range c.slots {
+		if err := c.slots[i].cn.Load().close(); err != nil && first == nil {
 			first = err
 		}
 	}
 	return first
 }
 
-// connAt returns the healthy connection at slot, evicting and re-dialing a
-// dead one: a connection poisoned mid-pipeline fails only the requests that
-// were in flight on it, and the slot heals on its next checkout. The
-// redial's handshake ends with ctx.
+// connAt returns the healthy connection at slot, replacing a dead one: a
+// connection poisoned mid-pipeline fails only the requests that were in
+// flight on it, and the slot heals on its next checkout. One checkout
+// redials; the slot's others wait for it or for their own ctx.
 func (c *Client) connAt(ctx context.Context, slot int) (*conn, error) {
-	c.connMu.RLock()
-	cn := c.conns[slot]
-	c.connMu.RUnlock()
-	if !cn.broken() {
-		return cn, nil
-	}
-	c.connMu.Lock()
-	defer c.connMu.Unlock()
-	if c.poolClosed {
-		return nil, errors.New("client: closed")
-	}
-	cn = c.conns[slot]
-	if !cn.broken() {
-		return cn, nil
-	}
-	// The breaker: inside an open backoff window the checkout fails fast
-	// on the cached error — against a dead host, thousands of checkouts
-	// must not each queue a TCP connect.
-	if time.Now().Before(c.dialNext) {
-		c.dialBackoffs.Add(1)
-		return nil, fmt.Errorf("client: redial %s: backing off: %w", c.addr, c.lastDialErr)
-	}
-	c.dialRetries.Add(1)
-	fresh, err := c.redial(ctx)
-	if err != nil {
-		// A cancelled caller (Model.Close) proves nothing about the host,
-		// but an expired deadline does: a host that outlasts a caller's
-		// deadline would otherwise be redialled, under connMu, by every
-		// checkout. The window opens when the failure is known, so a slow
-		// failure does not find its own window already past.
-		if !errors.Is(ctx.Err(), context.Canceled) {
-			c.dialFails++
-			c.dialNext = time.Now().Add(util.Backoff(c.dialFails, dialBackoffMin, dialBackoffMax))
-			c.lastDialErr = err
+	sl := &c.slots[slot]
+	for {
+		if cn := sl.cn.Load(); !cn.broken() {
+			return cn, nil
 		}
-		return nil, err
+		c.mu.Lock()
+		wait := sl.dialing
+		switch {
+		case c.closing.Err() != nil:
+			c.mu.Unlock()
+			return nil, errors.New("client: closed")
+		case !sl.cn.Load().broken(): // a redial landed since the load above
+			c.mu.Unlock()
+			continue
+		case wait != nil:
+			c.mu.Unlock()
+			select {
+			case <-wait:
+				continue
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+		case time.Now().Before(c.dialNext):
+			// Inside an open backoff window the checkout fails fast, so
+			// thousands of checkouts do not each connect to a dead host. The
+			// cached error is quoted, not wrapped: it may carry the
+			// deadline of another caller.
+			err := c.lastDialErr
+			c.mu.Unlock()
+			c.dialBackoffs.Add(1)
+			return nil, fmt.Errorf("client: redial %s: backing off: %v", c.addr, err)
+		}
+		sl.dialing = make(chan struct{})
+		c.mu.Unlock()
+		return c.redialSlot(ctx, sl, slot)
 	}
-	c.dialFails = 0
-	c.dialNext = time.Time{}
-	c.lastDialErr = nil
-	fresh.idx = slot
-	c.conns[slot] = fresh
-	return fresh, nil
 }
 
-// redial dials and handshakes one replacement connection. The HELLO is
-// bounded by DialTimeout and by ctx: a blackholed host accepts the connect
-// and then says nothing, and an unbounded handshake there would hang the
-// checkout (and everyone queued on connMu) forever.
+// redialSlot runs slot's one redial, whose dialing channel the caller set,
+// and installs the fresh connection unless Close ran meanwhile.
+func (c *Client) redialSlot(ctx context.Context, sl *poolSlot, slot int) (*conn, error) {
+	c.dialRetries.Add(1)
+	fresh, err := c.redial(ctx)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	close(sl.dialing)
+	sl.dialing = nil
+	switch {
+	case err == nil:
+		c.dialFails, c.dialNext, c.lastDialErr = 0, time.Time{}, nil
+		if c.closing.Err() != nil {
+			fresh.c.Close() // its reader exits on its own
+			return nil, errors.New("client: closed")
+		}
+		fresh.idx = slot
+		sl.cn.Store(fresh)
+		return fresh, nil
+	case !errors.Is(ctx.Err(), context.Canceled):
+		// A cancelled caller (Model.Close) proves nothing about the host,
+		// but an expired deadline does: a host that outlasts a caller's
+		// deadline would otherwise be redialled by every checkout. The
+		// window opens when the failure is known, so a slow failure does
+		// not find its own window already past.
+		c.dialFails++
+		c.dialNext = time.Now().Add(util.Backoff(c.dialFails, dialBackoffMin, dialBackoffMax))
+		c.lastDialErr = err
+	}
+	return nil, err
+}
+
+// redial dials and handshakes one replacement connection. The connect and
+// the HELLO are each bounded by DialTimeout, by ctx and by Close: a
+// blackholed host accepts the connect and then says nothing, and an
+// unbounded handshake there would hang the checkout forever.
 func (c *Client) redial(ctx context.Context) (*conn, error) {
-	fresh, err := dialConn(c.addr, c.opts)
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	defer context.AfterFunc(c.closing, cancel)()
+	fresh, err := dialConn(ctx, c.addr, c.opts)
 	if err != nil {
 		return nil, fmt.Errorf("client: redial %s: %w", c.addr, err)
 	}
-	ctx, cancel := context.WithTimeout(ctx, c.opts.DialTimeout)
+	ctx, cancelHello := context.WithTimeout(ctx, c.opts.DialTimeout)
 	p, err := fresh.roundTripCtx(ctx, wire.OpHello, wire.EncodeHello())
-	cancel()
+	cancelHello()
 	if err != nil {
 		fresh.close()
 		return nil, fmt.Errorf("client: redial %s: handshake: %w", c.addr, err)
@@ -264,7 +302,7 @@ func (c *Client) redial(ctx context.Context) (*conn, error) {
 
 // pick returns the next pooled connection round-robin, healing dead slots.
 func (c *Client) pick(ctx context.Context) (*conn, error) {
-	return c.connAt(ctx, int(c.next.Add(1)%uint64(len(c.conns))))
+	return c.connAt(ctx, int(c.next.Add(1)%uint64(len(c.slots))))
 }
 
 // OpenSpec names the model an OpenModel call wants.

@@ -196,7 +196,8 @@ func fakeSession(t *testing.T, cl *Client, id string, dim int, bound int64) (*Mo
 
 func pendingTotal(cl *Client) int {
 	n := 0
-	for _, cn := range cl.conns {
+	for i := range cl.slots {
+		cn := cl.slots[i].cn.Load()
 		cn.pmu.Lock()
 		n += len(cn.pending)
 		cn.pmu.Unlock()
@@ -251,7 +252,7 @@ func TestSessionRecoversFromDeadConnection(t *testing.T) {
 
 	// Kill the transport out from under the session and wait for the read
 	// loop to notice: the conn is now poisoned, not merely idle.
-	old := cl.conns[0]
+	old := cl.slots[0].cn.Load()
 	old.c.Close()
 	<-old.done
 	if !old.broken() {
@@ -267,7 +268,7 @@ func TestSessionRecoversFromDeadConnection(t *testing.T) {
 			t.Fatalf("healed read byte %d = %d, want %d", j, dst[j], 2)
 		}
 	}
-	if cl.conns[0] == old {
+	if cl.slots[0].cn.Load() == old {
 		t.Fatal("dead connection still occupies its pool slot")
 	}
 	if got := fs.attaches.Load(); got != attachesBefore+1 {
@@ -349,8 +350,8 @@ func TestCoalescedClientWrites(t *testing.T) {
 	var writes atomic.Int64
 	cl, err := Dial(addr, Options{
 		Conns: 1,
-		dial: func(addr string, timeout time.Duration) (net.Conn, error) {
-			nc, err := net.DialTimeout("tcp", addr, timeout)
+		dial: func(ctx context.Context, network, addr string) (net.Conn, error) {
+			nc, err := new(net.Dialer).DialContext(ctx, network, addr)
 			if err != nil {
 				return nil, err
 			}
@@ -608,7 +609,7 @@ func TestApplyErrorsSaySentOrNot(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	cl.conns[0].c.Close() // the frame is on the wire; its response never comes
+	cl.slots[0].cn.Load().c.Close() // the frame is on the wire; its response never comes
 	if err := <-errc; !errors.As(err, &ue) {
 		t.Fatalf("a connection lost after the send came back as %v, want *UnackedError", err)
 	}

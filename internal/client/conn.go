@@ -9,7 +9,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"github.com/llm-db/mlkv-go/internal/wire"
 )
@@ -88,14 +87,16 @@ type response struct {
 	payload []byte
 }
 
-func dialConn(addr string, opts Options) (*conn, error) {
+// dialConn connects one pooled connection and starts its reader. The
+// connect ends with ctx or after DialTimeout, whichever comes first.
+func dialConn(ctx context.Context, addr string, opts Options) (*conn, error) {
 	dial := opts.dial
 	if dial == nil {
-		dial = func(addr string, timeout time.Duration) (net.Conn, error) {
-			return net.DialTimeout("tcp", addr, timeout)
-		}
+		dial = new(net.Dialer).DialContext
 	}
-	nc, err := dial(addr, opts.DialTimeout)
+	ctx, cancel := context.WithTimeout(ctx, opts.DialTimeout)
+	nc, err := dial(ctx, "tcp", addr)
+	cancel()
 	if err != nil {
 		return nil, err
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"github.com/llm-db/mlkv-go/internal/faster"
 	"github.com/llm-db/mlkv-go/internal/util"
 )
 
@@ -147,7 +148,7 @@ func TestTableHotTier(t *testing.T) {
 func TestTableHotTierResidentBypass(t *testing.T) {
 	ctx := context.Background()
 	tbl, err := OpenTable(Options{
-		Dir: t.TempDir(), Dim: 2, StalenessBound: BoundASP,
+		Dir: t.TempDir(), Dim: 2, StalenessBound: faster.BoundAsync,
 		MemoryBytes: 1, RecordsPerPage: 64,
 		CacheEntries: 1 << 14, // room for the spill's filler beside the four keys
 	})
@@ -268,7 +269,7 @@ func BenchmarkTableGetBatchSpilledTier(b *testing.B) {
 	}{{"hot", batch}, {"mixed", nKeys}} {
 		b.Run(span.name, func(b *testing.B) {
 			tbl, err := OpenTable(Options{
-				Dir: b.TempDir(), Dim: dim, Shards: 4, StalenessBound: BoundASP,
+				Dir: b.TempDir(), Dim: dim, Shards: 4, StalenessBound: faster.BoundAsync,
 				MemoryBytes: 1 << 18, RecordsPerPage: 64, CacheEntries: 1 << 12,
 			})
 			if err != nil {

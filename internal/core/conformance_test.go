@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/llm-db/mlkv-go/internal/faster"
 	"github.com/llm-db/mlkv-go/internal/kv"
 	"github.com/llm-db/mlkv-go/internal/tensor"
 	"github.com/llm-db/mlkv-go/internal/util"
@@ -164,7 +165,7 @@ func TestTableBatchRoundTripConcurrent(t *testing.T) {
 		// would deadlock this access pattern by design: Zipf batches repeat
 		// hot keys, every worker reads before writing, and a read of a
 		// record at the bound waits for a Put no blocked worker can issue.
-		tbl, err := OpenTable(matrixOptions(t.TempDir(), dim, shards, BoundASP))
+		tbl, err := OpenTable(matrixOptions(t.TempDir(), dim, shards, faster.BoundAsync))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -238,7 +239,7 @@ func TestParallelFirstTouch(t *testing.T) {
 	const dim, n = 4, 64
 	for _, engine := range []string{kv.EngineFaster} {
 		t.Run(engine, func(t *testing.T) {
-			opts := matrixOptions(t.TempDir(), dim, 4, BoundASP)
+			opts := matrixOptions(t.TempDir(), dim, 4, faster.BoundAsync)
 			opts.MemoryBytes = 1
 			uniform := UniformInit(0.1, 42)
 			var inFlight, overlaps atomic.Int32

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/llm-db/mlkv-go/internal/faster"
 	"github.com/llm-db/mlkv-go/internal/kv"
 	"github.com/llm-db/mlkv-go/internal/stats"
 )
@@ -141,7 +142,7 @@ func (s *wrapSession) peek(k uint64) (uint32, error) {
 // refused by hotcache's drop rule).
 func TestTierCoherentAcrossSpill(t *testing.T) {
 	const fourPages = 1 // MemoryBytes below the four-page floor
-	for _, bound := range []int64{BoundASP, 4} {
+	for _, bound := range []int64{faster.BoundAsync, 4} {
 		cells := map[string]func(t *testing.T) flipCell{
 			"table": func(t *testing.T) flipCell {
 				tbl, err := OpenTable(Options{
@@ -239,7 +240,7 @@ func runFlip(t *testing.T, cell flipCell, bound int64) {
 			// forever: one more Put per key releases it. Under ASP nothing
 			// settles — a key whose last write was an RMW must read back
 			// right with no write-through to paper over a late fill.
-			if bound != BoundASP {
+			if bound != faster.BoundAsync {
 				for k := uint64(w); k < keys; k += writers {
 					if !write(k, false) {
 						return
@@ -273,7 +274,7 @@ func runFlip(t *testing.T, cell flipCell, bound int64) {
 					floor := lo
 					switch {
 					case cell.resident():
-					case bound == BoundASP:
+					case bound == faster.BoundAsync:
 						floor = 1
 					default:
 						floor = lo - min(lo, uint32(bound))

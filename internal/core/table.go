@@ -16,7 +16,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/llm-db/mlkv-go/internal/faster"
 	"github.com/llm-db/mlkv-go/internal/kv"
 	"github.com/llm-db/mlkv-go/internal/latency"
 	"github.com/llm-db/mlkv-go/internal/stats"
@@ -29,8 +28,6 @@ const (
 	// BoundBSP trains bulk-synchronous: a read waits for every outstanding
 	// update on the record.
 	BoundBSP = int64(0)
-	// BoundASP trains fully asynchronously (INT64_MAX, per §III-C1).
-	BoundASP = faster.BoundAsync
 	// BoundDisabled turns the vector clock off (plain FASTER semantics).
 	BoundDisabled = int64(-1)
 )
@@ -91,8 +88,9 @@ type Options struct {
 	// store, laid out exactly as unsharded tables always were. The memory
 	// budget and expected-key sizing are split evenly across shards.
 	Shards int
-	// StalenessBound is the consistency knob (§III-C1): BoundBSP, BoundASP,
-	// BoundDisabled, or any positive SSP bound.
+	// StalenessBound is the consistency knob (§III-C1): BoundBSP, any
+	// positive SSP bound, faster.BoundAsync (ASP) or BoundDisabled; the
+	// last two are one clock-free protocol (see faster.BlockingBound).
 	StalenessBound int64
 	// MemoryBytes is the in-memory buffer budget (the paper's "buffer
 	// size"). Default 64 MiB.

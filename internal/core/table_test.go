@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/llm-db/mlkv-go/internal/faster"
 	"github.com/llm-db/mlkv-go/internal/util"
 )
 
@@ -401,7 +402,7 @@ func TestOpenTableValidation(t *testing.T) {
 
 func TestBoundModesSmoke(t *testing.T) {
 	ctx := context.Background()
-	for _, bound := range []int64{BoundDisabled, BoundBSP, 4, BoundASP} {
+	for _, bound := range []int64{BoundDisabled, BoundBSP, 4, faster.BoundAsync} {
 		tbl := testTable(t, 4, bound)
 		s, _ := tbl.NewSession()
 		emb := make([]float32, 4)

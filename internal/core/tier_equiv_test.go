@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"github.com/llm-db/mlkv-go/internal/faster"
 	"github.com/llm-db/mlkv-go/internal/kv"
 	"github.com/llm-db/mlkv-go/internal/stats"
 	"github.com/llm-db/mlkv-go/internal/tensor"
@@ -86,7 +87,7 @@ func TestTableTierIsTheWrapper(t *testing.T) {
 		dim     = 2
 		entries = 64 // 4 per tier shard: the script evicts
 	)
-	for _, bound := range []int64{BoundASP, 4, BoundBSP} {
+	for _, bound := range []int64{faster.BoundAsync, 4, BoundBSP} {
 		t.Run(fmt.Sprintf("bound=%d", bound), func(t *testing.T) {
 			init := UniformInit(0.1, 7)
 			tbl, err := OpenTable(Options{

@@ -200,9 +200,10 @@ func TestCreateHoldsItsToken(t *testing.T) {
 // session a's create runs, session b creates the same key first. a's append
 // then loses the index CAS, is abandoned, and a reads b's record — its
 // value, with both sessions' tokens on the clock and one record appended.
+// The bound is SSP(8): it runs the clock, and two tokens stay within it.
 func TestCreateLostRaceReadsWinner(t *testing.T) {
 	const vs = 8
-	st := testStore(t, vs, 64, 8, 2, BoundAsync)
+	st := testStore(t, vs, 64, 8, 2, 8)
 	a, err := st.NewSession()
 	if err != nil {
 		t.Fatal(err)

@@ -39,11 +39,10 @@ type Config struct {
 	// ExpectedKeys sizes the index when IndexBuckets is zero.
 	ExpectedKeys uint64
 	// StalenessBound configures MLKV's bounded-staleness consistency:
-	//   <0               — disabled (plain FASTER semantics; the lock word
-	//                      is still used, the vector clock is not),
 	//   0                — BSP (a read waits until no update is outstanding),
 	//   1..2^31          — SSP with the given bound,
-	//   BoundAsync       — ASP (clock maintained, never blocks).
+	//   BoundAsync, <0   — ASP, or the clock disabled: one protocol, plain
+	//                      FASTER's, as no read can wait (see BlockingBound).
 	StalenessBound int64
 	// SyncWrites fsyncs every flushed page (off for benchmarks, as in the
 	// paper's NVMe setup).
@@ -97,11 +96,12 @@ func (c *Config) setDefaults() error {
 // Store is a FASTER-style hybrid-log key-value store with MLKV's
 // bounded-staleness extension. All operations go through a Session.
 type Store struct {
-	cfg   Config
-	em    *epoch.Manager
-	ix    *index
-	log   *hybridLog
-	bound int64 // the staleness bound, fixed at open
+	cfg      Config
+	em       *epoch.Manager
+	ix       *index
+	log      *hybridLog
+	bound    int64 // the staleness bound, fixed at open
+	blocking bool  // BlockingBound(bound): the one clock switch
 
 	// Operation counters are per session: one shared block would be a
 	// cache line every key operation of every session writes. stats holds
@@ -125,7 +125,7 @@ func Open(cfg Config) (*Store, error) {
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, err
 	}
-	st := &Store{cfg: cfg, bound: cfg.StalenessBound, sessions: make(map[*Session]struct{})}
+	st := &Store{cfg: cfg, bound: cfg.StalenessBound, blocking: BlockingBound(cfg.StalenessBound), sessions: make(map[*Session]struct{})}
 	st.em = epoch.NewManager(cfg.MaxSessions)
 	st.ix = newIndex(cfg.IndexBuckets)
 	var err error
@@ -158,12 +158,13 @@ func (st *Store) ValueSize() int { return st.cfg.ValueSize }
 // for the store's life.
 func (st *Store) StalenessBound() int64 { return st.bound }
 
-// BlockingBound reports whether clocked reads under bound can wait on the
-// vector clock. Only then does batch ordering matter for deadlock freedom:
-// with the clock disabled (bound < 0) or fully asynchronous (BoundAsync) a
-// Get never blocks, so batched reads are free to fan out across shards in
-// parallel. Under a blocking bound a Get is a token acquisition that only
-// the matching Put releases, and acquisitions must keep a global order.
+// BlockingBound reports whether reads under bound can wait on the vector
+// clock, which is whether the store runs the clock at all: with the clock
+// disabled (bound < 0) or fully asynchronous (BoundAsync) no read can wait,
+// so no token is taken and none released, and batched reads are free to fan
+// out across shards in parallel. Under a blocking bound a Get is a token
+// acquisition that only the matching Put releases, and acquisitions must
+// keep a global order.
 func BlockingBound(bound int64) bool { return bound >= 0 && bound != BoundAsync }
 
 // Stats returns a snapshot of operation counters.
@@ -341,19 +342,19 @@ func (s *Session) findKey(key uint64, create bool) (*chainHit, error) {
 // ErrValueSize is returned when a caller buffer does not match ValueSize.
 var ErrValueSize = errors.New("faster: buffer length must equal ValueSize")
 
-// readLocked is the clocked read of a mutable-region record (§III-C1): one
-// CAS takes the lock and, with the clock running, a staleness token; the
-// value is copied out into dst (exactly one value long) and the lock
+// readLocked is the read of a mutable-region record (§III-C1): one CAS
+// takes the lock and, with the clock running (blocking), a staleness token;
+// the value is copied out into dst (exactly one value long) and the lock
 // released. Not done, the record was locked, replaced or the CAS lost —
 // re-resolve the chain — or stale: beyond the bound, wait for a releasing Put.
-func readLocked(f *frame, slot int, dst []byte, bound int64) (done, stale bool) {
+func readLocked(f *frame, slot int, dst []byte, blocking bool, bound int64) (done, stale bool) {
 	hdr := &f.hdrs[slot]
 	h := hdr.Load()
 	if h&(lockedBit|replacedBit) != 0 {
 		return false, false
 	}
 	delta := 0
-	if bound >= 0 {
+	if blocking {
 		if int64(Staleness(h)) > bound {
 			return false, true
 		}
@@ -368,11 +369,12 @@ func readLocked(f *frame, slot int, dst []byte, bound int64) (done, stale bool) 
 	return true, false
 }
 
-// Get reads the value for key into dst. Under bounded-staleness consistency
-// it implements the paper's protocol: wait until the record's staleness
-// counter is within the bound, then atomically {lock, staleness+1}, copy the
-// value, and release. Cold records (read-only region or disk) are first
-// copied to the mutable tail with their vector clock preserved.
+// Get reads the value for key into dst. Under a blocking bound it implements
+// the paper's protocol: wait until the record's staleness counter is within
+// the bound, then atomically {lock, staleness+1}, copy the value, and
+// release; cold records (read-only region or disk) are first copied to the
+// mutable tail with their vector clock preserved. Under a non-blocking bound
+// it is plain FASTER's read: no token, and cold records read in place.
 // Returns found=false, and a zeroed dst, for absent or deleted keys.
 // It is GetBatchAt's one-key case.
 func (s *Session) Get(key uint64, dst []byte) (bool, error) {
@@ -431,32 +433,31 @@ func (s *Session) pass(idxs []int, ops, served *atomic.Int64, step func(i int) (
 // create set it is read-or-create: such a key is created in its turn, inside
 // the pass — create writes its first value into the key's zeroed vals slot,
 // the pass appends that value, and found[i] is true. The new record's clock
-// already carries this read's token, so the key ends exactly as a write of
-// the value followed by a Get would leave it, with no gap between the two in
-// which another session could read it first. Under a blocking bound the
-// next key is therefore not read before this one holds its token, which is
-// the order the caller's key order promises. If another session's create
-// wins the key, the pass reads the winner's record instead.
+// already carries this read's token (while the clock runs), so the key ends
+// exactly as a write of the value followed by a Get would leave it, with no
+// gap between the two in which another session could read it first. Under
+// a blocking bound the next key is therefore not read before this one holds
+// its token, which is the order the caller's key order promises. If another
+// session's create wins the key, the pass reads the winner's record instead.
 func (s *Session) GetBatchAt(ctx context.Context, keys []uint64, idxs []int, vals []byte, found []bool, create func(key uint64, val []byte)) error {
 	vs := s.st.cfg.ValueSize
 	if len(vals) != len(keys)*vs || len(found) != len(keys) {
 		return ErrValueSize
 	}
-	bound := s.st.bound
 	return s.pass(idxs, &s.stats.Gets, &s.stats.MemHits, func(i int) (plain bool, err error) {
 		dst := vals[i*vs : (i+1)*vs]
-		if found[i], plain, err = s.get(ctx, keys[i], dst, bound, create); !found[i] {
+		if found[i], plain, err = s.get(ctx, keys[i], dst, create); !found[i] {
 			clear(dst)
 		}
 		return plain, err
 	})
 }
 
-// get is the clocked read of one key: resolve the chain, act on the version
+// get is the read of one key: resolve the chain, act on the version
 // found — or, with create set, create an absent key — and retry, backing off
 // and observing ctx, until the read completes. plain reports the common case
 // (see pass). The caller holds protection.
-func (s *Session) get(ctx context.Context, key uint64, dst []byte, bound int64, create func(uint64, []byte)) (found, plain bool, err error) {
+func (s *Session) get(ctx context.Context, key uint64, dst []byte, create func(uint64, []byte)) (found, plain bool, err error) {
 	for attempt := 0; ; attempt++ {
 		if attempt > 0 {
 			if err := ctx.Err(); err != nil {
@@ -478,9 +479,9 @@ func (s *Session) get(ctx context.Context, key uint64, dst []byte, bound int64, 
 		}
 		var done bool
 		if absent {
-			done, err = s.createOnce(key, hit, dst, bound, create)
+			done, err = s.createOnce(key, hit, dst, create)
 		} else {
-			done, err = s.getOnce(key, hit, dst, bound)
+			done, err = s.getOnce(key, hit, dst)
 		}
 		if err != nil {
 			return false, false, err
@@ -497,11 +498,11 @@ func (s *Session) get(ctx context.Context, key uint64, dst []byte, bound int64, 
 // record's (generation 0) with, while the clock runs, the creating read's
 // token already taken. done=false means another session changed the chain
 // first; the caller re-resolves it.
-func (s *Session) createOnce(key uint64, hit *chainHit, dst []byte, bound int64, create func(uint64, []byte)) (done bool, err error) {
+func (s *Session) createOnce(key uint64, hit *chainHit, dst []byte, create func(uint64, []byte)) (done bool, err error) {
 	clear(dst)
 	create(key, dst)
 	var token uint64
-	if bound >= 0 {
+	if s.st.blocking {
 		token = 1
 	}
 	if done, err = s.copyToTail(key, PackHeader(false, false, 0, token), dst, hit); done {
@@ -513,11 +514,11 @@ func (s *Session) createOnce(key uint64, hit *chainHit, dst []byte, bound int64,
 
 // getOnce attempts the Get against one located record version. done=false
 // means the caller must re-resolve the chain and retry.
-func (s *Session) getOnce(key uint64, hit *chainHit, dst []byte, bound int64) (done bool, err error) {
-	vs := s.st.cfg.ValueSize
+func (s *Session) getOnce(key uint64, hit *chainHit, dst []byte) (done bool, err error) {
+	vs, blocking, bound := s.st.cfg.ValueSize, s.st.blocking, s.st.bound
 	switch hit.reg {
 	case regionMutable:
-		done, stale := readLocked(hit.f, hit.slot, dst, bound)
+		done, stale := readLocked(hit.f, hit.slot, dst, blocking, bound)
 		if done {
 			s.tally++
 		} else if stale {
@@ -531,7 +532,7 @@ func (s *Session) getOnce(key uint64, hit *chainHit, dst []byte, bound int64) (d
 		return false, nil
 
 	case regionReadOnly:
-		if bound < 0 {
+		if !blocking {
 			// Plain FASTER read: values are immutable here, no lock needed.
 			copy(dst, hit.f.vals[hit.slot*vs:(hit.slot+1)*vs])
 			s.tally++
@@ -551,7 +552,7 @@ func (s *Session) getOnce(key uint64, hit *chainHit, dst []byte, bound int64) (d
 		return false, err
 
 	case regionDisk:
-		if bound < 0 {
+		if !blocking {
 			copy(dst, hit.diskRec.val)
 			return true, nil
 		}
@@ -594,7 +595,7 @@ func (s *Session) Peek(key uint64, dst []byte) (bool, error) {
 			copy(dst, hit.f.vals[hit.slot*vs:(hit.slot+1)*vs])
 			return true, nil
 		default: // mutable or fuzzy: locked read for value atomicity
-			if done, _ := readLocked(hit.f, hit.slot, dst, -1); done {
+			if done, _ := readLocked(hit.f, hit.slot, dst, false, 0); done {
 				return true, nil
 			}
 			s.backoff(attempt)
@@ -602,8 +603,8 @@ func (s *Session) Peek(key uint64, dst []byte) (bool, error) {
 	}
 }
 
-// Put upserts the value for key. Under BSC it atomically {lock,
-// staleness-1}s in the mutable region (a Put never waits on the bound —
+// Put upserts the value for key. Under a blocking bound it atomically
+// {lock, staleness-1}s in the mutable region (a Put never waits on the bound —
 // it only reduces staleness) and bumps the record generation on release.
 // Cold or absent records get a new version appended at the tail. It is
 // PutBatchAt's one-key case.
@@ -619,7 +620,6 @@ func (s *Session) PutBatchAt(keys []uint64, idxs []int, vals []byte) error {
 	if len(vals) != len(keys)*vs {
 		return ErrValueSize
 	}
-	bound := s.st.bound
 	var val []byte
 	put := func(cur []byte, _ bool) bool {
 		copy(cur, val)
@@ -627,7 +627,7 @@ func (s *Session) PutBatchAt(keys []uint64, idxs []int, vals []byte) error {
 	}
 	return s.pass(idxs, &s.stats.Puts, &s.stats.InPlaceUpdates, func(i int) (bool, error) {
 		val = vals[i*vs : (i+1)*vs]
-		return s.update(keys[i], bound, put)
+		return s.update(keys[i], put)
 	})
 }
 
@@ -637,22 +637,21 @@ func (s *Session) PutBatchAt(keys []uint64, idxs []int, vals []byte) error {
 // whether to store cur; a declining fn must leave cur untouched, and the
 // record — value, clock, generation, or absence — stays exactly as it was.
 func (s *Session) RMW(key uint64, fn func(cur []byte, exists bool) bool) error {
-	bound := s.st.bound
 	return s.pass(firstIdx[:], &s.stats.RMWs, &s.stats.InPlaceUpdates, func(int) (bool, error) {
-		return s.update(key, bound, fn)
+		return s.update(key, fn)
 	})
 }
 
 // update is the upsert of one key: resolve the chain (establishing the index
 // entry), apply fn in place or by append, and retry until it lands. plain
 // reports the common case (see pass). The caller holds protection.
-func (s *Session) update(key uint64, bound int64, fn func(cur []byte, exists bool) bool) (plain bool, err error) {
+func (s *Session) update(key uint64, fn func(cur []byte, exists bool) bool) (plain bool, err error) {
 	for attempt := 0; ; attempt++ {
 		hit, err := s.findKey(key, true)
 		if err != nil {
 			return false, err
 		}
-		done, err := s.updateOnce(key, hit, fn, bound)
+		done, err := s.updateOnce(key, hit, fn)
 		if err != nil {
 			return false, err
 		}
@@ -663,7 +662,7 @@ func (s *Session) update(key uint64, bound int64, fn func(cur []byte, exists boo
 	}
 }
 
-func (s *Session) updateOnce(key uint64, hit *chainHit, fn func([]byte, bool) bool, bound int64) (bool, error) {
+func (s *Session) updateOnce(key uint64, hit *chainHit, fn func([]byte, bool) bool) (bool, error) {
 	st := s.st
 	vs := st.cfg.ValueSize
 	exists := hit.addr != InvalidAddr && !hit.tomb
@@ -674,7 +673,7 @@ func (s *Session) updateOnce(key uint64, hit *chainHit, fn func([]byte, bool) bo
 			return false, nil
 		}
 		delta := 0
-		if bound >= 0 {
+		if st.blocking {
 			delta = -1
 		}
 		if !hit.f.hdrs[hit.slot].CompareAndSwap(h, withLock(h, delta)) {
@@ -715,7 +714,7 @@ func (s *Session) updateOnce(key uint64, hit *chainHit, fn func([]byte, bool) bo
 			return true, nil
 		}
 		stal := Staleness(oldHdr)
-		if bound >= 0 && stal > 0 {
+		if st.blocking && stal > 0 {
 			stal--
 		}
 		newHdr = PackHeader(false, false, (Generation(oldHdr)+1)&genMask, stal)

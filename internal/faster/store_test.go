@@ -2,10 +2,12 @@ package faster
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/llm-db/mlkv-go/internal/util"
 )
@@ -473,11 +475,22 @@ func TestStalenessBoundBlocksGet(t *testing.T) {
 	<-done
 }
 
+// TestAsyncBoundNeverBlocks pins that ASP runs no clock: no read can wait
+// under it, so a read takes no token — of a mutable record, or of a
+// read-only or disk one, which it reads in place instead of copying to the
+// tail. Nothing is left on the clock for a later blocking open of the same
+// directory to wait on.
 func TestAsyncBoundNeverBlocks(t *testing.T) {
-	const vs = 8
-	st := testStore(t, vs, 64, 8, 2, BoundAsync)
+	const (
+		vs = 8
+		n  = 2000 // >> the 8×64 in-memory slots
+	)
+	cfg := Config{
+		Dir: t.TempDir(), ValueSize: vs, RecordsPerPage: 64, MemPages: 8,
+		MutablePages: 2, StalenessBound: BoundAsync, ExpectedKeys: 1 << 14,
+	}
+	st := mustOpen(t, cfg)
 	s, _ := st.NewSession()
-	defer s.Close()
 	s.Put(5, val(vs, 5))
 	dst := make([]byte, vs)
 	for i := 0; i < 1000; i++ {
@@ -485,8 +498,47 @@ func TestAsyncBoundNeverBlocks(t *testing.T) {
 			t.Fatal("get failed")
 		}
 	}
-	if stal := recordStaleness(t, st, s, 5); stal != 1000 {
-		t.Fatalf("staleness = %d, want 1000", stal)
+	for k := uint64(6); k <= n; k++ {
+		s.Put(k, val(vs, k))
+	}
+	if st.Resident() {
+		t.Fatal("fixture did not spill")
+	}
+	tail := st.TailAddr()
+	for k := uint64(5); k <= n; k++ {
+		if found, err := s.Get(k, dst); !found || err != nil || !bytes.Equal(dst, val(vs, k)) {
+			t.Fatalf("key %d: found=%v err=%v", k, found, err)
+		}
+	}
+	if got := st.TailAddr(); got != tail {
+		t.Fatalf("reads moved the tail %d -> %d: a cold read was copied", tail, got)
+	}
+	for k := uint64(5); k <= n; k++ {
+		if stal := recordStaleness(t, st, s, k); stal != 0 {
+			t.Fatalf("key %d: staleness = %d, want 0", k, stal)
+		}
+	}
+	s.Close()
+	if err := st.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Reopened at BSP, every key's first read must return at once.
+	cfg.StalenessBound = 0
+	st2 := mustOpen(t, cfg)
+	defer st2.Close()
+	s2, _ := st2.NewSession()
+	defer s2.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	found := make([]bool, 1)
+	for k := uint64(5); k <= n; k++ {
+		if err := s2.GetBatchAt(ctx, []uint64{k}, firstIdx[:], dst, found, nil); err != nil || !found[0] {
+			t.Fatalf("key %d after reopen at BSP: found=%v err=%v", k, found[0], err)
+		}
 	}
 }
 

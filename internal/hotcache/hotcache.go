@@ -60,21 +60,19 @@ func (s Stats) AddTo(c *stats.Counters) {
 
 // Admissible reports whether an entry whose clock stamp trails the
 // current write clock by gap may be served under bound. The rule encodes
-// the consistency ladder: with the clock disabled (bound < 0) there is no
-// staleness contract and the tier behaves like any cache; BSP (bound 0)
-// requires every read to synchronize through the store, so nothing is
-// admissible; ASP admits everything; a finite SSP bound admits an entry
-// while no more than bound writes have landed since its fill — a
+// the consistency ladder: a non-blocking bound (ASP, or the clock disabled
+// below zero) has no staleness contract, so the tier behaves like any cache
+// and admits everything; BSP (bound 0) requires every read to synchronize
+// through the store, so nothing is admissible; a finite SSP bound admits an
+// entry while no more than bound writes have landed since its fill — a
 // conservative table-wide over-count of the record's own staleness, so a
 // served value is never more than bound versions behind.
 func Admissible(bound, gap int64) bool {
 	switch {
-	case bound < 0:
+	case bound < 0 || bound == BoundAsync:
 		return true
 	case bound == 0:
 		return false
-	case bound == BoundAsync:
-		return true
 	default:
 		return gap <= bound
 	}

@@ -272,13 +272,14 @@ func TestStoreBoundRefusal(t *testing.T) {
 }
 
 // TestResolveOpen pins the open policy both openers share: a live model
-// refuses another dim and another explicit bound (one without a clock
-// takes any non-blocking bound), and a new model opens under the requested
-// bound or the default.
+// refuses another dim and another explicit bound when either bound blocks
+// (a non-blocking model takes any non-blocking bound), and a new model
+// opens under the requested bound or the default.
 func TestResolveOpen(t *testing.T) {
 	const asp, refused = DefaultBound, int64(-2)
 	clocked := &LiveModel{Dim: 4, Bound: 4}
 	clockless := &LiveModel{Dim: 4, Bound: -1}
+	async := &LiveModel{Dim: 4, Bound: asp}
 	req := func(bound int64, set bool) OpenRequest {
 		return OpenRequest{ID: "m", Dim: 4, Bound: bound, BoundSet: set}
 	}
@@ -295,6 +296,7 @@ func TestResolveOpen(t *testing.T) {
 		{"live other dim", OpenRequest{ID: "m", Dim: 8}, clocked, asp, refused},
 		{"clockless asp", req(asp, true), clockless, asp, -1},
 		{"clockless bsp", req(0, true), clockless, asp, refused},
+		{"asp disabled", req(-1, true), async, asp, asp},
 		{"new default", req(0, false), nil, asp, asp},
 		{"new requested", req(0, true), nil, asp, 0},
 		{"new disabled", req(-1, true), nil, asp, -1},

@@ -18,9 +18,9 @@ import (
 // bound's business, not the engine name's.
 const EngineFaster = "faster"
 
-// HybridLogName is what a hybrid-log store running under bound is called
-// in results and OPEN responses: "mlkv" while its vector clock runs,
-// "faster" (plain FASTER) with the clock off.
+// HybridLogName is what a hybrid-log store opened under bound is called in
+// results and OPEN responses: "faster" below zero, "mlkv" otherwise. It
+// labels the requested bound, not a behaviour: ASP runs no clock either.
 func HybridLogName(bound int64) string {
 	if bound < 0 {
 		return EngineFaster
@@ -30,7 +30,7 @@ func HybridLogName(bound int64) string {
 
 // DefaultBound is the staleness bound a model opens with when its opener
 // names none, on a local directory and on a server left at its default:
-// ASP, under which the clock runs and never blocks.
+// ASP, under which no read waits, so the clock does not run.
 const DefaultBound = faster.BoundAsync
 
 // OpenRequest is what an opener asks of a named model.
@@ -43,7 +43,7 @@ type OpenRequest struct {
 }
 
 // LiveModel is what an open model runs. Bound is what its store reports:
-// -1 when no clock runs.
+// the bound it was opened under.
 type LiveModel struct {
 	Dim   int
 	Bound int64
@@ -54,10 +54,11 @@ type LiveModel struct {
 // why the request is refused.
 //
 // A live model (live non-nil) refuses a request with another dim, and one
-// setting a bound other than the one the model reports; a model reporting
-// -1 runs no clock, so it also accepts any non-blocking bound. The bound
-// is fixed while the model is open: once its last handle closes, the next
-// open may choose another.
+// setting another bound when either of the two blocks: two non-blocking
+// bounds (ASP and -1) run the same clock-free protocol, so a live model
+// under one accepts the other and keeps its own. The bound is fixed while
+// the model is open: once its last handle closes, the next open may choose
+// another.
 //
 // A new model (live nil) opens under the requested bound, or def when
 // none is set.
@@ -66,7 +67,7 @@ func ResolveOpen(req OpenRequest, live *LiveModel, def int64) (int64, error) {
 		switch {
 		case live.Dim != req.Dim:
 			return 0, fmt.Errorf("kv: model %q has dim %d, requested %d", req.ID, live.Dim, req.Dim)
-		case req.BoundSet && req.Bound != live.Bound && (live.Bound != -1 || faster.BlockingBound(req.Bound)):
+		case req.BoundSet && req.Bound != live.Bound && (faster.BlockingBound(live.Bound) || faster.BlockingBound(req.Bound)):
 			return 0, fmt.Errorf("kv: model %q runs staleness bound %d, requested %d", req.ID, live.Bound, req.Bound)
 		}
 		return live.Bound, nil
@@ -101,8 +102,8 @@ type ShardedConfig struct {
 	MutableFraction float64
 	// ExpectedKeys sizes the hash indexes (total across all shards).
 	ExpectedKeys uint64
-	// StalenessBound configures the vector clock (see faster.Config); -1
-	// turns it off, which is plain FASTER.
+	// StalenessBound configures the vector clock (see faster.Config): only
+	// a blocking bound runs it; ASP and -1 are both plain FASTER.
 	StalenessBound int64
 	// SyncWrites fsyncs every flushed log page.
 	SyncWrites bool

@@ -11,6 +11,7 @@ import (
 	mlkv "github.com/llm-db/mlkv-go"
 	"github.com/llm-db/mlkv-go/internal/core"
 	"github.com/llm-db/mlkv-go/internal/data"
+	"github.com/llm-db/mlkv-go/internal/faster"
 	"github.com/llm-db/mlkv-go/internal/kv"
 	"github.com/llm-db/mlkv-go/internal/models"
 	"github.com/llm-db/mlkv-go/internal/server"
@@ -27,10 +28,10 @@ var confInit = core.UniformInit(0.05, 1)
 func confBackends(t *testing.T) map[string]Backend {
 	t.Helper()
 	out := map[string]Backend{
-		"mlkv":   mlkvBackend(t, confDim, core.BoundASP),
+		"mlkv":   mlkvBackend(t, confDim, faster.BoundAsync),
 		"faster": mlkvBackend(t, confDim, core.BoundDisabled),
 		"mem":    NewMemBackend("mem", confDim, confInit),
-		"remote": remoteBackend(t, confDim, 0, core.BoundASP),
+		"remote": remoteBackend(t, confDim, 0, faster.BoundAsync),
 	}
 	return out
 }
@@ -95,7 +96,7 @@ func f32Eq(a, b []float32) bool {
 func TestFirstTouchArrivesZeroed(t *testing.T) {
 	const dim = 4
 	partial := core.Initializer(func(_ uint64, dst []float32) { dst[0] = 1 })
-	tbl, err := core.OpenTable(core.Options{Dir: t.TempDir(), Dim: dim, StalenessBound: core.BoundASP, Init: partial})
+	tbl, err := core.OpenTable(core.Options{Dir: t.TempDir(), Dim: dim, StalenessBound: faster.BoundAsync, Init: partial})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 
 	"github.com/llm-db/mlkv-go/internal/core"
 	"github.com/llm-db/mlkv-go/internal/data"
+	"github.com/llm-db/mlkv-go/internal/faster"
 	"github.com/llm-db/mlkv-go/internal/models"
 )
 
@@ -174,7 +175,7 @@ func TestTrainGATRuns(t *testing.T) {
 	gat := models.NewGAT(8, 12, 3, 43)
 	res, err := TrainGNN(GNNOptions{
 		Graph: graph, Kind: KindGAT, Gat: gat,
-		Backend: mlkvBackend(t, 8, core.BoundASP),
+		Backend: mlkvBackend(t, 8, faster.BoundAsync),
 		Workers: 2, Fanout: 2, Fanout2: 2,
 		DenseLR: 0.05, EmbLR: 0.05, Batch: 8,
 		MaxSamples: 1500, EvalNodes: 200,

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	mlkv "github.com/llm-db/mlkv-go"
-	"github.com/llm-db/mlkv-go/internal/latency"
 	"github.com/llm-db/mlkv-go/internal/util"
 )
 
@@ -56,19 +55,14 @@ type Options struct {
 }
 
 // Result summarizes a run. Every read is a Session.Get, which
-// first-touches a key it does not find, so a read never misses.
+// first-touches a key it does not find, so a read never misses. Run times
+// no op: the model's Stats().LatGet and LatPut do.
 type Result struct {
 	Ops        int64
 	Reads      int64
 	Updates    int64
 	Elapsed    time.Duration
 	Throughput float64 // ops/s
-	// Per-op-class latency distributions recorded across every thread
-	// (nanoseconds): reads, updates, and the two merged. On a graceful
-	// early stop they cover the partial run, like the counters above.
-	ReadLat   latency.Snapshot
-	UpdateLat latency.Snapshot
-	OpLat     latency.Snapshot
 }
 
 // loadBatch is the load phase's batch granularity: large enough that a
@@ -143,11 +137,6 @@ func Run(opts Options) (*Result, error) {
 		}
 	}
 	res := &Result{}
-	// Each thread times its ops into its own pair of histograms, merged
-	// once the threads are done: shared ones would have every op of every
-	// thread contend on the same counters.
-	readLats := make([]latency.Histogram, opts.Threads)
-	updateLats := make([]latency.Histogram, opts.Threads)
 	var ops, reads, updates atomic.Int64
 	stop := make(chan struct{})
 	halt := sync.OnceFunc(func() { close(stop) })
@@ -165,7 +154,6 @@ func Run(opts Options) (*Result, error) {
 				return
 			}
 			defer s.Close()
-			readLat, updateLat := &readLats[th], &updateLats[th]
 			r := util.NewRNG(opts.Seed + uint64(th)*104729 + 1)
 			var zipf *util.ScrambledZipf
 			if opts.Dist == Zipfian {
@@ -194,10 +182,7 @@ func Run(opts Options) (*Result, error) {
 					key = r.Uint64n(opts.Records)
 				}
 				if r.Float64() < opts.ReadFraction {
-					opStart := time.Now()
-					err := s.Get(key, buf)
-					readLat.Since(opStart)
-					if err != nil {
+					if err := s.Get(key, buf); err != nil {
 						errCh <- err
 						halt()
 						return
@@ -205,10 +190,7 @@ func Run(opts Options) (*Result, error) {
 					reads.Add(1)
 				} else {
 					FillValue(buf, key, opts.Seed+uint64(i))
-					opStart := time.Now()
-					err := s.Put(key, buf)
-					updateLat.Since(opStart)
-					if err != nil {
+					if err := s.Put(key, buf); err != nil {
 						errCh <- err
 						halt()
 						return
@@ -233,15 +215,5 @@ func Run(opts Options) (*Result, error) {
 	res.Updates = updates.Load()
 	res.Elapsed = time.Since(start)
 	res.Throughput = float64(res.Ops) / res.Elapsed.Seconds()
-	var readLat, updateLat, all latency.Histogram
-	for th := range readLats {
-		readLat.Merge(&readLats[th])
-		updateLat.Merge(&updateLats[th])
-	}
-	res.ReadLat = readLat.Snapshot()
-	res.UpdateLat = updateLat.Snapshot()
-	all.Merge(&readLat)
-	all.Merge(&updateLat)
-	res.OpLat = all.Snapshot()
 	return res, nil
 }

@@ -76,8 +76,8 @@ func TestYCSBUniform(t *testing.T) {
 }
 
 func TestYCSBZipfian(t *testing.T) {
-	// MLKV with ASP bound: vector clock maintained, never blocks — this is
-	// the Figure 10 configuration measuring clock overhead.
+	// The default bound, ASP: no read waits, so no clock runs — the
+	// Figure 10 configuration.
 	res, err := Run(Options{
 		Model: openModel(t, mlkv.ASP), Records: 5000, Threads: 4,
 		ReadFraction: 0.5, Dist: Zipfian, MaxOps: 20000, Seed: 2,

@@ -53,8 +53,9 @@ const (
 	// BSP (bound 0): a read waits until no update is outstanding on the
 	// record — bulk-synchronous training.
 	BSP = int64(0)
-	// ASP (INT64_MAX): the vector clock is maintained but never blocks —
-	// fully asynchronous training.
+	// ASP (INT64_MAX): no read waits — fully asynchronous training. With no
+	// reader the clock does not run: ASP is Disabled's protocol under
+	// another label.
 	ASP = int64(math.MaxInt64)
 	// Disabled (-1): plain FASTER semantics, no vector clock.
 	Disabled = int64(-1)
@@ -146,10 +147,12 @@ type config = driver.Config
 // Open of a live model (on this DB, or on the same server from any client)
 // with a different bound is refused. Locally, once every handle has closed,
 // the next Open may choose another; a server keeps its models open until
-// it exits. A model opened with Disabled — plain FASTER, no clock —
-// reports Disabled and also accepts any non-blocking bound. Unset, a live
-// model keeps its bound and a new one opens under ASP locally, and under
-// the server's -staleness default (also ASP unless set) remotely.
+// it exits. ASP and Disabled run one clock-free protocol, so a live model
+// opened with either accepts the other and keeps reporting its own, and a
+// model checkpointed under either reopens under BSP or SSP with no read
+// waiting on it. Unset, a live model keeps its bound and a new one opens
+// under ASP locally, and under the server's -staleness default (also ASP
+// unless set) remotely.
 func WithStalenessBound(b int64) Option {
 	return func(c *config) { c.Bound, c.BoundSet = b, true }
 }
@@ -262,7 +265,7 @@ func (m *Model) Dim() int { return m.m.Dim() }
 // WithShards).
 func (m *Model) Shards() int { return m.m.Shards() }
 
-// EngineName identifies the backing store: "mlkv", "faster" (clock
+// EngineName identifies the backing store: "mlkv", "faster" (opened with
 // Disabled), or "remote(<name>)".
 func (m *Model) EngineName() string { return m.m.EngineName() }
 
