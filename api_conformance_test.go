@@ -1533,6 +1533,30 @@ func TestClusterAnySeedBootstrap(t *testing.T) {
 	}
 }
 
+// TestAPIUnsafeModelIDs pins that every target refuses a model id that is
+// not a safe directory name — one that climbs out of the data directory,
+// names a subdirectory, or holds a space — and that a refused local open
+// creates nothing, inside the data directory or next to it.
+func TestAPIUnsafeModelIDs(t *testing.T) {
+	withTargets(t, func(t *testing.T, db *mlkv.DB) {
+		for _, id := range []string{"../escaped", "a/b", "with space"} {
+			if m, err := db.Open(id, 4); err == nil {
+				m.Close()
+				t.Errorf("unsafe model id %q accepted", id)
+			}
+		}
+		if db.Remote() {
+			return
+		}
+		if _, err := os.Stat(filepath.Join(db.Target(), "..", "escaped")); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("a refused open created a directory outside the data directory (stat: %v)", err)
+		}
+		if entries, err := os.ReadDir(db.Target()); err != nil || len(entries) != 0 {
+			t.Errorf("refused opens left %d entries in the data directory (err %v)", len(entries), err)
+		}
+	})
+}
+
 // TestAPIOpenValidation pins the public-surface validation errors.
 func TestAPIOpenValidation(t *testing.T) {
 	withTargets(t, func(t *testing.T, db *mlkv.DB) {

@@ -1,17 +1,13 @@
 package bench
 
 import (
-	"context"
 	"fmt"
-	"net"
 	"testing"
 	"time"
 
 	mlkv "github.com/llm-db/mlkv-go"
-	"github.com/llm-db/mlkv-go/internal/faster"
 	"github.com/llm-db/mlkv-go/internal/kv"
 	"github.com/llm-db/mlkv-go/internal/latency"
-	"github.com/llm-db/mlkv-go/internal/server"
 	"github.com/llm-db/mlkv-go/internal/util"
 )
 
@@ -33,26 +29,15 @@ func (e *Env) AllocSweep() error {
 	e.printf("%-28s %12s %12s %10s %14s\n", "config", "ns/op", "allocs/op", "B/op", "keys/s")
 
 	for _, entries := range []int{0, records} {
-		reg := server.NewRegistry(server.RegistryConfig{Store: kv.ShardedConfig{
+		target, stop, err := serveLoopback(kv.ShardedConfig{
 			Dir: e.dir("allocs"), MemoryBytes: 32 << 20, ExpectedKeys: records,
-			StalenessBound: faster.BoundAsync,
-		}})
-		srv := server.New(server.Config{Registry: reg})
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
+			StalenessBound: mlkv.ASP,
+		})
 		if err != nil {
-			reg.Close()
 			return err
 		}
-		serveErr := make(chan error, 1)
-		go func() { serveErr <- srv.Serve(ln) }()
-
-		res, rate, lat, err := measureRemoteAllocs(ln.Addr().String(), records, dim, batch, entries)
-
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		srv.Shutdown(ctx)
-		cancel()
-		<-serveErr
-		reg.Close()
+		res, rate, lat, err := measureRemoteAllocs(target, records, dim, batch, entries)
+		stop()
 		if err != nil {
 			return err
 		}
@@ -82,17 +67,13 @@ func (e *Env) AllocSweep() error {
 // benchmarks the Zipf GetBatch loop, recording per-call latency as it
 // goes (Record is allocation-free, so the allocs/op number is unchanged
 // by the measurement).
-func measureRemoteAllocs(addr string, records uint64, dim, batch, cacheEntries int) (testing.BenchmarkResult, float64, latency.Snapshot, error) {
-	db, err := mlkv.Connect(mlkv.Scheme + addr)
+func measureRemoteAllocs(target string, records uint64, dim, batch, cacheEntries int) (testing.BenchmarkResult, float64, latency.Snapshot, error) {
+	db, err := mlkv.Connect(target)
 	if err != nil {
 		return testing.BenchmarkResult{}, 0, latency.Snapshot{}, err
 	}
 	defer db.Close()
-	opts := []mlkv.Option{mlkv.WithStalenessBound(mlkv.ASP)}
-	if cacheEntries > 0 {
-		opts = append(opts, mlkv.WithCache(cacheEntries))
-	}
-	m, err := db.Open("allocs", dim, opts...)
+	m, err := db.Open("allocs", dim, mlkv.WithStalenessBound(mlkv.ASP), mlkv.WithCache(cacheEntries))
 	if err != nil {
 		return testing.BenchmarkResult{}, 0, latency.Snapshot{}, err
 	}

@@ -12,6 +12,7 @@ import (
 	"github.com/llm-db/mlkv-go/internal/models"
 	"github.com/llm-db/mlkv-go/internal/train"
 	"github.com/llm-db/mlkv-go/internal/util"
+	"github.com/llm-db/mlkv-go/internal/ycsb"
 )
 
 // TestAllFiguresRunAtTinyScale is the harness integration test: every
@@ -28,7 +29,7 @@ func TestAllFiguresRunAtTinyScale(t *testing.T) {
 		}
 	}
 	s := out.String()
-	for _, want := range []string{"Figure 2", "Figure 8", "Figure 10", "mlkv", "faster"} {
+	for _, want := range []string{"Figure 2", "Figure 8", "Figure 10", "fully-async", "ops/s"} {
 		if !strings.Contains(s, want) {
 			t.Fatalf("output missing %q:\n%s", want, s)
 		}
@@ -204,7 +205,7 @@ func TestLatencySweepRunsAtTinyScale(t *testing.T) {
 			t.Fatalf("output missing %q:\n%s", want, s)
 		}
 	}
-	// 6 legs — local and remote × 2 cache settings each and the
+	// 6 legs — local and remote × 2 cache settings each and the remote
 	// flush-pace pair (unpaced vs paced) — each swept over 2 batch sizes ×
 	// len(Threads) workers.
 	if want := 6 * 2 * len(sc.Threads); len(e.results) != want {
@@ -271,8 +272,7 @@ func BenchmarkCluster(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer m.Close()
-	sess := func() (sweepSession, error) { return m.NewSession() }
-	if err := loadKeys(sess, records, dim); err != nil {
+	if err := ycsb.Load(m, records, 3); err != nil {
 		b.Fatal(err)
 	}
 	s, err := m.NewSession()

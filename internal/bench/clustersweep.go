@@ -5,15 +5,13 @@ import (
 	"fmt"
 	"net"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	mlkv "github.com/llm-db/mlkv-go"
 	"github.com/llm-db/mlkv-go/internal/cluster"
-	"github.com/llm-db/mlkv-go/internal/kv"
 	"github.com/llm-db/mlkv-go/internal/latency"
 	"github.com/llm-db/mlkv-go/internal/server"
+	"github.com/llm-db/mlkv-go/internal/ycsb"
 )
 
 // clusterNodes stands up n loopback mlkv-servers as one logical store: a
@@ -21,25 +19,29 @@ import (
 // primaries plus a read replica of the first. It returns the mlkv://
 // seed-list target and a teardown function.
 func (e *Env) clusterNodes(n int, records uint64, bufKB int) (string, func(), error) {
-	var (
-		addrs     []string
-		teardowns []func()
-	)
+	var stops []func()
 	teardown := func() {
-		for i := len(teardowns) - 1; i >= 0; i-- {
-			teardowns[i]()
+		for i := len(stops) - 1; i >= 0; i-- {
+			stops[i]()
 		}
 	}
 	lns := make([]net.Listener, n)
+	addrs := make([]string, n)
 	specs := make([]cluster.Node, n)
+	closeFrom := func(i int) {
+		for _, ln := range lns[i:] {
+			if ln != nil {
+				ln.Close()
+			}
+		}
+	}
 	for i := range lns {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
-			teardown()
+			closeFrom(0)
 			return "", nil, err
 		}
-		lns[i] = ln
-		addrs = append(addrs, ln.Addr().String())
+		lns[i], addrs[i] = ln, ln.Addr().String()
 		specs[i] = cluster.Node{ID: fmt.Sprintf("n%d", i), Addr: addrs[i], Role: cluster.RolePrimary}
 	}
 	var mp *cluster.Map
@@ -48,108 +50,28 @@ func (e *Env) clusterNodes(n int, records uint64, bufKB int) (string, func(), er
 		specs[n-1].PrimaryID = specs[0].ID
 		var err error
 		if mp, err = cluster.BuildMap(specs); err != nil {
-			teardown()
+			closeFrom(0)
 			return "", nil, err
 		}
 	}
-	for i := range lns {
-		dir := e.dir(fmt.Sprintf("cluster-%dn", n))
-		reg := server.NewRegistry(server.RegistryConfig{
-			Store: kv.ShardedConfig{
-				Dir: dir, MemoryBytes: int64(bufKB) << 10, RecordsPerPage: 256,
-				ExpectedKeys: records,
-			},
-			Name: specs[i].ID,
-		})
-		cfg := server.Config{Registry: reg}
+	for i, ln := range lns {
 		var st *cluster.State
 		if mp != nil {
 			var err error
 			if st, err = cluster.NewState(specs[i].ID, mp); err != nil {
-				reg.Close()
+				closeFrom(i)
 				teardown()
 				return "", nil, err
 			}
 			st.EnableReplication()
-			cfg.Cluster = st
 		}
-		srv := server.New(cfg)
-		serveErr := make(chan error, 1)
-		go func(ln net.Listener) { serveErr <- srv.Serve(ln) }(lns[i])
-		teardowns = append(teardowns, func() {
-			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-			defer cancel()
-			srv.Shutdown(ctx)
-			<-serveErr
-			if st != nil {
-				st.Close()
-			}
-			reg.Close()
-		})
+		_, stop := serve(ln, server.RegistryConfig{
+			Store: e.serverStore(fmt.Sprintf("cluster-%dn", n), bufKB, records, 0),
+			Name:  specs[i].ID,
+		}, st)
+		stops = append(stops, stop)
 	}
 	return mlkv.Scheme + strings.Join(addrs, ","), teardown, nil
-}
-
-// measureClusterMix is the clocked-read workload: each worker cycles
-// GetBatch→PutBatch over a strided sequential cursor, so every staleness
-// token a read acquires is released by the write that follows and a
-// finite bound makes steady progress. The keys must be distinct within a
-// batch — a Zipf stream would read its hot key dozens of times before the
-// balancing puts land, push the key's clock past any reasonable bound,
-// and deadlock every worker on writes none of them can reach. keys/s
-// counts reads; the latency distribution is the read op's (the leg where
-// the blocking-bound serial gate shows up).
-func measureClusterMix(newSess func() (sweepSession, error), records uint64, dim, batch, workers int, dur time.Duration, seed0 uint64) (float64, latency.Snapshot, error) {
-	var lat latency.Histogram
-	var keysRead atomic.Int64
-	var errMu sync.Mutex
-	var firstErr error
-	fail := func(err error) {
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		errMu.Unlock()
-	}
-	var wg sync.WaitGroup
-	start := time.Now()
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			sess, err := newSess()
-			if err != nil {
-				fail(err)
-				return
-			}
-			defer sess.Close()
-			cursor := (seed0 + uint64(w)*records/uint64(workers)) % records
-			keys := make([]uint64, batch)
-			dst := make([]float32, batch*dim)
-			for first := true; first || time.Since(start) < dur; first = false {
-				for i := range keys {
-					keys[i] = cursor
-					cursor = (cursor + 1) % records
-				}
-				opStart := time.Now()
-				if err := sess.GetBatch(keys, dst); err != nil {
-					fail(err)
-					return
-				}
-				lat.Since(opStart)
-				if err := sess.PutBatch(keys, dst); err != nil {
-					fail(err)
-					return
-				}
-				keysRead.Add(int64(batch))
-			}
-		}(w)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return 0, latency.Snapshot{}, fmt.Errorf("bench: cluster measure: %w", firstErr)
-	}
-	return float64(keysRead.Load()) / time.Since(start).Seconds(), lat.Snapshot(), nil
 }
 
 // ClusterSweep measures what the routing layer costs and buys: the Zipf
@@ -165,10 +87,7 @@ func (e *Env) ClusterSweep() error {
 	records := s.YCSBRecords
 	dim := s.Dim
 	bufKB := s.BufferKBs[0]
-	dur := s.Duration / 4
-	if dur < 150*time.Millisecond {
-		dur = 150 * time.Millisecond
-	}
+	dur := max(s.Duration/4, 150*time.Millisecond)
 	const workers = 4
 	const sspBound = 64
 
@@ -211,19 +130,29 @@ func (e *Env) clusterLeg(target string, nodes int, records uint64, dim, workers 
 				return err
 			}
 			defer m.Close()
-			sess := func() (sweepSession, error) { return m.NewSession() }
-			if err := loadKeys(sess, records, dim); err != nil {
+			if err := ycsb.Load(m, records, 3); err != nil {
 				return err
 			}
 			for _, batch := range []int{1, 256} {
 				seed := 1201 + uint64(nodes*1000+batch)
-				var rate float64
-				var lat latency.Snapshot
+				l := loop{workers: workers, batch: batch, dur: dur}
 				if bc.bound == mlkv.ASP {
-					rate, lat, err = measureZipf(sess, records, dim, batch, workers, dur, seed)
+					l.keys, l.read = zipfKeys(records, seed), getOrBatch
 				} else {
-					rate, lat, err = measureClusterMix(sess, records, dim, batch, workers, dur, seed)
+					// The clocked-read workload: each worker cycles
+					// GetBatch→PutBatch over a strided sequential cursor,
+					// so every staleness token a read acquires is
+					// released by the write that follows and the bound
+					// makes steady progress. A Zipf stream would read its
+					// hot key dozens of times before the balancing puts
+					// land, push the key's clock past any reasonable bound,
+					// and deadlock every worker on writes none of them can
+					// reach. The latency is the read's, where the
+					// blocking-bound serial gate shows up.
+					l.keys = cursorKeys(records, seed, workers)
+					l.read, l.write = (*mlkv.Session).GetBatch, (*mlkv.Session).PutBatch
 				}
+				rate, lat, err := l.run(m)
 				if err != nil {
 					return err
 				}

@@ -7,7 +7,7 @@ import (
 	"path/filepath"
 	"time"
 
-	"github.com/llm-db/mlkv-go/internal/core"
+	mlkv "github.com/llm-db/mlkv-go"
 	"github.com/llm-db/mlkv-go/internal/data"
 	"github.com/llm-db/mlkv-go/internal/models"
 	"github.com/llm-db/mlkv-go/internal/train"
@@ -33,12 +33,18 @@ type Scale struct {
 }
 
 // Tiny is the test scale (sub-second runs).
+//
+// A local model opens 1 024-record pages: at Dim 8 a page is 56 KiB and a
+// store's 4-page floor 224 KiB, so the smaller buffer (4 pages) holds about
+// half of each training key space (8 000 keys, ~440 KiB) and the larger
+// (18 pages) all of it, and the 16 000 read-sweep records (~875 KiB at Dim
+// 8; ~625 KiB as 16-byte YCSB rows) spill at the smaller one.
 var Tiny = Scale{
 	Name: "tiny", Dim: 8, CTRFields: 4, CTRCard: 2000,
-	KGEntities: 2000, GraphNodes: 2000, Workers: 2,
+	KGEntities: 8000, GraphNodes: 8000, Workers: 2,
 	Duration: 400 * time.Millisecond, MaxSamples: 4000,
-	BufferKBs:   []int{64, 256},
-	YCSBRecords: 4000, YCSBOps: 20000,
+	BufferKBs:   []int{256, 1024},
+	YCSBRecords: 16000, YCSBOps: 20000,
 	ValueSizes: []int{16, 64},
 	Threads:    []int{1, 4},
 }
@@ -83,9 +89,9 @@ type Env struct {
 	Scale   Scale
 	WorkDir string
 	Out     io.Writer
-	// Shards hash-partitions every table the experiments open (0 or 1 =
-	// unsharded). The "shards" experiment sweeps shard counts
-	// itself and ignores this.
+	// Shards hash-partitions every model the training figures open (0 or
+	// 1 = unsharded). The "shards" experiment sweeps shard counts itself
+	// and ignores this.
 	Shards int
 	// JSONDir, when set, makes Run write each experiment's recorded
 	// measurements to BENCH_<experiment>.json under it (the repo's tracked
@@ -111,44 +117,69 @@ func (e *Env) printf(format string, args ...any) {
 	fmt.Fprintf(e.Out, format, args...)
 }
 
-// mlkvTable opens a hybrid-log core.Table sized to bufKB kilobytes of
-// memory, partitioned across e.Shards shards.
-func (e *Env) mlkvTable(tag string, dim int, bound int64, bufKB int, expectedKeys uint64, init core.Initializer) (*core.Table, error) {
-	return core.OpenTable(core.Options{
-		Dir: e.dir(tag), Dim: dim, StalenessBound: bound, Shards: e.Shards,
-		MemoryBytes: int64(bufKB) << 10, RecordsPerPage: 256,
-		ExpectedKeys: expectedKeys, Init: init,
-	})
+// openLocal opens model tag on a fresh local directory through the public
+// API; closeDB closes the model with its DB.
+func (e *Env) openLocal(tag string, dim int, opts ...mlkv.Option) (m *mlkv.Model, closeDB func(), err error) {
+	db, err := mlkv.Connect(e.dir(tag))
+	if err != nil {
+		return nil, nil, err
+	}
+	if m, err = db.Open(tag, dim, opts...); err != nil {
+		db.Close()
+		return nil, nil, err
+	}
+	return m, func() { db.Close() }, nil
 }
 
-// backendSet builds the Figure 7 lineup at one buffer size: MLKV and plain
-// FASTER, the same hybrid log behind the same core.Table with the clock on
-// and off, so the figure measures the clock and look-ahead and nothing
-// else.
-func (e *Env) backendSet(dim int, bound int64, bufKB int, keys uint64, init core.Initializer) (map[string]train.Backend, func(), error) {
-	out := map[string]train.Backend{}
-	var tables []*core.Table
-	closeAll := func() {
-		for _, t := range tables {
-			t.Close()
-		}
+// trainModel runs fn on a fresh local model — bound's clock, bufKB
+// kilobytes of memory, an index sized for keys, e.Shards partitions, init
+// for first touch — and closes it. Hints flow to the model whenever the
+// trainer's LookaheadDepth asks for them.
+func (e *Env) trainModel(tag string, bound int64, bufKB int, keys uint64, init mlkv.Initializer, fn func(train.Backend) (*train.Result, error)) (*train.Result, error) {
+	m, closeDB, err := e.openLocal(tag, e.Scale.Dim, mlkv.WithStalenessBound(bound),
+		mlkv.WithMemory(int64(bufKB)<<10), mlkv.WithExpectedKeys(keys),
+		mlkv.WithShards(e.Shards), mlkv.WithInitializer(init))
+	if err != nil {
+		return nil, err
 	}
-	for _, b := range []struct {
-		name  string
-		bound int64
-	}{
-		{"mlkv", bound},
-		{"faster", core.BoundDisabled},
-	} {
-		t, err := e.mlkvTable(b.name, dim, b.bound, bufKB, keys, init)
-		if err != nil {
-			closeAll()
-			return nil, nil, err
-		}
-		tables = append(tables, t)
-		out[b.name] = train.NewTableBackend(t, b.name == "mlkv")
+	defer closeDB()
+	return fn(train.NewModelBackend(m, true))
+}
+
+// A task is one training workload of the figures: its key space, its
+// first-touch initializer, and its trainer at a look-ahead depth with a
+// convergence point every evalEvery (0: none).
+type task struct {
+	name, metric string
+	keys         uint64
+	init         mlkv.Initializer
+	run          func(b train.Backend, la int, evalEvery time.Duration) (*train.Result, error)
+}
+
+// tasks returns the three workloads: asynchronous DLRM, KGE in the
+// standard order, and GraphSage.
+func (e *Env) tasks() []task {
+	s := e.Scale
+	return []task{
+		{"dlrm", "AUC", s.CTRCard * uint64(s.CTRFields), e.ctrInit(),
+			func(b train.Backend, la int, every time.Duration) (*train.Result, error) {
+				o := e.ctrOpts(b, train.ModeAsync, la)
+				o.EvalEvery = every
+				return train.TrainCTR(o)
+			}},
+		{"kge", "Hits@10", s.KGEntities, e.kgeInit(),
+			func(b train.Backend, la int, every time.Duration) (*train.Result, error) {
+				o := e.kgeOpts(b, la, false)
+				o.EvalEvery = every
+				return train.TrainKGE(o)
+			}},
+		{"gnn", "Acc%", s.GraphNodes, e.ctrInit(),
+			func(b train.Backend, la int, every time.Duration) (*train.Result, error) {
+				o := e.gnnOpts(b, la)
+				o.EvalEvery = every
+				return train.TrainGNN(o)
+			}},
 	}
-	return out, closeAll, nil
 }
 
 // ctrOpts builds standard CTR training options on a backend.
@@ -193,7 +224,7 @@ func (e *Env) gnnOpts(b train.Backend, lookahead int) train.GNNOptions {
 }
 
 // kgeInit is the embedding initializer for multiplicative scorers.
-func (e *Env) kgeInit() core.Initializer { return core.UniformInit(0.5, 7) }
+func (e *Env) kgeInit() mlkv.Initializer { return mlkv.UniformInit(0.5) }
 
 // ctrInit initializes CTR/GNN embeddings.
-func (e *Env) ctrInit() core.Initializer { return core.UniformInit(0.1, 7) }
+func (e *Env) ctrInit() mlkv.Initializer { return mlkv.UniformInit(0.1) }

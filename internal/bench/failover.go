@@ -108,35 +108,23 @@ func (e *Env) failoverTrial(trial int, hc cluster.HealthConfig) (time.Duration, 
 		states [3]*cluster.State
 	)
 	for i, id := range []string{"n0", "n1", "n2"} {
-		dir := e.dir(fmt.Sprintf("failover-%d-%s", trial, id))
-		reg := server.NewRegistry(server.RegistryConfig{
-			Store: kv.ShardedConfig{
-				Dir: dir, MemoryBytes: 1 << 20, RecordsPerPage: 256,
-				ExpectedKeys: keys * 4,
-			},
-			Name: id,
-		})
 		st, err := cluster.NewState(id, m)
 		if err != nil {
-			reg.Close()
 			return 0, err
 		}
 		st.EnableReplication()
+		reg, stop := serve(lns[i], server.RegistryConfig{
+			Store: kv.ShardedConfig{
+				Dir: e.dir(fmt.Sprintf("failover-%d-%s", trial, id)), MemoryBytes: 1 << 20,
+				ExpectedKeys: keys * 4,
+			},
+			Name: id,
+		}, st)
+		teardowns = append(teardowns, stop)
 		cfg := hc
 		cfg.Watermark = reg.ReplWatermark
 		st.StartHealth(cfg)
-		srv := server.New(server.Config{Registry: reg, Cluster: st})
-		serveErr := make(chan error, 1)
-		go func(ln net.Listener) { serveErr <- srv.Serve(ln) }(lns[i])
 		regs[i], states[i] = reg, st
-		teardowns = append(teardowns, func() {
-			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-			defer cancel()
-			_ = srv.Shutdown(ctx)
-			<-serveErr
-			st.Close()
-			reg.Close()
-		})
 	}
 
 	target := mlkv.Scheme + strings.Join([]string{proxy.Addr(), lns[1].Addr().String(), lns[2].Addr().String()}, ",")

@@ -2,11 +2,10 @@ package bench
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	mlkv "github.com/llm-db/mlkv-go"
-	"github.com/llm-db/mlkv-go/internal/core"
-	"github.com/llm-db/mlkv-go/internal/faster"
 	"github.com/llm-db/mlkv-go/internal/train"
 	"github.com/llm-db/mlkv-go/internal/ycsb"
 )
@@ -18,21 +17,18 @@ import (
 func (e *Env) Fig2() error {
 	e.printf("== Figure 2: scalability issues (sync vs fully async, FASTER backend) ==\n")
 	e.printf("%-12s %10s %10s %10s %12s %8s\n", "mode", "emb%", "fwd%", "bwd%", "samples/s", "AUC")
-	bufKB := e.Scale.BufferKBs[0]
+	dlrm := e.tasks()[0]
 	for _, mode := range []struct {
 		name  string
 		mode  train.Mode
 		bound int64
 	}{
-		{"sync", train.ModeSync, core.BoundBSP},
-		{"fully-async", train.ModeAsync, faster.BoundAsync},
+		{"sync", train.ModeSync, mlkv.BSP},
+		{"fully-async", train.ModeAsync, mlkv.ASP},
 	} {
-		tbl, err := e.mlkvTable("fig2", e.Scale.Dim, mode.bound, bufKB, e.Scale.CTRCard*uint64(e.Scale.CTRFields), e.ctrInit())
-		if err != nil {
-			return err
-		}
-		res, err := train.TrainCTR(e.ctrOpts(train.NewTableBackend(tbl, false), mode.mode, 0))
-		tbl.Close()
+		res, err := e.trainModel("fig2", mode.bound, e.Scale.BufferKBs[0], dlrm.keys, dlrm.init, func(b train.Backend) (*train.Result, error) {
+			return train.TrainCTR(e.ctrOpts(b, mode.mode, 0))
+		})
 		if err != nil {
 			return err
 		}
@@ -57,80 +53,28 @@ func (e *Env) Fig2() error {
 func (e *Env) Fig6() error {
 	e.printf("== Figure 6: end-to-end convergence, native in-memory vs MLKV ==\n")
 	bigBuf := e.Scale.BufferKBs[len(e.Scale.BufferKBs)-1] * 4 // in-memory regime
-	evalEvery := e.Scale.Duration / 5
-	if evalEvery <= 0 {
-		evalEvery = 100 * time.Millisecond
-	}
-
-	runCTR := func(name string, b train.Backend) error {
-		o := e.ctrOpts(b, train.ModeAsync, 0)
-		o.EvalEvery = evalEvery
-		res, err := train.TrainCTR(o)
+	evalEvery := e.evalEvery()
+	for _, t := range e.tasks() {
+		run := func(b train.Backend) (*train.Result, error) { return t.run(b, 0, evalEvery) }
+		res, err := run(train.NewMemBackend("native", e.Scale.Dim, t.init))
 		if err != nil {
 			return err
 		}
-		printCurve(e, "DLRM/"+name, "AUC", res)
-		return nil
-	}
-	if err := runCTR("native", train.NewMemBackend("native", e.Scale.Dim, e.ctrInit())); err != nil {
-		return err
-	}
-	tbl, err := e.mlkvTable("fig6ctr", e.Scale.Dim, 8, bigBuf, e.Scale.CTRCard*uint64(e.Scale.CTRFields), e.ctrInit())
-	if err != nil {
-		return err
-	}
-	if err := runCTR("mlkv", train.NewTableBackend(tbl, true)); err != nil {
-		tbl.Close()
-		return err
-	}
-	tbl.Close()
-
-	runKGE := func(name string, b train.Backend) error {
-		o := e.kgeOpts(b, 0, false)
-		o.EvalEvery = evalEvery
-		res, err := train.TrainKGE(o)
-		if err != nil {
+		printCurve(e, strings.ToUpper(t.name)+"/native", t.metric, res)
+		if res, err = e.trainModel("fig6"+t.name, 8, bigBuf, t.keys, t.init, run); err != nil {
 			return err
 		}
-		printCurve(e, "KGE/"+name, "Hits@10", res)
-		return nil
+		printCurve(e, strings.ToUpper(t.name)+"/mlkv", t.metric, res)
 	}
-	if err := runKGE("native", train.NewMemBackend("native", e.Scale.Dim, e.kgeInit())); err != nil {
-		return err
-	}
-	ktbl, err := e.mlkvTable("fig6kge", e.Scale.Dim, 8, bigBuf, e.Scale.KGEntities, e.kgeInit())
-	if err != nil {
-		return err
-	}
-	if err := runKGE("mlkv", train.NewTableBackend(ktbl, true)); err != nil {
-		ktbl.Close()
-		return err
-	}
-	ktbl.Close()
-
-	runGNN := func(name string, b train.Backend) error {
-		o := e.gnnOpts(b, 0)
-		o.EvalEvery = evalEvery
-		res, err := train.TrainGNN(o)
-		if err != nil {
-			return err
-		}
-		printCurve(e, "GNN/"+name, "Acc%", res)
-		return nil
-	}
-	if err := runGNN("native", train.NewMemBackend("native", e.Scale.Dim, e.ctrInit())); err != nil {
-		return err
-	}
-	gtbl, err := e.mlkvTable("fig6gnn", e.Scale.Dim, 8, bigBuf, e.Scale.GraphNodes, e.ctrInit())
-	if err != nil {
-		return err
-	}
-	if err := runGNN("mlkv", train.NewTableBackend(gtbl, true)); err != nil {
-		gtbl.Close()
-		return err
-	}
-	gtbl.Close()
 	return nil
+}
+
+// evalEvery spaces the convergence curves' points: five per run.
+func (e *Env) evalEvery() time.Duration {
+	if every := e.Scale.Duration / 5; every > 0 {
+		return every
+	}
+	return 100 * time.Millisecond
 }
 
 func printCurve(e *Env, name, metric string, res *train.Result) {
@@ -143,63 +87,36 @@ func printCurve(e *Env, name, metric string, res *train.Result) {
 
 // Fig7 reproduces Figure 7: larger-than-memory training throughput (top)
 // and energy (bottom) across backends and buffer sizes, for all three
-// tasks, MLKV against plain FASTER. Expected shape: mlkv > faster, the gap
+// tasks, MLKV against plain FASTER — the same hybrid log behind the same
+// public API with the clock on and off, so the figure measures the clock
+// and look-ahead and nothing else. Expected shape: mlkv > faster, the gap
 // narrowing as buffers grow.
 func (e *Env) Fig7() error {
 	e.printf("== Figure 7: larger-than-memory throughput and energy vs buffer size ==\n")
-	tasks := []string{"dlrm", "kge", "gnn"}
-	for _, task := range tasks {
-		e.printf("-- %s --\n", task)
+	for _, t := range e.tasks() {
+		e.printf("-- %s --\n", t.name)
 		e.printf("%-8s", "backend")
 		for _, kb := range e.Scale.BufferKBs {
 			e.printf(" %9dKB %10s", kb, "J/batch")
 		}
 		e.printf("\n")
-		rows := map[string][]string{}
-		order := []string{"mlkv", "faster"}
-		for _, kb := range e.Scale.BufferKBs {
-			init := e.ctrInit()
-			keys := e.Scale.CTRCard * uint64(e.Scale.CTRFields)
-			bound := int64(8)
-			if task == "kge" {
-				init = e.kgeInit()
-				keys = e.Scale.KGEntities
-			}
-			if task == "gnn" {
-				keys = e.Scale.GraphNodes
-			}
-			set, closeAll, err := e.backendSet(e.Scale.Dim, bound, kb, keys, init)
-			if err != nil {
-				return err
-			}
-			for _, name := range order {
-				b := set[name]
-				var res *train.Result
-				la := 0
-				if name == "mlkv" {
-					la = 16
-				}
-				switch task {
-				case "dlrm":
-					res, err = train.TrainCTR(e.ctrOpts(b, train.ModeAsync, la))
-				case "kge":
-					res, err = train.TrainKGE(e.kgeOpts(b, la, false))
-				case "gnn":
-					res, err = train.TrainGNN(e.gnnOpts(b, la))
-				}
+		for _, v := range []struct {
+			name  string
+			bound int64
+			la    int
+		}{
+			{"mlkv", 8, 16},
+			{"faster", mlkv.Disabled, 0},
+		} {
+			e.printf("%-8s", v.name)
+			for _, kb := range e.Scale.BufferKBs {
+				res, err := e.trainModel(v.name, v.bound, kb, t.keys, t.init, func(b train.Backend) (*train.Result, error) {
+					return t.run(b, v.la, 0)
+				})
 				if err != nil {
-					closeAll()
 					return err
 				}
-				rows[name] = append(rows[name],
-					fmt.Sprintf(" %11.0f %10.2f", res.Throughput, JoulesPerBatch(res, 32)))
-			}
-			closeAll()
-		}
-		for _, name := range order {
-			e.printf("%-8s", name)
-			for _, cell := range rows[name] {
-				e.printf("%s", cell)
+				e.printf(" %11.0f %10.2f", res.Throughput, JoulesPerBatch(res, 32))
 			}
 			e.printf("\n")
 		}
@@ -212,29 +129,24 @@ func (e *Env) Fig7() error {
 // the bound (up to ~6.6× in the paper) while the metric degrades <0.1%.
 func (e *Env) Fig8() error {
 	e.printf("== Figure 8: effect of bounded staleness consistency ==\n")
-	bounds := []int64{0, 4, 10, 20, 40, 80}
 	bufKB := e.Scale.BufferKBs[0]
+	ts := e.tasks()
+	dlrm, kge := ts[0], ts[1]
 	e.printf("%-6s %14s %10s %14s %10s\n", "bound", "dlrm-samp/s", "AUC", "kge-samp/s", "Hits@10")
-	for _, bound := range bounds {
-		tbl, err := e.mlkvTable("fig8c", e.Scale.Dim, bound, bufKB, e.Scale.CTRCard*uint64(e.Scale.CTRFields), e.ctrInit())
-		if err != nil {
-			return err
-		}
+	for _, bound := range []int64{0, 4, 10, 20, 40, 80} {
 		mode := train.ModeAsync
 		if bound == 0 {
 			mode = train.ModeSync
 		}
-		resC, err := train.TrainCTR(e.ctrOpts(train.NewTableBackend(tbl, true), mode, 16))
-		tbl.Close()
+		resC, err := e.trainModel("fig8c", bound, bufKB, dlrm.keys, dlrm.init, func(b train.Backend) (*train.Result, error) {
+			return train.TrainCTR(e.ctrOpts(b, mode, 16))
+		})
 		if err != nil {
 			return err
 		}
-		ktbl, err := e.mlkvTable("fig8k", e.Scale.Dim, bound, bufKB, e.Scale.KGEntities, e.kgeInit())
-		if err != nil {
-			return err
-		}
-		resK, err := train.TrainKGE(e.kgeOpts(train.NewTableBackend(ktbl, true), 16, false))
-		ktbl.Close()
+		resK, err := e.trainModel("fig8k", bound, bufKB, kge.keys, kge.init, func(b train.Backend) (*train.Result, error) {
+			return kge.run(b, 16, 0)
+		})
 		if err != nil {
 			return err
 		}
@@ -251,6 +163,8 @@ func (e *Env) Fig8() error {
 func (e *Env) Fig9() error {
 	e.printf("== Figure 9a: DLRM relative speedup from look-ahead prefetching ==\n")
 	bufKB := e.Scale.BufferKBs[0]
+	ts := e.tasks()
+	dlrm, kge := ts[0], ts[1]
 	e.printf("%-6s %12s %12s %10s\n", "bound", "off-samp/s", "on-samp/s", "speedup")
 	for _, bound := range []int64{0, 4, 10, 20, 40, 80} {
 		mode := train.ModeAsync
@@ -259,12 +173,9 @@ func (e *Env) Fig9() error {
 		}
 		var thr [2]float64
 		for i, la := range []int{0, 32} {
-			tbl, err := e.mlkvTable("fig9a", e.Scale.Dim, bound, bufKB, e.Scale.CTRCard*uint64(e.Scale.CTRFields), e.ctrInit())
-			if err != nil {
-				return err
-			}
-			res, err := train.TrainCTR(e.ctrOpts(train.NewTableBackend(tbl, la > 0), mode, la))
-			tbl.Close()
+			res, err := e.trainModel("fig9a", bound, bufKB, dlrm.keys, dlrm.init, func(b train.Backend) (*train.Result, error) {
+				return train.TrainCTR(e.ctrOpts(b, mode, la))
+			})
 			if err != nil {
 				return err
 			}
@@ -279,26 +190,22 @@ func (e *Env) Fig9() error {
 		e.printf(" %9dKB", kb)
 	}
 	e.printf("\n")
-	variants := []struct {
+	for _, v := range []struct {
 		name  string
 		bound int64
 		la    int
 		beta  bool
 	}{
 		{"mlkv", 8, 16, false},
-		{"faster", core.BoundDisabled, 0, false},
+		{"faster", mlkv.Disabled, 0, false},
 		{"mlkv-beta", 8, 16, true},
-		{"faster-beta", core.BoundDisabled, 0, true},
-	}
-	for _, v := range variants {
+		{"faster-beta", mlkv.Disabled, 0, true},
+	} {
 		e.printf("%-16s", v.name)
 		for _, kb := range e.Scale.BufferKBs {
-			tbl, err := e.mlkvTable("fig9b", e.Scale.Dim, v.bound, kb, e.Scale.KGEntities, e.kgeInit())
-			if err != nil {
-				return err
-			}
-			res, err := train.TrainKGE(e.kgeOpts(train.NewTableBackend(tbl, v.la > 0), v.la, v.beta))
-			tbl.Close()
+			res, err := e.trainModel("fig9b", v.bound, kb, kge.keys, kge.init, func(b train.Backend) (*train.Result, error) {
+				return train.TrainKGE(e.kgeOpts(b, v.la, v.beta))
+			})
 			if err != nil {
 				return err
 			}
@@ -309,17 +216,20 @@ func (e *Env) Fig9() error {
 	return nil
 }
 
-// Fig10 reproduces Figure 10: YCSB (50/50 read-write) throughput, MLKV vs
-// FASTER, across buffer sizes, thread counts, and value sizes, under
-// uniform and zipfian access. Expected: MLKV within 10% (uniform) / 20%
-// (zipfian) of FASTER.
+// Fig10 reproduces Figure 10: YCSB (50/50 read-write) throughput across
+// buffer sizes, thread counts, and value sizes, under uniform and zipfian
+// access. The paper compares MLKV with FASTER (expected: within 10%
+// uniform / 20% zipfian); here YCSB runs at ASP, under which no read waits
+// and the clock does not run, so MLKV is FASTER's protocol and each point
+// runs once.
 func (e *Env) Fig10() error {
-	e.printf("== Figure 10: YCSB throughput, MLKV vs FASTER ==\n")
-	run := func(bound int64, bufKB, threads, vs int, dist ycsb.Distribution) (float64, error) {
+	e.printf("== Figure 10: YCSB throughput ==\n")
+	e.printf("ASP runs no clock, so mlkv and faster are one protocol: one column\n")
+	run := func(bufKB, threads, vs int, dist ycsb.Distribution) (float64, error) {
 		res, err := e.runYCSB("fig10", vs, ycsb.Options{
 			Records: e.Scale.YCSBRecords, Threads: threads,
 			ReadFraction: 0.5, Dist: dist, MaxOps: e.Scale.YCSBOps, Seed: 42,
-		}, mlkv.WithStalenessBound(bound), mlkv.WithMemory(int64(bufKB)<<10))
+		}, mlkv.WithStalenessBound(mlkv.ASP), mlkv.WithMemory(int64(bufKB)<<10))
 		if err != nil {
 			return 0, err
 		}
@@ -327,41 +237,30 @@ func (e *Env) Fig10() error {
 	}
 	vsDefault := e.Scale.ValueSizes[0]
 	thDefault := e.Scale.Threads[len(e.Scale.Threads)-1]
+	bufDefault := e.Scale.BufferKBs[0]
 	for _, dist := range []ycsb.Distribution{ycsb.Uniform, ycsb.Zipfian} {
 		e.printf("-- %s --\n", dist)
-		e.printf("%-10s %-10s %12s %12s %8s\n", "sweep", "point", "mlkv-ops/s", "faster-ops/s", "ratio")
+		e.printf("%-10s %-10s %12s\n", "sweep", "point", "ops/s")
+		type point struct {
+			sweep, label       string
+			bufKB, threads, vs int
+		}
+		var points []point
 		for _, kb := range e.Scale.BufferKBs {
-			m, err := run(mlkv.ASP, kb, thDefault, vsDefault, dist)
-			if err != nil {
-				return err
-			}
-			f, err := run(mlkv.Disabled, kb, thDefault, vsDefault, dist)
-			if err != nil {
-				return err
-			}
-			e.printf("%-10s %-10s %12.0f %12.0f %8.3f\n", "buffer", fmt.Sprintf("%dKB", kb), m, f, m/f)
+			points = append(points, point{"buffer", fmt.Sprintf("%dKB", kb), kb, thDefault, vsDefault})
 		}
 		for _, th := range e.Scale.Threads {
-			m, err := run(mlkv.ASP, e.Scale.BufferKBs[0], th, vsDefault, dist)
-			if err != nil {
-				return err
-			}
-			f, err := run(mlkv.Disabled, e.Scale.BufferKBs[0], th, vsDefault, dist)
-			if err != nil {
-				return err
-			}
-			e.printf("%-10s %-10d %12.0f %12.0f %8.3f\n", "threads", th, m, f, m/f)
+			points = append(points, point{"threads", fmt.Sprint(th), bufDefault, th, vsDefault})
 		}
 		for _, vs := range e.Scale.ValueSizes {
-			m, err := run(mlkv.ASP, e.Scale.BufferKBs[0], thDefault, vs, dist)
+			points = append(points, point{"valsize", fmt.Sprint(vs), bufDefault, thDefault, vs})
+		}
+		for _, p := range points {
+			ops, err := run(p.bufKB, p.threads, p.vs, dist)
 			if err != nil {
 				return err
 			}
-			f, err := run(mlkv.Disabled, e.Scale.BufferKBs[0], thDefault, vs, dist)
-			if err != nil {
-				return err
-			}
-			e.printf("%-10s %-10d %12.0f %12.0f %8.3f\n", "valsize", vs, m, f, m/f)
+			e.printf("%-10s %-10s %12.0f\n", p.sweep, p.label, ops)
 		}
 	}
 	return nil
@@ -380,35 +279,34 @@ func (e *Env) Fig11() error {
 		e.printf(" %9dKB", kb)
 	}
 	e.printf(" %11s\n", "DDP(2-inst)")
+	gnn := e.tasks()[2]
 	// DDP: everything in memory across 2 instances, paying a per-batch
 	// gradient-exchange delay.
-	ddpOpts := e.gnnOpts(train.NewMemBackend("ddp", e.Scale.Dim, e.ctrInit()), 0)
+	ddpOpts := e.gnnOpts(train.NewMemBackend("ddp", e.Scale.Dim, gnn.init), 0)
 	ddpOpts.BatchSyncDelay = 2 * time.Millisecond
 	ddpRes, err := train.TrainGNN(ddpOpts)
 	if err != nil {
 		return err
 	}
-	for _, name := range []string{"mlkv", "faster"} {
-		e.printf("%-8s", name)
+	for _, v := range []struct {
+		name  string
+		bound int64
+		la    int
+	}{
+		{"mlkv", 8, 16},
+		{"faster", mlkv.Disabled, 0},
+	} {
+		e.printf("%-8s", v.name)
 		for _, kb := range e.Scale.BufferKBs {
-			bound := int64(8)
-			la := 16
-			if name == "faster" {
-				bound = core.BoundDisabled
-				la = 0
-			}
-			tbl, err := e.mlkvTable("fig11a", e.Scale.Dim, bound, kb, e.Scale.GraphNodes, e.ctrInit())
-			if err != nil {
-				return err
-			}
-			res, err := train.TrainGNN(e.gnnOpts(train.NewTableBackend(tbl, la > 0), la))
-			tbl.Close()
+			res, err := e.trainModel("fig11a", v.bound, kb, gnn.keys, gnn.init, func(b train.Backend) (*train.Result, error) {
+				return gnn.run(b, v.la, 0)
+			})
 			if err != nil {
 				return err
 			}
 			e.printf(" %11.0f", res.Throughput)
 		}
-		if name == "mlkv" {
+		if v.name == "mlkv" {
 			e.printf(" %11.0f\n", ddpRes.Throughput)
 		} else {
 			e.printf("\n")
@@ -416,10 +314,7 @@ func (e *Env) Fig11() error {
 	}
 
 	e.printf("== Figure 11b: Payout-like convergence, buffer small vs large ==\n")
-	evalEvery := e.Scale.Duration / 5
-	if evalEvery <= 0 {
-		evalEvery = 100 * time.Millisecond
-	}
+	evalEvery := e.evalEvery()
 	small, large := e.Scale.BufferKBs[0], e.Scale.BufferKBs[len(e.Scale.BufferKBs)-1]
 	for _, v := range []struct {
 		name  string
@@ -429,17 +324,12 @@ func (e *Env) Fig11() error {
 	}{
 		{"mlkv-small", 8, 16, small},
 		{"mlkv-large", 8, 16, large},
-		{"faster-small", core.BoundDisabled, 0, small},
-		{"faster-large", core.BoundDisabled, 0, large},
+		{"faster-small", mlkv.Disabled, 0, small},
+		{"faster-large", mlkv.Disabled, 0, large},
 	} {
-		tbl, err := e.mlkvTable("fig11b", e.Scale.Dim, v.bound, v.kb, e.Scale.GraphNodes, e.ctrInit())
-		if err != nil {
-			return err
-		}
-		o := e.gnnOpts(train.NewTableBackend(tbl, v.la > 0), v.la)
-		o.EvalEvery = evalEvery
-		res, err := train.TrainGNN(o)
-		tbl.Close()
+		res, err := e.trainModel("fig11b", v.bound, v.kb, gnn.keys, gnn.init, func(b train.Backend) (*train.Result, error) {
+			return gnn.run(b, v.la, evalEvery)
+		})
 		if err != nil {
 			return err
 		}
@@ -495,15 +385,11 @@ func (e *Env) runShardedYCSB(shards, threads, vs, bufKB int) (float64, error) {
 // runYCSB opens a fresh local model of vs-byte rows through the public API
 // in its own directory, sized for o.Records keys, and runs o on it.
 func (e *Env) runYCSB(tag string, vs int, o ycsb.Options, opts ...mlkv.Option) (*ycsb.Result, error) {
-	db, err := mlkv.Connect(e.dir(tag))
+	m, closeDB, err := e.openLocal(tag, vs/4, append(opts, mlkv.WithExpectedKeys(o.Records))...)
 	if err != nil {
 		return nil, err
 	}
-	defer db.Close()
-	m, err := db.Open("ycsb", vs/4, append(opts, mlkv.WithExpectedKeys(o.Records))...)
-	if err != nil {
-		return nil, err
-	}
+	defer closeDB()
 	o.Model = m
 	return ycsb.Run(o)
 }

@@ -1,18 +1,11 @@
 package bench
 
 import (
-	"context"
 	"fmt"
-	"net"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	mlkv "github.com/llm-db/mlkv-go"
-	"github.com/llm-db/mlkv-go/internal/kv"
 	"github.com/llm-db/mlkv-go/internal/latency"
-	"github.com/llm-db/mlkv-go/internal/server"
-	"github.com/llm-db/mlkv-go/internal/util"
 	"github.com/llm-db/mlkv-go/internal/ycsb"
 )
 
@@ -29,15 +22,9 @@ func (e *Env) NetworkSweep() error {
 	if shards <= 1 {
 		shards = 4
 	}
-	workers := e.Scale.Workers
-	if workers < 2 {
-		workers = 2
-	}
+	workers := max(e.Scale.Workers, 2)
 	vs := e.Scale.ValueSizes[0]
-	dur := e.Scale.Duration / 2
-	if dur < 200*time.Millisecond {
-		dur = 200 * time.Millisecond
-	}
+	dur := max(e.Scale.Duration/2, 200*time.Millisecond)
 	records := e.Scale.YCSBRecords
 	mem := int64(e.Scale.BufferKBs[0]) << 10
 
@@ -45,30 +32,14 @@ func (e *Env) NetworkSweep() error {
 	e.printf("records=%d shards=%d workers=%d valuesize=%d buffer=%dKB\n",
 		records, shards, workers, vs, e.Scale.BufferKBs[0])
 
-	// The server opens its model the way a local Open does: the table's
-	// default page size, the same memory and index budgets.
-	serverDir := e.dir("network-server")
-	reg := server.NewRegistry(server.RegistryConfig{Store: kv.ShardedConfig{
-		Dir: serverDir, RecordsPerPage: 1024, MemoryBytes: mem, ExpectedKeys: records,
-		StalenessBound: mlkv.ASP,
-	}})
-	defer reg.Close()
-	srv := server.New(server.Config{Registry: reg})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	target, stop, err := serveLoopback(e.serverStore("network-server", e.Scale.BufferKBs[0], records, mlkv.ASP))
 	if err != nil {
 		return err
 	}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- srv.Serve(ln) }()
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		srv.Shutdown(ctx)
-		<-serveErr
-	}()
+	defer stop()
 
 	var models [2]*mlkv.Model
-	for i, target := range []string{e.dir("network"), mlkv.Scheme + ln.Addr().String()} {
+	for i, target := range []string{e.dir("network"), target} {
 		db, err := mlkv.Connect(target, mlkv.WithConns(workers))
 		if err != nil {
 			return err
@@ -87,11 +58,15 @@ func (e *Env) NetworkSweep() error {
 
 	e.printf("%-8s %14s %14s %8s\n", "batch", "local-keys/s", "remote-keys/s", "ratio")
 	for _, batch := range []int{1, 32, 256} {
-		local, localLat, err := measureGetBatch(models[0], records, batch, workers, dur)
+		l := loop{
+			workers: workers, batch: batch, dur: dur,
+			keys: zipfKeys(records, 97), read: (*mlkv.Session).GetBatch,
+		}
+		local, localLat, err := l.run(models[0])
 		if err != nil {
 			return err
 		}
-		remote, remoteLat, err := measureGetBatch(models[1], records, batch, workers, dur)
+		remote, remoteLat, err := l.run(models[1])
 		if err != nil {
 			return err
 		}
@@ -110,57 +85,4 @@ func (e *Env) NetworkSweep() error {
 		e.Record(rr)
 	}
 	return nil
-}
-
-// measureGetBatch runs workers sessions issuing zipfian GetBatch calls of
-// the given batch size for roughly dur, returning keys read per second
-// and the per-call latency distribution across every worker.
-func measureGetBatch(m *mlkv.Model, records uint64, batch, workers int, dur time.Duration) (float64, latency.Snapshot, error) {
-	dim := m.Dim()
-	var lat latency.Histogram
-	var keysRead atomic.Int64
-	var errMu sync.Mutex
-	var firstErr error
-	fail := func(err error) {
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		errMu.Unlock()
-	}
-	var wg sync.WaitGroup
-	start := time.Now()
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			s, err := m.NewSession()
-			if err != nil {
-				fail(err)
-				return
-			}
-			defer s.Close()
-			zipf := util.NewScrambledZipf(util.NewRNG(uint64(97+w)), records, 0.99)
-			keys := make([]uint64, batch)
-			vals := make([]float32, batch*dim)
-			for time.Since(start) < dur {
-				for i := range keys {
-					keys[i] = zipf.Next()
-				}
-				opStart := time.Now()
-				if err := s.GetBatch(keys, vals); err != nil {
-					fail(err)
-					return
-				}
-				lat.Since(opStart)
-				keysRead.Add(int64(batch))
-			}
-		}(w)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return 0, latency.Snapshot{}, fmt.Errorf("bench: network measure: %w", firstErr)
-	}
-	elapsed := time.Since(start).Seconds()
-	return float64(keysRead.Load()) / elapsed, lat.Snapshot(), nil
 }

@@ -321,3 +321,79 @@ func TestHungRedialStallsOnlyItsSlot(t *testing.T) {
 		t.Fatal("Close did not end the hung redial")
 	}
 }
+
+// TestRedialTimeoutIsTheHostsFailure pins how a redial that runs out its
+// own DialTimeout reports, while the caller's deadline is still far off:
+// the checkout returns at DialTimeout, and its error is a transport
+// failure — neither context.DeadlineExceeded nor context.Canceled, nor a
+// server's or unacked reply (cluster.transportFailure's test) — so a
+// cluster router retries and fails over instead of reading the dead host
+// as the caller's deadline and parking the caller until it.
+func TestRedialTimeoutIsTheHostsFailure(t *testing.T) {
+	reg := server.NewRegistry(server.RegistryConfig{Name: "dial-timeout-test"})
+	defer reg.Close()
+	srv := server.New(server.Config{Registry: reg})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- srv.Serve(ln) }()
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		srv.Shutdown(ctx)
+		<-serveErr
+	}()
+
+	const dialTimeout = 100 * time.Millisecond
+	var hang atomic.Bool
+	var live net.Conn
+	cl, err := Dial(ln.Addr().String(), Options{
+		Conns:       1,
+		DialTimeout: dialTimeout,
+		dial: func(ctx context.Context, network, addr string) (net.Conn, error) {
+			if hang.Load() {
+				<-ctx.Done() // a host that never answers the connect
+				return nil, ctx.Err()
+			}
+			nc, err := new(net.Dialer).DialContext(ctx, network, addr)
+			live = nc
+			return nc, err
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
+	hang.Store(true)
+	live.Close()
+	for deadline := time.Now().Add(2 * time.Second); !cl.slots[0].cn.Load().broken(); {
+		if time.Now().After(deadline) {
+			t.Fatal("slot 0 never went broken after its conn closed")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*dialTimeout)
+	defer cancel()
+	start := time.Now()
+	_, err = cl.connAt(ctx, 0)
+	d := time.Since(start)
+	if err == nil {
+		t.Fatal("a redial against a hung host succeeded")
+	}
+	if d < dialTimeout || d > 3*dialTimeout {
+		t.Fatalf("checkout returned after %v, want about DialTimeout (%v)", d, dialTimeout)
+	}
+	if ctx.Err() != nil {
+		t.Fatalf("checkout returned with the caller's deadline spent: %v", err)
+	}
+	var se *ServerError
+	var ue *UnackedError
+	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) ||
+		errors.As(err, &se) || errors.As(err, &ue) {
+		t.Fatalf("redial timeout reads as %v (%T chain), want a transport failure", err, err)
+	}
+}

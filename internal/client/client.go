@@ -281,23 +281,36 @@ func (c *Client) redialSlot(ctx context.Context, sl *poolSlot, slot int) (*conn,
 // the HELLO are each bounded by DialTimeout, by ctx and by Close: a
 // blackholed host accepts the connect and then says nothing, and an
 // unbounded handshake there would hang the checkout forever.
-func (c *Client) redial(ctx context.Context) (*conn, error) {
-	ctx, cancel := context.WithCancel(ctx)
+func (c *Client) redial(caller context.Context) (*conn, error) {
+	ctx, cancel := context.WithCancel(caller)
 	defer cancel()
 	defer context.AfterFunc(c.closing, cancel)()
 	fresh, err := dialConn(ctx, c.addr, c.opts)
 	if err != nil {
-		return nil, fmt.Errorf("client: redial %s: %w", c.addr, err)
+		return nil, c.redialErr(caller, "", err)
 	}
 	ctx, cancelHello := context.WithTimeout(ctx, c.opts.DialTimeout)
 	p, err := fresh.roundTripCtx(ctx, wire.OpHello, wire.EncodeHello())
 	cancelHello()
 	if err != nil {
 		fresh.close()
-		return nil, fmt.Errorf("client: redial %s: handshake: %w", c.addr, err)
+		return nil, c.redialErr(caller, "handshake: ", err)
 	}
 	fresh.release(p)
 	return fresh, nil
+}
+
+// redialErr words a failed redial step. A DialTimeout that runs out while
+// the caller's ctx is still live is the host's failure, not the caller's
+// deadline: it is quoted, not wrapped, so errors.Is(err,
+// context.DeadlineExceeded) stays false and a cluster router treats the
+// host as down (retry, fail over) instead of parking the caller until its
+// own deadline.
+func (c *Client) redialErr(caller context.Context, step string, err error) error {
+	if caller.Err() == nil && errors.Is(err, context.DeadlineExceeded) {
+		return fmt.Errorf("client: redial %s: %sno answer within %v: %v", c.addr, step, c.opts.DialTimeout, err)
+	}
+	return fmt.Errorf("client: redial %s: %s%w", c.addr, step, err)
 }
 
 // pick returns the next pooled connection round-robin, healing dead slots.

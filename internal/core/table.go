@@ -110,11 +110,6 @@ type Options struct {
 	// RecordsPerPage overrides the log page granularity (power of two,
 	// default 1024).
 	RecordsPerPage int
-	// FlushPace paces each shard's background log flusher: when positive,
-	// consecutive flush writes are separated by at least this gap so a
-	// flush burst is smeared instead of stalling concurrent reads (see
-	// faster.Config.FlushPace). Zero disables pacing.
-	FlushPace time.Duration
 }
 
 // Table is one embedding table over a sharded hybrid-log store. It is safe for
@@ -160,7 +155,6 @@ func OpenTable(opts Options) (*Table, error) {
 		MemoryBytes:    opts.MemoryBytes,
 		ExpectedKeys:   opts.ExpectedKeys,
 		StalenessBound: opts.StalenessBound,
-		FlushPace:      opts.FlushPace,
 		CacheEntries:   opts.CacheEntries,
 	}, kv.EngineFaster)
 	if err != nil {

@@ -21,6 +21,9 @@ type GraphConfig struct {
 // which keeps billion-node configurations addressable (the eBay cases).
 type GraphGen struct {
 	cfg GraphConfig
+	// nbr holds the neighbor-popularity constants, summed once: each
+	// neighborhood draws from its own copy with a per-node stream.
+	nbr *util.Zipf
 }
 
 // NewGraphGen builds a generator.
@@ -40,7 +43,7 @@ func NewGraphGen(cfg GraphConfig) *GraphGen {
 	if cfg.Zipf == 0 {
 		cfg.Zipf = 0.7
 	}
-	return &GraphGen{cfg: cfg}
+	return &GraphGen{cfg: cfg, nbr: util.NewZipf(nil, cfg.Nodes, cfg.Zipf)}
 }
 
 // Config returns the effective configuration.
@@ -57,7 +60,7 @@ func (g *GraphGen) Label(v uint64) int {
 // approximating a power-law degree distribution.
 func (g *GraphGen) SampleNeighbors(v uint64, n int, salt uint64) []uint64 {
 	r := util.NewRNG(util.Mix64(v) ^ g.cfg.Seed ^ salt)
-	z := util.NewZipf(r.Split(), g.cfg.Nodes, g.cfg.Zipf)
+	z := g.nbr.WithRNG(r.Split())
 	out := make([]uint64, n)
 	myClass := g.Label(v)
 	for i := range out {

@@ -49,9 +49,17 @@ type LiveModel struct {
 	Bound int64
 }
 
+// maxModelID bounds model identifiers; they become directory names.
+const maxModelID = 128
+
 // ResolveOpen is the open policy of both openers, the local driver and the
 // server registry. It returns the staleness bound the model runs under, or
 // why the request is refused.
+//
+// The id must be a safe directory name, since it becomes one under the
+// data directory: 1 to 128 letters, digits, '.', '_' and '-', not starting
+// with '.' — so it can neither escape the directory nor collide with the
+// shard layout.
 //
 // A live model (live non-nil) refuses a request with another dim, and one
 // setting another bound when either of the two blocks: two non-blocking
@@ -63,6 +71,9 @@ type LiveModel struct {
 // A new model (live nil) opens under the requested bound, or def when
 // none is set.
 func ResolveOpen(req OpenRequest, live *LiveModel, def int64) (int64, error) {
+	if err := checkModelID(req.ID); err != nil {
+		return 0, err
+	}
 	if live != nil {
 		switch {
 		case live.Dim != req.Dim:
@@ -76,6 +87,27 @@ func ResolveOpen(req OpenRequest, live *LiveModel, def int64) (int64, error) {
 		return req.Bound, nil
 	}
 	return def, nil
+}
+
+func checkModelID(id string) error {
+	if id == "" {
+		return errors.New("kv: model id is required")
+	}
+	if len(id) > maxModelID {
+		return fmt.Errorf("kv: model id longer than %d bytes", maxModelID)
+	}
+	if id[0] == '.' {
+		return fmt.Errorf("kv: model id %q may not start with '.'", id)
+	}
+	for i := 0; i < len(id); i++ {
+		switch c := id[i]; {
+		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9',
+			c == '.', c == '_', c == '-':
+		default:
+			return fmt.Errorf("kv: model id %q contains %q (allowed: letters, digits, '.', '_', '-')", id, c)
+		}
+	}
+	return nil
 }
 
 // ShardedConfig sizes a hash-partitioned hybrid-log store. The memory and

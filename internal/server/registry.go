@@ -35,7 +35,7 @@ type RegistryConfig struct {
 	// Store is the template every model's store opens from on its first
 	// OPEN (kv.OpenEngine):
 	//   - Dir is the root directory; a model opens in Dir/<id>, its id
-	//     validated first (see validateModelID). With Dir empty the
+	//     validated first (see kv.ResolveOpen). With Dir empty the
 	//     registry opens no model.
 	//   - Shards is the count an OPEN requesting 0 takes (0 means 1).
 	//   - StalenessBound is the bound a new model takes when its OPEN
@@ -95,34 +95,6 @@ func NewRegistry(cfg RegistryConfig) *Registry {
 // Name identifies the server in HELLO responses.
 func (r *Registry) Name() string { return r.cfg.Name }
 
-// maxModelID bounds model identifiers; they become directory names.
-const maxModelID = 128
-
-// validateModelID refuses identifiers that could escape the data
-// directory or collide with the shard layout: only letters, digits, '.',
-// '_' and '-' are allowed, and the first character must not be '.'.
-func validateModelID(id string) error {
-	if id == "" {
-		return errors.New("server: model id is required")
-	}
-	if len(id) > maxModelID {
-		return fmt.Errorf("server: model id longer than %d bytes", maxModelID)
-	}
-	if id[0] == '.' {
-		return fmt.Errorf("server: model id %q may not start with '.'", id)
-	}
-	for i := 0; i < len(id); i++ {
-		c := id[i]
-		switch {
-		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9',
-			c == '.', c == '_', c == '-':
-		default:
-			return fmt.Errorf("server: model id %q contains %q (allowed: letters, digits, '.', '_', '-')", id, c)
-		}
-	}
-	return nil
-}
-
 // Open returns the model named id, opening its store from the Store
 // template on first use; opened reports that this call opened it. shards 0
 // takes the template's count (and is advisory for an existing model: the
@@ -137,9 +109,6 @@ func validateModelID(id string) error {
 // stalls other connections' OPEN/ATTACH/STATS; concurrent opens of the
 // same name wait on one pending entry instead of double-opening.
 func (r *Registry) Open(id string, dim, shards int, bound int64) (m *Model, opened bool, err error) {
-	if err := validateModelID(id); err != nil {
-		return nil, false, err
-	}
 	if dim <= 0 || dim > 1<<20 {
 		return nil, false, fmt.Errorf("server: model %q: dim %d out of range", id, dim)
 	}

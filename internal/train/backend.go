@@ -1,10 +1,11 @@
 // Package train implements the training pipelines of the paper's
 // evaluation: synchronous (BSP), bounded-staleness (SSP), and fully
 // asynchronous (ASP) out-of-core training of DLRM, KGE, and GNN models over
-// pluggable embedding backends (MLKV, plain FASTER, sharded memory, or a
-// remote mlkv-server), with per-stage time instrumentation
-// (embedding access, forward, backward) and periodic quality evaluation —
-// everything needed to regenerate Figures 2 and 6–11.
+// two embedding backends — ModelBackend, a public-API mlkv.Model (a local
+// directory or a remote mlkv-server, clock on or off), and MemBackend,
+// sharded memory — with per-stage time instrumentation (embedding access,
+// forward, backward) and periodic quality evaluation — everything needed
+// to regenerate Figures 2 and 6–11.
 //
 // There is one training loop (run.go): a handle and a goroutine per
 // worker, the sample budget and deadline, the optional per-round barrier,
@@ -21,7 +22,6 @@
 package train
 
 import (
-	"context"
 	"fmt"
 	"sync"
 
@@ -42,23 +42,18 @@ type Backend interface {
 
 // Handle is one worker's embedding-store handle.
 //
-// Clock discipline: under a bounded-staleness backend a Get (or a key's
-// slot in a GetBatch) acquires a staleness token that only the matching
-// Put releases, so every key read by Get/GetBatch must be written back by
-// exactly one Put/PutBatch before the step ends. Batch calls that may
+// Clock discipline: under a bounded-staleness backend a key's slot in a
+// GetBatch acquires a staleness token that only the matching PutBatch
+// releases, so every key read by GetBatch must be written back by exactly
+// one PutBatch before the step ends. Batch calls that may
 // block (any finite bound) additionally require unique keys in ascending
 // order, which keeps the cross-worker wait graph acyclic; the gather
 // helper enforces both invariants for the trainers.
 type Handle interface {
-	// Get reads (initializing on first touch) under the engine's
-	// consistency protocol.
-	Get(key uint64, dst []float32) error
 	// GetBatch reads len(keys) embeddings into dst (len(keys)*Dim),
 	// initializing missing keys on first touch, as one batched storage
 	// call where the engine has one.
 	GetBatch(keys []uint64, dst []float32) error
-	// Put writes an updated embedding.
-	Put(key uint64, val []float32) error
 	// PutBatch writes len(keys) embeddings from vals (len(keys)*Dim) as
 	// one batched storage call where the engine has one.
 	PutBatch(keys []uint64, vals []float32) error
@@ -122,11 +117,9 @@ type modelHandle struct {
 	s *mlkv.Session
 }
 
-func (h *modelHandle) Get(key uint64, dst []float32) error { return h.s.Get(key, dst) }
 func (h *modelHandle) GetBatch(keys []uint64, dst []float32) error {
 	return h.s.GetBatch(keys, dst)
 }
-func (h *modelHandle) Put(key uint64, val []float32) error { return h.s.Put(key, val) }
 func (h *modelHandle) PutBatch(keys []uint64, vals []float32) error {
 	return h.s.PutBatch(keys, vals)
 }
@@ -139,72 +132,6 @@ func (h *modelHandle) Lookahead(keys []uint64) {
 	}
 }
 func (h *modelHandle) Close() { h.s.Close() }
-
-// --- core.Table backend ---
-
-// TableBackend adapts a core.Table. With StalenessBound disabled it *is*
-// the plain-FASTER baseline; with a bound it is MLKV.
-//
-// Kept beside ModelBackend only for internal/bench, whose figures open
-// tables with RecordsPerPage 256/64 so tiny buffers keep their
-// data÷memory ratio — the public API has no page-size option; it leaves
-// with internal/bench.
-type TableBackend struct {
-	T            *Table
-	UseLookahead bool
-}
-
-// Table aliases core.Table for brevity in this package.
-type Table = core.Table
-
-// NewTableBackend wraps a table. useLookahead enables storage-buffer
-// prefetching for Lookahead calls (MLKV); when false Lookahead is a no-op
-// (plain FASTER, which has no such interface).
-func NewTableBackend(t *core.Table, useLookahead bool) *TableBackend {
-	return &TableBackend{T: t, UseLookahead: useLookahead}
-}
-
-// Name identifies the engine.
-func (b *TableBackend) Name() string { return b.T.EngineName() }
-
-// Dim returns the embedding dimension.
-func (b *TableBackend) Dim() int { return b.T.Dim() }
-
-// NewHandle registers a session.
-func (b *TableBackend) NewHandle() (Handle, error) {
-	s, err := b.T.NewSession()
-	if err != nil {
-		return nil, err
-	}
-	return &tableHandle{b: b, s: s}, nil
-}
-
-type tableHandle struct {
-	b *TableBackend
-	s *core.Session
-}
-
-func (h *tableHandle) Get(key uint64, dst []float32) error {
-	return h.s.Get(context.Background(), key, dst)
-}
-func (h *tableHandle) GetBatch(keys []uint64, dst []float32) error {
-	return h.s.GetBatch(context.Background(), keys, dst)
-}
-func (h *tableHandle) Put(key uint64, val []float32) error {
-	return h.s.Put(context.Background(), key, val)
-}
-func (h *tableHandle) PutBatch(keys []uint64, vals []float32) error {
-	return h.s.PutBatch(context.Background(), keys, vals)
-}
-func (h *tableHandle) Peek(key uint64, dst []float32) (bool, error) {
-	return h.s.Peek(context.Background(), key, dst)
-}
-func (h *tableHandle) Lookahead(keys []uint64) {
-	if h.b.UseLookahead {
-		h.s.Lookahead(keys) //nolint:errcheck // never fails
-	}
-}
-func (h *tableHandle) Close() { h.s.Close() }
 
 // --- sharded in-memory backend ---
 
@@ -253,27 +180,6 @@ type memHandle struct {
 
 func (b *MemBackend) shardOf(key uint64) int { return int(util.Mix64(key) & b.mask) }
 
-func (h *memHandle) Get(key uint64, dst []float32) error {
-	sh := &h.b.shards[h.b.shardOf(key)]
-	sh.mu.RLock()
-	v, ok := sh.m[key]
-	if ok {
-		copy(dst, v)
-		sh.mu.RUnlock()
-		return nil
-	}
-	sh.mu.RUnlock()
-	h.b.Init.Fill(key, dst)
-	sh.mu.Lock()
-	if v, ok := sh.m[key]; ok {
-		copy(dst, v)
-	} else {
-		sh.m[key] = append([]float32(nil), dst...)
-	}
-	sh.mu.Unlock()
-	return nil
-}
-
 // GetBatch groups the batch's keys by shard and takes each shard lock once
 // per group instead of once per key; misses are initialized outside the
 // lock and inserted under one write lock per shard.
@@ -314,18 +220,6 @@ func (h *memHandle) GetBatch(keys []uint64, dst []float32) error {
 		}
 		s.mu.Unlock()
 	}
-	return nil
-}
-
-func (h *memHandle) Put(key uint64, val []float32) error {
-	sh := &h.b.shards[h.b.shardOf(key)]
-	sh.mu.Lock()
-	if v, ok := sh.m[key]; ok {
-		copy(v, val)
-	} else {
-		sh.m[key] = append([]float32(nil), val...)
-	}
-	sh.mu.Unlock()
 	return nil
 }
 

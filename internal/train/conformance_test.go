@@ -21,15 +21,15 @@ const confDim = 8
 
 var confInit = core.UniformInit(0.05, 1)
 
-// confBackends builds one instance of every Handle implementation: MLKV
-// table (clock on), plain FASTER (clock off), sharded memory, and a remote
-// backend speaking the wire protocol to a loopback mlkv-server. Each comes
-// fresh (empty store).
+// confBackends builds one instance of every Handle implementation: a local
+// public-API model with the clock on (SSP(8)) and off (-1), sharded
+// memory, and a remote backend speaking the wire protocol to a loopback
+// mlkv-server. Each comes fresh (empty store).
 func confBackends(t *testing.T) map[string]Backend {
 	t.Helper()
 	out := map[string]Backend{
-		"mlkv":   mlkvBackend(t, confDim, faster.BoundAsync),
-		"faster": mlkvBackend(t, confDim, core.BoundDisabled),
+		"mlkv":   mlkvBackend(t, confDim, 8),
+		"faster": mlkvBackend(t, confDim, mlkv.Disabled),
 		"mem":    NewMemBackend("mem", confDim, confInit),
 		"remote": remoteBackend(t, confDim, 0, faster.BoundAsync),
 	}
@@ -96,11 +96,15 @@ func f32Eq(a, b []float32) bool {
 func TestFirstTouchArrivesZeroed(t *testing.T) {
 	const dim = 4
 	partial := core.Initializer(func(_ uint64, dst []float32) { dst[0] = 1 })
-	tbl, err := core.OpenTable(core.Options{Dir: t.TempDir(), Dim: dim, StalenessBound: faster.BoundAsync, Init: partial})
+	db, err := mlkv.Connect(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { tbl.Close() })
+	t.Cleanup(func() { db.Close() })
+	m, err := db.Open("zeroed", dim, mlkv.WithInitializer(partial))
+	if err != nil {
+		t.Fatal(err)
+	}
 	want := []float32{1, 0, 0, 0}
 	dirty := func(n int) []float32 {
 		buf := make([]float32, n)
@@ -111,7 +115,7 @@ func TestFirstTouchArrivesZeroed(t *testing.T) {
 	}
 	for name, b := range map[string]Backend{
 		"mem":   NewMemBackend("mem", dim, partial),
-		"table": NewTableBackend(tbl, false),
+		"local": NewModelBackend(m, false),
 	} {
 		t.Run(name, func(t *testing.T) {
 			h, err := b.NewHandle()
@@ -120,11 +124,11 @@ func TestFirstTouchArrivesZeroed(t *testing.T) {
 			}
 			defer h.Close()
 			got := dirty(dim)
-			if err := h.Get(1, got); err != nil {
+			if err := h.GetBatch([]uint64{1}, got); err != nil {
 				t.Fatal(err)
 			}
 			if !slices.Equal(got, want) {
-				t.Errorf("Get first touch = %v, want %v", got, want)
+				t.Errorf("one-key GetBatch first touch = %v, want %v", got, want)
 			}
 			got = dirty(2 * dim)
 			if err := h.GetBatch([]uint64{2, 3}, got); err != nil {
@@ -139,7 +143,7 @@ func TestFirstTouchArrivesZeroed(t *testing.T) {
 
 // TestHandleConformance runs the same observable-behavior contract over
 // every backend: first-touch init is deterministic and persistent,
-// GetBatch and scalar Get agree, PutBatch round-trips, Peek sees the last
+// a many-key and a one-key GetBatch agree, PutBatch round-trips, Peek sees the last
 // Put and misses on unknown keys, Lookahead is a safe no-op at worst.
 // Reads and writes stay balanced so the clocked backends' vector clocks
 // never strand a token.
@@ -175,17 +179,17 @@ func TestHandleConformance(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			// A per-key Get must see exactly what the batch saw (the init
-			// persisted; no re-initialization on later reads).
+			// A one-key GetBatch must see exactly what the batch saw (the
+			// init persisted; no re-initialization on later reads).
 			one := make([]float32, dim)
 			for i, k := range keys {
-				if err := h.Get(k, one); err != nil {
+				if err := h.GetBatch([]uint64{k}, one); err != nil {
 					t.Fatal(err)
 				}
 				if !f32Eq(one, got[i*dim:(i+1)*dim]) {
-					t.Fatalf("key %d: scalar Get %v != batch value %v", k, one, got[i*dim:(i+1)*dim])
+					t.Fatalf("key %d: one-key GetBatch %v != batch value %v", k, one, got[i*dim:(i+1)*dim])
 				}
-				if err := h.Put(k, one); err != nil {
+				if err := h.PutBatch([]uint64{k}, one); err != nil {
 					t.Fatal(err)
 				}
 			}

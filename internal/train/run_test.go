@@ -193,7 +193,7 @@ type recBackend struct {
 }
 
 type recCall struct {
-	op   byte // 'L'ookahead, 'G'etBatch, 'P'utBatch, '1' for a per-key Get or Put
+	op   byte // 'L'ookahead, 'G'etBatch, 'P'utBatch
 	keys []uint64
 }
 
@@ -221,14 +221,6 @@ func (h *recHandle) GetBatch(keys []uint64, dst []float32) error {
 func (h *recHandle) PutBatch(keys []uint64, vals []float32) error {
 	h.rec('P', keys)
 	return h.Handle.PutBatch(keys, vals)
-}
-func (h *recHandle) Get(key uint64, dst []float32) error {
-	h.rec('1', nil)
-	return h.Handle.Get(key, dst)
-}
-func (h *recHandle) Put(key uint64, val []float32) error {
-	h.rec('1', nil)
-	return h.Handle.Put(key, val)
 }
 
 // recStep is one step as the backend saw it.

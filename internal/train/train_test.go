@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	mlkv "github.com/llm-db/mlkv-go"
 	"github.com/llm-db/mlkv-go/internal/core"
 	"github.com/llm-db/mlkv-go/internal/data"
 	"github.com/llm-db/mlkv-go/internal/faster"
@@ -14,19 +15,21 @@ func memBackend(dim int) Backend {
 	return NewMemBackend("mem", dim, core.UniformInit(0.05, 1))
 }
 
-// mlkvBackend is a TableBackend over a fresh core.Table.
+// mlkvBackend is a fresh local model opened through the public API,
+// trained with look-ahead on while the clock runs.
 func mlkvBackend(t *testing.T, dim int, bound int64) Backend {
 	t.Helper()
-	tbl, err := core.OpenTable(core.Options{
-		Dir: t.TempDir(), Dim: dim, StalenessBound: bound,
-		MemoryBytes: 1 << 20, RecordsPerPage: 64,
-		Init: core.UniformInit(0.05, 1),
-	})
+	db, err := mlkv.Connect(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { tbl.Close() })
-	return NewTableBackend(tbl, bound >= 0)
+	t.Cleanup(func() { db.Close() })
+	m, err := db.Open("train", dim, mlkv.WithStalenessBound(bound),
+		mlkv.WithMemory(1<<20), mlkv.WithInitializer(core.UniformInit(0.05, 1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return NewModelBackend(m, bound >= 0)
 }
 
 func TestTrainCTRInMemoryImprovesAUC(t *testing.T) {

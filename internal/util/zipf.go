@@ -8,7 +8,8 @@ import "math"
 //
 // The implementation follows Gray et al.'s "Quickly Generating
 // Billion-Record Synthetic Databases" (the same derivation YCSB uses), which
-// samples in O(1) per draw after O(n)-free constant setup.
+// samples in O(1) per draw after an O(min(n, 2^20)) constant setup, the sum
+// zeta(n); WithRNG reuses that setup for another stream.
 type Zipf struct {
 	rng     *RNG
 	n       uint64
@@ -36,6 +37,14 @@ func NewZipf(rng *RNG, n uint64, theta float64) *Zipf {
 	z.eta = (1 - math.Pow(2/float64(n), 1-theta)) / (1 - z.half/z.zetan)
 	z.rank1Lo = 1 + math.Pow(0.5, theta)
 	return z
+}
+
+// WithRNG returns a sampler over z's distribution that draws from rng,
+// sharing z's constants instead of summing zeta(n) again.
+func (z *Zipf) WithRNG(rng *RNG) *Zipf {
+	c := *z
+	c.rng = rng
+	return &c
 }
 
 // Next draws one sample. Item 0 is the most popular.
