@@ -333,7 +333,8 @@ func TestAPITwoModels(t *testing.T) {
 // untimed), and a second model on the same DB that was never used reports
 // none of them. BatchGets, BatchPuts and LookaheadCalls count the caller's
 // calls in every cell, not the frames a single key or a cluster fan-out
-// sends.
+// sends. Both are per handle: a second handle on the same model id, whose
+// sessions made no call, reports none of them either.
 func TestAPIStatsParity(t *testing.T) {
 	common := []string{
 		"Gets", "Puts", "RMWs", "MemHits", "InPlaceUpdates", "RCUAppends",
@@ -354,6 +355,11 @@ func TestAPIStatsParity(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer idle.Close()
+		twin, err := db.Open("stats-parity", 4, mlkv.WithStalenessBound(mlkv.ASP), mlkv.WithMemory(4<<20))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer twin.Close()
 		s, err := m.NewSession()
 		if err != nil {
 			t.Fatal(err)
@@ -420,6 +426,16 @@ func TestAPIStatsParity(t *testing.T) {
 		}
 		if got := lat(ist); got != [5]int64{} {
 			t.Fatalf("a model never used reports latency counts Get/GetBatch/Put/PutBatch/RMW = %v, want none", got)
+		}
+		tst, err := twin.StatsCtx(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := lat(tst); got != [5]int64{} {
+			t.Errorf("a second handle on the model reports latency counts Get/GetBatch/Put/PutBatch/RMW = %v, want none (its sessions made no call)", got)
+		}
+		if got := [3]int64{tst.BatchGets, tst.BatchPuts, tst.LookaheadCalls}; got != [3]int64{} {
+			t.Errorf("a second handle on the model reports BatchGets/BatchPuts/LookaheadCalls = %v, want none (its sessions made no call)", got)
 		}
 	})
 }
@@ -908,6 +924,24 @@ func TestAPISharedModelClose(t *testing.T) {
 		s.Close()
 		if err := m2.Close(); err != nil {
 			t.Fatal(err)
+		}
+	})
+}
+
+// TestAPIModelCloseAfterDBClose: closing a DB releases its models, so a
+// handle closed afterwards releases nothing and reports no error — a
+// local table is not closed a second time.
+func TestAPIModelCloseAfterDBClose(t *testing.T) {
+	withTargets(t, func(t *testing.T, db *mlkv.DB) {
+		m, err := db.Open("closed-late", 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Close(); err != nil {
+			t.Fatalf("model Close after DB Close: %v", err)
 		}
 	})
 }
@@ -1557,14 +1591,27 @@ func TestAPIUnsafeModelIDs(t *testing.T) {
 	})
 }
 
-// TestAPIOpenValidation pins the public-surface validation errors.
+// TestAPIOpenValidation pins the public-surface validation errors. Every
+// target refuses an empty id and a dim outside [1, 1<<20] under one rule
+// (kv.ResolveOpen), and a refused local open creates nothing: above the
+// range a local store's four-page minimum alone would be 16 GiB of frames.
 func TestAPIOpenValidation(t *testing.T) {
 	withTargets(t, func(t *testing.T, db *mlkv.DB) {
-		if _, err := db.Open("", 8); err == nil {
-			t.Fatal("empty id accepted")
+		if m, err := db.Open("", 8); err == nil {
+			m.Close()
+			t.Error("empty id accepted")
 		}
-		if _, err := db.Open("x", 0); err == nil {
-			t.Fatal("zero dim accepted")
+		for _, dim := range []int{0, -1, 1<<20 + 1} {
+			if m, err := db.Open("x", dim); err == nil {
+				m.Close()
+				t.Errorf("dim %d accepted", dim)
+			}
+		}
+		if db.Remote() {
+			return
+		}
+		if entries, err := os.ReadDir(db.Target()); err != nil || len(entries) != 0 {
+			t.Errorf("refused opens left %d entries in the data directory (err %v)", len(entries), err)
 		}
 	})
 	if _, err := mlkv.Connect(""); err == nil {

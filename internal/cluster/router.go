@@ -139,23 +139,46 @@ func (r *Router) Close() error {
 	return first
 }
 
-// pool returns (dialing if needed) the connection pool for one node.
+// pool returns (dialing if needed) the connection pool for one node. The
+// dial — a TCP connect plus HELLO, each up to DialTimeout — runs outside
+// r.mu, so a node that never answers stalls only its own first contact,
+// not every other node's or a failover's map refetch. Two first contacts
+// with one node may both dial: the first to finish is kept and the other
+// pool closed, as is a pool whose router closed during the dial.
 func (r *Router) pool(addr string) (*client.Client, error) {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed {
-		return nil, errors.New("cluster: router closed")
+	p, ok := r.pools[addr]
+	closed := r.closed
+	r.mu.Unlock()
+	if closed {
+		return nil, errRouterClosed
 	}
-	if p, ok := r.pools[addr]; ok {
+	if ok {
 		return p, nil
 	}
 	p, err := client.Dial(addr, r.opts.Client)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: dial node %s: %w", addr, err)
 	}
-	r.pools[addr] = p
+	r.mu.Lock()
+	won, ok := r.pools[addr]
+	closed = r.closed
+	if !ok && !closed {
+		r.pools[addr] = p
+	}
+	r.mu.Unlock()
+	switch {
+	case closed:
+		p.Close()
+		return nil, errRouterClosed
+	case ok:
+		p.Close()
+		return won, nil
+	}
 	return p, nil
 }
+
+var errRouterClosed = errors.New("cluster: router closed")
 
 // adopt installs a map carried by a NOT_OWNER redirect if it is newer
 // than the router's current one.

@@ -299,6 +299,46 @@ func TestRoutingAllocOverhead(t *testing.T) {
 		})
 }
 
+// TestHungFirstDialStallsOnlyItsNode: while the first dial to one node
+// hangs (its proxy accepts the connect and never answers HELLO), the first
+// contact with another node does not wait behind it.
+func TestHungFirstDialStallsOnlyItsNode(t *testing.T) {
+	m, nodes := startCluster(t, []cluster.Node{
+		{ID: "n0", Role: cluster.RolePrimary},
+		{ID: "n1", Role: cluster.RolePrimary},
+		{ID: "n2", Role: cluster.RolePrimary},
+	}, "n1")
+	copts := client.Options{Conns: 1, DialTimeout: 2 * time.Second}
+	seed, err := client.Dial(m.Nodes[0].Addr, copts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := cluster.NewRouter(m, m.Nodes[0].Addr, seed, cluster.RouterOptions{Client: copts})
+	defer r.Close()
+	hung := nodes["n1"].proxy
+	hung.Blackhole()
+	hungDone := make(chan error, 1)
+	go func() {
+		_, err := r.Pool(m.Nodes[1].Addr)
+		hungDone <- err
+	}()
+	for deadline := time.Now().Add(time.Second); hung.Accepted() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the dial to the blackholed node never connected")
+		}
+	}
+	start := time.Now()
+	if _, err := r.Pool(m.Nodes[2].Addr); err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took > 200*time.Millisecond {
+		t.Fatalf("first contact with a healthy node took %v behind a hung dial to another", took)
+	}
+	if err := <-hungDone; err == nil {
+		t.Fatal("a dial to a blackholed node succeeded")
+	}
+}
+
 // TestRedirectOutranksTransportFailure pins the fan-out's error ranking.
 // The router holds a stale three-primary map; the cluster has since moved
 // to two primaries (n2 demoted) and n2 has died. One batch then sees n2's

@@ -26,7 +26,7 @@ func spillTable(t *testing.T, tbl *Table) {
 		if n == 1<<20 {
 			t.Fatal("table still resident after 2^20 filler writes")
 		}
-		if err := s.Put(ctx, base+n, v); err != nil {
+		if err := putOne(ctx, s, base+n, v); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -61,17 +61,17 @@ func TestTableHotTier(t *testing.T) {
 	defer s.Close()
 
 	put := func(k uint64, v float32) {
-		if err := s.Put(ctx, k, []float32{v, v}); err != nil {
+		if err := putOne(ctx, s, k, []float32{v, v}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	get := func(k uint64) float32 {
 		dst := make([]float32, 2)
-		if err := s.Get(ctx, k, dst); err != nil {
+		if err := getOne(ctx, s, k, dst); err != nil {
 			t.Fatal(err)
 		}
 		// Balance the clocked read so SSP never blocks this single session.
-		if err := s.Put(ctx, k, dst); err != nil {
+		if err := putOne(ctx, s, k, dst); err != nil {
 			t.Fatal(err)
 		}
 		return dst[0]
@@ -92,7 +92,7 @@ func TestTableHotTier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s2.Put(ctx, 1, []float32{20, 20}); err != nil {
+	if err := putOne(ctx, s2, 1, []float32{20, 20}); err != nil {
 		t.Fatal(err)
 	}
 	s2.Close()
@@ -166,12 +166,12 @@ func TestTableHotTierResidentBypass(t *testing.T) {
 	bdst := make([]float32, len(batch)*2)
 	for round := float32(0); round < 3; round++ {
 		for _, k := range batch {
-			if err := s.Put(ctx, k, []float32{round, float32(k)}); err != nil {
+			if err := putOne(ctx, s, k, []float32{round, float32(k)}); err != nil {
 				t.Fatal(err)
 			}
 		}
 		for _, k := range batch {
-			if err := s.Get(ctx, k, dst); err != nil {
+			if err := getOne(ctx, s, k, dst); err != nil {
 				t.Fatal(err)
 			}
 			if dst[0] != round || dst[1] != float32(k) {
@@ -198,7 +198,7 @@ func TestTableHotTierResidentBypass(t *testing.T) {
 	}
 	spillTable(t, tbl)
 	for _, k := range batch {
-		if err := s.Get(ctx, k, dst); err != nil {
+		if err := getOne(ctx, s, k, dst); err != nil {
 			t.Fatal(err)
 		}
 		want := float32(2)
@@ -235,13 +235,13 @@ func TestTableHotTierBSPNeverServes(t *testing.T) {
 	emb := []float32{1, 1}
 	dst := make([]float32, 2)
 	for k := uint64(1); k <= 50; k++ {
-		if err := s.Put(ctx, k, emb); err != nil {
+		if err := putOne(ctx, s, k, emb); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.Get(ctx, k, dst); err != nil {
+		if err := getOne(ctx, s, k, dst); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.Put(ctx, k, dst); err != nil { // balance the token
+		if err := putOne(ctx, s, k, dst); err != nil { // balance the token
 			t.Fatal(err)
 		}
 	}
@@ -283,7 +283,7 @@ func BenchmarkTableGetBatchSpilledTier(b *testing.B) {
 			defer s.Close()
 			v := make([]float32, dim)
 			for k := uint64(nKeys); k > 0; k-- { // the hot span is written last
-				if err := s.Put(ctx, k-1, v); err != nil {
+				if err := putOne(ctx, s, k-1, v); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -72,10 +72,10 @@ func TestTableConformance(t *testing.T) {
 		val := []float32{1, 2, 3, 4}
 		got := make([]float32, dim)
 		for k := uint64(0); k < n; k++ {
-			if err := s.Put(ctx, k, val); err != nil {
+			if err := putOne(ctx, s, k, val); err != nil {
 				t.Fatal(err)
 			}
-			if err := s.Get(ctx, k, got); err != nil {
+			if err := getOne(ctx, s, k, got); err != nil {
 				t.Fatal(err)
 			}
 			for i := range val {
@@ -105,7 +105,7 @@ func TestTableConformance(t *testing.T) {
 		// seeded initializer's values, identical at every shard count.
 		fresh := []uint64{1 << 40, 1<<40 + 1, 1<<40 + 2, 1<<40 + 3}
 		want := make([]float32, dim)
-		if err := s.Get(ctx, fresh[0], got); err != nil {
+		if err := getOne(ctx, s, fresh[0], got); err != nil {
 			t.Fatal(err)
 		}
 		UniformInit(0.1, 42)(fresh[0], want)
@@ -127,13 +127,13 @@ func TestTableConformance(t *testing.T) {
 		}
 
 		// RMW steps the stored value.
-		if err := s.Put(ctx, 3, val); err != nil {
+		if err := putOne(ctx, s, 3, val); err != nil {
 			t.Fatal(err)
 		}
 		if err := s.RMW(ctx, 3, []float32{1, 1, 1, 1}, 0.5); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.Get(ctx, 3, got); err != nil {
+		if err := getOne(ctx, s, 3, got); err != nil {
 			t.Fatal(err)
 		}
 		if fmt.Sprint(got) != fmt.Sprint([]float32{0.5, 1.5, 2.5, 3.5}) {
@@ -263,7 +263,7 @@ func TestParallelFirstTouch(t *testing.T) {
 			defer s.Close()
 			filler := make([]float32, dim)
 			for k := uint64(1) << 32; tbl.store.Resident(); k++ {
-				if err := s.Put(ctx, k, filler); err != nil {
+				if err := putOne(ctx, s, k, filler); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -309,7 +309,7 @@ func TestTableRecovery(t *testing.T) {
 		}
 		val := []float32{9, 8, 7, 6}
 		for k := uint64(0); k < 300; k++ {
-			if err := s.Put(ctx, k, val); err != nil {
+			if err := putOne(ctx, s, k, val); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -425,7 +425,7 @@ func TestCrossStackReopen(t *testing.T) {
 				t.Fatal(err)
 			}
 			for k := uint64(0); k < n; k++ {
-				if err := ts.Put(ctx, k, embAt(k)); err != nil {
+				if err := putOne(ctx, ts, k, embAt(k)); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -479,11 +479,11 @@ func TestBlockingBoundBatchAcquiresInOrder(t *testing.T) {
 	}
 	defer holder.Close()
 	for _, k := range keys[1:] {
-		if err := holder.Put(context.Background(), k, val); err != nil {
+		if err := putOne(context.Background(), holder, k, val); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := holder.Get(context.Background(), 4, make([]float32, dim)); err != nil { // take 4's token
+	if err := getOne(context.Background(), holder, 4, make([]float32, dim)); err != nil { // take 4's token
 		t.Fatal(err)
 	}
 
@@ -516,21 +516,21 @@ func TestBlockingBoundBatchAcquiresInOrder(t *testing.T) {
 	defer probe.Close()
 	got := make([]float32, dim)
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	err = probe.Get(ctx, 3, got)
+	err = getOne(ctx, probe, 3, got)
 	cancel()
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("key 3 precedes the blocked key, so the batch must hold its token (first touch included); probe read returned %v", err)
 	}
 	ctx, cancel = context.WithTimeout(context.Background(), 5*time.Second)
-	err = probe.Get(ctx, 5, got)
+	err = getOne(ctx, probe, 5, got)
 	cancel()
 	if err != nil {
 		t.Fatalf("key 5 follows the blocked key, so the batch must not hold it yet; probe read returned %v", err)
 	}
-	if err := probe.Put(context.Background(), 5, got); err != nil {
+	if err := putOne(context.Background(), probe, 5, got); err != nil {
 		t.Fatal(err)
 	}
-	if err := holder.Put(context.Background(), 4, val); err != nil { // release: the batch finishes
+	if err := putOne(context.Background(), holder, 4, val); err != nil { // release: the batch finishes
 		t.Fatal(err)
 	}
 	select {
@@ -565,7 +565,7 @@ func TestBlockingBoundBatchWorkers(t *testing.T) {
 				t.Fatal(err)
 			}
 			for k := uint64(0); k < rounds*16+window; k += 2 {
-				if err := pre.Put(ctx, k, []float32{1, 1, 1, 1}); err != nil {
+				if err := putOne(ctx, pre, k, []float32{1, 1, 1, 1}); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -54,7 +54,7 @@ type tableSession struct {
 func (s *tableSession) close() { s.s.Close() }
 func (s *tableSession) put(k uint64, ver uint32) error {
 	s.buf = [2]float32{float32(ver), float32(ver)}
-	return s.s.Put(context.Background(), k, s.buf[:])
+	return putOne(context.Background(), s.s, k, s.buf[:])
 }
 func (s *tableSession) bump(k uint64) error {
 	return s.s.RMW(context.Background(), k, []float32{-1, -1}, 1)
@@ -66,7 +66,7 @@ func (s *tableSession) version() (uint32, error) {
 	return uint32(s.buf[0]), nil
 }
 func (s *tableSession) get(ctx context.Context, k uint64) (uint32, error) {
-	if err := s.s.Get(ctx, k, s.buf[:]); err != nil {
+	if err := getOne(ctx, s.s, k, s.buf[:]); err != nil {
 		return 0, err
 	}
 	return s.version()

@@ -6,7 +6,8 @@
 // float32 codec, seeded first-touch initialization, and the Lookahead
 // interface, whose hint queue (HintQueue, shared with the remote driver)
 // moves disk-resident embeddings into the store's mutable memory buffer
-// ahead of use.
+// ahead of use. Its sessions are batch-first: a single key, per-op
+// timing and the per-handle call counts are the public mlkv layer's.
 package core
 
 import (
@@ -14,10 +15,8 @@ import (
 	"errors"
 	"fmt"
 	"sync/atomic"
-	"time"
 
 	"github.com/llm-db/mlkv-go/internal/kv"
-	"github.com/llm-db/mlkv-go/internal/latency"
 	"github.com/llm-db/mlkv-go/internal/stats"
 	"github.com/llm-db/mlkv-go/internal/tensor"
 	"github.com/llm-db/mlkv-go/internal/util"
@@ -99,9 +98,9 @@ type Options struct {
 	ExpectedKeys uint64
 	// CacheEntries puts a staleness-aware hot tier of this capacity in
 	// front of the store's shards (kv.ShardedConfig.CacheEntries): once the
-	// store has spilled to disk Get/GetBatch consult it before the engine
-	// and serve a hit only within the staleness bound, and reads fill it;
-	// Put/PutBatch update it in place and RMW/Delete invalidate, always.
+	// store has spilled to disk GetBatch consults it before the engine
+	// and serves a hit only within the staleness bound, and reads fill it;
+	// PutBatch updates it in place and RMW/Delete invalidate, always.
 	// While the table still fits in MemoryBytes reads are served by the
 	// log's in-memory region and skip the tier. 0 (the default) disables it.
 	CacheEntries int
@@ -121,13 +120,6 @@ type Table struct {
 
 	hints          *HintQueue
 	activeSessions atomic.Int64
-	batchGets      atomic.Int64
-	batchPuts      atomic.Int64
-	lookaheadCalls atomic.Int64
-
-	// lat times session Get/GetBatch/Put/PutBatch/RMW per op
-	// class (wait-free, no allocation); Stats reports the summaries.
-	lat latency.OpSet
 }
 
 // OpenTable creates or recovers an embedding table.
@@ -190,24 +182,20 @@ func (t *Table) Close() error {
 
 // Stats returns the table's counters: the store's (the engine's, summed
 // across shards, and the hot tier's when one fronts it) plus the ones that
-// exist only above it — batch and Lookahead calls, dropped prefetch hints,
-// the session gauge and the per-op-class latency summaries.
+// exist only above it — dropped prefetch hints and the session gauge.
 func (t *Table) Stats() stats.Counters {
 	c := t.store.Stats()
-	c.BatchGets = t.batchGets.Load()
-	c.BatchPuts = t.batchPuts.Load()
-	c.LookaheadCalls = t.lookaheadCalls.Load()
 	c.PrefetchDropped = t.hints.Dropped()
 	c.ActiveSessions = t.activeSessions.Load()
-	c.SetLatency(&t.lat)
 	return c
 }
 
 // Session is one worker's handle onto the table: one store session, which
 // reads into and writes from the caller's own []float32 (tensor.F32Bytes).
 // Every operation takes the caller's ctx first; the local driver hands a
-// Session out as its driver.Session as is. Not safe for concurrent use;
-// create one per goroutine.
+// Session out as its driver.Session as is, so it has exactly the seam's
+// operations: a single-key read or put is a one-key GetBatch or PutBatch.
+// Not safe for concurrent use; create one per goroutine.
 type Session struct {
 	t *Table
 	s kv.Session
@@ -217,7 +205,6 @@ type Session struct {
 	create func(key uint64, cur []byte)
 	ibuf   []float32 // first-touch initializer staging
 	found  []bool    // batch presence flags
-	oneKey [1]uint64 // the one-key batch Get runs as
 	closed bool
 }
 
@@ -244,31 +231,6 @@ func (s *Session) Close() {
 	s.s.Close()
 }
 
-// Get reads the embedding for key into dst (len == Dim), initializing it on
-// first touch. It participates in the bounded-staleness protocol (§III-C1):
-// a read stalled on the staleness bound returns ctx.Err() when ctx ends
-// instead of waiting for the releasing write, and holds no token after.
-// The store writes into dst directly: when Get (or GetBatch) returns an
-// error, what dst holds is undefined. It is GetBatch's one-key case.
-func (s *Session) Get(ctx context.Context, key uint64, dst []float32) error {
-	if len(dst) != s.t.dim {
-		return fmt.Errorf("core: dst length %d != dim %d", len(dst), s.t.dim)
-	}
-	// Deferred with the start time evaluated here: records on every return
-	// path, including a read stalled on the staleness bound.
-	defer s.t.lat.Since(latency.OpGet, time.Now())
-	s.oneKey[0] = key
-	return s.getBatch(ctx, s.oneKey[:], dst)
-}
-
-// getBatch is the clocked read-or-create of keys into dst: one store batch,
-// in which the engine creates each absent key from the initializer in its
-// turn (kv.Session.GetOrCreateBatchCtx).
-func (s *Session) getBatch(ctx context.Context, keys []uint64, dst []float32) error {
-	s.found = util.Grow(s.found, len(keys))
-	return s.s.GetOrCreateBatchCtx(ctx, keys, tensor.F32Bytes(dst), s.found, s.create)
-}
-
 // initInto encodes key's first-touch embedding into cur: an absent key's
 // slot in a read-or-create batch, or an RMW callback's view of an absent
 // key.
@@ -283,10 +245,14 @@ func (s *Session) initInto(key uint64, cur []byte) {
 
 // GetBatch reads len(keys) embeddings into dst (len == len(keys)*Dim) as
 // one store batch, initializing each key on first touch inside the engine
-// pass that reads it; ctx is checked on every key's clocked read (see
-// Get). A sharded store fans the batch out across shards (in parallel once
-// it has spilled to disk). Duplicate keys each perform their own clocked
-// read; deduplicate in the caller if the training step applies one
+// pass that reads it (kv.Session.GetOrCreateBatchCtx). It participates in
+// the bounded-staleness protocol (§III-C1): ctx is checked on every key's
+// clocked read, and a read stalled on the bound returns ctx.Err() when ctx
+// ends instead of waiting for the releasing write, holding no token after.
+// The store writes into dst directly: after an error, what dst holds is
+// undefined. A sharded store fans the batch out across shards (in parallel
+// once it has spilled to disk). Duplicate keys each perform their own
+// clocked read; deduplicate in the caller if the training step applies one
 // combined update.
 //
 // Under a blocking staleness bound (BSP or finite SSP) the keys are instead
@@ -301,9 +267,8 @@ func (s *Session) GetBatch(ctx context.Context, keys []uint64, dst []float32) er
 	if len(dst) != len(keys)*s.t.dim {
 		return fmt.Errorf("core: dst length %d != %d keys × dim %d", len(dst), len(keys), s.t.dim)
 	}
-	defer s.t.lat.Since(latency.OpGetBatch, time.Now())
-	s.t.batchGets.Add(1)
-	return s.getBatch(ctx, keys, dst)
+	s.found = util.Grow(s.found, len(keys))
+	return s.s.GetOrCreateBatchCtx(ctx, keys, tensor.F32Bytes(dst), s.found, s.create)
 }
 
 // Peek reads without touching the vector clock (evaluation path).
@@ -317,21 +282,9 @@ func (s *Session) Peek(ctx context.Context, key uint64, dst []float32) (bool, er
 	return s.s.Peek(key, tensor.F32Bytes(dst))
 }
 
-// Put upserts the embedding for key (the backward-propagation write of
-// Figure 3, line 17). Puts never wait on the staleness bound.
-func (s *Session) Put(ctx context.Context, key uint64, val []float32) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if len(val) != s.t.dim {
-		return fmt.Errorf("core: val length %d != dim %d", len(val), s.t.dim)
-	}
-	defer s.t.lat.Since(latency.OpPut, time.Now())
-	return s.s.Put(key, tensor.F32Bytes(val))
-}
-
 // PutBatch upserts len(keys) embeddings from vals (len == len(keys)*Dim)
-// as one store batch.
+// as one store batch (the backward-propagation write of Figure 3, line
+// 17). Puts never wait on the staleness bound.
 func (s *Session) PutBatch(ctx context.Context, keys []uint64, vals []float32) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -340,8 +293,6 @@ func (s *Session) PutBatch(ctx context.Context, keys []uint64, vals []float32) e
 	if len(vals) != len(keys)*dim {
 		return fmt.Errorf("core: vals length %d != %d keys × dim %d", len(vals), len(keys), dim)
 	}
-	defer s.t.lat.Since(latency.OpPutBatch, time.Now())
-	s.t.batchPuts.Add(1)
 	return s.s.PutBatch(keys, tensor.F32Bytes(vals))
 }
 
@@ -356,7 +307,6 @@ func (s *Session) RMW(ctx context.Context, key uint64, grad []float32, lr float3
 	if len(grad) != s.t.dim {
 		return fmt.Errorf("core: grad length %d != dim %d", len(grad), s.t.dim)
 	}
-	defer s.t.lat.Since(latency.OpRMW, time.Now())
 	return s.s.RMW(key, func(cur []byte, exists bool) bool {
 		if !exists {
 			s.initInto(key, cur)
@@ -384,7 +334,6 @@ func (s *Session) Delete(ctx context.Context, key uint64) error {
 // applies (see HintQueue): from the first 64-key chunk that finds the queue
 // full, the rest of the hint drops and PrefetchDropped counts its keys.
 func (s *Session) Lookahead(keys []uint64) error {
-	s.t.lookaheadCalls.Add(1)
 	s.t.hints.Push(keys)
 	return nil
 }

@@ -28,6 +28,22 @@ func testTable(t *testing.T, dim int, bound int64) *Table {
 	return tbl
 }
 
+// batchSession is what getOne and putOne need of a session.
+type batchSession interface {
+	GetBatch(ctx context.Context, keys []uint64, dst []float32) error
+	PutBatch(ctx context.Context, keys []uint64, vals []float32) error
+}
+
+// getOne and putOne read and write one key as a one-key GetBatch and
+// PutBatch, which is what mlkv's single-key Get and Put send.
+func getOne(ctx context.Context, s batchSession, key uint64, dst []float32) error {
+	return s.GetBatch(ctx, []uint64{key}, dst)
+}
+
+func putOne(ctx context.Context, s batchSession, key uint64, val []float32) error {
+	return s.PutBatch(ctx, []uint64{key}, val)
+}
+
 func TestTableGetInitializesFirstTouch(t *testing.T) {
 	ctx := context.Background()
 	tbl := testTable(t, 8, BoundDisabled)
@@ -37,7 +53,7 @@ func TestTableGetInitializesFirstTouch(t *testing.T) {
 	}
 	defer s.Close()
 	emb := make([]float32, 8)
-	if err := s.Get(ctx, 1, emb); err != nil {
+	if err := getOne(ctx, s, 1, emb); err != nil {
 		t.Fatal(err)
 	}
 	nonzero := false
@@ -54,7 +70,7 @@ func TestTableGetInitializesFirstTouch(t *testing.T) {
 	}
 	// Same key, same init — deterministic.
 	emb2 := make([]float32, 8)
-	if err := s.Get(ctx, 1, emb2); err != nil {
+	if err := getOne(ctx, s, 1, emb2); err != nil {
 		t.Fatal(err)
 	}
 	for i := range emb {
@@ -76,14 +92,14 @@ func TestTablePutGetRoundTrip(t *testing.T) {
 	for _, bits := range []uint32{0x7fc00001, 0x7f800001, 0xffc12345, 0x80000000, 0x00000001} {
 		want = append(want, math.Float32frombits(bits))
 	}
-	if err := s.Put(ctx, 7, want); err != nil {
+	if err := putOne(ctx, s, 7, want); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.PutBatch(ctx, []uint64{8}, want); err != nil {
 		t.Fatal(err)
 	}
 	got, batch, peeked := make([]float32, 8), make([]float32, 16), make([]float32, 8)
-	if err := s.Get(ctx, 7, got); err != nil {
+	if err := getOne(ctx, s, 7, got); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.GetBatch(ctx, []uint64{8, 7}, batch); err != nil {
@@ -131,10 +147,10 @@ func TestTableDimValidation(t *testing.T) {
 	tbl := testTable(t, 4, BoundDisabled)
 	s, _ := tbl.NewSession()
 	defer s.Close()
-	if err := s.Get(ctx, 1, make([]float32, 3)); err == nil {
+	if err := getOne(ctx, s, 1, make([]float32, 3)); err == nil {
 		t.Fatal("wrong dim accepted in Get")
 	}
-	if err := s.Put(ctx, 1, make([]float32, 5)); err == nil {
+	if err := putOne(ctx, s, 1, make([]float32, 5)); err == nil {
 		t.Fatal("wrong dim accepted in Put")
 	}
 	if err := s.GetBatch(ctx, []uint64{1, 2}, make([]float32, 7)); err == nil {
@@ -147,12 +163,12 @@ func TestApplyGradient(t *testing.T) {
 	tbl := testTable(t, 4, BoundDisabled)
 	s, _ := tbl.NewSession()
 	defer s.Close()
-	s.Put(ctx, 1, []float32{1, 1, 1, 1})
+	putOne(ctx, s, 1, []float32{1, 1, 1, 1})
 	if err := s.RMW(ctx, 1, []float32{1, 2, 3, 4}, 0.5); err != nil {
 		t.Fatal(err)
 	}
 	got := make([]float32, 4)
-	s.Get(ctx, 1, got)
+	getOne(ctx, s, 1, got)
 	want := []float32{0.5, 0, -0.5, -1}
 	for i := range want {
 		if math.Abs(float64(got[i]-want[i])) > 1e-6 {
@@ -174,15 +190,15 @@ func TestFirstTouchCreatesOnce(t *testing.T) {
 	b, _ := tbl.NewSession()
 	defer b.Close()
 	emb, got := make([]float32, 4), make([]float32, 4)
-	if err := a.Get(ctx, 1, emb); err != nil { // first touch; holds one token
+	if err := getOne(ctx, a, 1, emb); err != nil { // first touch; holds one token
 		t.Fatal(err)
 	}
 	trained := []float32{9, 8, 7, 6}
-	if err := a.Put(ctx, 1, trained); err != nil {
+	if err := putOne(ctx, a, 1, trained); err != nil {
 		t.Fatal(err)
 	}
 	before := tbl.Stats()
-	if err := b.Get(ctx, 1, got); err != nil {
+	if err := getOne(ctx, b, 1, got); err != nil {
 		t.Fatal(err)
 	}
 	after := tbl.Stats()
@@ -273,7 +289,7 @@ func coldTable(t *testing.T) (*Table, *Session) {
 		for i := range emb {
 			emb[i] = float32(k)
 		}
-		if err := s.Put(context.Background(), k, emb); err != nil {
+		if err := putOne(context.Background(), s, k, emb); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -301,9 +317,6 @@ func TestLookaheadStorageBufferWarmsDiskRecords(t *testing.T) {
 	hinted := tbl.Stats()
 	if got := hinted.PrefetchCopies - before.PrefetchCopies; got != int64(len(cold)) || hinted.PrefetchDropped != 0 {
 		t.Fatalf("one hint of %d cold keys: %d copies, %d dropped", len(cold), got, hinted.PrefetchDropped)
-	}
-	if got := hinted.LookaheadCalls - before.LookaheadCalls; got != 1 {
-		t.Fatalf("LookaheadCalls rose by %d, want 1", got)
 	}
 	embs := make([]float32, len(cold)*8)
 	if err := s.GetBatch(context.Background(), cold, embs); err != nil {
@@ -339,14 +352,14 @@ func TestTableConcurrentTraining(t *testing.T) {
 			emb := make([]float32, 8)
 			for i := 0; i < 500; i++ {
 				k := r.Uint64n(200) + 1
-				if err := s.Get(ctx, k, emb); err != nil {
+				if err := getOne(ctx, s, k, emb); err != nil {
 					t.Error(err)
 					return
 				}
 				for j := range emb {
 					emb[j] += 0.001
 				}
-				if err := s.Put(ctx, k, emb); err != nil {
+				if err := putOne(ctx, s, k, emb); err != nil {
 					t.Error(err)
 					return
 				}
@@ -368,7 +381,7 @@ func TestTableCheckpointRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 	s, _ := tbl.NewSession()
-	s.Put(ctx, 1, []float32{1, 2, 3, 4})
+	putOne(ctx, s, 1, []float32{1, 2, 3, 4})
 	s.Close()
 	if err := tbl.Checkpoint(); err != nil {
 		t.Fatal(err)
@@ -383,7 +396,7 @@ func TestTableCheckpointRestore(t *testing.T) {
 	s2, _ := tbl2.NewSession()
 	defer s2.Close()
 	got := make([]float32, 4)
-	if err := s2.Get(ctx, 1, got); err != nil {
+	if err := getOne(ctx, s2, 1, got); err != nil {
 		t.Fatal(err)
 	}
 	if got[0] != 1 || got[3] != 4 {
@@ -407,10 +420,10 @@ func TestBoundModesSmoke(t *testing.T) {
 		s, _ := tbl.NewSession()
 		emb := make([]float32, 4)
 		for k := uint64(1); k <= 50; k++ {
-			if err := s.Get(ctx, k, emb); err != nil {
+			if err := getOne(ctx, s, k, emb); err != nil {
 				t.Fatalf("bound %d: %v", bound, err)
 			}
-			if err := s.Put(ctx, k, emb); err != nil {
+			if err := putOne(ctx, s, k, emb); err != nil {
 				t.Fatalf("bound %d: %v", bound, err)
 			}
 		}
@@ -460,8 +473,10 @@ func TestFirstTouchGetAllocs(t *testing.T) {
 	}
 	defer s.Close()
 	emb := make([]float32, 16)
+	var one [1]uint64
 	get := func(key uint64) {
-		if err := s.Get(context.Background(), key, emb); err != nil {
+		one[0] = key
+		if err := s.GetBatch(context.Background(), one[:], emb); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -14,9 +14,7 @@ import (
 
 // embSession is the slice of *Session the equivalence script drives.
 type embSession interface {
-	Get(ctx context.Context, key uint64, dst []float32) error
 	GetBatch(ctx context.Context, keys []uint64, dst []float32) error
-	Put(ctx context.Context, key uint64, val []float32) error
 	PutBatch(ctx context.Context, keys []uint64, vals []float32) error
 	RMW(ctx context.Context, key uint64, grad []float32, lr float32) error
 	Delete(ctx context.Context, key uint64) error
@@ -30,17 +28,12 @@ type handSession struct {
 	s    kv.Session
 	dim  int
 	init Initializer
-	buf  []byte
 }
 
 func (h *handSession) initInto(key uint64, cur []byte) {
 	v := make([]float32, h.dim)
 	h.init(key, v)
 	tensor.F32sToBytes(v, cur)
-}
-
-func (h *handSession) Get(ctx context.Context, key uint64, dst []float32) error {
-	return h.GetBatch(ctx, []uint64{key}, dst)
 }
 
 func (h *handSession) GetBatch(ctx context.Context, keys []uint64, dst []float32) error {
@@ -50,11 +43,6 @@ func (h *handSession) GetBatch(ctx context.Context, keys []uint64, dst []float32
 	}
 	tensor.BytesToF32s(vals, dst)
 	return nil
-}
-
-func (h *handSession) Put(_ context.Context, key uint64, val []float32) error {
-	tensor.F32sToBytes(val, h.buf)
-	return h.s.Put(key, h.buf)
 }
 
 func (h *handSession) PutBatch(_ context.Context, keys []uint64, vals []float32) error {
@@ -117,7 +105,7 @@ func TestTableTierIsTheWrapper(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer ks.Close()
-			hs := &handSession{st: st, s: ks, dim: dim, init: init, buf: make([]byte, dim*4)}
+			hs := &handSession{st: st, s: ks, dim: dim, init: init}
 
 			sides := []embSession{ts, hs}
 			ctx := context.Background()
@@ -149,10 +137,10 @@ func TestTableTierIsTheWrapper(t *testing.T) {
 			// blocking bound never stalls the single session.
 			get := func(k uint64) {
 				both(fmt.Sprintf("Get %d", k), func(s embSession, out []float32) error {
-					if err := s.Get(ctx, k, out); err != nil {
+					if err := getOne(ctx, s, k, out); err != nil {
 						return err
 					}
-					return s.Put(ctx, k, out)
+					return putOne(ctx, s, k, out)
 				}, dim)
 			}
 			getBatch := func(keys []uint64) {
@@ -170,7 +158,7 @@ func TestTableTierIsTheWrapper(t *testing.T) {
 				if n == 1<<20 {
 					t.Fatal("still resident after 2^20 filler writes")
 				}
-				both("filler", func(s embSession, _ []float32) error { return s.Put(ctx, 1<<32+n, zero) }, 0)
+				both("filler", func(s embSession, _ []float32) error { return putOne(ctx, s, 1<<32+n, zero) }, 0)
 			}
 
 			keys := make([]uint64, 40)

@@ -6,6 +6,12 @@
 // against either target — the paper's Open(model_id, dim, staleness_bound)
 // served locally or as a shared storage service.
 //
+// The seam carries only what differs between the two targets: batch
+// primitives and what a target owns — the store or the wire path, first
+// touch, the hot tier and the hint queue. What both share lives once in
+// mlkv: a single key as a batch of one, per-op latency, the batch and
+// Lookahead call counts, the model id and close-once per handle.
+//
 // Every operation is context-first: deadlines and cancellation are
 // honored on staleness waits (local) and network round trips (remote).
 // The public package supplies context.Background() for its convenience
@@ -88,7 +94,6 @@ type DB interface {
 
 // Model is one named embedding model behind either driver.
 type Model interface {
-	ID() string
 	Dim() int
 	Shards() int
 	// EngineName identifies the backing store: "mlkv", "faster" (the
@@ -101,19 +106,20 @@ type Model interface {
 	// Stats returns the model's counters. A local model reports the core
 	// table's view; a remote model reports the server's (merged across a
 	// cluster's nodes) overlaid with what this process owns: the client
-	// tier, dropped hints, redials, cluster routing, and the
-	// pool's round-trip latencies in place of the server's store timings.
+	// tier, dropped hints, redials and cluster routing. mlkv overlays the
+	// handle's own batch and Lookahead counts and latencies on either.
 	Stats(ctx context.Context) (stats.Counters, error)
 	NewSession(ctx context.Context) (Session, error)
+	// Close releases one Open's reference. mlkv calls it at most once per
+	// handle.
 	Close() error
 }
 
 // Session is one worker's handle. Not safe for concurrent use. Reads are
 // written into dst as they arrive: after an error its contents are undefined.
+// A single-key read or put is the caller's one-key GetBatch or PutBatch.
 type Session interface {
-	Get(ctx context.Context, key uint64, dst []float32) error
 	GetBatch(ctx context.Context, keys []uint64, dst []float32) error
-	Put(ctx context.Context, key uint64, val []float32) error
 	PutBatch(ctx context.Context, keys []uint64, vals []float32) error
 	RMW(ctx context.Context, key uint64, grad []float32, lr float32) error
 	Peek(ctx context.Context, key uint64, dst []float32) (bool, error)

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"path/filepath"
 	"sync"
-	"sync/atomic"
 
 	"github.com/llm-db/mlkv-go/internal/core"
 	"github.com/llm-db/mlkv-go/internal/kv"
@@ -42,7 +41,7 @@ func (db *localDB) Open(ctx context.Context, id string, cfg Config) (Model, erro
 			return nil, err
 		}
 		m.refs++
-		return &localHandle{localModel: m}, nil
+		return m, nil
 	}
 	bound, err := kv.ResolveOpen(req, nil, kv.DefaultBound)
 	if err != nil {
@@ -63,7 +62,7 @@ func (db *localDB) Open(ctx context.Context, id string, cfg Config) (Model, erro
 	}
 	m := &localModel{db: db, id: id, t: t, refs: 1}
 	db.models[id] = m
-	return &localHandle{localModel: m}, nil
+	return m, nil
 }
 
 // Close closes every model still open on the directory.
@@ -76,6 +75,7 @@ func (db *localDB) Close() error {
 	db.closed = true
 	models := make([]*localModel, 0, len(db.models))
 	for _, m := range db.models {
+		m.refs = 0 // a handle closed after the DB releases nothing
 		models = append(models, m)
 	}
 	db.models = make(map[string]*localModel)
@@ -89,10 +89,10 @@ func (db *localDB) Close() error {
 	return first
 }
 
-// localModel wraps one table. refs counts Opens; the table closes when
-// the last reference is released (or when the DB closes). Each Open
-// returns its own localHandle so a double Close of one handle releases
-// its reference once, never a sibling's.
+// localModel wraps one table, and every Open of its id returns it. refs
+// counts Opens; the table closes when the last reference is released (or
+// when the DB closes). mlkv closes each handle at most once, so a double
+// Close of one handle never releases a sibling's reference.
 type localModel struct {
 	db   *localDB
 	id   string
@@ -100,22 +100,6 @@ type localModel struct {
 	refs int // guarded by db.mu
 }
 
-// localHandle is one Open's view of a shared localModel.
-type localHandle struct {
-	*localModel
-	closed atomic.Bool
-}
-
-// Close releases this handle's reference exactly once; the table closes
-// when the last handle goes.
-func (h *localHandle) Close() error {
-	if h.closed.Swap(true) {
-		return nil
-	}
-	return h.localModel.release()
-}
-
-func (m *localModel) ID() string            { return m.id }
 func (m *localModel) Dim() int              { return m.t.Dim() }
 func (m *localModel) Shards() int           { return m.t.Shards() }
 func (m *localModel) EngineName() string    { return m.t.EngineName() }
@@ -143,8 +127,8 @@ func (m *localModel) NewSession(ctx context.Context) (Session, error) {
 	return s, nil
 }
 
-// release drops one reference; the table closes when the last one goes.
-func (m *localModel) release() error {
+// Close releases one reference; the table closes when the last one goes.
+func (m *localModel) Close() error {
 	m.db.mu.Lock()
 	if m.refs == 0 { // DB already closed everything
 		m.db.mu.Unlock()

@@ -3,14 +3,11 @@ package driver
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
-	"time"
 
 	"github.com/llm-db/mlkv-go/internal/client"
 	"github.com/llm-db/mlkv-go/internal/cluster"
 	"github.com/llm-db/mlkv-go/internal/core"
 	"github.com/llm-db/mlkv-go/internal/hotcache"
-	"github.com/llm-db/mlkv-go/internal/latency"
 	"github.com/llm-db/mlkv-go/internal/stats"
 	"github.com/llm-db/mlkv-go/internal/tensor"
 	"github.com/llm-db/mlkv-go/internal/util"
@@ -32,7 +29,6 @@ type wireSession interface {
 
 // wireModel is one named model behind either remote backend.
 type wireModel interface {
-	ID() string
 	Dim() int
 	Shards() int
 	Name() string
@@ -54,7 +50,7 @@ type wireBackend interface {
 	OpenWireModel(ctx context.Context, spec client.OpenSpec) (wireModel, error)
 	// FillStats overlays the client-side counters the backend owns onto a
 	// server-side snapshot: redials (summed across every pool it holds) and
-	// cluster routing. Latency is the model handle's (remoteModel.lat).
+	// cluster routing.
 	FillStats(c *stats.Counters)
 	Close() error
 }
@@ -201,12 +197,6 @@ type remoteModel struct {
 	// server-side tier (-cache), whose clock sees every client.
 	cache *hotcache.Cache[float32]
 	bound int64
-	// lat times this handle's sessions' ops, at the ops core.Session times.
-	lat latency.OpSet
-	// The caller's GetBatch, PutBatch and Lookahead calls, counted where
-	// core.Session counts them: the server counts frames, and a single key
-	// or a cluster fan-out sends batch frames of its own.
-	batchGets, batchPuts, lookaheadCalls atomic.Int64
 
 	// hints runs on a context stopHints cancels, so that Close never waits
 	// on a round trip to a server that stopped answering.
@@ -231,7 +221,6 @@ func (w wireHints) Lookahead(keys []uint64) (int, error) {
 // answer arrives, the connection breaks or the pool closes.
 func (w wireHints) Close() { go w.s.Close() }
 
-func (m *remoteModel) ID() string            { return m.m.ID() }
 func (m *remoteModel) Dim() int              { return m.m.Dim() }
 func (m *remoteModel) Shards() int           { return m.m.Shards() }
 func (m *remoteModel) EngineName() string    { return m.m.Name() }
@@ -246,20 +235,13 @@ func (m *remoteModel) Stats(ctx context.Context) (stats.Counters, error) {
 	}
 	// The server's view, overlaid with what this process owns. The client
 	// tier adds to the server's shared tier (both front the same store);
-	// dropped hints are this handle's queue. Latency becomes this handle's
-	// end-to-end view — tier hits, round trips with their demux queueing,
-	// first-touch write-backs — not the server-side store timings (those
-	// stay visible through the mlkv_latency expvar and raw STATS frames).
-	// The pool is per-DB, so redials cover every model from this Connect.
-	// The batch counters are this handle's calls, not the server's frames.
+	// dropped hints are this handle's queue. The pool is per-DB, so redials
+	// cover every model from this Connect.
 	if m.cache != nil {
 		m.cache.Stats().AddTo(&c)
 	}
 	c.PrefetchDropped = m.hints.Dropped()
-	c.BatchGets, c.BatchPuts = m.batchGets.Load(), m.batchPuts.Load()
-	c.LookaheadCalls = m.lookaheadCalls.Load()
 	m.db.c.FillStats(&c)
-	c.SetLatency(&m.lat)
 	return c, nil
 }
 
@@ -273,7 +255,7 @@ func (m *remoteModel) NewSession(ctx context.Context) (Session, error) {
 
 // Close abandons any hint in flight and stops the hint queue. The server
 // keeps the model open (the registry owns its lifecycle); the pool closes
-// with the DB. Idempotent.
+// with the DB.
 func (m *remoteModel) Close() error {
 	m.stopHints()
 	m.hints.Close()
@@ -284,16 +266,14 @@ func (m *remoteModel) Close() error {
 // client-side first-touch initialization — the paper's
 // "framework + plain KV store" integration pattern, with the initializer
 // seeded per key so every worker initializes an embedding identically.
-// Every single-key read or put is the one-key case of its batch path, so
-// the tier consult, the tier fill and the first-touch write-back each
-// exist once. Ops are timed into the model's latency set where
-// core.Session times them: Get, GetBatch, Put, PutBatch and RMW, with a
-// first-touch write-back part of the op that caused it.
+// The tier consult, the tier fill and the first-touch write-back each
+// exist once, on the batch paths.
 type remoteSession struct {
 	m *remoteModel
 	s wireSession
 
-	// one holds a single-key op's batch of one.
+	// one holds the batch of one that RMW's first-touch write-back and Peek
+	// send.
 	one [1]uint64
 	// Batch-path scratch, grown on demand and reused across steps. The wire
 	// reads into and writes from the caller's own []float32
@@ -323,30 +303,14 @@ func (s *remoteSession) tier() (*hotcache.Cache[float32], int64) {
 	return s.m.cache, bound
 }
 
-// Get is GetBatch's one-key case.
-func (s *remoteSession) Get(ctx context.Context, key uint64, dst []float32) error {
-	if len(dst) != s.m.Dim() {
-		return fmt.Errorf("driver: dst length %d != dim %d", len(dst), s.m.Dim())
-	}
-	defer s.m.lat.Since(latency.OpGet, time.Now())
-	s.one[0] = key
-	return s.getBatch(ctx, s.one[:], dst)
-}
-
-func (s *remoteSession) GetBatch(ctx context.Context, keys []uint64, dst []float32) error {
-	if len(dst) != len(keys)*s.m.Dim() {
-		return fmt.Errorf("driver: dst length %d != %d keys × dim %d", len(dst), len(keys), s.m.Dim())
-	}
-	defer s.m.lat.Since(latency.OpGetBatch, time.Now())
-	s.m.batchGets.Add(1)
-	return s.getBatch(ctx, keys, dst)
-}
-
-// getBatch serves admissible keys from the hot tier, issues one batched
+// GetBatch serves admissible keys from the hot tier, issues one batched
 // read for the rest, then initializes and writes back the missing keys
 // with one batched write — first touch, paid once per call.
-func (s *remoteSession) getBatch(ctx context.Context, keys []uint64, dst []float32) error {
+func (s *remoteSession) GetBatch(ctx context.Context, keys []uint64, dst []float32) error {
 	dim := s.m.Dim()
+	if len(dst) != len(keys)*dim {
+		return fmt.Errorf("driver: dst length %d != %d keys × dim %d", len(dst), len(keys), dim)
+	}
 	vs := dim * 4
 	c, bound := s.tier()
 	fetch, into := keys, tensor.F32Bytes(dst)
@@ -410,22 +374,10 @@ func (s *remoteSession) getBatch(ctx context.Context, keys []uint64, dst []float
 	return nil
 }
 
-// Put is PutBatch's one-key case.
-func (s *remoteSession) Put(ctx context.Context, key uint64, val []float32) error {
-	if len(val) != s.m.Dim() {
-		return fmt.Errorf("driver: val length %d != dim %d", len(val), s.m.Dim())
-	}
-	defer s.m.lat.Since(latency.OpPut, time.Now())
-	s.one[0] = key
-	return s.putBatch(ctx, s.one[:], val)
-}
-
 func (s *remoteSession) PutBatch(ctx context.Context, keys []uint64, vals []float32) error {
 	if len(vals) != len(keys)*s.m.Dim() {
 		return fmt.Errorf("driver: vals length %d != %d keys × dim %d", len(vals), len(keys), s.m.Dim())
 	}
-	defer s.m.lat.Since(latency.OpPutBatch, time.Now())
-	s.m.batchPuts.Add(1)
 	return s.putBatch(ctx, keys, vals)
 }
 
@@ -453,7 +405,6 @@ func (s *remoteSession) RMW(ctx context.Context, key uint64, grad []float32, lr 
 	if len(grad) != dim {
 		return fmt.Errorf("driver: grad length %d != dim %d", len(grad), dim)
 	}
-	defer s.m.lat.Since(latency.OpRMW, time.Now())
 	found, err := s.s.ApplyCtx(ctx, key, lr, grad)
 	if err != nil {
 		return err
@@ -472,7 +423,7 @@ func (s *remoteSession) RMW(ctx context.Context, key uint64, grad []float32, lr 
 }
 
 // Peek is a one-key PEEKBATCH: it reads without touching the vector clock
-// or the hot tier, and is untimed, as it is locally.
+// or the hot tier.
 func (s *remoteSession) Peek(ctx context.Context, key uint64, dst []float32) (bool, error) {
 	if len(dst) != s.m.Dim() {
 		return false, fmt.Errorf("driver: dst length %d != dim %d", len(dst), s.m.Dim())
@@ -494,7 +445,6 @@ func (s *remoteSession) Delete(ctx context.Context, key uint64) error {
 }
 
 func (s *remoteSession) Lookahead(keys []uint64) error {
-	s.m.lookaheadCalls.Add(1)
 	s.m.hints.Push(keys)
 	return nil
 }

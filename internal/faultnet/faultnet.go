@@ -42,6 +42,11 @@ type Proxy struct {
 	blackholed  bool
 	delay       time.Duration
 	dropAfter   int64 // bytes per connection per direction; 0 = unlimited
+	// cuts counts Partition and Blackhole calls. acceptLoop decides a
+	// connection's fate before its upstream dial and tracks it after, so a
+	// cut landing in between misses it in dropAll; track severs any
+	// connection accepted under an older count instead.
+	cuts uint64
 
 	accepted atomic.Int64
 	refused  atomic.Int64
@@ -74,6 +79,7 @@ func (p *Proxy) Partition() {
 	p.mu.Lock()
 	p.partitioned = true
 	p.blackholed = false
+	p.cuts++
 	p.mu.Unlock()
 	p.dropAll()
 }
@@ -86,6 +92,7 @@ func (p *Proxy) Blackhole() {
 	p.mu.Lock()
 	p.blackholed = true
 	p.partitioned = false
+	p.cuts++
 	p.mu.Unlock()
 	p.dropAll()
 }
@@ -162,7 +169,7 @@ func (p *Proxy) acceptLoop() {
 		}
 		p.mu.Lock()
 		closed, part, black := p.closed, p.partitioned, p.blackholed
-		dropAfter, target := p.dropAfter, p.target
+		dropAfter, target, cuts := p.dropAfter, p.target, p.cuts
 		p.mu.Unlock()
 		switch {
 		case closed, part:
@@ -174,31 +181,43 @@ func (p *Proxy) acceptLoop() {
 			// read and write stalls until its own deadline fires.
 			p.accepted.Add(1)
 			pc := &proxyConn{p: p, down: down}
-			p.track(pc)
+			p.track(pc, cuts)
 			continue
 		}
 		p.accepted.Add(1)
-		up, err := net.DialTimeout("tcp", target, 5*time.Second)
+		up, err := dialUpstream(target)
 		if err != nil {
 			_ = down.Close()
 			continue
 		}
 		pc := &proxyConn{p: p, down: down, up: up, dropAfter: dropAfter}
-		p.track(pc)
+		if !p.track(pc, cuts) {
+			continue
+		}
 		go pc.pump(down, up)
 		go pc.pump(up, down)
 	}
 }
 
-func (p *Proxy) track(c *proxyConn) {
+// dialUpstream connects a proxied connection to the target (a variable so
+// a test can land a fault while the dial is under way).
+var dialUpstream = func(target string) (net.Conn, error) {
+	return net.DialTimeout("tcp", target, 5*time.Second)
+}
+
+// track registers c for dropAll, or severs it if the proxy closed or a
+// fault cut connections since c was accepted (cuts is the count then).
+// Reports whether c is live.
+func (p *Proxy) track(c *proxyConn, cuts uint64) bool {
 	p.mu.Lock()
-	if p.closed {
+	if p.closed || p.cuts != cuts {
 		p.mu.Unlock()
 		c.sever()
-		return
+		return false
 	}
 	p.conns[c] = struct{}{}
 	p.mu.Unlock()
+	return true
 }
 
 func (p *Proxy) untrack(c *proxyConn) {

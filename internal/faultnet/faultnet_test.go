@@ -175,3 +175,37 @@ func TestProxyDelay(t *testing.T) {
 		t.Fatalf("round trip took %v, want >= 100ms with 60ms per-leg delay", el)
 	}
 }
+
+// A connection accepted before Partition but still dialing its upstream
+// when the cut lands is severed once the dial returns, not left
+// forwarding past the fault.
+func TestProxyPartitionDuringUpstreamDial(t *testing.T) {
+	dialing, resume := make(chan struct{}), make(chan struct{})
+	orig := dialUpstream
+	dialUpstream = func(target string) (net.Conn, error) {
+		close(dialing)
+		<-resume
+		return orig(target)
+	}
+	defer func() { dialUpstream = orig }()
+	p, err := New(echoServer(t))
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer p.Close()
+	c := dialProxy(t, p)
+	<-dialing
+	p.Partition()
+	close(resume)
+
+	if _, err := c.Write([]byte("x")); err != nil {
+		return // severed before the write: the outcome wanted
+	}
+	one := make([]byte, 1)
+	c.SetReadDeadline(time.Now().Add(2 * time.Second))
+	if _, err := c.Read(one); err == nil {
+		t.Fatal("connection accepted before the partition still forwards after it")
+	} else if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatalf("severed read timed out instead of failing: %v", err)
+	}
+}

@@ -300,6 +300,9 @@ func TestResolveOpen(t *testing.T) {
 		{"new default", req(0, false), nil, asp, asp},
 		{"new requested", req(0, true), nil, asp, 0},
 		{"new disabled", req(-1, true), nil, asp, -1},
+		{"new max dim", OpenRequest{ID: "m", Dim: 1 << 20}, nil, asp, asp},
+		{"new zero dim", OpenRequest{ID: "m"}, nil, asp, refused},
+		{"new dim over range", OpenRequest{ID: "m", Dim: 1<<20 + 1}, nil, asp, refused},
 	} {
 		got, err := ResolveOpen(c.req, c.live, c.def)
 		if c.want == refused {

@@ -93,9 +93,9 @@ func TestEngineBatchFanOutBounded(t *testing.T) {
 
 // BenchmarkSessionSingleKey times kv's single-key Get and Put — the one-key
 // cases of GetBatchCtx and PutBatch — on a resident one-shard store with no
-// tier: the path core.Session's single-key ops and the benchmark's engine
-// rung take, so its cost over one engine pass is the batch path's
-// per-call overhead.
+// tier: the one-key batches a public-API Get or Put becomes locally, and
+// the benchmark's engine rung, so its cost over one engine pass is the
+// batch path's per-call overhead.
 func BenchmarkSessionSingleKey(b *testing.B) {
 	const vs, n = 64, 1 << 14
 	for _, op := range []string{"get", "put"} {

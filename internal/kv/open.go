@@ -52,6 +52,10 @@ type LiveModel struct {
 // maxModelID bounds model identifiers; they become directory names.
 const maxModelID = 128
 
+// maxDim bounds a model's dimension: a 4 MiB value, whose four-page
+// minimum of 1 024-record log frames is already 16 GiB.
+const maxDim = 1 << 20
+
 // ResolveOpen is the open policy of both openers, the local driver and the
 // server registry. It returns the staleness bound the model runs under, or
 // why the request is refused.
@@ -59,7 +63,7 @@ const maxModelID = 128
 // The id must be a safe directory name, since it becomes one under the
 // data directory: 1 to 128 letters, digits, '.', '_' and '-', not starting
 // with '.' — so it can neither escape the directory nor collide with the
-// shard layout.
+// shard layout. The dim must lie in [1, 1<<20].
 //
 // A live model (live non-nil) refuses a request with another dim, and one
 // setting another bound when either of the two blocks: two non-blocking
@@ -73,6 +77,9 @@ const maxModelID = 128
 func ResolveOpen(req OpenRequest, live *LiveModel, def int64) (int64, error) {
 	if err := checkModelID(req.ID); err != nil {
 		return 0, err
+	}
+	if req.Dim < 1 || req.Dim > maxDim {
+		return 0, fmt.Errorf("kv: model %q: dim %d out of range [1, %d]", req.ID, req.Dim, maxDim)
 	}
 	if live != nil {
 		switch {

@@ -101,30 +101,6 @@ func (h *Histogram) Since(start time.Time) {
 	h.Record(time.Since(start))
 }
 
-// Merge folds src's observations into h. Concurrent writers on either
-// histogram are tolerated: Merge transfers each bucket's current count
-// atomically, so no observation is lost or double-counted, though a
-// snapshot taken mid-merge may see a partial transfer.
-func (h *Histogram) Merge(src *Histogram) {
-	if src == nil {
-		return
-	}
-	for i := range src.buckets {
-		if n := src.buckets[i].Load(); n != 0 {
-			h.buckets[i].Add(n)
-		}
-	}
-	h.count.Add(src.count.Load())
-	h.sum.Add(src.sum.Load())
-	m := src.max.Load()
-	for {
-		old := h.max.Load()
-		if m <= old || h.max.CompareAndSwap(old, m) {
-			return
-		}
-	}
-}
-
 // Reset zeroes the histogram. Not linearizable against concurrent
 // writers; intended for tests and between benchmark phases.
 func (h *Histogram) Reset() {

@@ -123,45 +123,6 @@ func TestSnapshotQuantiles(t *testing.T) {
 	}
 }
 
-// TestMergeEquivalence: recording a stream split across N histograms and
-// merging must yield exactly the snapshot of recording the whole stream
-// into one histogram, regardless of split or merge order (commutativity
-// and associativity of Merge).
-func TestMergeEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	var single Histogram
-	parts := make([]*Histogram, 4)
-	for i := range parts {
-		parts[i] = new(Histogram)
-	}
-	for i := 0; i < 50000; i++ {
-		d := time.Duration(rng.Int63n(int64(10 * time.Millisecond)))
-		single.Record(d)
-		parts[rng.Intn(len(parts))].Record(d)
-	}
-	want := single.Snapshot()
-
-	// Left fold: ((p0+p1)+p2)+p3.
-	var left Histogram
-	for _, p := range parts {
-		left.Merge(p)
-	}
-	// Reverse fold with nested intermediate: p3+(p2+(p1+p0)).
-	var inner, right Histogram
-	inner.Merge(parts[0])
-	inner.Merge(parts[1])
-	right.Merge(parts[3])
-	right.Merge(parts[2])
-	right.Merge(&inner)
-
-	if got := left.Snapshot(); got != want {
-		t.Fatalf("left-fold merge snapshot %+v != single-histogram %+v", got, want)
-	}
-	if got := right.Snapshot(); got != want {
-		t.Fatalf("reordered merge snapshot %+v != single-histogram %+v", got, want)
-	}
-}
-
 // TestConcurrentRecord hammers one histogram from many goroutines (run
 // under -race in CI) and checks no observation is lost.
 func TestConcurrentRecord(t *testing.T) {
@@ -181,18 +142,15 @@ func TestConcurrentRecord(t *testing.T) {
 			}
 		}(int64(w))
 	}
-	// Concurrent readers and a concurrent merge target exercise the
-	// lock-free read paths while writes are in flight.
+	// A concurrent reader exercises the lock-free read path while writes
+	// are in flight.
 	done := make(chan struct{})
 	go func() {
-		var agg Histogram
 		for {
 			select {
 			case <-done:
 				return
 			default:
-				agg.Reset()
-				agg.Merge(&h)
 				_ = h.Snapshot()
 			}
 		}

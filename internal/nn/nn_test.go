@@ -241,12 +241,4 @@ func TestTensorKernels(t *testing.T) {
 	if tensor.ArgMax([]float32{1, 5, 3}) != 1 {
 		t.Fatal("ArgMax")
 	}
-	v := []float32{3, -4}
-	if tensor.Norm2(v) != 5 {
-		t.Fatal("Norm2")
-	}
-	tensor.ClipInPlace(v, 2)
-	if v[0] != 2 || v[1] != -2 {
-		t.Fatal("ClipInPlace")
-	}
 }

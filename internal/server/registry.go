@@ -101,7 +101,7 @@ func (r *Registry) Name() string { return r.cfg.Name }
 // store keeps the count it was created with). A bound other than
 // wire.BoundUnset is the one the trainer declares, as in the paper's
 // interface: a new model opens under it, and a live one refuses any other
-// (see kv.ResolveOpen, which also holds the dim rule); unset, a new model
+// (see kv.ResolveOpen, which also holds the id and dim rules); unset, a new model
 // takes the template's bound.
 //
 // The store opens outside the registry lock (store opens do directory
@@ -109,9 +109,6 @@ func (r *Registry) Name() string { return r.cfg.Name }
 // stalls other connections' OPEN/ATTACH/STATS; concurrent opens of the
 // same name wait on one pending entry instead of double-opening.
 func (r *Registry) Open(id string, dim, shards int, bound int64) (m *Model, opened bool, err error) {
-	if dim <= 0 || dim > 1<<20 {
-		return nil, false, fmt.Errorf("server: model %q: dim %d out of range", id, dim)
-	}
 	if shards < 0 {
 		return nil, false, fmt.Errorf("server: model %q: negative shard count %d", id, shards)
 	}

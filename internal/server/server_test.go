@@ -558,7 +558,7 @@ func TestProtocolErrorPaths(t *testing.T) {
 	}
 
 	// A data frame before ATTACH → RespErr, connection lives.
-	if err := wire.WriteFrame(nc, 3, wire.OpGetBatch, wire.EncodeGetBatch(handle, 0, []uint64{7})); err != nil {
+	if err := wire.WriteFrame(nc, 3, wire.OpGetBatch, wire.AppendGetBatch(nil, handle, 0, []uint64{7})); err != nil {
 		t.Fatal(err)
 	}
 	f, err = wire.ReadFrame(nc, 0)
@@ -586,7 +586,7 @@ func TestProtocolErrorPaths(t *testing.T) {
 
 	// Mis-sized PUTBATCH (one key, 3 value bytes, dim 2) → RespErr,
 	// connection lives.
-	if err := wire.WriteFrame(nc, 6, wire.OpPutBatch, wire.EncodePutBatch(handle, []uint64{7}, []byte{1, 2, 3})); err != nil {
+	if err := wire.WriteFrame(nc, 6, wire.OpPutBatch, wire.AppendPutBatch(nil, handle, []uint64{7}, []byte{1, 2, 3})); err != nil {
 		t.Fatal(err)
 	}
 	f, err = wire.ReadFrame(nc, 0)
@@ -600,9 +600,9 @@ func TestProtocolErrorPaths(t *testing.T) {
 		op wire.Op
 		p  []byte
 	}{
-		{wire.OpGet, wire.EncodeGet(handle, 7, 0)},
-		{wire.OpPeek, wire.EncodeKey(handle, 7)},
-		{wire.OpPut, wire.EncodePut(handle, 7, make([]byte, 8))},
+		{wire.OpGet, wire.AppendGet(nil, handle, 7, 0)},
+		{wire.OpPeek, wire.AppendKey(nil, handle, 7)},
+		{wire.OpPut, wire.AppendPut(nil, handle, 7, make([]byte, 8))},
 	} {
 		corr := uint32(20 + i)
 		if err := wire.WriteFrame(nc, corr, fr.op, fr.p); err != nil {
@@ -625,7 +625,7 @@ func TestProtocolErrorPaths(t *testing.T) {
 	}
 
 	// Unknown handle → RespErr, connection lives.
-	if err := wire.WriteFrame(nc, 7, wire.OpGetBatch, wire.EncodeGetBatch(99, 0, []uint64{7})); err != nil {
+	if err := wire.WriteFrame(nc, 7, wire.OpGetBatch, wire.AppendGetBatch(nil, 99, 0, []uint64{7})); err != nil {
 		t.Fatal(err)
 	}
 	f, err = wire.ReadFrame(nc, 0)
@@ -634,7 +634,7 @@ func TestProtocolErrorPaths(t *testing.T) {
 	}
 
 	// The connection still works.
-	if err := wire.WriteFrame(nc, 8, wire.OpGetBatch, wire.EncodeGetBatch(handle, 0, []uint64{7})); err != nil {
+	if err := wire.WriteFrame(nc, 8, wire.OpGetBatch, wire.AppendGetBatch(nil, handle, 0, []uint64{7})); err != nil {
 		t.Fatal(err)
 	}
 	f, err = wire.ReadFrame(nc, 0)

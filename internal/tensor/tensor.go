@@ -265,23 +265,3 @@ func Zero(x []float32) {
 		x[i] = 0
 	}
 }
-
-// Norm2 returns the Euclidean norm.
-func Norm2(x []float32) float32 {
-	var s float32
-	for _, v := range x {
-		s += v * v
-	}
-	return float32(math.Sqrt(float64(s)))
-}
-
-// ClipInPlace clamps every element to [-c, c].
-func ClipInPlace(x []float32, c float32) {
-	for i, v := range x {
-		if v > c {
-			x[i] = c
-		} else if v < -c {
-			x[i] = -c
-		}
-	}
-}

@@ -73,16 +73,6 @@ func (r *RNG) NormFloat64() float64 {
 	}
 }
 
-// Perm returns a pseudo-random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	r.Shuffle(p)
-	return p
-}
-
 // Shuffle permutes p in place (Fisher-Yates).
 func (r *RNG) Shuffle(p []int) {
 	for i := len(p) - 1; i > 0; i-- {

@@ -92,9 +92,14 @@ func TestNormFloat64Moments(t *testing.T) {
 	}
 }
 
+// TestPermIsPermutation: Shuffle leaves a permutation of its input.
 func TestPermIsPermutation(t *testing.T) {
 	r := NewRNG(17)
-	p := r.Perm(100)
+	p := make([]int, 100)
+	for i := range p {
+		p[i] = i
+	}
+	r.Shuffle(p)
 	seen := make([]bool, 100)
 	for _, v := range p {
 		if v < 0 || v >= 100 || seen[v] {

@@ -11,23 +11,8 @@ func TestMeanStddev(t *testing.T) {
 	if m := Mean(xs); m != 5 {
 		t.Errorf("Mean = %v, want 5", m)
 	}
-	if s := Stddev(xs); math.Abs(s-2.138) > 0.01 {
-		t.Errorf("Stddev = %v, want ~2.138", s)
-	}
-	if Mean(nil) != 0 || Stddev(nil) != 0 {
-		t.Error("empty-slice stats should be 0")
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	cases := []struct{ p, want float64 }{
-		{0, 1}, {50, 3}, {100, 5}, {25, 2}, {75, 4},
-	}
-	for _, c := range cases {
-		if got := Percentile(xs, c.p); got != c.want {
-			t.Errorf("Percentile(%v) = %v, want %v", c.p, got, c.want)
-		}
+	if Mean(nil) != 0 {
+		t.Error("the mean of no values should be 0")
 	}
 }
 

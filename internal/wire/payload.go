@@ -120,38 +120,27 @@ func DecodeHandle(p []byte) (handle uint32, rest []byte, err error) {
 	return binary.LittleEndian.Uint32(p), p[4:], nil
 }
 
-// The Append* builders are the zero-allocation faces of their Encode*
-// counterparts: they append the payload to dst (usually a caller-owned
+// The Append* builders append a payload to dst (usually a caller-owned
 // scratch sliced to [:0]) and return the extended slice, so a session
 // issuing millions of requests reuses one buffer instead of allocating
-// per frame. Encode* remains for cold paths and tests.
+// per frame; a cold path or a test passes nil.
 
-// AppendKey appends a single-key request payload (DELETE).
+// AppendKey appends a single-key request payload (DELETE):
+// uint32 handle | uint64 key.
 func AppendKey(dst []byte, handle uint32, key uint64) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, handle)
 	return binary.LittleEndian.AppendUint64(dst, key)
 }
 
-// EncodeKey builds a single-key request payload (DELETE):
-// uint32 handle | uint64 key.
-func EncodeKey(handle uint32, key uint64) []byte {
-	return AppendKey(make([]byte, 0, 12), handle, key)
-}
-
-// AppendGet appends a GET request payload (see EncodeGet).
+// AppendGet appends a GET request payload: uint32 handle | uint64 key |
+// uint32 waitMs. waitMs carries the client's remaining context budget (0 =
+// wait forever): a clocked read stalled on the staleness bound gives up
+// server-side at the deadline instead of stranding a token on a request
+// the client has already abandoned.
 func AppendGet(dst []byte, handle uint32, key uint64, waitMs uint32) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, handle)
 	dst = binary.LittleEndian.AppendUint64(dst, key)
 	return binary.LittleEndian.AppendUint32(dst, waitMs)
-}
-
-// EncodeGet builds a GET request: uint32 handle | uint64 key | uint32
-// waitMs. waitMs carries the client's remaining context budget (0 = wait
-// forever): a clocked read stalled on the staleness bound gives up
-// server-side at the deadline instead of stranding a token on a request
-// the client has already abandoned.
-func EncodeGet(handle uint32, key uint64, waitMs uint32) []byte {
-	return AppendGet(make([]byte, 0, 16), handle, key, waitMs)
 }
 
 // DecodeGet parses a GET request (after DecodeHandle).
@@ -170,17 +159,12 @@ func DecodeKey(p []byte) (uint64, error) {
 	return binary.LittleEndian.Uint64(p), nil
 }
 
-// AppendPut appends a PUT request payload (see EncodePut).
+// AppendPut appends a PUT request payload: uint32 handle | uint64 key |
+// valueSize value bytes.
 func AppendPut(dst []byte, handle uint32, key uint64, val []byte) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, handle)
 	dst = binary.LittleEndian.AppendUint64(dst, key)
 	return append(dst, val...)
-}
-
-// EncodePut builds a PUT request: uint32 handle | uint64 key | valueSize
-// value bytes.
-func EncodePut(handle uint32, key uint64, val []byte) []byte {
-	return AppendPut(make([]byte, 0, 12+len(val)), handle, key, val)
 }
 
 // DecodePut parses a PUT request (after DecodeHandle); val aliases p.
@@ -231,19 +215,14 @@ func DecodeApplyResp(p []byte) (found bool, err error) {
 	return p[0] != 0, nil
 }
 
-// AppendGetResp appends a GET response payload (see EncodeGetResp).
+// AppendGetResp appends a GET response payload: uint8 found | value
+// (present only when found).
 func AppendGetResp(dst []byte, found bool, val []byte) []byte {
 	if !found {
 		return append(dst, 0)
 	}
 	dst = append(dst, 1)
 	return append(dst, val...)
-}
-
-// EncodeGetResp builds a GET response: uint8 found | value (present only
-// when found).
-func EncodeGetResp(found bool, val []byte) []byte {
-	return AppendGetResp(make([]byte, 0, 1+len(val)), found, val)
 }
 
 // DecodeGetResp parses a GET response into dst (len == valueSize).
@@ -264,7 +243,8 @@ func DecodeGetResp(p []byte, dst []byte) (bool, error) {
 	return true, nil
 }
 
-// AppendGetBatch appends a GETBATCH request payload (see EncodeGetBatch).
+// AppendGetBatch appends a GETBATCH request payload: uint32 handle |
+// uint32 waitMs (see AppendGet) | uint32 n | n×uint64 keys.
 func AppendGetBatch(dst []byte, handle uint32, waitMs uint32, keys []uint64) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, handle)
 	dst = binary.LittleEndian.AppendUint32(dst, waitMs)
@@ -273,12 +253,6 @@ func AppendGetBatch(dst []byte, handle uint32, waitMs uint32, keys []uint64) []b
 		dst = binary.LittleEndian.AppendUint64(dst, k)
 	}
 	return dst
-}
-
-// EncodeGetBatch builds a GETBATCH request: uint32 handle | uint32
-// waitMs (see EncodeGet) | uint32 n | n×uint64 keys.
-func EncodeGetBatch(handle uint32, waitMs uint32, keys []uint64) []byte {
-	return AppendGetBatch(make([]byte, 0, 12+8*len(keys)), handle, waitMs, keys)
 }
 
 // DecodeGetBatch parses a GETBATCH request (after DecodeHandle),
@@ -292,7 +266,8 @@ func DecodeGetBatch(p []byte, buf []uint64) (keys []uint64, waitMs uint32, err e
 	return keys, waitMs, err
 }
 
-// AppendKeys appends a key-list request payload (see EncodeKeys).
+// AppendKeys appends a key-list request payload (LOOKAHEAD): uint32
+// handle | uint32 n | n×uint64 keys.
 func AppendKeys(dst []byte, handle uint32, keys []uint64) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, handle)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(keys)))
@@ -300,12 +275,6 @@ func AppendKeys(dst []byte, handle uint32, keys []uint64) []byte {
 		dst = binary.LittleEndian.AppendUint64(dst, k)
 	}
 	return dst
-}
-
-// EncodeKeys builds a key-list request (LOOKAHEAD): uint32
-// handle | uint32 n | n×uint64 keys.
-func EncodeKeys(handle uint32, keys []uint64) []byte {
-	return AppendKeys(make([]byte, 0, 8+8*len(keys)), handle, keys)
 }
 
 // DecodeKeys parses a key-list request (after DecodeHandle), appending
@@ -329,7 +298,8 @@ func DecodeKeys(p []byte, buf []uint64) ([]uint64, error) {
 	return buf, nil
 }
 
-// AppendPutBatch appends a PUTBATCH request payload (see EncodePutBatch).
+// AppendPutBatch appends a PUTBATCH request payload: uint32 handle |
+// uint32 n | n×uint64 keys | n×valueSize values.
 func AppendPutBatch(dst []byte, handle uint32, keys []uint64, vals []byte) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, handle)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(keys)))
@@ -337,12 +307,6 @@ func AppendPutBatch(dst []byte, handle uint32, keys []uint64, vals []byte) []byt
 		dst = binary.LittleEndian.AppendUint64(dst, k)
 	}
 	return append(dst, vals...)
-}
-
-// EncodePutBatch builds a PUTBATCH request: uint32 handle | uint32 n |
-// n×uint64 keys | n×valueSize values.
-func EncodePutBatch(handle uint32, keys []uint64, vals []byte) []byte {
-	return AppendPutBatch(make([]byte, 0, 8+8*len(keys)+len(vals)), handle, keys, vals)
 }
 
 // DecodePutBatch parses a PUTBATCH request (after DecodeHandle); vals

@@ -153,15 +153,15 @@ func TestPayloadRoundTrips(t *testing.T) {
 	if h, rest, err := DecodeHandle(EncodeHandle(hdl)); err != nil || h != hdl || len(rest) != 0 {
 		t.Fatalf("handle: %d %d %v", h, len(rest), err)
 	}
-	if k, err := DecodeKey(stripHandle(t, EncodeKey(hdl, 0xdeadbeef), hdl)); err != nil || k != 0xdeadbeef {
+	if k, err := DecodeKey(stripHandle(t, AppendKey(nil, hdl, 0xdeadbeef), hdl)); err != nil || k != 0xdeadbeef {
 		t.Fatalf("key: %x %v", k, err)
 	}
-	if k, w, err := DecodeGet(stripHandle(t, EncodeGet(hdl, 0xfeed, 1500), hdl)); err != nil || k != 0xfeed || w != 1500 {
+	if k, w, err := DecodeGet(stripHandle(t, AppendGet(nil, hdl, 0xfeed, 1500), hdl)); err != nil || k != 0xfeed || w != 1500 {
 		t.Fatalf("get: %x wait=%d %v", k, w, err)
 	}
 
 	val := randVal(vs)
-	k2, v2, err := DecodePut(stripHandle(t, EncodePut(hdl, 42, val), hdl), vs)
+	k2, v2, err := DecodePut(stripHandle(t, AppendPut(nil, hdl, 42, val), hdl), vs)
 	if err != nil || k2 != 42 || !bytes.Equal(v2, val) {
 		t.Fatalf("put: %d %v", k2, err)
 	}
@@ -191,16 +191,16 @@ func TestPayloadRoundTrips(t *testing.T) {
 	}
 
 	dst := make([]byte, vs)
-	if found, err := DecodeGetResp(EncodeGetResp(true, val), dst); err != nil || !found || !bytes.Equal(dst, val) {
+	if found, err := DecodeGetResp(AppendGetResp(nil, true, val), dst); err != nil || !found || !bytes.Equal(dst, val) {
 		t.Fatalf("get hit: %v %v", found, err)
 	}
-	if found, err := DecodeGetResp(EncodeGetResp(false, nil), dst); err != nil || found {
+	if found, err := DecodeGetResp(AppendGetResp(nil, false, nil), dst); err != nil || found {
 		t.Fatalf("get miss: %v %v", found, err)
 	}
 
 	for _, n := range []int{0, 1, 7, 256} {
 		keys := randKeys(n)
-		got, err := DecodeKeys(stripHandle(t, EncodeKeys(hdl, keys), hdl), nil)
+		got, err := DecodeKeys(stripHandle(t, AppendKeys(nil, hdl, keys), hdl), nil)
 		if err != nil || len(got) != n {
 			t.Fatalf("keys n=%d: len=%d %v", n, len(got), err)
 		}
@@ -210,13 +210,13 @@ func TestPayloadRoundTrips(t *testing.T) {
 			}
 		}
 
-		gb, gw, err := DecodeGetBatch(stripHandle(t, EncodeGetBatch(hdl, 250, keys), hdl), nil)
+		gb, gw, err := DecodeGetBatch(stripHandle(t, AppendGetBatch(nil, hdl, 250, keys), hdl), nil)
 		if err != nil || len(gb) != n || gw != 250 {
 			t.Fatalf("getbatch n=%d: len=%d wait=%d %v", n, len(gb), gw, err)
 		}
 
 		vals := randVal(n * vs)
-		gk, gv, err := DecodePutBatch(stripHandle(t, EncodePutBatch(hdl, keys, vals), hdl), vs, nil)
+		gk, gv, err := DecodePutBatch(stripHandle(t, AppendPutBatch(nil, hdl, keys, vals), hdl), vs, nil)
 		if err != nil || len(gk) != n || !bytes.Equal(gv, vals) {
 			t.Fatalf("putbatch n=%d: %v", n, err)
 		}
@@ -263,21 +263,21 @@ func TestDecodeRejectsTruncation(t *testing.T) {
 		{"open", EncodeOpen("m", 8, 2, 4), func(p []byte) error { _, _, _, _, err := DecodeOpen(p); return err }},
 		{"openResp", EncodeOpenResp(1, 8, 2, 4, "x"), func(p []byte) error { _, _, _, _, _, err := DecodeOpenResp(p); return err }},
 		{"handle", EncodeHandle(5), func(p []byte) error { _, _, err := DecodeHandle(p); return err }},
-		{"key", stripHandle(t, EncodeKey(1, 5), 1), func(p []byte) error { _, err := DecodeKey(p); return err }},
-		{"get", stripHandle(t, EncodeGet(1, 5, 9), 1), func(p []byte) error { _, _, err := DecodeGet(p); return err }},
-		{"getBatch", stripHandle(t, EncodeGetBatch(1, 9, keys), 1), func(p []byte) error { _, _, err := DecodeGetBatch(p, nil); return err }},
-		{"put", stripHandle(t, EncodePut(1, 5, vals[:vs]), 1), func(p []byte) error { _, _, err := DecodePut(p, vs); return err }},
+		{"key", stripHandle(t, AppendKey(nil, 1, 5), 1), func(p []byte) error { _, err := DecodeKey(p); return err }},
+		{"get", stripHandle(t, AppendGet(nil, 1, 5, 9), 1), func(p []byte) error { _, _, err := DecodeGet(p); return err }},
+		{"getBatch", stripHandle(t, AppendGetBatch(nil, 1, 9, keys), 1), func(p []byte) error { _, _, err := DecodeGetBatch(p, nil); return err }},
+		{"put", stripHandle(t, AppendPut(nil, 1, 5, vals[:vs]), 1), func(p []byte) error { _, _, err := DecodePut(p, vs); return err }},
 		{"apply", stripHandle(t, AppendApply(nil, 1, 5, 0.5, []float32{1, 2, 3, 4}), 1), func(p []byte) error {
 			_, _, err := DecodeApply(p, make([]float32, 4))
 			return err
 		}},
 		{"applyResp", AppendApplyResp(nil, true), func(p []byte) error { _, err := DecodeApplyResp(p); return err }},
-		{"getRespHit", EncodeGetResp(true, vals[:vs]), func(p []byte) error {
+		{"getRespHit", AppendGetResp(nil, true, vals[:vs]), func(p []byte) error {
 			_, err := DecodeGetResp(p, make([]byte, vs))
 			return err
 		}},
-		{"keys", stripHandle(t, EncodeKeys(1, keys), 1), func(p []byte) error { _, err := DecodeKeys(p, nil); return err }},
-		{"putBatch", stripHandle(t, EncodePutBatch(1, keys, vals), 1), func(p []byte) error { _, _, err := DecodePutBatch(p, vs, nil); return err }},
+		{"keys", stripHandle(t, AppendKeys(nil, 1, keys), 1), func(p []byte) error { _, err := DecodeKeys(p, nil); return err }},
+		{"putBatch", stripHandle(t, AppendPutBatch(nil, 1, keys, vals), 1), func(p []byte) error { _, _, err := DecodePutBatch(p, vs, nil); return err }},
 		{"getBatchResp", EncodeGetBatchResp(found, vals), func(p []byte) error {
 			return DecodeGetBatchResp(p, vs, make([]bool, 3), make([]byte, 3*vs))
 		}},

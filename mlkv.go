@@ -38,8 +38,8 @@ package mlkv
 
 import (
 	"context"
-	"errors"
 	"math"
+	"sync/atomic"
 	"time"
 
 	"github.com/llm-db/mlkv-go/internal/core"
@@ -231,12 +231,6 @@ func (db *DB) Open(id string, dim int, opts ...Option) (*Model, error) {
 
 // OpenCtx is Open bounded by ctx.
 func (db *DB) OpenCtx(ctx context.Context, id string, dim int, opts ...Option) (*Model, error) {
-	if id == "" {
-		return nil, errors.New("mlkv: model id is required")
-	}
-	if dim <= 0 {
-		return nil, errors.New("mlkv: dim must be positive")
-	}
 	cfg := config{Dim: dim, MemoryBytes: 256 << 20, Init: UniformInit(0.05)}
 	for _, o := range opts {
 		o(&cfg)
@@ -249,10 +243,17 @@ func (db *DB) OpenCtx(ctx context.Context, id string, dim int, opts ...Option) (
 }
 
 // Model is one embedding model: a named, disk-backed embedding table,
-// served in-process or by a remote server.
+// served in-process or by a remote server. Each handle Open returns counts
+// and times its own sessions' calls, on every target.
 type Model struct {
 	m  driver.Model
 	id string
+
+	// lat times the handle's sessions' Get, GetBatch, Put, PutBatch and RMW
+	// calls; the counters count their GetBatch, PutBatch and Lookahead calls.
+	lat                                  latency.OpSet
+	batchGets, batchPuts, lookaheadCalls atomic.Int64
+	closed                               atomic.Bool
 }
 
 // ID returns the model identifier.
@@ -298,8 +299,9 @@ type Stats struct {
 	// keys of hints dropped on a full queue.
 	PrefetchCopies  int64
 	PrefetchDropped int64
-	// Batch amortization: GetBatch/PutBatch calls (each may cover
-	// thousands of keys) and Lookahead calls.
+	// Batch amortization: this handle's sessions' GetBatch/PutBatch calls
+	// (each may cover thousands of keys) and Lookahead calls — not the
+	// store's batches or the frames a single key or a cluster fan-out sends.
 	BatchGets      int64
 	BatchPuts      int64
 	LookaheadCalls int64
@@ -333,14 +335,15 @@ type Stats struct {
 	// pool waiting out a dead host, not hammering it.
 	DialRetries  int64
 	DialBackoffs int64
-	// Per-op-class latency, always on: each class counts the calls of its
-	// op (Get, GetBatch, Put, PutBatch, RMW) — the tail your callers
-	// actually see. A local model times the table's store operations; a
-	// remote model handle times its own sessions' whole calls in this
-	// process (not per connection pool), tier hits, round trips with their
-	// queueing in the pipelined client, and first-touch write-backs
-	// included: a write-back counts as part of the Get or RMW that caused
-	// it, not as a Put. Peek, Delete and Lookahead are untimed.
+	// Per-op-class latency, always on: each class counts this handle's
+	// sessions' calls of its op (Get, GetBatch, Put, PutBatch, RMW), timed
+	// whole in this process — the tail your callers actually see, hot-tier
+	// hits, staleness waits, round trips with their queueing in the
+	// pipelined client and first-touch write-backs included: a write-back
+	// counts as part of the Get or RMW that caused it, not as a Put. Peek,
+	// Delete and Lookahead are untimed. The same rule holds on every
+	// target; a server's own store-call timings stay in its STATS frames
+	// and expvar.
 	LatGet      LatencySummary
 	LatGetBatch LatencySummary
 	LatPut      LatencySummary
@@ -383,12 +386,16 @@ func (m *Model) Stats() Stats {
 	return s
 }
 
-// StatsCtx returns a snapshot of storage counters, summed across shards.
+// StatsCtx returns a snapshot of storage counters, summed across shards,
+// with the batch, Lookahead and latency fields of this handle.
 func (m *Model) StatsCtx(ctx context.Context) (Stats, error) {
 	s, err := m.m.Stats(ctx)
 	if err != nil {
 		return Stats{}, err
 	}
+	s.BatchGets, s.BatchPuts = m.batchGets.Load(), m.batchPuts.Load()
+	s.LookaheadCalls = m.lookaheadCalls.Load()
+	s.SetLatency(&m.lat)
 	return statsOf(s), nil
 }
 
@@ -425,8 +432,14 @@ func (m *Model) ActiveSessions() int64 {
 	return s.ActiveSessions
 }
 
-// Close releases the model.
-func (m *Model) Close() error { return m.m.Close() }
+// Close releases the model; a second Close of the same handle does
+// nothing, so it never releases a sibling handle's reference.
+func (m *Model) Close() error {
+	if m.closed.Swap(true) {
+		return nil
+	}
+	return m.m.Close()
+}
 
 // NewSession registers a session. Sessions are cheap; create one per
 // worker goroutine and close it when done.
@@ -440,13 +453,17 @@ func (m *Model) NewSessionCtx(ctx context.Context) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Session{s: s}, nil
+	return &Session{s: s, m: m}, nil
 }
 
 // Session is one goroutine's handle. Sessions are cheap; create one per
-// worker and close it when done.
+// worker and close it when done. A single-key Get or Put is its batch
+// path's one-key case, on every target.
 type Session struct {
 	s driver.Session
+	m *Model
+	// one is the batch of one a single-key Get or Put runs as.
+	one [1]uint64
 }
 
 // Close unregisters the session (on a remote model, the server is told so
@@ -459,7 +476,7 @@ func (s *Session) Close() { s.s.Close() }
 // increments it. Reads land in dst directly, on either driver: after an
 // error from Get or GetBatch, what dst holds is undefined.
 func (s *Session) Get(key uint64, dst []float32) error {
-	return s.s.Get(context.Background(), key, dst)
+	return s.GetCtx(context.Background(), key, dst)
 }
 
 // GetCtx is Get bounded by ctx: a read stalled on the staleness bound (or
@@ -471,38 +488,48 @@ func (s *Session) Get(key uint64, dst []float32) error {
 // at the deadline); cancelling a deadline-free context returns early but
 // leaves the server-side read running — prefer deadlines for remote reads.
 func (s *Session) GetCtx(ctx context.Context, key uint64, dst []float32) error {
-	return s.s.Get(ctx, key, dst)
+	// Deferred with the start time evaluated here: records on every return
+	// path, including a read stalled on the staleness bound.
+	defer s.m.lat.Since(latency.OpGet, time.Now())
+	s.one[0] = key
+	return s.s.GetBatch(ctx, s.one[:], dst)
 }
 
 // GetBatch reads len(keys) embeddings into dst (len == len(keys)*Dim).
 func (s *Session) GetBatch(keys []uint64, dst []float32) error {
-	return s.s.GetBatch(context.Background(), keys, dst)
+	return s.GetBatchCtx(context.Background(), keys, dst)
 }
 
 // GetBatchCtx is GetBatch bounded by ctx (checked on every clocked read
 // locally, per frame remotely).
 func (s *Session) GetBatchCtx(ctx context.Context, keys []uint64, dst []float32) error {
+	defer s.m.lat.Since(latency.OpGetBatch, time.Now())
+	s.m.batchGets.Add(1)
 	return s.s.GetBatch(ctx, keys, dst)
 }
 
 // Put upserts the embedding for key, decrementing the record's
 // outstanding-update count. Puts never wait.
 func (s *Session) Put(key uint64, val []float32) error {
-	return s.s.Put(context.Background(), key, val)
+	return s.PutCtx(context.Background(), key, val)
 }
 
 // PutCtx is Put bounded by ctx.
 func (s *Session) PutCtx(ctx context.Context, key uint64, val []float32) error {
-	return s.s.Put(ctx, key, val)
+	defer s.m.lat.Since(latency.OpPut, time.Now())
+	s.one[0] = key
+	return s.s.PutBatch(ctx, s.one[:], val)
 }
 
 // PutBatch upserts len(keys) embeddings from vals.
 func (s *Session) PutBatch(keys []uint64, vals []float32) error {
-	return s.s.PutBatch(context.Background(), keys, vals)
+	return s.PutBatchCtx(context.Background(), keys, vals)
 }
 
 // PutBatchCtx is PutBatch bounded by ctx.
 func (s *Session) PutBatchCtx(ctx context.Context, keys []uint64, vals []float32) error {
+	defer s.m.lat.Since(latency.OpPutBatch, time.Now())
+	s.m.batchPuts.Add(1)
 	return s.s.PutBatch(ctx, keys, vals)
 }
 
@@ -513,17 +540,18 @@ func (s *Session) PutBatchCtx(ctx context.Context, keys []uint64, vals []float32
 // once its request was written: an error after that point means the step
 // may or may not have been applied.
 func (s *Session) RMW(key uint64, grad []float32, lr float32) error {
-	return s.s.RMW(context.Background(), key, grad, lr)
+	return s.RMWCtx(context.Background(), key, grad, lr)
 }
 
 // RMWCtx is RMW bounded by ctx.
 func (s *Session) RMWCtx(ctx context.Context, key uint64, grad []float32, lr float32) error {
+	defer s.m.lat.Since(latency.OpRMW, time.Now())
 	return s.s.RMW(ctx, key, grad, lr)
 }
 
 // Peek reads without consistency effects (for evaluation/inference).
 func (s *Session) Peek(key uint64, dst []float32) (bool, error) {
-	return s.s.Peek(context.Background(), key, dst)
+	return s.PeekCtx(context.Background(), key, dst)
 }
 
 // PeekCtx is Peek bounded by ctx.
@@ -533,7 +561,7 @@ func (s *Session) PeekCtx(ctx context.Context, key uint64, dst []float32) (bool,
 
 // Delete removes key's embedding.
 func (s *Session) Delete(key uint64) error {
-	return s.s.Delete(context.Background(), key)
+	return s.DeleteCtx(context.Background(), key)
 }
 
 // DeleteCtx is Delete bounded by ctx.
@@ -551,5 +579,6 @@ func (s *Session) DeleteCtx(ctx context.Context, key uint64) error {
 // session, remotely), and from the first chunk that finds the queue full
 // the rest of the hint is dropped (Stats.PrefetchDropped counts the keys).
 func (s *Session) Lookahead(keys []uint64) error {
+	s.m.lookaheadCalls.Add(1)
 	return s.s.Lookahead(keys)
 }
