@@ -47,7 +47,7 @@ func TestRedialBackoff(t *testing.T) {
 	var failDials atomic.Bool
 	var mu sync.Mutex
 	var live []net.Conn
-	cl, err := Dial(ln.Addr().String(), Options{
+	cl, err := Dial(context.Background(), ln.Addr().String(), Options{
 		Conns:       1,
 		DialTimeout: time.Second,
 		dial: func(ctx context.Context, network, addr string) (net.Conn, error) {
@@ -167,7 +167,7 @@ func TestRedialBackoffCountsExpiredDeadline(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer proxy.Close()
-	cl, err := Dial(proxy.Addr(), Options{Conns: 1, DialTimeout: 2 * time.Second})
+	cl, err := Dial(context.Background(), proxy.Addr(), Options{Conns: 1, DialTimeout: 2 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +253,7 @@ func TestHungRedialStallsOnlyItsSlot(t *testing.T) {
 	var hang atomic.Bool
 	hung := make(chan struct{}, 1)
 	var live []net.Conn // in slot order: Dial dials slot 0 first
-	cl, err := Dial(ln.Addr().String(), Options{
+	cl, err := Dial(context.Background(), ln.Addr().String(), Options{
 		Conns:       2,
 		DialTimeout: 10 * time.Second,
 		dial: func(ctx context.Context, network, addr string) (net.Conn, error) {
@@ -349,7 +349,7 @@ func TestRedialTimeoutIsTheHostsFailure(t *testing.T) {
 	const dialTimeout = 100 * time.Millisecond
 	var hang atomic.Bool
 	var live net.Conn
-	cl, err := Dial(ln.Addr().String(), Options{
+	cl, err := Dial(context.Background(), ln.Addr().String(), Options{
 		Conns:       1,
 		DialTimeout: dialTimeout,
 		dial: func(ctx context.Context, network, addr string) (net.Conn, error) {

@@ -2,9 +2,11 @@
 // speaking the internal/wire protocol, from which callers open any number
 // of named models — the network half of the paper's
 // Open(model_id, dim, staleness_bound) interface. A Model's sessions speak
-// byte-level batch frames with a context on every call; the remote driver
-// (internal/driver) and the cluster router (internal/cluster) are their
-// only callers, and everything else reaches a server through the public
+// byte-level batch frames with a context on every call. It is the one wire
+// client: the remote driver (internal/driver) and the cluster router reach
+// servers through it, and so does every node-to-node call in
+// internal/cluster — joins, map gossip, heartbeats, leaves and the
+// replication stream. Everything else reaches a server through the public
 // API.
 //
 // Sessions are assigned to pooled connections round-robin and announce
@@ -111,9 +113,11 @@ func (c *Client) AddCounters(s *stats.Counters) {
 // Options.DialTimeout says otherwise.
 const DefaultDialTimeout = 5 * time.Second
 
-// Dial connects the pool and performs the HELLO handshake, failing fast
-// on a protocol-version mismatch.
-func Dial(addr string, opts Options) (*Client, error) {
+// Dial connects the pool, each connection through the same redial a dead
+// slot uses: a connect plus a HELLO handshake, each bounded by DialTimeout
+// and by ctx, failing fast on a protocol-version mismatch. ctx bounds the
+// dial only, not the pool's life.
+func Dial(ctx context.Context, addr string, opts Options) (*Client, error) {
 	if opts.Conns <= 0 {
 		opts.Conns = 2
 	}
@@ -126,7 +130,7 @@ func Dial(addr string, opts Options) (*Client, error) {
 	c := &Client{opts: opts, addr: addr, slots: make([]poolSlot, opts.Conns)}
 	c.closing, c.closeNow = context.WithCancel(context.Background())
 	for i := range c.slots {
-		cn, err := dialConn(c.closing, addr, opts)
+		cn, name, err := c.redial(ctx)
 		if err != nil {
 			c.slots = c.slots[:i]
 			c.Close()
@@ -134,24 +138,8 @@ func Dial(addr string, opts Options) (*Client, error) {
 		}
 		cn.idx = i
 		c.slots[i].cn.Store(cn)
+		c.serverName = name
 	}
-	// The handshake rides the dial budget: an accepting-but-silent host
-	// (half-dead, or a fault-injection blackhole) must cost one timeout,
-	// not a forever-hung Dial.
-	hctx, hcancel := context.WithTimeout(context.Background(), opts.DialTimeout)
-	p, err := c.slots[0].cn.Load().roundTripCtx(hctx, wire.OpHello, wire.EncodeHello())
-	hcancel()
-	if err != nil {
-		c.Close()
-		return nil, fmt.Errorf("client: handshake: %w", err)
-	}
-	_, name, err := wire.DecodeHelloResp(p)
-	c.slots[0].cn.Load().release(p)
-	if err != nil {
-		c.Close()
-		return nil, fmt.Errorf("client: handshake: %w", err)
-	}
-	c.serverName = name
 	return c, nil
 }
 
@@ -170,14 +158,16 @@ func (e *NotOwnerError) Error() string {
 	return "client: server does not own the key's hash range (cluster map attached)"
 }
 
-// ClusterMapRaw fetches the server's encoded cluster map — the bootstrap
-// probe. A server not running in cluster mode answers with an empty map.
-func (c *Client) ClusterMapRaw(ctx context.Context) ([]byte, error) {
+// Call sends one frame on a pooled connection and returns a copy of the
+// answer's payload: the node-to-node calls (CLUSTERMAP, CLUSTERJOIN,
+// CLUSTERSYNC, CLUSTERPING, CLUSTERLEAVE) need no model. A RespErr answer
+// is a *ServerError.
+func (c *Client) Call(ctx context.Context, op wire.Op, payload []byte) ([]byte, error) {
 	cn, err := c.pick(ctx)
 	if err != nil {
 		return nil, err
 	}
-	p, err := cn.roundTripCtx(ctx, wire.OpClusterMap, nil)
+	p, err := cn.roundTripCtx(ctx, op, payload)
 	if err != nil {
 		return nil, err
 	}
@@ -249,7 +239,7 @@ func (c *Client) connAt(ctx context.Context, slot int) (*conn, error) {
 // and installs the fresh connection unless Close ran meanwhile.
 func (c *Client) redialSlot(ctx context.Context, sl *poolSlot, slot int) (*conn, error) {
 	c.dialRetries.Add(1)
-	fresh, err := c.redial(ctx)
+	fresh, _, err := c.redial(ctx)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	close(sl.dialing)
@@ -277,30 +267,30 @@ func (c *Client) redialSlot(ctx context.Context, sl *poolSlot, slot int) (*conn,
 	return nil, err
 }
 
-// redial dials and handshakes one replacement connection. The connect and
-// the HELLO are each bounded by DialTimeout, by ctx and by Close: a
-// blackholed host accepts the connect and then says nothing, and an
-// unbounded handshake there would hang the checkout forever.
-func (c *Client) redial(caller context.Context) (*conn, error) {
+// redial dials and handshakes one connection, returning it and the
+// server's name. The connect and the HELLO are each bounded by
+// DialTimeout, by ctx and by Close: a blackholed host accepts the connect
+// and then says nothing, and an unbounded handshake there would hang the
+// dial forever.
+func (c *Client) redial(caller context.Context) (*conn, string, error) {
 	ctx, cancel := context.WithCancel(caller)
 	defer cancel()
 	defer context.AfterFunc(c.closing, cancel)()
 	fresh, err := dialConn(ctx, c.addr, c.opts)
 	if err != nil {
-		return nil, c.redialErr(caller, "", err)
+		return nil, "", c.redialErr(caller, "", err)
 	}
 	ctx, cancelHello := context.WithTimeout(ctx, c.opts.DialTimeout)
-	p, err := fresh.roundTripCtx(ctx, wire.OpHello, wire.EncodeHello())
+	name, err := fresh.hello(ctx)
 	cancelHello()
 	if err != nil {
 		fresh.close()
-		return nil, c.redialErr(caller, "handshake: ", err)
+		return nil, "", c.redialErr(caller, "handshake: ", err)
 	}
-	fresh.release(p)
-	return fresh, nil
+	return fresh, name, nil
 }
 
-// redialErr words a failed redial step. A DialTimeout that runs out while
+// redialErr words a failed dial step. A DialTimeout that runs out while
 // the caller's ctx is still live is the host's failure, not the caller's
 // deadline: it is quoted, not wrapped, so errors.Is(err,
 // context.DeadlineExceeded) stays false and a cluster router treats the
@@ -308,9 +298,9 @@ func (c *Client) redial(caller context.Context) (*conn, error) {
 // own deadline.
 func (c *Client) redialErr(caller context.Context, step string, err error) error {
 	if caller.Err() == nil && errors.Is(err, context.DeadlineExceeded) {
-		return fmt.Errorf("client: redial %s: %sno answer within %v: %v", c.addr, step, c.opts.DialTimeout, err)
+		return fmt.Errorf("client: dial %s: %sno answer within %v: %v", c.addr, step, c.opts.DialTimeout, err)
 	}
-	return fmt.Errorf("client: redial %s: %s%w", c.addr, step, err)
+	return fmt.Errorf("client: dial %s: %s%w", c.addr, step, err)
 }
 
 // pick returns the next pooled connection round-robin, healing dead slots.
@@ -353,7 +343,9 @@ func (c *Client) OpenModel(ctx context.Context, spec OpenSpec) (*Model, error) {
 		return nil, fmt.Errorf("client: open model %q: %w", spec.ID, err)
 	}
 	if dim != spec.Dim {
-		return nil, fmt.Errorf("client: model %q: server dim %d != requested %d", spec.ID, dim, spec.Dim)
+		// The server answered, over a healthy connection, with a model
+		// this caller cannot use: a refusal, not transport trouble.
+		return nil, &ServerError{Msg: fmt.Sprintf("client: model %q: server dim %d != requested %d", spec.ID, dim, spec.Dim)}
 	}
 	return &Model{c: c, handle: handle, id: spec.ID, dim: dim, shards: shards, bound: bound, name: name}, nil
 }
@@ -675,6 +667,18 @@ func (s *Session) PutBatchCtx(ctx context.Context, keys []uint64, vals []byte) e
 		keys, vals = keys[n:], vals[n*vs:]
 	}
 	return nil
+}
+
+// ReplWriteCtx sends one replication record (REPLWRITE) on the session's
+// connection. Unlike every other session call it does not heal a dead
+// connection: a re-ATTACH after a redial would send a handle the replica,
+// if it restarted meanwhile, never issued or issued for another model.
+// The replication stream re-opens its models on a fresh pool instead.
+func (s *Session) ReplWriteCtx(ctx context.Context, seq, head uint64, kind byte, keys []uint64, vals []byte) error {
+	s.enc = wire.AppendReplWrite(s.enc[:0], s.m.handle, seq, head, kind, keys, vals)
+	p, err := s.roundTrip(ctx, wire.OpReplWrite)
+	s.cn.release(p)
+	return err
 }
 
 // Close releases the session: a DETACH frame tells the server to drop it

@@ -38,6 +38,8 @@ type fakeServer struct {
 	delay map[wire.Op]time.Duration
 	errOn map[wire.Op]string
 	muted map[wire.Op]bool
+	// openDim, when non-zero, is the dim every OPEN answers with.
+	openDim int
 
 	// attaches counts ATTACH frames served — the reconnect test asserts a
 	// healed connection re-attaches its session exactly once.
@@ -103,7 +105,7 @@ func (s *fakeServer) serve(c net.Conn) {
 
 func (s *fakeServer) handle(c net.Conn, wmu *sync.Mutex, f wire.Frame) {
 	s.mu.Lock()
-	d, muted, errMsg := s.delay[f.Op], s.muted[f.Op], s.errOn[f.Op]
+	d, muted, errMsg, openDim := s.delay[f.Op], s.muted[f.Op], s.errOn[f.Op], s.openDim
 	s.mu.Unlock()
 	if muted {
 		return
@@ -127,6 +129,9 @@ func (s *fakeServer) handle(c net.Conn, wmu *sync.Mutex, f wire.Frame) {
 			}
 			if bound == wire.BoundUnset {
 				bound = faster.BoundAsync
+			}
+			if openDim != 0 {
+				dim = openDim
 			}
 			resp = wire.EncodeOpenResp(1, dim, 1, bound, "fake")
 		case wire.OpAttach:
@@ -172,7 +177,7 @@ func fakeBatchResp(dim int, keys []uint64) []byte {
 
 func fakeClient(t *testing.T, s *fakeServer, opts Options) *Client {
 	t.Helper()
-	cl, err := Dial(s.ln.Addr().String(), opts)
+	cl, err := Dial(context.Background(), s.ln.Addr().String(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +353,7 @@ func TestCoalescedClientWrites(t *testing.T) {
 	addr := startRealServer(t)
 
 	var writes atomic.Int64
-	cl, err := Dial(addr, Options{
+	cl, err := Dial(context.Background(), addr, Options{
 		Conns: 1,
 		dial: func(ctx context.Context, network, addr string) (net.Conn, error) {
 			nc, err := new(net.Dialer).DialContext(ctx, network, addr)
@@ -421,7 +426,7 @@ func TestBatchesSplitAtMaxKeysPerFrame(t *testing.T) {
 	if n <= MaxKeysPerFrame || n > 2*MaxKeysPerFrame {
 		t.Fatalf("%d keys no longer split into exactly two frames of %d", n, MaxKeysPerFrame)
 	}
-	cl, err := Dial(startRealServer(t), Options{})
+	cl, err := Dial(context.Background(), startRealServer(t), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -612,5 +617,22 @@ func TestApplyErrorsSaySentOrNot(t *testing.T) {
 	cl.slots[0].cn.Load().c.Close() // the frame is on the wire; its response never comes
 	if err := <-errc; !errors.As(err, &ue) {
 		t.Fatalf("a connection lost after the send came back as %v, want *UnackedError", err)
+	}
+}
+
+// TestOpenDimMismatchIsARefusal: a server that answers OPEN with another
+// dim than asked has answered over a healthy connection, so the caller
+// sees a *ServerError — a refusal a replication stream counts and skips,
+// and a router does not retry as a dead host.
+func TestOpenDimMismatchIsARefusal(t *testing.T) {
+	s := newFakeServer(t, 8)
+	s.mu.Lock()
+	s.openDim = 8
+	s.mu.Unlock()
+	cl := fakeClient(t, s, Options{Conns: 1})
+	_, err := cl.OpenModel(context.Background(), OpenSpec{ID: "m", Dim: 4, Bound: wire.BoundUnset})
+	var se *ServerError
+	if !errors.As(err, &se) {
+		t.Fatalf("OPEN answered with dim 8 for dim 4: %v (%T), want a *ServerError", err, err)
 	}
 }

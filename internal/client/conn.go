@@ -158,6 +158,21 @@ func (cn *conn) readLoop(maxFrame uint32) {
 	close(cn.done)
 }
 
+// hello runs the HELLO handshake and returns the server's name, refusing
+// a server that speaks another protocol version.
+func (cn *conn) hello(ctx context.Context) (string, error) {
+	p, err := cn.roundTripCtx(ctx, wire.OpHello, wire.EncodeHello())
+	if err != nil {
+		return "", err
+	}
+	v, name, err := wire.DecodeHelloResp(p)
+	cn.release(p)
+	if err == nil && v != wire.Version {
+		err = fmt.Errorf("client: server speaks protocol version %d, want %d (upgrade the older side)", v, wire.Version)
+	}
+	return name, err
+}
+
 // roundTrip sends one request and blocks for its response. Concurrent
 // calls pipeline: writes interleave under wmu and the read loop routes
 // each response to its caller.
@@ -271,8 +286,10 @@ func (cn *conn) fail(err error) {
 // ServerError is an application-level refusal: the server processed the
 // request and answered RespErr over a healthy connection. Anything else a
 // round trip returns is transport trouble (a dead connection, a timeout) —
-// callers that probe capabilities (the cluster bootstrap) branch on the
-// distinction with errors.As.
+// callers branch on the distinction with errors.As: the cluster router
+// retries and fails over only on transport trouble, a heartbeat counts a
+// refusal as proof of life, and the replication stream skips a refused
+// record but re-dials on anything else.
 type ServerError struct{ Msg string }
 
 // Error returns the server's message verbatim.

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -8,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/llm-db/mlkv-go/internal/client"
 	"github.com/llm-db/mlkv-go/internal/wire"
 )
 
@@ -168,10 +170,12 @@ type peerHealth struct {
 	dead      bool            // confirmed dead and acted upon
 }
 
-// probe is one peer's heartbeat goroutine.
+// probe is one peer's heartbeat goroutine. stop cancels ctx, which also
+// ends a dial or PING in flight.
 type probe struct {
 	id, addr string
-	stop     chan struct{}
+	ctx      context.Context
+	stop     context.CancelFunc
 	done     chan struct{}
 }
 
@@ -274,7 +278,8 @@ func (d *detector) refresh() {
 		if _, ok := d.probes[id]; ok {
 			continue
 		}
-		p := &probe{id: id, addr: addr, stop: make(chan struct{}), done: make(chan struct{})}
+		p := &probe{id: id, addr: addr, done: make(chan struct{})}
+		p.ctx, p.stop = context.WithCancel(context.Background())
 		d.probes[id] = p
 		if d.peers[id] == nil {
 			// The grace period: a just-learned peer starts fully alive, so
@@ -285,7 +290,7 @@ func (d *detector) refresh() {
 	}
 	d.mu.Unlock()
 	for _, p := range stopped {
-		close(p.stop)
+		p.stop()
 		<-p.done
 	}
 }
@@ -305,59 +310,61 @@ func (d *detector) close() {
 	d.mu.Unlock()
 	close(d.stopCh)
 	for _, p := range probes {
-		close(p.stop)
+		p.stop()
 		<-p.done
 	}
 	<-d.doneCh
 }
 
-// probeLoop heartbeats one peer until stopped, holding one cached raw
-// connection that is dropped and redialed on any transport error.
+// probeLoop heartbeats one peer until stopped, holding one pool that is
+// dropped and redialed on any transport error.
 func (d *detector) probeLoop(p *probe) {
 	defer close(p.done)
-	var rc *rawConn
+	var c *client.Client
 	defer func() {
-		if rc != nil {
-			rc.close()
+		if c != nil {
+			c.Close()
 		}
 	}()
 	t := time.NewTicker(d.cfg.Interval)
 	defer t.Stop()
 	for {
 		select {
-		case <-p.stop:
+		case <-p.ctx.Done():
 			return
 		case <-t.C:
 		}
-		rc = d.pingOnce(p, rc)
+		c = d.pingOnce(p, c)
 	}
 }
 
 // pingOnce sends one heartbeat to p, returning the (possibly fresh,
-// possibly dropped) cached connection.
-func (d *detector) pingOnce(p *probe, rc *rawConn) *rawConn {
+// possibly dropped) pool. The dial and the PING share one pingTimeout.
+func (d *detector) pingOnce(p *probe, c *client.Client) *client.Client {
 	timeout := d.pingTimeout()
-	if rc == nil {
-		c, err := dialRaw(p.addr, timeout)
-		if err != nil {
+	ctx, cancel := context.WithTimeout(p.ctx, timeout)
+	defer cancel()
+	if c == nil {
+		var err error
+		if c, err = client.Dial(ctx, p.addr, client.Options{Conns: 1, DialTimeout: timeout}); err != nil {
 			return nil // unreachable; suspicion accrues from silence
 		}
-		rc = c
 	}
-	payload, err := rc.roundTrip(wire.OpClusterPing, encodePingInfo(d.selfInfo()), timeout)
+	payload, err := c.Call(ctx, wire.OpClusterPing, encodePingInfo(d.selfInfo()))
 	if err != nil {
-		if IsRemoteRefusal(err) {
+		var refused *client.ServerError
+		if errors.As(err, &refused) {
 			// The peer answered — it is alive — it just runs no detector
 			// (older build, or health disabled). Count the ack, learn nothing.
 			d.recordAck(p.id, nil)
-			return rc
+			return c
 		}
-		rc.close()
+		c.Close()
 		return nil
 	}
 	info, err := decodePingInfo(payload)
 	if err != nil {
-		rc.close()
+		c.Close()
 		return nil
 	}
 	d.recordAck(p.id, &info)
@@ -369,7 +376,7 @@ func (d *detector) pingOnce(p *probe, rc *rawConn) *rawConn {
 			d.st.Adopt(got)
 		}
 	}
-	return rc
+	return c
 }
 
 // selfInfo builds this node's half of a ping exchange.
@@ -587,24 +594,5 @@ func (d *detector) maybePromote(m *Map, deadID string) {
 				d.st.Adopt(got)
 			}
 		}(n.Addr)
-	}
-}
-
-// AnnounceLeave tells every other member of m that self is shutting down
-// gracefully, so peers skip the suspicion timeout. Best effort: an
-// unreachable peer will fall back to detecting the death the slow way.
-func AnnounceLeave(m *Map, self string, timeout time.Duration) {
-	payload := encodeLeave(self)
-	for i := range m.Nodes {
-		n := m.Nodes[i]
-		if n.ID == self {
-			continue
-		}
-		rc, err := dialRaw(n.Addr, timeout)
-		if err != nil {
-			continue
-		}
-		_, _ = rc.roundTrip(wire.OpClusterLeave, payload, timeout)
-		rc.close()
 	}
 }

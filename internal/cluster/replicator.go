@@ -1,10 +1,14 @@
 package cluster
 
 import (
+	"context"
+	"errors"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"github.com/llm-db/mlkv-go/internal/client"
+	"github.com/llm-db/mlkv-go/internal/stats"
 	"github.com/llm-db/mlkv-go/internal/wire"
 )
 
@@ -44,7 +48,8 @@ const replLogCap = 4096
 // replRedialDelay paces reconnect attempts to an unreachable replica.
 const replRedialDelay = 50 * time.Millisecond
 
-// replDialTimeout bounds each dial/round-trip to a replica.
+// replDialTimeout bounds each step of a stream: a dial, or one record's
+// delivery (with the model's OPEN and ATTACH when it is the first).
 const replDialTimeout = 5 * time.Second
 
 // replRec is one committed write, copied into the ring at sequence-
@@ -105,12 +110,14 @@ func (rm *replModel) oldest() uint64 {
 }
 
 // replStream is one replica's sender: a wake signal plus the stop/done
-// pair. The per-model cursors live in the run goroutine — senders pull
-// from the model rings, so there is no queue to overflow or reorder.
+// pair. stop cancels ctx, which also ends a dial or round trip in flight.
+// The per-model cursors live in the run goroutine — senders pull from the
+// model rings, so there is no queue to overflow or reorder.
 type replStream struct {
 	addr string
 	wake chan struct{} // cap 1: one pending signal survives any append burst
-	stop chan struct{}
+	ctx  context.Context
+	stop context.CancelFunc
 	done chan struct{}
 }
 
@@ -140,7 +147,7 @@ func (r *Replicator) refresh() {
 	}
 	for id, s := range r.streams {
 		if addr, ok := want[id]; !ok || addr != s.addr {
-			close(s.stop)
+			s.stop()
 			delete(r.streams, id)
 		}
 	}
@@ -148,12 +155,8 @@ func (r *Replicator) refresh() {
 		if _, ok := r.streams[id]; ok {
 			continue
 		}
-		s := &replStream{
-			addr: addr,
-			wake: make(chan struct{}, 1),
-			stop: make(chan struct{}),
-			done: make(chan struct{}),
-		}
+		s := &replStream{addr: addr, wake: make(chan struct{}, 1), done: make(chan struct{})}
+		s.ctx, s.stop = context.WithCancel(context.Background())
 		r.streams[id] = s
 		go r.run(s)
 	}
@@ -212,7 +215,7 @@ func (r *Replicator) run(s *replStream) {
 			retry = time.After(replRedialDelay)
 		}
 		select {
-		case <-s.stop:
+		case <-s.ctx.Done():
 			return
 		case <-s.wake:
 		case <-retry:
@@ -220,25 +223,26 @@ func (r *Replicator) run(s *replStream) {
 	}
 }
 
-// sender is the per-stream state its run goroutine owns: the wire
-// connection, the replica-side model handles, and each model's next
-// sequence to send.
+// sender is the per-stream state its run goroutine owns: a one-connection
+// pool onto the replica, a session per model attached there, and each
+// model's next sequence to send.
 type sender struct {
-	r       *Replicator
-	s       *replStream
-	rc      *rawConn
-	handles map[string]uint32
-	cursor  map[string]uint64
-	frame   []byte
+	r      *Replicator
+	s      *replStream
+	c      *client.Client             // nil until dialed, and after a reset
+	sess   map[string]*client.Session // model id → session on c
+	cursor map[string]uint64
 }
 
-// reset drops the connection (and with it the replica-side handles).
+// reset drops the pool and with it every session: the next record dials
+// afresh and re-OPENs (client.Session.ReplWriteCtx says why a session is
+// never healed).
 func (sn *sender) reset() {
-	if sn.rc != nil {
-		sn.rc.close()
-		sn.rc = nil
+	if sn.c != nil {
+		sn.c.Close()
+		sn.c = nil
 	}
-	sn.handles = nil
+	sn.sess = nil
 }
 
 // sweep pushes every model's backlog to the replica. It returns false when
@@ -261,11 +265,11 @@ func (sn *sender) sweep() bool {
 }
 
 // sweepModel drains one model's ring from this stream's cursor to the
-// head. An application-level refusal skips one record (counted) — the
-// replica sees the sequence gap and keeps its lag pinned, and retrying a
-// frame the replica rejects would wedge the stream forever. A transport
-// failure leaves the cursor in place so the paced retry resumes exactly
-// where it stopped.
+// head. An application-level refusal (a *client.ServerError) skips one
+// record (counted) — the replica sees the sequence gap and keeps its lag
+// pinned, and retrying a frame the replica rejects would wedge the stream
+// forever. Any other failure resets the pool and leaves the cursor in
+// place, so the paced retry resumes exactly where it stopped.
 func (sn *sender) sweepModel(id string, rm *replModel) (ok bool) {
 	next := sn.cursor[id]
 	if next == 0 {
@@ -275,12 +279,7 @@ func (sn *sender) sweepModel(id string, rm *replModel) (ok bool) {
 		next = 1
 	}
 	defer func() { sn.cursor[id] = next }()
-	for {
-		select {
-		case <-sn.s.stop:
-			return true
-		default:
-		}
+	for sn.s.ctx.Err() == nil {
 		rec, seq, head, more := rm.fetch(next)
 		if !more {
 			return true
@@ -293,61 +292,55 @@ func (sn *sender) sweepModel(id string, rm *replModel) (ok bool) {
 			sn.r.dropped.Add(int64(seq - next))
 			next = seq
 		}
-		if sn.rc == nil {
-			c, err := dialRaw(sn.s.addr, replDialTimeout)
+		if sn.c == nil {
+			ctx, cancel := context.WithTimeout(sn.s.ctx, replDialTimeout)
+			c, err := client.Dial(ctx, sn.s.addr, client.Options{Conns: 1, DialTimeout: replDialTimeout})
+			cancel()
 			if err != nil {
 				return false
 			}
-			sn.rc = c
-			sn.handles = map[string]uint32{}
+			sn.c, sn.sess = c, map[string]*client.Session{}
 		}
-		handle, opened := sn.handles[id]
-		if !opened {
-			h, err := sn.r.openModel(sn.rc, id, rm.dim, rm.bound)
-			if err != nil {
-				if IsRemoteRefusal(err) {
-					sn.r.dropped.Add(1)
-					next = seq + 1
-					continue
-				}
+		if err := sn.send(id, rm, seq, head, rec); err != nil {
+			var refused *client.ServerError
+			if !errors.As(err, &refused) {
 				sn.reset()
 				return false
 			}
-			handle = h
-			sn.handles[id] = h
-		}
-		sn.frame = wire.AppendReplWrite(sn.frame[:0], handle, seq, head, rec.kind, rec.keys, rec.vals)
-		if _, err := sn.rc.roundTrip(wire.OpReplWrite, sn.frame, replDialTimeout); err != nil {
-			if IsRemoteRefusal(err) {
-				sn.r.dropped.Add(1)
-				next = seq + 1
-				continue
-			}
-			sn.reset()
-			return false
+			sn.r.dropped.Add(1)
 		}
 		next = seq + 1
 	}
+	return true
 }
 
-// openModel opens and attaches the model on the replica, returning its
-// handle there (handles are per-server, not cluster-wide). It passes the
-// primary's bound, not an unset one: the bound is fixed while a model is
-// open, so a replica that first opened it under its own default would,
-// once promoted, refuse the router's OPEN with the model's real bound.
-func (r *Replicator) openModel(rc *rawConn, model string, dim int, bound int64) (uint32, error) {
-	p, err := rc.roundTrip(wire.OpOpen, wire.EncodeOpen(model, dim, 0, bound), replDialTimeout)
-	if err != nil {
-		return 0, err
+// send delivers one record within one replDialTimeout. A model's first
+// record on this pool opens and attaches it on the replica (handles are
+// per-server, not cluster-wide) under the primary's bound, not an unset
+// one: the bound is fixed while a model is open, so a replica that first
+// opened it under its own default would, once promoted, refuse the
+// router's OPEN with the model's real bound.
+func (sn *sender) send(id string, rm *replModel, seq, head uint64, rec replRec) error {
+	ctx, cancel := context.WithTimeout(sn.s.ctx, replDialTimeout)
+	defer cancel()
+	s := sn.sess[id]
+	if s == nil {
+		m, err := sn.c.OpenModel(ctx, client.OpenSpec{ID: id, Dim: rm.dim, Bound: rm.bound})
+		if err != nil {
+			return err
+		}
+		if s, err = m.NewSessionCtx(ctx); err != nil {
+			return err
+		}
+		// After a redial this ATTACH may have reached a restarted replica,
+		// where the old handle names nothing or another model.
+		var st stats.Counters
+		if sn.c.AddCounters(&st); st.DialRetries != 0 {
+			return errors.New("cluster: replica connection replaced during open")
+		}
+		sn.sess[id] = s
 	}
-	handle, _, _, _, _, err := wire.DecodeOpenResp(p)
-	if err != nil {
-		return 0, err
-	}
-	if _, err := rc.roundTrip(wire.OpAttach, wire.EncodeHandle(handle), replDialTimeout); err != nil {
-		return 0, err
-	}
-	return handle, nil
+	return s.ReplWriteCtx(ctx, seq, head, rec.kind, rec.keys, rec.vals)
 }
 
 // close stops every stream and waits for the senders to exit.
@@ -365,7 +358,7 @@ func (r *Replicator) close() {
 	r.streams = map[string]*replStream{}
 	r.mu.Unlock()
 	for _, s := range streams {
-		close(s.stop)
+		s.stop()
 	}
 	for _, s := range streams {
 		<-s.done

@@ -14,6 +14,7 @@ import (
 	"github.com/llm-db/mlkv-go/internal/hotcache"
 	"github.com/llm-db/mlkv-go/internal/stats"
 	"github.com/llm-db/mlkv-go/internal/util"
+	"github.com/llm-db/mlkv-go/internal/wire"
 )
 
 // Router is the client side of the cluster: one connection pool per node,
@@ -140,12 +141,13 @@ func (r *Router) Close() error {
 }
 
 // pool returns (dialing if needed) the connection pool for one node. The
-// dial — a TCP connect plus HELLO, each up to DialTimeout — runs outside
-// r.mu, so a node that never answers stalls only its own first contact,
-// not every other node's or a failover's map refetch. Two first contacts
-// with one node may both dial: the first to finish is kept and the other
-// pool closed, as is a pool whose router closed during the dial.
-func (r *Router) pool(addr string) (*client.Client, error) {
+// dial — a TCP connect plus HELLO per pooled connection, each up to
+// DialTimeout and all within ctx — runs outside r.mu, so a node that never
+// answers stalls only its own first contact, not every other node's or a
+// failover's map refetch. Two first contacts with one node may both dial:
+// the first to finish is kept and the other pool closed, as is a pool
+// whose router closed during the dial.
+func (r *Router) pool(ctx context.Context, addr string) (*client.Client, error) {
 	r.mu.Lock()
 	p, ok := r.pools[addr]
 	closed := r.closed
@@ -156,7 +158,7 @@ func (r *Router) pool(addr string) (*client.Client, error) {
 	if ok {
 		return p, nil
 	}
-	p, err := client.Dial(addr, r.opts.Client)
+	p, err := client.Dial(ctx, addr, r.opts.Client)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: dial node %s: %w", addr, err)
 	}
@@ -204,11 +206,11 @@ func (r *Router) refetchMap(ctx context.Context, cur *Map, excludeID string) boo
 		if n.ID == excludeID {
 			continue
 		}
-		p, err := r.pool(n.Addr)
+		p, err := r.pool(ctx, n.Addr)
 		if err != nil {
 			continue
 		}
-		payload, err := p.ClusterMapRaw(ctx)
+		payload, err := p.Call(ctx, wire.OpClusterMap, nil)
 		if err != nil {
 			continue
 		}
@@ -321,7 +323,7 @@ func (m *RModel) model(ctx context.Context, n *Node) (*client.Model, error) {
 		return cm, nil
 	}
 	m.mu.Unlock()
-	p, err := m.r.pool(n.Addr)
+	p, err := m.r.pool(ctx, n.Addr)
 	if err != nil {
 		return nil, err
 	}

@@ -129,7 +129,7 @@ func startCluster(t *testing.T, specs []cluster.Node, proxied ...string) (*clust
 func openRouted(t *testing.T, m *cluster.Map, bound int64, replicas bool) (*cluster.Router, *cluster.RModel) {
 	t.Helper()
 	copts := client.Options{Conns: 2, DialTimeout: time.Second}
-	seed, err := client.Dial(m.Nodes[0].Addr, copts)
+	seed, err := client.Dial(context.Background(), m.Nodes[0].Addr, copts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +240,7 @@ func TestRoutingAllocOverhead(t *testing.T) {
 	}
 	var directs []nodeFrames
 	for _, id := range []string{"n0", "n1"} {
-		c, err := client.Dial(m.Node(id).Addr, client.Options{Conns: 2})
+		c, err := client.Dial(context.Background(), m.Node(id).Addr, client.Options{Conns: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -309,7 +309,7 @@ func TestHungFirstDialStallsOnlyItsNode(t *testing.T) {
 		{ID: "n2", Role: cluster.RolePrimary},
 	}, "n1")
 	copts := client.Options{Conns: 1, DialTimeout: 2 * time.Second}
-	seed, err := client.Dial(m.Nodes[0].Addr, copts)
+	seed, err := client.Dial(context.Background(), m.Nodes[0].Addr, copts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +319,7 @@ func TestHungFirstDialStallsOnlyItsNode(t *testing.T) {
 	hung.Blackhole()
 	hungDone := make(chan error, 1)
 	go func() {
-		_, err := r.Pool(m.Nodes[1].Addr)
+		_, err := r.Pool(context.Background(), m.Nodes[1].Addr)
 		hungDone <- err
 	}()
 	for deadline := time.Now().Add(time.Second); hung.Accepted() == 0; time.Sleep(time.Millisecond) {
@@ -328,7 +328,7 @@ func TestHungFirstDialStallsOnlyItsNode(t *testing.T) {
 		}
 	}
 	start := time.Now()
-	if _, err := r.Pool(m.Nodes[2].Addr); err != nil {
+	if _, err := r.Pool(context.Background(), m.Nodes[2].Addr); err != nil {
 		t.Fatal(err)
 	}
 	if took := time.Since(start); took > 200*time.Millisecond {

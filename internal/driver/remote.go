@@ -115,13 +115,13 @@ func connectRemote(target string, addrs []string, opts ConnectOptions) (DB, erro
 	copts := client.Options{Conns: opts.Conns}
 	var lastErr error
 	for _, addr := range addrs {
-		c, err := client.Dial(addr, copts)
+		c, err := client.Dial(context.Background(), addr, copts)
 		if err != nil {
 			lastErr = err
 			continue
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), client.DefaultDialTimeout)
-		raw, err := c.ClusterMapRaw(ctx)
+		raw, err := c.Call(ctx, wire.OpClusterMap, nil)
 		cancel()
 		if err != nil {
 			c.Close()

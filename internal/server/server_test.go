@@ -90,7 +90,7 @@ func TestRemoteRoundTrip(t *testing.T) {
 	addr, _, stop := startServer(t, t.TempDir())
 	defer stop()
 
-	cl, err := client.Dial(addr, client.Options{Conns: 1})
+	cl, err := client.Dial(context.Background(), addr, client.Options{Conns: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestRemoteApply(t *testing.T) {
 	const dim = 4
 	addr, _, stop := startServer(t, t.TempDir())
 	defer stop()
-	cl, err := client.Dial(addr, client.Options{Conns: 1})
+	cl, err := client.Dial(context.Background(), addr, client.Options{Conns: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func TestMultiModel(t *testing.T) {
 	dir := t.TempDir()
 	addr, srv, stop := startServer(t, dir)
 	defer stop()
-	cl, err := client.Dial(addr, client.Options{Conns: 1})
+	cl, err := client.Dial(context.Background(), addr, client.Options{Conns: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +302,7 @@ func TestMultiModel(t *testing.T) {
 func TestSessionAccounting(t *testing.T) {
 	addr, srv, stop := startServer(t, t.TempDir())
 	defer stop()
-	cl, err := client.Dial(addr, client.Options{Conns: 2})
+	cl, err := client.Dial(context.Background(), addr, client.Options{Conns: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +349,7 @@ func TestRemoteBatchConcurrent(t *testing.T) {
 	addr, srv, stop := startServer(t, t.TempDir())
 	defer stop()
 
-	cl, err := client.Dial(addr, client.Options{Conns: 3})
+	cl, err := client.Dial(context.Background(), addr, client.Options{Conns: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -435,7 +435,7 @@ func TestRemoteStatsAndCheckpoint(t *testing.T) {
 	addr, _, stop := startServer(t, dir)
 	defer stop()
 
-	cl, err := client.Dial(addr, client.Options{Conns: 1})
+	cl, err := client.Dial(context.Background(), addr, client.Options{Conns: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -481,7 +481,7 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	const dim = 4
 	addr, srv, stop := startServer(t, t.TempDir())
 	defer stop() // Shutdown is idempotent; this releases the registry
-	cl, err := client.Dial(addr, client.Options{Conns: 2})
+	cl, err := client.Dial(context.Background(), addr, client.Options{Conns: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -515,7 +515,7 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	// swallowed response. (<-done doubles as the hang check: the test
 	// binary would time out.)
 	<-done
-	if _, err := client.Dial(addr, client.Options{Conns: 1}); err == nil {
+	if _, err := client.Dial(context.Background(), addr, client.Options{Conns: 1}); err == nil {
 		t.Fatal("dial succeeded after shutdown")
 	}
 }

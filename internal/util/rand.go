@@ -73,14 +73,6 @@ func (r *RNG) NormFloat64() float64 {
 	}
 }
 
-// Shuffle permutes p in place (Fisher-Yates).
-func (r *RNG) Shuffle(p []int) {
-	for i := len(p) - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-}
-
 // mul64 returns the 128-bit product of x and y as (hi, lo).
 func mul64(x, y uint64) (hi, lo uint64) {
 	const mask32 = 1<<32 - 1

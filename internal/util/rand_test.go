@@ -92,23 +92,6 @@ func TestNormFloat64Moments(t *testing.T) {
 	}
 }
 
-// TestPermIsPermutation: Shuffle leaves a permutation of its input.
-func TestPermIsPermutation(t *testing.T) {
-	r := NewRNG(17)
-	p := make([]int, 100)
-	for i := range p {
-		p[i] = i
-	}
-	r.Shuffle(p)
-	seen := make([]bool, 100)
-	for _, v := range p {
-		if v < 0 || v >= 100 || seen[v] {
-			t.Fatalf("not a permutation: %v", p)
-		}
-		seen[v] = true
-	}
-}
-
 func TestMul64MatchesBigMul(t *testing.T) {
 	f := func(x, y uint64) bool {
 		hi, lo := mul64(x, y)
