@@ -26,8 +26,9 @@
 //
 // With -debug-addr set, an HTTP listener exposes expvar at /debug/vars —
 // per-model counters (mlkv_models), per-model per-op-class latency
-// percentiles (mlkv_latency), and the server's connection/request
-// counters (mlkv_server) — plus the
+// percentiles (mlkv_latency), the server's connection/request counters
+// (mlkv_server) and, on a cluster node, the detector's confirmed deaths
+// and promotions and the replication records lost (mlkv_cluster) — plus the
 // net/http/pprof profiling endpoints under /debug/pprof/ on the same
 // listener, so a CPU or heap profile of a live server is one curl away.
 package main
@@ -257,6 +258,9 @@ func main() {
 			return out
 		}))
 		expvar.Publish("mlkv_server", expvar.Func(func() any { return srv.Stats() }))
+		if clusterState != nil {
+			expvar.Publish("mlkv_cluster", expvar.Func(func() any { return clusterState.Stats() }))
+		}
 		go func() {
 			log.Printf("mlkv-server: expvar on http://%s/debug/vars", *debugAddr)
 			if err := http.ListenAndServe(*debugAddr, nil); err != nil {

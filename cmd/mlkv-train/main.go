@@ -149,7 +149,7 @@ func main() {
 		})
 	case "kge":
 		gen := data.NewKGGen(data.KGConfig{Entities: *keys, Relations: 16, Clusters: 32, Seed: 17})
-		model := models.NewKGE(models.DistMult, *dim)
+		model := models.NewKGE(*dim)
 		res, err = train.TrainKGE(train.KGEOptions{
 			Gen: gen, Model: model, Backend: backend,
 			Workers: *workers, EmbLR: 0.1, Duration: *duration, MaxSamples: *maxSamp,
@@ -159,7 +159,7 @@ func main() {
 		graph := data.NewGraphGen(data.GraphConfig{Nodes: *keys, Classes: 8, Seed: 19})
 		sage := models.NewGraphSage(*dim, 32, 8, 23)
 		res, err = train.TrainGNN(train.GNNOptions{
-			Graph: graph, Kind: train.KindGraphSage, Sage: sage, Backend: backend,
+			Graph: graph, Sage: sage, Backend: backend,
 			Workers: *workers, DenseLR: 0.05, EmbLR: 0.05, Duration: *duration, MaxSamples: *maxSamp,
 			LookaheadDepth: *lookahead, EvalEvery: eval,
 		})

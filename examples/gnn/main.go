@@ -59,7 +59,7 @@ func main() {
 
 	fmt.Printf("training GraphSage for 10s on %s...\n", model.EngineName())
 	res, err := train.TrainGNN(train.GNNOptions{
-		Graph: graph, Kind: train.KindGraphSage, Sage: sage,
+		Graph: graph, Sage: sage,
 		Backend: train.NewModelBackend(model, true),
 		Workers: workers, Fanout: 4, Fanout2: 4,
 		DenseLR: 0.05, EmbLR: 0.1,

@@ -54,7 +54,7 @@ func main() {
 	gen := data.NewKGGen(data.KGConfig{
 		Entities: 500_000, Relations: 16, Clusters: 32, Seed: 17,
 	})
-	distmult := models.NewKGE(models.DistMult, dim)
+	distmult := models.NewKGE(dim)
 
 	fmt.Printf("training DistMult for 10s with BETA partition ordering on %s...\n", model.EngineName())
 	res, err := train.TrainKGE(train.KGEOptions{

@@ -218,8 +218,8 @@ func TestClusterFailoverPromotion(t *testing.T) {
 			t.Fatalf("%s sees dead n0 as %v of %q, want demoted replica of n2", n.id, got.Role, got.PrimaryID)
 		}
 	}
-	if deaths, promos := n2.st.HealthStats(); deaths == 0 || promos != 1 {
-		t.Fatalf("n2 health stats deaths=%d promotions=%d, want >=1 and 1", deaths, promos)
+	if s := n2.st.Stats(); s.ConfirmedDeaths == 0 || s.Promotions != 1 {
+		t.Fatalf("n2 cluster stats deaths=%d promotions=%d, want >=1 and 1", s.ConfirmedDeaths, s.Promotions)
 	}
 
 	// Every write acked before or after the kill must read back: phase-1

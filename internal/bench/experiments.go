@@ -201,7 +201,7 @@ func (e *Env) ctrOpts(b train.Backend, mode train.Mode, lookahead int) train.CTR
 func (e *Env) kgeOpts(b train.Backend, lookahead int, beta bool) train.KGEOptions {
 	s := e.Scale
 	gen := data.NewKGGen(data.KGConfig{Entities: s.KGEntities, Relations: 16, Clusters: 32, Seed: 17})
-	model := models.NewKGE(models.DistMult, s.Dim)
+	model := models.NewKGE(s.Dim)
 	return train.KGEOptions{
 		Gen: gen, Model: model, Backend: b,
 		Workers: s.Workers, Negatives: 4, EmbLR: 0.1,
@@ -215,7 +215,7 @@ func (e *Env) gnnOpts(b train.Backend, lookahead int) train.GNNOptions {
 	graph := data.NewGraphGen(data.GraphConfig{Nodes: s.GraphNodes, Classes: 8, Seed: 19})
 	sage := models.NewGraphSage(s.Dim, 32, 8, 23)
 	return train.GNNOptions{
-		Graph: graph, Kind: train.KindGraphSage, Sage: sage, Backend: b,
+		Graph: graph, Sage: sage, Backend: b,
 		Workers: s.Workers, Fanout: 4, Fanout2: 4,
 		DenseLR: 0.05, EmbLR: 0.05, Batch: 16,
 		Duration: s.Duration, MaxSamples: s.MaxSamples,

@@ -85,6 +85,9 @@ type Client struct {
 
 	dialRetries  atomic.Int64 // redial attempts actually made
 	dialBackoffs atomic.Int64 // redials refused by the breaker window
+
+	// dialed numbers connections in the order they connect (conn.serial).
+	dialed atomic.Uint64
 }
 
 // poolSlot is one pool position: cn loads without a lock, and dialing is
@@ -280,6 +283,7 @@ func (c *Client) redial(caller context.Context) (*conn, string, error) {
 	if err != nil {
 		return nil, "", c.redialErr(caller, "", err)
 	}
+	fresh.serial = c.dialed.Add(1)
 	ctx, cancelHello := context.WithTimeout(ctx, c.opts.DialTimeout)
 	name, err := fresh.hello(ctx)
 	cancelHello()
@@ -333,6 +337,7 @@ func (c *Client) OpenModel(ctx context.Context, spec OpenSpec) (*Model, error) {
 	if err != nil {
 		return nil, fmt.Errorf("client: open model %q: %w", spec.ID, err)
 	}
+	openedAt := c.dialed.Load() // connections dialed later are checked by Model.on
 	p, err := cn.roundTripCtx(ctx, wire.OpOpen, req)
 	if err != nil {
 		return nil, fmt.Errorf("client: open model %q: %w", spec.ID, err)
@@ -347,19 +352,77 @@ func (c *Client) OpenModel(ctx context.Context, spec OpenSpec) (*Model, error) {
 		// this caller cannot use: a refusal, not transport trouble.
 		return nil, &ServerError{Msg: fmt.Sprintf("client: model %q: server dim %d != requested %d", spec.ID, dim, spec.Dim)}
 	}
-	return &Model{c: c, handle: handle, id: spec.ID, dim: dim, shards: shards, bound: bound, name: name}, nil
+	return &Model{c: c, open: req, openedAt: openedAt, handle: handle, id: spec.ID, dim: dim, shards: shards, bound: bound, name: name}, nil
+}
+
+// HandleMovedError reports a model whose server, reached again after its
+// connection died, numbers it with another handle: the server restarted
+// and opened its models in another order. A frame carrying the old handle
+// would reach whichever model holds it now, so none is sent; open the
+// model afresh.
+type HandleMovedError struct {
+	Model    string
+	Was, Now uint32
+}
+
+// Error names the model and both handles.
+func (e *HandleMovedError) Error() string {
+	return fmt.Sprintf("client: model %q was handle %d but the server now gives it handle %d (server restarted): reopen the model", e.Model, e.Was, e.Now)
 }
 
 // Model is one named model on the server, every method delegating to the
 // server.
 type Model struct {
-	c      *Client
-	handle uint32
-	id     string
-	dim    int
-	shards int
-	bound  int64  // the staleness bound the server reported at open
-	name   string // the server store's Name
+	c    *Client
+	open []byte // the OPEN payload OpenModel sent, re-sent by on
+	// openedAt is the Client.dialed count when the model was opened: every
+	// connection numbered up to it reached the server that issued handle,
+	// or a server already gone, where no frame lands.
+	openedAt uint64
+	handle   uint32
+	id       string
+	dim      int
+	shards   int
+	bound    int64  // the staleness bound the server reported at open
+	name     string // the server store's Name
+}
+
+// on makes sure cn reaches a server that numbers the model m.handle
+// before a frame carrying the handle goes out on it. A connection dialed
+// after the model was opened may reach a restarted server, whose
+// registry numbers models in its own open order; there the model is
+// re-OPENed as OpenModel opened it, once per connection. A different answer is a
+// *HandleMovedError. Connections the model was opened over cost nothing.
+func (m *Model) on(ctx context.Context, cn *conn) error {
+	if cn.serial <= m.openedAt || cn.knows(m) {
+		return nil
+	}
+	p, err := cn.roundTripCtx(ctx, wire.OpOpen, m.open)
+	if err != nil {
+		return fmt.Errorf("client: reopen model %q: %w", m.id, err)
+	}
+	handle, _, _, _, _, err := wire.DecodeOpenResp(p)
+	cn.release(p)
+	if err != nil {
+		return fmt.Errorf("client: reopen model %q: %w", m.id, err)
+	}
+	if handle != m.handle {
+		return &HandleMovedError{Model: m.id, Was: m.handle, Now: handle}
+	}
+	cn.learn(m)
+	return nil
+}
+
+// pick returns a pooled connection on which m's handle is good.
+func (m *Model) pick(ctx context.Context) (*conn, error) {
+	cn, err := m.c.pick(ctx)
+	if err != nil {
+		return nil, err
+	}
+	if err := m.on(ctx, cn); err != nil {
+		return nil, err
+	}
+	return cn, nil
 }
 
 // ID returns the model name.
@@ -380,7 +443,7 @@ func (m *Model) Name() string { return "remote(" + m.name + ")" }
 
 // CheckpointCtx asks the server to make the model durable.
 func (m *Model) CheckpointCtx(ctx context.Context) error {
-	cn, err := m.c.pick(ctx)
+	cn, err := m.pick(ctx)
 	if err != nil {
 		return err
 	}
@@ -392,7 +455,7 @@ func (m *Model) CheckpointCtx(ctx context.Context) error {
 // StatsCtx fetches the server's counters for the model with one STATS
 // round trip.
 func (m *Model) StatsCtx(ctx context.Context) (stats.Counters, error) {
-	cn, err := m.c.pick(ctx)
+	cn, err := m.pick(ctx)
 	if err != nil {
 		return stats.Counters{}, err
 	}
@@ -409,7 +472,7 @@ func (m *Model) StatsCtx(ctx context.Context) (stats.Counters, error) {
 // announced to the server with an ATTACH frame. A session is
 // single-goroutine; sessions sharing a connection pipeline.
 func (m *Model) NewSessionCtx(ctx context.Context) (*Session, error) {
-	cn, err := m.c.pick(ctx)
+	cn, err := m.pick(ctx)
 	if err != nil {
 		return nil, fmt.Errorf("client: attach to model %q: %w", m.id, err)
 	}
@@ -456,7 +519,9 @@ func (s *Session) roundTrip(ctx context.Context, op wire.Op) ([]byte, error) {
 // checkout returns the session's connection, following the pool slot to a
 // fresh one (and re-ATTACHing the model there) if the old connection died.
 // The dead connection's server side already released the session's attach
-// when it disconnected, so the re-attach keeps accounting truthful.
+// when it disconnected, so the re-attach keeps accounting truthful. The
+// fresh connection may reach a restarted server, so the handle is checked
+// there first (Model.on).
 func (s *Session) checkout(ctx context.Context) (*conn, error) {
 	if !s.cn.broken() {
 		return s.cn, nil
@@ -466,6 +531,9 @@ func (s *Session) checkout(ctx context.Context) (*conn, error) {
 		return nil, err
 	}
 	if cn != s.cn {
+		if err := s.m.on(ctx, cn); err != nil {
+			return nil, err
+		}
 		p, err := cn.roundTripCtx(ctx, wire.OpAttach, wire.EncodeHandle(s.m.handle))
 		if err != nil {
 			return nil, fmt.Errorf("client: re-attach to model %q: %w", s.m.id, err)

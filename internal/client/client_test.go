@@ -94,16 +94,17 @@ func (s *fakeServer) accept() {
 func (s *fakeServer) serve(c net.Conn) {
 	defer c.Close()
 	var wmu sync.Mutex // handler goroutines interleave responses
+	fw := wire.NewFrameWriter(c)
 	for {
-		f, err := wire.ReadFrame(c, 0) // fresh payload per frame; goroutine-safe
+		f, _, err := wire.ReadFrameBuf(c, 0, nil) // fresh payload per frame; goroutine-safe
 		if err != nil {
 			return
 		}
-		go s.handle(c, &wmu, f)
+		go s.handle(fw, &wmu, f)
 	}
 }
 
-func (s *fakeServer) handle(c net.Conn, wmu *sync.Mutex, f wire.Frame) {
+func (s *fakeServer) handle(fw *wire.FrameWriter, wmu *sync.Mutex, f wire.Frame) {
 	s.mu.Lock()
 	d, muted, errMsg, openDim := s.delay[f.Op], s.muted[f.Op], s.errOn[f.Op], s.openDim
 	s.mu.Unlock()
@@ -148,7 +149,7 @@ func (s *fakeServer) handle(c net.Conn, wmu *sync.Mutex, f wire.Frame) {
 		}
 	}
 	wmu.Lock()
-	wire.WriteFrame(c, f.CorrID, op, resp)
+	fw.Write(f.CorrID, op, resp)
 	wmu.Unlock()
 }
 

@@ -15,10 +15,11 @@ import (
 
 // conn is one pooled connection with a demultiplexing reader goroutine.
 type conn struct {
-	c   net.Conn
-	idx int // position in the owning pool: the slot a session follows on redial
-	bw  *bufio.Writer
-	fw  *wire.FrameWriter // over bw; guarded by wmu
+	c      net.Conn
+	idx    int    // position in the owning pool: the slot a session follows on redial
+	serial uint64 // the pool's count of connections when this one connected
+	bw     *bufio.Writer
+	fw     *wire.FrameWriter // over bw; guarded by wmu
 
 	wmu sync.Mutex // serializes frame writes across sessions
 	// writers counts round trips between "committed to write" and "frame
@@ -31,6 +32,9 @@ type conn struct {
 	pending map[uint32]chan response
 	closed  bool
 	failure error
+	// known holds the models re-OPENed on this connection with the handle
+	// they were opened under (see Model.on).
+	known map[*Model]bool
 
 	nextID atomic.Uint32
 	done   chan struct{}
@@ -51,6 +55,24 @@ func (cn *conn) broken() bool {
 	b := cn.closed || cn.failure != nil
 	cn.pmu.Unlock()
 	return b
+}
+
+// knows reports whether m was re-OPENed on cn with its handle unchanged.
+func (cn *conn) knows(m *Model) bool {
+	cn.pmu.Lock()
+	ok := cn.known[m]
+	cn.pmu.Unlock()
+	return ok
+}
+
+// learn records that cn's server numbers m as m.handle.
+func (cn *conn) learn(m *Model) {
+	cn.pmu.Lock()
+	if cn.known == nil {
+		cn.known = make(map[*Model]bool)
+	}
+	cn.known[m] = true
+	cn.pmu.Unlock()
 }
 
 // getBuf returns a pooled buffer of length n (allocating if the pooled

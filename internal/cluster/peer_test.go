@@ -255,7 +255,7 @@ func TestReplicaRestartReopensModel(t *testing.T) {
 	if holds(t, addrB, "other", 2) {
 		t.Fatal("record 2 landed in the model that took the old handle's number")
 	}
-	if n := primary.ReplicationDropped(); n != 0 {
+	if n := primary.Stats().ReplicationDropped; n != 0 {
 		t.Fatalf("ReplicationDropped = %d across a replica restart, want 0", n)
 	}
 }
@@ -282,7 +282,7 @@ func TestReplicaRefusalIsNotRedialed(t *testing.T) {
 	for k := uint64(1); k <= 2; k++ {
 		primary.Replicate(testModel, testDim, faster.BoundAsync, wire.ReplPut, []uint64{k}, make([]byte, testVS))
 	}
-	waitUntil(t, "both records to be dropped", func() bool { return primary.ReplicationDropped() == 2 })
+	waitUntil(t, "both records to be dropped", func() bool { return primary.Stats().ReplicationDropped == 2 })
 	if n := proxy.Accepted(); n != 1 {
 		t.Fatalf("the stream opened %d connections to a refusing replica, want 1", n)
 	}

@@ -168,13 +168,33 @@ func (st *State) StartHealth(cfg HealthConfig) {
 	}
 }
 
-// HealthStats reports detector decisions: deaths confirmed and
-// self-promotions performed.
-func (st *State) HealthStats() (confirmedDeaths, promotions int64) {
+// Stats is what this node's cluster layer decided and lost on its own;
+// mlkv-server publishes it as the mlkv_cluster expvar.
+type Stats struct {
+	// ConfirmedDeaths and Promotions count the failure detector's
+	// decisions: peers confirmed dead by quorum, and self-promotions.
+	ConfirmedDeaths int64
+	Promotions      int64
+	// ReplicationDropped counts write records lost to a replica for good:
+	// evicted from the replay ring before a sender could deliver them, or
+	// refused by the replica. The replica sees the sequence gap and pins
+	// its advertised lag at the last contiguously applied sequence, so it
+	// stays out of SSP rotation rather than serving values staler than
+	// the bound.
+	ReplicationDropped int64
+}
+
+// Stats snapshots the node's cluster counters (zero for a detector or
+// replicator that never started).
+func (st *State) Stats() Stats {
+	var s Stats
 	if d := st.det.Load(); d != nil {
-		return d.confirmedDeaths.Load(), d.promotions.Load()
+		s.ConfirmedDeaths, s.Promotions = d.confirmedDeaths.Load(), d.promotions.Load()
 	}
-	return 0, 0
+	if r := st.repl.Load(); r != nil {
+		s.ReplicationDropped = r.dropped.Load()
+	}
+	return s
 }
 
 // EnablePersistence saves the current map under dir now and after every
@@ -263,18 +283,6 @@ func (st *State) Replicate(model string, dim int, bound int64, kind byte, keys [
 	if r := st.repl.Load(); r != nil {
 		r.replicate(model, dim, bound, kind, keys, vals)
 	}
-}
-
-// ReplicationDropped counts write records lost to a replica for good:
-// evicted from the replay ring before a sender could deliver them, or
-// refused by the replica. The replica sees the sequence gap and pins its
-// advertised lag at the last contiguously applied sequence, so it stays
-// out of SSP rotation rather than serving values staler than the bound.
-func (st *State) ReplicationDropped() int64 {
-	if r := st.repl.Load(); r != nil {
-		return r.dropped.Load()
-	}
-	return 0
 }
 
 // Close stops the replication streams and the failure detector.

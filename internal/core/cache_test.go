@@ -220,7 +220,7 @@ func TestTableHotTierResidentBypass(t *testing.T) {
 func TestTableHotTierBSPNeverServes(t *testing.T) {
 	ctx := context.Background()
 	tbl, err := OpenTable(Options{
-		Dir: t.TempDir(), Dim: 2, StalenessBound: BoundBSP,
+		Dir: t.TempDir(), Dim: 2, StalenessBound: 0,
 		MemoryBytes: 1 << 20, CacheEntries: 256,
 	})
 	if err != nil {

@@ -54,7 +54,7 @@ func TestTableConformance(t *testing.T) {
 	ctx := context.Background()
 	const dim = 4
 	forEachTable(t, func(t *testing.T, engine string, shards int) {
-		tbl, err := OpenTable(matrixOptions(t.TempDir(), dim, shards, BoundDisabled))
+		tbl, err := OpenTable(matrixOptions(t.TempDir(), dim, shards, -1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -298,7 +298,7 @@ func TestTableRecovery(t *testing.T) {
 	ctx := context.Background()
 	const dim = 4
 	forEachTable(t, func(t *testing.T, engine string, shards int) {
-		opts := matrixOptions(t.TempDir(), dim, shards, BoundDisabled)
+		opts := matrixOptions(t.TempDir(), dim, shards, -1)
 		tbl, err := OpenTable(opts)
 		if err != nil {
 			t.Fatal(err)
@@ -367,7 +367,7 @@ func TestCrossStackReopen(t *testing.T) {
 	kvConfig := func(dir string, shards int) kv.ShardedConfig {
 		return kv.ShardedConfig{
 			Dir: dir, Shards: shards, ValueSize: vs, RecordsPerPage: rpp,
-			MemoryBytes: 1 << 20, StalenessBound: BoundDisabled,
+			MemoryBytes: 1 << 20, StalenessBound: -1,
 		}
 	}
 	forEachTable(t, func(t *testing.T, engine string, shards int) {
@@ -396,7 +396,7 @@ func TestCrossStackReopen(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			tbl, err := OpenTable(matrixOptions(dir, dim, shards, BoundDisabled))
+			tbl, err := OpenTable(matrixOptions(dir, dim, shards, -1))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -416,7 +416,7 @@ func TestCrossStackReopen(t *testing.T) {
 		})
 		t.Run("core-then-kv", func(t *testing.T) {
 			dir := t.TempDir()
-			tbl, err := OpenTable(matrixOptions(dir, dim, shards, BoundDisabled))
+			tbl, err := OpenTable(matrixOptions(dir, dim, shards, -1))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -470,7 +470,7 @@ func TestCrossStackReopen(t *testing.T) {
 // must already be initialized and taken, the key past the block untouched.
 func TestBlockingBoundBatchAcquiresInOrder(t *testing.T) {
 	const dim = 4
-	tbl := testShardedTable(t, dim, 4, BoundBSP)
+	tbl := testShardedTable(t, dim, 4, 0)
 	val := []float32{1, 2, 3, 4}
 	keys := []uint64{3, 4, 5} // 3 is absent
 	holder, err := tbl.NewSession()
@@ -556,7 +556,7 @@ func TestBlockingBoundBatchWorkers(t *testing.T) {
 		window  = 96
 		batch   = 40 // above kv's fan-out threshold: unordered would fan out
 	)
-	for _, bound := range []int64{BoundBSP, 2} {
+	for _, bound := range []int64{0, 2} {
 		t.Run(fmt.Sprintf("bound=%d", bound), func(t *testing.T) {
 			tbl := testShardedTable(t, dim, 4, bound)
 			// Half-empty: even keys exist, odd keys are first touches.

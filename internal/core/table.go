@@ -22,15 +22,6 @@ import (
 	"github.com/llm-db/mlkv-go/internal/util"
 )
 
-// Bounds for Options.StalenessBound with paper-aligned names.
-const (
-	// BoundBSP trains bulk-synchronous: a read waits for every outstanding
-	// update on the record.
-	BoundBSP = int64(0)
-	// BoundDisabled turns the vector clock off (plain FASTER semantics).
-	BoundDisabled = int64(-1)
-)
-
 // Initializer produces the initial embedding for a key seen for the first
 // time. dst has the table's dimension; it arrives zeroed.
 type Initializer func(key uint64, dst []float32)
@@ -87,9 +78,11 @@ type Options struct {
 	// store, laid out exactly as unsharded tables always were. The memory
 	// budget and expected-key sizing are split evenly across shards.
 	Shards int
-	// StalenessBound is the consistency knob (§III-C1): BoundBSP, any
-	// positive SSP bound, faster.BoundAsync (ASP) or BoundDisabled; the
-	// last two are one clock-free protocol (see faster.BlockingBound).
+	// StalenessBound is the consistency knob (§III-C1): 0 trains
+	// bulk-synchronous (a read waits for every outstanding update on the
+	// record), a positive value is an SSP bound, and faster.BoundAsync
+	// (ASP) or -1 (plain FASTER) turn the clock off; those two are one
+	// clock-free protocol (see faster.BlockingBound).
 	StalenessBound int64
 	// MemoryBytes is the in-memory buffer budget (the paper's "buffer
 	// size"). Default 64 MiB.

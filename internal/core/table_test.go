@@ -46,7 +46,7 @@ func putOne(ctx context.Context, s batchSession, key uint64, val []float32) erro
 
 func TestTableGetInitializesFirstTouch(t *testing.T) {
 	ctx := context.Background()
-	tbl := testTable(t, 8, BoundDisabled)
+	tbl := testTable(t, 8, -1)
 	s, err := tbl.NewSession()
 	if err != nil {
 		t.Fatal(err)
@@ -85,7 +85,7 @@ func TestTableGetInitializesFirstTouch(t *testing.T) {
 // −0 and a denormal must come back bit for bit from Get, GetBatch and Peek.
 func TestTablePutGetRoundTrip(t *testing.T) {
 	ctx := context.Background()
-	tbl := testTable(t, 8, BoundDisabled)
+	tbl := testTable(t, 8, -1)
 	s, _ := tbl.NewSession()
 	defer s.Close()
 	want := []float32{1.5, -2.25, 3.125}
@@ -120,7 +120,7 @@ func TestTablePutGetRoundTrip(t *testing.T) {
 
 func TestTableBatchOps(t *testing.T) {
 	ctx := context.Background()
-	tbl := testTable(t, 4, BoundDisabled)
+	tbl := testTable(t, 4, -1)
 	s, _ := tbl.NewSession()
 	defer s.Close()
 	keys := []uint64{1, 2, 3}
@@ -144,7 +144,7 @@ func TestTableBatchOps(t *testing.T) {
 
 func TestTableDimValidation(t *testing.T) {
 	ctx := context.Background()
-	tbl := testTable(t, 4, BoundDisabled)
+	tbl := testTable(t, 4, -1)
 	s, _ := tbl.NewSession()
 	defer s.Close()
 	if err := getOne(ctx, s, 1, make([]float32, 3)); err == nil {
@@ -160,7 +160,7 @@ func TestTableDimValidation(t *testing.T) {
 
 func TestApplyGradient(t *testing.T) {
 	ctx := context.Background()
-	tbl := testTable(t, 4, BoundDisabled)
+	tbl := testTable(t, 4, -1)
 	s, _ := tbl.NewSession()
 	defer s.Close()
 	putOne(ctx, s, 1, []float32{1, 1, 1, 1})
@@ -212,7 +212,7 @@ func TestFirstTouchCreatesOnce(t *testing.T) {
 		}
 	}
 
-	bsp := testTable(t, 4, BoundBSP)
+	bsp := testTable(t, 4, 0)
 	const workers, n = 8, 256
 	keys := make([]uint64, n)
 	for i := range keys {
@@ -373,7 +373,7 @@ func TestTableCheckpointRestore(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
 	opts := Options{
-		Dir: dir, Dim: 4, StalenessBound: BoundDisabled,
+		Dir: dir, Dim: 4, StalenessBound: -1,
 		MemoryBytes: 1 << 20, RecordsPerPage: 64,
 	}
 	tbl, err := OpenTable(opts)
@@ -415,7 +415,7 @@ func TestOpenTableValidation(t *testing.T) {
 
 func TestBoundModesSmoke(t *testing.T) {
 	ctx := context.Background()
-	for _, bound := range []int64{BoundDisabled, BoundBSP, 4, faster.BoundAsync} {
+	for _, bound := range []int64{-1, 0, 4, faster.BoundAsync} {
 		tbl := testTable(t, 4, bound)
 		s, _ := tbl.NewSession()
 		emb := make([]float32, 4)
@@ -434,7 +434,7 @@ func TestBoundModesSmoke(t *testing.T) {
 // TestActiveSessions covers the serving layer's lifecycle hook: the count
 // tracks opens and closes, and double-close does not double-count.
 func TestActiveSessions(t *testing.T) {
-	tbl := testTable(t, 4, BoundDisabled)
+	tbl := testTable(t, 4, -1)
 	if n := tbl.Stats().ActiveSessions; n != 0 {
 		t.Fatalf("fresh table has %d sessions", n)
 	}
@@ -466,7 +466,7 @@ func TestActiveSessions(t *testing.T) {
 // is created inside the engine pass by a callback bound once per session,
 // and the initializer's float32 staging is session-owned.
 func TestFirstTouchGetAllocs(t *testing.T) {
-	tbl := testTable(t, 16, BoundDisabled)
+	tbl := testTable(t, 16, -1)
 	s, err := tbl.NewSession()
 	if err != nil {
 		t.Fatal(err)

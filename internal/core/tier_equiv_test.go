@@ -75,7 +75,7 @@ func TestTableTierIsTheWrapper(t *testing.T) {
 		dim     = 2
 		entries = 64 // 4 per tier shard: the script evicts
 	)
-	for _, bound := range []int64{faster.BoundAsync, 4, BoundBSP} {
+	for _, bound := range []int64{faster.BoundAsync, 4, 0} {
 		t.Run(fmt.Sprintf("bound=%d", bound), func(t *testing.T) {
 			init := UniformInit(0.1, 7)
 			tbl, err := OpenTable(Options{
@@ -187,7 +187,7 @@ func TestTableTierIsTheWrapper(t *testing.T) {
 			getBatch([]uint64{290, 1, 295, 2000, 299, 38, 999})
 
 			c := tbl.Stats()
-			if bound == BoundBSP {
+			if bound == 0 {
 				if c.CacheHits != 0 {
 					t.Fatalf("BSP served %d reads from the tier", c.CacheHits)
 				}

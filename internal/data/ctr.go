@@ -1,9 +1,9 @@
 // Package data generates the synthetic workloads standing in for the
 // paper's datasets (Table II): Criteo-like click logs for CTR, knowledge
-// graphs for link prediction, power-law community graphs for node
-// classification, and eBay-like risk-detection graphs. Every generator
-// plants a recoverable ground truth so that convergence curves (AUC,
-// Hits@k, accuracy vs time) are meaningful, and draws categorical
+// graphs for link prediction, and power-law community graphs for node
+// classification (Figure 11's eBay-like runs use these too). Every
+// generator plants a recoverable ground truth so that convergence curves
+// (AUC, Hits@k, accuracy vs time) are meaningful, and draws categorical
 // popularity from Zipf distributions so that cache behaviour matches the
 // skew of the real datasets.
 package data

@@ -142,44 +142,6 @@ func TestGraphNeighborsDeterministicPerSalt(t *testing.T) {
 	}
 }
 
-func TestBipartiteGen(t *testing.T) {
-	g := NewBipartiteGen(BipartiteConfig{
-		Transactions: 10000, Entities: 1000, EntityPerTxn: 3, FraudRate: 0.2, Seed: 9,
-	})
-	frauds := 0
-	const n = 20000
-	riskFraud, riskClean := 0.0, 0.0
-	nf, nc := 0.0, 0.0
-	for i := 0; i < n; i++ {
-		s := g.Next()
-		if len(s.Entities) != 3 {
-			t.Fatal("entity count")
-		}
-		risk := 0.0
-		for _, e := range s.Entities {
-			if e < 10000 || e >= 11000 {
-				t.Fatalf("entity node %d out of range", e)
-			}
-			risk += g.riskOf(e - 10000)
-		}
-		if s.Label == 1 {
-			frauds++
-			riskFraud += risk
-			nf++
-		} else {
-			riskClean += risk
-			nc++
-		}
-	}
-	rate := float64(frauds) / n
-	if rate < 0.02 || rate > 0.6 {
-		t.Fatalf("fraud rate %.3f implausible", rate)
-	}
-	if riskFraud/nf <= riskClean/nc {
-		t.Fatal("fraud labels uncorrelated with entity risk")
-	}
-}
-
 func TestGeneratorsDeterministicAcrossRuns(t *testing.T) {
 	a := NewCTRGen(CTRConfig{Seed: 42})
 	b := NewCTRGen(CTRConfig{Seed: 42})

@@ -85,86 +85,3 @@ func (g *GraphGen) SampleNeighbors(v uint64, n int, salt uint64) []uint64 {
 func (g *GraphGen) TrainNode(r *util.RNG) uint64 {
 	return r.Uint64n(g.cfg.Nodes)
 }
-
-// BipartiteConfig parameterizes an eBay-Trisk-like bipartite risk graph:
-// transactions on one side, entities (buyers, instruments) on the other.
-type BipartiteConfig struct {
-	Transactions uint64
-	Entities     uint64
-	EntityPerTxn int
-	FraudRate    float64
-	Zipf         float64
-	Seed         uint64
-}
-
-// BipartiteGen generates transaction nodes connected to Zipf-popular
-// entities; a transaction's fraud label correlates with the planted
-// riskiness of the entities it touches, so a GNN over the bipartite graph
-// can learn to detect it (the paper's eBay-Trisk case study).
-type BipartiteGen struct {
-	cfg BipartiteConfig
-	rng *util.RNG
-	pop *util.Zipf
-}
-
-// NewBipartiteGen builds the generator.
-func NewBipartiteGen(cfg BipartiteConfig) *BipartiteGen {
-	if cfg.Transactions == 0 {
-		cfg.Transactions = 1 << 20
-	}
-	if cfg.Entities == 0 {
-		cfg.Entities = 1 << 18
-	}
-	if cfg.EntityPerTxn == 0 {
-		cfg.EntityPerTxn = 4
-	}
-	if cfg.FraudRate == 0 {
-		cfg.FraudRate = 0.1
-	}
-	if cfg.Zipf == 0 {
-		cfg.Zipf = 0.9
-	}
-	g := &BipartiteGen{cfg: cfg, rng: util.NewRNG(cfg.Seed ^ 0xeBa1)}
-	g.pop = util.NewZipf(g.rng.Split(), cfg.Entities, cfg.Zipf)
-	return g
-}
-
-// Config returns the effective configuration.
-func (g *BipartiteGen) Config() BipartiteConfig { return g.cfg }
-
-// EntityNode maps an entity index to its global node ID.
-func (g *BipartiteGen) EntityNode(e uint64) uint64 { return g.cfg.Transactions + e }
-
-// riskOf is the planted riskiness of an entity in [0, 1).
-func (g *BipartiteGen) riskOf(e uint64) float64 {
-	return float64(util.Mix64(e^g.cfg.Seed)&0xffff) / 65536
-}
-
-// TxnSample is one transaction with its entity neighborhood and label.
-type TxnSample struct {
-	Txn      uint64
-	Entities []uint64 // global node IDs
-	Label    int      // 1 = fraudulent
-}
-
-// Next draws one transaction.
-func (g *BipartiteGen) Next() TxnSample {
-	s := TxnSample{
-		Txn:      g.rng.Uint64n(g.cfg.Transactions),
-		Entities: make([]uint64, g.cfg.EntityPerTxn),
-	}
-	risk := 0.0
-	for i := range s.Entities {
-		e := util.HashKey(g.pop.Next()) % g.cfg.Entities
-		s.Entities[i] = g.EntityNode(e)
-		risk += g.riskOf(e)
-	}
-	risk /= float64(g.cfg.EntityPerTxn)
-	// The riskiest tail of transactions is labeled fraudulent, with noise.
-	threshold := 1 - g.cfg.FraudRate
-	score := risk + g.rng.NormFloat64()*0.05
-	if score > threshold {
-		s.Label = 1
-	}
-	return s
-}

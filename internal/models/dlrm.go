@@ -1,7 +1,7 @@
 // Package models implements the embedding models the paper evaluates:
-// DLRMs (FFNN and DCN) for click-through-rate prediction, knowledge-graph
-// embedding scorers (DistMult and ComplEx) for link prediction, and GNNs
-// (GraphSage and GAT) for node classification. Each model consumes
+// DLRMs (FFNN and DCN) for click-through-rate prediction, the DistMult
+// knowledge-graph embedding scorer for link prediction, and GraphSAGE for
+// node classification. Each model consumes
 // embeddings fetched from storage and produces gradients with respect to
 // them, which the training pipelines write back through MLKV's Put/RMW.
 package models

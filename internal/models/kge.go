@@ -2,85 +2,31 @@ package models
 
 import "github.com/llm-db/mlkv-go/internal/tensor"
 
-// KGEKind selects the knowledge-graph-embedding scoring function.
-type KGEKind int
-
-const (
-	// DistMult scores ⟨h, r, t⟩ = Σ h_i·r_i·t_i (Yang et al., ICLR'15).
-	DistMult KGEKind = iota
-	// ComplEx scores Re(Σ h_i·r_i·conj(t_i)) over C^{d/2} embeddings stored
-	// as [real ‖ imag] (Trouillon et al., ICML'16).
-	ComplEx
-)
-
-// String names the scoring function for benchmark output.
-func (k KGEKind) String() string {
-	if k == ComplEx {
-		return "ComplEx"
-	}
-	return "DistMult"
-}
-
-// KGE is a knowledge-graph embedding scorer. It has no dense parameters;
-// the entire model state is the entity and relation embedding tables.
+// KGE is a DistMult knowledge-graph embedding scorer (Yang et al.,
+// ICLR'15): ⟨h, r, t⟩ = Σ h_i·r_i·t_i. It has no dense parameters; the
+// entire model state is the entity and relation embedding tables.
 type KGE struct {
-	Kind KGEKind
-	Dim  int // storage dimension (ComplEx uses Dim/2 complex pairs)
+	Dim int
 }
 
-// NewKGE builds a scorer. For ComplEx, dim must be even.
-func NewKGE(kind KGEKind, dim int) *KGE {
-	if kind == ComplEx && dim%2 != 0 {
-		panic("models: ComplEx dimension must be even")
-	}
-	return &KGE{Kind: kind, Dim: dim}
-}
+// NewKGE builds a scorer over dim-wide embeddings.
+func NewKGE(dim int) *KGE { return &KGE{Dim: dim} }
 
 // Score computes the triple score.
 func (m *KGE) Score(h, r, t []float32) float32 {
-	switch m.Kind {
-	case DistMult:
-		var s float32
-		for i := range h {
-			s += h[i] * r[i] * t[i]
-		}
-		return s
-	default: // ComplEx
-		k := m.Dim / 2
-		hr, hi := h[:k], h[k:]
-		rr, ri := r[:k], r[k:]
-		tr, ti := t[:k], t[k:]
-		var s float32
-		for i := 0; i < k; i++ {
-			s += (hr[i]*rr[i]-hi[i]*ri[i])*tr[i] + (hr[i]*ri[i]+hi[i]*rr[i])*ti[i]
-		}
-		return s
+	var s float32
+	for i := range h {
+		s += h[i] * r[i] * t[i]
 	}
+	return s
 }
 
 // Grad accumulates dScore × ∂score/∂{h,r,t} into dh, dr, dt.
 func (m *KGE) Grad(h, r, t []float32, dScore float32, dh, dr, dt []float32) {
-	switch m.Kind {
-	case DistMult:
-		for i := range h {
-			dh[i] += dScore * r[i] * t[i]
-			dr[i] += dScore * h[i] * t[i]
-			dt[i] += dScore * h[i] * r[i]
-		}
-	default: // ComplEx
-		k := m.Dim / 2
-		hr, hi := h[:k], h[k:]
-		rr, ri := r[:k], r[k:]
-		tr, ti := t[:k], t[k:]
-		for i := 0; i < k; i++ {
-			// s_i = (hr·rr − hi·ri)·tr + (hr·ri + hi·rr)·ti
-			dh[i] += dScore * (rr[i]*tr[i] + ri[i]*ti[i])
-			dh[k+i] += dScore * (-ri[i]*tr[i] + rr[i]*ti[i])
-			dr[i] += dScore * (hr[i]*tr[i] + hi[i]*ti[i])
-			dr[k+i] += dScore * (-hi[i]*tr[i] + hr[i]*ti[i])
-			dt[i] += dScore * (hr[i]*rr[i] - hi[i]*ri[i])
-			dt[k+i] += dScore * (hr[i]*ri[i] + hi[i]*rr[i])
-		}
+	for i := range h {
+		dh[i] += dScore * r[i] * t[i]
+		dr[i] += dScore * h[i] * t[i]
+		dt[i] += dScore * h[i] * r[i]
 	}
 }
 

@@ -123,47 +123,44 @@ func TestDLRMLearnsSyntheticSignal(t *testing.T) {
 // --- KGE ---
 
 func TestKGEGradCheck(t *testing.T) {
-	for _, kind := range []KGEKind{DistMult, ComplEx} {
-		kind := kind
-		t.Run(kind.String(), func(t *testing.T) {
-			const dim = 8
-			m := NewKGE(kind, dim)
-			r := util.NewRNG(5)
-			h, rel, tl := randVec(r, dim), randVec(r, dim), randVec(r, dim)
-			neg := [][]float32{randVec(r, dim), randVec(r, dim)}
-			lossAt := func() float32 {
-				dh := make([]float32, dim)
-				dr := make([]float32, dim)
-				dt := make([]float32, dim)
-				dn := [][]float32{make([]float32, dim), make([]float32, dim)}
-				return m.TripleLoss(h, rel, tl, neg, dh, dr, dt, dn)
-			}
+	t.Run("DistMult", func(t *testing.T) {
+		const dim = 8
+		m := NewKGE(dim)
+		r := util.NewRNG(5)
+		h, rel, tl := randVec(r, dim), randVec(r, dim), randVec(r, dim)
+		neg := [][]float32{randVec(r, dim), randVec(r, dim)}
+		lossAt := func() float32 {
 			dh := make([]float32, dim)
 			dr := make([]float32, dim)
 			dt := make([]float32, dim)
 			dn := [][]float32{make([]float32, dim), make([]float32, dim)}
-			m.TripleLoss(h, rel, tl, neg, dh, dr, dt, dn)
-			for i := 0; i < dim; i++ {
-				if want := numGrad32(lossAt, h, i); !approx(dh[i], want, 2e-2) {
-					t.Errorf("dh[%d]: analytic %v numeric %v", i, dh[i], want)
-				}
-				if want := numGrad32(lossAt, rel, i); !approx(dr[i], want, 2e-2) {
-					t.Errorf("dr[%d]: analytic %v numeric %v", i, dr[i], want)
-				}
-				if want := numGrad32(lossAt, tl, i); !approx(dt[i], want, 2e-2) {
-					t.Errorf("dt[%d]: analytic %v numeric %v", i, dt[i], want)
-				}
-				if want := numGrad32(lossAt, neg[0], i); !approx(dn[0][i], want, 2e-2) {
-					t.Errorf("dneg[%d]: analytic %v numeric %v", i, dn[0][i], want)
-				}
+			return m.TripleLoss(h, rel, tl, neg, dh, dr, dt, dn)
+		}
+		dh := make([]float32, dim)
+		dr := make([]float32, dim)
+		dt := make([]float32, dim)
+		dn := [][]float32{make([]float32, dim), make([]float32, dim)}
+		m.TripleLoss(h, rel, tl, neg, dh, dr, dt, dn)
+		for i := 0; i < dim; i++ {
+			if want := numGrad32(lossAt, h, i); !approx(dh[i], want, 2e-2) {
+				t.Errorf("dh[%d]: analytic %v numeric %v", i, dh[i], want)
 			}
-		})
-	}
+			if want := numGrad32(lossAt, rel, i); !approx(dr[i], want, 2e-2) {
+				t.Errorf("dr[%d]: analytic %v numeric %v", i, dr[i], want)
+			}
+			if want := numGrad32(lossAt, tl, i); !approx(dt[i], want, 2e-2) {
+				t.Errorf("dt[%d]: analytic %v numeric %v", i, dt[i], want)
+			}
+			if want := numGrad32(lossAt, neg[0], i); !approx(dn[0][i], want, 2e-2) {
+				t.Errorf("dneg[%d]: analytic %v numeric %v", i, dn[0][i], want)
+			}
+		}
+	})
 }
 
 func TestKGETrainingSeparatesPositives(t *testing.T) {
 	const dim = 8
-	m := NewKGE(DistMult, dim)
+	m := NewKGE(dim)
 	r := util.NewRNG(6)
 	ents := make([][]float32, 30)
 	for i := range ents {
@@ -205,15 +202,6 @@ func TestKGETrainingSeparatesPositives(t *testing.T) {
 	if hits < 20 {
 		t.Fatalf("Hits@3 after training = %d/30, model failed to learn", hits)
 	}
-}
-
-func TestComplExDimValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("odd ComplEx dim accepted")
-		}
-	}()
-	NewKGE(ComplEx, 7)
 }
 
 // --- GraphSage ---
@@ -260,43 +248,9 @@ func ceLoss(logits []float32, label int, probs, dl []float32) float32 {
 	return -logf32(probs[label]/sum + 1e-7)
 }
 
-// --- GAT ---
-
-func TestGATGradCheck(t *testing.T) {
-	const dim, hidden, classes, fanout, fanout2 = 3, 5, 2, 2, 2
-	g := NewGAT(dim, hidden, classes, 9)
-	w := g.NewWorker(fanout, fanout2)
-	r := util.NewRNG(10)
-	inputs := make([][][]float32, fanout+1)
-	for i := range inputs {
-		inputs[i] = make([][]float32, fanout2+1)
-		for j := range inputs[i] {
-			inputs[i][j] = randVec(r, dim)
-		}
-	}
-	label := 0
-	lossAt := func() float32 {
-		logits := w.Forward(inputs)
-		probs := make([]float32, classes)
-		dl := make([]float32, classes)
-		return ceLoss(logits, label, probs, dl)
-	}
-	_, _, dIn := w.Step(inputs, label)
-	for i := range inputs {
-		for j := range inputs[i] {
-			for k := 0; k < dim; k++ {
-				want := numGrad32(lossAt, inputs[i][j], k)
-				if !approx(dIn[i][j][k], want, 3e-2) {
-					t.Errorf("dIn[%d][%d][%d]: analytic %v numeric %v", i, j, k, dIn[i][j][k], want)
-				}
-			}
-		}
-	}
-}
-
 func TestGNNsLearnSeparableCommunities(t *testing.T) {
 	// Nodes in community c have embeddings near the community centroid;
-	// label = community. Both GNNs should fit quickly.
+	// label = community. GraphSage should fit quickly.
 	const dim, hidden, classes, fanout = 8, 16, 3, 3
 	r := util.NewRNG(11)
 	centro := make([][]float32, classes)

@@ -152,19 +152,6 @@ func (w *MLPWorker) Apply(lr float32) {
 	w.n = 0
 }
 
-// BCEWithLogits returns the binary-cross-entropy loss and dLoss/dLogit for
-// a single logit and 0/1 label.
-func BCEWithLogits(logit float32, label float32) (loss, dLogit float32) {
-	p := tensor.Sigmoid(logit)
-	eps := float32(1e-7)
-	if label > 0.5 {
-		loss = -logf(p + eps)
-	} else {
-		loss = -logf(1 - p + eps)
-	}
-	return loss, p - label
-}
-
 // SoftmaxCE returns the cross-entropy loss and writes dLoss/dLogits into
 // dLogits for an integer class label.
 func SoftmaxCE(logits []float32, label int, probs, dLogits []float32) float32 {

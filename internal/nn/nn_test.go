@@ -9,6 +9,20 @@ import (
 	"github.com/llm-db/mlkv-go/internal/util"
 )
 
+// bceWithLogits returns the binary-cross-entropy loss and dLoss/dLogit for
+// a single logit and 0/1 label. The trainer keeps its own (train's
+// bceLogit), whose float order the pinned training hashes record.
+func bceWithLogits(logit float32, label float32) (loss, dLogit float32) {
+	p := tensor.Sigmoid(logit)
+	eps := float32(1e-7)
+	if label > 0.5 {
+		loss = -logf(p + eps)
+	} else {
+		loss = -logf(1 - p + eps)
+	}
+	return loss, p - label
+}
+
 // numGrad computes a central-difference gradient of f at x[i].
 func numGrad(f func() float32, x []float32, i int) float32 {
 	const h = 1e-3
@@ -32,11 +46,11 @@ func TestMLPGradCheckInput(t *testing.T) {
 	label := float32(1)
 	lossAt := func() float32 {
 		out := w.Forward(x)
-		loss, _ := BCEWithLogits(out[0], label)
+		loss, _ := bceWithLogits(out[0], label)
 		return loss
 	}
 	out := w.Forward(x)
-	_, dLogit := BCEWithLogits(out[0], label)
+	_, dLogit := bceWithLogits(out[0], label)
 	dx := w.Backward([]float32{dLogit})
 	for i := range x {
 		want := numGrad(lossAt, x, i)
@@ -57,11 +71,11 @@ func TestMLPGradCheckWeights(t *testing.T) {
 	label := float32(0)
 	lossAt := func() float32 {
 		out := w.Forward(x)
-		loss, _ := BCEWithLogits(out[0], label)
+		loss, _ := bceWithLogits(out[0], label)
 		return loss
 	}
 	out := w.Forward(x)
-	_, dLogit := BCEWithLogits(out[0], label)
+	_, dLogit := bceWithLogits(out[0], label)
 	w.Backward([]float32{dLogit})
 	// Check a sample of weight gradients in each layer.
 	for l := range m.W {
@@ -128,7 +142,7 @@ func TestMLPLearnsXOR(t *testing.T) {
 	for epoch := 0; epoch < 4000; epoch++ {
 		for _, d := range data {
 			out := w.Forward(d[:2])
-			_, dLogit := BCEWithLogits(out[0], d[2])
+			_, dLogit := bceWithLogits(out[0], d[2])
 			w.Backward([]float32{dLogit})
 		}
 		w.Apply(0.5)
@@ -175,12 +189,12 @@ func TestSoftmaxCE(t *testing.T) {
 
 func TestBCEWithLogits(t *testing.T) {
 	// Perfect confident prediction → tiny loss.
-	loss, grad := BCEWithLogits(10, 1)
+	loss, grad := bceWithLogits(10, 1)
 	if loss > 0.01 || math.Abs(float64(grad)) > 0.01 {
 		t.Fatalf("confident correct: loss=%v grad=%v", loss, grad)
 	}
 	// Confident wrong → large loss, gradient ~1.
-	loss, grad = BCEWithLogits(10, 0)
+	loss, grad = bceWithLogits(10, 0)
 	if loss < 1 || grad < 0.9 {
 		t.Fatalf("confident wrong: loss=%v grad=%v", loss, grad)
 	}
@@ -202,7 +216,7 @@ func TestConcurrentWorkersShareWeights(t *testing.T) {
 					x[j] = r.Float32()
 				}
 				out := w.Forward(x)
-				_, d := BCEWithLogits(out[0], float32(it%2))
+				_, d := bceWithLogits(out[0], float32(it%2))
 				w.Backward([]float32{d})
 				if it%10 == 9 {
 					w.Apply(0.01)

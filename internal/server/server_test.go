@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"os"
@@ -25,6 +26,13 @@ import (
 // shutdown func.
 func startServer(t *testing.T, dir string) (string, *Server, func()) {
 	t.Helper()
+	return serveAt(t, "127.0.0.1:0", dir)
+}
+
+// serveAt is startServer on a given listen address, so a test can restart
+// a server where its clients will redial.
+func serveAt(t *testing.T, addr, dir string) (string, *Server, func()) {
+	t.Helper()
 	reg := NewRegistry(RegistryConfig{
 		Store: kv.ShardedConfig{
 			Dir: dir, Shards: 4, RecordsPerPage: 64, MemoryBytes: 1 << 20,
@@ -33,7 +41,7 @@ func startServer(t *testing.T, dir string) (string, *Server, func()) {
 		Name: "mlkv-test",
 	})
 	srv := New(Config{Registry: reg})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,6 +146,97 @@ func TestRemoteRoundTrip(t *testing.T) {
 	}
 	if err := put1(s, 2, val[:3]); err == nil {
 		t.Fatal("short value accepted")
+	}
+}
+
+// TestRedialChecksTheHandle restarts the server under live sessions. A
+// restarted registry numbers models in its own open order, so the handle
+// the sessions attached with may now name another model. The redial
+// re-OPENs the model by name before anything carries the handle: when the
+// restarted server opened it first again, the sessions heal (all at once,
+// on the one redialed connection); when another model took its handle,
+// every write fails with a *client.HandleMovedError and the other model
+// never sees it. Model-level calls on the redialed connection get the
+// same check.
+func TestRedialChecksTheHandle(t *testing.T) {
+	const dim, sessions = 2, 4
+	ctx := context.Background()
+	val := []byte{1, 2, 3, 4, 5, 6, 7, 8}
+	for _, first := range []string{"a", "b"} {
+		t.Run(first+"-first", func(t *testing.T) {
+			dir := t.TempDir()
+			addr, _, stop := startServer(t, dir)
+			cl, err := client.Dial(ctx, addr, client.Options{Conns: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl.Close()
+			m := openModel(t, cl, "a", dim)
+			ss := make([]*client.Session, sessions)
+			for i := range ss {
+				if ss[i], err = m.NewSessionCtx(ctx); err != nil {
+					t.Fatal(err)
+				}
+				defer ss[i].Close()
+			}
+			if err := put1(ss[0], 100, val); err != nil {
+				t.Fatal(err)
+			}
+			stop()
+
+			_, _, stop2 := serveAt(t, addr, dir)
+			defer stop2()
+			cl2, err := client.Dial(ctx, addr, client.Options{Conns: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl2.Close()
+			peer, err := openModel(t, cl2, first, dim).NewSessionCtx(ctx) // takes handle 1
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer peer.Close()
+
+			errs := make([]error, sessions)
+			var wg sync.WaitGroup
+			for i, s := range ss {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					errs[i] = put1(s, uint64(i), val)
+				}()
+			}
+			wg.Wait()
+			var moved *client.HandleMovedError
+			got := make([]byte, len(val))
+			for i, err := range errs {
+				found, perr := peek1(peer, uint64(i), got)
+				if perr != nil {
+					t.Fatal(perr)
+				}
+				switch {
+				case first == "a" && err != nil:
+					t.Fatalf("session %d: put after a restart that kept the handle: %v", i, err)
+				case first == "a" && (!found || !bytes.Equal(got, val)):
+					t.Fatalf("session %d: healed put not in model a: found=%v %v", i, found, got)
+				case first == "b" && (!errors.As(err, &moved) || moved.Model != "a" || moved.Was != 1 || moved.Now != 2):
+					t.Fatalf("session %d: put after the handle moved: err = %v, want a HandleMovedError for a, 1 -> 2", i, err)
+				case first == "b" && found:
+					t.Fatalf(`session %d: model "b" holds the key written to "a"`, i)
+				}
+			}
+			_, serr := m.StatsCtx(ctx)
+			cerr := m.CheckpointCtx(ctx)
+			if first == "a" {
+				if serr != nil || cerr != nil {
+					t.Fatalf("stats and checkpoint after the heal: %v, %v", serr, cerr)
+				}
+				return
+			}
+			if !errors.As(serr, &moved) || !errors.As(cerr, &moved) {
+				t.Fatalf("stats and checkpoint after the handle moved: %v, %v, want HandleMovedErrors", serr, cerr)
+			}
+		})
 	}
 }
 
@@ -534,21 +633,22 @@ func TestProtocolErrorPaths(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer nc.Close()
+	fw := wire.NewFrameWriter(nc)
 
 	// Unknown opcode → RespErr, connection lives.
-	if err := wire.WriteFrame(nc, 1, wire.Op(99), wire.EncodeHandle(1)); err != nil {
+	if err := fw.Write(1, wire.Op(99), wire.EncodeHandle(1)); err != nil {
 		t.Fatal(err)
 	}
-	f, err := wire.ReadFrame(nc, 0)
+	f, _, err := wire.ReadFrameBuf(nc, 0, nil)
 	if err != nil || f.Op != wire.RespErr || f.CorrID != 1 {
 		t.Fatalf("unknown op: %+v err=%v", f, err)
 	}
 
 	// Open a real model so data frames have a live handle.
-	if err := wire.WriteFrame(nc, 2, wire.OpOpen, wire.EncodeOpen("raw", 2, 0, wire.BoundUnset)); err != nil {
+	if err := fw.Write(2, wire.OpOpen, wire.EncodeOpen("raw", 2, 0, wire.BoundUnset)); err != nil {
 		t.Fatal(err)
 	}
-	f, err = wire.ReadFrame(nc, 0)
+	f, _, err = wire.ReadFrameBuf(nc, 0, nil)
 	if err != nil || f.Op != wire.RespOK {
 		t.Fatalf("open: %+v err=%v", f, err)
 	}
@@ -558,38 +658,38 @@ func TestProtocolErrorPaths(t *testing.T) {
 	}
 
 	// A data frame before ATTACH → RespErr, connection lives.
-	if err := wire.WriteFrame(nc, 3, wire.OpGetBatch, wire.AppendGetBatch(nil, handle, 0, []uint64{7})); err != nil {
+	if err := fw.Write(3, wire.OpGetBatch, wire.AppendGetBatch(nil, handle, 0, []uint64{7})); err != nil {
 		t.Fatal(err)
 	}
-	f, err = wire.ReadFrame(nc, 0)
+	f, _, err = wire.ReadFrameBuf(nc, 0, nil)
 	if err != nil || f.Op != wire.RespErr || !strings.Contains(string(f.Payload), "not attached") {
 		t.Fatalf("unattached get: %+v err=%v", f, err)
 	}
 
 	// ATTACH, then exercise the error paths on a live session.
-	if err := wire.WriteFrame(nc, 4, wire.OpAttach, wire.EncodeHandle(handle)); err != nil {
+	if err := fw.Write(4, wire.OpAttach, wire.EncodeHandle(handle)); err != nil {
 		t.Fatal(err)
 	}
-	if f, err = wire.ReadFrame(nc, 0); err != nil || f.Op != wire.RespOK {
+	if f, _, err = wire.ReadFrameBuf(nc, 0, nil); err != nil || f.Op != wire.RespOK {
 		t.Fatalf("attach: %+v err=%v", f, err)
 	}
 
 	// Oversized batch count → RespErr, connection lives.
 	huge := append(wire.EncodeHandle(handle), 0xff, 0xff, 0xff, 0x00)
-	if err := wire.WriteFrame(nc, 5, wire.OpGetBatch, huge); err != nil {
+	if err := fw.Write(5, wire.OpGetBatch, huge); err != nil {
 		t.Fatal(err)
 	}
-	f, err = wire.ReadFrame(nc, 0)
+	f, _, err = wire.ReadFrameBuf(nc, 0, nil)
 	if err != nil || f.Op != wire.RespErr || f.CorrID != 5 {
 		t.Fatalf("oversized batch: %+v err=%v", f, err)
 	}
 
 	// Mis-sized PUTBATCH (one key, 3 value bytes, dim 2) → RespErr,
 	// connection lives.
-	if err := wire.WriteFrame(nc, 6, wire.OpPutBatch, wire.AppendPutBatch(nil, handle, []uint64{7}, []byte{1, 2, 3})); err != nil {
+	if err := fw.Write(6, wire.OpPutBatch, wire.AppendPutBatch(nil, handle, []uint64{7}, []byte{1, 2, 3})); err != nil {
 		t.Fatal(err)
 	}
-	f, err = wire.ReadFrame(nc, 0)
+	f, _, err = wire.ReadFrameBuf(nc, 0, nil)
 	if err != nil || f.Op != wire.RespErr || f.CorrID != 6 || strings.Contains(string(f.Payload), "unknown opcode") {
 		t.Fatalf("short put: %+v err=%v", f, err)
 	}
@@ -605,10 +705,10 @@ func TestProtocolErrorPaths(t *testing.T) {
 		{wire.OpPut, wire.AppendPut(nil, handle, 7, make([]byte, 8))},
 	} {
 		corr := uint32(20 + i)
-		if err := wire.WriteFrame(nc, corr, fr.op, fr.p); err != nil {
+		if err := fw.Write(corr, fr.op, fr.p); err != nil {
 			t.Fatal(err)
 		}
-		f, err = wire.ReadFrame(nc, 0)
+		f, _, err = wire.ReadFrameBuf(nc, 0, nil)
 		if err != nil || f.Op != wire.RespErr || f.CorrID != corr || !strings.Contains(string(f.Payload), "unknown opcode") {
 			t.Fatalf("single-key op %d: %+v err=%v", fr.op, f, err)
 		}
@@ -616,28 +716,28 @@ func TestProtocolErrorPaths(t *testing.T) {
 
 	// APPLY with a gradient of the wrong dimension (3 floats, dim 2) →
 	// RespErr, connection lives, and nothing was stepped.
-	if err := wire.WriteFrame(nc, 10, wire.OpApply, wire.AppendApply(nil, handle, 7, 1, []float32{1, 1, 1})); err != nil {
+	if err := fw.Write(10, wire.OpApply, wire.AppendApply(nil, handle, 7, 1, []float32{1, 1, 1})); err != nil {
 		t.Fatal(err)
 	}
-	f, err = wire.ReadFrame(nc, 0)
+	f, _, err = wire.ReadFrameBuf(nc, 0, nil)
 	if err != nil || f.Op != wire.RespErr || f.CorrID != 10 {
 		t.Fatalf("mis-sized apply: %+v err=%v", f, err)
 	}
 
 	// Unknown handle → RespErr, connection lives.
-	if err := wire.WriteFrame(nc, 7, wire.OpGetBatch, wire.AppendGetBatch(nil, 99, 0, []uint64{7})); err != nil {
+	if err := fw.Write(7, wire.OpGetBatch, wire.AppendGetBatch(nil, 99, 0, []uint64{7})); err != nil {
 		t.Fatal(err)
 	}
-	f, err = wire.ReadFrame(nc, 0)
+	f, _, err = wire.ReadFrameBuf(nc, 0, nil)
 	if err != nil || f.Op != wire.RespErr {
 		t.Fatalf("unknown handle: %+v err=%v", f, err)
 	}
 
 	// The connection still works.
-	if err := wire.WriteFrame(nc, 8, wire.OpGetBatch, wire.AppendGetBatch(nil, handle, 0, []uint64{7})); err != nil {
+	if err := fw.Write(8, wire.OpGetBatch, wire.AppendGetBatch(nil, handle, 0, []uint64{7})); err != nil {
 		t.Fatal(err)
 	}
-	f, err = wire.ReadFrame(nc, 0)
+	f, _, err = wire.ReadFrameBuf(nc, 0, nil)
 	if err != nil || f.Op != wire.RespOK {
 		t.Fatalf("get after errors: %+v err=%v", f, err)
 	}
@@ -646,16 +746,16 @@ func TestProtocolErrorPaths(t *testing.T) {
 	// no compat path.
 	old := wire.EncodeHello()
 	old[0] = wire.Version - 1
-	if err := wire.WriteFrame(nc, 9, wire.OpHello, old); err != nil {
+	if err := fw.Write(9, wire.OpHello, old); err != nil {
 		t.Fatal(err)
 	}
-	f, err = wire.ReadFrame(nc, 0)
+	f, _, err = wire.ReadFrameBuf(nc, 0, nil)
 	want := fmt.Sprintf("version %d, want %d (upgrade the older side)", wire.Version-1, wire.Version)
 	if err != nil || f.Op != wire.RespErr || !strings.Contains(string(f.Payload), want) {
 		t.Fatalf("version mismatch: %+v err=%v", f, err)
 	}
 	nc.SetReadDeadline(time.Now().Add(2 * time.Second))
-	if _, err := wire.ReadFrame(nc, 0); err == nil {
+	if _, _, err := wire.ReadFrameBuf(nc, 0, nil); err == nil {
 		t.Fatal("connection survived version mismatch")
 	}
 }
@@ -762,11 +862,12 @@ func TestBootstrapProbeIsNotAnError(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer nc.Close()
+	fw := wire.NewFrameWriter(nc)
 	for i, op := range []wire.Op{wire.OpClusterJoin, wire.OpClusterPing, wire.OpClusterLeave, wire.OpClusterSync} {
-		if err := wire.WriteFrame(nc, uint32(i), op, nil); err != nil {
+		if err := fw.Write(uint32(i), op, nil); err != nil {
 			t.Fatal(err)
 		}
-		if f, err := wire.ReadFrame(nc, 0); err != nil || f.Op != wire.RespErr {
+		if f, _, err := wire.ReadFrameBuf(nc, 0, nil); err != nil || f.Op != wire.RespErr {
 			t.Fatalf("%s on a non-clustered server: %+v err=%v, want RespErr", op, f, err)
 		}
 	}

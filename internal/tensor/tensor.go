@@ -21,13 +21,6 @@ func Axpy(alpha float32, x, y []float32) {
 	}
 }
 
-// Scale computes x *= alpha.
-func Scale(alpha float32, x []float32) {
-	for i := range x {
-		x[i] *= alpha
-	}
-}
-
 // MatVec computes y = W·x for W (rows×cols, row-major).
 func MatVec(w []float32, rows, cols int, x, y []float32) {
 	for r := 0; r < rows; r++ {

@@ -283,7 +283,7 @@ func TestGatherDedupAndScatter(t *testing.T) {
 // across steps, clock-free PEEK evaluation.
 func TestTrainCTRRemoteBSP(t *testing.T) {
 	const workers = 2
-	rb := remoteBackend(t, confDim, workers+2, core.BoundBSP)
+	rb := remoteBackend(t, confDim, workers+2, 0)
 	gen := data.NewCTRGen(data.CTRConfig{Fields: 3, DenseDim: 2, FieldCard: 200, Seed: 7})
 	model := models.NewDLRM(models.FFNN, 3, confDim, 2, []int{8}, 9)
 	res, err := TrainCTR(CTROptions{

@@ -8,23 +8,11 @@ import (
 	"github.com/llm-db/mlkv-go/internal/util"
 )
 
-// GNNKind selects the model for the GNN trainer.
-type GNNKind int
-
-const (
-	// KindGraphSage trains the mean-aggregating GraphSAGE model.
-	KindGraphSage GNNKind = iota
-	// KindGAT trains the attention model.
-	KindGAT
-)
-
-// GNNOptions configures node-classification training (the paper's DGL
-// workload, and the eBay case studies).
+// GNNOptions configures GraphSAGE node-classification training (the
+// paper's DGL workload).
 type GNNOptions struct {
 	Graph      *data.GraphGen
-	Kind       GNNKind
-	Sage       *models.GraphSage // required for KindGraphSage
-	Gat        *models.GAT       // required for KindGAT
+	Sage       *models.GraphSage
 	Backend    Backend
 	Workers    int
 	Fanout     int // layer-1 neighbors
@@ -88,7 +76,6 @@ type gnnWorker struct {
 	dim  int
 
 	sage *models.SageWorker
-	gat  *models.GATWorker
 
 	nodes1 []uint64   // {v} ∪ N1
 	nbh    [][]uint64 // N2 per layer-1 node
@@ -99,10 +86,9 @@ type gnnWorker struct {
 	primed      bool // a neighborhood has been drawn ahead
 	hint        []uint64
 
-	eSelf  [][]float32
-	eMean  [][]float32
-	inputs [][][]float32
-	g      *gather
+	eSelf [][]float32
+	eMean [][]float32
+	g     *gather
 }
 
 func newGNNWorker(opts *GNNOptions, wID uint64, h Handle) *gnnWorker {
@@ -119,24 +105,11 @@ func newGNNWorker(opts *GNNOptions, wID uint64, h Handle) *gnnWorker {
 		w.aheadNodes1 = make([]uint64, n1)
 		w.aheadNbh = make([][]uint64, n1)
 	}
-	switch opts.Kind {
-	case KindGraphSage:
-		w.dim = opts.Sage.Dim
-		w.sage = opts.Sage.NewWorker(opts.Fanout)
-		for i := 0; i < n1; i++ {
-			w.eSelf = append(w.eSelf, make([]float32, w.dim))
-			w.eMean = append(w.eMean, make([]float32, w.dim))
-		}
-	case KindGAT:
-		w.dim = opts.Gat.Dim
-		w.gat = opts.Gat.NewWorker(opts.Fanout, opts.Fanout2)
-		for i := 0; i < n1; i++ {
-			row := make([][]float32, opts.Fanout2+1)
-			for j := range row {
-				row[j] = make([]float32, w.dim)
-			}
-			w.inputs = append(w.inputs, row)
-		}
+	w.dim = opts.Sage.Dim
+	w.sage = opts.Sage.NewWorker(opts.Fanout)
+	for i := 0; i < n1; i++ {
+		w.eSelf = append(w.eSelf, make([]float32, w.dim))
+		w.eMean = append(w.eMean, make([]float32, w.dim))
 	}
 	w.g = newGather(w.dim)
 	return w
@@ -202,43 +175,24 @@ func (w *gnnWorker) step(int) (StageTimes, error) {
 	t1 := time.Now()
 
 	label := w.opts.Graph.Label(w.nodes1[0])
-	var t2 time.Time
-	switch w.opts.Kind {
-	case KindGraphSage:
-		for i, u := range w.nodes1 {
-			copy(w.eSelf[i], w.g.emb(u))
-			mean := w.eMean[i]
-			clear(mean)
-			for _, x := range w.nbh[i] {
-				e := w.g.emb(x)
-				for d := 0; d < w.dim; d++ {
-					mean[d] += e[d] / float32(len(w.nbh[i]))
-				}
+	for i, u := range w.nodes1 {
+		copy(w.eSelf[i], w.g.emb(u))
+		mean := w.eMean[i]
+		clear(mean)
+		for _, x := range w.nbh[i] {
+			e := w.g.emb(x)
+			for d := 0; d < w.dim; d++ {
+				mean[d] += e[d] / float32(len(w.nbh[i]))
 			}
 		}
-		// Forward+backward happen inside Step; split timing evenly.
-		_, _, dSelf, dMean := w.sage.Step(w.eSelf, w.eMean, label)
-		t2 = time.Now()
-		for i, u := range w.nodes1 {
-			w.g.accumulate(u, dSelf[i], 1)
-			for _, x := range w.nbh[i] {
-				w.g.accumulate(x, dMean[i], 1/float32(len(w.nbh[i])))
-			}
-		}
-	case KindGAT:
-		for i, u := range w.nodes1 {
-			copy(w.inputs[i][0], w.g.emb(u))
-			for j, x := range w.nbh[i] {
-				copy(w.inputs[i][j+1], w.g.emb(x))
-			}
-		}
-		_, _, dIn := w.gat.Step(w.inputs, label)
-		t2 = time.Now()
-		for i, u := range w.nodes1 {
-			w.g.accumulate(u, dIn[i][0], 1)
-			for j, x := range w.nbh[i] {
-				w.g.accumulate(x, dIn[i][j+1], 1)
-			}
+	}
+	// Forward+backward happen inside Step; split timing evenly.
+	_, _, dSelf, dMean := w.sage.Step(w.eSelf, w.eMean, label)
+	t2 := time.Now()
+	for i, u := range w.nodes1 {
+		w.g.accumulate(u, dSelf[i], 1)
+		for _, x := range w.nbh[i] {
+			w.g.accumulate(x, dMean[i], 1/float32(len(w.nbh[i])))
 		}
 	}
 
@@ -256,14 +210,7 @@ func (w *gnnWorker) step(int) (StageTimes, error) {
 	}, nil
 }
 
-func (w *gnnWorker) apply() {
-	switch w.opts.Kind {
-	case KindGraphSage:
-		w.sage.Apply(w.opts.DenseLR)
-	case KindGAT:
-		w.gat.Apply(w.opts.DenseLR)
-	}
-}
+func (w *gnnWorker) apply() { w.sage.Apply(w.opts.DenseLR) }
 
 // evalGNNAccuracy scores fresh nodes with Peek.
 func evalGNNAccuracy(opts *GNNOptions, h Handle) float64 {
@@ -273,30 +220,17 @@ func evalGNNAccuracy(opts *GNNOptions, h Handle) float64 {
 	for i := 0; i < opts.EvalNodes; i++ {
 		w.sample(w.nodes1, w.nbh)
 		label := opts.Graph.Label(w.nodes1[0])
-		var pred int
-		switch opts.Kind {
-		case KindGraphSage:
-			for j, u := range w.nodes1 {
-				peekOrZero(h, u, w.eSelf[j])
-				clear(w.eMean[j])
-				for _, x := range w.nbh[j] {
-					peekOrZero(h, x, tmp)
-					for d := 0; d < w.dim; d++ {
-						w.eMean[j][d] += tmp[d] / float32(len(w.nbh[j]))
-					}
+		for j, u := range w.nodes1 {
+			peekOrZero(h, u, w.eSelf[j])
+			clear(w.eMean[j])
+			for _, x := range w.nbh[j] {
+				peekOrZero(h, x, tmp)
+				for d := 0; d < w.dim; d++ {
+					w.eMean[j][d] += tmp[d] / float32(len(w.nbh[j]))
 				}
 			}
-			pred = w.sage.Predict(w.eSelf, w.eMean)
-		case KindGAT:
-			for j, u := range w.nodes1 {
-				peekOrZero(h, u, w.inputs[j][0])
-				for jj, x := range w.nbh[j] {
-					peekOrZero(h, x, w.inputs[j][jj+1])
-				}
-			}
-			pred = w.gat.Predict(w.inputs)
 		}
-		if pred == label {
+		if w.sage.Predict(w.eSelf, w.eMean) == label {
 			correct++
 		}
 	}

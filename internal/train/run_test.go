@@ -49,7 +49,7 @@ func trainerCases() []trainerCase {
 			train: func(b Backend, workers, depth int, maxSamples int64, _ Mode) (*Result, error) {
 				return TrainKGE(KGEOptions{
 					Gen:     data.NewKGGen(data.KGConfig{Entities: 2000, Relations: 4, Clusters: 8, Seed: 23}),
-					Model:   models.NewKGE(models.DistMult, 16),
+					Model:   models.NewKGE(16),
 					Backend: b, Workers: workers, Negatives: 4, EmbLR: 0.2,
 					MaxSamples: maxSamples, LookaheadDepth: depth,
 					EvalTriples: 100, EvalNegs: 20, HitsK: 10,
@@ -58,20 +58,10 @@ func trainerCases() []trainerCase {
 		{name: "sage", dim: 8, scale: 0.3, steps: pinSamples,
 			train: func(b Backend, workers, depth int, maxSamples int64, _ Mode) (*Result, error) {
 				return TrainGNN(GNNOptions{
-					Graph: data.NewGraphGen(data.GraphConfig{Nodes: 2000, Classes: 4, Homophily: 0.9, Seed: 31}),
-					Kind:  KindGraphSage, Sage: models.NewGraphSage(8, 16, 4, 37),
+					Graph:   data.NewGraphGen(data.GraphConfig{Nodes: 2000, Classes: 4, Homophily: 0.9, Seed: 31}),
+					Sage:    models.NewGraphSage(8, 16, 4, 37),
 					Backend: b, Workers: workers, Fanout: 3, Fanout2: 3,
 					DenseLR: 0.1, EmbLR: 0.1, Batch: 8,
-					MaxSamples: maxSamples, LookaheadDepth: depth, EvalNodes: 100,
-				})
-			}},
-		{name: "gat", dim: 8, scale: 0.3, steps: pinSamples,
-			train: func(b Backend, workers, depth int, maxSamples int64, _ Mode) (*Result, error) {
-				return TrainGNN(GNNOptions{
-					Graph: data.NewGraphGen(data.GraphConfig{Nodes: 1000, Classes: 3, Seed: 41}),
-					Kind:  KindGAT, Gat: models.NewGAT(8, 12, 3, 43),
-					Backend: b, Workers: workers, Fanout: 2, Fanout2: 2,
-					DenseLR: 0.05, EmbLR: 0.05, Batch: 8,
 					MaxSamples: maxSamples, LookaheadDepth: depth, EvalNodes: 100,
 				})
 			}},
@@ -123,7 +113,6 @@ func TestTrainersDeterministic(t *testing.T) {
 		"kge/0":  {52, 0xa19315ea393de6a4},
 		"kge/4":  {40, 0xbf4a42f971d8e2fd},
 		"sage/0": {30, 0x75af3cd99dbf9fd2},
-		"gat/0":  {46, 0xd033688573102625},
 	}
 	for _, c := range trainerCases() {
 		for _, depth := range []int{0, 4} {
@@ -285,7 +274,7 @@ func TestTrainerCallOrder(t *testing.T) {
 				if int64(len(steps)) != c.steps {
 					t.Fatalf("%d steps, want %d", len(steps), c.steps)
 				}
-				gnn := c.name == "sage" || c.name == "gat"
+				gnn := c.name == "sage"
 				for i, st := range steps {
 					want := min(depth, 1)
 					if c.name == "kge" && i == 0 && depth > 0 {

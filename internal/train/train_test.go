@@ -7,7 +7,6 @@ import (
 	mlkv "github.com/llm-db/mlkv-go"
 	"github.com/llm-db/mlkv-go/internal/core"
 	"github.com/llm-db/mlkv-go/internal/data"
-	"github.com/llm-db/mlkv-go/internal/faster"
 	"github.com/llm-db/mlkv-go/internal/models"
 )
 
@@ -83,7 +82,7 @@ func TestTrainCTRSyncMode(t *testing.T) {
 	gen := data.NewCTRGen(data.CTRConfig{Fields: 3, DenseDim: 2, FieldCard: 200, Seed: 11})
 	model := models.NewDLRM(models.FFNN, 3, 4, 2, []int{8}, 13)
 	res, err := TrainCTR(CTROptions{
-		Gen: gen, Model: model, Backend: mlkvBackend(t, 4, core.BoundBSP),
+		Gen: gen, Model: model, Backend: mlkvBackend(t, 4, 0),
 		Workers: 3, Batch: 8, Mode: ModeSync,
 		DenseLR: 0.05, EmbLR: 0.05,
 		MaxSamples: 2000,
@@ -116,7 +115,7 @@ func TestTrainCTRCurve(t *testing.T) {
 
 func TestTrainKGEImprovesHits(t *testing.T) {
 	gen := data.NewKGGen(data.KGConfig{Entities: 2000, Relations: 4, Clusters: 8, Seed: 23})
-	model := models.NewKGE(models.DistMult, 16)
+	model := models.NewKGE(16)
 	// Multiplicative scorers need a healthy init scale; tiny embeddings
 	// produce vanishing three-way-product gradients.
 	backend := NewMemBackend("mem", 16, core.UniformInit(0.5, 1))
@@ -138,7 +137,7 @@ func TestTrainKGEImprovesHits(t *testing.T) {
 
 func TestTrainKGEWithBETAOnMLKV(t *testing.T) {
 	gen := data.NewKGGen(data.KGConfig{Entities: 2000, Relations: 4, Clusters: 8, Seed: 29})
-	model := models.NewKGE(models.ComplEx, 16)
+	model := models.NewKGE(16)
 	res, err := TrainKGE(KGEOptions{
 		Gen: gen, Model: model, Backend: mlkvBackend(t, 16, 8),
 		Workers: 2, Negatives: 2, EmbLR: 0.1,
@@ -159,7 +158,7 @@ func TestTrainGNNImprovesAccuracy(t *testing.T) {
 	graph := data.NewGraphGen(data.GraphConfig{Nodes: 2000, Classes: 4, Homophily: 0.9, Seed: 31})
 	sage := models.NewGraphSage(8, 16, 4, 37)
 	res, err := TrainGNN(GNNOptions{
-		Graph: graph, Kind: KindGraphSage, Sage: sage,
+		Graph: graph, Sage: sage,
 		Backend: NewMemBackend("mem", 8, core.UniformInit(0.3, 1)),
 		Workers: 2, Fanout: 3, Fanout2: 3,
 		DenseLR: 0.1, EmbLR: 0.1, Batch: 8,
@@ -170,24 +169,6 @@ func TestTrainGNNImprovesAccuracy(t *testing.T) {
 	}
 	if res.FinalMetric < 45 {
 		t.Fatalf("accuracy = %.1f%%, want > 45%% (4 classes, random = 25%%)", res.FinalMetric)
-	}
-}
-
-func TestTrainGATRuns(t *testing.T) {
-	graph := data.NewGraphGen(data.GraphConfig{Nodes: 1000, Classes: 3, Seed: 41})
-	gat := models.NewGAT(8, 12, 3, 43)
-	res, err := TrainGNN(GNNOptions{
-		Graph: graph, Kind: KindGAT, Gat: gat,
-		Backend: mlkvBackend(t, 8, faster.BoundAsync),
-		Workers: 2, Fanout: 2, Fanout2: 2,
-		DenseLR: 0.05, EmbLR: 0.05, Batch: 8,
-		MaxSamples: 1500, EvalNodes: 200,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Samples < 1500 {
-		t.Fatalf("GAT training stalled at %d", res.Samples)
 	}
 }
 

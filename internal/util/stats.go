@@ -5,18 +5,6 @@ import (
 	"sort"
 )
 
-// Mean returns the arithmetic mean of xs, or 0 for an empty slice.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
-}
-
 // AUC computes the area under the ROC curve for binary labels (1/0) and
 // real-valued scores via the rank statistic (Mann-Whitney U). Ties receive
 // the average rank. Returns 0.5 when either class is absent.

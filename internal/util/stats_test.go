@@ -6,16 +6,6 @@ import (
 	"testing/quick"
 )
 
-func TestMeanStddev(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if m := Mean(xs); m != 5 {
-		t.Errorf("Mean = %v, want 5", m)
-	}
-	if Mean(nil) != 0 {
-		t.Error("the mean of no values should be 0")
-	}
-}
-
 func TestAUCPerfectSeparation(t *testing.T) {
 	scores := []float64{0.9, 0.8, 0.2, 0.1}
 	labels := []int{1, 1, 0, 0}

@@ -209,7 +209,7 @@ const (
 )
 
 // DefaultMaxFrame bounds the length field when the caller passes 0 to
-// ReadFrame: 16 MiB, comfortably above the largest legal batch frame.
+// ReadFrameBuf: 16 MiB, comfortably above the largest legal batch frame.
 const DefaultMaxFrame = 16 << 20
 
 // MaxBatchKeys bounds keys per GETBATCH/PUTBATCH/LOOKAHEAD frame so the
@@ -227,25 +227,18 @@ var (
 	ErrShortPayload = errors.New("wire: payload truncated")
 )
 
-// Frame is one decoded frame. Payload aliases the buffer ReadFrame
-// allocated and is valid until the caller discards it.
+// Frame is one decoded frame. Payload aliases the buffer ReadFrameBuf
+// read it into (see there for how long it stays valid).
 type Frame struct {
 	CorrID  uint32
 	Op      Op
 	Payload []byte
 }
 
-// WriteFrame writes one frame. The caller batches frames by passing a
-// buffered writer and flushing when its pipeline drains. The header
-// staging escapes to the heap through the io.Writer interface, so
-// per-frame writers (connection loops) should hold a FrameWriter instead.
-func WriteFrame(w io.Writer, corrID uint32, op Op, payload []byte) error {
-	fw := FrameWriter{w: w}
-	return fw.Write(corrID, op, payload)
-}
-
 // FrameWriter writes frames to one writer with a reusable header buffer,
-// so a connection's write path allocates nothing per frame.
+// so a connection's write path allocates nothing per frame. The caller
+// batches frames by passing a buffered writer and flushing when its
+// pipeline drains.
 type FrameWriter struct {
 	w   io.Writer
 	hdr [headerSize]byte
@@ -254,7 +247,7 @@ type FrameWriter struct {
 // NewFrameWriter wraps w (normally a bufio.Writer owned by a connection).
 func NewFrameWriter(w io.Writer) *FrameWriter { return &FrameWriter{w: w} }
 
-// Write writes one frame (see WriteFrame).
+// Write writes one frame.
 func (fw *FrameWriter) Write(corrID uint32, op Op, payload []byte) error {
 	binary.LittleEndian.PutUint32(fw.hdr[0:], uint32(minLength+len(payload)))
 	binary.LittleEndian.PutUint32(fw.hdr[4:], corrID)
@@ -269,20 +262,15 @@ func (fw *FrameWriter) Write(corrID uint32, op Op, payload []byte) error {
 	return err
 }
 
-// ReadFrame reads one frame, refusing length fields above maxFrame
+// ReadFrameBuf reads one frame, refusing length fields above maxFrame
 // (DefaultMaxFrame if 0) before allocating the body. A clean EOF between
 // frames returns io.EOF; EOF inside a frame returns io.ErrUnexpectedEOF.
-func ReadFrame(r io.Reader, maxFrame uint32) (Frame, error) {
-	f, _, err := ReadFrameBuf(r, maxFrame, nil)
-	return f, err
-}
-
-// ReadFrameBuf is ReadFrame with a caller-owned body buffer: the frame is
-// read into buf when it fits (growing it otherwise) and the possibly
-// grown buffer is returned for the next call, so a connection loop reads
-// every frame with zero steady-state allocation. The returned
-// Frame.Payload aliases the buffer and is valid only until the next use
-// of it.
+//
+// The frame is read into the caller-owned buf when it fits (a nil buf, or
+// a too-small one, is replaced by a fresh one) and the possibly grown
+// buffer is returned for the next call, so a connection loop reads every
+// frame with zero steady-state allocation. The returned Frame.Payload
+// aliases the buffer and is valid only until the next use of it.
 func ReadFrameBuf(r io.Reader, maxFrame uint32, buf []byte) (Frame, []byte, error) {
 	// The length prefix is read into buf too (the body then overwrites it):
 	// a local array would escape through the io.Reader, once per frame.

@@ -22,6 +22,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		payload []byte
 	}
 	var frames []sent
+	fw := NewFrameWriter(&buf)
 	for i := 0; i < 200; i++ {
 		f := sent{
 			corrID: uint32(r.Uint64()),
@@ -32,13 +33,16 @@ func TestFrameRoundTrip(t *testing.T) {
 		for j := range f.payload {
 			f.payload[j] = byte(r.Uint64())
 		}
-		if err := WriteFrame(&buf, f.corrID, f.op, f.payload); err != nil {
+		if err := fw.Write(f.corrID, f.op, f.payload); err != nil {
 			t.Fatal(err)
 		}
 		frames = append(frames, f)
 	}
+	var rbuf []byte
 	for i, want := range frames {
-		got, err := ReadFrame(&buf, 0)
+		var got Frame
+		var err error
+		got, rbuf, err = ReadFrameBuf(&buf, 0, rbuf)
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
@@ -47,7 +51,7 @@ func TestFrameRoundTrip(t *testing.T) {
 				i, got.CorrID, got.Op, len(got.Payload), want.corrID, want.op, len(want.payload))
 		}
 	}
-	if _, err := ReadFrame(&buf, 0); err != io.EOF {
+	if _, _, err := ReadFrameBuf(&buf, 0, rbuf); err != io.EOF {
 		t.Fatalf("after last frame: want io.EOF, got %v", err)
 	}
 }
@@ -57,12 +61,12 @@ func TestFrameRoundTrip(t *testing.T) {
 // frame or a hang.
 func TestFrameTruncated(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, 7, OpPut, []byte("0123456789abcdef")); err != nil {
+	if err := NewFrameWriter(&buf).Write(7, OpPut, []byte("0123456789abcdef")); err != nil {
 		t.Fatal(err)
 	}
 	whole := buf.Bytes()
 	for cut := 0; cut < len(whole); cut++ {
-		_, err := ReadFrame(bytes.NewReader(whole[:cut]), 0)
+		_, _, err := ReadFrameBuf(bytes.NewReader(whole[:cut]), 0, nil)
 		want := io.ErrUnexpectedEOF
 		if cut == 0 {
 			want = io.EOF
@@ -76,14 +80,14 @@ func TestFrameTruncated(t *testing.T) {
 // TestFrameLimits covers the oversized- and malformed-length error paths.
 func TestFrameLimits(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, 1, OpGet, make([]byte, 1024)); err != nil {
+	if err := NewFrameWriter(&buf).Write(1, OpGet, make([]byte, 1024)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadFrame(bytes.NewReader(buf.Bytes()), 64); !errors.Is(err, ErrFrameTooLarge) {
+	if _, _, err := ReadFrameBuf(bytes.NewReader(buf.Bytes()), 64, nil); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("want ErrFrameTooLarge, got %v", err)
 	}
 	// A length below corrID+op can never frame a message.
-	if _, err := ReadFrame(bytes.NewReader([]byte{4, 0, 0, 0, 9, 9, 9, 9}), 0); !errors.Is(err, ErrMalformed) {
+	if _, _, err := ReadFrameBuf(bytes.NewReader([]byte{4, 0, 0, 0, 9, 9, 9, 9}), 0, nil); !errors.Is(err, ErrMalformed) {
 		t.Fatalf("want ErrMalformed, got %v", err)
 	}
 }
